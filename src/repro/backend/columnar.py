@@ -11,7 +11,7 @@ columns) instead of Block objects. Only the block of interest is ever
 materialised: for the caller's ``update`` callback, for ``READRMV``
 hand-off, and as the defensive ``READ``/``WRITE`` result.
 
-Three eviction kernels produce bit-identical placements:
+Two interpreted eviction kernels produce bit-identical placements:
 
 - the *scalar* kernel mirrors the object backend's by-depth grouping
   directly (fastest at simulation-scale paths of a few dozen blocks);
@@ -21,18 +21,23 @@ Three eviction kernels produce bit-identical placements:
   (``levels - bit_length(leaf_col ^ leaf)`` via the exact float64
   exponent) and the LIFO placement is replayed over a single
   ``lexsort((-seq, depth))`` order with per-depth segment pointers —
-  the closed form of "candidates LIFO, then pool LIFO";
-- the *native* kernel (:meth:`enable_native_kernel`, engaged by
-  ``REPRO_REPLAY=compiled``) is the scalar kernel's drain and placement
-  transcribed into C (``repro.sim.native._replay_core``), reading the
-  addr/leaf columns zero-copy through the buffer protocol; when it is
-  enabled the vectorised kernel is bypassed so the scalar (reference)
-  semantics — validation order, error text, placement order — hold
-  exactly.
+  the closed form of "candidates LIFO, then pool LIFO".
+
+Under the fast tier (:meth:`enable_native_kernel`, engaged by
+``REPRO_REPLAY=compiled``) neither runs: :meth:`access` hands the whole
+operation — counters, path read, drain, update hand-off, placement,
+stash reconcile, write-back accounting, occupancy fold — to the
+backend's ``AccessKernel`` handle in ``repro.sim.native._replay_core``,
+one C call per access over the same columns and bucket lists, with the
+scalar kernel's semantics (validation order, error text, placement
+order) held exactly. The interpreted method below is the single
+fallback for installs without a C toolchain.
 
 The equivalence of all kernels to the object backend is enforced by the
 differential harness in ``tests/test_columnar_differential.py`` (which
-forces each kernel explicitly) and by the golden digests.
+forces each interpreted kernel explicitly), ``tests/test_native_replay.py``
+(the native kernel, in lockstep after every access) and the golden
+digests.
 
 Error handling is transactional on both kernels: bucket clearing is
 deferred to placement time and the stash dict is only reconciled after
@@ -48,11 +53,15 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.backend.ops import Op
-from repro.backend.stash import ColumnarStash
+from repro.backend.stash import ColumnarStash, KernelOccupancyStats
 from repro.config import OramConfig
-from repro.errors import RESTORE_FAILURES, BlockNotFoundError
+from repro.errors import (
+    RESTORE_FAILURES,
+    BlockNotFoundError,
+    StashOverflowError,
+)
 from repro.storage.block import Block
-from repro.storage.columnar import _CHUNK_MASK, _CHUNK_SHIFT
+from repro.storage.columnar import _CHUNK_MASK, _CHUNK_SHIFT, CHUNK_SLOTS
 from repro.utils.rng import DeterministicRng
 
 try:  # pragma: no cover - exercised indirectly on both branches
@@ -115,25 +124,41 @@ class ColumnarPathOramBackend:
         self._leaf_col = storage.leaf_col
         self._mac_col = storage.mac_col
         self._chunks = storage._chunks
-        # Compiled drain/evict core; None until enable_native_kernel().
-        self._native = None
+        # The native AccessKernel handle; None until enable_native_kernel().
+        self._kernel = None
 
     def enable_native_kernel(self, core) -> None:
-        """Route the drain/evict loops through the compiled core.
+        """Hand every later :meth:`access` to a native ``AccessKernel``.
 
-        ``core`` is the loaded ``repro.sim.native._replay_core`` module
-        (``None`` is a no-op, so callers can pass ``load_native_core()``
-        unconditionally). The native kernel works zero-copy over the
-        storage's interchange columns and mirrors the scalar kernel
-        exactly, so the vectorised kernel is disabled while it is
-        active — bit-identity is pinned against the scalar reference.
+        ``core`` is only the on-switch: ``None`` is a no-op (callers pass
+        ``load_native_core()`` unconditionally) and anything else — the
+        ``_replay_core`` module, or a tracing proxy of its functions —
+        binds one handle, of the real module's type, to this backend's
+        storage. Idempotent, and O(1) once the handle exists. From here
+        on the stash's ``occupancy_stats`` is a view of the fold the
+        kernel keeps (seeded with everything sampled so far).
         """
-        if core is None:
+        if core is None or self._kernel is not None:
             return
+        from repro.sim.native import _replay_core
+
+        storage = self.storage
         # Fail fast if the storage cannot hand out buffer-capable
         # columns (the zero-copy contract the C kernel relies on).
-        self.storage.interchange_columns()
-        self._native = core
+        addr_col, leaf_col = storage.interchange_columns()
+        stats = self.stash.occupancy_stats
+        self._kernel = _replay_core.AccessKernel(
+            self, storage, addr_col, leaf_col, storage.mac_col,
+            storage._chunks, storage._free, storage.buckets,
+            self._stash_slots,
+            self.config.levels, self.config.blocks_per_bucket,
+            self._block_bytes, CHUNK_SLOTS, self.stash.limit,
+            self.allow_missing,
+            (stats.count, stats.mean, stats._m2, stats.max, stats.min),
+            Block, Op.APPEND, Op.READRMV,
+            BlockNotFoundError, StashOverflowError,
+        )
+        self.stash.occupancy_stats = KernelOccupancyStats(self._kernel)
 
     # -- public API -----------------------------------------------------------
 
@@ -180,6 +205,9 @@ class ColumnarPathOramBackend:
         ownership to the caller; ``APPEND`` copies ``append_block`` into
         the arena without any tree access.
         """
+        kernel = self._kernel
+        if kernel is not None:
+            return kernel.access(op, addr, leaf, new_leaf, update, append_block)
         self.access_count += 1
         store = self.storage
         if op is Op.APPEND:
@@ -210,18 +238,15 @@ class ColumnarPathOramBackend:
         created_fresh = False
         saved_fields = None
         vectorise = False
-        native = self._native
         merged: List[int] = []
         try:
             threshold = self.vec_min_merge
             # The merge can never exceed path capacity + stash residents,
             # so the per-bucket estimate is skipped outright for configs
             # (the common Z=4 simulation scale) that cannot reach the
-            # vectorisation threshold. The native kernel replaces both
-            # Python kernels wholesale, so the estimate is skipped too.
+            # vectorisation threshold.
             if (
-                native is None
-                and threshold is not None
+                threshold is not None
                 and self._path_capacity + len(stash_slots) >= threshold
             ):
                 estimate = len(stash_slots)
@@ -229,17 +254,7 @@ class ColumnarPathOramBackend:
                     estimate += len(lst)
                 vectorise = estimate >= threshold
 
-            if native is not None:
-                # Fused C drain: stash residents grouped first, then the
-                # path root->leaf with snapshot + duplicate/leaf-range
-                # validation — the scalar branches below, zero-copy over
-                # the columns. Returns the block of interest's slot (or
-                # None, leaving the alloc to the shared code below).
-                slot = native.drain_scalar(
-                    path, addr_col, leaf_col, stash_slots, slot,
-                    addr, leaf, levels, by_depth, drained_flat, resident,
-                )
-            elif vectorise:
+            if vectorise:
                 # Gather-only drain: depths for the whole merge are
                 # computed in one vectorised sweep afterwards (resident
                 # bookkeeping is scalar-kernel-only — the vectorised
@@ -419,14 +434,6 @@ class ColumnarPathOramBackend:
                     stash_slots[addr_col[s]] = s
             elif stash_slots:
                 stash_slots.clear()
-        elif native is not None:
-            # C placement: the scalar greedy loop below, compiled. The
-            # returned pool feeds the same slow-path rebuild.
-            pool = native.place_greedy(path, by_depth, levels, cap)
-            if pool:
-                self._rebuild_stash(op, addr, slot, pool)
-            elif stash_slots:
-                stash_slots.clear()
         else:
             # Greedy placement, deepest level first; candidates LIFO, then
             # the pool of deeper leftovers LIFO — the object backend's
@@ -545,8 +552,7 @@ class ColumnarPathOramBackend:
         """Rebuild the stash dict from placement leftovers.
 
         Original merge order — resident survivors, drained survivors,
-        block of interest last (see the object backend). Shared by the
-        scalar and native placement kernels.
+        block of interest last (see the object backend).
         """
         stash_slots = self._stash_slots
         addr_col = self._addr_col

@@ -16,6 +16,46 @@ from repro.storage.block import Block
 from repro.utils.stats import RunningStats
 
 
+class KernelOccupancyStats(RunningStats):
+    """``RunningStats`` as a view of the native access kernel's fold.
+
+    Once a columnar backend runs on an ``AccessKernel`` the occupancy
+    sample after every eviction is folded in C (same operand order, so
+    the same bits); this class reads that state back under the
+    ``RunningStats`` names, and routes a Python-side :meth:`add` into
+    the same fold so there is one set of numbers either way.
+    """
+
+    def __init__(self, kernel):
+        # No super().__init__(): the state lives in the kernel.
+        self._kernel = kernel
+
+    def add(self, x: int) -> None:
+        self._kernel.fold_occupancy(x)
+
+    @property
+    def count(self) -> int:
+        return self._kernel.occupancy()[0]
+
+    @property
+    def mean(self) -> float:
+        return self._kernel.occupancy()[1]
+
+    @property
+    def _m2(self) -> float:
+        return self._kernel.occupancy()[2]
+
+    @property
+    def max(self):
+        value = self._kernel.occupancy()[3]
+        return float("-inf") if value is None else value
+
+    @property
+    def min(self):
+        value = self._kernel.occupancy()[4]
+        return float("inf") if value is None else value
+
+
 class ColumnarStash:
     """Slot-addressed stash for the columnar backend (no Block objects).
 

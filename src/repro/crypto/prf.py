@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from collections import OrderedDict
 from typing import List, Sequence
 
 from repro.crypto.aes import AES128
@@ -69,7 +70,11 @@ class Prf:
             self._keyed_state = hashlib.blake2b(key=key, digest_size=16)
         #: Reusable leaf-derivation message buffer (no per-call allocation).
         self._message = bytearray(24)
-        self._leaf_cache: dict = {}
+        # An OrderedDict, not a plain dict: refresh (move_to_end) and
+        # oldest-first eviction (popitem) are O(1) on its linked list,
+        # where ``del d[next(iter(d))]`` rescans the plain dict's
+        # ever-growing prefix of deleted entries on every eviction.
+        self._leaf_cache: "OrderedDict[tuple, int]" = OrderedDict()
         self._leaf_cache_limit = max(int(leaf_cache_entries), 0)
 
     def eval_bytes(self, data: bytes) -> bytes:
@@ -118,7 +123,7 @@ class Prf:
             # model still counts it, the primitive is simply not re-run.
             self.call_count += 1
             self.cache_hits += 1
-            cache[key] = cache.pop(key)  # LRU: refresh to the young end
+            cache.move_to_end(key)  # LRU: refresh to the young end
             return leaf
         if self.mode == self.MODE_FAST:
             message = self._message
@@ -141,7 +146,7 @@ class Prf:
         limit = self._leaf_cache_limit
         if limit:
             if len(cache) >= limit:
-                del cache[next(iter(cache))]  # evict the oldest entry
+                cache.popitem(last=False)  # evict the oldest entry
             cache[key] = leaf
         return leaf
 
@@ -175,7 +180,8 @@ class Prf:
             ]
         cache = self._leaf_cache
         cache_get = cache.get
-        cache_pop = cache.pop
+        refresh = cache.move_to_end
+        evict_oldest = cache.popitem
         limit = self._leaf_cache_limit
         message = self._message
         pack = _pack_leaf_message
@@ -192,7 +198,7 @@ class Prf:
             calls += 1
             if leaf is not None:
                 hits += 1
-                cache[key] = cache_pop(key)  # LRU: refresh to the young end
+                refresh(key)  # LRU: to the young end
                 append(leaf)
                 continue
             pack(message, 0, address, count & _U64, count >> 64, subblock)
@@ -201,7 +207,7 @@ class Prf:
             leaf = from_bytes(state.digest(), "little") & mask
             if limit:
                 if len(cache) >= limit:
-                    del cache[next(iter(cache))]  # evict the oldest entry
+                    evict_oldest(last=False)
                 cache[key] = leaf
             append(leaf)
         self.call_count += calls

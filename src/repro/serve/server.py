@@ -370,7 +370,7 @@ class OramService:
                 rng=DeterministicRng((self.runner.seed + index) ^ 0xA5A5),
                 observer=observer,
             )
-            engine = ReplayEngine(
+            engine = ReplayEngine.for_mode(
                 frontend, self.runner.timing_for(frontend), proc=self.runner.proc
             )
             self.shards.append(
@@ -419,7 +419,7 @@ class OramService:
             Op.WRITE,
             payload,
         )
-        shard.engine = ReplayEngine(
+        shard.engine = ReplayEngine.for_mode(
             shard.frontend, shard.engine.timing, proc=self.runner.proc
         )
 

@@ -34,7 +34,11 @@ from repro.backend.ops import Op
 from repro.config import ProcessorConfig
 from repro.proc.hierarchy import MissTrace
 from repro.sim.metrics import SimResult
-from repro.sim.replay import _latency_gather, translate_block_addrs
+from repro.sim.replay import (
+    _latency_gather,
+    resolve_replay_mode,
+    translate_block_addrs,
+)
 from repro.sim.timing import OramTimingModel
 
 
@@ -84,6 +88,8 @@ class ReplayEngine:
         self.payload = payload if payload is not None else bytes(block_bytes)
         self.cycles: float = 0.0
         self.events = 0
+        #: Replay kernel this engine was resolved for (see for_mode).
+        self.mode = "batched"
         # Baselines for delta counters: a caller may hand the engine a
         # frontend (or crypto suite) that has already served traffic.
         self._data_bytes0 = frontend.data_bytes_moved
@@ -98,6 +104,24 @@ class ReplayEngine:
         # caller opts in via enable_native(); every simulated outcome is
         # bit-identical either way.
         self._native = None
+
+    @classmethod
+    def for_mode(cls, frontend, timing, mode=None, **kwargs) -> "ReplayEngine":
+        """An engine with the replay kernel resolved and switched on.
+
+        The one place ``mode`` (or ``REPRO_REPLAY`` when it is ``None``)
+        turns into engine state, shared by :func:`replay_trace` and the
+        serving layer: ``engine.mode`` is the resolved kernel name and
+        ``compiled`` has the native core enabled on the engine and on
+        every columnar backend under the frontend.
+        """
+        engine = cls(frontend, timing, **kwargs)
+        engine.mode = resolve_replay_mode(mode)
+        if engine.mode == "compiled":
+            from repro.sim.native import load_native_core
+
+            engine.enable_native(load_native_core())
+        return engine
 
     # -- compiled-core opt-in --------------------------------------------------
 

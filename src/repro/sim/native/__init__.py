@@ -5,8 +5,10 @@ fused replay inner loop over the columnar arenas (see ``_replay_core.c``
 for the kernel inventory and the bit-identity contract). The extension
 is *optional*: nothing in the library imports it unconditionally, and
 every consumer goes through :func:`load_native_core`, which returns the
-module when it is built and importable, or ``None`` otherwise. The
-pure-Python batched kernel remains the default and the reference.
+module when it is built and importable, or ``None`` otherwise (a
+columnar backend handed that core then takes its ``AccessKernel`` handle
+type from the module itself). The pure-Python batched kernel remains
+the default and the reference.
 
 Build it in place with the baked-in toolchain (no new dependencies)::
 

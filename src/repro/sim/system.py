@@ -77,18 +77,13 @@ def replay_trace(
     differential harnesses prove here.
     """
     from repro.sim.engine import ReplayEngine
-    from repro.sim.replay import resolve_replay_mode
 
-    mode = resolve_replay_mode(mode)
-    engine = ReplayEngine(frontend, timing, proc=proc, block_bytes=block_bytes)
+    engine = ReplayEngine.for_mode(
+        frontend, timing, mode, proc=proc, block_bytes=block_bytes
+    )
     engine.cycles = base_cycles(trace, proc)
-    if mode == "compiled":
-        from repro.sim.native import load_native_core
-
-        engine.enable_native(load_native_core())
-        engine.run_trace(trace)
-    elif mode == "batched":
-        engine.run_trace(trace)
-    else:
+    if engine.mode == "scalar":
         engine.run_trace_scalar(trace)
+    else:
+        engine.run_trace(trace)
     return engine.result(trace, scheme)

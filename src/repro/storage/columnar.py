@@ -15,9 +15,11 @@ arena*:
 
 Block objects are materialised only at the Backend boundary (the block
 of interest, ``READRMV`` hand-off, stash snapshots); the other ~Z·(L+1)
-blocks touched per access stay columnar. Geometry (the leaf -> heap-index
-table) is precomputed in one vectorised numpy sweep exactly like
-:class:`~repro.storage.array_tree.ArrayTreeStorage`.
+blocks touched per access stay columnar. Geometry is arithmetic — the
+bucket at depth ``d`` on the path to ``leaf`` is heap index
+``(1 << d) - 1 + (leaf >> (L - d))`` — with per-leaf rows cached on first
+use for the interpreted path; the native access kernel computes the same
+indices inline and keeps no table.
 
 The pairing backend is
 :class:`~repro.backend.columnar.ColumnarPathOramBackend` (selected
@@ -45,19 +47,10 @@ from repro.config import OramConfig
 from repro.storage.block import Block
 from repro.storage.bucket import Bucket
 
-try:  # pragma: no cover - exercised indirectly on both branches
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 #: Slots per arena chunk (power of two: slot -> chunk is a shift/mask).
 CHUNK_SLOTS = 512
 _CHUNK_SHIFT = CHUNK_SLOTS.bit_length() - 1
 _CHUNK_MASK = CHUNK_SLOTS - 1
-
-#: Leaf-count bound for eager geometry precomputation (mirrors
-#: :data:`~repro.storage.array_tree.EAGER_GEOMETRY_LEAVES`).
-EAGER_GEOMETRY_LEAVES = 1 << 20
 
 
 class ColumnarTreeStorage:
@@ -85,17 +78,17 @@ class ColumnarTreeStorage:
         self._free: List[int] = []
         # -- the tree: per-bucket slot lists, materialised lazily --------
         self.buckets: List[Optional[List[int]]] = [None] * config.num_buckets
-        # -- geometry: dense per-leaf heap-index rows and path lists -----
+        # -- geometry: per-leaf heap-index rows and path lists, filled on
+        # first use by the interpreted path. The bucket at depth d on the
+        # path to a leaf is heap index (1 << d) - 1 + (leaf >> (L - d));
+        # the (offset, shift) pair of every depth is fixed per tree.
+        levels = config.levels
+        self._depth_terms = tuple(
+            ((1 << d) - 1, levels - d) for d in range(levels + 1)
+        )
         num_leaves = config.num_leaves
         self._index_rows: List[Optional[Tuple[int, ...]]] = [None] * num_leaves
         self._bucket_rows: List[Optional[List[List[int]]]] = [None] * num_leaves
-        self._geometry = None
-        if _np is not None and num_leaves <= EAGER_GEOMETRY_LEAVES:
-            levels = config.levels
-            offsets = (1 << _np.arange(levels + 1, dtype=_np.int64)) - 1
-            shifts = _np.arange(levels, -1, -1, dtype=_np.int64)
-            leaves = _np.arange(num_leaves, dtype=_np.int64)[:, None]
-            self._geometry = offsets[None, :] + (leaves >> shifts[None, :])
         # -- bandwidth accounting (padded bucket granularity) ------------
         self.buckets_read = 0
         self.buckets_written = 0
@@ -188,15 +181,9 @@ class ColumnarTreeStorage:
             raise ValueError(f"leaf {leaf} out of range")
         row = self._index_rows[leaf]
         if row is None:
-            if self._geometry is not None:
-                row = tuple(self._geometry[leaf].tolist())
-            else:
-                levels = self.config.levels
-                row = tuple(
-                    (1 << d) - 1 + (leaf >> (levels - d))
-                    for d in range(levels + 1)
-                )
-            self._index_rows[leaf] = row
+            row = self._index_rows[leaf] = tuple(
+                [offset + (leaf >> shift) for offset, shift in self._depth_terms]
+            )
         return row
 
     def path_indices(self, leaf: int) -> List[int]:

@@ -37,6 +37,8 @@ from repro.backend.ops import Op
 from repro.backend.path_oram import PathOramBackend
 from repro.config import OramConfig
 from repro.errors import BlockNotFoundError, IntegrityViolationError
+from repro.sim.native import load_native_core
+from repro.sim.replay import default_replay_mode
 from repro.storage.block import Block
 from repro.storage.columnar import ColumnarTreeStorage
 from repro.storage.snapshot import path_records, tree_digest, tree_records
@@ -135,6 +137,10 @@ def build_pair(
     )
     if vec_min_merge is not None:
         col.vec_min_merge = vec_min_merge
+    elif default_replay_mode() == "compiled":
+        # The compiled and sanitizer CI lanes run this whole suite on the
+        # native access kernel (a no-op where the extension is unbuilt).
+        col.enable_native_kernel(load_native_core())
     return obj, col
 
 

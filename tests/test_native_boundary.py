@@ -1,0 +1,653 @@
+"""The C boundary under hostile input: errors, never crashes.
+
+Every entry point ``repro.sim.native._replay_core`` exports — the five
+functions and the ``AccessKernel`` handle — is fed what a corrupted
+storage or a confused caller could hand it: columns of the wrong
+typecode or of unequal length, slot ids that are negative, past the
+arena or not ints at all, buckets that are not lists, leaves outside the
+tree, stash dicts with non-int keys and values. The contract is the
+same everywhere: raise ``TypeError``/``IndexError``/``ValueError``, and
+leave every container (and, for the handle, the stash snapshot and the
+tree digest) as it was. The CI sanitizer lane runs this file under
+ASan/UBSan, where an out-of-bounds read that happens not to crash here
+fails loudly.
+"""
+
+from array import array
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.backend.columnar import ColumnarPathOramBackend  # noqa: E402
+from repro.backend.ops import Op  # noqa: E402
+from repro.config import OramConfig  # noqa: E402
+from repro.errors import BlockNotFoundError, StashOverflowError  # noqa: E402
+from repro.sim.native import load_native_core  # noqa: E402
+from repro.storage.block import Block  # noqa: E402
+from repro.storage.columnar import CHUNK_SLOTS, ColumnarTreeStorage  # noqa: E402
+from repro.storage.snapshot import tree_digest  # noqa: E402
+from repro.utils.rng import DeterministicRng  # noqa: E402
+
+CORE = load_native_core()
+pytestmark = pytest.mark.skipif(
+    CORE is None,
+    reason="compiled core not built (python setup.py build_ext --inplace)",
+)
+
+REJECTED = (TypeError, IndexError, ValueError)
+LEVELS = 3
+CONFIG = OramConfig(num_blocks=64, block_bytes=8, blocks_per_bucket=2)
+PROPERTY = settings(max_examples=80, deadline=None)
+
+#: Values no slot list, stash or free list may legally hold.
+hostile_slots = st.one_of(
+    st.integers(max_value=-1),
+    st.integers(min_value=CHUNK_SLOTS * 4),
+    st.just(2**70),
+    st.sampled_from([None, 1.5, "7", b"7", (1,)]),
+)
+#: Every array typecode that is not a signed 64-bit integer.
+wrong_typecodes = st.sampled_from("bBhHiIQfd")
+int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+
+# ---------------------------------------------------------------------------
+# drain_scalar / place_greedy
+# ---------------------------------------------------------------------------
+
+
+def drain_args(arena=32):
+    """A well-formed argument tuple for ``drain_scalar``, as a dict."""
+    return {
+        "path": [[0, 1], [2], [], [3, 4]],
+        "addr_col": array("q", range(100, 100 + arena)),
+        "leaf_col": array("q", [s % (1 << LEVELS) for s in range(arena)]),
+        "stash": {110: 10, 111: 11},
+        "slot": None,
+        "addr": 103,
+        "leaf": 5,
+        "levels": LEVELS,
+        "by_depth": [[] for _ in range(LEVELS + 1)],
+        "drained_flat": [],
+        "resident": [],
+    }
+
+
+def call_drain(args):
+    return CORE.drain_scalar(*args.values())
+
+
+def assert_drain_rejects(args):
+    """A rejected drain appends nothing to the caller's scratch lists."""
+    with pytest.raises(REJECTED):
+        call_drain(args)
+    assert args["by_depth"] == [[] for _ in range(LEVELS + 1)]
+    assert args["drained_flat"] == [] and args["resident"] == []
+
+
+class TestDrainScalarBoundary:
+    def test_well_formed_baseline(self):
+        args = drain_args()
+        assert call_drain(args) == 3
+        assert args["drained_flat"] == [0, 1, 2, 3, 4]
+        assert args["resident"] == [10, 11]
+
+    @PROPERTY
+    @given(typecode=wrong_typecodes, which=st.sampled_from(["addr_col", "leaf_col"]))
+    def test_wrong_typecode_columns(self, typecode, which):
+        args = drain_args()
+        args[which] = array(typecode, [1.0 if typecode in "fd" else 1] * 32)
+        assert_drain_rejects(args)
+
+    @PROPERTY
+    @given(
+        short=st.sampled_from(["addr_col", "leaf_col"]),
+        keep=st.integers(min_value=0, max_value=31),
+        probe=st.integers(min_value=0, max_value=31),
+        via_stash=st.booleans(),
+    )
+    def test_unequal_column_lengths_never_read_past_either(
+        self, short, keep, probe, via_stash
+    ):
+        """A slot is only ever used after a check against *both* columns
+        (the parent checked bucket slots against ``addr_col`` alone)."""
+        args = drain_args()
+        del args[short][keep:]
+        args["stash"] = {500: probe} if via_stash else {}
+        args["path"] = [[], [], [], []] if via_stash else [[probe], [], [], []]
+        if probe >= keep:
+            with pytest.raises(IndexError):
+                call_drain(args)
+        else:
+            call_drain(args)
+
+    @PROPERTY
+    @given(bad=hostile_slots, level=st.integers(0, LEVELS), via_stash=st.booleans())
+    def test_hostile_slot_ids(self, bad, level, via_stash):
+        args = drain_args()
+        if via_stash:
+            args["stash"][999] = bad
+        else:
+            args["path"][level].append(bad)
+        assert_drain_rejects(args)
+
+    @PROPERTY
+    @given(
+        bucket=st.sampled_from([None, (0, 1), "01", 7, {0: 1}]),
+        level=st.integers(0, LEVELS),
+    )
+    def test_non_list_buckets(self, bucket, level):
+        args = drain_args()
+        args["path"][level] = bucket
+        assert_drain_rejects(args)
+
+    @PROPERTY
+    @given(key=st.sampled_from([None, 1.5, "110", (1,)]))
+    def test_non_int_stash_keys(self, key):
+        args = drain_args()
+        args["stash"][key] = 12
+        assert_drain_rejects(args)
+
+    @PROPERTY
+    @given(leaf=int64s, levels=st.integers(-4, 70))
+    def test_any_leaf_and_depth(self, leaf, levels):
+        """Leaves outside the tree and level counts outside ``by_depth``
+        come back as errors (or a clean result), never a wild index."""
+        args = drain_args()
+        args["leaf"], args["levels"] = leaf, levels
+        try:
+            call_drain(args)
+        except REJECTED:
+            assert args["drained_flat"] == [] and args["resident"] == []
+
+    @PROPERTY
+    @given(
+        name=st.sampled_from(["path", "stash", "by_depth", "drained_flat", "resident"]),
+        junk=st.sampled_from([None, 3, "x", (1, 2)]),
+    )
+    def test_wrong_container_types(self, name, junk):
+        args = drain_args()
+        args[name] = junk
+        with pytest.raises(REJECTED):
+            call_drain(args)
+
+    def test_by_depth_entry_not_a_list(self):
+        args = drain_args()
+        args["by_depth"] = [None] * (LEVELS + 1)
+        with pytest.raises(TypeError):
+            call_drain(args)
+        assert args["drained_flat"] == [] and args["resident"] == []
+
+
+class TestPlaceGreedyBoundary:
+    @PROPERTY
+    @given(
+        path_len=st.integers(0, 6),
+        depth_len=st.integers(0, 6),
+        levels=st.integers(-3, 8),
+        cap=st.integers(-2, 5),
+    )
+    def test_shape_mismatches(self, path_len, depth_len, levels, cap):
+        path = [[] for _ in range(path_len)]
+        by_depth = [[d] for d in range(depth_len)]
+        if levels < 0 or path_len < levels + 1 or depth_len < levels + 1:
+            with pytest.raises(REJECTED):
+                CORE.place_greedy(path, by_depth, levels, cap)
+            assert by_depth == [[d] for d in range(depth_len)]
+        else:
+            pool = CORE.place_greedy(path, by_depth, levels, cap)
+            placed = sum(len(b) for b in path[: levels + 1])
+            assert placed + len(pool) == levels + 1
+            assert all(len(b) <= max(cap, 0) for b in path)
+
+    @PROPERTY
+    @given(
+        which=st.sampled_from(["path", "by_depth"]),
+        level=st.integers(0, LEVELS),
+        junk=st.sampled_from([None, (1,), "ab", 5]),
+    )
+    def test_non_list_entries(self, which, level, junk):
+        path = [[level] for level in range(LEVELS + 1)]
+        by_depth = [[10 + level] for level in range(LEVELS + 1)]
+        (path if which == "path" else by_depth)[level] = junk
+        with pytest.raises(TypeError):
+            CORE.place_greedy(path, by_depth, LEVELS, 2)
+        # Rejected before anything moved.
+        untouched = [[10 + d] for d in range(LEVELS + 1)]
+        untouched_path = [[d] for d in range(LEVELS + 1)]
+        if which == "path":
+            untouched_path[level] = junk
+        else:
+            untouched[level] = junk
+        assert by_depth == untouched and path == untouched_path
+
+    @PROPERTY
+    @given(junk=st.sampled_from([None, 3, "x", (1, 2)]))
+    def test_wrong_containers(self, junk):
+        with pytest.raises(TypeError):
+            CORE.place_greedy(junk, [[]], 0, 1)
+        with pytest.raises(TypeError):
+            CORE.place_greedy([[]], junk, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# translate_block_addrs / accumulate / run_access_loop
+# ---------------------------------------------------------------------------
+
+
+class TestStreamingEntryPoints:
+    @PROPERTY
+    @given(
+        typecode=st.sampled_from("bhilq"),
+        values=st.lists(st.integers(-100, 100), max_size=20),
+        lpb=st.integers(-3, 9),
+    )
+    def test_translate_any_typecode(self, typecode, values, lpb):
+        """Non-int64 columns take the generic sequence path: same
+        numbers, or the Python kernel's own ValueError."""
+        column = array(typecode, values)
+        if lpb < 1:
+            with pytest.raises(ValueError):
+                CORE.translate_block_addrs(column, lpb)
+        else:
+            assert CORE.translate_block_addrs(column, lpb) == [
+                v // lpb for v in values
+            ]
+
+    @PROPERTY
+    @given(junk=st.sampled_from([None, 5, 2.5, ["a"], [None], array("d", [1.5])]))
+    def test_translate_rejects_non_numeric(self, junk):
+        try:
+            out = CORE.translate_block_addrs(junk, 4)
+        except REJECTED:
+            return
+        assert out == [v // 4 for v in junk]
+
+    @PROPERTY
+    @given(
+        start=st.one_of(st.floats(allow_nan=False), st.integers(-10, 10)),
+        values=st.lists(
+            st.one_of(st.floats(allow_nan=False), st.integers(-10, 10)),
+            max_size=30,
+        ),
+    )
+    def test_accumulate_is_the_python_fold(self, start, values):
+        total = start
+        for value in values:
+            total += value
+        got = CORE.accumulate(start, values)
+        assert type(got) is type(total) and repr(got) == repr(total)
+
+    @PROPERTY
+    @given(junk=st.sampled_from([None, 5, [None], ["a"], [1.0, None]]))
+    def test_accumulate_rejects_junk(self, junk):
+        with pytest.raises(TypeError):
+            CORE.accumulate(0.0, junk)
+
+    @PROPERTY
+    @given(
+        addrs=st.sampled_from([None, 5, [1, 2], (1, 2)]),
+        writes=st.sampled_from([None, 5, [True, False], (0, 1)]),
+    )
+    def test_run_access_loop_columns(self, addrs, writes):
+        class Result:
+            tree_accesses = 2
+
+        calls = []
+
+        def access(addr, op, payload=None):
+            calls.append(addr)
+            return Result()
+
+        ok = all(isinstance(col, (list, tuple)) for col in (addrs, writes))
+        if ok:
+            assert CORE.run_access_loop(
+                access, addrs, writes, Op.READ, Op.WRITE, b""
+            ) == [2, 2]
+        else:
+            with pytest.raises(TypeError):
+                CORE.run_access_loop(
+                    access, addrs, writes, Op.READ, Op.WRITE, b""
+                )
+            assert calls == []
+
+    def test_run_access_loop_result_without_the_attribute(self):
+        with pytest.raises(AttributeError):
+            CORE.run_access_loop(
+                lambda addr, op: object(), [1], [False], Op.READ, Op.WRITE, b""
+            )
+
+
+# ---------------------------------------------------------------------------
+# AccessKernel: construction
+# ---------------------------------------------------------------------------
+
+
+def kernel_args(backend):
+    """The positional arguments ``enable_native_kernel`` builds, as a dict."""
+    storage = backend.storage
+    return {
+        "backend": backend,
+        "storage": storage,
+        "addr_col": storage.addr_col,
+        "leaf_col": storage.leaf_col,
+        "mac_col": storage.mac_col,
+        "chunks": storage._chunks,
+        "free": storage._free,
+        "buckets": storage.buckets,
+        "stash": backend.stash.slots_by_addr,
+        "levels": backend.config.levels,
+        "cap": backend.config.blocks_per_bucket,
+        "block_bytes": backend.config.block_bytes,
+        "chunk_slots": CHUNK_SLOTS,
+        "stash_limit": backend.stash.limit,
+        "allow_missing": True,
+        "occupancy": (0, 0.0, 0.0, float("-inf"), float("inf")),
+        "block": Block,
+        "append": Op.APPEND,
+        "readrmv": Op.READRMV,
+        "not_found": BlockNotFoundError,
+        "overflow": StashOverflowError,
+    }
+
+
+def plain_backend():
+    return ColumnarPathOramBackend(
+        CONFIG, ColumnarTreeStorage(CONFIG), DeterministicRng(3)
+    )
+
+
+class TestKernelConstruction:
+    def test_well_formed_baseline(self):
+        kernel = CORE.AccessKernel(*kernel_args(plain_backend()).values())
+        assert kernel.occupancy() == (0, 0.0, 0.0, None, None)
+
+    @PROPERTY
+    @given(typecode=wrong_typecodes, which=st.sampled_from(["addr_col", "leaf_col"]))
+    def test_wrong_typecode_columns(self, typecode, which):
+        args = kernel_args(plain_backend())
+        args[which] = array(typecode)
+        with pytest.raises(TypeError):
+            CORE.AccessKernel(*args.values())
+
+    def test_read_only_column(self):
+        args = kernel_args(plain_backend())
+        args["addr_col"] = memoryview(bytes(64)).cast("q")
+        with pytest.raises((TypeError, BufferError)):
+            CORE.AccessKernel(*args.values())
+
+    @PROPERTY
+    @given(
+        name=st.sampled_from(["mac_col", "chunks", "free", "buckets", "stash"]),
+        junk=st.sampled_from([None, (1,), "ab", 5, array("q")]),
+    )
+    def test_wrong_containers(self, name, junk):
+        args = kernel_args(plain_backend())
+        args[name] = junk
+        with pytest.raises(TypeError):
+            CORE.AccessKernel(*args.values())
+
+    @PROPERTY
+    @given(
+        name=st.sampled_from(["levels", "cap", "block_bytes", "chunk_slots"]),
+        value=st.sampled_from([-1, 0, 61, 3, 2**40]),
+    )
+    def test_geometry_out_of_range(self, name, value):
+        legal = {
+            "levels": 0 <= value <= 60,
+            "cap": 1 <= value < 2**31,
+            "block_bytes": value >= 1,
+            "chunk_slots": value >= 1 and value & (value - 1) == 0,
+        }[name]
+        assume(not legal)
+        args = kernel_args(plain_backend())
+        args[name] = value
+        with pytest.raises((ValueError, OverflowError)):
+            CORE.AccessKernel(*args.values())
+
+    @PROPERTY
+    @given(
+        name=st.sampled_from(["block", "not_found", "overflow", "occupancy"]),
+        junk=st.sampled_from([None, 5, "x", (1, 2)]),
+    )
+    def test_wrong_classes(self, name, junk):
+        args = kernel_args(plain_backend())
+        args[name] = junk
+        with pytest.raises(TypeError):
+            CORE.AccessKernel(*args.values())
+
+    def test_keywords_and_arity(self):
+        args = kernel_args(plain_backend())
+        with pytest.raises(TypeError):
+            CORE.AccessKernel(*list(args.values())[:-1])
+        with pytest.raises(TypeError):
+            CORE.AccessKernel(*args.values(), extra=1)
+
+
+# ---------------------------------------------------------------------------
+# AccessKernel: access on a corrupted storage
+# ---------------------------------------------------------------------------
+
+
+def warmed_backend():
+    """A kernel-enabled backend with blocks in the tree and the stash,
+    plus the position map that finds them again."""
+    backend = plain_backend()
+    backend.enable_native_kernel(CORE)
+    rng = DeterministicRng(21)
+    posmap = {}
+    for _ in range(60):
+        addr = rng.randrange(24)
+        new_leaf = rng.random_leaf(CONFIG.levels)
+        backend.access(Op.READ, addr, posmap.get(addr, 0), new_leaf)
+        posmap[addr] = new_leaf
+    for addr in (40, 41):
+        backend.access(
+            Op.APPEND, addr, append_block=Block(addr, addr % 8, bytes(8), None)
+        )
+    return backend, posmap
+
+
+def image(backend):
+    return backend.stash_snapshot(), tree_digest(backend.storage)
+
+
+def path_bucket(storage, leaf, depth):
+    index = (1 << depth) - 1 + (leaf >> (CONFIG.levels - depth))
+    if storage.buckets[index] is None:
+        storage.buckets[index] = []
+    return index
+
+
+class TestKernelAccessBoundary:
+    def rejected_and_unchanged(self, backend, before, undo, *access):
+        with pytest.raises(REJECTED):
+            backend.access(*access)
+        undo()
+        assert image(backend) == before
+        # The handle is not left busy and the backend still works.
+        backend.access(Op.READ, 60, 0, 1)
+
+    @PROPERTY
+    @given(
+        bad=hostile_slots,
+        depth=st.integers(0, CONFIG.levels),
+        position=st.integers(0, 2),
+        op=st.sampled_from([Op.READ, Op.WRITE, Op.READRMV]),
+    )
+    def test_hostile_slot_in_a_path_bucket(self, bad, depth, position, op):
+        backend, posmap = warmed_backend()
+        addr, leaf = next(iter(posmap.items()))
+        before = image(backend)
+        bucket = backend.storage.buckets[path_bucket(backend.storage, leaf, depth)]
+        bucket.insert(min(position, len(bucket)), bad)
+        self.rejected_and_unchanged(
+            backend, before, lambda: bucket.remove(bad), op, addr, leaf, 2
+        )
+
+    @PROPERTY
+    @given(
+        junk=st.sampled_from([(1, 2), "ab", 5, {1: 2}]),
+        depth=st.integers(0, CONFIG.levels),
+    )
+    def test_non_list_bucket_on_the_path(self, junk, depth):
+        backend, posmap = warmed_backend()
+        addr, leaf = next(iter(posmap.items()))
+        before = image(backend)
+        buckets = backend.storage.buckets
+        index = path_bucket(backend.storage, leaf, depth)
+        original = buckets[index]
+        buckets[index] = junk
+
+        def undo():
+            buckets[index] = original
+
+        self.rejected_and_unchanged(backend, before, undo, Op.READ, addr, leaf, 2)
+
+    @PROPERTY
+    @given(bad=hostile_slots, as_key=st.booleans())
+    def test_hostile_stash_entry(self, bad, as_key):
+        backend, posmap = warmed_backend()
+        addr, leaf = next(iter(posmap.items()))
+        before = image(backend)
+        stash = backend.stash.slots_by_addr
+        key = 777
+        if as_key:
+            assume(not isinstance(bad, int))
+            key, bad = bad, next(iter(stash.values()))
+        stash[key] = bad
+        self.rejected_and_unchanged(
+            backend, before, lambda: stash.pop(key), Op.READ, addr, leaf, 2
+        )
+
+    @PROPERTY
+    @given(which=st.sampled_from(["addr_col", "leaf_col"]), grow=st.booleans())
+    def test_unequal_column_lengths(self, which, grow):
+        backend, posmap = warmed_backend()
+        addr, leaf = next(iter(posmap.items()))
+        before = image(backend)
+        column = getattr(backend.storage, which)
+        last = column[-1]
+        if grow:
+            column.append(0)
+            undo = column.pop
+        else:
+            column.pop()
+
+            def undo():
+                column.append(last)
+
+        self.rejected_and_unchanged(backend, before, undo, Op.READ, addr, leaf, 2)
+
+    @PROPERTY
+    @given(bad=hostile_slots)
+    def test_hostile_free_list_entry(self, bad):
+        """A first touch claims the corrupt entry; nothing was allocated."""
+        backend, _posmap = warmed_backend()
+        before = image(backend)
+        backend.storage._free.append(bad)
+        self.rejected_and_unchanged(
+            backend, before, lambda: None, Op.WRITE, 50, 0, 2
+        )
+
+    @PROPERTY
+    @given(
+        leaf=st.one_of(
+            st.integers(max_value=-1),
+            st.integers(min_value=CONFIG.num_leaves),
+            st.sampled_from([None, 1.5, "3"]),
+        ),
+        op=st.sampled_from([Op.READ, Op.WRITE, Op.READRMV]),
+    )
+    def test_leaf_outside_the_tree(self, leaf, op):
+        backend, posmap = warmed_backend()
+        addr = next(iter(posmap))
+        before = image(backend)
+        with pytest.raises((ValueError, TypeError)) as err:
+            backend.access(op, addr, leaf, 2)
+        if isinstance(leaf, int):
+            assert str(err.value) == f"leaf {leaf} out of range"
+        assert image(backend) == before
+
+    @PROPERTY
+    @given(
+        addr=st.one_of(st.just(2**63), st.sampled_from([None, 1.5, "a"])),
+        new_leaf=st.one_of(st.just(2**63), st.sampled_from([None, 2.5, 3])),
+    )
+    def test_unstorable_addr_or_new_leaf(self, addr, new_leaf):
+        backend, _posmap = warmed_backend()
+        before = image(backend)
+        with pytest.raises((TypeError, OverflowError)):
+            backend.access(Op.READ, addr, 0, new_leaf)
+        assert image(backend) == before
+
+    @PROPERTY
+    @given(
+        field=st.sampled_from(["addr", "leaf", "data", "mac"]),
+        junk=st.sampled_from([None, 1.5, "x", 2**70, b"toolongpayload"]),
+    )
+    def test_hostile_append_block(self, field, junk):
+        backend, _posmap = warmed_backend()
+        before = image(backend)
+        block = Block(55, 1, bytes(8), None)
+        setattr(block, field, junk)
+        try:
+            backend.access(Op.APPEND, 55, append_block=block)
+        except (TypeError, ValueError, OverflowError):
+            assert image(backend) == before
+        else:
+            assert field == "mac"
+
+    @PROPERTY
+    @given(
+        field=st.sampled_from(["leaf", "data", "mac"]),
+        junk=st.sampled_from([None, 1.5, "x", 2**70, b"toolongpayload"]),
+    )
+    def test_update_leaving_a_hostile_block(self, field, junk):
+        backend, posmap = warmed_backend()
+        addr, leaf = next(iter(posmap.items()))
+        before = image(backend)
+
+        def update(block):
+            setattr(block, field, junk)
+
+        try:
+            backend.access(Op.WRITE, addr, leaf, 2, update=update)
+        except (TypeError, ValueError, OverflowError):
+            assert image(backend) == before
+        else:
+            assert field == "mac"
+
+    def test_arity_and_scalars(self):
+        backend, _posmap = warmed_backend()
+        kernel = backend._kernel
+        before = image(backend)
+        for args in ((), (Op.READ, 1, 0, 0), (Op.READ, 1, 0, 0, None, None, None)):
+            with pytest.raises(TypeError):
+                kernel.access(*args)
+        for junk in (None, 1.5, "3", 2**70):
+            with pytest.raises((TypeError, OverflowError)):
+                kernel.fold_occupancy(junk)
+        assert image(backend) == before
+
+    def test_reentrant_access_is_refused(self):
+        backend, posmap = warmed_backend()
+        addr, leaf = next(iter(posmap.items()))
+        before = image(backend)
+
+        def update(block):
+            backend.access(Op.READ, addr, leaf, 1)
+
+        with pytest.raises(RuntimeError, match="re-entrant"):
+            backend.access(Op.WRITE, addr, leaf, 2, update=update)
+        assert image(backend) == before
+
+    def test_kernel_outliving_its_backend(self):
+        backend, _posmap = warmed_backend()
+        kernel = backend._kernel
+        del backend
+        with pytest.raises(ReferenceError):
+            kernel.access(Op.READ, 1, 0, 0, None, None)

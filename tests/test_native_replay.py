@@ -7,13 +7,17 @@ Four layers of coverage for ``repro.sim.native._replay_core``:
   object combos only the C driver loop), same bar as the PR-4/PR-5
   differential harnesses: SimResult, ``repr(cycles)``, stats image and
   tree digests all equal.
-- **Backend lockstep** — a native-enabled columnar backend against the
-  scalar columnar reference, stash snapshot + full tree records after
-  every access, including stash-pressure (Z=2) traces that force the
-  leftover-pool slow path and READRMV/APPEND mixes.
+- **Backend lockstep** — a columnar backend on its native
+  ``AccessKernel`` against the object ``PathOramBackend`` reference:
+  stash snapshot (order included), tree digest, every counter,
+  ``occupancy_stats`` and the observer's event log after every access,
+  over READ/WRITE/READRMV/APPEND, Z in {2, 4}, stash pressure that
+  takes the leftover-rebuild path and allocations that cross an arena
+  growth — each access entering the C module exactly once.
 - **Error-path identity** — the C kernel raises the byte-identical
-  ``ValueError`` messages (duplicate block, out-of-range leaf) and the
-  transactional rollback leaves both backends in equal, usable state.
+  messages (duplicate block, out-of-range leaf, absent block) and the
+  transactional rollback — a failing or interrupted ``update`` included
+  — leaves both backends in equal, usable, pre-access state.
 - **Dispatch policy** — ``REPRO_NATIVE`` off-values, the fallback
   ``RuntimeWarning`` (naming the build command), and ``require`` mode
   escalating to :class:`~repro.errors.NativeKernelUnavailable`.
@@ -29,11 +33,17 @@ from array import array
 import pytest
 
 import repro.sim.native as native_pkg
+from repro.adversary.observer import TraceObserver
 from repro.backend.columnar import ColumnarPathOramBackend
 from repro.backend.ops import Op
 from repro.backend.path_oram import PathOramBackend
 from repro.config import OramConfig
-from repro.errors import IntegrityViolationError, NativeKernelUnavailable
+from repro.errors import (
+    BlockNotFoundError,
+    IntegrityViolationError,
+    NativeKernelUnavailable,
+    StashOverflowError,
+)
 from repro.presets import build_frontend
 from repro.sim.engine import ReplayEngine
 from repro.sim.native import NATIVE_ENV, load_native_core, native_policy
@@ -41,7 +51,7 @@ from repro.sim.replay import resolve_replay_mode, translate_block_addrs
 from repro.sim.system import replay_trace
 from repro.sim.timing import OramTimingModel
 from repro.storage.block import Block
-from repro.storage.columnar import ColumnarTreeStorage
+from repro.storage.columnar import CHUNK_SLOTS, ColumnarTreeStorage
 from repro.storage.snapshot import tree_digest, tree_records
 from repro.storage.tree import TreeStorage
 from repro.utils.rng import DeterministicRng
@@ -61,20 +71,56 @@ needs_core = pytest.mark.skipif(
 )
 
 
-def native_pair(config: OramConfig, seed: int = 7):
-    """Scalar-reference and native-enabled columnar backends, same seeds."""
-    ref = ColumnarPathOramBackend(
-        config, ColumnarTreeStorage(config), DeterministicRng(seed)
+class CountingKernel:
+    """Wraps an ``AccessKernel``, counting the calls that enter C."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.entries = 0
+
+    def access(self, *args):
+        self.entries += 1
+        return self.kernel.access(*args)
+
+
+def native_pair(config: OramConfig, seed: int = 7, allow_missing: bool = True):
+    """The object reference and a kernel-enabled columnar backend, same
+    seeds, each with an observer recording its path reads and writes."""
+    ref_events, nat_events = TraceObserver(), TraceObserver()
+    ref = PathOramBackend(
+        config, TreeStorage(config, observer=ref_events.for_tree(0)),
+        DeterministicRng(seed), allow_missing,
     )
     nat = ColumnarPathOramBackend(
-        config, ColumnarTreeStorage(config), DeterministicRng(seed)
+        config, ColumnarTreeStorage(config, observer=nat_events.for_tree(0)),
+        DeterministicRng(seed), allow_missing,
     )
     nat.enable_native_kernel(CORE)
+    nat._kernel = CountingKernel(nat._kernel)
+    ref.events, nat.events = ref_events.events, nat_events.events
     return ref, nat
+
+
+def full_state(backend):
+    """Everything the bit-identity contract names, for one backend."""
+    stats = backend.stash.occupancy_stats
+    storage = backend.storage
+    return (
+        backend.stash_snapshot(),
+        tree_digest(storage),
+        (backend.access_count, backend.tree_access_count,
+         backend.append_count, storage.buckets_read,
+         storage.buckets_written),
+        (stats.count, repr(stats.mean), repr(stats.variance), stats.max,
+         stats.min),
+        list(backend.events),
+    )
 
 
 SMALL = OramConfig(num_blocks=256, block_bytes=32)
 PRESSURE_Z2 = OramConfig(num_blocks=256, block_bytes=16, blocks_per_bucket=2)
+#: More blocks than one 512-slot arena chunk: first touches outgrow it.
+GROWTH = OramConfig(num_blocks=2048, block_bytes=8)
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +189,14 @@ class TestCompiledPipelineLockstep:
 
 @needs_core
 class TestNativeBackendLockstep:
-    def drive(self, config, steps, seed, with_removal=False):
+    def drive(self, config, steps, seed, with_removal=False, num_addrs=None):
         """Random ops against both backends; compare after every access."""
         ref, nat = native_pair(config, seed=seed)
         rng = DeterministicRng(seed * 31 + 5)
         posmap = {}
         removed_ref, removed_nat = {}, {}
-        num_addrs = config.num_blocks // 4
+        if num_addrs is None:
+            num_addrs = config.num_blocks // 4
         for index in range(steps):
             roll = rng.random()
             if with_removal and removed_ref and roll < 0.2:
@@ -169,6 +216,9 @@ class TestNativeBackendLockstep:
                 if with_removal and roll > 0.85:
                     a = ref.access(Op.READRMV, addr, leaf, new_leaf)
                     b = nat.access(Op.READRMV, addr, leaf, new_leaf)
+                    assert (a.addr, a.leaf, a.data, a.mac) == (
+                        b.addr, b.leaf, b.data, b.mac
+                    ), index
                     removed_ref[addr], removed_nat[addr] = a, b
                     posmap.pop(addr, None)
                 elif roll < 0.5:
@@ -176,16 +226,20 @@ class TestNativeBackendLockstep:
 
                     def update(block, payload=payload):
                         block.data = payload
+                        block.mac = payload[:4]
 
                     ref.access(Op.WRITE, addr, leaf, new_leaf, update=update)
                     nat.access(Op.WRITE, addr, leaf, new_leaf, update=update)
                     posmap[addr] = new_leaf
                 else:
-                    ref.access(Op.READ, addr, leaf, new_leaf)
-                    nat.access(Op.READ, addr, leaf, new_leaf)
+                    a = ref.access(Op.READ, addr, leaf, new_leaf)
+                    b = nat.access(Op.READ, addr, leaf, new_leaf)
+                    assert a == b, index
                     posmap[addr] = new_leaf
-            assert ref.stash_snapshot() == nat.stash_snapshot(), index
-        assert tree_records(ref.storage) == tree_records(nat.storage)
+            assert full_state(ref) == full_state(nat), index
+            # One C call per access, APPENDs included.
+            assert nat._kernel.entries == index + 1
+        return ref, nat
 
     @pytest.mark.parametrize("seed", (1, 9, 40))
     def test_randomized_traces(self, seed):
@@ -193,13 +247,68 @@ class TestNativeBackendLockstep:
 
     @pytest.mark.parametrize("seed", (2, 17))
     def test_stash_pressure_forces_slow_path_rebuild(self, seed):
-        """Z=2 leaves placement leftovers, exercising the C pool return
-        and the shared merge-order stash rebuild."""
-        self.drive(PRESSURE_Z2, steps=250, seed=seed)
+        """Z=2 leaves placement leftovers, exercising the leftover pool
+        and the merge-order stash rebuild."""
+        ref, _nat = self.drive(PRESSURE_Z2, steps=250, seed=seed)
+        assert ref.stash.occupancy_stats.max > 4
 
     @pytest.mark.parametrize("seed", (3, 23))
     def test_removal_and_append_mix(self, seed):
         self.drive(SMALL, steps=220, seed=seed, with_removal=True)
+
+    def test_fresh_allocations_cross_an_arena_growth(self):
+        """First touches of >512 distinct blocks outgrow the arena's
+        first chunk mid-run; the kernel grows it between two exports."""
+        _ref, nat = self.drive(
+            GROWTH, steps=700, seed=5, with_removal=True, num_addrs=2048
+        )
+        assert len(nat.storage.addr_col) > CHUNK_SLOTS
+
+    def test_no_interpreted_step_runs_under_the_kernel(self, monkeypatch):
+        """Path read, slot alloc, payload I/O and write-back all happen
+        inside the one C call: the storage's Python methods never run."""
+        _ref, nat = native_pair(SMALL)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("interpreted storage step under the kernel")
+
+        for name in ("read_path_slots", "write_path_slots", "alloc",
+                     "release", "payload", "set_payload"):
+            monkeypatch.setattr(nat.storage, name, unreachable)
+        monkeypatch.setattr(nat.stash, "check_limit", unreachable)
+        removed = nat.access(Op.READRMV, 7, 0, 3)
+        nat.access(Op.APPEND, 7, append_block=removed)
+        nat.access(Op.WRITE, 7, 3, 1, update=lambda block: None)
+        assert nat.access(Op.READ, 7, 1, 2).addr == 7
+        assert nat._kernel.entries == 4
+
+    def test_enable_is_idempotent_and_keeps_earlier_samples(self):
+        """``replay_trace`` enables per slice: the handle is made once,
+        and occupancy sampled before it existed stays in the fold."""
+        config = PRESSURE_Z2
+        ref = PathOramBackend(config, TreeStorage(config), DeterministicRng(4))
+        nat = ColumnarPathOramBackend(
+            config, ColumnarTreeStorage(config), DeterministicRng(4)
+        )
+        rng = DeterministicRng(77)
+        posmap = {}
+        for index in range(120):
+            if index == 60:
+                nat.enable_native_kernel(CORE)
+                kernel = nat._kernel
+            if index > 60:
+                nat.enable_native_kernel(CORE)
+                assert nat._kernel is kernel
+            addr = rng.randrange(64)
+            new_leaf = rng.random_leaf(config.levels)
+            for backend in (ref, nat):
+                backend.access(Op.READ, addr, posmap.get(addr, 0), new_leaf)
+            posmap[addr] = new_leaf
+        assert ref.stash.occupancy_stats.as_dict() == (
+            nat.stash.occupancy_stats.as_dict()
+        )
+        assert ref.stash_snapshot() == nat.stash_snapshot()
+        assert tree_digest(ref.storage) == tree_digest(nat.storage)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +357,14 @@ class TestErrorPathIdentity:
         assert ref.stash_snapshot() == nat.stash_snapshot()
         assert tree_records(ref.storage) == tree_records(nat.storage)
 
-    def test_failing_update_restores_identically(self):
+    @pytest.mark.parametrize(
+        "raised",
+        (ValueError("bad splice"), IntegrityViolationError("injected"),
+         KeyboardInterrupt()),
+        ids=lambda exc: type(exc).__name__,
+    )
+    @pytest.mark.parametrize("op", (Op.WRITE, Op.READRMV))
+    def test_failing_update_restores_identically(self, raised, op):
         ref, nat = native_pair(SMALL)
         posmap = {}
         rng = DeterministicRng(6)
@@ -261,21 +377,108 @@ class TestErrorPathIdentity:
             posmap[addr] = new_leaf
 
         def failing(block):
+            # Mutations made before the fault must be rolled back too.
             block.data = b"\xEE" * SMALL.block_bytes
-            raise IntegrityViolationError("injected")
+            block.mac = b"tag"
+            block.leaf = 1
+            raise raised
 
+        # A resident block, then a first touch (fresh slot, released).
+        for addr, leaf in ((next(iter(posmap)), None), (200, 0)):
+            leaf = posmap[addr] if leaf is None else leaf
+            for backend in (ref, nat):
+                before = (backend.stash_snapshot(), tree_digest(backend.storage))
+                with pytest.raises(type(raised)) as err:
+                    backend.access(op, addr, leaf, 3, update=failing)
+                assert err.value is raised
+                assert not getattr(err.value, "__notes__", None)
+                assert (
+                    backend.stash_snapshot(), tree_digest(backend.storage)
+                ) == before
+            assert full_state(ref) == full_state(nat)
+        # Both stay usable after the rollback.
         addr = next(iter(posmap))
         for backend in (ref, nat):
-            with pytest.raises(IntegrityViolationError):
-                backend.access(
-                    Op.WRITE, addr, posmap[addr], 3, update=failing
-                )
-        assert ref.stash_snapshot() == nat.stash_snapshot()
-        assert tree_digest(ref.storage) == tree_digest(nat.storage)
-        # Both stay usable after the rollback.
-        for backend in (ref, nat):
             backend.access(Op.READ, addr, posmap[addr], 5)
-        assert tree_digest(ref.storage) == tree_digest(nat.storage)
+        assert full_state(ref) == full_state(nat)
+
+    def test_wrong_sized_update_payload_message_and_rollback(self):
+        """The write-back of an updated block validates its payload with
+        the storage's own message, then rolls back like any failure."""
+        ref, nat = native_pair(SMALL)
+        scalar = ColumnarPathOramBackend(
+            SMALL, ColumnarTreeStorage(SMALL), DeterministicRng(7)
+        )
+
+        def truncating(block):
+            block.data = b"short"
+
+        messages = []
+        for backend in (scalar, nat):
+            backend.access(Op.READ, 5, 0, 2)
+            before = (backend.stash_snapshot(), tree_digest(backend.storage))
+            with pytest.raises(ValueError, match="payload must be") as err:
+                backend.access(Op.WRITE, 5, 2, 3, update=truncating)
+            messages.append(str(err.value))
+            assert (
+                backend.stash_snapshot(), tree_digest(backend.storage)
+            ) == before
+        assert messages[0] == messages[1]
+
+    def test_absent_block_raises_identically(self):
+        ref, nat = native_pair(SMALL, allow_missing=False)
+        messages = []
+        for backend in (ref, nat):
+            backend.access(
+                Op.APPEND, 3, append_block=Block(3, 1, bytes(32), None)
+            )
+            with pytest.raises(BlockNotFoundError) as err:
+                backend.access(Op.READ, 0x2A, 5, 1)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == (
+            "block 0x2a absent from path 5 and stash"
+        )
+        assert full_state(ref) == full_state(nat)
+
+    def test_append_errors_identical(self):
+        ref, nat = native_pair(SMALL)
+        messages = []
+        for backend in (ref, nat):
+            local = []
+            with pytest.raises(ValueError) as err:
+                backend.access(Op.APPEND, 3)
+            local.append(str(err.value))
+            backend.access(
+                Op.APPEND, 3, append_block=Block(3, 1, bytes(32), None)
+            )
+            with pytest.raises(ValueError) as err:
+                backend.access(
+                    Op.APPEND, 3, append_block=Block(3, 2, bytes(32), None)
+                )
+            local.append(str(err.value))
+            with pytest.raises(ValueError) as err:
+                backend.access(Op.READ, 9, SMALL.num_leaves, 0)
+            local.append(str(err.value))
+            messages.append(local)
+        assert messages[0] == messages[1]
+        assert full_state(ref) == full_state(nat)
+
+    def test_stash_overflow_message_identical(self):
+        config = OramConfig(
+            num_blocks=256, block_bytes=16, blocks_per_bucket=1, stash_limit=3
+        )
+        ref, nat = native_pair(config)
+        messages = []
+        for backend in (ref, nat):
+            rng = DeterministicRng(12)
+            with pytest.raises(StashOverflowError) as err:
+                for addr in range(200):
+                    backend.access(
+                        Op.READ, addr, 0, rng.random_leaf(config.levels)
+                    )
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert full_state(ref) == full_state(nat)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +541,68 @@ class TestKernelPrimitives:
             CORE.run_access_loop(
                 access, [1], [False], Op.READ, Op.WRITE, b""
             )
+
+    def test_drain_scalar_matches_python_reference(self):
+        """The exported drain against the scalar kernel's loop, spelled
+        out: same groups, same snapshot, same block of interest."""
+        rng = DeterministicRng(29)
+        levels = 4
+        for trial in range(40):
+            arena = 64
+            addr_col = array("q", range(1000, 1000 + arena))
+            leaf_col = array(
+                "q", [rng.randrange(1 << levels) for _ in range(arena)]
+            )
+            slots = list(range(arena))
+            rng.shuffle(slots)
+            path = [
+                [slots.pop() for _ in range(rng.randrange(4))]
+                for _ in range(levels + 1)
+            ]
+            stash = {
+                addr_col[s]: s
+                for s in (slots.pop() for _ in range(rng.randrange(5)))
+            }
+            leaf = rng.randrange(1 << levels)
+            # The block of interest: on the path, in the stash, or absent.
+            where = trial % 3
+            candidates = (
+                [s for lst in path for s in lst] if where == 0
+                else list(stash.values()) if where == 1 else []
+            )
+            addr = (
+                addr_col[candidates[rng.randrange(len(candidates))]]
+                if candidates else 5
+            )
+            slot = stash.get(addr)
+
+            ref_depth = [[] for _ in range(levels + 1)]
+            ref_flat, ref_resident, ref_slot = [], [], slot
+            for s in stash.values():
+                if s == slot:
+                    continue
+                depth = levels - (leaf_col[s] ^ leaf).bit_length()
+                ref_depth[depth].append(s)
+                ref_resident.append(s)
+            for lst in path:
+                ref_flat.extend(lst)
+                for s in lst:
+                    if addr_col[s] == addr:
+                        ref_slot = s
+                        continue
+                    depth = levels - (leaf_col[s] ^ leaf).bit_length()
+                    ref_depth[depth].append(s)
+
+            by_depth = [[] for _ in range(levels + 1)]
+            flat, resident = [], []
+            got = CORE.drain_scalar(
+                path, addr_col, leaf_col, stash, slot, addr, leaf, levels,
+                by_depth, flat, resident,
+            )
+            assert got == ref_slot, trial
+            assert by_depth == ref_depth, trial
+            assert flat == ref_flat, trial
+            assert resident == ref_resident, trial
 
     def test_place_greedy_matches_python_reference(self):
         rng = DeterministicRng(13)
@@ -465,7 +730,7 @@ class TestEngineHookup:
         engine = ReplayEngine(fe, OramTimingModel(tree_latency_cycles=1000.0))
         engine.enable_native(CORE)
         assert engine._native is CORE
-        assert fe.backend._native is CORE
+        assert isinstance(fe.backend._kernel, CORE.AccessKernel)
 
     def test_enable_native_tolerates_object_backends(self):
         """Recursive frontends carry object backends with no native
@@ -476,18 +741,70 @@ class TestEngineHookup:
         assert engine._native is CORE
 
 
+@needs_core
+class TestServeUsesCompiledTier:
+    def run_serve(self, mode):
+        from repro.serve import OramService, ServeConfig, tenants_for
+        from repro.sim.runner import SimulationRunner
+
+        service = OramService(
+            tenants_for(["hmmer", "gob"], 3, requests=80),
+            runner=SimulationRunner(misses_per_benchmark=300, seed=13),
+            config=ServeConfig(
+                scheme="PC_X32", shards=2, burst=3, max_batch=8,
+                queue_capacity=5, policy="defer",
+            ),
+        )
+        service.preload(0, 1, b"warm")  # re-creates one shard's engine
+        kernels = [
+            (shard.engine._native, shard.frontend.backend._kernel)
+            for shard in service.shards
+        ]
+        report = service.run(mode).report()
+        report.pop("wall_seconds")
+        for tenant in report["tenants"]:
+            tenant.pop("wall_us")
+        return kernels, report
+
+    def test_shards_run_on_the_kernel_and_reports_agree(self, monkeypatch):
+        monkeypatch.delenv(NATIVE_ENV, raising=False)
+        monkeypatch.setenv("REPRO_STORAGE", "columnar")
+        monkeypatch.setenv("REPRO_REPLAY", "batched")
+        kernels, batched = self.run_serve("serial")
+        assert all(k == (None, None) for k in kernels)
+        monkeypatch.setenv("REPRO_REPLAY", "compiled")
+        kernels, serial = self.run_serve("serial")
+        assert all(
+            native is CORE and isinstance(kernel, CORE.AccessKernel)
+            for native, kernel in kernels
+        )
+        _kernels, concurrent = self.run_serve("async")
+        assert serial == concurrent == batched
+
+
 # ---------------------------------------------------------------------------
 # Restore-path hardening (the narrowed except blocks, both backends)
 # ---------------------------------------------------------------------------
 
 
 def hardened_pair():
+    """One backend per implementation of the restore path: object,
+    interpreted columnar and (when built) the native kernel, whose C
+    error path calls the same ``_abort_access``."""
     config = SMALL
-    obj = PathOramBackend(config, TreeStorage(config), DeterministicRng(3))
-    col = ColumnarPathOramBackend(
-        config, ColumnarTreeStorage(config), DeterministicRng(3)
-    )
-    return obj, col
+    backends = [
+        PathOramBackend(config, TreeStorage(config), DeterministicRng(3)),
+        ColumnarPathOramBackend(
+            config, ColumnarTreeStorage(config), DeterministicRng(3)
+        ),
+    ]
+    if CORE is not None:
+        native = ColumnarPathOramBackend(
+            config, ColumnarTreeStorage(config), DeterministicRng(3)
+        )
+        native.enable_native_kernel(CORE)
+        backends.append(native)
+    return backends
 
 
 class TestRestoreHardening:
@@ -527,6 +844,7 @@ class TestRestoreHardening:
     def test_restore_failure_is_chained_not_masking(self, monkeypatch):
         """A restore failure of an expected kind rides along as a note on
         the original error instead of replacing it."""
+        seen = []
         for backend in hardened_pair():
             posmap = self.warm(backend)
             addr = next(iter(posmap))
@@ -544,6 +862,8 @@ class TestRestoreHardening:
             notes = getattr(err.value, "__notes__", [])
             assert any("state restoration also failed" in n for n in notes)
             assert any("restore exploded" in n for n in notes)
+            seen.append(notes)
+        assert all(notes == seen[0] for notes in seen)  # byte-identical
 
     def test_unexpected_restore_error_propagates(self, monkeypatch):
         """Programming errors inside the restore path are not demoted to

@@ -123,3 +123,63 @@ class TestLeafForMany:
         assert (1, 0, 16, 0) in prf._leaf_cache
         assert (2, 0, 16, 0) not in prf._leaf_cache
         assert (3, 0, 16, 0) in prf._leaf_cache
+
+
+class ModelLru:
+    """The LRU as a specification: a recency list, oldest first."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.keys = []
+        self.calls = self.hits = 0
+
+    def touch(self, key):
+        self.calls += 1
+        if key in self.keys:
+            self.hits += 1
+            self.keys.remove(key)
+        elif len(self.keys) >= self.limit:
+            self.keys.pop(0)
+        self.keys.append(key)
+
+
+class NeverScanned(type(Prf(KEY)._leaf_cache)):
+    """The leaf cache's own type, failing any walk over its entries:
+    the eviction that found its victim by ``next(iter(cache))`` stepped
+    over every already-deleted entry to get there."""
+
+    def __iter__(self):
+        raise AssertionError("LRU eviction scanned the cache")
+
+
+class TestLeafLruEviction:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        addrs=st.lists(st.integers(min_value=0, max_value=15), max_size=200),
+        batched=st.booleans(),
+    )
+    def test_matches_the_model_under_eviction(self, addrs, batched):
+        prf = Prf(KEY, leaf_cache_entries=8)
+        model = ModelLru(8)
+        if batched:
+            prf.leaf_for_many(addrs, [0] * len(addrs), 16)
+        else:
+            for addr in addrs:
+                prf.leaf_for(addr, 0, 16)
+        for addr in addrs:
+            model.touch((addr, 0, 16, 0))
+        assert list(prf._leaf_cache) == model.keys
+        assert (prf.call_count, prf.cache_hits) == (model.calls, model.hits)
+
+    @pytest.mark.parametrize("batched", (False, True))
+    def test_eviction_never_scans_the_cache(self, batched):
+        prf = Prf(KEY, leaf_cache_entries=8)
+        prf._leaf_cache = NeverScanned()
+        addrs = [(i // 3) % 29 for i in range(600)]  # hits, misses, evictions
+        if batched:
+            prf.leaf_for_many(addrs, [0] * len(addrs), 16)
+        else:
+            for addr in addrs:
+                prf.leaf_for(addr, 0, 16)
+        assert len(prf._leaf_cache) == 8
+        assert prf.cache_hits > 0
