@@ -101,7 +101,12 @@ class Plb:
             bucket.append(entry)
             self._index[entry.tagged_addr] = entry
             return None
-        victim_pos = min(range(len(bucket)), key=lambda i: bucket[i].last_use)
+        # Direct-mapped: the one way is the victim. Otherwise LRU, the
+        # first way with the smallest timestamp.
+        victim_pos = (
+            0 if self.ways == 1
+            else min(range(len(bucket)), key=lambda i: bucket[i].last_use)
+        )
         victim = bucket[victim_pos]
         bucket[victim_pos] = entry
         del self._index[victim.tagged_addr]

@@ -31,6 +31,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.backend.ops import Op
 from repro.backend.path_oram import make_backend
 from repro.config import OramConfig
+from repro.crypto.mac import Mac
+from repro.crypto.prf import Prf
 from repro.crypto.suite import CryptoSuite
 from repro.errors import ConfigurationError, IntegrityViolationError
 from repro.frontend.addrgen import AddressSpace, levels_needed
@@ -142,6 +144,63 @@ class PlbFrontend(Frontend):
             for level in range(self.space_levels - 1):
                 size = (self.space.level_blocks(level) + 7) // 8
                 self._touched[level] = bytearray(size)
+        # The native FrontendKernel handle; None until enable_native_kernel().
+        self._kernel = None
+
+    def enable_native_kernel(self, core) -> None:
+        """Hand every later :meth:`access` to a native ``FrontendKernel``.
+
+        ``core`` is only the on-switch (``None`` is a no-op; anything
+        else binds one handle, of the real module's type); idempotent.
+        The kernel is the whole of :meth:`access` in C over this
+        frontend's own containers — PLB, on-chip PosMap, first-touch
+        bitmaps, statistics, the PRF's leaf cache, the MAC's counters,
+        the RNG — so the Python path below, ``peek``/``entries`` and the
+        lockstep harnesses keep reading one copy of the state. It engages
+        only on top of the backend's ``AccessKernel`` (columnar storage)
+        and the BLAKE2b ``fast`` suite, with format fields its fixed-width
+        arithmetic holds; everything else keeps the Python path.
+        """
+        if core is None or self._kernel is not None:
+            return
+        from repro.sim.native import _replay_core
+
+        tree_kernel = getattr(self.backend, "_kernel", None)
+        prf, mac, fmt = self.crypto.prf, self.crypto.mac, self.format
+        leaf_bytes, alpha, beta = (
+            getattr(fmt, name, 0)
+            for name in ("leaf_bytes", "alpha_bits", "beta_bits")
+        )
+        if (
+            type(tree_kernel) is not _replay_core.AccessKernel
+            or prf.mode != Prf.MODE_FAST
+            or mac.mode != Mac.MODE_FAST
+            or leaf_bytes > 8
+            or alpha > 64
+            or beta > 32
+        ):
+            return
+        plb, posmap, space = self.plb, self.posmap, self.space
+        self._kernel = _replay_core.FrontendKernel(
+            self, tree_kernel, PlbFrontend.access,
+            plb, plb._index, plb._sets,
+            posmap._table, posmap._touched, self._touched,
+            prf, prf._leaf_cache, mac, self.rng._getrandbits,
+            (
+                self.space_levels, space.fanout, space.num_blocks,
+                tuple(space.level_blocks(i) for i in range(self.space_levels)),
+                plb.num_sets, plb.ways, posmap.entries,
+            ),
+            (
+                fmt.kind, leaf_bytes, alpha, beta,
+                posmap.mode == OnChipPosMap.MODE_COUNTER, self.pmmac,
+            ),
+            (prf.key, mac.key, mac.tag_bytes),
+            (
+                PlbEntry, AccessResult, Op.READ, Op.WRITE,
+                ConfigurationError, IntegrityViolationError,
+            ),
+        )
 
     # -- construction helpers -----------------------------------------------------
 
@@ -403,6 +462,9 @@ class PlbFrontend(Frontend):
         self, addr: int, op: Op = Op.READ, data: Optional[bytes] = None
     ) -> AccessResult:
         """One processor request: PLB loop, PosMap refills, data access."""
+        kernel = self._kernel
+        if kernel is not None:
+            return kernel.access(addr, op, data)
         if op not in (Op.READ, Op.WRITE):
             raise ConfigurationError("processor requests are READ or WRITE")
         if op is Op.WRITE and (data is None or len(data) != self.config.block_bytes):

@@ -129,11 +129,13 @@ class ReplayEngine:
         """Route the fused inner loop through the compiled core.
 
         The engine's own stages (translate, access driver, accumulate)
-        switch to the C spellings, and every columnar backend reachable
-        from the frontend (``backend`` or per-level ``backends``) is
-        handed the core for its drain/evict loop. Passing ``None`` is a
-        no-op so callers can write ``enable_native(load_native_core())``
-        unconditionally.
+        switch to the C spellings, every columnar backend reachable from
+        the frontend (``backend`` or per-level ``backends``) is handed
+        the core for its ``AccessKernel``, and then the frontend itself
+        for its ``FrontendKernel`` (PLB frontends on such a backend with
+        the fast crypto suite; anything else declines and keeps its
+        Python ``access``). Passing ``None`` is a no-op so callers can
+        write ``enable_native(load_native_core())`` unconditionally.
         """
         if core is None:
             return
@@ -143,8 +145,9 @@ class ReplayEngine:
         if backends is None:
             backend = getattr(frontend, "backend", None)
             backends = [] if backend is None else [backend]
-        for backend in backends:
-            enable = getattr(backend, "enable_native_kernel", None)
+        # The frontend's own kernel sits on its backend's: backends first.
+        for layer in (*backends, frontend):
+            enable = getattr(layer, "enable_native_kernel", None)
             if enable is not None:
                 enable(core)
 
@@ -166,17 +169,21 @@ class ReplayEngine:
         """Drive one batch of block-level requests through the frontend.
 
         The batch is planned (``plan_batch`` when the frontend offers
-        it), accessed event by event with hoisted constants, and its
-        latencies are resolved by the vectorised gather then accumulated
-        onto ``self.cycles`` as an event-ordered left fold — exactly the
-        batched replay kernel, so splitting a trace across successive
-        ``run_batch`` calls is bit-identical to one whole-trace call.
+        it and is not running on its native kernel, which resolves
+        chains itself) and accessed event by event with hoisted
+        constants — one C call for the whole batch when the frontend
+        kernel is engaged. Its latencies are resolved by the vectorised
+        gather then accumulated onto ``self.cycles`` as an event-ordered
+        left fold — exactly the batched replay kernel, so splitting a
+        trace across successive ``run_batch`` calls is bit-identical to
+        one whole-trace call.
 
         Returns the per-event latencies (the serving layer's per-request
         service times).
         """
         plan = getattr(self.frontend, "plan_batch", None)
-        if plan is not None:
+        # A frontend on its native kernel never reads the chain cache.
+        if plan is not None and getattr(self.frontend, "_kernel", None) is None:
             plan(addrs)
         access = self.frontend.access
         read_op = Op.READ
@@ -185,7 +192,9 @@ class ReplayEngine:
         native = self._native
         if native is not None:
             # The C driver performs the identical per-event calls in the
-            # identical order; only interpreter dispatch is removed.
+            # identical order; only interpreter dispatch is removed (and,
+            # handed an engaged frontend's own bound ``access``, the
+            # Python frame and the AccessResult of every event).
             ns = native.run_access_loop(
                 access, addrs, writes, read_op, write_op, payload
             )

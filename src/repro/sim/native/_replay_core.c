@@ -8,7 +8,9 @@
  *   int64 buffer of a numpy trace column (zero-copy via PEP 3118);
  * - run_access_loop: the per-event driver loop (operand selection,
  *   frontend.access call, tree-access-count collection) without
- *   interpreter dispatch between events;
+ *   interpreter dispatch between events — and, for a frontend running
+ *   on its FrontendKernel, without a Python frame or an AccessResult
+ *   either: the slice is one C call;
  * - accumulate: the event-ordered left-fold of per-event latencies onto
  *   the running cycle count, in C doubles (bit-identical to CPython
  *   float += which performs the same IEEE-754 additions);
@@ -17,9 +19,26 @@
  *   drain, stash merge, update hand-off, greedy eviction, stash
  *   reconcile, write-back accounting, occupancy fold, rollback — over
  *   the storage's live columns, bucket lists and byte arena;
+ * - FrontendKernel: a per-frontend handle whose access() is one whole
+ *   PlbFrontend.access (§4.2.4) — chain and tag arithmetic, PLB lookup
+ *   loop, on-chip lookup_and_remap, uncompressed / flat / compressed
+ *   remap with group remaps and sibling relocation, first-touch
+ *   override, PLB refill and victim append, the data access, PMMAC
+ *   verify and seal — over the frontend's own containers, calling the
+ *   AccessKernel's tree access directly with a C visit in place of the
+ *   update closure;
+ * - blake2b: the vendored RFC 7693 hash behind that kernel's PRF and
+ *   MAC (keyed mid-state per handle, byte-identical to hashlib);
  * - drain_scalar / place_greedy: the kernel's drain and placement
  *   routines on their own, over Python scratch lists (the primitives
  *   the tests pin against the interpreted loops).
+ *
+ * State stays in Python, the algorithm moves to C: both handles bind the
+ * container objects their Python owners already keep (columns, bucket
+ * lists, stash dict; PLB sets and tag index, PlbEntry payloads, on-chip
+ * table, first-touch bitmaps, the PRF's LRU) and move every counter
+ * through the attribute protocol, so the interpreted paths, the
+ * lockstep harnesses and rollback read and write the one copy.
  *
  * Bit-identity contract: every routine is a transcription of the Python
  * spelling it replaces — same traversal order, same side effects in the
@@ -27,20 +46,28 @@
  * byte-identical error messages, same LIFO candidate/pool placement,
  * same float operand order. The lockstep differential harnesses
  * (tests/test_replay_differential.py, tests/test_columnar_differential.py,
- * tests/test_native_replay.py) and the golden digests enforce this.
+ * tests/test_native_replay.py, tests/test_native_frontend.py) and the
+ * golden digests enforce this.
  *
  * Buffer discipline: a column export lives only inside one stretch of C
  * code.  It is released before every call back into Python (the update
  * and observer callbacks, the rollback) and before the arena grows —
  * array('q').extend — because CPython refuses to resize an array with
  * exported buffers; the handle binds the column objects, never pointers.
- * Nothing read out of a Python container is trusted: slot ids are
- * type- and bounds-checked against both columns before they index
- * either (tests/test_native_boundary.py, and the CI sanitizer lane).
+ * A bytearray's bytes (a PLB payload, a first-touch bitmap) are used
+ * through a pointer fetched, with its length, after the last call that
+ * could have resized it.  Nothing read out of a Python container is
+ * trusted: slot ids are type- and bounds-checked against both columns
+ * before they index either, PLB entries are checked to be PlbEntry
+ * objects, counters to fit their fields (tests/test_native_boundary.py,
+ * and the CI sanitizer lane).
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+
+#include <stdint.h>
+#include <string.h>
 
 /* ------------------------------------------------------------------ */
 /* small helpers                                                       */
@@ -203,76 +230,6 @@ translate_block_addrs(PyObject *self, PyObject *args)
     Py_DECREF(divisor);
     Py_DECREF(seq);
     return out;
-}
-
-/* ------------------------------------------------------------------ */
-/* run_access_loop                                                     */
-/* ------------------------------------------------------------------ */
-
-static PyObject *
-run_access_loop(PyObject *self, PyObject *args)
-{
-    PyObject *access, *addrs, *writes, *read_op, *write_op, *payload;
-    if (!PyArg_ParseTuple(args, "OOOOOO:run_access_loop", &access, &addrs,
-                          &writes, &read_op, &write_op, &payload))
-        return NULL;
-
-    PyObject *addr_seq = PySequence_Fast(addrs, "addrs must be a sequence");
-    if (addr_seq == NULL)
-        return NULL;
-    PyObject *write_seq =
-        PySequence_Fast(writes, "writes must be a sequence");
-    if (write_seq == NULL) {
-        Py_DECREF(addr_seq);
-        return NULL;
-    }
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(addr_seq);
-    Py_ssize_t nw = PySequence_Fast_GET_SIZE(write_seq);
-    if (nw < n)
-        n = nw; /* zip() semantics: stop at the shorter column */
-
-    PyObject *out = PyList_New(n);
-    if (out == NULL)
-        goto fail;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *addr = PySequence_Fast_GET_ITEM(addr_seq, i);
-        int w = PyObject_IsTrue(PySequence_Fast_GET_ITEM(write_seq, i));
-        if (w < 0)
-            goto fail;
-        PyObject *result;
-        if (w)
-            result = PyObject_CallFunctionObjArgs(access, addr, write_op,
-                                                  payload, NULL);
-        else
-            result = PyObject_CallFunctionObjArgs(access, addr, read_op,
-                                                  NULL);
-        if (result == NULL)
-            goto fail;
-        PyObject *ta = PyObject_GetAttr(result, str_tree_accesses);
-        Py_DECREF(result);
-        if (ta == NULL)
-            goto fail;
-        PyList_SET_ITEM(out, i, ta);
-    }
-    Py_DECREF(addr_seq);
-    Py_DECREF(write_seq);
-    return out;
-
-fail:
-    /* A partially filled PyList_New(n) list holds NULL slots; fill them
-     * before the container is released. */
-    if (out != NULL) {
-        for (Py_ssize_t i = 0; i < n; i++) {
-            if (PyList_GET_ITEM(out, i) == NULL) {
-                Py_INCREF(Py_None);
-                PyList_SET_ITEM(out, i, Py_None);
-            }
-        }
-        Py_DECREF(out);
-    }
-    Py_DECREF(addr_seq);
-    Py_DECREF(write_seq);
-    return NULL;
 }
 
 /* ------------------------------------------------------------------ */
@@ -841,6 +798,7 @@ typedef struct {
         PyObject *refs[16]; /* the same references, for the collector */
     };
     PyObject **path; /* levels + 1 bucket lists, owned during a call */
+    char *snap;      /* the block of interest's payload before its visit */
     int levels, cap, chunk_shift, allow_missing, busy;
     Py_ssize_t block_bytes;
     long long chunk_mask, num_leaves, stash_limit;
@@ -875,6 +833,7 @@ kernel_dealloc(AccessKernel *self)
     kernel_clear(self);
     ws_free(&self->ws);
     PyMem_Free(self->path);
+    PyMem_Free(self->snap);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -951,9 +910,10 @@ kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
     self->path_len_obj = PyLong_FromLong(levels + 1);
     self->one = PyLong_FromLong(1);
     self->path = PyMem_Calloc((size_t)levels + 1, sizeof(PyObject *));
+    self->snap = PyMem_Malloc((size_t)block_bytes);
     if (self->backend_ref == NULL || self->path_len_obj == NULL ||
-        self->one == NULL || self->path == NULL) {
-        if (self->path == NULL && !PyErr_Occurred())
+        self->one == NULL || self->path == NULL || self->snap == NULL) {
+        if (!PyErr_Occurred())
             PyErr_NoMemory();
         goto fail;
     }
@@ -1276,16 +1236,17 @@ handling_end(Handling *h)
  * slot, restores the block of interest from the snapshot and chains
  * restore failures as notes — then re-raise it. */
 static void
-kernel_abort(PyObject *backend, int created_fresh, PyObject *slot,
-             long long saved_leaf, PyObject *saved_payload,
+kernel_abort(AccessKernel *self, PyObject *backend, int created_fresh,
+             PyObject *slot, int snapshotted, long long saved_leaf,
              PyObject *saved_mac)
 {
     Handling handling;
     handling_begin(&handling);
-    PyObject *saved = (created_fresh || saved_payload == NULL)
-                          ? Py_NewRef(Py_None)
-                          : Py_BuildValue("(LOO)", saved_leaf, saved_payload,
-                                          saved_mac);
+    PyObject *saved =
+        (created_fresh || !snapshotted)
+            ? Py_NewRef(Py_None)
+            : Py_BuildValue("(Ly#O)", saved_leaf, self->snap,
+                            self->block_bytes, saved_mac);
     if (saved != NULL) {
         PyObject *done = PyObject_CallMethodObjArgs(
             backend, str_abort_access, handling.value,
@@ -1306,25 +1267,139 @@ as_int64(PyObject *obj, long long *out)
     return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
 }
 
-/* leaf_col[slot], payload and mac_col[slot] from the (updated) Block;
- * re-acquires the columns, which stay exported on success. */
+/* -- APPEND --------------------------------------------------------- */
+
+/* stash.add + check_limit for a block given by value: `data` is one
+ * payload of `data_len` bytes (validated here, after the duplicate
+ * probe, as the interpreted stash does). */
 static int
-kernel_write_back(AccessKernel *self, PyObject *block, long long slot,
-                  I64Col *addr_col, I64Col *leaf_col)
+kernel_append(AccessKernel *self, PyObject *addr_obj, PyObject *leaf_obj,
+              PyObject *mac, const char *data, Py_ssize_t data_len)
+{
+    PyObject *slot_obj = NULL;
+    I64Col addr_col = {0}, leaf_col = {0};
+    long long addr, leaf, slot;
+    int rc = -1;
+
+    int present = PyDict_Contains(self->stash, addr_obj);
+    if (present < 0)
+        return -1;
+    if (as_int64(addr_obj, &addr) < 0 || as_int64(leaf_obj, &leaf) < 0)
+        return -1;
+    if (present) {
+        raise_duplicate(addr);
+        return -1;
+    }
+    /* Validate the payload before claiming the slot, so a wrong-sized
+     * block leaves the free list alone. */
+    if (data_len != self->block_bytes) {
+        PyErr_SetString(PyExc_ValueError,
+                        "memoryview assignment: lvalue and rvalue have "
+                        "different structures");
+        return -1;
+    }
+    slot_obj = kernel_claim_slot(self);
+    if (slot_obj == NULL)
+        return -1;
+    if (kernel_acquire(self, &addr_col, &leaf_col) < 0)
+        goto done;
+    if (as_slot(slot_obj, addr_col.len, "free", &slot) < 0)
+        goto done;
+    addr_col.data[slot] = addr;
+    leaf_col.data[slot] = leaf;
+    kernel_release(&addr_col, &leaf_col);
+    Py_buffer view;
+    char *bytes;
+    if (kernel_set_mac(self, slot, mac) < 0 ||
+        kernel_payload(self, slot, &view, &bytes) < 0)
+        goto done;
+    memcpy(bytes, data, (size_t)self->block_bytes);
+    PyBuffer_Release(&view);
+    if (PyDict_SetItem(self->stash, addr_obj, slot_obj) < 0 ||
+        kernel_check_limit(self) < 0)
+        goto done;
+    rc = 0;
+
+done:
+    kernel_release(&addr_col, &leaf_col);
+    Py_DECREF(slot_obj);
+    return rc;
+}
+
+/* APPEND of a Block object (the Python-facing spelling). */
+static PyObject *
+kernel_append_block(AccessKernel *self, PyObject *backend, PyObject *block)
+{
+    if (block == Py_None) {
+        PyErr_SetString(PyExc_ValueError, "APPEND requires append_block");
+        return NULL;
+    }
+    if (bump_attr(backend, str_append_count, self->one) < 0)
+        return NULL;
+
+    PyObject *addr_obj = PyObject_GetAttr(block, str_addr);
+    PyObject *leaf_obj = PyObject_GetAttr(block, str_leaf);
+    PyObject *data = PyObject_GetAttr(block, str_data);
+    PyObject *mac = PyObject_GetAttr(block, str_mac);
+    PyObject *result = NULL;
+    Py_buffer src;
+    if (addr_obj != NULL && leaf_obj != NULL && data != NULL && mac != NULL &&
+        PyObject_GetBuffer(data, &src, PyBUF_SIMPLE) == 0) {
+        if (kernel_append(self, addr_obj, leaf_obj, mac, src.buf,
+                          src.len) == 0)
+            result = Py_NewRef(Py_None);
+        PyBuffer_Release(&src);
+    }
+    Py_XDECREF(addr_obj);
+    Py_XDECREF(leaf_obj);
+    Py_XDECREF(data);
+    Py_XDECREF(mac);
+    return result;
+}
+
+/* -- READ / WRITE / READRMV ----------------------------------------- */
+
+/* What the caller wants done to the block of interest between the drain
+ * and the eviction.  `visit` runs with no column export live and the
+ * block in arena slot `slot`, its leaf already remapped; it may rewrite
+ * leaf_col[slot], the slot's payload and mac_col[slot], and what it
+ * leaves there is what gets evicted.  When it fails the access rolls the
+ * slot back from its own snapshot, so a visit never undoes anything. */
+typedef struct Visit Visit;
+struct Visit {
+    int (*visit)(Visit *self, AccessKernel *kernel, long long slot);
+};
+
+/* The Python-facing visit: materialise the Block, hand it to `update`,
+ * write its fields back into the columns.  `block` is the result. */
+typedef struct {
+    Visit base;
+    PyObject *addr_obj, *new_leaf_obj, *update; /* borrowed */
+    PyObject *block;                            /* owned, NULL until made */
+} BlockVisit;
+
+/* leaf_col[slot], payload and mac_col[slot] from the (updated) Block. */
+static int
+kernel_write_back(AccessKernel *self, PyObject *block, long long slot)
 {
     long long leaf;
+    I64Col addr_col = {0}, leaf_col = {0};
     PyObject *field = PyObject_GetAttr(block, str_leaf);
     if (field == NULL)
         return -1;
     int rc = as_int64(field, &leaf);
     Py_DECREF(field);
-    if (rc < 0 || kernel_acquire(self, addr_col, leaf_col) < 0)
+    if (rc < 0 || kernel_acquire(self, &addr_col, &leaf_col) < 0)
         return -1;
-    if (slot >= leaf_col->len) {
+    if (slot < leaf_col.len)
+        leaf_col.data[slot] = leaf;
+    else {
         PyErr_Format(PyExc_IndexError, "slot %lld outside the arena", slot);
-        return -1;
+        rc = -1;
     }
-    leaf_col->data[slot] = leaf;
+    kernel_release(&addr_col, &leaf_col);
+    if (rc < 0)
+        return -1;
     field = PyObject_GetAttr(block, str_data);
     if (field == NULL)
         return -1;
@@ -1340,96 +1415,61 @@ kernel_write_back(AccessKernel *self, PyObject *block, long long slot,
     return rc;
 }
 
-/* -- APPEND --------------------------------------------------------- */
-
-static PyObject *
-kernel_append(AccessKernel *self, PyObject *backend, PyObject *block)
+static int
+block_visit(Visit *base, AccessKernel *self, long long slot)
 {
-    if (block == Py_None) {
-        PyErr_SetString(PyExc_ValueError, "APPEND requires append_block");
-        return NULL;
+    BlockVisit *visit = (BlockVisit *)base;
+    Py_buffer view;
+    char *bytes;
+    if (kernel_payload(self, slot, &view, &bytes) < 0)
+        return -1;
+    PyObject *payload = PyBytes_FromStringAndSize(bytes, self->block_bytes);
+    PyBuffer_Release(&view);
+    if (payload == NULL)
+        return -1;
+    visit->block = PyObject_CallFunctionObjArgs(
+        self->block_type, visit->addr_obj, visit->new_leaf_obj, payload,
+        PyList_GET_ITEM(self->mac_col, (Py_ssize_t)slot), NULL);
+    Py_DECREF(payload);
+    if (visit->block == NULL)
+        return -1;
+    if (visit->update == Py_None)
+        return 0;
+    /* The callback is arbitrary frontend code.  Its mutations are
+     * written into the columns even when it raises (the interpreted
+     * kernel's finally), so the rollback always starts from the same
+     * state. */
+    Handling handling;
+    PyObject *updated = PyObject_CallOneArg(visit->update, visit->block);
+    if (updated == NULL)
+        handling_begin(&handling);
+    int written = kernel_write_back(self, visit->block, slot);
+    if (updated == NULL) {
+        handling_end(&handling);
+        return -1;
     }
-    if (bump_attr(backend, str_append_count, self->one) < 0)
-        return NULL;
-
-    PyObject *addr_obj = PyObject_GetAttr(block, str_addr);
-    PyObject *leaf_obj = PyObject_GetAttr(block, str_leaf);
-    PyObject *data = PyObject_GetAttr(block, str_data);
-    PyObject *mac = PyObject_GetAttr(block, str_mac);
-    PyObject *slot_obj = NULL, *result = NULL;
-    I64Col addr_col = {0}, leaf_col = {0};
-    long long addr, leaf, slot;
-    if (addr_obj == NULL || leaf_obj == NULL || data == NULL || mac == NULL)
-        goto done;
-
-    int present = PyDict_Contains(self->stash, addr_obj);
-    if (present < 0)
-        goto done;
-    if (as_int64(addr_obj, &addr) < 0 || as_int64(leaf_obj, &leaf) < 0)
-        goto done;
-    if (present) {
-        raise_duplicate(addr);
-        goto done;
-    }
-    /* Validate the payload before claiming the slot, so a wrong-sized
-     * block leaves the free list alone. */
-    Py_ssize_t data_len = PyObject_Length(data);
-    if (data_len < 0)
-        goto done;
-    if (data_len != self->block_bytes) {
-        PyErr_SetString(PyExc_ValueError,
-                        "memoryview assignment: lvalue and rvalue have "
-                        "different structures");
-        goto done;
-    }
-    slot_obj = kernel_claim_slot(self);
-    if (slot_obj == NULL)
-        goto done;
-    if (kernel_acquire(self, &addr_col, &leaf_col) < 0)
-        goto done;
-    if (as_slot(slot_obj, addr_col.len, "free", &slot) < 0)
-        goto done;
-    addr_col.data[slot] = addr;
-    leaf_col.data[slot] = leaf;
-    kernel_release(&addr_col, &leaf_col);
-    if (kernel_set_mac(self, slot, mac) < 0 ||
-        kernel_set_payload(self, slot, data) < 0 ||
-        PyDict_SetItem(self->stash, addr_obj, slot_obj) < 0)
-        goto done;
-    if (kernel_check_limit(self) < 0)
-        goto done;
-    result = Py_None;
-    Py_INCREF(result);
-
-done:
-    kernel_release(&addr_col, &leaf_col);
-    Py_XDECREF(slot_obj);
-    Py_XDECREF(addr_obj);
-    Py_XDECREF(leaf_obj);
-    Py_XDECREF(data);
-    Py_XDECREF(mac);
-    return result;
+    Py_DECREF(updated);
+    return written;
 }
 
-/* -- READ / WRITE / READRMV ----------------------------------------- */
-
-static PyObject *
+/* One tree access: path read, drain, visit, eviction, stash reconcile,
+ * write-back accounting, occupancy fold.  `visit` may be NULL. */
+static int
 kernel_tree_access(AccessKernel *self, PyObject *backend, PyObject *op,
                    PyObject *addr_obj, PyObject *leaf_obj,
-                   PyObject *new_leaf_obj, PyObject *update)
+                   PyObject *new_leaf_obj, Visit *visit)
 {
     const int levels = self->levels;
     WorkSet *ws = &self->ws;
     I64Col addr_col = {0}, leaf_col = {0};
     Found found = {NULL, 0};
-    PyObject *payload = NULL, *saved_mac = NULL, *block = NULL;
-    PyObject *indices = NULL, *result = NULL;
+    PyObject *saved_mac = NULL, *indices = NULL;
     long long addr, leaf, new_leaf, saved_leaf = 0;
     Py_ssize_t interest = -1; /* the block of interest's merge index */
-    int created_fresh = 0;
+    int created_fresh = 0, snapshotted = 0, rc = -1;
 
     if (bump_attr(backend, str_tree_access_count, self->one) < 0)
-        return NULL;
+        return -1;
 
     /* storage.read_path_slots: range check, bucket lists, accounting,
      * observer.  Nothing here needs rolling back. */
@@ -1437,15 +1477,15 @@ kernel_tree_access(AccessKernel *self, PyObject *backend, PyObject *op,
     if (!PyLong_Check(leaf_obj)) {
         PyErr_Format(PyExc_TypeError, "leaf must be an int, not %.100s",
                      Py_TYPE(leaf_obj)->tp_name);
-        return NULL;
+        return -1;
     }
     leaf = PyLong_AsLongLongAndOverflow(leaf_obj, &overflow);
     if (overflow || leaf < 0 || leaf >= self->num_leaves) {
         PyErr_Format(PyExc_ValueError, "leaf %S out of range", leaf_obj);
-        return NULL;
+        return -1;
     }
     if (kernel_bind_path(self, leaf) < 0)
-        return NULL;
+        return -1;
     if (bump_attr(self->storage, str_buckets_read, self->path_len_obj) < 0 ||
         kernel_notify(self, str_on_path_read, leaf_obj, leaf, &indices) < 0)
         goto done;
@@ -1501,7 +1541,7 @@ kernel_tree_access(AccessKernel *self, PyObject *backend, PyObject *op,
         PyBuffer_Release(&view);
     }
 
-    /* Materialise the block of interest and snapshot it for rollback. */
+    /* Snapshot the block of interest for rollback, then remap it. */
     {
         Py_buffer view;
         char *bytes;
@@ -1512,53 +1552,31 @@ kernel_tree_access(AccessKernel *self, PyObject *backend, PyObject *op,
         }
         if (kernel_payload(self, found.slot, &view, &bytes) < 0)
             goto abort;
-        payload = PyBytes_FromStringAndSize(bytes, self->block_bytes);
+        memcpy(self->snap, bytes, (size_t)self->block_bytes);
         PyBuffer_Release(&view);
-        if (payload == NULL)
-            goto abort;
+        snapshotted = 1;
         saved_mac = PyList_GET_ITEM(self->mac_col, (Py_ssize_t)found.slot);
         Py_INCREF(saved_mac);
         saved_leaf = leaf_col.data[found.slot];
         leaf_col.data[found.slot] = new_leaf;
-        block = PyObject_CallFunctionObjArgs(self->block_type, addr_obj,
-                                             new_leaf_obj, payload,
-                                             saved_mac, NULL);
-        if (block == NULL)
-            goto abort;
     }
 
-    if (update != Py_None) {
-        /* The callback is arbitrary frontend code: no export is live
-         * while it runs.  Its mutations are written into the columns
-         * even when it raises (the interpreted kernel's finally), so
-         * the rollback below always starts from the same state. */
+    if (visit != NULL) {
         kernel_release(&addr_col, &leaf_col);
-        Handling handling;
-        PyObject *updated = PyObject_CallOneArg(update, block);
-        if (updated == NULL)
-            handling_begin(&handling);
-        int written = kernel_write_back(self, block, found.slot, &addr_col,
-                                        &leaf_col);
-        if (updated == NULL) {
-            handling_end(&handling);
+        if (visit->visit(visit, self, found.slot) < 0 ||
+            kernel_acquire(self, &addr_col, &leaf_col) < 0)
+            goto abort;
+        if (found.slot >= leaf_col.len) {
+            PyErr_Format(PyExc_IndexError, "slot %lld outside the arena",
+                         found.slot);
             goto abort;
         }
-        Py_DECREF(updated);
-        if (written < 0)
-            goto abort;
     }
 
     if (op != self->op_readrmv) {
         /* Grouped last, like a re-insert, at the depth its (possibly
          * updated) leaf allows. */
-        long long block_leaf;
-        PyObject *field = PyObject_GetAttr(block, str_leaf);
-        if (field == NULL)
-            goto abort;
-        int rc = as_int64(field, &block_leaf);
-        Py_DECREF(field);
-        if (rc < 0)
-            goto abort;
+        long long block_leaf = leaf_col.data[found.slot];
         int depth = levels - bit_length64(block_leaf ^ leaf);
         if (depth < 0) {
             raise_leaf_range(block_leaf, levels);
@@ -1582,17 +1600,17 @@ kernel_tree_access(AccessKernel *self, PyObject *backend, PyObject *op,
             Entry *e = &ws->merged[i];
             if (e->depth != -1)
                 continue;
-            int rc;
+            int set;
             if (i == interest)
-                rc = PyDict_SetItem(self->stash, addr_obj, e->obj);
+                set = PyDict_SetItem(self->stash, addr_obj, e->obj);
             else {
                 PyObject *key = PyLong_FromLongLong(addr_col.data[e->slot]);
                 if (key == NULL)
                     goto done;
-                rc = PyDict_SetItem(self->stash, key, e->obj);
+                set = PyDict_SetItem(self->stash, key, e->obj);
                 Py_DECREF(key);
             }
-            if (rc < 0)
+            if (set < 0)
                 goto done;
         }
     }
@@ -1608,26 +1626,23 @@ kernel_tree_access(AccessKernel *self, PyObject *backend, PyObject *op,
         kernel_notify(self, str_on_path_write, leaf_obj, leaf, &indices) < 0 ||
         kernel_check_limit(self) < 0)
         goto done;
-    result = block;
-    Py_INCREF(result);
+    rc = 0;
     goto done;
 
 abort:
     kernel_release(&addr_col, &leaf_col);
     ws_clear(ws);
-    kernel_abort(backend, created_fresh, found.obj, saved_leaf, payload,
-                 saved_mac);
+    kernel_abort(self, backend, created_fresh, found.obj, snapshotted,
+                 saved_leaf, saved_mac);
 
 done:
     kernel_release(&addr_col, &leaf_col);
     ws_clear(ws);
     kernel_drop_path(self);
     Py_XDECREF(found.obj);
-    Py_XDECREF(payload);
     Py_XDECREF(saved_mac);
-    Py_XDECREF(block);
     Py_XDECREF(indices);
-    return result;
+    return rc;
 }
 
 /* access(op, addr, leaf, new_leaf, update, append_block)
@@ -1664,10 +1679,16 @@ kernel_access(AccessKernel *self, PyObject *const *args, Py_ssize_t nargs)
     self->busy = 1;
     if (bump_attr(backend, str_access_count, self->one) == 0) {
         if (args[0] == self->op_append)
-            result = kernel_append(self, backend, args[5]);
-        else
-            result = kernel_tree_access(self, backend, args[0], args[1],
-                                        args[2], args[3], args[4]);
+            result = kernel_append_block(self, backend, args[5]);
+        else {
+            BlockVisit visit = {{block_visit}, args[1], args[3], args[4],
+                                NULL};
+            if (kernel_tree_access(self, backend, args[0], args[1], args[2],
+                                   args[3], &visit.base) == 0)
+                result = visit.block;
+            else
+                Py_XDECREF(visit.block);
+        }
     }
     self->busy = 0;
     Py_DECREF(backend);
@@ -1728,6 +1749,1787 @@ static PyTypeObject AccessKernelType = {
 };
 
 /* ------------------------------------------------------------------ */
+/* BLAKE2b (RFC 7693): the PRF and the PMMAC hash of the fast suite    */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    uint64_t h[8];
+    uint64_t t; /* bytes compressed so far (inputs here stay far below 2^64) */
+    uint8_t buf[128];
+    size_t buflen, outlen;
+} Blake2b;
+
+static const uint64_t blake2b_iv[8] = {
+    0x6a09e667f3bcc908ULL, 0xbb67ae8584caa73bULL, 0x3c6ef372fe94f82bULL,
+    0xa54ff53a5f1d36f1ULL, 0x510e527fade682d1ULL, 0x9b05688c2b3e6c1fULL,
+    0x1f83d9abfb41bd6bULL, 0x5be0cd19137e2179ULL,
+};
+
+static const uint8_t blake2b_sigma[12][16] = {
+    {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
+    {14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3},
+    {11, 8, 12, 0, 5, 2, 15, 13, 10, 14, 3, 6, 7, 1, 9, 4},
+    {7, 9, 3, 1, 13, 12, 11, 14, 2, 6, 5, 10, 4, 0, 15, 8},
+    {9, 0, 5, 7, 2, 4, 10, 15, 14, 1, 11, 12, 6, 8, 3, 13},
+    {2, 12, 6, 10, 0, 11, 8, 3, 4, 13, 7, 5, 15, 14, 1, 9},
+    {12, 5, 1, 15, 14, 13, 4, 10, 0, 7, 6, 3, 9, 2, 8, 11},
+    {13, 11, 7, 14, 12, 1, 3, 9, 5, 0, 15, 4, 8, 6, 2, 10},
+    {6, 15, 14, 9, 11, 3, 0, 8, 12, 2, 13, 7, 1, 4, 10, 5},
+    {10, 2, 8, 4, 7, 6, 1, 5, 15, 11, 9, 14, 3, 12, 13, 0},
+    {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
+    {14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3},
+};
+
+static inline uint64_t
+load64le(const uint8_t *p)
+{
+    uint64_t v = 0;
+    for (int i = 7; i >= 0; i--)
+        v = (v << 8) | p[i];
+    return v;
+}
+
+static inline void
+store64le(uint8_t *p, uint64_t v)
+{
+    for (int i = 0; i < 8; i++, v >>= 8)
+        p[i] = (uint8_t)v;
+}
+
+static inline uint64_t
+rotr64(uint64_t x, int n)
+{
+    return (x >> n) | (x << (64 - n));
+}
+
+static void
+blake2b_compress(Blake2b *s, const uint8_t block[128], int last)
+{
+    uint64_t m[16], v[16];
+    for (int i = 0; i < 16; i++)
+        m[i] = load64le(block + 8 * i);
+    for (int i = 0; i < 8; i++) {
+        v[i] = s->h[i];
+        v[i + 8] = blake2b_iv[i];
+    }
+    v[12] ^= s->t;
+    if (last)
+        v[14] = ~v[14];
+#define G(r, i, a, b, c, d)                                   \
+    do {                                                      \
+        a = a + b + m[blake2b_sigma[r][2 * i]];               \
+        d = rotr64(d ^ a, 32);                                \
+        c = c + d;                                            \
+        b = rotr64(b ^ c, 24);                                \
+        a = a + b + m[blake2b_sigma[r][2 * i + 1]];           \
+        d = rotr64(d ^ a, 16);                                \
+        c = c + d;                                            \
+        b = rotr64(b ^ c, 63);                                \
+    } while (0)
+    for (int r = 0; r < 12; r++) {
+        G(r, 0, v[0], v[4], v[8], v[12]);
+        G(r, 1, v[1], v[5], v[9], v[13]);
+        G(r, 2, v[2], v[6], v[10], v[14]);
+        G(r, 3, v[3], v[7], v[11], v[15]);
+        G(r, 4, v[0], v[5], v[10], v[15]);
+        G(r, 5, v[1], v[6], v[11], v[12]);
+        G(r, 6, v[2], v[7], v[8], v[13]);
+        G(r, 7, v[3], v[4], v[9], v[14]);
+    }
+#undef G
+    for (int i = 0; i < 8; i++)
+        s->h[i] ^= v[i] ^ v[i + 8];
+}
+
+/* Keyed initialisation: outlen in 1..64, keylen in 0..64 (validated by
+ * the callers).  A key is the first, zero-padded input block. */
+static void
+blake2b_init(Blake2b *s, size_t outlen, const uint8_t *key, size_t keylen)
+{
+    memcpy(s->h, blake2b_iv, sizeof(s->h));
+    s->h[0] ^= 0x01010000ULL ^ ((uint64_t)keylen << 8) ^ (uint64_t)outlen;
+    s->t = 0;
+    s->buflen = 0;
+    s->outlen = outlen;
+    if (keylen > 0) {
+        memset(s->buf, 0, sizeof(s->buf));
+        memcpy(s->buf, key, keylen);
+        s->buflen = sizeof(s->buf);
+    }
+}
+
+static void
+blake2b_update(Blake2b *s, const uint8_t *in, size_t inlen)
+{
+    while (inlen > 0) {
+        if (s->buflen == sizeof(s->buf)) {
+            /* More input follows, so the buffered block is not the last. */
+            s->t += sizeof(s->buf);
+            blake2b_compress(s, s->buf, 0);
+            s->buflen = 0;
+        }
+        size_t take = sizeof(s->buf) - s->buflen;
+        if (take > inlen)
+            take = inlen;
+        memcpy(s->buf + s->buflen, in, take);
+        s->buflen += take;
+        in += take;
+        inlen -= take;
+    }
+}
+
+/* Compress a buffered key block ahead of time.  The result is the
+ * mid-state every later message starts from — hashlib's
+ * blake2b(key=...).copy() — and is valid for non-empty messages only
+ * (an empty one makes the key block the last block). */
+static void
+blake2b_absorb_key(Blake2b *s)
+{
+    if (s->buflen == sizeof(s->buf)) {
+        s->t += sizeof(s->buf);
+        blake2b_compress(s, s->buf, 0);
+        s->buflen = 0;
+    }
+}
+
+/* Finish: s->h then holds the digest words; `out` (may be NULL) gets the
+ * first outlen bytes of their little-endian image. */
+static void
+blake2b_final(Blake2b *s, uint8_t *out)
+{
+    s->t += s->buflen;
+    memset(s->buf + s->buflen, 0, sizeof(s->buf) - s->buflen);
+    blake2b_compress(s, s->buf, 1);
+    if (out != NULL) {
+        uint8_t image[64];
+        for (int i = 0; i < 8; i++)
+            store64le(image + 8 * i, s->h[i]);
+        memcpy(out, image, s->outlen);
+    }
+}
+
+/* blake2b(key, message, digest_size) -> bytes
+ *
+ * The vendored hash on its own, through the same keyed mid-state the
+ * handles use (the known-answer tests pin it against hashlib). */
+static PyObject *
+blake2b_digest(PyObject *self, PyObject *args)
+{
+    Py_buffer key, message;
+    Py_ssize_t digest_size;
+    if (!PyArg_ParseTuple(args, "y*y*n:blake2b", &key, &message,
+                          &digest_size))
+        return NULL;
+    PyObject *result = NULL;
+    if (digest_size < 1 || digest_size > 64 || key.len > 64)
+        PyErr_SetString(PyExc_ValueError,
+                        "blake2b: digest_size must be 1..64 and the key at "
+                        "most 64 bytes");
+    else {
+        Blake2b state;
+        uint8_t out[64];
+        blake2b_init(&state, (size_t)digest_size, key.buf, (size_t)key.len);
+        if (message.len > 0)
+            blake2b_absorb_key(&state);
+        blake2b_update(&state, message.buf, (size_t)message.len);
+        blake2b_final(&state, out);
+        result = PyBytes_FromStringAndSize((const char *)out, digest_size);
+    }
+    PyBuffer_Release(&key);
+    PyBuffer_Release(&message);
+    return result;
+}
+
+/* ------------------------------------------------------------------ */
+/* FrontendKernel: one processor request per call                      */
+/* ------------------------------------------------------------------ */
+
+/* PosMap counters are GC || IC: up to 96 bits (what the PRF and MAC
+ * messages have room for), so they travel as 128-bit integers. */
+typedef unsigned __int128 u128;
+
+#define FK_MAX_LEVELS 64 /* recursion depth H: 2^48 blocks / fan-out 2 */
+#define LEVEL_SHIFT 48   /* repro.frontend.addrgen.LEVEL_SHIFT */
+#define LEVEL_INDEX_MASK ((1ULL << LEVEL_SHIFT) - 1)
+
+enum { FORMAT_UNCOMPRESSED, FORMAT_FLAT, FORMAT_COMPRESSED };
+
+/* Every counter a request moves.  Deltas gather in the handle and are
+ * folded into the Python attributes once, when the request ends (either
+ * way): the reference path, the lockstep harness and the reports read
+ * one copy, in the state the interpreted access would have left. */
+enum {
+    /* FrontendStats */
+    C_ACCESSES, C_DATA_TREE, C_POSMAP_TREE, C_PLB_HITS, C_PLB_MISSES,
+    C_PLB_REFILLS, C_PLB_EVICTIONS, C_GROUP_REMAPS, C_GROUP_RELOCATIONS,
+    C_MAC_CHECKS, C_FRESH_BLOCKS,
+    /* Plb */
+    C_CLOCK, C_LOOKUP_HITS, C_LOOKUP_MISSES,
+    /* Prf */
+    C_PRF_CALLS, C_PRF_CACHE_HITS,
+    /* Mac */
+    C_MAC_CALLS, C_MAC_BYTES,
+    N_COUNTERS
+};
+
+static const char *const counter_names[N_COUNTERS] = {
+    "accesses", "data_tree_accesses", "posmap_tree_accesses", "plb_hits",
+    "plb_misses", "plb_refills", "plb_evictions", "group_remaps",
+    "group_relocations", "mac_checks", "fresh_blocks",
+    "_clock", "hits", "misses",
+    "call_count", "cache_hits",
+    "call_count", "bytes_hashed",
+};
+static PyObject *counter_attr[N_COUNTERS]; /* the names, interned */
+
+static PyObject *str_stats, *str_kernel, *str_leaf_cache_limit,
+    *str_tagged_addr, *str_counter, *str_last_use, *str_posmap_tree_accesses,
+    *str_plb_hit_level, *empty_tuple;
+
+typedef struct {
+    PyObject_HEAD
+    union {
+        struct {
+            PyObject *frontend_ref; /* weakref to the owning frontend */
+            PyObject *backend_kernel;
+            PyObject *access_func; /* PlbFrontend.access, the plain function */
+            PyObject *plb, *plb_index, *plb_sets;
+            PyObject *onchip_table, *onchip_touched, *touched;
+            PyObject *prf, *leaf_cache, *move_to_end, *popitem;
+            PyObject *mac;
+            PyObject *getrandbits;
+            PyObject *entry_type, *result_type, *op_read, *op_write;
+            PyObject *config_error, *integrity_error;
+            PyObject *levels_obj, *zero, *sixty_four;
+        };
+        PyObject *refs[24]; /* the same references, for the collector */
+    };
+    int space_levels; /* H: the data level plus the PosMap levels */
+    int tree_levels;  /* L of the unified tree */
+    int format, pmmac, onchip_counters, leaf_bytes, alpha, beta, ways, busy;
+    long long fanout, num_blocks, num_sets, onchip_entries;
+    long long level_blocks[FK_MAX_LEVELS];
+    Py_ssize_t block_bytes, tag_bytes;
+    Blake2b prf_state, mac_state; /* keyed mid-states */
+    uint8_t *work;                /* one block payload */
+    u128 *group_old;              /* a group remap's old counters, by slot */
+    long long pending[N_COUNTERS];
+    long long clock; /* plb._clock, pending ticks included */
+} FrontendKernel;
+
+#define FRONTEND_REFS \
+    (sizeof(((FrontendKernel *)0)->refs) / sizeof(PyObject *))
+
+static PyTypeObject FrontendKernelType;
+
+static int
+frontend_traverse(FrontendKernel *self, visitproc visit, void *arg)
+{
+    for (size_t i = 0; i < FRONTEND_REFS; i++)
+        Py_VISIT(self->refs[i]);
+    return 0;
+}
+
+static int
+frontend_clear(FrontendKernel *self)
+{
+    for (size_t i = 0; i < FRONTEND_REFS; i++)
+        Py_CLEAR(self->refs[i]);
+    return 0;
+}
+
+static void
+frontend_dealloc(FrontendKernel *self)
+{
+    PyObject_GC_UnTrack(self);
+    frontend_clear(self);
+    PyMem_Free(self->work);
+    PyMem_Free(self->group_old);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyObject *
+frontend_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+{
+    PyObject *frontend, *backend_kernel, *access_func, *plb, *plb_index,
+        *plb_sets, *onchip_table, *onchip_touched, *touched, *prf,
+        *leaf_cache, *mac, *getrandbits, *level_blocks, *entry_type,
+        *result_type, *op_read, *op_write, *config_error, *integrity_error;
+    int space_levels, ways, leaf_bytes, alpha, beta, onchip_counters, pmmac;
+    long long fanout, num_blocks, num_sets, onchip_entries;
+    const char *kind, *prf_key, *mac_key;
+    Py_ssize_t prf_key_len, mac_key_len, tag_bytes;
+    if (kwargs != NULL && PyDict_GET_SIZE(kwargs) > 0) {
+        PyErr_SetString(PyExc_TypeError,
+                        "FrontendKernel takes no keyword arguments");
+        return NULL;
+    }
+    if (!PyArg_ParseTuple(
+            args,
+            "OO!OOO!O!O!O!O!OOOO(iLLO!LiL)(siiipp)(y#y#n)(OOOOOO)"
+            ":FrontendKernel",
+            &frontend, &AccessKernelType, &backend_kernel, &access_func,
+            &plb, &PyDict_Type, &plb_index, &PyList_Type, &plb_sets,
+            &PyList_Type, &onchip_table, &PyByteArray_Type, &onchip_touched,
+            &PyList_Type, &touched, &prf, &leaf_cache, &mac, &getrandbits,
+            &space_levels, &fanout, &num_blocks, &PyTuple_Type,
+            &level_blocks, &num_sets, &ways, &onchip_entries, &kind,
+            &leaf_bytes, &alpha, &beta, &onchip_counters, &pmmac, &prf_key,
+            &prf_key_len, &mac_key, &mac_key_len, &tag_bytes, &entry_type,
+            &result_type, &op_read, &op_write, &config_error,
+            &integrity_error))
+        return NULL;
+    if (!PyODict_Check(leaf_cache) || !PyCallable_Check(getrandbits) ||
+        !PyCallable_Check(access_func) || !PyType_Check(entry_type) ||
+        !PyType_Check(result_type) ||
+        !PyExceptionClass_Check(config_error) ||
+        !PyExceptionClass_Check(integrity_error)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "FrontendKernel: expected an OrderedDict leaf "
+                        "cache, two callables, the PlbEntry and "
+                        "AccessResult classes and two exception classes");
+        return NULL;
+    }
+
+    AccessKernel *tree = (AccessKernel *)backend_kernel;
+    const long long block_bits = 8 * (long long)tree->block_bytes;
+    int format;
+    if (strcmp(kind, "uncompressed") == 0)
+        format = FORMAT_UNCOMPRESSED;
+    else if (strcmp(kind, "flat") == 0)
+        format = FORMAT_FLAT;
+    else if (strcmp(kind, "compressed") == 0)
+        format = FORMAT_COMPRESSED;
+    else {
+        PyErr_Format(PyExc_ValueError,
+                     "FrontendKernel: unknown PosMap format '%s'", kind);
+        return NULL;
+    }
+    int fits =
+        space_levels >= 1 && space_levels <= FK_MAX_LEVELS && fanout >= 2 &&
+        num_blocks >= 1 && num_blocks <= (long long)LEVEL_INDEX_MASK &&
+        PyTuple_GET_SIZE(level_blocks) == space_levels && num_sets >= 1 &&
+        ways >= 1 && PyList_GET_SIZE(plb_sets) == num_sets &&
+        onchip_entries >= 1 &&
+        PyList_GET_SIZE(onchip_table) >= onchip_entries &&
+        PyByteArray_GET_SIZE(onchip_touched) >= (onchip_entries + 7) / 8 &&
+        PyList_GET_SIZE(touched) == space_levels && prf_key_len <= 64 &&
+        mac_key_len <= 64 && tag_bytes >= 1 && tag_bytes <= 64 &&
+        fanout <= block_bits;
+    if (fits && format == FORMAT_UNCOMPRESSED)
+        fits = leaf_bytes >= 1 && leaf_bytes <= 8 &&
+               fanout * leaf_bytes <= tree->block_bytes &&
+               tree->levels < 8 * leaf_bytes;
+    else if (fits && format == FORMAT_FLAT)
+        fits = fanout * 8 <= tree->block_bytes;
+    else if (fits)
+        fits = alpha >= 0 && alpha <= 64 && beta >= 1 && beta <= 32 &&
+               alpha + fanout * beta <= block_bits;
+    if (!fits) {
+        PyErr_SetString(PyExc_ValueError,
+                        "FrontendKernel: geometry out of range");
+        return NULL;
+    }
+
+    FrontendKernel *self = (FrontendKernel *)type->tp_alloc(type, 0);
+    if (self == NULL)
+        return NULL;
+    self->space_levels = space_levels;
+    self->tree_levels = tree->levels;
+    self->block_bytes = tree->block_bytes;
+    self->format = format;
+    self->pmmac = pmmac;
+    self->onchip_counters = onchip_counters;
+    self->leaf_bytes = leaf_bytes;
+    self->alpha = alpha;
+    self->beta = beta;
+    self->ways = ways;
+    self->fanout = fanout;
+    self->num_blocks = num_blocks;
+    self->num_sets = num_sets;
+    self->onchip_entries = onchip_entries;
+    self->tag_bytes = tag_bytes;
+    for (int i = 0; i < space_levels; i++) {
+        self->level_blocks[i] =
+            PyLong_AsLongLong(PyTuple_GET_ITEM(level_blocks, i));
+        if (self->level_blocks[i] == -1 && PyErr_Occurred())
+            goto fail;
+    }
+    blake2b_init(&self->prf_state, 16, (const uint8_t *)prf_key,
+                 (size_t)prf_key_len);
+    blake2b_absorb_key(&self->prf_state);
+    blake2b_init(&self->mac_state, (size_t)tag_bytes,
+                 (const uint8_t *)mac_key, (size_t)mac_key_len);
+    blake2b_absorb_key(&self->mac_state);
+
+    self->frontend_ref = PyWeakref_NewRef(frontend, NULL);
+    self->move_to_end = PyObject_GetAttrString(leaf_cache, "move_to_end");
+    self->popitem = PyObject_GetAttrString(leaf_cache, "popitem");
+    self->levels_obj = PyLong_FromLong(tree->levels);
+    self->zero = PyLong_FromLong(0);
+    self->sixty_four = PyLong_FromLong(64);
+    self->work = PyMem_Malloc((size_t)tree->block_bytes);
+    self->group_old = PyMem_Malloc((size_t)fanout * sizeof(u128));
+    if (self->frontend_ref == NULL || self->move_to_end == NULL ||
+        self->popitem == NULL || self->levels_obj == NULL ||
+        self->zero == NULL || self->sixty_four == NULL ||
+        self->work == NULL || self->group_old == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_NoMemory();
+        goto fail;
+    }
+#define BIND(field) (Py_INCREF(field), self->field = field)
+    BIND(backend_kernel);
+    BIND(access_func);
+    BIND(plb);
+    BIND(plb_index);
+    BIND(plb_sets);
+    BIND(onchip_table);
+    BIND(onchip_touched);
+    BIND(touched);
+    BIND(prf);
+    BIND(leaf_cache);
+    BIND(mac);
+    BIND(getrandbits);
+    BIND(entry_type);
+    BIND(result_type);
+    BIND(op_read);
+    BIND(op_write);
+    BIND(config_error);
+    BIND(integrity_error);
+#undef BIND
+    return (PyObject *)self;
+
+fail:
+    Py_DECREF(self);
+    return NULL;
+}
+
+/* -- counters as 128-bit integers ------------------------------------ */
+
+static PyObject *
+counter_to_long(FrontendKernel *fk, u128 counter)
+{
+    PyObject *low = PyLong_FromUnsignedLongLong((unsigned long long)counter);
+    if (low == NULL || (counter >> 64) == 0)
+        return low;
+    PyObject *high =
+        PyLong_FromUnsignedLongLong((unsigned long long)(counter >> 64));
+    PyObject *shifted =
+        high != NULL ? PyNumber_Lshift(high, fk->sixty_four) : NULL;
+    PyObject *out = shifted != NULL ? PyNumber_Or(shifted, low) : NULL;
+    Py_XDECREF(high);
+    Py_XDECREF(shifted);
+    Py_DECREF(low);
+    return out;
+}
+
+/* A counter read out of a Python container: a non-negative int below
+ * 2^96, with int.to_bytes(12)'s OverflowError otherwise. */
+static int
+counter_from_long(FrontendKernel *fk, PyObject *obj, u128 *out)
+{
+    if (!PyLong_Check(obj)) {
+        PyErr_Format(PyExc_TypeError, "counters must be ints, not %.100s",
+                     Py_TYPE(obj)->tp_name);
+        return -1;
+    }
+    unsigned long long low = PyLong_AsUnsignedLongLong(obj);
+    if (!(low == (unsigned long long)-1 && PyErr_Occurred())) {
+        *out = low;
+        return 0;
+    }
+    PyErr_Clear();
+    int negative = PyObject_RichCompareBool(obj, fk->zero, Py_LT);
+    if (negative < 0)
+        return -1;
+    if (negative) {
+        PyErr_SetString(PyExc_OverflowError,
+                        "can't convert negative int to unsigned");
+        return -1;
+    }
+    PyObject *high_obj = PyNumber_Rshift(obj, fk->sixty_four);
+    if (high_obj == NULL)
+        return -1;
+    unsigned long long high = PyLong_AsUnsignedLongLong(high_obj);
+    Py_DECREF(high_obj);
+    if ((high == (unsigned long long)-1 && PyErr_Occurred()) ||
+        high >= (1ULL << 32)) {
+        PyErr_Clear();
+        PyErr_SetString(PyExc_OverflowError, "int too big to convert");
+        return -1;
+    }
+    *out = ((u128)high << 64) | PyLong_AsUnsignedLongLongMask(obj);
+    return 0;
+}
+
+/* -- the request's working state ---------------------------------------- */
+
+typedef struct {
+    FrontendKernel *fk;
+    AccessKernel *tree;
+    PyObject *backend; /* owned for the request */
+    unsigned long long chain[FK_MAX_LEVELS]; /* a_i */
+    unsigned long long tags[FK_MAX_LEVELS];  /* i || a_i */
+    PyObject *tag_obj[FK_MAX_LEVELS];        /* boxed on first use, owned */
+    long posmap_accesses;
+} Request;
+
+/* What one PosMap entry says about its child, after the remap. */
+typedef struct {
+    long long leaf, new_leaf;
+    u128 old_counter, new_counter;
+} Mapping;
+
+static PyObject *
+request_tag(Request *rq, int level)
+{
+    if (rq->tag_obj[level] == NULL)
+        rq->tag_obj[level] = PyLong_FromUnsignedLongLong(rq->tags[level]);
+    return rq->tag_obj[level];
+}
+
+static void
+raise_hex(PyObject *exc, const char *format, unsigned long long tagged,
+          PyObject *counter)
+{
+    char hex[32];
+    format_hex((long long)tagged, hex);
+    PyErr_Format(exc, format, hex, counter);
+}
+
+/* rng.random_leaf(levels) through the frontend's own generator. */
+static int
+fk_random_leaf(FrontendKernel *fk, long long *out)
+{
+    *out = 0;
+    if (fk->tree_levels <= 0)
+        return 0;
+    PyObject *drawn = PyObject_CallOneArg(fk->getrandbits, fk->levels_obj);
+    if (drawn == NULL)
+        return -1;
+    int rc = PyLong_Check(drawn) ? as_int64(drawn, out) : -1;
+    if (rc < 0 && !PyErr_Occurred())
+        PyErr_SetString(PyExc_TypeError, "getrandbits must return an int");
+    Py_DECREF(drawn);
+    return rc;
+}
+
+/* prf.leaf_for(address, count, levels): the shared LRU first (exact
+ * order: refresh on a hit, oldest out on a full miss), else one BLAKE2b
+ * compression from the keyed mid-state. */
+static int
+fk_leaf_for(FrontendKernel *fk, PyObject *addr_obj, unsigned long long addr,
+            u128 count, long long *out)
+{
+    *out = 0;
+    if (fk->tree_levels <= 0)
+        return 0;
+    int rc = -1;
+    PyObject *leaf_obj = NULL, *limit_obj = NULL, *key = NULL;
+    PyObject *count_obj = counter_to_long(fk, count);
+    if (count_obj == NULL)
+        return -1;
+    key = PyTuple_Pack(4, addr_obj, count_obj, fk->levels_obj, fk->zero);
+    if (key == NULL)
+        goto done;
+    PyObject *cached = PyDict_GetItemWithError(fk->leaf_cache, key);
+    if (cached == NULL && PyErr_Occurred())
+        goto done;
+    fk->pending[C_PRF_CALLS]++;
+    if (cached != NULL) {
+        fk->pending[C_PRF_CACHE_HITS]++;
+        if (!PyLong_Check(cached)) {
+            PyErr_SetString(PyExc_TypeError, "cached leaves must be ints");
+            goto done;
+        }
+        if (as_int64(cached, out) < 0)
+            goto done;
+        PyObject *moved = PyObject_CallOneArg(fk->move_to_end, key);
+        if (moved == NULL)
+            goto done;
+        Py_DECREF(moved);
+        rc = 0;
+        goto done;
+    }
+
+    /* addr (8) || count (12) || subblock (4, zero), little-endian. */
+    uint8_t message[24] = {0};
+    store64le(message, addr);
+    store64le(message + 8, (uint64_t)count);
+    for (int i = 0; i < 4; i++)
+        message[16 + i] = (uint8_t)(count >> (64 + 8 * i));
+    Blake2b state = fk->prf_state;
+    blake2b_update(&state, message, sizeof(message));
+    blake2b_final(&state, NULL);
+    *out = (long long)(state.h[0] & ((1ULL << fk->tree_levels) - 1));
+
+    limit_obj = PyObject_GetAttr(fk->prf, str_leaf_cache_limit);
+    if (limit_obj == NULL)
+        goto done;
+    Py_ssize_t limit = PyLong_AsSsize_t(limit_obj);
+    if (limit == -1 && PyErr_Occurred())
+        goto done;
+    if (limit != 0) {
+        Py_ssize_t held = PyObject_Length(fk->leaf_cache);
+        if (held < 0)
+            goto done;
+        if (held >= limit) {
+            PyObject *oldest = PyObject_CallOneArg(fk->popitem, Py_False);
+            if (oldest == NULL)
+                goto done;
+            Py_DECREF(oldest);
+        }
+        leaf_obj = PyLong_FromLongLong(*out);
+        if (leaf_obj == NULL ||
+            PyObject_SetItem(fk->leaf_cache, key, leaf_obj) < 0)
+            goto done;
+    }
+    rc = 0;
+
+done:
+    Py_XDECREF(leaf_obj);
+    Py_XDECREF(limit_obj);
+    Py_XDECREF(key);
+    Py_DECREF(count_obj);
+    return rc;
+}
+
+/* mac.tag(c || a || d) into `out` (tag_bytes of it are the tag). */
+static int
+fk_mac(FrontendKernel *fk, u128 counter, unsigned long long tagged,
+       const uint8_t *data, uint8_t out[64])
+{
+    if (counter >> 96) {
+        PyErr_SetString(PyExc_OverflowError, "int too big to convert");
+        return -1;
+    }
+    uint8_t header[20];
+    store64le(header, (uint64_t)counter);
+    for (int i = 0; i < 4; i++)
+        header[8 + i] = (uint8_t)(counter >> (64 + 8 * i));
+    store64le(header + 12, tagged);
+    Blake2b state = fk->mac_state;
+    blake2b_update(&state, header, sizeof(header));
+    blake2b_update(&state, data, (size_t)fk->block_bytes);
+    blake2b_final(&state, out);
+    fk->pending[C_MAC_CALLS]++;
+    fk->pending[C_MAC_BYTES] += (long long)sizeof(header) + fk->block_bytes;
+    return 0;
+}
+
+/* PlbFrontend._seal: the tag a block re-enters the tree with (a new
+ * reference; None without PMMAC). */
+static PyObject *
+fk_seal(FrontendKernel *fk, unsigned long long tagged, u128 counter,
+        const uint8_t *data)
+{
+    if (!fk->pmmac)
+        return Py_NewRef(Py_None);
+    uint8_t tag[64];
+    if (fk_mac(fk, counter, tagged, data, tag) < 0)
+        return NULL;
+    return PyBytes_FromStringAndSize((const char *)tag, fk->tag_bytes);
+}
+
+/* PlbFrontend._verify: h == MAC_K(c || a || d) for the block of
+ * interest; a block without a MAC is legitimate only at count zero. */
+static int
+fk_verify(FrontendKernel *fk, PyObject *mac, unsigned long long tagged,
+          u128 counter, const uint8_t *data)
+{
+    if (!fk->pmmac)
+        return 0;
+    if (mac == Py_None) {
+        if (counter == 0) {
+            fk->pending[C_FRESH_BLOCKS]++;
+            return 0;
+        }
+        PyObject *shown = counter_to_long(fk, counter);
+        if (shown != NULL) {
+            raise_hex(fk->integrity_error,
+                      "block %s lost: counter %S but no MAC", tagged, shown);
+            Py_DECREF(shown);
+        }
+        return -1;
+    }
+    fk->pending[C_MAC_CHECKS]++;
+    uint8_t tag[64];
+    if (fk_mac(fk, counter, tagged, data, tag) < 0)
+        return -1;
+    int equal;
+    if (PyBytes_CheckExact(mac))
+        equal = PyBytes_GET_SIZE(mac) == fk->tag_bytes &&
+                memcmp(PyBytes_AS_STRING(mac), tag,
+                       (size_t)fk->tag_bytes) == 0;
+    else {
+        /* Whatever else sits in mac_col compares the way it would
+         * against the bytes the interpreted Mac.tag returns. */
+        PyObject *computed =
+            PyBytes_FromStringAndSize((const char *)tag, fk->tag_bytes);
+        if (computed == NULL)
+            return -1;
+        equal = PyObject_RichCompareBool(computed, mac, Py_EQ);
+        Py_DECREF(computed);
+        if (equal < 0)
+            return -1;
+    }
+    if (equal)
+        return 0;
+    PyObject *shown = counter_to_long(fk, counter);
+    if (shown != NULL) {
+        raise_hex(fk->integrity_error, "MAC mismatch for block %s at count %S",
+                  tagged, shown);
+        Py_DECREF(shown);
+    }
+    return -1;
+}
+
+/* -- PLB entries --------------------------------------------------------- */
+
+static int
+fk_check_entry(FrontendKernel *fk, PyObject *entry)
+{
+    if (Py_IS_TYPE(entry, (PyTypeObject *)fk->entry_type))
+        return 0;
+    PyErr_Format(PyExc_TypeError, "the PLB holds PlbEntry objects, not %.100s",
+                 Py_TYPE(entry)->tp_name);
+    return -1;
+}
+
+/* The payload of a PLB entry: a bytearray of exactly one block.  The
+ * pointer is good only until the next call back into Python (a resize
+ * moves the bytes), so every stretch of C that needs it asks again. */
+static uint8_t *
+fk_entry_data(FrontendKernel *fk, PyObject *entry)
+{
+    PyObject *data = PyObject_GetAttr(entry, str_data);
+    if (data == NULL)
+        return NULL;
+    uint8_t *bytes = NULL;
+    if (!PyByteArray_CheckExact(data))
+        PyErr_Format(PyExc_TypeError,
+                     "PLB entry data must be a bytearray, not %.100s",
+                     Py_TYPE(data)->tp_name);
+    else if (PyByteArray_GET_SIZE(data) != fk->block_bytes)
+        PyErr_Format(PyExc_ValueError,
+                     "PLB entry data must be %zd bytes, got %zd",
+                     fk->block_bytes, PyByteArray_GET_SIZE(data));
+    else
+        bytes = (uint8_t *)PyByteArray_AS_STRING(data);
+    Py_DECREF(data); /* the entry holds it */
+    return bytes;
+}
+
+/* The byte of a first-touch bitmap holding bit `index` (same lifetime
+ * rule as fk_entry_data). */
+static uint8_t *
+bitmap_byte(PyObject *bitmap, unsigned long long index)
+{
+    if (!PyByteArray_CheckExact(bitmap)) {
+        PyErr_Format(PyExc_TypeError,
+                     "first-touch bitmaps must be bytearrays, not %.100s",
+                     Py_TYPE(bitmap)->tp_name);
+        return NULL;
+    }
+    if ((unsigned long long)PyByteArray_GET_SIZE(bitmap) <= index >> 3) {
+        PyErr_Format(PyExc_IndexError,
+                     "entry %llu outside its first-touch bitmap", index);
+        return NULL;
+    }
+    return (uint8_t *)PyByteArray_AS_STRING(bitmap) + (index >> 3);
+}
+
+/* An instance of a slotted dataclass without running its __init__ in
+ * the interpreter: allocate, then set the named fields. */
+static PyObject *
+new_instance(PyObject *type, PyObject *const *names, PyObject *const *values,
+             int count)
+{
+    PyTypeObject *tp = (PyTypeObject *)type;
+    if (tp->tp_new == NULL) {
+        PyErr_Format(PyExc_TypeError, "cannot create %.100s instances",
+                     tp->tp_name);
+        return NULL;
+    }
+    PyObject *obj = tp->tp_new(tp, empty_tuple, NULL);
+    for (int i = 0; obj != NULL && i < count; i++) {
+        if (values[i] == NULL || PyObject_SetAttr(obj, names[i], values[i]) < 0)
+            Py_CLEAR(obj);
+    }
+    return obj;
+}
+
+/* -- the backend, C to C -------------------------------------------------- */
+
+static int
+request_tree_access(Request *rq, PyObject *op, PyObject *addr_obj,
+                    long long leaf, long long new_leaf, Visit *visit)
+{
+    AccessKernel *tree = rq->tree;
+    PyObject *leaf_obj = PyLong_FromLongLong(leaf);
+    PyObject *new_leaf_obj = PyLong_FromLongLong(new_leaf);
+    int rc = -1;
+    if (leaf_obj != NULL && new_leaf_obj != NULL &&
+        bump_attr(rq->backend, str_access_count, tree->one) == 0)
+        rc = kernel_tree_access(tree, rq->backend, op, addr_obj, leaf_obj,
+                                new_leaf_obj, visit);
+    Py_XDECREF(leaf_obj);
+    Py_XDECREF(new_leaf_obj);
+    return rc;
+}
+
+static int
+request_append(Request *rq, PyObject *addr_obj, PyObject *leaf_obj,
+               PyObject *mac, const uint8_t *data)
+{
+    AccessKernel *tree = rq->tree;
+    if (bump_attr(rq->backend, str_access_count, tree->one) < 0 ||
+        bump_attr(rq->backend, str_append_count, tree->one) < 0)
+        return -1;
+    return kernel_append(tree, addr_obj, leaf_obj, mac, (const char *)data,
+                         tree->block_bytes);
+}
+
+/* Take the block of interest out by value: payload into the handle's
+ * work buffer, MAC by reference (READRMV hand-off without a Block). */
+typedef struct {
+    Visit base;
+    FrontendKernel *fk;
+    PyObject *mac; /* owned once the visit ran */
+} FetchVisit;
+
+static int
+fetch_visit(Visit *base, AccessKernel *tree, long long slot)
+{
+    FetchVisit *visit = (FetchVisit *)base;
+    Py_buffer view;
+    char *bytes;
+    if (kernel_payload(tree, slot, &view, &bytes) < 0)
+        return -1;
+    memcpy(visit->fk->work, bytes, (size_t)tree->block_bytes);
+    PyBuffer_Release(&view);
+    visit->mac = Py_NewRef(PyList_GET_ITEM(tree->mac_col, (Py_ssize_t)slot));
+    return 0;
+}
+
+/* readrmv a PosMap-managed block into the handle's work buffer and
+ * verify it against `counter`; `also` is the second statistic the
+ * fetch moves (refills or relocations) once the tree access succeeded. */
+static int
+request_fetch(Request *rq, PyObject *tag_obj, unsigned long long tagged,
+              long long leaf, long long new_leaf, u128 counter, int also)
+{
+    FrontendKernel *fk = rq->fk;
+    FetchVisit fetch = {{fetch_visit}, fk, NULL};
+    if (request_tree_access(rq, rq->tree->op_readrmv, tag_obj, leaf,
+                            new_leaf, &fetch.base) < 0) {
+        Py_XDECREF(fetch.mac);
+        return -1;
+    }
+    rq->posmap_accesses++;
+    fk->pending[C_POSMAP_TREE]++;
+    fk->pending[also]++;
+    int rc = fk_verify(fk, fetch.mac, tagged, counter, fk->work);
+    Py_DECREF(fetch.mac);
+    return rc;
+}
+
+/* The data block's update closure: verify, overwrite on a WRITE, seal. */
+typedef struct {
+    Visit base;
+    FrontendKernel *fk;
+    unsigned long long addr;
+    u128 old_counter, new_counter;
+    PyObject *write_data; /* borrowed; NULL on a READ */
+    int want_data;
+    PyObject *data_out; /* owned: the block's bytes after the visit */
+} DataVisit;
+
+static int
+data_visit(Visit *base, AccessKernel *tree, long long slot)
+{
+    DataVisit *visit = (DataVisit *)base;
+    FrontendKernel *fk = visit->fk;
+    const size_t block_bytes = (size_t)tree->block_bytes;
+    Py_buffer view;
+    char *bytes;
+    if (kernel_payload(tree, slot, &view, &bytes) < 0)
+        return -1;
+    memcpy(fk->work, bytes, block_bytes);
+    PyBuffer_Release(&view);
+
+    PyObject *mac = Py_NewRef(PyList_GET_ITEM(tree->mac_col, (Py_ssize_t)slot));
+    int rc = fk_verify(fk, mac, visit->addr, visit->old_counter, fk->work);
+    Py_DECREF(mac);
+    if (rc < 0)
+        return -1;
+    if (visit->write_data != NULL) {
+        Py_buffer src;
+        if (PyObject_GetBuffer(visit->write_data, &src, PyBUF_SIMPLE) < 0)
+            return -1;
+        if (src.len != tree->block_bytes) {
+            PyErr_Format(PyExc_ValueError,
+                         "payload must be %zd bytes, got %zd",
+                         tree->block_bytes, src.len);
+            PyBuffer_Release(&src);
+            return -1;
+        }
+        memcpy(fk->work, src.buf, block_bytes);
+        PyBuffer_Release(&src);
+    }
+    if (fk->pmmac || visit->write_data != NULL) {
+        PyObject *sealed =
+            fk_seal(fk, visit->addr, visit->new_counter, fk->work);
+        if (sealed == NULL)
+            return -1;
+        rc = kernel_set_mac(tree, slot, sealed);
+        Py_DECREF(sealed);
+        if (rc < 0 || kernel_payload(tree, slot, &view, &bytes) < 0)
+            return -1;
+        memcpy(bytes, fk->work, block_bytes);
+        PyBuffer_Release(&view);
+    }
+    if (visit->want_data) {
+        visit->data_out = PyBytes_FromStringAndSize((const char *)fk->work,
+                                                    tree->block_bytes);
+        if (visit->data_out == NULL)
+            return -1;
+    }
+    return 0;
+}
+
+/* -- PLB refill and eviction ------------------------------------------------ */
+
+/* plb.insert(entry): returns the evicted victim through *victim (owned). */
+static int
+fk_plb_insert(FrontendKernel *fk, unsigned long long tagged,
+              PyObject *tag_obj, PyObject *entry, PyObject **victim)
+{
+    *victim = NULL;
+    int resident = PyDict_Contains(fk->plb_index, tag_obj);
+    if (resident < 0)
+        return -1;
+    if (resident) {
+        PyErr_SetString(PyExc_ValueError, "block already resident in PLB");
+        return -1;
+    }
+    if (PyList_GET_SIZE(fk->plb_sets) != fk->num_sets) {
+        PyErr_SetString(PyExc_ValueError, "the PLB's set table changed size");
+        return -1;
+    }
+    unsigned long long set =
+        ((tagged & LEVEL_INDEX_MASK) + (tagged >> LEVEL_SHIFT) * 7919) %
+        (unsigned long long)fk->num_sets;
+    PyObject *bucket = PyList_GET_ITEM(fk->plb_sets, (Py_ssize_t)set);
+    if (!PyList_Check(bucket)) {
+        PyErr_SetString(PyExc_TypeError, "PLB sets must be lists");
+        return -1;
+    }
+    if (PyList_GET_SIZE(bucket) < fk->ways) {
+        if (PyList_Append(bucket, entry) < 0)
+            return -1;
+        return PyDict_SetItem(fk->plb_index, tag_obj, entry);
+    }
+    /* LRU victim: the first way with the smallest last_use (way 0 when
+     * direct-mapped). */
+    Py_ssize_t position = 0;
+    long long oldest = 0;
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(bucket); i++) {
+        PyObject *way = PyList_GET_ITEM(bucket, i);
+        if (fk_check_entry(fk, way) < 0)
+            return -1;
+        if (fk->ways == 1)
+            break;
+        long long used;
+        PyObject *stamp = PyObject_GetAttr(way, str_last_use);
+        if (stamp == NULL)
+            return -1;
+        int rc = as_int64(stamp, &used);
+        Py_DECREF(stamp);
+        if (rc < 0)
+            return -1;
+        if (i == 0 || used < oldest) {
+            oldest = used;
+            position = i;
+        }
+    }
+    PyObject *out = Py_NewRef(PyList_GET_ITEM(bucket, position));
+    PyObject *out_tag = PyObject_GetAttr(out, str_tagged_addr);
+    int rc = -1;
+    if (out_tag != NULL &&
+        PyList_SetItem(bucket, position, Py_NewRef(entry)) == 0 &&
+        PyDict_DelItem(fk->plb_index, out_tag) == 0 &&
+        PyDict_SetItem(fk->plb_index, tag_obj, entry) == 0)
+        rc = 0;
+    Py_XDECREF(out_tag);
+    if (rc < 0)
+        Py_DECREF(out);
+    else
+        *victim = out;
+    return rc;
+}
+
+/* PlbFrontend._evict_plb_entry: the victim re-enters the stash with a
+ * fresh MAC over its current counter. */
+static int
+fk_evict(Request *rq, PyObject *victim)
+{
+    FrontendKernel *fk = rq->fk;
+    fk->pending[C_PLB_EVICTIONS]++;
+    PyObject *tag_obj = PyObject_GetAttr(victim, str_tagged_addr);
+    PyObject *leaf_obj = PyObject_GetAttr(victim, str_leaf);
+    PyObject *counter_obj = PyObject_GetAttr(victim, str_counter);
+    PyObject *sealed = NULL;
+    int rc = -1;
+    if (tag_obj == NULL || leaf_obj == NULL || counter_obj == NULL)
+        goto done;
+    uint8_t *data = fk_entry_data(fk, victim);
+    if (data == NULL)
+        goto done;
+    memcpy(fk->work, data, (size_t)fk->block_bytes);
+    if (fk->pmmac) {
+        u128 counter;
+        unsigned long long tagged = PyLong_AsUnsignedLongLong(tag_obj);
+        if ((tagged == (unsigned long long)-1 && PyErr_Occurred()) ||
+            counter_from_long(fk, counter_obj, &counter) < 0)
+            goto done;
+        sealed = fk_seal(fk, tagged, counter, fk->work);
+    }
+    else
+        sealed = Py_NewRef(Py_None);
+    if (sealed != NULL)
+        rc = request_append(rq, tag_obj, leaf_obj, sealed, fk->work);
+
+done:
+    Py_XDECREF(tag_obj);
+    Py_XDECREF(leaf_obj);
+    Py_XDECREF(counter_obj);
+    Py_XDECREF(sealed);
+    return rc;
+}
+
+/* PlbFrontend._refill_plb: readrmv the PosMap block of `level`, verify
+ * it, install it in the PLB, append the victim.  Returns the new entry. */
+static PyObject *
+fk_refill(Request *rq, int level, const Mapping *m)
+{
+    FrontendKernel *fk = rq->fk;
+    PyObject *tag_obj = request_tag(rq, level);
+    if (tag_obj == NULL ||
+        request_fetch(rq, tag_obj, rq->tags[level], m->leaf, m->new_leaf,
+                      m->old_counter, C_PLB_REFILLS) < 0)
+        return NULL;
+
+    fk->clock++;
+    fk->pending[C_CLOCK]++;
+    PyObject *const names[5] = {str_tagged_addr, str_data, str_leaf,
+                                str_counter, str_last_use};
+    PyObject *const values[5] = {
+        tag_obj,
+        PyByteArray_FromStringAndSize((const char *)fk->work, fk->block_bytes),
+        PyLong_FromLongLong(m->new_leaf),
+        counter_to_long(fk, m->new_counter),
+        PyLong_FromLongLong(fk->clock),
+    };
+    PyObject *entry = new_instance(fk->entry_type, names, values, 5);
+    for (int i = 1; i < 5; i++)
+        Py_XDECREF(values[i]);
+    PyObject *victim = NULL;
+    if (entry != NULL &&
+        fk_plb_insert(fk, rq->tags[level], tag_obj, entry, &victim) < 0)
+        Py_CLEAR(entry);
+    if (victim != NULL) {
+        if (fk_evict(rq, victim) < 0)
+            Py_CLEAR(entry);
+        Py_DECREF(victim);
+    }
+    return entry;
+}
+
+/* -- PosMap formats ------------------------------------------------------------ */
+
+/* Field `width` (0..64 bits) at bit `position` of a little-endian
+ * bit-packed block; the caller has checked it lies inside the block. */
+static inline uint64_t
+get_bits(const uint8_t *block, long long position, int width)
+{
+    if (width == 0)
+        return 0;
+    const uint8_t *p = block + (position >> 3);
+    const int shift = (int)(position & 7);
+    const int span = (shift + width + 7) >> 3; /* at most 9 bytes */
+    u128 window = 0;
+    for (int i = 0; i < span; i++)
+        window |= (u128)p[i] << (8 * i);
+    window >>= shift;
+    return width == 64 ? (uint64_t)window
+                       : (uint64_t)window & ((1ULL << width) - 1);
+}
+
+static inline void
+set_bits(uint8_t *block, long long position, int width, uint64_t value)
+{
+    uint8_t *p = block + (position >> 3);
+    const int shift = (int)(position & 7);
+    const int span = (shift + width + 7) >> 3;
+    u128 window = 0;
+    for (int i = 0; i < span; i++)
+        window |= (u128)p[i] << (8 * i);
+    const u128 mask = (((u128)1 << width) - 1) << shift; /* width < 64 */
+    window = (window & ~mask) | (((u128)value << shift) & mask);
+    for (int i = 0; i < span; i++)
+        p[i] = (uint8_t)(window >> (8 * i));
+}
+
+static int fk_group_remap(Request *rq, int level, unsigned long long index,
+                          long long slot, u128 new_counter);
+
+/* format.remap on the parent's payload, group remap and first-touch
+ * override included: PlbFrontend._remap_child with a PLB parent. */
+static int
+fk_remap_in_block(Request *rq, PyObject *parent, int level, Mapping *m)
+{
+    FrontendKernel *fk = rq->fk;
+    const unsigned long long index = rq->chain[level];
+    const long long slot = (long long)(index % (unsigned long long)fk->fanout);
+    const unsigned long long child = rq->tags[level];
+    PyObject *child_obj = request_tag(rq, level);
+    uint8_t *block = fk_entry_data(fk, parent);
+    if (child_obj == NULL || block == NULL)
+        return -1;
+    int rollover = 0;
+    m->old_counter = m->new_counter = 0;
+
+    if (fk->format == FORMAT_UNCOMPRESSED) {
+        const int width = fk->leaf_bytes;
+        uint64_t old = 0;
+        for (int i = width - 1; i >= 0; i--)
+            old = (old << 8) | block[slot * width + i];
+        m->leaf = (long long)old;
+        if (fk_random_leaf(fk, &m->new_leaf) < 0 ||
+            (block = fk_entry_data(fk, parent)) == NULL)
+            return -1;
+        uint64_t fresh = (uint64_t)m->new_leaf;
+        for (int i = 0; i < width; i++, fresh >>= 8)
+            block[slot * width + i] = (uint8_t)fresh;
+    }
+    else {
+        if (fk->format == FORMAT_FLAT) {
+            uint64_t count = load64le(block + 8 * slot);
+            if (count == UINT64_MAX) {
+                PyErr_SetString(PyExc_OverflowError, "int too big to convert");
+                return -1;
+            }
+            store64le(block + 8 * slot, count + 1);
+            m->old_counter = count;
+            m->new_counter = (u128)count + 1;
+        }
+        else {
+            const int alpha = fk->alpha, beta = fk->beta;
+            const uint64_t ic_mask = (1ULL << beta) - 1;
+            const uint64_t gc = get_bits(block, 0, alpha);
+            const long long field = alpha + slot * beta;
+            const uint64_t ic = get_bits(block, field, beta);
+            m->old_counter = ((u128)gc << beta) | ic;
+            if (ic < ic_mask) {
+                /* An IC increment cannot carry out of its field. */
+                set_bits(block, field, beta, ic + 1);
+                m->new_counter = m->old_counter + 1;
+            }
+            else {
+                /* Group remap: GC += 1, every IC (this one too) resets. */
+                if (alpha == 64 ? gc == UINT64_MAX
+                                : gc + 1 >= (1ULL << alpha)) {
+                    PyErr_SetString(fk->config_error,
+                                    "group counter overflow (alpha too "
+                                    "small)");
+                    return -1;
+                }
+                for (long long s = 0; s < fk->fanout; s++)
+                    fk->group_old[s] =
+                        ((u128)gc << beta) |
+                        get_bits(block, alpha + s * beta, beta);
+                memset(block, 0, (size_t)fk->block_bytes);
+                uint64_t image = gc + 1;
+                for (Py_ssize_t i = 0; i < 8 && i < fk->block_bytes;
+                     i++, image >>= 8)
+                    block[i] = (uint8_t)image;
+                m->new_counter = (u128)(gc + 1) << beta;
+                rollover = 1;
+            }
+        }
+        /* The (old, new) pair, in leaf_for_many's order. */
+        if (fk_leaf_for(fk, child_obj, child, m->old_counter, &m->leaf) < 0 ||
+            fk_leaf_for(fk, child_obj, child, m->new_counter,
+                        &m->new_leaf) < 0)
+            return -1;
+    }
+    if (rollover &&
+        fk_group_remap(rq, level, index, slot, m->new_counter) < 0)
+        return -1;
+
+    /* A never-touched leaf-mode entry gets its factory label now. */
+    PyObject *bitmap = PyList_GET_SIZE(fk->touched) > level
+                           ? PyList_GET_ITEM(fk->touched, level)
+                           : Py_None;
+    if (bitmap == Py_None)
+        return 0;
+    const uint8_t bit = (uint8_t)(1u << (index & 7));
+    uint8_t *byte = bitmap_byte(bitmap, index);
+    if (byte == NULL)
+        return -1;
+    if (*byte & bit)
+        return 0;
+    *byte |= bit;
+    return fk_random_leaf(fk, &m->leaf);
+}
+
+/* One sibling of a group remap: bookkeeping only when it is
+ * PLB-resident, else readrmv + re-seal + append (§5.2.2). */
+static int
+fk_relocate(Request *rq, PyObject *tag_obj, unsigned long long tagged,
+            u128 old_counter, u128 new_counter, PyObject *new_counter_obj)
+{
+    FrontendKernel *fk = rq->fk;
+    long long old_leaf, new_leaf;
+    if (fk_leaf_for(fk, tag_obj, tagged, new_counter, &new_leaf) < 0)
+        return -1;
+    PyObject *new_leaf_obj = PyLong_FromLongLong(new_leaf);
+    if (new_leaf_obj == NULL)
+        return -1;
+    int rc = -1;
+    PyObject *sealed = NULL;
+    PyObject *resident = PyDict_GetItemWithError(fk->plb_index, tag_obj);
+    if (resident != NULL) {
+        if (fk_check_entry(fk, resident) == 0 &&
+            PyObject_SetAttr(resident, str_leaf, new_leaf_obj) == 0 &&
+            PyObject_SetAttr(resident, str_counter, new_counter_obj) == 0)
+            rc = 0;
+        goto done;
+    }
+    if (PyErr_Occurred() ||
+        fk_leaf_for(fk, tag_obj, tagged, old_counter, &old_leaf) < 0 ||
+        request_fetch(rq, tag_obj, tagged, old_leaf, new_leaf, old_counter,
+                      C_GROUP_RELOCATIONS) < 0)
+        goto done;
+    sealed = fk_seal(fk, tagged, new_counter, fk->work);
+    if (sealed != NULL)
+        rc = request_append(rq, tag_obj, new_leaf_obj, sealed, fk->work);
+
+done:
+    Py_XDECREF(sealed);
+    Py_DECREF(new_leaf_obj);
+    return rc;
+}
+
+/* PlbFrontend._group_remap: every sibling of the rolled-over entry
+ * moves to the leaf of its new count. */
+static int
+fk_group_remap(Request *rq, int level, unsigned long long index,
+               long long slot, u128 new_counter)
+{
+    FrontendKernel *fk = rq->fk;
+    fk->pending[C_GROUP_REMAPS]++;
+    const unsigned long long base = index - (unsigned long long)slot;
+    PyObject *new_counter_obj = counter_to_long(fk, new_counter);
+    if (new_counter_obj == NULL)
+        return -1;
+    int rc = 0;
+    for (long long s = 0; rc == 0 && s < fk->fanout; s++) {
+        const unsigned long long sibling = base + (unsigned long long)s;
+        if (s == slot ||
+            sibling >= (unsigned long long)fk->level_blocks[level])
+            continue;
+        const unsigned long long tagged =
+            ((unsigned long long)level << LEVEL_SHIFT) | sibling;
+        PyObject *tag_obj = PyLong_FromUnsignedLongLong(tagged);
+        rc = tag_obj == NULL ? -1
+                             : fk_relocate(rq, tag_obj, tagged,
+                                           fk->group_old[s], new_counter,
+                                           new_counter_obj);
+        Py_XDECREF(tag_obj);
+    }
+    Py_DECREF(new_counter_obj);
+    return rc;
+}
+
+/* OnChipPosMap.lookup_and_remap for the top level's entry. */
+static int
+fk_remap_onchip(Request *rq, int level, Mapping *m)
+{
+    FrontendKernel *fk = rq->fk;
+    const unsigned long long index = rq->chain[level];
+    PyObject *table = fk->onchip_table;
+    if (index >= (unsigned long long)fk->onchip_entries) {
+        PyErr_Format(PyExc_ValueError,
+                     "on-chip PosMap index %llu out of range", index);
+        return -1;
+    }
+    const uint8_t bit = (uint8_t)(1u << (index & 7));
+    uint8_t *byte = bitmap_byte(fk->onchip_touched, index);
+    if (byte == NULL)
+        return -1;
+    if (index >= (unsigned long long)PyList_GET_SIZE(table)) {
+        PyErr_Format(PyExc_IndexError,
+                     "on-chip PosMap table has no entry %llu", index);
+        return -1;
+    }
+    PyObject *current = PyList_GET_ITEM(table, (Py_ssize_t)index);
+    PyObject *stored;
+    m->old_counter = m->new_counter = 0;
+
+    if (fk->onchip_counters) {
+        u128 count;
+        if (counter_from_long(fk, current, &count) < 0)
+            return -1;
+        if (count >= UINT64_MAX) {
+            PyErr_SetString(fk->config_error, "on-chip counter overflow");
+            return -1;
+        }
+        m->old_counter = count;
+        m->new_counter = count + 1;
+        *byte |= bit;
+        stored = PyLong_FromUnsignedLongLong((unsigned long long)count + 1);
+    }
+    else {
+        if (*byte & bit) {
+            if (!PyLong_Check(current)) {
+                PyErr_Format(PyExc_TypeError,
+                             "leaf must be an int, not %.100s",
+                             Py_TYPE(current)->tp_name);
+                return -1;
+            }
+            int overflow;
+            m->leaf = PyLong_AsLongLongAndOverflow(current, &overflow);
+            if (overflow) {
+                PyErr_Format(PyExc_ValueError, "leaf %S out of range",
+                             current);
+                return -1;
+            }
+        }
+        else {
+            /* First touch: the factory label is drawn now. */
+            if (fk_random_leaf(fk, &m->leaf) < 0 ||
+                (byte = bitmap_byte(fk->onchip_touched, index)) == NULL)
+                return -1;
+            *byte |= bit;
+        }
+        if (fk_random_leaf(fk, &m->new_leaf) < 0)
+            return -1;
+        stored = PyLong_FromLongLong(m->new_leaf);
+    }
+    /* The draws called back into Python: look at the table again. */
+    if (stored != NULL &&
+        index >= (unsigned long long)PyList_GET_SIZE(table)) {
+        Py_DECREF(stored);
+        PyErr_Format(PyExc_IndexError,
+                     "on-chip PosMap table has no entry %llu", index);
+        return -1;
+    }
+    if (stored == NULL ||
+        PyList_SetItem(table, (Py_ssize_t)index, stored) < 0)
+        return -1;
+    if (!fk->onchip_counters)
+        return 0;
+    PyObject *tag_obj = request_tag(rq, level);
+    if (tag_obj == NULL ||
+        fk_leaf_for(fk, tag_obj, rq->tags[level], m->old_counter,
+                    &m->leaf) < 0 ||
+        fk_leaf_for(fk, tag_obj, rq->tags[level], m->new_counter,
+                    &m->new_leaf) < 0)
+        return -1;
+    return 0;
+}
+
+/* -- the access algorithm (§4.2.4) ------------------------------------------ */
+
+/* PlbFrontend._remap_child: through a PLB-resident parent, or the
+ * on-chip PosMap when there is none (the top level only). */
+static int
+fk_remap_child(Request *rq, PyObject *parent, int level, Mapping *m)
+{
+    if (parent == NULL)
+        return fk_remap_onchip(rq, level, m);
+    return fk_remap_in_block(rq, parent, level, m);
+}
+
+/* PlbFrontend.access between its counters' first and last movement:
+ * validation, PLB lookup loop, PosMap refills, data access.  *data_out
+ * (when asked for) is AccessResult.data. */
+static int
+fk_run(Request *rq, PyObject *addr_obj, PyObject *op, PyObject *data,
+       PyObject **data_out, int *hit_level_out)
+{
+    FrontendKernel *fk = rq->fk;
+    const int levels = fk->space_levels;
+    if (op != fk->op_read && op != fk->op_write) {
+        PyErr_SetString(fk->config_error,
+                        "processor requests are READ or WRITE");
+        return -1;
+    }
+    const int write = op == fk->op_write;
+    if (write) {
+        Py_ssize_t given = data == Py_None ? -2 : PyObject_Length(data);
+        if (given == -1)
+            return -1;
+        if (given != fk->block_bytes) {
+            PyErr_SetString(PyExc_ValueError,
+                            "WRITE requires a full block of data");
+            return -1;
+        }
+    }
+    fk->pending[C_ACCESSES]++;
+
+    /* The chain a_0..a_{H-1} and every level's i || a_i tag. */
+    if (!PyLong_Check(addr_obj)) {
+        PyErr_Format(PyExc_TypeError, "address must be an int, not %.100s",
+                     Py_TYPE(addr_obj)->tp_name);
+        return -1;
+    }
+    int overflow;
+    long long a0 = PyLong_AsLongLongAndOverflow(addr_obj, &overflow);
+    if (overflow || a0 < 0 || a0 >= fk->num_blocks) {
+        PyErr_Format(PyExc_ValueError, "address %S out of range", addr_obj);
+        return -1;
+    }
+    rq->chain[0] = rq->tags[0] = (unsigned long long)a0;
+    rq->tag_obj[0] = Py_NewRef(addr_obj);
+    for (int i = 1; i < levels; i++) {
+        rq->chain[i] = rq->chain[i - 1] / (unsigned long long)fk->fanout;
+        rq->tags[i] = ((unsigned long long)i << LEVEL_SHIFT) | rq->chain[i];
+    }
+
+    /* Step 1: the PLB lookup loop. */
+    PyObject *parent = NULL; /* owned */
+    int hit_level = levels - 1, rc = -1;
+    for (int i = 0; i < levels - 1; i++) {
+        fk->clock++;
+        fk->pending[C_CLOCK]++;
+        PyObject *tag_obj = request_tag(rq, i + 1);
+        if (tag_obj == NULL)
+            return -1;
+        PyObject *entry = PyDict_GetItemWithError(fk->plb_index, tag_obj);
+        if (entry == NULL) {
+            if (PyErr_Occurred())
+                return -1;
+            fk->pending[C_LOOKUP_MISSES]++;
+            continue;
+        }
+        if (fk_check_entry(fk, entry) < 0)
+            return -1;
+        parent = Py_NewRef(entry);
+        PyObject *stamp = PyLong_FromLongLong(fk->clock);
+        int stamped = stamp == NULL
+                          ? -1
+                          : PyObject_SetAttr(parent, str_last_use, stamp);
+        Py_XDECREF(stamp);
+        if (stamped < 0)
+            goto done;
+        fk->pending[C_LOOKUP_HITS]++;
+        hit_level = i;
+        break;
+    }
+    if (levels > 1)
+        fk->pending[hit_level == 0 ? C_PLB_HITS : C_PLB_MISSES]++;
+
+    /* Step 2: fetch the missing PosMap blocks, deepest level first. */
+    Mapping m;
+    for (int level = hit_level; level >= 1; level--) {
+        if (fk_remap_child(rq, parent, level, &m) < 0)
+            goto done;
+        PyObject *entry = fk_refill(rq, level, &m);
+        if (entry == NULL)
+            goto done;
+        Py_XSETREF(parent, entry);
+    }
+
+    /* Step 3: the data block. */
+    if (fk_remap_child(rq, parent, 0, &m) < 0)
+        goto done;
+    if (fk->pmmac || write || data_out != NULL) {
+        DataVisit visit = {{data_visit}, fk, rq->tags[0], m.old_counter,
+                           m.new_counter, write ? data : NULL,
+                           data_out != NULL && !write, NULL};
+        if (request_tree_access(rq, op, addr_obj, m.leaf, m.new_leaf,
+                                &visit.base) < 0) {
+            Py_XDECREF(visit.data_out);
+            goto done;
+        }
+        if (data_out != NULL)
+            *data_out = write ? Py_NewRef(data) : visit.data_out;
+    }
+    else if (request_tree_access(rq, op, addr_obj, m.leaf, m.new_leaf,
+                                 NULL) < 0)
+        goto done;
+    fk->pending[C_DATA_TREE]++;
+    *hit_level_out = hit_level;
+    rc = 0;
+
+done:
+    Py_XDECREF(parent);
+    return rc;
+}
+
+/* Fold the request's counter deltas into the Python objects.  On the
+ * error path the request's own exception is the one that propagates. */
+static int
+fk_fold_counters(FrontendKernel *fk, PyObject *frontend, int rc)
+{
+    PyObject *type = NULL, *value = NULL, *tb = NULL;
+    if (rc < 0)
+        PyErr_Fetch(&type, &value, &tb);
+    PyObject *stats = PyObject_GetAttr(frontend, str_stats);
+    int folded = stats == NULL ? -1 : 0;
+    for (int i = 0; folded == 0 && i < N_COUNTERS; i++) {
+        if (fk->pending[i] == 0)
+            continue;
+        PyObject *owner = i < C_CLOCK       ? stats
+                          : i < C_PRF_CALLS ? fk->plb
+                          : i < C_MAC_CALLS ? fk->prf
+                                            : fk->mac;
+        PyObject *step = PyLong_FromLongLong(fk->pending[i]);
+        folded = step == NULL ? -1 : bump_attr(owner, counter_attr[i], step);
+        Py_XDECREF(step);
+    }
+    Py_XDECREF(stats);
+    if (rc < 0) {
+        if (folded < 0)
+            PyErr_Clear();
+        PyErr_Restore(type, value, tb);
+        return -1;
+    }
+    return folded;
+}
+
+/* One processor request, whole.  Returns 0 with *tree_accesses_out (and
+ * the optional AccessResult fields) filled in, or -1 with the interpreted
+ * access's exception set and its state left behind. */
+static int
+fk_request(FrontendKernel *fk, PyObject *addr_obj, PyObject *op,
+           PyObject *data, PyObject **data_out, long *posmap_out,
+           int *hit_level_out)
+{
+    AccessKernel *tree = (AccessKernel *)fk->backend_kernel;
+    PyObject *frontend = PyWeakref_GetObject(fk->frontend_ref);
+    PyObject *backend = PyWeakref_GetObject(tree->backend_ref);
+    if (frontend == NULL || backend == NULL)
+        return -1;
+    if (frontend == Py_None || backend == Py_None) {
+        PyErr_SetString(PyExc_ReferenceError,
+                        "the frontend of this kernel, or its backend, is "
+                        "gone");
+        return -1;
+    }
+    if (fk->busy || tree->busy) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "re-entrant access on one frontend (from an "
+                        "observer callback)");
+        return -1;
+    }
+    PyObject *clock_obj = PyObject_GetAttr(fk->plb, counter_attr[C_CLOCK]);
+    if (clock_obj == NULL)
+        return -1;
+    int parsed = as_int64(clock_obj, &fk->clock);
+    Py_DECREF(clock_obj);
+    if (parsed < 0)
+        return -1;
+
+    Request rq;
+    rq.fk = fk;
+    rq.tree = tree;
+    rq.backend = Py_NewRef(backend);
+    rq.posmap_accesses = 0;
+    memset(rq.tag_obj, 0, sizeof(rq.tag_obj[0]) * (size_t)fk->space_levels);
+    memset(fk->pending, 0, sizeof(fk->pending));
+    Py_INCREF(frontend);
+    fk->busy = tree->busy = 1;
+    int rc = fk_run(&rq, addr_obj, op, data, data_out, hit_level_out);
+    rc = fk_fold_counters(fk, frontend, rc);
+    fk->busy = tree->busy = 0;
+    for (int i = 0; i < fk->space_levels; i++)
+        Py_XDECREF(rq.tag_obj[i]);
+    Py_DECREF(rq.backend);
+    Py_DECREF(frontend);
+    if (rc < 0 && data_out != NULL)
+        Py_CLEAR(*data_out);
+    *posmap_out = rq.posmap_accesses;
+    return rc;
+}
+
+/* access(addr, op, data) -> AccessResult */
+static PyObject *
+frontend_access(FrontendKernel *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError,
+                     "access expects 3 positional arguments, got %zd", nargs);
+        return NULL;
+    }
+    PyObject *data = NULL;
+    long posmap_accesses;
+    int hit_level;
+    if (fk_request(self, args[0], args[1], args[2], &data, &posmap_accesses,
+                   &hit_level) < 0)
+        return NULL;
+    PyObject *const names[4] = {str_data, str_tree_accesses,
+                                str_posmap_tree_accesses, str_plb_hit_level};
+    PyObject *const values[4] = {
+        data,
+        PyLong_FromLong(posmap_accesses + 1),
+        PyLong_FromLong(posmap_accesses),
+        PyLong_FromLong(hit_level),
+    };
+    PyObject *result = new_instance(self->result_type, names, values, 4);
+    for (int i = 0; i < 4; i++)
+        Py_XDECREF(values[i]);
+    return result;
+}
+
+static PyMethodDef frontend_methods[] = {
+    {"access", (PyCFunction)(void (*)(void))frontend_access, METH_FASTCALL,
+     "access(addr, op, data) -> AccessResult: one whole processor "
+     "request."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject FrontendKernelType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim.native._replay_core.FrontendKernel",
+    .tp_basicsize = sizeof(FrontendKernel),
+    .tp_dealloc = (destructor)frontend_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "Native PLB frontend kernel bound to one PlbFrontend and its "
+              "backend's AccessKernel (see PlbFrontend.enable_native_kernel).",
+    .tp_traverse = (traverseproc)frontend_traverse,
+    .tp_clear = (inquiry)frontend_clear,
+    .tp_methods = frontend_methods,
+    .tp_new = frontend_new,
+};
+
+/* The engaged kernel behind `access` — a new reference through *out —
+ * when `access` is the unpatched bound PlbFrontend.access of a frontend
+ * running on one; NULL there when it is anything else. */
+static int
+frontend_kernel_behind(PyObject *access, FrontendKernel **out)
+{
+    *out = NULL;
+    if (!PyMethod_Check(access))
+        return 0;
+    PyObject *frontend = PyMethod_GET_SELF(access);
+    PyObject *kernel = PyObject_GetAttr(frontend, str_kernel);
+    if (kernel == NULL) {
+        if (!PyErr_ExceptionMatches(PyExc_AttributeError))
+            return -1;
+        PyErr_Clear();
+        return 0;
+    }
+    if (Py_IS_TYPE(kernel, &FrontendKernelType)) {
+        FrontendKernel *fk = (FrontendKernel *)kernel;
+        if (fk->access_func == PyMethod_GET_FUNCTION(access) &&
+            PyWeakref_GetObject(fk->frontend_ref) == frontend) {
+            *out = fk;
+            return 0;
+        }
+    }
+    Py_DECREF(kernel);
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* run_access_loop                                                     */
+/* ------------------------------------------------------------------ */
+
+static PyObject *
+run_access_loop(PyObject *self, PyObject *args)
+{
+    PyObject *access, *addrs, *writes, *read_op, *write_op, *payload;
+    if (!PyArg_ParseTuple(args, "OOOOOO:run_access_loop", &access, &addrs,
+                          &writes, &read_op, &write_op, &payload))
+        return NULL;
+
+    /* An engaged frontend kernel is driven C to C: no Python frame and
+     * no AccessResult per event.  Anything else — another frontend, a
+     * patched or wrapped access — gets the generic calls. */
+    FrontendKernel *kernel;
+    if (frontend_kernel_behind(access, &kernel) < 0)
+        return NULL;
+    PyObject *addr_seq = PySequence_Fast(addrs, "addrs must be a sequence");
+    if (addr_seq == NULL) {
+        Py_XDECREF(kernel);
+        return NULL;
+    }
+    PyObject *write_seq =
+        PySequence_Fast(writes, "writes must be a sequence");
+    if (write_seq == NULL) {
+        Py_DECREF(addr_seq);
+        Py_XDECREF(kernel);
+        return NULL;
+    }
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(addr_seq);
+    Py_ssize_t nw = PySequence_Fast_GET_SIZE(write_seq);
+    if (nw < n)
+        n = nw; /* zip() semantics: stop at the shorter column */
+
+    PyObject *out = PyList_New(n);
+    if (out == NULL)
+        goto fail;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *addr = PySequence_Fast_GET_ITEM(addr_seq, i);
+        int w = PyObject_IsTrue(PySequence_Fast_GET_ITEM(write_seq, i));
+        if (w < 0)
+            goto fail;
+        PyObject *ta;
+        if (kernel != NULL) {
+            long posmap_accesses;
+            int hit_level;
+            if (fk_request(kernel, addr, w ? write_op : read_op,
+                           w ? payload : Py_None, NULL, &posmap_accesses,
+                           &hit_level) < 0)
+                goto fail;
+            ta = PyLong_FromLong(posmap_accesses + 1);
+        }
+        else {
+            PyObject *result;
+            if (w)
+                result = PyObject_CallFunctionObjArgs(access, addr, write_op,
+                                                      payload, NULL);
+            else
+                result = PyObject_CallFunctionObjArgs(access, addr, read_op,
+                                                      NULL);
+            if (result == NULL)
+                goto fail;
+            ta = PyObject_GetAttr(result, str_tree_accesses);
+            Py_DECREF(result);
+        }
+        if (ta == NULL)
+            goto fail;
+        PyList_SET_ITEM(out, i, ta);
+    }
+    Py_DECREF(addr_seq);
+    Py_DECREF(write_seq);
+    Py_XDECREF(kernel);
+    return out;
+
+fail:
+    /* A partially filled PyList_New(n) list holds NULL slots; fill them
+     * before the container is released. */
+    if (out != NULL) {
+        for (Py_ssize_t i = 0; i < n; i++) {
+            if (PyList_GET_ITEM(out, i) == NULL) {
+                Py_INCREF(Py_None);
+                PyList_SET_ITEM(out, i, Py_None);
+            }
+        }
+        Py_DECREF(out);
+    }
+    Py_DECREF(addr_seq);
+    Py_DECREF(write_seq);
+    Py_XDECREF(kernel);
+    return NULL;
+}
+
+/* ------------------------------------------------------------------ */
 /* module                                                              */
 /* ------------------------------------------------------------------ */
 
@@ -1747,6 +3549,9 @@ static PyMethodDef replay_core_methods[] = {
     {"place_greedy", place_greedy, METH_VARARGS,
      "Greedy deepest-first eviction with LIFO candidate/pool placement; "
      "returns the leftover pool."},
+    {"blake2b", blake2b_digest, METH_VARARGS,
+     "blake2b(key, message, digest_size) -> bytes: the vendored RFC 7693 "
+     "hash behind the frontend kernel's PRF and MAC."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1781,21 +3586,36 @@ PyInit__replay_core(void)
         {&str_leaf, "leaf"},
         {&str_data, "data"},
         {&str_mac, "mac"},
+        {&str_stats, "stats"},
+        {&str_kernel, "_kernel"},
+        {&str_leaf_cache_limit, "_leaf_cache_limit"},
+        {&str_tagged_addr, "tagged_addr"},
+        {&str_counter, "counter"},
+        {&str_last_use, "last_use"},
+        {&str_posmap_tree_accesses, "posmap_tree_accesses"},
+        {&str_plb_hit_level, "plb_hit_level"},
     };
     for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
         *names[i].slot = PyUnicode_InternFromString(names[i].text);
         if (*names[i].slot == NULL)
             return NULL;
     }
-    if (PyType_Ready(&AccessKernelType) < 0)
+    for (int i = 0; i < N_COUNTERS; i++) {
+        counter_attr[i] = PyUnicode_InternFromString(counter_names[i]);
+        if (counter_attr[i] == NULL)
+            return NULL;
+    }
+    empty_tuple = PyTuple_New(0);
+    if (empty_tuple == NULL || PyType_Ready(&AccessKernelType) < 0 ||
+        PyType_Ready(&FrontendKernelType) < 0)
         return NULL;
     PyObject *module = PyModule_Create(&replay_core_module);
     if (module == NULL)
         return NULL;
-    Py_INCREF(&AccessKernelType);
-    if (PyModule_AddObject(module, "AccessKernel",
-                           (PyObject *)&AccessKernelType) < 0) {
-        Py_DECREF(&AccessKernelType);
+    if (PyModule_AddObjectRef(module, "AccessKernel",
+                              (PyObject *)&AccessKernelType) < 0 ||
+        PyModule_AddObjectRef(module, "FrontendKernel",
+                              (PyObject *)&FrontendKernelType) < 0) {
         Py_DECREF(module);
         return NULL;
     }

@@ -11,6 +11,13 @@ asserts not just "detected" but *detected at the same access index*.
 Also covers the Merkle adapter over all three storages (via the columnar
 store's bucket-object compatibility path) and the negative control: with
 no integrity layer, the same tampering silently succeeds everywhere.
+
+The native frontend kernel (PMMAC verify/seal in C, as a hook inside the
+backend kernel's tree access) gets the same attacks, against the
+interpreted columnar frontend: same detection index, same message, and
+the same state afterwards — the data block's access rolled back through
+the backend's one ``_abort_access``, a PosMap block's refill left where
+the interpreted path leaves it.
 """
 
 from __future__ import annotations
@@ -27,7 +34,9 @@ from repro.crypto.mac import Mac
 from repro.errors import IntegrityViolationError
 from repro.integrity.adapter import MerkleVerifiedStorage
 from repro.presets import build_frontend
+from repro.sim.native import load_native_core
 from repro.storage import make_storage
+from repro.storage.snapshot import tree_digest
 from repro.utils.rng import DeterministicRng
 
 STORAGES = ("object", "array", "columnar")
@@ -259,3 +268,137 @@ class TestMerkleAcrossStorages:
             steps[storage_kind] = step
         assert steps["object"] is not None
         assert steps["object"] == steps["array"] == steps["columnar"]
+
+
+# ---------------------------------------------------------------------------
+# The same attacks against the native frontend kernel
+# ---------------------------------------------------------------------------
+
+CORE = load_native_core()
+
+
+def kernel_pair(scheme: str, **overrides):
+    """The interpreted columnar frontend and one on both native kernels."""
+    fields = dict(PMMAC_KWARGS, storage="columnar", **overrides)
+    ref = build_frontend(scheme, rng=DeterministicRng(19), **fields)
+    nat = build_frontend(scheme, rng=DeterministicRng(19), **fields)
+    nat.backend.enable_native_kernel(CORE)
+    nat.enable_native_kernel(CORE)
+    assert isinstance(nat._kernel, CORE.FrontendKernel)
+    return ref, nat
+
+
+def outcome(frontend, addrs):
+    """(index, message) of the first violation reading ``addrs``, then
+    the state it left: statistics, crypto counters, PLB tags, tree and
+    stash images, backend counters."""
+    detected = None
+    for index, addr in enumerate(addrs):
+        try:
+            frontend.read(addr)
+        except IntegrityViolationError as exc:
+            detected = (index, str(exc))
+            break
+    backend, crypto = frontend.backend, frontend.crypto
+    return (
+        detected,
+        frontend.stats,
+        (crypto.mac.call_count, crypto.mac.bytes_hashed,
+         crypto.prf.call_count, crypto.prf.cache_hits),
+        (sorted(frontend.plb._index), frontend.plb._clock),
+        tree_digest(backend.storage),
+        backend.stash_snapshot(),
+        (backend.access_count, backend.tree_access_count,
+         backend.append_count),
+    )
+
+
+@pytest.mark.skipif(CORE is None, reason="compiled core not built")
+@pytest.mark.parametrize("scheme", ["PI_X8", "PIC_X32"])
+class TestPmmacTamperOnTheNativeKernel:
+    def prepared(self, scheme, **overrides):
+        pair = kernel_pair(scheme, **overrides)
+        for frontend in pair:
+            frontend.write(42, b"\xAA" * 64)
+            rng = DeterministicRng(2)
+            for _ in range(60):
+                frontend.read(rng.randrange(2**8))
+        return pair
+
+    def assert_same_detection(self, pair, attack, addrs):
+        outcomes = []
+        for frontend in pair:
+            if not attack(StorageTamperer(frontend.backend.storage)):
+                pytest.skip("target not in the tree after traffic (rare)")
+            outcomes.append(outcome(frontend, addrs))
+        assert outcomes[0][0] is not None, "tampering went undetected"
+        assert outcomes[0] == outcomes[1]
+        # Both frontends stay in step after the violation (a lost PosMap
+        # block keeps failing its subtree, identically).
+        assert outcome(pair[0], [9, 200]) == outcome(pair[1], [9, 200])
+
+    @pytest.mark.parametrize(
+        "attack",
+        [
+            lambda tamperer: tamperer.corrupt_data(42, byte_offset=5),
+            lambda tamperer: tamperer.corrupt_mac(42),
+            lambda tamperer: tamperer.delete_block(42),
+        ],
+        ids=["corrupt-data", "corrupt-mac", "delete"],
+    )
+    def test_data_block_attacks(self, scheme, attack):
+        """Caught inside the data access: the backend rolls it back."""
+        self.assert_same_detection(self.prepared(scheme), attack, [42] * 80)
+
+    def test_posmap_block_corruption(self, scheme):
+        """Caught after the readrmv of a refill: nothing to roll back.
+        (A two-entry PLB, so most level-1 blocks live in the tree.)"""
+        pair = self.prepared(scheme, plb_capacity_bytes=128)
+        ref = pair[0]
+        tamperer = StorageTamperer(ref.backend.storage)
+        tag = next(
+            ref.space.tag(1, index)
+            for index in range(ref.space.level_blocks(1))
+            if tamperer.find(ref.space.tag(1, index)) is not None
+        )
+        child = (tag & ((1 << 48) - 1)) * ref.space.fanout
+        self.assert_same_detection(
+            pair, lambda tamperer: tamperer.corrupt_data(tag), [child] * 4
+        )
+
+    def test_replayed_counters(self, scheme):
+        pair = kernel_pair(scheme)
+        outcomes = []
+        for frontend in pair:
+            frontend.write(7, b"\x01" * 64)
+            rng = DeterministicRng(3)
+            for _ in range(30):
+                frontend.read(rng.randrange(2**8))
+            tamperer = StorageTamperer(frontend.backend.storage)
+            tamperer.snapshot()
+            frontend.write(7, b"\x02" * 64)
+            for _ in range(30):
+                frontend.read(rng.randrange(2**8))
+            tamperer.replay_all()
+            outcomes.append(
+                outcome(frontend, [rng.randrange(2**8) for _ in range(120)])
+            )
+        assert outcomes[0][0] is not None, "replay attack went undetected"
+        assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.skipif(CORE is None, reason="compiled core not built")
+def test_kernel_negative_control_reads_the_corruption_silently():
+    ref, nat = kernel_pair("P_X16")
+    reads = []
+    for frontend in (ref, nat):
+        frontend.write(42, b"\xAA" * 64)
+        rng = DeterministicRng(2)
+        for _ in range(60):
+            frontend.read(rng.randrange(2**8))
+        tamperer = StorageTamperer(frontend.backend.storage)
+        if not tamperer.corrupt_data(42, byte_offset=5):
+            pytest.skip("block still in stash after traffic (rare)")
+        reads.append(frontend.read(42))
+    assert reads[0] == reads[1] != b"\xAA" * 64
+    assert outcome(ref, []) == outcome(nat, [])

@@ -1,7 +1,10 @@
 """The C boundary under hostile input: errors, never crashes.
 
-Every entry point ``repro.sim.native._replay_core`` exports — the five
-functions and the ``AccessKernel`` handle — is fed what a corrupted
+Every entry point ``repro.sim.native._replay_core`` exports — the
+functions, the ``AccessKernel`` handle and the ``FrontendKernel`` handle
+(whose state is a frontend's own Python containers: PLB entries and
+their payloads, set lists, the tag index, the on-chip table, first-touch
+bitmaps, the PRF's leaf cache, counters) — is fed what a corrupted
 storage or a confused caller could hand it: columns of the wrong
 typecode or of unequal length, slot ids that are negative, past the
 arena or not ints at all, buckets that are not lists, leaves outside the
@@ -24,7 +27,16 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.backend.columnar import ColumnarPathOramBackend  # noqa: E402
 from repro.backend.ops import Op  # noqa: E402
 from repro.config import OramConfig  # noqa: E402
-from repro.errors import BlockNotFoundError, StashOverflowError  # noqa: E402
+from repro.errors import (  # noqa: E402
+    BlockNotFoundError,
+    ConfigurationError,
+    IntegrityViolationError,
+    StashOverflowError,
+)
+from repro.frontend.base import AccessResult  # noqa: E402
+from repro.frontend.plb import PlbEntry  # noqa: E402
+from repro.frontend.unified import PlbFrontend  # noqa: E402
+from repro.presets import build_frontend  # noqa: E402
 from repro.sim.native import load_native_core  # noqa: E402
 from repro.storage.block import Block  # noqa: E402
 from repro.storage.columnar import CHUNK_SLOTS, ColumnarTreeStorage  # noqa: E402
@@ -651,3 +663,480 @@ class TestKernelAccessBoundary:
         del backend
         with pytest.raises(ReferenceError):
             kernel.access(Op.READ, 1, 0, 0, None, None)
+
+
+# ---------------------------------------------------------------------------
+# FrontendKernel: construction
+# ---------------------------------------------------------------------------
+
+FRONTEND_FIELDS = dict(num_blocks=2**9, onchip_entries=4, plb_capacity_bytes=512)
+
+
+def plain_frontend(scheme="PIC_X32", **fields):
+    """A columnar frontend whose backend runs on its ``AccessKernel``."""
+    frontend = build_frontend(
+        scheme, rng=DeterministicRng(5), storage="columnar",
+        **dict(FRONTEND_FIELDS, **fields),
+    )
+    frontend.backend.enable_native_kernel(CORE)
+    return frontend
+
+
+def frontend_kernel_args(frontend):
+    """The positional arguments ``PlbFrontend.enable_native_kernel``
+    builds, as a dict."""
+    plb, posmap, space, fmt = (
+        frontend.plb, frontend.posmap, frontend.space, frontend.format
+    )
+    prf, mac = frontend.crypto.prf, frontend.crypto.mac
+    return {
+        "frontend": frontend,
+        "tree_kernel": frontend.backend._kernel,
+        "access": PlbFrontend.access,
+        "plb": plb,
+        "plb_index": plb._index,
+        "plb_sets": plb._sets,
+        "onchip_table": posmap._table,
+        "onchip_touched": posmap._touched,
+        "touched": frontend._touched,
+        "prf": prf,
+        "leaf_cache": prf._leaf_cache,
+        "mac": mac,
+        "getrandbits": frontend.rng._getrandbits,
+        "geometry": (
+            frontend.space_levels, space.fanout, space.num_blocks,
+            tuple(space.level_blocks(i) for i in range(frontend.space_levels)),
+            plb.num_sets, plb.ways, posmap.entries,
+        ),
+        "format": (
+            fmt.kind, getattr(fmt, "leaf_bytes", 0),
+            getattr(fmt, "alpha_bits", 0), getattr(fmt, "beta_bits", 0),
+            posmap.mode == "counter", frontend.pmmac,
+        ),
+        "keys": (prf.key, mac.key, mac.tag_bytes),
+        "classes": (
+            PlbEntry, AccessResult, Op.READ, Op.WRITE,
+            ConfigurationError, IntegrityViolationError,
+        ),
+    }
+
+
+def replaced(values, position, value):
+    return values[:position] + (value,) + values[position + 1:]
+
+
+class TestFrontendKernelConstruction:
+    def test_well_formed_baseline(self):
+        frontend = plain_frontend()
+        kernel = CORE.FrontendKernel(*frontend_kernel_args(frontend).values())
+        result = kernel.access(3, Op.READ, None)
+        assert result.tree_accesses == frontend.stats.tree_accesses == 3
+
+    @PROPERTY
+    @given(
+        name=st.sampled_from([
+            "tree_kernel", "plb_index", "plb_sets", "onchip_table",
+            "onchip_touched", "touched", "leaf_cache", "getrandbits",
+            "access", "geometry", "format", "keys", "classes",
+        ]),
+        junk=st.sampled_from([None, (1,), "ab", 5, {}, [], array("q")]),
+    )
+    def test_wrong_containers(self, name, junk):
+        """A plain dict is not the PRF's LRU; a list is not a bitmap; a
+        foreign object is not the backend's handle."""
+        args = frontend_kernel_args(plain_frontend())
+        assume(not (name == "plb_index" and junk == {}))
+        assume(not (name in ("plb_sets", "onchip_table", "touched")
+                    and junk == []))
+        args[name] = junk
+        with pytest.raises((TypeError, ValueError)):
+            CORE.FrontendKernel(*args.values())
+
+    @PROPERTY
+    @given(
+        position=st.integers(0, 6),
+        value=st.sampled_from([-1, 0, 1, 65, 2**40, 2**62]),
+    )
+    def test_geometry_out_of_range(self, position, value):
+        args = frontend_kernel_args(plain_frontend())
+        geometry = args["geometry"]
+        assume(value != geometry[position])
+        if position == 3:
+            value = (value,) * len(geometry[3])
+            assume(all(v >= 0 for v in value))
+        args["geometry"] = replaced(geometry, position, value)
+        try:
+            kernel = CORE.FrontendKernel(*args.values())
+        except (ValueError, OverflowError):
+            return
+        # What the constructor lets through (more ways, fewer on-chip
+        # entries than the table holds, other level sizes) is still
+        # served without leaving the containers.
+        try:
+            kernel.access(3, Op.READ, None)
+        except REJECTED:
+            pass
+
+    @PROPERTY
+    @given(
+        kind=st.sampled_from(["uncompressed", "flat", "compressed", "x"]),
+        leaf_bytes=st.sampled_from([-1, 0, 1, 4, 9]),
+        alpha=st.sampled_from([-1, 0, 64, 65, 500]),
+        beta=st.sampled_from([-1, 0, 14, 33, 500]),
+    )
+    def test_format_fields_never_index_past_a_block(
+        self, kind, leaf_bytes, alpha, beta
+    ):
+        args = frontend_kernel_args(plain_frontend())
+        args["format"] = (kind, leaf_bytes, alpha, beta) + args["format"][4:]
+        try:
+            kernel = CORE.FrontendKernel(*args.values())
+        except ValueError:
+            return
+        for addr in range(0, 512, 37):
+            kernel.access(addr, Op.READ, None)
+
+    @PROPERTY
+    @given(
+        position=st.integers(0, 2),
+        junk=st.sampled_from([None, "key", 5, b"k" * 65, 0, 65]),
+    )
+    def test_non_bytes_or_oversized_keys(self, position, junk):
+        args = frontend_kernel_args(plain_frontend())
+        legal = (
+            isinstance(junk, bytes) and len(junk) <= 64
+            if position < 2
+            else isinstance(junk, int) and 1 <= junk <= 64
+        )
+        assume(not legal)
+        args["keys"] = replaced(args["keys"], position, junk)
+        with pytest.raises((TypeError, ValueError)):
+            CORE.FrontendKernel(*args.values())
+
+    def test_short_onchip_table_and_bitmap(self):
+        for victim in ("onchip_table", "onchip_touched"):
+            frontend = plain_frontend("PI_X8", onchip_entries=8)
+            args = frontend_kernel_args(frontend)
+            assert frontend.posmap.entries == 8
+            del args[victim][1 if victim == "onchip_table" else 0:]
+            with pytest.raises(ValueError):
+                CORE.FrontendKernel(*args.values())
+
+    def test_keywords_and_arity(self):
+        args = frontend_kernel_args(plain_frontend())
+        with pytest.raises(TypeError):
+            CORE.FrontendKernel(*list(args.values())[:-1])
+        with pytest.raises(TypeError):
+            CORE.FrontendKernel(*args.values(), extra=1)
+
+    def test_swapped_leaf_cache_is_refused_at_engagement(self):
+        frontend = plain_frontend()
+        frontend.crypto.prf._leaf_cache = {}
+        with pytest.raises(TypeError):
+            frontend.enable_native_kernel(CORE)
+        assert frontend._kernel is None
+
+
+# ---------------------------------------------------------------------------
+# FrontendKernel: access over corrupted frontend state
+# ---------------------------------------------------------------------------
+
+#: What a hostile container may make an access raise: the handle's own
+#: checks, int.to_bytes' OverflowError for counters, or the library's
+#: errors where the interpreted path raises them too.
+FRONTEND_REJECTED = REJECTED + (
+    OverflowError, KeyError, AttributeError, ConfigurationError,
+    IntegrityViolationError,
+)
+
+
+def warmed_frontend(scheme="PIC_X32", accesses=120, **fields):
+    frontend = plain_frontend(scheme, **fields)
+    frontend.enable_native_kernel(CORE)
+    assert isinstance(frontend._kernel, CORE.FrontendKernel)
+    rng = DeterministicRng(33)
+    for _ in range(accesses):
+        frontend.read(rng.randrange(frontend.num_blocks))
+    return frontend
+
+
+def frontend_image(frontend):
+    backend = frontend.backend
+    return backend.stash_snapshot(), tree_digest(backend.storage)
+
+
+def resident_parent(frontend):
+    """A PLB-resident level-1 entry and a data address it maps."""
+    entry = next(
+        e for e in frontend.plb.entries() if e.tagged_addr >> 48 == 1
+    )
+    index = entry.tagged_addr & ((1 << 48) - 1)
+    return entry, index * frontend.space.fanout
+
+
+class TestFrontendKernelAccessBoundary:
+    def rejected_and_unchanged(self, frontend, undo, *access):
+        """The corruption is met before any tree access: nothing moved."""
+        before = frontend_image(frontend)
+        with pytest.raises(FRONTEND_REJECTED):
+            frontend.access(*access)
+        undo()
+        assert frontend_image(frontend) == before
+        # The handle is not left busy and the frontend still works.
+        frontend.read(1)
+
+    @PROPERTY
+    @given(
+        scheme=st.sampled_from(["P_X16", "PI_X8", "PIC_X32"]),
+        junk=st.sampled_from([
+            None, 7, "x" * 64, bytes(64), bytearray(63), bytearray(65),
+            bytearray(), [0] * 64,
+        ]),
+    )
+    def test_plb_entry_data_of_the_wrong_kind_or_length(self, scheme, junk):
+        frontend = warmed_frontend(scheme)
+        entry, addr = resident_parent(frontend)
+        original = entry.data
+        entry.data = junk
+
+        def undo():
+            entry.data = original
+
+        self.rejected_and_unchanged(frontend, undo, addr)
+
+    def test_plb_entry_data_resized_mid_call(self):
+        """P_X16 draws the new label between reading and writing the
+        parent payload; a draw that shrinks it must not be written past."""
+        frontend = plain_frontend("P_X16")
+        real = frontend.rng._getrandbits
+        armed = []
+
+        def hostile(bits):
+            if armed:
+                del armed.pop().data[8:]
+            return real(bits)
+
+        frontend.rng._getrandbits = hostile
+        frontend.enable_native_kernel(CORE)
+        for addr in range(0, 512, 3):
+            frontend.read(addr)
+        entry, addr = resident_parent(frontend)
+        before = frontend_image(frontend)
+        armed.append(entry)
+        with pytest.raises(ValueError, match="must be 64 bytes, got 8"):
+            frontend.read(addr)
+        assert frontend_image(frontend) == before
+        entry.data.extend(bytes(56))
+        frontend.read(addr)
+
+    @PROPERTY
+    @given(junk=st.sampled_from([None, "e", 5, (1, 2), object()]))
+    def test_non_entries_in_the_tag_index(self, junk):
+        frontend = warmed_frontend()
+        entry, addr = resident_parent(frontend)
+        index = frontend.plb._index
+        index[entry.tagged_addr] = junk
+
+        def undo():
+            index[entry.tagged_addr] = entry
+
+        self.rejected_and_unchanged(frontend, undo, addr)
+
+    @PROPERTY
+    @given(
+        junk=st.sampled_from([None, "e", 5, (1, 2)]),
+        whole_set=st.booleans(),
+        ways=st.sampled_from([1, 2]),
+    )
+    def test_non_entries_in_the_sets(self, junk, whole_set, ways):
+        """Met at victim selection, after the refill's tree access: the
+        request fails cleanly and the handle is released."""
+        frontend = warmed_frontend(plb_ways=ways)
+        sets = frontend.plb._sets
+        for position, bucket in enumerate(sets):
+            if whole_set:
+                sets[position] = junk
+            else:
+                bucket[:] = [junk] * len(bucket)
+        rng = DeterministicRng(2)
+        with pytest.raises(FRONTEND_REJECTED):
+            for _ in range(200):
+                frontend.read(rng.randrange(frontend.num_blocks))
+        assert frontend._kernel is not None
+        with pytest.raises(FRONTEND_REJECTED):
+            for _ in range(200):
+                frontend.read(rng.randrange(frontend.num_blocks))
+
+    @PROPERTY
+    @given(
+        junk=st.sampled_from([-1, -(2**70), 2**96, 2**200, None, "3", 1.5]),
+        field=st.sampled_from(["counter", "leaf", "tagged_addr", "last_use"]),
+    )
+    def test_hostile_entry_fields_surface_at_eviction(self, junk, field):
+        frontend = warmed_frontend(plb_ways=2)
+        for entry in frontend.plb.entries():
+            setattr(entry, field, junk)
+        rng = DeterministicRng(4)
+        try:
+            for _ in range(300):
+                frontend.read(rng.randrange(frontend.num_blocks))
+        except FRONTEND_REJECTED:
+            pass
+        else:
+            # A stamp is overwritten on the next hit and, on a PLB that
+            # keeps hitting, may never decide a victim.
+            assert field == "last_use"
+
+    @PROPERTY
+    @given(
+        scheme=st.sampled_from(["P_X16", "PIC_X32"]),
+        junk=st.sampled_from([-1, 2**64 - 1, 2**64, 2**70, None, "3", 1.5]),
+    )
+    def test_hostile_onchip_entries(self, scheme, junk):
+        """An untouched frontend misses all the way to the on-chip
+        PosMap, which is read before any tree access."""
+        frontend = plain_frontend(scheme)
+        frontend.enable_native_kernel(CORE)
+        posmap = frontend.posmap
+        table = posmap._table
+        saved = list(table)
+        table[:] = [junk] * len(table)
+        posmap._touched[:] = b"\xff" * len(posmap._touched)
+
+        def undo():
+            table[:] = saved
+
+        self.rejected_and_unchanged(frontend, undo, 9)
+
+    @PROPERTY
+    @given(which=st.sampled_from(["table", "bitmap", "level_bitmap"]))
+    def test_short_onchip_table_and_bitmaps(self, which):
+        if which == "level_bitmap":
+            frontend = warmed_frontend("P_X16")
+        else:
+            frontend = plain_frontend("PI_X8", onchip_entries=8)
+            frontend.enable_native_kernel(CORE)
+        if which == "table":
+            victim = frontend.posmap._table
+            addr = frontend.num_blocks - 1
+        elif which == "bitmap":
+            victim = frontend.posmap._touched
+            addr = 9
+        else:
+            victim = frontend._touched[0]
+            addr = resident_parent(frontend)[1]
+        saved = victim[:]
+        del victim[1 if which == "table" else 0:]
+
+        def undo():
+            victim[:] = saved
+
+        self.rejected_and_unchanged(frontend, undo, addr)
+
+    @PROPERTY
+    @given(junk=st.sampled_from([None, "b", 5, [0] * 64]))
+    def test_hostile_first_touch_bitmap(self, junk):
+        frontend = warmed_frontend("P_X16")
+        _entry, addr = resident_parent(frontend)
+        touched = frontend._touched
+        saved = touched[0]
+        touched[0] = junk
+
+        def undo():
+            touched[0] = saved
+
+        if junk is None:
+            frontend.read(addr)  # None means "no override at this level"
+        else:
+            self.rejected_and_unchanged(frontend, undo, addr)
+
+    @PROPERTY
+    @given(
+        addr=st.one_of(
+            st.integers(max_value=-1), st.integers(min_value=2**9),
+            st.sampled_from([None, 1.5, "3", b"3"]),
+        ),
+        op=st.sampled_from([Op.READ, Op.WRITE]),
+    )
+    def test_hostile_addresses(self, addr, op):
+        frontend = warmed_frontend()
+        self.rejected_and_unchanged(
+            frontend, lambda: None, addr, op, bytes(64)
+        )
+
+    @PROPERTY
+    @given(
+        data=st.sampled_from([None, 5, "x" * 64, [0] * 64, bytes(63), 1.5]),
+        op=st.sampled_from([Op.WRITE, Op.READRMV, Op.APPEND, None, "READ"]),
+    )
+    def test_hostile_ops_and_payloads(self, data, op):
+        """A 64-item list passes the length check and is refused inside
+        the data access, which the backend then rolls back."""
+        frontend = warmed_frontend()
+        self.rejected_and_unchanged(frontend, lambda: None, 5, op, data)
+
+    def test_arity(self):
+        kernel = warmed_frontend()._kernel
+        for args in ((), (1,), (1, Op.READ), (1, Op.READ, None, None)):
+            with pytest.raises(TypeError):
+                kernel.access(*args)
+
+    def test_reentrant_access_is_refused(self):
+        frontend = warmed_frontend()
+        storage = frontend.backend.storage
+
+        class Reentrant:
+            def __init__(self, call):
+                self.call = call
+
+            def on_path_read(self, leaf, indices):
+                self.call()
+
+            def on_path_write(self, leaf, indices):
+                pass
+
+        for call in (
+            lambda: frontend.read(2),
+            lambda: frontend.backend.access(Op.READ, 2, 0, 1),
+            lambda: CORE.run_access_loop(
+                frontend.access, [2], [False], Op.READ, Op.WRITE, b""
+            ),
+        ):
+            before = frontend_image(frontend)
+            storage.observer = Reentrant(call)
+            with pytest.raises(RuntimeError, match="re-entrant"):
+                frontend.read(1)
+            storage.observer = None
+            assert frontend_image(frontend) == before
+            # Not address 1: its PosMap entry was remapped before the
+            # tree access failed, as on the interpreted path.
+            frontend.read(400)
+
+    def test_kernel_outliving_its_frontend(self):
+        frontend = warmed_frontend()
+        kernel = frontend._kernel
+        backend = frontend.backend
+        del frontend
+        with pytest.raises(ReferenceError):
+            kernel.access(1, Op.READ, None)
+        assert backend.access(Op.READ, 1, 0, 1).addr == 1
+
+    def test_access_loop_on_a_frontend_whose_kernel_is_foreign(self):
+        """Anything but a FrontendKernel under ``_kernel`` gets the
+        generic calls (the counting wrappers of the lockstep tests)."""
+        frontend = warmed_frontend()
+        real = frontend._kernel
+
+        class Wrapper:
+            entries = 0
+
+            def access(self, *args):
+                Wrapper.entries += 1
+                return real.access(*args)
+
+        frontend._kernel = Wrapper()
+        CORE.run_access_loop(
+            frontend.access, [1, 2], [False, True], Op.READ, Op.WRITE,
+            bytes(64),
+        )
+        assert Wrapper.entries == 2

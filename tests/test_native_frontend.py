@@ -1,0 +1,573 @@
+"""The native PLB frontend kernel: lockstep with ``PlbFrontend.access``.
+
+``PlbFrontend.enable_native_kernel`` hands every processor request to a
+``FrontendKernel`` in ``repro.sim.native._replay_core`` — PLB lookup
+loop, PosMap remap (all three formats, both on-chip modes, group remaps
+included), PRF, PMMAC and the tree accesses, one C call per request.
+The state stays in the frontend's own Python containers, so the bar is
+the reference's: after **every** access a kernel-driven frontend and an
+interpreted one (no native code anywhere under it) must agree on
+
+- the ``AccessResult`` and the full ``FrontendStats``;
+- the PLB: entries in set order with ``last_use``/``leaf``/``counter``/
+  ``data``, the tag index, ``_clock``, hits and misses;
+- the on-chip table and both kinds of first-touch bitmap;
+- the PRF's ``call_count``/``cache_hits`` and its LRU in key order, the
+  MAC's ``call_count``/``bytes_hashed``, and the RNG's state;
+- the tree digest, the stash snapshot and the backend's counters.
+
+Further layers: the vendored BLAKE2b against ``hashlib`` (Hypothesis
+keys, messages and digest sizes); error parity (bad op, wrong-length
+WRITE, out-of-range address: same exception, same counters); the
+engagement rules; and the structural guards — one kernel entry per
+request, no interpreted frontend step under it, and a replay slice or a
+serve batch driven C to C without a Python frame.
+"""
+
+import dataclasses
+import hashlib
+import sys
+
+import pytest
+
+from repro.backend.ops import Op
+from repro.crypto.suite import CryptoSuite
+from repro.crypto.prf import Prf
+from repro.errors import ConfigurationError
+from repro.frontend.unified import PlbFrontend
+from repro.presets import build_frontend
+from repro.sim.engine import ReplayEngine
+from repro.sim.native import NATIVE_ENV, load_native_core
+from repro.sim.system import replay_trace
+from repro.sim.timing import OramTimingModel
+from repro.storage.snapshot import tree_digest
+from repro.utils.rng import DeterministicRng
+
+from test_native_replay import CountingKernel
+from test_replay_differential import chunked, make_trace, stats_image
+
+CORE = load_native_core()
+pytestmark = pytest.mark.skipif(
+    CORE is None,
+    reason="compiled core not built (python setup.py build_ext --inplace)",
+)
+
+#: Small enough that the PLB evicts, the recursion is three or four deep
+#: and a full state image after every access stays cheap.
+SMALL = dict(num_blocks=2**9, onchip_entries=4, plb_capacity_bytes=512)
+
+#: 2-bit individual counters roll over on every fourth touch; fan-out 8
+#: keeps the recursion four deep, so rolled-over groups have siblings in
+#: the PLB, in the tree and (at level 0) among the data blocks.
+ROLLOVER = dict(SMALL, compressed_beta=2, compressed_fanout=8)
+
+#: name -> (scheme, spec overrides): the four paper schemes, a 2-way
+#: PLB, and the small-beta variants that force group remaps.
+CONFIGS = {
+    "P_X16": ("P_X16", SMALL),
+    "PC_X32": ("PC_X32", SMALL),
+    "PI_X8": ("PI_X8", SMALL),
+    "PIC_X32": ("PIC_X32", SMALL),
+    "PIC_X32/2-way": ("PIC_X32", dict(SMALL, plb_ways=2)),
+    "PIC_X32/beta=2": ("PIC_X32", ROLLOVER),
+    "PC_X32/beta=2": ("PC_X32", ROLLOVER),
+}
+
+
+def fast_suite(leaf_cache_entries=None):
+    suite = CryptoSuite.fast()
+    if leaf_cache_entries is not None:
+        suite.prf = Prf(suite.prf.key, leaf_cache_entries=leaf_cache_entries)
+    return suite
+
+
+def build(name, seed=7, leaf_cache_entries=None, **overrides):
+    scheme, fields = CONFIGS[name]
+    return build_frontend(
+        scheme, rng=DeterministicRng(seed), storage="columnar",
+        crypto=fast_suite(leaf_cache_entries), **dict(fields, **overrides),
+    )
+
+
+def engage(frontend):
+    """Both kernels on, as ``ReplayEngine.enable_native`` does it."""
+    frontend.backend.enable_native_kernel(CORE)
+    frontend.enable_native_kernel(CORE)
+    assert isinstance(frontend._kernel, CORE.FrontendKernel)
+    return frontend
+
+
+def pair(name, **kwargs):
+    """The interpreted reference and a kernel-driven twin."""
+    return build(name, **kwargs), engage(build(name, **kwargs))
+
+
+def full_state(frontend):
+    """Everything the bit-identity contract names, for one frontend."""
+    plb, posmap, backend = frontend.plb, frontend.posmap, frontend.backend
+    prf, mac = frontend.crypto.prf, frontend.crypto.mac
+    return {
+        "stats": stats_image(frontend),
+        "plb": [
+            [dataclasses.astuple(entry) for entry in bucket]
+            for bucket in plb._sets
+        ],
+        "plb_index": {
+            tag: entry.tagged_addr for tag, entry in plb._index.items()
+        },
+        "plb_counters": (plb._clock, plb.hits, plb.misses),
+        "onchip": (list(posmap._table), bytes(posmap._touched)),
+        "touched": [
+            None if bitmap is None else bytes(bitmap)
+            for bitmap in frontend._touched
+        ],
+        "prf": (prf.call_count, prf.cache_hits, list(prf._leaf_cache.items())),
+        "mac": (mac.call_count, mac.bytes_hashed),
+        "rng": frontend.rng._rng.getstate(),
+        "tree": tree_digest(backend.storage),
+        "stash": backend.stash_snapshot(),
+        "backend": (
+            backend.access_count, backend.tree_access_count,
+            backend.append_count, backend.storage.buckets_read,
+            backend.storage.buckets_written,
+        ),
+    }
+
+
+def assert_same_state(ref, nat, context):
+    ref_state, nat_state = full_state(ref), full_state(nat)
+    for key in ref_state:
+        assert ref_state[key] == nat_state[key], (context, key)
+
+
+def drive(ref, nat, steps, seed, hot=64, write_share=0.3):
+    """Seeded requests against both; compare after every one."""
+    rng = DeterministicRng(seed)
+    blocks, block_bytes = ref.num_blocks, ref.config.block_bytes
+    for index in range(steps):
+        addr = rng.randrange(hot if rng.random() < 0.4 else blocks)
+        if rng.random() < write_share:
+            args = (addr, Op.WRITE, bytes([rng.randrange(256)]) * block_bytes)
+        else:
+            args = (addr, Op.READ)
+        assert ref.access(*args) == nat.access(*args), index
+        assert_same_state(ref, nat, index)
+
+
+# ---------------------------------------------------------------------------
+# Lockstep
+# ---------------------------------------------------------------------------
+
+
+class TestLockstepAfterEveryAccess:
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    @pytest.mark.parametrize("seed", (3, 2015))
+    def test_randomized_requests(self, name, seed):
+        ref, nat = pair(name)
+        drive(ref, nat, steps=400, seed=seed)
+        assert ref.stats.plb_evictions > 0
+        assert ref.stats.accesses == 400
+
+    def test_two_way_plb_picks_the_lru_way(self):
+        ref, nat = pair("PIC_X32/2-way")
+        drive(ref, nat, steps=500, seed=11, hot=256)
+        assert ref.plb.ways == 2 and ref.stats.plb_evictions > 50
+
+    @pytest.mark.parametrize("name", ("PIC_X32/beta=2", "PC_X32/beta=2"))
+    def test_group_remaps_with_resident_and_relocated_siblings(self, name):
+        """2-bit ICs roll over on every fourth touch of an entry: PosMap
+        levels remap groups whose siblings sit in the PLB (bookkeeping
+        only) or in the tree (readrmv + re-seal + append), and the data
+        level relocates whole sibling groups of data blocks."""
+        ref, nat = pair(name)
+        resident = []
+        original = ref.plb.peek
+
+        def peek(tag):
+            entry = original(tag)
+            resident.append(entry is not None)
+            return entry
+
+        ref.plb.peek = peek
+        drive(ref, nat, steps=400, seed=5, hot=16, write_share=0.5)
+        assert ref.stats.group_remaps > 5
+        assert ref.stats.group_relocations > 100
+        assert any(resident) and not all(resident)
+
+    @pytest.mark.parametrize("name", ("PI_X8", "PIC_X32/beta=2"))
+    def test_tiny_leaf_cache_keeps_exact_lru_order(self, name):
+        """An 8-entry PRF LRU evicts on nearly every miss: refresh on a
+        hit and oldest-out on a miss, key order compared every access."""
+        ref, nat = pair(name, leaf_cache_entries=8)
+        drive(ref, nat, steps=300, seed=9)
+        assert len(ref.crypto.prf._leaf_cache) == 8
+
+    def test_leaf_cache_switched_off(self):
+        ref, nat = pair("PIC_X32", leaf_cache_entries=0)
+        drive(ref, nat, steps=200, seed=4)
+        assert not nat.crypto.prf._leaf_cache and not ref.crypto.prf.cache_hits
+
+    def test_single_level_recursion_has_no_plb_traffic(self):
+        """Everything resolves on-chip: no lookup, no hit, no miss."""
+        ref, nat = pair("PI_X8", num_blocks=64, onchip_entries=64)
+        assert ref.space_levels == 1
+        drive(ref, nat, steps=150, seed=2)
+        assert ref.stats.plb_hits == ref.stats.plb_misses == 0
+
+    def test_engaging_mid_run_continues_the_same_state(self):
+        """``replay_trace`` enables per slice: whatever ran interpreted
+        before the handle existed is the state it continues from."""
+        ref, nat = build("PIC_X32"), build("PIC_X32")
+        drive(ref, nat, steps=150, seed=6)
+        engage(nat)
+        kernel = nat._kernel
+        nat.enable_native_kernel(CORE)
+        assert nat._kernel is kernel
+        drive(ref, nat, steps=150, seed=7)
+
+    def test_python_path_and_kernel_interleave_on_one_state(self):
+        """One copy of state: requests may alternate between the handle
+        and the interpreted body without either noticing."""
+        ref, nat = pair("PIC_X32/beta=2")
+        kernel = nat._kernel
+        rng = DeterministicRng(12)
+        for index in range(300):
+            nat._kernel = kernel if rng.random() < 0.5 else None
+            addr = rng.randrange(256)
+            assert ref.access(addr) == nat.access(addr), index
+            assert_same_state(ref, nat, index)
+
+
+# ---------------------------------------------------------------------------
+# BLAKE2b known answers
+# ---------------------------------------------------------------------------
+
+
+class TestVendoredBlake2b:
+    hypothesis = pytest.importorskip("hypothesis")
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        key=st.binary(max_size=64),
+        message=st.binary(max_size=400),
+        digest_size=st.integers(1, 64),
+    )
+    def test_matches_hashlib(self, key, message, digest_size):
+        expected = hashlib.blake2b(
+            message, key=key, digest_size=digest_size
+        ).digest()
+        assert CORE.blake2b(key, message, digest_size) == expected
+
+    def test_rfc_7693_appendix_a(self):
+        assert CORE.blake2b(b"", b"abc", 64).hex().startswith(
+            "ba80a53f981c4d0d6a2797b69f12f6e94c212f14685ac4b74b12bb6fdbffa2d1"
+        )
+
+    @pytest.mark.parametrize(
+        "args", [(b"k" * 65, b"", 16), (b"", b"", 0), (b"", b"", 65)]
+    )
+    def test_rejects_out_of_range_parameters(self, args):
+        with pytest.raises(ValueError):
+            CORE.blake2b(*args)
+
+    def test_rejects_non_bytes(self):
+        with pytest.raises(TypeError):
+            CORE.blake2b("key", b"", 16)
+
+
+# ---------------------------------------------------------------------------
+# Error parity
+# ---------------------------------------------------------------------------
+
+
+class TestErrorParity:
+    def both_raise(self, ref, nat, *args):
+        errors = []
+        for frontend in (ref, nat):
+            with pytest.raises(Exception) as err:
+                frontend.access(*args)
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1]
+        assert_same_state(ref, nat, args)
+        return errors[0]
+
+    @pytest.mark.parametrize("name", ("P_X16", "PIC_X32"))
+    def test_rejected_requests_leave_the_reference_state(self, name):
+        ref, nat = pair(name)
+        drive(ref, nat, steps=50, seed=1)
+        block = bytes(ref.config.block_bytes)
+        assert self.both_raise(ref, nat, 5, Op.READRMV) == (
+            ConfigurationError, "processor requests are READ or WRITE"
+        )
+        assert self.both_raise(ref, nat, 5, Op.APPEND, block)[0] is (
+            ConfigurationError
+        )
+        for data in (None, block[:-1], block + b"x", b""):
+            assert self.both_raise(ref, nat, 5, Op.WRITE, data) == (
+                ValueError, "WRITE requires a full block of data"
+            )
+        # An unsized payload fails in len(), before anything is counted.
+        assert self.both_raise(ref, nat, 5, Op.WRITE, 7)[0] is TypeError
+        # The address is looked at after the request has been counted.
+        before = ref.stats.accesses
+        for addr in (-1, ref.num_blocks, 2**70):
+            assert self.both_raise(ref, nat, addr) == (
+                ValueError, f"address {addr} out of range"
+            )
+        assert ref.stats.accesses == before + 3
+        drive(ref, nat, steps=50, seed=2)
+
+    def test_bytes_like_write_payloads(self):
+        ref, nat = pair("PIC_X32")
+        size = ref.config.block_bytes
+        for index, data in enumerate(
+            (bytearray(b"\x07" * size), memoryview(b"\x09" * size))
+        ):
+            ref.access(index, Op.WRITE, data)
+            nat.access(index, Op.WRITE, data)
+            assert ref.read(index) == nat.read(index) == bytes(data)
+            assert_same_state(ref, nat, index)
+
+
+# ---------------------------------------------------------------------------
+# Engagement
+# ---------------------------------------------------------------------------
+
+
+class TestEngagement:
+    def test_none_is_a_no_op_and_the_handle_is_made_once(self):
+        frontend = build("PIC_X32")
+        frontend.enable_native_kernel(None)
+        assert frontend._kernel is None
+        engage(frontend)
+
+    def test_needs_the_backend_kernel_first(self):
+        frontend = build("PIC_X32")
+        frontend.enable_native_kernel(CORE)
+        assert frontend._kernel is None
+
+    @pytest.mark.parametrize("storage", ("object", "array"))
+    def test_other_storages_keep_the_python_path(self, storage):
+        frontend = build_frontend(
+            "PIC_X32", rng=DeterministicRng(7), storage=storage, **SMALL
+        )
+        engine = ReplayEngine(frontend, OramTimingModel(1000.0))
+        engine.enable_native(CORE)
+        assert frontend._kernel is None
+
+    def test_reference_suite_keeps_the_python_path(self):
+        frontend = build_frontend(
+            "PIC_X32", rng=DeterministicRng(7), storage="columnar",
+            crypto=CryptoSuite.reference(), **SMALL,
+        )
+        engine = ReplayEngine(frontend, OramTimingModel(1000.0))
+        engine.enable_native(CORE)
+        assert isinstance(frontend.backend._kernel, CORE.AccessKernel)
+        assert frontend._kernel is None
+
+    def test_wide_counter_fields_keep_the_python_path(self):
+        frontend = build_frontend(
+            "PC_X32", rng=DeterministicRng(7), storage="columnar",
+            compressed_beta=40, compressed_fanout=8, **SMALL,
+        )
+        frontend.backend.enable_native_kernel(CORE)
+        frontend.enable_native_kernel(CORE)
+        assert frontend._kernel is None
+        frontend.read(3)
+
+    def test_engine_engages_backend_then_frontend(self):
+        frontend = build("PIC_X32")
+        engine = ReplayEngine(frontend, OramTimingModel(1000.0))
+        engine.enable_native(CORE)
+        assert isinstance(frontend._kernel, CORE.FrontendKernel)
+
+    def test_recursive_frontend_is_untouched(self):
+        frontend = build_frontend(
+            "R_X8", num_blocks=2**10, rng=DeterministicRng(7)
+        )
+        ReplayEngine(frontend, OramTimingModel(1000.0)).enable_native(CORE)
+        assert not hasattr(frontend, "_kernel")
+
+    def test_a_discarded_frontend_is_freed_by_refcount(self):
+        import gc
+        import weakref
+
+        frontend = engage(build("PIC_X32"))
+        frontend.read(1)
+        probe = weakref.ref(frontend)
+        gc.disable()
+        try:
+            del frontend
+            assert probe() is None
+        finally:
+            gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# Structural guards
+# ---------------------------------------------------------------------------
+
+
+def python_frames_during(call):
+    """Names of the library's Python functions entered while ``call``
+    runs (frames from outside ``repro``, like a gc callback, ignored)."""
+    entered = []
+
+    def profiler(frame, event, _arg):
+        if event == "call" and "repro" in frame.f_code.co_filename:
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(profiler)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, entered
+
+
+class TestStructure:
+    def test_one_kernel_entry_per_request(self):
+        ref, nat = pair("PIC_X32/beta=2")
+        nat._kernel = CountingKernel(nat._kernel)
+        rng = DeterministicRng(3)
+        for index in range(200):
+            addr = rng.randrange(64)
+            assert ref.access(addr) == nat.access(addr)
+            assert nat._kernel.entries == index + 1
+        assert ref.stats.group_relocations > 0
+
+    def test_no_interpreted_frontend_step_runs_under_the_kernel(
+        self, monkeypatch
+    ):
+        nat = engage(build("PIC_X32/beta=2"))
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("interpreted frontend step under the kernel")
+
+        for owner, names in (
+            (nat, ("_verify", "_seal", "_remap_child", "_group_remap",
+                   "_refill_plb", "_evict_plb_entry", "_fresh_leaf_override",
+                   "plan_batch")),
+            (nat.plb, ("lookup", "insert", "peek")),
+            (nat.format, ("remap", "leaf_for_counter")),
+            (nat.posmap, ("lookup_and_remap",)),
+            (nat.crypto.prf, ("leaf_for", "leaf_for_many", "eval_bytes")),
+            (nat.crypto.mac, ("tag", "verify", "block_tag")),
+            (nat.backend, ("access", "_restore_on_error")),
+            (nat.space, ("chain", "tag", "child_slot", "level_blocks")),
+        ):
+            for name in names:
+                monkeypatch.setattr(owner, name, unreachable)
+        rng = DeterministicRng(8)
+        block = bytes(nat.config.block_bytes)
+        for _ in range(300):
+            nat.access(rng.randrange(128), Op.WRITE, block)
+            nat.access(rng.randrange(nat.num_blocks))
+        assert nat.stats.group_relocations > 0 and nat.stats.plb_evictions > 0
+
+    def test_a_replay_slice_is_one_c_call(self):
+        """Handed the unpatched bound ``access`` of an engaged frontend,
+        the access loop never enters a Python frame."""
+        ref, nat = pair("PIC_X32")
+        rng = DeterministicRng(21)
+        addrs = [rng.randrange(ref.num_blocks) for _ in range(300)]
+        writes = [rng.random() < 0.3 for _ in range(300)]
+        payload = bytes(ref.config.block_bytes)
+        expected = [
+            ref.access(a, Op.WRITE, payload).tree_accesses if w
+            else ref.access(a).tree_accesses
+            for a, w in zip(addrs, writes)
+        ]
+        counts, entered = python_frames_during(
+            lambda: CORE.run_access_loop(
+                nat.access, addrs, writes, Op.READ, Op.WRITE, payload
+            )
+        )
+        assert counts == expected
+        # The arena growing a chunk is the storage's own method; nothing
+        # of the frontend, the crypto or the backend runs interpreted.
+        assert set(entered) <= {"_grow"}
+        assert_same_state(ref, nat, "after the slice")
+
+    def test_a_patched_access_is_called_per_event(self):
+        """A shim on the instance (the perf tracer's) is not the bound
+        method: the loop calls it, and it reaches the kernel."""
+        nat = engage(build("PIC_X32"))
+        calls = []
+        bound = nat.access
+
+        def shim(*args):
+            calls.append(args[0])
+            return bound(*args)
+
+        nat.access = shim
+        CORE.run_access_loop(
+            nat.access, [1, 2, 3], [False] * 3, Op.READ, Op.WRITE, b""
+        )
+        assert calls == [1, 2, 3] and nat.stats.accesses == 3
+
+    def test_a_failing_event_stops_the_slice_where_python_would(self):
+        ref, nat = pair("PIC_X32")
+        addrs = [1, 2, ref.num_blocks, 3]
+        for frontend in (ref, nat):
+            with pytest.raises(ValueError, match="out of range"):
+                CORE.run_access_loop(
+                    frontend.access, addrs, [False] * 4, Op.READ, Op.WRITE, b""
+                )
+        assert_same_state(ref, nat, "after the failed slice")
+        assert nat.stats.accesses == 3
+
+    def test_run_batch_skips_planning_under_the_kernel(self, monkeypatch):
+        """The kernel never reads the chain cache, so nothing fills it."""
+        timing = OramTimingModel(tree_latency_cycles=1000.0)
+        ref, nat = build("PIC_X32"), build("PIC_X32")
+        trace = make_trace(5, events=400, blocks=ref.num_blocks)
+        for chunk in chunked(trace, batch=100):
+            batched = replay_trace(ref, chunk, timing, mode="batched")
+            compiled = replay_trace(nat, chunk, timing, mode="compiled")
+            assert batched == compiled
+            assert repr(batched.cycles) == repr(compiled.cycles)
+            assert_same_state(ref, nat, chunk.name)
+        assert ref._chain_cache and not nat._chain_cache
+        assert isinstance(nat._kernel, CORE.FrontendKernel)
+
+
+class TestServeOnTheFrontendKernel:
+    def run_serve(self):
+        from repro.serve import OramService, ServeConfig, tenants_for
+        from repro.sim.runner import SimulationRunner
+
+        service = OramService(
+            tenants_for(["hmmer", "gob"], 3, requests=80),
+            runner=SimulationRunner(misses_per_benchmark=300, seed=13),
+            config=ServeConfig(
+                scheme="PC_X32", shards=2, burst=3, max_batch=8,
+                queue_capacity=5, policy="defer",
+            ),
+        )
+        kernels = [shard.frontend._kernel for shard in service.shards]
+        report = service.run("serial").report()
+        report.pop("wall_seconds")
+        for tenant in report["tenants"]:
+            tenant.pop("wall_us")
+        digests = [
+            (tree_digest(shard.frontend.backend.storage),
+             stats_image(shard.frontend))
+            for shard in service.shards
+        ]
+        return kernels, report, digests
+
+    def test_compiled_serve_equals_batched(self, monkeypatch):
+        monkeypatch.delenv(NATIVE_ENV, raising=False)
+        monkeypatch.setenv("REPRO_STORAGE", "columnar")
+        monkeypatch.setenv("REPRO_REPLAY", "batched")
+        kernels, batched, batched_digests = self.run_serve()
+        assert kernels == [None, None]
+        monkeypatch.setenv("REPRO_REPLAY", "compiled")
+        kernels, compiled, compiled_digests = self.run_serve()
+        assert all(isinstance(k, CORE.FrontendKernel) for k in kernels)
+        assert compiled == batched
+        assert compiled_digests == batched_digests
