@@ -19,16 +19,26 @@ from repro.storage.tree import TreeStorage
 from repro.utils.rng import DeterministicRng
 
 
-def test_replay_hot_path_throughput(benchmark):
-    """End-to-end replay loop: trace events through a PLB frontend."""
-    frontend = build_frontend("PC_X32", num_blocks=2**12, rng=DeterministicRng(7))
-    timing = OramTimingModel(tree_latency_cycles=1000.0)
+BLOCKS = 2**12
+
+
+def micro_trace(events: int = 500) -> MissTrace:
+    """Fixed synthetic miss trace (seeded, uniform with 30% writes)."""
     rng = DeterministicRng(8)
     trace = MissTrace(name="micro", instructions=200_000, mem_refs=60_000,
                       l1_hits=50_000, l2_hits=8_000)
     trace.events = [
-        MissEvent(rng.randrange(2**12), rng.random() < 0.3) for _ in range(500)
+        MissEvent(rng.randrange(BLOCKS), rng.random() < 0.3)
+        for _ in range(events)
     ]
+    return trace
+
+
+def test_replay_hot_path_throughput(benchmark):
+    """End-to-end replay loop: trace events through a PLB frontend."""
+    frontend = build_frontend("PC_X32", num_blocks=BLOCKS, rng=DeterministicRng(7))
+    timing = OramTimingModel(tree_latency_cycles=1000.0)
+    trace = micro_trace()
 
     def replay_once():
         replay_trace(frontend, trace, timing, scheme="PC_X32")
@@ -37,20 +47,14 @@ def test_replay_hot_path_throughput(benchmark):
 
 
 @pytest.mark.parametrize("scheme", ["P_X16", "PIC_X32"])
-@pytest.mark.parametrize("storage", ["object", "array"])
+@pytest.mark.parametrize("storage", ["object", "columnar"])
 def test_replay_throughput_by_storage(benchmark, scheme, storage):
-    """Replay throughput per storage backend.
-
-    Reuses the `repro bench` trace constructor so this pytest-benchmark
-    cell and the CI BENCH_replay.json artifact measure the same workload.
-    """
-    from repro.eval.bench import BENCH_BLOCKS, bench_trace
-
+    """Replay throughput per storage backend (same loop, same trace)."""
     frontend = build_frontend(
-        scheme, num_blocks=BENCH_BLOCKS, rng=DeterministicRng(7), storage=storage
+        scheme, num_blocks=BLOCKS, rng=DeterministicRng(7), storage=storage
     )
     timing = OramTimingModel(tree_latency_cycles=1000.0)
-    trace = bench_trace(500)
+    trace = micro_trace()
 
     def replay_once():
         replay_trace(frontend, trace, timing, scheme=scheme)

@@ -7,8 +7,8 @@
   ciphertext bits, replays stale bucket images, and rolls back encryption
   seeds against an :class:`~repro.storage.encrypted.EncryptedTreeStorage`.
 - :class:`~repro.adversary.tamper.StorageTamperer` — the same attack
-  repertoire expressed over content records, uniform across the object,
-  array and columnar plaintext storage models.
+  repertoire expressed over content records, uniform across the object
+  and columnar plaintext storage models.
 """
 
 from repro.adversary.observer import AccessEvent, TraceObserver

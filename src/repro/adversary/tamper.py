@@ -11,7 +11,7 @@ Two tamperers cover the two storage families:
   :class:`~repro.storage.encrypted.EncryptedTreeStorage` (the realistic
   adversary, who sees only encrypted bytes);
 - :class:`StorageTamperer` attacks *content records* of any plaintext
-  storage model (object, array-geometry, columnar) through the shared
+  storage model (object, columnar) through the shared
   ``bucket_records``/``replace_bucket_records`` interface — the
   storage-representation-agnostic adversary used to prove that PMMAC and
   Merkle detection behave identically under every block-store layout.
@@ -27,8 +27,7 @@ from repro.storage.encrypted import EncryptedTreeStorage
 class StorageTamperer:
     """Content-level tampering against any plaintext tree storage.
 
-    Works uniformly on :class:`~repro.storage.tree.TreeStorage`,
-    :class:`~repro.storage.array_tree.ArrayTreeStorage` and
+    Works uniformly on :class:`~repro.storage.tree.TreeStorage` and
     :class:`~repro.storage.columnar.ColumnarTreeStorage`: every attack is
     expressed over canonical ``(addr, leaf, data, mac)`` records, so one
     test exercises every representation of the tree.

@@ -42,7 +42,7 @@ def make_backend(
     A storage advertising ``columnar = True``
     (:class:`~repro.storage.columnar.ColumnarTreeStorage`) gets the
     slot-based :class:`~repro.backend.columnar.ColumnarPathOramBackend`;
-    every bucket-object storage (plain, array-geometry, encrypted,
+    every bucket-object storage (plain, encrypted,
     Merkle-wrapped) keeps :class:`PathOramBackend`. Frontends construct
     their backends exclusively through this factory, so ``storage=`` on
     any preset or spec selects the whole matched pair.

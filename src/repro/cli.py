@@ -8,7 +8,7 @@ Usage::
     python -m repro --workers 8 fig6 fig7
     python -m repro --no-trace-cache fig6
     python -m repro --force fig6
-    python -m repro --storage array bench
+    python -m repro --replay scalar fig6
     python -m repro sweep --scheme PIC_X32 --grid plb=4KiB,8KiB,16KiB
     REPRO_FULL=1 python -m repro all
 
@@ -19,20 +19,14 @@ control the on-disk miss-trace cache (``REPRO_TRACE_CACHE``), and
 ``--result-cache DIR`` / ``--no-result-cache`` the on-disk replay-result
 cache (``REPRO_RESULT_CACHE``) that makes repeated runs incremental.
 ``--force`` (``REPRO_FORCE=1``) recomputes every cell, refreshing — not
-disabling — both caches. ``--storage array|columnar`` selects the
-array-backed or columnar tree storage (``REPRO_STORAGE``).
-``--replay scalar`` swaps the batched replay pipeline for the historical
-per-event loop, and ``--replay compiled`` selects the optional C core
-(``python setup.py build_ext --inplace`` builds it; unbuilt it falls
-back to batched with a warning) — all via ``REPRO_REPLAY``;
-bit-identical, performance-only.
-``bench`` is the replay-throughput microbenchmark; it compares the
-object, array and columnar storage backends end-to-end, the batched
-replay kernel against the scalar escape hatch, *and* a raw Path ORAM
-backend micro-loop, writing everything to one ``BENCH_replay.json`` (CI
-uploads the file and fails if columnar regresses below the object
-baseline or batched replay falls below scalar). It runs only when named
-explicitly.
+disabling — both caches. ``--replay scalar`` (``REPRO_REPLAY``) runs the
+reference tier — the per-event loop over object storage — instead of
+the fast tier, which is the default: the columnar loop, on the native
+kernels when the extension is built (``python setup.py build_ext
+--inplace``) and interpreted when it is not. ``--storage
+object|columnar`` (``REPRO_STORAGE``) pins the tree storage apart from
+the tier. Bit-identical, performance-only; every run names the tier it
+resolved on one stderr line.
 
 The ``sweep`` subcommand expands a parameter grid over scheme specs
 (``--scheme`` accepts registry names or spec strings like
@@ -65,7 +59,6 @@ from repro.errors import ReproError, SweepInterrupted
 from repro.faults import FAULTS_ENV, install_from_env
 from repro.eval import (
     ablation_plb,
-    bench,
     compression,
     fig3,
     fig5,
@@ -77,11 +70,12 @@ from repro.eval import (
     table2,
     table3,
 )
-from repro.sim.replay import REPLAY_ENV, REPLAY_MODES
+from repro.sim.native import build_hint, native_available
+from repro.sim.replay import REPLAY_ENV, REPLAY_MODES, resolve_replay_mode
 from repro.sim.result_cache import RESULT_CACHE_ENV
 from repro.sim.trace_cache import CACHE_ENV
 from repro.sim.runner import FORCE_ENV, WORKERS_ENV
-from repro.storage.array_tree import STORAGE_ENV
+from repro.storage import STORAGE_ENV
 
 EXPERIMENTS: Dict[str, Callable[[], None]] = {
     "fig3": fig3.main,
@@ -95,7 +89,6 @@ EXPERIMENTS: Dict[str, Callable[[], None]] = {
     "hashbw": hashbw.main,
     "compression": compression.main,
     "ablation-plb": ablation_plb.main,
-    "bench": bench.main,
 }
 
 #: Cheap, purely analytic experiments run first under ``all``.
@@ -145,7 +138,7 @@ def _find_subcommand(raw: List[str]) -> Optional[int]:
 def _usage_error(message: str) -> int:
     print(message, file=sys.stderr)
     print(
-        f"choose from: {', '.join(_ORDER)}, 'bench', 'sweep', 'serve' or 'all'",
+        f"choose from: {', '.join(_ORDER)}, 'sweep', 'serve' or 'all'",
         file=sys.stderr,
     )
     return 2
@@ -188,20 +181,14 @@ def _parse_flags(args: List[str]) -> Optional[List[str]]:
             os.environ[FORCE_ENV] = "1"
         elif arg == "--storage" or arg.startswith("--storage="):
             value = arg.split("=", 1)[1] if "=" in arg else next(it, None)
-            if value not in ("object", "array", "columnar"):
-                print(
-                    "--storage requires 'object', 'array' or 'columnar'",
-                    file=sys.stderr,
-                )
+            if value not in ("object", "columnar"):
+                print("--storage requires 'object' or 'columnar'", file=sys.stderr)
                 return None
             os.environ[STORAGE_ENV] = value
         elif arg == "--replay" or arg.startswith("--replay="):
             value = arg.split("=", 1)[1] if "=" in arg else next(it, None)
             if value not in REPLAY_MODES:
-                print(
-                    "--replay requires 'batched', 'scalar' or 'compiled'",
-                    file=sys.stderr,
-                )
+                print("--replay requires 'scalar' or 'compiled'", file=sys.stderr)
                 return None
             os.environ[REPLAY_ENV] = value
         elif arg == "--faults" or arg.startswith("--faults="):
@@ -227,6 +214,27 @@ def _parse_flags(args: List[str]) -> Optional[List[str]]:
         else:
             positional.append(arg)
     return positional
+
+
+def _announce_tier() -> bool:
+    """Name the resolved replay tier on stderr; False if it cannot resolve.
+
+    Stderr only: the tier is performance-only, so it never reaches a
+    report, a digest or a cache key.
+    """
+    try:
+        mode = resolve_replay_mode()
+    except (ValueError, ReproError) as exc:
+        print(exc, file=sys.stderr)
+        return False
+    if mode == "scalar":
+        tier = "reference"
+    elif native_available():
+        tier = "fast: native kernels"
+    else:
+        tier = f"fast: interpreted — {build_hint()}"
+    print(f"replay tier {tier}", file=sys.stderr)
+    return True
 
 
 def _sweep_main(args: List[str]) -> int:
@@ -670,6 +678,8 @@ def main(argv=None) -> int:
     if split is not None:
         if _parse_flags(raw[:split]) is None:
             return 2
+        if raw[split] != "fabric" and not _announce_tier():
+            return 2
         return _SUBCOMMAND_MAINS[raw[split]](raw[split + 1 :])
     args = _parse_flags(raw)
     if args is None:
@@ -680,7 +690,6 @@ def main(argv=None) -> int:
             doc = EXPERIMENTS[name].__module__.rsplit(".", 1)[-1]
             print(f"  {name:<13} repro.eval.{doc}")
         print("  all           run everything in order")
-        print("  bench         replay-throughput microbenchmark (BENCH_replay.json)")
         print("  sweep         parameter-grid sweep over scheme specs (SWEEP.json)")
         print("  serve         multi-tenant ORAM serving scenario (SERVE.json)")
         print("  fabric        distributed-sweep worker endpoints")
@@ -691,10 +700,11 @@ def main(argv=None) -> int:
         print("  --result-cache DIR  replay-result cache location")
         print("  --no-result-cache   disable the on-disk result cache")
         print("  --force             recompute (and refresh) every cached cell")
-        print("  --storage KIND      tree storage backend: object | array | columnar")
-        print("  --replay MODE       replay kernel: batched (default) | scalar")
-        print("                      | compiled (optional C core; falls back to")
-        print("                      batched with a warning when unbuilt)")
+        print("  --replay MODE       replay tier: compiled (default; the fast tier,")
+        print("                      native kernels when built, else interpreted)")
+        print("                      | scalar (the reference per-event loop)")
+        print("  --storage KIND      tree storage: object | columnar (default: the")
+        print("                      tier's — columnar, or object under scalar)")
         print("  --faults PLAN       deterministic fault-injection plan (testing;")
         print("                      e.g. 'cell.crash@*/1#1;sweep.interrupt@*#4')")
         print("Sweep options (after 'sweep'):")
@@ -741,6 +751,8 @@ def main(argv=None) -> int:
     unknown = [a for a in args if a not in EXPERIMENTS]
     if unknown:
         return _usage_error(f"unknown experiment(s): {', '.join(unknown)}")
+    if not _announce_tier():
+        return 2
     for name in args:
         print(f"==== {name} " + "=" * max(60 - len(name), 0))
         EXPERIMENTS[name]()

@@ -47,12 +47,11 @@ class SpecError(ReproError, ValueError):
 
 
 class NativeKernelUnavailable(ReproError):
-    """``REPRO_REPLAY=compiled`` was requested but cannot be honoured.
+    """The fast tier's native kernels are required but cannot be loaded.
 
     Raised only under ``REPRO_NATIVE=require`` (the CI compiled lane's
     setting) when the optional C extension is unbuilt or disabled;
-    without ``require`` the dispatcher falls back to the batched kernel
-    with a :class:`RuntimeWarning` instead.
+    without ``require`` the fast tier runs its interpreted loop instead.
     """
 
 

@@ -70,7 +70,7 @@ from repro.fabric.protocol import (
 )
 from repro.fabric.store import SharedStore
 from repro.fabric.worker import runner_to_wire
-from repro.faults import RetryPolicy
+from repro.resilience import RetryPolicy
 from repro.resilience import CircuitBreaker, RpcPolicy
 from repro.sim.metrics import SimResult
 from repro.sim.runner import ProgressCallback, SimulationRunner

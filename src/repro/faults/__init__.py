@@ -1,4 +1,4 @@
-"""Seed-deterministic fault injection + recovery policies (`repro.faults`).
+"""Seed-deterministic fault injection (`repro.faults`).
 
 Public surface:
 
@@ -9,9 +9,9 @@ Public surface:
   :func:`active` — process-wide plan management (workers re-install from
   the ``REPRO_FAULTS`` env var).
 - :class:`injected` — context manager scoping a plan to a test block.
-- :class:`RetryPolicy` — deterministic exponential backoff for cell retry
-  (now owned by :mod:`repro.resilience`; re-exported here for
-  compatibility).
+
+Recovery policies (``RetryPolicy`` and its RPC siblings) live in
+:mod:`repro.resilience`.
 """
 
 from repro.faults.plan import (  # noqa: F401
@@ -26,13 +26,11 @@ from repro.faults.plan import (  # noqa: F401
     install_from_env,
     parse,
 )
-from repro.faults.retry import RetryPolicy  # noqa: F401
 
 __all__ = [
     "FAULTS_ENV",
     "FaultPlan",
     "FaultSpec",
-    "RetryPolicy",
     "active",
     "clear",
     "fault_hook",

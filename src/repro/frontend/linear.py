@@ -52,7 +52,7 @@ class LinearFrontend(Frontend):
         geometry from the spec, storage kind resolved per tree 0, default
         RNG seed 0 when none is supplied.
         """
-        from repro.storage.array_tree import default_storage_backend, make_storage
+        from repro.storage import make_storage
 
         config = OramConfig(
             num_blocks=spec.num_blocks,
@@ -60,11 +60,10 @@ class LinearFrontend(Frontend):
             blocks_per_bucket=spec.blocks_per_bucket,
         )
         rng = rng if rng is not None else DeterministicRng(0)
-        kind = (
-            spec.storage if spec.storage != "default" else default_storage_backend()
-        )
         view = observer.for_tree(0) if observer is not None else None
-        return cls(config, rng, storage=make_storage(kind, config, observer=view))
+        return cls(
+            config, rng, storage=make_storage(spec.storage, config, observer=view)
+        )
 
     def access(
         self, addr: int, op: Op = Op.READ, data: Optional[bytes] = None

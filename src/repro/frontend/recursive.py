@@ -15,7 +15,7 @@ bucket size.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.backend.ops import Op
 from repro.backend.path_oram import PathOramBackend, make_backend
@@ -25,17 +25,12 @@ from repro.frontend.addrgen import AddressSpace, levels_needed
 from repro.frontend.base import AccessResult, Frontend
 from repro.frontend.formats import UncompressedPosMapFormat
 from repro.frontend.posmap import OnChipPosMap
-from repro.storage.array_tree import default_storage_backend, make_storage
+from repro.storage import make_storage
 from repro.utils.rng import DeterministicRng
 
 
 def _next_pow2(n: int) -> int:
     return 1 << max(n - 1, 1).bit_length() if n > 1 else 1
-
-
-#: Per-frontend cap on memoised address chains (mirrors the PLB
-#: frontend's bound; replay working sets fit comfortably).
-CHAIN_CACHE_LIMIT = 1 << 16
 
 
 class RecursiveFrontend(Frontend):
@@ -51,7 +46,7 @@ class RecursiveFrontend(Frontend):
         onchip_entries: int = 2**16,
         rng: Optional[DeterministicRng] = None,
         observer=None,
-        storage: Optional[str] = None,
+        storage: str = "object",
     ):
         super().__init__()
         self.rng = rng if rng is not None else DeterministicRng(0)
@@ -60,7 +55,6 @@ class RecursiveFrontend(Frontend):
             raise ConfigurationError("PosMap block too small for its entries")
         self.num_levels = levels_needed(num_blocks, fanout, onchip_entries)
         self.space = AddressSpace(num_blocks, fanout, self.num_levels)
-        storage_kind = storage if storage is not None else default_storage_backend()
 
         self.configs: List[OramConfig] = []
         self.backends: List[PathOramBackend] = []
@@ -75,7 +69,7 @@ class RecursiveFrontend(Frontend):
                 leaf_bytes=leaf_bytes,
             )
             view = observer.for_tree(level) if observer is not None else None
-            tree = make_storage(storage_kind, cfg, observer=view)
+            tree = make_storage(storage, cfg, observer=view)
             self.configs.append(cfg)
             self.backends.append(make_backend(cfg, tree, self.rng.fork(level)))
             self._touched.append(bytearray((self.space.level_blocks(level) + 7) // 8))
@@ -96,9 +90,6 @@ class RecursiveFrontend(Frontend):
             mode=OnChipPosMap.MODE_LEAF,
             rng=self.rng,
         )
-        # Memoised address chains (pure functions of the address): the
-        # replay hot path never redoes the per-level floor divisions.
-        self._chain_cache: Dict[int, List[int]] = {}
 
     @classmethod
     def from_spec(cls, spec, rng=None, observer=None) -> "RecursiveFrontend":
@@ -118,7 +109,7 @@ class RecursiveFrontend(Frontend):
             onchip_entries=spec.onchip_entries,
             rng=rng,
             observer=observer,
-            storage=None if spec.storage == "default" else spec.storage,
+            storage=spec.storage,
         )
 
     # -- first-touch bookkeeping (simulation stand-in for factory init) --------
@@ -128,32 +119,6 @@ class RecursiveFrontend(Frontend):
 
     def _mark_touched(self, level: int, index: int) -> None:
         self._touched[level][index >> 3] |= 1 << (index & 7)
-
-    # -- batched frontend planning ----------------------------------------------
-
-    def plan_batch(self, addrs: Sequence[int]) -> int:
-        """Pre-resolve address chains for a run of upcoming accesses.
-
-        Same contract as :meth:`PlbFrontend.plan_batch
-        <repro.frontend.unified.PlbFrontend.plan_batch>`: chains are pure
-        functions of the address, so planning them in one hoisted-local
-        pass (repeat-address runs short-circuited) is invisible to every
-        simulated outcome. Returns the number of cold addresses planned.
-        """
-        cache = self._chain_cache
-        chain_of = self.space.chain
-        planned = 0
-        last = None
-        for addr in addrs:
-            if addr == last or addr in cache:
-                last = addr
-                continue
-            last = addr
-            if len(cache) >= CHAIN_CACHE_LIMIT:
-                cache.clear()
-            cache[addr] = chain_of(addr)
-            planned += 1
-        return planned
 
     # -- access -----------------------------------------------------------------
 
@@ -166,11 +131,7 @@ class RecursiveFrontend(Frontend):
         if op is Op.WRITE and (data is None or len(data) != self.configs[0].block_bytes):
             raise ValueError("WRITE requires a full block of data")
         self.stats.accesses += 1
-        chain = self._chain_cache.get(addr)
-        if chain is None:
-            if len(self._chain_cache) >= CHAIN_CACHE_LIMIT:
-                self._chain_cache.clear()
-            self._chain_cache[addr] = chain = self.space.chain(addr)
+        chain = self.space.chain(addr)
         top = self.num_levels - 1
 
         leaf, new_leaf, _ = self.posmap.lookup_and_remap(chain[top], chain[top])

@@ -26,7 +26,7 @@ same Backend implementation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.backend.ops import Op
 from repro.backend.path_oram import make_backend
@@ -51,12 +51,6 @@ from repro.utils.rng import DeterministicRng
 
 def _next_pow2(n: int) -> int:
     return 1 << max(n - 1, 1).bit_length() if n > 1 else 1
-
-
-#: Per-frontend cap on memoised (chain, tags) entries. Replay working sets
-#: fit comfortably; on paper-scale sweeps the cache cycles instead of
-#: growing with every distinct address ever touched.
-CHAIN_CACHE_LIMIT = 1 << 16
 
 
 class PlbFrontend(Frontend):
@@ -131,11 +125,6 @@ class PlbFrontend(Frontend):
             prf=self.crypto.prf,
         )
         self.plb = Plb(plb_capacity_bytes, block_bytes, ways=plb_ways)
-        # Memoised tag-chain arithmetic: addr -> (chain, tags). The chain
-        # and every level's i||a_i tag are pure functions of the address,
-        # so the PLB lookup loop does no redundant tag arithmetic on the
-        # replay hot path.
-        self._chain_cache: Dict[int, Tuple[List[int], Tuple[int, ...]]] = {}
         # First-touch bitmap per level for leaf-mode entries (see
         # OnChipPosMap docstring); counter formats need none — zero
         # counters reproduce factory state exactly.
@@ -211,10 +200,9 @@ class PlbFrontend(Frontend):
         ``rng``/``observer``/``crypto`` are build-time objects, not part of
         the serializable spec; ``crypto=None`` keeps the frontend default
         (the ``fast`` suite). The spec's ``storage`` kind resolves through
-        :func:`~repro.storage.array_tree.storage_factory_for`, so builds
-        are bit-identical to the historical preset factories.
+        :func:`~repro.storage.make_storage_factory`.
         """
-        from repro.storage.array_tree import storage_factory_for
+        from repro.storage import make_storage_factory
 
         return cls(
             num_blocks=spec.num_blocks,
@@ -233,7 +221,7 @@ class PlbFrontend(Frontend):
             crypto=crypto,
             rng=rng,
             observer=observer,
-            storage_factory=storage_factory_for(spec.storage),
+            storage_factory=make_storage_factory(spec.storage),
         )
 
     @staticmethod
@@ -272,41 +260,6 @@ class PlbFrontend(Frontend):
             beta_bits=beta,
             fanout=self._compressed_fanout,
         )
-
-    # -- batched frontend planning -----------------------------------------------
-
-    def plan_batch(self, addrs: Sequence[int]) -> int:
-        """Pre-resolve (chain, tags) for a run of upcoming accesses.
-
-        The chain and per-level i||a_i tags are pure functions of the
-        address, so a whole batch of future misses can be planned in one
-        pass — every ``space.chain``/``space.tag`` attribute resolution is
-        hoisted out of the loop, repeat-address runs are short-circuited,
-        and already-planned addresses cost one dict probe. ``access``
-        then finds every address hot in the chain cache. The cache bound
-        (and its clear-at-limit policy) is exactly the scalar path's, and
-        the planned entries are bit-for-bit what ``access`` would compute,
-        so planning is invisible to every simulated outcome.
-
-        Returns the number of addresses actually planned (cold entries).
-        """
-        cache = self._chain_cache
-        chain_of = self.space.chain
-        tag = self.space.tag
-        level_range = tuple(range(self.space_levels))
-        planned = 0
-        last = None
-        for addr in addrs:
-            if addr == last or addr in cache:
-                last = addr
-                continue
-            last = addr
-            if len(cache) >= CHAIN_CACHE_LIMIT:
-                cache.clear()
-            chain = chain_of(addr)
-            cache[addr] = (chain, tuple(tag(i, chain[i]) for i in level_range))
-            planned += 1
-        return planned
 
     # -- PMMAC helpers ---------------------------------------------------------------
 
@@ -473,15 +426,9 @@ class PlbFrontend(Frontend):
         stats.accesses += 1
         start_posmap = stats.posmap_tree_accesses
         levels = self.space_levels
-        cached = self._chain_cache.get(addr)
-        if cached is None:
-            chain = self.space.chain(addr)
-            tag = self.space.tag
-            tags = tuple(tag(i, chain[i]) for i in range(levels))
-            if len(self._chain_cache) >= CHAIN_CACHE_LIMIT:
-                self._chain_cache.clear()
-            self._chain_cache[addr] = cached = (chain, tags)
-        chain, tags = cached
+        chain = self.space.chain(addr)
+        tag = self.space.tag
+        tags = [tag(i, chain[i]) for i in range(levels)]
 
         # Step 1: PLB lookup loop.
         parent: Optional[PlbEntry] = None

@@ -20,12 +20,13 @@ bit-identical frontends). New code should prefer specs directly::
     from repro.spec import SchemeSpec, get_spec
 
     oram = get_spec("PIC_X32").with_(plb_capacity_bytes=32 * 1024).build()
-    oram = SchemeSpec.from_string("PIC_X32:plb=32KiB,storage=array").build()
+    oram = SchemeSpec.from_string("PIC_X32:plb=32KiB,storage=object").build()
     oram = SchemeSpec.from_string("PC_X32:storage=columnar").build()
 
-Every preset accepts ``storage="object" | "array" | "columnar"`` (or
-inherits ``REPRO_STORAGE``); the columnar kind swaps in the slot-arena
-store *and* its matching columnar Backend as one proven-equivalent pair.
+Every preset accepts ``storage="object" | "columnar"`` (or inherits
+``REPRO_STORAGE``, and with that unset the replay tier's storage); the
+columnar kind swaps in the slot-arena store *and* its matching columnar
+Backend as one proven-equivalent pair.
 
 Simulation-scale defaults (N = 2^16 blocks, 8 KB on-chip budget) keep runs
 tractable; every parameter can be overridden for full-scale studies.
@@ -223,7 +224,4 @@ def build_frontend(scheme, **kwargs):
     :class:`~repro.errors.SpecError` naming the valid ones.
     """
     build_args = {k: kwargs.pop(k) for k in _BUILD_KWARGS if k in kwargs}
-    if kwargs.get("storage", ...) is None:
-        # Legacy callers pass storage=None for "keep the env default".
-        del kwargs["storage"]
     return resolve_spec(scheme).with_(**kwargs).build(**build_args)

@@ -72,7 +72,7 @@ class MissTrace:
         """Struct-of-arrays view of the event list: (line_addrs, is_write).
 
         With numpy available the columns are an ``int64`` array and a bool
-        array (the batched replay kernel's native operands); without it
+        array (the fast replay loop's native operands); without it
         they fall back to ``array('q')`` / ``array('b')`` with identical
         element values. The view is lazily materialised from ``events``
         and cached; rebinding ``events`` or changing its length
@@ -188,7 +188,7 @@ class MissTrace:
         if _np is not None:
             # Vectorised unpack; the decoded columns are seeded straight
             # into the columnar-view cache so a cache-loaded trace reaches
-            # the batched replay kernel without a second pass.
+            # the fast replay loop without a second pass.
             words = _np.frombuffer(payload, dtype="<u8")
             line_col = (words >> _np.uint64(1)).astype(_np.int64)
             is_write_col = (words & _np.uint64(1)) != 0

@@ -3,8 +3,7 @@
 The control plane shared by the serving layer and the sweep fabric:
 
 - :class:`RetryPolicy` — deterministic exponential backoff for failed
-  sweep cells (absorbed from ``repro.faults.retry``; the old import
-  path re-exports it).
+  sweep cells.
 - :class:`RpcPolicy` — connect/RPC retry with per-call timeouts and
   seeded, deterministic exponential backoff-with-jitter
   (``REPRO_CONNECT_RETRIES`` / ``REPRO_RPC_TIMEOUT``).

@@ -29,8 +29,7 @@ three shared, deterministic steps:
    the single mutation site for every overload decision.
 2. **Execution** (:meth:`OramShard.execute`) — each shard drains its
    epoch queue in admission (ticket) order, coalesced into
-   ``max_batch``-sized runs through ``ReplayEngine.run_batch`` — which
-   is where concurrent misses meet ``plan_batch``/``leaf_for_many``.
+   ``max_batch``-sized runs through ``ReplayEngine.run_batch``.
    Shards are mutually independent, so they may run in any interleaving.
 3. **Accounting** (:meth:`OramService._account`) — after the epoch
    barrier, per-tenant counters/histograms are updated in (shard index,

@@ -1,27 +1,26 @@
-"""The per-access replay core, factored out as a reusable engine object.
+"""The per-access replay core, as a reusable engine object.
 
-Historically the access loop lived inside :func:`repro.sim.system.replay_trace`
-(scalar kernel) and :func:`repro.sim.replay.replay_cycles_batched` (batched
-kernel), both hard-wired to a complete :class:`MissTrace`. The serving
-layer (:mod:`repro.serve`) needs the *same* core — translate, plan,
-access, gather latencies, accumulate cycles in event order — driven by
-live request batches instead of one offline trace. :class:`ReplayEngine`
-is that core:
+:func:`repro.sim.system.replay_trace` and the serving layer
+(:mod:`repro.serve`) drive the same core — translate, access, gather
+latencies, accumulate cycles in event order — the first with one offline
+trace, the second with live request batches. :class:`ReplayEngine` is
+that core:
 
 - ``run_batch(addrs, writes)`` executes one run of block-level requests
-  through the frontend exactly the way the batched replay kernel does
-  (``plan_batch`` pre-pass, hoisted-constant access loop, vectorised
-  latency gather, event-ordered left-fold accumulation) and returns the
-  per-event latencies so callers can do per-request accounting;
-- ``run_trace(trace)`` / ``run_trace_scalar(trace)`` are the historical
-  whole-trace kernels expressed over the same state;
+  through the frontend (the fast tier's loop: hoisted-constant access
+  loop, vectorised latency gather, event-ordered left-fold accumulation
+  — in C once ``enable_native`` has been handed the extension) and
+  returns the per-event latencies so callers can do per-request
+  accounting;
+- ``run_trace(trace)`` is ``run_batch`` over a whole trace's columns and
+  ``run_trace_scalar(trace)`` the reference tier's per-event loop over
+  the same state;
 - ``result(trace, scheme)`` assembles the :class:`SimResult` from the
   counters the engine snapshotted at construction.
 
 Because a sequence of ``run_batch`` calls performs the identical
 per-event operations in the identical order as one whole-trace call
-(float accumulation is a left fold either way, and ``plan_batch`` is
-memoisation invisible to every simulated outcome), serving a trace in
+(float accumulation is a left fold either way), serving a trace in
 admission-queue batches is bit-identical to replaying it offline — the
 property ``tests/test_serve_lockstep.py`` pins against ``replay_trace``.
 """
@@ -88,8 +87,9 @@ class ReplayEngine:
         self.payload = payload if payload is not None else bytes(block_bytes)
         self.cycles: float = 0.0
         self.events = 0
-        #: Replay kernel this engine was resolved for (see for_mode).
-        self.mode = "batched"
+        #: Replay tier this engine was resolved for (see for_mode): the
+        #: fast tier, interpreted until enable_native() is handed a core.
+        self.mode = "compiled"
         # Baselines for delta counters: a caller may hand the engine a
         # frontend (or crypto suite) that has already served traffic.
         self._data_bytes0 = frontend.data_bytes_moved
@@ -98,22 +98,23 @@ class ReplayEngine:
         self._crypto = crypto
         self._prf_calls0 = crypto.prf.call_count if crypto is not None else 0
         self._prf_hits0 = crypto.prf.cache_hits if crypto is not None else 0
-        # Scalar-kernel latency memo (per-event dict probe semantics).
+        # Scalar-loop latency memo (per-event dict probe semantics).
         self._latency_memo: dict = {}
-        # Compiled core (repro.sim.native._replay_core) — None until a
-        # caller opts in via enable_native(); every simulated outcome is
+        # Compiled core (repro.sim.native._replay_core) — None until
+        # enable_native() is handed one; every simulated outcome is
         # bit-identical either way.
         self._native = None
 
     @classmethod
     def for_mode(cls, frontend, timing, mode=None, **kwargs) -> "ReplayEngine":
-        """An engine with the replay kernel resolved and switched on.
+        """An engine with the replay tier resolved and switched on.
 
         The one place ``mode`` (or ``REPRO_REPLAY`` when it is ``None``)
         turns into engine state, shared by :func:`replay_trace` and the
-        serving layer: ``engine.mode`` is the resolved kernel name and
-        ``compiled`` has the native core enabled on the engine and on
-        every columnar backend under the frontend.
+        serving layer: ``engine.mode`` is the resolved tier and
+        ``compiled`` has the native core — when it is importable —
+        enabled on the engine, on every columnar backend under the
+        frontend and on the frontend itself.
         """
         engine = cls(frontend, timing, **kwargs)
         engine.mode = resolve_replay_mode(mode)
@@ -161,30 +162,23 @@ class ReplayEngine:
             )
         return translate_block_addrs(line_addrs, self.lines_per_block)
 
-    # -- the batched core ------------------------------------------------------
+    # -- the fast tier's loop -------------------------------------------------
 
     def run_batch(
         self, addrs: Sequence[int], writes: Sequence[bool]
     ) -> Sequence[float]:
         """Drive one batch of block-level requests through the frontend.
 
-        The batch is planned (``plan_batch`` when the frontend offers
-        it and is not running on its native kernel, which resolves
-        chains itself) and accessed event by event with hoisted
-        constants — one C call for the whole batch when the frontend
-        kernel is engaged. Its latencies are resolved by the vectorised
-        gather then accumulated onto ``self.cycles`` as an event-ordered
-        left fold — exactly the batched replay kernel, so splitting a
-        trace across successive ``run_batch`` calls is bit-identical to
-        one whole-trace call.
+        The batch is accessed event by event with hoisted constants —
+        one C call for the whole batch when the frontend kernel is
+        engaged. Its latencies are resolved by the vectorised gather
+        then accumulated onto ``self.cycles`` as an event-ordered left
+        fold, so splitting a trace across successive ``run_batch`` calls
+        is bit-identical to one whole-trace call.
 
         Returns the per-event latencies (the serving layer's per-request
         service times).
         """
-        plan = getattr(self.frontend, "plan_batch", None)
-        # A frontend on its native kernel never reads the chain cache.
-        if plan is not None and getattr(self.frontend, "_kernel", None) is None:
-            plan(addrs)
         access = self.frontend.access
         read_op = Op.READ
         write_op = Op.WRITE
@@ -219,7 +213,7 @@ class ReplayEngine:
         return latencies
 
     def run_trace(self, trace: MissTrace) -> None:
-        """Whole-trace batched replay (the PR-5 columnar pipeline)."""
+        """Whole-trace replay on the fast tier: one batch of columns."""
         line_addrs, is_write = trace.columns()
         addrs = self.translate(line_addrs)
         writes = (
@@ -227,10 +221,10 @@ class ReplayEngine:
         )
         self.run_batch(addrs, writes)
 
-    # -- the scalar escape hatch ----------------------------------------------
+    # -- the reference tier's loop --------------------------------------------
 
     def run_trace_scalar(self, trace: MissTrace) -> None:
-        """The historical per-event replay loop (``REPRO_REPLAY=scalar``).
+        """The per-event reference replay loop (``REPRO_REPLAY=scalar``).
 
         The latency model is a pure function of the per-event tree-access
         count, which takes only a handful of distinct values; memoising it

@@ -1,4 +1,4 @@
-"""Optional compiled replay core (``REPRO_REPLAY=compiled``).
+"""Optional compiled replay core: the fast tier's native kernels.
 
 This package wraps the hand-written C extension ``_replay_core`` — the
 fused replay inner loop over the columnar arenas (see ``_replay_core.c``
@@ -7,8 +7,8 @@ is *optional*: nothing in the library imports it unconditionally, and
 every consumer goes through :func:`load_native_core`, which returns the
 module when it is built and importable, or ``None`` otherwise (a
 columnar backend handed that core then takes its ``AccessKernel`` handle
-type from the module itself). The pure-Python batched kernel remains
-the default and the reference.
+type from the module itself). Without it the fast tier runs the same
+loop interpreted; the reference tier never touches it.
 
 Build it in place with the baked-in toolchain (no new dependencies)::
 
@@ -22,9 +22,9 @@ a pure-Python package and every default CI lane stays green.
 
 - unset / ``1`` / ``on`` — use the extension when built (the default);
 - ``0`` / ``off`` / ``no`` / ``false`` / ``disable`` / ``disabled`` —
-  ignore the extension even when built (forces the fallback path, used
-  by the differential tests to pin fallback behaviour);
-- ``require`` — escalate "extension unbuilt" from a fallback warning to
+  ignore the extension even when built (forces the interpreted
+  fallback, which the differential tests pin too);
+- ``require`` — escalate "extension unbuilt" from a silent fallback to
   a hard :class:`~repro.errors.NativeKernelUnavailable` error. The CI
   compiled lane sets this so a silently-unbuilt extension cannot
   masquerade as a compiled run.

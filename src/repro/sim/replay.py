@@ -1,51 +1,37 @@
-"""Batched replay kernel: the trace-to-backend path over columns.
+"""Replay tier selection and the column helpers of the fast replay loop.
 
-The scalar replay loop in :mod:`repro.sim.system` pays per-event Python
-work four times over: ``MissEvent`` attribute access, a per-event integer
-division for line->block translation, per-event latency-dict probes, and
-cold per-access tag-chain arithmetic inside ``Frontend.access``. This
-module is the struct-of-arrays spelling of the same loop:
+A trace is replayed on one of two tiers, bit-identical in every
+simulated outcome (``tests/test_replay_differential.py`` compares them
+after every batch):
 
-1. the trace's columnar view (:meth:`MissTrace.columns`) replaces the
-   event-object stream — one ``int64`` address column, one bool column;
-2. line->block translation happens in one vectorised shift/divide over
-   the whole column (scalar fallback when numpy is unavailable);
-3. the frontend pre-plans the batch (``plan_batch`` resolves the (chain,
-   tags) for every distinct upcoming address in one pass, short-circuiting
-   repeat-address runs) before the access loop starts;
-4. the access loop itself runs with every constant pre-resolved (bound
-   ``access`` method, hoisted ``Op`` values, one shared write payload),
-   recording only the per-event tree-access count;
-5. latency is resolved by a vectorised gather through a dense
-   lookup table indexed by tree-access count, instead of a dict probe per
-   event.
+- **reference** (``REPRO_REPLAY=scalar``) — the per-event loop of
+  :meth:`ReplayEngine.run_trace_scalar
+  <repro.sim.engine.ReplayEngine.run_trace_scalar>` over object storage
+  and the interpreted ``Frontend.access``; what the lockstep suites
+  compare against.
+- **fast** (``REPRO_REPLAY=compiled``, and what runs when the variable
+  is unset) — :meth:`ReplayEngine.run_batch
+  <repro.sim.engine.ReplayEngine.run_batch>` over the trace's columns
+  and columnar storage: one vectorised line->block translation, the
+  access loop, one table gather for the latencies, an event-ordered
+  left fold for the cycles. With the C extension of
+  :mod:`repro.sim.native` importable those stages and the whole
+  ``access`` run in C; without it the same loop runs interpreted.
 
-Bit-identical by construction: the frontend sees exactly the scalar
-sequence of ``access`` calls, and the final cycle count is accumulated
-event-by-event in trace order with the same start value and the same
-per-event float operands — only the *bookkeeping around* the loop is
-batched. ``tests/test_replay_differential.py`` locks this down in
-lockstep against the scalar kernel.
-
-Mode selection: ``REPRO_REPLAY=batched`` (default), ``scalar`` — the
-escape hatch that re-runs the historical per-event loop — or
-``compiled``, which hands the fused inner loop (translation, access
-driver, drain/evict, latency accumulation) to the optional C extension
-in :mod:`repro.sim.native`, zero-copy over the columnar arenas. When the
-extension is unbuilt, ``compiled`` falls back to ``batched`` with a
-visible :class:`RuntimeWarning` (or raises under ``REPRO_NATIVE=require``
-— the CI compiled lane's setting). Unknown ``REPRO_REPLAY`` values raise
-instead of silently selecting a kernel, so a misconfigured benchmark
-cannot masquerade as a batched run.
+``resolve_replay_mode`` returns ``"scalar"`` or ``"compiled"`` and
+nothing else. A missing extension is silent when the fast tier was
+merely the default, a :class:`RuntimeWarning` when ``compiled`` was
+asked for by name, and :class:`~repro.errors.NativeKernelUnavailable`
+under ``REPRO_NATIVE=require``. Any other value raises, naming the two
+that exist.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
-from repro.proc.hierarchy import MissTrace
 from repro.sim.timing import OramTimingModel
 
 try:  # pragma: no cover - exercised indirectly on both branches
@@ -53,24 +39,22 @@ try:  # pragma: no cover - exercised indirectly on both branches
 except ImportError:  # pragma: no cover
     _np = None
 
-#: Environment variable selecting the replay kernel.
+#: Environment variable selecting the replay tier.
 REPLAY_ENV = "REPRO_REPLAY"
 
-#: Supported replay kernels.
-REPLAY_MODES = ("batched", "scalar", "compiled")
+#: Replay tiers: ``scalar`` is the reference, ``compiled`` the fast tier.
+REPLAY_MODES = ("scalar", "compiled")
 
 
 def default_replay_mode() -> str:
-    """Replay kernel from ``REPRO_REPLAY`` (defaults to ``batched``).
+    """Replay tier from ``REPRO_REPLAY``; the fast tier when it is unset.
 
-    An unrecognised value raises — the same contract as the
-    explicit-argument path of :func:`resolve_replay_mode` — so a typo
-    (``REPRO_REPLAY=scaler``) aborts the run instead of silently
-    benchmarking the batched kernel under the wrong label.
+    An unrecognised value raises — a typo (``REPRO_REPLAY=scaler``) aborts
+    the run instead of silently measuring the other tier.
     """
     value = os.environ.get(REPLAY_ENV, "").strip().lower()
     if not value:
-        return "batched"
+        return "compiled"
     if value not in REPLAY_MODES:
         raise ValueError(
             f"unknown replay mode {value!r} in {REPLAY_ENV}; "
@@ -82,13 +66,13 @@ def default_replay_mode() -> str:
 def resolve_replay_mode(mode=None) -> str:
     """Validate an explicit mode, or fall back to the environment.
 
-    ``compiled`` additionally requires the optional C extension: when it
-    is unbuilt (or switched off via ``REPRO_NATIVE``) the resolution
-    degrades to ``batched`` with a visible :class:`RuntimeWarning` —
-    unless ``REPRO_NATIVE=require``, which turns the fallback into a
-    :class:`~repro.errors.NativeKernelUnavailable` error so CI's
-    compiled lane cannot silently run the interpreted kernel.
+    The fast tier runs interpreted when the C extension is unbuilt or
+    switched off via ``REPRO_NATIVE``. That is silent when nothing asked
+    for ``compiled`` by name, a :class:`RuntimeWarning` when ``mode`` or
+    ``REPRO_REPLAY`` did, and under ``REPRO_NATIVE=require`` a
+    :class:`~repro.errors.NativeKernelUnavailable` error either way.
     """
+    named = mode is not None or bool(os.environ.get(REPLAY_ENV, "").strip())
     if mode is None:
         mode = default_replay_mode()
     elif mode not in REPLAY_MODES:
@@ -107,17 +91,17 @@ def resolve_replay_mode(mode=None) -> str:
                 from repro.errors import NativeKernelUnavailable
 
                 raise NativeKernelUnavailable(
-                    "REPRO_REPLAY=compiled requires the native extension "
+                    "the native extension is required "
                     f"(REPRO_NATIVE=require is set); {build_hint()}"
                 )
-            warnings.warn(
-                "REPRO_REPLAY=compiled requested but the native extension "
-                f"is not built; falling back to the batched kernel "
-                f"({build_hint()})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return "batched"
+            if named:
+                warnings.warn(
+                    "REPRO_REPLAY=compiled requested but the native "
+                    "extension is not built; running the fast tier "
+                    f"interpreted ({build_hint()})",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
     return mode
 
 
@@ -171,33 +155,3 @@ def _latency_gather(
             lut[n] = latency
         return lut[_np.array(ns, dtype=_np.int64)].tolist()
     return [distinct[n] for n in ns]
-
-
-def replay_cycles_batched(
-    frontend,
-    trace: MissTrace,
-    timing: OramTimingModel,
-    cycles,
-    lines_per_block: int,
-    payload: bytes,
-):
-    """Drive every event through the frontend; return total cycles.
-
-    ``cycles`` carries the caller's base-cycle count; the return value is
-    bit-identical to the scalar kernel's (same start value, same per-event
-    accumulation order and operands). Since PR 6 this is a thin wrapper
-    over :class:`repro.sim.engine.ReplayEngine` — the shared access core
-    that also powers the :mod:`repro.serve` layer.
-    """
-    from repro.sim.engine import ReplayEngine
-
-    engine = ReplayEngine(
-        frontend,
-        timing,
-        lines_per_block=lines_per_block,
-        payload=payload,
-        block_bytes=len(payload),
-    )
-    engine.cycles = cycles
-    engine.run_trace(trace)
-    return engine.cycles

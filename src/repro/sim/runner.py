@@ -8,10 +8,10 @@ meaningful at simulation scale.
 
 Schemes are addressed declaratively: every run accepts a registered name
 (``"PIC_X32"``), a spec mini-language string
-(``"PIC_X32:plb=32KiB,storage=array"``, ``"P_X16:storage=columnar"``), or
+(``"PIC_X32:plb=32KiB,storage=object"``, ``"P_X16:storage=columnar"``), or
 a :class:`~repro.spec.SchemeSpec` value. Because the result-cache key is
 the sized spec's canonical serialization, every storage backend (object,
-array, columnar) keys its own cells automatically. The runner sizes the spec for the
+columnar) keys its own cells automatically. The runner sizes the spec for the
 benchmark's working set (``num_blocks``, ``block_bytes``,
 ``onchip_entries``, ``plb_capacity_bytes``) *underneath* any explicit
 deltas, builds the frontend via ``spec.build()``, and keys the result
@@ -72,8 +72,9 @@ from typing import (
 
 from repro.config import ProcessorConfig
 from repro.dram.config import DramConfig
-from repro.faults import RetryPolicy, fault_hook, install_from_env
+from repro.faults import fault_hook, install_from_env
 from repro.proc.hierarchy import CacheHierarchy, MissTrace
+from repro.resilience import RetryPolicy
 from repro.sim.metrics import SimResult
 from repro.sim.result_cache import ResultCache, default_result_cache_dir, result_key
 from repro.sim.system import insecure_cycles, replay_trace

@@ -36,7 +36,8 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import SpecError, SweepInterrupted
-from repro.faults import RetryPolicy, fault_hook
+from repro.faults import fault_hook
+from repro.resilience import RetryPolicy
 from repro.sim.checkpoint import SweepCheckpoint, sweep_fingerprint
 from repro.sim.runner import ProgressCallback, SchemeLike, SimulationRunner
 from repro.spec import (

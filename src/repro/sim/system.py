@@ -61,19 +61,19 @@ def replay_trace(
 ) -> SimResult:
     """Feed every LLC miss/eviction through the Frontend and sum latency.
 
-    ``mode`` selects the replay kernel: ``"batched"`` (the default — the
-    columnar pipeline of :mod:`repro.sim.replay`), ``"scalar"`` (the
-    historical per-event loop) or ``"compiled"`` (the optional C core of
-    :mod:`repro.sim.native`; degrades to batched with a warning when the
-    extension is unbuilt). ``None`` defers to ``REPRO_REPLAY``. The
-    kernels are bit-identical in every simulated outcome — SimResult,
-    frontend statistics, and final tree contents — a property pinned by
-    the lockstep differential suite; the choice is performance-only and
-    therefore never part of any result-cache key.
+    ``mode`` selects the replay tier: ``"scalar"`` (the reference
+    per-event loop) or ``"compiled"`` (the fast tier — the columnar loop
+    of :meth:`ReplayEngine.run_batch`, in C when the extension of
+    :mod:`repro.sim.native` is built and interpreted when it is not).
+    ``None`` defers to ``REPRO_REPLAY`` and, with that unset, runs the
+    fast tier. The tiers are bit-identical in every simulated outcome —
+    SimResult, frontend statistics, and final tree contents — a property
+    pinned by the lockstep differential suite; the choice is
+    performance-only and therefore never part of any result-cache key.
 
-    Both kernels run on a :class:`~repro.sim.engine.ReplayEngine` — the
-    same access core the :mod:`repro.serve` layer drives with live
-    request batches, so serving inherits every bit-identity guarantee the
+    Both run on a :class:`~repro.sim.engine.ReplayEngine` — the same
+    access core the :mod:`repro.serve` layer drives with live request
+    batches, so serving inherits every bit-identity guarantee the
     differential harnesses prove here.
     """
     from repro.sim.engine import ReplayEngine

@@ -8,7 +8,7 @@ crypto suite — so experiments are configured with *data* instead of
 hand-threaded keyword arguments:
 
 - ``to_dict()``/``from_dict()`` and the spec mini-language
-  ``to_string()``/``from_string()`` (``"PIC_X32:plb=32KiB,storage=array"``)
+  ``to_string()``/``from_string()`` (``"PIC_X32:plb=32KiB,storage=columnar"``)
   round-trip exactly;
 - ``with_(**changes)`` derives variations (unknown fields raise
   :class:`~repro.errors.SpecError` naming the valid ones);
@@ -46,8 +46,9 @@ FRONTEND_KINDS = ("recursive", "plb", "linear")
 #: PosMap block formats of the unified-tree frontend (§4/§5/§6).
 POSMAP_FORMATS = ("uncompressed", "flat", "compressed")
 
-#: Tree storage backends (``default`` defers to ``REPRO_STORAGE``).
-STORAGE_KINDS = ("default", "object", "tree", "array", "columnar")
+#: Tree storage backends (``default`` defers to ``REPRO_STORAGE`` and,
+#: with that unset, to the replay tier's storage).
+STORAGE_KINDS = ("default", "object", "tree", "columnar")
 
 #: Crypto suites (:class:`~repro.crypto.suite.CryptoSuite` constructors).
 CRYPTO_KINDS = ("fast", "reference")

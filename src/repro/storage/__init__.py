@@ -1,21 +1,19 @@
 """Untrusted external storage: blocks, buckets, and the ORAM tree.
 
-Four storage models share one Backend-facing interface:
+Three storage models share one Backend-facing interface:
 
-- :class:`~repro.storage.tree.TreeStorage` keeps buckets as Python objects
-  (no real encryption) and is the fast substrate for performance studies;
+- :class:`~repro.storage.tree.TreeStorage` (kind ``object``) keeps
+  buckets as Python objects (no real encryption). It is the reference
+  tier's storage — the one every lockstep suite compares against;
   bandwidth is accounted using the padded bucket size of
   :class:`~repro.config.OramConfig`.
-- :class:`~repro.storage.array_tree.ArrayTreeStorage` is the replay-sweep
-  variant: identical semantics, but path geometry and per-leaf caches are
-  dense arrays (numpy-vectorised when available). Select it with the
-  preset kwarg ``storage="array"`` or ``REPRO_STORAGE=array``.
-- :class:`~repro.storage.columnar.ColumnarTreeStorage` stores the tree as
-  columns over a slot arena (addr/leaf columns + contiguous byte arena)
-  and pairs with the columnar Backend whose eviction loop moves slot ids
-  instead of Block objects. Select with ``storage="columnar"`` or
-  ``REPRO_STORAGE=columnar``; proven bit-identical by the differential
-  harness in ``tests/test_columnar_differential.py``.
+- :class:`~repro.storage.columnar.ColumnarTreeStorage` (kind
+  ``columnar``) stores the tree as columns over a slot arena (addr/leaf
+  columns + contiguous byte arena) and pairs with the columnar Backend
+  whose eviction loop moves slot ids instead of Block objects. It is the
+  fast tier's storage, the only one the native kernels run on, and is
+  held bit-identical to ``object`` by
+  ``tests/test_columnar_differential.py``.
 - :class:`~repro.storage.encrypted.EncryptedTreeStorage` serialises buckets
   to bytes and encrypts them with real one-time pads (bucket-seed or
   global-seed scheme), exposing the raw ciphertext to the adversary; it
@@ -24,15 +22,17 @@ Four storage models share one Backend-facing interface:
 
 :mod:`repro.storage.snapshot` provides storage-agnostic content snapshots
 and digests used by the equivalence and integrity test layers.
+
+Preset- and spec-built frontends pick their storage through the registry
+below: an explicit kind (``storage="columnar"``, ``"PC_X32:storage=object"``)
+wins, then ``REPRO_STORAGE``, and with neither the storage follows the
+replay tier ``REPRO_REPLAY`` selects — ``object`` under ``scalar``,
+``columnar`` otherwise.
 """
 
-from repro.storage.array_tree import (
-    STORAGE_ENV,
-    ArrayTreeStorage,
-    default_storage_backend,
-    make_storage,
-    make_storage_factory,
-)
+import os
+
+from repro.config import OramConfig
 from repro.storage.block import Block, DUMMY_ADDR
 from repro.storage.bucket import Bucket
 from repro.storage.columnar import ColumnarTreeStorage
@@ -50,7 +50,6 @@ __all__ = [
     "DUMMY_ADDR",
     "Bucket",
     "TreeStorage",
-    "ArrayTreeStorage",
     "ColumnarTreeStorage",
     "EncryptedTreeStorage",
     "EncryptionScheme",
@@ -64,3 +63,46 @@ __all__ = [
     "tree_records",
     "tree_digest",
 ]
+
+#: Environment variable selecting the storage backend for presets.
+STORAGE_ENV = "REPRO_STORAGE"
+
+
+def default_storage_backend() -> str:
+    """Storage kind for a frontend whose spec leaves it at ``default``.
+
+    ``REPRO_STORAGE`` when set; otherwise the storage of the replay tier
+    in force (see :func:`repro.sim.replay.default_replay_mode`).
+    """
+    value = os.environ.get(STORAGE_ENV, "").strip().lower()
+    if value:
+        return value
+    from repro.sim.replay import default_replay_mode
+
+    return "object" if default_replay_mode() == "scalar" else "columnar"
+
+
+def make_storage(kind: str, config: OramConfig, observer=None):
+    """Instantiate a storage backend by name: ``object`` or ``columnar``.
+
+    ``default`` resolves through :func:`default_storage_backend`.
+    """
+    if kind == "default":
+        kind = default_storage_backend()
+    if kind in ("object", "tree"):
+        return TreeStorage(config, observer=observer)
+    if kind == "columnar":
+        return ColumnarTreeStorage(config, observer=observer)
+    raise ValueError(
+        f"unknown storage backend {kind!r}; choose 'object' or 'columnar'"
+    )
+
+
+def make_storage_factory(kind: str):
+    """``storage_factory`` hook (config, observer) -> storage for presets."""
+
+    def factory(config: OramConfig, observer=None):
+        view = observer.for_tree(0) if observer is not None else None
+        return make_storage(kind, config, observer=view)
+
+    return factory

@@ -197,8 +197,7 @@ class ColumnarTreeStorage:
 
         The returned lists are the tree's own storage: the columnar
         backend drains them in place (clearing, never replacing, so this
-        per-leaf materialisation stays cacheable — the same dense-cache
-        trick as ``ArrayTreeStorage.read_path_buckets``) and evicts by
+        per-leaf materialisation stays cacheable) and evicts by
         appending slot ids. Accounting and observer callbacks match
         ``TreeStorage.read_path_buckets`` exactly.
         """

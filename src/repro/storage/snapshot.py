@@ -2,8 +2,8 @@
 
 The differential harness (``tests/test_columnar_differential.py``) and
 the cross-storage integrity tests compare ORAM state across *different
-representations* of the same tree — bucket objects, array-geometry
-buckets, columnar slot arenas. These helpers reduce every representation
+representations* of the same tree — bucket objects and columnar slot
+arenas. These helpers reduce every representation
 to one canonical content view:
 
 - a **record** is ``(addr, leaf, data, mac)`` for one real block;
@@ -15,8 +15,8 @@ to one canonical content view:
 
 Dummy blocks never appear: the object model stores only real blocks and
 the columnar model only occupied slots, so the record streams line up by
-construction. Both :class:`~repro.storage.tree.TreeStorage` (and its
-array subclass) and :class:`~repro.storage.columnar.ColumnarTreeStorage`
+construction. Both :class:`~repro.storage.tree.TreeStorage` and
+:class:`~repro.storage.columnar.ColumnarTreeStorage`
 expose ``bucket_records``/``replace_bucket_records``, which is the whole
 interface this module needs.
 """

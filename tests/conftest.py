@@ -46,6 +46,28 @@ def _no_leaked_fault_plan():
     clear()
 
 
+@pytest.fixture(params=["native", "interpreted"])
+def fast_tier(request, monkeypatch) -> str:
+    """The fast tier as a user gets it, once per way it can run.
+
+    ``REPRO_REPLAY`` / ``REPRO_STORAGE`` are scrubbed, so a preset-built
+    frontend and a ``mode=None`` replay resolve to the fast tier; the
+    ``native`` case needs the extension built and the ``interpreted``
+    case switches it off (the supported toolchain-less platform path).
+    """
+    from repro.sim.native import NATIVE_ENV, load_native_core
+    from repro.sim.replay import REPLAY_ENV
+    from repro.storage import STORAGE_ENV
+
+    monkeypatch.delenv(REPLAY_ENV, raising=False)
+    monkeypatch.delenv(STORAGE_ENV, raising=False)
+    if request.param == "interpreted":
+        monkeypatch.setenv(NATIVE_ENV, "off")
+    elif load_native_core() is None:
+        pytest.skip("compiled core not built or switched off")
+    return request.param
+
+
 @pytest.fixture
 def rng() -> DeterministicRng:
     """Deterministic RNG; tests that need different streams fork it."""

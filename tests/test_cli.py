@@ -9,7 +9,7 @@ from repro.sim.replay import REPLAY_ENV
 from repro.sim.result_cache import RESULT_CACHE_ENV
 from repro.sim.runner import FORCE_ENV, WORKERS_ENV
 from repro.sim.trace_cache import CACHE_ENV
-from repro.storage.array_tree import STORAGE_ENV
+from repro.storage import STORAGE_ENV
 
 
 class TestCli:
@@ -26,6 +26,12 @@ class TestCli:
     def test_unknown_rejected(self, capsys):
         assert main(["fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+    def test_bench_is_not_a_command(self, capsys):
+        assert main(["bench"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown experiment(s): bench" in err
+        assert "choose from" in err and "'bench'" not in err
 
     def test_runs_cheap_experiment(self, capsys):
         assert main(["table2"]) == 0
@@ -115,12 +121,13 @@ class TestCliFlags:
 
     def test_storage_flag(self, monkeypatch):
         monkeypatch.delenv(STORAGE_ENV, raising=False)
-        assert main(["--storage", "array", "table2"]) == 0
-        assert os.environ.get(STORAGE_ENV) == "array"
+        assert main(["--storage", "object", "table2"]) == 0
+        assert os.environ.get(STORAGE_ENV) == "object"
 
-    def test_storage_flag_rejects_unknown(self, capsys):
-        assert main(["--storage", "quantum", "table2"]) == 2
-        assert "object" in capsys.readouterr().err
+    @pytest.mark.parametrize("value", ("quantum", "array"))
+    def test_storage_flag_rejects_unknown(self, capsys, value):
+        assert main(["--storage", value, "table2"]) == 2
+        assert "'object' or 'columnar'" in capsys.readouterr().err
 
     def test_force_flag_sets_env(self, monkeypatch):
         monkeypatch.delenv(FORCE_ENV, raising=False)
@@ -134,12 +141,13 @@ class TestCliFlags:
 
     def test_replay_equals_form(self, monkeypatch):
         monkeypatch.delenv(REPLAY_ENV, raising=False)
-        assert main(["--replay=batched", "table2"]) == 0
-        assert os.environ.get(REPLAY_ENV) == "batched"
+        assert main(["--replay=compiled", "table2"]) == 0
+        assert os.environ.get(REPLAY_ENV) == "compiled"
 
-    def test_replay_flag_rejects_unknown(self, capsys):
-        assert main(["--replay", "vectorised", "table2"]) == 2
-        assert "batched" in capsys.readouterr().err
+    @pytest.mark.parametrize("value", ("vectorised", "batched"))
+    def test_replay_flag_rejects_unknown(self, capsys, value):
+        assert main(["--replay", value, "table2"]) == 2
+        assert "'scalar' or 'compiled'" in capsys.readouterr().err
 
     def test_unknown_option_rejected(self, capsys):
         assert main(["--frobnicate", "table2"]) == 2
@@ -151,8 +159,58 @@ class TestCliFlags:
         assert "--workers" in out and "--no-trace-cache" in out
         assert "--no-result-cache" in out and "--storage" in out
         assert "--force" in out and "--grid" in out
-        assert "bench" in out and "sweep" in out
+        assert "sweep" in out and "serve" in out
+        for removed in ("  bench ", "array", "batched"):
+            assert removed not in out
         assert "--replay" in out and "--saved" in out
+
+
+class TestTierLine:
+    """One stderr line names the resolved replay tier, reports never."""
+
+    def test_reference(self, capsys, monkeypatch):
+        monkeypatch.setenv(REPLAY_ENV, "scalar")
+        assert main(["table2"]) == 0
+        assert capsys.readouterr().err == "replay tier reference\n"
+
+    def test_fast_says_how_it_runs(self, capsys, fast_tier):
+        assert main(["table2"]) == 0
+        err = capsys.readouterr().err
+        if fast_tier == "native":
+            assert err == "replay tier fast: native kernels\n"
+        else:
+            assert err.startswith("replay tier fast: interpreted")
+            assert err.count("\n") == 1 and "build_ext --inplace" in err
+
+    def test_stale_env_value_is_an_error_naming_the_survivors(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setenv(REPLAY_ENV, "batched")
+        assert main(["table2"]) == 2
+        captured = capsys.readouterr()
+        assert "('scalar', 'compiled')" in captured.err
+        assert "Table 2" not in captured.out
+
+    def test_list_and_fabric_do_not_replay_and_print_none(self, capsys):
+        assert main(["list"]) == 0
+        assert main(["fabric"]) == 2
+        assert "replay tier" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ("sweep", "serve"))
+    def test_subcommands_print_it_and_keep_it_out_of_the_report(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path / "traces"))
+        monkeypatch.setenv(RESULT_CACHE_ENV, str(tmp_path / "results"))
+        monkeypatch.setenv(REPLAY_ENV, "scalar")
+        out = tmp_path / "report.json"
+        extra = ["--scheme", "PC_X32"] if command == "sweep" else ["--requests", "20"]
+        assert main([
+            command, "--bench", "gob", "--misses", "120", "--out", str(out), *extra,
+        ]) == 0
+        assert capsys.readouterr().err == "replay tier reference\n"
+        text = out.read_text("utf-8")
+        assert "tier" not in text and "scalar" not in text
 
 
 class TestCliSweep:

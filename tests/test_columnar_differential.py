@@ -15,12 +15,15 @@ is pre-materialised into the trace, and a failing trace is **shrunk** —
 greedy chunk removal that preserves the divergence and trace validity —
 so the assertion message carries a minimal deterministic reproducer.
 
-Both columnar eviction kernels are exercised: the scalar slot loop at the
-default threshold and the vectorised numpy kernel forced via
-``vec_min_merge = 0``. Scheme-level lockstep replays (PLB frontends with
-compressed and uncompressed PosMaps, PMMAC on and off, the recursive
-baseline, stash-pressure Z=2/Z=3 variants) ride on the same comparisons
-through the public Frontend API.
+The columnar side runs as the fast tier does — on the native access
+kernel when the extension is built, interpreted otherwise — and the
+acceptance sweep and the scheme-level lockstep run both ways through the
+``fast_tier`` fixture. Both interpreted eviction kernels are exercised:
+the scalar slot loop at the default threshold and the vectorised numpy
+kernel forced via ``vec_min_merge = 0``. Scheme-level lockstep replays
+(PLB frontends with compressed and uncompressed PosMaps, PMMAC on and
+off, the recursive baseline, stash-pressure Z=2/Z=3 variants) ride on
+the same comparisons through the public Frontend API.
 """
 
 from __future__ import annotations
@@ -138,8 +141,8 @@ def build_pair(
     if vec_min_merge is not None:
         col.vec_min_merge = vec_min_merge
     elif default_replay_mode() == "compiled":
-        # The compiled and sanitizer CI lanes run this whole suite on the
-        # native access kernel (a no-op where the extension is unbuilt).
+        # The fast tier's backend: on the native access kernel (a no-op
+        # where the extension is unbuilt or ``REPRO_NATIVE=off``).
         col.enable_native_kernel(load_native_core())
     return obj, col
 
@@ -286,7 +289,7 @@ WIDE_Z16 = OramConfig(num_blocks=512, block_bytes=16, blocks_per_bucket=16)
 
 
 class TestRandomizedDifferential:
-    def test_200_randomized_trace_replays(self):
+    def test_200_randomized_trace_replays(self, fast_tier):
         """The acceptance sweep: >= 200 seeded lockstep trace replays.
 
         Seeds rotate over four geometries (incl. a Z=2 stash-pressure
@@ -551,8 +554,10 @@ SCHEME_MATRIX = [
 
 class TestSchemeLockstep:
     @pytest.mark.parametrize("scheme,overrides", SCHEME_MATRIX)
-    def test_frontend_access_stream_identical(self, scheme, overrides):
+    def test_frontend_access_stream_identical(self, scheme, overrides, fast_tier):
         from repro.presets import build_frontend
+        from repro.sim.engine import ReplayEngine
+        from repro.sim.timing import OramTimingModel
 
         rng = DeterministicRng(31)
         kwargs = dict(num_blocks=2**10)
@@ -561,8 +566,10 @@ class TestSchemeLockstep:
             scheme, rng=DeterministicRng(7), storage="object", **kwargs
         )
         columnar_frontend = build_frontend(
-            scheme, rng=DeterministicRng(7), storage="columnar", **kwargs
+            scheme, rng=DeterministicRng(7), **kwargs
         )
+        # Resolving the tier is what engages the kernels (when built).
+        ReplayEngine.for_mode(columnar_frontend, OramTimingModel(1000.0))
         num_addrs = kwargs["num_blocks"]
         block_bytes = kwargs.get("block_bytes", 64)
         for step in range(250):
@@ -582,6 +589,8 @@ class TestSchemeLockstep:
             columnar_frontend, "backends", None
         ) or [columnar_frontend.backend]
         for ob, cb in zip(object_backends, columnar_backends):
+            assert isinstance(cb, ColumnarPathOramBackend)
+            assert (cb._kernel is not None) == (fast_tier == "native")
             assert ob.stash_snapshot() == cb.stash_snapshot()
             assert tree_digest(ob.storage) == tree_digest(cb.storage)
             assert ob.stash.occupancy_stats.max == cb.stash.occupancy_stats.max

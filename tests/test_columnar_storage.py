@@ -334,12 +334,10 @@ class TestBackendFactory:
     def test_bucket_storages_select_object_backend(self):
         from repro.crypto.mac import Mac
         from repro.integrity.adapter import MerkleVerifiedStorage
-        from repro.storage.array_tree import ArrayTreeStorage
 
         config = OramConfig(num_blocks=64, block_bytes=16)
         for storage in (
             TreeStorage(config),
-            ArrayTreeStorage(config),
             MerkleVerifiedStorage(TreeStorage(config), Mac(b"k" * 16)),
         ):
             backend = make_backend(config, storage, DeterministicRng(1))

@@ -57,15 +57,15 @@ class TestEngineVsReplayTrace:
         engine.run_trace(trace)
         assert engine.result(trace, scheme="PC_X32") == expected
 
-    def test_scalar_and_batched_kernels_agree(self):
+    def test_scalar_and_fast_loops_agree(self):
         trace = make_trace(9, 250)
-        batched, scalar = make_engine(2), make_engine(2)
-        batched.run_trace(trace)
+        fast, scalar = make_engine(2), make_engine(2)
+        fast.run_trace(trace)
         scalar.run_trace_scalar(trace)
-        assert batched.cycles == scalar.cycles
-        assert batched.events == scalar.events == len(trace.events)
+        assert fast.cycles == scalar.cycles
+        assert fast.events == scalar.events == len(trace.events)
         assert (
-            batched.result(trace).tree_accesses
+            fast.result(trace).tree_accesses
             == scalar.result(trace).tree_accesses
         )
 

@@ -1,17 +1,17 @@
 """Golden-digest equivalence: optimized hot paths vs seed implementations.
 
 The replay-throughput overhaul (indexed PLB, cached/packed PRF leaf
-derivation, windowed compressed-counter remap, array tree storage, fused
-backend eviction) must be *performance-only*: every observable result is
-required to be bitwise identical to the original implementations. These
-tests pin that down three ways:
+derivation, windowed compressed-counter remap, columnar tree storage,
+fused backend eviction, native kernels) must be *performance-only*:
+every observable result is required to be bitwise identical to the
+original implementations. These tests pin that down three ways:
 
 1. primitive-level: reference implementations transcribed from the seed
    (linear-scan PLB, three-way-concat PRF message, whole-block compressed
    remap) are driven with identical inputs;
 2. configuration-level: the same replay executed with the optimizations'
-   toggles flipped (PRF cache off, object vs array storage) must produce
-   dataclass-equal SimResults;
+   toggles flipped (PRF cache off, reference tier vs fast tier) must
+   produce dataclass-equal SimResults;
 3. digest-level: SimResults are serialised and SHA-256 hashed, so any
    drift in any field — including float bit patterns — fails loudly.
 """
@@ -68,13 +68,30 @@ def micro_trace(events: int = 2500, blocks: int = 2**12) -> MissTrace:
     return trace
 
 
-def replay(scheme: str, *, storage: str = "object", crypto=None) -> tuple:
+TIMING = OramTimingModel(tree_latency_cycles=1000.0)
+
+
+def replay_reference(scheme: str, crypto=None):
+    """(SimResult, frontend) on the reference tier: object + scalar."""
     frontend = build_frontend(
         scheme, num_blocks=2**12, rng=DeterministicRng(7),
-        storage=storage, **({"crypto": crypto} if crypto is not None else {}),
+        storage="object", **({"crypto": crypto} if crypto is not None else {}),
     )
-    timing = OramTimingModel(tree_latency_cycles=1000.0)
-    result = replay_trace(frontend, micro_trace(), timing, scheme=scheme)
+    result = replay_trace(
+        frontend, micro_trace(), TIMING, scheme=scheme, mode="scalar"
+    )
+    return result, frontend
+
+
+def replay_fast(scheme: str):
+    """(SimResult, frontend) as the ``fast_tier`` fixture resolves it."""
+    frontend = build_frontend(scheme, num_blocks=2**12, rng=DeterministicRng(7))
+    result = replay_trace(frontend, micro_trace(), TIMING, scheme=scheme)
+    return result, frontend
+
+
+def replay(scheme: str, crypto=None) -> tuple:
+    result, _frontend = replay_reference(scheme, crypto)
     return result, result_digest(result)
 
 
@@ -294,38 +311,17 @@ ALL_SCHEMES = ["R_X8", "P_X16", "PC_X32", "PI_X8", "PIC_X32"]
 
 class TestReplayEquivalence:
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-    def test_array_storage_bitwise_identical(self, scheme):
-        obj_result, obj_digest = replay(scheme, storage="object")
-        arr_result, arr_digest = replay(scheme, storage="array")
-        assert obj_result == arr_result
-        assert obj_digest == arr_digest
+    def test_fast_tier_bitwise_identical(self, scheme, fast_tier):
+        """Golden digests for the fast tier, kernels on and off: the
+        SimResult, its digest and the full end-of-replay tree state."""
+        from test_replay_differential import frontend_digests, frontend_stashes
 
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-    def test_columnar_storage_bitwise_identical(self, scheme):
-        """Golden digests for storage=columnar: slot arena == object tree."""
-        obj_result, obj_digest = replay(scheme, storage="object")
-        col_result, col_digest = replay(scheme, storage="columnar")
-        assert obj_result == col_result
-        assert obj_digest == col_digest
-
-    @pytest.mark.parametrize("scheme", ["P_X16", "PIC_X32"])
-    def test_columnar_final_tree_contents_identical(self, scheme):
-        """Beyond SimResults: the full end-of-replay tree state matches."""
-        from repro.storage.snapshot import tree_digest
-
-        trees = {}
-        for storage in ("object", "array", "columnar"):
-            frontend = build_frontend(
-                scheme, num_blocks=2**12, rng=DeterministicRng(7), storage=storage
-            )
-            replay_trace(
-                frontend,
-                micro_trace(),
-                OramTimingModel(tree_latency_cycles=1000.0),
-                scheme=scheme,
-            )
-            trees[storage] = tree_digest(frontend.backend.storage)
-        assert trees["object"] == trees["array"] == trees["columnar"]
+        expected, reference = replay_reference(scheme)
+        got, fast = replay_fast(scheme)
+        assert expected == got
+        assert result_digest(expected) == result_digest(got)
+        assert frontend_stashes(reference) == frontend_stashes(fast)
+        assert frontend_digests(reference) == frontend_digests(fast)
 
     def test_columnar_spec_string_build(self):
         """The spec mini-language selects the columnar pair end to end."""
@@ -338,49 +334,6 @@ class TestReplayEquivalence:
         ).with_(num_blocks=2**10).build(rng=DeterministicRng(7))
         assert isinstance(frontend.backend, ColumnarPathOramBackend)
         assert isinstance(frontend.backend.storage, ColumnarTreeStorage)
-
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-    def test_batched_replay_kernel_bitwise_identical(self, scheme):
-        """Golden digests for every replay kernel (``REPRO_REPLAY``):
-        scalar, batched and compiled (which degrades to batched with a
-        warning when the extension is unbuilt) must produce the same
-        SimResult and the same digest."""
-        frontends = {
-            mode: build_frontend(
-                scheme, num_blocks=2**12, rng=DeterministicRng(7)
-            )
-            for mode in ("scalar", "batched", "compiled")
-        }
-        timing = OramTimingModel(tree_latency_cycles=1000.0)
-        results = {
-            mode: replay_trace(
-                frontend, micro_trace(), timing, scheme=scheme, mode=mode
-            )
-            for mode, frontend in frontends.items()
-        }
-        assert results["scalar"] == results["batched"]
-        assert results["compiled"] == results["batched"]
-        assert result_digest(results["scalar"]) == result_digest(results["batched"])
-        assert result_digest(results["compiled"]) == result_digest(results["batched"])
-
-    @pytest.mark.parametrize("scheme", ["P_X16", "PIC_X32"])
-    def test_batched_replay_final_tree_contents_identical(self, scheme):
-        from repro.storage.snapshot import tree_digest
-
-        trees = {}
-        for mode in ("scalar", "batched", "compiled"):
-            frontend = build_frontend(
-                scheme, num_blocks=2**12, rng=DeterministicRng(7)
-            )
-            replay_trace(
-                frontend,
-                micro_trace(),
-                OramTimingModel(tree_latency_cycles=1000.0),
-                scheme=scheme,
-                mode=mode,
-            )
-            trees[mode] = tree_digest(frontend.backend.storage)
-        assert trees["scalar"] == trees["batched"] == trees["compiled"]
 
     @pytest.mark.parametrize("scheme", ["PC_X32", "PI_X8", "PIC_X32"])
     def test_prf_cache_bitwise_identical(self, scheme):

@@ -115,76 +115,3 @@ class TestSimulationFigures:
 
     def test_fig9_byte_ratio(self):
         assert fig9.byte_movement_ratio() == pytest.approx(0.021, abs=0.003)
-
-
-class TestBench:
-    def test_writes_report(self, tmp_path, capsys):
-        from repro.eval import bench
-
-        out = tmp_path / "BENCH_replay.json"
-        report = bench.run_bench(events=120, repeats=1, out_path=str(out))
-        printed = capsys.readouterr().out
-        assert "acc/s" in printed
-        assert out.exists()
-        import json
-
-        on_disk = json.loads(out.read_text("utf-8"))
-        assert on_disk["kind"] == "replay_throughput"
-        cells = {(c["scheme"], c["storage"]) for c in on_disk["results"]}
-        assert cells == {
-            (s, st) for s in bench.SCHEMES for st in bench.BENCH_STORAGES
-        }
-        assert all(c["accesses_per_sec"] > 0 for c in report["results"])
-        # The pipeline section covers every scheme in both kernels and
-        # feeds the batched-vs-scalar comparison.
-        pipeline = {(c["scheme"], c["mode"]) for c in on_disk["pipeline"]}
-        assert pipeline == {
-            (s, m) for s in bench.SCHEMES for m in ("batched", "scalar")
-        }
-        assert on_disk["comparisons"]["batched_vs_scalar_replay_geomean"] > 0
-
-    def _fake_report(self, tmp_path, backend=1.5, pipeline=1.05):
-        import json
-
-        path = tmp_path / "BENCH_replay.json"
-        path.write_text(json.dumps({
-            "comparisons": {
-                "columnar_vs_object_backend": backend,
-                "batched_vs_scalar_replay_geomean": pipeline,
-            }
-        }), "utf-8")
-        return str(path)
-
-    def test_check_report_passes_above_floors(self, tmp_path, capsys):
-        from repro.eval import bench
-
-        bench.check_report(self._fake_report(tmp_path))
-        out = capsys.readouterr().out
-        assert "columnar backend at 1.50x" in out
-        assert "batched replay at 1.05x" in out
-
-    def test_check_report_gates_pipeline_regression(self, tmp_path):
-        from repro.eval import bench
-
-        path = self._fake_report(tmp_path, pipeline=0.93)
-        with pytest.raises(SystemExit, match="batched replay regressed"):
-            bench.check_report(path)
-
-    def test_check_report_gates_backend_regression(self, tmp_path):
-        from repro.eval import bench
-
-        path = self._fake_report(tmp_path, backend=0.8)
-        with pytest.raises(SystemExit, match="columnar backend regressed"):
-            bench.check_report(path)
-
-    def test_check_report_requires_pipeline_comparison(self, tmp_path):
-        import json
-
-        from repro.eval import bench
-
-        path = tmp_path / "BENCH_replay.json"
-        path.write_text(json.dumps({
-            "comparisons": {"columnar_vs_object_backend": 1.4}
-        }), "utf-8")
-        with pytest.raises(SystemExit, match="no batched-vs-scalar"):
-            bench.check_report(str(path))

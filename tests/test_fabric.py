@@ -37,7 +37,8 @@ from repro.fabric import (
     send_message,
 )
 from repro.fabric.protocol import MAX_MESSAGE_BYTES
-from repro.faults import RetryPolicy, injected
+from repro.faults import injected
+from repro.resilience import RetryPolicy
 from repro.sim.runner import SimulationRunner
 from repro.sim.sweep import SweepSpec, run_sweep, sweep_table
 

@@ -18,7 +18,6 @@ from repro.backend.path_oram import Op, make_backend
 from repro.config import OramConfig
 from repro.errors import InjectedFault
 from repro.faults import fault_hook, injected
-from repro.storage.array_tree import ArrayTreeStorage
 from repro.storage.columnar import ColumnarTreeStorage
 from repro.storage.snapshot import tree_digest
 from repro.storage.tree import TreeStorage
@@ -26,7 +25,6 @@ from repro.utils.rng import DeterministicRng
 
 STORAGES = [
     pytest.param(TreeStorage, id="object"),
-    pytest.param(ArrayTreeStorage, id="array"),
     pytest.param(ColumnarTreeStorage, id="columnar"),
 ]
 

@@ -10,7 +10,6 @@ from repro.faults import (
     FAULTS_ENV,
     FaultPlan,
     FaultSpec,
-    RetryPolicy,
     active,
     clear,
     fault_hook,
@@ -19,6 +18,7 @@ from repro.faults import (
     install_from_env,
     parse,
 )
+from repro.resilience import RetryPolicy
 
 
 class TestGrammar:

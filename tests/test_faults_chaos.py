@@ -14,7 +14,8 @@ import pytest
 
 import repro.sim.runner as runner_mod
 from repro.errors import ConfigurationError, InjectedFault, SweepInterrupted
-from repro.faults import RetryPolicy, injected, parse
+from repro.faults import injected, parse
+from repro.resilience import RetryPolicy
 from repro.serve import OramService, ServeConfig, tenants_for
 from repro.sim.checkpoint import SweepCheckpoint
 from repro.sim.runner import SimulationRunner

@@ -3,12 +3,11 @@
 The paper's integrity guarantees (PMMAC §6.2, the Merkle baseline §6.3)
 are properties of the *scheme*, not of the tree's in-memory
 representation — so tampered buckets and replayed (stale) counters must
-be detected **identically** whether the tree lives as bucket objects,
-array-geometry buckets, or columnar slot arenas. Each scenario here runs
-the same seeded attack under ``storage=object/array/columnar`` and
-asserts not just "detected" but *detected at the same access index*.
+be detected **identically** whether the tree lives as bucket objects or
+columnar slot arenas. Each scenario here runs the same seeded attack
+under ``storage=object/columnar`` and asserts not just "detected" but *detected at the same access index*.
 
-Also covers the Merkle adapter over all three storages (via the columnar
+Also covers the Merkle adapter over both storages (via the columnar
 store's bucket-object compatibility path) and the negative control: with
 no integrity layer, the same tampering silently succeeds everywhere.
 
@@ -39,7 +38,7 @@ from repro.storage import make_storage
 from repro.storage.snapshot import tree_digest
 from repro.utils.rng import DeterministicRng
 
-STORAGES = ("object", "array", "columnar")
+STORAGES = ("object", "columnar")
 
 #: Small PMMAC frontends so tampering targets land in the tree quickly.
 PMMAC_KWARGS = dict(
@@ -90,7 +89,7 @@ class TestPmmacTamperAcrossStorages:
                 pytest.skip("block still in stash after traffic (rare)")
             steps[storage] = detection_step(frontend, 42)
         assert steps["object"] is not None, "tampering went undetected"
-        assert steps["object"] == steps["array"] == steps["columnar"]
+        assert steps["object"] == steps["columnar"]
 
     def test_data_corruption_detected_identically(self, posmap_format):
         self._assert_identical_detection(
@@ -135,7 +134,7 @@ class TestPmmacTamperAcrossStorages:
                     break
             steps[storage] = step
         assert steps["object"] is not None, "replay attack went undetected"
-        assert steps["object"] == steps["array"] == steps["columnar"]
+        assert steps["object"] == steps["columnar"]
 
 
 class TestNoIntegrityNegativeControl:
@@ -159,7 +158,7 @@ class TestNoIntegrityNegativeControl:
                 pytest.skip("block still in stash after traffic (rare)")
             outcomes[storage] = frontend.read(42)
         # The flipped bit reads back unnoticed, identically corrupted.
-        assert outcomes["object"] == outcomes["array"] == outcomes["columnar"]
+        assert outcomes["object"] == outcomes["columnar"]
         assert outcomes["object"] != b"\xAA" * 64
 
 
@@ -267,7 +266,7 @@ class TestMerkleAcrossStorages:
                     break
             steps[storage_kind] = step
         assert steps["object"] is not None
-        assert steps["object"] == steps["array"] == steps["columnar"]
+        assert steps["object"] == steps["columnar"]
 
 
 # ---------------------------------------------------------------------------

@@ -349,10 +349,9 @@ class TestEngagement:
         frontend.enable_native_kernel(CORE)
         assert frontend._kernel is None
 
-    @pytest.mark.parametrize("storage", ("object", "array"))
-    def test_other_storages_keep_the_python_path(self, storage):
+    def test_object_storage_keeps_the_python_path(self):
         frontend = build_frontend(
-            "PIC_X32", rng=DeterministicRng(7), storage=storage, **SMALL
+            "PIC_X32", rng=DeterministicRng(7), storage="object", **SMALL
         )
         engine = ReplayEngine(frontend, OramTimingModel(1000.0))
         engine.enable_native(CORE)
@@ -449,8 +448,7 @@ class TestStructure:
 
         for owner, names in (
             (nat, ("_verify", "_seal", "_remap_child", "_group_remap",
-                   "_refill_plb", "_evict_plb_entry", "_fresh_leaf_override",
-                   "plan_batch")),
+                   "_refill_plb", "_evict_plb_entry", "_fresh_leaf_override")),
             (nat.plb, ("lookup", "insert", "peek")),
             (nat.format, ("remap", "leaf_for_counter")),
             (nat.posmap, ("lookup_and_remap",)),
@@ -520,18 +518,19 @@ class TestStructure:
         assert_same_state(ref, nat, "after the failed slice")
         assert nat.stats.accesses == 3
 
-    def test_run_batch_skips_planning_under_the_kernel(self, monkeypatch):
-        """The kernel never reads the chain cache, so nothing fills it."""
+    def test_replay_engages_the_kernel_on_the_same_state(self):
+        """``replay_trace`` is what switches the kernels on: slice by
+        slice it leaves the full state the interpreted loop leaves."""
         timing = OramTimingModel(tree_latency_cycles=1000.0)
         ref, nat = build("PIC_X32"), build("PIC_X32")
         trace = make_trace(5, events=400, blocks=ref.num_blocks)
         for chunk in chunked(trace, batch=100):
-            batched = replay_trace(ref, chunk, timing, mode="batched")
+            interpreted = replay_trace(ref, chunk, timing, mode="scalar")
             compiled = replay_trace(nat, chunk, timing, mode="compiled")
-            assert batched == compiled
-            assert repr(batched.cycles) == repr(compiled.cycles)
+            assert interpreted == compiled
+            assert repr(interpreted.cycles) == repr(compiled.cycles)
             assert_same_state(ref, nat, chunk.name)
-        assert ref._chain_cache and not nat._chain_cache
+        assert ref._kernel is None
         assert isinstance(nat._kernel, CORE.FrontendKernel)
 
 
@@ -560,14 +559,14 @@ class TestServeOnTheFrontendKernel:
         ]
         return kernels, report, digests
 
-    def test_compiled_serve_equals_batched(self, monkeypatch):
+    def test_compiled_serve_equals_the_reference(self, monkeypatch):
         monkeypatch.delenv(NATIVE_ENV, raising=False)
-        monkeypatch.setenv("REPRO_STORAGE", "columnar")
-        monkeypatch.setenv("REPRO_REPLAY", "batched")
-        kernels, batched, batched_digests = self.run_serve()
+        monkeypatch.delenv("REPRO_STORAGE", raising=False)
+        monkeypatch.setenv("REPRO_REPLAY", "scalar")
+        kernels, reference, reference_digests = self.run_serve()
         assert kernels == [None, None]
-        monkeypatch.setenv("REPRO_REPLAY", "compiled")
+        monkeypatch.delenv("REPRO_REPLAY")
         kernels, compiled, compiled_digests = self.run_serve()
         assert all(isinstance(k, CORE.FrontendKernel) for k in kernels)
-        assert compiled == batched
-        assert compiled_digests == batched_digests
+        assert compiled == reference
+        assert compiled_digests == reference_digests

@@ -1,12 +1,9 @@
 """The compiled replay core: bit-identity, dispatch policy, hardening.
 
-Four layers of coverage for ``repro.sim.native._replay_core``:
+Coverage for ``repro.sim.native._replay_core`` below the replay
+pipeline (``tests/test_replay_differential.py`` locks the whole fast
+tier, kernels engaged, against the reference tier per batch):
 
-- **Pipeline lockstep** — compiled vs batched replay per batch across
-  scheme x storage combos (columnar combos engage the C drain/evict,
-  object combos only the C driver loop), same bar as the PR-4/PR-5
-  differential harnesses: SimResult, ``repr(cycles)``, stats image and
-  tree digests all equal.
 - **Backend lockstep** — a columnar backend on its native
   ``AccessKernel`` against the object ``PathOramBackend`` reference:
   stash snapshot (order included), tree digest, every counter,
@@ -18,9 +15,11 @@ Four layers of coverage for ``repro.sim.native._replay_core``:
   messages (duplicate block, out-of-range leaf, absent block) and the
   transactional rollback — a failing or interrupted ``update`` included
   — leaves both backends in equal, usable, pre-access state.
-- **Dispatch policy** — ``REPRO_NATIVE`` off-values, the fallback
-  ``RuntimeWarning`` (naming the build command), and ``require`` mode
-  escalating to :class:`~repro.errors.NativeKernelUnavailable`.
+- **Dispatch policy** — ``REPRO_NATIVE`` off-values, the interpreted
+  fallback (silent as the default, a ``RuntimeWarning`` naming the
+  build command when ``compiled`` was asked for by name), and
+  ``require`` mode escalating to
+  :class:`~repro.errors.NativeKernelUnavailable`.
 
 Tests that need the built extension skip when it is absent; the CI
 compiled lane builds it and runs this file under ``REPRO_NATIVE=require``
@@ -56,13 +55,7 @@ from repro.storage.snapshot import tree_digest, tree_records
 from repro.storage.tree import TreeStorage
 from repro.utils.rng import DeterministicRng
 
-from test_replay_differential import (
-    BLOCKS,
-    chunked,
-    frontend_digests,
-    make_trace,
-    stats_image,
-)
+from test_replay_differential import BLOCKS, frontend_digests, make_trace
 
 CORE = load_native_core()
 needs_core = pytest.mark.skipif(
@@ -121,65 +114,6 @@ SMALL = OramConfig(num_blocks=256, block_bytes=32)
 PRESSURE_Z2 = OramConfig(num_blocks=256, block_bytes=16, blocks_per_bucket=2)
 #: More blocks than one 512-slot arena chunk: first touches outgrow it.
 GROWTH = OramConfig(num_blocks=2048, block_bytes=8)
-
-
-# ---------------------------------------------------------------------------
-# Pipeline lockstep (compiled vs batched through the public replay API)
-# ---------------------------------------------------------------------------
-
-
-@needs_core
-class TestCompiledPipelineLockstep:
-    #: Columnar combos engage drain/evict in C; object combos only the
-    #: C access driver + accumulate — both must be invisible.
-    COMBOS = [
-        ("PI_X8", "columnar"),
-        ("PIC_X32", "columnar"),
-        ("PC_X32", "columnar"),
-        ("P_X16", "object"),
-    ]
-
-    @pytest.mark.parametrize("scheme,storage", COMBOS)
-    @pytest.mark.parametrize("seed", (8, 2015))
-    def test_compiled_is_bit_identical_per_batch(self, scheme, storage, seed):
-        timing = OramTimingModel(tree_latency_cycles=1000.0)
-        batched_fe = build_frontend(
-            scheme, num_blocks=BLOCKS, rng=DeterministicRng(7), storage=storage
-        )
-        compiled_fe = build_frontend(
-            scheme, num_blocks=BLOCKS, rng=DeterministicRng(7), storage=storage
-        )
-        trace = make_trace(seed, events=600)
-        for index, chunk in enumerate(chunked(trace, batch=150)):
-            batched = replay_trace(
-                batched_fe, chunk, timing, scheme=scheme, mode="batched"
-            )
-            compiled = replay_trace(
-                compiled_fe, chunk, timing, scheme=scheme, mode="compiled"
-            )
-            context = f"{scheme}/{storage} seed={seed} batch={index}"
-            assert batched == compiled, context
-            assert repr(batched.cycles) == repr(compiled.cycles), context
-            assert stats_image(batched_fe) == stats_image(compiled_fe), context
-            assert frontend_digests(batched_fe) == frontend_digests(
-                compiled_fe
-            ), context
-
-    def test_recursive_scheme_compiled(self):
-        """Recursive frontends (per-level object backends) under the C
-        driver loop: only the engine stages compile, outcomes identical."""
-        timing = OramTimingModel(tree_latency_cycles=1000.0)
-        results = {}
-        for mode in ("batched", "compiled"):
-            fe = build_frontend("R_X8", num_blocks=BLOCKS, rng=DeterministicRng(7))
-            results[mode] = (
-                replay_trace(
-                    fe, make_trace(11, events=500), timing,
-                    scheme="R_X8", mode=mode,
-                ),
-                frontend_digests(fe),
-            )
-        assert results["compiled"] == results["batched"]
 
 
 # ---------------------------------------------------------------------------
@@ -664,32 +598,52 @@ class TestDispatchPolicy:
         monkeypatch.setenv(NATIVE_ENV, "require")
         assert native_policy() == "require"
 
-    def test_unbuilt_compiled_falls_back_with_warning(self, monkeypatch):
-        """``mode=compiled`` without the extension degrades to batched
-        loudly, and the warning names the build command."""
+    def test_unbuilt_default_is_silent_and_named_compiled_warns(
+        self, monkeypatch
+    ):
+        """Without the extension the fast tier runs interpreted: silently
+        when it was merely the default, with one warning naming the build
+        command when ``compiled`` was asked for (argument or environment)
+        — and the resolution is ``compiled`` either way."""
         monkeypatch.delenv(NATIVE_ENV, raising=False)
+        monkeypatch.delenv("REPRO_REPLAY", raising=False)
         monkeypatch.setattr(native_pkg, "_CORE_CACHE", [None])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_replay_mode(None) == "compiled"
         with pytest.warns(RuntimeWarning, match="build_ext --inplace"):
-            assert resolve_replay_mode("compiled") == "batched"
+            assert resolve_replay_mode("compiled") == "compiled"
+        monkeypatch.setenv("REPRO_REPLAY", "compiled")
+        with pytest.warns(RuntimeWarning, match="build_ext --inplace"):
+            assert resolve_replay_mode(None) == "compiled"
 
     def test_off_policy_falls_back_even_when_built(self, monkeypatch):
         monkeypatch.setenv(NATIVE_ENV, "off")
+        monkeypatch.delenv("REPRO_REPLAY", raising=False)
         with pytest.warns(RuntimeWarning):
-            assert resolve_replay_mode("compiled") == "batched"
+            assert resolve_replay_mode("compiled") == "compiled"
+        fe = build_frontend("PI_X8", num_blocks=BLOCKS, rng=DeterministicRng(7))
+        engine = ReplayEngine.for_mode(
+            fe, OramTimingModel(tree_latency_cycles=1000.0)
+        )
+        assert engine.mode == "compiled" and engine._native is None
 
-    def test_require_mode_raises_when_unbuilt(self, monkeypatch):
+    @pytest.mark.parametrize("mode", (None, "compiled"))
+    def test_require_mode_raises_when_unbuilt(self, monkeypatch, mode):
+        monkeypatch.delenv("REPRO_REPLAY", raising=False)
         monkeypatch.setenv(NATIVE_ENV, "require")
         monkeypatch.setattr(native_pkg, "_CORE_CACHE", [None])
         with pytest.raises(NativeKernelUnavailable, match="REPRO_NATIVE"):
-            resolve_replay_mode("compiled")
+            resolve_replay_mode(mode)
+        assert resolve_replay_mode("scalar") == "scalar"
 
-    def test_fallback_replay_matches_batched(self, monkeypatch):
-        """End to end: a fallback compiled run is the batched run."""
+    def test_fallback_replay_matches_the_reference(self, monkeypatch):
+        """End to end: an unbuilt extension replays the same bits."""
         monkeypatch.delenv(NATIVE_ENV, raising=False)  # pin policy "on"
         monkeypatch.setattr(native_pkg, "_CORE_CACHE", [None])
         timing = OramTimingModel(tree_latency_cycles=1000.0)
         results = {}
-        for mode in ("batched", "compiled"):
+        for mode in ("scalar", "compiled"):
             fe = build_frontend("PI_X8", num_blocks=BLOCKS, rng=DeterministicRng(7))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -700,7 +654,7 @@ class TestDispatchPolicy:
                     ),
                     frontend_digests(fe),
                 )
-        assert results["compiled"] == results["batched"]
+        assert results["compiled"] == results["scalar"]
 
     @needs_core
     def test_env_selects_compiled(self, monkeypatch):
@@ -735,7 +689,9 @@ class TestEngineHookup:
     def test_enable_native_tolerates_object_backends(self):
         """Recursive frontends carry object backends with no native
         kernel hook; the engine still compiles its own stages."""
-        fe = build_frontend("R_X8", num_blocks=BLOCKS, rng=DeterministicRng(7))
+        fe = build_frontend(
+            "R_X8", num_blocks=BLOCKS, rng=DeterministicRng(7), storage="object"
+        )
         engine = ReplayEngine(fe, OramTimingModel(tree_latency_cycles=1000.0))
         engine.enable_native(CORE)
         assert engine._native is CORE
@@ -769,17 +725,17 @@ class TestServeUsesCompiledTier:
     def test_shards_run_on_the_kernel_and_reports_agree(self, monkeypatch):
         monkeypatch.delenv(NATIVE_ENV, raising=False)
         monkeypatch.setenv("REPRO_STORAGE", "columnar")
-        monkeypatch.setenv("REPRO_REPLAY", "batched")
-        kernels, batched = self.run_serve("serial")
+        monkeypatch.setenv("REPRO_REPLAY", "scalar")
+        kernels, reference = self.run_serve("serial")
         assert all(k == (None, None) for k in kernels)
-        monkeypatch.setenv("REPRO_REPLAY", "compiled")
+        monkeypatch.delenv("REPRO_REPLAY")
         kernels, serial = self.run_serve("serial")
         assert all(
             native is CORE and isinstance(kernel, CORE.AccessKernel)
             for native, kernel in kernels
         )
         _kernels, concurrent = self.run_serve("async")
-        assert serial == concurrent == batched
+        assert serial == concurrent == reference
 
 
 # ---------------------------------------------------------------------------

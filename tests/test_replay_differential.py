@@ -1,30 +1,35 @@
-"""Lockstep differential: batched replay pipeline vs the scalar kernel.
+"""Lockstep differential: the fast replay tier vs the reference tier.
 
-PR-4 methodology applied to the replay loop itself: the batched kernel
-(columnar trace columns, vectorised line->block translation, plan_batch
-frontend planning, vectorised latency gather) must be *performance-only*.
-Two frontends built from the same spec and seed replay the same trace —
-one through ``REPRO_REPLAY=scalar``, one through the batched pipeline —
-and after every access batch the harness compares:
+The fast tier (columnar storage, the ``run_batch`` loop, the native
+kernels when built) must be *performance-only*. Two frontends built from
+the same spec and seed replay the same trace — the reference through
+``mode="scalar"`` over ``storage="object"``, the fast one exactly as a
+user with no ``REPRO_*`` set gets it — and after every batch the harness
+compares:
 
 - the per-batch ``SimResult`` (every field, diagnostic counters
   included);
 - the full ``FrontendStats`` block;
+- the stash snapshot(s), order included;
 - the SHA-256 tree digest(s) of the backend storage — the complete
   external memory state.
 
-The matrix spans scheme x storage combinations (object, array and
-columnar backends under PLB/compressed/PMMAC/recursive frontends) and
-multiple trace seeds, so a divergence anywhere in the pipeline fails at
-the first batch that exposes it.
+Every scheme in ``ALL_SCHEMES`` x every seed runs twice through the
+``fast_tier`` fixture: on the native kernels and on the interpreted
+fallback (``REPRO_NATIVE=off``), so a divergence anywhere in either
+spelling of the fast tier fails at the first batch that exposes it.
 """
 
 import dataclasses
+import warnings
 
 import pytest
 
+from repro.backend.columnar import ColumnarPathOramBackend
 from repro.presets import build_frontend
 from repro.proc.hierarchy import MissEvent, MissTrace
+from repro.sim.engine import ReplayEngine
+from repro.sim.native import NATIVE_ENV, load_native_core
 from repro.sim.replay import (
     REPLAY_MODES,
     default_replay_mode,
@@ -33,6 +38,7 @@ from repro.sim.replay import (
 )
 from repro.sim.system import replay_trace
 from repro.sim.timing import OramTimingModel
+from repro.storage import ColumnarTreeStorage, TreeStorage
 from repro.storage.snapshot import tree_digest
 from repro.utils.rng import DeterministicRng
 
@@ -66,12 +72,20 @@ def chunked(trace: MissTrace, batch: int):
         yield chunk
 
 
+def frontend_backends(frontend):
+    """A frontend's backend(s): one per level for the recursive scheme."""
+    backends = getattr(frontend, "backends", None)
+    return backends if backends is not None else [frontend.backend]
+
+
 def frontend_digests(frontend):
     """Tree digest(s) of a frontend's backend storage (all trees)."""
-    backends = getattr(frontend, "backends", None)
-    if backends is not None:  # recursive: one tree per level
-        return [tree_digest(b.storage) for b in backends]
-    return [tree_digest(frontend.backend.storage)]
+    return [tree_digest(b.storage) for b in frontend_backends(frontend)]
+
+
+def frontend_stashes(frontend):
+    """Stash snapshot(s) of a frontend's backend(s), order included."""
+    return [b.stash_snapshot() for b in frontend_backends(frontend)]
 
 
 def stats_image(frontend):
@@ -81,125 +95,158 @@ def stats_image(frontend):
     }
 
 
-#: The scheme x storage lockstep matrix (>= 4 combinations, all three
-#: storage backends, recursive + PLB + compressed + PMMAC frontends).
-COMBOS = [
-    ("P_X16", "object"),
-    ("PC_X32", "array"),
-    ("PI_X8", "columnar"),
-    ("PIC_X32", "columnar"),
-    ("R_X8", "object"),
-    ("PC_X32", "columnar"),
-]
+ALL_SCHEMES = ("R_X8", "P_X16", "PC_X32", "PI_X8", "PIC_X32")
 
 SEEDS = (8, 91, 2015)
 
+TIMING = OramTimingModel(tree_latency_cycles=1000.0)
+
+
+def tier_pair(scheme):
+    """(reference frontend, fast frontend) from one spec and seed.
+
+    The fast one names no storage: under the ``fast_tier`` fixture it is
+    whatever a preset build resolves to with no ``REPRO_*`` set.
+    """
+    reference = build_frontend(
+        scheme, num_blocks=BLOCKS, rng=DeterministicRng(7), storage="object"
+    )
+    fast = build_frontend(scheme, num_blocks=BLOCKS, rng=DeterministicRng(7))
+    return reference, fast
+
 
 class TestLockstep:
-    @pytest.mark.parametrize("scheme,storage", COMBOS)
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_batched_is_bit_identical_per_batch(self, scheme, storage, seed):
-        timing = OramTimingModel(tree_latency_cycles=1000.0)
-        scalar_fe = build_frontend(
-            scheme, num_blocks=BLOCKS, rng=DeterministicRng(7), storage=storage
-        )
-        batched_fe = build_frontend(
-            scheme, num_blocks=BLOCKS, rng=DeterministicRng(7), storage=storage
-        )
+    def test_fast_is_bit_identical_per_batch(self, scheme, seed, fast_tier):
+        reference, fast = tier_pair(scheme)
         trace = make_trace(seed, events=600)
         for index, chunk in enumerate(chunked(trace, batch=150)):
-            scalar_result = replay_trace(
-                scalar_fe, chunk, timing, scheme=scheme, mode="scalar"
+            expected = replay_trace(
+                reference, chunk, TIMING, scheme=scheme, mode="scalar"
             )
-            batched_result = replay_trace(
-                batched_fe, chunk, timing, scheme=scheme, mode="batched"
-            )
-            context = f"{scheme}/{storage} seed={seed} batch={index}"
-            assert scalar_result == batched_result, context
-            # Diagnostic counters too — the kernels must drive the PRF
+            with warnings.catch_warnings():
+                # Nothing was asked for by name: no tier may warn.
+                warnings.simplefilter("error")
+                got = replay_trace(fast, chunk, TIMING, scheme=scheme)
+            context = f"{scheme}/{fast_tier} seed={seed} batch={index}"
+            assert expected == got, context
+            # Diagnostic counters too — both tiers must drive the PRF
             # cache through the exact same state sequence.
-            assert scalar_result.prf_cache_hits == batched_result.prf_cache_hits, context
-            assert repr(scalar_result.cycles) == repr(batched_result.cycles), context
-            assert stats_image(scalar_fe) == stats_image(batched_fe), context
-            assert frontend_digests(scalar_fe) == frontend_digests(batched_fe), context
+            assert expected.prf_cache_hits == got.prf_cache_hits, context
+            assert repr(expected.cycles) == repr(got.cycles), context
+            assert stats_image(reference) == stats_image(fast), context
+            assert frontend_stashes(reference) == frontend_stashes(fast), context
+            assert frontend_digests(reference) == frontend_digests(fast), context
+        # The comparison only means something if the tiers really differ.
+        engaged = fast_tier == "native"
+        for backend in frontend_backends(fast):
+            assert isinstance(backend, ColumnarPathOramBackend)
+            assert (backend._kernel is not None) == engaged
+        if scheme != "R_X8":
+            assert (fast._kernel is not None) == engaged
+        for backend in frontend_backends(reference):
+            assert type(backend.storage) is TreeStorage
 
-    def test_whole_trace_multi_seed_sweep(self):
-        """Longer single-shot replays across every preset scheme.
-
-        Every supported kernel — scalar, batched and compiled (which
-        degrades to batched with a warning when the extension is
-        unbuilt) — must agree on SimResult and tree digests.
-        """
-        timing = OramTimingModel(tree_latency_cycles=1000.0)
-        for scheme in ("R_X8", "P_X16", "PC_X32", "PI_X8", "PIC_X32"):
-            for seed in (3, 44):
-                results = {}
-                for mode in REPLAY_MODES:
-                    frontend = build_frontend(
-                        scheme, num_blocks=BLOCKS, rng=DeterministicRng(7)
-                    )
-                    results[mode] = (
-                        replay_trace(
-                            frontend,
-                            make_trace(seed, events=900),
-                            timing,
-                            scheme=scheme,
-                            mode=mode,
-                        ),
-                        frontend_digests(frontend),
-                    )
-                for mode in REPLAY_MODES:
-                    assert results[mode] == results["batched"], (
-                        scheme, seed, mode
-                    )
-
-
-class TestPlanBatch:
-    def test_plan_batch_is_invisible_to_outcomes(self):
-        """Pre-planning any address set never changes simulated results."""
-        planned = build_frontend("PC_X32", num_blocks=BLOCKS, rng=DeterministicRng(7))
-        unplanned = build_frontend("PC_X32", num_blocks=BLOCKS, rng=DeterministicRng(7))
-        addrs = [5, 5, 9, 130, 9, 5, 1000, 130]
-        planned.plan_batch(addrs)
-        for addr in addrs:
-            a = planned.access(addr)
-            b = unplanned.access(addr)
-            assert (a.data, a.tree_accesses, a.posmap_tree_accesses) == (
-                b.data, b.tree_accesses, b.posmap_tree_accesses
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_whole_trace_single_shot(self, scheme, fast_tier):
+        """Longer single-shot replays: one ``run_batch`` of 900 events."""
+        for seed in (3, 44):
+            reference, fast = tier_pair(scheme)
+            trace = make_trace(seed, events=900)
+            expected = replay_trace(
+                reference, trace, TIMING, scheme=scheme, mode="scalar"
             )
-        assert stats_image(planned) == stats_image(unplanned)
-        assert frontend_digests(planned) == frontend_digests(unplanned)
+            got = replay_trace(fast, trace, TIMING, scheme=scheme)
+            assert expected == got, (scheme, seed)
+            assert frontend_digests(reference) == frontend_digests(fast)
 
-    def test_plan_batch_counts_cold_addresses_once(self):
-        frontend = build_frontend("PC_X32", num_blocks=BLOCKS, rng=DeterministicRng(7))
-        assert frontend.plan_batch([3, 3, 3, 7, 7, 3]) == 2  # runs short-circuit
-        assert frontend.plan_batch([3, 7]) == 0  # already cached
-        assert frontend.plan_batch([]) == 0
+    @pytest.mark.parametrize("scheme", ("P_X16", "R_X8"))
+    def test_fast_loop_over_object_storage(self, scheme, fast_tier):
+        """A frontend pinned to object storage still replays on the fast
+        loop (C driver and accumulate only, ``access`` interpreted)."""
+        reference, pinned = (
+            build_frontend(
+                scheme, num_blocks=BLOCKS, rng=DeterministicRng(7),
+                storage="object",
+            )
+            for _ in range(2)
+        )
+        for chunk in chunked(make_trace(11, events=450), batch=150):
+            expected = replay_trace(
+                reference, chunk, TIMING, scheme=scheme, mode="scalar"
+            )
+            got = replay_trace(pinned, chunk, TIMING, scheme=scheme)
+            assert expected == got
+            assert repr(expected.cycles) == repr(got.cycles)
+            assert stats_image(reference) == stats_image(pinned)
+            assert frontend_digests(reference) == frontend_digests(pinned)
 
-    def test_recursive_frontend_plans_chains(self):
-        frontend = build_frontend("R_X8", num_blocks=BLOCKS, rng=DeterministicRng(7))
-        assert frontend.plan_batch([0, 1, 1, 2]) == 3
-        assert frontend.plan_batch([2, 0]) == 0
-        # Planned chains are exactly what access would compute.
-        assert frontend._chain_cache[2] == frontend.space.chain(2)
 
-    def test_plan_batch_respects_cache_limit(self):
-        from repro.frontend import unified
+class TestDefaultTier:
+    """What runs with no ``REPRO_*`` set, and what each knob still does."""
 
-        frontend = build_frontend("P_X16", num_blocks=BLOCKS, rng=DeterministicRng(7))
-        limit = unified.CHAIN_CACHE_LIMIT
-        try:
-            unified.CHAIN_CACHE_LIMIT = 4
-            frontend.plan_batch(range(10))
-            assert len(frontend._chain_cache) <= 4
-        finally:
-            unified.CHAIN_CACHE_LIMIT = limit
+    @pytest.mark.skipif(
+        load_native_core() is None, reason="compiled core not built"
+    )
+    def test_unset_env_runs_the_kernels_on_columnar_storage(self, monkeypatch):
+        for name in ("REPRO_REPLAY", "REPRO_STORAGE", NATIVE_ENV):
+            monkeypatch.delenv(name, raising=False)
+        core = load_native_core()
+        frontend = build_frontend(
+            "PIC_X32", num_blocks=BLOCKS, rng=DeterministicRng(7)
+        )
+        replay_trace(frontend, make_trace(1, events=50), TIMING)
+        assert type(frontend.backend.storage) is ColumnarTreeStorage
+        assert isinstance(frontend._kernel, core.FrontendKernel)
+        assert isinstance(frontend.backend._kernel, core.AccessKernel)
+
+    def test_scalar_env_runs_the_reference(self, monkeypatch):
+        monkeypatch.delenv("REPRO_STORAGE", raising=False)
+        monkeypatch.setenv("REPRO_REPLAY", "scalar")
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("fast loop under REPRO_REPLAY=scalar")
+
+        monkeypatch.setattr(ReplayEngine, "run_batch", unreachable)
+        for scheme in ("PIC_X32", "R_X8"):
+            frontend = build_frontend(
+                scheme, num_blocks=BLOCKS, rng=DeterministicRng(7)
+            )
+            replay_trace(frontend, make_trace(1, events=50), TIMING)
+            for backend in frontend_backends(frontend):
+                assert type(backend.storage) is TreeStorage
+                assert not hasattr(backend, "_kernel")
+            assert getattr(frontend, "_kernel", None) is None
+
+    def test_storage_env_overrides_the_tier(self, monkeypatch):
+        monkeypatch.delenv("REPRO_REPLAY", raising=False)
+        monkeypatch.setenv("REPRO_STORAGE", "object")
+        frontend = build_frontend("PC_X32", num_blocks=BLOCKS)
+        assert type(frontend.backend.storage) is TreeStorage
+        monkeypatch.setenv("REPRO_REPLAY", "scalar")
+        monkeypatch.setenv("REPRO_STORAGE", "columnar")
+        frontend = build_frontend("PC_X32", num_blocks=BLOCKS)
+        assert type(frontend.backend.storage) is ColumnarTreeStorage
+
+    @pytest.mark.parametrize("scheme", ("PC_X32", "R_X8", "phantom_4kb"))
+    def test_stale_array_storage_env_names_the_survivors(
+        self, monkeypatch, scheme
+    ):
+        monkeypatch.setenv("REPRO_STORAGE", "array")
+        with pytest.raises(ValueError, match="'object' or 'columnar'"):
+            build_frontend(scheme, num_blocks=2**6)
 
 
 class TestKernelSelection:
-    def test_default_mode_is_batched(self, monkeypatch):
-        monkeypatch.delenv("REPRO_REPLAY", raising=False)
-        assert default_replay_mode() == "batched"
+    def test_default_mode_is_the_fast_tier(self, fast_tier):
+        assert default_replay_mode() == "compiled"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_replay_mode(None) == "compiled"
+
+    def test_modes_are_the_two_tiers(self):
+        assert REPLAY_MODES == ("scalar", "compiled")
 
     def test_env_selects_scalar(self, monkeypatch):
         monkeypatch.setenv("REPRO_REPLAY", "scalar")
@@ -207,9 +254,8 @@ class TestKernelSelection:
         assert resolve_replay_mode(None) == "scalar"
 
     def test_env_garbage_raises(self, monkeypatch):
-        """A typo'd REPRO_REPLAY aborts instead of silently running
-        batched under the wrong label (regression: it used to fall
-        back)."""
+        """A typo'd REPRO_REPLAY aborts instead of silently running the
+        other tier under the wrong label."""
         monkeypatch.setenv("REPRO_REPLAY", "quantum")
         with pytest.raises(ValueError, match="unknown replay mode 'quantum'"):
             default_replay_mode()
@@ -217,13 +263,20 @@ class TestKernelSelection:
         with pytest.raises(ValueError, match="REPRO_REPLAY"):
             resolve_replay_mode(None)
 
+    def test_stale_batched_mode_names_the_survivors(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"\('scalar', 'compiled'\)"):
+            resolve_replay_mode("batched")
+        monkeypatch.setenv("REPRO_REPLAY", "batched")
+        with pytest.raises(ValueError, match=r"\('scalar', 'compiled'\)"):
+            resolve_replay_mode(None)
+
     def test_env_whitespace_and_case_normalised(self, monkeypatch):
         monkeypatch.setenv("REPRO_REPLAY", "  Scalar ")
         assert default_replay_mode() == "scalar"
 
     def test_explicit_mode_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLAY", "scalar")
-        assert resolve_replay_mode("batched") == "batched"
+        monkeypatch.setenv("REPRO_REPLAY", "compiled")
+        assert resolve_replay_mode("scalar") == "scalar"
 
     def test_unknown_explicit_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown replay mode"):
@@ -232,12 +285,7 @@ class TestKernelSelection:
     def test_replay_trace_rejects_unknown_mode(self):
         frontend = build_frontend("P_X16", num_blocks=BLOCKS, rng=DeterministicRng(7))
         with pytest.raises(ValueError, match="unknown replay mode"):
-            replay_trace(
-                frontend,
-                make_trace(1, events=4),
-                OramTimingModel(tree_latency_cycles=1000.0),
-                mode="quantum",
-            )
+            replay_trace(frontend, make_trace(1, events=4), TIMING, mode="quantum")
 
 
 class TestTranslation:

@@ -3,8 +3,7 @@
 The serving and fabric layers exercise these end to end (see
 ``test_serve_slo.py`` / ``test_fabric_resilience.py``); this file pins
 the primitives' own contracts — determinism of the jittered backoff,
-breaker lifecycle, bucket arithmetic, and the degradation ladder — plus
-the compatibility re-export of :class:`RetryPolicy` from its old home.
+breaker lifecycle, bucket arithmetic, and the degradation ladder.
 """
 
 import pytest
@@ -19,14 +18,7 @@ from repro.resilience import (
 )
 
 
-class TestRetryPolicyCompat:
-    def test_old_import_paths_still_resolve(self):
-        from repro.faults import RetryPolicy as from_faults
-        from repro.faults.retry import RetryPolicy as from_faults_retry
-
-        assert from_faults is RetryPolicy
-        assert from_faults_retry is RetryPolicy
-
+class TestRetryPolicy:
     def test_delay_schedule_unchanged(self):
         policy = RetryPolicy(attempts=4, backoff=0.05, factor=2.0)
         assert policy.delay(1) == 0.0

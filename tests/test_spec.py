@@ -80,7 +80,7 @@ class TestRoundTrips:
         "changes",
         [
             {"plb_capacity_bytes": 32 * 1024},
-            {"storage": "array"},
+            {"storage": "columnar"},
             {"plb_ways": 4, "onchip_entries": 2**12},
             {"compressed_fanout": 16},
             {"crypto": "reference", "num_blocks": 2**10},
@@ -117,9 +117,9 @@ class TestRoundTrips:
 
 class TestMiniLanguage:
     def test_alias_and_size_parsing(self):
-        spec = SchemeSpec.from_string("PIC_X32:plb=32KiB,storage=array")
+        spec = SchemeSpec.from_string("PIC_X32:plb=32KiB,storage=columnar")
         assert spec.plb_capacity_bytes == 32 * 1024
-        assert spec.storage == "array"
+        assert spec.storage == "columnar"
         assert spec.pmmac and spec.posmap_format == "compressed"
 
     def test_full_field_names_accepted(self):
@@ -159,6 +159,11 @@ class TestMiniLanguage:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(SpecError, match="unknown scheme"):
             SchemeSpec.from_string("ZZZ:plb=1KiB")
+
+    def test_removed_array_storage_names_the_survivors(self):
+        with pytest.raises(SpecError, match="unknown storage 'array'") as err:
+            SchemeSpec.from_string("PC_X32:storage=array")
+        assert "'object'" in str(err.value) and "'columnar'" in str(err.value)
 
     def test_empty_spec_rejected(self):
         with pytest.raises(SpecError):

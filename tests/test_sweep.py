@@ -109,10 +109,10 @@ class TestSweepSpec:
         assert [label for label, _ in sweep.points()] == ["R_X8", "PC_X32"]
 
     def test_scheme_objects_accepted(self):
-        spec = get_spec("PIC_X32").with_(storage="array")
+        spec = get_spec("PIC_X32").with_(storage="object")
         sweep = SweepSpec.from_args(schemes=[spec])
         (label, point), = sweep.points()
-        assert point == spec and "storage=array" in label
+        assert point == spec and "storage=object" in label
 
     def test_needs_a_scheme(self):
         with pytest.raises(SpecError, match="at least one"):

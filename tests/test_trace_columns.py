@@ -75,7 +75,7 @@ class TestRoundTrip:
         assert cold.to_bytes(compress=False) == warm.to_bytes(compress=False)
 
     def test_loaded_trace_replays_identically(self):
-        """Cache-loaded traces feed the batched kernel bit-identically."""
+        """Cache-loaded traces feed the fast replay loop bit-identically."""
         from repro.presets import build_frontend
         from repro.sim.system import replay_trace
         from repro.sim.timing import OramTimingModel
