@@ -1,10 +1,13 @@
 """Build script: pure-Python package + one *optional* C extension.
 
-The compiled replay core (``repro.sim.native._replay_core``, selected at
-runtime via ``REPRO_REPLAY=compiled``) is strictly optional: when no C
-toolchain is available the build degrades to the pure-Python package and
-the batched kernel remains the default. ``build_ext`` therefore swallows
-compiler/toolchain failures instead of aborting the install.
+The compiled core (``repro.sim.native._replay_core``) holds the fast
+tier's kernels — one C call per processor request and per tree access —
+and the trace-synthesis kernel both tiers share. It is strictly
+optional: when no C toolchain is available the build degrades to the
+pure-Python package, the fast tier runs the same loop interpreted and
+traces come from the interpreted generators, bit for bit the same.
+``build_ext`` therefore swallows compiler/toolchain failures instead of
+aborting the install.
 
 Build the extension in place for a source checkout::
 
@@ -35,7 +38,8 @@ class optional_build_ext(build_ext):
     def _skip(self, exc):
         print(
             f"WARNING: optional extension build failed ({exc!r}); "
-            "continuing with the pure-Python replay kernels."
+            "continuing without the compiled core (the fast tier and trace "
+            "synthesis run interpreted, same results)."
         )
 
 

@@ -98,10 +98,6 @@ class MissTrace:
         self._columns = (events, n, line_addrs, is_write)
         return line_addrs, is_write
 
-    def _seed_columns(self, line_addrs, is_write) -> None:
-        """Install a pre-built columnar view (binary-load fast path)."""
-        self._columns = (self.events, len(self.events), line_addrs, is_write)
-
     @property
     def mpki(self) -> float:
         """LLC misses per kilo-instruction."""
@@ -184,34 +180,51 @@ class MissTrace:
                 raise ValueError(f"trace payload decompression failed: {exc}") from exc
         if len(payload) != 8 * num_events:
             raise ValueError("trace event section has wrong length")
-        line_col = is_write_col = None
+        counters = (instructions, mem_refs, l1_hits, l2_hits)
         if _np is not None:
-            # Vectorised unpack; the decoded columns are seeded straight
-            # into the columnar-view cache so a cache-loaded trace reaches
-            # the fast replay loop without a second pass.
             words = _np.frombuffer(payload, dtype="<u8")
             line_col = (words >> _np.uint64(1)).astype(_np.int64)
             is_write_col = (words & _np.uint64(1)) != 0
-            events = [
-                MissEvent(addr, w)
-                for addr, w in zip(line_col.tolist(), is_write_col.tolist())
-            ]
         else:
             packed = array("Q")
             packed.frombytes(payload)
             if sys.byteorder == "big":  # pragma: no cover - LE-canonical format
                 packed.byteswap()
-            events = [MissEvent(word >> 1, bool(word & 1)) for word in packed]
+            line_col = array("q", (word >> 1 for word in packed))
+            is_write_col = array("b", (word & 1 for word in packed))
+        return cls.from_columns(name, counters, line_col, is_write_col)
+
+    @classmethod
+    def from_columns(cls, name: str, counters, line_addrs, is_write) -> "MissTrace":
+        """A trace that arrives as columns: a decoded image, or the native
+        synthesis kernel's output.
+
+        ``counters`` is (instructions, mem_refs, l1_hits, l2_hits);
+        ``line_addrs`` and ``is_write`` are buffers of native int64
+        addresses and 0/1 bytes. They become the columns :meth:`columns`
+        would build and are seeded straight into its cache, so the trace
+        reaches the fast replay loop without a second pass.
+        """
+        instructions, mem_refs, l1_hits, l2_hits = counters
+        if _np is not None:
+            line_addrs = _np.frombuffer(line_addrs, dtype=_np.int64)
+            is_write = _np.frombuffer(is_write, dtype=_np.bool_)
+            writes = is_write.tolist()
+        else:
+            line_addrs = array("q", line_addrs)
+            is_write = array("b", is_write)
+            writes = [bool(w) for w in is_write]
         trace = cls(
             name=name,
             instructions=instructions,
             mem_refs=mem_refs,
             l1_hits=l1_hits,
             l2_hits=l2_hits,
-            events=events,
+            events=[
+                MissEvent(addr, w) for addr, w in zip(line_addrs.tolist(), writes)
+            ],
         )
-        if line_col is not None:
-            trace._seed_columns(line_col, is_write_col)
+        trace._columns = (trace.events, len(trace.events), line_addrs, is_write)
         return trace
 
 

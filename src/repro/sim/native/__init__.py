@@ -1,14 +1,18 @@
-"""Optional compiled replay core: the fast tier's native kernels.
+"""Optional compiled core: the fast tier's kernels and trace synthesis.
 
 This package wraps the hand-written C extension ``_replay_core`` — the
-fused replay inner loop over the columnar arenas (see ``_replay_core.c``
+fused replay inner loop over the columnar arenas, and the trace
+synthesis kernel that produces a replay's input (see ``_replay_core.c``
 for the kernel inventory and the bit-identity contract). The extension
 is *optional*: nothing in the library imports it unconditionally, and
 every consumer goes through :func:`load_native_core`, which returns the
 module when it is built and importable, or ``None`` otherwise (a
 columnar backend handed that core then takes its ``AccessKernel`` handle
 type from the module itself). Without it the fast tier runs the same
-loop interpreted; the reference tier never touches it.
+loop interpreted and traces come from the interpreted generators and
+``CacheHierarchy.run``. The reference tier never touches the ORAM
+kernels; trace synthesis is shared by both tiers, because a trace is an
+input and is the same bytes whichever tier replays it.
 
 Build it in place with the baked-in toolchain (no new dependencies)::
 
@@ -60,7 +64,8 @@ def load_native_core() -> Optional[object]:
 
     The import itself is memoised (a build cannot appear mid-process),
     but the ``REPRO_NATIVE`` policy is consulted on every call so tests
-    can flip the knob per-case.
+    can flip the knob per-case. A stale build — one compiled before the
+    source gained ``synthesize_trace`` — counts as unbuilt.
     """
     if native_policy() == "off":
         return None
@@ -68,9 +73,10 @@ def load_native_core() -> Optional[object]:
         try:
             from repro.sim.native import _replay_core
         except ImportError:
-            _CORE_CACHE.append(None)
-        else:
-            _CORE_CACHE.append(_replay_core)
+            _replay_core = None
+        if not hasattr(_replay_core, "synthesize_trace"):
+            _replay_core = None
+        _CORE_CACHE.append(_replay_core)
     return _CORE_CACHE[0]
 
 

@@ -76,6 +76,7 @@ from repro.faults import fault_hook, install_from_env
 from repro.proc.hierarchy import CacheHierarchy, MissTrace
 from repro.resilience import RetryPolicy
 from repro.sim.metrics import SimResult
+from repro.sim.native import load_native_core
 from repro.sim.result_cache import ResultCache, default_result_cache_dir, result_key
 from repro.sim.system import insecure_cycles, replay_trace
 from repro.sim.timing import OramTimingModel, timing_for_frontend
@@ -89,7 +90,7 @@ from repro.spec import (
     resolve_spec,
 )
 from repro.utils.rng import DeterministicRng
-from repro.workloads.spec import SPEC_BENCHMARKS, benchmark
+from repro.workloads.spec import SPEC_BENCHMARKS, SpecStandIn, benchmark
 
 #: Environment variable supplying the default ``run_suite`` worker count.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -142,6 +143,60 @@ def stable_trace_salt(bench_name: str) -> int:
     between runs; CRC32 is stable everywhere.
     """
     return zlib.crc32(bench_name.encode("utf-8")) & 0xFFFF
+
+
+def synthesize_trace(
+    spec: SpecStandIn,
+    rng: DeterministicRng,
+    proc: ProcessorConfig,
+    name: str,
+    max_llc_misses: int,
+    warmup_refs: int,
+) -> MissTrace:
+    """LLC miss trace of a stand-in's reference stream (§7.1.1).
+
+    The one place a trace is made. With the extension built it is one C
+    call — mixture, MT19937 draws and both cache levels — resumed from
+    the states of the same forked streams :meth:`SpecStandIn.refs`
+    draws from, so the trace is the same bytes as the interpreted
+    ``CacheHierarchy.run(spec.refs(rng))``, which is the reference and
+    what runs without the extension or for a stand-in outside the
+    kernel's 32-bit draw range (it answers ``OverflowError``). The
+    kernel refuses ``max_llc_misses <= 0`` with ``ValueError``: the
+    stream is infinite.
+    """
+    core = load_native_core()
+    if core is not None:
+        states = rng.fork(0xF00D).mt_state()
+        rows = []
+        for i, (_weight, p) in enumerate(spec.patterns):
+            states.extend(rng.fork(i).mt_state())
+            rows.append(
+                (p.kind, p.wss(spec.wss_bytes), p.step, p.alpha,
+                 p.hot_fraction, p.hot_probability, p.offset)
+            )
+        try:
+            line_addrs, is_write, *counters = core.synthesize_trace(
+                rows,
+                spec.cumulative_weights(),
+                spec.write_fraction,
+                spec.gap_instructions,
+                states,
+                (proc.line_bytes, proc.l1_bytes, proc.l1_ways,
+                 proc.l2_bytes, proc.l2_ways),
+                warmup_refs,
+                max_llc_misses,
+            )
+        except OverflowError:
+            pass
+        else:
+            return MissTrace.from_columns(name, counters, line_addrs, is_write)
+    return CacheHierarchy(proc).run(
+        spec.refs(rng),
+        name=name,
+        max_llc_misses=max_llc_misses,
+        warmup_refs=warmup_refs,
+    )
 
 
 def _next_pow2(n: int) -> int:
@@ -227,15 +282,14 @@ class SimulationRunner:
 
     def _generate_trace(self, bench_name: str) -> MissTrace:
         """Simulate the cache hierarchy to produce (and persist) a trace."""
-        spec = benchmark(bench_name)
-        warmup = self._warmup_refs(bench_name)
-        hierarchy = CacheHierarchy(self.proc)
         rng = DeterministicRng(self.seed).fork(stable_trace_salt(bench_name))
-        trace = hierarchy.run(
-            spec.refs(rng),
+        trace = synthesize_trace(
+            benchmark(bench_name),
+            rng,
+            self.proc,
             name=bench_name,
             max_llc_misses=self.misses,
-            warmup_refs=warmup,
+            warmup_refs=self._warmup_refs(bench_name),
         )
         if self.trace_cache is not None:
             self.trace_cache.store(self.trace_cache_key(bench_name), trace)

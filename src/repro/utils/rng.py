@@ -9,6 +9,7 @@ and adds the few draws the ORAM layer needs.
 from __future__ import annotations
 
 import random
+from array import array
 
 
 class DeterministicRng:
@@ -70,6 +71,11 @@ class DeterministicRng:
             one = 1.0 - alpha
             rank = int(((n ** one - 1.0) * u + 1.0) ** (1.0 / one)) - 1
         return min(max(rank, 0), n - 1)
+
+    def mt_state(self) -> array:
+        """The generator's MT19937 state — 624 words, then the index — as
+        the uint32 block the native trace-synthesis kernel resumes from."""
+        return array("I", self._rng.getstate()[1])
 
     def fork(self, salt: int) -> "DeterministicRng":
         """Derive an independent child stream (stable across runs)."""

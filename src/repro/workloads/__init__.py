@@ -16,6 +16,7 @@ from repro.workloads.spec import (
     interleaved_name,
 )
 from repro.workloads.synthetic import (
+    Pattern,
     hot_cold,
     pointer_chase,
     sequential_stream,
@@ -26,6 +27,7 @@ from repro.workloads.synthetic import (
 
 __all__ = [
     "MULTI_TENANT_MIXES",
+    "Pattern",
     "SPEC_BENCHMARKS",
     "SpecStandIn",
     "benchmark",

@@ -19,19 +19,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.utils.rng import DeterministicRng
-from repro.workloads.synthetic import (
-    hot_cold,
-    pointer_chase,
-    sequential_stream,
-    strided_stream,
-    uniform_random,
-    zipf_random,
-)
-
-PatternFactory = Callable[[int, DeterministicRng], Iterator[int]]
+from repro.workloads.synthetic import Pattern
 
 
 @dataclass(frozen=True)
@@ -40,15 +31,14 @@ class SpecStandIn:
 
     name: str
     wss_bytes: int
-    #: (weight, factory) mixture of address patterns.
-    patterns: Tuple[Tuple[float, PatternFactory], ...]
+    #: (weight, pattern) mixture of address patterns.
+    patterns: Tuple[Tuple[float, Pattern], ...]
     write_fraction: float = 0.3
     #: Mean non-memory instructions between memory references.
     gap_instructions: int = 2
 
-    def refs(self, rng: DeterministicRng) -> Iterator[Tuple[int, bool, int]]:
-        """Infinite (gap, is_write, byte_addr) reference stream."""
-        gens = [factory(self.wss_bytes, rng.fork(i)) for i, (_, factory) in enumerate(self.patterns)]
+    def cumulative_weights(self) -> List[float]:
+        """Running sum of the normalised pattern weights."""
         weights = [w for w, _ in self.patterns]
         total = sum(weights)
         cum: List[float] = []
@@ -56,10 +46,22 @@ class SpecStandIn:
         for w in weights:
             acc += w / total
             cum.append(acc)
+        return cum
+
+    def refs(self, rng: DeterministicRng) -> Iterator[Tuple[int, bool, int]]:
+        """Infinite (gap, is_write, byte_addr) reference stream."""
+        gens = [
+            pattern.addresses(self.wss_bytes, rng.fork(i))
+            for i, (_, pattern) in enumerate(self.patterns)
+        ]
+        cum = self.cumulative_weights()
+        last = len(cum) - 1
         pick_rng = rng.fork(0xF00D)
         while True:
             u = pick_rng.random()
-            gen = gens[next(i for i, c in enumerate(cum) if u <= c)]
+            # First pattern whose cumulative weight covers u; the last
+            # one when float accumulation left cum[-1] just below 1.0.
+            gen = gens[next((i for i, c in enumerate(cum) if u <= c), last)]
             gap = pick_rng.randint(0, 2 * self.gap_instructions)
             yield gap, pick_rng.random() < self.write_fraction, next(gen)
 
@@ -70,80 +72,81 @@ SPEC_BENCHMARKS: Dict[str, SpecStandIn] = {
     # Graph path-finding: pointer-heavy with a warm core.
     "astar": SpecStandIn(
         "astar", 6 * _MiB,
-        ((0.45, pointer_chase), (0.35, lambda w, r: zipf_random(w, r, 1.1)),
-         (0.20, lambda w, r: sequential_stream(w, r, stride=16))),
+        ((0.45, Pattern("pointer_chase")), (0.35, Pattern("zipf", alpha=1.1)),
+         (0.20, Pattern("sequential", 16))),
         write_fraction=0.25, gap_instructions=10,
     ),
     # Compression: large buffers scanned with block-local reuse.
     "bzip2": SpecStandIn(
         "bzip2", 8 * _MiB,
-        ((0.40, lambda w, r: sequential_stream(w, r, stride=16)),
-         (0.40, lambda w, r: hot_cold(w, r, hot_fraction=0.08, hot_probability=0.8)),
-         (0.20, uniform_random)),
+        ((0.40, Pattern("sequential", 16)),
+         (0.40, Pattern("hot_cold", hot_fraction=0.08, hot_probability=0.8)),
+         (0.20, Pattern("uniform"))),
         write_fraction=0.35, gap_instructions=8,
     ),
     # Compiler: many medium structures, heavy-tailed reuse.
     "gcc": SpecStandIn(
         "gcc", 4 * _MiB,
-        ((0.60, lambda w, r: zipf_random(w, r, 1.2)),
-         (0.25, lambda w, r: sequential_stream(w, r, stride=16)),
-         (0.15, pointer_chase)),
+        ((0.60, Pattern("zipf", alpha=1.2)),
+         (0.25, Pattern("sequential", 16)),
+         (0.15, Pattern("pointer_chase"))),
         write_fraction=0.3, gap_instructions=10,
     ),
     # Go playing: compact board state, mostly cache-resident.
     "gob": SpecStandIn(
         "gob", 2 * _MiB,
-        ((0.6, lambda w, r: zipf_random(w, r, 1.2)),
-         (0.4, lambda w, r: hot_cold(w, r, 0.1, 0.9))),
+        ((0.6, Pattern("zipf", alpha=1.2)),
+         (0.4, Pattern("hot_cold", hot_fraction=0.1, hot_probability=0.9))),
         write_fraction=0.3, gap_instructions=12,
     ),
     # Video decode: streaming frames with strong intra-line locality.
     "h264": SpecStandIn(
         "h264", 3 * _MiB,
-        ((0.80, lambda w, r: sequential_stream(w, r, stride=8)),
-         (0.15, lambda w, r: strided_stream(w, r, 256)),
-         (0.05, uniform_random)),
+        ((0.80, Pattern("sequential", 8)),
+         (0.15, Pattern("strided", 256)),
+         (0.05, Pattern("uniform"))),
         write_fraction=0.4, gap_instructions=8,
     ),
     # Profile HMM search: small hot tables, very high locality.
     "hmmer": SpecStandIn(
         "hmmer", 2 * _MiB,
-        ((0.75, lambda w, r: hot_cold(w, r, 0.1, 0.95)),
-         (0.25, lambda w, r: sequential_stream(w, r, stride=8))),
+        ((0.75, Pattern("hot_cold", hot_fraction=0.1, hot_probability=0.95)),
+         (0.25, Pattern("sequential", 8))),
         write_fraction=0.3, gap_instructions=10,
     ),
     # Quantum simulation: pure streaming over a large vector.
     "libq": SpecStandIn(
         "libq", 12 * _MiB,
-        ((0.95, lambda w, r: sequential_stream(w, r, stride=16)),
-         (0.05, uniform_random)),
+        ((0.95, Pattern("sequential", 16)),
+         (0.05, Pattern("uniform"))),
         write_fraction=0.45, gap_instructions=6,
     ),
     # Network simplex: giant pointer graph, worst-case locality.
     "mcf": SpecStandIn(
         "mcf", 24 * _MiB,
-        ((0.65, pointer_chase), (0.2, uniform_random),
-         (0.15, lambda w, r: sequential_stream(w, r, stride=16))),
+        ((0.65, Pattern("pointer_chase")), (0.2, Pattern("uniform")),
+         (0.15, Pattern("sequential", 16))),
         write_fraction=0.3, gap_instructions=8,
     ),
     # Discrete event simulation: large heap, scattered objects.
     "omnet": SpecStandIn(
         "omnet", 16 * _MiB,
-        ((0.5, uniform_random), (0.3, pointer_chase),
-         (0.2, lambda w, r: zipf_random(w, r, 0.8))),
+        ((0.5, Pattern("uniform")), (0.3, Pattern("pointer_chase")),
+         (0.2, Pattern("zipf", alpha=0.8))),
         write_fraction=0.35, gap_instructions=10,
     ),
     # Interpreter: hot dispatch structures plus heap churn.
     "perl": SpecStandIn(
         "perl", 3 * _MiB,
-        ((0.65, lambda w, r: zipf_random(w, r, 1.2)), (0.20, pointer_chase),
-         (0.15, lambda w, r: sequential_stream(w, r, stride=8))),
+        ((0.65, Pattern("zipf", alpha=1.2)), (0.20, Pattern("pointer_chase")),
+         (0.15, Pattern("sequential", 8))),
         write_fraction=0.35, gap_instructions=10,
     ),
     # Chess search: transposition tables with random probes.
     "sjeng": SpecStandIn(
         "sjeng", 6 * _MiB,
-        ((0.45, uniform_random), (0.55, lambda w, r: hot_cold(w, r, 0.08, 0.75))),
+        ((0.45, Pattern("uniform")),
+         (0.55, Pattern("hot_cold", hot_fraction=0.08, hot_probability=0.75))),
         write_fraction=0.3, gap_instructions=12,
     ),
 }
@@ -186,15 +189,6 @@ def interleaved_name(names) -> str:
     return "+".join(parts)
 
 
-def _region_pattern(factory: PatternFactory, comp_wss: int, offset: int):
-    """A component pattern confined to its own region of the mix space."""
-
-    def make(_wss: int, rng: DeterministicRng) -> Iterator[int]:
-        return (addr + offset for addr in factory(comp_wss, rng))
-
-    return make
-
-
 def _parse_mix(name: str, wss_bytes: "int | None" = None) -> "SpecStandIn | None":
     """Decode an ``a+b[+c...]`` interleaved mix (None if not one).
 
@@ -217,11 +211,12 @@ def _parse_mix(name: str, wss_bytes: "int | None" = None) -> "SpecStandIn | None
     offset = 0
     for comp in comps:
         comp_wss = max(int(comp.wss_bytes * scale), _MIN_COMPONENT_BYTES)
-        weight_total = sum(weight for weight, _factory in comp.patterns)
-        for weight, factory in comp.patterns:
-            patterns.append(
-                (weight / weight_total, _region_pattern(factory, comp_wss, offset))
+        weight_total = sum(weight for weight, _pattern in comp.patterns)
+        for weight, pattern in comp.patterns:
+            confined = dataclasses.replace(
+                pattern, region_wss=comp_wss, offset=offset
             )
+            patterns.append((weight / weight_total, confined))
         offset += comp_wss
     return SpecStandIn(
         name=full_name,

@@ -11,11 +11,17 @@ stand-ins mix; each captures one archetypal locality class:
 - :func:`pointer_chase` — dependent walk through a random permutation
   (mcf-like), the worst case for any cache and for the PLB;
 - :func:`hot_cold` — small hot region plus cold uniform traffic.
+
+:class:`Pattern` names one of them with its parameters as plain data, so
+a mixture can be handed to the native trace-synthesis kernel as a table;
+the generators stay the reference the kernel is locked against and what
+runs when the extension is not built.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 from repro.utils.rng import DeterministicRng
 
@@ -92,3 +98,48 @@ def hot_cold(
             yield rng.randrange(hot_lines) * 64
         else:
             yield (hot_lines + rng.randrange(max(lines - hot_lines, 1))) * 64
+
+
+@dataclass(frozen=True)
+class Pattern:
+    """One address pattern of a mixture: a generator named by ``kind``
+    plus the arguments it is called with."""
+
+    #: ``sequential`` | ``strided`` | ``uniform`` | ``zipf`` |
+    #: ``pointer_chase`` | ``hot_cold``.
+    kind: str
+    #: Stride in bytes (sequential, strided) or node size (pointer_chase).
+    step: int = 64
+    alpha: float = 0.9
+    hot_fraction: float = 0.05
+    hot_probability: float = 0.9
+    #: Working set the pattern is confined to; None is the stand-in's.
+    region_wss: Optional[int] = None
+    #: Byte offset of that region in the stand-in's address space (a mix
+    #: lays its tenants' regions out back to back).
+    offset: int = 0
+
+    def wss(self, stand_in_wss: int) -> int:
+        """The working set the pattern runs over inside a stand-in."""
+        return stand_in_wss if self.region_wss is None else self.region_wss
+
+    def addresses(self, wss_bytes: int, rng: DeterministicRng) -> Iterator[int]:
+        """The pattern's infinite byte-address stream over ``wss_bytes``."""
+        wss = self.wss(wss_bytes)
+        if self.kind == "sequential":
+            stream = sequential_stream(wss, rng, self.step)
+        elif self.kind == "strided":
+            stream = strided_stream(wss, rng, self.step)
+        elif self.kind == "uniform":
+            stream = uniform_random(wss, rng)
+        elif self.kind == "zipf":
+            stream = zipf_random(wss, rng, self.alpha)
+        elif self.kind == "pointer_chase":
+            stream = pointer_chase(wss, rng, self.step)
+        elif self.kind == "hot_cold":
+            stream = hot_cold(wss, rng, self.hot_fraction, self.hot_probability)
+        else:
+            raise ValueError(f"unknown pattern kind {self.kind!r}")
+        if self.offset:
+            return (addr + self.offset for addr in stream)
+        return stream

@@ -14,6 +14,12 @@ original implementations. These tests pin that down three ways:
    produce dataclass-equal SimResults;
 3. digest-level: SimResults are serialised and SHA-256 hashed, so any
    drift in any field — including float bit patterns — fails loudly.
+
+The replay's *input* is pinned the same way: the SHA-256 of every
+stand-in's trace image against a committed value, on whichever synthesis
+path is active (the native kernel, or the interpreted generators and
+``CacheHierarchy.run`` under ``REPRO_NATIVE=off``), so the two paths
+cannot drift together.
 """
 
 import dataclasses
@@ -30,6 +36,7 @@ from repro.frontend.formats import CompressedPosMapFormat
 from repro.frontend.plb import Plb, PlbEntry
 from repro.presets import build_frontend
 from repro.proc.hierarchy import MissEvent, MissTrace
+from repro.sim.runner import SimulationRunner
 from repro.sim.system import replay_trace
 from repro.sim.timing import OramTimingModel
 from repro.utils.rng import DeterministicRng
@@ -461,3 +468,40 @@ class TestSpecVsLegacyGolden:
             frontend.write(5, payload)
         assert legacy.read(5) == spec_built.read(5) == payload
         assert legacy.posmap.entries == spec_built.posmap.entries
+
+
+# -- 5. the trace every replay starts from ----------------------------------------
+
+#: SHA-256 of ``MissTrace.to_bytes()`` at seed 2015, 500 misses.
+TRACE_DIGESTS = {
+    "astar": "5c5e5610611a59cea85a4f4b807b7e89a902c09378b0e5d4581c2ae92c8cfafa",
+    "bzip2": "ce66af39e41f110d131ea009189953f112a4816c5cddd2ed966466b09156881a",
+    "gcc": "bc4364fbf8a124c7848de6e81b32a536ab6c17b7758b0d2e7dc814c4f4c1c51e",
+    "gob": "fef63d80c98c2acabef124ab8495d295ba57bee949c0b724aa2792d5d0d38d08",
+    "h264": "847970e9a763573bbdf1dfbb590ccafa15323a7fb438def70d99ef6a91f9c868",
+    "hmmer": "26fa034879c2370ed27bfe687562b6101cbb25393a86f19276fb483f5e9cc7a8",
+    "libq": "34d23ef2a85ce4d339f07c61ab0efb4db79d9e05abe25e1260b974a21878d6bf",
+    "mcf": "621fc071f3b2b214930ceb158a3ab7e6ed3e19733ff1c2417de04cb56438887e",
+    "omnet": "2a7bf292a3db58d4cd94c193bbf678748cd3b37e5feeecc85790309347322fe8",
+    "perl": "96ff749ffad69d950dc0dbf3c885048304663b6d01960310ada310ea31a8c432",
+    "sjeng": "256f52add49bcac228c10ee08b7919fa5fe0b5c9cbb5e91f8e3c839cb6f88cd6",
+}
+#: Interpreted, these spend seconds warming a working set of 6 MiB or more.
+_SLOW_INTERPRETED = {"astar", "bzip2", "libq", "mcf", "omnet", "sjeng"}
+
+
+@pytest.mark.parametrize(
+    "bench",
+    [
+        pytest.param(
+            name, marks=[pytest.mark.slow] if name in _SLOW_INTERPRETED else []
+        )
+        for name in TRACE_DIGESTS
+    ],
+)
+def test_trace_image_matches_golden(bench):
+    runner = SimulationRunner(
+        misses_per_benchmark=500, seed=2015, cache_dir=None, result_cache_dir=None
+    )
+    image = runner.trace(bench).to_bytes()
+    assert hashlib.sha256(image).hexdigest() == TRACE_DIGESTS[bench]

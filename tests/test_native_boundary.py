@@ -1,7 +1,9 @@
 """The C boundary under hostile input: errors, never crashes.
 
 Every entry point ``repro.sim.native._replay_core`` exports — the
-functions, the ``AccessKernel`` handle and the ``FrontendKernel`` handle
+functions (the trace-synthesis kernel, whose input is a pattern table,
+weights, MT19937 state blocks and a cache geometry, among them), the
+``AccessKernel`` handle and the ``FrontendKernel`` handle
 (whose state is a frontend's own Python containers: PLB entries and
 their payloads, set lists, the tag index, the on-chip table, first-touch
 bitmaps, the PRF's leaf cache, counters) — is fed what a corrupted
@@ -331,6 +333,353 @@ class TestStreamingEntryPoints:
             CORE.run_access_loop(
                 lambda addr, op: object(), [1], [False], Op.READ, Op.WRITE, b""
             )
+
+
+# ---------------------------------------------------------------------------
+# synthesize_trace / mt_draws
+# ---------------------------------------------------------------------------
+
+#: OverflowError is the kernel's "valid, but outside my 32-bit draw
+#: range" (the caller then runs the interpreted reference); BufferError
+#: is what a non-contiguous exporter answers.
+SYNTH_REJECTED = REJECTED + (OverflowError, BufferError)
+MT_WORDS = 625
+#: Always-missing traffic: 1 024 lines over a hierarchy that holds 24.
+BACKGROUND = ("uniform", 1 << 16, 64, 0.9, 0.05, 0.9, 0)
+
+
+def mt_states(count):
+    block = array("I")
+    for seed in range(count):
+        block.extend(DeterministicRng(seed).mt_state())
+    return block
+
+
+def synth_args(**overrides):
+    """A well-formed ``synthesize_trace`` argument list, as a dict: two
+    patterns over an L1 of 4 x 2 lines and an L2 of 8 x 2."""
+    args = {
+        "patterns": [BACKGROUND, ("hot_cold", 4096, 64, 0.9, 0.1, 0.9, 4096)],
+        "cum_weights": [0.5, 1.0],
+        "write_fraction": 0.3,
+        "gap_instructions": 2,
+        "states": mt_states(3),
+        "geometry": (64, 512, 2, 1024, 2),
+        "warmup_refs": 10,
+        "max_llc_misses": 20,
+    }
+    args.update(overrides)
+    return args
+
+
+def call_synth(args):
+    return CORE.synthesize_trace(*args.values())
+
+
+def with_pattern(**fields):
+    """``synth_args`` whose second pattern has ``fields`` replaced."""
+    row = dict(
+        zip(
+            ("kind", "wss", "step", "alpha", "hot_fraction", "hot_probability", "offset"),
+            ("hot_cold", 4096, 64, 0.9, 0.1, 0.9, 4096),
+        )
+    )
+    row.update(fields)
+    return synth_args(patterns=[BACKGROUND, tuple(row.values())])
+
+
+def assert_well_formed(result, misses):
+    line_addrs, is_write, instructions, mem_refs, l1_hits, l2_hits = result
+    assert len(line_addrs) == 8 * len(is_write)
+    assert set(is_write) <= {0, 1}
+    assert len(is_write) - sum(is_write) == misses
+    assert 0 < mem_refs <= instructions
+    assert l1_hits + l2_hits + misses == mem_refs
+
+
+class TestSynthesizeTraceBoundary:
+    def test_well_formed_call(self):
+        assert_well_formed(call_synth(synth_args()), 20)
+
+    @PROPERTY
+    @given(words=st.integers(0, 4 * MT_WORDS).filter(lambda n: n != 3 * MT_WORDS))
+    def test_state_block_of_the_wrong_length(self, words):
+        block = array("I", bytes(4 * words))
+        with pytest.raises(ValueError):
+            call_synth(synth_args(states=block))
+
+    @PROPERTY
+    @given(
+        states=st.one_of(
+            st.sampled_from("bBhHiqQfd").map(
+                lambda code: array(code, bytes(3 * MT_WORDS * 8))
+            ),
+            st.sampled_from([None, 7, [0] * (3 * MT_WORDS), "x" * 7500]),
+            st.just(bytes(3 * MT_WORDS * 4)),
+        )
+    )
+    def test_state_block_of_the_wrong_type(self, states):
+        with pytest.raises(TypeError):
+            call_synth(synth_args(states=states))
+
+    def test_state_block_not_contiguous(self):
+        numpy = pytest.importorskip("numpy")
+        strided = numpy.zeros(6 * MT_WORDS, dtype=numpy.uint32)[::2]
+        with pytest.raises(SYNTH_REJECTED):
+            call_synth(synth_args(states=strided))
+        matrix = numpy.zeros((3, MT_WORDS), dtype=numpy.uint32)
+        with pytest.raises(SYNTH_REJECTED):
+            call_synth(synth_args(states=matrix))
+
+    @PROPERTY
+    @given(stream=st.integers(0, 2), index=st.integers(MT_WORDS, 2**32 - 1))
+    def test_mt_index_outside_the_state(self, stream, index):
+        block = mt_states(3)
+        block[stream * MT_WORDS + MT_WORDS - 1] = index
+        with pytest.raises(ValueError):
+            call_synth(synth_args(states=block))
+
+    @PROPERTY
+    @given(stream=st.integers(0, 2), index=st.integers(0, MT_WORDS - 1))
+    def test_every_valid_mt_index_is_accepted(self, stream, index):
+        block = mt_states(3)
+        block[stream * MT_WORDS + MT_WORDS - 1] = index
+        assert_well_formed(call_synth(synth_args(states=block)), 20)
+
+    @PROPERTY
+    @given(kind=st.text(max_size=12).filter(
+        lambda k: k not in {"sequential", "strided", "uniform", "zipf",
+                            "pointer_chase", "hot_cold"}
+    ))
+    def test_unknown_pattern_kind(self, kind):
+        with pytest.raises(ValueError):
+            call_synth(with_pattern(kind=kind))
+
+    @PROPERTY
+    @given(
+        kind=st.sampled_from(["sequential", "strided", "uniform", "zipf",
+                              "pointer_chase", "hot_cold"]),
+        field=st.sampled_from(["wss", "step"]),
+        value=st.integers(-(2**63), 0),
+    )
+    def test_zero_or_negative_size(self, kind, field, value):
+        """``wss <= 0``, ``stride == 0``, ``node_bytes == 0``: the
+        divisions by zero of the generators' prologues."""
+        with pytest.raises(ValueError):
+            call_synth(with_pattern(kind=kind, **{field: value}))
+
+    @PROPERTY
+    @given(offset=st.integers(-(2**63), -1))
+    def test_negative_offset(self, offset):
+        with pytest.raises(ValueError):
+            call_synth(with_pattern(offset=offset))
+
+    @PROPERTY
+    @given(
+        field=st.sampled_from(["wss", "step", "offset"]),
+        value=st.one_of(st.integers(2**32, 2**63 - 1), st.just(2**70)),
+    )
+    def test_sizes_beyond_the_draw_range(self, field, value):
+        if field == "offset":
+            assume(value > 2**62)
+        with pytest.raises(OverflowError):
+            call_synth(with_pattern(kind="sequential", **{field: value}))
+
+    @PROPERTY
+    @given(
+        field=st.sampled_from(["alpha", "hot_fraction", "hot_probability"]),
+        kind=st.sampled_from(["zipf", "hot_cold"]),
+    )
+    def test_nan_parameter(self, field, kind):
+        with pytest.raises(ValueError):
+            call_synth(with_pattern(kind=kind, **{field: float("nan")}))
+
+    @PROPERTY
+    @given(
+        row=st.one_of(
+            st.sampled_from([None, 5, "uniform", ["uniform", 4096, 64, 0.9, 0.1, 0.9, 0]]),
+            st.just(("uniform", 4096, 64)),
+            st.just(("uniform", 4096.0, 64, 0.9, 0.1, 0.9, 0)),
+            st.just(("uniform", 4096, 64, "a", 0.1, 0.9, 0)),
+            st.just((b"uniform", 4096, 64, 0.9, 0.1, 0.9, 0)),
+        )
+    )
+    def test_malformed_pattern_row(self, row):
+        with pytest.raises(TypeError):
+            call_synth(synth_args(patterns=[BACKGROUND, row]))
+
+    @PROPERTY
+    @given(
+        cum=st.one_of(
+            st.just([]),
+            st.just([1.0]),
+            st.just([0.2, 0.5, 1.0]),
+            st.just([0.6, 0.5]),
+            st.just([-0.5, 1.0]),
+            st.just([float("nan"), 1.0]),
+            st.just([0.5, float("nan")]),
+        )
+    )
+    def test_bad_weights(self, cum):
+        """Empty, one per pattern or not, non-monotone, negative, NaN."""
+        with pytest.raises(ValueError):
+            call_synth(synth_args(cum_weights=cum))
+
+    @PROPERTY
+    @given(cum=st.sampled_from([None, 5, [None, 1.0], ["a", "b"]]))
+    def test_weights_of_the_wrong_type(self, cum):
+        with pytest.raises(TypeError):
+            call_synth(synth_args(cum_weights=cum))
+
+    def test_no_patterns(self):
+        with pytest.raises(ValueError):
+            call_synth(synth_args(patterns=[], cum_weights=[], states=mt_states(1)))
+
+    @PROPERTY
+    @given(level=st.sampled_from([2, 4]), ways=st.integers(-(2**63), 0))
+    def test_zero_ways(self, level, ways):
+        geometry = list(synth_args()["geometry"])
+        geometry[level] = ways
+        with pytest.raises(ValueError):
+            call_synth(synth_args(geometry=tuple(geometry)))
+
+    @PROPERTY
+    @given(level=st.sampled_from([1, 3]), sets=st.integers(0, 300), ways=st.integers(1, 4))
+    def test_set_count_must_be_a_power_of_two(self, level, sets, ways):
+        """The same check, and the same words, as ``Cache.__init__``."""
+        assume(sets & (sets - 1) or sets == 0)
+        geometry = list(synth_args()["geometry"])
+        geometry[level], geometry[level + 1] = sets * ways * 64, ways
+        with pytest.raises(ValueError, match="set count must be a power of two"):
+            call_synth(synth_args(geometry=tuple(geometry)))
+        from repro.proc.cache import Cache
+
+        with pytest.raises(ValueError, match="set count must be a power of two"):
+            Cache(sets * ways * 64, ways, 64)
+
+    def test_capacity_must_divide_into_ways(self):
+        with pytest.raises(ValueError, match="capacity must divide evenly into ways"):
+            call_synth(synth_args(geometry=(64, 512, 3, 1024, 2)))
+
+    @PROPERTY
+    @given(
+        geometry=st.sampled_from(
+            [None, 5, (64, 512, 2, 1024), (64, 512, 2, 1024, 2, 2),
+             (64.0, 512, 2, 1024, 2), (64, "512", 2, 1024, 2)]
+        )
+    )
+    def test_malformed_geometry(self, geometry):
+        with pytest.raises(TypeError):
+            call_synth(synth_args(geometry=geometry))
+
+    @PROPERTY
+    @given(
+        position=st.sampled_from([0, 1, 3]),
+        value=st.one_of(st.integers(-(2**63), 0), st.integers(2**40, 2**63 - 1)),
+    )
+    def test_geometry_out_of_range(self, position, value):
+        """Non-positive sizes are errors; a level too large for the
+        kernel's flat arrays is the caller's cue to run interpreted."""
+        geometry = list(synth_args()["geometry"])
+        geometry[position] = value
+        with pytest.raises((ValueError, OverflowError)):
+            call_synth(synth_args(geometry=tuple(geometry)))
+
+    @PROPERTY
+    @given(warmup=st.integers(-(2**63), -1))
+    def test_negative_warmup(self, warmup):
+        with pytest.raises(ValueError):
+            call_synth(synth_args(warmup_refs=warmup))
+
+    @PROPERTY
+    @given(misses=st.integers(-(2**63), 0))
+    def test_unbounded_run_is_refused(self, misses):
+        """``CacheHierarchy.run`` never returns from an infinite stream
+        without a budget; the kernel refuses instead of spinning."""
+        with pytest.raises(ValueError):
+            call_synth(synth_args(max_llc_misses=misses))
+
+    @PROPERTY
+    @given(
+        gap=st.one_of(st.integers(-(2**63), -1), st.integers(2**31, 2**63 - 1)),
+    )
+    def test_gap_out_of_range(self, gap):
+        with pytest.raises((ValueError, OverflowError)):
+            call_synth(synth_args(gap_instructions=gap))
+
+    def test_nan_write_fraction(self):
+        with pytest.raises(ValueError):
+            call_synth(synth_args(write_fraction=float("nan")))
+
+    @PROPERTY
+    @given(
+        kind=st.sampled_from(["sequential", "strided", "uniform", "zipf",
+                              "pointer_chase", "hot_cold"]),
+        wss=st.integers(1, 2**32 - 1),
+        step=st.integers(1, 2**32 - 1),
+        alpha=st.floats(allow_nan=False),
+        hot_fraction=st.floats(allow_nan=False),
+        hot_probability=st.floats(allow_nan=False),
+        offset=st.integers(0, 2**62),
+        write_fraction=st.floats(allow_nan=False),
+        gap=st.integers(0, 2**31 - 1),
+        warmup=st.integers(0, 200),
+        misses=st.integers(1, 40),
+    )
+    def test_any_in_range_table_runs_or_is_refused(
+        self, kind, wss, step, alpha, hot_fraction, hot_probability, offset,
+        write_fraction, gap, warmup, misses,
+    ):
+        """Every representable parameter value, extremes included: a
+        well-formed trace or a clean refusal (a zipf power that
+        overflows, a hot region past 32 bits)."""
+        args = with_pattern(
+            kind=kind, wss=wss, step=step, alpha=alpha, hot_fraction=hot_fraction,
+            hot_probability=hot_probability, offset=offset,
+        )
+        args.update(
+            write_fraction=write_fraction, gap_instructions=gap,
+            warmup_refs=warmup, max_llc_misses=misses,
+        )
+        try:
+            result = call_synth(args)
+        except OverflowError:
+            return
+        assert_well_formed(result, misses)
+
+
+class TestMtDrawsBoundary:
+    @PROPERTY
+    @given(words=st.integers(0, 2 * MT_WORDS).filter(lambda n: n != MT_WORDS))
+    def test_state_of_the_wrong_length(self, words):
+        with pytest.raises(ValueError):
+            CORE.mt_draws(array("I", bytes(4 * words)), 3, 5)
+
+    @PROPERTY
+    @given(index=st.integers(MT_WORDS, 2**32 - 1))
+    def test_index_outside_the_state(self, index):
+        state = mt_states(1)
+        state[-1] = index
+        with pytest.raises(ValueError):
+            CORE.mt_draws(state, 3, 5)
+
+    @PROPERTY
+    @given(
+        n=st.one_of(st.integers(2**32, 2**64 - 1), st.integers(-(2**63), -1)),
+    )
+    def test_modulus_outside_32_bits(self, n):
+        with pytest.raises(SYNTH_REJECTED):
+            CORE.mt_draws(mt_states(1), n, 5)
+
+    @PROPERTY
+    @given(state=st.sampled_from([None, 5, [0] * MT_WORDS, array("i", bytes(4 * MT_WORDS))]))
+    def test_state_of_the_wrong_type(self, state):
+        with pytest.raises(TypeError):
+            CORE.mt_draws(state, 3, 5)
+
+    def test_negative_count(self):
+        with pytest.raises(ValueError):
+            CORE.mt_draws(mt_states(1), 3, -1)
 
 
 # ---------------------------------------------------------------------------

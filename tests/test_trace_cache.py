@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import ProcessorConfig
-from repro.proc.hierarchy import CacheHierarchy, MissEvent, MissTrace
+from repro.proc.hierarchy import MissEvent, MissTrace
 from repro.sim.runner import SimulationRunner
 from repro.sim.trace_cache import TraceCache, trace_key
 
@@ -126,7 +126,7 @@ class TestRunnerDiskCache:
         def boom(*args, **kwargs):
             raise AssertionError("trace was re-simulated despite disk cache")
 
-        monkeypatch.setattr(CacheHierarchy, "run", boom)
+        monkeypatch.setattr("repro.sim.runner.synthesize_trace", boom)
         second = SimulationRunner(misses_per_benchmark=150, cache_dir=tmp_path)
         reloaded = second.trace("gob")
         assert reloaded == trace
