@@ -13,9 +13,7 @@ import os
 
 import pytest
 
-from repro.eval.table_cache import FIGURE_CACHE_ENV
-from repro.sim.result_cache import RESULT_CACHE_ENV
-from repro.sim.trace_cache import CACHE_ENV
+from repro.sim.store import CACHE_ENV, FIGURE_CACHE_ENV, RESULT_CACHE_ENV
 
 
 @pytest.fixture(autouse=True, scope="session")

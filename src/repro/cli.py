@@ -72,9 +72,8 @@ from repro.eval import (
 )
 from repro.sim.native import build_hint, native_available
 from repro.sim.replay import REPLAY_ENV, REPLAY_MODES, resolve_replay_mode
-from repro.sim.result_cache import RESULT_CACHE_ENV
-from repro.sim.trace_cache import CACHE_ENV
 from repro.sim.runner import FORCE_ENV, WORKERS_ENV
+from repro.sim.store import CACHE_ENV, RESULT_CACHE_ENV
 from repro.storage import STORAGE_ENV
 
 EXPERIMENTS: Dict[str, Callable[[], None]] = {

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.eval.table_cache import cached_figure_table
 from repro.sim.runner import SimulationRunner
+from repro.sim.store import cached_figure_table
 from repro.workloads.spec import benchmark_names
 
 #: Capacities of the Fig. 5 sweep, in bytes.
@@ -47,7 +47,7 @@ def run(
     The same sweep is available declaratively as
     :func:`repro.eval.sweeps.fig5_sweep`. The assembled table is
     memoised on disk keyed by every cell's canonical identity
-    (:mod:`repro.eval.table_cache`); ``--force`` refreshes it.
+    (:mod:`repro.sim.store`); ``--force`` refreshes it.
     """
     runner = SimulationRunner(misses_per_benchmark=misses)
     names = list(benchmarks) if benchmarks is not None else benchmark_names()

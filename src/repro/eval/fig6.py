@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Sequence
 
-from repro.eval.table_cache import cached_figure_table
 from repro.sim.metrics import format_table, slowdown_table
 from repro.sim.runner import SimulationRunner
+from repro.sim.store import cached_figure_table
 from repro.workloads.spec import benchmark_names
 
 #: Schemes of Fig. 6 in plot order.
@@ -28,7 +28,7 @@ def run(
 
     The assembled table is memoised on disk keyed by every cell's
     canonical identity — scheme specs, benchmarks, trace parameters and
-    the insecure baselines (:mod:`repro.eval.table_cache`); ``--force``
+    the insecure baselines (:mod:`repro.sim.store`); ``--force``
     refreshes it.
     """
     runner = SimulationRunner(misses_per_benchmark=misses)

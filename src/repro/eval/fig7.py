@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analytic.bandwidth import recursion_breakdown, unified_access_bytes
-from repro.eval.table_cache import cached_figure_table
 from repro.sim.runner import SimulationRunner
+from repro.sim.store import cached_figure_table
 from repro.utils.units import GiB
 
 #: Schemes of Fig. 7 in plot order, with their Unified-tree parameters
@@ -90,7 +90,7 @@ def run(
     :func:`repro.eval.sweeps.fig7_rates_from_report` — skipping the
     in-line measurement entirely. The measured rates are memoised on
     disk keyed by every consumed cell's canonical identity
-    (:mod:`repro.eval.table_cache`); ``--force`` refreshes them.
+    (:mod:`repro.sim.store`); ``--force`` refreshes them.
     """
     bars: List[Fig7Bar] = []
     if rates is None:

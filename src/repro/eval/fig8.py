@@ -13,9 +13,9 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from repro.config import ProcessorConfig
 from repro.dram.config import DramConfig
-from repro.eval.table_cache import cached_figure_table
 from repro.sim.metrics import format_table, slowdown_table
 from repro.sim.runner import SimulationRunner
+from repro.sim.store import cached_figure_table
 from repro.workloads.spec import benchmark_names
 
 #: Fig. 8 scheme row order with the per-scheme cell overrides.
@@ -54,7 +54,7 @@ def run(
     Returns (slowdowns, posmap_traffic) where posmap_traffic maps scheme
     to average PosMap bytes per access. The assembled pair is memoised
     on disk keyed by every cell's canonical identity (baselines
-    included); ``--force`` refreshes it (:mod:`repro.eval.table_cache`).
+    included); ``--force`` refreshes it (:mod:`repro.sim.store`).
     """
     runner = _runner(misses)
     names = list(benchmarks) if benchmarks is not None else benchmark_names()

@@ -18,9 +18,9 @@ from typing import Dict, Iterable, List, Optional
 from repro.config import OramConfig, ProcessorConfig
 from repro.dram.config import DramConfig
 from repro.dram.model import DramModel
-from repro.eval.table_cache import cached_figure_table
 from repro.proc.hierarchy import MissTrace
 from repro.sim.runner import SimulationRunner
+from repro.sim.store import cached_figure_table
 from repro.utils.stats import geometric_mean
 
 #: Phantom configuration of §7.1.6.
@@ -81,7 +81,7 @@ def run(
     The assembled speedup table is memoised on disk keyed by each
     consumed PC_X32 cell's canonical identity (which already folds in
     the trace parameters the Phantom replay shares); ``--force``
-    refreshes it (:mod:`repro.eval.table_cache`).
+    refreshes it (:mod:`repro.sim.store`).
     """
     proc = ProcessorConfig(line_bytes=PHANTOM_LINE_BYTES)
     runner = SimulationRunner(proc=proc, misses_per_benchmark=misses)

@@ -13,7 +13,7 @@ from typing import Dict, Tuple
 from repro.config import OramConfig
 from repro.dram.config import DramConfig
 from repro.dram.model import DramModel
-from repro.eval.table_cache import cached_figure_table
+from repro.sim.store import cached_figure_table
 
 #: Paper-reported cycles per channel count.
 PAPER_LATENCY = {1: 2147, 2: 1208, 4: 697, 8: 463}
@@ -29,7 +29,7 @@ def run(
 ) -> Dict[int, float]:
     """ORAM tree latency (processor cycles) per channel count.
 
-    Purely analytic, so the memoised table (:mod:`repro.eval.table_cache`)
+    Purely analytic, so the memoised table (:mod:`repro.sim.store`)
     is keyed by the closed-form model's parameters rather than simulation
     cell digests; ``REPRO_FORCE=1`` refreshes it.
     """

@@ -13,7 +13,7 @@ from typing import Dict, Tuple
 import dataclasses
 
 from repro.area.model import AreaBreakdown, AreaModel
-from repro.eval.table_cache import cached_figure_table
+from repro.sim.store import cached_figure_table
 
 #: Paper values: {channels: (frontend%, posmap%, plb%, pmmac%, misc%,
 #: backend%, stash%, aes%, total_mm2)}.
@@ -30,7 +30,7 @@ PAPER_LAYOUT_TOTAL_MM2 = 0.47
 def run(channel_counts: Tuple[int, ...] = (1, 2, 4)) -> Dict[int, AreaBreakdown]:
     """Post-synthesis breakdown per channel count (default PLB/PosMap 8 KB).
 
-    Purely analytic, so the memoised table (:mod:`repro.eval.table_cache`)
+    Purely analytic, so the memoised table (:mod:`repro.sim.store`)
     is keyed by the area model's parameters; breakdowns are flattened to
     their component fields for storage and rebuilt on load.
     ``REPRO_FORCE=1`` refreshes the entry.

@@ -13,9 +13,10 @@ scheduling before it) is invisible in the output bytes.
 
 Scheduling model:
 
-- every cold cell becomes a task ``{id, kind, label, bench, spec,
-  misses, attempt}`` whose ``id`` is the runner's canonical result
-  digest — the same content-address the shared store uses;
+- every cold cell becomes a task ``{id, label, bench, spec, misses,
+  attempt}`` whose ``id`` is the cell's canonical result digest — the
+  same content-address the shared store uses (``spec`` is null for the
+  insecure baseline);
 - idle workers pull (``need``) and receive a lease of up to
   ``lease_cap`` tasks, sized down as the queue drains so the tail
   spreads across workers;
@@ -59,7 +60,7 @@ import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import FabricError
 from repro.fabric.protocol import (
@@ -73,7 +74,7 @@ from repro.fabric.worker import runner_to_wire
 from repro.resilience import RetryPolicy
 from repro.resilience import CircuitBreaker, RpcPolicy
 from repro.sim.metrics import SimResult
-from repro.sim.runner import ProgressCallback, SimulationRunner
+from repro.sim.runner import Cell, ProgressCallback, SimulationRunner
 
 
 class _WorkerConn:
@@ -125,7 +126,7 @@ class FabricCoordinator:
         )
         # Attach the runner to the shared store so the wire image ships
         # the store's directories to every worker.
-        self.store = SharedStore.for_runner(runner)
+        self.store = SharedStore(runner)
         self.runner = self.store.attach(runner)
         self.address: Optional[Tuple[str, int]] = None
         self.counters: Dict[str, int] = {
@@ -185,29 +186,31 @@ class FabricCoordinator:
         return self.address
 
     def close(self) -> None:
-        """Shut workers down and release sockets, processes, and the store."""
-        self._closing = True
+        """Shut workers down and release sockets, processes, and the store.
+
+        The listener goes first, and a session admitted concurrently is
+        either in the snapshot below or refused by :meth:`_conn_loop`: a
+        worker still running a stolen duplicate finds its late ``result``
+        unsendable, redials, is turned away and exits 0 — instead of
+        rejoining a coordinator that will never lease to it again and
+        sitting out the ``proc.wait`` below until it is terminated.
+        """
         with self._lock:
+            self._closing = True
             conns = list(self._conns.values())
-        for conn in conns:
-            if conn.alive:
-                try:
-                    with conn.send_lock:
-                        send_message(
-                            conn.sock, {"type": "shutdown"}, "coordinator",
-                            timeout=self._rpc.timeout,
-                        )
-                except ProtocolError:
-                    pass
+        if self._server is not None:
             try:
-                conn.sock.close()
+                # close() alone does not wake a thread blocked in accept().
+                self._server.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-        if self._server is not None:
             try:
                 self._server.close()
             except OSError:
                 pass
+        for conn in conns:
+            with conn.send_lock:
+                self._hang_up(conn.sock, shutdown_frame=conn.alive)
         for proc in self._procs:
             try:
                 proc.wait(timeout=5)
@@ -218,6 +221,21 @@ class FabricCoordinator:
                 except subprocess.TimeoutExpired:
                     proc.kill()
         self.store.close()
+
+    def _hang_up(self, sock: socket.socket, shutdown_frame: bool) -> None:
+        """Close a worker's socket, first telling it to exit if asked."""
+        if shutdown_frame:
+            try:
+                send_message(
+                    sock, {"type": "shutdown"}, "coordinator",
+                    timeout=self._rpc.timeout,
+                )
+            except ProtocolError:
+                pass
+        try:
+            sock.close()
+        except OSError:
+            pass
 
     def __enter__(self) -> "FabricCoordinator":
         self.start()
@@ -290,40 +308,29 @@ class FabricCoordinator:
         except ProtocolError:
             hello = None
         if hello is None or hello.get("type") != "hello":
-            try:
-                sock.close()
-            except OSError:
-                pass
+            self._hang_up(sock, shutdown_frame=False)
             return
         ident = str(hello.get("ident") or hello.get("pid") or "?")
         session = int(hello.get("session", 1) or 1)
         with self._lock:
-            breaker = self._breakers.get(ident)
-            quarantined = breaker is not None and not breaker.allow()
-            if quarantined:
-                self.counters["quarantined_workers"] += 1
-        if quarantined:
-            # A flapping identity inside its cooldown: refuse the session
-            # so it stops churning leases. The worker sees a non-config
-            # frame and exits cleanly; a redial after the cooldown gets a
-            # half-open probe.
-            try:
-                send_message(
-                    sock, {"type": "shutdown"}, "coordinator",
-                    timeout=self._rpc.timeout,
-                )
-            except ProtocolError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
+            refused = self._closing
+            if not refused:
+                breaker = self._breakers.get(ident)
+                refused = breaker is not None and not breaker.allow()
+                if refused:
+                    self.counters["quarantined_workers"] += 1
+            if not refused:
+                index = self._next_index
+                self._next_index += 1
+                conn = _WorkerConn(index, sock, ident)
+                self._conns[index] = conn
+        if refused:
+            # A coordinator that is closing, or a flapping identity inside
+            # its cooldown: refuse the session so it stops churning
+            # leases. The worker sees a non-config frame and exits
+            # cleanly; a redial after the cooldown gets a half-open probe.
+            self._hang_up(sock, shutdown_frame=True)
             return
-        with self._lock:
-            index = self._next_index
-            self._next_index += 1
-            conn = _WorkerConn(index, sock, ident)
-            self._conns[index] = conn
         try:
             with conn.send_lock:
                 send_message(
@@ -557,10 +564,7 @@ class FabricCoordinator:
             return
         conn.alive = False
         conn.waiting = False
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
+        self._hang_up(conn.sock, shutdown_frame=False)
         self.counters["dead"] += 1
         if not self._closing:
             with self._lock:
@@ -626,81 +630,39 @@ class FabricCoordinator:
 class FabricExecutor:
     """Adapter giving :func:`~repro.sim.sweep.run_sweep` a fabric backend.
 
-    Mirrors the local executor's surface: cached cells are served (and
-    streamed through ``progress`` with ``cached=True``) without touching
-    the fabric; only cold cells become tasks. Content-addressed ids make
-    re-dispatch, stealing, and resume all idempotent.
+    Mirrors :meth:`SimulationRunner.execute`: cached cells are served
+    (and streamed through ``progress`` with ``cached=True``) without
+    touching the fabric; only cold cells become lease tasks.
+    Content-addressed ids make re-dispatch, stealing, and resume all
+    idempotent.
     """
 
     def __init__(self, coordinator: FabricCoordinator):
         self.coordinator = coordinator
 
-    def run_suite(
+    def execute(
         self,
         runner: SimulationRunner,
-        schemes,
-        benchmarks,
+        cells: Sequence[Cell],
         *,
         progress: Optional[ProgressCallback] = None,
         retry: Optional[RetryPolicy] = None,
         failures: Optional[List[dict]] = None,
     ) -> None:
         tasks: List[dict] = []
-        seen = set()
-        for scheme in schemes:
-            for name in benchmarks:
-                spec, label = runner.sized_spec(scheme, name)
-                key = runner._cell_key(spec, label, name)
-                if key in seen:
-                    continue
-                seen.add(key)
-                cached = runner._load_cached(key, label, name)
-                if cached is not None:
-                    if progress is not None:
-                        progress(label, name, cached, True)
-                    continue
-                tasks.append(
-                    {
-                        "id": key,
-                        "kind": "cell",
-                        "label": label,
-                        "bench": name,
-                        "spec": spec.to_dict(),
-                        "misses": runner.misses,
-                        "attempt": 1,
-                    }
-                )
-        if tasks:
-            self.coordinator.execute(
-                tasks, retry=retry, failures=failures, progress=progress
-            )
-
-    def baselines(
-        self,
-        runner: SimulationRunner,
-        benchmarks,
-        *,
-        progress: Optional[ProgressCallback] = None,
-        retry: Optional[RetryPolicy] = None,
-        failures: Optional[List[dict]] = None,
-    ) -> None:
-        tasks: List[dict] = []
-        for name in benchmarks:
-            key = runner.result_key("insecure", name)
-            cached = runner._load_cached(key, "insecure", name)
+        for cell in cells:
+            cached = runner._load_cached(cell)
             if cached is not None:
                 if progress is not None:
-                    progress("insecure", name, cached, True)
+                    progress(cell.label, cell.bench, cached, True)
                 continue
             tasks.append(
                 {
-                    "id": key,
-                    "kind": "insecure",
-                    "label": "insecure",
-                    "bench": name,
-                    "spec": None,
+                    "id": cell.key,
+                    "label": cell.label,
+                    "bench": cell.bench,
+                    "spec": cell.spec.to_dict() if cell.spec is not None else None,
                     "misses": runner.misses,
-                    "attempt": 1,
                 }
             )
         if tasks:

@@ -12,7 +12,7 @@ Message types (coordinator <-> worker)::
     worker -> hello      {pid, ident, session}     first frame after connect
     coord  -> config     {index, runner, heartbeat} runner spawn payload
     worker -> need       {}                        ask for a lease
-    coord  -> lease      {tasks: [{id, kind, label, bench, spec, misses,
+    coord  -> lease      {tasks: [{id, label, bench, spec, misses,
                                    attempt}, ...]}
     coord  -> shutdown   {}                        clean exit
     worker -> result     {id, result}              one finished cell

@@ -1,98 +1,70 @@
-"""Content-addressed shared store backing a fabric run.
+"""The trace + result stores every participant of a fabric run shares.
 
-The fabric does not invent a new storage format: the experiment engine
-already content-addresses every artifact — miss traces under
-:func:`~repro.sim.trace_cache.trace_key` and replay results under
-:func:`~repro.sim.result_cache.result_key`, both canonical digests of
-everything that determines the bytes. :class:`SharedStore` is the thin
-adapter that turns those two caches into the fabric's shared substrate:
+The fabric does not invent a storage format: the experiment engine
+already content-addresses every artifact (:mod:`repro.sim.store` — miss
+traces under ``trace_key``, replay results under ``result_key``).
+:class:`SharedStore` only decides *where* those two stores live for the
+duration of a run:
 
 - every worker is attached to the *same* pair of directories, so a cell
   computed by any worker (including a worker that later dies) is
   instantly reusable by every other worker, by the coordinator's own
-  pre-dispatch cache check, and by later local or fabric runs;
-- writes stay race-safe under concurrent same-key writers (two workers
-  racing one stolen cell) because both caches write via unique temp
-  files + atomic ``os.replace`` — last writer wins and both images are
-  identical by construction (content-addressing means the key *is* the
-  content identity);
-- when the runner's caches are disabled, the store provisions an
-  ephemeral directory pair for the duration of the run, so cross-worker
-  reuse works even for cache-less runs (cleaned up on :meth:`close`).
+  pre-dispatch lookup, and by later local or fabric runs — same-key
+  racers (two workers on one stolen cell) are safe by the store's
+  atomic-write rule;
+- when the runner's stores are disabled, an ephemeral directory pair is
+  provisioned for the run, so cross-worker reuse works even for
+  cache-less runs (cleaned up on :meth:`close`).
 """
 
 from __future__ import annotations
 
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional
 
-from repro.sim.result_cache import ResultCache
-from repro.sim.trace_cache import TraceCache
+from repro.sim.store import ResultCache, TraceCache
 
 
 class SharedStore:
-    """The trace + result cache pair every fabric participant shares."""
+    """The trace + result store pair every fabric participant shares."""
 
-    def __init__(
-        self,
-        trace_root: Union[str, Path, None] = None,
-        result_root: Union[str, Path, None] = None,
-    ):
+    def __init__(self, runner):
+        """Colocate with a runner's stores; ephemeral where it has none."""
+        roots = [
+            store.root if store is not None else None
+            for store in (runner.trace_cache, runner.result_cache)
+        ]
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
-        if trace_root is None or result_root is None:
+        if None in roots:
             self._tmp = tempfile.TemporaryDirectory(prefix="repro-fabric-store-")
             base = Path(self._tmp.name)
-            trace_root = trace_root if trace_root is not None else base / "traces"
-            result_root = (
-                result_root if result_root is not None else base / "results"
-            )
-        self.trace_cache = TraceCache(trace_root)
-        self.result_cache = ResultCache(result_root)
-
-    @classmethod
-    def for_runner(cls, runner) -> "SharedStore":
-        """Store colocated with a runner's caches (ephemeral where disabled)."""
-        return cls(
-            runner.trace_cache.root if runner.trace_cache is not None else None,
-            runner.result_cache.root if runner.result_cache is not None else None,
-        )
+            roots = [
+                root if root is not None else base / subdir
+                for root, subdir in zip(roots, ("traces", "results"))
+            ]
+        self.trace_cache = TraceCache(roots[0])
+        self.result_cache = ResultCache(roots[1])
 
     def attach(self, runner):
-        """A runner whose on-disk caches are this store.
+        """A runner whose on-disk stores are this pair.
 
         This is the runner image the coordinator ships to workers: the
-        derived payload carries the store's directories, so every worker
-        process reads and writes the same content-addressed entries.
+        derived payload carries the directories, so every worker process
+        reads and writes the same content-addressed entries.
         """
         return runner.derive(
             cache_dir=self.trace_cache.root,
             result_cache_dir=self.result_cache.root,
         )
 
-    # -- inventory ---------------------------------------------------------------
-
-    def __contains__(self, key: str) -> bool:
-        """Whether a *result* entry for the canonical key exists."""
-        return key in self.result_cache
-
-    def result_keys(self) -> List[str]:
-        return self.result_cache.keys()
-
-    def trace_keys(self) -> List[str]:
-        return self.trace_cache.keys()
-
-    def load_result(self, key: str):
-        """Validated result for a key (None on miss/corruption)."""
-        return self.result_cache.load(key)
-
     def stats(self) -> Dict[str, object]:
         """JSON-safe inventory snapshot for the report's resilience block."""
         return {
             "trace_root": str(self.trace_cache.root),
             "result_root": str(self.result_cache.root),
-            "traces": len(self.trace_keys()),
-            "results": len(self.result_keys()),
+            "traces": len(self.trace_cache.keys()),
+            "results": len(self.result_cache.keys()),
             "ephemeral": self._tmp is not None,
         }
 

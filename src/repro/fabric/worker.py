@@ -69,7 +69,7 @@ from repro.fabric.protocol import (
 )
 from repro.faults import fault_hook, install_from_env
 from repro.resilience import RpcPolicy
-from repro.sim.runner import SimulationRunner
+from repro.sim.runner import Cell, SimulationRunner
 from repro.spec import SchemeSpec
 
 #: Distinguishes worker instances sharing one process (thread workers in
@@ -261,11 +261,8 @@ class FabricWorker:
         try:
             fault_hook("fabric.worker", f"{label}/{bench}/{attempt}")
             runner = self._runner_for(int(task.get("misses", self._base.misses)))
-            if task["kind"] == "insecure":
-                result = runner.run_insecure(bench, attempt=attempt)
-            else:
-                spec = SchemeSpec.from_dict(task["spec"])
-                result = runner._run_cell(spec, label, bench, attempt=attempt)
+            spec = None if task["spec"] is None else SchemeSpec.from_dict(task["spec"])
+            result = runner.run_cell(Cell(task["id"], label, bench, spec), attempt)
         except CELL_FAILURES as exc:
             reply = {
                 "type": "error",

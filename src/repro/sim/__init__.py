@@ -10,12 +10,11 @@ access count.
 
 from repro.sim.metrics import SimResult, slowdown_table
 from repro.sim.replay import REPLAY_ENV, REPLAY_MODES, default_replay_mode
-from repro.sim.result_cache import ResultCache
 from repro.sim.runner import SimulationRunner
+from repro.sim.store import ResultCache, TraceCache
 from repro.sim.sweep import SweepSpec, run_sweep, sweep_table
 from repro.sim.system import insecure_cycles, replay_trace
 from repro.sim.timing import OramTimingModel
-from repro.sim.trace_cache import TraceCache
 
 __all__ = [
     "SimResult",

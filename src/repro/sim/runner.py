@@ -23,19 +23,19 @@ a CRC32 of the benchmark name, never the salted builtin ``hash`` (which
 varies with ``PYTHONHASHSEED`` and across processes). That determinism
 is what allows the scale-out layers stacked on top:
 
-- traces are persisted to an on-disk :class:`TraceCache` keyed by
-  (benchmark, seed, processor config, miss budget, warmup), so repeated
-  invocations — and every worker process — skip cache simulation;
-- trace *generation* itself is sharded across the worker pool: each cold
-  benchmark is simulated by one worker and shipped back packed, instead
-  of being generated serially in the parent;
-- finished cells are persisted to an on-disk :class:`ResultCache`, so
-  ``run_suite`` only replays cells whose configuration it has never seen
-  — a repeated invocation performs zero ``replay_trace`` calls;
-- ``run_suite`` fans the remaining cold (scheme, benchmark) matrix out
-  over a process pool (``workers=`` or ``REPRO_WORKERS``), streaming
-  completed cells through an optional ``progress`` callback, with
-  results bitwise identical to the serial path.
+- traces are persisted to an on-disk trace store
+  (:mod:`repro.sim.store`) keyed by (benchmark, seed, processor config,
+  miss budget, warmup), so repeated invocations — and every worker
+  process — skip cache simulation; cold traces are synthesised in the
+  parent (10-120 ms each) and shipped packed to the workers;
+- finished cells are persisted to the result store, so :meth:`execute`
+  only replays a :class:`Cell` whose configuration it has never seen — a
+  repeated invocation performs zero ``replay_trace`` calls;
+- :meth:`execute` fans the remaining cold cells out over a process pool
+  (``workers=`` or ``REPRO_WORKERS``), streaming completed cells through
+  an optional ``progress`` callback, with results bitwise identical to
+  the serial path. ``run_suite``, ``baselines``, ``run_one`` and
+  ``run_insecure`` are reshapes of its output.
 
 ``force=True`` (or ``REPRO_FORCE=1``, or ``python -m repro --force ...``)
 bypasses *loads* from both on-disk caches without disabling them: every
@@ -51,13 +51,9 @@ from __future__ import annotations
 import os
 import time
 import zlib
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    as_completed,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Callable,
@@ -77,10 +73,17 @@ from repro.proc.hierarchy import CacheHierarchy, MissTrace
 from repro.resilience import RetryPolicy
 from repro.sim.metrics import SimResult
 from repro.sim.native import load_native_core
-from repro.sim.result_cache import ResultCache, default_result_cache_dir, result_key
+from repro.sim.store import (
+    CACHE_ENV,
+    RESULT_CACHE_ENV,
+    ResultCache,
+    TraceCache,
+    cache_root,
+    result_key,
+    trace_key,
+)
 from repro.sim.system import insecure_cycles, replay_trace
 from repro.sim.timing import OramTimingModel, timing_for_frontend
-from repro.sim.trace_cache import TraceCache, default_cache_dir, trace_key
 from repro.spec import (
     SchemeSpec,
     decompose_spec,
@@ -105,11 +108,29 @@ SchemeLike = Union[str, SchemeSpec]
 ProgressCallback = Callable[[str, str, SimResult, bool], None]
 
 
-def _quarantine_entry(label: str, name: str, attempts: int, error: BaseException):
+@dataclass(frozen=True)
+class Cell:
+    """One unit of work: a benchmark replayed against one sized scheme.
+
+    ``key`` is the cell's result-store address (see
+    :meth:`SimulationRunner.result_key`) — also its sweep-journal key and
+    its fabric task id. ``spec`` is the scheme sized for the benchmark;
+    ``None`` is the insecure-DRAM baseline (``label == "insecure"``).
+    Picklable and self-contained: a worker needs neither the scheme
+    registry nor the sizing rules to run it.
+    """
+
+    key: str
+    label: str
+    bench: str
+    spec: Optional[SchemeSpec]
+
+
+def _quarantine_entry(cell: Cell, attempts: int, error: BaseException):
     """Report record for a cell that failed every re-dispatch."""
     return {
-        "scheme": label,
-        "benchmark": name,
+        "scheme": cell.label,
+        "benchmark": cell.bench,
         "attempts": attempts,
         "error": f"{type(error).__name__}: {error}",
     }
@@ -232,10 +253,10 @@ class SimulationRunner:
         self.onchip_entries = onchip_entries
         self.force = default_force() if force is None else bool(force)
         if cache_dir == "auto":
-            cache_dir = default_cache_dir()
+            cache_dir = cache_root(CACHE_ENV, "traces")
         self.trace_cache = TraceCache(cache_dir) if cache_dir is not None else None
         if result_cache_dir == "auto":
-            result_cache_dir = default_result_cache_dir()
+            result_cache_dir = cache_root(RESULT_CACHE_ENV, "results")
         self.result_cache = (
             ResultCache(result_cache_dir) if result_cache_dir is not None else None
         )
@@ -264,24 +285,6 @@ class SimulationRunner:
         loaded = self._trace_from_disk(bench_name)
         if loaded is not None:
             return loaded
-        return self._generate_trace(bench_name)
-
-    def _trace_from_disk(self, bench_name: str) -> Optional[MissTrace]:
-        """Disk-cache lookup only (no generation); memoises on hit.
-
-        ``force`` treats the disk cache as cold so the trace is
-        re-simulated (and the entry refreshed by :meth:`_generate_trace`).
-        """
-        if self.trace_cache is None or self.force:
-            return None
-        loaded = self.trace_cache.load(self.trace_cache_key(bench_name))
-        if loaded is not None and loaded.name == bench_name:
-            self._traces[bench_name] = loaded
-            return loaded
-        return None
-
-    def _generate_trace(self, bench_name: str) -> MissTrace:
-        """Simulate the cache hierarchy to produce (and persist) a trace."""
         rng = DeterministicRng(self.seed).fork(stable_trace_salt(bench_name))
         trace = synthesize_trace(
             benchmark(bench_name),
@@ -296,33 +299,19 @@ class SimulationRunner:
         self._traces[bench_name] = trace
         return trace
 
-    def _ensure_traces(self, names: Sequence[str], workers: int) -> None:
-        """Materialise every named trace, sharding generation over workers.
+    def _trace_from_disk(self, bench_name: str) -> Optional[MissTrace]:
+        """Disk-cache lookup only (no generation); memoises on hit.
 
-        Benchmarks already in memory or on disk are loaded in-process;
-        only genuinely cold traces are simulated, each by one worker (the
-        worker also persists it to the shared disk cache). Generation is
-        seeded per benchmark, never by pool scheduling, so sharded traces
-        are bitwise identical to locally generated ones.
+        ``force`` treats the disk cache as cold so the trace is
+        re-simulated (and the entry refreshed by :meth:`trace`).
         """
-        cold = [
-            name
-            for name in dict.fromkeys(names)
-            if name not in self._traces and self._trace_from_disk(name) is None
-        ]
-        if len(cold) < 2 or workers <= 1:
-            for name in cold:
-                self._generate_trace(name)
-            return
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(cold)),
-            initializer=_worker_init,
-            initargs=(self._spawn_payload(), {}),
-        ) as pool:
-            futures = [pool.submit(_worker_trace, name) for name in cold]
-            for future in as_completed(futures):
-                name, packed = future.result()
-                self._traces[name] = MissTrace.from_bytes(packed)
+        if self.trace_cache is None or self.force:
+            return None
+        loaded = self.trace_cache.load(self.trace_cache_key(bench_name))
+        if loaded is not None and loaded.name == bench_name:
+            self._traces[bench_name] = loaded
+            return loaded
+        return None
 
     # -- scheme specs -----------------------------------------------------------
 
@@ -394,10 +383,51 @@ class SimulationRunner:
         """Timing model matched to a frontend's tree geometry."""
         return timing_for_frontend(frontend, self.dram, self.proc_ghz)
 
-    # -- experiments ------------------------------------------------------------------
+    # -- cells --------------------------------------------------------------------
+
+    def _cell(self, label: str, bench_name: str, spec: Optional[SchemeSpec]) -> Cell:
+        canonical = "insecure" if spec is None else f"{label}::{spec.canonical()}"
+        key = result_key(
+            canonical,
+            bench_name,
+            self.seed,
+            self.proc,
+            self.dram,
+            self.proc_ghz,
+            self.misses,
+            self._warmup_refs(bench_name),
+        )
+        return Cell(key, label, bench_name, spec)
+
+    def cells(
+        self, schemes: Iterable[SchemeLike], benchmarks: Iterable[str], **overrides
+    ) -> List[Cell]:
+        """One :class:`Cell` per (scheme, benchmark), scheme-major.
+
+        ``schemes`` entries may be registered names, spec strings, or
+        SchemeSpec values; schemes that normalise to one label collapse to
+        its first occurrence. Each cell carries its own benchmark-sized
+        spec (:meth:`sized_spec`).
+        """
+        names = list(benchmarks)
+        out: List[Cell] = []
+        seen = set()
+        for scheme in schemes:
+            label = self._resolve(scheme)[2]
+            if label in seen:
+                continue
+            seen.add(label)
+            for name in names:
+                spec, _label = self.sized_spec(scheme, name, **overrides)
+                out.append(self._cell(label, name, spec))
+        return out
+
+    def baseline_cells(self, benchmarks: Iterable[str]) -> List[Cell]:
+        """The insecure-DRAM baseline cell of each benchmark."""
+        return [self._cell("insecure", name, None) for name in benchmarks]
 
     def result_key(self, scheme: SchemeLike, bench_name: str, **overrides) -> str:
-        """Result-cache key for one cell under this runner's config.
+        """Result-store key for one cell under this runner's config.
 
         ``scheme="insecure"`` keys the DRAM baseline (no spec involved);
         anything else is keyed on the display label plus the
@@ -409,82 +439,49 @@ class SimulationRunner:
         the label, so the label is part of the result's identity).
         """
         if scheme == "insecure":
-            canonical = "insecure"
-        else:
-            spec, label = self.sized_spec(scheme, bench_name, **overrides)
-            canonical = f"{label}::{spec.canonical()}"
-        return result_key(
-            canonical,
-            bench_name,
-            self.seed,
-            self.proc,
-            self.dram,
-            self.proc_ghz,
-            self.misses,
-            self._warmup_refs(bench_name),
-        )
+            return self.baseline_cells([bench_name])[0].key
+        return self.cells([scheme], [bench_name], **overrides)[0].key
 
-    def _load_cached(self, key: str, label: str, bench_name: str):
-        """Result-cache lookup for one cell (None on miss/force/no cache)."""
+    def _load_cached(self, cell: Cell) -> Optional[SimResult]:
+        """Result-store lookup for one cell (None on miss/force/no store)."""
         if self.result_cache is None or self.force:
             return None
-        cached = self.result_cache.load(key)
+        cached = self.result_cache.load(cell.key)
         if cached is not None and (cached.scheme, cached.benchmark) == (
-            label,
-            bench_name,
+            cell.label,
+            cell.bench,
         ):
             return cached
         return None
 
-    def _cell_key(self, spec: SchemeSpec, label: str, bench_name: str) -> str:
-        return result_key(
-            f"{label}::{spec.canonical()}",
-            bench_name,
-            self.seed,
-            self.proc,
-            self.dram,
-            self.proc_ghz,
-            self.misses,
-            self._warmup_refs(bench_name),
-        )
-
-    def _run_cell(
-        self, spec: SchemeSpec, label: str, bench_name: str, attempt: int = 1
-    ) -> SimResult:
-        """Replay one benchmark against one sized spec (result-cached)."""
-        fault_hook("cell", f"{label}/{bench_name}/{attempt}")
-        key = self._cell_key(spec, label, bench_name)
-        cached = self._load_cached(key, label, bench_name)
+    def run_cell(self, cell: Cell, attempt: int = 1) -> SimResult:
+        """Compute one cell in this process, through the result store."""
+        fault_hook("cell", f"{cell.label}/{cell.bench}/{attempt}")
+        cached = self._load_cached(cell)
         if cached is not None:
             return cached
-        trace = self.trace(bench_name)
-        frontend = self._build_spec(spec)
-        timing = self.timing_for(frontend)
-        result = replay_trace(
-            frontend, trace, timing, proc=self.proc, scheme=label
-        )
+        trace = self.trace(cell.bench)
+        if cell.spec is None:
+            result = insecure_cycles(trace, self.proc)
+        else:
+            frontend = self._build_spec(cell.spec)
+            result = replay_trace(
+                frontend, trace, self.timing_for(frontend), proc=self.proc,
+                scheme=cell.label,
+            )
         if self.result_cache is not None:
-            self.result_cache.store(key, result)
+            self.result_cache.store(cell.key, result)
         return result
 
     def run_one(
         self, scheme: SchemeLike, bench_name: str, **overrides
     ) -> SimResult:
         """Replay one benchmark against one scheme (result-cached)."""
-        spec, label = self.sized_spec(scheme, bench_name, **overrides)
-        return self._run_cell(spec, label, bench_name)
+        return self.run_cell(self.cells([scheme], [bench_name], **overrides)[0])
 
     def run_insecure(self, bench_name: str, attempt: int = 1) -> SimResult:
         """Insecure-DRAM baseline for one benchmark (result-cached)."""
-        fault_hook("cell", f"insecure/{bench_name}/{attempt}")
-        key = self.result_key("insecure", bench_name)
-        cached = self._load_cached(key, "insecure", bench_name)
-        if cached is not None:
-            return cached
-        result = insecure_cycles(self.trace(bench_name), self.proc)
-        if self.result_cache is not None:
-            self.result_cache.store(key, result)
-        return result
+        return self.run_cell(self.baseline_cells([bench_name])[0], attempt)
 
     def derive(self, **changes) -> "SimulationRunner":
         """A runner with constructor fields replaced, caches shared.
@@ -523,11 +520,126 @@ class SimulationRunner:
             force=self.force,
         )
 
+    # -- experiments ------------------------------------------------------------------
+
+    def execute(
+        self,
+        cells: Sequence[Cell],
+        *,
+        workers: Optional[int] = None,
+        progress: Optional[ProgressCallback] = None,
+        retry: Optional[RetryPolicy] = None,
+        failures: Optional[List[dict]] = None,
+    ) -> Dict[str, SimResult]:
+        """Get-or-compute every cell; returns ``{cell.key: result}``.
+
+        Incremental: cells present in the result store are served without
+        touching traces or frontends; only cold cells are computed — with
+        ``workers > 1``, scheme cells fan out over a process pool
+        (baselines are arithmetic on the trace and stay in this process).
+        Missing traces are synthesised here first, so workers only replay.
+        Every task derives its RNG from the runner seed alone (never from
+        pool scheduling), so parallel results are bitwise identical to
+        the serial path. ``progress`` is invoked once per cell, as it
+        completes, with (scheme label, benchmark, result, cached).
+
+        Self-healing: a cell that raises is re-dispatched under ``retry``
+        (default :meth:`RetryPolicy.from_env`) with exponential backoff —
+        a crashed pool worker rebuilds the pool, and (pool mode only)
+        ``retry.timeout`` bounds how long the suite waits without any cell
+        completing before the stalled pool is abandoned and rebuilt. A
+        cell that fails every attempt is quarantined into ``failures``
+        (and omitted from the returned mapping) when a list is supplied;
+        with ``failures=None`` the last error propagates.
+        """
+        if workers is None:
+            workers = default_workers()
+        if retry is None:
+            retry = RetryPolicy.from_env()
+        out: Dict[str, SimResult] = {}
+
+        def done(cell: Cell, result: SimResult, cached: bool) -> None:
+            out[cell.key] = result
+            if progress is not None:
+                progress(cell.label, cell.bench, result, cached)
+
+        cold: List[Cell] = []
+        for cell in cells:
+            cached = self._load_cached(cell)
+            if cached is not None:
+                done(cell, cached, True)
+            else:
+                cold.append(cell)
+        for name in dict.fromkeys(cell.bench for cell in cold):
+            self.trace(name)
+        pooled = [cell for cell in cold if cell.spec is not None]
+        if workers <= 1 or len(pooled) < 2:
+            pooled = []
+        serial = [cell for cell in cold if cell.spec is None] if pooled else cold
+        for cell in serial:
+            result = self._with_retry(cell, retry, failures)
+            if result is not None:  # else quarantined
+                done(cell, result, False)
+        if pooled:
+            self._run_cold_pool(pooled, workers, done, retry, failures)
+        return out
+
+    def run_suite(
+        self,
+        schemes: Sequence[SchemeLike],
+        benchmarks: Optional[Iterable[str]] = None,
+        *,
+        workers: Optional[int] = None,
+        progress: Optional[ProgressCallback] = None,
+        retry: Optional[RetryPolicy] = None,
+        failures: Optional[List[dict]] = None,
+        **overrides,
+    ) -> Dict[str, Dict[str, SimResult]]:
+        """All (scheme, benchmark) pairs; results[scheme label][benchmark].
+
+        :meth:`cells` then :meth:`execute` (which see for ``workers``,
+        ``progress``, ``retry`` and ``failures``), reshaped into rows
+        keyed by each scheme's normalized label in submission order;
+        quarantined cells are simply absent from their row.
+        """
+        names = list(benchmarks) if benchmarks is not None else list(SPEC_BENCHMARKS)
+        cells = self.cells(schemes, names, **overrides)
+        results = self.execute(
+            cells, workers=workers, progress=progress, retry=retry, failures=failures
+        )
+        out: Dict[str, Dict[str, SimResult]] = {}
+        for cell in cells:
+            row = out.setdefault(cell.label, {})
+            if cell.key in results:
+                row[cell.bench] = results[cell.key]
+        return out
+
+    def baselines(
+        self,
+        benchmarks: Optional[Iterable[str]] = None,
+        *,
+        workers: Optional[int] = None,
+        progress: Optional[ProgressCallback] = None,
+        retry: Optional[RetryPolicy] = None,
+        failures: Optional[List[dict]] = None,
+    ) -> Dict[str, SimResult]:
+        """Insecure baselines keyed by benchmark (cached like any cell).
+
+        Retry and quarantine semantics match :meth:`execute` (quarantined
+        benchmarks are absent from the returned mapping).
+        """
+        names = list(benchmarks) if benchmarks is not None else list(SPEC_BENCHMARKS)
+        cells = self.baseline_cells(names)
+        results = self.execute(
+            cells, workers=workers, progress=progress, retry=retry, failures=failures
+        )
+        return {
+            cell.bench: results[cell.key] for cell in cells if cell.key in results
+        }
+
     def _with_retry(
         self,
-        run_attempt: Callable[[int], SimResult],
-        label: str,
-        name: str,
+        cell: Cell,
         retry: RetryPolicy,
         failures: Optional[List[dict]],
     ) -> Optional[SimResult]:
@@ -544,113 +656,21 @@ class SimulationRunner:
             if delay:
                 time.sleep(delay)
             try:
-                return run_attempt(attempt)
+                return self.run_cell(cell, attempt)
             except KeyboardInterrupt:
                 raise
             except Exception as exc:
                 last_error = exc
         if failures is None:
             raise last_error
-        failures.append(_quarantine_entry(label, name, retry.attempts, last_error))
+        failures.append(_quarantine_entry(cell, retry.attempts, last_error))
         return None
-
-    def run_suite(
-        self,
-        schemes: Sequence[SchemeLike],
-        benchmarks: Optional[Iterable[str]] = None,
-        *,
-        workers: Optional[int] = None,
-        progress: Optional[ProgressCallback] = None,
-        retry: Optional[RetryPolicy] = None,
-        failures: Optional[List[dict]] = None,
-        **overrides,
-    ) -> Dict[str, Dict[str, SimResult]]:
-        """All (scheme, benchmark) pairs; results[scheme label][benchmark].
-
-        ``schemes`` entries may be registered names, spec strings, or
-        SchemeSpec values; the output is keyed by each scheme's normalized
-        label (duplicates collapse to one row). Incremental: cells present
-        in the result cache are served without touching traces or
-        frontends; only cold cells are replayed — with ``workers > 1``,
-        fanned out over a process pool (trace generation included). Every
-        task derives its RNG from the runner seed alone (never from pool
-        scheduling), so parallel results are bitwise identical to the
-        serial path. ``progress`` is invoked once per cell, as it
-        completes, with (scheme label, benchmark, result, cached).
-
-        Self-healing: a cell that raises is re-dispatched under ``retry``
-        (default :meth:`RetryPolicy.from_env`) with exponential backoff —
-        a crashed pool worker rebuilds the pool, and (pool mode only)
-        ``retry.timeout`` bounds how long the suite waits without any cell
-        completing before the stalled pool is abandoned and rebuilt. A
-        cell that fails every attempt is quarantined into ``failures``
-        (and omitted from the returned mapping) when a list is supplied;
-        with ``failures=None`` the last error propagates.
-        """
-        names = list(benchmarks) if benchmarks is not None else list(SPEC_BENCHMARKS)
-        if workers is None:
-            workers = default_workers()
-        if retry is None:
-            retry = RetryPolicy.from_env()
-        # One sized spec per (scheme row, benchmark) cell; rows keyed by
-        # normalized label, first occurrence wins.
-        rows: Dict[str, Dict[str, SchemeSpec]] = {}
-        for scheme in schemes:
-            _name, _deltas, label = self._resolve(scheme)
-            if label in rows:
-                continue
-            rows[label] = {
-                name: self.sized_spec(scheme, name, **overrides)[0]
-                for name in names
-            }
-        out: Dict[str, Dict[str, SimResult]] = {label: {} for label in rows}
-        cold: List[Tuple[str, str, SchemeSpec]] = []
-        for label, cell_specs in rows.items():
-            for name, spec in cell_specs.items():
-                cached = self._load_cached(
-                    self._cell_key(spec, label, name), label, name
-                )
-                if cached is not None:
-                    out[label][name] = cached
-                    if progress is not None:
-                        progress(label, name, cached, True)
-                else:
-                    cold.append((label, name, spec))
-        if cold:
-            self._ensure_traces([name for _label, name, _spec in cold], workers)
-        if cold and (workers <= 1 or len(cold) < 2):
-            for label, name, spec in cold:
-                result = self._with_retry(
-                    lambda attempt, s=spec, l=label, n=name: self._run_cell(
-                        s, l, n, attempt=attempt
-                    ),
-                    label,
-                    name,
-                    retry,
-                    failures,
-                )
-                if result is None:
-                    continue  # quarantined
-                out[label][name] = result
-                if progress is not None:
-                    progress(label, name, result, False)
-        elif cold:
-            self._run_cold_pool(
-                cold, workers, out, progress, retry, failures
-            )
-        # Restore submission order (dicts preserve insertion order);
-        # quarantined cells are simply absent from their row.
-        return {
-            label: {name: out[label][name] for name in names if name in out[label]}
-            for label in rows
-        }
 
     def _run_cold_pool(
         self,
-        cold: List[Tuple[str, str, SchemeSpec]],
+        cold: List[Cell],
         workers: int,
-        out: Dict[str, Dict[str, SimResult]],
-        progress: Optional[ProgressCallback],
+        done: Callable[[Cell, SimResult, bool], None],
         retry: RetryPolicy,
         failures: Optional[List[dict]],
     ) -> None:
@@ -662,28 +682,26 @@ class SimulationRunner:
         or a ``retry.timeout`` window with no completion abandons the
         whole round — never-ran cells keep their attempt number so fault
         plans keyed on attempts stay deterministic. Workers persist
-        results to the shared on-disk result cache themselves, so a cell
-        completed by a round that later breaks is served from the cache
+        results to the shared on-disk result store themselves, so a cell
+        completed by a round that later breaks is served from the store
         when re-dispatched.
         """
         # Ship the packed traces to every worker so no process ever
         # re-simulates one.
         packed_traces = {
             name: self._traces[name].to_bytes()
-            for name in dict.fromkeys(name for _label, name, _spec in cold)
+            for name in dict.fromkeys(cell.bench for cell in cold)
         }
-        todo: List[Tuple[str, str, SchemeSpec, int]] = [
-            (label, name, spec, 1) for label, name, spec in cold
-        ]
+        todo: List[Tuple[Cell, int]] = [(cell, 1) for cell in cold]
 
-        def requeue(cell, error: BaseException) -> None:
-            label, name, spec, attempt = cell
+        def requeue(task: Tuple[Cell, int], error: BaseException) -> None:
+            cell, attempt = task
             if attempt >= retry.attempts:
                 if failures is None:
                     raise error
-                failures.append(_quarantine_entry(label, name, attempt, error))
+                failures.append(_quarantine_entry(cell, attempt, error))
             else:
-                todo.append((label, name, spec, attempt + 1))
+                todo.append((cell, attempt + 1))
 
         round_no = 1
         while todo:
@@ -698,20 +716,15 @@ class SimulationRunner:
             broken = False
             try:
                 fut_map = {
-                    pool.submit(_worker_cell, label, name, spec, attempt): (
-                        label,
-                        name,
-                        spec,
-                        attempt,
-                    )
-                    for label, name, spec, attempt in batch
+                    pool.submit(_worker_cell, cell, attempt): (cell, attempt)
+                    for cell, attempt in batch
                 }
                 pending = set(fut_map)
                 while pending:
-                    done, pending = wait(
+                    done_futs, pending = wait(
                         pending, timeout=retry.timeout, return_when=FIRST_COMPLETED
                     )
-                    if not done:
+                    if not done_futs:
                         # Nothing completed inside the timeout window: the
                         # pool is stalled. Abandon it (a truly hung worker
                         # is left behind; a finite stall drains on its own)
@@ -723,21 +736,19 @@ class SimulationRunner:
                         for future in pending:
                             requeue(fut_map[future], stall)
                         break
-                    for future in done:
-                        cell = fut_map[future]
+                    for future in done_futs:
+                        task = fut_map[future]
                         try:
-                            label, name, result = future.result()
+                            result = future.result()
                         except KeyboardInterrupt:
                             raise
                         except BrokenProcessPool as exc:
                             broken = True
-                            requeue(cell, exc)
+                            requeue(task, exc)
                         except Exception as exc:
-                            requeue(cell, exc)
+                            requeue(task, exc)
                         else:
-                            out[label][name] = result
-                            if progress is not None:
-                                progress(label, name, result, False)
+                            done(task[0], result, False)
                     if broken:
                         # The pool is dead; cells still queued never ran,
                         # so they re-dispatch at their current attempt.
@@ -747,59 +758,6 @@ class SimulationRunner:
             finally:
                 pool.shutdown(wait=not broken, cancel_futures=True)
             round_no += 1
-
-    def baselines(
-        self,
-        benchmarks: Optional[Iterable[str]] = None,
-        *,
-        workers: Optional[int] = None,
-        progress: Optional[ProgressCallback] = None,
-        retry: Optional[RetryPolicy] = None,
-        failures: Optional[List[dict]] = None,
-    ) -> Dict[str, SimResult]:
-        """Insecure baselines keyed by benchmark (cached and fanned out).
-
-        The baseline arithmetic itself is trivial; what costs time is
-        generating any missing trace, so cold benchmarks shard their
-        trace generation across the worker pool exactly like
-        :meth:`run_suite` — and finished baselines land in the result
-        cache so ``python -m repro all`` has no serial tail work. Retry
-        and quarantine semantics match :meth:`run_suite` (quarantined
-        benchmarks are absent from the returned mapping).
-        """
-        names = list(benchmarks) if benchmarks is not None else list(SPEC_BENCHMARKS)
-        if workers is None:
-            workers = default_workers()
-        if retry is None:
-            retry = RetryPolicy.from_env()
-        out: Dict[str, SimResult] = {}
-        cold: List[str] = []
-        for name in names:
-            cached = self._load_cached(
-                self.result_key("insecure", name), "insecure", name
-            )
-            if cached is not None:
-                out[name] = cached
-                if progress is not None:
-                    progress("insecure", name, cached, True)
-            else:
-                cold.append(name)
-        if cold:
-            self._ensure_traces(cold, workers)
-            for name in cold:
-                result = self._with_retry(
-                    lambda attempt, n=name: self.run_insecure(n, attempt=attempt),
-                    "insecure",
-                    name,
-                    retry,
-                    failures,
-                )
-                if result is None:
-                    continue  # quarantined
-                out[name] = result
-                if progress is not None:
-                    progress("insecure", name, result, False)
-        return {name: out[name] for name in names if name in out}
 
 
 # -- worker-process plumbing (module level for picklability) -------------------
@@ -822,23 +780,13 @@ def _worker_init(
     }
 
 
-def _worker_cell(label: str, bench_name: str, spec: SchemeSpec, attempt: int = 1):
-    """Execute one sized (spec, benchmark) cell in the worker's runner.
+def _worker_cell(cell: Cell, attempt: int = 1) -> SimResult:
+    """Execute one cell in the worker's runner.
 
     The parent ships the fully-sized spec, so the worker neither re-sizes
     nor consults the scheme registry — custom registered schemes work
     without re-registration in the pool.
     """
     assert _WORKER_RUNNER is not None, "worker pool not initialised"
-    fault_hook("worker", f"{label}/{bench_name}/{attempt}")
-    return (
-        label,
-        bench_name,
-        _WORKER_RUNNER._run_cell(spec, label, bench_name, attempt=attempt),
-    )
-
-
-def _worker_trace(bench_name: str):
-    """Generate (or disk-load) one miss trace in a worker; returns it packed."""
-    assert _WORKER_RUNNER is not None, "worker pool not initialised"
-    return bench_name, _WORKER_RUNNER.trace(bench_name).to_bytes()
+    fault_hook("worker", f"{cell.label}/{cell.bench}/{attempt}")
+    return _WORKER_RUNNER.run_cell(cell, attempt)

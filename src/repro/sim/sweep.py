@@ -4,7 +4,7 @@ A :class:`SweepSpec` names base schemes (registry names, spec strings, or
 :class:`~repro.spec.SchemeSpec` values), a grid of spec-field axes, and a
 benchmark list; :func:`run_sweep` expands the cartesian product into
 sized ``SchemeSpec`` points and drives them through
-:meth:`~repro.sim.runner.SimulationRunner.run_suite` — so sweeps inherit
+:meth:`~repro.sim.runner.SimulationRunner.execute` — so sweeps inherit
 the whole experiment engine for free: on-disk trace/result caching
 (warm-cache sweeps replay nothing), worker-pool fan-out bitwise identical
 to serial, and per-cell progress streaming.
@@ -28,6 +28,7 @@ prints the slowdown table and writes the JSON report.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -106,6 +107,13 @@ def _parse_bench_value(axis: str, value: object) -> int:
     return parsed
 
 
+def _expand(grid) -> List[Dict[str, int]]:
+    """Cartesian product of ``(axis, values)`` pairs, last axis fastest."""
+    axes = [axis for axis, _values in grid]
+    value_axes = [values for _axis, values in grid]
+    return [dict(zip(axes, combo)) for combo in itertools.product(*value_axes)]
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A declarative sweep: base schemes x spec-field x bench-param axes.
@@ -142,41 +150,26 @@ class SweepSpec:
             seen.add(field_name)
             if not values:
                 raise SpecError(f"grid axis {field_name!r} lists no values")
-        bench_seen = set()
-        normalised: List[Tuple[str, Tuple[int, ...]]] = []
-        for axis, values in self.bench_grid:
-            if axis not in BENCH_AXES:
-                raise SpecError(
-                    f"unknown bench axis {axis!r}; choose from {BENCH_AXES}"
+        for kind, allowed in (("bench", BENCH_AXES), ("serve", SERVE_AXES)):
+            axes_seen = set()
+            normalised: List[Tuple[str, Tuple[int, ...]]] = []
+            for axis, values in getattr(self, f"{kind}_grid"):
+                if axis not in allowed:
+                    raise SpecError(
+                        f"unknown {kind} axis {axis!r}; choose from {allowed}"
+                    )
+                if axis in axes_seen:
+                    raise SpecError(f"{kind} axis {axis!r} appears twice")
+                axes_seen.add(axis)
+                if not values:
+                    raise SpecError(f"{kind} axis {axis!r} lists no values")
+                # Normalise, don't just validate: direct construction may
+                # spell values as size strings ("4MiB"); downstream consumers
+                # (names_for, runner.derive) get the parsed integers.
+                normalised.append(
+                    (axis, tuple(_parse_bench_value(axis, v) for v in values))
                 )
-            if axis in bench_seen:
-                raise SpecError(f"bench axis {axis!r} appears twice")
-            bench_seen.add(axis)
-            if not values:
-                raise SpecError(f"bench axis {axis!r} lists no values")
-            # Normalise, don't just validate: direct construction may
-            # spell values as size strings ("4MiB"); downstream consumers
-            # (names_for, runner.derive) get the parsed integers.
-            normalised.append(
-                (axis, tuple(_parse_bench_value(axis, v) for v in values))
-            )
-        object.__setattr__(self, "bench_grid", tuple(normalised))
-        serve_seen = set()
-        serve_normalised: List[Tuple[str, Tuple[int, ...]]] = []
-        for axis, values in self.serve_grid:
-            if axis not in SERVE_AXES:
-                raise SpecError(
-                    f"unknown serve axis {axis!r}; choose from {SERVE_AXES}"
-                )
-            if axis in serve_seen:
-                raise SpecError(f"serve axis {axis!r} appears twice")
-            serve_seen.add(axis)
-            if not values:
-                raise SpecError(f"serve axis {axis!r} lists no values")
-            serve_normalised.append(
-                (axis, tuple(_parse_bench_value(axis, v) for v in values))
-            )
-        object.__setattr__(self, "serve_grid", tuple(serve_normalised))
+            object.__setattr__(self, f"{kind}_grid", tuple(normalised))
         if self.serve_grid and self.bench_grid:
             raise SpecError(
                 "serve axes (tenants/shards) cannot be combined with "
@@ -287,21 +280,11 @@ class SweepSpec:
         Same ordering convention as :meth:`points`: declaration order,
         last axis varying fastest, so reports are deterministic.
         """
-        axes = [axis for axis, _values in self.bench_grid]
-        value_axes = [values for _axis, values in self.bench_grid]
-        return [
-            dict(zip(axes, combo)) for combo in itertools.product(*value_axes)
-        ]
+        return _expand(self.bench_grid)
 
     def serve_points(self) -> List[Dict[str, int]]:
         """Expanded serving-scenario combos (``[]`` when no serve axes)."""
-        if not self.serve_grid:
-            return []
-        axes = [axis for axis, _values in self.serve_grid]
-        value_axes = [values for _axis, values in self.serve_grid]
-        return [
-            dict(zip(axes, combo)) for combo in itertools.product(*value_axes)
-        ]
+        return _expand(self.serve_grid) if self.serve_grid else []
 
     def names_for(self, combo: Mapping[str, int]) -> List[str]:
         """Benchmark names for one bench-grid combo (``wss`` applied).
@@ -337,61 +320,6 @@ def sweep_order_digest(sweep: SweepSpec) -> str:
     }
     blob = json.dumps(ident, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:40]
-
-
-class LocalExecutor:
-    """The default sweep backend: this process's pool-based ``run_suite``.
-
-    :func:`run_sweep` drives every cell through an *executor* so the
-    local process pool and the distributed fabric
-    (:class:`~repro.fabric.coordinator.FabricExecutor`) are pluggable
-    behind one seam. An executor exposes ``run_suite``/``baselines``
-    mirroring the runner's methods (minus ``workers``, which is the
-    executor's own concern) plus ``stats()`` for the report's
-    resilience block (None when there is nothing to report).
-    """
-
-    def __init__(self, workers: Optional[int] = None):
-        self.workers = workers
-
-    def run_suite(
-        self,
-        runner: SimulationRunner,
-        schemes,
-        benchmarks,
-        *,
-        progress: Optional[ProgressCallback] = None,
-        retry: Optional[RetryPolicy] = None,
-        failures: Optional[List[dict]] = None,
-    ):
-        return runner.run_suite(
-            schemes,
-            benchmarks,
-            workers=self.workers,
-            progress=progress,
-            retry=retry,
-            failures=failures,
-        )
-
-    def baselines(
-        self,
-        runner: SimulationRunner,
-        benchmarks,
-        *,
-        progress: Optional[ProgressCallback] = None,
-        retry: Optional[RetryPolicy] = None,
-        failures: Optional[List[dict]] = None,
-    ):
-        return runner.baselines(
-            benchmarks,
-            workers=self.workers,
-            progress=progress,
-            retry=retry,
-            failures=failures,
-        )
-
-    def stats(self) -> Optional[Dict[str, object]]:
-        return None
 
 
 def run_sweep(
@@ -433,10 +361,12 @@ def run_sweep(
     (``resilience.interrupted = True``) after flushing the journal, so
     Ctrl-C never loses completed work.
 
-    ``executor`` selects the cell backend: None means the local
-    :class:`LocalExecutor` over ``workers`` processes; a
-    :class:`~repro.fabric.coordinator.FabricExecutor` distributes cells
-    over fabric workers (``workers`` is then ignored). The report is
+    ``executor`` selects the cell backend: None means this process's
+    :meth:`SimulationRunner.execute` over ``workers`` processes; a
+    :class:`~repro.fabric.coordinator.FabricExecutor` — anything with
+    ``execute(runner, cells, *, progress, retry, failures)`` and
+    ``stats()`` — distributes cells over fabric workers instead
+    (``workers`` is then ignored). The report is
     bit-identical either way — only ``resilience["fabric"]`` (executor
     scheduling counters) distinguishes the runs. Serve-axis sweeps run
     whole scenarios in-process and refuse a custom executor.
@@ -464,8 +394,6 @@ def run_sweep(
             resume,
             order=sweep_order_digest(sweep),
         )
-    if executor is None:
-        executor = LocalExecutor(workers)
     try:
         if sweep.serve_grid:
             return _run_serve_sweep(
@@ -475,6 +403,7 @@ def run_sweep(
             sweep,
             runner,
             points,
+            workers=workers,
             executor=executor,
             progress=progress,
             include_baselines=include_baselines,
@@ -518,7 +447,8 @@ def _run_bench_sweep(
     runner: SimulationRunner,
     points: List[Tuple[str, SchemeSpec]],
     *,
-    executor,
+    workers: Optional[int],
+    executor: Optional[object],
     progress: Optional[ProgressCallback],
     include_baselines: bool,
     retry: Optional[RetryPolicy],
@@ -531,9 +461,10 @@ def _run_bench_sweep(
     multi_miss = any("misses" in combo for combo in combos)
     failures: List[dict] = []
     counters = {"executed": 0, "from_cache": 0, "resumed": 0}
-    # One record per bench combo; cells/baselines fill in as they finish
-    # (from the journal, the result cache, or a fresh replay), so a
-    # partial report can be assembled at any interruption point.
+    # One record per bench combo; ``done[(label, benchmark)]`` fills in as
+    # cells finish (from the journal, the result cache, or a fresh
+    # replay; baselines under the label "insecure"), so a partial report
+    # can be assembled at any interruption point.
     state: List[Dict[str, object]] = []
 
     def assemble(interrupted: bool) -> Dict[str, object]:
@@ -542,15 +473,14 @@ def _run_bench_sweep(
         for rec in state:
             names = rec["names"]
             misses = rec["misses"]
-            if include_baselines:
-                for name in names:
-                    payload = rec["baselines"].get(name)
-                    if payload is not None:
-                        key = f"{name}@misses={misses}" if multi_miss else name
-                        baseline_rows[key] = payload
+            for name in names:
+                payload = rec["done"].get(("insecure", name))
+                if payload is not None:
+                    key = f"{name}@misses={misses}" if multi_miss else name
+                    baseline_rows[key] = payload
             for label, spec in points:
                 for name in names:
-                    payload = rec["cells"].get((label, name))
+                    payload = rec["done"].get((label, name))
                     if payload is None:
                         continue  # quarantined, or not reached before Ctrl-C
                     cell: Dict[str, object] = {
@@ -560,9 +490,7 @@ def _run_bench_sweep(
                         "spec": spec.to_dict(),
                         "result": payload,
                     }
-                    base = (
-                        rec["baselines"].get(name) if include_baselines else None
-                    )
+                    base = rec["done"].get(("insecure", name))
                     if base is not None:
                         cell["slowdown"] = payload["cycles"] / base["cycles"]
                     cells.append(cell)
@@ -580,7 +508,10 @@ def _run_bench_sweep(
             "baselines": baseline_rows,
             "cells": cells,
             "resilience": _resilience_section(
-                counters, failures, interrupted, fabric=executor.stats()
+                counters,
+                failures,
+                interrupted,
+                fabric=executor.stats() if executor is not None else None,
             ),
         }
 
@@ -592,60 +523,33 @@ def _run_bench_sweep(
                 if "misses" in combo
                 else runner
             )
-            # Journal keys are the runner's canonical result digests —
-            # every construction knob, seed and miss budget folded in, and
+            # Feed the runner *labels*, not spec values: the string path
+            # preserves every explicit grid delta (even one equal to a
+            # registry default) against the runner's per-benchmark sizing.
+            phases = [cell_runner.cells(labels, names)]
+            if include_baselines:
+                phases.append(cell_runner.baseline_cells(names))
+            # Journal keys are the cells' canonical result digests — every
+            # construction knob, seed and miss budget folded in, and
             # identical across resume boundaries by construction.
-            keymap = {
-                (label, name): cell_runner._cell_key(
-                    cell_runner.sized_spec(label, name)[0], label, name
-                )
-                for label in labels
-                for name in names
-            }
-            base_keys = {
-                name: cell_runner.result_key("insecure", name) for name in names
-            }
+            keys = {(c.label, c.bench): c.key for cells in phases for c in cells}
             rec: Dict[str, object] = {
                 "names": names,
                 "misses": cell_runner.misses,
-                "cells": {},
-                "baselines": {},
+                "done": {},
             }
             state.append(rec)
-            for cell_id, key in keymap.items():
-                if key in completed:
-                    rec["cells"][cell_id] = completed[key]["result"]
-                    counters["resumed"] += 1
-            if include_baselines:
-                for name, key in base_keys.items():
-                    if key in completed:
-                        rec["baselines"][name] = completed[key]["result"]
-                        counters["resumed"] += 1
 
-            def journal(
-                label,
-                name,
-                result,
-                cached,
-                rec=rec,
-                keymap=keymap,
-                base_keys=base_keys,
-                misses=cell_runner.misses,
-            ):
+            def journal(label, name, result, cached):
                 payload = dataclasses.asdict(result)
-                if label == "insecure":
-                    key = base_keys[name]
-                    rec["baselines"][name] = payload
-                else:
-                    key = keymap[(label, name)]
-                    rec["cells"][(label, name)] = payload
+                rec["done"][(label, name)] = payload
                 if ckpt is not None:
                     ckpt.record(
-                        key,
+                        keys[(label, name)],
                         {
                             "scheme": label,
                             "benchmark": name,
-                            "misses": misses,
+                            "misses": cell_runner.misses,
                             "result": payload,
                         },
                     )
@@ -656,45 +560,21 @@ def _run_bench_sweep(
                 if progress is not None:
                     progress(label, name, result, cached)
 
-            owed = {
-                label: [n for n in names if (label, n) not in rec["cells"]]
-                for label in labels
-            }
-            # Feed the runner *labels*, not spec values: the string path
-            # preserves every explicit grid delta (even one equal to a
-            # registry default) against the runner's per-benchmark sizing.
-            if all(len(missing) == len(names) for missing in owed.values()):
-                # Fresh combo: one full-matrix call keeps cross-scheme
-                # executor parallelism (pool or fabric alike).
-                executor.run_suite(
-                    cell_runner,
-                    labels,
-                    names,
-                    progress=journal,
-                    retry=retry,
-                    failures=failures,
-                )
+            for cell in (cell for cells in phases for cell in cells):
+                entry = completed.get(cell.key)
+                if entry is not None:
+                    rec["done"][(cell.label, cell.bench)] = entry["result"]
+                    counters["resumed"] += 1
+            if executor is None:
+                execute = functools.partial(cell_runner.execute, workers=workers)
             else:
-                for label, missing in owed.items():
-                    if missing:
-                        executor.run_suite(
-                            cell_runner,
-                            [label],
-                            missing,
-                            progress=journal,
-                            retry=retry,
-                            failures=failures,
-                        )
-            if include_baselines:
-                missing_base = [n for n in names if n not in rec["baselines"]]
-                if missing_base:
-                    executor.baselines(
-                        cell_runner,
-                        missing_base,
-                        progress=journal,
-                        retry=retry,
-                        failures=failures,
-                    )
+                execute = functools.partial(executor.execute, cell_runner)
+            # Scheme cells, then baselines; one call per phase keeps
+            # cross-scheme executor parallelism (pool or fabric alike).
+            for cells in phases:
+                owed = [cell for cell in cells if cell.key not in completed]
+                if owed:
+                    execute(owed, progress=journal, retry=retry, failures=failures)
     except KeyboardInterrupt:
         raise SweepInterrupted(
             "sweep interrupted; completed cells are journaled",

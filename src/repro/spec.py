@@ -13,7 +13,7 @@ hand-threaded keyword arguments:
 - ``with_(**changes)`` derives variations (unknown fields raise
   :class:`~repro.errors.SpecError` naming the valid ones);
 - ``canonical()`` is a stable, total serialization used by the on-disk
-  :class:`~repro.sim.result_cache.ResultCache` as its cache key — every
+  result store (:func:`~repro.sim.store.result_key`) as its key — every
   knob re-keys automatically, with no hand-maintained argument list;
 - ``build()`` constructs the frontend via each frontend's ``from_spec``,
   bit-identical to the historical preset factories (pinned by the

@@ -8,9 +8,7 @@ import pytest
 
 from repro.config import OramConfig
 from repro.crypto.suite import CryptoSuite
-from repro.eval.table_cache import FIGURE_CACHE_ENV
-from repro.sim.result_cache import RESULT_CACHE_ENV
-from repro.sim.trace_cache import CACHE_ENV
+from repro.sim.store import CACHE_ENV, FIGURE_CACHE_ENV, RESULT_CACHE_ENV
 from repro.utils.rng import DeterministicRng
 
 

@@ -14,12 +14,10 @@ import warnings
 import pytest
 
 from repro.errors import CacheCorruptionWarning, FaultKillPoint
-from repro.eval.table_cache import FigureTableCache
 from repro.faults import injected
 from repro.proc.hierarchy import MissEvent, MissTrace
 from repro.sim.metrics import SimResult
-from repro.sim.result_cache import ResultCache
-from repro.sim.trace_cache import TraceCache
+from repro.sim.store import FigureTableCache, ResultCache, TraceCache
 
 
 def _trace(tag: int) -> MissTrace:
@@ -51,6 +49,23 @@ CACHES = [
     pytest.param(TraceCache, _trace, "trace", id="trace"),
     pytest.param(ResultCache, _result, "result", id="result"),
     pytest.param(FigureTableCache, _table, "figure", id="figure"),
+]
+
+#: Entry bodies that parse as JSON but are no entry of the kind: damage
+#: the per-exception-type handlers used to let through as AttributeError
+#: (``payload.get`` on a list) or TypeError (an unhashable table key).
+#: A bare list or scalar *is* a table the figure codec carries, so the
+#: figure kind takes only the two malformed ``__kv__`` bodies.
+WRONG_SHAPES = [
+    pytest.param(*cache.values, body, id=f"{cache.id}-{body.decode()}")
+    for cache in CACHES
+    for body in (
+        b"[]",
+        b"null",
+        b"3",
+        b'{"__kv__": 3}',
+        b'{"__kv__": [[["a"], 1]]}',
+    )[3 if cache.id == "figure" else 0:]
 ]
 
 #: Kill-point -> which committed value must survive the crash.
@@ -109,6 +124,20 @@ class TestCorruptEntryFallback:
         assert cache.corrupt_evictions == 1
         assert not cache.path_for("k").exists()  # evicted, not left rotting
         # The slot is reusable immediately.
+        assert cache.store("k", payload(2))
+        assert cache.load("k") == payload(2)
+
+    @pytest.mark.parametrize("factory, payload, kind, body", WRONG_SHAPES)
+    def test_wrong_shape_entry_is_counted_warned_eviction(
+        self, tmp_path, factory, payload, kind, body
+    ):
+        cache = factory(tmp_path / kind)
+        assert cache.store("k", payload(1))
+        cache.path_for("k").write_bytes(body)
+        with pytest.warns(CacheCorruptionWarning, match="evicted corrupt"):
+            assert cache.load("k") is None
+        assert (cache.corrupt_evictions, cache.misses, cache.hits) == (1, 1, 0)
+        assert not cache.path_for("k").exists()
         assert cache.store("k", payload(2))
         assert cache.load("k") == payload(2)
 

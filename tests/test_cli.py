@@ -6,9 +6,8 @@ import pytest
 
 from repro.cli import EXPERIMENTS, main
 from repro.sim.replay import REPLAY_ENV
-from repro.sim.result_cache import RESULT_CACHE_ENV
 from repro.sim.runner import FORCE_ENV, WORKERS_ENV
-from repro.sim.trace_cache import CACHE_ENV
+from repro.sim.store import CACHE_ENV, RESULT_CACHE_ENV
 from repro.storage import STORAGE_ENV
 
 

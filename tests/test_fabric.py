@@ -351,6 +351,55 @@ class TestFabricLockstep:
             coordinator.close()
 
 
+class TestClose:
+    def test_hello_while_closing_is_refused_with_shutdown(self, tmp_path):
+        """A worker dialling a closing coordinator is turned away, not configured.
+
+        ``close()`` wakes the accept thread, but a redial can already be
+        past ``accept`` by then; the refusal is what keeps it from
+        joining a coordinator that will never lease to it.
+        """
+        coordinator = FabricCoordinator(_runner(tmp_path, "c"), spawn=0)
+        host, port = coordinator.start()
+        codes = []
+        try:
+            coordinator._closing = True  # close() has begun; listener still up
+            worker = FabricWorker(host, port)
+            thread = threading.Thread(target=lambda: codes.append(worker.run()))
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        finally:
+            coordinator.close()
+        assert codes == [0]
+        assert worker.index is None  # no config frame ever reached it
+        assert coordinator.counters["workers_joined"] == 0
+        assert coordinator._conns == {}
+
+    def test_close_stops_listening(self, tmp_path):
+        """``close()`` wakes the accept thread instead of leaving it one more accept."""
+        coordinator = FabricCoordinator(_runner(tmp_path, "l"), spawn=0)
+        host, port = coordinator.start()
+        thread = _start_worker(host, port)
+        try:
+            # A joined worker means the accept thread is back in accept().
+            deadline = time.time() + 10
+            while (
+                coordinator.counters["workers_joined"] < 1
+                and time.time() < deadline
+            ):
+                time.sleep(0.01)
+            assert coordinator.counters["workers_joined"] == 1
+        finally:
+            coordinator.close()
+        coordinator._accept_thread.join(timeout=5)
+        assert not coordinator._accept_thread.is_alive()
+        with pytest.raises(OSError):
+            socket.create_connection((host, port), timeout=1).close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
 class TestFabricResume:
     def test_local_interrupt_resumes_on_the_fabric(self, tmp_path):
         """A journal written locally finishes on the fabric, bit-identically."""
@@ -486,3 +535,37 @@ class TestSpawnedWorkers:
         assert fabric["respawned"] >= 1
         assert _strip(report) == _strip(golden)
         assert sweep_table(report) == sweep_table(golden)
+
+    def test_duplicate_in_flight_at_close_exits_cleanly(
+        self, tmp_path, monkeypatch
+    ):
+        """A stolen duplicate still running when the sweep ends exits 0.
+
+        The two baselines are the last phase, one lease each. The plan
+        (installed per spawned process, so each process stalls on its own
+        first attempt) holds ``gob``'s worker for 0.7 s and ``hmmer``'s
+        for 1.5 s: the first goes idle, steals ``hmmer`` and is 0.7 s
+        into its own stall when the owner's result ends the sweep. Its
+        late ``result`` then finds the socket closed and its redial finds
+        no listener, so it exits on its own — ``close()`` neither waits
+        out its 5 s timeout nor terminates it.
+        """
+        golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
+        monkeypatch.setenv(
+            "REPRO_FAULTS",
+            "fabric.worker.stall@insecure/gob/1#1|secs=0.7;"
+            "fabric.worker.stall@insecure/hmmer/1#1|secs=1.5",
+        )
+        runner = _runner(tmp_path, "d")
+        coordinator = FabricCoordinator(runner, spawn=2)
+        coordinator.start()
+        try:
+            report = run_sweep(
+                _sweep(), runner, executor=FabricExecutor(coordinator)
+            )
+        finally:
+            coordinator.close()
+        assert report["resilience"]["fabric"]["stolen"] >= 1
+        assert [proc.returncode for proc in coordinator._procs] == [0, 0]
+        assert _strip(report) == _strip(golden)
+

@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fabric.store import SharedStore
+from repro.proc.hierarchy import MissEvent, MissTrace
 from repro.sim.metrics import SimResult
-from repro.sim.result_cache import ResultCache
 from repro.sim.runner import SimulationRunner
+from repro.sim.store import FigureTableCache, ResultCache, TraceCache
 
 
 def _runner(**kw) -> SimulationRunner:
@@ -84,19 +85,38 @@ class TestKeyInjectivity:
         ) != runner.result_key("PC_X32:plb=8KiB", "gob")
 
 
+def _result() -> SimResult:
+    return SimResult(
+        benchmark="gob",
+        scheme="PC_X32",
+        cycles=123.5,
+        instructions=1000,
+        llc_misses=100,
+        oram_accesses=100,
+        tree_accesses=150,
+    )
+
+
+def _trace() -> MissTrace:
+    trace = MissTrace(name="gob", instructions=1000, mem_refs=100, l1_hits=50)
+    trace.events = [MissEvent(i * 13 % 512, i % 3 == 0) for i in range(40)]
+    return trace
+
+
 class TestConcurrentWriters:
-    def test_same_key_racers_leave_one_valid_entry(self, tmp_path):
+    @pytest.mark.parametrize(
+        "factory, value",
+        [
+            pytest.param(TraceCache, _trace(), id="trace"),
+            pytest.param(ResultCache, _result(), id="result"),
+            pytest.param(
+                FigureTableCache, {"gob": {8192: 1.0}, "n": [1, 2]}, id="figure"
+            ),
+        ],
+    )
+    def test_same_key_racers_leave_one_valid_entry(self, tmp_path, factory, value):
         """N threads storing one key concurrently: one readable entry, no tmp."""
-        cache = ResultCache(tmp_path / "results")
-        result = SimResult(
-            benchmark="gob",
-            scheme="PC_X32",
-            cycles=123.5,
-            instructions=1000,
-            llc_misses=100,
-            oram_accesses=100,
-            tree_accesses=150,
-        )
+        cache = factory(tmp_path / "entries")
         barrier = threading.Barrier(8)
         errors = []
 
@@ -104,7 +124,7 @@ class TestConcurrentWriters:
             try:
                 barrier.wait(timeout=10)
                 for _ in range(25):
-                    assert cache.store("samekey", result)
+                    assert cache.store("samekey", value)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -113,12 +133,12 @@ class TestConcurrentWriters:
             t.start()
         for t in threads:
             t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
         assert cache.keys() == ["samekey"]
-        loaded = cache.load("samekey")
-        assert loaded == result
+        assert cache.load("samekey") == value
         leftovers = [
-            p for p in (tmp_path / "results").iterdir() if ".tmp." in p.name
+            p for p in (tmp_path / "entries").iterdir() if ".tmp." in p.name
         ]
         assert leftovers == []
 
@@ -126,7 +146,7 @@ class TestConcurrentWriters:
 class TestSharedStore:
     def test_ephemeral_when_runner_caches_disabled(self):
         runner = _runner()
-        store = SharedStore.for_runner(runner)
+        store = SharedStore(runner)
         try:
             stats = store.stats()
             assert stats["ephemeral"]
@@ -143,7 +163,7 @@ class TestSharedStore:
         runner = _runner(
             cache_dir=tmp_path / "traces", result_cache_dir=tmp_path / "results"
         )
-        store = SharedStore.for_runner(runner)
+        store = SharedStore(runner)
         try:
             assert not store.stats()["ephemeral"]
             assert store.trace_cache.root == runner.trace_cache.root
@@ -154,24 +174,24 @@ class TestSharedStore:
         runner.trace(  # populate something to prove the dirs still work
             "gob"
         )
-        assert store.trace_keys()
+        assert store.trace_cache.keys()
 
     def test_results_visible_through_store_inventory(self, tmp_path):
         runner = _runner(
             cache_dir=tmp_path / "traces", result_cache_dir=tmp_path / "results"
         )
-        store = SharedStore.for_runner(runner)
+        store = SharedStore(runner)
         key = runner.result_key("P_X16", "gob")
-        assert key not in store
+        assert key not in store.result_cache
         result = runner.run_one("P_X16", "gob")
-        assert key in store
-        assert store.load_result(key) == result
+        assert key in store.result_cache
+        assert store.result_cache.load(key) == result
         assert store.stats()["results"] == 1
 
     def test_attach_preserves_runner_identity(self, tmp_path):
         """Attaching only moves the caches; cell keys are unchanged."""
         runner = _runner()
-        store = SharedStore.for_runner(runner)
+        store = SharedStore(runner)
         try:
             attached = store.attach(runner)
             assert attached.result_key("P_X16", "gob") == runner.result_key(

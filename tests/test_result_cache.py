@@ -7,7 +7,7 @@ import pytest
 
 import repro.sim.runner as runner_mod
 from repro.sim.metrics import SimResult
-from repro.sim.result_cache import (
+from repro.sim.store import (
     RESULT_SCHEMA_VERSION,
     ResultCache,
     result_key,

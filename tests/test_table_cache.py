@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.eval.table_cache import (
+from repro.sim.store import (
     FIGURE_CACHE_ENV,
     FigureTableCache,
+    cache_root,
     cached_figure_table,
-    default_figure_cache_dir,
     figure_key,
 )
 from repro.sim.runner import SimulationRunner
@@ -96,7 +96,7 @@ class TestCachedFigureTable:
 
     def test_disabled_cache_builds_directly(self, runner, monkeypatch):
         monkeypatch.setenv(FIGURE_CACHE_ENV, "off")
-        assert default_figure_cache_dir() is None
+        assert cache_root(FIGURE_CACHE_ENV, "figures") is None
         assert cached_figure_table(
             "fig5", runner, ["cell"], lambda: {"v": 9}
         ) == {"v": 9}

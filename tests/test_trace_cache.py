@@ -5,7 +5,7 @@ import pytest
 from repro.config import ProcessorConfig
 from repro.proc.hierarchy import MissEvent, MissTrace
 from repro.sim.runner import SimulationRunner
-from repro.sim.trace_cache import TraceCache, trace_key
+from repro.sim.store import TraceCache, trace_key
 
 
 def sample_trace(name: str = "bench", n: int = 500) -> MissTrace:
