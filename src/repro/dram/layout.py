@@ -11,7 +11,7 @@ this is how the paper's configurations approach peak DRAM bandwidth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.dram.config import DramConfig
 
@@ -97,19 +97,20 @@ class SubtreeLayout:
         evenly over them. Grouping is by subtree, the unit the layout
         packs per row.
         """
-        groups: List[Tuple[int, int, int]] = []
-        counts: dict = {}
-        order: List[Tuple[int, int]] = []
         dram = self.dram
-        for level in range(self.levels + 1):
-            subtree_id, _ = self.subtree_of(level, leaf)
-            bank = subtree_id % dram.banks_per_channel
-            row = (subtree_id // dram.banks_per_channel) % dram.rows_per_bank
-            key = (bank, row)
-            if key not in counts:
-                counts[key] = 0
-                order.append(key)
-            counts[key] += 1
-        for bank, row in order:
-            groups.append((bank, row, counts[(bank, row)]))
-        return groups
+        k = self.subtree_levels
+        # The k levels of one layer share the subtree rooted at the
+        # layer's first level, so the path is walked a layer at a time;
+        # the dict keeps (bank, row) keys in first-appearance order and
+        # merges layers that alias onto one row.
+        counts: Dict[Tuple[int, int], int] = {}
+        layer_base = 0
+        for first in range(0, self.levels + 1, k):
+            subtree_id = layer_base + (leaf >> (self.levels - first))
+            layer_base += 1 << first
+            key = (
+                subtree_id % dram.banks_per_channel,
+                (subtree_id // dram.banks_per_channel) % dram.rows_per_bank,
+            )
+            counts[key] = counts.get(key, 0) + min(k, self.levels + 1 - first)
+        return [(bank, row, count) for (bank, row), count in counts.items()]

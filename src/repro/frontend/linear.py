@@ -80,7 +80,9 @@ class LinearFrontend(Frontend):
 
         def update(block) -> None:
             if op is Op.WRITE:
-                block.data = data
+                # A copy, never the caller's buffer: what the ORAM holds
+                # must not change without an access.
+                block.data = bytes(data)
 
         block = self.backend.access(op, addr, leaf, new_leaf, update=update)
         return AccessResult(

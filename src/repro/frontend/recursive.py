@@ -90,6 +90,45 @@ class RecursiveFrontend(Frontend):
             mode=OnChipPosMap.MODE_LEAF,
             rng=self.rng,
         )
+        # The native RecursiveKernel handle; None until enable_native_kernel().
+        self._kernel = None
+
+    def enable_native_kernel(self, core) -> None:
+        """Hand every later :meth:`access` to a native ``RecursiveKernel``.
+
+        ``core`` is only the on-switch (``None`` is a no-op; anything
+        else binds one handle, of the real module's type); idempotent.
+        The kernel is the whole of :meth:`access` in C over this
+        frontend's own containers — the on-chip table and its touched
+        bitmap, the per-level first-touch bitmaps, the statistics, the
+        RNG — driving each level's tree through its backend's own
+        ``AccessKernel``, so the Python path below and the lockstep
+        harnesses keep reading one copy of the state. It engages only
+        when every level's backend runs on an ``AccessKernel`` (columnar
+        storage) and labels fit its fixed-width arithmetic; everything
+        else keeps the Python path.
+        """
+        if core is None or self._kernel is not None:
+            return
+        from repro.sim.native import _replay_core
+
+        trees = tuple(getattr(b, "_kernel", None) for b in self.backends)
+        leaf_bytes = self.configs[0].leaf_bytes
+        if leaf_bytes > 8 or any(
+            type(tree) is not _replay_core.AccessKernel for tree in trees
+        ):
+            return
+        posmap, space = self.posmap, self.space
+        self._kernel = _replay_core.RecursiveKernel(
+            self, RecursiveFrontend.access, trees,
+            posmap._table, posmap._touched, self._touched,
+            self.rng._getrandbits,
+            (
+                self.num_levels, space.fanout, space.num_blocks,
+                posmap.entries, leaf_bytes,
+            ),
+            (AccessResult, Op.READ, Op.WRITE, ConfigurationError),
+        )
 
     @classmethod
     def from_spec(cls, spec, rng=None, observer=None) -> "RecursiveFrontend":
@@ -126,6 +165,9 @@ class RecursiveFrontend(Frontend):
         self, addr: int, op: Op = Op.READ, data: Optional[bytes] = None
     ) -> AccessResult:
         """Full Recursive ORAM access: on-chip, ORam_{H-1}..ORam_1, Data."""
+        kernel = self._kernel
+        if kernel is not None:
+            return kernel.access(addr, op, data)
         if op not in (Op.READ, Op.WRITE):
             raise ConfigurationError("processor requests are READ or WRITE")
         if op is Op.WRITE and (data is None or len(data) != self.configs[0].block_bytes):
@@ -168,7 +210,9 @@ class RecursiveFrontend(Frontend):
 
         def data_update(block) -> None:
             if op is Op.WRITE:
-                block.data = data
+                # A copy, never the caller's buffer: what the ORAM holds
+                # must not change without an access.
+                block.data = bytes(data)
 
         block = self.backends[0].access(op, addr, leaf, new_leaf, update=data_update)
         return AccessResult(

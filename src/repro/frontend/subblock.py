@@ -163,7 +163,7 @@ class SubBlockFrontend(Frontend):
 
             def update(block, k=k):
                 if op is Op.WRITE:
-                    block.data = data[k * bp : (k + 1) * bp]
+                    block.data = bytes(data[k * bp : (k + 1) * bp])
 
             block = self.backend.access(
                 op, self._sub_tag(addr, k), sub_leaf, sub_new, update=update

@@ -464,7 +464,9 @@ class PlbFrontend(Frontend):
             def update(block) -> None:
                 frontend._verify(block, addr, old_c)
                 if op is Op.WRITE:
-                    block.data = data
+                    # A copy, never the caller's buffer: what the ORAM
+                    # holds must not change without an access.
+                    block.data = bytes(data)
                 block.mac = frontend._seal(addr, new_c, block.data)
 
             result_block = self.backend.access(

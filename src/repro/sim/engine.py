@@ -133,9 +133,10 @@ class ReplayEngine:
         switch to the C spellings, every columnar backend reachable from
         the frontend (``backend`` or per-level ``backends``) is handed
         the core for its ``AccessKernel``, and then the frontend itself
-        for its ``FrontendKernel`` (PLB frontends on such a backend with
-        the fast crypto suite; anything else declines and keeps its
-        Python ``access``). Passing ``None`` is a no-op so callers can
+        for its own kernel (``FrontendKernel``: PLB frontends on such a
+        backend with the fast crypto suite; ``RecursiveKernel``: R_X8
+        with every level on such a backend; anything else declines and
+        keeps its Python ``access``). Passing ``None`` is a no-op so callers can
         write ``enable_native(load_native_core())`` unconditionally.
         """
         if core is None:

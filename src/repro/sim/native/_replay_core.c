@@ -9,8 +9,8 @@
  * - run_access_loop: the per-event driver loop (operand selection,
  *   frontend.access call, tree-access-count collection) without
  *   interpreter dispatch between events — and, for a frontend running
- *   on its FrontendKernel, without a Python frame or an AccessResult
- *   either: the slice is one C call;
+ *   on its FrontendKernel or RecursiveKernel, without a Python frame or
+ *   an AccessResult either: the slice is one C call;
  * - accumulate: the event-ordered left-fold of per-event latencies onto
  *   the running cycle count, in C doubles (bit-identical to CPython
  *   float += which performs the same IEEE-754 additions);
@@ -27,6 +27,12 @@
  *   verify and seal — over the frontend's own containers, calling the
  *   AccessKernel's tree access directly with a C visit in place of the
  *   update closure;
+ * - RecursiveKernel: a per-frontend handle whose access() is one whole
+ *   RecursiveFrontend.access (§3.2, the R_X8 baseline) — leaf-mode
+ *   on-chip lookup and remap, one tree READ per PosMap level with the
+ *   label remap as a C visit, the first-touch substitution, the data
+ *   access — over the frontend's own containers and its per-level
+ *   backends' AccessKernels, built from the FrontendKernel's own parts;
  * - blake2b: the vendored RFC 7693 hash behind that kernel's PRF and
  *   MAC (keyed mid-state per handle, byte-identical to hashlib);
  * - drain_scalar / place_greedy: the kernel's drain and placement
@@ -52,8 +58,8 @@
  * byte-identical error messages, same LIFO candidate/pool placement,
  * same float operand order. The lockstep differential harnesses
  * (tests/test_replay_differential.py, tests/test_columnar_differential.py,
- * tests/test_native_replay.py, tests/test_native_frontend.py) and the
- * golden digests enforce this.
+ * tests/test_native_replay.py, tests/test_native_frontend.py,
+ * tests/test_native_recursive.py) and the golden digests enforce this.
  *
  * Buffer discipline: a column export lives only inside one stretch of C
  * code.  It is released before every call back into Python (the update
@@ -2308,12 +2314,16 @@ raise_hex(PyObject *exc, const char *format, unsigned long long tagged,
 
 /* rng.random_leaf(levels) through the frontend's own generator. */
 static int
-fk_random_leaf(FrontendKernel *fk, long long *out)
+random_leaf(PyObject *getrandbits, int levels, long long *out)
 {
     *out = 0;
-    if (fk->tree_levels <= 0)
+    if (levels <= 0)
         return 0;
-    PyObject *drawn = PyObject_CallOneArg(fk->getrandbits, fk->levels_obj);
+    PyObject *bits = PyLong_FromLong(levels); /* a cached small int */
+    if (bits == NULL)
+        return -1;
+    PyObject *drawn = PyObject_CallOneArg(getrandbits, bits);
+    Py_DECREF(bits);
     if (drawn == NULL)
         return -1;
     int rc = PyLong_Check(drawn) ? as_int64(drawn, out) : -1;
@@ -2570,17 +2580,19 @@ new_instance(PyObject *type, PyObject *const *names, PyObject *const *values,
 
 /* -- the backend, C to C -------------------------------------------------- */
 
+/* backend.access(op, addr, leaf, new_leaf) on the tree's own handle,
+ * with a C visit in place of the update closure. */
 static int
-request_tree_access(Request *rq, PyObject *op, PyObject *addr_obj,
-                    long long leaf, long long new_leaf, Visit *visit)
+tree_access(AccessKernel *tree, PyObject *backend, PyObject *op,
+            PyObject *addr_obj, long long leaf, long long new_leaf,
+            Visit *visit)
 {
-    AccessKernel *tree = rq->tree;
     PyObject *leaf_obj = PyLong_FromLongLong(leaf);
     PyObject *new_leaf_obj = PyLong_FromLongLong(new_leaf);
     int rc = -1;
     if (leaf_obj != NULL && new_leaf_obj != NULL &&
-        bump_attr(rq->backend, str_access_count, tree->one) == 0)
-        rc = kernel_tree_access(tree, rq->backend, op, addr_obj, leaf_obj,
+        bump_attr(backend, str_access_count, tree->one) == 0)
+        rc = kernel_tree_access(tree, backend, op, addr_obj, leaf_obj,
                                 new_leaf_obj, visit);
     Py_XDECREF(leaf_obj);
     Py_XDECREF(new_leaf_obj);
@@ -2630,8 +2642,8 @@ request_fetch(Request *rq, PyObject *tag_obj, unsigned long long tagged,
 {
     FrontendKernel *fk = rq->fk;
     FetchVisit fetch = {{fetch_visit}, fk, NULL};
-    if (request_tree_access(rq, rq->tree->op_readrmv, tag_obj, leaf,
-                            new_leaf, &fetch.base) < 0) {
+    if (tree_access(rq->tree, rq->backend, rq->tree->op_readrmv, tag_obj,
+                    leaf, new_leaf, &fetch.base) < 0) {
         Py_XDECREF(fetch.mac);
         return -1;
     }
@@ -2890,6 +2902,24 @@ set_bits(uint8_t *block, long long position, int width, uint64_t value)
         p[i] = (uint8_t)(window >> (8 * i));
 }
 
+/* UncompressedPosMapFormat's entry codec: a `width`-byte little-endian
+ * leaf label. */
+static inline uint64_t
+get_label(const uint8_t *entry, int width)
+{
+    uint64_t label = 0;
+    for (int i = width - 1; i >= 0; i--)
+        label = (label << 8) | entry[i];
+    return label;
+}
+
+static inline void
+set_label(uint8_t *entry, int width, uint64_t label)
+{
+    for (int i = 0; i < width; i++, label >>= 8)
+        entry[i] = (uint8_t)label;
+}
+
 static int fk_group_remap(Request *rq, int level, unsigned long long index,
                           long long slot, u128 new_counter);
 
@@ -2911,16 +2941,11 @@ fk_remap_in_block(Request *rq, PyObject *parent, int level, Mapping *m)
 
     if (fk->format == FORMAT_UNCOMPRESSED) {
         const int width = fk->leaf_bytes;
-        uint64_t old = 0;
-        for (int i = width - 1; i >= 0; i--)
-            old = (old << 8) | block[slot * width + i];
-        m->leaf = (long long)old;
-        if (fk_random_leaf(fk, &m->new_leaf) < 0 ||
+        m->leaf = (long long)get_label(block + slot * width, width);
+        if (random_leaf(fk->getrandbits, fk->tree_levels, &m->new_leaf) < 0 ||
             (block = fk_entry_data(fk, parent)) == NULL)
             return -1;
-        uint64_t fresh = (uint64_t)m->new_leaf;
-        for (int i = 0; i < width; i++, fresh >>= 8)
-            block[slot * width + i] = (uint8_t)fresh;
+        set_label(block + slot * width, width, (uint64_t)m->new_leaf);
     }
     else {
         if (fk->format == FORMAT_FLAT) {
@@ -2990,7 +3015,7 @@ fk_remap_in_block(Request *rq, PyObject *parent, int level, Mapping *m)
     if (*byte & bit)
         return 0;
     *byte |= bit;
-    return fk_random_leaf(fk, &m->leaf);
+    return random_leaf(fk->getrandbits, fk->tree_levels, &m->leaf);
 }
 
 /* One sibling of a group remap: bookkeeping only when it is
@@ -3062,86 +3087,118 @@ fk_group_remap(Request *rq, int level, unsigned long long index,
     return rc;
 }
 
+/* The on-chip PosMap as a frontend handle binds it (all borrowed). */
+typedef struct {
+    PyObject *table, *touched, *getrandbits;
+    long long entries;
+    int levels; /* of the tree its labels address */
+} OnChip;
+
+/* Entry `index`, range-checked: the byte of its first-touch bit (good
+ * until the next call back into Python), its table item through
+ * *current (borrowed).  NULL with an exception set otherwise. */
+static uint8_t *
+onchip_entry(const OnChip *chip, unsigned long long index, PyObject **current)
+{
+    if (index >= (unsigned long long)chip->entries) {
+        PyErr_Format(PyExc_ValueError,
+                     "on-chip PosMap index %llu out of range", index);
+        return NULL;
+    }
+    uint8_t *byte = bitmap_byte(chip->touched, index);
+    if (byte == NULL)
+        return NULL;
+    if (index >= (unsigned long long)PyList_GET_SIZE(chip->table)) {
+        PyErr_Format(PyExc_IndexError,
+                     "on-chip PosMap table has no entry %llu", index);
+        return NULL;
+    }
+    *current = PyList_GET_ITEM(chip->table, (Py_ssize_t)index);
+    return byte;
+}
+
+/* table[index] = stored (a new reference, stolen; NULL is a failed
+ * boxing).  Python may have run since onchip_entry: look again. */
+static int
+onchip_store(const OnChip *chip, unsigned long long index, PyObject *stored)
+{
+    if (stored == NULL)
+        return -1;
+    if (index >= (unsigned long long)PyList_GET_SIZE(chip->table)) {
+        Py_DECREF(stored);
+        PyErr_Format(PyExc_IndexError,
+                     "on-chip PosMap table has no entry %llu", index);
+        return -1;
+    }
+    return PyList_SetItem(chip->table, (Py_ssize_t)index, stored);
+}
+
+/* OnChipPosMap.lookup_and_remap in leaf mode: the entry's label — its
+ * factory label, drawn now, on first touch — and the fresh one stored
+ * over it. */
+static int
+onchip_leaf_remap(const OnChip *chip, unsigned long long index,
+                  long long *leaf, long long *new_leaf)
+{
+    PyObject *current;
+    const uint8_t bit = (uint8_t)(1u << (index & 7));
+    uint8_t *byte = onchip_entry(chip, index, &current);
+    if (byte == NULL)
+        return -1;
+    if (*byte & bit) {
+        if (!PyLong_Check(current)) {
+            PyErr_Format(PyExc_TypeError, "leaf must be an int, not %.100s",
+                         Py_TYPE(current)->tp_name);
+            return -1;
+        }
+        int overflow;
+        *leaf = PyLong_AsLongLongAndOverflow(current, &overflow);
+        if (overflow) {
+            PyErr_Format(PyExc_ValueError, "leaf %S out of range", current);
+            return -1;
+        }
+    }
+    else {
+        if (random_leaf(chip->getrandbits, chip->levels, leaf) < 0 ||
+            (byte = bitmap_byte(chip->touched, index)) == NULL)
+            return -1;
+        *byte |= bit;
+    }
+    if (random_leaf(chip->getrandbits, chip->levels, new_leaf) < 0)
+        return -1;
+    return onchip_store(chip, index, PyLong_FromLongLong(*new_leaf));
+}
+
 /* OnChipPosMap.lookup_and_remap for the top level's entry. */
 static int
 fk_remap_onchip(Request *rq, int level, Mapping *m)
 {
     FrontendKernel *fk = rq->fk;
     const unsigned long long index = rq->chain[level];
-    PyObject *table = fk->onchip_table;
-    if (index >= (unsigned long long)fk->onchip_entries) {
-        PyErr_Format(PyExc_ValueError,
-                     "on-chip PosMap index %llu out of range", index);
-        return -1;
-    }
-    const uint8_t bit = (uint8_t)(1u << (index & 7));
-    uint8_t *byte = bitmap_byte(fk->onchip_touched, index);
-    if (byte == NULL)
-        return -1;
-    if (index >= (unsigned long long)PyList_GET_SIZE(table)) {
-        PyErr_Format(PyExc_IndexError,
-                     "on-chip PosMap table has no entry %llu", index);
-        return -1;
-    }
-    PyObject *current = PyList_GET_ITEM(table, (Py_ssize_t)index);
-    PyObject *stored;
+    const OnChip chip = {fk->onchip_table, fk->onchip_touched,
+                         fk->getrandbits, fk->onchip_entries,
+                         fk->tree_levels};
     m->old_counter = m->new_counter = 0;
-
-    if (fk->onchip_counters) {
-        u128 count;
-        if (counter_from_long(fk, current, &count) < 0)
-            return -1;
-        if (count >= UINT64_MAX) {
-            PyErr_SetString(fk->config_error, "on-chip counter overflow");
-            return -1;
-        }
-        m->old_counter = count;
-        m->new_counter = count + 1;
-        *byte |= bit;
-        stored = PyLong_FromUnsignedLongLong((unsigned long long)count + 1);
-    }
-    else {
-        if (*byte & bit) {
-            if (!PyLong_Check(current)) {
-                PyErr_Format(PyExc_TypeError,
-                             "leaf must be an int, not %.100s",
-                             Py_TYPE(current)->tp_name);
-                return -1;
-            }
-            int overflow;
-            m->leaf = PyLong_AsLongLongAndOverflow(current, &overflow);
-            if (overflow) {
-                PyErr_Format(PyExc_ValueError, "leaf %S out of range",
-                             current);
-                return -1;
-            }
-        }
-        else {
-            /* First touch: the factory label is drawn now. */
-            if (fk_random_leaf(fk, &m->leaf) < 0 ||
-                (byte = bitmap_byte(fk->onchip_touched, index)) == NULL)
-                return -1;
-            *byte |= bit;
-        }
-        if (fk_random_leaf(fk, &m->new_leaf) < 0)
-            return -1;
-        stored = PyLong_FromLongLong(m->new_leaf);
-    }
-    /* The draws called back into Python: look at the table again. */
-    if (stored != NULL &&
-        index >= (unsigned long long)PyList_GET_SIZE(table)) {
-        Py_DECREF(stored);
-        PyErr_Format(PyExc_IndexError,
-                     "on-chip PosMap table has no entry %llu", index);
-        return -1;
-    }
-    if (stored == NULL ||
-        PyList_SetItem(table, (Py_ssize_t)index, stored) < 0)
-        return -1;
     if (!fk->onchip_counters)
-        return 0;
+        return onchip_leaf_remap(&chip, index, &m->leaf, &m->new_leaf);
+
+    PyObject *current;
+    uint8_t *byte = onchip_entry(&chip, index, &current);
+    u128 count;
+    if (byte == NULL || counter_from_long(fk, current, &count) < 0)
+        return -1;
+    if (count >= UINT64_MAX) {
+        PyErr_SetString(fk->config_error, "on-chip counter overflow");
+        return -1;
+    }
+    m->old_counter = count;
+    m->new_counter = count + 1;
+    *byte |= (uint8_t)(1u << (index & 7));
     PyObject *tag_obj = request_tag(rq, level);
-    if (tag_obj == NULL ||
+    if (onchip_store(&chip, index,
+                     PyLong_FromUnsignedLongLong(
+                         (unsigned long long)count + 1)) < 0 ||
+        tag_obj == NULL ||
         fk_leaf_for(fk, tag_obj, rq->tags[level], m->old_counter,
                     &m->leaf) < 0 ||
         fk_leaf_for(fk, tag_obj, rq->tags[level], m->new_counter,
@@ -3162,6 +3219,53 @@ fk_remap_child(Request *rq, PyObject *parent, int level, Mapping *m)
     return fk_remap_in_block(rq, parent, level, m);
 }
 
+/* What every frontend's access checks before it counts the request: the
+ * op is READ or WRITE, and a WRITE carries one full block.  1 for a
+ * WRITE, 0 for a READ, -1 with the interpreted access's exception. */
+static int
+request_is_write(PyObject *op, PyObject *data, PyObject *op_read,
+                 PyObject *op_write, PyObject *config_error,
+                 Py_ssize_t block_bytes)
+{
+    if (op != op_read && op != op_write) {
+        PyErr_SetString(config_error, "processor requests are READ or WRITE");
+        return -1;
+    }
+    if (op == op_read)
+        return 0;
+    Py_ssize_t given = data == Py_None ? -2 : PyObject_Length(data);
+    if (given == -1)
+        return -1;
+    if (given != block_bytes) {
+        PyErr_SetString(PyExc_ValueError,
+                        "WRITE requires a full block of data");
+        return -1;
+    }
+    return 1;
+}
+
+/* AddressSpace.chain: a_0 = the address, a_i = a_{i-1} // X. */
+static int
+request_chain(PyObject *addr_obj, long long num_blocks, long long fanout,
+              int levels, unsigned long long *chain)
+{
+    if (!PyLong_Check(addr_obj)) {
+        PyErr_Format(PyExc_TypeError, "address must be an int, not %.100s",
+                     Py_TYPE(addr_obj)->tp_name);
+        return -1;
+    }
+    int overflow;
+    long long a0 = PyLong_AsLongLongAndOverflow(addr_obj, &overflow);
+    if (overflow || a0 < 0 || a0 >= num_blocks) {
+        PyErr_Format(PyExc_ValueError, "address %S out of range", addr_obj);
+        return -1;
+    }
+    chain[0] = (unsigned long long)a0;
+    for (int i = 1; i < levels; i++)
+        chain[i] = chain[i - 1] / (unsigned long long)fanout;
+    return 0;
+}
+
 /* PlbFrontend.access between its counters' first and last movement:
  * validation, PLB lookup loop, PosMap refills, data access.  *data_out
  * (when asked for) is AccessResult.data. */
@@ -3171,42 +3275,20 @@ fk_run(Request *rq, PyObject *addr_obj, PyObject *op, PyObject *data,
 {
     FrontendKernel *fk = rq->fk;
     const int levels = fk->space_levels;
-    if (op != fk->op_read && op != fk->op_write) {
-        PyErr_SetString(fk->config_error,
-                        "processor requests are READ or WRITE");
+    const int write = request_is_write(op, data, fk->op_read, fk->op_write,
+                                       fk->config_error, fk->block_bytes);
+    if (write < 0)
         return -1;
-    }
-    const int write = op == fk->op_write;
-    if (write) {
-        Py_ssize_t given = data == Py_None ? -2 : PyObject_Length(data);
-        if (given == -1)
-            return -1;
-        if (given != fk->block_bytes) {
-            PyErr_SetString(PyExc_ValueError,
-                            "WRITE requires a full block of data");
-            return -1;
-        }
-    }
     fk->pending[C_ACCESSES]++;
 
-    /* The chain a_0..a_{H-1} and every level's i || a_i tag. */
-    if (!PyLong_Check(addr_obj)) {
-        PyErr_Format(PyExc_TypeError, "address must be an int, not %.100s",
-                     Py_TYPE(addr_obj)->tp_name);
+    /* Every level's i || a_i tag. */
+    if (request_chain(addr_obj, fk->num_blocks, fk->fanout, levels,
+                      rq->chain) < 0)
         return -1;
-    }
-    int overflow;
-    long long a0 = PyLong_AsLongLongAndOverflow(addr_obj, &overflow);
-    if (overflow || a0 < 0 || a0 >= fk->num_blocks) {
-        PyErr_Format(PyExc_ValueError, "address %S out of range", addr_obj);
-        return -1;
-    }
-    rq->chain[0] = rq->tags[0] = (unsigned long long)a0;
+    rq->tags[0] = rq->chain[0];
     rq->tag_obj[0] = Py_NewRef(addr_obj);
-    for (int i = 1; i < levels; i++) {
-        rq->chain[i] = rq->chain[i - 1] / (unsigned long long)fk->fanout;
+    for (int i = 1; i < levels; i++)
         rq->tags[i] = ((unsigned long long)i << LEVEL_SHIFT) | rq->chain[i];
-    }
 
     /* Step 1: the PLB lookup loop. */
     PyObject *parent = NULL; /* owned */
@@ -3259,16 +3341,16 @@ fk_run(Request *rq, PyObject *addr_obj, PyObject *op, PyObject *data,
         DataVisit visit = {{data_visit}, fk, rq->tags[0], m.old_counter,
                            m.new_counter, write ? data : NULL,
                            data_out != NULL && !write, NULL};
-        if (request_tree_access(rq, op, addr_obj, m.leaf, m.new_leaf,
-                                &visit.base) < 0) {
+        if (tree_access(rq->tree, rq->backend, op, addr_obj, m.leaf,
+                        m.new_leaf, &visit.base) < 0) {
             Py_XDECREF(visit.data_out);
             goto done;
         }
         if (data_out != NULL)
             *data_out = write ? Py_NewRef(data) : visit.data_out;
     }
-    else if (request_tree_access(rq, op, addr_obj, m.leaf, m.new_leaf,
-                                 NULL) < 0)
+    else if (tree_access(rq->tree, rq->backend, op, addr_obj, m.leaf,
+                         m.new_leaf, NULL) < 0)
         goto done;
     fk->pending[C_DATA_TREE]++;
     *hit_level_out = hit_level;
@@ -3279,10 +3361,14 @@ done:
     return rc;
 }
 
-/* Fold the request's counter deltas into the Python objects.  On the
- * error path the request's own exception is the one that propagates. */
+/* Fold a request's counter deltas into the Python objects: the
+ * FrontendStats ones into frontend.stats, the rest into `owners` (the
+ * Plb, the Prf, the Mac; NULL for a frontend that moves none of them).
+ * On the error path the request's own exception is the one that
+ * propagates. */
 static int
-fk_fold_counters(FrontendKernel *fk, PyObject *frontend, int rc)
+fold_counters(const long long *pending, PyObject *frontend,
+              PyObject *const *owners, int rc)
 {
     PyObject *type = NULL, *value = NULL, *tb = NULL;
     if (rc < 0)
@@ -3290,13 +3376,13 @@ fk_fold_counters(FrontendKernel *fk, PyObject *frontend, int rc)
     PyObject *stats = PyObject_GetAttr(frontend, str_stats);
     int folded = stats == NULL ? -1 : 0;
     for (int i = 0; folded == 0 && i < N_COUNTERS; i++) {
-        if (fk->pending[i] == 0)
+        if (pending[i] == 0)
             continue;
         PyObject *owner = i < C_CLOCK       ? stats
-                          : i < C_PRF_CALLS ? fk->plb
-                          : i < C_MAC_CALLS ? fk->prf
-                                            : fk->mac;
-        PyObject *step = PyLong_FromLongLong(fk->pending[i]);
+                          : i < C_PRF_CALLS ? owners[0]
+                          : i < C_MAC_CALLS ? owners[1]
+                                            : owners[2];
+        PyObject *step = PyLong_FromLongLong(pending[i]);
         folded = step == NULL ? -1 : bump_attr(owner, counter_attr[i], step);
         Py_XDECREF(step);
     }
@@ -3310,29 +3396,45 @@ fk_fold_counters(FrontendKernel *fk, PyObject *frontend, int rc)
     return folded;
 }
 
-/* One processor request, whole.  Returns 0 with *tree_accesses_out (and
- * the optional AccessResult fields) filled in, or -1 with the interpreted
- * access's exception set and its state left behind. */
-static int
-fk_request(FrontendKernel *fk, PyObject *addr_obj, PyObject *op,
-           PyObject *data, PyObject **data_out, long *posmap_out,
-           int *hit_level_out)
+/* One processor request, whole, on a frontend handle of either type.
+ * Returns 0 with *posmap_out and *hit_level_out (and, when asked for,
+ * AccessResult.data through *data_out) filled in, or -1 with the
+ * interpreted access's exception set and its state left behind. */
+typedef int (*RequestFn)(PyObject *handle, PyObject *addr_obj, PyObject *op,
+                         PyObject *data, PyObject **data_out,
+                         long *posmap_out, int *hit_level_out);
+
+static void
+raise_owner_gone(void)
 {
+    PyErr_SetString(PyExc_ReferenceError,
+                    "the frontend of this kernel, or its backend, is gone");
+}
+
+static void
+raise_reentrant(void)
+{
+    PyErr_SetString(PyExc_RuntimeError,
+                    "re-entrant access on one frontend (from an observer "
+                    "callback)");
+}
+
+static int
+fk_request(PyObject *handle, PyObject *addr_obj, PyObject *op, PyObject *data,
+           PyObject **data_out, long *posmap_out, int *hit_level_out)
+{
+    FrontendKernel *fk = (FrontendKernel *)handle;
     AccessKernel *tree = (AccessKernel *)fk->backend_kernel;
     PyObject *frontend = PyWeakref_GetObject(fk->frontend_ref);
     PyObject *backend = PyWeakref_GetObject(tree->backend_ref);
     if (frontend == NULL || backend == NULL)
         return -1;
     if (frontend == Py_None || backend == Py_None) {
-        PyErr_SetString(PyExc_ReferenceError,
-                        "the frontend of this kernel, or its backend, is "
-                        "gone");
+        raise_owner_gone();
         return -1;
     }
     if (fk->busy || tree->busy) {
-        PyErr_SetString(PyExc_RuntimeError,
-                        "re-entrant access on one frontend (from an "
-                        "observer callback)");
+        raise_reentrant();
         return -1;
     }
     PyObject *clock_obj = PyObject_GetAttr(fk->plb, counter_attr[C_CLOCK]);
@@ -3353,7 +3455,8 @@ fk_request(FrontendKernel *fk, PyObject *addr_obj, PyObject *op,
     Py_INCREF(frontend);
     fk->busy = tree->busy = 1;
     int rc = fk_run(&rq, addr_obj, op, data, data_out, hit_level_out);
-    rc = fk_fold_counters(fk, frontend, rc);
+    PyObject *const owners[3] = {fk->plb, fk->prf, fk->mac};
+    rc = fold_counters(fk->pending, frontend, owners, rc);
     fk->busy = tree->busy = 0;
     for (int i = 0; i < fk->space_levels; i++)
         Py_XDECREF(rq.tag_obj[i]);
@@ -3365,9 +3468,10 @@ fk_request(FrontendKernel *fk, PyObject *addr_obj, PyObject *op,
     return rc;
 }
 
-/* access(addr, op, data) -> AccessResult */
+/* handle.access(addr, op, data) -> AccessResult, for either handle. */
 static PyObject *
-frontend_access(FrontendKernel *self, PyObject *const *args, Py_ssize_t nargs)
+handle_access(RequestFn request, PyObject *handle, PyObject *result_type,
+              PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 3) {
         PyErr_Format(PyExc_TypeError,
@@ -3377,8 +3481,8 @@ frontend_access(FrontendKernel *self, PyObject *const *args, Py_ssize_t nargs)
     PyObject *data = NULL;
     long posmap_accesses;
     int hit_level;
-    if (fk_request(self, args[0], args[1], args[2], &data, &posmap_accesses,
-                   &hit_level) < 0)
+    if (request(handle, args[0], args[1], args[2], &data, &posmap_accesses,
+                &hit_level) < 0)
         return NULL;
     PyObject *const names[4] = {str_data, str_tree_accesses,
                                 str_posmap_tree_accesses, str_plb_hit_level};
@@ -3388,10 +3492,17 @@ frontend_access(FrontendKernel *self, PyObject *const *args, Py_ssize_t nargs)
         PyLong_FromLong(posmap_accesses),
         PyLong_FromLong(hit_level),
     };
-    PyObject *result = new_instance(self->result_type, names, values, 4);
+    PyObject *result = new_instance(result_type, names, values, 4);
     for (int i = 0; i < 4; i++)
         Py_XDECREF(values[i]);
     return result;
+}
+
+static PyObject *
+frontend_access(FrontendKernel *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    return handle_access(fk_request, (PyObject *)self, self->result_type,
+                         args, nargs);
 }
 
 static PyMethodDef frontend_methods[] = {
@@ -3415,11 +3526,391 @@ static PyTypeObject FrontendKernelType = {
     .tp_new = frontend_new,
 };
 
-/* The engaged kernel behind `access` — a new reference through *out —
- * when `access` is the unpatched bound PlbFrontend.access of a frontend
- * running on one; NULL there when it is anything else. */
+/* ------------------------------------------------------------------ */
+/* RecursiveKernel: one Recursive ORAM request per call                */
+/* ------------------------------------------------------------------ */
+
+/* RecursiveFrontend.access (§3.2) over the frontend's own containers:
+ * the leaf-mode on-chip PosMap, then ORam_{H-1} .. ORam_1 — each one a
+ * tree READ whose visit remaps the child's label inside the PosMap
+ * block — then the Data ORAM, every tree through its own AccessKernel.
+ *
+ * Draw order on the frontend's generator, which is the interpreted
+ * order: on-chip current label (first touch only), on-chip new label;
+ * per PosMap level the child's new label (inside the visit, i.e. after
+ * the drain and before the eviction), then — first touch only, after
+ * the tree access has returned — the child's factory label.  The trees
+ * draw nothing: both leaves of an access are handed to them. */
+typedef struct {
+    PyObject_HEAD
+    union {
+        struct {
+            PyObject *frontend_ref; /* weakref to the owning frontend */
+            PyObject *access_func;  /* RecursiveFrontend.access, the function */
+            PyObject *trees;        /* tuple: level i's AccessKernel */
+            PyObject *onchip_table, *onchip_touched, *touched;
+            PyObject *getrandbits;
+            PyObject *result_type, *op_read, *op_write, *config_error;
+        };
+        PyObject *refs[11]; /* the same references, for the collector */
+    };
+    int num_levels; /* H: the data tree plus the PosMap trees */
+    int leaf_bytes, busy;
+    long long fanout, num_blocks, onchip_entries;
+    long long pending[N_COUNTERS];
+} RecursiveKernel;
+
+#define RECURSIVE_REFS \
+    (sizeof(((RecursiveKernel *)0)->refs) / sizeof(PyObject *))
+#define RK_TREE(rk, level) \
+    ((AccessKernel *)PyTuple_GET_ITEM((rk)->trees, (level)))
+
 static int
-frontend_kernel_behind(PyObject *access, FrontendKernel **out)
+recursive_traverse(RecursiveKernel *self, visitproc visit, void *arg)
+{
+    for (size_t i = 0; i < RECURSIVE_REFS; i++)
+        Py_VISIT(self->refs[i]);
+    return 0;
+}
+
+static int
+recursive_clear(RecursiveKernel *self)
+{
+    for (size_t i = 0; i < RECURSIVE_REFS; i++)
+        Py_CLEAR(self->refs[i]);
+    return 0;
+}
+
+static void
+recursive_dealloc(RecursiveKernel *self)
+{
+    PyObject_GC_UnTrack(self);
+    recursive_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyObject *
+recursive_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+{
+    PyObject *frontend, *access_func, *trees, *onchip_table, *onchip_touched,
+        *touched, *getrandbits, *result_type, *op_read, *op_write,
+        *config_error;
+    int num_levels, leaf_bytes;
+    long long fanout, num_blocks, onchip_entries;
+    if (kwargs != NULL && PyDict_GET_SIZE(kwargs) > 0) {
+        PyErr_SetString(PyExc_TypeError,
+                        "RecursiveKernel takes no keyword arguments");
+        return NULL;
+    }
+    if (!PyArg_ParseTuple(
+            args, "OOO!O!O!O!O(iLLLi)(OOOO):RecursiveKernel", &frontend,
+            &access_func, &PyTuple_Type, &trees, &PyList_Type, &onchip_table,
+            &PyByteArray_Type, &onchip_touched, &PyList_Type, &touched,
+            &getrandbits, &num_levels, &fanout, &num_blocks, &onchip_entries,
+            &leaf_bytes, &result_type, &op_read, &op_write, &config_error))
+        return NULL;
+    if (!PyCallable_Check(getrandbits) || !PyCallable_Check(access_func) ||
+        !PyType_Check(result_type) || !PyExceptionClass_Check(config_error)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "RecursiveKernel: expected two callables, the "
+                        "AccessResult class and an exception class");
+        return NULL;
+    }
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(trees); i++) {
+        if (!Py_IS_TYPE(PyTuple_GET_ITEM(trees, i), &AccessKernelType)) {
+            PyErr_SetString(PyExc_TypeError,
+                            "RecursiveKernel: every level needs its "
+                            "backend's AccessKernel");
+            return NULL;
+        }
+    }
+    int fits = num_levels >= 1 && num_levels <= FK_MAX_LEVELS &&
+               PyTuple_GET_SIZE(trees) == num_levels &&
+               PyList_GET_SIZE(touched) == num_levels && fanout >= 2 &&
+               num_blocks >= 1 && leaf_bytes >= 1 && leaf_bytes <= 8 &&
+               onchip_entries >= 1 &&
+               PyList_GET_SIZE(onchip_table) >= onchip_entries &&
+               PyByteArray_GET_SIZE(onchip_touched) >= (onchip_entries + 7) / 8;
+    /* A PosMap block of tree i holds X labels of tree i-1. */
+    for (int level = 1; fits && level < num_levels; level++) {
+        AccessKernel *parent = (AccessKernel *)PyTuple_GET_ITEM(trees, level);
+        AccessKernel *child =
+            (AccessKernel *)PyTuple_GET_ITEM(trees, level - 1);
+        fits = fanout <= parent->block_bytes / leaf_bytes &&
+               child->levels < 8 * leaf_bytes;
+    }
+    if (!fits) {
+        PyErr_SetString(PyExc_ValueError,
+                        "RecursiveKernel: geometry out of range");
+        return NULL;
+    }
+
+    RecursiveKernel *self = (RecursiveKernel *)type->tp_alloc(type, 0);
+    if (self == NULL)
+        return NULL;
+    self->num_levels = num_levels;
+    self->leaf_bytes = leaf_bytes;
+    self->fanout = fanout;
+    self->num_blocks = num_blocks;
+    self->onchip_entries = onchip_entries;
+    self->frontend_ref = PyWeakref_NewRef(frontend, NULL);
+    if (self->frontend_ref == NULL) {
+        Py_DECREF(self);
+        return NULL;
+    }
+#define BIND(field) (Py_INCREF(field), self->field = field)
+    BIND(access_func);
+    BIND(trees);
+    BIND(onchip_table);
+    BIND(onchip_touched);
+    BIND(touched);
+    BIND(getrandbits);
+    BIND(result_type);
+    BIND(op_read);
+    BIND(op_write);
+    BIND(config_error);
+#undef BIND
+    return (PyObject *)self;
+}
+
+/* The update closure of a PosMap tree's READ: UncompressedPosMapFormat
+ * .remap on the block of interest, in place — the child's label out,
+ * a fresh one in. */
+typedef struct {
+    Visit base;
+    PyObject *getrandbits; /* borrowed */
+    int child_levels, width;
+    Py_ssize_t offset; /* of the child's entry inside the block */
+    long long old_leaf, new_leaf;
+} LabelVisit;
+
+static int
+label_visit(Visit *base, AccessKernel *tree, long long slot)
+{
+    LabelVisit *visit = (LabelVisit *)base;
+    /* The draw runs Python, so it comes before the payload export; the
+     * generator is all it touches, so the order does not show. */
+    if (random_leaf(visit->getrandbits, visit->child_levels,
+                    &visit->new_leaf) < 0)
+        return -1;
+    Py_buffer view;
+    char *bytes;
+    if (kernel_payload(tree, slot, &view, &bytes) < 0)
+        return -1;
+    uint8_t *entry = (uint8_t *)bytes + visit->offset;
+    visit->old_leaf = (long long)get_label(entry, visit->width);
+    set_label(entry, visit->width, (uint64_t)visit->new_leaf);
+    PyBuffer_Release(&view);
+    return 0;
+}
+
+/* The data tree's update closure: on a WRITE, block.data = bytes(data);
+ * either way AccessResult.data is what the block then holds. */
+typedef struct {
+    Visit base;
+    PyObject *write_data; /* borrowed; NULL on a READ */
+    PyObject *data_out;   /* owned: the block's bytes after the visit */
+} PayloadVisit;
+
+static int
+payload_visit(Visit *base, AccessKernel *tree, long long slot)
+{
+    PayloadVisit *visit = (PayloadVisit *)base;
+    if (visit->write_data != NULL) {
+        /* bytes(data), spelled as the call so that what it refuses is
+         * refused in the interpreted access's words. */
+        visit->data_out =
+            PyBytes_CheckExact(visit->write_data)
+                ? Py_NewRef(visit->write_data)
+                : PyObject_CallOneArg((PyObject *)&PyBytes_Type,
+                                      visit->write_data);
+        return visit->data_out == NULL
+                   ? -1
+                   : kernel_set_payload(tree, slot, visit->data_out);
+    }
+    Py_buffer view;
+    char *bytes;
+    if (kernel_payload(tree, slot, &view, &bytes) < 0)
+        return -1;
+    visit->data_out = PyBytes_FromStringAndSize(bytes, tree->block_bytes);
+    PyBuffer_Release(&view);
+    return visit->data_out == NULL ? -1 : 0;
+}
+
+/* The byte of level `level`'s first-touch bitmap holding bit `index`
+ * (bitmap_byte's lifetime rule: ask again once Python has run). */
+static uint8_t *
+rk_touched_byte(RecursiveKernel *rk, int level, unsigned long long index)
+{
+    if (PyList_GET_SIZE(rk->touched) <= level) {
+        PyErr_SetString(PyExc_IndexError,
+                        "the first-touch bitmap list changed size");
+        return NULL;
+    }
+    return bitmap_byte(PyList_GET_ITEM(rk->touched, level), index);
+}
+
+/* RecursiveFrontend.access between its counters' first and last
+ * movement; backends[i] is tree i's backend, held for the request. */
+static int
+rk_run(RecursiveKernel *rk, PyObject *const *backends, PyObject *addr_obj,
+       PyObject *op, PyObject *data, PyObject **data_out)
+{
+    const int top = rk->num_levels - 1;
+    const int write =
+        request_is_write(op, data, rk->op_read, rk->op_write,
+                         rk->config_error, RK_TREE(rk, 0)->block_bytes);
+    if (write < 0)
+        return -1;
+    rk->pending[C_ACCESSES]++;
+    unsigned long long chain[FK_MAX_LEVELS];
+    if (request_chain(addr_obj, rk->num_blocks, rk->fanout, rk->num_levels,
+                      chain) < 0)
+        return -1;
+
+    const OnChip chip = {rk->onchip_table, rk->onchip_touched,
+                         rk->getrandbits, rk->onchip_entries,
+                         RK_TREE(rk, top)->levels};
+    long long leaf, new_leaf;
+    if (onchip_leaf_remap(&chip, chain[top], &leaf, &new_leaf) < 0)
+        return -1;
+
+    /* ORam_{H-1} down to ORam_1: each supplies, and remaps, the leaf of
+     * the next block down. */
+    for (int level = top; level >= 1; level--) {
+        const unsigned long long child = chain[level - 1];
+        const int child_levels = RK_TREE(rk, level - 1)->levels;
+        const uint8_t bit = (uint8_t)(1u << (child & 7));
+        uint8_t *byte = rk_touched_byte(rk, level - 1, child);
+        if (byte == NULL)
+            return -1;
+        const int fresh = !(*byte & bit);
+
+        LabelVisit visit = {
+            {label_visit}, rk->getrandbits, child_levels, rk->leaf_bytes,
+            (Py_ssize_t)(child % (unsigned long long)rk->fanout) *
+                rk->leaf_bytes,
+            0, 0};
+        PyObject *index_obj = PyLong_FromUnsignedLongLong(chain[level]);
+        if (index_obj == NULL)
+            return -1;
+        int rc = tree_access(RK_TREE(rk, level), backends[level], rk->op_read,
+                             index_obj, leaf, new_leaf, &visit.base);
+        Py_DECREF(index_obj);
+        if (rc < 0)
+            return -1;
+        rk->pending[C_POSMAP_TREE]++;
+        leaf = visit.old_leaf;
+        new_leaf = visit.new_leaf;
+        if (fresh) {
+            /* Never written: the label factory initialisation would
+             * have left there, drawn where the interpreted access
+             * draws it. */
+            if (random_leaf(rk->getrandbits, child_levels, &leaf) < 0 ||
+                (byte = rk_touched_byte(rk, level - 1, child)) == NULL)
+                return -1;
+            *byte |= bit;
+        }
+    }
+
+    rk->pending[C_DATA_TREE]++;
+    if (!write && data_out == NULL)
+        return tree_access(RK_TREE(rk, 0), backends[0], op, addr_obj, leaf,
+                           new_leaf, NULL);
+    PayloadVisit visit = {{payload_visit}, write ? data : NULL, NULL};
+    int rc = tree_access(RK_TREE(rk, 0), backends[0], op, addr_obj, leaf,
+                         new_leaf, &visit.base);
+    if (rc == 0 && data_out != NULL)
+        *data_out = visit.data_out;
+    else
+        Py_XDECREF(visit.data_out);
+    return rc;
+}
+
+static int
+rk_request(PyObject *handle, PyObject *addr_obj, PyObject *op, PyObject *data,
+           PyObject **data_out, long *posmap_out, int *hit_level_out)
+{
+    RecursiveKernel *rk = (RecursiveKernel *)handle;
+    const int levels = rk->num_levels;
+    PyObject *backends[FK_MAX_LEVELS];
+    PyObject *frontend = PyWeakref_GetObject(rk->frontend_ref);
+    if (frontend == NULL)
+        return -1;
+    int busy = rk->busy;
+    for (int i = 0; i < levels; i++) {
+        backends[i] = PyWeakref_GetObject(RK_TREE(rk, i)->backend_ref);
+        if (backends[i] == NULL)
+            return -1;
+        if (frontend == Py_None || backends[i] == Py_None) {
+            raise_owner_gone();
+            return -1;
+        }
+        busy |= RK_TREE(rk, i)->busy;
+    }
+    if (busy) {
+        raise_reentrant();
+        return -1;
+    }
+
+    Py_INCREF(frontend);
+    for (int i = 0; i < levels; i++) {
+        Py_INCREF(backends[i]);
+        RK_TREE(rk, i)->busy = 1;
+    }
+    rk->busy = 1;
+    memset(rk->pending, 0, sizeof(rk->pending));
+    int rc = rk_run(rk, backends, addr_obj, op, data, data_out);
+    rc = fold_counters(rk->pending, frontend, NULL, rc);
+    rk->busy = 0;
+    for (int i = 0; i < levels; i++) {
+        RK_TREE(rk, i)->busy = 0;
+        Py_DECREF(backends[i]);
+    }
+    Py_DECREF(frontend);
+    if (rc < 0 && data_out != NULL)
+        Py_CLEAR(*data_out);
+    *posmap_out = levels - 1;
+    *hit_level_out = -1; /* AccessResult's default: there is no PLB */
+    return rc;
+}
+
+static PyObject *
+recursive_access(RecursiveKernel *self, PyObject *const *args,
+                 Py_ssize_t nargs)
+{
+    return handle_access(rk_request, (PyObject *)self, self->result_type,
+                         args, nargs);
+}
+
+static PyMethodDef recursive_methods[] = {
+    {"access", (PyCFunction)(void (*)(void))recursive_access, METH_FASTCALL,
+     "access(addr, op, data) -> AccessResult: one whole processor "
+     "request."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject RecursiveKernelType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim.native._replay_core.RecursiveKernel",
+    .tp_basicsize = sizeof(RecursiveKernel),
+    .tp_dealloc = (destructor)recursive_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "Native Recursive ORAM kernel bound to one RecursiveFrontend "
+              "and its per-level backends' AccessKernels (see "
+              "RecursiveFrontend.enable_native_kernel).",
+    .tp_traverse = (traverseproc)recursive_traverse,
+    .tp_clear = (inquiry)recursive_clear,
+    .tp_methods = recursive_methods,
+    .tp_new = recursive_new,
+};
+
+/* The engaged kernel behind `access` — a new reference through *out,
+ * its request function through *request — when `access` is the
+ * unpatched bound access of a frontend running on a handle of either
+ * type; NULL there when it is anything else. */
+static int
+frontend_kernel_behind(PyObject *access, PyObject **out, RequestFn *request)
 {
     *out = NULL;
     if (!PyMethod_Check(access))
@@ -3432,13 +3923,22 @@ frontend_kernel_behind(PyObject *access, FrontendKernel **out)
         PyErr_Clear();
         return 0;
     }
+    PyObject *frontend_ref = NULL, *access_func = NULL;
     if (Py_IS_TYPE(kernel, &FrontendKernelType)) {
-        FrontendKernel *fk = (FrontendKernel *)kernel;
-        if (fk->access_func == PyMethod_GET_FUNCTION(access) &&
-            PyWeakref_GetObject(fk->frontend_ref) == frontend) {
-            *out = fk;
-            return 0;
-        }
+        frontend_ref = ((FrontendKernel *)kernel)->frontend_ref;
+        access_func = ((FrontendKernel *)kernel)->access_func;
+        *request = fk_request;
+    }
+    else if (Py_IS_TYPE(kernel, &RecursiveKernelType)) {
+        frontend_ref = ((RecursiveKernel *)kernel)->frontend_ref;
+        access_func = ((RecursiveKernel *)kernel)->access_func;
+        *request = rk_request;
+    }
+    if (frontend_ref != NULL &&
+        access_func == PyMethod_GET_FUNCTION(access) &&
+        PyWeakref_GetObject(frontend_ref) == frontend) {
+        *out = kernel;
+        return 0;
     }
     Py_DECREF(kernel);
     return 0;
@@ -3459,8 +3959,9 @@ run_access_loop(PyObject *self, PyObject *args)
     /* An engaged frontend kernel is driven C to C: no Python frame and
      * no AccessResult per event.  Anything else — another frontend, a
      * patched or wrapped access — gets the generic calls. */
-    FrontendKernel *kernel;
-    if (frontend_kernel_behind(access, &kernel) < 0)
+    PyObject *kernel;
+    RequestFn request = NULL;
+    if (frontend_kernel_behind(access, &kernel, &request) < 0)
         return NULL;
     PyObject *addr_seq = PySequence_Fast(addrs, "addrs must be a sequence");
     if (addr_seq == NULL) {
@@ -3491,9 +3992,9 @@ run_access_loop(PyObject *self, PyObject *args)
         if (kernel != NULL) {
             long posmap_accesses;
             int hit_level;
-            if (fk_request(kernel, addr, w ? write_op : read_op,
-                           w ? payload : Py_None, NULL, &posmap_accesses,
-                           &hit_level) < 0)
+            if (request(kernel, addr, w ? write_op : read_op,
+                        w ? payload : Py_None, NULL, &posmap_accesses,
+                        &hit_level) < 0)
                 goto fail;
             ta = PyLong_FromLong(posmap_accesses + 1);
         }
@@ -4351,7 +4852,8 @@ PyInit__replay_core(void)
     }
     empty_tuple = PyTuple_New(0);
     if (empty_tuple == NULL || PyType_Ready(&AccessKernelType) < 0 ||
-        PyType_Ready(&FrontendKernelType) < 0)
+        PyType_Ready(&FrontendKernelType) < 0 ||
+        PyType_Ready(&RecursiveKernelType) < 0)
         return NULL;
     PyObject *module = PyModule_Create(&replay_core_module);
     if (module == NULL)
@@ -4359,7 +4861,9 @@ PyInit__replay_core(void)
     if (PyModule_AddObjectRef(module, "AccessKernel",
                               (PyObject *)&AccessKernelType) < 0 ||
         PyModule_AddObjectRef(module, "FrontendKernel",
-                              (PyObject *)&FrontendKernelType) < 0) {
+                              (PyObject *)&FrontendKernelType) < 0 ||
+        PyModule_AddObjectRef(module, "RecursiveKernel",
+                              (PyObject *)&RecursiveKernelType) < 0) {
         Py_DECREF(module);
         return NULL;
     }

@@ -14,12 +14,30 @@ path of the Unified (or per-level) tree.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.config import FrontendTimings, OramConfig
 from repro.dram.config import DramConfig
 from repro.dram.model import DramModel
+
+
+@functools.lru_cache(maxsize=256)
+def tree_latency_cycles(
+    levels: int,
+    bucket_bytes: int,
+    dram_config: Optional[DramConfig],
+    proc_ghz: float,
+) -> float:
+    """Expected processor cycles for one tree access of this geometry.
+
+    A pure function of its (hashable) arguments — a fresh
+    :class:`DramModel` per miss, so no open-row state outlives the call —
+    and a sweep revisits a handful of geometries, so it is memoised.
+    """
+    model = DramModel(levels, bucket_bytes, dram_config)
+    return model.average_oram_latency_proc_cycles(proc_ghz)
 
 
 @dataclass
@@ -40,9 +58,10 @@ class OramTimingModel:
         timings: FrontendTimings = FrontendTimings(),
     ) -> "OramTimingModel":
         """Derive the expected tree latency from the DRAM model."""
-        model = DramModel(oram_config.levels, oram_config.bucket_bytes, dram_config)
         return cls(
-            tree_latency_cycles=model.average_oram_latency_proc_cycles(proc_ghz),
+            tree_latency_cycles=tree_latency_cycles(
+                oram_config.levels, oram_config.bucket_bytes, dram_config, proc_ghz
+            ),
             timings=timings,
             pmmac=pmmac,
         )
@@ -63,8 +82,9 @@ class OramTimingModel:
         """
         total = 0.0
         for cfg in configs:
-            model = DramModel(cfg.levels, cfg.bucket_bytes, dram_config)
-            total += model.average_oram_latency_proc_cycles(proc_ghz)
+            total += tree_latency_cycles(
+                cfg.levels, cfg.bucket_bytes, dram_config, proc_ghz
+            )
         return cls(
             tree_latency_cycles=total / len(configs),
             timings=timings,

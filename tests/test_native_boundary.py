@@ -3,10 +3,11 @@
 Every entry point ``repro.sim.native._replay_core`` exports — the
 functions (the trace-synthesis kernel, whose input is a pattern table,
 weights, MT19937 state blocks and a cache geometry, among them), the
-``AccessKernel`` handle and the ``FrontendKernel`` handle
-(whose state is a frontend's own Python containers: PLB entries and
-their payloads, set lists, the tag index, the on-chip table, first-touch
-bitmaps, the PRF's leaf cache, counters) — is fed what a corrupted
+``AccessKernel`` handle and the two frontend handles, ``FrontendKernel``
+and ``RecursiveKernel`` (whose state is a frontend's own Python
+containers: PLB entries and their payloads, set lists, the tag index,
+the on-chip table, first-touch bitmaps, the PRF's leaf cache, counters,
+the per-level tuple of tree handles) — is fed what a corrupted
 storage or a confused caller could hand it: columns of the wrong
 typecode or of unequal length, slot ids that are negative, past the
 arena or not ints at all, buckets that are not lists, leaves outside the
@@ -37,6 +38,7 @@ from repro.errors import (  # noqa: E402
 )
 from repro.frontend.base import AccessResult  # noqa: E402
 from repro.frontend.plb import PlbEntry  # noqa: E402
+from repro.frontend.recursive import RecursiveFrontend  # noqa: E402
 from repro.frontend.unified import PlbFrontend  # noqa: E402
 from repro.presets import build_frontend  # noqa: E402
 from repro.sim.native import load_native_core  # noqa: E402
@@ -1489,3 +1491,343 @@ class TestFrontendKernelAccessBoundary:
             bytes(64),
         )
         assert Wrapper.entries == 2
+
+
+# ---------------------------------------------------------------------------
+# RecursiveKernel: construction
+# ---------------------------------------------------------------------------
+
+
+def plain_recursive(**fields):
+    """A columnar ``R_X8`` (H = 4, three PosMap trees) whose backends run
+    on their ``AccessKernel``s."""
+    frontend = build_frontend(
+        "R_X8", rng=DeterministicRng(5), storage="columnar",
+        **dict(dict(num_blocks=2**9, onchip_entries=4), **fields),
+    )
+    for backend in frontend.backends:
+        backend.enable_native_kernel(CORE)
+    return frontend
+
+
+def recursive_kernel_args(frontend):
+    """The positional arguments ``RecursiveFrontend.enable_native_kernel``
+    builds, as a dict."""
+    posmap, space = frontend.posmap, frontend.space
+    return {
+        "frontend": frontend,
+        "access": RecursiveFrontend.access,
+        "trees": tuple(b._kernel for b in frontend.backends),
+        "onchip_table": posmap._table,
+        "onchip_touched": posmap._touched,
+        "touched": frontend._touched,
+        "getrandbits": frontend.rng._getrandbits,
+        "geometry": (
+            frontend.num_levels, space.fanout, space.num_blocks,
+            posmap.entries, frontend.configs[0].leaf_bytes,
+        ),
+        "classes": (AccessResult, Op.READ, Op.WRITE, ConfigurationError),
+    }
+
+
+class TestRecursiveKernelConstruction:
+    def test_well_formed_baseline(self):
+        frontend = plain_recursive()
+        kernel = CORE.RecursiveKernel(*recursive_kernel_args(frontend).values())
+        result = kernel.access(3, Op.READ, None)
+        assert result.tree_accesses == frontend.stats.tree_accesses == 4
+        assert result.plb_hit_level == -1
+
+    @PROPERTY
+    @given(
+        name=st.sampled_from([
+            "trees", "onchip_table", "onchip_touched", "touched",
+            "getrandbits", "access", "geometry", "classes",
+        ]),
+        junk=st.sampled_from(
+            [None, (1,), "ab", 5, {}, [], (), array("q"), b"\0" * 8]
+        ),
+    )
+    def test_wrong_containers(self, name, junk):
+        """An immutable tuple or bytes is not the on-chip table or its
+        bitmap; a tuple of anything else is not the tree handles."""
+        args = recursive_kernel_args(plain_recursive())
+        args[name] = junk
+        with pytest.raises((TypeError, ValueError)):
+            CORE.RecursiveKernel(*args.values())
+
+    @PROPERTY
+    @given(
+        position=st.integers(0, 4),
+        value=st.sampled_from([-1, 0, 1, 2, 3, 5, 9, 65, 2**40, 2**62]),
+    )
+    def test_geometry_out_of_range(self, position, value):
+        """A level count that disagrees with the tree tuple, a fan-out a
+        PosMap block cannot hold and ``leaf_bytes`` of 0 or 9 are
+        refused; what gets through is served without leaving the
+        containers."""
+        frontend = plain_recursive()
+        args = recursive_kernel_args(frontend)
+        geometry = args["geometry"]
+        assume(value != geometry[position])
+        args["geometry"] = replaced(geometry, position, value)
+        try:
+            kernel = CORE.RecursiveKernel(*args.values())
+        except (ValueError, OverflowError):
+            assert not (position == 2 and value > 0)
+            return
+        assert position in (1, 2, 4) or (position == 3 and value == 1)
+        for addr in (3, 511, 2**20):
+            try:
+                kernel.access(addr, Op.READ, None)
+            except REJECTED:
+                pass
+
+    @PROPERTY
+    @given(
+        levels=st.integers(0, 6),
+        junk=st.sampled_from([None, "tree", 7]),
+        position=st.integers(0, 3),
+    )
+    def test_tree_tuple_of_the_wrong_shape(self, levels, junk, position):
+        args = recursive_kernel_args(plain_recursive())
+        trees = args["trees"]
+        assume(levels != len(trees))
+        args["trees"] = (trees * 2)[:levels]
+        with pytest.raises(ValueError):
+            CORE.RecursiveKernel(*args.values())
+        args["trees"] = replaced(trees, position, junk)
+        with pytest.raises(TypeError):
+            CORE.RecursiveKernel(*args.values())
+
+    def test_short_onchip_table_bitmap_and_bitmap_list(self):
+        for victim in ("onchip_table", "onchip_touched", "touched"):
+            args = recursive_kernel_args(plain_recursive(onchip_entries=16))
+            del args[victim][1 if victim == "touched" else 0:]
+            with pytest.raises(ValueError):
+                CORE.RecursiveKernel(*args.values())
+
+    def test_keywords_and_arity(self):
+        args = recursive_kernel_args(plain_recursive())
+        with pytest.raises(TypeError):
+            CORE.RecursiveKernel(*list(args.values())[:-1])
+        with pytest.raises(TypeError):
+            CORE.RecursiveKernel(*args.values(), extra=1)
+
+
+# ---------------------------------------------------------------------------
+# RecursiveKernel: access over corrupted frontend state
+# ---------------------------------------------------------------------------
+
+
+def warmed_recursive(accesses=120, **fields):
+    frontend = plain_recursive(**fields)
+    frontend.enable_native_kernel(CORE)
+    assert isinstance(frontend._kernel, CORE.RecursiveKernel)
+    rng = DeterministicRng(33)
+    for _ in range(accesses):
+        frontend.read(rng.randrange(frontend.space.num_blocks))
+    return frontend
+
+
+def recursive_image(frontend):
+    return [
+        (b.stash_snapshot(), tree_digest(b.storage)) for b in frontend.backends
+    ]
+
+
+class TestRecursiveKernelAccessBoundary:
+    def rejected(self, frontend, undo, *access, unchanged=True):
+        """A Python exception, the handle not left busy, and — when the
+        corruption is met before any tree access — nothing moved."""
+        before = recursive_image(frontend)
+        with pytest.raises(FRONTEND_REJECTED):
+            frontend.access(*access)
+        undo()
+        if unchanged:
+            assert recursive_image(frontend) == before
+        frontend.read(1)
+
+    @PROPERTY
+    @given(junk=st.sampled_from([-1, 2**64, 2**70, None, "3", 1.5, 2**31]))
+    def test_hostile_onchip_entries(self, junk):
+        """Read before any tree access; a label the top tree does not
+        have is refused by that tree's own range check."""
+        frontend = warmed_recursive()
+        posmap = frontend.posmap
+        table = posmap._table
+        saved = list(table)
+        table[:] = [junk] * len(table)
+        posmap._touched[:] = b"\xff" * len(posmap._touched)
+
+        def undo():
+            table[:] = saved
+
+        self.rejected(frontend, undo, 9)
+
+    @PROPERTY
+    @given(which=st.sampled_from(["table", "bitmap"]))
+    def test_short_onchip_table_and_bitmap(self, which):
+        frontend = warmed_recursive()
+        victim = (
+            frontend.posmap._table if which == "table"
+            else frontend.posmap._touched
+        )
+        saved = victim[:]
+        del victim[0:]
+
+        def undo():
+            victim[:] = saved
+
+        self.rejected(frontend, undo, 9)
+
+    @PROPERTY
+    @given(
+        level=st.integers(0, 2),
+        junk=st.sampled_from(
+            [None, "b", 5, [0] * 64, b"\xff" * 64, bytearray()]
+        ),
+    )
+    def test_hostile_first_touch_bitmaps(self, level, junk):
+        """Wrong kind or wrong length, at any level: met after the trees
+        above that level were walked, as on the interpreted path."""
+        frontend = warmed_recursive()
+        touched = frontend._touched
+        saved = touched[level]
+        touched[level] = junk
+
+        def undo():
+            touched[level] = saved
+
+        self.rejected(frontend, undo, 500, unchanged=level == 2)
+
+    @PROPERTY
+    @given(keep=st.integers(0, 2))
+    def test_shortened_bitmap_list(self, keep):
+        frontend = warmed_recursive()
+        touched = frontend._touched
+        saved = touched[:]
+        del touched[keep:]
+
+        def undo():
+            touched[:] = saved
+
+        self.rejected(frontend, undo, 500)
+
+    @PROPERTY
+    @given(level=st.integers(1, 3), fill=st.sampled_from([0xFF, 0x80, 0x7F]))
+    def test_hostile_labels_inside_posmap_blocks(self, level, fill):
+        """Every PosMap block of one tree overwritten: the labels read
+        out of them address no leaf of the tree below, whose range check
+        refuses them."""
+        frontend = warmed_recursive()
+        storage = frontend.backends[level].storage
+        for chunk in storage._chunks:
+            chunk[:] = bytes([fill]) * len(chunk)
+        rng = DeterministicRng(4)
+        for _ in range(40):
+            try:
+                frontend.read(rng.randrange(frontend.space.num_blocks))
+            except FRONTEND_REJECTED:
+                pass
+
+    @PROPERTY
+    @given(
+        addr=st.one_of(
+            st.integers(max_value=-1), st.integers(min_value=2**9),
+            st.sampled_from([None, 1.5, "3", b"3"]),
+        ),
+        op=st.sampled_from([Op.READ, Op.WRITE]),
+    )
+    def test_hostile_addresses(self, addr, op):
+        frontend = warmed_recursive()
+        self.rejected(frontend, lambda: None, addr, op, bytes(64))
+
+    @PROPERTY
+    @given(
+        data=st.sampled_from([None, 5, "x" * 64, bytes(63), 1.5, [300] * 64]),
+        op=st.sampled_from([Op.WRITE, Op.READRMV, Op.APPEND, None, "READ"]),
+    )
+    def test_hostile_ops_and_payloads(self, data, op):
+        """A 64-character string passes the length check and is refused
+        by ``bytes()`` inside the data access, after the PosMap walk."""
+        frontend = warmed_recursive()
+        walked = op is Op.WRITE and data in ("x" * 64, [300] * 64)
+        self.rejected(frontend, lambda: None, 5, op, data, unchanged=not walked)
+
+    def test_arity(self):
+        kernel = warmed_recursive()._kernel
+        for args in ((), (1,), (1, Op.READ), (1, Op.READ, None, None)):
+            with pytest.raises(TypeError):
+                kernel.access(*args)
+
+    def test_reentrant_access_is_refused(self):
+        frontend = warmed_recursive()
+
+        class Reentrant:
+            def __init__(self, call):
+                self.call = call
+
+            def on_path_read(self, leaf, indices):
+                self.call()
+
+            def on_path_write(self, leaf, indices):
+                pass
+
+        for level, call in (
+            (3, lambda: frontend.read(2)),
+            (1, lambda: frontend.backends[0].access(Op.READ, 2, 0, 1)),
+            (0, lambda: CORE.run_access_loop(
+                frontend.access, [2], [False], Op.READ, Op.WRITE, b""
+            )),
+        ):
+            storage = frontend.backends[level].storage
+            storage.observer = Reentrant(call)
+            with pytest.raises(RuntimeError, match="re-entrant"):
+                frontend.read(1)
+            storage.observer = None
+            frontend.read(400)
+
+    def test_kernel_outliving_its_frontend_or_a_backend(self):
+        frontend = warmed_recursive()
+        kernel = frontend._kernel
+        backends = list(frontend.backends)
+        del frontend
+        with pytest.raises(ReferenceError):
+            kernel.access(1, Op.READ, None)
+        assert backends[0].access(Op.READ, 1, 0, 1).addr == 1
+
+        frontend = warmed_recursive()
+        kernel = frontend._kernel
+        frontend.backends[2] = None
+        with pytest.raises(ReferenceError):
+            kernel.access(1, Op.READ, None)
+
+    def test_access_loop_on_a_frontend_whose_kernel_is_foreign(self):
+        """Anything but a frontend handle under ``_kernel`` — here a
+        wrapper, then another frontend's handle — gets the generic
+        calls."""
+        frontend = warmed_recursive()
+        real = frontend._kernel
+
+        class Wrapper:
+            entries = 0
+
+            def access(self, *args):
+                Wrapper.entries += 1
+                return real.access(*args)
+
+        frontend._kernel = Wrapper()
+        CORE.run_access_loop(
+            frontend.access, [1, 2], [False, True], Op.READ, Op.WRITE,
+            bytes(64),
+        )
+        assert Wrapper.entries == 2
+
+        other = warmed_recursive()
+        before = other.stats.accesses
+        frontend._kernel = other._kernel
+        CORE.run_access_loop(
+            frontend.access, [1, 2], [False, False], Op.READ, Op.WRITE, b""
+        )
+        assert other.stats.accesses == before + 2

@@ -320,16 +320,54 @@ class TestErrorParity:
         assert ref.stats.accesses == before + 3
         drive(ref, nat, steps=50, seed=2)
 
-    def test_bytes_like_write_payloads(self):
-        ref, nat = pair("PIC_X32")
-        size = ref.config.block_bytes
-        for index, data in enumerate(
-            (bytearray(b"\x07" * size), memoryview(b"\x09" * size))
-        ):
-            ref.access(index, Op.WRITE, data)
-            nat.access(index, Op.WRITE, data)
-            assert ref.read(index) == nat.read(index) == bytes(data)
-            assert_same_state(ref, nat, index)
+    def written_then_mutated(self, tiers, size):
+        """WRITE a bytearray and a memoryview of one, scribble on the
+        caller's buffer afterwards, READ back: every tier must hold the
+        bytes it was handed — the ORAM's contents never change without
+        an access."""
+        for index, wrap in enumerate((lambda buf: buf, memoryview)):
+            original = bytes([0x11 + index]) * size
+            for frontend in tiers:
+                buf = bytearray(original)
+                frontend.access(index, Op.WRITE, wrap(buf))
+                buf[0] ^= 0xFF
+                read = frontend.read(index)
+                assert type(read) is bytes and read == original
+
+    @pytest.mark.parametrize("name", ("P_X16", "PIC_X32"))
+    def test_bytes_like_write_payloads(self, name):
+        scheme, fields = CONFIGS[name]
+        reference = build_frontend(
+            scheme, rng=DeterministicRng(7), storage="object", **fields
+        )
+        ref, nat = pair(name)
+        self.written_then_mutated((reference, ref, nat), ref.config.block_bytes)
+        assert_same_state(ref, nat, name)
+        assert stats_image(reference) == stats_image(nat)
+        assert tree_digest(reference.backend.storage) == tree_digest(
+            nat.backend.storage
+        )
+
+    def test_bytes_like_write_payloads_recursive(self):
+        """The ``R_X8`` twin: reference tier, fast tier interpreted, and
+        the ``RecursiveKernel``."""
+        tiers = [
+            build_frontend(
+                "R_X8", num_blocks=2**9, onchip_entries=4,
+                rng=DeterministicRng(7), storage=storage,
+            )
+            for storage in ("object", "columnar", "columnar")
+        ]
+        size = tiers[0].configs[0].block_bytes
+        self.written_then_mutated(tiers[:2], size)
+        ReplayEngine(tiers[2], OramTimingModel(1000.0)).enable_native(CORE)
+        assert isinstance(tiers[2]._kernel, CORE.RecursiveKernel)
+        self.written_then_mutated(tiers[2:], size)
+        digests = [
+            [tree_digest(b.storage) for b in frontend.backends]
+            for frontend in tiers
+        ]
+        assert digests[0] == digests[1] == digests[2]
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +421,19 @@ class TestEngagement:
         engine.enable_native(CORE)
         assert isinstance(frontend._kernel, CORE.FrontendKernel)
 
-    def test_recursive_frontend_is_untouched(self):
-        frontend = build_frontend(
-            "R_X8", num_blocks=2**10, rng=DeterministicRng(7)
-        )
-        ReplayEngine(frontend, OramTimingModel(1000.0)).enable_native(CORE)
-        assert not hasattr(frontend, "_kernel")
+    def test_recursive_frontend_gets_its_own_kernel(self):
+        """``R_X8`` is no PLB frontend: the engine hands it a
+        ``RecursiveKernel`` (``tests/test_native_recursive.py``), on
+        columnar storage only."""
+        for storage, kernel_type in (
+            ("columnar", CORE.RecursiveKernel), ("object", type(None)),
+        ):
+            frontend = build_frontend(
+                "R_X8", num_blocks=2**10, rng=DeterministicRng(7),
+                storage=storage,
+            )
+            ReplayEngine(frontend, OramTimingModel(1000.0)).enable_native(CORE)
+            assert type(frontend._kernel) is kernel_type
 
     def test_a_discarded_frontend_is_freed_by_refcount(self):
         import gc

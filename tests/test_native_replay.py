@@ -687,14 +687,16 @@ class TestEngineHookup:
         assert isinstance(fe.backend._kernel, CORE.AccessKernel)
 
     def test_enable_native_tolerates_object_backends(self):
-        """Recursive frontends carry object backends with no native
-        kernel hook; the engine still compiles its own stages."""
+        """Object-storage backends have no native kernel hook, so an
+        ``R_X8`` on them declines its ``RecursiveKernel`` too; the
+        engine still compiles its own stages."""
         fe = build_frontend(
             "R_X8", num_blocks=BLOCKS, rng=DeterministicRng(7), storage="object"
         )
         engine = ReplayEngine(fe, OramTimingModel(tree_latency_cycles=1000.0))
         engine.enable_native(CORE)
         assert engine._native is CORE
+        assert fe._kernel is None
 
 
 @needs_core

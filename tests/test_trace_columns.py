@@ -1,7 +1,15 @@
 """Columnar MissTrace view: lazy materialisation + binary round-trip."""
 
+import pytest
+
 from repro.proc.hierarchy import MissEvent, MissTrace
+from repro.sim.native import load_native_core
 from repro.utils.rng import DeterministicRng
+from repro.workloads.spec import SPEC_BENCHMARKS
+
+# Stand-ins whose interpreted synthesis is seconds of warm-up (one C
+# call each with the extension).
+from test_trace_synthesis import HEAVY
 
 
 def make_trace(events: int = 500, seed: int = 3) -> MissTrace:
@@ -52,6 +60,54 @@ class TestColumns:
         a, b = make_trace(), make_trace()
         a.columns()
         assert a == b  # one has a materialised view, one does not
+
+
+class TestLlcMisses:
+    """``llc_misses`` answers from the columnar view when it is current
+    and from the event list otherwise: the same count either way."""
+
+    @staticmethod
+    def by_events(trace):
+        return sum(1 for e in trace.events if not e.is_write)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            pytest.param(
+                name,
+                marks=[pytest.mark.slow]
+                if name in HEAVY and load_native_core() is None else [],
+            )
+            for name in SPEC_BENCHMARKS
+        ],
+    )
+    def test_every_registered_benchmark_trace(self, name):
+        from repro.sim.runner import SimulationRunner
+
+        trace = SimulationRunner(misses_per_benchmark=150, seed=2015).trace(name)
+        expected = self.by_events(trace)
+        assert expected >= 150
+        assert trace.llc_misses == expected
+        trace._columns = None  # no view: the generator path
+        assert trace.llc_misses == expected
+        trace.columns()
+        assert trace.llc_misses == expected
+        assert trace.mpki == 1000.0 * expected / trace.instructions
+
+    def test_a_stale_view_is_not_consulted(self):
+        trace = make_trace(events=50)
+        trace.columns()
+        before = trace.llc_misses
+        trace.events.append(MissEvent(9, False))
+        assert trace.llc_misses == before + 1 == self.by_events(trace)
+        trace.columns()
+        trace.events = [MissEvent(1, True), MissEvent(2, False)]
+        assert trace.llc_misses == 1
+
+    def test_empty_trace(self):
+        trace = MissTrace(name="empty")
+        trace.columns()
+        assert trace.llc_misses == 0 and trace.mpki == 0.0
 
 
 class TestRoundTrip:
