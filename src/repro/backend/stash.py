@@ -9,6 +9,7 @@ tests can assert it never fires under honest operation.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Iterable, List, Optional
 
 from repro.errors import StashOverflowError
@@ -60,52 +61,68 @@ class ColumnarStash:
     """Slot-addressed stash for the columnar backend (no Block objects).
 
     Semantically identical to :class:`Stash`, but entries are arena slot
-    ids in a :class:`~repro.storage.columnar.ColumnarTreeStorage`: the
-    hot loop moves integers through ``slots_by_addr`` and blocks are
-    materialised only for introspection (``blocks()``, iteration), so no
-    per-block dict-of-objects round-trips happen on the replay path.
+    ids in a :class:`~repro.storage.columnar.ColumnarTreeStorage`, kept
+    in ``slots``: a length-prefixed int32 column in insertion order
+    (``slots[0]`` is the occupancy, ``slots[1..n]`` the resident slot
+    ids). Membership is a scan over the residents' addresses — the stash
+    is a handful of blocks — and blocks are materialised only for
+    introspection (``blocks()``, iteration). The interpreted backend and
+    the native access kernel read and write this one column.
     """
 
     def __init__(self, limit: int, store):
         self.limit = limit
         self.store = store
-        self._slots: Dict[int, int] = {}
+        self.slots = array("i", [0])
+        self.reserve(limit + 1)
         #: Occupancy sampled after each eviction (for the stash experiments).
         self.occupancy_stats = RunningStats()
 
+    def reserve(self, blocks: int) -> None:
+        """Room for ``blocks`` residents (the column only ever grows)."""
+        short = blocks + 1 - len(self.slots)
+        if short > 0:
+            self.slots.extend([0] * short)
+
+    def resident(self) -> array:
+        """The resident slot ids, in insertion order (a copy)."""
+        return self.slots[1 : self.slots[0] + 1]
+
+    def slot_of(self, addr: int) -> Optional[int]:
+        """Slot of the resident block with ``addr``, or None."""
+        addr_col = self.store.addr_col
+        for slot in self.resident():
+            if addr_col[slot] == addr:
+                return slot
+        return None
+
     def add(self, block: Block) -> int:
         """Insert a block (copied into the arena); returns its slot."""
-        if block.addr in self._slots:
+        if self.slot_of(block.addr) is not None:
             raise ValueError(f"duplicate block {block.addr:#x} in stash")
         slot = self.store.alloc(block.addr, block.leaf, block.data, block.mac)
-        self._slots[block.addr] = slot
+        occupancy = self.slots[0] + 1
+        self.reserve(occupancy)
+        self.slots[occupancy] = slot
+        self.slots[0] = occupancy
         return slot
-
-    @property
-    def slots_by_addr(self) -> Dict[int, int]:
-        """Live address->slot mapping for the columnar backend's hot path.
-
-        Same contract as :meth:`Stash.blocks_by_addr`: mutators must
-        preserve the one-slot-per-address invariant themselves.
-        """
-        return self._slots
 
     def get(self, addr: int) -> Optional[Block]:
         """Materialised block by address, or None."""
-        slot = self._slots.get(addr)
+        slot = self.slot_of(addr)
         return self.store.block_at_slot(slot) if slot is not None else None
 
     def contains(self, addr: int) -> bool:
         """Membership test."""
-        return addr in self._slots
+        return self.slot_of(addr) is not None
 
     def blocks(self) -> List[Block]:
         """Snapshot list of resident blocks (materialised, in stash order)."""
-        return [self.store.block_at_slot(s) for s in self._slots.values()]
+        return [self.store.block_at_slot(s) for s in self.resident()]
 
     def check_limit(self) -> None:
         """Record occupancy and raise if the configured limit is exceeded."""
-        n = len(self._slots)
+        n = self.slots[0]
         self.occupancy_stats.add(n)
         if n > self.limit:
             raise StashOverflowError(
@@ -113,7 +130,7 @@ class ColumnarStash:
             )
 
     def __len__(self) -> int:
-        return len(self._slots)
+        return self.slots[0]
 
     def __iter__(self):
         return iter(self.blocks())

@@ -17,8 +17,8 @@
  * - AccessKernel: a per-backend handle whose access() is one whole
  *   ColumnarPathOramBackend.access — all four ops, counters, path read,
  *   drain, stash merge, update hand-off, greedy eviction, stash
- *   reconcile, write-back accounting, occupancy fold, rollback — over
- *   the storage's live columns, bucket lists and byte arena;
+ *   reconcile, write-back accounting, occupancy fold, rollback — as
+ *   integer loops over the storage's typed columns and byte arena;
  * - FrontendKernel: a per-frontend handle whose access() is one whole
  *   PlbFrontend.access (§4.2.4) — chain and tag arithmetic, PLB lookup
  *   loop, on-chip lookup_and_remap, uncompressed / flat / compressed
@@ -36,8 +36,9 @@
  * - blake2b: the vendored RFC 7693 hash behind that kernel's PRF and
  *   MAC (keyed mid-state per handle, byte-identical to hashlib);
  * - drain_scalar / place_greedy: the kernel's drain and placement
- *   routines on their own, over Python scratch lists (the primitives
- *   the tests pin against the interpreted loops);
+ *   cores on their own, behind list-in/list-out adapters (the
+ *   primitives the tests pin against the interpreted loops, and the only
+ *   list-facing code of the tree);
  * - synthesize_trace: what produces a replay's input — the SPEC
  *   stand-in's pattern mixture on MT19937 streams restored from
  *   random.Random, run through the L1+L2 write-back LRU hierarchy, one
@@ -45,12 +46,33 @@
  *   whichever tier replays it (mt_draws exposes its generator to the
  *   known-answer tests).
  *
- * State stays in Python, the algorithm moves to C: both handles bind the
- * container objects their Python owners already keep (columns, bucket
- * lists, stash dict; PLB sets and tag index, PlbEntry payloads, on-chip
- * table, first-touch bitmaps, the PRF's LRU) and move every counter
- * through the attribute protocol, so the interpreted paths, the
- * lockstep harnesses and rollback read and write the one copy.
+ * Where the state lives.  The tree's state is typed columns the storage
+ * and the stash own, and nothing else: addr_col / leaf_col (int64 per
+ * arena slot), the chunked byte arena and mac_col, the free stack and
+ * the stash (length-prefixed int32 columns: item 0 is the depth or the
+ * occupancy), bucket_slots (Z int32 slot ids per bucket) and bucket_fill
+ * (one uint8 count per bucket).  An AccessKernel reads and writes those
+ * columns through the buffer protocol: the drain, the placement, the
+ * stash rebuild and the slot claim touch no list, dict or PyLong and
+ * allocate nothing (only the block of interest's MAC and payload are
+ * reached through mac_col and the chunk table, the two arena-sized
+ * lists that remain), and the handle keeps no copy of tree state — the
+ * interpreted access, the snapshots, the tamper hooks and rollback read
+ * and write the same memory.  The
+ * frontends' state stays in Python containers the frontend handles bind
+ * (PLB sets and tag index, PlbEntry payloads, on-chip table, first-touch
+ * bitmaps, the PRF's LRU).
+ *
+ * Counters.  Every counter a kernel moves (the backend's and storage's
+ * five, the 18 of FrontendStats / Plb / Prf / Mac) accumulates in its
+ * handle and is folded into the Python attribute, through the attribute
+ * protocol, when the *outermost* C entry returns — handle.access() per
+ * call, run_access_loop once per slice — and also before every call
+ * that can run foreign Python (an observer, an update callback or a
+ * Block's construction, the backend's rollback, a payload's buffer or
+ * bytes coercion) and on every error exit (kernel_yield, fold_at_exit):
+ * anything that can look sees exactly what the interpreted path would
+ * have left.  storage.observer is read once per outermost entry.
  *
  * Bit-identity contract: every routine is a transcription of the Python
  * spelling it replaces — same traversal order, same side effects in the
@@ -61,18 +83,28 @@
  * tests/test_native_replay.py, tests/test_native_frontend.py,
  * tests/test_native_recursive.py) and the golden digests enforce this.
  *
- * Buffer discipline: a column export lives only inside one stretch of C
- * code.  It is released before every call back into Python (the update
- * and observer callbacks, the rollback) and before the arena grows —
- * array('q').extend — because CPython refuses to resize an array with
- * exported buffers; the handle binds the column objects, never pointers.
- * A bytearray's bytes (a PLB payload, a first-touch bitmap) are used
- * through a pointer fetched, with its length, after the last call that
- * could have resized it.  Nothing read out of a Python container is
- * trusted: slot ids are type- and bounds-checked against both columns
- * before they index either, PLB entries are checked to be PlbEntry
- * objects, counters to fit their fields (tests/test_native_boundary.py,
- * and the CI sanitizer lane).
+ * Buffer discipline, fixed-size columns: bucket_slots and bucket_fill
+ * never change size, are checked once against the geometry (exactly
+ * 2^(L+1) - 1 counts and Z times as many slots, writable, of the right
+ * item size) and stay exported for the life of the handle — CPython
+ * itself then refuses to resize them — so indexing them by heap index
+ * needs no further check; what is read *out* of them does (a count past
+ * Z, a slot id outside the arena or merged twice by one drain).
+ *
+ * Buffer discipline, growing columns: addr_col, leaf_col, the free stack
+ * and the stash column grow in place (array.extend, by their owners'
+ * _grow / reserve), and CPython refuses to resize an array with exported
+ * buffers, so the handle binds the objects, never pointers: it exports
+ * them on first use inside an entry (kernel_columns, which re-checks
+ * equal arena lengths and both length prefixes every time) and releases
+ * them before a growth, before every call that can run foreign Python,
+ * and when the entry returns (kernel_release).  Nothing measured before
+ * such a call is trusted after it.  A bytearray's bytes (a PLB payload,
+ * a first-touch bitmap) are used through a pointer fetched, with its
+ * length, after the last call that could have resized it.  Nothing read
+ * out of a Python container is trusted either: PLB entries are checked
+ * to be PlbEntry objects, counters to fit their fields
+ * (tests/test_native_boundary.py, and the CI sanitizer lane).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -108,44 +140,56 @@ bit_length64(long long x)
 #endif
 }
 
-/* An acquired int64 column: raw pointer + element count. */
+/* An acquired column of fixed-width integers: raw pointer + element
+ * count. */
 typedef struct {
     Py_buffer view;
-    long long *data;
+    void *data;
     Py_ssize_t len;
     int acquired;
-} I64Col;
+} Col;
 
-/* Acquire a 1-D contiguous signed 64-bit buffer (array('q') / numpy
- * int64), writable on request.  Returns 0 on success, -1 with an
- * exception set otherwise. */
+/* What a column's items must be: their width, the struct format codes
+ * of that width, and the words for what was expected instead. */
+typedef struct {
+    int itemsize;
+    const char *codes, *expected;
+} ColKind;
+
+static const ColKind COL_I64 = {
+    8, "qln", "int64 column (array('q') or numpy int64)"};
+static const ColKind COL_I32 = {4, "il", "int32 column (array('i'))"};
+static const ColKind COL_U8 = {1, "Bbc", "byte column (a bytearray)"};
+
+/* Acquire a 1-D contiguous buffer of `kind` items, writable on request.
+ * Returns 0 on success, -1 with an exception set otherwise. */
 static int
-i64col_acquire(PyObject *obj, I64Col *col, const char *what, int writable)
+col_acquire(PyObject *obj, Col *col, const char *what, const ColKind *kind,
+            int writable)
 {
     col->acquired = 0;
     if (PyObject_GetBuffer(obj, &col->view,
                            PyBUF_FORMAT | PyBUF_ND |
                                (writable ? PyBUF_WRITABLE : 0)) < 0)
         return -1;
-    col->acquired = 1;
-    if (col->view.ndim != 1 || col->view.itemsize != 8 ||
-        (col->view.format != NULL && col->view.format[0] != 'q' &&
-         col->view.format[0] != 'l' && col->view.format[0] != 'n')) {
+    if (col->view.ndim != 1 || col->view.itemsize != kind->itemsize ||
+        (col->view.format != NULL &&
+         (col->view.format[0] == '\0' ||
+          strchr(kind->codes, col->view.format[0]) == NULL))) {
         PyBuffer_Release(&col->view);
-        col->acquired = 0;
-        PyErr_Format(PyExc_TypeError,
-                     "%s must be a 1-D int64 column (array('q') or numpy "
-                     "int64)", what);
+        PyErr_Format(PyExc_TypeError, "%s must be a 1-D %s", what,
+                     kind->expected);
         return -1;
     }
-    col->data = (long long *)col->view.buf;
+    col->acquired = 1;
+    col->data = col->view.buf;
     col->len = col->view.shape ? col->view.shape[0]
                                : col->view.len / col->view.itemsize;
     return 0;
 }
 
 static void
-i64col_release(I64Col *col)
+col_release(Col *col)
 {
     if (col->acquired) {
         PyBuffer_Release(&col->view);
@@ -182,17 +226,18 @@ translate_block_addrs(PyObject *self, PyObject *args)
         return NULL;
     }
 
-    I64Col col;
-    if (i64col_acquire(line_addrs, &col, "line_addrs", 0) == 0) {
+    Col col;
+    if (col_acquire(line_addrs, &col, "line_addrs", &COL_I64, 0) == 0) {
+        const long long *lines = col.data;
         PyObject *out = PyList_New(col.len);
         if (out == NULL) {
-            i64col_release(&col);
+            col_release(&col);
             return NULL;
         }
         int pow2 = (lpb & (lpb - 1)) == 0;
         int shift = bit_length64(lpb) - 1;
         for (Py_ssize_t i = 0; i < col.len; i++) {
-            long long v = col.data[i];
+            long long v = lines[i];
             if (lpb != 1)
                 /* Arithmetic shift == floor division for a power-of-two
                  * divisor; general case uses Python floor semantics. */
@@ -200,12 +245,12 @@ translate_block_addrs(PyObject *self, PyObject *args)
             PyObject *boxed = PyLong_FromLongLong(v);
             if (boxed == NULL) {
                 Py_DECREF(out);
-                i64col_release(&col);
+                col_release(&col);
                 return NULL;
             }
             PyList_SET_ITEM(out, i, boxed);
         }
-        i64col_release(&col);
+        col_release(&col);
         return out;
     }
 
@@ -347,26 +392,36 @@ raise_leaf_range(long long leaf_label, int levels)
                  leaf_label, levels);
 }
 
-/* One block of the merged working set: its boxed slot id (an owned
- * reference, so refilling a bucket list never re-boxes) and the deepest
+/* repro.storage.block.DUMMY_ADDR: the address column of a free slot. */
+#define DUMMY_ADDR (-1LL)
+
+/* One block of the merged working set: its arena slot and the deepest
  * level of the accessed path it may legally be evicted to. */
 typedef struct {
-    PyObject *obj;
-    long long slot;
-    int depth;
+    int32_t slot;
+    int32_t depth;
 } Entry;
 
+/* One bucket of the accessed path: where its slot ids live and how many
+ * of them are blocks.  Under a handle `slots` points into the storage's
+ * bucket_slots column; under the list adapters, into scratch. */
+typedef struct {
+    int32_t *slots;
+    int count;
+} Bucket;
+
 /* The working set of one tree access in merge order — stash residents
- * in dict order, drained blocks root->leaf, the block of interest last —
- * plus the placement scratch.  Python's by_depth lists, drained snapshot
- * and resident list are all views of this one sequence: by_depth[d] is
- * the entries of depth d in merge order, and the leftover stash rebuild
- * walks it front to back. */
+ * in stash order, drained blocks root->leaf, the block of interest last —
+ * plus the placement scratch.  Python's by_depth lists and merge-order
+ * list are views of this one sequence: by_depth[d] is the entries of
+ * depth d in merge order, and the leftover stash rebuild walks it front
+ * to back.  Integers only; the buffers are kept between accesses, so
+ * the steady state allocates nothing. */
 typedef struct {
     Entry *merged;
     Py_ssize_t n, cap;
     Py_ssize_t n_resident; /* merged[0..n_resident) came from the stash */
-    long long *keys;       /* the stash dict's keys, for the duplicate probe */
+    long long *keys;       /* the residents' addresses, for the duplicate probe */
     Py_ssize_t n_keys, cap_keys;
     Py_ssize_t *index;     /* placement scratch: order | picks | pool */
     Py_ssize_t cap_index;
@@ -374,24 +429,19 @@ typedef struct {
     Py_ssize_t cap_bounds;
     Py_ssize_t *pool;      /* into index: the leftovers, a LIFO stack */
     Py_ssize_t n_pool;
+    uint32_t *mark;        /* per arena slot: the drain that last merged it */
+    Py_ssize_t cap_mark;
+    uint32_t epoch;        /* this drain's stamp */
 } WorkSet;
-
-static void
-ws_clear(WorkSet *ws)
-{
-    for (Py_ssize_t i = 0; i < ws->n; i++)
-        Py_DECREF(ws->merged[i].obj);
-    ws->n = ws->n_resident = ws->n_keys = ws->n_pool = 0;
-}
 
 static void
 ws_free(WorkSet *ws)
 {
-    ws_clear(ws);
     PyMem_Free(ws->merged);
     PyMem_Free(ws->keys);
     PyMem_Free(ws->index);
     PyMem_Free(ws->bounds);
+    PyMem_Free(ws->mark);
     memset(ws, 0, sizeof(*ws));
 }
 
@@ -418,175 +468,141 @@ grow_buffer(void **buf, Py_ssize_t *cap, Py_ssize_t need, size_t size)
     return 0;
 }
 
-/* Append one block to the merge order; takes its own reference. */
+/* Start a drain over an arena of `arena_len` slots: an empty working
+ * set and a fresh stamp no slot carries yet. */
 static int
-ws_push(WorkSet *ws, PyObject *obj, long long slot, int depth)
+ws_begin(WorkSet *ws, Py_ssize_t arena_len)
+{
+    ws->n = ws->n_resident = ws->n_keys = ws->n_pool = 0;
+    Py_ssize_t had = ws->cap_mark;
+    if (grow_buffer((void **)&ws->mark, &ws->cap_mark, arena_len,
+                    sizeof(uint32_t)) < 0)
+        return -1;
+    if (ws->cap_mark > had)
+        memset(ws->mark + had, 0,
+               (size_t)(ws->cap_mark - had) * sizeof(uint32_t));
+    if (++ws->epoch == 0) {
+        memset(ws->mark, 0, (size_t)ws->cap_mark * sizeof(uint32_t));
+        ws->epoch = 1;
+    }
+    return 0;
+}
+
+/* Append one block to the merge order. */
+static int
+ws_push(WorkSet *ws, int32_t slot, int depth)
 {
     if (grow_buffer((void **)&ws->merged, &ws->cap, ws->n + 1,
                     sizeof(Entry)) < 0)
         return -1;
-    Py_INCREF(obj);
-    ws->merged[ws->n].obj = obj;
     ws->merged[ws->n].slot = slot;
     ws->merged[ws->n].depth = depth;
     ws->n++;
     return 0;
 }
 
-/* Unbox a slot id read out of a Python container and bounds-check it
- * against the arena (both columns: `arena_len` is the shorter one). */
+/* A slot id read out of a column, about to join the working set: inside
+ * the arena (both columns: `arena_len` is the shorter one) and not
+ * already merged by this drain — a slot two buckets, or a bucket and
+ * the stash, both claim is one block about to be evicted twice. */
 static int
-as_slot(PyObject *obj, Py_ssize_t arena_len, const char *where,
-        long long *out)
+ws_admit(WorkSet *ws, long long slot, Py_ssize_t arena_len, const char *where,
+         long long leaf)
 {
-    if (!PyLong_Check(obj)) {
-        PyErr_Format(PyExc_TypeError, "%s slot ids must be ints, not %.100s",
-                     where, Py_TYPE(obj)->tp_name);
+    if (slot < 0 || slot >= arena_len) {
+        PyErr_Format(PyExc_IndexError, "%s slot %lld outside the arena",
+                     where, slot);
         return -1;
     }
-    int overflow;
-    long long s = PyLong_AsLongLongAndOverflow(obj, &overflow);
-    if (overflow || s < 0 || s >= arena_len) {
-        PyErr_Format(PyExc_IndexError, "%s slot %S outside the arena", where,
-                     obj);
+    if (ws->mark[slot] == ws->epoch) {
+        PyErr_Format(PyExc_ValueError,
+                     "slot %lld is referenced twice on path %lld", slot,
+                     leaf);
         return -1;
     }
-    *out = s;
+    ws->mark[slot] = ws->epoch;
     return 0;
 }
 
-/* The block of interest: NULL obj while absent, else an owned reference. */
-typedef struct {
-    PyObject *obj;
-    long long slot;
-} Found;
-
-/* The fused drain: group the stash residents (dict order), then every
- * path bucket root->leaf, by legal eviction depth, with the scalar
- * kernel's duplicate-block and leaf-range validation in the scalar
- * kernel's order (byte-identical messages).  `found` enters holding the
- * stash's copy of the block of interest, if any, and leaves holding
- * wherever it was located; it is never merged here (the caller groups it
- * last, after the update callback).  Nothing is mutated: buckets are
- * only cleared at placement time. */
+/* The fused drain: group the stash residents (stash order), then every
+ * path bucket root->leaf, by legal eviction depth, with the interpreted
+ * kernel's duplicate-block and leaf-range validation in its order
+ * (byte-identical messages).  *found enters -1 and leaves holding the
+ * slot of the block of interest, wherever it was located; it is never
+ * merged here (the caller groups it last, after the visit).  Nothing is
+ * mutated: buckets are only rewritten at placement time. */
 static int
-drain_core(WorkSet *ws, PyObject *const *path, Py_ssize_t path_len,
-           const I64Col *addr_col, const I64Col *leaf_col, PyObject *stash,
-           Found *found, long long addr, long long leaf, int levels)
+drain_core(WorkSet *ws, const long long *addr_col, const long long *leaf_col,
+           Py_ssize_t arena_len, const int32_t *stash, Py_ssize_t n_stash,
+           const Bucket *path, Py_ssize_t path_len, long long *found,
+           long long addr, long long leaf, int levels)
 {
-    const Py_ssize_t arena_len =
-        addr_col->len < leaf_col->len ? addr_col->len : leaf_col->len;
-    PyObject *key, *value;
-    Py_ssize_t pos = 0;
-    long long s;
-
-    while (PyDict_Next(stash, &pos, &key, &value)) {
-        if (!PyLong_Check(key)) {
-            PyErr_Format(PyExc_TypeError,
-                         "stash addresses must be ints, not %.100s",
-                         Py_TYPE(key)->tp_name);
-            return -1;
-        }
-        long long k = PyLong_AsLongLong(key);
-        if (k == -1 && PyErr_Occurred())
-            return -1;
-        if (grow_buffer((void **)&ws->keys, &ws->cap_keys, ws->n_keys + 1,
-                        sizeof(long long)) < 0)
-            return -1;
-        ws->keys[ws->n_keys++] = k;
-        if (as_slot(value, arena_len, "stash", &s) < 0)
-            return -1;
-        if (found->obj != NULL && s == found->slot)
-            continue; /* the block of interest is grouped last */
-        int depth = levels - bit_length64(leaf_col->data[s] ^ leaf);
-        if (depth < 0) {
-            raise_leaf_range(leaf_col->data[s], levels);
-            return -1;
-        }
-        if (ws_push(ws, value, s, depth) < 0)
-            return -1;
-    }
-    ws->n_resident = ws->n;
-
-    for (Py_ssize_t li = 0; li < path_len; li++) {
-        PyObject *lst = path[li];
-        if (!PyList_Check(lst)) {
-            PyErr_SetString(PyExc_TypeError,
-                            "path buckets must be slot lists");
-            return -1;
-        }
-        for (Py_ssize_t bi = 0; bi < PyList_GET_SIZE(lst); bi++) {
-            PyObject *item = PyList_GET_ITEM(lst, bi);
-            if (as_slot(item, arena_len, "bucket", &s) < 0)
+    if (grow_buffer((void **)&ws->keys, &ws->cap_keys, n_stash,
+                    sizeof(long long)) < 0)
+        return -1;
+    /* The stash first, drained like one long bucket, then the path's. */
+    for (Py_ssize_t source = 0; source <= path_len; source++) {
+        const int resident = source == 0;
+        const int32_t *slots = resident ? stash : path[source - 1].slots;
+        const Py_ssize_t count = resident ? n_stash : path[source - 1].count;
+        for (Py_ssize_t k = 0; k < count; k++) {
+            const int32_t s = slots[k];
+            if (ws_admit(ws, s, arena_len, resident ? "stash" : "bucket",
+                         leaf) < 0)
                 return -1;
-            long long a = addr_col->data[s];
+            const long long a = addr_col[s];
+            if (resident)
+                ws->keys[ws->n_keys++] = a;
             if (a == addr) {
-                if (found->obj != NULL) {
+                if (*found >= 0) {
                     raise_duplicate(a);
                     return -1;
                 }
-                Py_INCREF(item);
-                found->obj = item;
-                found->slot = s;
-                continue;
+                *found = s;
+                continue; /* the block of interest is grouped last */
             }
-            /* Stash-vs-path duplicate guard: `a in stash_slots`. */
-            for (Py_ssize_t k = 0; k < ws->n_keys; k++) {
-                if (ws->keys[k] == a) {
+            /* Stash-vs-path duplicate guard: `a in resident_addrs`. */
+            for (Py_ssize_t j = 0; !resident && j < ws->n_keys; j++) {
+                if (ws->keys[j] == a) {
                     raise_duplicate(a);
                     return -1;
                 }
             }
-            int depth = levels - bit_length64(leaf_col->data[s] ^ leaf);
+            const int depth = levels - bit_length64(leaf_col[s] ^ leaf);
             if (depth < 0) {
-                raise_leaf_range(leaf_col->data[s], levels);
+                raise_leaf_range(leaf_col[s], levels);
                 return -1;
             }
-            if (ws_push(ws, item, s, depth) < 0)
+            if (ws_push(ws, s, depth) < 0)
                 return -1;
         }
+        if (resident)
+            ws->n_resident = ws->n;
     }
     return 0;
 }
 
-/* Overwrite bucket list `lst` with the first `count` picks (indices into
- * ws->merged), in place: list identity is part of the storage's
- * path-cache contract, and reusing the list's own item array keeps the
- * steady state allocation-free. */
+/* Room for place_core's scratch, taken while the access can still be
+ * refused: the placement itself then has nothing left that can fail. */
 static int
-refill_bucket(WorkSet *ws, PyObject *lst, const Py_ssize_t *picks,
-              Py_ssize_t count)
+ws_reserve_placement(WorkSet *ws, int levels, int cap)
 {
-    for (Py_ssize_t k = 0; k < count; k++) {
-        PyObject *obj = ws->merged[picks[k]].obj;
-        if (k < PyList_GET_SIZE(lst)) {
-            Py_INCREF(obj);
-            if (PyList_SetItem(lst, k, obj) < 0)
-                return -1;
-        }
-        else if (PyList_Append(lst, obj) < 0)
-            return -1;
-    }
-    if (PyList_GET_SIZE(lst) > count)
-        return PyList_SetSlice(lst, count, PyList_GET_SIZE(lst), NULL);
-    return 0;
-}
-
-/* Greedy placement, deepest level first; candidates LIFO, then the pool
- * of deeper leftovers LIFO — the scalar kernel's loop over the merged
- * working set.  Every path bucket is rewritten (the deferred drain
- * clear); on return ws->pool[0..n_pool) holds the unplaced entries in
- * exactly the order the interpreted kernel's pool list would. */
-static int
-place_core(WorkSet *ws, PyObject *const *path, int levels, int cap)
-{
-    if (cap < 0)
-        cap = 0;
     if (grow_buffer((void **)&ws->index, &ws->cap_index, 2 * ws->n + cap,
                     sizeof(Py_ssize_t)) < 0 ||
         grow_buffer((void **)&ws->bounds, &ws->cap_bounds,
                     2 * ((Py_ssize_t)levels + 1), sizeof(Py_ssize_t)) < 0)
         return -1;
+    return 0;
+}
+
+/* Greedy placement, deepest level first; candidates LIFO, then the pool
+ * of deeper leftovers LIFO — the interpreted kernel's loop over the
+ * merged working set.  Every path bucket is rewritten; on return
+ * ws->pool[0..n_pool) holds the unplaced entries in exactly the order
+ * the interpreted kernel's pool list would.  ws_reserve_placement first. */
+static void
+place_core(WorkSet *ws, Bucket *path, int levels, int cap)
+{
     /* order: entry indices grouped by depth; picks: one bucket's refill
      * (at most cap); pool: leftovers of deeper levels, a LIFO stack. */
     Py_ssize_t *order = ws->index, *picks = order + ws->n;
@@ -609,33 +625,68 @@ place_core(WorkSet *ws, PyObject *const *path, int levels, int cap)
 
     Py_ssize_t n_pool = 0;
     for (int level = levels; level >= 0; level--) {
-        Py_ssize_t count = 0;
+        int count = 0;
         while (count < cap && top[level] > base[level])
             picks[count++] = order[--top[level]];
         for (Py_ssize_t j = base[level]; j < top[level]; j++)
             pool[n_pool++] = order[j];
         while (count < cap && n_pool > 0)
             picks[count++] = pool[--n_pool];
-        if (refill_bucket(ws, path[level], picks, count) < 0)
-            return -1;
+        for (int k = 0; k < count; k++)
+            path[level].slots[k] = ws->merged[picks[k]].slot;
+        path[level].count = count;
     }
     ws->n_pool = n_pool;
-    return 0;
 }
 
 /* ------------------------------------------------------------------ */
-/* drain_scalar / place_greedy: the two primitives over Python lists   */
+/* drain_scalar / place_greedy: the two cores over Python lists        */
 /* ------------------------------------------------------------------ */
+
+/* Unbox a slot id read out of a Python container and bounds-check it
+ * against the arena (both columns: `arena_len` is the shorter one). */
+static int
+as_slot(PyObject *obj, Py_ssize_t arena_len, const char *where, int32_t *out)
+{
+    if (!PyLong_Check(obj)) {
+        PyErr_Format(PyExc_TypeError, "%s slot ids must be ints, not %.100s",
+                     where, Py_TYPE(obj)->tp_name);
+        return -1;
+    }
+    int overflow;
+    long long s = PyLong_AsLongLongAndOverflow(obj, &overflow);
+    if (overflow || s < 0 || s >= arena_len || s > INT32_MAX) {
+        PyErr_Format(PyExc_IndexError, "%s slot %S outside the arena", where,
+                     obj);
+        return -1;
+    }
+    *out = (int32_t)s;
+    return 0;
+}
+
+/* list.append(slot) */
+static int
+append_slot(PyObject *list, long slot)
+{
+    PyObject *boxed = PyLong_FromLong(slot);
+    if (boxed == NULL)
+        return -1;
+    int rc = PyList_Append(list, boxed);
+    Py_DECREF(boxed);
+    return rc;
+}
 
 /* drain_scalar(path, addr_col, leaf_col, stash_slots, slot, addr, leaf,
  *              levels, by_depth, drained_flat, resident) -> slot | None
  *
- * drain_core with its result unpacked into the scalar kernel's Python
- * scratch lists: residents and drained slots appended to by_depth[depth]
- * in merge order, residents also to `resident`, every non-empty path
- * bucket snapshotted into `drained_flat`.  Returns the slot holding the
- * block of interest, or None when it is absent.  On an error nothing is
- * appended.
+ * A list-in/list-out adapter over drain_core: the stash dict's slots
+ * and the path's bucket lists are unboxed into scratch columns, drained
+ * by the same integer loop the handles run, and the result is unpacked
+ * into Python scratch lists — residents and drained slots appended to
+ * by_depth[depth] in merge order, residents also to `resident`, every
+ * non-empty path bucket snapshotted into `drained_flat`.  Returns the
+ * slot holding the block of interest, or None when it is absent.  On an
+ * error nothing is appended.
  */
 static PyObject *
 drain_scalar(PyObject *self, PyObject *args)
@@ -657,25 +708,66 @@ drain_scalar(PyObject *self, PyObject *args)
         return NULL;
     }
 
-    I64Col addr_col = {0}, leaf_col = {0};
+    Col addr_col = {0}, leaf_col = {0};
     WorkSet ws = {0};
-    Found found = {NULL, 0};
+    int32_t *ids = NULL;
+    Bucket *buckets = NULL;
     PyObject *result = NULL;
-    if (i64col_acquire(addr_obj, &addr_col, "addr_col", 0) < 0)
+    long long found = -1;
+    if (col_acquire(addr_obj, &addr_col, "addr_col", &COL_I64, 0) < 0)
         return NULL;
-    if (i64col_acquire(leaf_obj, &leaf_col, "leaf_col", 0) < 0)
+    if (col_acquire(leaf_obj, &leaf_col, "leaf_col", &COL_I64, 0) < 0)
         goto done;
-    if (slot_in != Py_None) {
-        Py_ssize_t arena_len =
-            addr_col.len < leaf_col.len ? addr_col.len : leaf_col.len;
-        if (as_slot(slot_in, arena_len, "stash", &found.slot) < 0)
+    const Py_ssize_t arena_len =
+        addr_col.len < leaf_col.len ? addr_col.len : leaf_col.len;
+    const Py_ssize_t path_len = PyList_GET_SIZE(path);
+    const Py_ssize_t n_stash = PyDict_GET_SIZE(stash);
+
+    /* Unbox: the stash's slots in dict order, then the path's. */
+    Py_ssize_t total = n_stash;
+    for (Py_ssize_t li = 0; li < path_len; li++) {
+        if (!PyList_Check(PyList_GET_ITEM(path, li))) {
+            PyErr_SetString(PyExc_TypeError,
+                            "path buckets must be slot lists");
             goto done;
-        Py_INCREF(slot_in);
-        found.obj = slot_in;
+        }
+        total += PyList_GET_SIZE(PyList_GET_ITEM(path, li));
     }
-    if (drain_core(&ws, PySequence_Fast_ITEMS(path), PyList_GET_SIZE(path),
-                   &addr_col, &leaf_col, stash, &found, addr, leaf,
-                   levels) < 0)
+    ids = PyMem_Malloc((size_t)(total ? total : 1) * sizeof(int32_t));
+    buckets = PyMem_Malloc((size_t)(path_len ? path_len : 1) * sizeof(Bucket));
+    if (ids == NULL || buckets == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    int32_t ignored;
+    if (slot_in != Py_None && as_slot(slot_in, arena_len, "stash", &ignored) < 0)
+        goto done;
+    PyObject *key, *value;
+    Py_ssize_t pos = 0, filled = 0;
+    while (PyDict_Next(stash, &pos, &key, &value)) {
+        if (!PyLong_Check(key)) {
+            PyErr_Format(PyExc_TypeError,
+                         "stash addresses must be ints, not %.100s",
+                         Py_TYPE(key)->tp_name);
+            goto done;
+        }
+        if (as_slot(value, arena_len, "stash", &ids[filled++]) < 0)
+            goto done;
+    }
+    for (Py_ssize_t li = 0; li < path_len; li++) {
+        PyObject *lst = PyList_GET_ITEM(path, li);
+        buckets[li].slots = ids + filled;
+        buckets[li].count = (int)PyList_GET_SIZE(lst);
+        for (Py_ssize_t bi = 0; bi < PyList_GET_SIZE(lst); bi++) {
+            if (as_slot(PyList_GET_ITEM(lst, bi), arena_len, "bucket",
+                        &ids[filled++]) < 0)
+                goto done;
+        }
+    }
+
+    if (ws_begin(&ws, arena_len) < 0 ||
+        drain_core(&ws, addr_col.data, leaf_col.data, arena_len, ids, n_stash,
+                   buckets, path_len, &found, addr, leaf, levels) < 0)
         goto done;
 
     Py_ssize_t nlevels = PyList_GET_SIZE(by_depth);
@@ -694,35 +786,36 @@ drain_scalar(PyObject *self, PyObject *args)
     }
     for (Py_ssize_t i = 0; i < ws.n; i++) {
         Entry *e = &ws.merged[i];
-        if (PyList_Append(PyList_GET_ITEM(by_depth, e->depth), e->obj) < 0)
+        if (append_slot(PyList_GET_ITEM(by_depth, e->depth), e->slot) < 0)
             goto done;
-        if (i < ws.n_resident && PyList_Append(resident, e->obj) < 0)
+        if (i < ws.n_resident && append_slot(resident, e->slot) < 0)
             goto done;
     }
-    for (Py_ssize_t li = 0; li < PyList_GET_SIZE(path); li++) {
+    for (Py_ssize_t li = 0; li < path_len; li++) {
         Py_ssize_t end = PyList_GET_SIZE(drained_flat);
         if (PyList_SetSlice(drained_flat, end, end,
                             PyList_GET_ITEM(path, li)) < 0)
             goto done;
     }
-    result = found.obj != NULL ? found.obj : Py_None;
-    Py_INCREF(result);
+    result = found >= 0 ? PyLong_FromLongLong(found) : Py_NewRef(Py_None);
 
 done:
-    Py_XDECREF(found.obj);
     ws_free(&ws);
-    i64col_release(&addr_col);
-    i64col_release(&leaf_col);
+    PyMem_Free(ids);
+    PyMem_Free(buckets);
+    col_release(&addr_col);
+    col_release(&leaf_col);
     return result;
 }
 
 /* place_greedy(path, by_depth, levels, cap) -> pool (list)
  *
- * place_core over Python by_depth lists: the candidates are loaded into
- * a working set (depth-major, list order — the only order placement
- * depends on), placed into the live bucket lists, the by_depth scratch
- * lists are left empty and the leftover pool is returned as a list in
- * the interpreted kernel's order.
+ * A list-in/list-out adapter over place_core: the by_depth candidates
+ * are unboxed into a working set (depth-major, list order — the only
+ * order placement depends on), placed into scratch buckets by the same
+ * integer loop the handles run, the bucket lists are rewritten from
+ * those, the by_depth scratch lists are left empty and the leftover
+ * pool is returned as a list in the interpreted kernel's order.
  */
 static PyObject *
 place_greedy(PyObject *self, PyObject *args)
@@ -748,35 +841,55 @@ place_greedy(PyObject *self, PyObject *args)
             return NULL;
         }
     }
+    if (cap < 0)
+        cap = 0;
 
     WorkSet ws = {0};
     PyObject *pool = NULL;
+    int32_t *ids = PyMem_Malloc(((size_t)levels + 1) * (size_t)(cap ? cap : 1) *
+                                sizeof(int32_t));
+    Bucket *buckets = PyMem_Malloc(((size_t)levels + 1) * sizeof(Bucket));
+    if (ids == NULL || buckets == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
     for (int d = 0; d <= levels; d++) {
         PyObject *candidates = PyList_GET_ITEM(by_depth, d);
+        buckets[d].slots = ids + (Py_ssize_t)d * cap;
+        buckets[d].count = 0;
         for (Py_ssize_t i = 0; i < PyList_GET_SIZE(candidates); i++) {
-            if (ws_push(&ws, PyList_GET_ITEM(candidates, i), 0, d) < 0)
+            int32_t slot;
+            if (as_slot(PyList_GET_ITEM(candidates, i), INT32_MAX, "by_depth",
+                        &slot) < 0 ||
+                ws_push(&ws, slot, d) < 0)
                 goto done;
         }
     }
-    if (place_core(&ws, PySequence_Fast_ITEMS(path), levels, cap) < 0)
+    if (ws_reserve_placement(&ws, levels, cap) < 0)
         goto done;
+    place_core(&ws, buckets, levels, cap);
     for (int d = 0; d <= levels; d++) {
+        PyObject *lst = PyList_GET_ITEM(path, d);
         PyObject *candidates = PyList_GET_ITEM(by_depth, d);
-        if (PyList_SetSlice(candidates, 0, PyList_GET_SIZE(candidates),
+        if (PyList_SetSlice(lst, 0, PyList_GET_SIZE(lst), NULL) < 0 ||
+            PyList_SetSlice(candidates, 0, PyList_GET_SIZE(candidates),
                             NULL) < 0)
             goto done;
+        for (int k = 0; k < buckets[d].count; k++) {
+            if (append_slot(lst, buckets[d].slots[k]) < 0)
+                goto done;
+        }
     }
-    pool = PyList_New(ws.n_pool);
-    if (pool == NULL)
-        goto done;
-    for (Py_ssize_t k = 0; k < ws.n_pool; k++) {
-        PyObject *obj = ws.merged[ws.pool[k]].obj;
-        Py_INCREF(obj);
-        PyList_SET_ITEM(pool, k, obj);
+    pool = PyList_New(0);
+    for (Py_ssize_t k = 0; pool != NULL && k < ws.n_pool; k++) {
+        if (append_slot(pool, ws.merged[ws.pool[k]].slot) < 0)
+            Py_CLEAR(pool);
     }
 
 done:
     ws_free(&ws);
+    PyMem_Free(ids);
+    PyMem_Free(buckets);
     return pool;
 }
 
@@ -786,41 +899,70 @@ done:
 
 static PyObject *str_access_count, *str_tree_access_count, *str_append_count,
     *str_buckets_read, *str_buckets_written, *str_observer,
-    *str_on_path_read, *str_on_path_write, *str_grow, *str_abort_access,
-    *str_addr, *str_leaf, *str_data, *str_mac;
+    *str_on_path_read, *str_on_path_write, *str_grow, *str_stash,
+    *str_reserve, *str_abort_access, *str_addr, *str_leaf, *str_data,
+    *str_mac;
+
+/* Every counter a tree access moves.  Deltas gather in the handle and
+ * are folded into the Python attributes (the backend's three, the
+ * storage's two) when the outermost C entry returns, before any call
+ * that can run foreign Python, and on every error exit: whoever can
+ * look sees what the interpreted access would have left. */
+enum {
+    T_ACCESSES, T_TREE_ACCESSES, T_APPENDS, /* the backend's */
+    T_PATHS_READ, T_PATHS_WRITTEN,          /* the storage's, in paths */
+    N_TREE_COUNTERS
+};
 
 /* The per-backend handle created by ColumnarPathOramBackend
- * .enable_native_kernel.  It binds the storage's live containers (the
- * objects, never raw pointers: the columns grow in place) and owns the
- * working-set scratch and the stash-occupancy fold.  The backend itself
- * is held weakly — it owns this handle, and a strong reference would
- * park every discarded tree on the cyclic collector. */
-typedef struct {
+ * .enable_native_kernel.  The tree's state is the storage's own typed
+ * columns, which the interpreted access, the snapshots and the tamper
+ * hooks read and write too; the handle owns only scratch (the working
+ * set, the block of interest's snapshot), the pending counter deltas
+ * and the stash-occupancy fold.  The backend itself is held weakly — it
+ * owns this handle, and a strong reference would park every discarded
+ * tree on the cyclic collector. */
+typedef struct AccessKernel AccessKernel;
+struct AccessKernel {
     PyObject_HEAD
     union {
         struct {
             PyObject *backend_ref; /* weakref to the owning backend */
             PyObject *storage;
-            PyObject *addr_col, *leaf_col, *mac_col, *chunks, *free_list,
-                *buckets;
-            PyObject *stash;
+            PyObject *addr_col, *leaf_col, *mac_col, *chunks, *free_col;
+            PyObject *stash_col; /* backend.stash.slots */
             PyObject *block_type, *op_append, *op_readrmv;
             PyObject *not_found_error, *overflow_error;
-            PyObject *path_len_obj; /* levels + 1: the bandwidth step */
-            PyObject *one;
         };
-        PyObject *refs[16]; /* the same references, for the collector */
+        PyObject *refs[13]; /* the same references, for the collector */
     };
-    PyObject **path; /* levels + 1 bucket lists, owned during a call */
-    char *snap;      /* the block of interest's payload before its visit */
-    int levels, cap, chunk_shift, allow_missing, busy;
+    /* Held from kernel_hold to kernel_drop, one outermost entry. */
+    PyObject *backend;  /* the owner, strongly */
+    PyObject *observer; /* storage.observer as read at entry; NULL for None */
+    int busy;
+    /* How whoever entered folds: the tree alone (kernel_fold) through
+     * its own access(), a frontend handle with every tree under it
+     * otherwise — so that a yield shows the frontend's counters too. */
+    int (*fold)(void *entered);
+    void *entered;
+    /* The fixed-size columns, exported for the life of the handle. */
+    Col bucket_slots, bucket_fill;
+    /* The growing ones, exported from first use until the next yield,
+     * growth or exit (kernel_columns / kernel_release). */
+    Col addr, leaf, free_stack, stash_slots;
+    int live;
+    Bucket *path;          /* levels + 1: the accessed path's buckets */
+    long long *path_index; /* their heap indices */
+    char *snap; /* the block of interest's payload before its visit */
+    int levels, cap, chunk_shift, allow_missing;
     Py_ssize_t block_bytes;
     long long chunk_mask, num_leaves, stash_limit;
+    long long pending[N_TREE_COUNTERS];
     /* RunningStats over post-eviction stash occupancy (see occupancy()). */
     long long occ_count, occ_max, occ_min;
     double occ_mean, occ_m2;
     WorkSet ws;
-} AccessKernel;
+};
 
 #define KERNEL_REFS (sizeof(((AccessKernel *)0)->refs) / sizeof(PyObject *))
 
@@ -840,13 +982,22 @@ kernel_clear(AccessKernel *self)
     return 0;
 }
 
+static int kernel_columns(AccessKernel *self);
+static void kernel_release(AccessKernel *self);
+
 static void
 kernel_dealloc(AccessKernel *self)
 {
     PyObject_GC_UnTrack(self);
+    kernel_release(self);
+    col_release(&self->bucket_slots);
+    col_release(&self->bucket_fill);
     kernel_clear(self);
+    Py_CLEAR(self->backend);
+    Py_CLEAR(self->observer);
     ws_free(&self->ws);
     PyMem_Free(self->path);
+    PyMem_Free(self->path_index);
     PyMem_Free(self->snap);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
@@ -855,8 +1006,9 @@ static PyObject *
 kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
 {
     PyObject *backend, *storage, *addr_col, *leaf_col, *mac_col, *chunks,
-        *free_list, *buckets, *stash, *block_type, *op_append, *op_readrmv,
-        *not_found_error, *overflow_error, *occ_max, *occ_min;
+        *free_col, *bucket_slots, *bucket_fill, *stash_col, *block_type,
+        *op_append, *op_readrmv, *not_found_error, *overflow_error, *occ_max,
+        *occ_min;
     int levels, cap, allow_missing;
     Py_ssize_t block_bytes;
     long long chunk_slots, stash_limit, occ_count;
@@ -867,17 +1019,17 @@ kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
         return NULL;
     }
     if (!PyArg_ParseTuple(
-            args, "OOOOO!O!O!O!O!iinLLp(LddOO)OOOOO:AccessKernel", &backend,
+            args, "OOOOO!O!OOOOiinLLp(LddOO)OOOOO:AccessKernel", &backend,
             &storage, &addr_col, &leaf_col, &PyList_Type, &mac_col,
-            &PyList_Type, &chunks, &PyList_Type, &free_list, &PyList_Type,
-            &buckets, &PyDict_Type, &stash, &levels, &cap, &block_bytes,
-            &chunk_slots, &stash_limit, &allow_missing, &occ_count,
-            &occ_mean, &occ_m2, &occ_max, &occ_min, &block_type, &op_append,
-            &op_readrmv, &not_found_error, &overflow_error))
+            &PyList_Type, &chunks, &free_col, &bucket_slots, &bucket_fill,
+            &stash_col, &levels, &cap, &block_bytes, &chunk_slots,
+            &stash_limit, &allow_missing, &occ_count, &occ_mean, &occ_m2,
+            &occ_max, &occ_min, &block_type, &op_append, &op_readrmv,
+            &not_found_error, &overflow_error))
         return NULL;
-    if (levels < 0 || levels > 60 || cap < 1 || block_bytes < 1 ||
-        chunk_slots < 1 || (chunk_slots & (chunk_slots - 1)) != 0 ||
-        occ_count < 0) {
+    if (levels < 0 || levels > 60 || cap < 1 || cap > 255 ||
+        block_bytes < 1 || chunk_slots < 1 ||
+        (chunk_slots & (chunk_slots - 1)) != 0 || occ_count < 0) {
         PyErr_SetString(PyExc_ValueError,
                         "AccessKernel: geometry out of range");
         return NULL;
@@ -890,15 +1042,6 @@ kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
                         "exception classes");
         return NULL;
     }
-    /* Fail at set-up, not mid-access, when the storage cannot hand out
-     * writable int64 columns (the zero-copy contract). */
-    I64Col probe = {0};
-    if (i64col_acquire(addr_col, &probe, "addr_col", 1) < 0)
-        return NULL;
-    i64col_release(&probe);
-    if (i64col_acquire(leaf_col, &probe, "leaf_col", 1) < 0)
-        return NULL;
-    i64col_release(&probe);
 
     AccessKernel *self = (AccessKernel *)type->tp_alloc(type, 0);
     if (self == NULL)
@@ -920,13 +1063,30 @@ kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
         if (PyErr_Occurred())
             goto fail;
     }
+    /* The tree: one count per bucket, Z slot ids per bucket, both of
+     * exactly the geometry's size — what lets every later index into
+     * them go unchecked. */
+    const Py_ssize_t num_buckets = (Py_ssize_t)((2LL << levels) - 1);
+    if (col_acquire(bucket_fill, &self->bucket_fill, "bucket_fill", &COL_U8,
+                    1) < 0 ||
+        col_acquire(bucket_slots, &self->bucket_slots, "bucket_slots",
+                    &COL_I32, 1) < 0)
+        goto fail;
+    if (self->bucket_fill.len != num_buckets ||
+        self->bucket_slots.len != num_buckets * cap) {
+        PyErr_Format(PyExc_ValueError,
+                     "AccessKernel: a %d-level tree of Z = %d needs %zd "
+                     "bucket counts and %zd bucket slots, not %zd and %zd",
+                     levels, cap, num_buckets, num_buckets * cap,
+                     self->bucket_fill.len, self->bucket_slots.len);
+        goto fail;
+    }
     self->backend_ref = PyWeakref_NewRef(backend, NULL);
-    self->path_len_obj = PyLong_FromLong(levels + 1);
-    self->one = PyLong_FromLong(1);
-    self->path = PyMem_Calloc((size_t)levels + 1, sizeof(PyObject *));
+    self->path = PyMem_Calloc((size_t)levels + 1, sizeof(Bucket));
+    self->path_index = PyMem_Calloc((size_t)levels + 1, sizeof(long long));
     self->snap = PyMem_Malloc((size_t)block_bytes);
-    if (self->backend_ref == NULL || self->path_len_obj == NULL ||
-        self->one == NULL || self->path == NULL || self->snap == NULL) {
+    if (self->backend_ref == NULL || self->path == NULL ||
+        self->path_index == NULL || self->snap == NULL) {
         if (!PyErr_Occurred())
             PyErr_NoMemory();
         goto fail;
@@ -937,15 +1097,20 @@ kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
     BIND(leaf_col);
     BIND(mac_col);
     BIND(chunks);
-    BIND(free_list);
-    BIND(buckets);
-    BIND(stash);
+    BIND(free_col);
+    BIND(stash_col);
     BIND(block_type);
     BIND(op_append);
     BIND(op_readrmv);
     BIND(not_found_error);
     BIND(overflow_error);
 #undef BIND
+    /* Fail at set-up, not mid-access, when the storage cannot hand out
+     * the growing columns writable and well-formed (the zero-copy
+     * contract). */
+    if (kernel_columns(self) < 0)
+        goto fail;
+    kernel_release(self);
     return (PyObject *)self;
 
 fail:
@@ -953,18 +1118,72 @@ fail:
     return NULL;
 }
 
-/* -- small steps ---------------------------------------------------- */
+/* -- columns, counters, yielding ------------------------------------- */
+
+/* Export the growing columns (the arena's two, the free stack, the
+ * stash), unless they still are from earlier in this entry, and check
+ * what every later index relies on: equal arena columns, and each
+ * length-prefixed column's prefix inside it. */
+static int
+kernel_columns(AccessKernel *self)
+{
+    if (self->live)
+        return 0;
+    if (col_acquire(self->addr_col, &self->addr, "addr_col", &COL_I64, 1) < 0 ||
+        col_acquire(self->leaf_col, &self->leaf, "leaf_col", &COL_I64, 1) < 0 ||
+        col_acquire(self->free_col, &self->free_stack, "the free stack",
+                    &COL_I32, 1) < 0 ||
+        col_acquire(self->stash_col, &self->stash_slots, "the stash column",
+                    &COL_I32, 1) < 0)
+        goto fail;
+    if (self->addr.len != self->leaf.len) {
+        PyErr_SetString(PyExc_ValueError,
+                        "addr_col and leaf_col differ in length");
+        goto fail;
+    }
+    const Col *prefixed[2] = {&self->free_stack, &self->stash_slots};
+    for (int i = 0; i < 2; i++) {
+        const int32_t *column = prefixed[i]->data;
+        if (prefixed[i]->len < 1 || column[0] < 0 ||
+            column[0] >= prefixed[i]->len) {
+            PyErr_Format(PyExc_ValueError, "%s length %lld beyond its column",
+                         i == 0 ? "free stack" : "stash",
+                         prefixed[i]->len < 1 ? -1LL : (long long)column[0]);
+            goto fail;
+        }
+    }
+    self->live = 1;
+    return 0;
+
+fail:
+    kernel_release(self);
+    return -1;
+}
+
+/* Exports are never held across an arena or stash growth (CPython
+ * refuses to resize an exported array), a call that can run foreign
+ * Python, or the return to the caller. */
+static void
+kernel_release(AccessKernel *self)
+{
+    col_release(&self->addr);
+    col_release(&self->leaf);
+    col_release(&self->free_stack);
+    col_release(&self->stash_slots);
+    self->live = 0;
+}
 
 /* obj.name += step, through the attribute protocol so every other reader
  * and writer of the counter (properties, reset_counters) sees one value. */
 static int
-bump_attr(PyObject *obj, PyObject *name, PyObject *step)
+bump_attr(PyObject *obj, PyObject *name, long long step)
 {
     PyObject *current = PyObject_GetAttr(obj, name);
-    if (current == NULL)
-        return -1;
-    PyObject *next = PyNumber_Add(current, step);
-    Py_DECREF(current);
+    PyObject *by = PyLong_FromLongLong(step);
+    PyObject *next =
+        current != NULL && by != NULL ? PyNumber_Add(current, by) : NULL;
+    Py_XDECREF(current);
+    Py_XDECREF(by);
     if (next == NULL)
         return -1;
     int rc = PyObject_SetAttr(obj, name, next);
@@ -972,114 +1191,112 @@ bump_attr(PyObject *obj, PyObject *name, PyObject *step)
     return rc;
 }
 
-/* Acquire both arena columns writable.  Exports are never held across a
- * call back into Python or an arena growth. */
+/* Fold the tree's pending deltas into its backend and storage. */
 static int
-kernel_acquire(AccessKernel *self, I64Col *addr_col, I64Col *leaf_col)
+kernel_fold(void *handle)
 {
-    if (i64col_acquire(self->addr_col, addr_col, "addr_col", 1) < 0)
-        return -1;
-    if (i64col_acquire(self->leaf_col, leaf_col, "leaf_col", 1) < 0) {
-        i64col_release(addr_col);
-        return -1;
-    }
-    if (addr_col->len != leaf_col->len) {
-        i64col_release(addr_col);
-        i64col_release(leaf_col);
-        PyErr_SetString(PyExc_ValueError,
-                        "addr_col and leaf_col differ in length");
-        return -1;
-    }
-    return 0;
-}
-
-static void
-kernel_release(I64Col *addr_col, I64Col *leaf_col)
-{
-    i64col_release(addr_col);
-    i64col_release(leaf_col);
-}
-
-static void
-kernel_drop_path(AccessKernel *self)
-{
-    for (int d = 0; d <= self->levels; d++)
-        Py_CLEAR(self->path[d]);
-}
-
-/* Bind the live bucket lists on the path to `leaf`, root->leaf, creating
- * the lazily materialised ones.  Heap indices are arithmetic. */
-static int
-kernel_bind_path(AccessKernel *self, long long leaf)
-{
-    const int levels = self->levels;
-    for (int d = 0; d <= levels; d++) {
-        long long index = ((1LL << d) - 1) + (leaf >> (levels - d));
-        if (index >= PyList_GET_SIZE(self->buckets)) {
-            PyErr_Format(PyExc_IndexError,
-                         "bucket %lld outside the tree", index);
-            goto fail;
-        }
-        PyObject *lst = PyList_GET_ITEM(self->buckets, (Py_ssize_t)index);
-        if (lst == Py_None) {
-            lst = PyList_New(0);
-            if (lst == NULL)
-                goto fail;
-            Py_INCREF(lst);
-            if (PyList_SetItem(self->buckets, (Py_ssize_t)index, lst) < 0) {
-                Py_DECREF(lst);
-                goto fail;
-            }
-        }
-        else if (PyList_Check(lst))
-            Py_INCREF(lst);
-        else {
-            PyErr_SetString(PyExc_TypeError,
-                            "path buckets must be slot lists");
-            goto fail;
-        }
-        self->path[d] = lst;
+    AccessKernel *self = handle;
+    PyObject *const names[N_TREE_COUNTERS] = {
+        str_access_count, str_tree_access_count, str_append_count,
+        str_buckets_read, str_buckets_written,
+    };
+    for (int i = 0; i < N_TREE_COUNTERS; i++) {
+        long long step = self->pending[i];
+        if (step == 0)
+            continue;
+        self->pending[i] = 0;
+        PyObject *owner = i < T_PATHS_READ ? self->backend : self->storage;
+        if (i >= T_PATHS_READ)
+            step *= (long long)self->levels + 1;
+        if (bump_attr(owner, names[i], step) < 0)
+            return -1;
     }
     return 0;
-
-fail:
-    kernel_drop_path(self);
-    return -1;
 }
 
-/* storage.observer.<method>(leaf, indices), when an observer is set.
- * *indices caches the heap-index tuple across the read and write calls. */
+/* Run `fold` with whatever exception is pending set aside: on an error
+ * exit the request's own exception is the one that propagates. */
 static int
-kernel_notify(AccessKernel *self, PyObject *method, PyObject *leaf_obj,
-              long long leaf, PyObject **indices)
+fold_at_exit(int (*fold)(void *), void *ctx, int rc)
+{
+    PyObject *type = NULL, *value = NULL, *tb = NULL;
+    if (rc < 0)
+        PyErr_Fetch(&type, &value, &tb);
+    int folded = fold(ctx);
+    if (rc < 0) {
+        if (folded < 0)
+            PyErr_Clear();
+        PyErr_Restore(type, value, tb);
+        return -1;
+    }
+    return folded;
+}
+
+/* Before a call that can run foreign Python — an observer, an update
+ * callback, a Block's construction, the backend's rollback, a payload's
+ * buffer or bytes coercion: no export live, every counter folded. */
+static int
+kernel_yield(AccessKernel *self)
+{
+    kernel_release(self);
+    return self->fold(self->entered);
+}
+
+/* Take the tree for one outermost entry: its owner held, its observer
+ * read once.  The caller has checked the owner alive and the handle not
+ * busy (its words for either differ). */
+static int
+kernel_hold(AccessKernel *self, PyObject *backend, int (*fold)(void *),
+            void *entered)
 {
     PyObject *observer = PyObject_GetAttr(self->storage, str_observer);
     if (observer == NULL)
         return -1;
-    if (observer == Py_None) {
-        Py_DECREF(observer);
+    if (observer == Py_None)
+        Py_CLEAR(observer);
+    self->observer = observer;
+    self->backend = Py_NewRef(backend);
+    self->fold = fold;
+    self->entered = entered;
+    self->busy = 1;
+    return 0;
+}
+
+static void
+kernel_drop(AccessKernel *self)
+{
+    kernel_release(self);
+    Py_CLEAR(self->observer);
+    Py_CLEAR(self->backend);
+    self->busy = 0;
+}
+
+/* -- small steps ---------------------------------------------------- */
+
+/* storage.observer.<method>(leaf, indices), when an observer is set. */
+static int
+kernel_notify(AccessKernel *self, PyObject *method, long long leaf)
+{
+    if (self->observer == NULL)
         return 0;
+    if (kernel_yield(self) < 0)
+        return -1;
+    const int levels = self->levels;
+    PyObject *leaf_obj = PyLong_FromLongLong(leaf);
+    PyObject *tuple = PyTuple_New((Py_ssize_t)levels + 1);
+    for (int d = 0; tuple != NULL && d <= levels; d++) {
+        PyObject *index = PyLong_FromLongLong(self->path_index[d]);
+        if (index == NULL)
+            Py_CLEAR(tuple);
+        else
+            PyTuple_SET_ITEM(tuple, d, index);
     }
-    if (*indices == NULL) {
-        const int levels = self->levels;
-        PyObject *tuple = PyTuple_New((Py_ssize_t)levels + 1);
-        for (int d = 0; tuple != NULL && d <= levels; d++) {
-            PyObject *index = PyLong_FromLongLong(
-                ((1LL << d) - 1) + (leaf >> (levels - d)));
-            if (index == NULL)
-                Py_CLEAR(tuple);
-            else
-                PyTuple_SET_ITEM(tuple, d, index);
-        }
-        if (tuple == NULL) {
-            Py_DECREF(observer);
-            return -1;
-        }
-        *indices = tuple;
-    }
-    PyObject *done = PyObject_CallMethodObjArgs(observer, method, leaf_obj,
-                                                *indices, NULL);
-    Py_DECREF(observer);
+    PyObject *done = leaf_obj != NULL && tuple != NULL
+                         ? PyObject_CallMethodObjArgs(self->observer, method,
+                                                      leaf_obj, tuple, NULL)
+                         : NULL;
+    Py_XDECREF(leaf_obj);
+    Py_XDECREF(tuple);
     if (done == NULL)
         return -1;
     Py_DECREF(done);
@@ -1092,7 +1309,7 @@ kernel_payload(AccessKernel *self, long long slot, Py_buffer *view,
                char **bytes)
 {
     Py_ssize_t chunk = (Py_ssize_t)(slot >> self->chunk_shift);
-    if (chunk >= PyList_GET_SIZE(self->chunks)) {
+    if (slot < 0 || chunk >= PyList_GET_SIZE(self->chunks)) {
         PyErr_Format(PyExc_IndexError, "slot %lld outside the byte arena",
                      slot);
         return -1;
@@ -1140,7 +1357,7 @@ kernel_set_payload(AccessKernel *self, long long slot, PyObject *data)
 static int
 kernel_set_mac(AccessKernel *self, long long slot, PyObject *mac)
 {
-    if (slot >= PyList_GET_SIZE(self->mac_col)) {
+    if (slot < 0 || slot >= PyList_GET_SIZE(self->mac_col)) {
         PyErr_Format(PyExc_IndexError, "slot %lld outside mac_col", slot);
         return -1;
     }
@@ -1148,31 +1365,86 @@ kernel_set_mac(AccessKernel *self, long long slot, PyObject *mac)
     return PyList_SetItem(self->mac_col, (Py_ssize_t)slot, mac);
 }
 
-/* store.alloc's slot claim: pop the free list, growing the arena first
- * when it is empty.  The columns must not be exported here (the growth
- * resizes them).  Returns a new reference to the boxed slot id. */
-static PyObject *
+/* backend.stash.reserve(blocks), when the stash column has room for
+ * fewer: the one growth of that column, done by its owner between two
+ * exports.  (The stash is reached through the backend: it holds this
+ * handle, as its occupancy view, and a reference back would be a cycle
+ * keeping every discarded tree for the collector.) */
+static int
+kernel_reserve_stash(AccessKernel *self, long long blocks)
+{
+    if (kernel_columns(self) < 0)
+        return -1;
+    if (blocks < self->stash_slots.len)
+        return 0;
+    kernel_release(self);
+    PyObject *stash = PyObject_GetAttr(self->backend, str_stash);
+    PyObject *wanted = PyLong_FromLongLong(blocks);
+    PyObject *done = stash == NULL || wanted == NULL
+                         ? NULL
+                         : PyObject_CallMethodOneArg(stash, str_reserve,
+                                                     wanted);
+    Py_XDECREF(stash);
+    Py_XDECREF(wanted);
+    if (done == NULL)
+        return -1;
+    Py_DECREF(done);
+    if (kernel_columns(self) < 0)
+        return -1;
+    if (blocks >= self->stash_slots.len) {
+        PyErr_SetString(PyExc_IndexError,
+                        "stash.reserve left the stash column short");
+        return -1;
+    }
+    return 0;
+}
+
+/* store.alloc's slot claim: pop the free stack, growing the arena first
+ * when it is empty, and refuse a slot that is outside the arena or
+ * still holds a block.  Returns the slot, or -1 with nothing claimed. */
+static long long
 kernel_claim_slot(AccessKernel *self)
 {
-    if (PyList_GET_SIZE(self->free_list) == 0) {
+    if (kernel_columns(self) < 0)
+        return -1;
+    if (*(int32_t *)self->free_stack.data == 0) {
+        kernel_release(self);
         PyObject *grown = PyObject_CallMethodNoArgs(self->storage, str_grow);
         if (grown == NULL)
-            return NULL;
+            return -1;
         Py_DECREF(grown);
-        if (PyList_GET_SIZE(self->free_list) == 0) {
+        if (kernel_columns(self) < 0)
+            return -1;
+        if (*(int32_t *)self->free_stack.data == 0) {
             PyErr_SetString(PyExc_IndexError,
-                            "arena growth left the free list empty");
-            return NULL;
+                            "arena growth left the free stack empty");
+            return -1;
         }
     }
-    Py_ssize_t last = PyList_GET_SIZE(self->free_list) - 1;
-    PyObject *slot = PyList_GET_ITEM(self->free_list, last);
-    Py_INCREF(slot);
-    if (PyList_SetSlice(self->free_list, last, last + 1, NULL) < 0) {
-        Py_DECREF(slot);
-        return NULL;
+    int32_t *stack = self->free_stack.data;
+    const long long slot = stack[stack[0]];
+    if (slot < 0 || slot >= self->addr.len) {
+        PyErr_Format(PyExc_IndexError, "free slot %lld outside the arena",
+                     slot);
+        return -1;
     }
+    if (((long long *)self->addr.data)[slot] != DUMMY_ADDR) {
+        PyErr_Format(PyExc_ValueError, "free slot %lld holds a live block",
+                     slot);
+        return -1;
+    }
+    stack[0]--;
     return slot;
+}
+
+/* store.release(slot).  The columns are live and the stack has room
+ * (kernel_tree_body checks before it commits). */
+static void
+kernel_release_slot(AccessKernel *self, long long slot)
+{
+    int32_t *stack = self->free_stack.data;
+    stack[++stack[0]] = (int32_t)slot;
+    ((long long *)self->addr.data)[slot] = DUMMY_ADDR;
 }
 
 /* stash.check_limit(): fold the occupancy into the running statistics
@@ -1197,7 +1469,9 @@ occupancy_fold(AccessKernel *self, long long n)
 static int
 kernel_check_limit(AccessKernel *self)
 {
-    long long n = (long long)PyDict_GET_SIZE(self->stash);
+    if (kernel_columns(self) < 0)
+        return -1;
+    long long n = *(int32_t *)self->stash_slots.data;
     occupancy_fold(self, n);
     if (n > self->stash_limit) {
         PyErr_Format(self->overflow_error,
@@ -1247,28 +1521,30 @@ handling_end(Handling *h)
 
 /* The except-BaseException arm of the interpreted access: hand the
  * pending exception to backend._abort_access — which releases a fresh
- * slot, restores the block of interest from the snapshot and chains
- * restore failures as notes — then re-raise it. */
+ * slot, restores the block of interest from the column snapshot and
+ * chains restore failures as notes — then re-raise it.  `slot` is -1
+ * while the block of interest has not been located. */
 static void
-kernel_abort(AccessKernel *self, PyObject *backend, int created_fresh,
-             PyObject *slot, int snapshotted, long long saved_leaf,
-             PyObject *saved_mac)
+kernel_abort(AccessKernel *self, int created_fresh, long long slot,
+             int snapshotted, long long saved_leaf, PyObject *saved_mac)
 {
     Handling handling;
     handling_begin(&handling);
+    PyObject *slot_obj =
+        slot >= 0 ? PyLong_FromLongLong(slot) : Py_NewRef(Py_None);
     PyObject *saved =
         (created_fresh || !snapshotted)
             ? Py_NewRef(Py_None)
             : Py_BuildValue("(Ly#O)", saved_leaf, self->snap,
                             self->block_bytes, saved_mac);
-    if (saved != NULL) {
+    if (slot_obj != NULL && saved != NULL && kernel_yield(self) == 0) {
         PyObject *done = PyObject_CallMethodObjArgs(
-            backend, str_abort_access, handling.value,
-            created_fresh ? Py_True : Py_False,
-            slot != NULL ? slot : Py_None, saved, NULL);
+            self->backend, str_abort_access, handling.value,
+            created_fresh ? Py_True : Py_False, slot_obj, saved, NULL);
         Py_XDECREF(done);
-        Py_DECREF(saved);
     }
+    Py_XDECREF(slot_obj);
+    Py_XDECREF(saved);
     handling_end(&handling);
 }
 
@@ -1287,69 +1563,67 @@ as_int64(PyObject *obj, long long *out)
  * payload of `data_len` bytes (validated here, after the duplicate
  * probe, as the interpreted stash does). */
 static int
-kernel_append(AccessKernel *self, PyObject *addr_obj, PyObject *leaf_obj,
+kernel_append(AccessKernel *self, long long addr, long long leaf,
               PyObject *mac, const char *data, Py_ssize_t data_len)
 {
-    PyObject *slot_obj = NULL;
-    I64Col addr_col = {0}, leaf_col = {0};
-    long long addr, leaf, slot;
-    int rc = -1;
-
-    int present = PyDict_Contains(self->stash, addr_obj);
-    if (present < 0)
+    if (kernel_columns(self) < 0)
         return -1;
-    if (as_int64(addr_obj, &addr) < 0 || as_int64(leaf_obj, &leaf) < 0)
-        return -1;
-    if (present) {
-        raise_duplicate(addr);
-        return -1;
+    const long long occupancy = *(int32_t *)self->stash_slots.data;
+    for (long long i = 1; i <= occupancy; i++) {
+        const long long s = ((int32_t *)self->stash_slots.data)[i];
+        if (s < 0 || s >= self->addr.len) {
+            PyErr_Format(PyExc_IndexError, "stash slot %lld outside the arena",
+                         s);
+            return -1;
+        }
+        if (((long long *)self->addr.data)[s] == addr) {
+            raise_duplicate(addr);
+            return -1;
+        }
     }
     /* Validate the payload before claiming the slot, so a wrong-sized
-     * block leaves the free list alone. */
+     * block leaves the free stack alone. */
     if (data_len != self->block_bytes) {
         PyErr_SetString(PyExc_ValueError,
                         "memoryview assignment: lvalue and rvalue have "
                         "different structures");
         return -1;
     }
-    slot_obj = kernel_claim_slot(self);
-    if (slot_obj == NULL)
+    if (kernel_reserve_stash(self, occupancy + 1) < 0)
         return -1;
-    if (kernel_acquire(self, &addr_col, &leaf_col) < 0)
-        goto done;
-    if (as_slot(slot_obj, addr_col.len, "free", &slot) < 0)
-        goto done;
-    addr_col.data[slot] = addr;
-    leaf_col.data[slot] = leaf;
-    kernel_release(&addr_col, &leaf_col);
+    const long long slot = kernel_claim_slot(self);
+    if (slot < 0)
+        return -1;
     Py_buffer view;
     char *bytes;
-    if (kernel_set_mac(self, slot, mac) < 0 ||
-        kernel_payload(self, slot, &view, &bytes) < 0)
-        goto done;
+    /* The claim may have grown the arena: look at the stash column again. */
+    const int room = occupancy + 1 < self->stash_slots.len;
+    if (!room)
+        PyErr_SetString(PyExc_IndexError,
+                        "the stash column shrank under the access");
+    if (!room || kernel_set_mac(self, slot, mac) < 0 ||
+        kernel_payload(self, slot, &view, &bytes) < 0) {
+        ++*(int32_t *)self->free_stack.data; /* unclaimed: still on top */
+        return -1;
+    }
     memcpy(bytes, data, (size_t)self->block_bytes);
     PyBuffer_Release(&view);
-    if (PyDict_SetItem(self->stash, addr_obj, slot_obj) < 0 ||
-        kernel_check_limit(self) < 0)
-        goto done;
-    rc = 0;
-
-done:
-    kernel_release(&addr_col, &leaf_col);
-    Py_DECREF(slot_obj);
-    return rc;
+    ((long long *)self->leaf.data)[slot] = leaf;
+    ((long long *)self->addr.data)[slot] = addr;
+    int32_t *stash = self->stash_slots.data;
+    stash[++stash[0]] = (int32_t)slot;
+    return kernel_check_limit(self);
 }
 
 /* APPEND of a Block object (the Python-facing spelling). */
 static PyObject *
-kernel_append_block(AccessKernel *self, PyObject *backend, PyObject *block)
+kernel_append_block(AccessKernel *self, PyObject *block)
 {
     if (block == Py_None) {
         PyErr_SetString(PyExc_ValueError, "APPEND requires append_block");
         return NULL;
     }
-    if (bump_attr(backend, str_append_count, self->one) < 0)
-        return NULL;
+    self->pending[T_APPENDS]++;
 
     PyObject *addr_obj = PyObject_GetAttr(block, str_addr);
     PyObject *leaf_obj = PyObject_GetAttr(block, str_leaf);
@@ -1357,10 +1631,11 @@ kernel_append_block(AccessKernel *self, PyObject *backend, PyObject *block)
     PyObject *mac = PyObject_GetAttr(block, str_mac);
     PyObject *result = NULL;
     Py_buffer src;
+    long long addr, leaf;
     if (addr_obj != NULL && leaf_obj != NULL && data != NULL && mac != NULL &&
+        as_int64(addr_obj, &addr) == 0 && as_int64(leaf_obj, &leaf) == 0 &&
         PyObject_GetBuffer(data, &src, PyBUF_SIMPLE) == 0) {
-        if (kernel_append(self, addr_obj, leaf_obj, mac, src.buf,
-                          src.len) == 0)
+        if (kernel_append(self, addr, leaf, mac, src.buf, src.len) == 0)
             result = Py_NewRef(Py_None);
         PyBuffer_Release(&src);
     }
@@ -1374,11 +1649,13 @@ kernel_append_block(AccessKernel *self, PyObject *backend, PyObject *block)
 /* -- READ / WRITE / READRMV ----------------------------------------- */
 
 /* What the caller wants done to the block of interest between the drain
- * and the eviction.  `visit` runs with no column export live and the
- * block in arena slot `slot`, its leaf already remapped; it may rewrite
- * leaf_col[slot], the slot's payload and mac_col[slot], and what it
- * leaves there is what gets evicted.  When it fails the access rolls the
- * slot back from its own snapshot, so a visit never undoes anything. */
+ * and the eviction.  `visit` runs with the block in arena slot `slot`,
+ * its leaf already remapped; it may rewrite leaf_col[slot], the slot's
+ * payload and mac_col[slot], and what it leaves there is what gets
+ * evicted.  One that can run foreign Python yields first
+ * (kernel_yield); every one reaches the columns through the handle, not
+ * through pointers from before a call.  When it fails the access rolls
+ * the slot back from its own snapshot, so a visit never undoes anything. */
 typedef struct Visit Visit;
 struct Visit {
     int (*visit)(Visit *self, AccessKernel *kernel, long long slot);
@@ -1397,23 +1674,18 @@ static int
 kernel_write_back(AccessKernel *self, PyObject *block, long long slot)
 {
     long long leaf;
-    I64Col addr_col = {0}, leaf_col = {0};
     PyObject *field = PyObject_GetAttr(block, str_leaf);
     if (field == NULL)
         return -1;
     int rc = as_int64(field, &leaf);
     Py_DECREF(field);
-    if (rc < 0 || kernel_acquire(self, &addr_col, &leaf_col) < 0)
+    if (rc < 0 || kernel_columns(self) < 0)
         return -1;
-    if (slot < leaf_col.len)
-        leaf_col.data[slot] = leaf;
-    else {
+    if (slot >= self->leaf.len) {
         PyErr_Format(PyExc_IndexError, "slot %lld outside the arena", slot);
-        rc = -1;
-    }
-    kernel_release(&addr_col, &leaf_col);
-    if (rc < 0)
         return -1;
+    }
+    ((long long *)self->leaf.data)[slot] = leaf;
     field = PyObject_GetAttr(block, str_data);
     if (field == NULL)
         return -1;
@@ -1435,7 +1707,7 @@ block_visit(Visit *base, AccessKernel *self, long long slot)
     BlockVisit *visit = (BlockVisit *)base;
     Py_buffer view;
     char *bytes;
-    if (kernel_payload(self, slot, &view, &bytes) < 0)
+    if (kernel_yield(self) < 0 || kernel_payload(self, slot, &view, &bytes) < 0)
         return -1;
     PyObject *payload = PyBytes_FromStringAndSize(bytes, self->block_bytes);
     PyBuffer_Release(&view);
@@ -1466,64 +1738,65 @@ block_visit(Visit *base, AccessKernel *self, long long slot)
     return written;
 }
 
-/* One tree access: path read, drain, visit, eviction, stash reconcile,
- * write-back accounting, occupancy fold.  `visit` may be NULL. */
+/* storage.read_path_slots: range-check the leaf, locate the path's buckets (heap indices are arithmetic), account the
+ * read, tell the observer.  Nothing here needs rolling back. */
 static int
-kernel_tree_access(AccessKernel *self, PyObject *backend, PyObject *op,
-                   PyObject *addr_obj, PyObject *leaf_obj,
-                   PyObject *new_leaf_obj, Visit *visit)
+kernel_read_path(AccessKernel *self, long long leaf)
 {
     const int levels = self->levels;
+    if (leaf < 0 || leaf >= self->num_leaves) {
+        PyErr_Format(PyExc_ValueError, "leaf %lld out of range", leaf);
+        return -1;
+    }
+    for (int d = 0; d <= levels; d++)
+        self->path_index[d] = ((1LL << d) - 1) + (leaf >> (levels - d));
+    self->pending[T_PATHS_READ]++;
+    return kernel_notify(self, str_on_path_read, leaf);
+}
+
+/* One tree access after its path read: drain, visit, eviction, stash
+ * reconcile, write-back accounting, occupancy fold — integer loops over
+ * the columns.  `visit` may be NULL. */
+static int
+kernel_tree_body(AccessKernel *self, int readrmv, long long addr,
+                 long long leaf, long long new_leaf, Visit *visit)
+{
+    const int levels = self->levels, cap = self->cap;
     WorkSet *ws = &self->ws;
-    I64Col addr_col = {0}, leaf_col = {0};
-    Found found = {NULL, 0};
-    PyObject *saved_mac = NULL, *indices = NULL;
-    long long addr, leaf, new_leaf, saved_leaf = 0;
-    Py_ssize_t interest = -1; /* the block of interest's merge index */
+    Bucket *path = self->path;
+    PyObject *saved_mac = NULL;
+    long long found = -1, saved_leaf = 0;
     int created_fresh = 0, snapshotted = 0, rc = -1;
 
-    if (bump_attr(backend, str_tree_access_count, self->one) < 0)
-        return -1;
-
-    /* storage.read_path_slots: range check, bucket lists, accounting,
-     * observer.  Nothing here needs rolling back. */
-    int overflow = 0;
-    if (!PyLong_Check(leaf_obj)) {
-        PyErr_Format(PyExc_TypeError, "leaf must be an int, not %.100s",
-                     Py_TYPE(leaf_obj)->tp_name);
-        return -1;
-    }
-    leaf = PyLong_AsLongLongAndOverflow(leaf_obj, &overflow);
-    if (overflow || leaf < 0 || leaf >= self->num_leaves) {
-        PyErr_Format(PyExc_ValueError, "leaf %S out of range", leaf_obj);
-        return -1;
-    }
-    if (kernel_bind_path(self, leaf) < 0)
-        return -1;
-    if (bump_attr(self->storage, str_buckets_read, self->path_len_obj) < 0 ||
-        kernel_notify(self, str_on_path_read, leaf_obj, leaf, &indices) < 0)
-        goto done;
-
     /* ---- the transactional region: any failure rolls back --------- */
-    if (as_int64(addr_obj, &addr) < 0 || as_int64(new_leaf_obj, &new_leaf) < 0)
+    if (kernel_columns(self) < 0)
         goto abort;
-    PyObject *resident = PyDict_GetItemWithError(self->stash, addr_obj);
-    if (resident == NULL && PyErr_Occurred())
+    /* Room in the stash column for every leftover this access can
+     * leave, taken while nothing has moved. */
+    const long long occupancy = *(int32_t *)self->stash_slots.data;
+    if (kernel_reserve_stash(
+            self, occupancy + (long long)cap * (levels + 1) + 1) < 0)
         goto abort;
-    if (kernel_acquire(self, &addr_col, &leaf_col) < 0)
-        goto abort;
-    if (resident != NULL) {
-        /* Looked up but not removed: every success path reconciles the
-         * dict wholesale after placement. */
-        if (as_slot(resident, addr_col.len, "stash", &found.slot) < 0)
+    uint8_t *fill = self->bucket_fill.data;
+    for (int d = 0; d <= levels; d++) {
+        const long long index = self->path_index[d];
+        if (fill[index] > cap) {
+            PyErr_Format(PyExc_ValueError,
+                         "bucket %lld holds %d blocks (Z = %d)", index,
+                         (int)fill[index], cap);
             goto abort;
-        found.obj = Py_NewRef(resident);
+        }
+        path[d].slots = (int32_t *)self->bucket_slots.data + index * cap;
+        path[d].count = fill[index];
     }
-    if (drain_core(ws, self->path, (Py_ssize_t)levels + 1, &addr_col,
-                   &leaf_col, self->stash, &found, addr, leaf, levels) < 0)
+    if (ws_begin(ws, self->addr.len) < 0 ||
+        drain_core(ws, self->addr.data, self->leaf.data, self->addr.len,
+                   (int32_t *)self->stash_slots.data + 1,
+                   (Py_ssize_t)occupancy, path, (Py_ssize_t)levels + 1,
+                   &found, addr, leaf, levels) < 0)
         goto abort;
 
-    if (found.obj == NULL) {
+    if (found < 0) {
         if (!self->allow_missing) {
             char hex[32];
             format_hex(addr, hex);
@@ -1533,23 +1806,16 @@ kernel_tree_access(AccessKernel *self, PyObject *backend, PyObject *op,
             goto abort;
         }
         /* store.alloc(addr, new_leaf): zero payload, no MAC. */
-        kernel_release(&addr_col, &leaf_col);
-        PyObject *claimed = kernel_claim_slot(self);
-        if (claimed == NULL)
+        found = kernel_claim_slot(self);
+        if (found < 0)
             goto abort;
-        if (kernel_acquire(self, &addr_col, &leaf_col) < 0 ||
-            as_slot(claimed, addr_col.len, "free", &found.slot) < 0) {
-            Py_DECREF(claimed);
-            goto abort;
-        }
-        found.obj = claimed;
         created_fresh = 1;
-        addr_col.data[found.slot] = addr;
-        leaf_col.data[found.slot] = new_leaf;
+        ((long long *)self->addr.data)[found] = addr;
+        ((long long *)self->leaf.data)[found] = new_leaf;
         Py_buffer view;
         char *bytes;
-        if (kernel_set_mac(self, found.slot, Py_None) < 0 ||
-            kernel_payload(self, found.slot, &view, &bytes) < 0)
+        if (kernel_set_mac(self, found, Py_None) < 0 ||
+            kernel_payload(self, found, &view, &bytes) < 0)
             goto abort;
         memset(bytes, 0, (size_t)self->block_bytes);
         PyBuffer_Release(&view);
@@ -1559,104 +1825,142 @@ kernel_tree_access(AccessKernel *self, PyObject *backend, PyObject *op,
     {
         Py_buffer view;
         char *bytes;
-        if (found.slot >= PyList_GET_SIZE(self->mac_col)) {
+        if (found >= PyList_GET_SIZE(self->mac_col)) {
             PyErr_Format(PyExc_IndexError, "slot %lld outside mac_col",
-                         found.slot);
+                         found);
             goto abort;
         }
-        if (kernel_payload(self, found.slot, &view, &bytes) < 0)
+        if (kernel_payload(self, found, &view, &bytes) < 0)
             goto abort;
         memcpy(self->snap, bytes, (size_t)self->block_bytes);
         PyBuffer_Release(&view);
         snapshotted = 1;
-        saved_mac = PyList_GET_ITEM(self->mac_col, (Py_ssize_t)found.slot);
+        saved_mac = PyList_GET_ITEM(self->mac_col, (Py_ssize_t)found);
         Py_INCREF(saved_mac);
-        saved_leaf = leaf_col.data[found.slot];
-        leaf_col.data[found.slot] = new_leaf;
+        saved_leaf = ((long long *)self->leaf.data)[found];
+        ((long long *)self->leaf.data)[found] = new_leaf;
     }
 
     if (visit != NULL) {
-        kernel_release(&addr_col, &leaf_col);
-        if (visit->visit(visit, self, found.slot) < 0 ||
-            kernel_acquire(self, &addr_col, &leaf_col) < 0)
+        if (visit->visit(visit, self, found) < 0 || kernel_columns(self) < 0)
             goto abort;
-        if (found.slot >= leaf_col.len) {
+        if (found >= self->leaf.len) {
             PyErr_Format(PyExc_IndexError, "slot %lld outside the arena",
-                         found.slot);
+                         found);
             goto abort;
         }
     }
 
-    if (op != self->op_readrmv) {
+    if (!readrmv) {
         /* Grouped last, like a re-insert, at the depth its (possibly
          * updated) leaf allows. */
-        long long block_leaf = leaf_col.data[found.slot];
+        long long block_leaf = ((long long *)self->leaf.data)[found];
         int depth = levels - bit_length64(block_leaf ^ leaf);
         if (depth < 0) {
             raise_leaf_range(block_leaf, levels);
             goto abort;
         }
-        if (ws_push(ws, found.obj, found.slot, depth) < 0)
+        if (ws_push(ws, (int32_t)found, depth) < 0)
             goto abort;
-        interest = ws->n - 1;
+    }
+    /* READRMV frees the slot once the eviction is done: the stack must
+     * have the room now, while the access can still be refused. */
+    else if (*(int32_t *)self->free_stack.data + 1 >= self->free_stack.len) {
+        PyErr_SetString(PyExc_IndexError,
+                        "the free stack has no room for another slot");
+        goto abort;
+    }
+    if (ws_reserve_placement(ws, levels, cap) < 0)
+        goto abort;
+    if (ws->n >= self->stash_slots.len) {
+        PyErr_SetString(PyExc_IndexError,
+                        "the stash column shrank under the access");
+        goto abort;
     }
 
     /* ---- commit: placement, stash reconcile, write-back ----------- */
-    if (place_core(ws, self->path, levels, self->cap) < 0)
-        goto done;
+    place_core(ws, path, levels, cap);
+    for (int d = 0; d <= levels; d++) {
+        /* An untouched bucket that stays empty is never written. */
+        if (fill[self->path_index[d]] != path[d].count)
+            fill[self->path_index[d]] = (uint8_t)path[d].count;
+    }
+    int32_t *stash = self->stash_slots.data;
     if (ws->n_pool > 0) {
-        /* Leftovers: rebuild the stash dict in merge order — resident
+        /* Leftovers: rebuild the stash column in merge order — resident
          * survivors, drained survivors, the block of interest last. */
         for (Py_ssize_t k = 0; k < ws->n_pool; k++)
             ws->merged[ws->pool[k]].depth = -1;
-        PyDict_Clear(self->stash);
+        int32_t kept = 0;
         for (Py_ssize_t i = 0; i < ws->n; i++) {
-            Entry *e = &ws->merged[i];
-            if (e->depth != -1)
-                continue;
-            int set;
-            if (i == interest)
-                set = PyDict_SetItem(self->stash, addr_obj, e->obj);
-            else {
-                PyObject *key = PyLong_FromLongLong(addr_col.data[e->slot]);
-                if (key == NULL)
-                    goto done;
-                set = PyDict_SetItem(self->stash, key, e->obj);
-                Py_DECREF(key);
-            }
-            if (set < 0)
-                goto done;
+            if (ws->merged[i].depth == -1)
+                stash[++kept] = ws->merged[i].slot;
         }
+        stash[0] = kept;
     }
-    else if (PyDict_GET_SIZE(self->stash) > 0)
-        PyDict_Clear(self->stash);
-    kernel_release(&addr_col, &leaf_col);
-    ws_clear(ws);
-    if (op == self->op_readrmv &&
-        PyList_Append(self->free_list, found.obj) < 0)
-        goto done;
+    else if (stash[0] != 0)
+        stash[0] = 0;
+    if (readrmv)
+        kernel_release_slot(self, found);
 
-    if (bump_attr(self->storage, str_buckets_written, self->path_len_obj) < 0 ||
-        kernel_notify(self, str_on_path_write, leaf_obj, leaf, &indices) < 0 ||
+    self->pending[T_PATHS_WRITTEN]++;
+    if (kernel_notify(self, str_on_path_write, leaf) < 0 ||
         kernel_check_limit(self) < 0)
         goto done;
     rc = 0;
     goto done;
 
 abort:
-    kernel_release(&addr_col, &leaf_col);
-    ws_clear(ws);
-    kernel_abort(self, backend, created_fresh, found.obj, snapshotted,
-                 saved_leaf, saved_mac);
+    kernel_abort(self, created_fresh, found, snapshotted, saved_leaf,
+                 saved_mac);
 
 done:
-    kernel_release(&addr_col, &leaf_col);
-    ws_clear(ws);
-    kernel_drop_path(self);
-    Py_XDECREF(found.obj);
     Py_XDECREF(saved_mac);
-    Py_XDECREF(indices);
     return rc;
+}
+
+/* backend.access(op, addr, leaf, new_leaf) with everything already a C
+ * integer: what the frontend handles call, with a C visit in place of
+ * the update closure. */
+static int
+tree_access(AccessKernel *tree, int readrmv, long long addr, long long leaf,
+            long long new_leaf, Visit *visit)
+{
+    tree->pending[T_ACCESSES]++;
+    tree->pending[T_TREE_ACCESSES]++;
+    if (kernel_read_path(tree, leaf) < 0)
+        return -1;
+    return kernel_tree_body(tree, readrmv, addr, leaf, new_leaf, visit);
+}
+
+/* The same from Python operands, which fail where the interpreted
+ * access would have them fail: a leaf that is no int, or no leaf of
+ * this tree, before the path is read; an address or new leaf the
+ * columns cannot hold after it, inside the region that rolls back. */
+static int
+kernel_access_tree(AccessKernel *self, int readrmv, PyObject *addr_obj,
+                   PyObject *leaf_obj, PyObject *new_leaf_obj, Visit *visit)
+{
+    int overflow = 0;
+    self->pending[T_TREE_ACCESSES]++;
+    if (!PyLong_Check(leaf_obj)) {
+        PyErr_Format(PyExc_TypeError, "leaf must be an int, not %.100s",
+                     Py_TYPE(leaf_obj)->tp_name);
+        return -1;
+    }
+    long long addr, new_leaf;
+    long long leaf = PyLong_AsLongLongAndOverflow(leaf_obj, &overflow);
+    if (overflow) {
+        PyErr_Format(PyExc_ValueError, "leaf %S out of range", leaf_obj);
+        return -1;
+    }
+    if (kernel_read_path(self, leaf) < 0)
+        return -1;
+    if (as_int64(addr_obj, &addr) < 0 || as_int64(new_leaf_obj, &new_leaf) < 0) {
+        kernel_abort(self, 0, -1, 0, 0, NULL);
+        return -1;
+    }
+    return kernel_tree_body(self, readrmv, addr, leaf, new_leaf, visit);
 }
 
 /* access(op, addr, leaf, new_leaf, update, append_block)
@@ -1688,24 +1992,24 @@ kernel_access(AccessKernel *self, PyObject *const *args, Py_ssize_t nargs)
                         "or observer callback)");
         return NULL;
     }
+    if (kernel_hold(self, backend, kernel_fold, self) < 0)
+        return NULL;
     PyObject *result = NULL;
-    Py_INCREF(backend);
-    self->busy = 1;
-    if (bump_attr(backend, str_access_count, self->one) == 0) {
-        if (args[0] == self->op_append)
-            result = kernel_append_block(self, backend, args[5]);
-        else {
-            BlockVisit visit = {{block_visit}, args[1], args[3], args[4],
-                                NULL};
-            if (kernel_tree_access(self, backend, args[0], args[1], args[2],
-                                   args[3], &visit.base) == 0)
-                result = visit.block;
-            else
-                Py_XDECREF(visit.block);
-        }
+    self->pending[T_ACCESSES]++;
+    if (args[0] == self->op_append)
+        result = kernel_append_block(self, args[5]);
+    else {
+        BlockVisit visit = {{block_visit}, args[1], args[3], args[4], NULL};
+        if (kernel_access_tree(self, args[0] == self->op_readrmv, args[1],
+                               args[2], args[3], &visit.base) == 0)
+            result = visit.block;
+        else
+            Py_XDECREF(visit.block);
     }
-    self->busy = 0;
-    Py_DECREF(backend);
+    kernel_release(self);
+    if (fold_at_exit(kernel_fold, self, result != NULL ? 0 : -1) < 0)
+        Py_CLEAR(result);
+    kernel_drop(self);
     return result;
 }
 
@@ -1968,10 +2272,13 @@ typedef unsigned __int128 u128;
 
 enum { FORMAT_UNCOMPRESSED, FORMAT_FLAT, FORMAT_COMPRESSED };
 
-/* Every counter a request moves.  Deltas gather in the handle and are
- * folded into the Python attributes once, when the request ends (either
- * way): the reference path, the lockstep harness and the reports read
- * one copy, in the state the interpreted access would have left. */
+/* Every counter a request moves, beside the tree's own.  Deltas gather
+ * in the handle and are folded into the Python attributes by the tree
+ * counters' rule (see N_TREE_COUNTERS): when the outermost C entry
+ * returns — a whole slice under run_access_loop — before foreign Python
+ * runs, and on an error exit.  The reference path, the lockstep harness
+ * and the reports read one copy, in the state the interpreted access
+ * would have left. */
 enum {
     /* FrontendStats */
     C_ACCESSES, C_DATA_TREE, C_POSMAP_TREE, C_PLB_HITS, C_PLB_MISSES,
@@ -2027,6 +2334,7 @@ typedef struct {
     Blake2b prf_state, mac_state; /* keyed mid-states */
     uint8_t *work;                /* one block payload */
     u128 *group_old;              /* a group remap's old counters, by slot */
+    PyObject *frontend; /* the owner, held for one outermost entry */
     long long pending[N_COUNTERS];
     long long clock; /* plb._clock, pending ticks included */
 } FrontendKernel;
@@ -2057,6 +2365,7 @@ frontend_dealloc(FrontendKernel *self)
 {
     PyObject_GC_UnTrack(self);
     frontend_clear(self);
+    Py_CLEAR(self->frontend);
     PyMem_Free(self->work);
     PyMem_Free(self->group_old);
     Py_TYPE(self)->tp_free((PyObject *)self);
@@ -2282,7 +2591,6 @@ counter_from_long(FrontendKernel *fk, PyObject *obj, u128 *out)
 typedef struct {
     FrontendKernel *fk;
     AccessKernel *tree;
-    PyObject *backend; /* owned for the request */
     unsigned long long chain[FK_MAX_LEVELS]; /* a_i */
     unsigned long long tags[FK_MAX_LEVELS];  /* i || a_i */
     PyObject *tag_obj[FK_MAX_LEVELS];        /* boxed on first use, owned */
@@ -2580,34 +2888,15 @@ new_instance(PyObject *type, PyObject *const *names, PyObject *const *values,
 
 /* -- the backend, C to C -------------------------------------------------- */
 
-/* backend.access(op, addr, leaf, new_leaf) on the tree's own handle,
- * with a C visit in place of the update closure. */
+/* backend.access(APPEND, ...) for a block given by value. */
 static int
-tree_access(AccessKernel *tree, PyObject *backend, PyObject *op,
-            PyObject *addr_obj, long long leaf, long long new_leaf,
-            Visit *visit)
-{
-    PyObject *leaf_obj = PyLong_FromLongLong(leaf);
-    PyObject *new_leaf_obj = PyLong_FromLongLong(new_leaf);
-    int rc = -1;
-    if (leaf_obj != NULL && new_leaf_obj != NULL &&
-        bump_attr(backend, str_access_count, tree->one) == 0)
-        rc = kernel_tree_access(tree, backend, op, addr_obj, leaf_obj,
-                                new_leaf_obj, visit);
-    Py_XDECREF(leaf_obj);
-    Py_XDECREF(new_leaf_obj);
-    return rc;
-}
-
-static int
-request_append(Request *rq, PyObject *addr_obj, PyObject *leaf_obj,
-               PyObject *mac, const uint8_t *data)
+request_append(Request *rq, long long addr, long long leaf, PyObject *mac,
+               const uint8_t *data)
 {
     AccessKernel *tree = rq->tree;
-    if (bump_attr(rq->backend, str_access_count, tree->one) < 0 ||
-        bump_attr(rq->backend, str_append_count, tree->one) < 0)
-        return -1;
-    return kernel_append(tree, addr_obj, leaf_obj, mac, (const char *)data,
+    tree->pending[T_ACCESSES]++;
+    tree->pending[T_APPENDS]++;
+    return kernel_append(tree, addr, leaf, mac, (const char *)data,
                          tree->block_bytes);
 }
 
@@ -2637,13 +2926,13 @@ fetch_visit(Visit *base, AccessKernel *tree, long long slot)
  * verify it against `counter`; `also` is the second statistic the
  * fetch moves (refills or relocations) once the tree access succeeded. */
 static int
-request_fetch(Request *rq, PyObject *tag_obj, unsigned long long tagged,
-              long long leaf, long long new_leaf, u128 counter, int also)
+request_fetch(Request *rq, unsigned long long tagged, long long leaf,
+              long long new_leaf, u128 counter, int also)
 {
     FrontendKernel *fk = rq->fk;
     FetchVisit fetch = {{fetch_visit}, fk, NULL};
-    if (tree_access(rq->tree, rq->backend, rq->tree->op_readrmv, tag_obj,
-                    leaf, new_leaf, &fetch.base) < 0) {
+    if (tree_access(rq->tree, 1, (long long)tagged, leaf, new_leaf,
+                    &fetch.base) < 0) {
         Py_XDECREF(fetch.mac);
         return -1;
     }
@@ -2686,7 +2975,10 @@ data_visit(Visit *base, AccessKernel *tree, long long slot)
         return -1;
     if (visit->write_data != NULL) {
         Py_buffer src;
-        if (PyObject_GetBuffer(visit->write_data, &src, PyBUF_SIMPLE) < 0)
+        /* Anything but bytes may run its own code to export a buffer. */
+        if ((!PyBytes_CheckExact(visit->write_data) &&
+             kernel_yield(tree) < 0) ||
+            PyObject_GetBuffer(visit->write_data, &src, PyBUF_SIMPLE) < 0)
             return -1;
         if (src.len != tree->block_bytes) {
             PyErr_Format(PyExc_ValueError,
@@ -2801,8 +3093,10 @@ fk_evict(Request *rq, PyObject *victim)
     PyObject *leaf_obj = PyObject_GetAttr(victim, str_leaf);
     PyObject *counter_obj = PyObject_GetAttr(victim, str_counter);
     PyObject *sealed = NULL;
+    long long tag, leaf;
     int rc = -1;
-    if (tag_obj == NULL || leaf_obj == NULL || counter_obj == NULL)
+    if (tag_obj == NULL || leaf_obj == NULL || counter_obj == NULL ||
+        as_int64(tag_obj, &tag) < 0 || as_int64(leaf_obj, &leaf) < 0)
         goto done;
     uint8_t *data = fk_entry_data(fk, victim);
     if (data == NULL)
@@ -2819,7 +3113,7 @@ fk_evict(Request *rq, PyObject *victim)
     else
         sealed = Py_NewRef(Py_None);
     if (sealed != NULL)
-        rc = request_append(rq, tag_obj, leaf_obj, sealed, fk->work);
+        rc = request_append(rq, tag, leaf, sealed, fk->work);
 
 done:
     Py_XDECREF(tag_obj);
@@ -2837,7 +3131,7 @@ fk_refill(Request *rq, int level, const Mapping *m)
     FrontendKernel *fk = rq->fk;
     PyObject *tag_obj = request_tag(rq, level);
     if (tag_obj == NULL ||
-        request_fetch(rq, tag_obj, rq->tags[level], m->leaf, m->new_leaf,
+        request_fetch(rq, rq->tags[level], m->leaf, m->new_leaf,
                       m->old_counter, C_PLB_REFILLS) < 0)
         return NULL;
 
@@ -3043,12 +3337,12 @@ fk_relocate(Request *rq, PyObject *tag_obj, unsigned long long tagged,
     }
     if (PyErr_Occurred() ||
         fk_leaf_for(fk, tag_obj, tagged, old_counter, &old_leaf) < 0 ||
-        request_fetch(rq, tag_obj, tagged, old_leaf, new_leaf, old_counter,
+        request_fetch(rq, tagged, old_leaf, new_leaf, old_counter,
                       C_GROUP_RELOCATIONS) < 0)
         goto done;
     sealed = fk_seal(fk, tagged, new_counter, fk->work);
     if (sealed != NULL)
-        rc = request_append(rq, tag_obj, new_leaf_obj, sealed, fk->work);
+        rc = request_append(rq, (long long)tagged, new_leaf, sealed, fk->work);
 
 done:
     Py_XDECREF(sealed);
@@ -3341,7 +3635,7 @@ fk_run(Request *rq, PyObject *addr_obj, PyObject *op, PyObject *data,
         DataVisit visit = {{data_visit}, fk, rq->tags[0], m.old_counter,
                            m.new_counter, write ? data : NULL,
                            data_out != NULL && !write, NULL};
-        if (tree_access(rq->tree, rq->backend, op, addr_obj, m.leaf,
+        if (tree_access(rq->tree, 0, (long long)rq->tags[0], m.leaf,
                         m.new_leaf, &visit.base) < 0) {
             Py_XDECREF(visit.data_out);
             goto done;
@@ -3349,7 +3643,7 @@ fk_run(Request *rq, PyObject *addr_obj, PyObject *op, PyObject *data,
         if (data_out != NULL)
             *data_out = write ? Py_NewRef(data) : visit.data_out;
     }
-    else if (tree_access(rq->tree, rq->backend, op, addr_obj, m.leaf,
+    else if (tree_access(rq->tree, 0, (long long)rq->tags[0], m.leaf,
                          m.new_leaf, NULL) < 0)
         goto done;
     fk->pending[C_DATA_TREE]++;
@@ -3361,18 +3655,12 @@ done:
     return rc;
 }
 
-/* Fold a request's counter deltas into the Python objects: the
+/* Fold a frontend handle's counter deltas into the Python objects: the
  * FrontendStats ones into frontend.stats, the rest into `owners` (the
- * Plb, the Prf, the Mac; NULL for a frontend that moves none of them).
- * On the error path the request's own exception is the one that
- * propagates. */
+ * Plb, the Prf, the Mac; NULL for a frontend that moves none of them). */
 static int
-fold_counters(const long long *pending, PyObject *frontend,
-              PyObject *const *owners, int rc)
+fold_pending(long long *pending, PyObject *frontend, PyObject *const *owners)
 {
-    PyObject *type = NULL, *value = NULL, *tb = NULL;
-    if (rc < 0)
-        PyErr_Fetch(&type, &value, &tb);
     PyObject *stats = PyObject_GetAttr(frontend, str_stats);
     int folded = stats == NULL ? -1 : 0;
     for (int i = 0; folded == 0 && i < N_COUNTERS; i++) {
@@ -3382,27 +3670,29 @@ fold_counters(const long long *pending, PyObject *frontend,
                           : i < C_PRF_CALLS ? owners[0]
                           : i < C_MAC_CALLS ? owners[1]
                                             : owners[2];
-        PyObject *step = PyLong_FromLongLong(pending[i]);
-        folded = step == NULL ? -1 : bump_attr(owner, counter_attr[i], step);
-        Py_XDECREF(step);
+        folded = bump_attr(owner, counter_attr[i], pending[i]);
+        pending[i] = 0;
     }
     Py_XDECREF(stats);
-    if (rc < 0) {
-        if (folded < 0)
-            PyErr_Clear();
-        PyErr_Restore(type, value, tb);
-        return -1;
-    }
     return folded;
 }
 
-/* One processor request, whole, on a frontend handle of either type.
- * Returns 0 with *posmap_out and *hit_level_out (and, when asked for,
- * AccessResult.data through *data_out) filled in, or -1 with the
- * interpreted access's exception set and its state left behind. */
-typedef int (*RequestFn)(PyObject *handle, PyObject *addr_obj, PyObject *op,
-                         PyObject *data, PyObject **data_out,
-                         long *posmap_out, int *hit_level_out);
+/* What run_access_loop and handle.access() drive a frontend handle of
+ * either type through.  `enter` takes the handle and its trees for one
+ * outermost entry (owners held, observers and the PLB clock read once);
+ * `request` is one processor request, whole — 0 with *posmap_out and
+ * *hit_level_out (and, when asked for, AccessResult.data through
+ * *data_out) filled in, or -1 with the interpreted access's exception
+ * set and its state left behind; `leave` folds every counter the entry
+ * moved (keeping a pending exception when `rc` is negative) and lets
+ * everything go. */
+typedef struct {
+    int (*enter)(PyObject *handle);
+    int (*request)(PyObject *handle, PyObject *addr_obj, PyObject *op,
+                   PyObject *data, PyObject **data_out, long *posmap_out,
+                   int *hit_level_out);
+    int (*leave)(PyObject *handle, int rc);
+} HandleOps;
 
 static void
 raise_owner_gone(void)
@@ -3420,8 +3710,17 @@ raise_reentrant(void)
 }
 
 static int
-fk_request(PyObject *handle, PyObject *addr_obj, PyObject *op, PyObject *data,
-           PyObject **data_out, long *posmap_out, int *hit_level_out)
+fk_fold(void *handle)
+{
+    FrontendKernel *fk = handle;
+    PyObject *const owners[3] = {fk->plb, fk->prf, fk->mac};
+    if (fold_pending(fk->pending, fk->frontend, owners) < 0)
+        return -1;
+    return kernel_fold(fk->backend_kernel);
+}
+
+static int
+fk_enter(PyObject *handle)
 {
     FrontendKernel *fk = (FrontendKernel *)handle;
     AccessKernel *tree = (AccessKernel *)fk->backend_kernel;
@@ -3442,35 +3741,50 @@ fk_request(PyObject *handle, PyObject *addr_obj, PyObject *op, PyObject *data,
         return -1;
     int parsed = as_int64(clock_obj, &fk->clock);
     Py_DECREF(clock_obj);
-    if (parsed < 0)
+    if (parsed < 0 || kernel_hold(tree, backend, fk_fold, fk) < 0)
         return -1;
+    fk->frontend = Py_NewRef(frontend);
+    fk->busy = 1;
+    return 0;
+}
 
+static int
+fk_leave(PyObject *handle, int rc)
+{
+    FrontendKernel *fk = (FrontendKernel *)handle;
+    AccessKernel *tree = (AccessKernel *)fk->backend_kernel;
+    kernel_release(tree);
+    rc = fold_at_exit(fk_fold, fk, rc);
+    kernel_drop(tree);
+    Py_CLEAR(fk->frontend);
+    fk->busy = 0;
+    return rc;
+}
+
+static int
+fk_request(PyObject *handle, PyObject *addr_obj, PyObject *op, PyObject *data,
+           PyObject **data_out, long *posmap_out, int *hit_level_out)
+{
+    FrontendKernel *fk = (FrontendKernel *)handle;
     Request rq;
     rq.fk = fk;
-    rq.tree = tree;
-    rq.backend = Py_NewRef(backend);
+    rq.tree = (AccessKernel *)fk->backend_kernel;
     rq.posmap_accesses = 0;
     memset(rq.tag_obj, 0, sizeof(rq.tag_obj[0]) * (size_t)fk->space_levels);
-    memset(fk->pending, 0, sizeof(fk->pending));
-    Py_INCREF(frontend);
-    fk->busy = tree->busy = 1;
     int rc = fk_run(&rq, addr_obj, op, data, data_out, hit_level_out);
-    PyObject *const owners[3] = {fk->plb, fk->prf, fk->mac};
-    rc = fold_counters(fk->pending, frontend, owners, rc);
-    fk->busy = tree->busy = 0;
     for (int i = 0; i < fk->space_levels; i++)
         Py_XDECREF(rq.tag_obj[i]);
-    Py_DECREF(rq.backend);
-    Py_DECREF(frontend);
     if (rc < 0 && data_out != NULL)
         Py_CLEAR(*data_out);
     *posmap_out = rq.posmap_accesses;
     return rc;
 }
 
+static const HandleOps frontend_ops = {fk_enter, fk_request, fk_leave};
+
 /* handle.access(addr, op, data) -> AccessResult, for either handle. */
 static PyObject *
-handle_access(RequestFn request, PyObject *handle, PyObject *result_type,
+handle_access(const HandleOps *ops, PyObject *handle, PyObject *result_type,
               PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 3) {
@@ -3481,9 +3795,14 @@ handle_access(RequestFn request, PyObject *handle, PyObject *result_type,
     PyObject *data = NULL;
     long posmap_accesses;
     int hit_level;
-    if (request(handle, args[0], args[1], args[2], &data, &posmap_accesses,
-                &hit_level) < 0)
+    if (ops->enter(handle) < 0)
         return NULL;
+    if (ops->leave(handle,
+                   ops->request(handle, args[0], args[1], args[2], &data,
+                                &posmap_accesses, &hit_level)) < 0) {
+        Py_XDECREF(data);
+        return NULL;
+    }
     PyObject *const names[4] = {str_data, str_tree_accesses,
                                 str_posmap_tree_accesses, str_plb_hit_level};
     PyObject *const values[4] = {
@@ -3501,7 +3820,7 @@ handle_access(RequestFn request, PyObject *handle, PyObject *result_type,
 static PyObject *
 frontend_access(FrontendKernel *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    return handle_access(fk_request, (PyObject *)self, self->result_type,
+    return handle_access(&frontend_ops, (PyObject *)self, self->result_type,
                          args, nargs);
 }
 
@@ -3557,6 +3876,7 @@ typedef struct {
     int num_levels; /* H: the data tree plus the PosMap trees */
     int leaf_bytes, busy;
     long long fanout, num_blocks, onchip_entries;
+    PyObject *frontend; /* the owner, held for one outermost entry */
     long long pending[N_COUNTERS];
 } RecursiveKernel;
 
@@ -3586,6 +3906,7 @@ recursive_dealloc(RecursiveKernel *self)
 {
     PyObject_GC_UnTrack(self);
     recursive_clear(self);
+    Py_CLEAR(self->frontend);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -3719,11 +4040,11 @@ payload_visit(Visit *base, AccessKernel *tree, long long slot)
     if (visit->write_data != NULL) {
         /* bytes(data), spelled as the call so that what it refuses is
          * refused in the interpreted access's words. */
-        visit->data_out =
-            PyBytes_CheckExact(visit->write_data)
-                ? Py_NewRef(visit->write_data)
-                : PyObject_CallOneArg((PyObject *)&PyBytes_Type,
-                                      visit->write_data);
+        if (PyBytes_CheckExact(visit->write_data))
+            visit->data_out = Py_NewRef(visit->write_data);
+        else if (kernel_yield(tree) == 0)
+            visit->data_out = PyObject_CallOneArg((PyObject *)&PyBytes_Type,
+                                                  visit->write_data);
         return visit->data_out == NULL
                    ? -1
                    : kernel_set_payload(tree, slot, visit->data_out);
@@ -3751,10 +4072,10 @@ rk_touched_byte(RecursiveKernel *rk, int level, unsigned long long index)
 }
 
 /* RecursiveFrontend.access between its counters' first and last
- * movement; backends[i] is tree i's backend, held for the request. */
+ * movement. */
 static int
-rk_run(RecursiveKernel *rk, PyObject *const *backends, PyObject *addr_obj,
-       PyObject *op, PyObject *data, PyObject **data_out)
+rk_run(RecursiveKernel *rk, PyObject *addr_obj, PyObject *op, PyObject *data,
+       PyObject **data_out)
 {
     const int top = rk->num_levels - 1;
     const int write =
@@ -3791,13 +4112,8 @@ rk_run(RecursiveKernel *rk, PyObject *const *backends, PyObject *addr_obj,
             (Py_ssize_t)(child % (unsigned long long)rk->fanout) *
                 rk->leaf_bytes,
             0, 0};
-        PyObject *index_obj = PyLong_FromUnsignedLongLong(chain[level]);
-        if (index_obj == NULL)
-            return -1;
-        int rc = tree_access(RK_TREE(rk, level), backends[level], rk->op_read,
-                             index_obj, leaf, new_leaf, &visit.base);
-        Py_DECREF(index_obj);
-        if (rc < 0)
+        if (tree_access(RK_TREE(rk, level), 0, (long long)chain[level], leaf,
+                        new_leaf, &visit.base) < 0)
             return -1;
         rk->pending[C_POSMAP_TREE]++;
         leaf = visit.old_leaf;
@@ -3815,10 +4131,10 @@ rk_run(RecursiveKernel *rk, PyObject *const *backends, PyObject *addr_obj,
 
     rk->pending[C_DATA_TREE]++;
     if (!write && data_out == NULL)
-        return tree_access(RK_TREE(rk, 0), backends[0], op, addr_obj, leaf,
+        return tree_access(RK_TREE(rk, 0), 0, (long long)chain[0], leaf,
                            new_leaf, NULL);
     PayloadVisit visit = {{payload_visit}, write ? data : NULL, NULL};
-    int rc = tree_access(RK_TREE(rk, 0), backends[0], op, addr_obj, leaf,
+    int rc = tree_access(RK_TREE(rk, 0), 0, (long long)chain[0], leaf,
                          new_leaf, &visit.base);
     if (rc == 0 && data_out != NULL)
         *data_out = visit.data_out;
@@ -3828,8 +4144,20 @@ rk_run(RecursiveKernel *rk, PyObject *const *backends, PyObject *addr_obj,
 }
 
 static int
-rk_request(PyObject *handle, PyObject *addr_obj, PyObject *op, PyObject *data,
-           PyObject **data_out, long *posmap_out, int *hit_level_out)
+rk_fold(void *handle)
+{
+    RecursiveKernel *rk = handle;
+    if (fold_pending(rk->pending, rk->frontend, NULL) < 0)
+        return -1;
+    for (int i = 0; i < rk->num_levels; i++) {
+        if (kernel_fold(RK_TREE(rk, i)) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+static int
+rk_enter(PyObject *handle)
 {
     RecursiveKernel *rk = (RecursiveKernel *)handle;
     const int levels = rk->num_levels;
@@ -3852,34 +4180,52 @@ rk_request(PyObject *handle, PyObject *addr_obj, PyObject *op, PyObject *data,
         raise_reentrant();
         return -1;
     }
-
-    Py_INCREF(frontend);
     for (int i = 0; i < levels; i++) {
-        Py_INCREF(backends[i]);
-        RK_TREE(rk, i)->busy = 1;
+        if (kernel_hold(RK_TREE(rk, i), backends[i], rk_fold, rk) < 0) {
+            while (i-- > 0)
+                kernel_drop(RK_TREE(rk, i));
+            return -1;
+        }
     }
+    rk->frontend = Py_NewRef(frontend);
     rk->busy = 1;
-    memset(rk->pending, 0, sizeof(rk->pending));
-    int rc = rk_run(rk, backends, addr_obj, op, data, data_out);
-    rc = fold_counters(rk->pending, frontend, NULL, rc);
+    return 0;
+}
+
+static int
+rk_leave(PyObject *handle, int rc)
+{
+    RecursiveKernel *rk = (RecursiveKernel *)handle;
+    for (int i = 0; i < rk->num_levels; i++)
+        kernel_release(RK_TREE(rk, i));
+    rc = fold_at_exit(rk_fold, rk, rc);
+    for (int i = 0; i < rk->num_levels; i++)
+        kernel_drop(RK_TREE(rk, i));
+    Py_CLEAR(rk->frontend);
     rk->busy = 0;
-    for (int i = 0; i < levels; i++) {
-        RK_TREE(rk, i)->busy = 0;
-        Py_DECREF(backends[i]);
-    }
-    Py_DECREF(frontend);
+    return rc;
+}
+
+static int
+rk_request(PyObject *handle, PyObject *addr_obj, PyObject *op, PyObject *data,
+           PyObject **data_out, long *posmap_out, int *hit_level_out)
+{
+    RecursiveKernel *rk = (RecursiveKernel *)handle;
+    int rc = rk_run(rk, addr_obj, op, data, data_out);
     if (rc < 0 && data_out != NULL)
         Py_CLEAR(*data_out);
-    *posmap_out = levels - 1;
+    *posmap_out = rk->num_levels - 1;
     *hit_level_out = -1; /* AccessResult's default: there is no PLB */
     return rc;
 }
+
+static const HandleOps recursive_ops = {rk_enter, rk_request, rk_leave};
 
 static PyObject *
 recursive_access(RecursiveKernel *self, PyObject *const *args,
                  Py_ssize_t nargs)
 {
-    return handle_access(rk_request, (PyObject *)self, self->result_type,
+    return handle_access(&recursive_ops, (PyObject *)self, self->result_type,
                          args, nargs);
 }
 
@@ -3906,11 +4252,11 @@ static PyTypeObject RecursiveKernelType = {
 };
 
 /* The engaged kernel behind `access` — a new reference through *out,
- * its request function through *request — when `access` is the
- * unpatched bound access of a frontend running on a handle of either
- * type; NULL there when it is anything else. */
+ * how to drive it through *ops — when `access` is the unpatched bound
+ * access of a frontend running on a handle of either type; NULL there
+ * when it is anything else. */
 static int
-frontend_kernel_behind(PyObject *access, PyObject **out, RequestFn *request)
+frontend_kernel_behind(PyObject *access, PyObject **out, const HandleOps **ops)
 {
     *out = NULL;
     if (!PyMethod_Check(access))
@@ -3927,12 +4273,12 @@ frontend_kernel_behind(PyObject *access, PyObject **out, RequestFn *request)
     if (Py_IS_TYPE(kernel, &FrontendKernelType)) {
         frontend_ref = ((FrontendKernel *)kernel)->frontend_ref;
         access_func = ((FrontendKernel *)kernel)->access_func;
-        *request = fk_request;
+        *ops = &frontend_ops;
     }
     else if (Py_IS_TYPE(kernel, &RecursiveKernelType)) {
         frontend_ref = ((RecursiveKernel *)kernel)->frontend_ref;
         access_func = ((RecursiveKernel *)kernel)->access_func;
-        *request = rk_request;
+        *ops = &recursive_ops;
     }
     if (frontend_ref != NULL &&
         access_func == PyMethod_GET_FUNCTION(access) &&
@@ -3957,21 +4303,22 @@ run_access_loop(PyObject *self, PyObject *args)
         return NULL;
 
     /* An engaged frontend kernel is driven C to C: no Python frame and
-     * no AccessResult per event.  Anything else — another frontend, a
-     * patched or wrapped access — gets the generic calls. */
-    PyObject *kernel;
-    RequestFn request = NULL;
-    if (frontend_kernel_behind(access, &kernel, &request) < 0)
+     * no AccessResult per event, one entry — owners held, observers
+     * read, counters folded — for the whole slice.  Anything else —
+     * another frontend, a patched or wrapped access — gets the generic
+     * calls. */
+    PyObject *kernel, *out = NULL;
+    const HandleOps *ops = NULL;
+    if (frontend_kernel_behind(access, &kernel, &ops) < 0)
         return NULL;
     PyObject *addr_seq = PySequence_Fast(addrs, "addrs must be a sequence");
-    if (addr_seq == NULL) {
-        Py_XDECREF(kernel);
-        return NULL;
-    }
     PyObject *write_seq =
-        PySequence_Fast(writes, "writes must be a sequence");
-    if (write_seq == NULL) {
-        Py_DECREF(addr_seq);
+        addr_seq == NULL
+            ? NULL
+            : PySequence_Fast(writes, "writes must be a sequence");
+    if (write_seq == NULL || (kernel != NULL && ops->enter(kernel) < 0)) {
+        Py_XDECREF(addr_seq);
+        Py_XDECREF(write_seq);
         Py_XDECREF(kernel);
         return NULL;
     }
@@ -3980,22 +4327,23 @@ run_access_loop(PyObject *self, PyObject *args)
     if (nw < n)
         n = nw; /* zip() semantics: stop at the shorter column */
 
-    PyObject *out = PyList_New(n);
+    int rc = -1;
+    out = PyList_New(n);
     if (out == NULL)
-        goto fail;
+        goto done;
     for (Py_ssize_t i = 0; i < n; i++) {
         PyObject *addr = PySequence_Fast_GET_ITEM(addr_seq, i);
         int w = PyObject_IsTrue(PySequence_Fast_GET_ITEM(write_seq, i));
         if (w < 0)
-            goto fail;
+            goto done;
         PyObject *ta;
         if (kernel != NULL) {
             long posmap_accesses;
             int hit_level;
-            if (request(kernel, addr, w ? write_op : read_op,
-                        w ? payload : Py_None, NULL, &posmap_accesses,
-                        &hit_level) < 0)
-                goto fail;
+            if (ops->request(kernel, addr, w ? write_op : read_op,
+                             w ? payload : Py_None, NULL, &posmap_accesses,
+                             &hit_level) < 0)
+                goto done;
             ta = PyLong_FromLong(posmap_accesses + 1);
         }
         else {
@@ -4007,35 +4355,34 @@ run_access_loop(PyObject *self, PyObject *args)
                 result = PyObject_CallFunctionObjArgs(access, addr, read_op,
                                                       NULL);
             if (result == NULL)
-                goto fail;
+                goto done;
             ta = PyObject_GetAttr(result, str_tree_accesses);
             Py_DECREF(result);
         }
         if (ta == NULL)
-            goto fail;
+            goto done;
         PyList_SET_ITEM(out, i, ta);
     }
-    Py_DECREF(addr_seq);
-    Py_DECREF(write_seq);
-    Py_XDECREF(kernel);
-    return out;
+    rc = 0;
 
-fail:
-    /* A partially filled PyList_New(n) list holds NULL slots; fill them
-     * before the container is released. */
-    if (out != NULL) {
+done:
+    if (kernel != NULL)
+        rc = ops->leave(kernel, rc);
+    if (rc < 0 && out != NULL) {
+        /* A partially filled PyList_New(n) list holds NULL slots; fill
+         * them before the container is released. */
         for (Py_ssize_t i = 0; i < n; i++) {
             if (PyList_GET_ITEM(out, i) == NULL) {
                 Py_INCREF(Py_None);
                 PyList_SET_ITEM(out, i, Py_None);
             }
         }
-        Py_DECREF(out);
+        Py_CLEAR(out);
     }
     Py_DECREF(addr_seq);
     Py_DECREF(write_seq);
     Py_XDECREF(kernel);
-    return NULL;
+    return out;
 }
 
 /* ------------------------------------------------------------------ */
@@ -4826,6 +5173,8 @@ PyInit__replay_core(void)
         {&str_on_path_read, "on_path_read"},
         {&str_on_path_write, "on_path_write"},
         {&str_grow, "_grow"},
+        {&str_stash, "stash"},
+        {&str_reserve, "reserve"},
         {&str_abort_access, "_abort_access"},
         {&str_addr, "addr"},
         {&str_leaf, "leaf"},

@@ -2,24 +2,33 @@
 
 Where :class:`~repro.storage.tree.TreeStorage` keeps every block as a live
 :class:`~repro.storage.block.Block` object inside per-bucket lists,
-:class:`ColumnarTreeStorage` stores the tree as *columns over a slot
-arena*:
+:class:`ColumnarTreeStorage` stores the tree as *typed columns*, and
+nothing else:
 
-- ``addr_col`` / ``leaf_col`` — per-slot address and leaf-label columns;
+- ``addr_col`` / ``leaf_col`` — per-slot address and leaf-label columns
+  over a slot arena that grows a chunk at a time (a free slot's address
+  is :data:`~repro.storage.block.DUMMY_ADDR`);
 - a contiguous, chunked **byte arena** holding every payload at
-  ``slot * block_bytes`` (no per-block ``bytes`` objects at rest);
-- ``mac_col`` — optional PMMAC tag per slot;
-- the tree itself is a list of *bucket slot lists* (ints), so the fused
-  drain/eviction loop of the columnar backend moves integers, never
-  Python objects.
+  ``slot * block_bytes`` (no per-block ``bytes`` objects at rest), and
+  ``mac_col``, the optional PMMAC tag per slot;
+- ``_free`` — the free slots, a length-prefixed int32 LIFO beside the
+  arena: ``_free[0]`` is the stack depth, ``_free[1..depth]`` the slot
+  ids, top last;
+- ``bucket_slots`` / ``bucket_fill`` — the tree: bucket ``i`` holds the
+  ``bucket_fill[i]`` slot ids ``bucket_slots[i*Z : i*Z + fill]`` (int32,
+  what lies beyond the fill is stale). Both are fixed-size and zeroed
+  at construction — 0 is "empty", so an untouched bucket is never
+  written — and construction makes O(1) Python objects whatever the
+  tree's size.
 
 Block objects are materialised only at the Backend boundary (the block
 of interest, ``READRMV`` hand-off, stash snapshots); the other ~Z·(L+1)
-blocks touched per access stay columnar. Geometry is arithmetic — the
-bucket at depth ``d`` on the path to ``leaf`` is heap index
-``(1 << d) - 1 + (leaf >> (L - d))`` — with per-leaf rows cached on first
-use for the interpreted path; the native access kernel computes the same
-indices inline and keeps no table.
+blocks touched per access stay integers in columns. Geometry is
+arithmetic — the bucket at depth ``d`` on the path to ``leaf`` is heap
+index ``(1 << d) - 1 + (leaf >> (L - d))`` — on both tiers; nothing is
+cached per leaf. The interpreted backend, the native access kernel, the
+snapshots and the tamper hooks all read and write these same columns:
+there is one representation and no conversion between them.
 
 The pairing backend is
 :class:`~repro.backend.columnar.ColumnarPathOramBackend` (selected
@@ -44,13 +53,15 @@ from array import array
 from typing import List, Optional, Tuple
 
 from repro.config import OramConfig
-from repro.storage.block import Block
+from repro.storage.block import DUMMY_ADDR, Block
 from repro.storage.bucket import Bucket
 
 #: Slots per arena chunk (power of two: slot -> chunk is a shift/mask).
 CHUNK_SLOTS = 512
 _CHUNK_SHIFT = CHUNK_SLOTS.bit_length() - 1
 _CHUNK_MASK = CHUNK_SLOTS - 1
+#: The address column of one fresh chunk (appended by memcpy).
+_FREE_ADDRS = array("q", [DUMMY_ADDR]) * CHUNK_SLOTS
 
 
 class ColumnarTreeStorage:
@@ -60,6 +71,8 @@ class ColumnarTreeStorage:
     columnar = True
 
     def __init__(self, config: OramConfig, observer=None):
+        if config.blocks_per_bucket > 255:
+            raise ValueError("bucket_fill counts a bucket's blocks in one byte")
         self.config = config
         self.observer = observer
         self.block_bytes = config.block_bytes
@@ -69,26 +82,22 @@ class ColumnarTreeStorage:
         # addr/leaf are unboxed int64 columns (``array('q')``): random
         # reads touch contiguous raw memory instead of chasing pointers
         # to heap PyLongs, which is where the columnar layout beats the
-        # object tree at paper-scale working sets. numpy sees them
-        # zero-copy via ``frombuffer`` for the vectorised kernels.
+        # object tree at paper-scale working sets.
         self.addr_col = array("q")
         self.leaf_col = array("q")
         self.mac_col: List[Optional[bytes]] = []
         self._chunks: List[memoryview] = []
-        self._free: List[int] = []
-        # -- the tree: per-bucket slot lists, materialised lazily --------
-        self.buckets: List[Optional[List[int]]] = [None] * config.num_buckets
-        # -- geometry: per-leaf heap-index rows and path lists, filled on
-        # first use by the interpreted path. The bucket at depth d on the
-        # path to a leaf is heap index (1 << d) - 1 + (leaf >> (L - d));
-        # the (offset, shift) pair of every depth is fixed per tree.
+        self._free = array("i", [0])
+        # -- the tree: two fixed-size zeroed columns, O(1) objects --------
+        self.bucket_fill = bytearray(config.num_buckets)
+        self.bucket_slots = array("i", [0]) * (
+            config.blocks_per_bucket * config.num_buckets
+        )
+        # Heap index at depth d on the path to a leaf: offset + (leaf >> shift).
         levels = config.levels
         self._depth_terms = tuple(
             ((1 << d) - 1, levels - d) for d in range(levels + 1)
         )
-        num_leaves = config.num_leaves
-        self._index_rows: List[Optional[Tuple[int, ...]]] = [None] * num_leaves
-        self._bucket_rows: List[Optional[List[List[int]]]] = [None] * num_leaves
         # -- bandwidth accounting (padded bucket granularity) ------------
         self.buckets_read = 0
         self.buckets_written = 0
@@ -98,14 +107,21 @@ class ColumnarTreeStorage:
     # -- slot arena ---------------------------------------------------------
 
     def _grow(self) -> None:
-        """Add one chunk of zeroed slots to the arena."""
+        """Add one chunk of zeroed slots to the arena, all of them free."""
         base = len(self.addr_col)
         chunk = bytearray(CHUNK_SLOTS * self.block_bytes)
         self._chunks.append(memoryview(chunk))
-        self.addr_col.extend([-1] * CHUNK_SLOTS)
-        self.leaf_col.extend([0] * CHUNK_SLOTS)
+        self.addr_col.extend(_FREE_ADDRS)
+        self.leaf_col.frombytes(bytes(8 * CHUNK_SLOTS))
         self.mac_col.extend([None] * CHUNK_SLOTS)
-        self._free.extend(range(base + CHUNK_SLOTS - 1, base - 1, -1))
+        # The stack's capacity follows the arena: every slot fits on it.
+        free = self._free
+        depth = free[0]
+        free.frombytes(bytes(4 * CHUNK_SLOTS))
+        free[depth + 1 : depth + 1 + CHUNK_SLOTS] = array(
+            "i", range(base + CHUNK_SLOTS - 1, base - 1, -1)
+        )
+        free[0] = depth + CHUNK_SLOTS
 
     def alloc(
         self,
@@ -116,22 +132,31 @@ class ColumnarTreeStorage:
     ) -> int:
         """Claim a slot for a block; ``data=None`` means an all-zero payload."""
         free = self._free
-        if not free:
+        if not free[0]:
             self._grow()
-        slot = free.pop()
-        self.addr_col[slot] = addr
-        self.leaf_col[slot] = leaf
-        self.mac_col[slot] = mac
+        depth = free[0]
+        slot = free[depth]
+        if self.addr_col[slot] != DUMMY_ADDR:
+            raise ValueError(f"free slot {slot} holds a live block")
+        # The slot leaves the stack last: a refused field claims nothing.
         view = self._chunks[slot >> _CHUNK_SHIFT]
         offset = (slot & _CHUNK_MASK) * self.block_bytes
         view[offset : offset + self.block_bytes] = (
             data if data is not None else self._zero
         )
+        self.leaf_col[slot] = leaf
+        self.mac_col[slot] = mac
+        self.addr_col[slot] = addr
+        free[0] = depth - 1
         return slot
 
     def release(self, slot: int) -> None:
-        """Return a slot to the free list (its payload stays until reuse)."""
-        self._free.append(slot)
+        """Return a slot to the free stack (its payload stays until reuse)."""
+        free = self._free
+        depth = free[0] + 1
+        free[depth] = slot
+        free[0] = depth
+        self.addr_col[slot] = DUMMY_ADDR
 
     def payload(self, slot: int) -> bytes:
         """Independent copy of a slot's payload bytes."""
@@ -149,14 +174,16 @@ class ColumnarTreeStorage:
         offset = (slot & _CHUNK_MASK) * self.block_bytes
         self._chunks[slot >> _CHUNK_SHIFT][offset : offset + self.block_bytes] = data
 
-    def block_at_slot(self, slot: int) -> Block:
-        """Materialise one slot as an independent :class:`Block`."""
-        return Block(
-            self.addr_col[slot],
-            self.leaf_col[slot],
-            self.payload(slot),
+    def record_at_slot(self, slot: int) -> Tuple[int, int, bytes, Optional[bytes]]:
+        """One slot as an (addr, leaf, data, mac) record."""
+        return (
+            self.addr_col[slot], self.leaf_col[slot], self.payload(slot),
             self.mac_col[slot],
         )
+
+    def block_at_slot(self, slot: int) -> Block:
+        """Materialise one slot as an independent :class:`Block`."""
+        return Block(*self.record_at_slot(slot))
 
     def interchange_columns(self):
         """The ``(addr_col, leaf_col)`` pair for zero-copy interchange.
@@ -168,62 +195,47 @@ class ColumnarTreeStorage:
         :meth:`alloc`), so consumers must bind the *objects*, never raw
         pointers, across calls; and no buffer export may be live across
         an :meth:`alloc` (CPython refuses to resize an array with
-        exported buffers — the C kernel acquires and releases within
-        each call).
+        exported buffers — the C kernel releases its exports before it
+        grows the arena or runs foreign Python, and when it returns).
+        The free stack follows the same rule; ``bucket_slots`` and
+        ``bucket_fill`` never change size and may stay exported.
         """
         return self.addr_col, self.leaf_col
 
     # -- geometry -----------------------------------------------------------
 
-    def _indices(self, leaf: int) -> Tuple[int, ...]:
-        """Heap indices along the path to ``leaf`` (dense-cached)."""
+    def path_indices(self, leaf: int) -> List[int]:
+        """Heap indices along the path to ``leaf``, root->leaf."""
         if not 0 <= leaf < self.config.num_leaves:
             raise ValueError(f"leaf {leaf} out of range")
-        row = self._index_rows[leaf]
-        if row is None:
-            row = self._index_rows[leaf] = tuple(
-                [offset + (leaf >> shift) for offset, shift in self._depth_terms]
-            )
-        return row
+        return [offset + (leaf >> shift) for offset, shift in self._depth_terms]
 
-    def path_indices(self, leaf: int) -> List[int]:
-        """Heap indices along the path to ``leaf``."""
-        return list(self._indices(leaf))
+    def bucket(self, index: int) -> List[int]:
+        """The slot ids bucket ``index`` holds, in slot order (a copy)."""
+        base = index * self.config.blocks_per_bucket
+        return self.bucket_slots[base : base + self.bucket_fill[index]].tolist()
 
     # -- native whole-path operations (columnar backend) --------------------
 
-    def read_path_slots(self, leaf: int) -> List[List[int]]:
-        """Live bucket slot lists for the path to ``leaf``, root->leaf.
+    def read_path_slots(self, leaf: int) -> List[int]:
+        """Read the path to ``leaf``: its bucket heap indices, root->leaf.
 
-        The returned lists are the tree's own storage: the columnar
-        backend drains them in place (clearing, never replacing, so this
-        per-leaf materialisation stays cacheable) and evicts by
-        appending slot ids. Accounting and observer callbacks match
+        The buckets themselves are the ``bucket_slots`` / ``bucket_fill``
+        columns, which the columnar backend drains and refills in place.
+        Accounting and observer callbacks match
         ``TreeStorage.read_path_buckets`` exactly.
         """
-        if not 0 <= leaf < self.config.num_leaves:
-            raise ValueError(f"leaf {leaf} out of range")
-        path = self._bucket_rows[leaf]
-        if path is None:
-            indices = self._indices(leaf)
-            buckets = self.buckets
-            path = []
-            for idx in indices:
-                lst = buckets[idx]
-                if lst is None:
-                    lst = buckets[idx] = []
-                path.append(lst)
-            self._bucket_rows[leaf] = path
+        indices = self.path_indices(leaf)
         self.buckets_read += self._path_len
         if self.observer is not None:
-            self.observer.on_path_read(leaf, self._indices(leaf))
-        return path
+            self.observer.on_path_read(leaf, tuple(indices))
+        return indices
 
     def write_path_slots(self, leaf: int) -> None:
         """Account for writing the path back (contents already mutated)."""
         self.buckets_written += self._path_len
         if self.observer is not None:
-            self.observer.on_path_write(leaf, self._indices(leaf))
+            self.observer.on_path_write(leaf, tuple(self.path_indices(leaf)))
 
     # -- compatibility whole-path operations (bucket-object adapters) -------
 
@@ -248,14 +260,12 @@ class ColumnarTreeStorage:
         pairing; the native columnar backend (which restores in the
         arena itself) recovers fully and is the supported path.
         """
-        rows = self._indices(leaf)
+        rows = tuple(self.path_indices(leaf))
         capacity = self.config.blocks_per_bucket
         out: List[Bucket] = []
         for idx in rows:
             bucket = Bucket(capacity)
-            lst = self.buckets[idx]
-            if lst:
-                bucket.blocks = [self.block_at_slot(slot) for slot in lst]
+            bucket.blocks = [self.block_at_slot(s) for s in self.bucket(idx)]
             out.append(bucket)
         self._pending = (leaf, out)
         self.buckets_read += self._path_len
@@ -270,61 +280,62 @@ class ColumnarTreeStorage:
                 "write_path leaf does not match the last read_path "
                 "(columnar compatibility mode keeps one outstanding path)"
             )
-        _leaf, pending = self._pending
+        rows, pending = tuple(self.path_indices(leaf)), self._pending[1]
+        for idx, bucket in zip(rows, pending):
+            self._check_fits(idx, len(bucket.blocks))
         self._pending = None
-        buckets = self.buckets
-        for idx, bucket in zip(self._indices(leaf), pending):
-            lst = buckets[idx]
-            if lst is None:
-                lst = buckets[idx] = []
-            for slot in lst:
-                self._free.append(slot)
-            # In-place replacement: bucket list identity is part of the
-            # dense per-leaf path cache's contract.
-            lst[:] = [
-                self.alloc(b.addr, b.leaf, b.data, b.mac) for b in bucket.blocks
-            ]
+        for idx, bucket in zip(rows, pending):
+            self.replace_bucket_records(
+                idx, [(b.addr, b.leaf, b.data, b.mac) for b in bucket.blocks]
+            )
         self.buckets_written += self._path_len
         if self.observer is not None:
-            self.observer.on_path_write(leaf, self._indices(leaf))
+            self.observer.on_path_write(leaf, rows)
 
     # -- introspection ------------------------------------------------------
+
+    def _check_fits(self, index: int, count: int) -> None:
+        """A bucket has ``Z`` slots: refuse ``count`` blocks beyond that."""
+        capacity = self.config.blocks_per_bucket
+        if count > capacity:
+            raise ValueError(
+                f"bucket {index} cannot hold {count} blocks (Z = {capacity})"
+            )
 
     def bucket_records(
         self, index: int
     ) -> Tuple[Tuple[int, int, bytes, Optional[bytes]], ...]:
         """(addr, leaf, data, mac) records of one bucket, in slot order."""
-        lst = self.buckets[index]
-        if not lst:
+        if not self.bucket_fill[index]:
             return ()
-        addr_col, leaf_col, mac_col = self.addr_col, self.leaf_col, self.mac_col
-        return tuple(
-            (addr_col[s], leaf_col[s], self.payload(s), mac_col[s]) for s in lst
-        )
+        return tuple([self.record_at_slot(s) for s in self.bucket(index)])
 
     def replace_bucket_records(self, index: int, records) -> None:
         """Overwrite one bucket's contents from (addr, leaf, data, mac) rows.
 
         Tamper/restore hook used by the adversary layer: the analogue of
-        assigning ``bucket.blocks`` on the object storages.
+        assigning ``bucket.blocks`` on the object storages. A bucket has
+        ``Z`` slots; more records than that are refused before any slot
+        is freed or claimed.
         """
-        lst = self.buckets[index]
-        if lst is None:
-            lst = self.buckets[index] = []
-        for slot in lst:
-            self._free.append(slot)
-        # In-place (list identity is part of the path cache's contract).
-        lst[:] = [
-            self.alloc(addr, leaf, bytes(data), mac)
-            for addr, leaf, data, mac in records
-        ]
+        records = list(records)
+        self._check_fits(index, len(records))
+        for slot in self.bucket(index):
+            self.release(slot)
+        base = index * self.config.blocks_per_bucket
+        for position, (addr, leaf, data, mac) in enumerate(records):
+            self.bucket_slots[base + position] = self.alloc(
+                addr, leaf, bytes(data), mac
+            )
+        if len(records) != self.bucket_fill[index]:  # untouched stays untouched
+            self.bucket_fill[index] = len(records)
 
     def find_block(self, addr: int) -> Optional[Tuple[int, int]]:
         """(bucket index, slot) of a live tree block by address, or None."""
         addr_col = self.addr_col
-        for index, lst in enumerate(self.buckets):
-            if lst:
-                for slot in lst:
+        for index, fill in enumerate(self.bucket_fill):
+            if fill:
+                for slot in self.bucket(index):
                     if addr_col[slot] == addr:
                         return index, slot
         return None
@@ -353,4 +364,4 @@ class ColumnarTreeStorage:
 
     def occupancy(self) -> int:
         """Total real blocks currently stored in the tree."""
-        return sum(len(lst) for lst in self.buckets if lst)
+        return sum(self.bucket_fill)

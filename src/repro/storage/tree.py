@@ -161,10 +161,18 @@ class TreeStorage:
         """Overwrite one bucket's contents from (addr, leaf, data, mac) rows.
 
         Tamper/restore hook used by the adversary layer; the columnar
-        storage exposes the same method over its slot arena.
+        storage exposes the same method over its slot arena. A bucket
+        has ``Z`` slots; more records than that are refused before
+        anything is replaced.
         """
         from repro.storage.block import Block
 
+        records = list(records)
+        capacity = self.config.blocks_per_bucket
+        if len(records) > capacity:
+            raise ValueError(
+                f"bucket {index} cannot hold {len(records)} blocks (Z = {capacity})"
+            )
         bucket = self.bucket_at(index)
         bucket.blocks = [
             Block(addr, leaf, bytes(data), mac)

@@ -8,6 +8,7 @@ backends in lockstep, and after **every** access the harness compares
 - the stash contents (values *and* insertion order),
 - the just-evicted path's bucket contents (slot order included),
 - the returned block of interest,
+- every counter and the stash-occupancy fold,
 
 plus full-tree content digests at trace end. Traces are generated from a
 seed, every random draw (operation mix, addresses, leaf labels, payloads)
@@ -18,10 +19,9 @@ so the assertion message carries a minimal deterministic reproducer.
 The columnar side runs as the fast tier does — on the native access
 kernel when the extension is built, interpreted otherwise — and the
 acceptance sweep and the scheme-level lockstep run both ways through the
-``fast_tier`` fixture. Both interpreted eviction kernels are exercised:
-the scalar slot loop at the default threshold and the vectorised numpy
-kernel forced via ``vec_min_merge = 0``. Scheme-level lockstep replays
-(PLB frontends with compressed and uncompressed PosMaps, PMMAC on and
+``fast_tier`` fixture. A Z=1 tree whose stash never empties keeps the
+ordered stash-column rebuild busy for hundreds of consecutive accesses.
+Scheme-level lockstep replays (PLB frontends with compressed and uncompressed PosMaps, PMMAC on and
 off, the recursive baseline, stash-pressure Z=2/Z=3 variants) ride on
 the same comparisons through the public Frontend API.
 """
@@ -131,16 +131,14 @@ def is_valid(trace: List[Step]) -> bool:
 
 
 def build_pair(
-    config: OramConfig, seed: int = 7, vec_min_merge: Optional[int] = None
+    config: OramConfig, seed: int = 7
 ) -> Tuple[PathOramBackend, ColumnarPathOramBackend]:
     """Object and columnar backends over identical configs and RNG seeds."""
     obj = PathOramBackend(config, TreeStorage(config), DeterministicRng(seed))
     col = ColumnarPathOramBackend(
         config, ColumnarTreeStorage(config), DeterministicRng(seed)
     )
-    if vec_min_merge is not None:
-        col.vec_min_merge = vec_min_merge
-    elif default_replay_mode() == "compiled":
+    if default_replay_mode() == "compiled":
         # The fast tier's backend: on the native access kernel (a no-op
         # where the extension is unbuilt or ``REPRO_NATIVE=off``).
         col.enable_native_kernel(load_native_core())
@@ -162,25 +160,36 @@ def _block_image(block: Optional[Block]):
     return (block.addr, block.leaf, block.data, block.mac)
 
 
+def counters(backend):
+    """Every counter an access moves, and the occupancy fold."""
+    stats = backend.stash.occupancy_stats
+    return (
+        backend.access_count, backend.tree_access_count, backend.append_count,
+        backend.storage.buckets_read, backend.storage.buckets_written,
+        stats.count, repr(stats.mean), repr(stats.variance), stats.max, stats.min,
+    )
+
+
 def run_lockstep(
     config: OramConfig,
     trace: List[Step],
     seed: int = 7,
-    vec_min_merge: Optional[int] = None,
     compare_paths: bool = True,
-) -> None:
+) -> int:
     """Replay a trace against both backends; raise Divergence on mismatch.
 
     The model PosMap (addr -> current leaf) is shared, so both backends
     receive byte-identical operation streams; removed blocks are held per
     backend and re-appended through each backend's own returned Block,
-    exactly as the PLB does.
+    exactly as the PLB does. Returns the longest run of consecutive
+    accesses that each left the stash non-empty.
     """
-    obj, col = build_pair(config, seed=seed, vec_min_merge=vec_min_merge)
+    obj, col = build_pair(config, seed=seed)
     posmap: Dict[int, int] = {}
     removed_obj: Dict[int, Block] = {}
     removed_col: Dict[int, Block] = {}
     block_bytes = config.block_bytes
+    longest = busy = 0
     for index, step in enumerate(trace):
         if step.kind == "append":
             block_obj = removed_obj.pop(step.addr)
@@ -219,8 +228,13 @@ def run_lockstep(
                 raise Divergence(index, "evicted path")
         if obj.stash_snapshot() != col.stash_snapshot():
             raise Divergence(index, "stash")
+        if counters(obj) != counters(col):
+            raise Divergence(index, "counters")
+        busy = busy + 1 if col.stash_occupancy() else 0
+        longest = max(longest, busy)
     if tree_records(obj.storage) != tree_records(col.storage):
         raise Divergence(len(trace), "final tree")
+    return longest
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +283,7 @@ def shrink_trace(
 def assert_lockstep(config: OramConfig, trace: List[Step], seed_label, **kwargs):
     """run_lockstep + automatic shrinking into the failure message."""
     try:
-        run_lockstep(config, trace, **kwargs)
+        return run_lockstep(config, trace, **kwargs)
     except Divergence as exc:
         minimal = shrink_trace(config, trace, **kwargs)
         pytest.fail(
@@ -286,6 +300,7 @@ TINY = OramConfig(num_blocks=64, block_bytes=16)
 SMALL = OramConfig(num_blocks=256, block_bytes=32)
 PRESSURE_Z2 = OramConfig(num_blocks=256, block_bytes=16, blocks_per_bucket=2)
 WIDE_Z16 = OramConfig(num_blocks=512, block_bytes=16, blocks_per_bucket=16)
+CROWDED_Z1 = OramConfig(num_blocks=256, block_bytes=16, blocks_per_bucket=1)
 
 
 class TestRandomizedDifferential:
@@ -327,45 +342,18 @@ class TestRandomizedDifferential:
         assert obj.stash.occupancy_stats.max > 0
         assert tree_digest(obj.storage) == tree_digest(col.storage)
 
-    def test_vectorised_kernel_matches_object(self):
-        """vec_min_merge=0 forces the numpy kernel on every access."""
-        pytest.importorskip("numpy")
-        for seed in (7, 8, 9):
-            for config in (SMALL, PRESSURE_Z2, WIDE_Z16):
-                trace = generate_trace(
-                    seed=seed,
-                    steps=60,
-                    num_addrs=config.num_blocks // 2,
-                    levels=config.levels,
-                    with_removal=True,
-                )
-                assert_lockstep(
-                    config, trace, f"vec seed {seed}", vec_min_merge=0
-                )
-
-    def test_vectorised_and_scalar_kernels_identical(self):
-        """Columnar-vs-columnar: both kernels produce one history."""
-        pytest.importorskip("numpy")
-        config = PRESSURE_Z2
+    def test_stash_that_never_empties(self, fast_tier):
+        """Z=1 over a quarter-full tree: placement leaves leftovers on
+        nearly every access, so for hundreds of accesses in a row the
+        stash column is rebuilt, in merge order, from a non-empty stash —
+        compared (contents, order, counters, occupancy fold, the evicted
+        path) after every one, and whole trees at the end."""
         trace = generate_trace(
-            seed=77, steps=300, num_addrs=128, levels=config.levels
+            seed=11, steps=500, num_addrs=64, levels=CROWDED_Z1.levels,
+            with_removal=True,
         )
-        scalar = ColumnarPathOramBackend(
-            config, ColumnarTreeStorage(config), DeterministicRng(7)
-        )
-        scalar.vec_min_merge = None
-        vector = ColumnarPathOramBackend(
-            config, ColumnarTreeStorage(config), DeterministicRng(7)
-        )
-        vector.vec_min_merge = 0
-        posmap: Dict[int, int] = {}
-        for step in trace:
-            leaf = posmap.get(step.addr, 0)
-            scalar.access(Op.READ, step.addr, leaf, step.new_leaf)
-            vector.access(Op.READ, step.addr, leaf, step.new_leaf)
-            posmap[step.addr] = step.new_leaf
-            assert scalar.stash_snapshot() == vector.stash_snapshot()
-        assert tree_records(scalar.storage) == tree_records(vector.storage)
+        # The run only proves something if the stash really stayed busy.
+        assert assert_lockstep(CROWDED_Z1, trace, "Z=1 seed 11") >= 100
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -450,7 +438,7 @@ class TestErrorPathEquivalence:
         assert obj.stash_snapshot() == col.stash_snapshot()
 
     def test_out_of_range_leaf_raises_identically(self):
-        """A corrupt leaf label fails the same way on the scalar kernels."""
+        """A corrupt leaf label fails the same way on both backends."""
         obj, col = build_pair(SMALL)
         for backend in (obj, col):
             backend.access(

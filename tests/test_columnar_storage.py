@@ -63,7 +63,7 @@ class TestSlotArena:
         assert located is not None
         index, slot = located
         assert store.addr_col[slot] == 5
-        assert slot in store.buckets[index]
+        assert slot in store.bucket(index)
         assert store.find_block(999) is None
 
 
@@ -144,6 +144,23 @@ class TestBucketRecords:
         col.replace_bucket_records(0, ())
         assert col.bucket_records(0) == ()
 
+    @pytest.mark.parametrize("storage_type", [TreeStorage, ColumnarTreeStorage])
+    def test_more_records_than_z_are_refused(self, storage_type):
+        """A bucket has Z slots on every storage: a restore script may
+        not leave a tree whose digest describes one that cannot exist.
+        Refused before anything is freed or claimed."""
+        config = OramConfig(num_blocks=64, block_bytes=16, blocks_per_bucket=2)
+        store = storage_type(config)
+        legal = ((5, 1, b"x" * 16, None), (6, 2, b"y" * 16, b"mac!"))
+        store.replace_bucket_records(3, legal)
+        before = tree_digest(store), getattr(store, "_free", [None])[0]
+        with pytest.raises(
+            ValueError, match=r"bucket 3 cannot hold 3 blocks \(Z = 2\)"
+        ):
+            store.replace_bucket_records(3, legal + ((7, 0, b"z" * 16, None),))
+        assert store.bucket_records(3) == legal
+        assert (tree_digest(store), getattr(store, "_free", [None])[0]) == before
+
     def test_tree_records_match_object_after_identical_accesses(self):
         config = OramConfig(num_blocks=64, block_bytes=16)
         obj_backend = PathOramBackend(
@@ -195,6 +212,22 @@ class TestCompatibilityPath:
         col.read_path(3)
         with pytest.raises(RuntimeError, match="write_path leaf"):
             col.write_path(5)
+
+    def test_write_path_refuses_an_overfull_bucket(self):
+        """Absorbing ``bucket.blocks`` is the same door as
+        ``replace_bucket_records``: past ``Bucket.add``'s capacity check,
+        so the storage checks — before any bucket of the path is
+        rewritten."""
+        config = OramConfig(num_blocks=64, block_bytes=16, blocks_per_bucket=2)
+        col = ColumnarTreeStorage(config)
+        col.replace_bucket_records(0, ((1, 3, bytes(16), None),))
+        before = tree_digest(col)
+        path = col.read_path(3)
+        path[0][1].blocks = []
+        path[-1][1].blocks = [Block(a, 3, bytes(16)) for a in (7, 8, 9)]
+        with pytest.raises(ValueError, match=r"cannot hold 3 blocks \(Z = 2\)"):
+            col.write_path(3)
+        assert tree_digest(col) == before
 
     def test_write_path_without_read_rejected(self):
         config = OramConfig(num_blocks=64, block_bytes=16)
@@ -257,18 +290,15 @@ class TestColumnarStash:
         assert failures[0] == failures[1] == 2
 
 
-class TestVectorisedErrorPaths:
-    """The numpy kernel's guard rails (forced via vec_min_merge=0)."""
+class TestErrorPaths:
+    """The interpreted kernel's guard rails."""
 
     @pytest.fixture
     def backend(self):
-        pytest.importorskip("numpy")
         config = OramConfig(num_blocks=64, block_bytes=16)
-        backend = ColumnarPathOramBackend(
+        return ColumnarPathOramBackend(
             config, ColumnarTreeStorage(config), DeterministicRng(1)
         )
-        backend.vec_min_merge = 0
-        return backend
 
     def test_out_of_range_leaf_detected(self, backend):
         backend.access(
@@ -296,7 +326,7 @@ class TestVectorisedErrorPaths:
             backend.access(Op.READ, 7, 0, 1)
 
     def test_out_of_range_leaf_restores_state(self, backend):
-        """The eviction-time failure rolls back exactly: the stash snapshot
+        """The drain-time failure rolls back exactly: the stash snapshot
         and the tree digest equal their pre-access values, and the backend
         stays usable."""
         store = backend.storage
@@ -318,8 +348,8 @@ class TestVectorisedErrorPaths:
             backend.access(Op.READ, 3, posmap[3], 1)
         assert backend.stash_snapshot() == before_stash
         assert tree_digest(store) == before_tree
-        # Remove the poison and the backend keeps working.
-        backend.stash.slots_by_addr.pop(50)
+        # Repair the poison and the backend keeps working.
+        store.leaf_col[backend.stash.slot_of(50)] = 0
         assert backend.access(Op.READ, 3, posmap[3], 2) is not None
 
 

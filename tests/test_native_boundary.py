@@ -8,15 +8,20 @@ and ``RecursiveKernel`` (whose state is a frontend's own Python
 containers: PLB entries and their payloads, set lists, the tag index,
 the on-chip table, first-touch bitmaps, the PRF's leaf cache, counters,
 the per-level tuple of tree handles) — is fed what a corrupted
-storage or a confused caller could hand it: columns of the wrong
-typecode or of unequal length, slot ids that are negative, past the
-arena or not ints at all, buckets that are not lists, leaves outside the
-tree, stash dicts with non-int keys and values. The contract is the
-same everywhere: raise ``TypeError``/``IndexError``/``ValueError``, and
-leave every container (and, for the handle, the stash snapshot and the
-tree digest) as it was. The CI sanitizer lane runs this file under
-ASan/UBSan, where an out-of-bounds read that happens not to crash here
-fails loudly.
+storage or a confused caller could hand it. The tree's state is typed
+columns, so what can be wrong there is what a typed column can hold: a
+column of the wrong item size, length or writability; a bucket count
+past Z; a slot id that is negative, past the arena, held by two buckets
+or by a bucket and the stash; a stash or free-stack length beyond its
+column; a free-stack entry that still holds a block; a column cut short
+between two calls, or by an update callback inside one. For the list
+adapters (``drain_scalar`` / ``place_greedy``) it is still slot ids that
+are not ints at all, buckets that are not lists and stash dicts with
+non-int keys. The contract is the same everywhere: raise
+``TypeError``/``IndexError``/``ValueError``, and leave every container
+(and, for the handle, the stash snapshot and the tree digest) as it was.
+The CI sanitizer lane runs this file under ASan/UBSan, where an
+out-of-bounds read that happens not to crash here fails loudly.
 """
 
 from array import array
@@ -688,6 +693,15 @@ class TestMtDrawsBoundary:
 # AccessKernel: construction
 # ---------------------------------------------------------------------------
 
+#: Slot ids no bucket, stash or free stack may legally hold: what an
+#: int32 column *can* hold that is not a slot of a four-chunk arena.
+hostile_slot_ids = st.one_of(
+    st.integers(min_value=-(2**31), max_value=-1),
+    st.integers(min_value=CHUNK_SLOTS * 4, max_value=2**31 - 1),
+)
+#: Array typecodes that are not a signed 32-bit integer.
+not_int32 = st.sampled_from("bBhHIqQfd")
+
 
 def kernel_args(backend):
     """The positional arguments ``enable_native_kernel`` builds, as a dict."""
@@ -700,8 +714,9 @@ def kernel_args(backend):
         "mac_col": storage.mac_col,
         "chunks": storage._chunks,
         "free": storage._free,
-        "buckets": storage.buckets,
-        "stash": backend.stash.slots_by_addr,
+        "bucket_slots": storage.bucket_slots,
+        "bucket_fill": storage.bucket_fill,
+        "stash_col": backend.stash.slots,
         "levels": backend.config.levels,
         "cap": backend.config.blocks_per_bucket,
         "block_bytes": backend.config.block_bytes,
@@ -736,19 +751,88 @@ class TestKernelConstruction:
         with pytest.raises(TypeError):
             CORE.AccessKernel(*args.values())
 
-    def test_read_only_column(self):
+    @PROPERTY
+    @given(
+        typecode=not_int32,
+        which=st.sampled_from(["free", "stash_col", "bucket_slots"]),
+    )
+    def test_wrong_item_size_slot_columns(self, typecode, which):
+        """Slot ids are int32 everywhere: the free stack, the stash and
+        the bucket column of any other item are refused, whatever their
+        length in bytes."""
         args = kernel_args(plain_backend())
-        args["addr_col"] = memoryview(bytes(64)).cast("q")
+        items = len(args[which])
+        args[which] = array(typecode, [0] * items)
+        with pytest.raises(TypeError):
+            CORE.AccessKernel(*args.values())
+
+    @PROPERTY
+    @given(typecode=st.sampled_from("hHiIqQfd"))
+    def test_wrong_item_size_fill_column(self, typecode):
+        args = kernel_args(plain_backend())
+        args["bucket_fill"] = array(typecode, [0] * CONFIG.num_buckets)
+        with pytest.raises(TypeError):
+            CORE.AccessKernel(*args.values())
+
+    @PROPERTY
+    @given(
+        which=st.sampled_from(
+            ["addr_col", "leaf_col", "free", "stash_col", "bucket_slots",
+             "bucket_fill"]
+        )
+    )
+    def test_read_only_column(self, which):
+        args = kernel_args(plain_backend())
+        frozen = memoryview(bytes(memoryview(args[which]).nbytes or 8))
+        code = {"addr_col": "q", "leaf_col": "q", "bucket_fill": "B"}
+        args[which] = frozen.cast(code.get(which, "i"))
         with pytest.raises((TypeError, BufferError)):
             CORE.AccessKernel(*args.values())
 
     @PROPERTY
     @given(
-        name=st.sampled_from(["mac_col", "chunks", "free", "buckets", "stash"]),
-        junk=st.sampled_from([None, (1,), "ab", 5, array("q")]),
+        which=st.sampled_from(["bucket_slots", "bucket_fill"]),
+        delta=st.sampled_from([-CONFIG.num_buckets, -5, -1, 1, 4, 64]),
+    )
+    def test_tree_columns_of_the_wrong_length(self, which, delta):
+        """The bucket columns are indexed unchecked, so they must be
+        exactly the geometry's size — shorter *or* longer is refused."""
+        args = kernel_args(plain_backend())
+        items = max(len(args[which]) + delta, 0)
+        args[which] = (
+            bytearray(items) if which == "bucket_fill"
+            else array("i", [0] * items)
+        )
+        with pytest.raises(ValueError):
+            CORE.AccessKernel(*args.values())
+
+    @PROPERTY
+    @given(
+        which=st.sampled_from(["free", "stash_col"]),
+        column=st.sampled_from(
+            [[], [1], [-1, 0, 0], [3, 0, 0], [2**31 - 1, 0], [-(2**31), 0]]
+        ),
+    )
+    def test_length_prefix_beyond_its_column(self, which, column):
+        """Item 0 of the free stack and of the stash column is a length:
+        a column too short to have one, or whose length points past its
+        end (or before its start), is refused."""
+        args = kernel_args(plain_backend())
+        args[which] = array("i", column)
+        with pytest.raises(ValueError):
+            CORE.AccessKernel(*args.values())
+
+    @PROPERTY
+    @given(
+        name=st.sampled_from(
+            ["mac_col", "chunks", "free", "bucket_slots", "bucket_fill",
+             "stash_col"]
+        ),
+        junk=st.sampled_from([None, (1,), "ab", 5, array("q"), [0] * 8]),
     )
     def test_wrong_containers(self, name, junk):
         args = kernel_args(plain_backend())
+        assume(not (name in ("mac_col", "chunks") and isinstance(junk, list)))
         args[name] = junk
         with pytest.raises(TypeError):
             CORE.AccessKernel(*args.values())
@@ -756,17 +840,19 @@ class TestKernelConstruction:
     @PROPERTY
     @given(
         name=st.sampled_from(["levels", "cap", "block_bytes", "chunk_slots"]),
-        value=st.sampled_from([-1, 0, 61, 3, 2**40]),
+        value=st.sampled_from([-1, 0, 1, 3, 61, 256, 2**40]),
     )
     def test_geometry_out_of_range(self, name, value):
+        """``levels`` and ``cap`` also have to be the tree's own: the
+        bucket columns are sized by them."""
+        args = kernel_args(plain_backend())
         legal = {
-            "levels": 0 <= value <= 60,
-            "cap": 1 <= value < 2**31,
+            "levels": value == args["levels"],
+            "cap": value == args["cap"],
             "block_bytes": value >= 1,
             "chunk_slots": value >= 1 and value & (value - 1) == 0,
         }[name]
         assume(not legal)
-        args = kernel_args(plain_backend())
         args[name] = value
         with pytest.raises((ValueError, OverflowError)):
             CORE.AccessKernel(*args.values())
@@ -788,6 +874,15 @@ class TestKernelConstruction:
             CORE.AccessKernel(*list(args.values())[:-1])
         with pytest.raises(TypeError):
             CORE.AccessKernel(*args.values(), extra=1)
+
+    def test_the_bucket_columns_cannot_be_resized_under_a_handle(self):
+        """Fixed-size columns stay exported for the life of the handle,
+        so CPython itself refuses to shrink them."""
+        backend = plain_backend()
+        backend.enable_native_kernel(CORE)
+        with pytest.raises(BufferError):
+            del backend.storage.bucket_fill[4:]
+        backend.access(Op.READ, 1, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -818,14 +913,39 @@ def image(backend):
     return backend.stash_snapshot(), tree_digest(backend.storage)
 
 
-def path_bucket(storage, leaf, depth):
-    index = (1 << depth) - 1 + (leaf >> (CONFIG.levels - depth))
-    if storage.buckets[index] is None:
-        storage.buckets[index] = []
-    return index
+def path_bucket(leaf, depth):
+    return (1 << depth) - 1 + (leaf >> (CONFIG.levels - depth))
+
+
+def full_path_bucket(storage, leaf):
+    """Heap index of a bucket on the path to ``leaf`` that holds Z blocks."""
+    for depth in range(CONFIG.levels + 1):
+        index = path_bucket(leaf, depth)
+        if storage.bucket_fill[index] == CONFIG.blocks_per_bucket:
+            return index
+    raise AssertionError("the warm-up left no full bucket on this path")
+
+
+class Scribble:
+    """Overwrite items of a typed column; ``undo`` puts them back."""
+
+    def __init__(self, column):
+        self.column = column
+        self.saved = {}
+
+    def __setitem__(self, index, value):
+        self.saved.setdefault(index, self.column[index])
+        self.column[index] = value
+
+    def undo(self):
+        for index, value in self.saved.items():
+            self.column[index] = value
 
 
 class TestKernelAccessBoundary:
+    """What can now be wrong is what a typed column can hold: a count
+    past Z, a slot id that is no slot, or one claimed twice."""
+
     def rejected_and_unchanged(self, backend, before, undo, *access):
         with pytest.raises(REJECTED):
             backend.access(*access)
@@ -836,55 +956,136 @@ class TestKernelAccessBoundary:
 
     @PROPERTY
     @given(
-        bad=hostile_slots,
+        fill=st.integers(CONFIG.blocks_per_bucket + 1, 255),
         depth=st.integers(0, CONFIG.levels),
-        position=st.integers(0, 2),
+        op=st.sampled_from([Op.READ, Op.WRITE, Op.READRMV]),
+    )
+    def test_bucket_fill_beyond_z(self, fill, depth, op):
+        backend, posmap = warmed_backend()
+        addr, leaf = next(iter(posmap.items()))
+        before = image(backend)
+        counts = Scribble(backend.storage.bucket_fill)
+        counts[path_bucket(leaf, depth)] = fill
+        self.rejected_and_unchanged(
+            backend, before, counts.undo, op, addr, leaf, 2
+        )
+
+    @PROPERTY
+    @given(
+        bad=hostile_slot_ids,
+        depth=st.integers(0, CONFIG.levels),
+        position=st.integers(0, CONFIG.blocks_per_bucket - 1),
         op=st.sampled_from([Op.READ, Op.WRITE, Op.READRMV]),
     )
     def test_hostile_slot_in_a_path_bucket(self, bad, depth, position, op):
         backend, posmap = warmed_backend()
         addr, leaf = next(iter(posmap.items()))
         before = image(backend)
-        bucket = backend.storage.buckets[path_bucket(backend.storage, leaf, depth)]
-        bucket.insert(min(position, len(bucket)), bad)
+        storage = backend.storage
+        index = path_bucket(leaf, depth)
+        slots, counts = Scribble(storage.bucket_slots), Scribble(storage.bucket_fill)
+        slots[index * CONFIG.blocks_per_bucket + position] = bad
+        counts[index] = max(storage.bucket_fill[index], position + 1)
+
+        def undo():
+            slots.undo()
+            counts.undo()
+
+        self.rejected_and_unchanged(backend, before, undo, op, addr, leaf, 2)
+
+    @PROPERTY
+    @given(
+        depth=st.integers(0, CONFIG.levels),
+        via_stash=st.booleans(),
+        op=st.sampled_from([Op.READ, Op.WRITE, Op.READRMV]),
+    )
+    def test_slot_claimed_twice(self, depth, via_stash, op):
+        """A slot two buckets of one path hold, or a bucket and the
+        stash: one block about to be evicted twice (and, as the block of
+        interest, freed twice)."""
+        backend, posmap = warmed_backend()
+        storage, stash = backend.storage, backend.stash
+        addr, leaf = next(iter(posmap.items()))
+        before = image(backend)
+        donor = (
+            stash.slots[1] if via_stash
+            else storage.bucket(full_path_bucket(storage, leaf))[0]
+        )
+        index = path_bucket(leaf, depth)
+        assume(donor not in storage.bucket(index))
+        slots, counts = Scribble(storage.bucket_slots), Scribble(storage.bucket_fill)
+        position = min(storage.bucket_fill[index], CONFIG.blocks_per_bucket - 1)
+        slots[index * CONFIG.blocks_per_bucket + position] = donor
+        counts[index] = position + 1
+
+        def undo():
+            slots.undo()
+            counts.undo()
+
+        self.rejected_and_unchanged(backend, before, undo, op, addr, leaf, 2)
+
+    @PROPERTY
+    @given(bad=hostile_slot_ids, position=st.integers(1, 2), append=st.booleans())
+    def test_hostile_stash_entry(self, bad, position, append):
+        """Met by the drain of a tree access and by the duplicate probe
+        of an APPEND alike."""
+        backend, posmap = warmed_backend()
+        addr, leaf = next(iter(posmap.items()))
+        before = image(backend)
+        residents = Scribble(backend.stash.slots)
+        residents[position] = bad
+        access = (
+            (Op.APPEND, 55, 0, 0, None, Block(55, 1, bytes(8), None))
+            if append else (Op.READ, addr, leaf, 2)
+        )
+        self.rejected_and_unchanged(backend, before, residents.undo, *access)
+
+    @PROPERTY
+    @given(
+        length=st.one_of(
+            st.integers(-(2**31), -1), st.integers(0, 2**31 - 1)
+        ),
+        column=st.sampled_from(["stash", "free"]),
+    )
+    def test_length_prefix_beyond_its_column(self, length, column):
+        backend, posmap = warmed_backend()
+        addr, leaf = next(iter(posmap.items()))
+        target = (
+            backend.stash.slots if column == "stash" else backend.storage._free
+        )
+        assume(not 0 <= length < len(target))
+        before = image(backend)
+        prefix = Scribble(target)
+        prefix[0] = length
         self.rejected_and_unchanged(
-            backend, before, lambda: bucket.remove(bad), op, addr, leaf, 2
+            backend, before, prefix.undo, Op.READ, addr, leaf, 2
         )
 
     @PROPERTY
     @given(
-        junk=st.sampled_from([(1, 2), "ab", 5, {1: 2}]),
-        depth=st.integers(0, CONFIG.levels),
+        column=st.sampled_from(["stash", "free", "mac_col", "chunks"]),
+        keep=st.integers(0, 2),
     )
-    def test_non_list_bucket_on_the_path(self, junk, depth):
+    def test_column_cut_short_between_calls(self, column, keep):
+        """The growing columns are bound as objects and exported afresh
+        in every call, so one that shrank since the last call is met by
+        that call's checks, not by a stale pointer."""
         backend, posmap = warmed_backend()
-        addr, leaf = next(iter(posmap.items()))
+        storage = backend.storage
         before = image(backend)
-        buckets = backend.storage.buckets
-        index = path_bucket(backend.storage, leaf, depth)
-        original = buckets[index]
-        buckets[index] = junk
+        target = {
+            "stash": backend.stash.slots, "free": storage._free,
+            "mac_col": storage.mac_col, "chunks": storage._chunks,
+        }[column]
+        saved = target[:]
+        del target[0 if column == "chunks" else keep:]  # the arena is one chunk
 
         def undo():
-            buckets[index] = original
+            target[:] = saved
 
-        self.rejected_and_unchanged(backend, before, undo, Op.READ, addr, leaf, 2)
-
-    @PROPERTY
-    @given(bad=hostile_slots, as_key=st.booleans())
-    def test_hostile_stash_entry(self, bad, as_key):
-        backend, posmap = warmed_backend()
-        addr, leaf = next(iter(posmap.items()))
-        before = image(backend)
-        stash = backend.stash.slots_by_addr
-        key = 777
-        if as_key:
-            assume(not isinstance(bad, int))
-            key, bad = bad, next(iter(stash.values()))
-        stash[key] = bad
-        self.rejected_and_unchanged(
-            backend, before, lambda: stash.pop(key), Op.READ, addr, leaf, 2
-        )
+        # A first touch: walks the stash, claims a free slot, writes its
+        # MAC and payload.
+        self.rejected_and_unchanged(backend, before, undo, Op.WRITE, 50, 0, 2)
 
     @PROPERTY
     @given(which=st.sampled_from(["addr_col", "leaf_col"]), grow=st.booleans())
@@ -906,14 +1107,53 @@ class TestKernelAccessBoundary:
         self.rejected_and_unchanged(backend, before, undo, Op.READ, addr, leaf, 2)
 
     @PROPERTY
-    @given(bad=hostile_slots)
-    def test_hostile_free_list_entry(self, bad):
-        """A first touch claims the corrupt entry; nothing was allocated."""
+    @given(bad=hostile_slot_ids)
+    def test_hostile_free_stack_entry(self, bad):
+        """A first touch meets the corrupt entry; nothing was claimed."""
         backend, _posmap = warmed_backend()
         before = image(backend)
-        backend.storage._free.append(bad)
+        free = backend.storage._free
+        stack = Scribble(free)
+        stack[free[0]] = bad
         self.rejected_and_unchanged(
-            backend, before, lambda: None, Op.WRITE, 50, 0, 2
+            backend, before, stack.undo, Op.WRITE, 50, 0, 2
+        )
+
+    @PROPERTY
+    @given(via_stash=st.booleans(), op=st.sampled_from([Op.WRITE, Op.APPEND]))
+    def test_live_slot_on_the_free_stack(self, via_stash, op):
+        """The top of the free stack names a slot that holds a block (in
+        the tree, or in the stash): claiming it would alias two blocks."""
+        backend, posmap = warmed_backend()
+        storage = backend.storage
+        before = image(backend)
+        live = (
+            backend.stash.slots[1] if via_stash
+            else storage.bucket(full_path_bucket(storage, posmap[next(iter(posmap))]))[0]
+        )
+        stack = Scribble(storage._free)
+        stack[storage._free[0]] = live
+        access = (
+            (Op.WRITE, 50, 0, 2) if op is Op.WRITE
+            else (Op.APPEND, 55, 0, 0, None, Block(55, 1, bytes(8), None))
+        )
+        with pytest.raises(ValueError, match="holds a live block"):
+            backend.access(*access)
+        stack.undo()
+        assert image(backend) == before
+        backend.access(Op.READ, 60, 0, 1)
+
+    def test_free_stack_with_no_room_for_a_readrmv(self):
+        """READRMV pushes its slot once the eviction is done, so the room
+        is checked while the access can still be refused."""
+        backend, posmap = warmed_backend()
+        addr, leaf = next(iter(posmap.items()))
+        before = image(backend)
+        free = backend.storage._free
+        depth = Scribble(free)
+        depth[0] = len(free) - 1
+        self.rejected_and_unchanged(
+            backend, before, depth.undo, Op.READRMV, addr, leaf, 2
         )
 
     @PROPERTY
@@ -955,12 +1195,14 @@ class TestKernelAccessBoundary:
     def test_hostile_append_block(self, field, junk):
         backend, _posmap = warmed_backend()
         before = image(backend)
+        free_before = backend.storage._free[0]
         block = Block(55, 1, bytes(8), None)
         setattr(block, field, junk)
         try:
             backend.access(Op.APPEND, 55, append_block=block)
         except (TypeError, ValueError, OverflowError):
             assert image(backend) == before
+            assert backend.storage._free[0] == free_before
         else:
             assert field == "mac"
 
@@ -983,6 +1225,31 @@ class TestKernelAccessBoundary:
             assert image(backend) == before
         else:
             assert field == "mac"
+
+    @PROPERTY
+    @given(column=st.sampled_from(["stash", "addr_col", "free"]))
+    def test_update_callback_cutting_a_column_short(self, column):
+        """No export is live while an update callback runs, so it *can*
+        shrink a column; the access looks again afterwards instead of
+        writing through what it measured before."""
+        backend, posmap = warmed_backend()
+        addr, leaf = next(iter(posmap.items()))
+        storage = backend.storage
+        target = {
+            "stash": backend.stash.slots, "addr_col": storage.addr_col,
+            "free": storage._free,
+        }[column]
+        saved = target[:]
+        before = image(backend)
+
+        def update(block):
+            del target[1:]
+
+        with pytest.raises(REJECTED):
+            backend.access(Op.WRITE, addr, leaf, 2, update=update)
+        target[:] = saved
+        assert image(backend) == before
+        backend.access(Op.READ, 60, 0, 1)
 
     def test_arity_and_scalars(self):
         backend, _posmap = warmed_backend()

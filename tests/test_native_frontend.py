@@ -134,6 +134,28 @@ def full_state(frontend):
     }
 
 
+class CounterProbe:
+    """A storage observer that images every counter at each path event."""
+
+    COUNTERS = ("stats", "plb_counters", "prf", "mac", "backend")
+
+    def __init__(self, frontend):
+        self.frontend = frontend
+        self.seen = []
+        frontend.backend.storage.observer = self
+
+    def image(self):
+        state = full_state(self.frontend)
+        state["prf"] = state["prf"][:2]
+        return {key: state[key] for key in self.COUNTERS}
+
+    def on_path_read(self, leaf, indices):
+        self.seen.append(("read", leaf, self.image()))
+
+    def on_path_write(self, leaf, indices):
+        self.seen.append(("write", leaf, self.image()))
+
+
 def assert_same_state(ref, nat, context):
     ref_state, nat_state = full_state(ref), full_state(nat)
     for key in ref_state:
@@ -436,16 +458,18 @@ class TestEngagement:
             assert type(frontend._kernel) is kernel_type
 
     def test_a_discarded_frontend_is_freed_by_refcount(self):
+        """And its tree with it: a handle ⇄ stash cycle would park the
+        bucket columns — megabytes at paper scale — on the collector."""
         import gc
         import weakref
 
         frontend = engage(build("PIC_X32"))
         frontend.read(1)
-        probe = weakref.ref(frontend)
+        probes = [weakref.ref(frontend), weakref.ref(frontend.backend.storage)]
         gc.disable()
         try:
             del frontend
-            assert probe() is None
+            assert all(probe() is None for probe in probes)
         finally:
             gc.enable()
 
@@ -533,6 +557,55 @@ class TestStructure:
         # The arena growing a chunk is the storage's own method; nothing
         # of the frontend, the crypto or the backend runs interpreted.
         assert set(entered) <= {"_grow"}
+        assert_same_state(ref, nat, "after the slice")
+
+    def test_a_slice_with_a_busy_stash_and_an_arena_growth(self):
+        """Z=2 leaves blocks in the stash from one event to the next, and
+        700 first touches outgrow the arena's first chunk: the stash
+        column rebuilt from leftovers and the arena columns exported
+        again after each growth, all inside one C call (this is the
+        sanitizer lane's slice)."""
+        ref, nat = pair("PIC_X32", num_blocks=2**12, blocks_per_bucket=2)
+        addrs = list(range(0, 2**12, 5))[:700]
+        writes = [index % 3 == 0 for index in range(700)]
+        payload = bytes(range(ref.config.block_bytes))
+        arena = nat.backend.storage.addr_col
+        assert len(arena) <= 512
+        counts = [
+            CORE.run_access_loop(
+                frontend.access, addrs, writes, Op.READ, Op.WRITE, payload
+            )
+            for frontend in (ref, nat)
+        ]
+        assert counts[0] == counts[1]
+        assert len(arena) >= 2 * 512
+        occupancy = nat.backend.stash.occupancy_stats
+        assert occupancy.max >= 4 and occupancy.mean > 0.5
+        assert_same_state(ref, nat, "after the slice")
+
+    def test_an_observer_mid_slice_reads_the_per_request_counters(self):
+        """Counters are folded once per slice — and before every observer
+        callback, so whatever looks from inside the slice sees the values
+        the interpreted access would have left at that very point."""
+        ref, nat = pair("PIC_X32/beta=2")
+        drive(ref, nat, steps=60, seed=4)
+        probes = [CounterProbe(frontend) for frontend in (ref, nat)]
+        rng = DeterministicRng(17)
+        addrs = [rng.randrange(64) for _ in range(120)]
+        writes = [rng.random() < 0.3 for _ in range(120)]
+        payload = bytes(ref.config.block_bytes)
+        for frontend in (ref, nat):
+            CORE.run_access_loop(
+                frontend.access, addrs, writes, Op.READ, Op.WRITE, payload
+            )
+        assert probes[0].seen == probes[1].seen
+        # Two callbacks per tree access, each with its own image.
+        seen = probes[1].seen
+        assert len(seen) == 2 * (
+            nat.backend.tree_access_count - seen[0][2]["backend"][1] + 1
+        )
+        assert len({repr(image) for _kind, _leaf, image in seen}) > len(seen) // 2
+        assert ref.stats.group_relocations > 0
         assert_same_state(ref, nat, "after the slice")
 
     def test_a_patched_access_is_called_per_event(self):

@@ -317,13 +317,17 @@ class TestEngagement:
         frontend.read(3)
 
     def test_a_discarded_frontend_is_freed_by_refcount(self):
+        """And every tree with it: a handle ⇄ stash cycle would park the
+        bucket columns — megabytes at paper scale — on the collector."""
         frontend = engage(build("H=4"))
         frontend.read(1)
-        probe = weakref.ref(frontend)
+        probes = [weakref.ref(frontend)] + [
+            weakref.ref(backend.storage) for backend in frontend.backends
+        ]
         gc.disable()
         try:
             del frontend
-            assert probe() is None
+            assert all(probe() is None for probe in probes)
         finally:
             gc.enable()
 
@@ -392,6 +396,49 @@ class TestStructure:
         # The arena growing a chunk is the storage's own method; nothing
         # of the frontend or the backends runs interpreted.
         assert set(entered) <= {"_grow"}
+        assert_same_state(ref, nat, "after the slice")
+
+    def test_an_observer_mid_slice_reads_the_per_request_counters(self):
+        """One fold per slice, and one before every observer callback:
+        an observer on any level's tree, called from inside the slice,
+        reads every tree's and the frontend's counters as the
+        interpreted access would have left them at that point."""
+        ref, nat = pair("H=4")
+        drive(ref, nat, steps=40, seed=4)
+        seen = {id(ref): [], id(nat): []}
+
+        class Probe:
+            def __init__(self, frontend, level):
+                self.frontend, self.level = frontend, level
+                frontend.backends[level].storage.observer = self
+
+            def image(self, kind, leaf):
+                state = full_state(self.frontend)
+                seen[id(self.frontend)].append(
+                    (self.level, kind, leaf, state["stats"], state["backends"])
+                )
+
+            def on_path_read(self, leaf, indices):
+                self.image("read", leaf)
+
+            def on_path_write(self, leaf, indices):
+                self.image("write", leaf)
+
+        for frontend in (ref, nat):
+            for level in range(frontend.num_levels):
+                Probe(frontend, level)
+        rng = DeterministicRng(17)
+        addrs = [rng.randrange(ref.space.num_blocks) for _ in range(80)]
+        writes = [rng.random() < 0.3 for _ in range(80)]
+        payload = bytes(ref.configs[0].block_bytes)
+        for frontend in (ref, nat):
+            CORE.run_access_loop(
+                frontend.access, addrs, writes, Op.READ, Op.WRITE, payload
+            )
+        assert seen[id(ref)] == seen[id(nat)]
+        assert len(seen[id(nat)]) == 2 * 4 * 80
+        # Every callback met different numbers: nothing was batched.
+        assert len({repr(row[3:]) for row in seen[id(nat)]}) == 2 * 4 * 80
         assert_same_state(ref, nat, "after the slice")
 
     def test_a_patched_access_is_called_per_event(self):

@@ -26,8 +26,10 @@ compiled lane builds it and runs this file under ``REPRO_NATIVE=require``
 so a silently-unbuilt extension cannot hide behind the skips there.
 """
 
+import gc
 import warnings
 from array import array
+from contextlib import contextmanager
 
 import pytest
 
@@ -243,6 +245,103 @@ class TestNativeBackendLockstep:
         )
         assert ref.stash_snapshot() == nat.stash_snapshot()
         assert tree_digest(ref.storage) == tree_digest(nat.storage)
+
+
+# ---------------------------------------------------------------------------
+# No Python object on a tree access (counts, not wall time)
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def collector_off():
+    """``gc.get_count()[0]`` is net tracked allocations since the last
+    collection — a count that only means something while none runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestNoObjectPerTreeAccess:
+    @needs_core
+    def test_backend_accesses_leave_nothing_for_the_collector(self):
+        """2 000 first touches through the Python-facing ``access``: each
+        returns a Block (dropped at once) and every 512th grows the
+        arena a chunk; nothing else the collector tracks is made, where
+        the bucket-list tree made ~7 lists per access."""
+        config = OramConfig(num_blocks=4096, block_bytes=16)
+        backend = ColumnarPathOramBackend(
+            config, ColumnarTreeStorage(config), DeterministicRng(2)
+        )
+        backend.enable_native_kernel(CORE)
+        rng = DeterministicRng(5)
+        leaves = [rng.random_leaf(config.levels) for _ in range(2101)]
+        for addr in range(100):
+            backend.access(Op.READ, addr, leaves[addr + 1], leaves[addr])
+        with collector_off():
+            before = gc.get_count()[0]
+            for addr in range(100, 2100):
+                backend.access(Op.READ, addr, leaves[addr + 1], leaves[addr])
+            moved = gc.get_count()[0] - before
+        assert backend.tree_access_count == 2100
+        assert moved < 64
+
+    @needs_core
+    def test_a_replay_slice_allocates_less_than_an_object_per_event(self):
+        """A warmed P_X16 slice of 400 events, C to C: the result list,
+        PLB entries coming (refill) and going (victim) — under one
+        tracked allocation per event net, where the parent made
+        2 700-3 200 per slice."""
+        frontend = build_frontend(
+            "P_X16", num_blocks=2**14, rng=DeterministicRng(7),
+            storage="columnar",
+        )
+        ReplayEngine(frontend, OramTimingModel(1000.0)).enable_native(CORE)
+        assert isinstance(frontend._kernel, CORE.FrontendKernel)
+        rng = DeterministicRng(9)
+        addrs = [rng.randrange(2**14) for _ in range(2400)]
+        writes = [False] * 2400
+        loop = CORE.run_access_loop
+        loop(frontend.access, addrs[:2000], writes, Op.READ, Op.WRITE, b"")
+        with collector_off():
+            before = gc.get_count()[0]
+            counts = loop(
+                frontend.access, addrs[2000:], writes, Op.READ, Op.WRITE, b""
+            )
+            moved = gc.get_count()[0] - before
+        assert len(counts) == 400 and frontend.stats.accesses == 2400
+        assert moved < 400
+
+    def test_no_container_scales_with_the_tree(self, fast_tier):
+        """A 2^20-block PC_X32 after 2 000 events: nothing the storage or
+        the stash holds is a list, dict or tuple whose length follows the
+        number of buckets, of leaves, or of buckets touched (``mac_col``
+        and the payload chunk table follow the *arena* — the blocks that
+        exist — and are the named exceptions), and the replay leaves the
+        interpreter with about as many objects as it found."""
+        frontend = build_frontend(
+            "PC_X32", num_blocks=2**20, rng=DeterministicRng(7),
+            storage="columnar",
+        )
+        engine = ReplayEngine.for_mode(frontend, OramTimingModel(1000.0))
+        assert (frontend._kernel is not None) == (fast_tier == "native")
+        trace = make_trace(3, events=2000, blocks=2**20)
+        gc.collect()
+        before = len(gc.get_objects())
+        engine.run_trace(trace)
+        gc.collect()
+        grown = len(gc.get_objects()) - before
+        backend = frontend.backend
+        assert backend.tree_access_count > 2000
+        arena_scaled = {"mac_col", "_chunks"}
+        for owner in (backend.storage, backend.stash):
+            for name, value in vars(owner).items():
+                if isinstance(value, (list, dict, tuple)) and name not in arena_scaled:
+                    assert len(value) <= 64, (type(owner).__name__, name)
+        assert backend.storage.occupancy() > 1000  # buckets were touched
+        assert grown < 2000
 
 
 # ---------------------------------------------------------------------------
