@@ -110,7 +110,7 @@ class FlatCounterPosMapFormat:
 
     def leaf_of(self, data: bytes, slot: int, child_addr: int) -> int:
         """Leaf = PRF_K(child_addr || c) mod 2^L."""
-        return self.prf.leaf_for(child_addr, self.counter_of(data, slot), self.levels)
+        return self.prf.peek_leaf(child_addr, self.counter_of(data, slot), self.levels)
 
     def remap(
         self, data: bytearray, slot: int, child_addr: int, rng: DeterministicRng
@@ -200,7 +200,7 @@ class CompressedPosMapFormat:
 
     def leaf_of(self, data: bytes, slot: int, child_addr: int) -> int:
         """Leaf = PRF_K(child_addr || GC || IC) mod 2^L."""
-        return self.prf.leaf_for(child_addr, self.counter_of(data, slot), self.levels)
+        return self.prf.peek_leaf(child_addr, self.counter_of(data, slot), self.levels)
 
     def leaf_for_counter(self, child_addr: int, counter: int) -> int:
         """Leaf for an explicit logical count (used by group relocation)."""

@@ -13,11 +13,17 @@ simulator cannot afford to pre-write every block through the ORAM, so in
 leaf mode a never-touched entry receives its initial uniform label on
 first access (statistically identical to pre-initialisation), and in
 counter mode the initial count is simply zero, exactly as in hardware.
+
+The table is one fixed-size uint64 column (``array('Q')``), as wide as
+the SRAM words it stands for, beside the first-touch bitmap; the native
+frontend kernels (``FrontendKernel`` and ``RecursiveKernel`` alike) read
+and remap the entries in that same memory.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from array import array
+from typing import Optional, Tuple
 
 from repro.crypto.prf import Prf
 from repro.errors import ConfigurationError
@@ -51,7 +57,7 @@ class OnChipPosMap:
         self.rng = rng
         self.prf = prf
         self.counter_bits = counter_bits
-        self._table: List[int] = [0] * entries
+        self._table = array("Q", bytes(8 * entries))
         self._touched = bytearray((entries + 7) // 8)
 
     # -- first-touch bookkeeping ------------------------------------------------
@@ -104,7 +110,7 @@ class OnChipPosMap:
             if not self._is_touched(index):
                 raise KeyError(f"entry {index} not yet initialised")
             return self._table[index]
-        return self.prf.leaf_for(tagged_addr, self._table[index], self.levels)
+        return self.prf.peek_leaf(tagged_addr, self._table[index], self.levels)
 
     @property
     def size_bytes(self) -> int:

@@ -42,7 +42,7 @@ from repro.frontend.formats import (
     FlatCounterPosMapFormat,
     UncompressedPosMapFormat,
 )
-from repro.frontend.plb import Plb, PlbEntry
+from repro.frontend.plb import Plb, PlbEntry, PlbWay
 from repro.frontend.posmap import OnChipPosMap
 from repro.storage.block import Block
 from repro.storage.tree import TreeStorage
@@ -142,9 +142,9 @@ class PlbFrontend(Frontend):
         ``core`` is only the on-switch (``None`` is a no-op; anything
         else binds one handle, of the real module's type); idempotent.
         The kernel is the whole of :meth:`access` in C over this
-        frontend's own containers — PLB, on-chip PosMap, first-touch
-        bitmaps, statistics, the PRF's leaf cache, the MAC's counters,
-        the RNG — so the Python path below, ``peek``/``entries`` and the
+        frontend's own columns — the PLB's, the on-chip table, the
+        first-touch bitmaps, the PRF's leaf LRU — and its counters and
+        RNG, so the Python path below, ``peek``/``entries`` and the
         lockstep harnesses keep reading one copy of the state. It engages
         only on top of the backend's ``AccessKernel`` (columnar storage)
         and the BLAKE2b ``fast`` suite, with format fields its fixed-width
@@ -169,12 +169,13 @@ class PlbFrontend(Frontend):
             or beta > 32
         ):
             return
-        plb, posmap, space = self.plb, self.posmap, self.space
+        plb, posmap, space, lru = self.plb, self.posmap, self.space, prf._leaf_cache
         self._kernel = _replay_core.FrontendKernel(
             self, tree_kernel, PlbFrontend.access,
-            plb, plb._index, plb._sets,
+            plb, (plb.tags, plb.leaves, plb.counters, plb.last_use, plb.payload),
             posmap._table, posmap._touched, self._touched,
-            prf, prf._leaf_cache, mac, self.rng._getrandbits,
+            prf, lru, (lru.nodes, lru.prev, lru.next, lru.chain, lru.heads),
+            mac, self.rng._getrandbits,
             (
                 self.space_levels, space.fanout, space.num_blocks,
                 tuple(space.level_blocks(i) for i in range(self.space_levels)),
@@ -186,7 +187,7 @@ class PlbFrontend(Frontend):
             ),
             (prf.key, mac.key, mac.tag_bytes),
             (
-                PlbEntry, AccessResult, Op.READ, Op.WRITE,
+                AccessResult, Op.READ, Op.WRITE,
                 ConfigurationError, IntegrityViolationError,
             ),
         )
@@ -311,7 +312,7 @@ class PlbFrontend(Frontend):
 
     def _remap_child(
         self,
-        parent: Optional[PlbEntry],
+        parent: Optional[PlbWay],
         level: int,
         chain: Sequence[int],
         tagged: int,
@@ -340,7 +341,7 @@ class PlbFrontend(Frontend):
 
     def _group_remap(
         self,
-        parent: PlbEntry,
+        parent: PlbWay,
         level: int,
         child_index: int,
         child_slot: int,
@@ -380,7 +381,7 @@ class PlbFrontend(Frontend):
     def _refill_plb(
         self, tagged: int, leaf: int, new_leaf: int,
         old_counter: int, new_counter: int,
-    ) -> PlbEntry:
+    ) -> PlbWay:
         """readrmv the PosMap block ``tagged`` and install it in the PLB."""
         block = self.backend.access(Op.READRMV, tagged, leaf, new_leaf)
         self.stats.posmap_tree_accesses += 1
@@ -395,7 +396,7 @@ class PlbFrontend(Frontend):
         victim = self.plb.insert(entry)
         if victim is not None:
             self._evict_plb_entry(victim)
-        return entry
+        return self.plb.peek(tagged)  # the block where it now lives
 
     def _evict_plb_entry(self, victim: PlbEntry) -> None:
         """Append a PLB victim back into the stash with a fresh MAC."""
@@ -431,7 +432,7 @@ class PlbFrontend(Frontend):
         tags = [tag(i, chain[i]) for i in range(levels)]
 
         # Step 1: PLB lookup loop.
-        parent: Optional[PlbEntry] = None
+        parent: Optional[PlbWay] = None
         hit_level = levels - 1
         plb_lookup = self.plb.lookup
         for i in range(levels - 1):

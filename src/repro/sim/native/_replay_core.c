@@ -24,14 +24,14 @@
  *   loop, on-chip lookup_and_remap, uncompressed / flat / compressed
  *   remap with group remaps and sibling relocation, first-touch
  *   override, PLB refill and victim append, the data access, PMMAC
- *   verify and seal — over the frontend's own containers, calling the
+ *   verify and seal — over the frontend's own columns, calling the
  *   AccessKernel's tree access directly with a C visit in place of the
  *   update closure;
  * - RecursiveKernel: a per-frontend handle whose access() is one whole
  *   RecursiveFrontend.access (§3.2, the R_X8 baseline) — leaf-mode
  *   on-chip lookup and remap, one tree READ per PosMap level with the
  *   label remap as a C visit, the first-touch substitution, the data
- *   access — over the frontend's own containers and its per-level
+ *   access — over the frontend's own columns and its per-level
  *   backends' AccessKernels, built from the FrontendKernel's own parts;
  * - blake2b: the vendored RFC 7693 hash behind that kernel's PRF and
  *   MAC (keyed mid-state per handle, byte-identical to hashlib);
@@ -58,10 +58,19 @@
  * reached through mac_col and the chunk table, the two arena-sized
  * lists that remain), and the handle keeps no copy of tree state — the
  * interpreted access, the snapshots, the tamper hooks and rollback read
- * and write the same memory.  The
- * frontends' state stays in Python containers the frontend handles bind
- * (PLB sets and tag index, PlbEntry payloads, on-chip table, first-touch
- * bitmaps, the PRF's LRU).
+ * and write the same memory.
+ *
+ * The frontends' state is typed columns too, owned by the Python objects
+ * that model the hardware and worked on in place by FrontendKernel and
+ * RecursiveKernel: the PLB's one-item-per-way tags / leaves / counters /
+ * last_use and its payload bytes (Plb), the on-chip PosMap's uint64
+ * table (OnChipPosMap), and the PRF's leaf LRU — a chained hash with an
+ * intrusive recency list over node columns (repro.crypto.prf.LeafLru) —
+ * beside the first-touch bitmaps, which always were byte columns.  A
+ * request makes no PyLong, tuple or dict and reads no attribute: what is
+ * still an object on a request is a MAC (bytes in mac_col), the payload
+ * chunk it is copied through, the frontend generator's getrandbits()
+ * and a column owner's _grow().
  *
  * Counters.  Every counter a kernel moves (the backend's and storage's
  * five, the 18 of FrontendStats / Plb / Prf / Mac) accumulates in its
@@ -99,11 +108,20 @@
  * equal arena lengths and both length prefixes every time) and releases
  * them before a growth, before every call that can run foreign Python,
  * and when the entry returns (kernel_release).  Nothing measured before
- * such a call is trusted after it.  A bytearray's bytes (a PLB payload,
- * a first-touch bitmap) are used through a pointer fetched, with its
- * length, after the last call that could have resized it.  Nothing read
- * out of a Python container is trusted either: PLB entries are checked
- * to be PlbEntry objects, counters to fit their fields
+ * such a call is trusted after it.  The frontends' columns follow the
+ * same two rules: the PLB's five and the on-chip table never change size
+ * and stay exported for the life of their handle, checked once against
+ * the geometry; the leaf LRU's five grow (LeafLru._grow, a chunk of
+ * nodes at a time) and are exported per entry (fk_lru_columns, which
+ * re-checks equal node counts, a power-of-two bucket table and the
+ * entry count inside the columns, and reads prf._leaf_cache_limit) and
+ * released by the fold, i.e. before foreign Python and at the return.
+ * A first-touch bitmap's bytes are used through a pointer fetched, with
+ * its length, after the last call that could have resized it.  Nothing
+ * read *out of* a column is trusted either: a link or chain index must
+ * name a node in use and every chain walk is bounded by their number (a
+ * cycle is a ValueError, never a hang), a PLB set may hold a tag once,
+ * a last_use lies at or before the clock, a counter below 2^96
  * (tests/test_native_boundary.py, and the CI sanitizer lane).
  */
 
@@ -158,6 +176,7 @@ typedef struct {
 
 static const ColKind COL_I64 = {
     8, "qln", "int64 column (array('q') or numpy int64)"};
+static const ColKind COL_U64 = {8, "QL", "uint64 column (array('Q'))"};
 static const ColKind COL_I32 = {4, "il", "int32 column (array('i'))"};
 static const ColKind COL_U8 = {1, "Bbc", "byte column (a bytearray)"};
 
@@ -195,6 +214,23 @@ col_release(Col *col)
         PyBuffer_Release(&col->view);
         col->acquired = 0;
     }
+}
+
+/* A column that never changes size, exported for the life of a handle
+ * (CPython then refuses to resize it): acquired writable and checked,
+ * once, to hold exactly `items` items — or at least that many. */
+static int
+col_acquire_fixed(PyObject *obj, Col *col, const char *what,
+                  const ColKind *kind, Py_ssize_t items, int or_more)
+{
+    if (col_acquire(obj, col, what, kind, 1) < 0)
+        return -1;
+    if (or_more ? col->len >= items : col->len == items)
+        return 0;
+    PyErr_Format(PyExc_ValueError, "%s holds %zd items where %s%zd are needed",
+                 what, col->len, or_more ? "at least " : "", items);
+    col_release(col);
+    return -1;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1067,20 +1103,11 @@ kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
      * exactly the geometry's size — what lets every later index into
      * them go unchecked. */
     const Py_ssize_t num_buckets = (Py_ssize_t)((2LL << levels) - 1);
-    if (col_acquire(bucket_fill, &self->bucket_fill, "bucket_fill", &COL_U8,
-                    1) < 0 ||
-        col_acquire(bucket_slots, &self->bucket_slots, "bucket_slots",
-                    &COL_I32, 1) < 0)
+    if (col_acquire_fixed(bucket_fill, &self->bucket_fill, "bucket_fill",
+                          &COL_U8, num_buckets, 0) < 0 ||
+        col_acquire_fixed(bucket_slots, &self->bucket_slots, "bucket_slots",
+                          &COL_I32, num_buckets * cap, 0) < 0)
         goto fail;
-    if (self->bucket_fill.len != num_buckets ||
-        self->bucket_slots.len != num_buckets * cap) {
-        PyErr_Format(PyExc_ValueError,
-                     "AccessKernel: a %d-level tree of Z = %d needs %zd "
-                     "bucket counts and %zd bucket slots, not %zd and %zd",
-                     levels, cap, num_buckets, num_buckets * cap,
-                     self->bucket_fill.len, self->bucket_slots.len);
-        goto fail;
-    }
     self->backend_ref = PyWeakref_NewRef(backend, NULL);
     self->path = PyMem_Calloc((size_t)levels + 1, sizeof(Bucket));
     self->path_index = PyMem_Calloc((size_t)levels + 1, sizeof(long long));
@@ -2083,35 +2110,28 @@ static const uint64_t blake2b_iv[8] = {
     0x1f83d9abfb41bd6bULL, 0x5be0cd19137e2179ULL,
 };
 
-static const uint8_t blake2b_sigma[12][16] = {
-    {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
-    {14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3},
-    {11, 8, 12, 0, 5, 2, 15, 13, 10, 14, 3, 6, 7, 1, 9, 4},
-    {7, 9, 3, 1, 13, 12, 11, 14, 2, 6, 5, 10, 4, 0, 15, 8},
-    {9, 0, 5, 7, 2, 4, 10, 15, 14, 1, 11, 12, 6, 8, 3, 13},
-    {2, 12, 6, 10, 0, 11, 8, 3, 4, 13, 7, 5, 15, 14, 1, 9},
-    {12, 5, 1, 15, 14, 13, 4, 10, 0, 7, 6, 3, 9, 2, 8, 11},
-    {13, 11, 7, 14, 12, 1, 3, 9, 5, 0, 15, 4, 8, 6, 2, 10},
-    {6, 15, 14, 9, 11, 3, 0, 8, 12, 2, 13, 7, 1, 4, 10, 5},
-    {10, 2, 8, 4, 7, 6, 1, 5, 15, 11, 9, 14, 3, 12, 13, 0},
-    {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
-    {14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3},
-};
-
+/* Spelled out byte by byte, which the compiler folds into a single load
+ * or store on a little-endian host; as loops they get auto-vectorised
+ * into byte shuffles that cost a compression a quarter of its time. */
 static inline uint64_t
 load64le(const uint8_t *p)
 {
-    uint64_t v = 0;
-    for (int i = 7; i >= 0; i--)
-        v = (v << 8) | p[i];
-    return v;
+    return (uint64_t)p[0] | (uint64_t)p[1] << 8 | (uint64_t)p[2] << 16 |
+           (uint64_t)p[3] << 24 | (uint64_t)p[4] << 32 |
+           (uint64_t)p[5] << 40 | (uint64_t)p[6] << 48 | (uint64_t)p[7] << 56;
 }
 
 static inline void
 store64le(uint8_t *p, uint64_t v)
 {
-    for (int i = 0; i < 8; i++, v >>= 8)
-        p[i] = (uint8_t)v;
+    p[0] = (uint8_t)v;
+    p[1] = (uint8_t)(v >> 8);
+    p[2] = (uint8_t)(v >> 16);
+    p[3] = (uint8_t)(v >> 24);
+    p[4] = (uint8_t)(v >> 32);
+    p[5] = (uint8_t)(v >> 40);
+    p[6] = (uint8_t)(v >> 48);
+    p[7] = (uint8_t)(v >> 56);
 }
 
 static inline uint64_t
@@ -2120,43 +2140,66 @@ rotr64(uint64_t x, int n)
     return (x >> n) | (x << (64 - n));
 }
 
+/* One compression, its twelve rounds unrolled over sixteen locals with
+ * the message schedule (RFC 7693's SIGMA, rounds 10 and 11 repeating 0
+ * and 1) spelled as compile-time constants: a loop indexing a sigma
+ * table keeps v[] in memory and costs ~1.4x as much at -O3. */
 static void
 blake2b_compress(Blake2b *s, const uint8_t block[128], int last)
 {
-    uint64_t m[16], v[16];
+    uint64_t m[16];
     for (int i = 0; i < 16; i++)
         m[i] = load64le(block + 8 * i);
-    for (int i = 0; i < 8; i++) {
-        v[i] = s->h[i];
-        v[i + 8] = blake2b_iv[i];
-    }
-    v[12] ^= s->t;
-    if (last)
-        v[14] = ~v[14];
-#define G(r, i, a, b, c, d)                                   \
-    do {                                                      \
-        a = a + b + m[blake2b_sigma[r][2 * i]];               \
-        d = rotr64(d ^ a, 32);                                \
-        c = c + d;                                            \
-        b = rotr64(b ^ c, 24);                                \
-        a = a + b + m[blake2b_sigma[r][2 * i + 1]];           \
-        d = rotr64(d ^ a, 16);                                \
-        c = c + d;                                            \
-        b = rotr64(b ^ c, 63);                                \
+    uint64_t v0 = s->h[0], v1 = s->h[1], v2 = s->h[2], v3 = s->h[3],
+             v4 = s->h[4], v5 = s->h[5], v6 = s->h[6], v7 = s->h[7],
+             v8 = blake2b_iv[0], v9 = blake2b_iv[1], v10 = blake2b_iv[2],
+             v11 = blake2b_iv[3], v12 = blake2b_iv[4] ^ s->t,
+             v13 = blake2b_iv[5],
+             v14 = last ? ~blake2b_iv[6] : blake2b_iv[6], v15 = blake2b_iv[7];
+#define G(x, y, a, b, c, d)        \
+    do {                           \
+        a = a + b + m[x];          \
+        d = rotr64(d ^ a, 32);     \
+        c = c + d;                 \
+        b = rotr64(b ^ c, 24);     \
+        a = a + b + m[y];          \
+        d = rotr64(d ^ a, 16);     \
+        c = c + d;                 \
+        b = rotr64(b ^ c, 63);     \
     } while (0)
-    for (int r = 0; r < 12; r++) {
-        G(r, 0, v[0], v[4], v[8], v[12]);
-        G(r, 1, v[1], v[5], v[9], v[13]);
-        G(r, 2, v[2], v[6], v[10], v[14]);
-        G(r, 3, v[3], v[7], v[11], v[15]);
-        G(r, 4, v[0], v[5], v[10], v[15]);
-        G(r, 5, v[1], v[6], v[11], v[12]);
-        G(r, 6, v[2], v[7], v[8], v[13]);
-        G(r, 7, v[3], v[4], v[9], v[14]);
-    }
+#define ROUND(s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, sa, sb, sc, sd, se, sf) \
+    do {                                                                      \
+        G(s0, s1, v0, v4, v8, v12);                                           \
+        G(s2, s3, v1, v5, v9, v13);                                           \
+        G(s4, s5, v2, v6, v10, v14);                                          \
+        G(s6, s7, v3, v7, v11, v15);                                          \
+        G(s8, s9, v0, v5, v10, v15);                                          \
+        G(sa, sb, v1, v6, v11, v12);                                          \
+        G(sc, sd, v2, v7, v8, v13);                                           \
+        G(se, sf, v3, v4, v9, v14);                                           \
+    } while (0)
+    ROUND(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    ROUND(14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3);
+    ROUND(11, 8, 12, 0, 5, 2, 15, 13, 10, 14, 3, 6, 7, 1, 9, 4);
+    ROUND(7, 9, 3, 1, 13, 12, 11, 14, 2, 6, 5, 10, 4, 0, 15, 8);
+    ROUND(9, 0, 5, 7, 2, 4, 10, 15, 14, 1, 11, 12, 6, 8, 3, 13);
+    ROUND(2, 12, 6, 10, 0, 11, 8, 3, 4, 13, 7, 5, 15, 14, 1, 9);
+    ROUND(12, 5, 1, 15, 14, 13, 4, 10, 0, 7, 6, 3, 9, 2, 8, 11);
+    ROUND(13, 11, 7, 14, 12, 1, 3, 9, 5, 0, 15, 4, 8, 6, 2, 10);
+    ROUND(6, 15, 14, 9, 11, 3, 0, 8, 12, 2, 13, 7, 1, 4, 10, 5);
+    ROUND(10, 2, 8, 4, 7, 6, 1, 5, 15, 11, 9, 14, 3, 12, 13, 0);
+    ROUND(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    ROUND(14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3);
+#undef ROUND
 #undef G
-    for (int i = 0; i < 8; i++)
-        s->h[i] ^= v[i] ^ v[i + 8];
+    s->h[0] ^= v0 ^ v8;
+    s->h[1] ^= v1 ^ v9;
+    s->h[2] ^= v2 ^ v10;
+    s->h[3] ^= v3 ^ v11;
+    s->h[4] ^= v4 ^ v12;
+    s->h[5] ^= v5 ^ v13;
+    s->h[6] ^= v6 ^ v14;
+    s->h[7] ^= v7 ^ v15;
 }
 
 /* Keyed initialisation: outlen in 1..64, keylen in 0..64 (validated by
@@ -2304,8 +2347,21 @@ static const char *const counter_names[N_COUNTERS] = {
 static PyObject *counter_attr[N_COUNTERS]; /* the names, interned */
 
 static PyObject *str_stats, *str_kernel, *str_leaf_cache_limit,
-    *str_tagged_addr, *str_counter, *str_last_use, *str_posmap_tree_accesses,
-    *str_plb_hit_level, *empty_tuple;
+    *str_posmap_tree_accesses, *str_plb_hit_level, *empty_tuple;
+
+/* repro.crypto.prf.LeafLru as one entry sees it: the five columns
+ * exported (fk_lru_columns) and the limit read, from first use until the
+ * next fold.  `nodes` is NODE_WORDS uint64 per node — four key words,
+ * then the leaf — and word 0 of node 0, the recency list's sentinel, is
+ * the number of entries held, which are nodes 1..held. */
+#define NODE_WORDS 5 /* repro.crypto.prf.NODE_WORDS */
+
+typedef struct {
+    Col nodes, prev, next, chain, heads;
+    int live;
+    long long limit;     /* prf._leaf_cache_limit */
+    Py_ssize_t capacity; /* nodes the columns have room for, the sentinel too */
+} Lru;
 
 typedef struct {
     PyObject_HEAD
@@ -2314,16 +2370,16 @@ typedef struct {
             PyObject *frontend_ref; /* weakref to the owning frontend */
             PyObject *backend_kernel;
             PyObject *access_func; /* PlbFrontend.access, the plain function */
-            PyObject *plb, *plb_index, *plb_sets;
-            PyObject *onchip_table, *onchip_touched, *touched;
-            PyObject *prf, *leaf_cache, *move_to_end, *popitem;
+            PyObject *plb;
+            PyObject *onchip_touched, *touched;
+            PyObject *prf, *leaf_cache; /* the LeafLru, for its _grow() */
+            PyObject *lru_columns[5]; /* nodes, prev, next, chain, heads */
             PyObject *mac;
             PyObject *getrandbits;
-            PyObject *entry_type, *result_type, *op_read, *op_write;
+            PyObject *result_type, *op_read, *op_write;
             PyObject *config_error, *integrity_error;
-            PyObject *levels_obj, *zero, *sixty_four;
         };
-        PyObject *refs[24]; /* the same references, for the collector */
+        PyObject *refs[20]; /* the same references, for the collector */
     };
     int space_levels; /* H: the data level plus the PosMap levels */
     int tree_levels;  /* L of the unified tree */
@@ -2331,8 +2387,14 @@ typedef struct {
     long long fanout, num_blocks, num_sets, onchip_entries;
     long long level_blocks[FK_MAX_LEVELS];
     Py_ssize_t block_bytes, tag_bytes;
+    /* The PLB, one item per way (two counter words), and the on-chip
+     * table: fixed-size, exported for the life of the handle. */
+    Col plb_tags, plb_leaves, plb_counters, plb_last_use, plb_payload;
+    Col onchip_table;
+    Lru lru;
     Blake2b prf_state, mac_state; /* keyed mid-states */
-    uint8_t *work;                /* one block payload */
+    uint8_t *work;                /* two block payloads: the block in hand, */
+    uint8_t *spare;               /* and a PLB victim on its way out */
     u128 *group_old;              /* a group remap's old counters, by slot */
     PyObject *frontend; /* the owner, held for one outermost entry */
     long long pending[N_COUNTERS];
@@ -2360,10 +2422,19 @@ frontend_clear(FrontendKernel *self)
     return 0;
 }
 
+static void fk_lru_release(FrontendKernel *fk);
+
 static void
 frontend_dealloc(FrontendKernel *self)
 {
     PyObject_GC_UnTrack(self);
+    fk_lru_release(self);
+    col_release(&self->plb_tags);
+    col_release(&self->plb_leaves);
+    col_release(&self->plb_counters);
+    col_release(&self->plb_last_use);
+    col_release(&self->plb_payload);
+    col_release(&self->onchip_table);
     frontend_clear(self);
     Py_CLEAR(self->frontend);
     PyMem_Free(self->work);
@@ -2371,13 +2442,15 @@ frontend_dealloc(FrontendKernel *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
+static int fk_lru_columns(FrontendKernel *fk);
+
 static PyObject *
 frontend_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
 {
-    PyObject *frontend, *backend_kernel, *access_func, *plb, *plb_index,
-        *plb_sets, *onchip_table, *onchip_touched, *touched, *prf,
-        *leaf_cache, *mac, *getrandbits, *level_blocks, *entry_type,
-        *result_type, *op_read, *op_write, *config_error, *integrity_error;
+    PyObject *frontend, *backend_kernel, *access_func, *plb, *plb_columns[5],
+        *onchip_table, *onchip_touched, *touched, *prf, *leaf_cache,
+        *lru_columns[5], *mac, *getrandbits, *level_blocks, *result_type,
+        *op_read, *op_write, *config_error, *integrity_error;
     int space_levels, ways, leaf_bytes, alpha, beta, onchip_counters, pmmac;
     long long fanout, num_blocks, num_sets, onchip_entries;
     const char *kind, *prf_key, *mac_key;
@@ -2389,28 +2462,29 @@ frontend_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
     }
     if (!PyArg_ParseTuple(
             args,
-            "OO!OOO!O!O!O!O!OOOO(iLLO!LiL)(siiipp)(y#y#n)(OOOOOO)"
+            "OO!OO(OOOOO)OO!O!OO(OOOOO)OO(iLLO!LiL)(siiipp)(y#y#n)(OOOOO)"
             ":FrontendKernel",
             &frontend, &AccessKernelType, &backend_kernel, &access_func,
-            &plb, &PyDict_Type, &plb_index, &PyList_Type, &plb_sets,
-            &PyList_Type, &onchip_table, &PyByteArray_Type, &onchip_touched,
-            &PyList_Type, &touched, &prf, &leaf_cache, &mac, &getrandbits,
+            &plb, &plb_columns[0], &plb_columns[1], &plb_columns[2],
+            &plb_columns[3], &plb_columns[4], &onchip_table,
+            &PyByteArray_Type, &onchip_touched, &PyList_Type, &touched, &prf,
+            &leaf_cache, &lru_columns[0], &lru_columns[1], &lru_columns[2],
+            &lru_columns[3], &lru_columns[4], &mac, &getrandbits,
             &space_levels, &fanout, &num_blocks, &PyTuple_Type,
             &level_blocks, &num_sets, &ways, &onchip_entries, &kind,
             &leaf_bytes, &alpha, &beta, &onchip_counters, &pmmac, &prf_key,
-            &prf_key_len, &mac_key, &mac_key_len, &tag_bytes, &entry_type,
-            &result_type, &op_read, &op_write, &config_error,
-            &integrity_error))
+            &prf_key_len, &mac_key, &mac_key_len, &tag_bytes, &result_type,
+            &op_read, &op_write, &config_error, &integrity_error))
         return NULL;
-    if (!PyODict_Check(leaf_cache) || !PyCallable_Check(getrandbits) ||
-        !PyCallable_Check(access_func) || !PyType_Check(entry_type) ||
+    if (!PyCallable_Check(getrandbits) || !PyCallable_Check(access_func) ||
         !PyType_Check(result_type) ||
         !PyExceptionClass_Check(config_error) ||
-        !PyExceptionClass_Check(integrity_error)) {
+        !PyExceptionClass_Check(integrity_error) ||
+        !PyObject_HasAttr(leaf_cache, str_grow)) {
         PyErr_SetString(PyExc_TypeError,
-                        "FrontendKernel: expected an OrderedDict leaf "
-                        "cache, two callables, the PlbEntry and "
-                        "AccessResult classes and two exception classes");
+                        "FrontendKernel: expected a leaf LRU that can "
+                        "_grow(), two callables, the AccessResult class and "
+                        "two exception classes");
         return NULL;
     }
 
@@ -2432,9 +2506,8 @@ frontend_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
         space_levels >= 1 && space_levels <= FK_MAX_LEVELS && fanout >= 2 &&
         num_blocks >= 1 && num_blocks <= (long long)LEVEL_INDEX_MASK &&
         PyTuple_GET_SIZE(level_blocks) == space_levels && num_sets >= 1 &&
-        ways >= 1 && PyList_GET_SIZE(plb_sets) == num_sets &&
+        ways >= 1 && num_sets <= PY_SSIZE_T_MAX / 64 / ways &&
         onchip_entries >= 1 &&
-        PyList_GET_SIZE(onchip_table) >= onchip_entries &&
         PyByteArray_GET_SIZE(onchip_touched) >= (onchip_entries + 7) / 8 &&
         PyList_GET_SIZE(touched) == space_levels && prf_key_len <= 64 &&
         mac_key_len <= 64 && tag_bytes >= 1 && tag_bytes <= 64 &&
@@ -2485,42 +2558,58 @@ frontend_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
                  (const uint8_t *)mac_key, (size_t)mac_key_len);
     blake2b_absorb_key(&self->mac_state);
 
+    /* The hardware's own structures: one item per way, one per entry —
+     * exactly the geometry's size, which is what lets every later index
+     * into them go unchecked. */
+    const Py_ssize_t total_ways = (Py_ssize_t)num_sets * ways;
+    if (col_acquire_fixed(plb_columns[0], &self->plb_tags, "plb.tags",
+                          &COL_I64, total_ways, 0) < 0 ||
+        col_acquire_fixed(plb_columns[1], &self->plb_leaves, "plb.leaves",
+                          &COL_I64, total_ways, 0) < 0 ||
+        col_acquire_fixed(plb_columns[2], &self->plb_counters,
+                          "plb.counters", &COL_U64, 2 * total_ways, 0) < 0 ||
+        col_acquire_fixed(plb_columns[3], &self->plb_last_use,
+                          "plb.last_use", &COL_I64, total_ways, 0) < 0 ||
+        col_acquire_fixed(plb_columns[4], &self->plb_payload, "plb.payload",
+                          &COL_U8, total_ways * tree->block_bytes, 0) < 0 ||
+        col_acquire_fixed(onchip_table, &self->onchip_table,
+                          "the on-chip PosMap table", &COL_U64,
+                          (Py_ssize_t)onchip_entries, 1) < 0)
+        goto fail;
+
     self->frontend_ref = PyWeakref_NewRef(frontend, NULL);
-    self->move_to_end = PyObject_GetAttrString(leaf_cache, "move_to_end");
-    self->popitem = PyObject_GetAttrString(leaf_cache, "popitem");
-    self->levels_obj = PyLong_FromLong(tree->levels);
-    self->zero = PyLong_FromLong(0);
-    self->sixty_four = PyLong_FromLong(64);
-    self->work = PyMem_Malloc((size_t)tree->block_bytes);
+    self->work = PyMem_Malloc(2 * (size_t)tree->block_bytes);
     self->group_old = PyMem_Malloc((size_t)fanout * sizeof(u128));
-    if (self->frontend_ref == NULL || self->move_to_end == NULL ||
-        self->popitem == NULL || self->levels_obj == NULL ||
-        self->zero == NULL || self->sixty_four == NULL ||
-        self->work == NULL || self->group_old == NULL) {
+    if (self->frontend_ref == NULL || self->work == NULL ||
+        self->group_old == NULL) {
         if (!PyErr_Occurred())
             PyErr_NoMemory();
         goto fail;
     }
+    self->spare = self->work + tree->block_bytes;
 #define BIND(field) (Py_INCREF(field), self->field = field)
     BIND(backend_kernel);
     BIND(access_func);
     BIND(plb);
-    BIND(plb_index);
-    BIND(plb_sets);
-    BIND(onchip_table);
     BIND(onchip_touched);
     BIND(touched);
     BIND(prf);
     BIND(leaf_cache);
+    for (int i = 0; i < 5; i++)
+        BIND(lru_columns[i]);
     BIND(mac);
     BIND(getrandbits);
-    BIND(entry_type);
     BIND(result_type);
     BIND(op_read);
     BIND(op_write);
     BIND(config_error);
     BIND(integrity_error);
 #undef BIND
+    /* Fail at set-up, not mid-request, when the PRF cannot hand out its
+     * LRU's columns writable and well-formed. */
+    if (fk_lru_columns(self) < 0)
+        goto fail;
+    fk_lru_release(self);
     return (PyObject *)self;
 
 fail:
@@ -2528,62 +2617,24 @@ fail:
     return NULL;
 }
 
-/* -- counters as 128-bit integers ------------------------------------ */
-
+/* A counter as a Python int, for an error message. */
 static PyObject *
-counter_to_long(FrontendKernel *fk, u128 counter)
+counter_to_long(u128 counter)
 {
     PyObject *low = PyLong_FromUnsignedLongLong((unsigned long long)counter);
     if (low == NULL || (counter >> 64) == 0)
         return low;
     PyObject *high =
         PyLong_FromUnsignedLongLong((unsigned long long)(counter >> 64));
+    PyObject *by = PyLong_FromLong(64);
     PyObject *shifted =
-        high != NULL ? PyNumber_Lshift(high, fk->sixty_four) : NULL;
+        high != NULL && by != NULL ? PyNumber_Lshift(high, by) : NULL;
     PyObject *out = shifted != NULL ? PyNumber_Or(shifted, low) : NULL;
     Py_XDECREF(high);
+    Py_XDECREF(by);
     Py_XDECREF(shifted);
     Py_DECREF(low);
     return out;
-}
-
-/* A counter read out of a Python container: a non-negative int below
- * 2^96, with int.to_bytes(12)'s OverflowError otherwise. */
-static int
-counter_from_long(FrontendKernel *fk, PyObject *obj, u128 *out)
-{
-    if (!PyLong_Check(obj)) {
-        PyErr_Format(PyExc_TypeError, "counters must be ints, not %.100s",
-                     Py_TYPE(obj)->tp_name);
-        return -1;
-    }
-    unsigned long long low = PyLong_AsUnsignedLongLong(obj);
-    if (!(low == (unsigned long long)-1 && PyErr_Occurred())) {
-        *out = low;
-        return 0;
-    }
-    PyErr_Clear();
-    int negative = PyObject_RichCompareBool(obj, fk->zero, Py_LT);
-    if (negative < 0)
-        return -1;
-    if (negative) {
-        PyErr_SetString(PyExc_OverflowError,
-                        "can't convert negative int to unsigned");
-        return -1;
-    }
-    PyObject *high_obj = PyNumber_Rshift(obj, fk->sixty_four);
-    if (high_obj == NULL)
-        return -1;
-    unsigned long long high = PyLong_AsUnsignedLongLong(high_obj);
-    Py_DECREF(high_obj);
-    if ((high == (unsigned long long)-1 && PyErr_Occurred()) ||
-        high >= (1ULL << 32)) {
-        PyErr_Clear();
-        PyErr_SetString(PyExc_OverflowError, "int too big to convert");
-        return -1;
-    }
-    *out = ((u128)high << 64) | PyLong_AsUnsignedLongLongMask(obj);
-    return 0;
 }
 
 /* -- the request's working state ---------------------------------------- */
@@ -2593,7 +2644,6 @@ typedef struct {
     AccessKernel *tree;
     unsigned long long chain[FK_MAX_LEVELS]; /* a_i */
     unsigned long long tags[FK_MAX_LEVELS];  /* i || a_i */
-    PyObject *tag_obj[FK_MAX_LEVELS];        /* boxed on first use, owned */
     long posmap_accesses;
 } Request;
 
@@ -2602,14 +2652,6 @@ typedef struct {
     long long leaf, new_leaf;
     u128 old_counter, new_counter;
 } Mapping;
-
-static PyObject *
-request_tag(Request *rq, int level)
-{
-    if (rq->tag_obj[level] == NULL)
-        rq->tag_obj[level] = PyLong_FromUnsignedLongLong(rq->tags[level]);
-    return rq->tag_obj[level];
-}
 
 static void
 raise_hex(PyObject *exc, const char *format, unsigned long long tagged,
@@ -2641,84 +2683,249 @@ random_leaf(PyObject *getrandbits, int levels, long long *out)
     return rc;
 }
 
+/* -- the PRF's leaf LRU ---------------------------------------------------- */
+
+/* repro.crypto.prf.lru_hash, the bucket hash of a key's four words: one
+ * 64-bit multiply-xor-shift (a Hypothesis test pins the two spellings). */
+static inline uint64_t
+lru_hash(const uint64_t key[4])
+{
+    uint64_t x = (key[0] ^ (key[1] << 26) ^ (key[2] << 13) ^ (key[3] << 57)) *
+                 0x9E3779B97F4A7C15ULL;
+    return x ^ (x >> 32);
+}
+
+/* Let the LRU's columns go: before they grow (CPython refuses to resize
+ * an exported array), before foreign Python, when the entry returns. */
+static void
+fk_lru_release(FrontendKernel *fk)
+{
+    Lru *lru = &fk->lru;
+    col_release(&lru->nodes);
+    col_release(&lru->prev);
+    col_release(&lru->next);
+    col_release(&lru->chain);
+    col_release(&lru->heads);
+    lru->live = 0;
+}
+
+static int
+lru_corrupt(const char *what)
+{
+    PyErr_Format(PyExc_ValueError, "the leaf LRU's columns are corrupt: %s",
+                 what);
+    return -1;
+}
+
+/* Export the LRU's five columns, unless they still are from earlier in
+ * this entry, read the limit, and check what every later index relies
+ * on: equal node counts, a power-of-two bucket table, the entry count
+ * inside the columns. */
+static int
+fk_lru_columns(FrontendKernel *fk)
+{
+    Lru *lru = &fk->lru;
+    if (lru->live)
+        return 0;
+    PyObject *limit = PyObject_GetAttr(fk->prf, str_leaf_cache_limit);
+    if (limit == NULL)
+        return -1;
+    int rc = as_int64(limit, &lru->limit);
+    Py_DECREF(limit);
+    if (rc < 0)
+        return -1;
+    static const char *const names[5] = {
+        "the leaf LRU's nodes", "the leaf LRU's prev links",
+        "the leaf LRU's next links", "the leaf LRU's bucket chains",
+        "the leaf LRU's bucket heads"};
+    Col *const columns[5] = {&lru->nodes, &lru->prev, &lru->next, &lru->chain,
+                             &lru->heads};
+    for (int i = 0; i < 5; i++) {
+        if (col_acquire(fk->lru_columns[i], columns[i], names[i],
+                        i == 0 ? &COL_U64 : &COL_I32, 1) < 0)
+            goto fail;
+    }
+    const Py_ssize_t capacity = lru->prev.len, buckets = lru->heads.len;
+    if (capacity < 1 || capacity > INT32_MAX ||
+        lru->nodes.len != capacity * NODE_WORDS ||
+        lru->next.len != capacity || lru->chain.len != capacity) {
+        lru_corrupt("they disagree on the number of nodes");
+        goto fail;
+    }
+    if (buckets < 1 || (buckets & (buckets - 1)) != 0) {
+        lru_corrupt("the bucket table is no power of two");
+        goto fail;
+    }
+    if (*(uint64_t *)lru->nodes.data >= (uint64_t)capacity) {
+        lru_corrupt("more entries held than there are nodes");
+        goto fail;
+    }
+    lru->capacity = capacity;
+    lru->live = 1;
+    return 0;
+
+fail:
+    fk_lru_release(fk);
+    return -1;
+}
+
+/* A link read out of a column is trusted only as far as this: it names
+ * a node in use, or the sentinel / end of chain, 0. */
+#define LRU_LINK_OK(link, held) ((uint64_t)(uint32_t)(link) <= (held))
+
+/* LeafLru._append: `node` in at the young end of the recency list. */
+static int
+lru_append(Lru *lru, int32_t node, uint64_t held)
+{
+    int32_t *prev = lru->prev.data, *next = lru->next.data;
+    const int32_t last = prev[0];
+    if (!LRU_LINK_OK(last, held))
+        return lru_corrupt("a recency link names no node in use");
+    next[last] = node;
+    prev[node] = last;
+    next[node] = 0;
+    prev[0] = node;
+    return 0;
+}
+
+/* LeafLru.get: 1 with the leaf, refreshed to the young end; 0 on a
+ * miss.  The walk is bounded by the number of entries, so a chain that
+ * loops is an error, not a hang. */
+static int
+lru_get(Lru *lru, const uint64_t key[4], uint64_t hash, long long *leaf)
+{
+    const uint64_t *nodes = lru->nodes.data;
+    const int32_t *chain = lru->chain.data;
+    const uint64_t held = nodes[0];
+    int32_t node = ((int32_t *)lru->heads.data)[hash & (lru->heads.len - 1)];
+    for (uint64_t steps = 0; node != 0; node = chain[node]) {
+        if (!LRU_LINK_OK(node, held) || ++steps > held)
+            return lru_corrupt("a bucket chain leaves the nodes in use");
+        const uint64_t *record = nodes + (size_t)node * NODE_WORDS;
+        if (record[0] != key[0] || record[1] != key[1] ||
+            record[2] != key[2] || record[3] != key[3])
+            continue;
+        int32_t *prev = lru->prev.data, *next = lru->next.data;
+        const int32_t after = next[node];
+        if (after != 0) { /* not the youngest already */
+            const int32_t before = prev[node];
+            if (!LRU_LINK_OK(after, held) || !LRU_LINK_OK(before, held))
+                return lru_corrupt("a recency link names no node in use");
+            next[before] = after;
+            prev[after] = before;
+            if (lru_append(lru, node, held) < 0)
+                return -1;
+        }
+        *leaf = (long long)record[4];
+        return 1;
+    }
+    return 0;
+}
+
+/* LeafLru.put for a key lru_get just missed: the oldest entry's node
+ * when the limit is reached — out of its bucket's chain and the recency
+ * list, then reused — else the next unused one, growing the columns a
+ * chunk first when there is none. */
+static int
+lru_put(FrontendKernel *fk, const uint64_t key[4], uint64_t hash,
+        long long leaf)
+{
+    Lru *lru = &fk->lru;
+    if (lru->limit == 0)
+        return 0;
+    uint64_t held = *(uint64_t *)lru->nodes.data;
+    int32_t node;
+    if (held > 0 && (long long)held >= lru->limit) {
+        uint64_t *nodes = lru->nodes.data;
+        int32_t *prev = lru->prev.data, *next = lru->next.data;
+        int32_t *chain = lru->chain.data;
+        node = next[0];
+        if (node == 0 || !LRU_LINK_OK(node, held))
+            return lru_corrupt("a recency link names no node in use");
+        int32_t *link =
+            (int32_t *)lru->heads.data +
+            (lru_hash(nodes + (size_t)node * NODE_WORDS) &
+             (uint64_t)(lru->heads.len - 1));
+        for (uint64_t steps = 0; *link != node; link = chain + *link) {
+            if (*link == 0 || !LRU_LINK_OK(*link, held) || ++steps > held)
+                return lru_corrupt("the oldest entry is not on its bucket's "
+                                   "chain");
+        }
+        const int32_t before = prev[node], after = next[node];
+        if (!LRU_LINK_OK(after, held) || !LRU_LINK_OK(before, held))
+            return lru_corrupt("a recency link names no node in use");
+        *link = chain[node];
+        next[before] = after;
+        prev[after] = before;
+    }
+    else {
+        if ((Py_ssize_t)held + 1 >= lru->capacity) {
+            fk_lru_release(fk);
+            PyObject *grown = PyObject_CallMethodNoArgs(fk->leaf_cache, str_grow);
+            if (grown == NULL)
+                return -1;
+            Py_DECREF(grown);
+            if (fk_lru_columns(fk) < 0)
+                return -1;
+            held = *(uint64_t *)lru->nodes.data;
+            if ((Py_ssize_t)held + 1 >= lru->capacity) {
+                PyErr_SetString(PyExc_IndexError,
+                                "growth left the leaf LRU without a node");
+                return -1;
+            }
+        }
+        node = (int32_t)++held;
+        *(uint64_t *)lru->nodes.data = held;
+    }
+    uint64_t *record = (uint64_t *)lru->nodes.data + (size_t)node * NODE_WORDS;
+    memcpy(record, key, 4 * sizeof(uint64_t));
+    record[4] = (uint64_t)leaf;
+    int32_t *head =
+        (int32_t *)lru->heads.data + (hash & (uint64_t)(lru->heads.len - 1));
+    ((int32_t *)lru->chain.data)[node] = *head;
+    *head = node;
+    return lru_append(lru, node, held);
+}
+
 /* prf.leaf_for(address, count, levels): the shared LRU first (exact
  * order: refresh on a hit, oldest out on a full miss), else one BLAKE2b
  * compression from the keyed mid-state. */
 static int
-fk_leaf_for(FrontendKernel *fk, PyObject *addr_obj, unsigned long long addr,
-            u128 count, long long *out)
+fk_leaf_for(FrontendKernel *fk, unsigned long long addr, u128 count,
+            long long *out)
 {
     *out = 0;
     if (fk->tree_levels <= 0)
         return 0;
-    int rc = -1;
-    PyObject *leaf_obj = NULL, *limit_obj = NULL, *key = NULL;
-    PyObject *count_obj = counter_to_long(fk, count);
-    if (count_obj == NULL)
+    if (fk_lru_columns(fk) < 0)
         return -1;
-    key = PyTuple_Pack(4, addr_obj, count_obj, fk->levels_obj, fk->zero);
-    if (key == NULL)
-        goto done;
-    PyObject *cached = PyDict_GetItemWithError(fk->leaf_cache, key);
-    if (cached == NULL && PyErr_Occurred())
-        goto done;
+    /* addr, count low 64, count high 32 || subblock (zero), levels. */
+    const uint64_t key[4] = {addr, (uint64_t)count,
+                             (uint64_t)(count >> 64) << 32,
+                             (uint64_t)fk->tree_levels};
+    const uint64_t hash = lru_hash(key);
+    const int hit = lru_get(&fk->lru, key, hash, out);
+    if (hit < 0)
+        return -1;
     fk->pending[C_PRF_CALLS]++;
-    if (cached != NULL) {
+    if (hit) {
         fk->pending[C_PRF_CACHE_HITS]++;
-        if (!PyLong_Check(cached)) {
-            PyErr_SetString(PyExc_TypeError, "cached leaves must be ints");
-            goto done;
-        }
-        if (as_int64(cached, out) < 0)
-            goto done;
-        PyObject *moved = PyObject_CallOneArg(fk->move_to_end, key);
-        if (moved == NULL)
-            goto done;
-        Py_DECREF(moved);
-        rc = 0;
-        goto done;
+        return 0;
     }
 
-    /* addr (8) || count (12) || subblock (4, zero), little-endian. */
-    uint8_t message[24] = {0};
-    store64le(message, addr);
-    store64le(message + 8, (uint64_t)count);
-    for (int i = 0; i < 4; i++)
-        message[16 + i] = (uint8_t)(count >> (64 + 8 * i));
-    Blake2b state = fk->prf_state;
-    blake2b_update(&state, message, sizeof(message));
-    blake2b_final(&state, NULL);
+    /* addr (8) || count (12) || subblock (4, zero), little-endian: one
+     * final block on the keyed mid-state, whose buffer is empty (the key
+     * block was absorbed when the handle was made). */
+    uint8_t block[128] = {0};
+    store64le(block, addr);
+    store64le(block + 8, (uint64_t)count);
+    store64le(block + 16, (uint64_t)(count >> 64)); /* < 2^32 */
+    Blake2b state;
+    memcpy(state.h, fk->prf_state.h, sizeof(state.h));
+    state.t = fk->prf_state.t + 24;
+    blake2b_compress(&state, block, 1);
     *out = (long long)(state.h[0] & ((1ULL << fk->tree_levels) - 1));
-
-    limit_obj = PyObject_GetAttr(fk->prf, str_leaf_cache_limit);
-    if (limit_obj == NULL)
-        goto done;
-    Py_ssize_t limit = PyLong_AsSsize_t(limit_obj);
-    if (limit == -1 && PyErr_Occurred())
-        goto done;
-    if (limit != 0) {
-        Py_ssize_t held = PyObject_Length(fk->leaf_cache);
-        if (held < 0)
-            goto done;
-        if (held >= limit) {
-            PyObject *oldest = PyObject_CallOneArg(fk->popitem, Py_False);
-            if (oldest == NULL)
-                goto done;
-            Py_DECREF(oldest);
-        }
-        leaf_obj = PyLong_FromLongLong(*out);
-        if (leaf_obj == NULL ||
-            PyObject_SetItem(fk->leaf_cache, key, leaf_obj) < 0)
-            goto done;
-    }
-    rc = 0;
-
-done:
-    Py_XDECREF(leaf_obj);
-    Py_XDECREF(limit_obj);
-    Py_XDECREF(key);
-    Py_DECREF(count_obj);
-    return rc;
+    return lru_put(fk, key, hash, *out);
 }
 
 /* mac.tag(c || a || d) into `out` (tag_bytes of it are the tag). */
@@ -2771,7 +2978,7 @@ fk_verify(FrontendKernel *fk, PyObject *mac, unsigned long long tagged,
             fk->pending[C_FRESH_BLOCKS]++;
             return 0;
         }
-        PyObject *shown = counter_to_long(fk, counter);
+        PyObject *shown = counter_to_long(counter);
         if (shown != NULL) {
             raise_hex(fk->integrity_error,
                       "block %s lost: counter %S but no MAC", tagged, shown);
@@ -2802,7 +3009,7 @@ fk_verify(FrontendKernel *fk, PyObject *mac, unsigned long long tagged,
     }
     if (equal)
         return 0;
-    PyObject *shown = counter_to_long(fk, counter);
+    PyObject *shown = counter_to_long(counter);
     if (shown != NULL) {
         raise_hex(fk->integrity_error, "MAC mismatch for block %s at count %S",
                   tagged, shown);
@@ -2811,44 +3018,9 @@ fk_verify(FrontendKernel *fk, PyObject *mac, unsigned long long tagged,
     return -1;
 }
 
-/* -- PLB entries --------------------------------------------------------- */
-
-static int
-fk_check_entry(FrontendKernel *fk, PyObject *entry)
-{
-    if (Py_IS_TYPE(entry, (PyTypeObject *)fk->entry_type))
-        return 0;
-    PyErr_Format(PyExc_TypeError, "the PLB holds PlbEntry objects, not %.100s",
-                 Py_TYPE(entry)->tp_name);
-    return -1;
-}
-
-/* The payload of a PLB entry: a bytearray of exactly one block.  The
- * pointer is good only until the next call back into Python (a resize
- * moves the bytes), so every stretch of C that needs it asks again. */
-static uint8_t *
-fk_entry_data(FrontendKernel *fk, PyObject *entry)
-{
-    PyObject *data = PyObject_GetAttr(entry, str_data);
-    if (data == NULL)
-        return NULL;
-    uint8_t *bytes = NULL;
-    if (!PyByteArray_CheckExact(data))
-        PyErr_Format(PyExc_TypeError,
-                     "PLB entry data must be a bytearray, not %.100s",
-                     Py_TYPE(data)->tp_name);
-    else if (PyByteArray_GET_SIZE(data) != fk->block_bytes)
-        PyErr_Format(PyExc_ValueError,
-                     "PLB entry data must be %zd bytes, got %zd",
-                     fk->block_bytes, PyByteArray_GET_SIZE(data));
-    else
-        bytes = (uint8_t *)PyByteArray_AS_STRING(data);
-    Py_DECREF(data); /* the entry holds it */
-    return bytes;
-}
-
-/* The byte of a first-touch bitmap holding bit `index` (same lifetime
- * rule as fk_entry_data). */
+/* The byte of a first-touch bitmap holding bit `index`: good only until
+ * the next call back into Python (a resize moves the bytes), so every
+ * stretch of C that needs it asks again. */
 static uint8_t *
 bitmap_byte(PyObject *bitmap, unsigned long long index)
 {
@@ -2867,7 +3039,8 @@ bitmap_byte(PyObject *bitmap, unsigned long long index)
 }
 
 /* An instance of a slotted dataclass without running its __init__ in
- * the interpreter: allocate, then set the named fields. */
+ * the interpreter: allocate, then set the named fields.  (What a
+ * Python-facing access() returns; no request makes one of its own.) */
 static PyObject *
 new_instance(PyObject *type, PyObject *const *names, PyObject *const *values,
              int count)
@@ -3011,154 +3184,153 @@ data_visit(Visit *base, AccessKernel *tree, long long slot)
     return 0;
 }
 
-/* -- PLB refill and eviction ------------------------------------------------ */
+/* -- the PLB ------------------------------------------------------------------ */
 
-/* plb.insert(entry): returns the evicted victim through *victim (owned). */
-static int
-fk_plb_insert(FrontendKernel *fk, unsigned long long tagged,
-              PyObject *tag_obj, PyObject *entry, PyObject **victim)
+/* Plb._set_index, as the first way of that set. */
+static inline long long
+plb_set_base(const FrontendKernel *fk, unsigned long long tagged)
 {
-    *victim = NULL;
-    int resident = PyDict_Contains(fk->plb_index, tag_obj);
-    if (resident < 0)
-        return -1;
-    if (resident) {
-        PyErr_SetString(PyExc_ValueError, "block already resident in PLB");
-        return -1;
-    }
-    if (PyList_GET_SIZE(fk->plb_sets) != fk->num_sets) {
-        PyErr_SetString(PyExc_ValueError, "the PLB's set table changed size");
-        return -1;
-    }
-    unsigned long long set =
-        ((tagged & LEVEL_INDEX_MASK) + (tagged >> LEVEL_SHIFT) * 7919) %
-        (unsigned long long)fk->num_sets;
-    PyObject *bucket = PyList_GET_ITEM(fk->plb_sets, (Py_ssize_t)set);
-    if (!PyList_Check(bucket)) {
-        PyErr_SetString(PyExc_TypeError, "PLB sets must be lists");
-        return -1;
-    }
-    if (PyList_GET_SIZE(bucket) < fk->ways) {
-        if (PyList_Append(bucket, entry) < 0)
-            return -1;
-        return PyDict_SetItem(fk->plb_index, tag_obj, entry);
-    }
-    /* LRU victim: the first way with the smallest last_use (way 0 when
-     * direct-mapped). */
-    Py_ssize_t position = 0;
-    long long oldest = 0;
-    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(bucket); i++) {
-        PyObject *way = PyList_GET_ITEM(bucket, i);
-        if (fk_check_entry(fk, way) < 0)
-            return -1;
-        if (fk->ways == 1)
-            break;
-        long long used;
-        PyObject *stamp = PyObject_GetAttr(way, str_last_use);
-        if (stamp == NULL)
-            return -1;
-        int rc = as_int64(stamp, &used);
-        Py_DECREF(stamp);
-        if (rc < 0)
-            return -1;
-        if (i == 0 || used < oldest) {
-            oldest = used;
-            position = i;
-        }
-    }
-    PyObject *out = Py_NewRef(PyList_GET_ITEM(bucket, position));
-    PyObject *out_tag = PyObject_GetAttr(out, str_tagged_addr);
-    int rc = -1;
-    if (out_tag != NULL &&
-        PyList_SetItem(bucket, position, Py_NewRef(entry)) == 0 &&
-        PyDict_DelItem(fk->plb_index, out_tag) == 0 &&
-        PyDict_SetItem(fk->plb_index, tag_obj, entry) == 0)
-        rc = 0;
-    Py_XDECREF(out_tag);
-    if (rc < 0)
-        Py_DECREF(out);
-    else
-        *victim = out;
-    return rc;
+    return (long long)(((tagged & LEVEL_INDEX_MASK) +
+                        (tagged >> LEVEL_SHIFT) * 7919) %
+                       (unsigned long long)fk->num_sets) *
+           fk->ways;
 }
 
-/* PlbFrontend._evict_plb_entry: the victim re-enters the stash with a
- * fresh MAC over its current counter. */
+/* Plb._find: the way of its set holding i || a_i; -1 when none does, -2
+ * with an exception set when two do. */
+static long long
+plb_find(FrontendKernel *fk, unsigned long long tagged)
+{
+    const long long *tags = fk->plb_tags.data;
+    const long long base = plb_set_base(fk, tagged);
+    long long found = -1;
+    for (long long way = base; way < base + fk->ways; way++) {
+        if (tags[way] != (long long)tagged)
+            continue;
+        if (found >= 0) {
+            char hex[32];
+            format_hex((long long)tagged, hex);
+            PyErr_Format(PyExc_ValueError,
+                         "PLB set %lld holds block %s twice",
+                         base / fk->ways, hex);
+            return -2;
+        }
+        found = way;
+    }
+    return found;
+}
+
+static inline uint8_t *
+plb_payload(FrontendKernel *fk, long long way)
+{
+    return (uint8_t *)fk->plb_payload.data + way * fk->block_bytes;
+}
+
+static inline void
+plb_set_counter(FrontendKernel *fk, long long way, u128 counter)
+{
+    uint64_t *words = (uint64_t *)fk->plb_counters.data + 2 * way;
+    words[0] = (uint64_t)counter;
+    words[1] = (uint64_t)(counter >> 64);
+}
+
+/* A block a refill pushed out of the PLB, by value (its payload travels
+ * in fk->work). */
+typedef struct {
+    long long tagged, leaf;
+    u128 counter;
+} Victim;
+
+/* plb.insert of the block in fk->work, stamped with the clock: the
+ * lowest free way of its set, else — replaced in place — the one way
+ * when direct-mapped, the first way with the smallest last_use
+ * otherwise.  Returns the way through *way_out and 1 when a victim went:
+ * its fields through *victim, its payload in fk->work. */
 static int
-fk_evict(Request *rq, PyObject *victim)
+fk_plb_insert(FrontendKernel *fk, unsigned long long tagged, long long leaf,
+              u128 counter, long long *way_out, Victim *victim)
+{
+    long long *tags = fk->plb_tags.data, *leaves = fk->plb_leaves.data;
+    long long *last_use = fk->plb_last_use.data;
+    const long long base = plb_set_base(fk, tagged);
+    long long way = -1;
+    for (long long w = base; w < base + fk->ways; w++) {
+        if (tags[w] == (long long)tagged) {
+            PyErr_SetString(PyExc_ValueError, "block already resident in PLB");
+            return -1;
+        }
+        if (way < 0 && tags[w] == -1)
+            way = w;
+    }
+    const int evicting = way < 0;
+    if (evicting) {
+        way = base;
+        for (long long w = base; fk->ways > 1 && w < base + fk->ways; w++) {
+            if (last_use[w] < 0 || last_use[w] > fk->clock) {
+                PyErr_Format(PyExc_ValueError,
+                             "PLB way %lld was last used at %lld; the clock "
+                             "reads %lld", w, last_use[w], fk->clock);
+                return -1;
+            }
+            if (last_use[w] < last_use[way])
+                way = w;
+        }
+        if (tags[way] < 0) {
+            PyErr_Format(PyExc_ValueError, "PLB way %lld holds tag %lld", way,
+                         tags[way]);
+            return -1;
+        }
+        const uint64_t *words = (uint64_t *)fk->plb_counters.data + 2 * way;
+        victim->tagged = tags[way];
+        victim->leaf = leaves[way];
+        victim->counter = ((u128)words[1] << 64) | words[0];
+        memcpy(fk->spare, plb_payload(fk, way), (size_t)fk->block_bytes);
+    }
+    memcpy(plb_payload(fk, way), fk->work, (size_t)fk->block_bytes);
+    if (evicting)
+        memcpy(fk->work, fk->spare, (size_t)fk->block_bytes);
+    tags[way] = (long long)tagged;
+    leaves[way] = leaf;
+    plb_set_counter(fk, way, counter);
+    last_use[way] = fk->clock;
+    *way_out = way;
+    return evicting;
+}
+
+/* PlbFrontend._evict_plb_entry: the victim (its payload in fk->work)
+ * re-enters the stash with a fresh MAC over its current counter. */
+static int
+fk_evict(Request *rq, const Victim *victim)
 {
     FrontendKernel *fk = rq->fk;
     fk->pending[C_PLB_EVICTIONS]++;
-    PyObject *tag_obj = PyObject_GetAttr(victim, str_tagged_addr);
-    PyObject *leaf_obj = PyObject_GetAttr(victim, str_leaf);
-    PyObject *counter_obj = PyObject_GetAttr(victim, str_counter);
-    PyObject *sealed = NULL;
-    long long tag, leaf;
-    int rc = -1;
-    if (tag_obj == NULL || leaf_obj == NULL || counter_obj == NULL ||
-        as_int64(tag_obj, &tag) < 0 || as_int64(leaf_obj, &leaf) < 0)
-        goto done;
-    uint8_t *data = fk_entry_data(fk, victim);
-    if (data == NULL)
-        goto done;
-    memcpy(fk->work, data, (size_t)fk->block_bytes);
-    if (fk->pmmac) {
-        u128 counter;
-        unsigned long long tagged = PyLong_AsUnsignedLongLong(tag_obj);
-        if ((tagged == (unsigned long long)-1 && PyErr_Occurred()) ||
-            counter_from_long(fk, counter_obj, &counter) < 0)
-            goto done;
-        sealed = fk_seal(fk, tagged, counter, fk->work);
-    }
-    else
-        sealed = Py_NewRef(Py_None);
-    if (sealed != NULL)
-        rc = request_append(rq, tag, leaf, sealed, fk->work);
-
-done:
-    Py_XDECREF(tag_obj);
-    Py_XDECREF(leaf_obj);
-    Py_XDECREF(counter_obj);
-    Py_XDECREF(sealed);
+    PyObject *sealed = fk_seal(fk, (unsigned long long)victim->tagged,
+                               victim->counter, fk->work);
+    if (sealed == NULL)
+        return -1;
+    int rc = request_append(rq, victim->tagged, victim->leaf, sealed, fk->work);
+    Py_DECREF(sealed);
     return rc;
 }
 
 /* PlbFrontend._refill_plb: readrmv the PosMap block of `level`, verify
- * it, install it in the PLB, append the victim.  Returns the new entry. */
-static PyObject *
-fk_refill(Request *rq, int level, const Mapping *m)
+ * it, install it in the PLB, append the victim.  *way is where the
+ * block now lives. */
+static int
+fk_refill(Request *rq, int level, const Mapping *m, long long *way)
 {
     FrontendKernel *fk = rq->fk;
-    PyObject *tag_obj = request_tag(rq, level);
-    if (tag_obj == NULL ||
-        request_fetch(rq, rq->tags[level], m->leaf, m->new_leaf,
+    if (request_fetch(rq, rq->tags[level], m->leaf, m->new_leaf,
                       m->old_counter, C_PLB_REFILLS) < 0)
-        return NULL;
-
+        return -1;
     fk->clock++;
     fk->pending[C_CLOCK]++;
-    PyObject *const names[5] = {str_tagged_addr, str_data, str_leaf,
-                                str_counter, str_last_use};
-    PyObject *const values[5] = {
-        tag_obj,
-        PyByteArray_FromStringAndSize((const char *)fk->work, fk->block_bytes),
-        PyLong_FromLongLong(m->new_leaf),
-        counter_to_long(fk, m->new_counter),
-        PyLong_FromLongLong(fk->clock),
-    };
-    PyObject *entry = new_instance(fk->entry_type, names, values, 5);
-    for (int i = 1; i < 5; i++)
-        Py_XDECREF(values[i]);
-    PyObject *victim = NULL;
-    if (entry != NULL &&
-        fk_plb_insert(fk, rq->tags[level], tag_obj, entry, &victim) < 0)
-        Py_CLEAR(entry);
-    if (victim != NULL) {
-        if (fk_evict(rq, victim) < 0)
-            Py_CLEAR(entry);
-        Py_DECREF(victim);
-    }
-    return entry;
+    Victim victim;
+    const int evicting = fk_plb_insert(fk, rq->tags[level], m->new_leaf,
+                                       m->new_counter, way, &victim);
+    if (evicting <= 0)
+        return evicting;
+    return fk_evict(rq, &victim);
 }
 
 /* -- PosMap formats ------------------------------------------------------------ */
@@ -3217,27 +3389,25 @@ set_label(uint8_t *entry, int width, uint64_t label)
 static int fk_group_remap(Request *rq, int level, unsigned long long index,
                           long long slot, u128 new_counter);
 
-/* format.remap on the parent's payload, group remap and first-touch
- * override included: PlbFrontend._remap_child with a PLB parent. */
+/* format.remap on the payload of the parent in PLB way `parent`, group
+ * remap and first-touch override included: PlbFrontend._remap_child
+ * with a PLB parent.  The payload column never moves, so the pointer
+ * holds across the draws. */
 static int
-fk_remap_in_block(Request *rq, PyObject *parent, int level, Mapping *m)
+fk_remap_in_block(Request *rq, long long parent, int level, Mapping *m)
 {
     FrontendKernel *fk = rq->fk;
     const unsigned long long index = rq->chain[level];
     const long long slot = (long long)(index % (unsigned long long)fk->fanout);
     const unsigned long long child = rq->tags[level];
-    PyObject *child_obj = request_tag(rq, level);
-    uint8_t *block = fk_entry_data(fk, parent);
-    if (child_obj == NULL || block == NULL)
-        return -1;
+    uint8_t *block = plb_payload(fk, parent);
     int rollover = 0;
     m->old_counter = m->new_counter = 0;
 
     if (fk->format == FORMAT_UNCOMPRESSED) {
         const int width = fk->leaf_bytes;
         m->leaf = (long long)get_label(block + slot * width, width);
-        if (random_leaf(fk->getrandbits, fk->tree_levels, &m->new_leaf) < 0 ||
-            (block = fk_entry_data(fk, parent)) == NULL)
+        if (random_leaf(fk->getrandbits, fk->tree_levels, &m->new_leaf) < 0)
             return -1;
         set_label(block + slot * width, width, (uint64_t)m->new_leaf);
     }
@@ -3287,9 +3457,8 @@ fk_remap_in_block(Request *rq, PyObject *parent, int level, Mapping *m)
             }
         }
         /* The (old, new) pair, in leaf_for_many's order. */
-        if (fk_leaf_for(fk, child_obj, child, m->old_counter, &m->leaf) < 0 ||
-            fk_leaf_for(fk, child_obj, child, m->new_counter,
-                        &m->new_leaf) < 0)
+        if (fk_leaf_for(fk, child, m->old_counter, &m->leaf) < 0 ||
+            fk_leaf_for(fk, child, m->new_counter, &m->new_leaf) < 0)
             return -1;
     }
     if (rollover &&
@@ -3315,38 +3484,29 @@ fk_remap_in_block(Request *rq, PyObject *parent, int level, Mapping *m)
 /* One sibling of a group remap: bookkeeping only when it is
  * PLB-resident, else readrmv + re-seal + append (§5.2.2). */
 static int
-fk_relocate(Request *rq, PyObject *tag_obj, unsigned long long tagged,
-            u128 old_counter, u128 new_counter, PyObject *new_counter_obj)
+fk_relocate(Request *rq, unsigned long long tagged, u128 old_counter,
+            u128 new_counter)
 {
     FrontendKernel *fk = rq->fk;
     long long old_leaf, new_leaf;
-    if (fk_leaf_for(fk, tag_obj, tagged, new_counter, &new_leaf) < 0)
+    if (fk_leaf_for(fk, tagged, new_counter, &new_leaf) < 0)
         return -1;
-    PyObject *new_leaf_obj = PyLong_FromLongLong(new_leaf);
-    if (new_leaf_obj == NULL)
-        return -1;
-    int rc = -1;
-    PyObject *sealed = NULL;
-    PyObject *resident = PyDict_GetItemWithError(fk->plb_index, tag_obj);
-    if (resident != NULL) {
-        if (fk_check_entry(fk, resident) == 0 &&
-            PyObject_SetAttr(resident, str_leaf, new_leaf_obj) == 0 &&
-            PyObject_SetAttr(resident, str_counter, new_counter_obj) == 0)
-            rc = 0;
-        goto done;
+    const long long resident = plb_find(fk, tagged);
+    if (resident >= 0) {
+        ((long long *)fk->plb_leaves.data)[resident] = new_leaf;
+        plb_set_counter(fk, resident, new_counter);
+        return 0;
     }
-    if (PyErr_Occurred() ||
-        fk_leaf_for(fk, tag_obj, tagged, old_counter, &old_leaf) < 0 ||
+    if (resident < -1 ||
+        fk_leaf_for(fk, tagged, old_counter, &old_leaf) < 0 ||
         request_fetch(rq, tagged, old_leaf, new_leaf, old_counter,
                       C_GROUP_RELOCATIONS) < 0)
-        goto done;
-    sealed = fk_seal(fk, tagged, new_counter, fk->work);
-    if (sealed != NULL)
-        rc = request_append(rq, (long long)tagged, new_leaf, sealed, fk->work);
-
-done:
-    Py_XDECREF(sealed);
-    Py_DECREF(new_leaf_obj);
+        return -1;
+    PyObject *sealed = fk_seal(fk, tagged, new_counter, fk->work);
+    if (sealed == NULL)
+        return -1;
+    int rc = request_append(rq, (long long)tagged, new_leaf, sealed, fk->work);
+    Py_DECREF(sealed);
     return rc;
 }
 
@@ -3359,72 +3519,41 @@ fk_group_remap(Request *rq, int level, unsigned long long index,
     FrontendKernel *fk = rq->fk;
     fk->pending[C_GROUP_REMAPS]++;
     const unsigned long long base = index - (unsigned long long)slot;
-    PyObject *new_counter_obj = counter_to_long(fk, new_counter);
-    if (new_counter_obj == NULL)
-        return -1;
-    int rc = 0;
-    for (long long s = 0; rc == 0 && s < fk->fanout; s++) {
+    for (long long s = 0; s < fk->fanout; s++) {
         const unsigned long long sibling = base + (unsigned long long)s;
         if (s == slot ||
             sibling >= (unsigned long long)fk->level_blocks[level])
             continue;
-        const unsigned long long tagged =
-            ((unsigned long long)level << LEVEL_SHIFT) | sibling;
-        PyObject *tag_obj = PyLong_FromUnsignedLongLong(tagged);
-        rc = tag_obj == NULL ? -1
-                             : fk_relocate(rq, tag_obj, tagged,
-                                           fk->group_old[s], new_counter,
-                                           new_counter_obj);
-        Py_XDECREF(tag_obj);
+        if (fk_relocate(rq, ((unsigned long long)level << LEVEL_SHIFT) | sibling,
+                        fk->group_old[s], new_counter) < 0)
+            return -1;
     }
-    Py_DECREF(new_counter_obj);
-    return rc;
+    return 0;
 }
 
-/* The on-chip PosMap as a frontend handle binds it (all borrowed). */
+/* The on-chip PosMap as a frontend handle binds it: the table is the
+ * handle's own life-long export of OnChipPosMap._table, uint64 per
+ * entry and `entries` of them at least (checked when it was taken); the
+ * rest is borrowed. */
 typedef struct {
-    PyObject *table, *touched, *getrandbits;
+    uint64_t *table;
+    PyObject *touched, *getrandbits;
     long long entries;
     int levels; /* of the tree its labels address */
 } OnChip;
 
-/* Entry `index`, range-checked: the byte of its first-touch bit (good
- * until the next call back into Python), its table item through
- * *current (borrowed).  NULL with an exception set otherwise. */
+/* The byte of entry `index`'s first-touch bit, the index range-checked
+ * (good until the next call back into Python).  NULL with an exception
+ * set otherwise. */
 static uint8_t *
-onchip_entry(const OnChip *chip, unsigned long long index, PyObject **current)
+onchip_entry(const OnChip *chip, unsigned long long index)
 {
     if (index >= (unsigned long long)chip->entries) {
         PyErr_Format(PyExc_ValueError,
                      "on-chip PosMap index %llu out of range", index);
         return NULL;
     }
-    uint8_t *byte = bitmap_byte(chip->touched, index);
-    if (byte == NULL)
-        return NULL;
-    if (index >= (unsigned long long)PyList_GET_SIZE(chip->table)) {
-        PyErr_Format(PyExc_IndexError,
-                     "on-chip PosMap table has no entry %llu", index);
-        return NULL;
-    }
-    *current = PyList_GET_ITEM(chip->table, (Py_ssize_t)index);
-    return byte;
-}
-
-/* table[index] = stored (a new reference, stolen; NULL is a failed
- * boxing).  Python may have run since onchip_entry: look again. */
-static int
-onchip_store(const OnChip *chip, unsigned long long index, PyObject *stored)
-{
-    if (stored == NULL)
-        return -1;
-    if (index >= (unsigned long long)PyList_GET_SIZE(chip->table)) {
-        Py_DECREF(stored);
-        PyErr_Format(PyExc_IndexError,
-                     "on-chip PosMap table has no entry %llu", index);
-        return -1;
-    }
-    return PyList_SetItem(chip->table, (Py_ssize_t)index, stored);
+    return bitmap_byte(chip->touched, index);
 }
 
 /* OnChipPosMap.lookup_and_remap in leaf mode: the entry's label — its
@@ -3434,23 +3563,17 @@ static int
 onchip_leaf_remap(const OnChip *chip, unsigned long long index,
                   long long *leaf, long long *new_leaf)
 {
-    PyObject *current;
     const uint8_t bit = (uint8_t)(1u << (index & 7));
-    uint8_t *byte = onchip_entry(chip, index, &current);
+    uint8_t *byte = onchip_entry(chip, index);
     if (byte == NULL)
         return -1;
     if (*byte & bit) {
-        if (!PyLong_Check(current)) {
-            PyErr_Format(PyExc_TypeError, "leaf must be an int, not %.100s",
-                         Py_TYPE(current)->tp_name);
+        if (chip->table[index] > (uint64_t)INT64_MAX) {
+            PyErr_Format(PyExc_ValueError, "leaf %llu out of range",
+                         (unsigned long long)chip->table[index]);
             return -1;
         }
-        int overflow;
-        *leaf = PyLong_AsLongLongAndOverflow(current, &overflow);
-        if (overflow) {
-            PyErr_Format(PyExc_ValueError, "leaf %S out of range", current);
-            return -1;
-        }
+        *leaf = (long long)chip->table[index];
     }
     else {
         if (random_leaf(chip->getrandbits, chip->levels, leaf) < 0 ||
@@ -3460,7 +3583,8 @@ onchip_leaf_remap(const OnChip *chip, unsigned long long index,
     }
     if (random_leaf(chip->getrandbits, chip->levels, new_leaf) < 0)
         return -1;
-    return onchip_store(chip, index, PyLong_FromLongLong(*new_leaf));
+    chip->table[index] = (uint64_t)*new_leaf;
+    return 0;
 }
 
 /* OnChipPosMap.lookup_and_remap for the top level's entry. */
@@ -3469,46 +3593,39 @@ fk_remap_onchip(Request *rq, int level, Mapping *m)
 {
     FrontendKernel *fk = rq->fk;
     const unsigned long long index = rq->chain[level];
-    const OnChip chip = {fk->onchip_table, fk->onchip_touched,
+    const OnChip chip = {fk->onchip_table.data, fk->onchip_touched,
                          fk->getrandbits, fk->onchip_entries,
                          fk->tree_levels};
     m->old_counter = m->new_counter = 0;
     if (!fk->onchip_counters)
         return onchip_leaf_remap(&chip, index, &m->leaf, &m->new_leaf);
 
-    PyObject *current;
-    uint8_t *byte = onchip_entry(&chip, index, &current);
-    u128 count;
-    if (byte == NULL || counter_from_long(fk, current, &count) < 0)
+    uint8_t *byte = onchip_entry(&chip, index);
+    if (byte == NULL)
         return -1;
-    if (count >= UINT64_MAX) {
+    const uint64_t count = chip.table[index];
+    if (count == UINT64_MAX) {
         PyErr_SetString(fk->config_error, "on-chip counter overflow");
         return -1;
     }
     m->old_counter = count;
-    m->new_counter = count + 1;
+    m->new_counter = (u128)count + 1;
+    chip.table[index] = count + 1;
     *byte |= (uint8_t)(1u << (index & 7));
-    PyObject *tag_obj = request_tag(rq, level);
-    if (onchip_store(&chip, index,
-                     PyLong_FromUnsignedLongLong(
-                         (unsigned long long)count + 1)) < 0 ||
-        tag_obj == NULL ||
-        fk_leaf_for(fk, tag_obj, rq->tags[level], m->old_counter,
-                    &m->leaf) < 0 ||
-        fk_leaf_for(fk, tag_obj, rq->tags[level], m->new_counter,
-                    &m->new_leaf) < 0)
+    if (fk_leaf_for(fk, rq->tags[level], m->old_counter, &m->leaf) < 0 ||
+        fk_leaf_for(fk, rq->tags[level], m->new_counter, &m->new_leaf) < 0)
         return -1;
     return 0;
 }
 
 /* -- the access algorithm (§4.2.4) ------------------------------------------ */
 
-/* PlbFrontend._remap_child: through a PLB-resident parent, or the
- * on-chip PosMap when there is none (the top level only). */
+/* PlbFrontend._remap_child: through the parent in PLB way `parent`, or
+ * the on-chip PosMap when there is none (-1: the top level only). */
 static int
-fk_remap_child(Request *rq, PyObject *parent, int level, Mapping *m)
+fk_remap_child(Request *rq, long long parent, int level, Mapping *m)
 {
-    if (parent == NULL)
+    if (parent < 0)
         return fk_remap_onchip(rq, level, m);
     return fk_remap_in_block(rq, parent, level, m);
 }
@@ -3580,37 +3697,25 @@ fk_run(Request *rq, PyObject *addr_obj, PyObject *op, PyObject *data,
                       rq->chain) < 0)
         return -1;
     rq->tags[0] = rq->chain[0];
-    rq->tag_obj[0] = Py_NewRef(addr_obj);
     for (int i = 1; i < levels; i++)
         rq->tags[i] = ((unsigned long long)i << LEVEL_SHIFT) | rq->chain[i];
 
     /* Step 1: the PLB lookup loop. */
-    PyObject *parent = NULL; /* owned */
-    int hit_level = levels - 1, rc = -1;
+    long long parent = -1; /* the PLB way of the block in hand */
+    int hit_level = levels - 1;
     for (int i = 0; i < levels - 1; i++) {
         fk->clock++;
         fk->pending[C_CLOCK]++;
-        PyObject *tag_obj = request_tag(rq, i + 1);
-        if (tag_obj == NULL)
+        const long long way = plb_find(fk, rq->tags[i + 1]);
+        if (way < -1)
             return -1;
-        PyObject *entry = PyDict_GetItemWithError(fk->plb_index, tag_obj);
-        if (entry == NULL) {
-            if (PyErr_Occurred())
-                return -1;
+        if (way < 0) {
             fk->pending[C_LOOKUP_MISSES]++;
             continue;
         }
-        if (fk_check_entry(fk, entry) < 0)
-            return -1;
-        parent = Py_NewRef(entry);
-        PyObject *stamp = PyLong_FromLongLong(fk->clock);
-        int stamped = stamp == NULL
-                          ? -1
-                          : PyObject_SetAttr(parent, str_last_use, stamp);
-        Py_XDECREF(stamp);
-        if (stamped < 0)
-            goto done;
+        ((long long *)fk->plb_last_use.data)[way] = fk->clock;
         fk->pending[C_LOOKUP_HITS]++;
+        parent = way;
         hit_level = i;
         break;
     }
@@ -3620,17 +3725,14 @@ fk_run(Request *rq, PyObject *addr_obj, PyObject *op, PyObject *data,
     /* Step 2: fetch the missing PosMap blocks, deepest level first. */
     Mapping m;
     for (int level = hit_level; level >= 1; level--) {
-        if (fk_remap_child(rq, parent, level, &m) < 0)
-            goto done;
-        PyObject *entry = fk_refill(rq, level, &m);
-        if (entry == NULL)
-            goto done;
-        Py_XSETREF(parent, entry);
+        if (fk_remap_child(rq, parent, level, &m) < 0 ||
+            fk_refill(rq, level, &m, &parent) < 0)
+            return -1;
     }
 
     /* Step 3: the data block. */
     if (fk_remap_child(rq, parent, 0, &m) < 0)
-        goto done;
+        return -1;
     if (fk->pmmac || write || data_out != NULL) {
         DataVisit visit = {{data_visit}, fk, rq->tags[0], m.old_counter,
                            m.new_counter, write ? data : NULL,
@@ -3638,21 +3740,17 @@ fk_run(Request *rq, PyObject *addr_obj, PyObject *op, PyObject *data,
         if (tree_access(rq->tree, 0, (long long)rq->tags[0], m.leaf,
                         m.new_leaf, &visit.base) < 0) {
             Py_XDECREF(visit.data_out);
-            goto done;
+            return -1;
         }
         if (data_out != NULL)
             *data_out = write ? Py_NewRef(data) : visit.data_out;
     }
     else if (tree_access(rq->tree, 0, (long long)rq->tags[0], m.leaf,
                          m.new_leaf, NULL) < 0)
-        goto done;
+        return -1;
     fk->pending[C_DATA_TREE]++;
     *hit_level_out = hit_level;
-    rc = 0;
-
-done:
-    Py_XDECREF(parent);
-    return rc;
+    return 0;
 }
 
 /* Fold a frontend handle's counter deltas into the Python objects: the
@@ -3709,11 +3807,15 @@ raise_reentrant(void)
                     "callback)");
 }
 
+/* What a tree under this handle calls before foreign Python runs, and
+ * what the entry ends with: every counter folded, and the leaf LRU's
+ * columns — the frontend's growing ones — let go. */
 static int
 fk_fold(void *handle)
 {
     FrontendKernel *fk = handle;
     PyObject *const owners[3] = {fk->plb, fk->prf, fk->mac};
+    fk_lru_release(fk);
     if (fold_pending(fk->pending, fk->frontend, owners) < 0)
         return -1;
     return kernel_fold(fk->backend_kernel);
@@ -3770,10 +3872,7 @@ fk_request(PyObject *handle, PyObject *addr_obj, PyObject *op, PyObject *data,
     rq.fk = fk;
     rq.tree = (AccessKernel *)fk->backend_kernel;
     rq.posmap_accesses = 0;
-    memset(rq.tag_obj, 0, sizeof(rq.tag_obj[0]) * (size_t)fk->space_levels);
     int rc = fk_run(&rq, addr_obj, op, data, data_out, hit_level_out);
-    for (int i = 0; i < fk->space_levels; i++)
-        Py_XDECREF(rq.tag_obj[i]);
     if (rc < 0 && data_out != NULL)
         Py_CLEAR(*data_out);
     *posmap_out = rq.posmap_accesses;
@@ -3845,11 +3944,27 @@ static PyTypeObject FrontendKernelType = {
     .tp_new = frontend_new,
 };
 
+/* lru_hash(address, low, high, levels) -> int
+ *
+ * The leaf LRU's bucket hash on its own, over a key's four words as
+ * repro.crypto.prf.lru_hash takes them (the Hypothesis test that pins
+ * the two spellings calls both). */
+static PyObject *
+lru_hash_words(PyObject *self, PyObject *args)
+{
+    unsigned long long words[4];
+    if (!PyArg_ParseTuple(args, "KKKK:lru_hash", &words[0], &words[1],
+                          &words[2], &words[3]))
+        return NULL;
+    const uint64_t key[4] = {words[0], words[1], words[2], words[3]};
+    return PyLong_FromUnsignedLongLong(lru_hash(key));
+}
+
 /* ------------------------------------------------------------------ */
 /* RecursiveKernel: one Recursive ORAM request per call                */
 /* ------------------------------------------------------------------ */
 
-/* RecursiveFrontend.access (§3.2) over the frontend's own containers:
+/* RecursiveFrontend.access (§3.2) over the frontend's own columns:
  * the leaf-mode on-chip PosMap, then ORam_{H-1} .. ORam_1 — each one a
  * tree READ whose visit remaps the child's label inside the PosMap
  * block — then the Data ORAM, every tree through its own AccessKernel.
@@ -3867,15 +3982,16 @@ typedef struct {
             PyObject *frontend_ref; /* weakref to the owning frontend */
             PyObject *access_func;  /* RecursiveFrontend.access, the function */
             PyObject *trees;        /* tuple: level i's AccessKernel */
-            PyObject *onchip_table, *onchip_touched, *touched;
+            PyObject *onchip_touched, *touched;
             PyObject *getrandbits;
             PyObject *result_type, *op_read, *op_write, *config_error;
         };
-        PyObject *refs[11]; /* the same references, for the collector */
+        PyObject *refs[10]; /* the same references, for the collector */
     };
     int num_levels; /* H: the data tree plus the PosMap trees */
     int leaf_bytes, busy;
     long long fanout, num_blocks, onchip_entries;
+    Col onchip_table; /* fixed-size: exported for the life of the handle */
     PyObject *frontend; /* the owner, held for one outermost entry */
     long long pending[N_COUNTERS];
 } RecursiveKernel;
@@ -3905,6 +4021,7 @@ static void
 recursive_dealloc(RecursiveKernel *self)
 {
     PyObject_GC_UnTrack(self);
+    col_release(&self->onchip_table);
     recursive_clear(self);
     Py_CLEAR(self->frontend);
     Py_TYPE(self)->tp_free((PyObject *)self);
@@ -3924,8 +4041,8 @@ recursive_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
         return NULL;
     }
     if (!PyArg_ParseTuple(
-            args, "OOO!O!O!O!O(iLLLi)(OOOO):RecursiveKernel", &frontend,
-            &access_func, &PyTuple_Type, &trees, &PyList_Type, &onchip_table,
+            args, "OOO!OO!O!O(iLLLi)(OOOO):RecursiveKernel", &frontend,
+            &access_func, &PyTuple_Type, &trees, &onchip_table,
             &PyByteArray_Type, &onchip_touched, &PyList_Type, &touched,
             &getrandbits, &num_levels, &fanout, &num_blocks, &onchip_entries,
             &leaf_bytes, &result_type, &op_read, &op_write, &config_error))
@@ -3950,7 +4067,6 @@ recursive_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
                PyList_GET_SIZE(touched) == num_levels && fanout >= 2 &&
                num_blocks >= 1 && leaf_bytes >= 1 && leaf_bytes <= 8 &&
                onchip_entries >= 1 &&
-               PyList_GET_SIZE(onchip_table) >= onchip_entries &&
                PyByteArray_GET_SIZE(onchip_touched) >= (onchip_entries + 7) / 8;
     /* A PosMap block of tree i holds X labels of tree i-1. */
     for (int level = 1; fits && level < num_levels; level++) {
@@ -3975,14 +4091,16 @@ recursive_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
     self->num_blocks = num_blocks;
     self->onchip_entries = onchip_entries;
     self->frontend_ref = PyWeakref_NewRef(frontend, NULL);
-    if (self->frontend_ref == NULL) {
+    if (self->frontend_ref == NULL ||
+        col_acquire_fixed(onchip_table, &self->onchip_table,
+                          "the on-chip PosMap table", &COL_U64,
+                          (Py_ssize_t)onchip_entries, 1) < 0) {
         Py_DECREF(self);
         return NULL;
     }
 #define BIND(field) (Py_INCREF(field), self->field = field)
     BIND(access_func);
     BIND(trees);
-    BIND(onchip_table);
     BIND(onchip_touched);
     BIND(touched);
     BIND(getrandbits);
@@ -4089,7 +4207,7 @@ rk_run(RecursiveKernel *rk, PyObject *addr_obj, PyObject *op, PyObject *data,
                       chain) < 0)
         return -1;
 
-    const OnChip chip = {rk->onchip_table, rk->onchip_touched,
+    const OnChip chip = {rk->onchip_table.data, rk->onchip_touched,
                          rk->getrandbits, rk->onchip_entries,
                          RK_TREE(rk, top)->levels};
     long long leaf, new_leaf;
@@ -5137,6 +5255,9 @@ static PyMethodDef replay_core_methods[] = {
     {"blake2b", blake2b_digest, METH_VARARGS,
      "blake2b(key, message, digest_size) -> bytes: the vendored RFC 7693 "
      "hash behind the frontend kernel's PRF and MAC."},
+    {"lru_hash", lru_hash_words, METH_VARARGS,
+     "lru_hash(address, low, high, levels) -> int: the leaf LRU's bucket "
+     "hash, as the frontend kernel computes it."},
     {"synthesize_trace", synthesize_trace, METH_VARARGS,
      "One whole SpecStandIn.refs -> CacheHierarchy.run: pattern mixture, "
      "MT19937 draws and the L1+L2 LRU hierarchy; returns the miss "
@@ -5183,9 +5304,6 @@ PyInit__replay_core(void)
         {&str_stats, "stats"},
         {&str_kernel, "_kernel"},
         {&str_leaf_cache_limit, "_leaf_cache_limit"},
-        {&str_tagged_addr, "tagged_addr"},
-        {&str_counter, "counter"},
-        {&str_last_use, "last_use"},
         {&str_posmap_tree_accesses, "posmap_tree_accesses"},
         {&str_plb_hit_level, "plb_hit_level"},
     };

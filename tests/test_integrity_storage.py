@@ -304,7 +304,8 @@ def outcome(frontend, addrs):
         frontend.stats,
         (crypto.mac.call_count, crypto.mac.bytes_hashed,
          crypto.prf.call_count, crypto.prf.cache_hits),
-        (sorted(frontend.plb._index), frontend.plb._clock),
+        (sorted(entry.tagged_addr for entry in frontend.plb.entries()),
+         frontend.plb._clock),
         tree_digest(backend.storage),
         backend.stash_snapshot(),
         (backend.access_count, backend.tree_access_count,

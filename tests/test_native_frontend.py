@@ -4,27 +4,31 @@
 ``FrontendKernel`` in ``repro.sim.native._replay_core`` — PLB lookup
 loop, PosMap remap (all three formats, both on-chip modes, group remaps
 included), PRF, PMMAC and the tree accesses, one C call per request.
-The state stays in the frontend's own Python containers, so the bar is
-the reference's: after **every** access a kernel-driven frontend and an
-interpreted one (no native code anywhere under it) must agree on
+The state is the frontend's own typed columns, which both spellings
+work on in place, so the bar is the reference's: after **every** access
+a kernel-driven frontend and an interpreted one (no native code anywhere
+under it) must agree on
 
 - the ``AccessResult`` and the full ``FrontendStats``;
-- the PLB: entries in set order with ``last_use``/``leaf``/``counter``/
-  ``data``, the tag index, ``_clock``, hits and misses;
-- the on-chip table and both kinds of first-touch bitmap;
-- the PRF's ``call_count``/``cache_hits`` and its LRU in key order, the
-  MAC's ``call_count``/``bytes_hashed``, and the RNG's state;
+- the PLB: its five columns whole — tags, leaves, counters, ``last_use``
+  and payload, set by set, way order included — and the same through
+  ``entries()``, plus ``_clock``, hits and misses;
+- the on-chip column and both kinds of first-touch bitmap;
+- the PRF's ``call_count``/``cache_hits`` and its LRU in recency order
+  with its leaves, the MAC's ``call_count``/``bytes_hashed``, and the
+  RNG's state;
 - the tree digest, the stash snapshot and the backend's counters.
 
 Further layers: the vendored BLAKE2b against ``hashlib`` (Hypothesis
-keys, messages and digest sizes); error parity (bad op, wrong-length
+keys, messages and digest sizes, the RFC vector, block-boundary
+lengths); the LRU's bucket hash in its two spellings; error parity (bad
+op, wrong-length
 WRITE, out-of-range address: same exception, same counters); the
 engagement rules; and the structural guards — one kernel entry per
 request, no interpreted frontend step under it, and a replay slice or a
 serve batch driven C to C without a Python frame.
 """
 
-import dataclasses
 import hashlib
 import sys
 
@@ -32,7 +36,7 @@ import pytest
 
 from repro.backend.ops import Op
 from repro.crypto.suite import CryptoSuite
-from repro.crypto.prf import Prf
+from repro.crypto.prf import Prf, lru_hash
 from repro.errors import ConfigurationError
 from repro.frontend.unified import PlbFrontend
 from repro.presets import build_frontend
@@ -44,7 +48,9 @@ from repro.storage.snapshot import tree_digest
 from repro.utils.rng import DeterministicRng
 
 from test_native_replay import CountingKernel
-from test_replay_differential import chunked, make_trace, stats_image
+from test_replay_differential import (
+    chunked, frontend_columns, make_trace, stats_image,
+)
 
 CORE = load_native_core()
 pytestmark = pytest.mark.skipif(
@@ -61,14 +67,16 @@ SMALL = dict(num_blocks=2**9, onchip_entries=4, plb_capacity_bytes=512)
 #: the PLB, in the tree and (at level 0) among the data blocks.
 ROLLOVER = dict(SMALL, compressed_beta=2, compressed_fanout=8)
 
-#: name -> (scheme, spec overrides): the four paper schemes, a 2-way
-#: PLB, and the small-beta variants that force group remaps.
+#: name -> (scheme, spec overrides): the four paper schemes, a 2-way and
+#: a fully associative PLB (all eight entries one set), and the
+#: small-beta variants that force group remaps.
 CONFIGS = {
     "P_X16": ("P_X16", SMALL),
     "PC_X32": ("PC_X32", SMALL),
     "PI_X8": ("PI_X8", SMALL),
     "PIC_X32": ("PIC_X32", SMALL),
     "PIC_X32/2-way": ("PIC_X32", dict(SMALL, plb_ways=2)),
+    "PIC_X32/full": ("PIC_X32", dict(SMALL, plb_ways=8)),
     "PIC_X32/beta=2": ("PIC_X32", ROLLOVER),
     "PC_X32/beta=2": ("PC_X32", ROLLOVER),
 }
@@ -104,25 +112,10 @@ def pair(name, **kwargs):
 
 def full_state(frontend):
     """Everything the bit-identity contract names, for one frontend."""
-    plb, posmap, backend = frontend.plb, frontend.posmap, frontend.backend
-    prf, mac = frontend.crypto.prf, frontend.crypto.mac
+    backend = frontend.backend
     return {
         "stats": stats_image(frontend),
-        "plb": [
-            [dataclasses.astuple(entry) for entry in bucket]
-            for bucket in plb._sets
-        ],
-        "plb_index": {
-            tag: entry.tagged_addr for tag, entry in plb._index.items()
-        },
-        "plb_counters": (plb._clock, plb.hits, plb.misses),
-        "onchip": (list(posmap._table), bytes(posmap._touched)),
-        "touched": [
-            None if bitmap is None else bytes(bitmap)
-            for bitmap in frontend._touched
-        ],
-        "prf": (prf.call_count, prf.cache_hits, list(prf._leaf_cache.items())),
-        "mac": (mac.call_count, mac.bytes_hashed),
+        **frontend_columns(frontend),
         "rng": frontend.rng._rng.getstate(),
         "tree": tree_digest(backend.storage),
         "stash": backend.stash_snapshot(),
@@ -202,15 +195,23 @@ class TestLockstepAfterEveryAccess:
         only) or in the tree (readrmv + re-seal + append), and the data
         level relocates whole sibling groups of data blocks."""
         ref, nat = pair(name)
-        resident = []
-        original = ref.plb.peek
+        resident, remapping = [], []
+        original, group_remap = ref.plb.peek, ref._group_remap
 
         def peek(tag):
             entry = original(tag)
-            resident.append(entry is not None)
+            if remapping:  # a refill peeks too, at the block it installed
+                resident.append(entry is not None)
             return entry
 
-        ref.plb.peek = peek
+        def remap(*args):
+            remapping.append(True)
+            try:
+                return group_remap(*args)
+            finally:
+                remapping.pop()
+
+        ref.plb.peek, ref._group_remap = peek, remap
         drive(ref, nat, steps=400, seed=5, hot=16, write_share=0.5)
         assert ref.stats.group_remaps > 5
         assert ref.stats.group_relocations > 100
@@ -228,6 +229,32 @@ class TestLockstepAfterEveryAccess:
         ref, nat = pair("PIC_X32", leaf_cache_entries=0)
         drive(ref, nat, steps=200, seed=4)
         assert not nat.crypto.prf._leaf_cache and not ref.crypto.prf.cache_hits
+
+    def test_leaf_cache_limit_changed_mid_run(self):
+        """The limit is read per miss: shrunk below the occupancy (each
+        miss then trades the oldest entry for the new one, the count
+        stays), set to 0 (nothing stored, what is held still hits),
+        raised (the columns grow again) — the LRU compared after every
+        access."""
+        ref, nat = pair("PI_X8", leaf_cache_entries=48)
+        prfs = ref.crypto.prf, nat.crypto.prf
+        drive(ref, nat, steps=120, seed=21)
+        assert len(nat.crypto.prf._leaf_cache) == 48
+        for limit, held in ((16, 48), (0, 48), (2000, None)):
+            for prf in prfs:
+                prf._leaf_cache_limit = limit
+            hits = nat.crypto.prf.cache_hits
+            drive(ref, nat, steps=150, seed=limit)
+            if held is not None:
+                assert len(nat.crypto.prf._leaf_cache) == held
+            assert nat.crypto.prf.cache_hits > hits
+        assert len(nat.crypto.prf._leaf_cache) > 400
+
+    def test_full_associativity_scans_one_set(self):
+        ref, nat = pair("PIC_X32/full")
+        drive(ref, nat, steps=300, seed=13, hot=256)
+        assert nat.plb.num_sets == 1 and nat.plb.ways == 8
+        assert len(nat.plb) == 8 and ref.stats.plb_evictions > 50
 
     def test_single_level_recursion_has_no_plb_traffic(self):
         """Everything resolves on-chip: no lookup, no hit, no miss."""
@@ -247,10 +274,16 @@ class TestLockstepAfterEveryAccess:
         assert nat._kernel is kernel
         drive(ref, nat, steps=150, seed=7)
 
-    def test_python_path_and_kernel_interleave_on_one_state(self):
+    @pytest.mark.parametrize(
+        "name, entries",
+        [("PIC_X32/beta=2", None), ("PIC_X32/full", 8), ("P_X16", None)],
+    )
+    def test_python_path_and_kernel_interleave_on_one_state(self, name, entries):
         """One copy of state: requests may alternate between the handle
-        and the interpreted body without either noticing."""
-        ref, nat = pair("PIC_X32/beta=2")
+        and the interpreted body without either noticing — the columns
+        one leaves are the columns the other finds, an 8-entry LRU
+        evicting on nearly every miss among them."""
+        ref, nat = pair(name, leaf_cache_entries=entries)
         kernel = nat._kernel
         rng = DeterministicRng(12)
         for index in range(300):
@@ -284,9 +317,24 @@ class TestVendoredBlake2b:
         assert CORE.blake2b(key, message, digest_size) == expected
 
     def test_rfc_7693_appendix_a(self):
-        assert CORE.blake2b(b"", b"abc", 64).hex().startswith(
+        assert CORE.blake2b(b"", b"abc", 64).hex() == (
             "ba80a53f981c4d0d6a2797b69f12f6e94c212f14685ac4b74b12bb6fdbffa2d1"
+            "7d87c5392aab792dc252d5de4533cc9518d38aa8dbf1925ab92386edd4009923"
         )
+
+    @pytest.mark.parametrize("length", (0, 1, 127, 128, 129, 255, 256, 257))
+    @pytest.mark.parametrize("key", (b"", b"k", b"K" * 64))
+    def test_block_boundaries(self, length, key):
+        """An empty message, one byte, and one byte either side of every
+        128-byte block edge: where the last-block flag and the buffered
+        key block change hands."""
+        message = bytes(range(256)) * 2
+        for digest_size in (1, 16, 28, 64):
+            assert CORE.blake2b(key, message[:length], digest_size) == (
+                hashlib.blake2b(
+                    message[:length], key=key, digest_size=digest_size
+                ).digest()
+            )
 
     @pytest.mark.parametrize(
         "args", [(b"k" * 65, b"", 16), (b"", b"", 0), (b"", b"", 65)]
@@ -298,6 +346,53 @@ class TestVendoredBlake2b:
     def test_rejects_non_bytes(self):
         with pytest.raises(TypeError):
             CORE.blake2b("key", b"", 16)
+
+
+# ---------------------------------------------------------------------------
+# The leaf LRU's bucket hash
+# ---------------------------------------------------------------------------
+
+
+class TestLeafLruHash:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        address=st.integers(0, 2**64 - 1),
+        count=st.integers(0, 2**96 - 1),
+        levels=st.integers(1, 64),
+        subblock=st.integers(0, 2**32 - 1),
+        buckets=st.integers(0, 20),
+    )
+    def test_python_and_c_place_every_key_in_the_same_bucket(
+        self, address, count, levels, subblock, buckets
+    ):
+        """The multiply-xor-shift is spelled twice; a key hashed by one
+        spelling must be found by the other, whatever the table size."""
+        low, high = count & (2**64 - 1), (count >> 64 << 32) | subblock
+        native = CORE.lru_hash(address, low, high, levels)
+        assert native == lru_hash(address, low, high, levels)
+        assert native & ((1 << buckets) - 1) == (
+            lru_hash(address, low, high, levels) & ((1 << buckets) - 1)
+        )
+
+    def test_a_key_put_by_one_spelling_is_found_by_the_other(self):
+        """End to end: leaves the kernel derived and stored are hits for
+        the interpreted ``leaf_for`` — same node, same leaf — and the
+        other way round."""
+        ref, nat = pair("PIC_X32")
+        drive(ref, nat, steps=40, seed=31)
+        held = list(nat.crypto.prf._leaf_cache.items())
+        assert len(held) > 40
+        for prf in (ref.crypto.prf, nat.crypto.prf):
+            hits = prf.cache_hits
+            for (address, count, levels, subblock), leaf in held:
+                assert prf.leaf_for(address, count, levels, subblock) == leaf
+            assert prf.cache_hits == hits + len(held)
+            for address in range(2**20, 2**20 + 50):
+                prf.leaf_for(address, 2**70 + address, nat.config.levels)
+        drive(ref, nat, steps=40, seed=32)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +436,101 @@ class TestErrorParity:
             )
         assert ref.stats.accesses == before + 3
         drive(ref, nat, steps=50, seed=2)
+
+    def first_failure(self, ref, nat, steps, seed, hot):
+        """Drive both in lockstep until a request fails; it must fail on
+        both, with one exception and one state left behind."""
+        rng = DeterministicRng(seed)
+        for index in range(steps):
+            addr = rng.randrange(hot)
+            errors = []
+            for frontend in (ref, nat):
+                try:
+                    frontend.access(addr)
+                except Exception as exc:  # noqa: BLE001 - compared below
+                    errors.append((type(exc), str(exc)))
+            assert len(errors) in (0, 2), (index, errors)
+            assert_same_state(ref, nat, index)
+            if errors:
+                assert errors[0] == errors[1]
+                return errors[0]
+        raise AssertionError("no request failed")
+
+    def test_onchip_counter_overflow(self):
+        ref, nat = pair("PIC_X32")
+        drive(ref, nat, steps=30, seed=1)
+        for frontend in (ref, nat):
+            table = frontend.posmap._table
+            table[0] = 2**64 - 1
+        for frontend in (ref, nat):
+            frontend.plb.tags[:] = type(frontend.plb.tags)("q", [-1] * 8)
+        assert self.both_raise(ref, nat, 0) == (
+            ConfigurationError, "on-chip counter overflow"
+        )
+
+    def test_group_counter_overflow(self):
+        """alpha = 2: the fourth rollover of one group has no GC left."""
+        ref, nat = pair("PC_X32/beta=2", compressed_alpha=2)
+        assert self.first_failure(ref, nat, steps=400, seed=5, hot=8) == (
+            ConfigurationError, "group counter overflow (alpha too small)"
+        )
+        assert ref.stats.group_remaps >= 3
+
+    def test_duplicate_plb_insert(self):
+        """Only a draw that installs the block behind the request's back
+        gets there (P_X16 draws between the lookup loop and the refill):
+        the clock has ticked, the refill's tree access has committed."""
+        from test_native_boundary import cold_address
+
+        ref, nat = pair("P_X16")
+        drive(ref, nat, steps=60, seed=3)
+        addr, fanout = cold_address(ref), ref.space.fanout
+        for frontend in (ref, nat):
+            real = frontend.rng._getrandbits
+            armed = [True]
+
+            def hostile(bits, plb=frontend.plb, real=real, armed=armed):
+                if armed:
+                    armed.pop()
+                    # Straight into the tag column (``plb._clock`` is
+                    # folded per slice, not per draw): the way of its set.
+                    tag = (1 << 48) | (addr // fanout)
+                    plb.tags[plb._set_index(tag) * plb.ways] = tag
+                return real(bits)
+
+            frontend.rng._getrandbits = hostile
+        nat._kernel = None
+        engage(nat)  # bind the hostile draw
+        assert self.both_raise(ref, nat, addr) == (
+            ValueError, "block already resident in PLB"
+        )
+
+    def test_onchip_index_out_of_range(self):
+        """A handle told of fewer on-chip entries than the chain reaches
+        refuses in ``OnChipPosMap.lookup_and_remap``'s words."""
+        from repro.frontend.posmap import OnChipPosMap
+        from test_native_boundary import frontend_kernel_args
+
+        frontend = build("PI_X8", num_blocks=2**12, onchip_entries=8)
+        frontend.backend.enable_native_kernel(CORE)
+        args = frontend_kernel_args(frontend)
+        top = args["geometry"][3][-1]
+        assert top > 1
+        args["geometry"] = args["geometry"][:6] + (1,)
+        kernel = CORE.FrontendKernel(*args.values())
+        messages = []
+        for call in (
+            lambda: kernel.access(frontend.num_blocks - 1, Op.READ, None),
+            lambda: OnChipPosMap(
+                entries=1, levels=4, mode="counter", prf=frontend.crypto.prf
+            ).lookup_and_remap(top - 1, 0),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == (
+            f"on-chip PosMap index {top - 1} out of range"
+        )
 
     def written_then_mutated(self, tiers, size):
         """WRITE a bytearray and a memoryview of one, scribble on the
@@ -581,6 +771,32 @@ class TestStructure:
         assert len(arena) >= 2 * 512
         occupancy = nat.backend.stash.occupancy_stats
         assert occupancy.max >= 4 and occupancy.mean > 0.5
+        assert_same_state(ref, nat, "after the slice")
+
+    def test_a_slice_with_an_lru_growth_and_evictions_on_a_two_way_plb(self):
+        """A 1 100-entry LRU outgrows its first chunk of 1 024 nodes and
+        then evicts on every miss, all inside one C call on each side
+        (``_grow()`` is the one Python frame; the PLB is 2-way, so victim
+        choice scans stamps): the sanitizer lane's frontend slice."""
+        ref, nat = pair("PIC_X32/2-way", leaf_cache_entries=1100)
+        rng = DeterministicRng(23)
+        addrs = [rng.randrange(ref.num_blocks) for _ in range(900)]
+        writes = [index % 4 == 0 for index in range(900)]
+        payload = bytes(range(ref.config.block_bytes))
+        lru = nat.crypto.prf._leaf_cache
+        assert len(lru.prev) == 1 and nat.plb.ways == 2
+        (_, entered), (counts, entered_nat) = (
+            python_frames_during(
+                lambda: CORE.run_access_loop(
+                    frontend.access, addrs, writes, Op.READ, Op.WRITE, payload
+                )
+            )
+            for frontend in (ref, nat)
+        )
+        assert len(counts) == 900
+        assert "_grow" in entered_nat and set(entered_nat) <= {"_grow"}
+        assert len(lru) == 1100 and len(lru.prev) == 2049
+        assert nat.crypto.prf.call_count - nat.crypto.prf.cache_hits > 1500
         assert_same_state(ref, nat, "after the slice")
 
     def test_an_observer_mid_slice_reads_the_per_request_counters(self):

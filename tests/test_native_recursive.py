@@ -40,7 +40,9 @@ from repro.utils.rng import DeterministicRng
 
 from test_native_frontend import python_frames_during
 from test_native_replay import CountingKernel
-from test_replay_differential import chunked, make_trace, stats_image
+from test_replay_differential import (
+    chunked, frontend_columns, make_trace, stats_image,
+)
 
 CORE = load_native_core()
 pytestmark = pytest.mark.skipif(
@@ -82,12 +84,10 @@ def pair(name, **kwargs):
 
 def full_state(frontend):
     """Everything the bit-identity contract names, for one frontend."""
-    posmap = frontend.posmap
     return {
         "stats": stats_image(frontend),
         "rng": frontend.rng._rng.getstate(),
-        "onchip": (list(posmap._table), bytes(posmap._touched)),
-        "touched": [bytes(bitmap) for bitmap in frontend._touched],
+        **frontend_columns(frontend),
         "trees": [tree_digest(b.storage) for b in frontend.backends],
         "stashes": [b.stash_snapshot() for b in frontend.backends],
         "backends": [

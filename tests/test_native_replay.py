@@ -344,6 +344,81 @@ class TestNoObjectPerTreeAccess:
         assert grown < 2000
 
 
+@needs_core
+class TestNoObjectPerRequest:
+    """The frontend sibling: a processor request on the ``FrontendKernel``
+    makes no tracked Python object either — no key tuple or boxed leaf
+    for the PRF's LRU, no ``PlbEntry`` per refill, no boxed tag per PLB
+    probe. Each bound fails at the parent (an ``OrderedDict`` LRU keyed
+    by 4-tuples, a tag ``dict`` over ``PlbEntry`` objects)."""
+
+    BLOCKS = 2**18
+
+    @pytest.fixture(scope="class")
+    def warmed(self):
+        """``replay_posmap_bound``'s system: PIC_X32, 2^18 blocks, uniform
+        addresses, 30 % writes, 2 000 events of warm-up."""
+        frontend = build_frontend(
+            "PIC_X32", num_blocks=self.BLOCKS, rng=DeterministicRng(7),
+            storage="columnar",
+        )
+        ReplayEngine(frontend, OramTimingModel(1000.0)).enable_native(CORE)
+        assert isinstance(frontend._kernel, CORE.FrontendKernel)
+        rng = DeterministicRng(9)
+
+        def run(events):
+            addrs = [rng.randrange(self.BLOCKS) for _ in range(events)]
+            writes = [rng.random() < 0.3 for _ in range(events)]
+            payload = bytes(frontend.config.block_bytes)
+            return CORE.run_access_loop(
+                frontend.access, addrs, writes, Op.READ, Op.WRITE, payload
+            )
+
+        run(2000)
+        return frontend, run
+
+    def test_a_slice_leaves_nothing_for_the_collector(self, warmed):
+        """400 uniform events, C to C: the result list and an arena or
+        LRU chunk now and then (parent: 1 589, four a request)."""
+        frontend, run = warmed
+        with collector_off():
+            before = gc.get_count()[0]
+            counts = run(400)
+            moved = gc.get_count()[0] - before
+        assert len(counts) == 400
+        assert moved < 100
+
+    def test_six_thousand_events_leave_no_objects_behind(self, warmed):
+        """Parent: 21 916 more tracked objects, the LRU's key tuples."""
+        frontend, run = warmed
+        prf = frontend.crypto.prf
+        held = len(prf._leaf_cache)
+        with collector_off():
+            before = len(gc.get_objects())
+            run(6000)
+            grown = len(gc.get_objects()) - before
+        assert len(prf._leaf_cache) > held + 10_000  # the LRU did fill
+        assert grown < 500
+
+    def test_no_frontend_container_scales_with_the_run(self, warmed):
+        """Afterwards the PRF, its LRU, the PLB and the on-chip PosMap
+        hold typed columns and scalars: no list, dict, tuple (or
+        ``OrderedDict``, a dict) longer than 64."""
+        frontend, run = warmed
+        run(400)
+        prf = frontend.crypto.prf
+        assert len(prf._leaf_cache) > 5000
+        for owner in (prf, prf._leaf_cache, frontend.plb, frontend.posmap):
+            for name, value in vars(owner).items():
+                if isinstance(value, (list, dict, tuple)):
+                    assert len(value) <= 64, (type(owner).__name__, name)
+        assert all(
+            type(getattr(frontend.plb, name)) in (array, bytearray)
+            for name in ("tags", "leaves", "counters", "last_use", "payload")
+        )
+        assert type(frontend.posmap._table) is array
+
+
 # ---------------------------------------------------------------------------
 # Error-path identity (C messages + transactional rollback)
 # ---------------------------------------------------------------------------

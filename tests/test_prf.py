@@ -99,3 +99,69 @@ class TestDistribution:
             assert prf.eval_int(
                 a1.to_bytes(8, "little") + c1.to_bytes(12, "little"), 64
             ) != prf.eval_int(a2.to_bytes(8, "little") + c2.to_bytes(12, "little"), 64)
+
+
+@pytest.mark.parametrize("mode", [Prf.MODE_FAST, Prf.MODE_AES])
+class TestPeeksHaveNoSideEffects:
+    """A diagnostic read of a leaf is no PRF call: ``call_count`` is the
+    hash-bandwidth figure behind ``SimResult.prf_calls`` and the LRU's
+    order decides later ``prf_cache_hits``, so ``OnChipPosMap.peek_leaf``
+    and both counter formats' ``leaf_of`` derive through
+    ``Prf.peek_leaf``, which moves neither. At the parent one
+    ``peek_leaf(3, 3)`` took ``call_count`` 4 -> 5 and replaced
+    ``(4, 0, 10, 0)`` in a two-entry cache with ``(3, 1, 10, 0)``."""
+
+    KEY = b"0123456789abcdef"
+
+    def image(self, prf):
+        return prf.call_count, prf.cache_hits, list(prf._leaf_cache.items())
+
+    def test_prf_peek_leaf_is_leaf_for_without_the_bookkeeping(self, mode):
+        peeked, counted = Prf(self.KEY, mode), Prf(self.KEY, mode)
+        for address, count, levels, subblock in (
+            (3, 0, 10, 0), (3, 1, 10, 0), (2**40, 2**70, 24, 5), (9, 4, 0, 0),
+        ):
+            assert peeked.peek_leaf(address, count, levels, subblock) == (
+                counted.leaf_for(address, count, levels, subblock)
+            )
+        assert self.image(peeked) == (0, 0, [])
+        assert counted.call_count == 3
+
+    def test_onchip_peek_leaf(self, mode):
+        from repro.frontend.posmap import OnChipPosMap
+
+        prf = Prf(self.KEY, mode, leaf_cache_entries=2)
+        posmap = OnChipPosMap(
+            entries=8, levels=10, mode=OnChipPosMap.MODE_COUNTER, prf=prf
+        )
+        posmap.lookup_and_remap(3, 3)
+        _, newest, _ = posmap.lookup_and_remap(4, 4)
+        before = self.image(prf)
+        assert before[0] == 4 and [key for key, _ in before[2]] == [
+            (4, 0, 10, 0), (4, 1, 10, 0)
+        ]
+        assert posmap.peek_leaf(3, 3) == Prf(self.KEY, mode).leaf_for(3, 1, 10)
+        assert posmap.peek_leaf(4, 4) == newest
+        assert self.image(prf) == before
+
+    @pytest.mark.parametrize("kind", ["flat", "compressed"])
+    def test_format_leaf_of(self, mode, kind):
+        from repro.frontend.formats import (
+            CompressedPosMapFormat, FlatCounterPosMapFormat,
+        )
+
+        prf = Prf(self.KEY, mode, leaf_cache_entries=2)
+        fmt = (
+            FlatCounterPosMapFormat(64, 12, prf) if kind == "flat"
+            else CompressedPosMapFormat(64, 12, prf)
+        )
+        data = bytearray(fmt.initial_block())
+        fmt.remap(data, 1, 101, None)
+        remapped = fmt.remap(data, 2, 102, None)
+        before = self.image(prf)
+        assert before[0] == 4
+        assert fmt.leaf_of(bytes(data), 2, 102) == remapped.new_leaf
+        assert fmt.leaf_of(bytes(data), 1, 101) == (
+            Prf(self.KEY, mode).leaf_for(101, fmt.counter_of(bytes(data), 1), 12)
+        )
+        assert self.image(prf) == before

@@ -3,14 +3,17 @@
 The batched spelling must be bit-identical to the equivalent scalar call
 sequence — leaves, ``call_count``, ``cache_hits`` and the LRU state it
 leaves behind — across cache-hit/miss mixes, empty/singleton batches,
-disabled caches, eviction pressure and both PRF primitives.
+disabled caches, eviction pressure and both PRF primitives. The last
+class pins the ``LeafLru`` column layout the native ``FrontendKernel``
+probes and fills in place (this file runs in the compiled CI lane for
+that reason).
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.prf import Prf
+from repro.crypto.prf import NODE_WORDS, LeafLru, Prf, lru_hash
 
 KEY = b"batched-prf-key!"
 
@@ -183,3 +186,88 @@ class TestLeafLruEviction:
                 prf.leaf_for(addr, 0, 16)
         assert len(prf._leaf_cache) == 8
         assert prf.cache_hits > 0
+
+
+class TestLeafLruColumns:
+    def test_a_node_is_key_words_then_leaf_and_node_zero_the_sentinel(self):
+        prf = Prf(KEY, leaf_cache_entries=4)
+        lru = prf._leaf_cache
+        assert (lru.nodes.typecode, lru.prev.typecode) == ("Q", "i")
+        assert len(lru.nodes) == NODE_WORDS and len(lru.heads) == 4
+        count = (7 << 64) | 5
+        leaf = prf.leaf_for(3, count, 16, subblock=2)
+        assert lru.nodes[0] == len(lru) == 1  # the sentinel's word: the count
+        assert lru.nodes[NODE_WORDS : 2 * NODE_WORDS].tolist() == [
+            3, 5, (7 << 32) | 2, 16, leaf
+        ]
+        bucket = lru_hash(3, 5, (7 << 32) | 2, 16) & 3
+        assert lru.heads[bucket] == 1 and lru.chain[1] == 0
+        assert (lru.next[0], lru.prev[0], lru.next[1], lru.prev[1]) == (1, 1, 0, 0)
+        assert list(lru.items()) == [((3, count, 16, 2), leaf)]
+
+    def test_an_eviction_reuses_the_node_it_frees(self):
+        prf = Prf(KEY, leaf_cache_entries=3)
+        lru = prf._leaf_cache
+        for addr in range(40):
+            prf.leaf_for(addr, 0, 16)
+        assert len(lru) == 3 and [key[0] for key in lru] == [37, 38, 39]
+        used = {lru.next[0], lru.next[lru.next[0]], lru.prev[0]}
+        assert used == {1, 2, 3}  # entries are nodes 1..len, no free list
+        assert len(lru.prev) == len(lru.next) == len(lru.chain) == 1025
+        assert len(lru.nodes) == 1025 * NODE_WORDS  # one chunk, grown once
+        chained = []
+        for head in lru.heads:
+            while head:
+                chained.append(head)
+                head = lru.chain[head]
+        assert sorted(chained) == [1, 2, 3]
+
+    def test_the_columns_grow_a_chunk_at_a_time(self):
+        prf = Prf(KEY)
+        lru = prf._leaf_cache
+        assert len(lru.heads) == 1 << 16
+        for addr in range(1500):
+            prf.leaf_for(addr, 0, 16)
+        assert len(lru) == 1500 and len(lru.prev) == 2049
+        assert [key[0] for key in lru] == list(range(1500))
+
+    @pytest.mark.parametrize("limit, buckets", [(0, 1), (1, 1), (5, 8), (8, 8), (9, 16)])
+    def test_the_bucket_table_is_a_power_of_two_sized_for_the_limit(
+        self, limit, buckets
+    ):
+        assert len(LeafLru(limit).heads) == buckets
+
+    def test_a_limit_lowered_below_the_occupancy_keeps_the_count(self):
+        prf = Prf(KEY, leaf_cache_entries=8)
+        for addr in range(8):
+            prf.leaf_for(addr, 0, 16)
+        prf._leaf_cache_limit = 3
+        prf.leaf_for(100, 0, 16)
+        assert [key[0] for key in prf._leaf_cache] == [1, 2, 3, 4, 5, 6, 7, 100]
+        prf._leaf_cache_limit = 0
+        prf.leaf_for(101, 0, 16)
+        assert prf.leaf_for(100, 0, 16) and prf.cache_hits == 1
+        assert len(prf._leaf_cache) == 8 and (101, 0, 16, 0) not in prf._leaf_cache
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        count=st.integers(min_value=0, max_value=2**96 - 1),
+        subblock=st.integers(min_value=0, max_value=2**32 - 1),
+        levels=st.integers(min_value=1, max_value=64),
+    )
+    def test_every_packable_key_round_trips(self, count, subblock, levels):
+        prf = Prf(KEY)
+        leaf = prf.leaf_for(9, count, levels, subblock)
+        assert list(prf._leaf_cache.items()) == [((9, count, levels, subblock), leaf)]
+        assert prf.leaf_for(9, count, levels, subblock) == leaf and prf.cache_hits == 1
+
+    def test_an_unpackable_subblock_never_aliases_a_held_key(self):
+        """``count high 32 || subblock`` is one word: a subblock past 32
+        bits must miss (and then fail to pack), not hit its neighbour."""
+        import struct
+
+        prf = Prf(KEY)
+        prf.leaf_for(1, 1 << 64, 16, 0)
+        with pytest.raises(struct.error):
+            prf.leaf_for(1, 0, 16, 1 << 32)
+        assert prf.cache_hits == 0

@@ -95,6 +95,39 @@ def stats_image(frontend):
     }
 
 
+def frontend_columns(frontend):
+    """The frontend state that lives in typed columns, as both tiers and
+    both fast-tier spellings must leave it: the on-chip column and the
+    first-touch bitmaps, and for a PLB frontend the PLB's five columns
+    whole (set by set, way order and what an empty way was left holding
+    included) plus the same through ``entries()``, the PRF's LRU in
+    recency order with its leaves, and every counter beside them."""
+    posmap = frontend.posmap
+    image = {
+        "onchip": (posmap._table.tolist(), bytes(posmap._touched)),
+        "touched": [
+            None if bitmap is None else bytes(bitmap)
+            for bitmap in frontend._touched
+        ],
+    }
+    plb = getattr(frontend, "plb", None)
+    if plb is not None:
+        prf, mac = frontend.crypto.prf, frontend.crypto.mac
+        image.update(
+            plb=(
+                plb.tags.tolist(), plb.leaves.tolist(), plb.counters.tolist(),
+                plb.last_use.tolist(), bytes(plb.payload),
+            ),
+            plb_entries=[
+                dataclasses.astuple(entry.detach()) for entry in plb.entries()
+            ],
+            plb_counters=(plb._clock, plb.hits, plb.misses),
+            prf=(prf.call_count, prf.cache_hits, list(prf._leaf_cache.items())),
+            mac=(mac.call_count, mac.bytes_hashed),
+        )
+    return image
+
+
 ALL_SCHEMES = ("R_X8", "P_X16", "PC_X32", "PI_X8", "PIC_X32")
 
 SEEDS = (8, 91, 2015)
@@ -136,6 +169,7 @@ class TestLockstep:
             assert expected.prf_cache_hits == got.prf_cache_hits, context
             assert repr(expected.cycles) == repr(got.cycles), context
             assert stats_image(reference) == stats_image(fast), context
+            assert frontend_columns(reference) == frontend_columns(fast), context
             assert frontend_stashes(reference) == frontend_stashes(fast), context
             assert frontend_digests(reference) == frontend_digests(fast), context
         # The comparison only means something if the tiers really differ.
