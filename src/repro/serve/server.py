@@ -11,14 +11,22 @@ trace (see :func:`serve_replay_equivalent` and
 ``tests/test_serve_lockstep.py``).
 
 Scheduling is epoch-based, and every simulated outcome is decided by
-three shared, deterministic steps:
+three shared, deterministic steps, each one pass over request *columns*
+— no object is built per request. A tenant's stream is three columns
+made once at construction (global block address, write flag, shard
+route); a shard's **epoch queue** (:class:`_EpochQueue`) is four
+parallel lists — ``tenants``, ``addrs`` (shard-local), ``writes``,
+``deadlines`` — in admission order, which is also the shape of a shard's
+parked backlog; execution adds the ``latencies`` and ``walls`` columns.
 
 1. **Admission** (:meth:`OramService._admit`) — each tenant offers up
    to ``burst`` requests; offers are ordered earliest-deadline-first
    (ties and deadline-free requests fall back to (tenant index, stream
    position) — with no deadlines configured the EDF order *is* the
    historical FIFO order, bit for bit) and routed to shards by an
-   address hash. Per-shard epoch queues are bounded by
+   address hash. The order is a sequence of (tenant, run length) and
+   each run walks its tenant's columns from the cursor, appending to
+   the routed shard's epoch queue. Per-shard epoch queues are bounded by
    ``queue_capacity``; an arrival at a full queue is either **shed**
    (dropped permanently, counted, cursor advances), **deferred** (the
    tenant stops issuing for this epoch and retries the same request
@@ -28,13 +36,26 @@ three shared, deterministic steps:
    (see :mod:`repro.resilience`) are enforced here too — admission is
    the single mutation site for every overload decision.
 2. **Execution** (:meth:`OramShard.execute`) — each shard drains its
-   epoch queue in admission (ticket) order, coalesced into
-   ``max_batch``-sized runs through ``ReplayEngine.run_batch``.
+   epoch queue in admission (ticket) order, handing ``max_batch``-sized
+   slices of the queue's own columns to ``ReplayEngine.run_batch`` and
+   appending what comes back to the queue's output columns.
    Shards are mutually independent, so they may run in any interleaving.
 3. **Accounting** (:meth:`OramService._account`) — after the epoch
-   barrier, per-tenant counters/histograms are updated in (shard index,
-   queue position) order. Simulated queue wait is the prefix sum of
-   service latencies ahead of a request in its shard's epoch queue.
+   barrier, in (shard index, queue position) order. Simulated queue wait
+   is the prefix sum of service latencies ahead of a request in its
+   shard's epoch queue, so the running sum of a queue's latencies *is*
+   its ``wait + latency`` column. Deadlines are judged per request; the
+   (tenant, service, total, wall) columns go to a service-level log that
+   is folded into the per-tenant histograms
+   (:meth:`~repro.serve.stats.LatencyHistogram.record_many`) when it
+   passes :data:`LOG_FOLD_LENGTH` rows, at the end of ``run`` and before
+   any read (``report()``, ``tenant_stats``) — memory stays bounded and
+   a reader never sees a stale histogram.
+
+Wall time is observational and stamped twice per batch, not per
+request: once per epoch when admission starts and once per ``run_batch``
+when it returns, so a request's ``wall_us`` runs from the admission
+stamp of the epoch that admitted it to the completion of its batch.
 
 The serial driver (:meth:`OramService.run_serial`) and the asyncio
 driver (:meth:`OramService.run_async` — real tenant client tasks, an
@@ -50,7 +71,9 @@ import math
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate, groupby
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ReproError
 from repro.faults import active as faults_active
@@ -62,12 +85,16 @@ from repro.sim.runner import SimulationRunner
 from repro.sim.system import base_cycles
 from repro.serve.stats import ShardStats, TenantStats
 from repro.serve.workload import (
-    Request,
     TenantSpec,
     tenant_region_blocks,
     tenant_requests,
 )
 from repro.utils.rng import DeterministicRng
+
+try:
+    import numpy as _np
+except ImportError:
+    _np = None
 
 #: Backpressure policies for a full shard queue. ``throttle`` defers
 #: *and* puts the tenant on a ``throttle_epochs`` cooldown, so a tenant
@@ -85,9 +112,42 @@ ADMISSION_ORDERS = ("edf", "fifo")
 #: it; ``num_blocks`` is always overridden with the pool capacity).
 _SIZING_FALLBACK = "mcf"
 
+#: Rows the accounting log may hold before it is folded into the
+#: per-tenant histograms (a few epochs' worth at any realistic shape).
+LOG_FOLD_LENGTH = 4096
+
 
 def _next_pow2(n: int) -> int:
     return 1 << max(n - 1, 1).bit_length() if n > 1 else 1
+
+
+def _shard_index(global_addr: int, shards: int) -> int:
+    """The shard a global block address lives on: a CRC of its 8 bytes."""
+    if shards == 1:
+        return 0
+    return zlib.crc32(global_addr.to_bytes(8, "little", signed=True)) % shards
+
+
+def _crc32_table():
+    table = _np.arange(256, dtype=_np.uint32)
+    for _ in range(8):
+        table = _np.where(table & 1, (table >> 1) ^ 0xEDB88320, table >> 1)
+    return table.astype(_np.uint32)
+
+
+_CRC32_TABLE = _crc32_table() if _np is not None else None
+
+
+def _route_column(global_addrs: Sequence[int], shards: int) -> List[int]:
+    """``_shard_index`` of every address: table-driven over the whole
+    column with numpy, one scalar call per address without it."""
+    if _np is None:
+        return [_shard_index(addr, shards) for addr in global_addrs]
+    octets = _np.array(global_addrs, dtype="<i8").view(_np.uint8).reshape(-1, 8)
+    crc = _np.full(len(octets), 0xFFFFFFFF, dtype=_np.uint32)
+    for column in range(8):
+        crc = _CRC32_TABLE[(crc ^ octets[:, column]) & 0xFF] ^ (crc >> 8)
+    return ((crc ^ 0xFFFFFFFF) % shards).tolist()
 
 
 @dataclass(frozen=True)
@@ -151,32 +211,40 @@ class ServeConfig:
         }
 
 
-class _Admitted:
-    """One admitted request in a shard's epoch queue.
+class _EpochQueue:
+    """One shard's admitted requests of an epoch, as parallel columns.
 
-    ``deadline`` is the request's absolute deadline on the service's
-    virtual clock (None when its tenant has no SLO); it rides along so
-    post-barrier accounting can judge misses without re-deriving
-    admission history.
+    Row *i* is the *i*-th request admitted: its tenant index, shard-local
+    address, write flag and absolute deadline on the service's virtual
+    clock (None when its tenant has no SLO). Execution adds the two
+    output columns: ``latencies`` (simulated service cycles) and
+    ``walls`` (microseconds from the row's admission stamp to the
+    completion of its batch).
+
+    ``stamp`` is the wall clock when the epoch that filled the queue
+    began admitting. A backlog is filled over several epochs, so it
+    keeps one stamp per row in ``stamps``; an ordinary queue's ``stamps``
+    covers only the rows it took over from a drained backlog, at its
+    front.
     """
 
     __slots__ = (
-        "tenant", "local_addr", "is_write", "deadline", "wall_start", "wall_end"
+        "tenants", "addrs", "writes", "deadlines", "latencies", "walls",
+        "stamps", "stamp",
     )
 
-    def __init__(
-        self,
-        tenant: int,
-        local_addr: int,
-        is_write: bool,
-        deadline: Optional[float] = None,
-    ):
-        self.tenant = tenant
-        self.local_addr = local_addr
-        self.is_write = is_write
-        self.deadline = deadline
-        self.wall_start = time.perf_counter()
-        self.wall_end = self.wall_start
+    def __init__(self) -> None:
+        self.tenants: List[int] = []
+        self.addrs: List[int] = []
+        self.writes: List[bool] = []
+        self.deadlines: List[Optional[float]] = []
+        self.latencies: List[float] = []
+        self.walls: List[float] = []
+        self.stamps: List[float] = []
+        self.stamp = 0.0
+
+    def __len__(self) -> int:
+        return len(self.addrs)
 
 
 class OramShard:
@@ -214,7 +282,7 @@ class OramShard:
         # queue. Both fields only change inside the shared deterministic
         # steps, so serial and asyncio drivers see identical failovers.
         self.down_epochs = 0
-        self.backlog: List[_Admitted] = []
+        self.backlog = _EpochQueue()
 
     @property
     def available(self) -> bool:
@@ -240,51 +308,44 @@ class OramShard:
             self._directory[global_addr] = local
         return local
 
-    def _run_chunk(
-        self, chunk: Sequence[_Admitted]
-    ) -> List[Tuple[_Admitted, float]]:
-        """One coalesced ``run_batch`` over a slice of the epoch queue."""
-        latencies = self.engine.run_batch(
-            [r.local_addr for r in chunk], [r.is_write for r in chunk]
-        )
+    def _run_chunk(self, queue: _EpochQueue, start: int) -> None:
+        """One ``run_batch`` over the queue's rows from ``start``."""
+        stop = start + self.max_batch
+        addrs = queue.addrs[start:stop]
+        writes = queue.writes[start:stop]
+        # Looked up per call: tracing wraps the engine's attribute.
+        latencies = self.engine.run_batch(addrs, writes)
         end = time.perf_counter()
-        out = []
-        for request, latency in zip(chunk, latencies):
-            self.stats.record_access(
-                request.tenant, request.local_addr, request.is_write
-            )
-            self.stats.busy_cycles += latency
-            request.wall_end = end
-            out.append((request, latency))
-        self.stats.batches += 1
-        return out
+        self.stats.record_batch(
+            queue.tenants[start:stop], addrs, writes, latencies
+        )
+        queue.latencies += latencies
+        parked = [(end - stamp) * 1e6 for stamp in queue.stamps[start:stop]]
+        queue.walls += parked
+        queue.walls += [(end - queue.stamp) * 1e6] * (len(addrs) - len(parked))
 
-    def execute(
-        self, requests: Sequence[_Admitted]
-    ) -> List[Tuple[_Admitted, float]]:
+    def execute(self, queue: _EpochQueue) -> None:
         """Drain one epoch queue in ticket order (serial driver)."""
-        executed: List[Tuple[_Admitted, float]] = []
-        for start in range(0, len(requests), self.max_batch):
-            executed.extend(self._run_chunk(requests[start : start + self.max_batch]))
-        if requests:
+        for start in range(0, len(queue), self.max_batch):
+            self._run_chunk(queue, start)
+        if queue:
             self.stats.epochs_busy += 1
-        return executed
 
-    async def execute_async(
-        self, requests: Sequence[_Admitted]
-    ) -> List[Tuple[_Admitted, float]]:
+    async def execute_async(self, queue: _EpochQueue) -> None:
         """Same drain, yielding to the event loop between batches."""
-        executed: List[Tuple[_Admitted, float]] = []
-        for start in range(0, len(requests), self.max_batch):
-            executed.extend(self._run_chunk(requests[start : start + self.max_batch]))
+        for start in range(0, len(queue), self.max_batch):
+            self._run_chunk(queue, start)
             await asyncio.sleep(0)
-        if requests:
+        if queue:
             self.stats.epochs_busy += 1
-        return executed
 
 
 class _TenantState:
     """Mutable serving state of one tenant: stream, cursor, stats, region.
+
+    The stream is three columns indexed by stream position: ``addrs``
+    (global block addresses — the region ``offset`` already added),
+    ``writes`` and ``routes`` (the shard index each address hashes to).
 
     SLO state: ``deadlines`` maps stream index -> absolute deadline for
     requests already offered but not yet resolved (bounded by ``burst``);
@@ -294,19 +355,24 @@ class _TenantState:
     """
 
     __slots__ = (
-        "spec", "stream", "cursor", "offset", "region_blocks", "stats",
-        "deadlines", "last_deadline", "cooldown", "bucket",
+        "spec", "addrs", "writes", "routes", "cursor", "offset",
+        "region_blocks", "stats", "deadlines", "last_deadline", "cooldown",
+        "bucket",
     )
 
     def __init__(
         self,
         spec: TenantSpec,
-        stream: List[Request],
+        addrs: List[int],
+        writes: List[bool],
+        routes: List[int],
         offset: int,
         region_blocks: int,
     ):
         self.spec = spec
-        self.stream = stream
+        self.addrs = addrs
+        self.writes = writes
+        self.routes = routes
         self.cursor = 0
         self.offset = offset
         self.region_blocks = region_blocks
@@ -318,7 +384,7 @@ class _TenantState:
 
     @property
     def remaining(self) -> int:
-        return len(self.stream) - self.cursor
+        return len(self.addrs) - self.cursor
 
 
 class OramService:
@@ -349,9 +415,16 @@ class OramService:
         self._tenants: List[_TenantState] = []
         offset = 0
         for spec in tenants:
-            stream = tenant_requests(spec, self.runner, lines_per_block)
-            region = tenant_region_blocks(spec, self.block_bytes, stream)
-            self._tenants.append(_TenantState(spec, stream, offset, region))
+            addrs, writes = tenant_requests(spec, self.runner, lines_per_block)
+            region = tenant_region_blocks(spec, self.block_bytes, addrs)
+            if offset:
+                addrs = [offset + addr for addr in addrs]
+            self._tenants.append(
+                _TenantState(
+                    spec, addrs, writes, _route_column(addrs, config.shards),
+                    offset, region,
+                )
+            )
             offset += region
         total_blocks = _next_pow2(max(offset, 2))
         if config.shard_blocks is not None:
@@ -392,6 +465,14 @@ class OramService:
         # latencies across all shards — the service-wide simulated time
         # deadlines are judged against.
         self._vclock = 0.0
+        self._has_deadlines = any(
+            t.spec.deadline_cycles is not None for t in self._tenants
+        )
+        # Accounting log: the (tenant, service latency, wait + latency,
+        # wall us) columns of executed requests not yet in a histogram.
+        self._log: Tuple[List[int], List[float], List[float], List[float]] = (
+            [], [], [], []
+        )
         self._min_priority = min(t.spec.priority for t in self._tenants)
         self.degradation = DegradationController(
             config.degrade_after, config.recover_after
@@ -409,34 +490,21 @@ class OramService:
         """
         if self.epochs or any(t.cursor for t in self._tenants):
             raise ReproError("preload must happen before serving starts")
-        shard = self._route(self._tenants[tenant_index].offset + addr)
+        global_addr = self._tenants[tenant_index].offset + addr
+        shard = self.shards[_shard_index(global_addr, self.config.shards)]
         from repro.backend.ops import Op
 
         payload = bytes(data).ljust(self.block_bytes, b"\0")[: self.block_bytes]
-        shard.frontend.access(
-            shard.map_addr(self._tenants[tenant_index].offset + addr),
-            Op.WRITE,
-            payload,
-        )
+        shard.frontend.access(shard.map_addr(global_addr), Op.WRITE, payload)
         shard.engine = ReplayEngine.for_mode(
             shard.frontend, shard.engine.timing, proc=self.runner.proc
         )
 
-    def _shard_index(self, global_addr: int) -> int:
-        if self.config.shards == 1:
-            return 0
-        key = global_addr.to_bytes(8, "little", signed=True)
-        return zlib.crc32(key) % self.config.shards
-
-    def _route(self, global_addr: int) -> OramShard:
-        return self.shards[self._shard_index(global_addr)]
-
     # -- the three deterministic steps -----------------------------------------
 
-    def _next_candidates(self, tenant_index: int) -> List[Request]:
-        """Pure peek: the next ``burst`` requests of one tenant's stream."""
-        state = self._tenants[tenant_index]
-        return state.stream[state.cursor : state.cursor + self.config.burst]
+    def _next_candidates(self, tenant_index: int) -> int:
+        """Pure peek: how many requests one tenant offers this epoch."""
+        return min(self.config.burst, self._tenants[tenant_index].remaining)
 
     def _update_breakers(self) -> None:
         """Consult the fault plan once per shard, in index order.
@@ -475,9 +543,7 @@ class OramService:
             return "shed"
         return self.config.policy
 
-    def _assign_deadlines(
-        self, candidate_lists: Sequence[Sequence[Request]]
-    ) -> None:
+    def _assign_deadlines(self, offers: Sequence[int]) -> None:
         """Stamp absolute deadlines on newly-offered requests.
 
         A request's deadline is the virtual clock at its *first* offer
@@ -493,7 +559,7 @@ class OramService:
         order (an ORAM client's requests are dependent).
         """
         plan = faults_active()
-        for tenant_index, candidates in enumerate(candidate_lists):
+        for tenant_index, offered in enumerate(offers):
             state = self._tenants[tenant_index]
             tighten = 0.0
             if plan is not None:
@@ -506,8 +572,7 @@ class OramService:
                         plan.perform(spec, "serve.deadline", key)
             if state.spec.deadline_cycles is None:
                 continue
-            for position in range(len(candidates)):
-                index = state.cursor + position
+            for index in range(state.cursor, state.cursor + offered):
                 if index in state.deadlines:
                     continue
                 deadline = max(
@@ -517,21 +582,44 @@ class OramService:
                 state.deadlines[index] = deadline
                 state.last_deadline = deadline
 
-    def _admit(
-        self, candidate_lists: Sequence[Sequence[Request]]
-    ) -> List[List[_Admitted]]:
+    def _admission_runs(self, offers: Sequence[int]) -> Iterable[Tuple[int, int]]:
+        """This epoch's offers in admission order, as (tenant, run length).
+
+        The order is earliest-deadline-first (see :data:`ADMISSION_ORDERS`)
+        by ``(absolute deadline, tenant index, stream position)`` with
+        deadline-free requests at +inf. Admission never uses an offer's
+        position — per-tenant deadlines are nondecreasing in stream
+        position, so EDF never reorders a single tenant's own requests
+        and by the time position p comes up the cursor has advanced
+        exactly p slots (or the tenant is blocked) — so consecutive
+        offers of one tenant collapse into a run. With no deadlines
+        configured (or ``fifo`` admission) the order is exactly the
+        historical fixed-tenant-order FIFO — the bit-identity the
+        lockstep suite pins — and needs no sort.
+        """
+        if not (self._has_deadlines and self.config.admission == "edf"):
+            return enumerate(offers)
+        inf = math.inf
+        order = sorted(
+            (state.deadlines.get(state.cursor + position, inf), tenant_index)
+            for tenant_index, (state, offered) in enumerate(
+                zip(self._tenants, offers)
+            )
+            for position in range(offered)
+        )
+        return [
+            (tenant_index, sum(1 for _ in run))
+            for tenant_index, run in groupby(map(itemgetter(1), order))
+        ]
+
+    def _admit(self, offers: Sequence[int]) -> List[_EpochQueue]:
         """Bounded, deadline-aware admission — the single mutation site
         for cursors, shed/defer/throttle counters, quota buckets,
         degradation level, and breaker state.
 
-        Offers are flattened and processed earliest-deadline-first (see
-        :data:`ADMISSION_ORDERS`): the sort key is ``(absolute deadline,
-        tenant index, stream position)`` with deadline-free requests at
-        +inf, so with no deadlines configured the EDF order degenerates
-        to exactly the historical fixed-tenant-order FIFO — the
-        bit-identity the lockstep suite pins. Per-tenant deadlines are
-        nondecreasing in stream position, so EDF never reorders a single
-        tenant's own requests.
+        ``offers[i]`` is how many requests tenant *i* offers, from its
+        cursor on; they are processed in the order of
+        :meth:`_admission_runs`.
 
         A shard with an open breaker executes nothing this epoch: its
         arrivals *park* in the shard backlog (cursor advances, the local
@@ -539,16 +627,26 @@ class OramService:
         therefore the access digest — is unchanged by the failover).
         Parked requests occupy queue capacity, so a long stall applies
         ordinary backpressure. The epoch the breaker closes, the backlog
-        drains to the front of the epoch queue — execution order is
+        becomes the front of the epoch queue — execution order is
         exactly admission order, merely delayed.
         """
+        stamp = time.perf_counter()
         self._update_breakers()
-        self._assign_deadlines(candidate_lists)
-        queues: List[List[_Admitted]] = [[] for _ in self.shards]
-        for shard, queue in zip(self.shards, queues):
+        self._assign_deadlines(offers)
+        shards = self.shards
+        queues: List[_EpochQueue] = []
+        # Where a shard's arrivals go: its epoch queue, or its backlog
+        # while its breaker is open. One of the two is always empty, so
+        # the target's length is the occupancy capacity is judged on.
+        targets: List[_EpochQueue] = []
+        for shard in shards:
             if shard.available and shard.backlog:
-                queue.extend(shard.backlog)
-                shard.backlog.clear()
+                queue, shard.backlog = shard.backlog, _EpochQueue()
+            else:
+                queue = _EpochQueue()
+            queue.stamp = stamp
+            queues.append(queue)
+            targets.append(queue if shard.available else shard.backlog)
         capacity = self.config.queue_capacity
         self._epoch_starved = False
         overloaded = False
@@ -563,78 +661,59 @@ class OramService:
                 blocked[tenant_index] = True
                 if state.remaining:
                     self._epoch_starved = True
-        # Flatten this epoch's offers into EDF order. Stream position is
-        # relative to the tenant's epoch-start cursor; because per-tenant
-        # keys are nondecreasing, by the time position p is processed the
-        # cursor has advanced exactly p slots (or the tenant is blocked).
-        entries: List[Tuple[float, int, int, Request]] = []
-        for tenant_index, candidates in enumerate(candidate_lists):
-            state = self._tenants[tenant_index]
-            for position, request in enumerate(candidates):
-                deadline = state.deadlines.get(state.cursor + position)
-                entries.append(
-                    (
-                        deadline if deadline is not None else math.inf,
-                        tenant_index,
-                        position,
-                        request,
-                    )
-                )
-        if self.config.admission == "edf":
-            entries.sort(key=lambda entry: entry[:3])
-        for _deadline, tenant_index, _position, request in entries:
+        for tenant_index, run in self._admission_runs(offers):
             if blocked[tenant_index]:
                 continue
             state = self._tenants[tenant_index]
-            local_addr, is_write = request
-            global_addr = state.offset + local_addr
-            shard_index = self._shard_index(global_addr)
-            shard = self.shards[shard_index]
-            if state.bucket is not None and not state.bucket.ready:
-                # Quota exhausted: a deterministic pause, not a drop.
-                state.stats.throttled += 1
-                shard.stats.throttled += 1
-                blocked[tenant_index] = True
-                self._epoch_starved = True
-                continue
-            if len(queues[shard_index]) + len(shard.backlog) >= capacity:
-                overloaded = True
-                policy = self._effective_policy(state)
-                if policy == "shed":
-                    state.deadlines.pop(state.cursor, None)
-                    state.cursor += 1
-                    state.stats.issued += 1
-                    state.stats.shed += 1
-                    shard.stats.shed += 1
-                    continue
-                if policy == "throttle":
-                    state.stats.throttled += 1
+            addrs, writes, routes = state.addrs, state.writes, state.routes
+            stats, bucket, deadlines = state.stats, state.bucket, state.deadlines
+            start = cursor = state.cursor
+            stop = cursor + run
+            while cursor < stop:
+                shard_index = routes[cursor]
+                shard = shards[shard_index]
+                if bucket is not None and not bucket.ready:
+                    # Quota exhausted: a deterministic pause, not a drop.
+                    stats.throttled += 1
                     shard.stats.throttled += 1
-                    state.cooldown = self.config.throttle_epochs
                     blocked[tenant_index] = True
-                    continue
-                state.stats.deferred += 1
-                shard.stats.deferred += 1
-                blocked[tenant_index] = True  # defer: retry next epoch
-                continue
-            if state.bucket is not None:
-                state.bucket.take()
-            admitted = _Admitted(
-                tenant_index,
-                shard.map_addr(global_addr),
-                bool(is_write),
-                deadline=state.deadlines.pop(state.cursor, None),
-            )
-            state.cursor += 1
-            state.stats.issued += 1
-            if shard.available:
-                queues[shard_index].append(admitted)
-            else:
-                shard.backlog.append(admitted)
-                shard.stats.parked += 1
-        for shard, queue in zip(self.shards, queues):
+                    self._epoch_starved = True
+                    break
+                target = targets[shard_index]
+                if len(target.addrs) >= capacity:
+                    overloaded = True
+                    policy = self._effective_policy(state)
+                    if policy == "shed":
+                        deadlines.pop(cursor, None)
+                        cursor += 1
+                        stats.shed += 1
+                        shard.stats.shed += 1
+                        continue
+                    blocked[tenant_index] = True  # retry next epoch
+                    if policy == "throttle":
+                        stats.throttled += 1
+                        shard.stats.throttled += 1
+                        state.cooldown = self.config.throttle_epochs
+                    else:
+                        stats.deferred += 1
+                        shard.stats.deferred += 1
+                    break
+                if bucket is not None:
+                    bucket.take()
+                target.tenants.append(tenant_index)
+                target.addrs.append(shard.map_addr(addrs[cursor]))
+                target.writes.append(writes[cursor])
+                target.deadlines.append(deadlines.pop(cursor, None))
+                cursor += 1
+            state.cursor = cursor
+            stats.issued += cursor - start
+        for shard, queue in zip(shards, queues):
             shard.stats.record_depth(len(queue))
             if not shard.available:
+                backlog = shard.backlog
+                parked = len(backlog) - len(backlog.stamps)
+                backlog.stamps += [stamp] * parked
+                shard.stats.parked += parked
                 shard.down_epochs -= 1
                 shard.stats.stall_epochs += 1
         if self._epoch_starved:
@@ -642,10 +721,7 @@ class OramService:
         self.degradation.observe(self.epochs, overloaded)
         return queues
 
-    def _account(
-        self,
-        executed_by_shard: Sequence[Optional[List[Tuple[_Admitted, float]]]],
-    ) -> None:
+    def _account(self, queues: Sequence[_EpochQueue]) -> None:
         """Post-barrier accounting in (shard index, queue position) order.
 
         Deadline judging: every shard starts the epoch at the service's
@@ -657,27 +733,46 @@ class OramService:
         """
         epoch_start = self._vclock
         executed_cycles = 0.0
-        for executed in executed_by_shard:
-            if not executed:
-                continue
-            wait = 0.0
-            for request, latency in executed:
-                stats = self._tenants[request.tenant].stats
-                stats.completed += 1
-                stats.cycles += latency
-                stats.service_cycles.record(latency)
-                stats.latency_cycles.record(wait + latency)
-                stats.wall_us.record(
-                    (request.wall_end - request.wall_start) * 1e6
-                )
-                if request.deadline is not None:
-                    slack = request.deadline - (epoch_start + wait + latency)
+        log_tenants, log_service, log_total, log_wall = self._log
+        for queue in queues:
+            latencies = queue.latencies
+            totals = list(accumulate(latencies))
+            log_tenants += queue.tenants
+            log_service += latencies
+            log_total += totals
+            log_wall += queue.walls
+            for latency in latencies:
+                executed_cycles += latency
+            for row, deadline in enumerate(queue.deadlines):
+                if deadline is not None:
+                    stats = self._tenants[queue.tenants[row]].stats
+                    wait = totals[row - 1] if row else 0.0
+                    slack = deadline - (epoch_start + wait + latencies[row])
                     if slack < 0:
                         stats.missed += 1
                     stats.slack_cycles.record(max(slack, 0.0))
-                wait += latency
-                executed_cycles += latency
         self._vclock += executed_cycles
+        if len(log_tenants) >= LOG_FOLD_LENGTH:
+            self._fold_log()
+
+    def _fold_log(self) -> None:
+        """Fold the accounting log into the per-tenant histograms.
+
+        Rows are in execution-accounting order, so splitting them by
+        tenant keeps each tenant's own order — every histogram ends up
+        exactly as if each row had been recorded when it was accounted.
+        """
+        tenants, service, total, wall = self._log
+        rows: List[List[int]] = [[] for _ in self._tenants]
+        for row, tenant_index in enumerate(tenants):
+            rows[tenant_index].append(row)
+        for state, own in zip(self._tenants, rows):
+            stats = state.stats
+            stats.service_cycles.record_many([service[row] for row in own])
+            stats.latency_cycles.record_many([total[row] for row in own])
+            stats.wall_us.record_many([wall[row] for row in own])
+        for column in self._log:
+            column.clear()
 
     # -- drivers ---------------------------------------------------------------
 
@@ -691,7 +786,7 @@ class OramService:
         # legitimately paused a tenant that still had work.
         stalls = sum(s.stats.stall_epochs for s in self.shards)
         return (
-            2 * sum(len(t.stream) for t in self._tenants)
+            2 * sum(len(t.addrs) for t in self._tenants)
             + 16
             + 2 * stalls
             + 2 * self._starved_epochs
@@ -719,10 +814,12 @@ class OramService:
             queues = self._admit(
                 [self._next_candidates(i) for i in range(len(self._tenants))]
             )
-            executed = [shard.execute(queue) for shard, queue in zip(self.shards, queues)]
-            self._account(executed)
+            for shard, queue in zip(self.shards, queues):
+                shard.execute(queue)
+            self._account(queues)
             self.epochs += 1
             self._check_progress(sum(len(q) for q in queues))
+        self._fold_log()
         self._wall_elapsed += time.perf_counter() - started
         return self
 
@@ -746,7 +843,8 @@ class OramService:
                 queue = await shard_inboxes[index].get()
                 if queue is None:
                     return
-                await completions.put((index, await shard.execute_async(queue)))
+                await shard.execute_async(queue)
+                await completions.put(index)
 
         tasks = [
             asyncio.ensure_future(tenant_client(i))
@@ -758,10 +856,10 @@ class OramService:
             while self._unfinished():
                 for cmds in tenant_cmds:
                     cmds.put_nowait("epoch")
-                offers: Dict[int, List[Request]] = {}
+                offers: Dict[int, int] = {}
                 for _ in self._tenants:
-                    index, candidates = await admission.get()
-                    offers[index] = candidates
+                    index, offered = await admission.get()
+                    offers[index] = offered
                 # Offers arrive in event-loop order; admission re-imposes
                 # tenant order, so the simulated outcome is identical to
                 # the serial driver's.
@@ -771,13 +869,9 @@ class OramService:
                 busy = [j for j, queue in enumerate(queues) if queue]
                 for j in busy:
                     shard_inboxes[j].put_nowait(queues[j])
-                executed: List[Optional[List[Tuple[_Admitted, float]]]] = [
-                    None
-                ] * len(self.shards)
                 for _ in busy:  # epoch barrier
-                    j, done = await completions.get()
-                    executed[j] = done
-                self._account(executed)
+                    await completions.get()
+                self._account(queues)
                 self.epochs += 1
                 self._check_progress(sum(len(q) for q in queues))
         finally:
@@ -791,6 +885,7 @@ class OramService:
         """Drain every tenant stream with the asyncio front door."""
         started = time.perf_counter()
         asyncio.run(self._run_async())
+        self._fold_log()
         self._wall_elapsed += time.perf_counter() - started
         return self
 
@@ -814,6 +909,7 @@ class OramService:
         and its golden strip it (and the deadline bookkeeping it
         summarizes) before asserting bit-identity of simulated numbers.
         """
+        self._fold_log()
         total_cycles = 0.0
         for shard in self.shards:
             total_cycles += shard.stats.busy_cycles
@@ -851,6 +947,7 @@ class OramService:
 
     @property
     def tenant_stats(self) -> List[TenantStats]:
+        self._fold_log()
         return [t.stats for t in self._tenants]
 
     @property

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Dict, List, Optional
+from collections import Counter
+from typing import Dict, List, Optional, Sequence
 
 
 class LatencyHistogram:
@@ -39,6 +40,24 @@ class LatencyHistogram:
             self.max = value
         bucket = int(value).bit_length()
         self._buckets[bucket] = self._buckets.get(bucket, 0) + 1
+
+    def record_many(self, values: Sequence[float]) -> None:
+        """``record`` every value, in order, in one pass per moment."""
+        if not values:
+            return
+        self.count += len(values)
+        total = self.total
+        for value in values:
+            total += value
+        self.total = total
+        low, high = min(values), max(values)
+        if self.min is None or low < self.min:
+            self.min = low
+        if self.max is None or high > self.max:
+            self.max = high
+        buckets = self._buckets
+        for bucket, n in Counter(map(int.bit_length, map(int, values))).items():
+            buckets[bucket] = buckets.get(bucket, 0) + n
 
     @property
     def mean(self) -> float:
@@ -77,12 +96,14 @@ class LatencyHistogram:
 class TenantStats:
     """One tenant's serving record.
 
-    ``cycles`` is the left-fold sum of the tenant's own service
-    latencies in stream order — the quantity the determinism tests pin
-    serial-vs-concurrent. ``service_cycles`` histograms the pure engine
-    service time; ``latency_cycles`` adds the simulated queue wait ahead
-    of the request in its shard's epoch queue; ``wall_us`` is the
-    observational wall-clock time from admission to completion.
+    ``service_cycles`` histograms the pure engine service time — its
+    count is ``completed`` and its total ``cycles``, the left-fold sum
+    of the tenant's own service latencies in execution order, the
+    quantity the determinism tests pin serial-vs-concurrent;
+    ``latency_cycles`` adds the simulated queue wait ahead of the
+    request in its shard's epoch queue; ``wall_us`` is the observational
+    wall-clock time from the epoch's admission stamp to the completion
+    of the request's batch.
 
     SLO accounting (all in simulated cycles, all deterministic):
     ``throttled`` counts epochs the tenant was paused by quota or the
@@ -96,16 +117,22 @@ class TenantStats:
         self.name = name
         self.benchmark = benchmark
         self.issued = 0
-        self.completed = 0
         self.shed = 0
         self.deferred = 0
         self.throttled = 0
         self.missed = 0
-        self.cycles = 0.0
         self.service_cycles = LatencyHistogram()
         self.latency_cycles = LatencyHistogram()
         self.slack_cycles = LatencyHistogram()
         self.wall_us = LatencyHistogram()
+
+    @property
+    def completed(self) -> int:
+        return self.service_cycles.count
+
+    @property
+    def cycles(self) -> float:
+        return self.service_cycles.total
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -162,13 +189,26 @@ class ShardStats:
         if depth > self.depth_max:
             self.depth_max = depth
 
-    def record_access(self, tenant_index: int, local_addr: int, is_write: bool) -> None:
-        self.requests += 1
+    def record_batch(
+        self,
+        tenants: Sequence[int],
+        local_addrs: Sequence[int],
+        writes: Sequence[bool],
+        latencies: Sequence[float],
+    ) -> None:
+        """One executed ``run_batch``, as the columns it was handed."""
+        self.batches += 1
+        self.requests += len(tenants)
+        pack = self._PACK.pack
         self._digest.update(
-            self._PACK.pack(tenant_index, local_addr, 1 if is_write else 0)
+            b"".join(map(pack, tenants, local_addrs, writes))
         )
+        busy = self.busy_cycles
+        for latency in latencies:
+            busy += latency
+        self.busy_cycles = busy
         if self.record_accesses:
-            self.accesses.append((tenant_index, local_addr, is_write))
+            self.accesses.extend(zip(tenants, local_addrs, writes))
 
     @property
     def access_digest(self) -> str:

@@ -132,34 +132,45 @@ def tenants_for(
 
 def tenant_requests(
     spec: TenantSpec, runner, lines_per_block: int
-) -> List[Request]:
-    """Materialise a tenant's request stream (region-relative addresses).
+) -> Tuple[List[int], List[bool]]:
+    """A tenant's request stream as two columns: addresses and write flags.
 
-    Benchmark tenants replay the runner's miss trace for their benchmark
-    (disk-cached, deterministic per the runner's seed) translated to
-    block addresses with the serving scheme's geometry — the identical
-    translation :func:`~repro.sim.system.replay_trace` performs, which
-    is what makes single-tenant serving lockstep-comparable to replay.
+    Addresses are region-relative block addresses. Benchmark tenants
+    replay the runner's miss trace for their benchmark (disk-cached,
+    deterministic per the runner's seed) translated to block addresses
+    with the serving scheme's geometry — the identical translation
+    :func:`~repro.sim.system.replay_trace` performs, which is what makes
+    single-tenant serving lockstep-comparable to replay.
     """
     if spec.events is not None:
-        events = list(spec.events)
-        return events[: spec.requests] if spec.requests is not None else events
+        events = spec.events[: spec.requests]
+        return [addr for addr, _w in events], [bool(w) for _a, w in events]
     trace: MissTrace = runner.trace(spec.benchmark)
     line_addrs, is_write = trace.columns()
-    addrs = translate_block_addrs(line_addrs, lines_per_block)
-    writes = is_write.tolist() if hasattr(is_write, "tolist") else list(is_write)
-    events = list(zip(addrs, map(bool, writes)))
-    return events[: spec.requests] if spec.requests is not None else events
+    addrs = translate_block_addrs(line_addrs[: spec.requests], lines_per_block)
+    return addrs, list(map(bool, is_write[: spec.requests].tolist()))
 
 
 def tenant_region_blocks(
-    spec: TenantSpec, block_bytes: int, requests: List[Request]
+    spec: TenantSpec, block_bytes: int, addrs: Sequence[int]
 ) -> int:
-    """Power-of-two block capacity of one tenant's private region."""
+    """Power-of-two block capacity of one tenant's private region.
+
+    A stream that leaves the region would read and overwrite the next
+    tenant's blocks (or run below address zero), so it is refused here.
+    """
     if spec.region_blocks is not None:
-        return _next_pow2(spec.region_blocks)
-    if spec.benchmark is not None:
+        region = _next_pow2(spec.region_blocks)
+    elif spec.benchmark is not None:
         wss = benchmark(spec.benchmark).wss_bytes
-        return _next_pow2(max(wss // block_bytes, 2))
-    top = max((addr for addr, _w in requests), default=1)
-    return _next_pow2(max(top + 1, 2))
+        region = _next_pow2(max(wss // block_bytes, 2))
+    else:
+        region = _next_pow2(max(max(addrs, default=1) + 1, 2))
+    if addrs:
+        low, high = min(addrs), max(addrs)
+        if low < 0 or high >= region:
+            raise ConfigurationError(
+                f"tenant {spec.name!r}: address {low if low < 0 else high} "
+                f"is outside its region of {region} blocks"
+            )
+    return region

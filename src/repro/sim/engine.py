@@ -1,14 +1,14 @@
 """The per-access replay core, as a reusable engine object.
 
 :func:`repro.sim.system.replay_trace` and the serving layer
-(:mod:`repro.serve`) drive the same core — translate, access, gather
+(:mod:`repro.serve`) drive the same core — translate, access, look up
 latencies, accumulate cycles in event order — the first with one offline
 trace, the second with live request batches. :class:`ReplayEngine` is
 that core:
 
 - ``run_batch(addrs, writes)`` executes one run of block-level requests
   through the frontend (the fast tier's loop: hoisted-constant access
-  loop, vectorised latency gather, event-ordered left-fold accumulation
+  loop, memoised latency lookup, event-ordered left-fold accumulation
   — in C once ``enable_native`` has been handed the extension) and
   returns the per-event latencies so callers can do per-request
   accounting;
@@ -33,11 +33,7 @@ from repro.backend.ops import Op
 from repro.config import ProcessorConfig
 from repro.proc.hierarchy import MissTrace
 from repro.sim.metrics import SimResult
-from repro.sim.replay import (
-    _latency_gather,
-    resolve_replay_mode,
-    translate_block_addrs,
-)
+from repro.sim.replay import resolve_replay_mode, translate_block_addrs
 from repro.sim.timing import OramTimingModel
 
 
@@ -98,7 +94,9 @@ class ReplayEngine:
         self._crypto = crypto
         self._prf_calls0 = crypto.prf.call_count if crypto is not None else 0
         self._prf_hits0 = crypto.prf.cache_hits if crypto is not None else 0
-        # Scalar-loop latency memo (per-event dict probe semantics).
+        # Tree-access count -> latency, filled on a miss: the latency
+        # model is a pure function of a count that takes a handful of
+        # values. Shared by run_batch and run_trace_scalar.
         self._latency_memo: dict = {}
         # Compiled core (repro.sim.native._replay_core) — None until
         # enable_native() is handed one; every simulated outcome is
@@ -167,12 +165,12 @@ class ReplayEngine:
 
     def run_batch(
         self, addrs: Sequence[int], writes: Sequence[bool]
-    ) -> Sequence[float]:
+    ) -> List[float]:
         """Drive one batch of block-level requests through the frontend.
 
         The batch is accessed event by event with hoisted constants —
         one C call for the whole batch when the frontend kernel is
-        engaged. Its latencies are resolved by the vectorised gather
+        engaged. Its latencies are read from the per-count memo and
         then accumulated onto ``self.cycles`` as an event-ordered left
         fold, so splitting a trace across successive ``run_batch`` calls
         is bit-identical to one whole-trace call.
@@ -202,7 +200,13 @@ class ReplayEngine:
                 else:
                     result = access(addr, read_op)
                 record(result.tree_accesses)
-        latencies = _latency_gather(ns, self.timing)
+        memo = self._latency_memo
+        try:
+            latencies = [memo[n] for n in ns]
+        except KeyError:
+            for n in set(ns).difference(memo):
+                memo[n] = self.timing.miss_latency(n)
+            latencies = [memo[n] for n in ns]
         if native is not None:
             # Same event-ordered left fold, in C doubles (IEEE-754 adds
             # identical to CPython float +=).

@@ -13,8 +13,8 @@ after every batch):
   is unset) — :meth:`ReplayEngine.run_batch
   <repro.sim.engine.ReplayEngine.run_batch>` over the trace's columns
   and columnar storage: one vectorised line->block translation, the
-  access loop, one table gather for the latencies, an event-ordered
-  left fold for the cycles. With the C extension of
+  access loop, a memoised latency per tree-access count, an
+  event-ordered left fold for the cycles. With the C extension of
   :mod:`repro.sim.native` importable those stages and the whole
   ``access`` run in C; without it the same loop runs interpreted.
 
@@ -30,9 +30,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from typing import Dict, List, Sequence
-
-from repro.sim.timing import OramTimingModel
+from typing import List
 
 try:  # pragma: no cover - exercised indirectly on both branches
     import numpy as _np
@@ -128,30 +126,3 @@ def translate_block_addrs(
     if lines_per_block == 1:
         return list(line_addrs)
     return [addr // lines_per_block for addr in line_addrs]
-
-
-def _latency_gather(
-    ns: Sequence[int], timing: OramTimingModel
-) -> Sequence[float]:
-    """Per-event latencies for a tree-access-count column.
-
-    The latency model is a pure function of the per-event tree-access
-    count, which takes only a handful of distinct values; each distinct
-    value is composed once and the per-event sequence is recovered by a
-    dense vectorised table gather (dict fallback without numpy — and
-    whenever a latency is not a float, so accumulation operand *types*
-    match the scalar kernel exactly, not just their values).
-    """
-    distinct: Dict[int, float] = {
-        n: timing.miss_latency(n) for n in set(ns)
-    }
-    if (
-        _np is not None
-        and distinct
-        and all(type(v) is float for v in distinct.values())
-    ):
-        lut = _np.zeros(max(distinct) + 1, dtype=_np.float64)
-        for n, latency in distinct.items():
-            lut[n] = latency
-        return lut[_np.array(ns, dtype=_np.int64)].tolist()
-    return [distinct[n] for n in ns]

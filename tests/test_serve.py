@@ -7,11 +7,13 @@ and report shapes, the serve branch of the sweep engine, and input
 validation.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.errors import ConfigurationError, ReproError
+from repro.proc.hierarchy import MissEvent
 from repro.serve import (
     LatencyHistogram,
     OramService,
@@ -21,6 +23,7 @@ from repro.serve import (
 )
 from repro.serve.workload import tenant_region_blocks, tenant_requests
 from repro.sim.runner import SimulationRunner
+from repro.workloads.spec import benchmark
 
 
 def make_runner(seed: int = 5) -> SimulationRunner:
@@ -58,14 +61,71 @@ class TestTenantSpec:
         spec = TenantSpec(
             name="t", events=((3, False), (1, True)), region_blocks=128
         )
-        stream = tenant_requests(spec, make_runner(), lines_per_block=1)
-        assert stream == [(3, False), (1, True)]
-        assert tenant_region_blocks(spec, 64, stream) == 128
+        addrs, writes = tenant_requests(spec, make_runner(), lines_per_block=1)
+        assert (addrs, writes) == ([3, 1], [False, True])
+        assert tenant_region_blocks(spec, 64, addrs) == 128
 
     def test_requests_cap_applies_to_benchmark_streams(self):
         runner = make_runner()
         capped = TenantSpec(name="t", benchmark="hmmer", requests=7)
-        assert len(tenant_requests(capped, runner, lines_per_block=1)) == 7
+        addrs, writes = tenant_requests(capped, runner, lines_per_block=1)
+        assert len(addrs) == len(writes) == 7
+
+
+class _WideTraceRunner(SimulationRunner):
+    """A runner whose traces reach one block past the benchmark's region."""
+
+    def trace(self, name):
+        trace = super().trace(name)
+        lines = benchmark(name).wss_bytes // self.proc.line_bytes
+        events = trace.events[:10] + [MissEvent(2 * lines, False)]
+        return dataclasses.replace(trace, events=events)
+
+
+class TestPrivateRegions:
+    """A stream that leaves its tenant's region is refused, not aliased."""
+
+    def test_address_beyond_the_region_override_is_refused(self):
+        # Unchecked, tenant b's block 1 is global block 5: tenant a's.
+        tenants = [
+            TenantSpec(
+                name="a", events=((5, True), (1, False)), region_blocks=4
+            ),
+            TenantSpec(name="b", events=((1, True), (1, False))),
+        ]
+        with pytest.raises(
+            ConfigurationError, match=r"tenant 'a': address 5 .* region of 4"
+        ):
+            OramService(tenants, runner=make_runner())
+
+    def test_negative_address_is_refused(self):
+        tenants = [
+            TenantSpec(name="a", events=((2, True),)),
+            TenantSpec(name="b", events=((-1, True), (3, False))),
+        ]
+        with pytest.raises(
+            ConfigurationError, match=r"tenant 'b': address -1 .* region of 4"
+        ):
+            OramService(tenants, runner=make_runner())
+
+    def test_benchmark_trace_beyond_its_working_set_is_refused(self):
+        with pytest.raises(ConfigurationError, match="tenant 't0:hmmer'"):
+            OramService(
+                tenants_for(["hmmer"], 2, requests=11),
+                runner=_WideTraceRunner(misses_per_benchmark=400, seed=5),
+            )
+
+    def test_the_last_block_of_a_region_is_served(self):
+        service = OramService(
+            [
+                TenantSpec(name="a", events=((3, True),), region_blocks=4),
+                TenantSpec(name="b", events=((0, True),)),
+            ],
+            runner=make_runner(),
+            config=ServeConfig(record_accesses=True),
+        )
+        service.run("serial")
+        assert service.shards[0].stats.accesses == [(0, 3, True), (1, 4, True)]
 
 
 class TestServeConfig:
@@ -151,6 +211,16 @@ class TestBackpressure:
         for tenant in service.tenant_stats:
             assert tenant.completed == tenant.issued == 50
             assert tenant.shed == 0
+
+    def test_progress_guards_raise(self):
+        service = OramService(
+            tenants_for(["hmmer"], 1, requests=5), runner=make_runner()
+        )
+        with pytest.raises(ReproError, match="no progress"):
+            service._check_progress(0)
+        service.epochs = 2 * 5 + 16 + 1
+        with pytest.raises(ReproError, match="epoch budget"):
+            service._check_progress(1)
 
     def test_queue_depth_sampled_every_epoch(self):
         service = OramService(

@@ -10,13 +10,18 @@ steps, the serial and asyncio drivers produce identical per-tenant cycle
 totals and identical per-shard access sequences, run after run.
 """
 
+import hashlib
+import json
+
 import pytest
 
+from repro.faults import injected, parse
 from repro.sim.runner import SimulationRunner
 from repro.sim.system import replay_trace
 from repro.serve import (
     OramService,
     ServeConfig,
+    TenantSpec,
     serve_replay_equivalent,
     tenants_for,
 )
@@ -137,3 +142,179 @@ class TestConcurrentDeterminism:
         for a, b in zip(serial.tenant_stats, concurrent.tenant_stats):
             assert a.service_cycles.to_dict() == b.service_cycles.to_dict()
             assert a.latency_cycles.to_dict() == b.latency_cycles.to_dict()
+
+
+# -- goldens -------------------------------------------------------------------
+#
+# Every test above compares two runs of the same code (serial with
+# asyncio, serve with replay), so a change that moves both together
+# passes. These digests were recorded at the commit before the serving
+# loop was rewritten over per-epoch columns (PR 23) and pin the simulated
+# outcome itself: the report minus its host-wall fields, and each
+# shard's access digest, on both drivers and all three tier settings.
+
+
+def _slo_tenants():
+    # Different budgets per tenant make EDF reorder across tenants, the
+    # quotas pause them and the priorities order the degradation ladder.
+    rows = (
+        ("hmmer", 6000.0, 5.0, 0),
+        ("gob", 250000.0, None, 1),
+        ("hmmer+gob", 40000.0, 6.0, 1),
+        ("gob", None, 4.0, 2),
+        ("hmmer", 90000.0, None, 0),
+    )
+    return [
+        TenantSpec(
+            name=f"t{i}:{bench}", benchmark=bench, requests=110,
+            deadline_cycles=deadline, quota=quota, priority=priority,
+        )
+        for i, (bench, deadline, quota, priority) in enumerate(rows)
+    ]
+
+
+#: name -> (tenants, config, fault plan or None)
+SCENARIOS = {
+    # The benchmark's shape (perf/workloads.py, serve_mixed_tenants).
+    "defer_mix": (
+        lambda: tenants_for(["hmmer", "gob", "hmmer+gob", "h264"], 4, requests=150),
+        ServeConfig(
+            scheme="PC_X32", shards=2, burst=8, max_batch=32,
+            queue_capacity=12, policy="defer",
+        ),
+        None,
+    ),
+    # Several chunks per epoch, EDF reordering, cooldowns, level changes.
+    "throttle_slo": (
+        _slo_tenants,
+        ServeConfig(
+            scheme="PC_X32", shards=3, burst=8, max_batch=3,
+            queue_capacity=7, policy="throttle", throttle_epochs=2,
+            degrade_after=2, recover_after=3,
+        ),
+        None,
+    ),
+    "shed_deadlines_pic": (
+        lambda: tenants_for(
+            ["hmmer", "gob"], 3, requests=120, deadline_cycles=3000.0
+        ),
+        ServeConfig(
+            scheme="PIC_X32", shards=2, burst=6, max_batch=8,
+            queue_capacity=4, policy="shed",
+        ),
+        None,
+    ),
+    # Two breakers open; the parked backlog fills the queue (capacity 6)
+    # before it drains, so the stall also applies backpressure.
+    "stall_backlog": (
+        lambda: tenants_for(["hmmer", "gob", "hmmer+gob"], 3, requests=100),
+        ServeConfig(
+            scheme="PC_X32", shards=2, burst=4, max_batch=4,
+            queue_capacity=6, policy="defer",
+        ),
+        "serve.shard.stall@1#2|epochs=3;serve.shard.stall@0#7|epochs=2",
+    ),
+    "fifo_deadlines": (
+        _slo_tenants,
+        ServeConfig(
+            scheme="PC_X32", shards=2, burst=5, max_batch=16,
+            queue_capacity=9, policy="defer", admission="fifo",
+        ),
+        None,
+    ),
+    "one_shard": (
+        lambda: tenants_for(["gob", "hmmer"], 3, requests=120),
+        ServeConfig(
+            scheme="PC_X32", shards=1, burst=6, max_batch=5,
+            queue_capacity=10, policy="defer",
+        ),
+        None,
+    ),
+}
+
+#: name -> (report digest, per-shard access digests), recorded at the parent.
+GOLDENS = {
+    "defer_mix": (
+        "38311033a19895d00a56a4de1b883681a1c32ae77fe55f28d50cf0423f000e04",
+        [
+            "cbcade82631cbf3bb9e2dfabdddcf361a8f473d371f31a8d84e0561be5c523e4",
+            "7890183c5b98540a43723d7187ad9b01a2fe348f95ef29295634887a82803312",
+        ],
+    ),
+    "fifo_deadlines": (
+        "e45bb857c627eb1fc195eb165a2bfe7b1fb7e410099dba1d31336a07db204904",
+        [
+            "5802a6c8dcbf28313e01a4031b1a9fee99d0c2bc5265e723253484668b90bf98",
+            "6f9fe0f0d3136206d32daee7a4ddb1e05a41f7e5b84a6c9f4c4d9be628a41620",
+        ],
+    ),
+    "one_shard": (
+        "0af9ace44b2fd89fa5cd0929834e95b41c605204e6445fb0d1dd4e2dd3e057e3",
+        [
+            "5104e79c53fbdb5507d73dc5a65b9d2221991d9b9e25cf67d491ed5f5149d10f",
+        ],
+    ),
+    "shed_deadlines_pic": (
+        "89ab0e94e4c09cdbaadc63dd3093a25524938f97f190162ffe8262b2bba0ef0b",
+        [
+            "5e108e802a7bc72a22f18c5a3ab13875da51bb41b8a545b5697a8e2d1530fe13",
+            "6a8e80da789d4441b6bd72a5382e636ab8a54074524976f0646c54f46bbc2419",
+        ],
+    ),
+    "stall_backlog": (
+        "9425a2ac3a189b0f263965f31378653f8e35cfc588c32e6aefba424667e45169",
+        [
+            "af0fa2a6972b7cc06ba33d637b7f01d990cb01b25f03ff89eef163c15065878d",
+            "fee4b89215b33dab6febb2334aa24ffda319561973749b10baf16ce71fd083e6",
+        ],
+    ),
+    "throttle_slo": (
+        "7127d0c1621cc7d3dcdcab6cd4303eb0e69903b56e15f13c29b1a0d22a7d0f68",
+        [
+            "d6cd8fa7e20f1eeed241c1d16eb5a2b1ab9ae167cac0c68246dde6cb2a047ecc",
+            "d7214eec26067f7f71f45cdf3bf0409c38ec8bea01aa5397e55d8dd00c6bef30",
+            "8611920452fc010ef885331ef883302f62fe513c0cfc90f8fcf837be64f5de9f",
+        ],
+    ),
+}
+
+
+def strip_wall(report):
+    """A serve report without the fields that hold host wall time."""
+    out = {k: v for k, v in report.items() if k != "wall_seconds"}
+    out["tenants"] = [
+        {k: v for k, v in tenant.items() if k != "wall_us"}
+        for tenant in report["tenants"]
+    ]
+    return out
+
+
+def golden_image(name: str, mode: str):
+    tenants, config, plan = SCENARIOS[name]
+    service = OramService(tenants(), runner=make_runner(), config=config)
+    if plan is None:
+        service.run(mode)
+    else:
+        with injected(parse(plan)):
+            service.run(mode)
+    blob = json.dumps(strip_wall(service.report()), sort_keys=True)
+    return (
+        hashlib.sha256(blob.encode()).hexdigest(),
+        [s.access_digest for s in service.shard_stats],
+    )
+
+
+@pytest.fixture(params=["fast", "native_off", "scalar"])
+def tier(request, monkeypatch) -> str:
+    if request.param == "native_off":
+        monkeypatch.setenv("REPRO_NATIVE", "off")
+    elif request.param == "scalar":
+        monkeypatch.setenv("REPRO_REPLAY", "scalar")
+    return request.param
+
+
+class TestGoldens:
+    @pytest.mark.parametrize("mode", ["serial", "async"])
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_report_and_access_digests(self, name, mode, tier):
+        assert golden_image(name, mode) == GOLDENS[name]
