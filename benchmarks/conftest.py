@@ -13,7 +13,11 @@ import os
 
 import pytest
 
-from repro.sim.store import CACHE_ENV, FIGURE_CACHE_ENV, RESULT_CACHE_ENV
+from repro.settings import Settings
+
+CACHE_ENV = "REPRO_TRACE_CACHE"
+RESULT_CACHE_ENV = "REPRO_RESULT_CACHE"
+FIGURE_CACHE_ENV = "REPRO_FIGURE_CACHE"
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -41,7 +45,7 @@ def _hermetic_caches(tmp_path_factory):
 
 def full_run() -> bool:
     """True when REPRO_FULL=1 requests paper-scale runs."""
-    return bool(os.environ.get("REPRO_FULL"))
+    return Settings.from_env().full
 
 
 @pytest.fixture

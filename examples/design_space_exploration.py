@@ -10,8 +10,7 @@ Run:  python examples/design_space_exploration.py
       REPRO_FULL=1 python examples/design_space_exploration.py   # larger
 """
 
-import os
-
+from repro.settings import Settings
 from repro.sim.metrics import format_table, slowdown_table
 from repro.sim.runner import SimulationRunner
 
@@ -20,7 +19,7 @@ SCHEMES = ["R_X8", "P_X16", "PC_X32", "PIC_X32"]
 
 
 def main() -> None:
-    misses = 20_000 if os.environ.get("REPRO_FULL") else 2_000
+    misses = 20_000 if Settings.from_env().full else 2_000
     runner = SimulationRunner(misses_per_benchmark=misses)
 
     print("=== Scheme comparison (slowdown vs insecure DRAM) ===")

@@ -2,400 +2,384 @@
 
 Usage::
 
-    python -m repro list
-    python -m repro fig6
-    python -m repro table2 fig3 hashbw
-    python -m repro --workers 8 fig6 fig7
-    python -m repro --no-trace-cache fig6
-    python -m repro --force fig6
-    python -m repro --replay scalar fig6
+    python -m repro --help                # commands and global options
+    python -m repro sweep --help          # ... and each subcommand's own
+    python -m repro list                  # all of it on one page
+    python -m repro --workers 8 table2 fig6 fig7
     python -m repro sweep --scheme PIC_X32 --grid plb=4KiB,8KiB,16KiB
     REPRO_FULL=1 python -m repro all
 
-``--workers N`` fans each experiment's (scheme, benchmark) matrix out
-over N processes (equivalent to ``REPRO_WORKERS=N``); results are bitwise
-identical to serial runs. ``--trace-cache DIR`` / ``--no-trace-cache``
-control the on-disk miss-trace cache (``REPRO_TRACE_CACHE``), and
-``--result-cache DIR`` / ``--no-result-cache`` the on-disk replay-result
-cache (``REPRO_RESULT_CACHE``) that makes repeated runs incremental.
-``--force`` (``REPRO_FORCE=1``) recomputes every cell, refreshing — not
-disabling — both caches. ``--replay scalar`` (``REPRO_REPLAY``) runs the
-reference tier — the per-event loop over object storage — instead of
-the fast tier, which is the default: the columnar loop, on the native
-kernels when the extension is built (``python setup.py build_ext
---inplace``) and interpreted when it is not. ``--storage
-object|columnar`` (``REPRO_STORAGE``) pins the tree storage apart from
-the tier. Bit-identical, performance-only; every run names the tier it
-resolved on one stderr line.
-
-The ``sweep`` subcommand expands a parameter grid over scheme specs
-(``--scheme`` accepts registry names or spec strings like
-``"PIC_X32:plb=32KiB"``; ``--grid field=v1,v2`` adds an axis — spec
-fields, the benchmark parameters ``misses``/``wss``, or the serving
-scenario ``tenants``/``shards``), prints the slowdown table, and writes
-a JSON report (``--out``, default ``SWEEP.json``). ``--saved
-fig5|fig7|fig8`` runs the corresponding saved figure sweep from
-:mod:`repro.eval.sweeps` (fig8 on [26]'s platform runner) and defaults
-the report to ``SWEEP_<figure>.json``; an unknown name lists the
-available sweeps. Global flags go *before* the subcommand; everything
-after it belongs to the subcommand.
-
-The ``serve`` subcommand runs the multi-tenant serving layer
-(:mod:`repro.serve`): N simulated tenant clients round-robined over a
-``--bench`` roster, multiplexed onto M ORAM shards with bounded
-admission queues, printing per-tenant/per-shard stats and writing the
-full JSON report (``--out``, default ``SERVE.json``). ``--demo`` is the
-small fixed-seed smoke scenario CI runs and archives.
+Every command line is parsed by :mod:`argparse`. A global option is a
+field of :class:`repro.settings.Settings` — the flag and its ``REPRO_*``
+variable mean the same thing, the flag wins — and :func:`main` exports
+the result once (:meth:`Settings.export`), so the library underneath,
+pool workers and spawned fabric workers all read what was typed. Global
+options go before ``sweep`` / ``serve`` / ``fabric`` (everything after
+one of those belongs to it) and anywhere around experiment names. Every
+run that replays names the tier it resolved on one stderr line; the tier
+is performance-only and never reaches a report. What each subcommand
+does is its ``--help``.
 """
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
-import os
 import sys
-from typing import Callable, Dict, List, Optional
+from importlib import import_module
+from pathlib import Path
+from typing import Callable, Dict, List, Tuple
 
-from repro.errors import ReproError, SweepInterrupted
-from repro.faults import FAULTS_ENV, install_from_env
-from repro.eval import (
-    ablation_plb,
-    compression,
-    fig3,
-    fig5,
-    fig6,
-    fig7,
-    fig8,
-    fig9,
-    hashbw,
-    table2,
-    table3,
-)
-from repro.sim.native import build_hint, native_available
-from repro.sim.replay import REPLAY_ENV, REPLAY_MODES, resolve_replay_mode
-from repro.sim.runner import FORCE_ENV, WORKERS_ENV
-from repro.sim.store import CACHE_ENV, RESULT_CACHE_ENV
-from repro.storage import STORAGE_ENV
+from repro.errors import ConfigurationError, ReproError, SweepInterrupted
+from repro.faults import install_from
+from repro.serve import ADMISSION_ORDERS, POLICIES
+from repro.settings import Settings
+from repro.sim.native import build_hint
+from repro.sim.replay import REPLAY_MODES, resolve_tier
 
-EXPERIMENTS: Dict[str, Callable[[], None]] = {
-    "fig3": fig3.main,
-    "table2": table2.main,
-    "fig5": fig5.main,
-    "fig6": fig6.main,
-    "fig7": fig7.main,
-    "fig8": fig8.main,
-    "fig9": fig9.main,
-    "table3": table3.main,
-    "hashbw": hashbw.main,
-    "compression": compression.main,
-    "ablation-plb": ablation_plb.main,
-}
-
-#: Cheap, purely analytic experiments run first under ``all``.
+#: The experiments, one ``repro.eval`` module each, in the order ``all``
+#: runs them: the cheap, purely analytic ones first.
 _ORDER = (
     "fig3", "table2", "table3", "compression", "hashbw",
     "fig6", "fig5", "fig7", "fig8", "fig9", "ablation-plb",
 )
+EXPERIMENTS: Dict[str, Callable[[], None]] = {
+    name: import_module(f"repro.eval.{name.replace('-', '_')}").main
+    for name in _ORDER
+}
 
-#: Default JSON report path for the ``sweep`` subcommand.
+#: Default JSON report paths of the ``sweep`` and ``serve`` subcommands.
 DEFAULT_SWEEP_OUT = "SWEEP.json"
-
-#: Default JSON report path for the ``serve`` subcommand.
 DEFAULT_SERVE_OUT = "SERVE.json"
 
-#: Subcommands with their own flag namespace after the name.
-_SUBCOMMANDS = ("sweep", "serve", "fabric")
+#: What ``serve`` runs when a flag is not given — and, under ``--demo``,
+#: the small 4-tenant / 2-shard scenario (an interleaved ``"a+b"`` entry
+#: among its workloads) CI archives; the seed stays the runner's default,
+#: so the artifacts are reproducible. Anything absent here is the default
+#: of ``ServeConfig`` / ``tenants_for`` / ``SimulationRunner`` itself.
+_SERVE_PLAIN = dict(tenants=2, bench=["hmmer", "gob"])
+_SERVE_DEMO = dict(
+    tenants=4, shards=2, requests=400, misses=600,
+    bench=["hmmer", "gob", "hmmer+gob", "h264"],
+)
 
-#: Global flags that consume a separate value token (``--flag VALUE``).
-_VALUE_FLAGS = (
-    "--workers", "--trace-cache", "--result-cache", "--storage", "--replay",
-    "--faults",
+_SETTINGS_FIELDS = {f.name: f for f in dataclasses.fields(Settings)}
+
+
+def _text(value: str) -> str:
+    if not value:
+        raise argparse.ArgumentTypeError("requires a non-empty value")
+    return value
+
+
+def _experiment(value: str) -> str:
+    # Not ``choices=``: argparse checks an empty ``nargs="*"`` against them.
+    if value not in EXPERIMENTS:
+        raise argparse.ArgumentTypeError(
+            f"unknown experiment {value!r} (choose from {', '.join(_ORDER)})"
+        )
+    return value
+
+
+def _int_at_least(minimum: int, what: str) -> Callable[[str], int]:
+    def parse(value: str) -> int:
+        if not value.isdigit() or int(value) < minimum:
+            raise argparse.ArgumentTypeError(f"requires {what}")
+        return int(value)
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_worker_count = _int_at_least(
+    0, "a worker count (0 allowed with --connect: attached workers only)"
 )
 
 
-def _find_subcommand(raw: List[str]) -> Optional[int]:
-    """Index of a *positional* leading subcommand token, else None.
+def _positive_int_as_float(value: str) -> float:
+    return float(_positive_int(value))
 
-    Flag values are skipped, so a cache directory literally named
-    ``sweep`` (``--trace-cache sweep fig6``) is never mistaken for the
-    subcommand; a subcommand after another experiment name falls through
-    to the normal unknown-experiment error.
+
+def _positive_seconds(value: str) -> float:
+    seconds = float(value)  # a ValueError is argparse's "invalid value"
+    if not seconds > 0:
+        raise argparse.ArgumentTypeError("requires a positive number")
+    return seconds
+
+
+def _global_options() -> argparse.ArgumentParser:
+    """The parent parser: one flag per :class:`Settings` field it can set.
+
+    Defaults are suppressed, so the namespace holds exactly what was typed
+    (a command's own parser would otherwise reset an earlier flag).
     """
-    skip_value = False
-    for index, token in enumerate(raw):
-        if skip_value:
-            skip_value = False
-            continue
-        if token in _VALUE_FLAGS:
-            skip_value = True
-            continue
-        if token.startswith("--"):
-            continue
-        return index if token in _SUBCOMMANDS else None
-    return None
-
-
-def _usage_error(message: str) -> int:
-    print(message, file=sys.stderr)
-    print(
-        f"choose from: {', '.join(_ORDER)}, 'sweep', 'serve' or 'all'",
-        file=sys.stderr,
+    parent = argparse.ArgumentParser(
+        add_help=False, allow_abbrev=False, argument_default=argparse.SUPPRESS
     )
-    return 2
+    group = parent.add_argument_group(
+        "global options (each sets the REPRO_* variable it names, for this "
+        "process and its workers; see repro.settings)"
+    )
+
+    def setting(flag: str, field: str, help: str = "", **kwargs) -> None:
+        meta = _SETTINGS_FIELDS[field].metadata
+        group.add_argument(
+            flag, dest=field,
+            help=f"{help or meta['meaning']} ({meta['env']})", **kwargs,
+        )
+
+    setting("--workers", "workers", type=_positive_int, metavar="N")
+    setting("--trace-cache", "trace_cache", type=_text, metavar="DIR")
+    setting("--no-trace-cache", "trace_cache", action="store_const", const=None,
+            help="disable the on-disk trace cache")
+    setting("--result-cache", "result_cache", type=_text, metavar="DIR")
+    setting("--no-result-cache", "result_cache", action="store_const",
+            const=None, help="disable the on-disk result cache")
+    setting("--force", "force", action="store_const", const=True)
+    setting("--replay", "replay", choices=REPLAY_MODES)
+    setting("--storage", "storage", choices=("object", "columnar"))
+    setting("--faults", "faults", type=_text, metavar="PLAN",
+            help="deterministic fault-injection plan, testing only, e.g. "
+                 "'cell.crash@*/1#1;sweep.interrupt@*#4'")
+    return parent
 
 
-def _parse_flags(args: List[str]) -> Optional[List[str]]:
-    """Consume option flags, applying them via the environment.
-
-    Returns the remaining positional arguments, or None after printing an
-    error (exit code 2). Flags map onto the same environment variables the
-    library reads, so every ``run_suite`` call downstream inherits them.
-    """
-    positional: List[str] = []
-    it = iter(args)
-    for arg in it:
-        value: Optional[str] = None
-        if arg == "--workers" or arg.startswith("--workers="):
-            value = arg.split("=", 1)[1] if "=" in arg else next(it, None)
-            if value is None or not value.isdigit() or int(value) < 1:
-                print("--workers requires a positive integer", file=sys.stderr)
-                return None
-            os.environ[WORKERS_ENV] = value
-        elif arg == "--no-trace-cache":
-            os.environ[CACHE_ENV] = "off"
-        elif arg == "--trace-cache" or arg.startswith("--trace-cache="):
-            value = arg.split("=", 1)[1] if "=" in arg else next(it, None)
-            if not value:
-                print("--trace-cache requires a directory path", file=sys.stderr)
-                return None
-            os.environ[CACHE_ENV] = value
-        elif arg == "--no-result-cache":
-            os.environ[RESULT_CACHE_ENV] = "off"
-        elif arg == "--result-cache" or arg.startswith("--result-cache="):
-            value = arg.split("=", 1)[1] if "=" in arg else next(it, None)
-            if not value:
-                print("--result-cache requires a directory path", file=sys.stderr)
-                return None
-            os.environ[RESULT_CACHE_ENV] = value
-        elif arg == "--force":
-            os.environ[FORCE_ENV] = "1"
-        elif arg == "--storage" or arg.startswith("--storage="):
-            value = arg.split("=", 1)[1] if "=" in arg else next(it, None)
-            if value not in ("object", "columnar"):
-                print("--storage requires 'object' or 'columnar'", file=sys.stderr)
-                return None
-            os.environ[STORAGE_ENV] = value
-        elif arg == "--replay" or arg.startswith("--replay="):
-            value = arg.split("=", 1)[1] if "=" in arg else next(it, None)
-            if value not in REPLAY_MODES:
-                print("--replay requires 'scalar' or 'compiled'", file=sys.stderr)
-                return None
-            os.environ[REPLAY_ENV] = value
-        elif arg == "--faults" or arg.startswith("--faults="):
-            value = arg.split("=", 1)[1] if "=" in arg else next(it, None)
-            if not value:
-                print(
-                    "--faults requires a fault plan "
-                    "(e.g. 'cell.crash@PC_X32*/gob/1#1')",
-                    file=sys.stderr,
-                )
-                return None
-            os.environ[FAULTS_ENV] = value
-            try:
-                # Install now: imports happened before flag parsing, so the
-                # env hook alone would only reach pool workers.
-                install_from_env()
-            except ReproError as exc:
-                print(f"--faults: {exc}", file=sys.stderr)
-                return None
-        elif arg.startswith("--"):
-            print(f"unknown option {arg}", file=sys.stderr)
-            return None
-        else:
-            positional.append(arg)
-    return positional
+def _add_sweep_parser(commands) -> argparse.ArgumentParser:
+    parser = commands.add_parser(
+        "sweep", allow_abbrev=False,
+        help=f"parameter-grid sweep over scheme specs ({DEFAULT_SWEEP_OUT})",
+        description="Expand a grid over schemes x benchmarks, print the "
+                    "slowdown table, write a JSON report.",
+    )
+    parser.set_defaults(run=_sweep_main)
+    add = parser.add_argument
+    add("--scheme", action="append", default=[], type=_text, metavar="NAME|SPEC",
+        help="base scheme (repeatable; spec strings ok; default PIC_X32)")
+    add("--grid", action="append", default=[], type=_text, metavar="F=V1,V2",
+        help="grid axis (repeatable): a spec field, the benchmark parameters "
+             "'misses' / 'wss', or the serving scenario 'tenants' / 'shards'")
+    add("--saved", type=_text, metavar="FIGURE",
+        help="a saved figure sweep: fig5 | fig7 | fig8 (to SWEEP_<figure>.json)")
+    add("--bench", action="append", default=[], type=_text, metavar="NAME",
+        help="benchmark subset (repeatable)")
+    add("--misses", type=_positive_int, metavar="N",
+        help="per-benchmark LLC miss budget")
+    add("--out", type=_text, metavar="FILE",
+        help=f"JSON report path (default {DEFAULT_SWEEP_OUT})")
+    add("--checkpoint", type=_text, metavar="FILE",
+        help="cell journal path (default <out>.ckpt.jsonl)")
+    add("--resume", action="store_true",
+        help="recompute only cells missing from the journal")
+    add("--fabric", type=_worker_count, metavar="N",
+        help="distribute cells over N spawned fabric workers")
+    add("--connect", type=_text, metavar="HOST:PORT",
+        help="bind the coordinator there for 'fabric serve-worker's to attach")
+    return parser
 
 
-def _announce_tier() -> bool:
-    """Name the resolved replay tier on stderr; False if it cannot resolve.
+#: ``serve``'s positive-integer flags: flag -> (destination, help).
+_SERVE_COUNTS = {
+    "--tenants": ("tenants", "simulated tenant clients (round-robin over the roster)"),
+    "--shards": ("shards", "ORAM instances in the pool"),
+    "--requests": ("requests", "per-tenant request cap"),
+    "--burst": ("burst", "requests a tenant offers per epoch"),
+    "--max-batch": ("max_batch", "requests a shard executes per epoch"),
+    "--queue-cap": ("queue_capacity", "bound of a shard's admission queue"),
+    "--throttle-epochs": ("throttle_epochs", "cooldown epochs of the throttle policy"),
+    "--degrade-after": ("degrade_after", "overloaded epochs before degrading a level"),
+    "--recover-after": ("recover_after", "clean epochs before recovering a level"),
+    "--seed": ("seed", "runner seed"),
+    "--misses": ("misses", "trace miss budget per benchmark"),
+}
+
+
+def _add_serve_parser(commands) -> argparse.ArgumentParser:
+    parser = commands.add_parser(
+        "serve", allow_abbrev=False, argument_default=argparse.SUPPRESS,
+        help=f"multi-tenant ORAM serving scenario ({DEFAULT_SERVE_OUT})",
+        description="Serve N simulated tenants on M ORAM shards; print their "
+                    "stats, write a JSON report. A flag left out is ServeConfig's "
+                    "/ tenants_for's default (2 tenants over hmmer, gob).",
+    )
+    parser.set_defaults(run=_serve_main)
+    add = parser.add_argument
+    for flag, (dest, help) in _SERVE_COUNTS.items():
+        add(flag, dest=dest, type=_positive_int, metavar="N", help=help)
+    add("--scheme", type=_text, metavar="NAME|SPEC", help="every shard's scheme")
+    add("--bench", action="append", type=_text, metavar="NAME",
+        help="tenant workload roster entry (repeatable; 'a+b' interleaves two)")
+    add("--policy", choices=POLICIES, help="backpressure at a full shard queue")
+    add("--admission", choices=ADMISSION_ORDERS,
+        help="admission order (edf == fifo with no deadlines)")
+    add("--deadline", dest="deadline_cycles", type=_positive_int_as_float,
+        metavar="N", help="per-request SLO deadline in simulated cycles")
+    add("--quota", type=_positive_int_as_float, metavar="N",
+        help="per-tenant token-bucket quota (requests/epoch)")
+    add("--mode", choices=("serial", "async"), default="serial",
+        help="epoch driver (identical simulated results; default serial)")
+    add("--demo", action="store_true", default=False,
+        help="the CI smoke scenario: 4 tenants, 2 shards, 400 requests each")
+    add("--out", type=_text, default=DEFAULT_SERVE_OUT, metavar="FILE",
+        help=f"JSON report path (default {DEFAULT_SERVE_OUT})")
+    return parser
+
+
+def _add_fabric_parser(commands) -> argparse.ArgumentParser:
+    fabric = commands.add_parser(
+        "fabric", allow_abbrev=False, help="distributed-sweep worker endpoints"
+    )
+    endpoints = fabric.add_subparsers(
+        dest="endpoint", metavar="ENDPOINT", required=True
+    )
+    parser = endpoints.add_parser(
+        "serve-worker", allow_abbrev=False,
+        help="run one worker against a sweep coordinator",
+        description="Dial a sweep coordinator ('sweep --fabric N' binds one, "
+                    "--connect there fixes its address) and execute leased "
+                    "cells until it hangs up. REPRO_CONNECT_RETRIES bounds "
+                    "each dial loop, REPRO_RPC_TIMEOUT each RPC call.",
+    )
+    parser.set_defaults(run=_fabric_worker_main)
+    parser.add_argument("--connect", required=True, type=_text,
+                        metavar="HOST:PORT", help="the coordinator's address")
+    parser.add_argument("--timeout", type=_positive_seconds, default=10.0,
+                        metavar="SECS", help="connect timeout per dial (default 10)")
+    return parser
+
+
+def build_parser() -> Tuple[argparse.ArgumentParser, List[argparse.ArgumentParser]]:
+    """The top-level parser, and every parser ``list`` prints the help of."""
+    options = _global_options()
+    parser = argparse.ArgumentParser(
+        prog="python -m repro", parents=[options], allow_abbrev=False,
+        description="Run the paper's experiments by name (several names run "
+                    "in the order given), or one of the subcommands.",
+    )
+    commands = parser.add_subparsers(
+        dest="command", metavar="COMMAND", title="commands"
+    )
+    for name in _ORDER:
+        experiment = commands.add_parser(
+            name, parents=[options], allow_abbrev=False,
+            help=EXPERIMENTS[name].__module__,
+        )
+        experiment.add_argument(
+            "names", nargs="*", type=_experiment, metavar="NAME",
+            help="further experiments to run after this one",
+        )
+        experiment.set_defaults(run=_experiments_main)
+    commands.add_parser(
+        "all", parents=[options], allow_abbrev=False,
+        help="run everything in order",
+    ).set_defaults(run=_experiments_main)
+    commands.add_parser(
+        "list", allow_abbrev=False, help="print every command's help (the default)"
+    )
+    return parser, [
+        parser,
+        _add_sweep_parser(commands),
+        _add_serve_parser(commands),
+        _add_fabric_parser(commands),
+    ]
+
+
+def _announce_tier() -> None:
+    """Name the resolved replay tier on stderr.
 
     Stderr only: the tier is performance-only, so it never reaches a
-    report, a digest or a cache key.
+    report, a digest or a cache key. Raises what resolving it raises
+    (``REPRO_NATIVE=require`` with the extension unbuilt).
     """
-    try:
-        mode = resolve_replay_mode()
-    except (ValueError, ReproError) as exc:
-        print(exc, file=sys.stderr)
-        return False
+    mode, core = resolve_tier()
     if mode == "scalar":
         tier = "reference"
-    elif native_available():
+    elif core is not None:
         tier = "fast: native kernels"
     else:
         tier = f"fast: interpreted — {build_hint()}"
     print(f"replay tier {tier}", file=sys.stderr)
-    return True
 
 
-def _sweep_main(args: List[str]) -> int:
+def _experiments_main(args: argparse.Namespace) -> int:
+    _announce_tier()
+    names = _ORDER if args.command == "all" else (args.command, *args.names)
+    for name in names:
+        print(f"==== {name} " + "=" * max(60 - len(name), 0))
+        EXPERIMENTS[name]()
+        print()
+    return 0
+
+
+def _write_report(report: object, out: str) -> None:
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+
+
+def _sweep_main(args: argparse.Namespace) -> int:
     """The ``sweep`` subcommand: grid x schemes x benchmarks -> table+JSON."""
-    from pathlib import Path
-
     from repro.eval.sweeps import fig8_runner, saved_sweep
     from repro.sim.checkpoint import default_checkpoint_path
     from repro.sim.runner import SimulationRunner
     from repro.sim.sweep import SweepSpec, run_sweep, sweep_table
 
-    schemes: List[str] = []
-    benches: List[str] = []
-    grid: List[str] = []
-    out: Optional[str] = None
-    misses: Optional[int] = None
-    saved: Optional[str] = None
-    checkpoint: Optional[str] = None
-    resume = False
-    fabric: Optional[int] = None
-    connect: Optional[str] = None
-    it = iter(args)
-    for arg in it:
-        value: Optional[str] = None
-        if arg == "--saved" or arg.startswith("--saved="):
-            value = arg.split("=", 1)[1] if "=" in arg else next(it, None)
-            if not value:
-                print("--saved requires a figure sweep name", file=sys.stderr)
-                return 2
-            saved = value
-        elif arg == "--scheme" or arg.startswith("--scheme="):
-            value = arg.split("=", 1)[1] if "=" in arg else next(it, None)
-            if not value:
-                print("--scheme requires a name or spec string", file=sys.stderr)
-                return 2
-            schemes.append(value)
-        elif arg == "--bench" or arg.startswith("--bench="):
-            value = arg.split("=", 1)[1] if "=" in arg else next(it, None)
-            if not value:
-                print("--bench requires a benchmark name", file=sys.stderr)
-                return 2
-            benches.append(value)
-        elif arg == "--grid" or arg.startswith("--grid="):
-            value = arg.split("=", 1)[1] if "=" in arg else next(it, None)
-            if not value:
-                print("--grid requires field=v1,v2,...", file=sys.stderr)
-                return 2
-            grid.append(value)
-        elif arg == "--out" or arg.startswith("--out="):
-            value = arg.split("=", 1)[1] if "=" in arg else next(it, None)
-            if not value:
-                print("--out requires a file path", file=sys.stderr)
-                return 2
-            out = value
-        elif arg == "--misses" or arg.startswith("--misses="):
-            value = arg.split("=", 1)[1] if "=" in arg else next(it, None)
-            if value is None or not value.isdigit() or int(value) < 1:
-                print("--misses requires a positive integer", file=sys.stderr)
-                return 2
-            misses = int(value)
-        elif arg == "--checkpoint" or arg.startswith("--checkpoint="):
-            value = arg.split("=", 1)[1] if "=" in arg else next(it, None)
-            if not value:
-                print("--checkpoint requires a file path", file=sys.stderr)
-                return 2
-            checkpoint = value
-        elif arg == "--resume":
-            resume = True
-        elif arg == "--fabric" or arg.startswith("--fabric="):
-            value = arg.split("=", 1)[1] if "=" in arg else next(it, None)
-            if value is None or not value.isdigit() or int(value) < 0:
-                print(
-                    "--fabric requires a worker count (0 allowed with "
-                    "--connect: attached workers only)",
-                    file=sys.stderr,
-                )
-                return 2
-            fabric = int(value)
-        elif arg == "--connect" or arg.startswith("--connect="):
-            value = arg.split("=", 1)[1] if "=" in arg else next(it, None)
-            if not value:
-                print("--connect requires HOST:PORT", file=sys.stderr)
-                return 2
-            connect = value
-        else:
-            print(f"unknown sweep option {arg}", file=sys.stderr)
-            return 2
-    if fabric == 0 and connect is None:
-        print(
-            "--fabric 0 spawns no workers, so it needs --connect HOST:PORT "
-            "for external workers to attach",
-            file=sys.stderr,
-        )
-        return 2
-    if saved is not None:
-        if schemes or grid:
-            print(
-                "--saved names a complete figure sweep; it cannot be "
-                "combined with --scheme or --grid",
-                file=sys.stderr,
-            )
-            return 2
-        if out is None:
-            out = f"SWEEP_{saved}.json"
-    elif not schemes:
-        schemes = ["PIC_X32"]
-    if out is None:
-        out = DEFAULT_SWEEP_OUT
+    _announce_tier()
+    out = args.out or (
+        f"SWEEP_{args.saved}.json" if args.saved is not None else DEFAULT_SWEEP_OUT
+    )
     # Every CLI sweep journals completed cells beside the report; a clean
     # finish with nothing quarantined removes the journal, an interrupt
     # or crash leaves it for ``--resume``.
-    if checkpoint is None:
-        checkpoint = str(default_checkpoint_path(out))
+    checkpoint = args.checkpoint or str(default_checkpoint_path(out))
+    benches = args.bench or None
+    coordinator = None
     try:
-        if saved is not None:
-            # Unknown names raise a ReproError listing every saved sweep.
-            sweep = saved_sweep(saved)(benchmarks=benches if benches else None)
-            # fig8 pins [26]'s platform (4 channels, 2.6 GHz, 128 B lines);
-            # the other figure sweeps run on the paper's default runner.
-            runner = (
-                fig8_runner(misses)
-                if saved == "fig8"
-                else SimulationRunner(misses_per_benchmark=misses)
+        if args.fabric == 0 and args.connect is None:
+            raise ConfigurationError(
+                "--fabric 0 spawns no workers, so it needs --connect HOST:PORT "
+                "for external workers to attach"
             )
+        if args.saved is not None and (args.scheme or args.grid):
+            raise ConfigurationError(
+                "--saved names a complete figure sweep; it cannot be "
+                "combined with --scheme or --grid"
+            )
+        # fig8 pins [26]'s platform (4 channels, 2.6 GHz, 128 B lines);
+        # everything else runs on the paper's default runner.
+        runner = (
+            fig8_runner(args.misses)
+            if args.saved == "fig8"
+            else SimulationRunner(misses_per_benchmark=args.misses)
+        )
+        if args.saved is not None:
+            # Unknown names raise a ReproError listing every saved sweep.
+            sweep = saved_sweep(args.saved)(benchmarks=benches)
         else:
             sweep = SweepSpec.from_args(
-                schemes, grid, benches if benches else None
+                args.scheme or ["PIC_X32"], args.grid, benches
             )
-            runner = SimulationRunner(misses_per_benchmark=misses)
-        if fabric is not None or connect is not None:
+        if args.fabric is not None or args.connect is not None:
             from repro.fabric import FabricCoordinator, FabricExecutor, parse_address
 
             host, port = (
-                parse_address(connect) if connect else ("127.0.0.1", 0)
+                parse_address(args.connect) if args.connect else ("127.0.0.1", 0)
             )
             coordinator = FabricCoordinator(
-                runner, spawn=fabric or 0, host=host, port=port
+                runner, spawn=args.fabric or 0, host=host, port=port
             )
             bound = coordinator.start()
             print(
                 f"fabric: coordinator on {bound[0]}:{bound[1]}, "
-                f"spawned {fabric or 0} worker(s)"
-                + (" (accepting attached workers)" if connect else "")
+                f"spawned {args.fabric or 0} worker(s)"
+                + (" (accepting attached workers)" if args.connect else "")
             )
-            try:
-                report = run_sweep(
-                    sweep,
-                    runner,
-                    checkpoint=checkpoint,
-                    resume=resume,
-                    executor=FabricExecutor(coordinator),
-                )
-            finally:
-                coordinator.close()
-        else:
-            report = run_sweep(
-                sweep, runner, checkpoint=checkpoint, resume=resume
-            )
+        report = run_sweep(
+            sweep, runner, checkpoint=checkpoint, resume=args.resume,
+            executor=FabricExecutor(coordinator) if coordinator else None,
+        )
     except SweepInterrupted as exc:
         if exc.report is not None:
-            with open(out, "w", encoding="utf-8") as fh:
-                json.dump(exc.report, fh, indent=2, sort_keys=True)
+            _write_report(exc.report, out)
             print(f"\nsweep interrupted; wrote partial report to {out}", file=sys.stderr)
         print(
             f"completed cells are journaled in {checkpoint}; "
@@ -406,14 +390,16 @@ def _sweep_main(args: List[str]) -> int:
     except ReproError as exc:
         print(f"sweep error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if coordinator is not None:
+            coordinator.close()
     print(sweep_table(report))
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    _write_report(report, out)
     print(f"wrote {out}")
-    resilience = report.get("resilience", {})
-    if resilience.get("quarantined"):
+    quarantined = report.get("resilience", {}).get("quarantined")
+    if quarantined:
         print(
-            f"{len(resilience['quarantined'])} cell(s) quarantined after "
+            f"{len(quarantined)} cell(s) quarantined after "
             f"repeated failures (see report['resilience']); journal kept "
             f"at {checkpoint} for --resume",
             file=sys.stderr,
@@ -423,152 +409,35 @@ def _sweep_main(args: List[str]) -> int:
     return 0
 
 
-#: ``serve --demo`` presets: a small, fixed-seed 4-tenant / 2-shard
-#: scenario (mixed workloads including an interleaved ``"a+b"`` entry)
-#: that finishes in seconds — the CI smoke scenario.
-_SERVE_DEMO = dict(
-    tenants=4,
-    shards=2,
-    requests=400,
-    misses=600,
-    benches=["hmmer", "gob", "hmmer+gob", "h264"],
-)
-
-
-def _serve_main(args: List[str]) -> int:
+def _serve_main(args: argparse.Namespace) -> int:
     """The ``serve`` subcommand: N tenants on M shards -> stats + JSON."""
-    from repro.serve import (
-        ADMISSION_ORDERS,
-        OramService,
-        POLICIES,
-        ServeConfig,
-        tenants_for,
-    )
+    from repro.serve import OramService, ServeConfig, serve_table, tenants_for
     from repro.sim.runner import SimulationRunner
 
-    values: Dict[str, Optional[int]] = {
-        "tenants": None, "shards": None, "requests": None, "burst": None,
-        "max-batch": None, "queue-cap": None, "seed": None, "misses": None,
-        "deadline": None, "quota": None, "throttle-epochs": None,
-        "degrade-after": None, "recover-after": None,
-    }
-    scheme = "PC_X32"
-    benches: List[str] = []
-    policy: Optional[str] = None
-    admission: Optional[str] = None
-    mode = "serial"
-    out: Optional[str] = None
-    demo = False
-    it = iter(args)
-    for arg in it:
-        value: Optional[str] = None
-        name = arg[2:].split("=", 1)[0] if arg.startswith("--") else ""
-        if name in values:
-            value = arg.split("=", 1)[1] if "=" in arg else next(it, None)
-            if value is None or not value.isdigit() or int(value) < 1:
-                print(f"--{name} requires a positive integer", file=sys.stderr)
-                return 2
-            values[name] = int(value)
-        elif arg == "--demo":
-            demo = True
-        elif arg == "--scheme" or arg.startswith("--scheme="):
-            value = arg.split("=", 1)[1] if "=" in arg else next(it, None)
-            if not value:
-                print("--scheme requires a name or spec string", file=sys.stderr)
-                return 2
-            scheme = value
-        elif arg == "--bench" or arg.startswith("--bench="):
-            value = arg.split("=", 1)[1] if "=" in arg else next(it, None)
-            if not value:
-                print("--bench requires a benchmark name", file=sys.stderr)
-                return 2
-            benches.append(value)
-        elif arg == "--policy" or arg.startswith("--policy="):
-            value = arg.split("=", 1)[1] if "=" in arg else next(it, None)
-            if value not in POLICIES:
-                print(
-                    f"--policy requires one of: {', '.join(POLICIES)}",
-                    file=sys.stderr,
-                )
-                return 2
-            policy = value
-        elif arg == "--admission" or arg.startswith("--admission="):
-            value = arg.split("=", 1)[1] if "=" in arg else next(it, None)
-            if value not in ADMISSION_ORDERS:
-                print(
-                    f"--admission requires one of: {', '.join(ADMISSION_ORDERS)}",
-                    file=sys.stderr,
-                )
-                return 2
-            admission = value
-        elif arg == "--mode" or arg.startswith("--mode="):
-            value = arg.split("=", 1)[1] if "=" in arg else next(it, None)
-            if value not in ("serial", "async"):
-                print("--mode requires 'serial' or 'async'", file=sys.stderr)
-                return 2
-            mode = value
-        elif arg == "--out" or arg.startswith("--out="):
-            value = arg.split("=", 1)[1] if "=" in arg else next(it, None)
-            if not value:
-                print("--out requires a file path", file=sys.stderr)
-                return 2
-            out = value
-        else:
-            print(f"unknown serve option {arg}", file=sys.stderr)
-            return 2
-    if demo:
-        # Presets fill anything not given explicitly; the seed stays at
-        # the runner default, so demo artifacts are reproducible.
-        for key in ("tenants", "shards", "requests", "misses"):
-            if values[key] is None:
-                values[key] = _SERVE_DEMO[key]  # type: ignore[assignment]
-        if not benches:
-            benches = list(_SERVE_DEMO["benches"])  # type: ignore[arg-type]
-    if not benches:
-        benches = ["hmmer", "gob"]
+    _announce_tier()
+    # Typed flags over the scenario's presets; whatever neither names is
+    # left to the constructor that owns the default.
+    given = {**(_SERVE_DEMO if args.demo else _SERVE_PLAIN), **vars(args)}
+
+    def only(*names: str) -> Dict[str, object]:
+        return {name: given[name] for name in names if name in given}
+
     try:
         runner = SimulationRunner(
-            misses_per_benchmark=values["misses"],
-            **({"seed": values["seed"]} if values["seed"] is not None else {}),
+            misses_per_benchmark=given.get("misses"), **only("seed")
         )
         config = ServeConfig(
-            scheme=scheme,
-            shards=values["shards"] if values["shards"] is not None else 1,
-            burst=values["burst"] if values["burst"] is not None else 4,
-            max_batch=(
-                values["max-batch"] if values["max-batch"] is not None else 32
-            ),
-            queue_capacity=(
-                values["queue-cap"] if values["queue-cap"] is not None else 64
-            ),
-            policy=policy if policy is not None else "defer",
-            admission=admission if admission is not None else "edf",
-            throttle_epochs=(
-                values["throttle-epochs"]
-                if values["throttle-epochs"] is not None
-                else 1
-            ),
-            degrade_after=values["degrade-after"],
-            recover_after=values["recover-after"],
+            **only(*(f.name for f in dataclasses.fields(ServeConfig)))
         )
         service = OramService(
             tenants_for(
-                benches,
-                values["tenants"] if values["tenants"] is not None else 2,
-                requests=values["requests"],
-                deadline_cycles=(
-                    float(values["deadline"])
-                    if values["deadline"] is not None
-                    else None
-                ),
-                quota=(
-                    float(values["quota"]) if values["quota"] is not None else None
-                ),
+                given["bench"], given["tenants"],
+                **only("requests", "deadline_cycles", "quota"),
             ),
             runner=runner,
             config=config,
         )
-        service.run(mode=mode)
+        service.run(mode=args.mode)
     except ReproError as exc:
         print(f"serve error: {exc}", file=sys.stderr)
         return 2
@@ -576,187 +445,48 @@ def _serve_main(args: List[str]) -> int:
         print(f"serve error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
     report = service.report()
-    totals = report["totals"]
-    print(
-        f"serve: scheme {report['scheme']}, "
-        f"{len(report['tenants'])} tenant(s) on {len(report['shards'])} "
-        f"shard(s), policy {config.policy}, mode {mode}"
-    )
-    for tenant in report["tenants"]:
-        print(
-            f"  {tenant['name']:<16} completed {tenant['completed']:>6}"
-            f"  shed {tenant['shed']:>4}"
-            f"  cycles {tenant['cycles']:>14.1f}"
-            f"  p95<={tenant['latency_cycles']['p95_bound']:.0f}cyc"
-        )
-    for shard in report["shards"]:
-        depth = shard["queue_depth"]
-        print(
-            f"  shard {shard['shard']}: requests {shard['requests']}"
-            f"  batches {shard['batches']}"
-            f"  mean depth {depth['mean']:.1f} (max {depth['max']})"
-            f"  shed {shard['shed']}  deferred {shard['deferred']}"
-        )
-    print(
-        f"  totals: {totals['requests']} requests in {report['epochs']} "
-        f"epochs, {totals['cycles'] / 1e6:.2f} Mcycles"
-    )
-    res = report["resilience"]
-    print(
-        f"  resilience: missed {res['deadline_missed']}"
-        f"  throttled {res['throttled']}  shed {res['shed']}"
-        f"  deferred {res['deferred']}"
-        f"  degradation {res['degradation']['level']}"
-        f" ({len(res['degradation']['transitions'])} transition(s))"
-    )
-    if out is None:
-        out = DEFAULT_SERVE_OUT
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-    print(f"wrote {out}")
+    print(serve_table(report))
+    print(f"  mode {args.mode}")
+    _write_report(report, args.out)
+    print(f"wrote {args.out}")
     return 0
 
 
-def _fabric_main(args: List[str]) -> int:
-    """The ``fabric`` subcommand: worker-side entry points.
-
-    ``fabric serve-worker --connect HOST:PORT`` dials a sweep
-    coordinator (``python -m repro sweep --fabric N`` binds one; add
-    ``--connect`` there to listen on a fixed address) and executes
-    leased cells until the coordinator shuts it down.
-    """
+def _fabric_worker_main(args: argparse.Namespace) -> int:
+    """``fabric serve-worker``: execute leased cells until shut down."""
     from repro.fabric import serve_worker
 
-    if not args or args[0] != "serve-worker":
-        print(
-            "usage: python -m repro fabric serve-worker --connect HOST:PORT "
-            "[--timeout SECS]",
-            file=sys.stderr,
-        )
-        return 2
-    connect: Optional[str] = None
-    timeout = 10.0
-    it = iter(args[1:])
-    for arg in it:
-        value: Optional[str] = None
-        if arg == "--connect" or arg.startswith("--connect="):
-            value = arg.split("=", 1)[1] if "=" in arg else next(it, None)
-            if not value:
-                print("--connect requires HOST:PORT", file=sys.stderr)
-                return 2
-            connect = value
-        elif arg == "--timeout" or arg.startswith("--timeout="):
-            value = arg.split("=", 1)[1] if "=" in arg else next(it, None)
-            try:
-                timeout = float(value) if value else -1.0
-            except ValueError:
-                timeout = -1.0
-            if timeout <= 0:
-                print("--timeout requires a positive number", file=sys.stderr)
-                return 2
-        else:
-            print(f"unknown fabric option {arg}", file=sys.stderr)
-            return 2
-    if connect is None:
-        print("fabric serve-worker requires --connect HOST:PORT", file=sys.stderr)
-        return 2
     try:
-        return serve_worker(connect, connect_timeout=timeout)
+        return serve_worker(args.connect, connect_timeout=args.timeout)
     except ReproError as exc:
         print(f"fabric error: {exc}", file=sys.stderr)
         return 2
 
 
-_SUBCOMMAND_MAINS = {"sweep": _sweep_main, "serve": _serve_main, "fabric": _fabric_main}
-
-
 def main(argv=None) -> int:
-    """Dispatch experiment names; returns a process exit code."""
-    raw = list(sys.argv[1:] if argv is None else argv)
-    split = _find_subcommand(raw)
-    if split is not None:
-        if _parse_flags(raw[:split]) is None:
-            return 2
-        if raw[split] != "fabric" and not _announce_tier():
-            return 2
-        return _SUBCOMMAND_MAINS[raw[split]](raw[split + 1 :])
-    args = _parse_flags(raw)
-    if args is None:
+    """Parse, export the settings, dispatch; returns a process exit code."""
+    parser, documented = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (2), already printed
+        return exc.code
+    overrides = {k: v for k, v in vars(args).items() if k in _SETTINGS_FIELDS}
+    try:
+        settings = dataclasses.replace(Settings.from_env(), **overrides)
+        settings.export()
+        if "faults" in overrides:
+            # Install now: pool and fabric workers re-install from the
+            # exported variable, this process has to be told.
+            install_from(settings)
+        if args.command in (None, "list"):
+            print("Available experiments (python -m repro [options] <name> [...]):")
+            for documented_parser in documented:
+                print(documented_parser.format_help())
+            return 0
+        return args.run(args)
+    except ReproError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    if not args or args == ["list"]:
-        print("Available experiments (python -m repro [options] <name> [...]):")
-        for name in _ORDER:
-            doc = EXPERIMENTS[name].__module__.rsplit(".", 1)[-1]
-            print(f"  {name:<13} repro.eval.{doc}")
-        print("  all           run everything in order")
-        print("  sweep         parameter-grid sweep over scheme specs (SWEEP.json)")
-        print("  serve         multi-tenant ORAM serving scenario (SERVE.json)")
-        print("  fabric        distributed-sweep worker endpoints")
-        print("Options:")
-        print("  --workers N         parallel (scheme, benchmark) fan-out")
-        print("  --trace-cache DIR   miss-trace cache location")
-        print("  --no-trace-cache    disable the on-disk trace cache")
-        print("  --result-cache DIR  replay-result cache location")
-        print("  --no-result-cache   disable the on-disk result cache")
-        print("  --force             recompute (and refresh) every cached cell")
-        print("  --replay MODE       replay tier: compiled (default; the fast tier,")
-        print("                      native kernels when built, else interpreted)")
-        print("                      | scalar (the reference per-event loop)")
-        print("  --storage KIND      tree storage: object | columnar (default: the")
-        print("                      tier's — columnar, or object under scalar)")
-        print("  --faults PLAN       deterministic fault-injection plan (testing;")
-        print("                      e.g. 'cell.crash@*/1#1;sweep.interrupt@*#4')")
-        print("Sweep options (after 'sweep'):")
-        print("  --scheme NAME|SPEC  base scheme (repeatable; spec strings ok)")
-        print("  --grid F=V1,V2      grid axis over a spec field, the benchmark")
-        print("                      parameters 'misses' / 'wss', or the serving")
-        print("                      scenario 'tenants' / 'shards'")
-        print("  --saved FIGURE      run a saved figure sweep: fig5 | fig7 | fig8")
-        print("  --bench NAME        benchmark subset (repeatable)")
-        print("  --misses N          per-benchmark LLC miss budget")
-        print(f"  --out FILE          JSON report path (default {DEFAULT_SWEEP_OUT})")
-        print("  --checkpoint FILE   cell journal path (default <out>.ckpt.jsonl)")
-        print("  --resume            recompute only cells missing from the journal")
-        print("  --fabric N          distribute cells over N spawned fabric workers")
-        print("  --connect HOST:PORT bind the fabric coordinator there so external")
-        print("                      'fabric serve-worker' processes can attach")
-        print("Fabric options (after 'fabric'):")
-        print("  serve-worker --connect HOST:PORT [--timeout SECS]")
-        print("                      run one worker against a sweep coordinator")
-        print("                      (REPRO_CONNECT_RETRIES bounds each dial loop;")
-        print("                      REPRO_RPC_TIMEOUT bounds individual RPC calls)")
-        print("Serve options (after 'serve'):")
-        print("  --tenants N         simulated tenant clients (round-robin roster)")
-        print("  --shards M          ORAM instances in the pool")
-        print("  --scheme NAME|SPEC  ORAM scheme for every shard")
-        print("  --bench NAME        tenant workload roster entry (repeatable;")
-        print("                      interleaved 'a+b' mixes allowed)")
-        print("  --requests N        per-tenant request cap")
-        print("  --burst/--max-batch/--queue-cap N   admission & batching knobs")
-        print("  --policy defer|shed|throttle   backpressure at a full shard queue")
-        print("  --admission edf|fifo admission order (edf == fifo with no deadlines)")
-        print("  --deadline N        per-request SLO deadline in simulated cycles")
-        print("  --quota N           per-tenant token-bucket quota (requests/epoch)")
-        print("  --throttle-epochs N cooldown epochs charged by the throttle policy")
-        print("  --degrade-after N / --recover-after N   graceful-degradation")
-        print("                      thresholds in consecutive (clean) epochs")
-        print("  --mode serial|async epoch driver (identical simulated results)")
-        print("  --seed N / --misses N   runner seed and trace miss budget")
-        print("  --demo              small fixed scenario (the CI smoke artifact)")
-        print(f"  --out FILE          JSON report path (default {DEFAULT_SERVE_OUT})")
-        return 0
-    if args == ["all"]:
-        args = list(_ORDER)
-    unknown = [a for a in args if a not in EXPERIMENTS]
-    if unknown:
-        return _usage_error(f"unknown experiment(s): {', '.join(unknown)}")
-    if not _announce_tier():
-        return 2
-    for name in args:
-        print(f"==== {name} " + "=" * max(60 - len(name), 0))
-        EXPERIMENTS[name]()
-        print()
-    return 0
 
 
 if __name__ == "__main__":

@@ -71,8 +71,8 @@ from repro.fabric.protocol import (
 )
 from repro.fabric.store import SharedStore
 from repro.fabric.worker import runner_to_wire
-from repro.resilience import RetryPolicy
-from repro.resilience import CircuitBreaker, RpcPolicy
+from repro.resilience import CircuitBreaker, RetryPolicy, RpcPolicy
+from repro.settings import Settings
 from repro.sim.metrics import SimResult
 from repro.sim.runner import Cell, ProgressCallback, SimulationRunner
 
@@ -146,7 +146,8 @@ class FabricCoordinator:
         }
         self._breaker_threshold = max(1, breaker_threshold)
         self._breaker_cooldown = breaker_cooldown
-        self._rpc = rpc if rpc is not None else RpcPolicy.from_env()
+        settings = Settings.from_env()
+        self._rpc = rpc if rpc is not None else RpcPolicy.from_settings(settings)
         # Per-worker-identity circuit breakers: a worker that keeps
         # flapping (N consecutive failures) is quarantined — its redials
         # are refused until the cooldown elapses. Keyed by the worker's
@@ -165,7 +166,7 @@ class FabricCoordinator:
         # execute()-scoped scheduling state.
         self._open: Dict[str, dict] = {}
         self._pending: Deque[str] = deque()
-        self._retry: RetryPolicy = RetryPolicy.from_env()
+        self._retry = RetryPolicy.from_settings(settings)
         self._failures: Optional[List[dict]] = None
         self._progress: Optional[ProgressCallback] = None
 
@@ -264,7 +265,7 @@ class FabricCoordinator:
         import repro
 
         assert self.address is not None, "start() before _spawn_worker()"
-        env = dict(os.environ)
+        env = Settings.from_env().child_env()
         src_root = str(Path(repro.__file__).resolve().parent.parent)
         existing = env.get("PYTHONPATH", "")
         env["PYTHONPATH"] = (
@@ -387,7 +388,11 @@ class FabricCoordinator:
         (or, with ``failures=None``, raises). ``progress`` is invoked on
         this thread, once per completed cell, in completion order.
         """
-        self._retry = retry if retry is not None else RetryPolicy.from_env()
+        self._retry = (
+            retry
+            if retry is not None
+            else RetryPolicy.from_settings(Settings.from_env())
+        )
         self._failures = failures
         self._progress = progress
         self._open = {}

@@ -67,8 +67,9 @@ from repro.fabric.protocol import (
     recv_message,
     send_message,
 )
-from repro.faults import fault_hook, install_from_env
+from repro.faults import fault_hook, install_from
 from repro.resilience import RpcPolicy
+from repro.settings import Settings
 from repro.sim.runner import Cell, SimulationRunner
 from repro.spec import SchemeSpec
 
@@ -112,7 +113,11 @@ class FabricWorker:
         self.port = port
         self.connect_timeout = connect_timeout
         self.ident = f"{os.getpid()}.{next(_INSTANCES)}"
-        self.rpc = rpc if rpc is not None else RpcPolicy.from_env(seed=os.getpid())
+        self.rpc = (
+            rpc
+            if rpc is not None
+            else RpcPolicy.from_settings(Settings.from_env(), seed=os.getpid())
+        )
         self.index: Optional[int] = None
         self.cells_executed = 0
         self.sessions = 0
@@ -288,6 +293,6 @@ def serve_worker(address: str, connect_timeout: float = 10.0) -> int:
     is why cross-process plans key on the attempt number) and serves
     until the coordinator shuts the connection down.
     """
-    install_from_env()
+    install_from(Settings.from_env())
     host, port = parse_address(address)
     return FabricWorker(host, port, connect_timeout=connect_timeout).run()

@@ -5,9 +5,10 @@ Public surface:
 - :func:`fault_hook` — the zero-overhead injection point instrumented code
   calls; a no-op unless a plan is installed.
 - :func:`parse` / :class:`FaultPlan` / :class:`FaultSpec` — plan grammar.
-- :func:`install` / :func:`install_from_env` / :func:`clear` /
+- :func:`install` / :func:`install_from` / :func:`clear` /
   :func:`active` — process-wide plan management (workers re-install from
-  the ``REPRO_FAULTS`` env var).
+  the ``REPRO_FAULTS`` env var, as :class:`~repro.settings.Settings`
+  reads it).
 - :class:`injected` — context manager scoping a plan to a test block.
 
 Recovery policies (``RetryPolicy`` and its RPC siblings) live in
@@ -15,7 +16,6 @@ Recovery policies (``RetryPolicy`` and its RPC siblings) live in
 """
 
 from repro.faults.plan import (  # noqa: F401
-    FAULTS_ENV,
     FaultPlan,
     FaultSpec,
     active,
@@ -23,12 +23,11 @@ from repro.faults.plan import (  # noqa: F401
     fault_hook,
     injected,
     install,
-    install_from_env,
+    install_from,
     parse,
 )
 
 __all__ = [
-    "FAULTS_ENV",
     "FaultPlan",
     "FaultSpec",
     "active",
@@ -36,6 +35,6 @@ __all__ = [
     "fault_hook",
     "injected",
     "install",
-    "install_from_env",
+    "install_from",
     "parse",
 ]

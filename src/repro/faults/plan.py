@@ -65,7 +65,6 @@ the same run injects byte-identical faults every time.
 from __future__ import annotations
 
 import fnmatch
-import os
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -73,10 +72,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FaultKillPoint, InjectedFault, SpecError
-
-#: Environment variable carrying the serialized plan (also how pool workers
-#: inherit it: the runner snapshots ``os.environ`` into worker payloads).
-FAULTS_ENV = "REPRO_FAULTS"
 
 _ACTIONS = ("crash", "exit", "stall", "interrupt", "kill", "corrupt", "truncate")
 
@@ -284,13 +279,11 @@ def active() -> Optional[FaultPlan]:
     return _PLAN
 
 
-def install_from_env() -> Optional[FaultPlan]:
-    """(Re)install the plan described by ``REPRO_FAULTS``, if any."""
-    text = os.environ.get(FAULTS_ENV, "").strip()
-    if not text:
+def install_from(settings) -> Optional[FaultPlan]:
+    """(Re)install the plan ``settings.faults`` (``REPRO_FAULTS``) describes, if any."""
+    if not settings.faults:
         return None
-    seed = int(os.environ.get("REPRO_FAULTS_SEED", "0") or "0")
-    plan = parse(text, seed=seed)
+    plan = parse(settings.faults, seed=settings.faults_seed)
     install(plan)
     return plan
 

@@ -9,7 +9,6 @@ only pace re-dispatch — they never influence simulated results.
 
 from __future__ import annotations
 
-import os
 import zlib
 from dataclasses import dataclass
 from typing import Optional
@@ -38,13 +37,13 @@ class RetryPolicy:
         return min(self.backoff * self.factor ** (attempt - 2), self.max_backoff)
 
     @classmethod
-    def from_env(cls) -> "RetryPolicy":
-        """Build a policy from REPRO_RETRIES / REPRO_RETRY_BASE / REPRO_CELL_TIMEOUT."""
-        attempts = int(os.environ.get("REPRO_RETRIES", "3") or "3")
-        backoff = float(os.environ.get("REPRO_RETRY_BASE", "0.05") or "0.05")
-        timeout_text = os.environ.get("REPRO_CELL_TIMEOUT", "").strip()
-        timeout = float(timeout_text) if timeout_text else None
-        return cls(attempts=max(1, attempts), backoff=backoff, timeout=timeout)
+    def from_settings(cls, settings) -> "RetryPolicy":
+        """The policy REPRO_RETRIES / REPRO_RETRY_BASE / REPRO_CELL_TIMEOUT describe."""
+        return cls(
+            attempts=settings.retries,
+            backoff=settings.retry_base,
+            timeout=settings.cell_timeout,
+        )
 
 
 @dataclass(frozen=True)
@@ -82,14 +81,10 @@ class RpcPolicy:
         return base * (1.0 + self.jitter * (2.0 * frac - 1.0))
 
     @classmethod
-    def from_env(cls, seed: int = 0) -> "RpcPolicy":
-        """Build a policy from REPRO_CONNECT_RETRIES / REPRO_RPC_TIMEOUT.
-
-        ``REPRO_RPC_TIMEOUT=0`` (or negative) disables per-call deadlines.
-        """
-        attempts = int(os.environ.get("REPRO_CONNECT_RETRIES", "3") or "3")
-        timeout_text = os.environ.get("REPRO_RPC_TIMEOUT", "").strip()
-        timeout: Optional[float] = float(timeout_text) if timeout_text else 30.0
-        if timeout is not None and timeout <= 0:
-            timeout = None
-        return cls(connect_attempts=max(1, attempts), timeout=timeout, seed=seed)
+    def from_settings(cls, settings, seed: int = 0) -> "RpcPolicy":
+        """The policy REPRO_CONNECT_RETRIES / REPRO_RPC_TIMEOUT describe."""
+        return cls(
+            connect_attempts=settings.connect_retries,
+            timeout=settings.rpc_timeout,
+            seed=seed,
+        )

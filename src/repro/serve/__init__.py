@@ -14,7 +14,12 @@ from repro.serve.server import (
     ServeConfig,
     serve_replay_equivalent,
 )
-from repro.serve.stats import LatencyHistogram, ShardStats, TenantStats
+from repro.serve.stats import (
+    LatencyHistogram,
+    ShardStats,
+    TenantStats,
+    serve_table,
+)
 from repro.serve.workload import (
     TenantSpec,
     tenant_region_blocks,
@@ -32,6 +37,7 @@ __all__ = [
     "LatencyHistogram",
     "ShardStats",
     "TenantStats",
+    "serve_table",
     "TenantSpec",
     "tenant_region_blocks",
     "tenant_requests",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from collections import Counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 
 class LatencyHistogram:
@@ -238,3 +238,45 @@ class ShardStats:
             },
             "access_digest": self.access_digest,
         }
+
+
+def serve_table(report: Mapping[str, object]) -> str:
+    """Render a serve report (``OramService.report()``) as the text summary.
+
+    One line per tenant and per shard, then the totals and the
+    ``resilience`` block: what ``python -m repro serve`` prints.
+    """
+    totals = report["totals"]
+    res = report["resilience"]
+    lines = [
+        f"serve: scheme {report['scheme']}, "
+        f"{len(report['tenants'])} tenant(s) on {len(report['shards'])} "
+        f"shard(s), policy {report['config']['policy']}"
+    ]
+    for tenant in report["tenants"]:
+        lines.append(
+            f"  {tenant['name']:<16} completed {tenant['completed']:>6}"
+            f"  shed {tenant['shed']:>4}"
+            f"  cycles {tenant['cycles']:>14.1f}"
+            f"  p95<={tenant['latency_cycles']['p95_bound']:.0f}cyc"
+        )
+    for shard in report["shards"]:
+        depth = shard["queue_depth"]
+        lines.append(
+            f"  shard {shard['shard']}: requests {shard['requests']}"
+            f"  batches {shard['batches']}"
+            f"  mean depth {depth['mean']:.1f} (max {depth['max']})"
+            f"  shed {shard['shed']}  deferred {shard['deferred']}"
+        )
+    lines.append(
+        f"  totals: {totals['requests']} requests in {report['epochs']} "
+        f"epochs, {totals['cycles'] / 1e6:.2f} Mcycles"
+    )
+    lines.append(
+        f"  resilience: missed {res['deadline_missed']}"
+        f"  throttled {res['throttled']}  shed {res['shed']}"
+        f"  deferred {res['deferred']}"
+        f"  degradation {res['degradation']['level']}"
+        f" ({len(res['degradation']['transitions'])} transition(s))"
+    )
+    return "\n".join(lines)

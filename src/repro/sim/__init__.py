@@ -9,7 +9,7 @@ access count.
 """
 
 from repro.sim.metrics import SimResult, slowdown_table
-from repro.sim.replay import REPLAY_ENV, REPLAY_MODES, default_replay_mode
+from repro.sim.replay import REPLAY_MODES
 from repro.sim.runner import SimulationRunner
 from repro.sim.store import ResultCache, TraceCache
 from repro.sim.sweep import SweepSpec, run_sweep, sweep_table
@@ -25,9 +25,7 @@ __all__ = [
     "sweep_table",
     "insecure_cycles",
     "replay_trace",
-    "REPLAY_ENV",
     "REPLAY_MODES",
-    "default_replay_mode",
     "OramTimingModel",
     "TraceCache",
     "ResultCache",

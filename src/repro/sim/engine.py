@@ -33,7 +33,7 @@ from repro.backend.ops import Op
 from repro.config import ProcessorConfig
 from repro.proc.hierarchy import MissTrace
 from repro.sim.metrics import SimResult
-from repro.sim.replay import resolve_replay_mode, translate_block_addrs
+from repro.sim.replay import resolve_tier, translate_block_addrs
 from repro.sim.timing import OramTimingModel
 
 
@@ -115,11 +115,8 @@ class ReplayEngine:
         frontend and on the frontend itself.
         """
         engine = cls(frontend, timing, **kwargs)
-        engine.mode = resolve_replay_mode(mode)
-        if engine.mode == "compiled":
-            from repro.sim.native import load_native_core
-
-            engine.enable_native(load_native_core())
+        engine.mode, core = resolve_tier(mode)
+        engine.enable_native(core)
         return engine
 
     # -- compiled-core opt-in --------------------------------------------------

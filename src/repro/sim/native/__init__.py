@@ -22,52 +22,33 @@ which drops ``_replay_core.*.so`` next to this file. ``setup.py``
 swallows compiler failures, so environments without a C toolchain build
 a pure-Python package and every default CI lane stays green.
 
-``REPRO_NATIVE`` tunes the dispatch policy:
-
-- unset / ``1`` / ``on`` — use the extension when built (the default);
-- ``0`` / ``off`` / ``no`` / ``false`` / ``disable`` / ``disabled`` —
-  ignore the extension even when built (forces the interpreted
-  fallback, which the differential tests pin too);
-- ``require`` — escalate "extension unbuilt" from a silent fallback to
-  a hard :class:`~repro.errors.NativeKernelUnavailable` error. The CI
-  compiled lane sets this so a silently-unbuilt extension cannot
-  masquerade as a compiled run.
+``REPRO_NATIVE`` (:attr:`repro.settings.Settings.native`) is the
+dispatch policy: ``on`` uses the extension when built (the default),
+``off`` ignores it even when built (the interpreted fallback, which the
+differential tests pin too), ``require`` escalates "extension unbuilt"
+from a silent fallback to a hard
+:class:`~repro.errors.NativeKernelUnavailable` error — the CI compiled
+lane sets it so an unbuilt extension cannot masquerade as a compiled run.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
-#: Environment variable tuning native-kernel dispatch (see module docs).
-NATIVE_ENV = "REPRO_NATIVE"
-
-#: ``REPRO_NATIVE`` values that disable the extension even when built.
-_OFF_VALUES = frozenset({"0", "off", "no", "false", "disable", "disabled"})
+from repro.settings import Settings
 
 #: Memoised import result: unset, or (module | None).
 _CORE_CACHE: list = []
 
 
-def native_policy() -> str:
-    """Current dispatch policy: ``"on"``, ``"off"`` or ``"require"``."""
-    value = os.environ.get(NATIVE_ENV, "").strip().lower()
-    if value in _OFF_VALUES:
-        return "off"
-    if value == "require":
-        return "require"
-    return "on"
+def native_core(policy: str) -> Optional[object]:
+    """The built ``_replay_core`` module under ``policy``, or ``None``.
 
-
-def load_native_core() -> Optional[object]:
-    """The built ``_replay_core`` module, or ``None``.
-
-    The import itself is memoised (a build cannot appear mid-process),
-    but the ``REPRO_NATIVE`` policy is consulted on every call so tests
-    can flip the knob per-case. A stale build — one compiled before the
-    source gained ``synthesize_trace`` — counts as unbuilt.
+    The import itself is memoised (a build cannot appear mid-process);
+    ``off`` ignores it. A stale build — one compiled before the source
+    gained ``synthesize_trace`` — counts as unbuilt.
     """
-    if native_policy() == "off":
+    if policy == "off":
         return None
     if not _CORE_CACHE:
         try:
@@ -78,6 +59,12 @@ def load_native_core() -> Optional[object]:
             _replay_core = None
         _CORE_CACHE.append(_replay_core)
     return _CORE_CACHE[0]
+
+
+def load_native_core() -> Optional[object]:
+    """:func:`native_core` under the environment's ``REPRO_NATIVE``, read
+    on every call so tests can flip the knob per case."""
+    return native_core(Settings.from_env().native)
 
 
 def native_available() -> bool:

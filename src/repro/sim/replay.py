@@ -18,74 +18,58 @@ after every batch):
   :mod:`repro.sim.native` importable those stages and the whole
   ``access`` run in C; without it the same loop runs interpreted.
 
-``resolve_replay_mode`` returns ``"scalar"`` or ``"compiled"`` and
-nothing else. A missing extension is silent when the fast tier was
+``resolve_tier`` resolves ``"scalar"`` or ``"compiled"`` and nothing
+else. A missing extension is silent when the fast tier was
 merely the default, a :class:`RuntimeWarning` when ``compiled`` was
 asked for by name, and :class:`~repro.errors.NativeKernelUnavailable`
-under ``REPRO_NATIVE=require``. Any other value raises, naming the two
-that exist.
+under ``REPRO_NATIVE=require``. Any other ``mode`` raises, naming the
+two that exist; the variables' own grammar is :mod:`repro.settings`'s.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 from typing import List
+
+from repro.settings import Settings
 
 try:  # pragma: no cover - exercised indirectly on both branches
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
 
-#: Environment variable selecting the replay tier.
-REPLAY_ENV = "REPRO_REPLAY"
-
 #: Replay tiers: ``scalar`` is the reference, ``compiled`` the fast tier.
 REPLAY_MODES = ("scalar", "compiled")
 
 
-def default_replay_mode() -> str:
-    """Replay tier from ``REPRO_REPLAY``; the fast tier when it is unset.
+def resolve_tier(mode=None):
+    """``(mode, core)``: the tier a replay runs on, from one read of the
+    environment. ``core`` is the extension the fast tier runs on, ``None``
+    on the reference tier or when the fast tier runs interpreted.
 
-    An unrecognised value raises — a typo (``REPRO_REPLAY=scaler``) aborts
-    the run instead of silently measuring the other tier.
-    """
-    value = os.environ.get(REPLAY_ENV, "").strip().lower()
-    if not value:
-        return "compiled"
-    if value not in REPLAY_MODES:
-        raise ValueError(
-            f"unknown replay mode {value!r} in {REPLAY_ENV}; "
-            f"choose from {REPLAY_MODES}"
-        )
-    return value
-
-
-def resolve_replay_mode(mode=None) -> str:
-    """Validate an explicit mode, or fall back to the environment.
-
-    The fast tier runs interpreted when the C extension is unbuilt or
-    switched off via ``REPRO_NATIVE``. That is silent when nothing asked
-    for ``compiled`` by name, a :class:`RuntimeWarning` when ``mode`` or
-    ``REPRO_REPLAY`` did, and under ``REPRO_NATIVE=require`` a
+    An explicit ``mode`` is validated, ``None`` falls back to the
+    environment. The fast tier runs interpreted when the C extension is
+    unbuilt or switched off via ``REPRO_NATIVE``. That is silent when
+    nothing asked for ``compiled`` by name, a :class:`RuntimeWarning`
+    when ``mode`` or ``REPRO_REPLAY`` did, and under
+    ``REPRO_NATIVE=require`` a
     :class:`~repro.errors.NativeKernelUnavailable` error either way.
     """
-    named = mode is not None or bool(os.environ.get(REPLAY_ENV, "").strip())
+    settings = Settings.from_env()
+    named = mode is not None or settings.replay is not None
     if mode is None:
-        mode = default_replay_mode()
+        mode = settings.replay or "compiled"
     elif mode not in REPLAY_MODES:
         raise ValueError(
             f"unknown replay mode {mode!r}; choose from {REPLAY_MODES}"
         )
+    core = None
     if mode == "compiled":
-        from repro.sim.native import (
-            build_hint,
-            load_native_core,
-            native_policy,
-        )
+        from repro.sim.native import build_hint, native_core
 
-        if load_native_core() is None:
-            if native_policy() == "require":
+        core = native_core(settings.native)
+        if core is None:
+            if settings.native == "require":
                 from repro.errors import NativeKernelUnavailable
 
                 raise NativeKernelUnavailable(
@@ -98,9 +82,14 @@ def resolve_replay_mode(mode=None) -> str:
                     "extension is not built; running the fast tier "
                     f"interpreted ({build_hint()})",
                     RuntimeWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
-    return mode
+    return mode, core
+
+
+def resolve_replay_mode(mode=None) -> str:
+    """The ``mode`` half of :func:`resolve_tier`."""
+    return resolve_tier(mode)[0]
 
 
 def translate_block_addrs(

@@ -44,11 +44,12 @@ cell is recomputed and the fresh trace/result overwrites the cached entry
 
 Scale is controlled by ``misses_per_benchmark``; set the environment
 variable ``REPRO_FULL=1`` (or pass explicit values) for longer runs.
+Every default a keyword leaves open is a field of
+:class:`repro.settings.Settings`, read when the call is made.
 """
 
 from __future__ import annotations
 
-import os
 import time
 import zlib
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -68,20 +69,13 @@ from typing import (
 
 from repro.config import ProcessorConfig
 from repro.dram.config import DramConfig
-from repro.faults import fault_hook, install_from_env
+from repro.faults import fault_hook, install_from
 from repro.proc.hierarchy import CacheHierarchy, MissTrace
 from repro.resilience import RetryPolicy
+from repro.settings import Settings
 from repro.sim.metrics import SimResult
 from repro.sim.native import load_native_core
-from repro.sim.store import (
-    CACHE_ENV,
-    RESULT_CACHE_ENV,
-    ResultCache,
-    TraceCache,
-    cache_root,
-    result_key,
-    trace_key,
-)
+from repro.sim.store import ResultCache, TraceCache, result_key, trace_key
 from repro.sim.system import insecure_cycles, replay_trace
 from repro.sim.timing import OramTimingModel, timing_for_frontend
 from repro.spec import (
@@ -94,12 +88,6 @@ from repro.spec import (
 )
 from repro.utils.rng import DeterministicRng
 from repro.workloads.spec import SPEC_BENCHMARKS, SpecStandIn, benchmark
-
-#: Environment variable supplying the default ``run_suite`` worker count.
-WORKERS_ENV = "REPRO_WORKERS"
-
-#: Environment variable enabling cache-bypassing (refresh) runs.
-FORCE_ENV = "REPRO_FORCE"
 
 #: A scheme argument: registered name, spec string, or SchemeSpec value.
 SchemeLike = Union[str, SchemeSpec]
@@ -134,26 +122,6 @@ def _quarantine_entry(cell: Cell, attempts: int, error: BaseException):
         "attempts": attempts,
         "error": f"{type(error).__name__}: {error}",
     }
-
-
-def default_miss_budget() -> int:
-    """Per-benchmark LLC miss budget (env-tunable)."""
-    if os.environ.get("REPRO_FULL"):
-        return 50_000
-    return 6_000
-
-
-def default_workers() -> int:
-    """Worker-pool size from ``REPRO_WORKERS`` (defaults to serial)."""
-    try:
-        return max(int(os.environ.get(WORKERS_ENV, "1")), 1)
-    except ValueError:
-        return 1
-
-
-def default_force() -> bool:
-    """Cache-refresh default from ``REPRO_FORCE`` (off unless truthy)."""
-    return os.environ.get(FORCE_ENV, "").strip().lower() in ("1", "true", "yes", "on")
 
 
 def stable_trace_salt(bench_name: str) -> int:
@@ -244,19 +212,20 @@ class SimulationRunner:
         self.dram = dram if dram is not None else DramConfig()
         self.proc_ghz = proc_ghz
         self.seed = seed
+        settings = Settings.from_env()
         self.misses = (
             misses_per_benchmark
             if misses_per_benchmark is not None
-            else default_miss_budget()
+            else settings.miss_budget
         )
         self.plb_capacity_bytes = plb_capacity_bytes
         self.onchip_entries = onchip_entries
-        self.force = default_force() if force is None else bool(force)
+        self.force = settings.force if force is None else bool(force)
         if cache_dir == "auto":
-            cache_dir = cache_root(CACHE_ENV, "traces")
+            cache_dir = settings.trace_cache
         self.trace_cache = TraceCache(cache_dir) if cache_dir is not None else None
         if result_cache_dir == "auto":
-            result_cache_dir = cache_root(RESULT_CACHE_ENV, "results")
+            result_cache_dir = settings.result_cache
         self.result_cache = (
             ResultCache(result_cache_dir) if result_cache_dir is not None else None
         )
@@ -544,7 +513,7 @@ class SimulationRunner:
         completes, with (scheme label, benchmark, result, cached).
 
         Self-healing: a cell that raises is re-dispatched under ``retry``
-        (default :meth:`RetryPolicy.from_env`) with exponential backoff —
+        (default :meth:`RetryPolicy.from_settings`) with exponential backoff —
         a crashed pool worker rebuilds the pool, and (pool mode only)
         ``retry.timeout`` bounds how long the suite waits without any cell
         completing before the stalled pool is abandoned and rebuilt. A
@@ -552,10 +521,11 @@ class SimulationRunner:
         (and omitted from the returned mapping) when a list is supplied;
         with ``failures=None`` the last error propagates.
         """
+        settings = Settings.from_env()
         if workers is None:
-            workers = default_workers()
+            workers = settings.workers
         if retry is None:
-            retry = RetryPolicy.from_env()
+            retry = RetryPolicy.from_settings(settings)
         out: Dict[str, SimResult] = {}
 
         def done(cell: Cell, result: SimResult, cached: bool) -> None:
@@ -773,7 +743,7 @@ def _worker_init(
     # A freshly spawned (or respawned-after-crash) worker re-installs the
     # fault plan from REPRO_FAULTS; occurrence counters restart with the
     # process, which is why cross-process plans key on the attempt number.
-    install_from_env()
+    install_from(Settings.from_env())
     _WORKER_RUNNER = SimulationRunner(**payload)  # type: ignore[arg-type]
     _WORKER_RUNNER._traces = {
         name: MissTrace.from_bytes(data) for name, data in packed_traces.items()

@@ -46,14 +46,8 @@ from repro.dram.config import DramConfig
 from repro.errors import CacheCorruptionWarning
 from repro.faults import fault_hook
 from repro.proc.hierarchy import TRACE_VERSION, MissTrace
+from repro.settings import Settings
 from repro.sim.metrics import SimResult
-
-#: Environment variables controlling the default store locations. Unset
-#: means the per-user default; a path overrides it; ``0``/``off``/``none``
-#: disables.
-CACHE_ENV = "REPRO_TRACE_CACHE"
-RESULT_CACHE_ENV = "REPRO_RESULT_CACHE"
-FIGURE_CACHE_ENV = "REPRO_FIGURE_CACHE"
 
 #: Bump when SimResult serialization (or replay semantics the key cannot
 #: see) changes; embedded in every entry and checked on load.
@@ -63,23 +57,11 @@ RESULT_SCHEMA_VERSION = 2
 #: Schema version mixed into every figure key (bump on encoding changes).
 FIGURE_CACHE_VERSION = 1
 
-_DISABLED_VALUES = {"0", "off", "none", "disable", "disabled"}
-
 #: Per-process sequence for temp-file names: combined with the pid it
 #: makes concurrent writers — threads of one process (fabric coordinator)
 #: and separate worker processes alike — never collide on a temp path,
 #: so the atomic-rename discipline holds under any write race.
 _TMP_SEQ = itertools.count()
-
-
-def cache_root(env_name: str, subdir: str) -> Optional[Path]:
-    """Resolve a store directory from the environment (None = disabled)."""
-    value = os.environ.get(env_name)
-    if value is None:
-        return Path.home() / ".cache" / "repro" / subdir
-    if value.strip().lower() in _DISABLED_VALUES or not value.strip():
-        return None
-    return Path(value)
 
 
 @dataclass(frozen=True)
@@ -104,7 +86,7 @@ class Store:
     """Directory of encoded entries, one file per content-address key."""
 
     def __init__(self, root: Union[str, Path], codec: Codec):
-        self.root = Path(root)
+        self.root = Path(root).expanduser()
         self.codec = codec
         # Hit/miss/store counters for tests and diagnostics.
         self.hits = 0
@@ -388,21 +370,15 @@ def cached_figure_table(
     underneath); a disabled store (``REPRO_FIGURE_CACHE=off``) degrades
     to calling ``build()`` directly. Purely analytic tables
     (table2/table3) have no runner: pass ``runner=None`` and the force
-    flag is read straight from the environment, with ``cell_keys``
-    carrying the closed-form model's parameters instead of result
-    digests.
+    flag is the environment's, with ``cell_keys`` carrying the
+    closed-form model's parameters instead of result digests.
     """
+    settings = Settings.from_env()
     if cache is None:
-        root = cache_root(FIGURE_CACHE_ENV, "figures")
-        if root is None:
+        if settings.figure_cache is None:
             return build()
-        cache = FigureTableCache(root)
-    if runner is None:
-        from repro.sim.runner import default_force
-
-        force = default_force()
-    else:
-        force = runner.force
+        cache = FigureTableCache(settings.figure_cache)
+    force = settings.force if runner is None else runner.force
     key = figure_key(figure, cell_keys)
     if not force:
         table = cache.load(key)

@@ -46,8 +46,9 @@ FRONTEND_KINDS = ("recursive", "plb", "linear")
 #: PosMap block formats of the unified-tree frontend (§4/§5/§6).
 POSMAP_FORMATS = ("uncompressed", "flat", "compressed")
 
-#: Tree storage backends (``default`` defers to ``REPRO_STORAGE`` and,
-#: with that unset, to the replay tier's storage).
+#: Tree storage backends (``default`` defers to
+#: :attr:`repro.settings.Settings.storage_kind`: ``REPRO_STORAGE`` and,
+#: with that unset, the replay tier's storage).
 STORAGE_KINDS = ("default", "object", "tree", "columnar")
 
 #: Crypto suites (:class:`~repro.crypto.suite.CryptoSuite` constructors).

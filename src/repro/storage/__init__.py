@@ -25,14 +25,12 @@ and digests used by the equivalence and integrity test layers.
 
 Preset- and spec-built frontends pick their storage through the registry
 below: an explicit kind (``storage="columnar"``, ``"PC_X32:storage=object"``)
-wins, then ``REPRO_STORAGE``, and with neither the storage follows the
-replay tier ``REPRO_REPLAY`` selects — ``object`` under ``scalar``,
-``columnar`` otherwise.
+wins, then :attr:`Settings.storage_kind <repro.settings.Settings.storage_kind>`
+— ``REPRO_STORAGE``, and with that unset the replay tier's storage.
 """
 
-import os
-
 from repro.config import OramConfig
+from repro.settings import Settings
 from repro.storage.block import Block, DUMMY_ADDR
 from repro.storage.bucket import Bucket
 from repro.storage.columnar import ColumnarTreeStorage
@@ -53,8 +51,6 @@ __all__ = [
     "ColumnarTreeStorage",
     "EncryptedTreeStorage",
     "EncryptionScheme",
-    "STORAGE_ENV",
-    "default_storage_backend",
     "make_storage",
     "make_storage_factory",
     "path_indices",
@@ -64,31 +60,14 @@ __all__ = [
     "tree_digest",
 ]
 
-#: Environment variable selecting the storage backend for presets.
-STORAGE_ENV = "REPRO_STORAGE"
-
-
-def default_storage_backend() -> str:
-    """Storage kind for a frontend whose spec leaves it at ``default``.
-
-    ``REPRO_STORAGE`` when set; otherwise the storage of the replay tier
-    in force (see :func:`repro.sim.replay.default_replay_mode`).
-    """
-    value = os.environ.get(STORAGE_ENV, "").strip().lower()
-    if value:
-        return value
-    from repro.sim.replay import default_replay_mode
-
-    return "object" if default_replay_mode() == "scalar" else "columnar"
-
 
 def make_storage(kind: str, config: OramConfig, observer=None):
     """Instantiate a storage backend by name: ``object`` or ``columnar``.
 
-    ``default`` resolves through :func:`default_storage_backend`.
+    ``default`` is the environment's: ``Settings.from_env().storage_kind``.
     """
     if kind == "default":
-        kind = default_storage_backend()
+        kind = Settings.from_env().storage_kind
     if kind in ("object", "tree"):
         return TreeStorage(config, observer=observer)
     if kind == "columnar":

@@ -8,8 +8,11 @@ import pytest
 
 from repro.config import OramConfig
 from repro.crypto.suite import CryptoSuite
-from repro.sim.store import CACHE_ENV, FIGURE_CACHE_ENV, RESULT_CACHE_ENV
 from repro.utils.rng import DeterministicRng
+
+CACHE_ENV = "REPRO_TRACE_CACHE"
+RESULT_CACHE_ENV = "REPRO_RESULT_CACHE"
+FIGURE_CACHE_ENV = "REPRO_FIGURE_CACHE"
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -53,14 +56,12 @@ def fast_tier(request, monkeypatch) -> str:
     ``native`` case needs the extension built and the ``interpreted``
     case switches it off (the supported toolchain-less platform path).
     """
-    from repro.sim.native import NATIVE_ENV, load_native_core
-    from repro.sim.replay import REPLAY_ENV
-    from repro.storage import STORAGE_ENV
+    from repro.sim.native import load_native_core
 
-    monkeypatch.delenv(REPLAY_ENV, raising=False)
-    monkeypatch.delenv(STORAGE_ENV, raising=False)
+    monkeypatch.delenv("REPRO_REPLAY", raising=False)
+    monkeypatch.delenv("REPRO_STORAGE", raising=False)
     if request.param == "interpreted":
-        monkeypatch.setenv(NATIVE_ENV, "off")
+        monkeypatch.setenv("REPRO_NATIVE", "off")
     elif load_native_core() is None:
         pytest.skip("compiled core not built or switched off")
     return request.param

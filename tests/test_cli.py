@@ -1,14 +1,19 @@
 """CLI dispatch."""
 
 import os
-
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.cli import EXPERIMENTS, main
-from repro.sim.replay import REPLAY_ENV
-from repro.sim.runner import FORCE_ENV, WORKERS_ENV
-from repro.sim.store import CACHE_ENV, RESULT_CACHE_ENV
-from repro.storage import STORAGE_ENV
+from repro.cli import EXPERIMENTS, build_parser, main
+from repro.settings import FALSE_WORDS, TRUE_WORDS, Settings
+
+REPLAY_ENV = "REPRO_REPLAY"
+FORCE_ENV = "REPRO_FORCE"
+WORKERS_ENV = "REPRO_WORKERS"
+CACHE_ENV = "REPRO_TRACE_CACHE"
+RESULT_CACHE_ENV = "REPRO_RESULT_CACHE"
+STORAGE_ENV = "REPRO_STORAGE"
 
 
 class TestCli:
@@ -24,13 +29,13 @@ class TestCli:
 
     def test_unknown_rejected(self, capsys):
         assert main(["fig99"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
+        assert "invalid choice: 'fig99'" in capsys.readouterr().err
 
     def test_bench_is_not_a_command(self, capsys):
         assert main(["bench"]) == 2
         err = capsys.readouterr().err
-        assert "unknown experiment(s): bench" in err
-        assert "choose from" in err and "'bench'" not in err
+        assert "invalid choice: 'bench'" in err
+        assert "bench" not in err.split("choose from")[1]
 
     def test_runs_cheap_experiment(self, capsys):
         assert main(["table2"]) == 0
@@ -46,6 +51,87 @@ class TestCli:
         assert set(EXPERIMENTS) >= {
             "fig3", "fig5", "fig6", "fig7", "fig8", "fig9",
             "table2", "table3", "hashbw", "compression",
+        }
+
+
+class TestHelp:
+    """``--help`` everywhere: generated, exit 0, nothing replayed."""
+
+    COMMANDS = ("", "sweep", "serve", "fabric serve-worker")
+
+    @pytest.mark.parametrize("index", range(4), ids=COMMANDS)
+    def test_help_lists_every_declared_flag(self, index, capsys):
+        command, parser = self.COMMANDS[index].split(), build_parser()[1][index]
+        assert main([*command, "--help"]) == 0
+        captured = capsys.readouterr()
+        declared = [
+            option for action in parser._actions for option in action.option_strings
+        ]
+        assert "--help" in declared and len(declared) > 2
+        for option in declared:
+            assert option in captured.out
+        assert captured.out.startswith(f"usage: python -m repro {' '.join(command)}")
+        assert parser.format_help() == captured.out
+        assert captured.err == ""  # no tier line: nothing resolved, nothing run
+
+    def test_an_experiment_has_help_too(self, capsys):
+        assert main(["fig6", "--help"]) == 0
+        captured = capsys.readouterr()
+        assert "--workers" in captured.out and captured.err == ""
+
+    def test_a_bad_variable_exits_2_naming_it_even_for_list(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_NATIVE", "requrie")
+        assert main(["list"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("REPRO_NATIVE='requrie': expected ")
+        assert captured.out == ""
+
+
+_WORDS = set(TRUE_WORDS + FALSE_WORDS)
+_paths = (
+    st.text(
+        st.characters(blacklist_characters="\x00", blacklist_categories=["Cs"]),
+        min_size=1,
+    )
+    .filter(lambda text: text == text.strip() and text.lower() not in _WORDS)
+)
+_seconds = st.floats(min_value=0, allow_nan=False, allow_infinity=False)
+_settings = st.builds(
+    Settings,
+    replay=st.sampled_from([None, "scalar", "compiled"]),
+    storage=st.sampled_from([None, "object", "columnar"]),
+    native=st.sampled_from(["on", "off", "require"]),
+    workers=st.integers(min_value=1),
+    trace_cache=st.none() | _paths,
+    result_cache=st.none() | _paths,
+    figure_cache=st.none() | _paths,
+    force=st.booleans(),
+    full=st.booleans(),
+    retries=st.integers(min_value=1),
+    retry_base=_seconds,
+    cell_timeout=st.none() | _seconds,
+    rpc_timeout=st.none() | _seconds.filter(lambda seconds: seconds > 0),
+    connect_retries=st.integers(min_value=1),
+    faults=st.text(st.characters(blacklist_categories=["Cs"])).map(str.strip),
+    faults_seed=st.integers(),
+)
+
+
+class TestExport:
+    """What ``main`` exports is what every child reads back."""
+
+    @given(_settings)
+    def test_to_env_round_trips(self, settings):
+        env = settings.to_env()
+        assert Settings.from_env(env) == settings
+        assert Settings.from_env(env).to_env() == env
+
+    def test_defaults_stay_unset(self):
+        assert Settings().to_env() == {}
+        assert Settings(workers=8, trace_cache=None, force=True).to_env() == {
+            "REPRO_WORKERS": "8", "REPRO_TRACE_CACHE": "off", "REPRO_FORCE": "1",
         }
 
 
@@ -92,7 +178,7 @@ class TestCliFlags:
 
     def test_workers_rejects_missing_value(self, capsys):
         assert main(["table2", "--workers"]) == 2
-        assert "positive integer" in capsys.readouterr().err
+        assert "--workers: expected one argument" in capsys.readouterr().err
 
     def test_no_trace_cache_flag(self, monkeypatch):
         monkeypatch.delenv(CACHE_ENV, raising=False)
@@ -126,7 +212,8 @@ class TestCliFlags:
     @pytest.mark.parametrize("value", ("quantum", "array"))
     def test_storage_flag_rejects_unknown(self, capsys, value):
         assert main(["--storage", value, "table2"]) == 2
-        assert "'object' or 'columnar'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--storage" in err and "object" in err and "columnar" in err
 
     def test_force_flag_sets_env(self, monkeypatch):
         monkeypatch.delenv(FORCE_ENV, raising=False)
@@ -146,11 +233,12 @@ class TestCliFlags:
     @pytest.mark.parametrize("value", ("vectorised", "batched"))
     def test_replay_flag_rejects_unknown(self, capsys, value):
         assert main(["--replay", value, "table2"]) == 2
-        assert "'scalar' or 'compiled'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--replay" in err and "scalar" in err and "compiled" in err
 
     def test_unknown_option_rejected(self, capsys):
         assert main(["--frobnicate", "table2"]) == 2
-        assert "unknown option" in capsys.readouterr().err
+        assert "unrecognized arguments: --frobnicate" in capsys.readouterr().err
 
     def test_list_mentions_options(self, capsys):
         assert main(["list"]) == 0
@@ -187,7 +275,8 @@ class TestTierLine:
         monkeypatch.setenv(REPLAY_ENV, "batched")
         assert main(["table2"]) == 2
         captured = capsys.readouterr()
-        assert "('scalar', 'compiled')" in captured.err
+        assert "REPRO_REPLAY='batched'" in captured.err
+        assert "'scalar' or 'compiled'" in captured.err
         assert "Table 2" not in captured.out
 
     def test_list_and_fabric_do_not_replay_and_print_none(self, capsys):
@@ -217,7 +306,7 @@ class TestCliSweep:
     def _isolated_caches(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV, str(tmp_path / "traces"))
         monkeypatch.setenv(RESULT_CACHE_ENV, str(tmp_path / "results"))
-        # The CLI writes flags straight into os.environ (monkeypatch can't
+        # The CLI exports its settings into os.environ (monkeypatch can't
         # see that); restore them so e.g. --workers can't leak session-wide.
         keys = (WORKERS_ENV, FORCE_ENV, STORAGE_ENV, REPLAY_ENV)
         saved = {key: os.environ.get(key) for key in keys}
@@ -269,7 +358,7 @@ class TestCliSweep:
 
     def test_sweep_unknown_option_rejected(self, capsys):
         assert main(["sweep", "--frobnicate"]) == 2
-        assert "unknown sweep option" in capsys.readouterr().err
+        assert "unrecognized arguments: --frobnicate" in capsys.readouterr().err
 
     def test_sweep_after_experiment_is_unknown_experiment(self, capsys):
         assert main(["fig6", "sweep"]) == 2
@@ -434,7 +523,7 @@ class TestCliServe:
 
     def test_serve_rejects_unknown_option(self, capsys):
         assert main(["serve", "--frobnicate"]) == 2
-        assert "unknown serve option" in capsys.readouterr().err
+        assert "unrecognized arguments: --frobnicate" in capsys.readouterr().err
 
     def test_serve_rejects_bad_policy(self, capsys):
         assert main(["serve", "--policy", "panic"]) == 2

@@ -40,8 +40,8 @@ from repro.backend.ops import Op
 from repro.backend.path_oram import PathOramBackend
 from repro.config import OramConfig
 from repro.errors import BlockNotFoundError, IntegrityViolationError
+from repro.settings import Settings
 from repro.sim.native import load_native_core
-from repro.sim.replay import default_replay_mode
 from repro.storage.block import Block
 from repro.storage.columnar import ColumnarTreeStorage
 from repro.storage.snapshot import path_records, tree_digest, tree_records
@@ -138,7 +138,7 @@ def build_pair(
     col = ColumnarPathOramBackend(
         config, ColumnarTreeStorage(config), DeterministicRng(seed)
     )
-    if default_replay_mode() == "compiled":
+    if Settings.from_env().tier == "fast":
         # The fast tier's backend: on the native access kernel (a no-op
         # where the extension is unbuilt or ``REPRO_NATIVE=off``).
         col.enable_native_kernel(load_native_core())

@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import FaultKillPoint, InjectedFault, SpecError
 from repro.faults import (
-    FAULTS_ENV,
     FaultPlan,
     FaultSpec,
     active,
@@ -15,10 +14,11 @@ from repro.faults import (
     fault_hook,
     injected,
     install,
-    install_from_env,
+    install_from,
     parse,
 )
 from repro.resilience import RetryPolicy
+from repro.settings import Settings
 
 
 class TestGrammar:
@@ -156,23 +156,23 @@ class TestInstallation:
         finally:
             clear()
 
-    def test_install_from_env_parses_and_installs(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "cell.crash@*#1")
+    def test_install_from_parses_and_installs(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "cell.crash@*#1")
         monkeypatch.setenv("REPRO_FAULTS_SEED", "9")
-        plan = install_from_env()
+        plan = install_from(Settings.from_env())
         try:
             assert plan is active() and plan.seed == 9
         finally:
             clear()
 
-    def test_install_from_env_keeps_inherited_plan_when_unset(self, monkeypatch):
-        # A fork-inherited plan must survive a worker's install_from_env()
+    def test_install_from_keeps_inherited_plan_when_unset(self, monkeypatch):
+        # A fork-inherited plan must survive a worker's install_from()
         # when the env var is absent.
-        monkeypatch.delenv(FAULTS_ENV, raising=False)
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
         inherited = parse("cell.crash@never")
         install(inherited)
         try:
-            assert install_from_env() is None
+            assert install_from(Settings.from_env()) is None
             assert active() is inherited
         finally:
             clear()
@@ -183,15 +183,15 @@ class TestRetryPolicy:
         policy = RetryPolicy(attempts=4, backoff=0.1, factor=2.0, max_backoff=0.3)
         assert [policy.delay(a) for a in (1, 2, 3, 4)] == [0.0, 0.1, 0.2, 0.3]
 
-    def test_from_env(self, monkeypatch):
+    def test_from_settings(self, monkeypatch):
         monkeypatch.setenv("REPRO_RETRIES", "5")
         monkeypatch.setenv("REPRO_RETRY_BASE", "0.25")
         monkeypatch.setenv("REPRO_CELL_TIMEOUT", "30")
-        policy = RetryPolicy.from_env()
+        policy = RetryPolicy.from_settings(Settings.from_env())
         assert (policy.attempts, policy.backoff, policy.timeout) == (5, 0.25, 30.0)
 
-    def test_from_env_defaults(self, monkeypatch):
+    def test_from_settings_defaults(self, monkeypatch):
         for env in ("REPRO_RETRIES", "REPRO_RETRY_BASE", "REPRO_CELL_TIMEOUT"):
             monkeypatch.delenv(env, raising=False)
-        policy = RetryPolicy.from_env()
+        policy = RetryPolicy.from_settings(Settings.from_env())
         assert policy.attempts >= 1 and policy.timeout is None

@@ -41,7 +41,7 @@ from repro.errors import ConfigurationError
 from repro.frontend.unified import PlbFrontend
 from repro.presets import build_frontend
 from repro.sim.engine import ReplayEngine
-from repro.sim.native import NATIVE_ENV, load_native_core
+from repro.sim.native import load_native_core
 from repro.sim.system import replay_trace
 from repro.sim.timing import OramTimingModel
 from repro.storage.snapshot import tree_digest
@@ -894,7 +894,7 @@ class TestServeOnTheFrontendKernel:
         return kernels, report, digests
 
     def test_compiled_serve_equals_the_reference(self, monkeypatch):
-        monkeypatch.delenv(NATIVE_ENV, raising=False)
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
         monkeypatch.delenv("REPRO_STORAGE", raising=False)
         monkeypatch.setenv("REPRO_REPLAY", "scalar")
         kernels, reference, reference_digests = self.run_serve()

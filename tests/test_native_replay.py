@@ -46,8 +46,9 @@ from repro.errors import (
     StashOverflowError,
 )
 from repro.presets import build_frontend
+from repro.settings import Settings
 from repro.sim.engine import ReplayEngine
-from repro.sim.native import NATIVE_ENV, load_native_core, native_policy
+from repro.sim.native import load_native_core
 from repro.sim.replay import resolve_replay_mode, translate_block_addrs
 from repro.sim.system import replay_trace
 from repro.sim.timing import OramTimingModel
@@ -762,15 +763,15 @@ class TestDispatchPolicy:
         "value", ("0", "off", "no", "false", "disable", "disabled", " OFF ")
     )
     def test_off_values_disable(self, monkeypatch, value):
-        monkeypatch.setenv(NATIVE_ENV, value)
-        assert native_policy() == "off"
+        monkeypatch.setenv("REPRO_NATIVE", value)
+        assert Settings.from_env().native == "off"
         assert load_native_core() is None
 
     def test_policy_defaults_on(self, monkeypatch):
-        monkeypatch.delenv(NATIVE_ENV, raising=False)
-        assert native_policy() == "on"
-        monkeypatch.setenv(NATIVE_ENV, "require")
-        assert native_policy() == "require"
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        assert Settings.from_env().native == "on"
+        monkeypatch.setenv("REPRO_NATIVE", "require")
+        assert Settings.from_env().native == "require"
 
     def test_unbuilt_default_is_silent_and_named_compiled_warns(
         self, monkeypatch
@@ -779,7 +780,7 @@ class TestDispatchPolicy:
         when it was merely the default, with one warning naming the build
         command when ``compiled`` was asked for (argument or environment)
         — and the resolution is ``compiled`` either way."""
-        monkeypatch.delenv(NATIVE_ENV, raising=False)
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
         monkeypatch.delenv("REPRO_REPLAY", raising=False)
         monkeypatch.setattr(native_pkg, "_CORE_CACHE", [None])
         with warnings.catch_warnings():
@@ -792,7 +793,7 @@ class TestDispatchPolicy:
             assert resolve_replay_mode(None) == "compiled"
 
     def test_off_policy_falls_back_even_when_built(self, monkeypatch):
-        monkeypatch.setenv(NATIVE_ENV, "off")
+        monkeypatch.setenv("REPRO_NATIVE", "off")
         monkeypatch.delenv("REPRO_REPLAY", raising=False)
         with pytest.warns(RuntimeWarning):
             assert resolve_replay_mode("compiled") == "compiled"
@@ -805,7 +806,7 @@ class TestDispatchPolicy:
     @pytest.mark.parametrize("mode", (None, "compiled"))
     def test_require_mode_raises_when_unbuilt(self, monkeypatch, mode):
         monkeypatch.delenv("REPRO_REPLAY", raising=False)
-        monkeypatch.setenv(NATIVE_ENV, "require")
+        monkeypatch.setenv("REPRO_NATIVE", "require")
         monkeypatch.setattr(native_pkg, "_CORE_CACHE", [None])
         with pytest.raises(NativeKernelUnavailable, match="REPRO_NATIVE"):
             resolve_replay_mode(mode)
@@ -813,7 +814,7 @@ class TestDispatchPolicy:
 
     def test_fallback_replay_matches_the_reference(self, monkeypatch):
         """End to end: an unbuilt extension replays the same bits."""
-        monkeypatch.delenv(NATIVE_ENV, raising=False)  # pin policy "on"
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)  # pin policy "on"
         monkeypatch.setattr(native_pkg, "_CORE_CACHE", [None])
         timing = OramTimingModel(tree_latency_cycles=1000.0)
         results = {}
@@ -832,7 +833,7 @@ class TestDispatchPolicy:
 
     @needs_core
     def test_env_selects_compiled(self, monkeypatch):
-        monkeypatch.delenv(NATIVE_ENV, raising=False)
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
         monkeypatch.setenv("REPRO_REPLAY", "compiled")
         assert resolve_replay_mode(None) == "compiled"
 
@@ -899,7 +900,7 @@ class TestServeUsesCompiledTier:
         return kernels, report
 
     def test_shards_run_on_the_kernel_and_reports_agree(self, monkeypatch):
-        monkeypatch.delenv(NATIVE_ENV, raising=False)
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
         monkeypatch.setenv("REPRO_STORAGE", "columnar")
         monkeypatch.setenv("REPRO_REPLAY", "scalar")
         kernels, reference = self.run_serve("serial")

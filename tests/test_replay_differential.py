@@ -26,13 +26,14 @@ import warnings
 import pytest
 
 from repro.backend.columnar import ColumnarPathOramBackend
+from repro.errors import ConfigurationError
 from repro.presets import build_frontend
 from repro.proc.hierarchy import MissEvent, MissTrace
+from repro.settings import Settings
 from repro.sim.engine import ReplayEngine
-from repro.sim.native import NATIVE_ENV, load_native_core
+from repro.sim.native import load_native_core
 from repro.sim.replay import (
     REPLAY_MODES,
-    default_replay_mode,
     resolve_replay_mode,
     translate_block_addrs,
 )
@@ -224,7 +225,7 @@ class TestDefaultTier:
         load_native_core() is None, reason="compiled core not built"
     )
     def test_unset_env_runs_the_kernels_on_columnar_storage(self, monkeypatch):
-        for name in ("REPRO_REPLAY", "REPRO_STORAGE", NATIVE_ENV):
+        for name in ("REPRO_REPLAY", "REPRO_STORAGE", "REPRO_NATIVE"):
             monkeypatch.delenv(name, raising=False)
         core = load_native_core()
         frontend = build_frontend(
@@ -268,13 +269,13 @@ class TestDefaultTier:
         self, monkeypatch, scheme
     ):
         monkeypatch.setenv("REPRO_STORAGE", "array")
-        with pytest.raises(ValueError, match="'object' or 'columnar'"):
+        with pytest.raises(ConfigurationError, match="'object' or 'columnar'"):
             build_frontend(scheme, num_blocks=2**6)
 
 
 class TestKernelSelection:
     def test_default_mode_is_the_fast_tier(self, fast_tier):
-        assert default_replay_mode() == "compiled"
+        assert Settings.from_env().tier == "fast"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert resolve_replay_mode(None) == "compiled"
@@ -284,29 +285,29 @@ class TestKernelSelection:
 
     def test_env_selects_scalar(self, monkeypatch):
         monkeypatch.setenv("REPRO_REPLAY", "scalar")
-        assert default_replay_mode() == "scalar"
+        assert Settings.from_env().tier == "reference"
         assert resolve_replay_mode(None) == "scalar"
 
     def test_env_garbage_raises(self, monkeypatch):
         """A typo'd REPRO_REPLAY aborts instead of silently running the
         other tier under the wrong label."""
         monkeypatch.setenv("REPRO_REPLAY", "quantum")
-        with pytest.raises(ValueError, match="unknown replay mode 'quantum'"):
-            default_replay_mode()
+        with pytest.raises(ConfigurationError, match="REPRO_REPLAY='quantum'"):
+            Settings.from_env()
         monkeypatch.setenv("REPRO_REPLAY", "scaler")  # the classic typo
-        with pytest.raises(ValueError, match="REPRO_REPLAY"):
+        with pytest.raises(ConfigurationError, match="REPRO_REPLAY"):
             resolve_replay_mode(None)
 
     def test_stale_batched_mode_names_the_survivors(self, monkeypatch):
         with pytest.raises(ValueError, match=r"\('scalar', 'compiled'\)"):
             resolve_replay_mode("batched")
         monkeypatch.setenv("REPRO_REPLAY", "batched")
-        with pytest.raises(ValueError, match=r"\('scalar', 'compiled'\)"):
+        with pytest.raises(ConfigurationError, match="'scalar' or 'compiled'"):
             resolve_replay_mode(None)
 
     def test_env_whitespace_and_case_normalised(self, monkeypatch):
         monkeypatch.setenv("REPRO_REPLAY", "  Scalar ")
-        assert default_replay_mode() == "scalar"
+        assert Settings.from_env().replay == "scalar"
 
     def test_explicit_mode_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_REPLAY", "compiled")

@@ -16,6 +16,7 @@ from repro.resilience import (
     RpcPolicy,
     TokenBucket,
 )
+from repro.settings import Settings
 
 
 class TestRetryPolicy:
@@ -42,19 +43,19 @@ class TestRpcPolicy:
             base = min(0.1 * 2.0 ** (attempt - 2), 2.0)
             assert base * 0.5 <= policy.delay(attempt) <= base * 1.5
 
-    def test_from_env_reads_fabric_knobs(self, monkeypatch):
+    def test_from_settings_reads_fabric_knobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_CONNECT_RETRIES", "5")
         monkeypatch.setenv("REPRO_RPC_TIMEOUT", "1.5")
-        policy = RpcPolicy.from_env(seed=3)
+        policy = RpcPolicy.from_settings(Settings.from_env(), seed=3)
         assert policy.connect_attempts == 5
         assert policy.timeout == 1.5
         assert policy.seed == 3
         # <= 0 disables the per-call deadline entirely.
         monkeypatch.setenv("REPRO_RPC_TIMEOUT", "0")
-        assert RpcPolicy.from_env().timeout is None
+        assert RpcPolicy.from_settings(Settings.from_env()).timeout is None
         monkeypatch.delenv("REPRO_CONNECT_RETRIES")
         monkeypatch.delenv("REPRO_RPC_TIMEOUT")
-        default = RpcPolicy.from_env()
+        default = RpcPolicy.from_settings(Settings.from_env())
         assert default.connect_attempts == 3
         assert default.timeout == 30.0
 

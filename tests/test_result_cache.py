@@ -228,11 +228,11 @@ class TestForce:
         assert forced.trace_cache.stores == 1
 
     def test_force_env_default(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(runner_mod.FORCE_ENV, "1")
+        monkeypatch.setenv("REPRO_FORCE", "1")
         assert _runner(tmp_path).force is True
-        monkeypatch.setenv(runner_mod.FORCE_ENV, "0")
+        monkeypatch.setenv("REPRO_FORCE", "0")
         assert _runner(tmp_path).force is False
-        monkeypatch.delenv(runner_mod.FORCE_ENV)
+        monkeypatch.delenv("REPRO_FORCE")
         assert _runner(tmp_path).force is False
         assert _runner(tmp_path, force=True).force is True
 

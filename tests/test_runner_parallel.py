@@ -17,11 +17,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.sim.runner import (
-    SimulationRunner,
-    default_workers,
-    stable_trace_salt,
-)
+from repro.errors import ConfigurationError
+from repro.settings import Settings
+from repro.sim.runner import SimulationRunner, stable_trace_salt
 
 SCHEMES = ["R_X8", "PC_X32"]
 BENCHES = ["gob", "hmmer"]
@@ -128,11 +126,12 @@ class TestParallelSuite:
 
     def test_workers_env_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "4")
-        assert default_workers() == 4
+        assert Settings.from_env().workers == 4
         monkeypatch.setenv("REPRO_WORKERS", "junk")
-        assert default_workers() == 1
+        with pytest.raises(ConfigurationError, match="REPRO_WORKERS='junk'"):
+            Settings.from_env()
         monkeypatch.delenv("REPRO_WORKERS")
-        assert default_workers() == 1
+        assert Settings.from_env().workers == 1
 
 
 class TestBuildOverrides:

@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.sim.store import (
-    FIGURE_CACHE_ENV,
-    FigureTableCache,
-    cache_root,
-    cached_figure_table,
-    figure_key,
-)
+from repro.settings import Settings
+from repro.sim.store import FigureTableCache, cached_figure_table, figure_key
 from repro.sim.runner import SimulationRunner
+
+FIGURE_CACHE_ENV = "REPRO_FIGURE_CACHE"
 
 
 @pytest.fixture
@@ -96,7 +93,7 @@ class TestCachedFigureTable:
 
     def test_disabled_cache_builds_directly(self, runner, monkeypatch):
         monkeypatch.setenv(FIGURE_CACHE_ENV, "off")
-        assert cache_root(FIGURE_CACHE_ENV, "figures") is None
+        assert Settings.from_env().figure_cache is None
         assert cached_figure_table(
             "fig5", runner, ["cell"], lambda: {"v": 9}
         ) == {"v": 9}

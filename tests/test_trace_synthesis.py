@@ -35,7 +35,8 @@ from hypothesis import strategies as st
 from repro.config import ProcessorConfig
 from repro.proc.hierarchy import CacheHierarchy
 from repro.sim import runner as runner_module
-from repro.sim.native import NATIVE_ENV, build_hint, load_native_core, native_policy
+from repro.settings import Settings
+from repro.sim.native import build_hint, load_native_core
 from repro.sim.runner import SimulationRunner, synthesize_trace
 from repro.utils.rng import DeterministicRng
 from repro.workloads.spec import (
@@ -52,7 +53,7 @@ def require_core():
     ``REPRO_NATIVE=require`` (the compiled CI lane) a failure."""
     module = load_native_core()
     if module is None:
-        if native_policy() == "require":
+        if Settings.from_env().native == "require":
             pytest.fail(f"REPRO_NATIVE=require but the extension is unbuilt; {build_hint()}")
         pytest.skip(f"compiled core not built ({build_hint()})")
     return module
@@ -79,7 +80,7 @@ def kernel_only():
 @contextmanager
 def interpreted_only():
     with pytest.MonkeyPatch.context() as patch:
-        patch.setenv(NATIVE_ENV, "off")
+        patch.setenv("REPRO_NATIVE", "off")
         yield
 
 
@@ -102,7 +103,7 @@ BUDGETS = (150, 2000)
 #: Stand-ins whose interpreted warm-up alone is seconds (working sets of
 #: 6 MiB and up).
 HEAVY = {"astar", "bzip2", "libq", "mcf", "omnet", "sjeng", "mcf+libq", "mcf@wss=8388608"}
-FULL = bool(os.environ.get("REPRO_FULL"))
+FULL = Settings.from_env().full
 
 
 def cells(direct: bool):
@@ -437,7 +438,7 @@ INTERPRETED_DIGESTS = {
 
 
 if __name__ == "__main__":  # regenerate INTERPRETED_DIGESTS, interpreted
-    os.environ[NATIVE_ENV] = "off"
+    os.environ["REPRO_NATIVE"] = "off"
     for cell in cells(direct=False):
         name, seed, misses = cell.values
         digest = hashlib.sha256(runner_trace(name, seed, misses).to_bytes()).hexdigest()
