@@ -85,7 +85,7 @@ def serve_workloads(
     observer = TraceObserver()
     db = ObliviousDatabaseService(queries_by_tenant, seed, observer)
     observer.clear()  # adversary starts watching after the bulk load
-    db.service.run(mode="async")
+    db.service.run()
     return observer.leaf_sequence(0), db.service
 
 

@@ -28,7 +28,6 @@ import dataclasses
 import json
 import sys
 from importlib import import_module
-from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
 from repro.errors import ConfigurationError, ReproError, SweepInterrupted
@@ -167,8 +166,8 @@ def _add_sweep_parser(commands) -> argparse.ArgumentParser:
         help="per-benchmark LLC miss budget")
     add("--out", type=_text, metavar="FILE",
         help=f"JSON report path (default {DEFAULT_SWEEP_OUT})")
-    add("--checkpoint", type=_text, metavar="FILE",
-        help="cell journal path (default <out>.ckpt.jsonl)")
+    add("--checkpoint", type=_text, metavar="DIR",
+        help="cell journal directory (default <out>.ckpt)")
     add("--resume", action="store_true",
         help="recompute only cells missing from the journal")
     add("--fabric", type=_worker_count, metavar="N",
@@ -216,8 +215,6 @@ def _add_serve_parser(commands) -> argparse.ArgumentParser:
         metavar="N", help="per-request SLO deadline in simulated cycles")
     add("--quota", type=_positive_int_as_float, metavar="N",
         help="per-tenant token-bucket quota (requests/epoch)")
-    add("--mode", choices=("serial", "async"), default="serial",
-        help="epoch driver (identical simulated results; default serial)")
     add("--demo", action="store_true", default=False,
         help="the CI smoke scenario: 4 tenants, 2 shards, 400 requests each")
     add("--out", type=_text, default=DEFAULT_SERVE_OUT, metavar="FILE",
@@ -319,7 +316,7 @@ def _write_report(report: object, out: str) -> None:
 def _sweep_main(args: argparse.Namespace) -> int:
     """The ``sweep`` subcommand: grid x schemes x benchmarks -> table+JSON."""
     from repro.eval.sweeps import fig8_runner, saved_sweep
-    from repro.sim.checkpoint import default_checkpoint_path
+    from repro.sim.checkpoint import SweepCheckpoint, default_checkpoint_path
     from repro.sim.runner import SimulationRunner
     from repro.sim.sweep import SweepSpec, run_sweep, sweep_table
 
@@ -328,9 +325,9 @@ def _sweep_main(args: argparse.Namespace) -> int:
         f"SWEEP_{args.saved}.json" if args.saved is not None else DEFAULT_SWEEP_OUT
     )
     # Every CLI sweep journals completed cells beside the report; a clean
-    # finish with nothing quarantined removes the journal, an interrupt
+    # finish with nothing quarantined retires the journal, an interrupt
     # or crash leaves it for ``--resume``.
-    checkpoint = args.checkpoint or str(default_checkpoint_path(out))
+    journal = SweepCheckpoint(args.checkpoint or default_checkpoint_path(out))
     benches = args.bench or None
     coordinator = None
     try:
@@ -374,7 +371,7 @@ def _sweep_main(args: argparse.Namespace) -> int:
                 + (" (accepting attached workers)" if args.connect else "")
             )
         report = run_sweep(
-            sweep, runner, checkpoint=checkpoint, resume=args.resume,
+            sweep, runner, checkpoint=journal, resume=args.resume,
             executor=FabricExecutor(coordinator) if coordinator else None,
         )
     except SweepInterrupted as exc:
@@ -382,7 +379,7 @@ def _sweep_main(args: argparse.Namespace) -> int:
             _write_report(exc.report, out)
             print(f"\nsweep interrupted; wrote partial report to {out}", file=sys.stderr)
         print(
-            f"completed cells are journaled in {checkpoint}; "
+            f"completed cells are journaled in {journal.root}; "
             f"re-run the same sweep with --resume to finish it",
             file=sys.stderr,
         )
@@ -401,11 +398,11 @@ def _sweep_main(args: argparse.Namespace) -> int:
         print(
             f"{len(quarantined)} cell(s) quarantined after "
             f"repeated failures (see report['resilience']); journal kept "
-            f"at {checkpoint} for --resume",
+            f"at {journal.root} for --resume",
             file=sys.stderr,
         )
     else:
-        Path(checkpoint).unlink(missing_ok=True)
+        journal.retire()
     return 0
 
 
@@ -437,7 +434,7 @@ def _serve_main(args: argparse.Namespace) -> int:
             runner=runner,
             config=config,
         )
-        service.run(mode=args.mode)
+        service.run()
     except ReproError as exc:
         print(f"serve error: {exc}", file=sys.stderr)
         return 2
@@ -446,7 +443,6 @@ def _serve_main(args: argparse.Namespace) -> int:
         return 2
     report = service.report()
     print(serve_table(report))
-    print(f"  mode {args.mode}")
     _write_report(report, args.out)
     print(f"wrote {args.out}")
     return 0

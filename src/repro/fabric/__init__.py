@@ -19,8 +19,8 @@ byte of its output. The pieces:
 Determinism contract: a fabric run's report is bit-identical to the
 serial local run — cells are content-addressed, results derive only
 from the runner seed, and the report is assembled in grid order — and
-an interrupted fabric run ``--resume``s through the same
-:class:`~repro.sim.checkpoint.SweepCheckpoint` journal as a local one.
+an interrupted fabric run ``--resume``s from the same
+:class:`~repro.sim.checkpoint.SweepCheckpoint` entries as a local one.
 """
 
 from repro.fabric.coordinator import FabricCoordinator, FabricExecutor

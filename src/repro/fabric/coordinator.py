@@ -3,11 +3,10 @@
 The coordinator owns a listening socket, a set of worker connections,
 and a single-threaded dispatch loop. Per-connection reader threads do
 nothing but frame messages and timestamp liveness; every *semantic*
-decision — leasing, stealing, retry accounting, quarantine, journaling
-via the sweep's progress callback — happens on the one thread inside
-:meth:`FabricCoordinator.execute`, so checkpoint writes and report
-bookkeeping need no locking and happen in a deterministic, auditable
-order. Report *content* order never depends on any of this: the sweep
+decision — leasing, stealing, retry accounting, quarantine, storing
+journal entries via the sweep's progress callback — happens on the one
+thread inside :meth:`FabricCoordinator.execute`, so report bookkeeping
+needs no locking and happens in a deterministic, auditable order. Report *content* order never depends on any of this: the sweep
 assembles cells in grid order, so fabric scheduling (like pool
 scheduling before it) is invisible in the output bytes.
 
@@ -23,7 +22,7 @@ Scheduling model:
 - a worker that goes idle while the queue is empty *steals* a task
   already leased to the most-loaded peer: duplicate execution is safe
   (results are deterministic and content-addressed; the first ``result``
-  per id wins, the journal ``record`` is idempotent) and stragglers no
+  per id wins, and a cell's journal entry is stored once) and stragglers no
   longer serialize the tail;
 - a worker that dies (connection drop, or heartbeat silence beyond
   ``heartbeat_timeout``) has its uniquely-leased cells reclaimed with

@@ -3,9 +3,8 @@
 Wire format: a 4-byte big-endian unsigned length, then exactly that many
 bytes of UTF-8 JSON. Every message is a JSON object with a ``"type"``
 field; everything else is message-specific plain data (spec dicts,
-serialized SimResults — all JSON-safe by construction, because the cell
-payloads the fabric ships are the same flat scalars the checkpoint
-journal already round-trips exactly).
+serialized SimResults — all JSON-safe by construction: a SimResult is
+flat scalars, which JSON round-trips exactly).
 
 Message types (coordinator <-> worker)::
 

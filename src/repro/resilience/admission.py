@@ -1,10 +1,10 @@
 """Admission-control primitives for the serving layer.
 
-Both classes are driven exclusively from inside the serve epoch's shared
-deterministic steps (one :class:`TokenBucket` refill per tenant per
-epoch, one :class:`DegradationController` observation per epoch), so the
-serial and asyncio drivers see identical quota and degradation
-decisions. Neither touches wall-clock time.
+Both classes are driven exclusively from inside serve admission (one
+:class:`TokenBucket` refill per tenant per epoch, one
+:class:`DegradationController` observation per epoch), so quota and
+degradation decisions are deterministic. Neither touches wall-clock
+time.
 """
 
 from __future__ import annotations

@@ -57,23 +57,24 @@ request: once per epoch when admission starts and once per ``run_batch``
 when it returns, so a request's ``wall_us`` runs from the admission
 stamp of the epoch that admitted it to the completion of its batch.
 
-The serial driver (:meth:`OramService.run_serial`) and the asyncio
-driver (:meth:`OramService.run_async` — real tenant client tasks, an
-admission queue, shard worker tasks yielding between batches, an
-epoch-end barrier) call exactly these three steps, so both produce
-identical simulated results; only wall-clock observations differ.
+There is one epoch loop: admit, execute each shard, account, check
+progress. :meth:`OramService.run` drives it to completion;
+:meth:`OramService.serve` is the same loop as a coroutine that yields
+to the event loop once per epoch, so an embedding application can await
+a whole service without being blocked by it (``run("async")`` is
+``serve()`` on a fresh event loop). How the loop is driven never
+changes a simulated number, only the wall-clock observations.
 """
 
 from __future__ import annotations
 
-import asyncio
 import math
 import time
 import zlib
 from dataclasses import dataclass
 from itertools import accumulate, groupby
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ReproError
 from repro.faults import active as faults_active
@@ -279,8 +280,7 @@ class OramShard:
         # Circuit breaker: while ``down_epochs > 0`` the shard executes
         # nothing; admitted requests park in ``backlog`` (in admission
         # order) and drain to the front of the first post-recovery epoch
-        # queue. Both fields only change inside the shared deterministic
-        # steps, so serial and asyncio drivers see identical failovers.
+        # queue. Both fields only change inside admission.
         self.down_epochs = 0
         self.backlog = _EpochQueue()
 
@@ -308,34 +308,23 @@ class OramShard:
             self._directory[global_addr] = local
         return local
 
-    def _run_chunk(self, queue: _EpochQueue, start: int) -> None:
-        """One ``run_batch`` over the queue's rows from ``start``."""
-        stop = start + self.max_batch
-        addrs = queue.addrs[start:stop]
-        writes = queue.writes[start:stop]
-        # Looked up per call: tracing wraps the engine's attribute.
-        latencies = self.engine.run_batch(addrs, writes)
-        end = time.perf_counter()
-        self.stats.record_batch(
-            queue.tenants[start:stop], addrs, writes, latencies
-        )
-        queue.latencies += latencies
-        parked = [(end - stamp) * 1e6 for stamp in queue.stamps[start:stop]]
-        queue.walls += parked
-        queue.walls += [(end - queue.stamp) * 1e6] * (len(addrs) - len(parked))
-
     def execute(self, queue: _EpochQueue) -> None:
-        """Drain one epoch queue in ticket order (serial driver)."""
+        """Drain one epoch queue in ticket order, one ``run_batch`` per
+        ``max_batch`` rows."""
         for start in range(0, len(queue), self.max_batch):
-            self._run_chunk(queue, start)
-        if queue:
-            self.stats.epochs_busy += 1
-
-    async def execute_async(self, queue: _EpochQueue) -> None:
-        """Same drain, yielding to the event loop between batches."""
-        for start in range(0, len(queue), self.max_batch):
-            self._run_chunk(queue, start)
-            await asyncio.sleep(0)
+            stop = start + self.max_batch
+            addrs = queue.addrs[start:stop]
+            writes = queue.writes[start:stop]
+            # Looked up per call: tracing wraps the engine's attribute.
+            latencies = self.engine.run_batch(addrs, writes)
+            end = time.perf_counter()
+            self.stats.record_batch(
+                queue.tenants[start:stop], addrs, writes, latencies
+            )
+            queue.latencies += latencies
+            parked = [(end - stamp) * 1e6 for stamp in queue.stamps[start:stop]]
+            queue.walls += parked
+            queue.walls += [(end - queue.stamp) * 1e6] * (len(addrs) - len(parked))
         if queue:
             self.stats.epochs_busy += 1
 
@@ -457,10 +446,9 @@ class OramService:
                 )
             )
         self.epochs = 0
-        self._wall_start: Optional[float] = None
         self._wall_elapsed = 0.0
-        # SLO control-plane state (all mutated only inside the shared
-        # deterministic steps, so both drivers agree on every decision).
+        # SLO control-plane state (all mutated only inside the three
+        # deterministic steps).
         # The virtual clock is the cumulative sum of executed service
         # latencies across all shards — the service-wide simulated time
         # deadlines are judged against.
@@ -502,18 +490,14 @@ class OramService:
 
     # -- the three deterministic steps -----------------------------------------
 
-    def _next_candidates(self, tenant_index: int) -> int:
-        """Pure peek: how many requests one tenant offers this epoch."""
-        return min(self.config.burst, self._tenants[tenant_index].remaining)
-
     def _update_breakers(self) -> None:
         """Consult the fault plan once per shard, in index order.
 
-        This runs at the top of admission — a shared deterministic step —
-        so ``serve.shard`` injectors observe exactly one match per shard
-        per epoch regardless of driver (``#2`` means "epoch 2"). A
-        ``stall`` match trips the shard's breaker for ``epochs=N`` epochs;
-        any other action gets the standard fault behaviour.
+        This runs at the top of admission, so ``serve.shard`` injectors
+        observe exactly one match per shard per epoch (``#2`` means
+        "epoch 2"). A ``stall`` match trips the shard's breaker for
+        ``epochs=N`` epochs; any other action gets the standard fault
+        behaviour.
         """
         plan = faults_active()
         if plan is None:
@@ -729,7 +713,7 @@ class OramService:
         service latency``; the clock then advances by the epoch's total
         executed cycles. Misses and slack are bookkeeping over already
         simulated quantities — they never feed back into scheduling
-        within the epoch, so both drivers judge identically.
+        within the epoch.
         """
         epoch_start = self._vclock
         executed_cycles = 0.0
@@ -774,7 +758,7 @@ class OramService:
         for column in self._log:
             column.clear()
 
-    # -- drivers ---------------------------------------------------------------
+    # -- the epoch loop --------------------------------------------------------
 
     def _unfinished(self) -> bool:
         return any(t.remaining for t in self._tenants)
@@ -807,96 +791,45 @@ class OramService:
         if self.epochs > self._max_epochs():
             raise ReproError("serve exceeded its epoch budget without draining")
 
-    def run_serial(self) -> "OramService":
-        """Drain every tenant stream with the serial epoch loop."""
+    def _epochs(self) -> Iterator[None]:
+        """The epoch loop: admit, execute each shard, account, check
+        progress; yields after every epoch until every stream drains."""
         started = time.perf_counter()
+        burst = self.config.burst
         while self._unfinished():
-            queues = self._admit(
-                [self._next_candidates(i) for i in range(len(self._tenants))]
-            )
+            queues = self._admit([min(burst, t.remaining) for t in self._tenants])
             for shard, queue in zip(self.shards, queues):
                 shard.execute(queue)
             self._account(queues)
             self.epochs += 1
             self._check_progress(sum(len(q) for q in queues))
+            yield
         self._fold_log()
         self._wall_elapsed += time.perf_counter() - started
-        return self
 
-    async def _run_async(self) -> None:
-        admission: asyncio.Queue = asyncio.Queue()
-        completions: asyncio.Queue = asyncio.Queue()
-        tenant_cmds = [asyncio.Queue() for _ in self._tenants]
-        shard_inboxes = [asyncio.Queue() for _ in self.shards]
+    async def serve(self) -> "OramService":
+        """Drain every tenant stream, yielding to the event loop once per
+        epoch: the loop of :meth:`run`, for an application to await."""
+        import asyncio
 
-        async def tenant_client(index: int) -> None:
-            # A closed-loop simulated client: each epoch it offers its
-            # next burst to the admission queue and waits for the next
-            # epoch signal. The offer is a pure peek — admission itself
-            # stays serialized in the coordinator.
-            while await tenant_cmds[index].get() is not None:
-                await admission.put((index, self._next_candidates(index)))
-
-        async def shard_worker(index: int) -> None:
-            shard = self.shards[index]
-            while True:
-                queue = await shard_inboxes[index].get()
-                if queue is None:
-                    return
-                await shard.execute_async(queue)
-                await completions.put(index)
-
-        tasks = [
-            asyncio.ensure_future(tenant_client(i))
-            for i in range(len(self._tenants))
-        ] + [
-            asyncio.ensure_future(shard_worker(j)) for j in range(len(self.shards))
-        ]
-        try:
-            while self._unfinished():
-                for cmds in tenant_cmds:
-                    cmds.put_nowait("epoch")
-                offers: Dict[int, int] = {}
-                for _ in self._tenants:
-                    index, offered = await admission.get()
-                    offers[index] = offered
-                # Offers arrive in event-loop order; admission re-imposes
-                # tenant order, so the simulated outcome is identical to
-                # the serial driver's.
-                queues = self._admit(
-                    [offers[i] for i in range(len(self._tenants))]
-                )
-                busy = [j for j, queue in enumerate(queues) if queue]
-                for j in busy:
-                    shard_inboxes[j].put_nowait(queues[j])
-                for _ in busy:  # epoch barrier
-                    await completions.get()
-                self._account(queues)
-                self.epochs += 1
-                self._check_progress(sum(len(q) for q in queues))
-        finally:
-            for cmds in tenant_cmds:
-                cmds.put_nowait(None)
-            for inbox in shard_inboxes:
-                inbox.put_nowait(None)
-            await asyncio.gather(*tasks)
-
-    def run_async(self) -> "OramService":
-        """Drain every tenant stream with the asyncio front door."""
-        started = time.perf_counter()
-        asyncio.run(self._run_async())
-        self._fold_log()
-        self._wall_elapsed += time.perf_counter() - started
+        for _ in self._epochs():
+            await asyncio.sleep(0)
         return self
 
     def run(self, mode: str = "serial") -> "OramService":
-        if mode == "serial":
-            return self.run_serial()
+        """Drain every tenant stream; ``"async"`` runs :meth:`serve` on a
+        fresh event loop instead, with the same simulated outcome."""
         if mode == "async":
-            return self.run_async()
-        raise ConfigurationError(
-            f"unknown serve mode {mode!r}; choose from ('serial', 'async')"
-        )
+            import asyncio
+
+            return asyncio.run(self.serve())
+        if mode != "serial":
+            raise ConfigurationError(
+                f"unknown serve mode {mode!r}; choose from ('serial', 'async')"
+            )
+        for _ in self._epochs():
+            pass
+        return self
 
     # -- reporting -------------------------------------------------------------
 
@@ -960,7 +893,6 @@ def serve_replay_equivalent(
     scheme: str,
     runner: SimulationRunner,
     *,
-    mode: str = "serial",
     burst: int = 8,
     max_batch: int = 32,
     queue_capacity: int = 64,
@@ -989,5 +921,5 @@ def serve_replay_equivalent(
     )
     shard = service.shards[0]
     shard.engine.cycles = base_cycles(trace, runner.proc)
-    service.run(mode=mode)
+    service.run()
     return shard.engine.result(trace, scheme=service.scheme_label)

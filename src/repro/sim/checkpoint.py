@@ -1,20 +1,22 @@
-"""Journaled sweep checkpoints (``SWEEP_*.ckpt.jsonl``).
+"""Sweep checkpoints: a :class:`~repro.sim.store.Store` of completed cells.
 
-One JSON line per completed sweep cell, appended and flushed the moment
-the cell finishes, keyed by the runner's canonical result digest (the
-same key the on-disk result cache uses — every construction knob, seed,
-miss budget and benchmark is folded in). A crash, ``kill -9`` or Ctrl-C
-therefore loses at most the cell in flight; ``python -m repro sweep
---resume`` replays the journal and recomputes only the missing cells,
-producing a report bit-identical to an uninterrupted run (JSON round-trips
-Python floats exactly).
+A journal is a directory (``SWEEP_*.ckpt/`` beside the report) holding
+one atomically written JSON entry per completed sweep cell, stored the
+moment the cell finishes under the cell's key: the runner's canonical
+result digest for a replay cell (the same key the result cache uses —
+every construction knob, seed, miss budget and benchmark folded in), a
+digest of the scenario for a serve cell. A crash, ``kill -9`` or Ctrl-C
+therefore loses at most the cells in flight; ``python -m repro sweep
+--resume`` loads the entries and recomputes only the missing cells,
+producing a report bit-identical to an uninterrupted run (JSON
+round-trips Python floats exactly). An entry that does not decode is the
+store's counted, warned eviction, so its cell is simply recomputed.
 
-The first line is a header carrying a fingerprint of the sweep + runner
-identity. Resuming against a journal written by a *different* sweep is
-refused with a clear error instead of silently recomputing everything
-(the cell keys would simply never match). A torn final line — the
-signature of a mid-append crash — is dropped on load and the journal is
-compacted before new appends.
+One ``header`` entry carries a fingerprint of the sweep + runner
+identity and the cell-order digest. Resuming against a journal written
+by a *different* sweep — or one that would order the report's cells
+differently — is refused with a clear error instead of silently
+recomputing everything (the cell keys would simply never match).
 """
 
 from __future__ import annotations
@@ -25,9 +27,14 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.errors import ConfigurationError
+from repro.sim.store import Codec, Store
 
-#: Bump when the journal line format changes.
-CHECKPOINT_VERSION = 1
+#: Bump when the journal's entry format changes.
+#: v2: one store entry per cell (v1 was a JSONL file).
+CHECKPOINT_VERSION = 2
+
+#: Key of the entry holding the journal's identity.
+HEADER = "header"
 
 
 def sweep_fingerprint(sweep, runner) -> str:
@@ -55,31 +62,43 @@ def sweep_fingerprint(sweep, runner) -> str:
 
 
 def default_checkpoint_path(out_path: Union[str, Path]) -> Path:
-    """Journal location derived from a report path (``X.json`` -> ``X.ckpt.jsonl``)."""
+    """Journal location derived from a report path (``X.json`` -> ``X.ckpt``)."""
     out = Path(out_path)
     stem = out.name[: -len(".json")] if out.name.endswith(".json") else out.name
-    return out.with_name(f"{stem}.ckpt.jsonl")
+    return out.with_name(f"{stem}.ckpt")
 
 
-class SweepCheckpoint:
-    """Append-only journal of completed sweep cells."""
+def _decode_entry(data: bytes) -> dict:
+    entry = json.loads(data.decode("utf-8"))
+    if not isinstance(entry, dict):
+        raise ValueError("a journal entry is a JSON object")
+    return entry
+
+
+JOURNAL_CODEC = Codec(
+    kind="journal",
+    suffix=".ckpt.json",
+    evicted="sweep journal: evicted corrupt entry {name}; recomputing its cell",
+    encode=lambda entry: json.dumps(entry, sort_keys=True).encode("utf-8"),
+    decode=_decode_entry,
+)
+
+
+class SweepCheckpoint(Store):
+    """Journal of completed sweep cells, one store entry per cell."""
 
     def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
-        self._fh = None
-        self._seen: set = set()
+        super().__init__(path, JOURNAL_CODEC)
 
-    # -- lifecycle -------------------------------------------------------------
-
-    def open(
+    def start(
         self, fingerprint: str, resume: bool, order: Optional[str] = None
     ) -> Dict[str, dict]:
         """Start journaling; returns the completed entries when resuming.
 
-        ``resume=False`` truncates any existing journal and writes a fresh
-        header. ``resume=True`` loads the journal (tolerating a torn final
-        line), refuses a fingerprint mismatch, compacts the file back to
-        header + valid entries, and returns ``{key: payload}``.
+        ``resume=False`` deletes the entries of any existing journal (and
+        nothing else in the directory) and writes a fresh header.
+        ``resume=True`` refuses a fingerprint mismatch and returns
+        ``{key: payload}`` of every entry that loads.
 
         ``order`` is the grid-derived cell-ordering digest
         (:func:`~repro.sim.sweep.sweep_order_digest`). It is stamped
@@ -88,103 +107,64 @@ class SweepCheckpoint:
         ordering would differ from the original run's, so the resume is
         refused. Because the digest depends only on the grid — never on
         worker counts or fabric topology — resuming a local run on a
-        fabric (or vice versa) always passes this check. Journals
-        written before the field existed resume without the check.
+        fabric (or vice versa) always passes this check.
         """
-        entries: Dict[str, dict] = {}
-        if resume:
-            entries = self._read(fingerprint, order)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         header = {
             "kind": "sweep-checkpoint",
             "version": CHECKPOINT_VERSION,
             "fingerprint": fingerprint,
+            "order": order,
         }
-        if order is not None:
-            header["order"] = order
-        # Rewrite rather than append: drops any torn tail and lets a
-        # non-resume run reclaim a stale journal in place.
-        self._fh = self.path.open("w", encoding="utf-8")
-        self._fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for key, payload in entries.items():
-            self._fh.write(
-                json.dumps({"key": key, "payload": payload}, sort_keys=True) + "\n"
-            )
-        self._fh.flush()
-        self._seen = set(entries)
+        if resume:
+            entries = self._read(header)
+        else:
+            entries = {}
+            self.clear()
+        if not self.store(HEADER, header):
+            raise ConfigurationError(f"cannot write a sweep journal under {self.root}")
         return entries
 
-    def _read(
-        self, fingerprint: str, order: Optional[str] = None
-    ) -> Dict[str, dict]:
-        try:
-            text = self.path.read_text("utf-8")
-        except OSError:
-            return {}
-        lines = text.splitlines()
-        if not lines:
-            return {}
-        try:
-            header = json.loads(lines[0])
-        except ValueError:
-            raise ConfigurationError(
-                f"{self.path} is not a sweep checkpoint (bad header)"
-            ) from None
-        if (
-            not isinstance(header, dict)
-            or header.get("kind") != "sweep-checkpoint"
-            or header.get("version") != CHECKPOINT_VERSION
+    def _read(self, header: dict) -> Dict[str, dict]:
+        keys = [key for key in self.keys() if key != HEADER]
+        found = self.load(HEADER)
+        if found is None and not keys:
+            return {}  # nothing to resume from
+        if found is None or any(
+            found.get(field) != header[field] for field in ("kind", "version")
         ):
             raise ConfigurationError(
-                f"{self.path} is not a version-{CHECKPOINT_VERSION} sweep checkpoint"
+                f"{self.root} is not a version-{CHECKPOINT_VERSION} sweep checkpoint"
             )
-        if header.get("fingerprint") != fingerprint:
+        if found.get("fingerprint") != header["fingerprint"]:
             raise ConfigurationError(
-                f"{self.path} was written by a different sweep/runner "
+                f"{self.root} was written by a different sweep/runner "
                 f"configuration; refusing to resume from it (delete the "
-                f"file or drop --resume to start fresh)"
+                f"journal or drop --resume to start fresh)"
             )
-        recorded_order = header.get("order")
-        if (
-            order is not None
-            and recorded_order is not None
-            and recorded_order != order
-        ):
+        if found.get("order") != header["order"]:
             raise ConfigurationError(
-                f"{self.path} matches this sweep's fingerprint but records "
+                f"{self.root} matches this sweep's fingerprint but records "
                 f"a different cell ordering; resuming would reorder the "
-                f"report's cells, so it is refused (delete the file or "
+                f"report's cells, so it is refused (delete the journal or "
                 f"drop --resume to start fresh)"
             )
-        entries: Dict[str, dict] = {}
-        for line in lines[1:]:
-            try:
-                record = json.loads(line)
-                key = record["key"]
-                payload = record["payload"]
-            except (ValueError, KeyError, TypeError):
-                # Torn tail from a mid-append crash: everything before it
-                # is intact, everything after it is unreachable garbage.
-                break
-            entries[str(key)] = payload
-        return entries
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    # -- journaling ------------------------------------------------------------
+        loaded = {key: self.load(key) for key in keys}
+        return {key: entry for key, entry in loaded.items() if entry is not None}
 
     def record(self, key: str, payload: dict) -> None:
-        """Append one completed cell (idempotent per key; flushed at once)."""
-        if self._fh is None or key in self._seen:
-            return
-        self._seen.add(key)
-        self._fh.write(
-            json.dumps({"key": key, "payload": payload}, sort_keys=True) + "\n"
-        )
-        self._fh.flush()
+        """Store one completed cell (idempotent per key: first write wins)."""
+        if key not in self:
+            self.store(key, payload)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._seen
+    def clear(self) -> None:
+        """Delete every journal entry; other files in the directory stay."""
+        for key in self.keys():
+            self.path_for(key).unlink(missing_ok=True)
+
+    def retire(self) -> None:
+        """Delete the journal: its entries, then the directory if empty."""
+        self.clear()
+        try:
+            self.root.rmdir()
+        except OSError:
+            pass

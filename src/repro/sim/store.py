@@ -6,14 +6,15 @@ config, miss budget, warmup); a :class:`~repro.sim.metrics.SimResult` of
 the sized scheme spec plus that trace's parameters; an assembled figure
 table of the result keys of every cell it consumes. A key is a recipe —
 :func:`trace_key`, :func:`result_key`, :func:`figure_key` — and every
-layer above (the runner, pool and fabric workers, the sweep journal, the
-figure modules) needs only "load, or compute and store".
+layer above (the runner, pool and fabric workers, the figure modules)
+needs only "load, or compute and store".
 
 :class:`Store` is the one implementation of that, and the only place in
 the package that renames a file into position. What differs between the
 three kinds of entry is a :class:`Codec` value: file suffix, fault-plan
-key prefix, warning text, and an ``encode``/``decode`` pair. The rules
-are the same for all of them:
+key prefix, warning text, and an ``encode``/``decode`` pair. A sweep's
+journal of completed cells (:mod:`repro.sim.checkpoint`) is a fourth
+codec over the same store. The rules are the same for all of them:
 
 - entries are written atomically (unique temp file + ``os.replace``), so
   a crashed or concurrent writer — threads of the fabric coordinator,

@@ -351,15 +351,15 @@ def run_sweep(
 
     Resilience: cells that keep failing under ``retry`` are quarantined
     into ``report["resilience"]["quarantined"]`` instead of aborting the
-    sweep. With a ``checkpoint`` path (or :class:`SweepCheckpoint`),
-    every completed cell is journaled the moment it finishes;
-    ``resume=True`` replays that journal and recomputes only the missing
-    cells — bit-identical to an uninterrupted run, because
+    sweep. With a ``checkpoint`` directory (or :class:`SweepCheckpoint`),
+    every completed cell is stored as a journal entry the moment it
+    finishes; ``resume=True`` loads those entries and recomputes only the
+    missing cells — bit-identical to an uninterrupted run, because
     :class:`SimResult` payloads are flat scalars and JSON round-trips
     them exactly. ``KeyboardInterrupt`` raises
     :class:`~repro.errors.SweepInterrupted` carrying the partial report
-    (``resilience.interrupted = True``) after flushing the journal, so
-    Ctrl-C never loses completed work.
+    (``resilience.interrupted = True``); every completed cell is already
+    on disk, so Ctrl-C never loses completed work.
 
     ``executor`` selects the cell backend: None means this process's
     :meth:`SimulationRunner.execute` over ``workers`` processes; a
@@ -389,31 +389,27 @@ def run_sweep(
     points = sweep.points()
     completed: Dict[str, dict] = {}
     if ckpt is not None:
-        completed = ckpt.open(
+        completed = ckpt.start(
             sweep_fingerprint(sweep, runner),
             resume,
             order=sweep_order_digest(sweep),
         )
-    try:
-        if sweep.serve_grid:
-            return _run_serve_sweep(
-                sweep, runner, points, ckpt=ckpt, completed=completed
-            )
-        return _run_bench_sweep(
-            sweep,
-            runner,
-            points,
-            workers=workers,
-            executor=executor,
-            progress=progress,
-            include_baselines=include_baselines,
-            retry=retry,
-            ckpt=ckpt,
-            completed=completed,
+    if sweep.serve_grid:
+        return _run_serve_sweep(
+            sweep, runner, points, ckpt=ckpt, completed=completed
         )
-    finally:
-        if ckpt is not None:
-            ckpt.close()
+    return _run_bench_sweep(
+        sweep,
+        runner,
+        points,
+        workers=workers,
+        executor=executor,
+        progress=progress,
+        include_baselines=include_baselines,
+        retry=retry,
+        ckpt=ckpt,
+        completed=completed,
+    )
 
 
 def _resilience_section(
@@ -633,7 +629,9 @@ def _run_serve_sweep(
             tenants = combo.get("tenants", 2)
             shards = combo.get("shards", 1)
             for label, spec in points:
-                key = f"serve::{label}::tenants={tenants}::shards={shards}"
+                key = hashlib.sha256(
+                    f"serve::{label}::tenants={tenants}::shards={shards}".encode()
+                ).hexdigest()[:40]
                 if key in completed:
                     cells.append(completed[key]["cell"])
                     counters["resumed"] += 1

@@ -39,6 +39,7 @@ from repro.fabric import (
 from repro.fabric.protocol import MAX_MESSAGE_BYTES
 from repro.faults import injected
 from repro.resilience import RetryPolicy
+from repro.sim.checkpoint import HEADER, SweepCheckpoint
 from repro.sim.runner import SimulationRunner
 from repro.sim.sweep import SweepSpec, run_sweep, sweep_table
 
@@ -221,10 +222,11 @@ class TestFabricLockstep:
         assert _strip(report) == _strip(golden)
         assert sweep_table(report) == sweep_table(golden)
         fabric = report["resilience"]["fabric"]
-        assert fabric["workers_joined"] == 2
+        # A worker that reconnects joins again under its old identity.
+        assert fabric["workers_joined"] - fabric["reconnects"] == 2
         # 8 grid cells + 2 insecure baselines, all cold.
         assert fabric["completed"] == 10
-        assert fabric["errors"] == 0 and fabric["dead"] == 0
+        assert fabric["errors"] == 0
 
     def test_warm_cells_served_from_cache_not_fabric(self, tmp_path):
         runner = _runner(tmp_path, "w")
@@ -456,14 +458,11 @@ class TestFabricResume:
         with injected("sweep.interrupt@*#3"):
             with pytest.raises(SweepInterrupted):
                 run_sweep(_sweep(), runner, checkpoint=ckpt_path)
-        lines = ckpt_path.read_text("utf-8").splitlines()
-        header = json.loads(lines[0])
-        assert "order" in header  # new journals always stamp the digest
+        journal = SweepCheckpoint(ckpt_path)
+        header = journal.load(HEADER)
+        assert header["order"]  # every journal stamps the digest
         header["order"] = "0" * len(header["order"])
-        ckpt_path.write_text(
-            "\n".join([json.dumps(header, sort_keys=True)] + lines[1:]) + "\n",
-            "utf-8",
-        )
+        assert journal.store(HEADER, header)
         with pytest.raises(ConfigurationError, match="cell ordering"):
             run_sweep(_sweep(), runner, checkpoint=ckpt_path, resume=True)
 

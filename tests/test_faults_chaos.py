@@ -13,11 +13,16 @@ import json
 import pytest
 
 import repro.sim.runner as runner_mod
-from repro.errors import ConfigurationError, InjectedFault, SweepInterrupted
+from repro.errors import (
+    CacheCorruptionWarning,
+    ConfigurationError,
+    InjectedFault,
+    SweepInterrupted,
+)
 from repro.faults import injected, parse
 from repro.resilience import RetryPolicy
 from repro.serve import OramService, ServeConfig, tenants_for
-from repro.sim.checkpoint import SweepCheckpoint
+from repro.sim.checkpoint import HEADER, SweepCheckpoint
 from repro.sim.runner import SimulationRunner
 from repro.sim.sweep import SweepSpec, run_sweep, sweep_table
 
@@ -178,21 +183,64 @@ class TestSweepChaosLockstep:
                 other, _runner(tmp_path, "a"), checkpoint=ckpt_path, resume=True
             )
 
-    def test_resume_tolerates_torn_journal_tail(self, tmp_path):
-        ckpt_path = tmp_path / "sweep.ckpt.jsonl"
+    def test_resume_recomputes_a_damaged_journal_entry(self, tmp_path):
+        journal = SweepCheckpoint(tmp_path / "sweep.ckpt")
         with injected("sweep.interrupt@*#2"):
             with pytest.raises(SweepInterrupted):
-                run_sweep(
-                    _sweep(), _runner(tmp_path, "a"), checkpoint=ckpt_path
-                )
-        with open(ckpt_path, "a", encoding="utf-8") as fh:
-            fh.write('{"key": "half-written')  # mid-append crash
+                run_sweep(_sweep(), _runner(tmp_path, "a"), checkpoint=journal)
+        entries = [key for key in journal.keys() if key != HEADER]
+        assert len(entries) == 2
+        damaged = journal.path_for(entries[0])
+        damaged.write_bytes(damaged.read_bytes()[:20])  # a torn write
         golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
-        resumed = run_sweep(
-            _sweep(), _runner(tmp_path, "b"), checkpoint=ckpt_path, resume=True
-        )
-        assert resumed["resilience"]["resumed"] == 2  # the intact prefix
+
+        replays = []
+        real_replay = runner_mod.replay_trace
+
+        def counting_replay(*args, **kwargs):
+            result = real_replay(*args, **kwargs)
+            replays.append(result.scheme)
+            return result
+
+        resumed_journal = SweepCheckpoint(tmp_path / "sweep.ckpt")
+        runner_mod.replay_trace = counting_replay
+        try:
+            with pytest.warns(CacheCorruptionWarning, match="sweep journal"):
+                resumed = run_sweep(
+                    _sweep(),
+                    _runner(tmp_path, "b"),
+                    checkpoint=resumed_journal,
+                    resume=True,
+                )
+        finally:
+            runner_mod.replay_trace = real_replay
+        assert resumed_journal.corrupt_evictions == 1
+        assert resumed["resilience"]["resumed"] == 1  # the intact entry
+        # Cold caches: exactly the damaged cell is replayed again.
+        assert len(replays) == len(golden["cells"]) - 1
+        assert resumed_journal.load(entries[0]) is not None  # re-journaled
         assert _strip(resumed) == _strip(golden)
+
+    def test_unwritable_journal_path_fails_at_open(self, tmp_path):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("", "utf-8")
+        with pytest.raises(ConfigurationError, match="cannot write"):
+            run_sweep(_sweep(), _runner(tmp_path, "u"), checkpoint=blocker)
+
+    def test_fresh_run_deletes_only_journal_entries(self, tmp_path):
+        root = tmp_path / "shared"
+        root.mkdir()
+        (root / "notes.txt").write_text("keep me", "utf-8")
+        stale = SweepCheckpoint(root)
+        stale.start("old", resume=False)
+        stale.record("a" * 40, {"v": 1})
+        SweepCheckpoint(root).start("new", resume=False)
+        assert sorted(p.name for p in root.iterdir()) == [
+            "header.ckpt.json", "notes.txt",
+        ]
+        SweepCheckpoint(root).retire()
+        # The directory the user named is not empty, so it stays.
+        assert [p.name for p in root.iterdir()] == ["notes.txt"]
 
     def test_quarantined_sweep_cell_reported_not_fatal(self, tmp_path):
         with injected("cell.crash@P_X16*/gob/*"):
@@ -211,14 +259,15 @@ class TestSweepChaosLockstep:
         assert json.dumps(report)  # report stays JSON-safe
 
     def test_checkpoint_journal_is_idempotent_per_key(self, tmp_path):
-        ckpt = SweepCheckpoint(tmp_path / "j.ckpt.jsonl")
-        ckpt.open("fp", resume=False)
-        ckpt.record("k", {"v": 1})
-        ckpt.record("k", {"v": 2})  # ignored: first write wins
-        ckpt.close()
-        reopened = SweepCheckpoint(tmp_path / "j.ckpt.jsonl")
-        assert reopened.open("fp", resume=True) == {"k": {"v": 1}}
-        reopened.close()
+        journal = SweepCheckpoint(tmp_path / "j.ckpt")
+        journal.start("fp", resume=False)
+        journal.record("k", {"v": 1})
+        journal.record("k", {"v": 2})  # ignored: first write wins
+        assert journal.stores == 2  # the header and one entry
+        reopened = SweepCheckpoint(tmp_path / "j.ckpt")
+        assert reopened.start("fp", resume=True) == {"k": {"v": 1}}
+        reopened.retire()
+        assert not (tmp_path / "j.ckpt").exists()
 
 
 def _scrub_wall(value):
@@ -247,6 +296,9 @@ class TestServeSweepChaos:
             with pytest.raises(SweepInterrupted) as exc_info:
                 run_sweep(sweep, _runner(tmp_path, "g"), checkpoint=ckpt_path)
         assert len(exc_info.value.report["cells"]) == 1
+        # Scenario cells are keyed like every other store entry.
+        (key,) = [k for k in SweepCheckpoint(ckpt_path).keys() if k != HEADER]
+        assert len(key) == 40 and int(key, 16) >= 0
         resumed = run_sweep(
             sweep, _runner(tmp_path, "g"), checkpoint=ckpt_path, resume=True
         )

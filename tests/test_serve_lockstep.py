@@ -5,11 +5,14 @@ the same :class:`~repro.sim.engine.ReplayEngine` core as offline replay,
 a single-tenant / single-shard serve of a benchmark trace produces a
 ``SimResult`` **bit-identical** to :func:`~repro.sim.system.replay_trace`
 — cycles, every counter, and the SHA-256 digest of the post-run tree.
-And because admission, execution and accounting are shared deterministic
-steps, the serial and asyncio drivers produce identical per-tenant cycle
-totals and identical per-shard access sequences, run after run.
+And because admission, execution and accounting are deterministic steps
+of one epoch loop, ``run("serial")``, ``run("async")`` and an awaited
+``serve()`` produce identical per-tenant cycle totals and identical
+per-shard access sequences, run after run.
 """
 
+import asyncio
+import contextlib
 import hashlib
 import json
 
@@ -90,8 +93,8 @@ class TestLockstepWithReplay:
         assert results[0] == results[1] == results[2]
 
 
-def run_scenario(mode: str, seed: int = 13) -> OramService:
-    service = OramService(
+def scenario(seed: int = 13) -> OramService:
+    return OramService(
         tenants_for(["hmmer", "gob", "hmmer+gob"], 4, requests=120),
         runner=make_runner(seed),
         config=ServeConfig(
@@ -99,7 +102,10 @@ def run_scenario(mode: str, seed: int = 13) -> OramService:
             queue_capacity=5, policy="defer",
         ),
     )
-    return service.run(mode)
+
+
+def run_scenario(mode: str, seed: int = 13) -> OramService:
+    return scenario(seed).run(mode)
 
 
 def simulated_image(service: OramService):
@@ -143,15 +149,40 @@ class TestConcurrentDeterminism:
             assert a.service_cycles.to_dict() == b.service_cycles.to_dict()
             assert a.latency_cycles.to_dict() == b.latency_cycles.to_dict()
 
+    def test_serve_is_awaitable_beside_other_tasks(self):
+        service = scenario()
+        ticks = []
+
+        async def ticker():
+            while True:
+                ticks.append(service.epochs)
+                await asyncio.sleep(0)
+
+        async def application():
+            task = asyncio.ensure_future(ticker())
+            try:
+                return await service.serve()
+            finally:
+                task.cancel()
+                with contextlib.suppress(asyncio.CancelledError):
+                    await task
+
+        served = asyncio.run(application())
+        # The ticker ran once between every two epochs, blocked by none.
+        assert ticks == list(range(1, service.epochs + 1))
+        assert strip_wall(served.report()) == strip_wall(
+            run_scenario("serial").report()
+        )
+
 
 # -- goldens -------------------------------------------------------------------
 #
-# Every test above compares two runs of the same code (serial with
-# asyncio, serve with replay), so a change that moves both together
+# Every test above compares two runs of the same code (one run() mode
+# with the other, serve with replay), so a change that moves both together
 # passes. These digests were recorded at the commit before the serving
 # loop was rewritten over per-epoch columns (PR 23) and pin the simulated
 # outcome itself: the report minus its host-wall fields, and each
-# shard's access digest, on both drivers and all three tier settings.
+# shard's access digest, on both run() modes and all three tier settings.
 
 
 def _slo_tenants():

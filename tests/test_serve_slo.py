@@ -6,7 +6,7 @@ historical FIFO order when no deadlines are configured), per-request
 deadline accounting, per-tenant token-bucket quotas, the ``throttle``
 backpressure policy, the graceful-degradation ladder, and the
 ``serve.deadline`` chaos site — with every mechanism shown deterministic
-across the serial and asyncio drivers, and chaos runs shown
+across both ``run()`` modes, and chaos runs shown
 bit-identical to their fault-free goldens on all simulated quantities.
 """
 

@@ -10,6 +10,7 @@ classes this store replaced, with ``repro.__version__`` pinned to
 is *supposed* to.
 """
 
+import re
 import shutil
 import warnings
 from pathlib import Path
@@ -50,6 +51,21 @@ def test_one_atomic_write_site():
         "os.replace": {"sim/store.py"},
         "ProcessPoolExecutor(": {"sim/runner.py"},
     }
+
+
+#: A file write: ``write_bytes(`` / ``write_text(``, or ``open`` for writing.
+_WRITES = re.compile(r"""write_bytes\(|write_text\(|\bopen\([^)]*["'][wa][bt+]*["']""")
+
+
+def test_only_the_store_writes_files():
+    """Whatever persists goes through the store; the ``--out`` report and
+    the file-damaging fault are the only other writers."""
+    writers = {
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py")
+        if _WRITES.search(path.read_text("utf-8"))
+    }
+    assert writers == {"sim/store.py", "cli.py", "faults/plan.py"}
 
 
 @pytest.fixture
