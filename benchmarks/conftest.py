@@ -3,8 +3,8 @@
 Each benchmark regenerates one table or figure of the paper. Default
 parameters are scaled for quick runs; set ``REPRO_FULL=1`` to use the
 full SPEC stand-in suite and larger miss budgets (minutes instead of
-seconds). Every bench prints the rows/series the paper reports so the
-output can be compared side by side with EXPERIMENTS.md.
+seconds). Every bench prints the rows/series the paper reports beside
+the paper's values, and asserts the headline shape.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro.settings import Settings
 
 CACHE_ENV = "REPRO_TRACE_CACHE"
 RESULT_CACHE_ENV = "REPRO_RESULT_CACHE"
-FIGURE_CACHE_ENV = "REPRO_FIGURE_CACHE"
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -30,11 +29,10 @@ def _hermetic_caches(tmp_path_factory):
     """
     previous = {
         env: os.environ.get(env)
-        for env in (CACHE_ENV, RESULT_CACHE_ENV, FIGURE_CACHE_ENV)
+        for env in (CACHE_ENV, RESULT_CACHE_ENV)
     }
     os.environ[CACHE_ENV] = str(tmp_path_factory.mktemp("trace-cache"))
     os.environ[RESULT_CACHE_ENV] = str(tmp_path_factory.mktemp("result-cache"))
-    os.environ[FIGURE_CACHE_ENV] = str(tmp_path_factory.mktemp("figure-cache"))
     yield
     for env, value in previous.items():
         if value is None:

@@ -6,11 +6,8 @@ from repro.eval import ablation_plb
 
 
 def test_plb_associativity(benchmark, bench_benchmarks, bench_misses):
-    ratios = run_once(
-        benchmark,
-        ablation_plb.associativity_sweep,
-        benchmarks=bench_benchmarks,
-        misses=bench_misses,
+    ratios, _value = run_once(
+        benchmark, ablation_plb.run, benchmarks=bench_benchmarks, misses=bench_misses
     )
     print()
     print("PLB associativity ablation (paper: full-assoc gains <= 10%)")
@@ -24,11 +21,8 @@ def test_plb_associativity(benchmark, bench_benchmarks, bench_misses):
 
 
 def test_plb_value(benchmark, bench_benchmarks, bench_misses):
-    ratios = run_once(
-        benchmark,
-        ablation_plb.plb_value,
-        benchmarks=bench_benchmarks,
-        misses=bench_misses,
+    _associativity, ratios = run_once(
+        benchmark, ablation_plb.run, benchmarks=bench_benchmarks, misses=bench_misses
     )
     print()
     print("Value of the PLB (no-PLB runtime / 64KB-PLB runtime)")

@@ -29,7 +29,7 @@ def test_fig7_scalability(benchmark, bench_benchmarks, bench_misses):
         assert pc.posmap_kb < r.posmap_kb
     # The cut deepens with capacity (paper: 38% -> 57% total), because
     # R_X8 adds recursion levels while the PLB schemes stay flat. The
-    # absolute cut depends on workload locality; see EXPERIMENTS.md.
+    # absolute cut depends on workload locality (the measured PosMap rates).
     cut4 = 1 - lookup[("PC_X32", 4 * GiB)].total_kb / lookup[("R_X8", 4 * GiB)].total_kb
     cut64 = (
         1 - lookup[("PC_X32", 64 * GiB)].total_kb / lookup[("R_X8", 64 * GiB)].total_kb

@@ -10,9 +10,11 @@ Run:  python examples/design_space_exploration.py
       REPRO_FULL=1 python examples/design_space_exploration.py   # larger
 """
 
+from repro.eval import fig5, fig6
 from repro.settings import Settings
-from repro.sim.metrics import format_table, slowdown_table
+from repro.sim.metrics import SimResult, format_table
 from repro.sim.runner import SimulationRunner
+from repro.sim.sweep import SweepSpec, run_sweep
 
 BENCHMARKS = ["hmmer", "libq", "mcf"]  # high / streaming / worst locality
 SCHEMES = ["R_X8", "P_X16", "PC_X32", "PIC_X32"]
@@ -23,9 +25,8 @@ def main() -> None:
     runner = SimulationRunner(misses_per_benchmark=misses)
 
     print("=== Scheme comparison (slowdown vs insecure DRAM) ===")
-    results = runner.run_suite(SCHEMES, BENCHMARKS)
-    baselines = runner.baselines(BENCHMARKS)
-    table = slowdown_table(results, baselines, SCHEMES)
+    schemes = run_sweep(SweepSpec.from_args(SCHEMES, benchmarks=BENCHMARKS), runner)
+    table = fig6.table_from_report(schemes)
     print(format_table(table, BENCHMARKS))
     pc = table["PC_X32"]["geomean"]
     print(f"\ncompression gain over P_X16 : {table['P_X16']['geomean'] / pc:.2f}x")
@@ -33,23 +34,20 @@ def main() -> None:
           f"{100 * (table['PIC_X32']['geomean'] / pc - 1):.1f}%")
 
     print("\n=== PLB capacity sweep (runtime normalised to 8 KB) ===")
-    capacities = (8 * 1024, 32 * 1024, 64 * 1024, 128 * 1024)
+    capacities = fig5.CAPACITIES
     header = f"{'bench':>7} " + " ".join(f"{c // 1024:>5}K" for c in capacities)
     print(header)
-    for bench in BENCHMARKS:
-        cycles = {}
-        for capacity in capacities:
-            cycles[capacity] = runner.run_one(
-                "PC_X32", bench, plb_capacity_bytes=capacity
-            ).cycles
-        base = cycles[capacities[0]]
-        row = " ".join(f"{cycles[c] / base:6.3f}" for c in capacities)
+    plb_sweep = fig5.table_from_report(run_sweep(fig5.sweep(BENCHMARKS), runner))
+    for bench, normalised in plb_sweep.items():
+        row = " ".join(f"{normalised[c]:6.3f}" for c in capacities)
         print(f"{bench:>7} {row}")
 
     print("\n=== PLB hit rates (why the sweep behaves that way) ===")
-    for bench in BENCHMARKS:
-        result = runner.run_one("PC_X32", bench)
-        print(f"{bench:>7}: PLB hit rate {result.plb_hit_rate:5.1%}, "
+    for cell in schemes["cells"]:
+        if cell["scheme"] != "PC_X32":
+            continue
+        result = SimResult(**cell["result"])
+        print(f"{result.benchmark:>7}: PLB hit rate {result.plb_hit_rate:5.1%}, "
               f"MPKI {result.mpki:5.1f}, "
               f"PosMap share of traffic {result.posmap_byte_fraction:5.1%}")
 

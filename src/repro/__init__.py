@@ -15,8 +15,9 @@ Quickstart::
     oram.write(7, b"secret".ljust(64, b"\\0"))
     assert oram.read(7).startswith(b"secret")
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+See README.md for the system inventory (its Layout section) and
+:mod:`repro.eval` for every table and figure of the paper, each printed
+beside the paper's values by ``python -m repro all``.
 """
 
 from repro.backend.ops import Op

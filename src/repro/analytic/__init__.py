@@ -4,7 +4,7 @@ Path ORAM's bytes-per-access is a deterministic function of its geometry,
 which is how the paper computes Fig. 3 (recursion overhead vs capacity)
 and the §6.3 hash-bandwidth comparison. These models also extend the
 simulated results to full paper-scale capacities (Fig. 7) where direct
-simulation is impractical (DESIGN.md §3).
+simulation is impractical (:mod:`repro.eval.fig7`).
 """
 
 from repro.analytic.bandwidth import (

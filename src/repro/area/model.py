@@ -4,7 +4,7 @@ The paper pushes its Verilog through Design Compiler / IC Compiler in a
 32 nm commercial process. A licensed tool flow is not reproducible here,
 but Table 3 is a linear composition of SRAM macros and crypto datapaths,
 so an analytic model captures the breakdown and its scaling with DRAM
-channel count (DESIGN.md §3):
+channel count:
 
 - PosMap / PLB area ~ SRAM capacity (plus tag array and control);
 - PMMAC ~ one SHA3-224 core plus request buffers (DRAM-rate independent:

@@ -31,6 +31,7 @@ from importlib import import_module
 from typing import Callable, Dict, List, Tuple
 
 from repro.errors import ConfigurationError, ReproError, SweepInterrupted
+from repro.eval import SAVED_SWEEPS
 from repro.faults import install_from
 from repro.serve import ADMISSION_ORDERS, POLICIES
 from repro.settings import Settings
@@ -158,8 +159,10 @@ def _add_sweep_parser(commands) -> argparse.ArgumentParser:
     add("--grid", action="append", default=[], type=_text, metavar="F=V1,V2",
         help="grid axis (repeatable): a spec field, the benchmark parameters "
              "'misses' / 'wss', or the serving scenario 'tenants' / 'shards'")
-    add("--saved", type=_text, metavar="FIGURE",
-        help="a saved figure sweep: fig5 | fig7 | fig8 (to SWEEP_<figure>.json)")
+    add("--saved", choices=SAVED_SWEEPS, metavar="FIGURE",
+        help="a simulated figure's saved sweep, on its platform: "
+             f"{' | '.join(SAVED_SWEEPS)} (to SWEEP_<figure>.json; a figure "
+             "of several sweeps writes a list of reports)")
     add("--bench", action="append", default=[], type=_text, metavar="NAME",
         help="benchmark subset (repeatable)")
     add("--misses", type=_positive_int, metavar="N",
@@ -315,7 +318,6 @@ def _write_report(report: object, out: str) -> None:
 
 def _sweep_main(args: argparse.Namespace) -> int:
     """The ``sweep`` subcommand: grid x schemes x benchmarks -> table+JSON."""
-    from repro.eval.sweeps import fig8_runner, saved_sweep
     from repro.sim.checkpoint import SweepCheckpoint, default_checkpoint_path
     from repro.sim.runner import SimulationRunner
     from repro.sim.sweep import SweepSpec, run_sweep, sweep_table
@@ -330,6 +332,7 @@ def _sweep_main(args: argparse.Namespace) -> int:
     journal = SweepCheckpoint(args.checkpoint or default_checkpoint_path(out))
     benches = args.bench or None
     coordinator = None
+    reports: List[dict] = []
     try:
         if args.fabric == 0 and args.connect is None:
             raise ConfigurationError(
@@ -341,20 +344,24 @@ def _sweep_main(args: argparse.Namespace) -> int:
                 "--saved names a complete figure sweep; it cannot be "
                 "combined with --scheme or --grid"
             )
-        # fig8 pins [26]'s platform (4 channels, 2.6 GHz, 128 B lines);
-        # everything else runs on the paper's default runner.
-        runner = (
-            fig8_runner(args.misses)
-            if args.saved == "fig8"
-            else SimulationRunner(misses_per_benchmark=args.misses)
-        )
         if args.saved is not None:
-            # Unknown names raise a ReproError listing every saved sweep.
-            sweep = saved_sweep(args.saved)(benchmarks=benches)
+            figure = SAVED_SWEEPS[args.saved]
+            runner = figure.make_runner(args.misses)
+            sweeps = figure.sweep(benches)
         else:
-            sweep = SweepSpec.from_args(
+            runner = SimulationRunner(misses_per_benchmark=args.misses)
+            sweeps = SweepSpec.from_args(
                 args.scheme or ["PIC_X32"], args.grid, benches
             )
+        # A figure of several sweeps journals each in a directory of its
+        # own and writes the list of their reports.
+        several = isinstance(sweeps, list)
+        sweeps = sweeps if several else [sweeps]
+        journals = (
+            [SweepCheckpoint(journal.root / str(i)) for i in range(len(sweeps))]
+            if several
+            else [journal]
+        )
         if args.fabric is not None or args.connect is not None:
             from repro.fabric import FabricCoordinator, FabricExecutor, parse_address
 
@@ -370,13 +377,15 @@ def _sweep_main(args: argparse.Namespace) -> int:
                 f"spawned {args.fabric or 0} worker(s)"
                 + (" (accepting attached workers)" if args.connect else "")
             )
-        report = run_sweep(
-            sweep, runner, checkpoint=journal, resume=args.resume,
-            executor=FabricExecutor(coordinator) if coordinator else None,
-        )
+        for sweep, sweep_journal in zip(sweeps, journals):
+            reports.append(run_sweep(
+                sweep, runner, checkpoint=sweep_journal, resume=args.resume,
+                executor=FabricExecutor(coordinator) if coordinator else None,
+            ))
     except SweepInterrupted as exc:
         if exc.report is not None:
-            _write_report(exc.report, out)
+            reports.append(exc.report)
+            _write_report(reports if several else exc.report, out)
             print(f"\nsweep interrupted; wrote partial report to {out}", file=sys.stderr)
         print(
             f"completed cells are journaled in {journal.root}; "
@@ -390,19 +399,21 @@ def _sweep_main(args: argparse.Namespace) -> int:
     finally:
         if coordinator is not None:
             coordinator.close()
-    print(sweep_table(report))
-    _write_report(report, out)
+    for report in reports:
+        print(sweep_table(report))
+    _write_report(reports if several else reports[0], out)
     print(f"wrote {out}")
-    quarantined = report.get("resilience", {}).get("quarantined")
+    quarantined = sum(len(r["resilience"]["quarantined"]) for r in reports)
     if quarantined:
         print(
-            f"{len(quarantined)} cell(s) quarantined after "
+            f"{quarantined} cell(s) quarantined after "
             f"repeated failures (see report['resilience']); journal kept "
             f"at {journal.root} for --resume",
             file=sys.stderr,
         )
     else:
-        journal.retire()
+        for sweep_journal in (*journals, journal):
+            sweep_journal.retire()
     return 0
 
 

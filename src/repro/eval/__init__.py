@@ -3,7 +3,7 @@
 Each module exposes a ``run(...)`` function returning structured rows and
 a ``main()`` that prints the same rows/series the paper reports, with the
 paper's reference values alongside. The benchmarks/ directory wraps each
-module in a pytest-benchmark target; EXPERIMENTS.md records the outputs.
+module in a pytest-benchmark target that asserts the headline shape.
 
 | Module       | Reproduces |
 |--------------|------------|
@@ -14,7 +14,33 @@ module in a pytest-benchmark target; EXPERIMENTS.md records the outputs.
 | fig7         | Fig. 7 — KB/access scalability, PosMap share |
 | fig8         | Fig. 8 — [26]-parameter comparison (PC_X64/PC_X32) |
 | fig9         | Fig. 9 — speedup over Phantom 4 KB blocks |
+| ablation_plb | §7.1.3 — PLB associativity and the value of a PLB |
 | table3       | Tab. 3 — area breakdown vs channel count |
 | hashbw       | §6.3 — PMMAC vs Merkle hash bandwidth |
 | compression  | §5.3 — compressed PosMap geometry and remap overhead |
+
+A simulated figure (:data:`SAVED_SWEEPS`) is a saved sweep plus a pure
+function. Its module exposes ``sweep(benchmarks=None)`` (a
+:class:`~repro.sim.sweep.SweepSpec`, or a list of them),
+``make_runner(misses=None)`` (the platform it runs on) and
+``table_from_report(report)`` (the table, from the
+:func:`~repro.sim.sweep.run_sweep` report, or the list of reports); its
+``run(benchmarks=None, misses=None)`` is exactly that composition. The
+result store keeps the cells; a table is recomputed from them on every
+call, never stored. fig9 alone takes a second input,
+``fig9.phantom_replays(runner, benchmarks)``. fig3, table2 and table3
+are closed-form and have no cells.
 """
+
+from repro.eval import ablation_plb, fig5, fig6, fig7, fig8, fig9
+
+#: The simulated figures by experiment name (``python -m repro sweep
+#: --saved NAME``).
+SAVED_SWEEPS = {
+    "fig5": fig5,
+    "fig6": fig6,
+    "fig7": fig7,
+    "fig8": fig8,
+    "fig9": fig9,
+    "ablation-plb": ablation_plb,
+}

@@ -8,68 +8,102 @@ Two design questions the paper answers empirically:
 - *having a PLB at all*: a Unified tree whose PLB is too small to hold
   anything degenerates to walking the recursion on every access — the
   cost the PLB exists to remove.
+
+One saved sweep per question, so :func:`sweep` returns a list of two and
+:func:`table_from_report` takes their two reports.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.sim.runner import SimulationRunner
+from repro.sim.sweep import SweepSpec, run_sweep
 from repro.utils.stats import geometric_mean
 
 #: Associativities swept at fixed capacity.
 WAYS: Sequence[int] = (1, 2, 4, 8)
 
+#: The fixed PLB capacity of the associativity sweep.
+ASSOCIATIVITY_CAPACITY = 8 * 1024
 
-def associativity_sweep(
-    benchmarks: Optional[Iterable[str]] = None,
-    misses: Optional[int] = None,
-    capacity_bytes: int = 8 * 1024,
-) -> Dict[int, float]:
-    """Geomean runtime per associativity, normalised to direct-mapped."""
-    runner = SimulationRunner(misses_per_benchmark=misses)
-    names = list(benchmarks) if benchmarks is not None else ["gcc", "libq", "mcf"]
-    normalised: Dict[int, list] = {w: [] for w in WAYS}
-    for name in names:
-        per_ways = {}
-        for ways in WAYS:
-            result = runner.run_one(
-                "PC_X32", name, plb_capacity_bytes=capacity_bytes, plb_ways=ways
-            )
-            per_ways[ways] = result.cycles
-        for ways in WAYS:
-            normalised[ways].append(per_ways[ways] / per_ways[1])
-    return {w: geometric_mean(vals) for w, vals in normalised.items()}
+#: PLB capacities of the value question: the 64 KB design, and one block —
+#: a PLB that can never hold a useful working set, so every access walks
+#: the full recursion, like Recursive ORAM over ORamU.
+WITH_PLB, WITHOUT_PLB = 64 * 1024, 64
+
+#: Default benchmarks of each question.
+ASSOCIATIVITY_BENCHMARKS: Tuple[str, ...] = ("gcc", "libq", "mcf")
+VALUE_BENCHMARKS: Tuple[str, ...] = ("hmmer", "libq", "mcf")
 
 
-def plb_value(
-    benchmarks: Optional[Iterable[str]] = None,
-    misses: Optional[int] = None,
-) -> Dict[str, float]:
-    """Runtime of a crippled-PLB unified design vs the 64 KB PLB design.
+def sweep(benchmarks: Optional[Iterable[str]] = None) -> List[SweepSpec]:
+    """[associativity sweep, PLB-value sweep], both of PC_X32."""
+    names = None if benchmarks is None else list(benchmarks)
+    return [
+        SweepSpec.from_args(
+            schemes=[f"PC_X32:plb_capacity_bytes={ASSOCIATIVITY_CAPACITY}"],
+            grid={"plb_ways": list(WAYS)},
+            benchmarks=ASSOCIATIVITY_BENCHMARKS if names is None else names,
+        ),
+        SweepSpec.from_args(
+            schemes=["PC_X32"],
+            grid={"plb_capacity_bytes": [WITH_PLB, WITHOUT_PLB]},
+            benchmarks=VALUE_BENCHMARKS if names is None else names,
+        ),
+    ]
 
-    Returns per-benchmark ratios (no-PLB / with-PLB): how much the PLB
-    actually buys on each locality class.
+
+def make_runner(misses: Optional[int] = None) -> SimulationRunner:
+    """The paper's default platform."""
+    return SimulationRunner(misses_per_benchmark=misses)
+
+
+def _cycles(report: Mapping[str, object], field: str) -> Dict[str, Dict[int, float]]:
+    """``cycles[benchmark][spec field value]`` of a one-axis report."""
+    cycles: Dict[str, Dict[int, float]] = {}
+    for cell in report["cells"]:  # type: ignore[index]
+        row = cycles.setdefault(cell["benchmark"], {})
+        row[cell["spec"][field]] = cell["result"]["cycles"]
+    return cycles
+
+
+def table_from_report(
+    reports: Sequence[Mapping[str, object]],
+) -> Tuple[Dict[int, float], Dict[str, float]]:
+    """(associativity, value) from the two sweeps' reports.
+
+    ``associativity[ways]`` is the geomean runtime normalised to
+    direct-mapped; ``value[benchmark]`` the crippled-PLB runtime over the
+    64 KB-PLB runtime: how much the PLB buys on each locality class.
     """
-    runner = SimulationRunner(misses_per_benchmark=misses)
-    names = list(benchmarks) if benchmarks is not None else ["hmmer", "libq", "mcf"]
-    out: Dict[str, float] = {}
-    for name in names:
-        with_plb = runner.run_one("PC_X32", name, plb_capacity_bytes=64 * 1024)
-        # A one-block PLB can never hold a useful working set: every
-        # access walks the full recursion, like Recursive ORAM over ORamU.
-        without = runner.run_one("PC_X32", name, plb_capacity_bytes=64)
-        out[name] = without.cycles / with_plb.cycles
-    return out
+    by_ways = _cycles(reports[0], "plb_ways").values()
+    by_capacity = _cycles(reports[1], "plb_capacity_bytes")
+    associativity = {
+        ways: geometric_mean([row[ways] / row[1] for row in by_ways]) for ways in WAYS
+    }
+    value = {
+        name: row[WITHOUT_PLB] / row[WITH_PLB] for name, row in by_capacity.items()
+    }
+    return associativity, value
+
+
+def run(
+    benchmarks: Optional[Iterable[str]] = None, misses: Optional[int] = None
+) -> Tuple[Dict[int, float], Dict[str, float]]:
+    """Both ablations (:func:`table_from_report` of the saved sweeps)."""
+    runner = make_runner(misses)
+    return table_from_report([run_sweep(s, runner) for s in sweep(benchmarks)])
 
 
 def main() -> None:
     """Print both ablations."""
+    associativity, value = run()
     print("PLB associativity (runtime vs direct-mapped; paper: <=10% gain)")
-    for ways, ratio in associativity_sweep().items():
+    for ways, ratio in associativity.items():
         print(f"  {ways}-way: {ratio:.3f}")
     print("\nValue of the PLB (crippled-PLB runtime / 64KB-PLB runtime)")
-    for name, ratio in plb_value().items():
+    for name, ratio in value.items():
         print(f"  {name:>7}: {ratio:.2f}x")
 
 

@@ -9,66 +9,46 @@ settles on a 64 KB direct-mapped PLB).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.sim.runner import SimulationRunner
-from repro.sim.store import cached_figure_table
-from repro.workloads.spec import benchmark_names
+from repro.sim.sweep import SweepSpec, run_sweep
 
 #: Capacities of the Fig. 5 sweep, in bytes.
 CAPACITIES: Tuple[int, ...] = (8 * 1024, 32 * 1024, 64 * 1024, 128 * 1024)
 
 
-def normalise(
-    cycles_by_bench: Dict[str, Dict[int, float]],
-    capacities: Tuple[int, ...] = CAPACITIES,
-) -> Dict[str, Dict[int, float]]:
-    """Normalise per-capacity cycles to the smallest capacity's runtime.
+def sweep(benchmarks: Optional[Iterable[str]] = None) -> SweepSpec:
+    """PC_X32 across the PLB capacity grid."""
+    return SweepSpec.from_args(
+        schemes=["PC_X32"],
+        grid={"plb_capacity_bytes": list(CAPACITIES)},
+        benchmarks=benchmarks,
+    )
 
-    Shared by the legacy loop below and the saved-sweep path
-    (:func:`repro.eval.sweeps.fig5_table_from_report`), so the two are
-    arithmetically one.
-    """
+
+def make_runner(misses: Optional[int] = None) -> SimulationRunner:
+    """The paper's default platform."""
+    return SimulationRunner(misses_per_benchmark=misses)
+
+
+def table_from_report(report: Mapping[str, object]) -> Dict[str, Dict[int, float]]:
+    """``table[benchmark][capacity_bytes] = cycles / cycles_at_8KB``."""
+    cycles: Dict[str, Dict[int, float]] = {}
+    for cell in report["cells"]:  # type: ignore[index]
+        capacity = cell["spec"]["plb_capacity_bytes"]
+        cycles.setdefault(cell["benchmark"], {})[capacity] = cell["result"]["cycles"]
     return {
-        bench: {cap: row[cap] / row[capacities[0]] for cap in capacities}
-        for bench, row in cycles_by_bench.items()
+        bench: {cap: row[cap] / row[CAPACITIES[0]] for cap in CAPACITIES}
+        for bench, row in cycles.items()
     }
 
 
 def run(
-    benchmarks: Optional[Iterable[str]] = None,
-    capacities: Tuple[int, ...] = CAPACITIES,
-    misses: Optional[int] = None,
-    scheme: str = "PC_X32",
+    benchmarks: Optional[Iterable[str]] = None, misses: Optional[int] = None
 ) -> Dict[str, Dict[int, float]]:
-    """Normalised runtime per benchmark per PLB capacity.
-
-    Returns ``table[benchmark][capacity_bytes] = runtime / runtime_8KB``.
-    The same sweep is available declaratively as
-    :func:`repro.eval.sweeps.fig5_sweep`. The assembled table is
-    memoised on disk keyed by every cell's canonical identity
-    (:mod:`repro.sim.store`); ``--force`` refreshes it.
-    """
-    runner = SimulationRunner(misses_per_benchmark=misses)
-    names = list(benchmarks) if benchmarks is not None else benchmark_names()
-
-    def build() -> Dict[str, Dict[int, float]]:
-        cycles_by_bench: Dict[str, Dict[int, float]] = {}
-        for name in names:
-            cycles_by_bench[name] = {
-                capacity: runner.run_one(
-                    scheme, name, plb_capacity_bytes=capacity
-                ).cycles
-                for capacity in capacities
-            }
-        return normalise(cycles_by_bench, capacities)
-
-    cell_keys = [
-        runner.result_key(scheme, name, plb_capacity_bytes=capacity)
-        for name in names
-        for capacity in capacities
-    ]
-    return cached_figure_table("fig5", runner, cell_keys, build)
+    """The Fig. 5 table (:func:`table_from_report` of the saved sweep)."""
+    return table_from_report(run_sweep(sweep(benchmarks), make_runner(misses)))
 
 
 def main() -> None:

@@ -8,43 +8,43 @@ PC_X32 achieves a 1.43x speedup over R_X8 (geomean), and adding PMMAC
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
-from repro.sim.metrics import format_table, slowdown_table
+from repro.sim.metrics import format_table
 from repro.sim.runner import SimulationRunner
-from repro.sim.store import cached_figure_table
+from repro.sim.sweep import SweepSpec, run_sweep
+from repro.utils.stats import geometric_mean
 from repro.workloads.spec import benchmark_names
 
 #: Schemes of Fig. 6 in plot order.
 SCHEMES: Sequence[str] = ("R_X8", "PC_X32", "PIC_X32")
 
 
+def sweep(benchmarks: Optional[Iterable[str]] = None) -> SweepSpec:
+    """The three schemes over the benchmarks."""
+    return SweepSpec.from_args(schemes=list(SCHEMES), benchmarks=benchmarks)
+
+
+def make_runner(misses: Optional[int] = None) -> SimulationRunner:
+    """The paper's default platform."""
+    return SimulationRunner(misses_per_benchmark=misses)
+
+
+def table_from_report(report: Mapping[str, object]) -> Dict[str, Dict[str, float]]:
+    """``table[scheme label][benchmark]`` slowdowns plus a ``geomean`` key."""
+    table: Dict[str, Dict[str, float]] = {}
+    for cell in report["cells"]:  # type: ignore[index]
+        table.setdefault(cell["scheme"], {})[cell["benchmark"]] = cell["slowdown"]
+    for row in table.values():
+        row["geomean"] = geometric_mean(list(row.values()))
+    return table
+
+
 def run(
-    benchmarks: Optional[Iterable[str]] = None,
-    schemes: Sequence[str] = SCHEMES,
-    misses: Optional[int] = None,
+    benchmarks: Optional[Iterable[str]] = None, misses: Optional[int] = None
 ) -> Dict[str, Dict[str, float]]:
-    """Slowdown table: ``table[scheme][benchmark]`` plus ``geomean``.
-
-    The assembled table is memoised on disk keyed by every cell's
-    canonical identity — scheme specs, benchmarks, trace parameters and
-    the insecure baselines (:mod:`repro.sim.store`); ``--force``
-    refreshes it.
-    """
-    runner = SimulationRunner(misses_per_benchmark=misses)
-    names = list(benchmarks) if benchmarks is not None else benchmark_names()
-
-    def build() -> Dict[str, Dict[str, float]]:
-        results = runner.run_suite(schemes, names)
-        baselines = runner.baselines(names)
-        return slowdown_table(results, baselines, schemes)
-
-    cell_keys = [
-        runner.result_key(scheme, name)
-        for scheme in schemes
-        for name in names
-    ] + [runner.result_key("insecure", name) for name in names]
-    return cached_figure_table("fig6", runner, cell_keys, build)
+    """Slowdown table: ``table[scheme][benchmark]`` plus ``geomean``."""
+    return table_from_report(run_sweep(sweep(benchmarks), make_runner(misses)))
 
 
 def main() -> None:

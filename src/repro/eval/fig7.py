@@ -7,18 +7,19 @@ and total by 38% vs R_X8; at 64 GB the cuts reach 90% and 57%.
 
 PLB hit behaviour cannot be computed in closed form, so the average
 number of PosMap fetches per access is *measured* at simulation scale
-(suite average over the SPEC stand-ins) and then combined with the exact
-per-capacity tree geometry — the hybrid documented in DESIGN.md §3.
+(over a benchmark mix spanning the locality spectrum) and then combined
+with the exact per-capacity tree geometry of
+:func:`repro.analytic.bandwidth.unified_access_bytes`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.analytic.bandwidth import recursion_breakdown, unified_access_bytes
 from repro.sim.runner import SimulationRunner
-from repro.sim.store import cached_figure_table
+from repro.sim.sweep import SweepSpec, run_sweep
 from repro.utils.units import GiB
 
 #: Schemes of Fig. 7 in plot order, with their Unified-tree parameters
@@ -32,6 +33,10 @@ PLB_SCHEMES: Dict[str, Tuple[int, int]] = {
 
 #: Capacities of Fig. 7.
 CAPACITIES: Tuple[int, ...] = (4 * GiB, 16 * GiB, 64 * GiB)
+
+#: Block size and on-chip PosMap entries of the analytic bars.
+BLOCK_BYTES = 64
+ONCHIP_ENTRIES = 2**11
 
 #: Default benchmark mix for the measured PosMap rates — spans the
 #: locality spectrum so the average PLB behaviour approximates a suite
@@ -54,68 +59,40 @@ class Fig7Bar:
         return self.posmap_kb / self.total_kb if self.total_kb else 0.0
 
 
-def measure_posmap_rate(
-    scheme: str,
-    benchmarks: Optional[Iterable[str]] = None,
-    misses: Optional[int] = None,
-    runner: Optional[SimulationRunner] = None,
-) -> float:
-    """Average PosMap tree accesses per data access at simulation scale."""
-    if runner is None:
-        runner = SimulationRunner(misses_per_benchmark=misses)
-    names = (
-        list(benchmarks) if benchmarks is not None else list(RATE_BENCHMARKS)
+def sweep(benchmarks: Optional[Iterable[str]] = None) -> SweepSpec:
+    """The PLB schemes over the rate benchmarks."""
+    return SweepSpec.from_args(
+        schemes=list(PLB_SCHEMES),
+        benchmarks=RATE_BENCHMARKS if benchmarks is None else benchmarks,
     )
-    total_posmap = 0
-    total_data = 0
-    for name in names:
-        result = runner.run_one(scheme, name)
-        total_data += result.oram_accesses
-        total_posmap += result.tree_accesses - result.oram_accesses
-    return total_posmap / total_data if total_data else 0.0
 
 
-def run(
-    capacities: Sequence[int] = CAPACITIES,
-    block_bytes: int = 64,
-    onchip_entries: int = 2**11,
-    benchmarks: Optional[Iterable[str]] = None,
-    misses: Optional[int] = None,
-    rates: Optional[Dict[str, float]] = None,
-) -> List[Fig7Bar]:
+def make_runner(misses: Optional[int] = None) -> SimulationRunner:
+    """The paper's default platform."""
+    return SimulationRunner(misses_per_benchmark=misses)
+
+
+def table_from_report(report: Mapping[str, object]) -> List[Fig7Bar]:
     """All Fig. 7 bars (R_X8 analytic; PLB schemes hybrid).
 
-    ``rates`` injects pre-measured PosMap-accesses-per-data-access rates
-    — e.g. recovered from a saved-sweep report via
-    :func:`repro.eval.sweeps.fig7_rates_from_report` — skipping the
-    in-line measurement entirely. The measured rates are memoised on
-    disk keyed by every consumed cell's canonical identity
-    (:mod:`repro.sim.store`); ``--force`` refreshes them.
+    A PLB scheme's rate is its PosMap tree accesses per data access,
+    summed over the report's benchmarks.
     """
-    bars: List[Fig7Bar] = []
-    if rates is None:
-        runner = SimulationRunner(misses_per_benchmark=misses)
-        names = (
-            list(benchmarks) if benchmarks is not None else list(RATE_BENCHMARKS)
+    posmap: Dict[str, int] = {}
+    data: Dict[str, int] = {}
+    for cell in report["cells"]:  # type: ignore[index]
+        result = cell["result"]
+        scheme = cell["scheme"]
+        data[scheme] = data.get(scheme, 0) + result["oram_accesses"]
+        posmap[scheme] = (
+            posmap.get(scheme, 0) + result["tree_accesses"] - result["oram_accesses"]
         )
-
-        def build() -> Dict[str, float]:
-            return {
-                scheme: measure_posmap_rate(scheme, names, misses, runner=runner)
-                for scheme in PLB_SCHEMES
-            }
-
-        cell_keys = [
-            runner.result_key(scheme, name)
-            for scheme in PLB_SCHEMES
-            for name in names
-        ]
-        rates = cached_figure_table("fig7_rates", runner, cell_keys, build)
-    for capacity in capacities:
-        num_blocks = capacity // block_bytes
+    bars: List[Fig7Bar] = []
+    for capacity in CAPACITIES:
+        num_blocks = capacity // BLOCK_BYTES
         r = recursion_breakdown(
             num_blocks,
-            data_block_bytes=block_bytes,
+            data_block_bytes=BLOCK_BYTES,
             onchip_posmap_bytes=256 * 1024,
         )
         bars.append(
@@ -124,16 +101,25 @@ def run(
         for scheme, (fanout, mac_bytes) in PLB_SCHEMES.items():
             u = unified_access_bytes(
                 num_blocks,
-                block_bytes=block_bytes,
+                block_bytes=BLOCK_BYTES,
                 fanout=fanout,
-                onchip_entries=onchip_entries,
+                onchip_entries=ONCHIP_ENTRIES,
                 mac_bytes=mac_bytes,
-                posmap_accesses_per_data_access=rates[scheme],
+                posmap_accesses_per_data_access=(
+                    posmap[scheme] / data[scheme] if data[scheme] else 0.0
+                ),
             )
             bars.append(
                 Fig7Bar(scheme, capacity, u.total_bytes / 1024, u.posmap_bytes / 1024)
             )
     return bars
+
+
+def run(
+    benchmarks: Optional[Iterable[str]] = None, misses: Optional[int] = None
+) -> List[Fig7Bar]:
+    """The Fig. 7 bars (:func:`table_from_report` of the saved sweep)."""
+    return table_from_report(run_sweep(sweep(benchmarks), make_runner(misses)))
 
 
 def main() -> None:

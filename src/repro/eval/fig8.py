@@ -9,29 +9,33 @@ cut in PosMap traffic for PC_X64.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.config import ProcessorConfig
 from repro.dram.config import DramConfig
-from repro.sim.metrics import format_table, slowdown_table
+from repro.eval import fig6
+from repro.sim.metrics import format_table
 from repro.sim.runner import SimulationRunner
-from repro.sim.store import cached_figure_table
+from repro.sim.sweep import SweepSpec, run_sweep
 from repro.workloads.spec import benchmark_names
 
-#: Fig. 8 scheme row order with the per-scheme cell overrides.
-SCHEME_OVERRIDES = {
-    "R_X8": {"block_bytes": 128, "blocks_per_bucket": 3},
-    "PC_X64": {"block_bytes": 128, "blocks_per_bucket": 3},
-    "PC_X32": {"block_bytes": 64, "blocks_per_bucket": 3},
-}
+#: Fig. 8 scheme rows: (paper name, spec string pinning [26]'s parameters).
+SCHEMES: Tuple[Tuple[str, str], ...] = (
+    ("R_X8", "R_X8:block_bytes=128,blocks_per_bucket=3"),
+    ("PC_X64", "PC_X64:block_bytes=128,blocks_per_bucket=3"),
+    ("PC_X32", "PC_X32:block_bytes=64,blocks_per_bucket=3"),
+)
+
+
+def sweep(benchmarks: Optional[Iterable[str]] = None) -> SweepSpec:
+    """The three [26]-parameter schemes over the benchmarks."""
+    return SweepSpec.from_args(
+        schemes=[spec for _name, spec in SCHEMES], benchmarks=benchmarks
+    )
 
 
 def make_runner(misses: Optional[int] = None) -> SimulationRunner:
-    """Runner matching [26]'s platform (4 channels, 2.6 GHz, 128 B lines).
-
-    Public so the saved-sweep path (:mod:`repro.eval.sweeps`) drives the
-    exact same configuration.
-    """
+    """Runner matching [26]'s platform (4 channels, 2.6 GHz, 128 B lines)."""
     proc = ProcessorConfig(core_ghz=2.6, line_bytes=128)
     return SimulationRunner(
         proc=proc,
@@ -41,49 +45,30 @@ def make_runner(misses: Optional[int] = None) -> SimulationRunner:
     )
 
 
-#: Back-compat alias (pre-saved-sweep name).
-_runner = make_runner
+def table_from_report(
+    report: Mapping[str, object],
+) -> Tuple[Dict[str, Dict[str, float]], Dict[str, Dict[str, float]]]:
+    """(slowdowns, posmap_traffic), rows keyed by the paper's scheme names.
+
+    ``posmap_traffic[scheme][benchmark]`` is PosMap bytes per ORAM access.
+    """
+    name_of = {spec: name for name, spec in SCHEMES}
+    table = {
+        name_of[label]: row for label, row in fig6.table_from_report(report).items()
+    }
+    traffic: Dict[str, Dict[str, float]] = {}
+    for cell in report["cells"]:  # type: ignore[index]
+        result = cell["result"]
+        per_access = result["posmap_bytes"] / max(result["oram_accesses"], 1)
+        traffic.setdefault(name_of[cell["scheme"]], {})[cell["benchmark"]] = per_access
+    return table, traffic
 
 
 def run(
-    benchmarks: Optional[Iterable[str]] = None,
-    misses: Optional[int] = None,
-) -> Tuple[Dict[str, Dict[str, float]], Dict[str, float]]:
-    """Slowdown table for R_X8 / PC_X64 / PC_X32 plus traffic cuts.
-
-    Returns (slowdowns, posmap_traffic) where posmap_traffic maps scheme
-    to average PosMap bytes per access. The assembled pair is memoised
-    on disk keyed by every cell's canonical identity (baselines
-    included); ``--force`` refreshes it (:mod:`repro.sim.store`).
-    """
-    runner = _runner(misses)
-    names = list(benchmarks) if benchmarks is not None else benchmark_names()
-
-    def build():
-        results = {
-            scheme: {
-                n: runner.run_one(scheme, n, **overrides) for n in names
-            }
-            for scheme, overrides in SCHEME_OVERRIDES.items()
-        }
-        baselines = runner.baselines(names)
-        table = slowdown_table(results, baselines, tuple(SCHEME_OVERRIDES))
-        traffic = {
-            scheme: {
-                bench: r.posmap_bytes / max(r.oram_accesses, 1)
-                for bench, r in results[scheme].items()
-            }
-            for scheme in results
-        }
-        return [table, traffic]
-
-    cell_keys = [
-        runner.result_key(scheme, n, **overrides)
-        for scheme, overrides in SCHEME_OVERRIDES.items()
-        for n in names
-    ] + [runner.result_key("insecure", n) for n in names]
-    table, traffic = cached_figure_table("fig8", runner, cell_keys, build)
-    return table, traffic
+    benchmarks: Optional[Iterable[str]] = None, misses: Optional[int] = None
+) -> Tuple[Dict[str, Dict[str, float]], Dict[str, Dict[str, float]]]:
+    """Slowdown table for R_X8 / PC_X64 / PC_X32 plus PosMap traffic."""
+    return table_from_report(run_sweep(sweep(benchmarks), make_runner(misses)))
 
 
 def main() -> None:

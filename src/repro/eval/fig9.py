@@ -13,20 +13,23 @@ on 2 DRAM channels, and compare against the PC_X32 simulation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.config import OramConfig, ProcessorConfig
 from repro.dram.config import DramConfig
 from repro.dram.model import DramModel
 from repro.proc.hierarchy import MissTrace
 from repro.sim.runner import SimulationRunner
-from repro.sim.store import cached_figure_table
+from repro.sim.sweep import SweepSpec, run_sweep
 from repro.utils.stats import geometric_mean
 
 #: Phantom configuration of §7.1.6.
 PHANTOM_BLOCK_BYTES = 4096
 PHANTOM_BUFFER_BYTES = 32 * 1024
 PHANTOM_LINE_BYTES = 128
+
+#: Benchmarks of Fig. 9.
+BENCHMARKS: Tuple[str, ...] = ("gcc", "libq", "mcf", "hmmer")
 
 
 def phantom_cycles(
@@ -72,35 +75,52 @@ def phantom_oram_latency(proc_ghz: float = 1.3, channels: int = 2) -> float:
     return model.average_oram_latency_proc_cycles(proc_ghz)
 
 
+def sweep(benchmarks: Optional[Iterable[str]] = None) -> SweepSpec:
+    """PC_X32 at 64-byte blocks over the benchmarks."""
+    return SweepSpec.from_args(
+        schemes=["PC_X32:block_bytes=64"],
+        benchmarks=BENCHMARKS if benchmarks is None else benchmarks,
+    )
+
+
+def make_runner(misses: Optional[int] = None) -> SimulationRunner:
+    """The default platform with Phantom's 128-byte lines."""
+    return SimulationRunner(
+        proc=ProcessorConfig(line_bytes=PHANTOM_LINE_BYTES),
+        misses_per_benchmark=misses,
+    )
+
+
+def phantom_replays(
+    runner: SimulationRunner, benchmarks: Iterable[str]
+) -> Dict[str, float]:
+    """``{benchmark: Phantom cycles}``: each of the runner's traces replayed
+    against the Phantom model; :func:`table_from_report`'s second input."""
+    oram_latency = phantom_oram_latency()
+    return {
+        name: phantom_cycles(runner.trace(name), runner.proc, oram_latency)
+        for name in benchmarks
+    }
+
+
+def table_from_report(
+    report: Mapping[str, object], phantom: Mapping[str, float]
+) -> Dict[str, float]:
+    """Per-benchmark speedup: Phantom cycles over PC_X32 cycles."""
+    return {
+        cell["benchmark"]: phantom[cell["benchmark"]] / cell["result"]["cycles"]
+        for cell in report["cells"]  # type: ignore[index]
+    }
+
+
 def run(
     benchmarks: Optional[Iterable[str]] = None,
     misses: Optional[int] = None,
 ) -> Dict[str, float]:
-    """Per-benchmark speedup of PC_X32 over the Phantom configuration.
-
-    The assembled speedup table is memoised on disk keyed by each
-    consumed PC_X32 cell's canonical identity (which already folds in
-    the trace parameters the Phantom replay shares); ``--force``
-    refreshes it (:mod:`repro.sim.store`).
-    """
-    proc = ProcessorConfig(line_bytes=PHANTOM_LINE_BYTES)
-    runner = SimulationRunner(proc=proc, misses_per_benchmark=misses)
-    names = list(benchmarks) if benchmarks is not None else ["gcc", "libq", "mcf", "hmmer"]
-
-    def build() -> Dict[str, float]:
-        oram_latency = phantom_oram_latency()
-        out: Dict[str, float] = {}
-        for name in names:
-            trace = runner.trace(name)
-            pc = runner.run_one("PC_X32", name, block_bytes=64)
-            phantom = phantom_cycles(trace, proc, oram_latency)
-            out[name] = phantom / pc.cycles
-        return out
-
-    cell_keys = [
-        runner.result_key("PC_X32", name, block_bytes=64) for name in names
-    ]
-    return cached_figure_table("fig9", runner, cell_keys, build)
+    """Per-benchmark speedup of PC_X32 over the Phantom configuration."""
+    runner = make_runner(misses)
+    report = run_sweep(sweep(benchmarks), runner)
+    return table_from_report(report, phantom_replays(runner, report["benchmarks"]))
 
 
 def byte_movement_ratio() -> float:

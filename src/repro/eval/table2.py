@@ -13,7 +13,6 @@ from typing import Dict, Tuple
 from repro.config import OramConfig
 from repro.dram.config import DramConfig
 from repro.dram.model import DramModel
-from repro.sim.store import cached_figure_table
 
 #: Paper-reported cycles per channel count.
 PAPER_LATENCY = {1: 2147, 2: 1208, 4: 697, 8: 463}
@@ -27,35 +26,17 @@ def run(
     proc_ghz: float = 1.3,
     channel_counts: Tuple[int, ...] = (1, 2, 4, 8),
 ) -> Dict[int, float]:
-    """ORAM tree latency (processor cycles) per channel count.
-
-    Purely analytic, so the memoised table (:mod:`repro.sim.store`)
-    is keyed by the closed-form model's parameters rather than simulation
-    cell digests; ``REPRO_FORCE=1`` refreshes it.
-    """
+    """ORAM tree latency (processor cycles) per channel count."""
     cfg = OramConfig(
         num_blocks=num_blocks,
         block_bytes=block_bytes,
         blocks_per_bucket=blocks_per_bucket,
     )
-
-    def build() -> Dict[int, float]:
-        out: Dict[int, float] = {}
-        for channels in channel_counts:
-            model = DramModel(
-                cfg.levels, cfg.bucket_bytes, DramConfig(channels=channels)
-            )
-            out[channels] = model.average_oram_latency_proc_cycles(proc_ghz)
-        return out
-
-    cell_keys = [
-        f"num_blocks={num_blocks}",
-        f"block_bytes={block_bytes}",
-        f"blocks_per_bucket={blocks_per_bucket}",
-        f"proc_ghz={proc_ghz!r}",
-        f"channels={','.join(str(ch) for ch in channel_counts)}",
-    ]
-    return cached_figure_table("table2", None, cell_keys, build)
+    out: Dict[int, float] = {}
+    for channels in channel_counts:
+        model = DramModel(cfg.levels, cfg.bucket_bytes, DramConfig(channels=channels))
+        out[channels] = model.average_oram_latency_proc_cycles(proc_ghz)
+    return out
 
 
 def insecure_latency(proc_ghz: float = 1.3) -> float:

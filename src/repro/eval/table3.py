@@ -10,10 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-import dataclasses
-
 from repro.area.model import AreaBreakdown, AreaModel
-from repro.sim.store import cached_figure_table
 
 #: Paper values: {channels: (frontend%, posmap%, plb%, pmmac%, misc%,
 #: backend%, stash%, aes%, total_mm2)}.
@@ -28,27 +25,9 @@ PAPER_LAYOUT_TOTAL_MM2 = 0.47
 
 
 def run(channel_counts: Tuple[int, ...] = (1, 2, 4)) -> Dict[int, AreaBreakdown]:
-    """Post-synthesis breakdown per channel count (default PLB/PosMap 8 KB).
-
-    Purely analytic, so the memoised table (:mod:`repro.sim.store`)
-    is keyed by the area model's parameters; breakdowns are flattened to
-    their component fields for storage and rebuilt on load.
-    ``REPRO_FORCE=1`` refreshes the entry.
-    """
-    def build() -> Dict[int, Dict[str, float]]:
-        model = AreaModel(posmap_kib=8, plb_kib=8, pmmac=True)
-        return {
-            ch: dataclasses.asdict(model.synthesis(ch)) for ch in channel_counts
-        }
-
-    cell_keys = [
-        "posmap_kib=8",
-        "plb_kib=8",
-        "pmmac=True",
-        f"channels={','.join(str(ch) for ch in channel_counts)}",
-    ]
-    table = cached_figure_table("table3", None, cell_keys, build)
-    return {ch: AreaBreakdown(**fields) for ch, fields in table.items()}
+    """Post-synthesis breakdown per channel count (default PLB/PosMap 8 KB)."""
+    model = AreaModel(posmap_kib=8, plb_kib=8, pmmac=True)
+    return {ch: model.synthesis(ch) for ch in channel_counts}
 
 
 def layout_total(channels: int = 2) -> float:

@@ -381,7 +381,7 @@ class FabricCoordinator:
     ) -> None:
         """Drive every task to completion (or quarantine) across the fabric.
 
-        ``retry``/``failures`` follow :meth:`SimulationRunner.run_suite`
+        ``retry``/``failures`` follow :meth:`SimulationRunner.execute`
         semantics: a cell error (or a death-reclaim) charges one attempt;
         a cell that exhausts the budget is quarantined into ``failures``
         (or, with ``failures=None``, raises). ``progress`` is invoked on

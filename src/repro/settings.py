@@ -156,9 +156,6 @@ class Settings:
     result_cache: Optional[str] = _cache_var(
         "REPRO_RESULT_CACHE", "results", "replay-result cache directory, or off"
     )
-    figure_cache: Optional[str] = _cache_var(
-        "REPRO_FIGURE_CACHE", "figures", "figure-table cache directory, or off"
-    )
     force: bool = _var(
         "REPRO_FORCE", _flag, False, "recompute, and refresh, every cached cell"
     )

@@ -8,7 +8,7 @@ constants (Frontend/Backend latency, AES/SHA3) with the simulated tree
 access count.
 """
 
-from repro.sim.metrics import SimResult, slowdown_table
+from repro.sim.metrics import SimResult
 from repro.sim.replay import REPLAY_MODES
 from repro.sim.runner import SimulationRunner
 from repro.sim.store import ResultCache, TraceCache
@@ -18,7 +18,6 @@ from repro.sim.timing import OramTimingModel
 
 __all__ = [
     "SimResult",
-    "slowdown_table",
     "SimulationRunner",
     "SweepSpec",
     "run_sweep",

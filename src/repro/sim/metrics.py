@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.utils.stats import geometric_mean
-
 
 @dataclass
 class SimResult:
@@ -58,27 +56,6 @@ class SimResult:
         if baseline.cycles == 0:
             raise ValueError("baseline has zero cycles")
         return self.cycles / baseline.cycles
-
-
-def slowdown_table(
-    results: Dict[str, Dict[str, SimResult]],
-    baselines: Dict[str, SimResult],
-    schemes: Sequence[str],
-) -> Dict[str, Dict[str, float]]:
-    """Per-benchmark slowdown vs insecure, plus the geometric mean row.
-
-    ``results[scheme][benchmark]`` and ``baselines[benchmark]`` follow the
-    runner's layout; the returned mapping is ``table[scheme][benchmark]``
-    with an extra ``"geomean"`` key per scheme (the paper's Avg bars).
-    """
-    table: Dict[str, Dict[str, float]] = {}
-    for scheme in schemes:
-        row: Dict[str, float] = {}
-        for bench, result in results[scheme].items():
-            row[bench] = result.slowdown_vs(baselines[bench])
-        row["geomean"] = geometric_mean([v for k, v in row.items() if k != "geomean"])
-        table[scheme] = row
-    return table
 
 
 def format_table(

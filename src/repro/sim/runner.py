@@ -34,8 +34,8 @@ is what allows the scale-out layers stacked on top:
 - :meth:`execute` fans the remaining cold cells out over a process pool
   (``workers=`` or ``REPRO_WORKERS``), streaming completed cells through
   an optional ``progress`` callback, with results bitwise identical to
-  the serial path. ``run_suite``, ``baselines``, ``run_one`` and
-  ``run_insecure`` are reshapes of its output.
+  the serial path. :meth:`run_one` is one cell of it; a matrix of cells
+  with a report is :func:`repro.sim.sweep.run_sweep`.
 
 ``force=True`` (or ``REPRO_FORCE=1``, or ``python -m repro --force ...``)
 bypasses *loads* from both on-disk caches without disabling them: every
@@ -87,7 +87,7 @@ from repro.spec import (
     resolve_spec,
 )
 from repro.utils.rng import DeterministicRng
-from repro.workloads.spec import SPEC_BENCHMARKS, SpecStandIn, benchmark
+from repro.workloads.spec import SpecStandIn, benchmark
 
 #: A scheme argument: registered name, spec string, or SchemeSpec value.
 SchemeLike = Union[str, SchemeSpec]
@@ -448,10 +448,6 @@ class SimulationRunner:
         """Replay one benchmark against one scheme (result-cached)."""
         return self.run_cell(self.cells([scheme], [bench_name], **overrides)[0])
 
-    def run_insecure(self, bench_name: str, attempt: int = 1) -> SimResult:
-        """Insecure-DRAM baseline for one benchmark (result-cached)."""
-        return self.run_cell(self.baseline_cells([bench_name])[0], attempt)
-
     def derive(self, **changes) -> "SimulationRunner":
         """A runner with constructor fields replaced, caches shared.
 
@@ -553,59 +549,6 @@ class SimulationRunner:
         if pooled:
             self._run_cold_pool(pooled, workers, done, retry, failures)
         return out
-
-    def run_suite(
-        self,
-        schemes: Sequence[SchemeLike],
-        benchmarks: Optional[Iterable[str]] = None,
-        *,
-        workers: Optional[int] = None,
-        progress: Optional[ProgressCallback] = None,
-        retry: Optional[RetryPolicy] = None,
-        failures: Optional[List[dict]] = None,
-        **overrides,
-    ) -> Dict[str, Dict[str, SimResult]]:
-        """All (scheme, benchmark) pairs; results[scheme label][benchmark].
-
-        :meth:`cells` then :meth:`execute` (which see for ``workers``,
-        ``progress``, ``retry`` and ``failures``), reshaped into rows
-        keyed by each scheme's normalized label in submission order;
-        quarantined cells are simply absent from their row.
-        """
-        names = list(benchmarks) if benchmarks is not None else list(SPEC_BENCHMARKS)
-        cells = self.cells(schemes, names, **overrides)
-        results = self.execute(
-            cells, workers=workers, progress=progress, retry=retry, failures=failures
-        )
-        out: Dict[str, Dict[str, SimResult]] = {}
-        for cell in cells:
-            row = out.setdefault(cell.label, {})
-            if cell.key in results:
-                row[cell.bench] = results[cell.key]
-        return out
-
-    def baselines(
-        self,
-        benchmarks: Optional[Iterable[str]] = None,
-        *,
-        workers: Optional[int] = None,
-        progress: Optional[ProgressCallback] = None,
-        retry: Optional[RetryPolicy] = None,
-        failures: Optional[List[dict]] = None,
-    ) -> Dict[str, SimResult]:
-        """Insecure baselines keyed by benchmark (cached like any cell).
-
-        Retry and quarantine semantics match :meth:`execute` (quarantined
-        benchmarks are absent from the returned mapping).
-        """
-        names = list(benchmarks) if benchmarks is not None else list(SPEC_BENCHMARKS)
-        cells = self.baseline_cells(names)
-        results = self.execute(
-            cells, workers=workers, progress=progress, retry=retry, failures=failures
-        )
-        return {
-            cell.bench: results[cell.key] for cell in cells if cell.key in results
-        }
 
     def _with_retry(
         self,

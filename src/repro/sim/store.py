@@ -1,19 +1,19 @@
-"""One content-addressed on-disk store, three codecs.
+"""One content-addressed on-disk store, one codec per kind of entry.
 
 Everything the experiment engine persists is a pure function of its key:
 a :class:`~repro.proc.hierarchy.MissTrace` of (benchmark, seed, processor
 config, miss budget, warmup); a :class:`~repro.sim.metrics.SimResult` of
-the sized scheme spec plus that trace's parameters; an assembled figure
-table of the result keys of every cell it consumes. A key is a recipe —
-:func:`trace_key`, :func:`result_key`, :func:`figure_key` — and every
-layer above (the runner, pool and fabric workers, the figure modules)
-needs only "load, or compute and store".
+the sized scheme spec plus that trace's parameters. A key is a recipe —
+:func:`trace_key`, :func:`result_key` — and every layer above (the
+runner, pool and fabric workers) needs only "load, or compute and
+store". A figure's table is derived from its cells and recomputed on
+every call, never stored (:mod:`repro.eval`).
 
 :class:`Store` is the one implementation of that, and the only place in
 the package that renames a file into position. What differs between the
-three kinds of entry is a :class:`Codec` value: file suffix, fault-plan
-key prefix, warning text, and an ``encode``/``decode`` pair. A sweep's
-journal of completed cells (:mod:`repro.sim.checkpoint`) is a fourth
+kinds of entry is a :class:`Codec` value: file suffix, fault-plan key
+prefix, warning text, and an ``encode``/``decode`` pair. A sweep's
+journal of completed cells (:mod:`repro.sim.checkpoint`) is a third
 codec over the same store. The rules are the same for all of them:
 
 - entries are written atomically (unique temp file + ``os.replace``), so
@@ -40,23 +40,19 @@ import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Union
+from typing import Callable, Iterable, List, Union
 
 from repro.config import ProcessorConfig
 from repro.dram.config import DramConfig
 from repro.errors import CacheCorruptionWarning
 from repro.faults import fault_hook
 from repro.proc.hierarchy import TRACE_VERSION, MissTrace
-from repro.settings import Settings
 from repro.sim.metrics import SimResult
 
 #: Bump when SimResult serialization (or replay semantics the key cannot
 #: see) changes; embedded in every entry and checked on load.
 #: v2: spec-canonical keys + SimResult prf_calls/prf_cache_hits fields.
 RESULT_SCHEMA_VERSION = 2
-
-#: Schema version mixed into every figure key (bump on encoding changes).
-FIGURE_CACHE_VERSION = 1
 
 #: Per-process sequence for temp-file names: combined with the pid it
 #: makes concurrent writers — threads of one process (fabric coordinator)
@@ -180,11 +176,13 @@ def _digest(schema: str, parts: Iterable[str]) -> str:
 
 
 def _fields(prefix: str, config) -> List[str]:
-    """A config dataclass, canonicalised field-by-field (sorted)."""
-    return [
-        f"{prefix}.{key}={value!r}"
-        for key, value in sorted(dataclasses.asdict(config).items())
-    ]
+    """A flat config dataclass, canonicalised field-by-field (sorted).
+
+    ``vars``, not ``dataclasses.asdict``: the configs hold scalars only,
+    so the deep copy ``asdict`` makes was most of the cost of a key, and
+    a figure computes one per cell on every call.
+    """
+    return [f"{prefix}.{key}={value!r}" for key, value in sorted(vars(config).items())]
 
 
 # -- miss traces ---------------------------------------------------------------
@@ -290,101 +288,3 @@ RESULT_CODEC = Codec(
 
 #: ``ResultCache(root)``: store of SimResults keyed by :func:`result_key`.
 ResultCache = functools.partial(Store, codec=RESULT_CODEC)
-
-
-# -- assembled figure tables ---------------------------------------------------
-#
-# The result store makes every *cell* incremental, but a figure run still
-# pays the assembly tail — loading dozens of cached cells, normalising
-# and aggregating them — on every invocation, so the assembled table is
-# memoised too.
-
-
-def figure_key(figure: str, cell_keys: Iterable[str]) -> str:
-    """Digest of a figure's full input identity.
-
-    ``cell_keys`` are the runner result keys of every cell the figure
-    consumes (baselines included), *in assembly order* — row and column
-    order are part of an assembled table's identity, so a reordered
-    scheme list keys a fresh entry rather than serving a
-    differently-ordered cached one. Those keys already canonicalise the
-    sized scheme specs, the benchmark list and the trace parameters, so
-    any knob that could change a cell re-keys the table automatically.
-    """
-    return _digest(
-        f"schema={FIGURE_CACHE_VERSION}", [f"figure={figure}", *cell_keys]
-    )
-
-
-# Figure tables are dicts keyed by benchmark names *and* integers (PLB
-# capacities); JSON objects only take string keys, so dicts are encoded
-# as explicit key/value pair lists and decoded back losslessly.
-
-_SCALARS = (str, int, float, bool, type(None))
-
-
-def _encode(obj):
-    if isinstance(obj, dict):
-        return {"__kv__": [[_encode(k), _encode(v)] for k, v in obj.items()]}
-    if isinstance(obj, (list, tuple)):
-        return [_encode(item) for item in obj]
-    if isinstance(obj, _SCALARS):
-        return obj
-    raise TypeError(f"figure tables cannot carry {type(obj).__name__} values")
-
-
-def _decode(obj):
-    if isinstance(obj, dict):
-        if set(obj) != {"__kv__"}:
-            raise ValueError("corrupt figure-table encoding")
-        return {_decode(k): _decode(v) for k, v in obj["__kv__"]}
-    if isinstance(obj, list):
-        return [_decode(item) for item in obj]
-    return obj
-
-
-FIGURE_CODEC = Codec(
-    kind="figure",
-    suffix=".figure.json",
-    evicted="figure cache: evicted corrupt entry {name}; rebuilding",
-    encode=lambda table: json.dumps(_encode(table)).encode("utf-8"),
-    decode=lambda data: _decode(json.loads(data.decode("utf-8"))),
-)
-
-
-#: ``FigureTableCache(root)``: store of tables keyed by :func:`figure_key`.
-FigureTableCache = functools.partial(Store, codec=FIGURE_CODEC)
-
-
-def cached_figure_table(
-    figure: str,
-    runner,
-    cell_keys: Iterable[str],
-    build: Callable[[], object],
-    cache: Optional[Store] = None,
-):
-    """Memoise one assembled figure table on disk.
-
-    ``runner.force`` (the ``--force`` / ``REPRO_FORCE`` flag) skips the
-    load and refreshes the stored entry with the rebuilt table (the
-    runner's own force flag already refreshes the cell entries
-    underneath); a disabled store (``REPRO_FIGURE_CACHE=off``) degrades
-    to calling ``build()`` directly. Purely analytic tables
-    (table2/table3) have no runner: pass ``runner=None`` and the force
-    flag is the environment's, with ``cell_keys`` carrying the
-    closed-form model's parameters instead of result digests.
-    """
-    settings = Settings.from_env()
-    if cache is None:
-        if settings.figure_cache is None:
-            return build()
-        cache = FigureTableCache(settings.figure_cache)
-    force = settings.force if runner is None else runner.force
-    key = figure_key(figure, cell_keys)
-    if not force:
-        table = cache.load(key)
-        if table is not None:
-            return table
-    table = build()
-    cache.store(key, table)
-    return table

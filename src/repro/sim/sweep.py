@@ -328,7 +328,6 @@ def run_sweep(
     *,
     workers: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
-    include_baselines: bool = True,
     retry: Optional[RetryPolicy] = None,
     checkpoint: Union[SweepCheckpoint, str, Path, None] = None,
     resume: bool = False,
@@ -338,9 +337,9 @@ def run_sweep(
 
     ``report["cells"]`` holds one entry per (bench-grid combo, grid
     point, benchmark) with the point's full spec, the serialized
-    :class:`SimResult`, and (when ``include_baselines``) the slowdown vs
-    the insecure-DRAM baseline. A ``misses`` bench axis runs each combo
-    on a derived runner (:meth:`SimulationRunner.derive`); a ``wss``
+    :class:`SimResult`, and the slowdown vs the insecure-DRAM baseline
+    (``report["baselines"]``). A ``misses`` bench axis runs each combo on
+    a derived runner (:meth:`SimulationRunner.derive`); a ``wss``
     axis derives the benchmark names themselves, so every cell records
     the miss budget and (possibly derived) benchmark it measured. Cells
     are ordered (bench combos, then points, then benchmarks) regardless
@@ -405,7 +404,6 @@ def run_sweep(
         workers=workers,
         executor=executor,
         progress=progress,
-        include_baselines=include_baselines,
         retry=retry,
         ckpt=ckpt,
         completed=completed,
@@ -446,7 +444,6 @@ def _run_bench_sweep(
     workers: Optional[int],
     executor: Optional[object],
     progress: Optional[ProgressCallback],
-    include_baselines: bool,
     retry: Optional[RetryPolicy],
     ckpt: Optional[SweepCheckpoint],
     completed: Dict[str, dict],
@@ -475,6 +472,9 @@ def _run_bench_sweep(
                     key = f"{name}@misses={misses}" if multi_miss else name
                     baseline_rows[key] = payload
             for label, spec in points:
+                # One plain-data image per point, shared by its cells as
+                # their results are shared with the journal.
+                spec_dict = spec.to_dict()
                 for name in names:
                     payload = rec["done"].get((label, name))
                     if payload is None:
@@ -483,7 +483,7 @@ def _run_bench_sweep(
                         "scheme": label,
                         "benchmark": name,
                         "misses": misses,
-                        "spec": spec.to_dict(),
+                        "spec": spec_dict,
                         "result": payload,
                     }
                     base = rec["done"].get(("insecure", name))
@@ -522,9 +522,10 @@ def _run_bench_sweep(
             # Feed the runner *labels*, not spec values: the string path
             # preserves every explicit grid delta (even one equal to a
             # registry default) against the runner's per-benchmark sizing.
-            phases = [cell_runner.cells(labels, names)]
-            if include_baselines:
-                phases.append(cell_runner.baseline_cells(names))
+            phases = [
+                cell_runner.cells(labels, names),
+                cell_runner.baseline_cells(names),
+            ]
             # Journal keys are the cells' canonical result digests — every
             # construction knob, seed and miss budget folded in, and
             # identical across resume boundaries by construction.

@@ -2,9 +2,10 @@
 
 The paper drives its simulations with SPEC06-int reference traces. Those
 traces are proprietary, so this package substitutes parameterised
-synthetic generators that span the same locality spectrum (see DESIGN.md
-§3): streaming, strided, Zipf-hot-set, pointer-chasing, and mixtures
-thereof, one tuned stand-in per named benchmark.
+synthetic generators that span the same locality spectrum (see
+:mod:`repro.workloads.spec`): streaming, strided, Zipf-hot-set,
+pointer-chasing, and mixtures thereof, one tuned stand-in per named
+benchmark.
 """
 
 from repro.workloads.spec import (

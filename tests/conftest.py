@@ -12,12 +12,11 @@ from repro.utils.rng import DeterministicRng
 
 CACHE_ENV = "REPRO_TRACE_CACHE"
 RESULT_CACHE_ENV = "REPRO_RESULT_CACHE"
-FIGURE_CACHE_ENV = "REPRO_FIGURE_CACHE"
 
 
 @pytest.fixture(autouse=True, scope="session")
 def _hermetic_caches(tmp_path_factory):
-    """Point the on-disk trace/result/figure caches at per-session temp dirs.
+    """Point the on-disk trace/result caches at per-session temp dirs.
 
     Keeps tests from reading (or polluting) the developer's user-level
     caches while still exercising the disk-cache code paths. Mirrored in
@@ -25,11 +24,10 @@ def _hermetic_caches(tmp_path_factory):
     """
     previous = {
         env: os.environ.get(env)
-        for env in (CACHE_ENV, RESULT_CACHE_ENV, FIGURE_CACHE_ENV)
+        for env in (CACHE_ENV, RESULT_CACHE_ENV)
     }
     os.environ[CACHE_ENV] = str(tmp_path_factory.mktemp("trace-cache"))
     os.environ[RESULT_CACHE_ENV] = str(tmp_path_factory.mktemp("result-cache"))
-    os.environ[FIGURE_CACHE_ENV] = str(tmp_path_factory.mktemp("figure-cache"))
     yield
     for env, value in previous.items():
         if value is None:

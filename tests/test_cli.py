@@ -106,7 +106,6 @@ _settings = st.builds(
     workers=st.integers(min_value=1),
     trace_cache=st.none() | _paths,
     result_cache=st.none() | _paths,
-    figure_cache=st.none() | _paths,
     force=st.booleans(),
     full=st.booleans(),
     retries=st.integers(min_value=1),

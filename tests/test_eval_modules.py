@@ -85,8 +85,7 @@ class TestSimulationFigures:
     """Scaled-down smoke runs of the trace-driven figures."""
 
     def test_fig5_sweep_improves_or_holds(self):
-        table = fig5.run(benchmarks=["gob"], misses=400,
-                         capacities=(8 * 1024, 64 * 1024))
+        table = fig5.run(benchmarks=["gob"], misses=400)
         row = table["gob"]
         assert row[8 * 1024] == 1.0
         assert row[64 * 1024] <= 1.02  # bigger PLB never hurts much

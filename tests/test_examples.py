@@ -1,12 +1,30 @@
-"""The shipped examples must run clean and demonstrate their claims."""
+"""The shipped examples must run clean and demonstrate their claims, and
+every document the code cites must exist."""
 
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "examples"
+
+#: A Markdown file name, with or without a directory.
+_MARKDOWN = re.compile(r"[\w./-]*\w\.md\b")
+
+
+def test_every_cited_markdown_file_exists():
+    """A docstring or comment that sends the reader to a document names one
+    that is in the repository (beside the citing file, or from the root)."""
+    missing = []
+    for tree in ("src", "tests", "benchmarks", "examples"):
+        for path in (ROOT / tree).rglob("*.py"):
+            for name in _MARKDOWN.findall(path.read_text("utf-8")):
+                if not ((ROOT / name).is_file() or (path.parent / name).is_file()):
+                    missing.append(f"{path.relative_to(ROOT)}: {name}")
+    assert missing == []
 
 
 def run_example(name: str, timeout: int = 600) -> str:

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 from repro.fabric.store import SharedStore
 from repro.proc.hierarchy import MissEvent, MissTrace
+from repro.sim.checkpoint import SweepCheckpoint
 from repro.sim.metrics import SimResult
 from repro.sim.runner import SimulationRunner
-from repro.sim.store import FigureTableCache, ResultCache, TraceCache
+from repro.sim.store import ResultCache, TraceCache
 
 
 def _runner(**kw) -> SimulationRunner:
@@ -110,7 +111,8 @@ class TestConcurrentWriters:
             pytest.param(TraceCache, _trace(), id="trace"),
             pytest.param(ResultCache, _result(), id="result"),
             pytest.param(
-                FigureTableCache, {"gob": {8192: 1.0}, "n": [1, 2]}, id="figure"
+                SweepCheckpoint, {"scheme": "PC_X32", "result": {"cycles": 1.5}},
+                id="journal",
             ),
         ],
     )

@@ -48,6 +48,11 @@ def _sweep() -> SweepSpec:
     )
 
 
+def _suite(runner, **kw):
+    """Every (scheme, benchmark) cell through ``runner.execute``."""
+    return runner.execute(runner.cells(SCHEMES, BENCHES), **kw)
+
+
 def _strip(report):
     """Drop the (intentionally differing) resilience accounting block."""
     clone = dict(report)
@@ -58,11 +63,11 @@ def _strip(report):
 
 class TestSuiteSelfHealing:
     def test_serial_crash_retry_matches_golden(self, tmp_path):
-        golden = _runner(tmp_path, "g").run_suite(SCHEMES, BENCHES)
+        golden = _suite(_runner(tmp_path, "g"))
         runner = _runner(tmp_path, "c")
         # Every cell's first attempt crashes; retries heal all of them.
         with injected("cell.crash@*/1") as plan:
-            healed = runner.run_suite(SCHEMES, BENCHES)
+            healed = _suite(runner)
         assert healed == golden
         assert len(plan.fired) == len(SCHEMES) * len(BENCHES)
 
@@ -70,15 +75,13 @@ class TestSuiteSelfHealing:
         runner = _runner(tmp_path, "q")
         failures = []
         with injected("cell.crash@P_X16/gob/*"):  # every attempt crashes
-            out = runner.run_suite(
-                SCHEMES,
-                BENCHES,
-                retry=RetryPolicy(attempts=2, backoff=0.0),
-                failures=failures,
+            out = _suite(
+                runner, retry=RetryPolicy(attempts=2, backoff=0.0), failures=failures
             )
-        assert "gob" not in out["P_X16"]  # quarantined cell is absent
-        assert out["P_X16"]["hmmer"].cycles > 0  # the rest completed
-        assert out["PC_X32"]["gob"].cycles > 0
+        completed = [(r.scheme, r.benchmark) for r in out.values()]
+        assert ("P_X16", "gob") not in completed  # quarantined cell is absent
+        assert len(completed) == len(SCHEMES) * len(BENCHES) - 1  # the rest ran
+        assert all(result.cycles > 0 for result in out.values())
         (entry,) = failures
         assert entry["scheme"] == "P_X16" and entry["benchmark"] == "gob"
         assert entry["attempts"] == 2 and "InjectedFault" in entry["error"]
@@ -87,33 +90,27 @@ class TestSuiteSelfHealing:
         runner = _runner(tmp_path, "r")
         with injected("cell.crash@P_X16/gob/*"):
             with pytest.raises(InjectedFault):
-                runner.run_suite(
-                    SCHEMES, BENCHES, retry=RetryPolicy(attempts=2, backoff=0.0)
-                )
+                _suite(runner, retry=RetryPolicy(attempts=2, backoff=0.0))
 
     def test_worker_death_pool_rebuild_matches_golden(self, tmp_path, monkeypatch):
-        golden = _runner(tmp_path, "g").run_suite(SCHEMES, BENCHES)
+        golden = _suite(_runner(tmp_path, "g"))
         # Workers re-install the plan from the environment; each worker
         # process kills itself (hard exit) on its first attempt-1 cell.
         monkeypatch.setenv("REPRO_FAULTS", "worker.exit@*/1#1")
-        runner = _runner(tmp_path, "w")
-        healed = runner.run_suite(
-            SCHEMES,
-            BENCHES,
+        healed = _suite(
+            _runner(tmp_path, "w"),
             workers=2,
             retry=RetryPolicy(attempts=3, backoff=0.0),
         )
         assert healed == golden
 
     def test_stalled_pool_abandoned_and_matches_golden(self, tmp_path, monkeypatch):
-        golden = _runner(tmp_path, "g").run_suite(SCHEMES, BENCHES)
+        golden = _suite(_runner(tmp_path, "g"))
         # Attempt-1 worker cells stall far longer than the suite timeout;
         # the stalled pool is abandoned and attempt 2 sails through.
         monkeypatch.setenv("REPRO_FAULTS", "worker.stall@*/1|secs=30")
-        runner = _runner(tmp_path, "s")
-        healed = runner.run_suite(
-            SCHEMES,
-            BENCHES,
+        healed = _suite(
+            _runner(tmp_path, "s"),
             workers=2,
             retry=RetryPolicy(attempts=3, backoff=0.0, timeout=0.3),
         )

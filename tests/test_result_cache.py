@@ -1,4 +1,4 @@
-"""ResultCache behaviour and incremental ``run_suite`` / ``baselines``."""
+"""ResultCache behaviour and incremental ``execute`` of scheme and baseline cells."""
 
 import dataclasses
 import json
@@ -129,19 +129,19 @@ class TestResultKey:
 class TestIncrementalSuite:
     def test_second_invocation_replays_nothing(self, tmp_path, monkeypatch):
         runner = _runner(tmp_path)
-        first = runner.run_suite(["PC_X32", "R_X8"], BENCHES)
+        first = runner.execute(runner.cells(["PC_X32", "R_X8"], BENCHES))
 
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("replay_trace called on a warm cache")
 
         monkeypatch.setattr(runner_mod, "replay_trace", boom)
         fresh = _runner(tmp_path)  # new runner, same config, same disk cache
-        second = fresh.run_suite(["PC_X32", "R_X8"], BENCHES)
+        second = fresh.execute(fresh.cells(["PC_X32", "R_X8"], BENCHES))
         assert second == first
 
     def test_overrides_change_is_cold(self, tmp_path, monkeypatch):
         runner = _runner(tmp_path)
-        runner.run_suite(["PC_X32"], ["gob"])
+        runner.execute(runner.cells(["PC_X32"], ["gob"]))
         calls = []
         real = runner_mod.replay_trace
 
@@ -151,36 +151,38 @@ class TestIncrementalSuite:
 
         monkeypatch.setattr(runner_mod, "replay_trace", counting)
         fresh = _runner(tmp_path)
-        fresh.run_suite(["PC_X32"], ["gob"], plb_capacity_bytes=8 * 1024)
+        fresh.execute(fresh.cells(["PC_X32"], ["gob"], plb_capacity_bytes=8 * 1024))
         assert calls  # different overrides digest -> actually replayed
 
     def test_progress_streams_every_cell(self, tmp_path):
         runner = _runner(tmp_path)
         seen = []
-        runner.run_suite(
-            ["PC_X32"], BENCHES, workers=1,
+        runner.execute(
+            runner.cells(["PC_X32"], BENCHES), workers=1,
             progress=lambda s, b, r, cached: seen.append((s, b, cached)),
         )
         assert seen == [("PC_X32", b, False) for b in BENCHES]
         warm = []
-        _runner(tmp_path).run_suite(
-            ["PC_X32"], BENCHES, workers=1,
+        warm_runner = _runner(tmp_path)
+        warm_runner.execute(
+            warm_runner.cells(["PC_X32"], BENCHES), workers=1,
             progress=lambda s, b, r, cached: warm.append((s, b, cached)),
         )
         assert warm == [("PC_X32", b, True) for b in BENCHES]
 
     def test_progress_streams_parallel_cells(self, tmp_path):
         seen = []
-        _runner(tmp_path).run_suite(
-            ["PC_X32"], BENCHES, workers=2,
+        runner = _runner(tmp_path)
+        runner.execute(
+            runner.cells(["PC_X32"], BENCHES), workers=2,
             progress=lambda s, b, r, cached: seen.append((s, b, cached)),
         )
         assert sorted(seen) == sorted(("PC_X32", b, False) for b in BENCHES)
 
     def test_cached_results_bitwise_match_parallel(self, tmp_path):
-        runner = _runner(tmp_path)
-        cold = runner.run_suite(["PC_X32"], BENCHES, workers=2)
-        warm = _runner(tmp_path).run_suite(["PC_X32"], BENCHES, workers=2)
+        cells = _runner(tmp_path).cells(["PC_X32"], BENCHES)
+        cold = _runner(tmp_path).execute(cells, workers=2)
+        warm = _runner(tmp_path).execute(cells, workers=2)
         assert warm == cold
 
     def test_run_one_uses_cache(self, tmp_path, monkeypatch):
@@ -237,42 +239,42 @@ class TestForce:
         assert _runner(tmp_path, force=True).force is True
 
     def test_forced_suite_matches_cached_suite(self, tmp_path):
-        runner = _runner(tmp_path)
-        cold = runner.run_suite(["PC_X32"], BENCHES)
-        forced = _runner(tmp_path, force=True).run_suite(["PC_X32"], BENCHES)
+        cells = _runner(tmp_path).cells(["PC_X32"], BENCHES)
+        cold = _runner(tmp_path).execute(cells)
+        forced = _runner(tmp_path, force=True).execute(cells)
         assert forced == cold
 
     def test_forced_parallel_suite_matches_serial(self, tmp_path):
-        serial = _runner(tmp_path / "a", force=True).run_suite(
-            ["PC_X32"], BENCHES
-        )
-        parallel = _runner(tmp_path / "b", force=True).run_suite(
-            ["PC_X32"], BENCHES, workers=2
-        )
+        cells = _runner(tmp_path / "a").cells(["PC_X32"], BENCHES)
+        serial = _runner(tmp_path / "a", force=True).execute(cells)
+        parallel = _runner(tmp_path / "b", force=True).execute(cells, workers=2)
         assert parallel == serial
 
 
 class TestBaselines:
     def test_baselines_cached(self, tmp_path, monkeypatch):
-        runner = _runner(tmp_path)
-        first = runner.baselines(BENCHES)
-        assert list(first) == BENCHES
+        cells = _runner(tmp_path).baseline_cells(BENCHES)
+        first = _runner(tmp_path).execute(cells)
+        assert [result.benchmark for result in first.values()] == BENCHES
 
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("insecure_cycles called on a warm cache")
 
         monkeypatch.setattr(runner_mod, "insecure_cycles", boom)
-        second = _runner(tmp_path).baselines(BENCHES)
+        second = _runner(tmp_path).execute(cells)
         assert second == first
 
     def test_baselines_parallel_trace_generation(self, tmp_path):
-        serial = _runner(tmp_path / "a").baselines(BENCHES)
-        parallel = _runner(tmp_path / "b").baselines(BENCHES, workers=2)
+        cells = _runner(tmp_path / "a").baseline_cells(BENCHES)
+        serial = _runner(tmp_path / "a").execute(cells)
+        parallel = _runner(tmp_path / "b").execute(cells, workers=2)
         assert parallel == serial
 
     def test_baselines_progress_flags(self, tmp_path):
         flags = []
-        _runner(tmp_path).baselines(
-            BENCHES, progress=lambda s, b, r, cached: flags.append(cached)
+        runner = _runner(tmp_path)
+        runner.execute(
+            runner.baseline_cells(BENCHES),
+            progress=lambda s, b, r, cached: flags.append(cached),
         )
         assert flags == [False, False]

@@ -1,4 +1,4 @@
-"""Parallel ``run_suite`` equivalence and cross-process determinism.
+"""Parallel ``execute`` equivalence and cross-process determinism.
 
 The paper's methodology requires every scheme to replay byte-identical
 miss streams; these tests pin down the two properties that guarantee it
@@ -88,40 +88,41 @@ class TestParallelSuite:
         runner = SimulationRunner(
             misses_per_benchmark=MISSES, cache_dir=cache_dir, result_cache_dir=None
         )
-        return runner.run_suite(SCHEMES, BENCHES)
+        return runner.execute(runner.cells(SCHEMES, BENCHES))
 
     def test_parallel_bitwise_matches_serial(self, cache_dir, serial):
         runner = SimulationRunner(
             misses_per_benchmark=MISSES, cache_dir=cache_dir, result_cache_dir=None
         )
-        parallel = runner.run_suite(SCHEMES, BENCHES, workers=3)
+        parallel = runner.execute(runner.cells(SCHEMES, BENCHES), workers=3)
         # SimResult is a dataclass: == is exact field (float-bit) equality.
         assert parallel == serial
 
-    def test_parallel_preserves_layout(self, cache_dir, serial):
+    def test_parallel_results_are_keyed_by_cell(self, cache_dir, serial):
         runner = SimulationRunner(
             misses_per_benchmark=MISSES, cache_dir=cache_dir, result_cache_dir=None
         )
-        parallel = runner.run_suite(SCHEMES, BENCHES, workers=2)
-        assert list(parallel) == SCHEMES
-        for scheme in SCHEMES:
-            assert list(parallel[scheme]) == BENCHES
+        cells = runner.cells(SCHEMES, BENCHES)
+        parallel = runner.execute(cells, workers=2)
+        assert set(parallel) == {cell.key for cell in cells}
+        for cell in cells:
+            result = parallel[cell.key]
+            assert (result.scheme, result.benchmark) == (cell.label, cell.bench)
 
     def test_parallel_with_overrides_matches_serial(self, cache_dir):
         runner = SimulationRunner(
             misses_per_benchmark=MISSES, cache_dir=cache_dir, result_cache_dir=None
         )
-        serial = runner.run_suite(["PC_X32"], BENCHES, plb_capacity_bytes=8 * 1024)
-        parallel = runner.run_suite(
-            ["PC_X32"], BENCHES, workers=2, plb_capacity_bytes=8 * 1024
-        )
+        cells = runner.cells(["PC_X32"], BENCHES, plb_capacity_bytes=8 * 1024)
+        serial = runner.execute(cells)
+        parallel = runner.execute(cells, workers=2)
         assert parallel == serial
 
     def test_parallel_without_disk_cache(self, serial):
         runner = SimulationRunner(
             misses_per_benchmark=MISSES, cache_dir=None, result_cache_dir=None
         )
-        parallel = runner.run_suite(SCHEMES, BENCHES, workers=2)
+        parallel = runner.execute(runner.cells(SCHEMES, BENCHES), workers=2)
         assert parallel == serial
 
     def test_workers_env_default(self, monkeypatch):
@@ -153,8 +154,7 @@ class TestBuildOverrides:
         assert frontend.plb.capacity_bytes == 16 * 1024
 
     def test_suite_wide_override_spans_both_frontend_kinds(self, runner):
-        results = runner.run_suite(
-            ["R_X8", "PC_X32"], ["gob"], plb_capacity_bytes=32 * 1024
-        )
-        assert results["R_X8"]["gob"].oram_accesses > 0
-        assert results["PC_X32"]["gob"].oram_accesses > 0
+        cells = runner.cells(["R_X8", "PC_X32"], ["gob"], plb_capacity_bytes=32 * 1024)
+        results = runner.execute(cells)
+        assert [results[cell.key].scheme for cell in cells] == ["R_X8", "PC_X32"]
+        assert all(results[cell.key].oram_accesses > 0 for cell in cells)

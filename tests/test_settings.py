@@ -47,8 +47,8 @@ def test_one_reader_of_the_environment():
     assert sites == {"os.environ": {"settings.py"}, "getenv": set()}
 
 
-def test_sixteen_variables_and_no_field_without_one():
-    assert len(VARIABLES) == 16 == len(dataclasses.fields(Settings))
+def test_fifteen_variables_and_no_field_without_one():
+    assert len(VARIABLES) == 15 == len(dataclasses.fields(Settings))
     assert all(name.startswith("REPRO_") for name in VARIABLES)
 
 
@@ -63,12 +63,11 @@ class TestGrammar:
         settings = Settings.from_env({
             "REPRO_FULL": word, "REPRO_FORCE": word, "REPRO_NATIVE": word,
             "REPRO_TRACE_CACHE": word, "REPRO_RESULT_CACHE": word,
-            "REPRO_FIGURE_CACHE": word, "REPRO_RPC_TIMEOUT": word,
+            "REPRO_RPC_TIMEOUT": word,
         })
         assert settings.miss_budget == 6_000 and not settings.force
         assert settings.native == "off" and settings.rpc_timeout is None
         assert settings.trace_cache is None and settings.result_cache is None
-        assert settings.figure_cache is None
 
     @pytest.mark.parametrize("word", TRUE_WORDS + ("Yes", " ON "))
     def test_true_words_mean_true_everywhere(self, word):

@@ -5,8 +5,10 @@ import pytest
 from repro.config import FrontendTimings, OramConfig, ProcessorConfig
 from repro.dram.config import DramConfig
 from repro.proc.hierarchy import MissEvent, MissTrace
-from repro.sim.metrics import SimResult, format_table, slowdown_table
+from repro.eval import fig6
+from repro.sim.metrics import SimResult, format_table
 from repro.sim.runner import SimulationRunner
+from repro.sim.sweep import SweepSpec, run_sweep
 from repro.sim.system import base_cycles, insecure_cycles, replay_trace
 from repro.sim.timing import OramTimingModel
 
@@ -140,17 +142,16 @@ class TestRunner:
 
     def test_slowdown_ordering(self, runner):
         """PC beats R on a cache-friendly benchmark, both lose to insecure."""
-        base = runner.run_insecure("gob")
+        (base,) = runner.execute(runner.baseline_cells(["gob"])).values()
         r = runner.run_one("R_X8", "gob")
         pc = runner.run_one("PC_X32", "gob")
         assert r.cycles > base.cycles
         assert pc.cycles > base.cycles
         assert pc.cycles < r.cycles
 
-    def test_suite_and_table(self, runner):
-        results = runner.run_suite(["PC_X32"], ["gob"])
-        baselines = runner.baselines(["gob"])
-        table = slowdown_table(results, baselines, ["PC_X32"])
+    def test_sweep_and_table(self, runner):
+        report = run_sweep(SweepSpec.from_args(["PC_X32"], benchmarks=["gob"]), runner)
+        table = fig6.table_from_report(report)
         assert "geomean" in table["PC_X32"]
         text = format_table(table, ["gob"], title="t")
         assert "PC_X32" in text and "gob" in text

@@ -322,10 +322,14 @@ class TestRunnerSpecs:
         }
         assert strip(via_override) == strip(via_string)
 
-    def test_run_suite_label_keys(self, runner):
-        out = runner.run_suite(
+    def test_cell_label_keys(self, runner):
+        cells = runner.cells(
             ["R_X8", get_spec("PC_X32").with_(plb_capacity_bytes=8192)], ["gob"]
         )
-        assert list(out) == ["R_X8", "PC_X32:plb_capacity_bytes=8192"]
-        for row in out.values():
-            assert row["gob"].oram_accesses > 0
+        assert [cell.label for cell in cells] == [
+            "R_X8", "PC_X32:plb_capacity_bytes=8192"
+        ]
+        out = runner.execute(cells)
+        for cell in cells:
+            assert out[cell.key].scheme == cell.label
+            assert out[cell.key].oram_accesses > 0

@@ -180,13 +180,6 @@ class TestRunSweep:
         # 4 grid points x 2 benchmarks, plus the 2 insecure baselines.
         assert len(seen) == 4 * len(BENCHES) + len(BENCHES)
 
-    def test_without_baselines_no_slowdown(self, tmp_path):
-        report = run_sweep(
-            tiny_sweep(), _runner(tmp_path), include_baselines=False
-        )
-        assert report["baselines"] == {}
-        assert all("slowdown" not in cell for cell in report["cells"])
-
     def test_table_renders_all_points(self, tmp_path):
         report = run_sweep(tiny_sweep(), _runner(tmp_path))
         text = sweep_table(report)
