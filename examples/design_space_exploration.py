@@ -11,10 +11,11 @@ Run:  python examples/design_space_exploration.py
 """
 
 from repro.eval import fig5, fig6
+from repro.eval.saved import complete_report
 from repro.settings import Settings
 from repro.sim.metrics import SimResult, format_table
 from repro.sim.runner import SimulationRunner
-from repro.sim.sweep import SweepSpec, run_sweep
+from repro.sim.sweep import SweepSpec
 
 BENCHMARKS = ["hmmer", "libq", "mcf"]  # high / streaming / worst locality
 SCHEMES = ["R_X8", "P_X16", "PC_X32", "PIC_X32"]
@@ -25,7 +26,8 @@ def main() -> None:
     runner = SimulationRunner(misses_per_benchmark=misses)
 
     print("=== Scheme comparison (slowdown vs insecure DRAM) ===")
-    schemes = run_sweep(SweepSpec.from_args(SCHEMES, benchmarks=BENCHMARKS), runner)
+    sweep = SweepSpec.from_args(SCHEMES, benchmarks=BENCHMARKS)
+    schemes = complete_report(sweep, runner)
     table = fig6.table_from_report(schemes)
     print(format_table(table, BENCHMARKS))
     pc = table["PC_X32"]["geomean"]
@@ -37,7 +39,7 @@ def main() -> None:
     capacities = fig5.CAPACITIES
     header = f"{'bench':>7} " + " ".join(f"{c // 1024:>5}K" for c in capacities)
     print(header)
-    plb_sweep = fig5.table_from_report(run_sweep(fig5.sweep(BENCHMARKS), runner))
+    plb_sweep = fig5.table_from_report(complete_report(fig5.sweep(BENCHMARKS), runner))
     for bench, normalised in plb_sweep.items():
         row = " ".join(f"{normalised[c]:6.3f}" for c in capacities)
         print(f"{bench:>7} {row}")

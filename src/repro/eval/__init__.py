@@ -25,11 +25,12 @@ function. Its module exposes ``sweep(benchmarks=None)`` (a
 ``make_runner(misses=None)`` (the platform it runs on) and
 ``table_from_report(report)`` (the table, from the
 :func:`~repro.sim.sweep.run_sweep` report, or the list of reports); its
-``run(benchmarks=None, misses=None)`` is exactly that composition. The
-result store keeps the cells; a table is recomputed from them on every
-call, never stored. fig9 alone takes a second input,
-``fig9.phantom_replays(runner, benchmarks)``. fig3, table2 and table3
-are closed-form and have no cells.
+``run(benchmarks=None, misses=None)`` is exactly that composition
+(:func:`repro.eval.saved.figure_run`), and refuses to build a table when
+any cell of the sweep was quarantined. The result store keeps the cells;
+a table is recomputed from them on every call, never stored. fig9 alone
+takes a second input, ``fig9.phantom_replays(runner, benchmarks)``.
+fig3, table2 and table3 are closed-form and have no cells.
 """
 
 from repro.eval import ablation_plb, fig5, fig6, fig7, fig8, fig9

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.sim.runner import SimulationRunner
-from repro.sim.sweep import SweepSpec, run_sweep
+from repro.eval.saved import default_runner, figure_run
+from repro.sim.sweep import SweepSpec
 from repro.utils.stats import geometric_mean
 
 #: Associativities swept at fixed capacity.
@@ -54,9 +54,7 @@ def sweep(benchmarks: Optional[Iterable[str]] = None) -> List[SweepSpec]:
     ]
 
 
-def make_runner(misses: Optional[int] = None) -> SimulationRunner:
-    """The paper's default platform."""
-    return SimulationRunner(misses_per_benchmark=misses)
+make_runner = default_runner
 
 
 def _cycles(report: Mapping[str, object], field: str) -> Dict[str, Dict[int, float]]:
@@ -68,32 +66,31 @@ def _cycles(report: Mapping[str, object], field: str) -> Dict[str, Dict[int, flo
     return cycles
 
 
+def associativity_from_report(report: Mapping[str, object]) -> Dict[int, float]:
+    """``[ways]``: geomean runtime normalised to direct-mapped."""
+    by_ways = _cycles(report, "plb_ways").values()
+    return {
+        ways: geometric_mean([row[ways] / row[1] for row in by_ways]) for ways in WAYS
+    }
+
+
+def value_from_report(report: Mapping[str, object]) -> Dict[str, float]:
+    """``[benchmark]``: crippled-PLB runtime over 64 KB-PLB runtime — how
+    much the PLB buys on each locality class."""
+    by_capacity = _cycles(report, "plb_capacity_bytes")
+    return {
+        name: row[WITHOUT_PLB] / row[WITH_PLB] for name, row in by_capacity.items()
+    }
+
+
 def table_from_report(
     reports: Sequence[Mapping[str, object]],
 ) -> Tuple[Dict[int, float], Dict[str, float]]:
-    """(associativity, value) from the two sweeps' reports.
-
-    ``associativity[ways]`` is the geomean runtime normalised to
-    direct-mapped; ``value[benchmark]`` the crippled-PLB runtime over the
-    64 KB-PLB runtime: how much the PLB buys on each locality class.
-    """
-    by_ways = _cycles(reports[0], "plb_ways").values()
-    by_capacity = _cycles(reports[1], "plb_capacity_bytes")
-    associativity = {
-        ways: geometric_mean([row[ways] / row[1] for row in by_ways]) for ways in WAYS
-    }
-    value = {
-        name: row[WITHOUT_PLB] / row[WITH_PLB] for name, row in by_capacity.items()
-    }
-    return associativity, value
+    """(associativity, value) from the two sweeps' reports."""
+    return associativity_from_report(reports[0]), value_from_report(reports[1])
 
 
-def run(
-    benchmarks: Optional[Iterable[str]] = None, misses: Optional[int] = None
-) -> Tuple[Dict[int, float], Dict[str, float]]:
-    """Both ablations (:func:`table_from_report` of the saved sweeps)."""
-    runner = make_runner(misses)
-    return table_from_report([run_sweep(s, runner) for s in sweep(benchmarks)])
+run = figure_run(sweep, table_from_report)
 
 
 def main() -> None:

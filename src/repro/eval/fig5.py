@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from repro.sim.runner import SimulationRunner
-from repro.sim.sweep import SweepSpec, run_sweep
+from repro.eval.saved import default_runner, figure_run
+from repro.sim.sweep import SweepSpec
 
 #: Capacities of the Fig. 5 sweep, in bytes.
 CAPACITIES: Tuple[int, ...] = (8 * 1024, 32 * 1024, 64 * 1024, 128 * 1024)
@@ -27,9 +27,7 @@ def sweep(benchmarks: Optional[Iterable[str]] = None) -> SweepSpec:
     )
 
 
-def make_runner(misses: Optional[int] = None) -> SimulationRunner:
-    """The paper's default platform."""
-    return SimulationRunner(misses_per_benchmark=misses)
+make_runner = default_runner
 
 
 def table_from_report(report: Mapping[str, object]) -> Dict[str, Dict[int, float]]:
@@ -44,11 +42,7 @@ def table_from_report(report: Mapping[str, object]) -> Dict[str, Dict[int, float
     }
 
 
-def run(
-    benchmarks: Optional[Iterable[str]] = None, misses: Optional[int] = None
-) -> Dict[str, Dict[int, float]]:
-    """The Fig. 5 table (:func:`table_from_report` of the saved sweep)."""
-    return table_from_report(run_sweep(sweep(benchmarks), make_runner(misses)))
+run = figure_run(sweep, table_from_report)
 
 
 def main() -> None:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Optional, Sequence
 
+from repro.eval.saved import default_runner, figure_run
 from repro.sim.metrics import format_table
-from repro.sim.runner import SimulationRunner
-from repro.sim.sweep import SweepSpec, run_sweep
+from repro.sim.sweep import SweepSpec
 from repro.utils.stats import geometric_mean
 from repro.workloads.spec import benchmark_names
 
@@ -25,9 +25,7 @@ def sweep(benchmarks: Optional[Iterable[str]] = None) -> SweepSpec:
     return SweepSpec.from_args(schemes=list(SCHEMES), benchmarks=benchmarks)
 
 
-def make_runner(misses: Optional[int] = None) -> SimulationRunner:
-    """The paper's default platform."""
-    return SimulationRunner(misses_per_benchmark=misses)
+make_runner = default_runner
 
 
 def table_from_report(report: Mapping[str, object]) -> Dict[str, Dict[str, float]]:
@@ -40,11 +38,7 @@ def table_from_report(report: Mapping[str, object]) -> Dict[str, Dict[str, float
     return table
 
 
-def run(
-    benchmarks: Optional[Iterable[str]] = None, misses: Optional[int] = None
-) -> Dict[str, Dict[str, float]]:
-    """Slowdown table: ``table[scheme][benchmark]`` plus ``geomean``."""
-    return table_from_report(run_sweep(sweep(benchmarks), make_runner(misses)))
+run = figure_run(sweep, table_from_report)
 
 
 def main() -> None:

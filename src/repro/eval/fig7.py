@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.analytic.bandwidth import recursion_breakdown, unified_access_bytes
-from repro.sim.runner import SimulationRunner
-from repro.sim.sweep import SweepSpec, run_sweep
+from repro.eval.saved import default_runner, figure_run
+from repro.sim.sweep import SweepSpec
 from repro.utils.units import GiB
 
 #: Schemes of Fig. 7 in plot order, with their Unified-tree parameters
@@ -67,9 +67,7 @@ def sweep(benchmarks: Optional[Iterable[str]] = None) -> SweepSpec:
     )
 
 
-def make_runner(misses: Optional[int] = None) -> SimulationRunner:
-    """The paper's default platform."""
-    return SimulationRunner(misses_per_benchmark=misses)
+make_runner = default_runner
 
 
 def table_from_report(report: Mapping[str, object]) -> List[Fig7Bar]:
@@ -115,11 +113,7 @@ def table_from_report(report: Mapping[str, object]) -> List[Fig7Bar]:
     return bars
 
 
-def run(
-    benchmarks: Optional[Iterable[str]] = None, misses: Optional[int] = None
-) -> List[Fig7Bar]:
-    """The Fig. 7 bars (:func:`table_from_report` of the saved sweep)."""
-    return table_from_report(run_sweep(sweep(benchmarks), make_runner(misses)))
+run = figure_run(sweep, table_from_report)
 
 
 def main() -> None:

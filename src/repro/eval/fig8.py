@@ -14,9 +14,10 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 from repro.config import ProcessorConfig
 from repro.dram.config import DramConfig
 from repro.eval import fig6
+from repro.eval.saved import figure_run
 from repro.sim.metrics import format_table
 from repro.sim.runner import SimulationRunner
-from repro.sim.sweep import SweepSpec, run_sweep
+from repro.sim.sweep import SweepSpec
 from repro.workloads.spec import benchmark_names
 
 #: Fig. 8 scheme rows: (paper name, spec string pinning [26]'s parameters).
@@ -64,11 +65,7 @@ def table_from_report(
     return table, traffic
 
 
-def run(
-    benchmarks: Optional[Iterable[str]] = None, misses: Optional[int] = None
-) -> Tuple[Dict[str, Dict[str, float]], Dict[str, Dict[str, float]]]:
-    """Slowdown table for R_X8 / PC_X64 / PC_X32 plus PosMap traffic."""
-    return table_from_report(run_sweep(sweep(benchmarks), make_runner(misses)))
+run = figure_run(sweep, table_from_report, make_runner)
 
 
 def main() -> None:

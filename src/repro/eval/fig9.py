@@ -19,8 +19,9 @@ from repro.config import OramConfig, ProcessorConfig
 from repro.dram.config import DramConfig
 from repro.dram.model import DramModel
 from repro.proc.hierarchy import MissTrace
+from repro.eval.saved import complete_report
 from repro.sim.runner import SimulationRunner
-from repro.sim.sweep import SweepSpec, run_sweep
+from repro.sim.sweep import SweepSpec
 from repro.utils.stats import geometric_mean
 
 #: Phantom configuration of §7.1.6.
@@ -119,7 +120,7 @@ def run(
 ) -> Dict[str, float]:
     """Per-benchmark speedup of PC_X32 over the Phantom configuration."""
     runner = make_runner(misses)
-    report = run_sweep(sweep(benchmarks), runner)
+    report = complete_report(sweep(benchmarks), runner)
     return table_from_report(report, phantom_replays(runner, report["benchmarks"]))
 
 

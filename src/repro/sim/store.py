@@ -178,11 +178,14 @@ def _digest(schema: str, parts: Iterable[str]) -> str:
 def _fields(prefix: str, config) -> List[str]:
     """A flat config dataclass, canonicalised field-by-field (sorted).
 
-    ``vars``, not ``dataclasses.asdict``: the configs hold scalars only,
-    so the deep copy ``asdict`` makes was most of the cost of a key, and
-    a figure computes one per cell on every call.
+    The declared fields only, read one by one: the configs hold scalars,
+    so the deep copy ``dataclasses.asdict`` makes was most of the cost of
+    a key, and a figure computes one per cell on every call.
     """
-    return [f"{prefix}.{key}={value!r}" for key, value in sorted(vars(config).items())]
+    return [
+        f"{prefix}.{f.name}={getattr(config, f.name)!r}"
+        for f in sorted(dataclasses.fields(config), key=lambda f: f.name)
+    ]
 
 
 # -- miss traces ---------------------------------------------------------------

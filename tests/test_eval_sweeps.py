@@ -31,9 +31,12 @@ from repro.eval import (
     fig7,
     fig8,
     fig9,
+    saved,
     table2,
     table3,
 )
+from repro.errors import ReproError
+from repro.faults import injected
 
 GIB = 2**30
 
@@ -182,7 +185,10 @@ class TestSavedSweeps:
         simulated = set()
         for info in pkgutil.iter_modules(repro.eval.__path__):
             module = import_module(f"repro.eval.{info.name}")
-            if "SimulationRunner" in inspect.getsource(module):
+            if module is saved:  # the protocol's shared pieces, not a figure
+                continue
+            source = inspect.getsource(module)
+            if "SimulationRunner" in source or "repro.eval.saved" in source:
                 simulated.add(module)
         assert set(SAVED_SWEEPS.values()) == simulated
         for name, module in SAVED_SWEEPS.items():
@@ -218,6 +224,31 @@ class TestSavedSweeps:
             [f"PC_X32:plb_capacity_bytes=8192,plb_ways={w}" for w in (1, 2, 4, 8)],
             ["PC_X32:plb_capacity_bytes=65536", "PC_X32:plb_capacity_bytes=64"],
         ]
+
+
+class TestIncompleteSweeps:
+    """A figure never builds a table from a sweep that lost a cell."""
+
+    @pytest.fixture(autouse=True)
+    def _cold_results(self, monkeypatch, tmp_path):
+        # A cell served from the result store never runs, so never crashes.
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
+
+    def test_quarantined_scheme_cell_raises(self):
+        with injected("cell.crash@R_X8/gob/*"):
+            with pytest.raises(ReproError, match=r"R_X8/gob"):
+                fig6.run(["gob"], 300)
+
+    def test_quarantined_baseline_raises(self):
+        with injected("cell.crash@insecure/gob/*"):
+            with pytest.raises(ReproError, match=r"insecure/gob"):
+                fig6.run(["gob"], 300)
+
+    @pytest.mark.parametrize("name", sorted(SAVED_SWEEPS))
+    def test_every_figure_shares_the_check(self, name):
+        with injected("cell.crash@PC_X32*/gob/*"):
+            with pytest.raises(ReproError, match=r"quarantined"):
+                SAVED_SWEEPS[name].run(["gob"], 120)
 
 
 class TestWarmFigures:
