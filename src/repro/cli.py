@@ -12,8 +12,8 @@ Usage::
 Every command line is parsed by :mod:`argparse`. A global option is a
 field of :class:`repro.settings.Settings` — the flag and its ``REPRO_*``
 variable mean the same thing, the flag wins — and :func:`main` exports
-the result once (:meth:`Settings.export`), so the library underneath,
-pool workers and spawned fabric workers all read what was typed. Global
+the result once (:meth:`Settings.export`), so the library underneath
+and its forked workers all read what was typed. Global
 options go before ``sweep`` / ``serve`` / ``fabric`` (everything after
 one of those belongs to it) and anywhere around experiment names. Every
 run that replays names the tier it resolved on one stderr line; the tier
@@ -92,9 +92,6 @@ def _int_at_least(minimum: int, what: str) -> Callable[[str], int]:
 
 
 _positive_int = _int_at_least(1, "a positive integer")
-_worker_count = _int_at_least(
-    0, "a worker count (0 allowed with --connect: attached workers only)"
-)
 
 
 def _positive_int_as_float(value: str) -> float:
@@ -173,10 +170,9 @@ def _add_sweep_parser(commands) -> argparse.ArgumentParser:
         help="cell journal directory (default <out>.ckpt)")
     add("--resume", action="store_true",
         help="recompute only cells missing from the journal")
-    add("--fabric", type=_worker_count, metavar="N",
-        help="distribute cells over N spawned fabric workers")
     add("--connect", type=_text, metavar="HOST:PORT",
-        help="bind the coordinator there for 'fabric serve-worker's to attach")
+        help="bind the coordinator there for 'fabric serve-worker's to attach, "
+             "beside the local workers of a --workers N above 1")
     return parser
 
 
@@ -235,10 +231,10 @@ def _add_fabric_parser(commands) -> argparse.ArgumentParser:
     parser = endpoints.add_parser(
         "serve-worker", allow_abbrev=False,
         help="run one worker against a sweep coordinator",
-        description="Dial a sweep coordinator ('sweep --fabric N' binds one, "
-                    "--connect there fixes its address) and execute leased "
-                    "cells until it hangs up. REPRO_CONNECT_RETRIES bounds "
-                    "each dial loop, REPRO_RPC_TIMEOUT each RPC call.",
+        description="Dial a sweep coordinator ('sweep --connect HOST:PORT' "
+                    "binds one there) and execute leased cells until it hangs "
+                    "up. REPRO_CONNECT_RETRIES bounds each dial loop, "
+                    "REPRO_RPC_TIMEOUT each RPC call.",
     )
     parser.set_defaults(run=_fabric_worker_main)
     parser.add_argument("--connect", required=True, type=_text,
@@ -334,11 +330,6 @@ def _sweep_main(args: argparse.Namespace) -> int:
     coordinator = None
     reports: List[dict] = []
     try:
-        if args.fabric == 0 and args.connect is None:
-            raise ConfigurationError(
-                "--fabric 0 spawns no workers, so it needs --connect HOST:PORT "
-                "for external workers to attach"
-            )
         if args.saved is not None and (args.scheme or args.grid):
             raise ConfigurationError(
                 "--saved names a complete figure sweep; it cannot be "
@@ -362,19 +353,21 @@ def _sweep_main(args: argparse.Namespace) -> int:
             if several
             else [journal]
         )
-        if args.fabric is not None or args.connect is not None:
+        # One coordinator serves the whole sweep: --workers N above 1
+        # forks its local workers, --connect lets others attach.
+        workers = Settings.from_env().workers
+        local = workers if workers > 1 else 0
+        if local or args.connect is not None:
             from repro.fabric import FabricCoordinator, FabricExecutor, parse_address
 
             host, port = (
                 parse_address(args.connect) if args.connect else ("127.0.0.1", 0)
             )
-            coordinator = FabricCoordinator(
-                runner, spawn=args.fabric or 0, host=host, port=port
-            )
+            coordinator = FabricCoordinator(runner, spawn=local, host=host, port=port)
             bound = coordinator.start()
             print(
                 f"fabric: coordinator on {bound[0]}:{bound[1]}, "
-                f"spawned {args.fabric or 0} worker(s)"
+                f"{local} local worker(s)"
                 + (" (accepting attached workers)" if args.connect else "")
             )
         for sweep, sweep_journal in zip(sweeps, journals):
@@ -482,8 +475,8 @@ def main(argv=None) -> int:
         settings = dataclasses.replace(Settings.from_env(), **overrides)
         settings.export()
         if "faults" in overrides:
-            # Install now: pool and fabric workers re-install from the
-            # exported variable, this process has to be told.
+            # Install now: workers re-install from the exported variable,
+            # this process has to be told.
             install_from(settings)
         if args.command in (None, "list"):
             print("Available experiments (python -m repro [options] <name> [...]):")

@@ -1,20 +1,24 @@
 """Distributed sweep fabric: coordinator + work-stealing workers.
 
-``repro.fabric`` turns :func:`~repro.sim.sweep.run_sweep` into a
-multi-process (and multi-node, over TCP) operation without changing a
-byte of its output. The pieces:
+``repro.fabric`` is the one parallel executor: it turns
+:func:`~repro.sim.sweep.run_sweep` into a multi-process (and multi-node,
+over TCP) operation without changing a byte of its output. Local workers
+are forked over socketpairs; remote ones dial in. The pieces:
 
 - :mod:`~repro.fabric.protocol` — length-prefixed JSON framing with
   ``fabric.rpc`` fault-injection on every edge;
 - :mod:`~repro.fabric.store` — the content-addressed shared trace/result
   store (the existing canonical-digest caches, shared by construction);
-- :mod:`~repro.fabric.worker` — the lease-execute-stream worker loop
+- :mod:`~repro.fabric.worker` — the lease-execute-stream worker loop, in
+  a forked local process or dialled in
   (``python -m repro fabric serve-worker --connect HOST:PORT``);
 - :mod:`~repro.fabric.coordinator` — sharding, work-stealing, heartbeat
-  liveness, dead-worker reclaim, and the
+  and cell-timeout liveness, dead-worker reclaim, and the
   :class:`~repro.fabric.coordinator.FabricExecutor` adapter
   ``run_sweep(..., executor=...)`` plugs in
-  (``python -m repro sweep --fabric N [--connect HOST:PORT]``).
+  (``python -m repro --workers N sweep [--connect HOST:PORT]``;
+  :meth:`~repro.sim.runner.SimulationRunner.execute` runs one per call
+  with ``workers > 1``).
 
 Determinism contract: a fabric run's report is bit-identical to the
 serial local run — cells are content-addressed, results derive only

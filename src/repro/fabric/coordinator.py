@@ -1,14 +1,16 @@
 """Fabric coordinator: shards sweep cells across workers with work-stealing.
 
-The coordinator owns a listening socket, a set of worker connections,
-and a single-threaded dispatch loop. Per-connection reader threads do
-nothing but frame messages and timestamp liveness; every *semantic*
-decision — leasing, stealing, retry accounting, quarantine, storing
-journal entries via the sweep's progress callback — happens on the one
-thread inside :meth:`FabricCoordinator.execute`, so report bookkeeping
-needs no locking and happens in a deterministic, auditable order. Report *content* order never depends on any of this: the sweep
-assembles cells in grid order, so fabric scheduling (like pool
-scheduling before it) is invisible in the output bytes.
+The coordinator owns a listening socket for workers that dial in, the
+processes of the local workers it forks (each over a socketpair), a set
+of worker connections, and a single-threaded dispatch loop.
+Per-connection reader threads do nothing but frame messages, timestamp
+liveness and bump counters under the lock; every *semantic* decision —
+leasing, stealing, retry accounting, quarantine, storing journal entries
+via the sweep's progress callback — happens on the one thread inside
+:meth:`FabricCoordinator.execute`, in a deterministic, auditable order.
+Report *content* order never depends on any of this: the sweep
+assembles cells in grid order, so scheduling is invisible in the output
+bytes.
 
 Scheduling model:
 
@@ -24,12 +26,12 @@ Scheduling model:
   (results are deterministic and content-addressed; the first ``result``
   per id wins, and a cell's journal entry is stored once) and stragglers no
   longer serialize the tail;
-- a worker that dies (connection drop, or heartbeat silence beyond
-  ``heartbeat_timeout``) has its uniquely-leased cells reclaimed with
-  one attempt charged each — exactly the process-pool's in-flight
-  semantics, so fault plans keyed on attempt numbers behave identically
-  — and re-dispatched to the survivors; spawned workers are respawned
-  while budget remains;
+- a worker that dies (connection drop, heartbeat silence beyond
+  ``heartbeat_timeout``, or a cell running past the retry policy's
+  ``timeout``) has every open cell it held charged one attempt, so fault
+  plans keyed on attempt numbers behave as they do serially, and those
+  no other worker holds a copy of re-dispatched to the survivors; local
+  workers are stopped and respawned while budget remains;
 - :class:`~repro.errors.FabricError` is raised only when progress is
   impossible: nobody ever joined within ``startup_timeout``, or every
   worker is gone with no respawn budget. Completed cells are already
@@ -50,15 +52,13 @@ breaker again.
 
 from __future__ import annotations
 
-import os
+import multiprocessing
 import queue
 import socket
-import subprocess
 import sys
 import threading
 import time
 from collections import deque
-from pathlib import Path
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import FabricError
@@ -69,24 +69,31 @@ from repro.fabric.protocol import (
     send_message,
 )
 from repro.fabric.store import SharedStore
-from repro.fabric.worker import runner_to_wire
+from repro.fabric.worker import FabricWorker, runner_to_wire
+from repro.faults import install_from
 from repro.resilience import CircuitBreaker, RetryPolicy, RpcPolicy
 from repro.settings import Settings
 from repro.sim.metrics import SimResult
 from repro.sim.runner import Cell, ProgressCallback, SimulationRunner
 
 
+#: Local workers are forked: a child inherits the runner and its traces.
+_FORK = multiprocessing.get_context("fork")
+
+
 class _WorkerConn:
     """Coordinator-side state for one connected worker."""
 
-    def __init__(self, index: int, sock: socket.socket, ident: str = "?"):
+    def __init__(self, index: int, sock: socket.socket, ident: str = "?", proc=None):
         self.index = index
         self.sock = sock
         self.ident = ident
+        self.proc = proc  # the forked process behind a local worker
         self.send_lock = threading.Lock()
         self.alive = True
         self.waiting = False  # blocked on recv, owed a lease when work appears
         self.last_seen = time.monotonic()
+        self.busy_since = self.last_seen  # its last lease or result, if busy
         self.leases: Dict[str, dict] = {}
 
 
@@ -156,7 +163,8 @@ class FabricCoordinator:
         self._server: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._conns: Dict[int, _WorkerConn] = {}
-        self._procs: List[subprocess.Popen] = []
+        self._procs: List[multiprocessing.process.BaseProcess] = []
+        self._pairs: List[socket.socket] = []  # our ends of local workers' pairs
         self._events: "queue.Queue[Tuple[str, int, Optional[dict]]]" = queue.Queue()
         self._lock = threading.Lock()
         self._next_index = 0
@@ -172,7 +180,7 @@ class FabricCoordinator:
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self) -> Tuple[str, int]:
-        """Bind, accept, and spawn local workers; returns (host, port)."""
+        """Bind, accept, and fork local workers; returns (host, port)."""
         self._server = socket.create_server((self.host, self.port))
         addr = self._server.getsockname()
         self.address = (addr[0], addr[1])
@@ -191,9 +199,9 @@ class FabricCoordinator:
         The listener goes first, and a session admitted concurrently is
         either in the snapshot below or refused by :meth:`_conn_loop`: a
         worker still running a stolen duplicate finds its late ``result``
-        unsendable, redials, is turned away and exits 0 — instead of
+        unsendable or answered by ``shutdown`` and exits 0 — instead of
         rejoining a coordinator that will never lease to it again and
-        sitting out the ``proc.wait`` below until it is terminated.
+        sitting out the ``join`` below until it is terminated.
         """
         with self._lock:
             self._closing = True
@@ -211,15 +219,17 @@ class FabricCoordinator:
         for conn in conns:
             with conn.send_lock:
                 self._hang_up(conn.sock, shutdown_frame=conn.alive)
+        # A worker still running a cell gets, all told, the time a cell is
+        # allowed (5 s without a cell timeout) before it is terminated.
+        deadline = time.monotonic() + min(5.0, self._retry.timeout or 5.0)
         for proc in self._procs:
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
+            proc.join(timeout=max(0.0, deadline - time.monotonic()))
+            if proc.exitcode is None:
                 proc.terminate()
-                try:
-                    proc.wait(timeout=2)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
+                proc.join(timeout=2)
+            if proc.exitcode is None:
+                proc.kill()
+                proc.join()
         self.store.close()
 
     def _hang_up(self, sock: socket.socket, shutdown_frame: bool) -> None:
@@ -248,44 +258,53 @@ class FabricCoordinator:
         """JSON-safe scheduling counters + shared-store inventory."""
         with self._lock:
             live = sum(1 for c in self._conns.values() if c.alive)
-        out: Dict[str, object] = dict(self.counters)
+            out: Dict[str, object] = dict(self.counters)
         out["workers_live"] = live
         out["store"] = self.store.stats()
         return out
 
+    def _count(self, name: str, n: int = 1) -> None:
+        # Connection threads count too, and ``+=`` on a dict item is not
+        # atomic: every increment takes the lock.
+        with self._lock:
+            self.counters[name] += n
+
     def _spawn_worker(self) -> None:
-        """Launch one local worker process pointed at our address.
+        """Fork one local worker over a socketpair.
 
-        The child inherits our environment (``REPRO_FAULTS`` and cache
-        knobs propagate exactly like pool workers) with the package's
-        source root prepended to ``PYTHONPATH`` so ``-m repro`` resolves
-        regardless of how the coordinator itself was launched.
+        The child inherits this process: its environment, the runner and
+        every trace synthesised so far. Our end of the pair joins through
+        :meth:`_conn_loop` like a dialled-in worker's socket.
         """
-        import repro
-
-        assert self.address is not None, "start() before _spawn_worker()"
-        env = Settings.from_env().child_env()
-        src_root = str(Path(repro.__file__).resolve().parent.parent)
-        existing = env.get("PYTHONPATH", "")
-        env["PYTHONPATH"] = (
-            src_root if not existing else os.pathsep.join([src_root, existing])
+        ours, theirs = socket.socketpair()
+        self._pairs.append(ours)  # before the fork: the child closes it too
+        proc = _FORK.Process(
+            target=self._local_worker, args=(theirs,), daemon=True,
+            name="fabric-worker",
         )
-        proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "fabric",
-                "serve-worker",
-                "--connect",
-                f"{self.address[0]}:{self.address[1]}",
-            ],
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
+        proc.start()
+        theirs.close()
         self._procs.append(proc)
         self._last_liveness = time.monotonic()
+        threading.Thread(
+            target=self._conn_loop, args=(ours, proc), daemon=True,
+            name="fabric-conn",
+        ).start()
+
+    def _local_worker(self, sock: socket.socket) -> None:
+        """A forked local worker's body: serve over ``sock``, then exit.
+
+        It closes the coordinator's sockets it inherited, so a peer we
+        hang up on sees end-of-file, and re-installs the fault plan from
+        ``REPRO_FAULTS``, so occurrence counters restart per process.
+        """
+        inherited = [*self._pairs, *(c.sock for c in self._conns.values())]
+        if self._server is not None:
+            inherited.append(self._server)
+        for other in inherited:
+            other.close()
+        install_from(Settings.from_env())
+        sys.exit(FabricWorker.forked(sock, self.runner).run())
 
     # -- connection threads (framing + liveness only; no scheduling) -------------
 
@@ -302,7 +321,7 @@ class FabricCoordinator:
                 name="fabric-conn",
             ).start()
 
-    def _conn_loop(self, sock: socket.socket) -> None:
+    def _conn_loop(self, sock: socket.socket, proc=None) -> None:
         try:
             hello = recv_message(sock, "coordinator")
         except ProtocolError:
@@ -322,7 +341,7 @@ class FabricCoordinator:
             if not refused:
                 index = self._next_index
                 self._next_index += 1
-                conn = _WorkerConn(index, sock, ident)
+                conn = _WorkerConn(index, sock, ident, proc)
                 self._conns[index] = conn
         if refused:
             # A coordinator that is closing, or a flapping identity inside
@@ -345,15 +364,15 @@ class FabricCoordinator:
                     timeout=self._rpc.timeout,
                 )
         except RpcTimeout:
-            self.counters["rpc_timeouts"] += 1
+            self._count("rpc_timeouts")
             self._events.put(("lost", index, None))
             return
         except ProtocolError:
             self._events.put(("lost", index, None))
             return
-        self.counters["workers_joined"] += 1
+        self._count("workers_joined")
         if session > 1:
-            self.counters["reconnects"] += 1
+            self._count("reconnects")
         self._last_liveness = time.monotonic()
         self._events.put(("joined", index, None))
         while True:
@@ -429,6 +448,7 @@ class FabricCoordinator:
             conn.waiting = True
             self._dispatch(conn)
         elif event == "result":
+            conn.busy_since = time.monotonic()
             with self._lock:
                 breaker = self._breakers.get(conn.ident)
             if breaker is not None:
@@ -436,12 +456,13 @@ class FabricCoordinator:
             task = self._open.pop(message["id"], None)
             self._drop_task(message["id"])
             if task is not None:
-                self.counters["completed"] += 1
+                self._count("completed")
                 if self._progress is not None:
                     result = SimResult(**message["result"])
                     self._progress(task["label"], task["bench"], result, False)
         elif event == "error":
-            self.counters["errors"] += 1
+            conn.busy_since = time.monotonic()
+            self._count("errors")
             conn.leases.pop(message["id"], None)
             task = self._open.get(message["id"])
             if task is not None and not self._leased_elsewhere(message["id"], None):
@@ -469,13 +490,14 @@ class FabricCoordinator:
             stolen = self._steal_for(conn)
             if stolen is not None:
                 tasks.append(stolen)
-                self.counters["stolen"] += 1
+                self._count("stolen")
         if not tasks:
             return  # stays waiting; requeues and new work will kick it
         for task in tasks:
             conn.leases[task["id"]] = task
         conn.waiting = False
-        self.counters["dispatched"] += len(tasks)
+        conn.busy_since = time.monotonic()
+        self._count("dispatched", len(tasks))
         try:
             with conn.send_lock:
                 send_message(
@@ -483,7 +505,7 @@ class FabricCoordinator:
                     timeout=self._rpc.timeout,
                 )
         except RpcTimeout:
-            self.counters["rpc_timeouts"] += 1
+            self._count("rpc_timeouts")
             self._on_worker_down(conn, "lease send timed out")
         except ProtocolError:
             self._on_worker_down(conn, "lease send failed")
@@ -569,7 +591,9 @@ class FabricCoordinator:
         conn.alive = False
         conn.waiting = False
         self._hang_up(conn.sock, shutdown_frame=False)
-        self.counters["dead"] += 1
+        if conn.proc is not None:
+            conn.proc.terminate()  # a forked worker cannot redial: stop it
+        self._count("dead")
         if not self._closing:
             with self._lock:
                 breaker = self._breakers.setdefault(
@@ -580,16 +604,20 @@ class FabricCoordinator:
                     ),
                 )
             if breaker.record_failure():
-                self.counters["breaker_trips"] += 1
+                self._count("breaker_trips")
         reclaim = list(conn.leases.items())
         conn.leases.clear()
         for task_id, task in reclaim:
-            if task_id not in self._open:
-                continue
-            if self._leased_elsewhere(task_id, None) or task_id in self._pending:
-                continue  # another copy is running or already queued
-            self.counters["reclaimed"] += 1
-            self._charge(task, f"FabricError: worker {conn.index} {reason}")
+            if task_id not in self._open or task_id in self._pending:
+                continue  # resolved, or already queued
+            self._count("reclaimed")
+            if self._leased_elsewhere(task_id, None):
+                # A stolen copy runs this same attempt and may fail the same
+                # way: spend it now (else each respawned worker steals it
+                # back), and leave the task to that copy.
+                task["attempt"] = min(int(task["attempt"]) + 1, self._retry.attempts)
+            else:
+                self._charge(task, f"FabricError: worker {conn.index} {reason}")
         if self._closing:
             return
         with self._lock:
@@ -601,21 +629,31 @@ class FabricCoordinator:
             and self._open
         ):
             self._respawn_budget -= 1
-            self.counters["respawned"] += 1
+            self._count("respawned")
             self._spawn_worker()
 
     def _check_liveness(self) -> None:
-        """Time out silent workers; fail fast when the fabric is empty."""
+        """Time out silent or stuck workers; fail fast when the fabric is empty.
+
+        A worker whose current cell has run longer than the retry
+        policy's ``timeout`` (``REPRO_CELL_TIMEOUT``) is handled like a
+        silent one: reclaimed, one attempt charged, respawned.
+        """
         now = time.monotonic()
+        cell_timeout = self._retry.timeout
         with self._lock:
             conns = list(self._conns.values())
         for conn in conns:
-            if conn.alive and now - conn.last_seen > self.heartbeat_timeout:
-                self.counters["timeouts"] += 1
-                self._on_worker_down(
-                    conn,
-                    f"heartbeat silent for {self.heartbeat_timeout:.1f}s",
-                )
+            silent = now - conn.last_seen > self.heartbeat_timeout
+            stuck = cell_timeout is not None and not conn.waiting and (
+                now - conn.busy_since > cell_timeout
+            )
+            if conn.alive and (silent or stuck):
+                self._count("timeouts")
+                self._on_worker_down(conn, (
+                    f"heartbeat silent for {self.heartbeat_timeout:.1f}s"
+                    if silent else f"cell running past {cell_timeout:.1f}s"
+                ))
         if not self._open:
             return
         with self._lock:

@@ -51,12 +51,16 @@ class SharedStore:
 
         This is the runner image the coordinator ships to workers: the
         derived payload carries the directories, so every worker process
-        reads and writes the same content-addressed entries.
+        reads and writes the same content-addressed entries. Only the
+        directories differ, so it shares ``runner``'s in-memory traces —
+        the ones a forked local worker inherits.
         """
-        return runner.derive(
+        attached = runner.derive(
             cache_dir=self.trace_cache.root,
             result_cache_dir=self.result_cache.root,
         )
+        attached._traces = runner._traces
+        return attached
 
     def stats(self) -> Dict[str, object]:
         """JSON-safe inventory snapshot for the report's resilience block."""

@@ -2,16 +2,21 @@
 
 A worker dials the coordinator (with bounded, seeded-jitter connect
 retries — see :class:`~repro.resilience.RpcPolicy`), introduces itself,
-receives its runner configuration (the same ``_spawn_payload`` image
-process-pool workers are built from, made wire-safe by
-:func:`runner_to_wire`), and then loops: ask for a lease (``need``),
-execute every task in it, stream one ``result``/``error`` frame per
-cell, repeat until a ``shutdown`` frame arrives (a deliberate stop
-always carries one; a bare mid-session EOF is severance and triggers a
-reconnect, never a silent exit). A side thread
+receives its runner configuration (the runner's constructor payload,
+made wire-safe by :func:`runner_to_wire`), and then loops: ask for a
+lease (``need``), execute every task in it, stream one
+``result``/``error`` frame per cell, repeat until a ``shutdown`` frame
+arrives (a deliberate stop always carries one; a bare mid-session EOF is
+severance and triggers a reconnect, never a silent exit). A side thread
 sends ``heartbeat`` frames so the coordinator can distinguish "busy
 replaying a long cell" from "dead" — a worker computing for minutes
 keeps beating; a killed worker goes silent and its leases are reclaimed.
+
+A coordinator's local workers are the same loop in a forked process
+(:meth:`FabricWorker.forked`): it starts on its end of a socketpair
+instead of dialling and replays with the runner the fork inherited,
+traces included. A pair cannot be redialled, so where a dialled worker
+reconnects, a forked one exits and its coordinator respawns it.
 
 Transient failures heal in place: a session severed mid-stream (socket
 error, RPC timeout, injected ``rpc.flap``) is *reconnected* — the worker
@@ -31,12 +36,11 @@ in the shared content-addressed store via the runner's own caches, so
 the coordinator (and any other worker) can reuse them byte-identically.
 
 Fault plane: every executed cell passes ``fault_hook("fabric.worker",
-"<label>/<bench>/<attempt>")`` — the fabric analogue of the pool's
-``worker`` site — and each heartbeat passes
-``fault_hook("fabric.worker", "heartbeat/<index>/<n>")``, so chaos
-plans can kill a worker on a specific cell (``fabric.worker.exit@...``)
-or silence its heartbeat (``fabric.worker.stall@heartbeat/...``). Each
-session additionally passes ``fault_hook("rpc.flap", "<index>/<session>")``
+"<label>/<bench>/<attempt>")`` and each heartbeat passes
+``fault_hook("fabric.heartbeat", "<index>/<n>")``, so chaos plans can
+kill a worker on a specific cell (``fabric.worker.exit@...``) or silence
+its heartbeat (``fabric.heartbeat.stall@...``). Each session
+additionally passes ``fault_hook("rpc.flap", "<index>/<session>")``
 right after configuration: a ``crash`` there severs the session and
 drives the reconnect path deterministically.
 
@@ -123,10 +127,22 @@ class FabricWorker:
         self.sessions = 0
         self.reconnects = 0
         self._sock: Optional[socket.socket] = None
+        self._pair: Optional[socket.socket] = None
         self._send_lock = threading.Lock()
         self._base: Optional[SimulationRunner] = None
         # Derived runners per non-default miss budget (bench-grid sweeps).
         self._runners: Dict[int, SimulationRunner] = {}
+
+    @classmethod
+    def forked(cls, sock: socket.socket, runner: SimulationRunner) -> "FabricWorker":
+        """A local worker on its end of a socketpair, replaying with ``runner``.
+
+        The pair serves one session; a severed one ends :meth:`run`.
+        """
+        worker = cls("", 0)  # no address: the pair is its one connection
+        worker._pair = sock
+        worker._base = runner
+        return worker
 
     def run(self) -> int:
         """Serve sessions until shutdown/unreachable; returns an exit code.
@@ -145,6 +161,11 @@ class FabricWorker:
 
     def _connect(self) -> None:
         """Dial with bounded, seeded-jitter retries (``REPRO_CONNECT_RETRIES``)."""
+        if not self.host:  # forked: its pair serves one session, then nothing
+            if self._pair is None:
+                raise ProtocolError("a local worker's socketpair cannot be redialled")
+            self._sock, self._pair = self._pair, None
+            return
         last: Optional[Exception] = None
         for attempt in range(1, self.rpc.connect_attempts + 1):
             delay = self.rpc.delay(attempt)
@@ -239,7 +260,7 @@ class FabricWorker:
         while not stop.wait(interval):
             n += 1
             try:
-                fault_hook("fabric.worker", f"heartbeat/{self.index}/{n}")
+                fault_hook("fabric.heartbeat", f"{self.index}/{n}")
                 with self._send_lock:
                     send_message(
                         sock, {"type": "heartbeat", "n": n}, "worker",
@@ -287,11 +308,9 @@ class FabricWorker:
 def serve_worker(address: str, connect_timeout: float = 10.0) -> int:
     """Process entry point for ``python -m repro fabric serve-worker``.
 
-    Installs the fault plan from ``REPRO_FAULTS`` (spawned workers
-    inherit the coordinator's environment, so ``--faults`` reaches them
-    exactly like pool workers; counters restart with the process, which
-    is why cross-process plans key on the attempt number) and serves
-    until the coordinator shuts the connection down.
+    Installs the fault plan from ``REPRO_FAULTS`` (counters restart with
+    the process, which is why cross-process plans key on the attempt
+    number) and serves until the coordinator shuts the connection down.
     """
     install_from(Settings.from_env())
     host, port = parse_address(address)

@@ -1,7 +1,7 @@
 """Deterministic fault-injection plans.
 
 A :class:`FaultPlan` is a list of :class:`FaultSpec` injectors installed
-process-wide (and re-installed in pool workers via ``REPRO_FAULTS``). Code
+process-wide (and re-installed in forked workers via ``REPRO_FAULTS``). Code
 under test calls :func:`fault_hook` at named *sites*; when no plan is
 installed the hook is a single ``is None`` check, so the production hot
 path pays effectively nothing.
@@ -11,10 +11,9 @@ Plan grammar (``REPRO_FAULTS`` / ``--faults``)::
     entry   := site '.' action '@' keypat ['#' hits] ['|' k '=' v {',' k '=' v}]
     plan    := entry {';' entry}
 
-``site`` names where the hook lives (``cell``, ``worker``, ``serve.shard``,
-``serve.deadline``, ``cache.write``, ``cache.entry``, ``sweep``,
-``fabric.worker``, ``fabric.rpc``, ``rpc.timeout``, ``rpc.flap``);
-``action`` is what happens
+``site`` names where the hook lives, one of :data:`SITES` (an unknown
+site is a :class:`~repro.errors.SpecError`, never a plan that silently
+cannot fire); ``action`` is what happens
 (``crash``, ``exit``, ``stall``, ``interrupt``, ``kill``, ``corrupt``,
 ``truncate``); ``keypat`` is an ``fnmatch`` pattern over the site-specific
 key (the *first* ``@`` splits, so keys themselves may contain ``@``, as
@@ -25,25 +24,26 @@ matches, ``#2,4`` = the second and fourth; omitted = every match).
 Examples::
 
     cell.crash@PC_X32*/gob/1#1          # first attempt of that cell crashes
-    worker.exit@*/1                     # every first-attempt worker cell dies
+    fabric.worker.exit@*/*/1#1          # each worker dies on its first attempt-1 cell
     serve.shard.stall@0#2|epochs=3      # shard 0 stalls 3 epochs at epoch 2
     cache.write.kill@result/replace#1   # die between tmp write and rename
     cache.entry.truncate@trace/*#1      # damage first trace entry read
-    fabric.worker.exit@*/gob/1#1        # fabric worker dies mid-cell
+    fabric.heartbeat.stall@0/*|secs=60  # worker 0's heartbeats go silent
     fabric.rpc.crash@worker/send/result#1  # drop connection on first result
     rpc.timeout.crash@coordinator/send/lease#1  # first lease send times out
     rpc.flap.crash@0/1#1                # worker 0's first session flaps
     serve.deadline.stall@*#1|cycles=50000  # tighten epoch-1 deadlines
 
 Fabric sites: ``fabric.worker`` fires per executed cell
-(``label/bench/attempt``) and per heartbeat (``heartbeat/index/n``);
-``fabric.rpc`` fires per protocol frame (``role/send|recv/type``), where
-a ``crash`` is surfaced as a dropped connection. The coordinator's
-heartbeat-timeout detection, lease reclaim and respawn turn all of these
-into one charged attempt on the affected cells — the same retry
-accounting the process pool uses. ``rpc.timeout`` (same keys as
-``fabric.rpc``) surfaces as an expired per-call deadline instead, so the
-coordinator's ``rpc_timeouts`` counter and retry path can be asserted;
+(``label/bench/attempt``), ``fabric.heartbeat`` per heartbeat
+(``index/n``); ``fabric.rpc`` fires per protocol frame
+(``role/send|recv/type``), where a ``crash`` is surfaced as a dropped
+connection. The coordinator's heartbeat-timeout detection, lease
+reclaim and respawn turn all of these into one charged attempt on the
+affected cells — the same retry accounting a serial run uses.
+``rpc.timeout`` (same keys as ``fabric.rpc``) surfaces as an expired
+per-call deadline instead, so the coordinator's ``rpc_timeouts``
+counter and retry path can be asserted;
 ``rpc.flap`` fires once per worker session (``index/session``) right
 after configuration — a ``crash`` there severs the session and drives
 the worker's auto-reconnect (and, repeated, the coordinator's
@@ -65,6 +65,7 @@ the same run injects byte-identical faults every time.
 from __future__ import annotations
 
 import fnmatch
+import os
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -74,6 +75,13 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import FaultKillPoint, InjectedFault, SpecError
 
 _ACTIONS = ("crash", "exit", "stall", "interrupt", "kill", "corrupt", "truncate")
+
+#: Every site a hook fires at; a plan may name no other.
+SITES = (
+    "cell", "sweep", "cache.entry", "cache.write", "serve.shard",
+    "serve.deadline", "fabric.worker", "fabric.heartbeat", "fabric.rpc",
+    "rpc.timeout", "rpc.flap",
+)
 
 #: Actions that damage the file passed to the hook rather than raising.
 _FILE_ACTIONS = ("corrupt", "truncate")
@@ -164,7 +172,7 @@ class FaultPlan:
         if action == "crash":
             raise InjectedFault(f"injected crash at {where}")
         if action == "exit":
-            # Hard process death, as a crashed pool worker would exhibit.
+            # Hard process death, as a crashed worker would exhibit.
             os._exit(int(spec.params.get("code", "17")))
         if action == "stall":
             time.sleep(float(spec.params.get("secs", "0.2")))
@@ -240,6 +248,8 @@ def _parse_entry(entry: str) -> FaultSpec:
     site, dot, action = head.rpartition(".")
     if not dot or not site:
         raise SpecError(f"fault entry needs 'site.action': {entry!r}")
+    if site not in SITES:
+        raise SpecError(f"unknown fault site {site!r} (expected one of {SITES})")
     if action not in _ACTIONS:
         raise SpecError(
             f"unknown fault action {action!r} (expected one of {_ACTIONS})"

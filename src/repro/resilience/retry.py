@@ -26,8 +26,9 @@ class RetryPolicy:
     factor: float = 2.0
     #: Ceiling on any single delay.
     max_backoff: float = 2.0
-    #: Hard per-cell wall-clock timeout in seconds (pool mode only; the
-    #: serial driver cannot preempt a running cell). None = no timeout.
+    #: Seconds a leased cell may run before its fabric worker is reclaimed
+    #: and respawned (the serial driver cannot preempt a running cell).
+    #: None = no timeout.
     timeout: Optional[float] = None
 
     def delay(self, attempt: int) -> float:

@@ -148,7 +148,7 @@ class Settings:
     )
     workers: int = _var(
         "REPRO_WORKERS", _number(int, "a positive integer", minimum=1), 1,
-        "process-pool size for the (scheme, benchmark) fan-out",
+        "local fabric workers for the (scheme, benchmark) fan-out",
     )
     trace_cache: Optional[str] = _cache_var(
         "REPRO_TRACE_CACHE", "traces", "miss-trace cache directory, or off"
@@ -173,7 +173,7 @@ class Settings:
     )
     cell_timeout: Optional[float] = _var(
         "REPRO_CELL_TIMEOUT", _seconds, None,
-        "seconds without a finished cell before a stalled pool is rebuilt",
+        "seconds a leased cell may run before its worker is reclaimed",
     )
     rpc_timeout: Optional[float] = _var(
         "REPRO_RPC_TIMEOUT", _deadline, 30.0,
@@ -210,8 +210,8 @@ class Settings:
     def to_env(self) -> Dict[str, str]:
         """The variables that say this, defaults left unset.
 
-        ``Settings.from_env(s.to_env()) == s``; it is what a pool or
-        fabric child inherits (:meth:`export`, :meth:`child_env`).
+        ``Settings.from_env(s.to_env()) == s``; it is what a forked
+        worker inherits (:meth:`export`).
         """
         return {
             env: _render(getattr(self, name))
@@ -219,18 +219,11 @@ class Settings:
             if getattr(self, name) != getattr(_DEFAULTS, name)
         }
 
-    def child_env(self) -> Dict[str, str]:
-        """A child process's environment: ours, its ``REPRO_*`` half from this."""
-        names = {env for _name, env, _parse in _VARIABLES}
-        env = {k: v for k, v in os.environ.items() if k not in names}
-        env.update(self.to_env())
-        return env
-
     def export(self) -> None:
         """Make this the process environment's ``REPRO_*`` half.
 
         The CLI's one write: everything downstream — this process's next
-        ``from_env()``, pool workers, spawned fabric workers — reads it.
+        ``from_env()``, the fabric workers it forks — reads it.
         """
         for _name, env, _parse in _VARIABLES:
             os.environ.pop(env, None)

@@ -25,17 +25,18 @@ is what allows the scale-out layers stacked on top:
 
 - traces are persisted to an on-disk trace store
   (:mod:`repro.sim.store`) keyed by (benchmark, seed, processor config,
-  miss budget, warmup), so repeated invocations — and every worker
-  process — skip cache simulation; cold traces are synthesised in the
-  parent (10-120 ms each) and shipped packed to the workers;
+  miss budget, warmup), so repeated invocations skip cache simulation;
+  cold traces are synthesised in this process (10-120 ms each), which
+  the forked workers inherit;
 - finished cells are persisted to the result store, so :meth:`execute`
   only replays a :class:`Cell` whose configuration it has never seen — a
   repeated invocation performs zero ``replay_trace`` calls;
-- :meth:`execute` fans the remaining cold cells out over a process pool
-  (``workers=`` or ``REPRO_WORKERS``), streaming completed cells through
-  an optional ``progress`` callback, with results bitwise identical to
-  the serial path. :meth:`run_one` is one cell of it; a matrix of cells
-  with a report is :func:`repro.sim.sweep.run_sweep`.
+- :meth:`execute` fans the remaining cold cells out over the sweep
+  fabric with that many forked local workers (``workers=`` or
+  ``REPRO_WORKERS``), streaming completed cells through an optional
+  ``progress`` callback, with results bitwise identical to the serial
+  path. :meth:`run_one` is one cell of it; a matrix of cells with a
+  report is :func:`repro.sim.sweep.run_sweep`.
 
 ``force=True`` (or ``REPRO_FORCE=1``, or ``python -m repro --force ...``)
 bypasses *loads* from both on-disk caches without disabling them: every
@@ -52,8 +53,6 @@ from __future__ import annotations
 
 import time
 import zlib
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -69,7 +68,7 @@ from typing import (
 
 from repro.config import ProcessorConfig
 from repro.dram.config import DramConfig
-from repro.faults import fault_hook, install_from
+from repro.faults import fault_hook
 from repro.proc.hierarchy import CacheHierarchy, MissTrace
 from repro.resilience import RetryPolicy
 from repro.settings import Settings
@@ -112,16 +111,6 @@ class Cell:
     label: str
     bench: str
     spec: Optional[SchemeSpec]
-
-
-def _quarantine_entry(cell: Cell, attempts: int, error: BaseException):
-    """Report record for a cell that failed every re-dispatch."""
-    return {
-        "scheme": cell.label,
-        "benchmark": cell.bench,
-        "attempts": attempts,
-        "error": f"{type(error).__name__}: {error}",
-    }
 
 
 def stable_trace_salt(bench_name: str) -> int:
@@ -500,22 +489,23 @@ class SimulationRunner:
 
         Incremental: cells present in the result store are served without
         touching traces or frontends; only cold cells are computed — with
-        ``workers > 1``, scheme cells fan out over a process pool
-        (baselines are arithmetic on the trace and stay in this process).
-        Missing traces are synthesised here first, so workers only replay.
-        Every task derives its RNG from the runner seed alone (never from
-        pool scheduling), so parallel results are bitwise identical to
-        the serial path. ``progress`` is invoked once per cell, as it
+        ``workers > 1`` and two or more of them, scheme cells run on a
+        :class:`~repro.fabric.FabricCoordinator` with ``workers`` forked
+        local workers for the duration of the call (baselines are
+        arithmetic on the trace and stay in this process). Missing traces
+        are synthesised here first and the forks inherit them, so workers
+        only replay. Every task derives its RNG from the runner seed alone
+        (never from scheduling), so parallel results are bitwise identical
+        to the serial path. ``progress`` is invoked once per cell, as it
         completes, with (scheme label, benchmark, result, cached).
 
         Self-healing: a cell that raises is re-dispatched under ``retry``
-        (default :meth:`RetryPolicy.from_settings`) with exponential backoff —
-        a crashed pool worker rebuilds the pool, and (pool mode only)
-        ``retry.timeout`` bounds how long the suite waits without any cell
-        completing before the stalled pool is abandoned and rebuilt. A
-        cell that fails every attempt is quarantined into ``failures``
-        (and omitted from the returned mapping) when a list is supplied;
-        with ``failures=None`` the last error propagates.
+        (default :meth:`RetryPolicy.from_settings`) — serially with
+        exponential backoff; on the fabric a dead worker is respawned, and
+        one whose cell runs longer than ``retry.timeout`` is reclaimed and
+        respawned. A cell that fails every attempt is quarantined into
+        ``failures`` (and omitted from the returned mapping) when a list
+        is supplied; with ``failures=None`` the error propagates.
         """
         settings = Settings.from_env()
         if workers is None:
@@ -538,16 +528,30 @@ class SimulationRunner:
                 cold.append(cell)
         for name in dict.fromkeys(cell.bench for cell in cold):
             self.trace(name)
-        pooled = [cell for cell in cold if cell.spec is not None]
-        if workers <= 1 or len(pooled) < 2:
-            pooled = []
-        serial = [cell for cell in cold if cell.spec is None] if pooled else cold
+        forked = [cell for cell in cold if cell.spec is not None]
+        if workers <= 1 or len(forked) < 2:
+            forked = []
+        serial = [cell for cell in cold if cell.spec is None] if forked else cold
         for cell in serial:
             result = self._with_retry(cell, retry, failures)
             if result is not None:  # else quarantined
                 done(cell, result, False)
-        if pooled:
-            self._run_cold_pool(pooled, workers, done, retry, failures)
+        if forked:
+            from repro.fabric import FabricCoordinator, FabricExecutor
+
+            cell_of = {(cell.label, cell.bench): cell for cell in forked}
+            with FabricCoordinator(
+                self, spawn=min(workers, len(forked))
+            ) as coordinator:
+                FabricExecutor(coordinator).execute(
+                    self,
+                    forked,
+                    progress=lambda label, bench, result, cached: done(
+                        cell_of[label, bench], result, cached
+                    ),
+                    retry=retry,
+                    failures=failures,
+                )
         return out
 
     def _with_retry(
@@ -576,130 +580,10 @@ class SimulationRunner:
                 last_error = exc
         if failures is None:
             raise last_error
-        failures.append(_quarantine_entry(cell, retry.attempts, last_error))
+        failures.append({
+            "scheme": cell.label,
+            "benchmark": cell.bench,
+            "attempts": retry.attempts,
+            "error": f"{type(last_error).__name__}: {last_error}",
+        })
         return None
-
-    def _run_cold_pool(
-        self,
-        cold: List[Cell],
-        workers: int,
-        done: Callable[[Cell, SimResult, bool], None],
-        retry: RetryPolicy,
-        failures: Optional[List[dict]],
-    ) -> None:
-        """Fan cold cells over a process pool that survives worker death.
-
-        Each round builds a fresh pool for the cells still owed. A cell
-        whose future raises is re-dispatched next round at ``attempt + 1``
-        (or quarantined once the budget is spent); a ``BrokenProcessPool``
-        or a ``retry.timeout`` window with no completion abandons the
-        whole round — never-ran cells keep their attempt number so fault
-        plans keyed on attempts stay deterministic. Workers persist
-        results to the shared on-disk result store themselves, so a cell
-        completed by a round that later breaks is served from the store
-        when re-dispatched.
-        """
-        # Ship the packed traces to every worker so no process ever
-        # re-simulates one.
-        packed_traces = {
-            name: self._traces[name].to_bytes()
-            for name in dict.fromkeys(cell.bench for cell in cold)
-        }
-        todo: List[Tuple[Cell, int]] = [(cell, 1) for cell in cold]
-
-        def requeue(task: Tuple[Cell, int], error: BaseException) -> None:
-            cell, attempt = task
-            if attempt >= retry.attempts:
-                if failures is None:
-                    raise error
-                failures.append(_quarantine_entry(cell, attempt, error))
-            else:
-                todo.append((cell, attempt + 1))
-
-        round_no = 1
-        while todo:
-            if round_no > 1:
-                time.sleep(retry.delay(round_no))
-            batch, todo = todo, []
-            pool = ProcessPoolExecutor(
-                max_workers=min(workers, len(batch)),
-                initializer=_worker_init,
-                initargs=(self._spawn_payload(), packed_traces),
-            )
-            broken = False
-            try:
-                fut_map = {
-                    pool.submit(_worker_cell, cell, attempt): (cell, attempt)
-                    for cell, attempt in batch
-                }
-                pending = set(fut_map)
-                while pending:
-                    done_futs, pending = wait(
-                        pending, timeout=retry.timeout, return_when=FIRST_COMPLETED
-                    )
-                    if not done_futs:
-                        # Nothing completed inside the timeout window: the
-                        # pool is stalled. Abandon it (a truly hung worker
-                        # is left behind; a finite stall drains on its own)
-                        # and charge every in-flight cell one attempt.
-                        broken = True
-                        stall = TimeoutError(
-                            f"no cell completed within {retry.timeout}s"
-                        )
-                        for future in pending:
-                            requeue(fut_map[future], stall)
-                        break
-                    for future in done_futs:
-                        task = fut_map[future]
-                        try:
-                            result = future.result()
-                        except KeyboardInterrupt:
-                            raise
-                        except BrokenProcessPool as exc:
-                            broken = True
-                            requeue(task, exc)
-                        except Exception as exc:
-                            requeue(task, exc)
-                        else:
-                            done(task[0], result, False)
-                    if broken:
-                        # The pool is dead; cells still queued never ran,
-                        # so they re-dispatch at their current attempt.
-                        for future in pending:
-                            todo.append(fut_map[future])
-                        break
-            finally:
-                pool.shutdown(wait=not broken, cancel_futures=True)
-            round_no += 1
-
-
-# -- worker-process plumbing (module level for picklability) -------------------
-
-_WORKER_RUNNER: Optional[SimulationRunner] = None
-
-
-def _worker_init(
-    payload: Dict[str, object], packed_traces: Dict[str, bytes]
-) -> None:
-    """Build one runner per worker process, pre-seeded with the traces."""
-    global _WORKER_RUNNER
-    # A freshly spawned (or respawned-after-crash) worker re-installs the
-    # fault plan from REPRO_FAULTS; occurrence counters restart with the
-    # process, which is why cross-process plans key on the attempt number.
-    install_from(Settings.from_env())
-    _WORKER_RUNNER = SimulationRunner(**payload)  # type: ignore[arg-type]
-    _WORKER_RUNNER._traces = {
-        name: MissTrace.from_bytes(data) for name, data in packed_traces.items()
-    }
-
-
-def _worker_cell(cell: Cell, attempt: int = 1) -> SimResult:
-    """Execute one cell in the worker's runner.
-
-    The parent ships the fully-sized spec, so the worker neither re-sizes
-    nor consults the scheme registry — custom registered schemes work
-    without re-registration in the pool.
-    """
-    assert _WORKER_RUNNER is not None, "worker pool not initialised"
-    fault_hook("worker", f"{cell.label}/{cell.bench}/{attempt}")
-    return _WORKER_RUNNER.run_cell(cell, attempt)

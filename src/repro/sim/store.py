@@ -5,7 +5,7 @@ a :class:`~repro.proc.hierarchy.MissTrace` of (benchmark, seed, processor
 config, miss budget, warmup); a :class:`~repro.sim.metrics.SimResult` of
 the sized scheme spec plus that trace's parameters. A key is a recipe —
 :func:`trace_key`, :func:`result_key` — and every layer above (the
-runner, pool and fabric workers) needs only "load, or compute and
+runner, fabric workers) needs only "load, or compute and
 store". A figure's table is derived from its cells and recomputed on
 every call, never stored (:mod:`repro.eval`).
 

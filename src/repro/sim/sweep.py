@@ -6,8 +6,8 @@ benchmark list; :func:`run_sweep` expands the cartesian product into
 sized ``SchemeSpec`` points and drives them through
 :meth:`~repro.sim.runner.SimulationRunner.execute` — so sweeps inherit
 the whole experiment engine for free: on-disk trace/result caching
-(warm-cache sweeps replay nothing), worker-pool fan-out bitwise identical
-to serial, and per-cell progress streaming.
+(warm-cache sweeps replay nothing), fan-out over forked fabric workers
+bitwise identical to serial, and per-cell progress streaming.
 
 The report is plain data (JSON-safe), deterministic in content *and*
 order regardless of worker count or cache temperature::
@@ -360,11 +360,12 @@ def run_sweep(
     (``resilience.interrupted = True``); every completed cell is already
     on disk, so Ctrl-C never loses completed work.
 
-    ``executor`` selects the cell backend: None means this process's
-    :meth:`SimulationRunner.execute` over ``workers`` processes; a
+    ``executor`` selects the cell backend: None means
+    :meth:`SimulationRunner.execute` with ``workers`` (above 1, a fabric
+    of that many forked workers per call); a
     :class:`~repro.fabric.coordinator.FabricExecutor` — anything with
     ``execute(runner, cells, *, progress, retry, failures)`` and
-    ``stats()`` — distributes cells over fabric workers instead
+    ``stats()`` — runs every call on its one coordinator instead
     (``workers`` is then ignored). The report is
     bit-identical either way — only ``resilience["fabric"]`` (executor
     scheduling counters) distinguishes the runs. Serve-axis sweeps run
@@ -567,7 +568,7 @@ def _run_bench_sweep(
             else:
                 execute = functools.partial(executor.execute, cell_runner)
             # Scheme cells, then baselines; one call per phase keeps
-            # cross-scheme executor parallelism (pool or fabric alike).
+            # cross-scheme executor parallelism.
             for cells in phases:
                 owed = [cell for cell in cells if cell.key not in completed]
                 if owed:

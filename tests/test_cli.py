@@ -335,6 +335,26 @@ class TestCliSweep:
         assert report["kind"] == "sweep"
         assert len(report["cells"]) == 2  # 2 grid points x 1 benchmark
 
+    def test_workers_sweep_runs_on_forked_fabric_workers(self, tmp_path, capsys):
+        import json
+
+        args = [
+            "sweep", "--scheme", "PC_X32", "--bench", "gob", "--bench", "hmmer",
+            "--grid", "plb=4KiB,8KiB", "--misses", "120",
+        ]
+        serial, forked = tmp_path / "serial.json", tmp_path / "forked.json"
+        assert main(["--no-result-cache", *args, "--out", str(serial)]) == 0
+        assert "fabric:" not in capsys.readouterr().out
+        assert main([
+            "--workers", "2", "--no-result-cache", *args, "--out", str(forked),
+        ]) == 0
+        assert "2 local worker(s)" in capsys.readouterr().out
+        golden, report = (json.loads(p.read_text("utf-8")) for p in (serial, forked))
+        fabric = report["resilience"].pop("fabric")
+        assert fabric["completed"] == 6  # 4 grid cells + 2 baselines
+        assert fabric["workers_joined"] == 2
+        assert report == golden
+
     def test_sweep_spec_string_scheme(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
         code = main([

@@ -2,7 +2,7 @@
 
 The acceptance property of the sweep fabric mirrors the fault plane's:
 for every scheduling event the coordinator can produce — work stealing,
-worker connection loss, heartbeat silence, spawned-worker death and
+worker connection loss, heartbeat silence, forked-worker death and
 respawn, Ctrl-C + resume across topologies — the completed report is
 bit-identical to a fault-free local run at the same seed. Only the
 ``resilience`` accounting block (which carries the fabric counters) may
@@ -14,6 +14,7 @@ import contextlib
 import json
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -36,6 +37,7 @@ from repro.fabric import (
     runner_to_wire,
     send_message,
 )
+from repro.fabric.coordinator import _WorkerConn
 from repro.fabric.protocol import MAX_MESSAGE_BYTES
 from repro.faults import injected
 from repro.resilience import RetryPolicy
@@ -278,7 +280,7 @@ class TestFabricLockstep:
         # first gob cell hangs. The coordinator must declare it dead on
         # heartbeat timeout, reclaim the lease, and re-dispatch.
         plan = (
-            "fabric.worker.stall@heartbeat/0/*|secs=60;"
+            "fabric.heartbeat.stall@0/*|secs=60;"
             "fabric.worker.stall@*/gob/1#1|secs=60"
         )
         with injected(plan):
@@ -353,6 +355,32 @@ class TestFabricLockstep:
             coordinator.close()
 
 
+class TestReclaim:
+    def test_a_stolen_copy_does_not_save_the_attempt(self, tmp_path):
+        """A worker that dies spends the attempt even while a thief runs a copy.
+
+        Otherwise every respawned worker steals a stalling attempt back
+        from its last holder, and the attempt never advances.
+        """
+        coordinator = FabricCoordinator(_runner(tmp_path, "r"), spawn=0)
+        task = {"id": "t", "label": "P_X16", "bench": "gob", "attempt": 1}
+        coordinator._open = {"t": task}
+        pairs = [socket.socketpair() for _ in range(2)]
+        victim, thief = (_WorkerConn(i, ours) for i, (ours, _) in enumerate(pairs))
+        for conn in (victim, thief):
+            conn.leases["t"] = task
+            coordinator._conns[conn.index] = conn
+        try:
+            coordinator._on_worker_down(victim, "stuck")
+            assert task["attempt"] == 2 and not coordinator._pending
+            coordinator._on_worker_down(thief, "stuck")
+            assert task["attempt"] == 3 and list(coordinator._pending) == ["t"]
+        finally:
+            for _ours, theirs in pairs:
+                theirs.close()
+            coordinator.store.close()
+
+
 class TestClose:
     def test_hello_while_closing_is_refused_with_shutdown(self, tmp_path):
         """A worker dialling a closing coordinator is turned away, not configured.
@@ -377,6 +405,32 @@ class TestClose:
         assert worker.index is None  # no config frame ever reached it
         assert coordinator.counters["workers_joined"] == 0
         assert coordinator._conns == {}
+
+    def test_concurrent_joins_are_all_counted(self, tmp_path):
+        """More workers than cores join at once; no counter update is lost.
+
+        Every connection thread counts its join: the increments must be
+        serialised, as the copy ``stats()`` takes must be.
+        """
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        coordinator = FabricCoordinator(_runner(tmp_path, "j"), spawn=0)
+        host, port = coordinator.start()
+        threads = [_start_worker(host, port) for _ in range(8)]
+        try:
+            deadline = time.time() + 20
+            while (
+                coordinator.stats()["workers_joined"] < 8
+                and time.time() < deadline
+            ):
+                time.sleep(0.01)
+            assert coordinator.stats()["workers_joined"] == 8
+        finally:
+            sys.setswitchinterval(interval)
+            coordinator.close()
+        for thread in threads:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
 
     def test_close_stops_listening(self, tmp_path):
         """``close()`` wakes the accept thread instead of leaving it one more accept."""
@@ -468,17 +522,6 @@ class TestFabricResume:
 
 
 class TestFabricCli:
-    def test_fabric_zero_without_connect_is_an_error(self, capsys):
-        from repro.cli import main
-
-        assert main(["sweep", "--fabric", "0"]) == 2
-        assert "--connect" in capsys.readouterr().err
-
-    def test_fabric_requires_a_count(self, capsys):
-        from repro.cli import main
-
-        assert main(["sweep", "--fabric", "two"]) == 2
-
     def test_serve_worker_usage_errors(self, capsys):
         from repro.cli import main
 
@@ -508,14 +551,13 @@ class TestFabricCli:
         assert "fabric error" in capsys.readouterr().err
 
 
-@pytest.mark.slow
 class TestSpawnedWorkers:
     def test_worker_process_death_respawns_and_heals(
         self, tmp_path, monkeypatch
     ):
         """Real worker processes: one hard-exits mid-cell, fabric heals.
 
-        The plan rides the environment so only the spawned processes
+        The plan rides the environment so only the forked processes
         install it (``exit`` in a thread worker would kill pytest).
         """
         golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
@@ -541,13 +583,14 @@ class TestSpawnedWorkers:
         """A stolen duplicate still running when the sweep ends exits 0.
 
         The two baselines are the last phase, one lease each. The plan
-        (installed per spawned process, so each process stalls on its own
+        (installed per forked process, so each process stalls on its own
         first attempt) holds ``gob``'s worker for 0.7 s and ``hmmer``'s
         for 1.5 s: the first goes idle, steals ``hmmer`` and is 0.7 s
         into its own stall when the owner's result ends the sweep. Its
-        late ``result`` then finds the socket closed and its redial finds
-        no listener, so it exits on its own — ``close()`` neither waits
-        out its 5 s timeout nor terminates it.
+        late ``result`` then finds the socket closed (or is answered by
+        the ``shutdown`` already waiting) and its socketpair cannot be
+        redialled, so it exits on its own — ``close()`` neither waits out
+        its 5 s timeout nor terminates it.
         """
         golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
         monkeypatch.setenv(
@@ -565,6 +608,6 @@ class TestSpawnedWorkers:
         finally:
             coordinator.close()
         assert report["resilience"]["fabric"]["stolen"] >= 1
-        assert [proc.returncode for proc in coordinator._procs] == [0, 0]
+        assert [proc.exitcode for proc in coordinator._procs] == [0, 0]
         assert _strip(report) == _strip(golden)
 

@@ -1,5 +1,6 @@
 """Fault-injection plane: plan grammar, match counting, actions, retry."""
 
+import multiprocessing
 import os
 import time
 
@@ -17,6 +18,7 @@ from repro.faults import (
     install_from,
     parse,
 )
+from repro.faults.plan import SITES
 from repro.resilience import RetryPolicy
 from repro.settings import Settings
 
@@ -42,7 +44,7 @@ class TestGrammar:
         assert spec.params == {"epochs": "3", "secs": "0.5"}
 
     def test_multiple_entries_split_on_semicolon(self):
-        plan = parse("cell.crash@*/1#1; worker.exit@*;")
+        plan = parse("cell.crash@*/1#1; fabric.worker.exit@*;")
         assert [s.action for s in plan.specs] == ["crash", "exit"]
 
     def test_roundtrip_via_to_entry(self):
@@ -64,6 +66,21 @@ class TestGrammar:
     def test_rejects_malformed_entries(self, bad, match):
         with pytest.raises(SpecError, match=match):
             parse(bad)
+
+    @pytest.mark.parametrize(
+        "site", ["worker", "fabirc.worker", "fabric.worker.heartbeat", "cache"]
+    )
+    def test_an_unknown_site_names_itself_and_the_valid_ones(self, site):
+        # Such a plan would parse and then never fire.
+        with pytest.raises(SpecError, match="unknown fault site") as caught:
+            parse(f"{site}.exit@*")
+        assert repr(site) in str(caught.value)
+        assert all(valid in str(caught.value) for valid in SITES)
+
+    def test_every_declared_site_parses(self):
+        assert [spec.site for spec in parse(
+            ";".join(f"{site}.crash@*" for site in SITES)
+        ).specs] == list(SITES)
 
 
 class TestMatchCounting:
@@ -88,7 +105,7 @@ class TestMatchCounting:
 
     def test_site_mismatch_never_counts(self):
         plan = parse("cell.crash@*#1")
-        assert plan.match("worker", "x") is None
+        assert plan.match("sweep", "x") is None
         assert plan.match("cell", "x").action == "crash"
 
     def test_fired_log_records_what_happened(self):
@@ -113,6 +130,16 @@ class TestActions:
         with injected("sweep.interrupt@*"):
             with pytest.raises(KeyboardInterrupt):
                 fault_hook("sweep", "x")
+
+    def test_exit_ends_the_process_with_its_code(self):
+        def child():
+            with injected("cell.exit@*|code=9"):
+                fault_hook("cell", "k")
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        assert proc.exitcode == 9
 
     def test_stall_sleeps_then_returns(self):
         with injected("cell.stall@*|secs=0.01"):

@@ -1,7 +1,7 @@
 """Chaos lockstep: injected-then-recovered runs equal fault-free goldens.
 
 The acceptance property of the fault plane: for every recoverable fault
-class (cell crash, worker death, pool stall, Ctrl-C + resume, shard
+class (cell crash, worker death, worker stall, Ctrl-C + resume, shard
 breaker trips), the healed run's *measured* outputs — SimResults, sweep
 tables, per-shard access digests — are bit-identical to a fault-free
 golden run at the same seed. Only the ``resilience`` accounting block may
@@ -9,6 +9,7 @@ differ.
 """
 
 import json
+import time
 
 import pytest
 
@@ -92,11 +93,12 @@ class TestSuiteSelfHealing:
             with pytest.raises(InjectedFault):
                 _suite(runner, retry=RetryPolicy(attempts=2, backoff=0.0))
 
-    def test_worker_death_pool_rebuild_matches_golden(self, tmp_path, monkeypatch):
+    def test_worker_death_respawns_and_matches_golden(self, tmp_path, monkeypatch):
         golden = _suite(_runner(tmp_path, "g"))
-        # Workers re-install the plan from the environment; each worker
-        # process kills itself (hard exit) on its first attempt-1 cell.
-        monkeypatch.setenv("REPRO_FAULTS", "worker.exit@*/1#1")
+        # Forked workers re-install the plan from the environment; each
+        # worker process kills itself (hard exit) on its first attempt-1
+        # cell, and its coordinator respawns it.
+        monkeypatch.setenv("REPRO_FAULTS", "fabric.worker.exit@*/*/1#1")
         healed = _suite(
             _runner(tmp_path, "w"),
             workers=2,
@@ -104,16 +106,19 @@ class TestSuiteSelfHealing:
         )
         assert healed == golden
 
-    def test_stalled_pool_abandoned_and_matches_golden(self, tmp_path, monkeypatch):
+    def test_stalled_worker_reclaimed_and_matches_golden(self, tmp_path, monkeypatch):
         golden = _suite(_runner(tmp_path, "g"))
-        # Attempt-1 worker cells stall far longer than the suite timeout;
-        # the stalled pool is abandoned and attempt 2 sails through.
-        monkeypatch.setenv("REPRO_FAULTS", "worker.stall@*/1|secs=30")
+        # Attempt-1 cells stall far longer than the cell timeout; each
+        # stalled worker is reclaimed and respawned, and attempt 2 sails
+        # through.
+        monkeypatch.setenv("REPRO_FAULTS", "fabric.worker.stall@*/*/1|secs=30")
+        start = time.perf_counter()
         healed = _suite(
             _runner(tmp_path, "s"),
             workers=2,
             retry=RetryPolicy(attempts=3, backoff=0.0, timeout=0.3),
         )
+        assert time.perf_counter() - start < 10  # nobody waited out a stall
         assert healed == golden
 
 

@@ -3,8 +3,8 @@
 The paper's methodology requires every scheme to replay byte-identical
 miss streams; these tests pin down the two properties that guarantee it
 at scale: trace seeding independent of ``PYTHONHASHSEED`` (subprocess
-based), and worker-pool fan-out that is bitwise identical to the serial
-path.
+based), and fan-out over forked fabric workers that is bitwise identical
+to the serial path.
 """
 
 import json
@@ -19,6 +19,7 @@ import pytest
 import repro
 from repro.errors import ConfigurationError
 from repro.settings import Settings
+from repro.sim import runner as runner_module
 from repro.sim.runner import SimulationRunner, stable_trace_salt
 
 SCHEMES = ["R_X8", "PC_X32"]
@@ -119,6 +120,23 @@ class TestParallelSuite:
         assert parallel == serial
 
     def test_parallel_without_disk_cache(self, serial):
+        runner = SimulationRunner(
+            misses_per_benchmark=MISSES, cache_dir=None, result_cache_dir=None
+        )
+        parallel = runner.execute(runner.cells(SCHEMES, BENCHES), workers=2)
+        assert parallel == serial
+
+    def test_forked_workers_synthesise_no_trace(self, serial, monkeypatch):
+        # The fork inherits the patch: a child that synthesises kills
+        # itself, and a cell no worker can finish fails the call.
+        parent = os.getpid()
+        real = runner_module.synthesize_trace
+
+        def parent_only(*args, **kwargs):
+            assert os.getpid() == parent, "a forked worker synthesised a trace"
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "synthesize_trace", parent_only)
         runner = SimulationRunner(
             misses_per_benchmark=MISSES, cache_dir=None, result_cache_dir=None
         )

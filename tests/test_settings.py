@@ -1,8 +1,8 @@
 """``repro.settings``: the one reader of the environment.
 
 The grammar of every ``REPRO_*`` variable, the mis-parses ``Settings``
-replaced (each case here failed at the parent commit), what a pool or
-fabric child inherits, and the three lists that must not drift apart:
+replaced (each case here failed at the parent commit), what a forked
+worker inherits, and the three lists that must not drift apart:
 the variables ``Settings`` declares, the README's table, and the flags
 the CLI's parsers declare against the README's CLI section.
 """
@@ -11,9 +11,6 @@ import dataclasses
 import json
 import os
 import re
-import subprocess
-import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -22,12 +19,10 @@ import repro
 from repro import faults
 from repro.cli import build_parser, main
 from repro.errors import ConfigurationError, NativeKernelUnavailable
-from repro.fabric import FabricCoordinator
-from repro.fabric import coordinator as coordinator_module
+from repro.fabric import FabricCoordinator, FabricWorker
 from repro.resilience import RpcPolicy
 from repro.settings import FALSE_WORDS, TRUE_WORDS, Settings
 from repro.sim import native as native_pkg
-from repro.sim import runner as runner_module
 from repro.sim.replay import resolve_replay_mode
 from repro.sim.runner import SimulationRunner
 
@@ -216,47 +211,23 @@ def exported_flags(tmp_path):
             os.environ[name] = value
 
 
-def test_a_pool_worker_sees_the_flags_its_parent_was_started_with(exported_flags):
-    runner = SimulationRunner(misses_per_benchmark=40, result_cache_dir=None)
-    with ProcessPoolExecutor(
-        max_workers=1,
-        initializer=runner_module._worker_init,
-        initargs=(runner._spawn_payload(), {}),
-    ) as pool:
-        assert pool.submit(_seen).result(timeout=60) == exported_flags
-
-
-def test_a_fabric_worker_sees_the_flags_its_parent_was_started_with(
-    exported_flags, monkeypatch
+def test_a_forked_worker_sees_the_flags_its_parent_was_started_with(
+    exported_flags, tmp_path, monkeypatch
 ):
-    """``_spawn_worker``'s own ``Popen`` environment, read by a real child."""
-    spawned = []
-    real_popen = subprocess.Popen
+    """``_spawn_worker``'s own child reports what it read, then exits."""
+    seen = tmp_path / "seen.json"
 
-    def popen(command, env, **kwargs):
-        spawned.append(command)
-        script = (  # what serve_worker does first, then _seen()
-            "import json; from repro import faults; "
-            "from repro.settings import Settings; "
-            "s = Settings.from_env(); plan = faults.install_from(s); "
-            "print(json.dumps([s.tier, s.force, str(s.trace_cache), "
-            "[spec.to_entry() for spec in plan.specs]]))"
-        )
-        return real_popen(
-            [sys.executable, "-c", script], env=env,
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        )
+    def run(worker):
+        seen.write_text(json.dumps(_seen()), "utf-8")
+        return 0
 
-    monkeypatch.setattr(coordinator_module.subprocess, "Popen", popen)
+    monkeypatch.setattr(FabricWorker, "run", run)
     runner = SimulationRunner(misses_per_benchmark=40, result_cache_dir=None)
-    coordinator = FabricCoordinator(runner)
-    coordinator.address = ("127.0.0.1", 1)
-    coordinator._spawn_worker()
-    (child,) = coordinator._procs
-    out, err = child.communicate(timeout=60)
-    assert spawned[0][1:5] == ["-m", "repro", "fabric", "serve-worker"]
-    assert child.returncode == 0, err
-    assert json.loads(out) == exported_flags
+    with FabricCoordinator(runner, spawn=1) as coordinator:
+        (child,) = coordinator._procs
+        child.join(timeout=60)
+    assert child.exitcode == 0
+    assert json.loads(seen.read_text("utf-8")) == exported_flags
 
 
 # -- the three lists ---------------------------------------------------------------

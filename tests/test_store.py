@@ -1,7 +1,7 @@
 """The one on-disk store: design invariants and on-disk compatibility.
 
 Three things a store refactor must not do silently: grow a second
-atomic-write site (or a second process pool), re-key entries, or
+atomic-write site (or a second parallel executor), re-key entries, or
 re-encode them. The golden digests and the fixture directory under
 ``tests/data/store_compat`` were produced by the per-kind cache
 classes this store replaced, with ``repro.__version__`` pinned to
@@ -31,18 +31,15 @@ INSECURE_KEY = "40a568085ecbb9eb6755d5e5a895a3990a6d67c9"
 
 
 def test_one_atomic_write_site():
-    """A second atomic writer or a second pool is a failing test, not a
-    review note."""
+    """A second atomic writer or a process pool beside the fabric is a
+    failing test, not a review note."""
     sites = {"os.replace": set(), "ProcessPoolExecutor(": set()}
     for path in SRC.rglob("*.py"):
         text = path.read_text("utf-8")
         for needle, found in sites.items():
             if needle in text:
                 found.add(path.relative_to(SRC).as_posix())
-    assert sites == {
-        "os.replace": {"sim/store.py"},
-        "ProcessPoolExecutor(": {"sim/runner.py"},
-    }
+    assert sites == {"os.replace": {"sim/store.py"}, "ProcessPoolExecutor(": set()}
 
 
 #: A file write: ``write_bytes(`` / ``write_text(``, or ``open`` for writing.
