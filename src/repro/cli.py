@@ -353,27 +353,31 @@ def _sweep_main(args: argparse.Namespace) -> int:
             if several
             else [journal]
         )
-        # One coordinator serves the whole sweep: --workers N above 1
-        # forks its local workers, --connect lets others attach.
+        from repro.fabric import FabricCoordinator, FabricExecutor, parse_address
+
+        # --workers N is runner.execute's: each call forks its own N local
+        # workers. Attached workers need one coordinator for the whole
+        # sweep, which forks the local ones beside them.
         workers = Settings.from_env().workers
         local = workers if workers > 1 else 0
-        if local or args.connect is not None:
-            from repro.fabric import FabricCoordinator, FabricExecutor, parse_address
-
-            host, port = (
-                parse_address(args.connect) if args.connect else ("127.0.0.1", 0)
-            )
+        if args.connect is not None:
+            host, port = parse_address(args.connect)
             coordinator = FabricCoordinator(runner, spawn=local, host=host, port=port)
             bound = coordinator.start()
             print(
                 f"fabric: coordinator on {bound[0]}:{bound[1]}, "
-                f"{local} local worker(s)"
-                + (" (accepting attached workers)" if args.connect else "")
+                f"{local} local worker(s), accepting attached workers"
             )
         for sweep, sweep_journal in zip(sweeps, journals):
+            if coordinator is not None:
+                executor = FabricExecutor(coordinator)
+            elif local and not sweep.serve_grid:  # a serve sweep runs here
+                executor = FabricExecutor(workers=local)
+            else:
+                executor = None
             reports.append(run_sweep(
                 sweep, runner, checkpoint=sweep_journal, resume=args.resume,
-                executor=FabricExecutor(coordinator) if coordinator else None,
+                executor=executor,
             ))
     except SweepInterrupted as exc:
         if exc.report is not None:

@@ -15,10 +15,11 @@ are forked over socketpairs; remote ones dial in. The pieces:
 - :mod:`~repro.fabric.coordinator` — sharding, work-stealing, heartbeat
   and cell-timeout liveness, dead-worker reclaim, and the
   :class:`~repro.fabric.coordinator.FabricExecutor` adapter
-  ``run_sweep(..., executor=...)`` plugs in
-  (``python -m repro --workers N sweep [--connect HOST:PORT]``;
-  :meth:`~repro.sim.runner.SimulationRunner.execute` runs one per call
-  with ``workers > 1``).
+  ``run_sweep(..., executor=...)`` plugs in. With ``workers > 1``,
+  :meth:`~repro.sim.runner.SimulationRunner.execute` runs one
+  coordinator per call (``python -m repro --workers N sweep``);
+  ``sweep --connect HOST:PORT`` runs one for the whole sweep, which
+  workers attach to.
 
 Determinism contract: a fabric run's report is bit-identical to the
 serial local run — cells are content-addressed, results derive only

@@ -27,11 +27,16 @@ Scheduling model:
   per id wins, and a cell's journal entry is stored once) and stragglers no
   longer serialize the tail;
 - a worker that dies (connection drop, heartbeat silence beyond
-  ``heartbeat_timeout``, or a cell running past the retry policy's
-  ``timeout``) has every open cell it held charged one attempt, so fault
-  plans keyed on attempt numbers behave as they do serially, and those
-  no other worker holds a copy of re-dispatched to the survivors; local
-  workers are stopped and respawned while budget remains;
+  ``heartbeat_timeout``, or a leased cell running past the retry
+  policy's ``timeout``) fails the attempt of every open cell it held,
+  and those cells are re-dispatched to the survivors; local workers are
+  stopped and respawned while budget remains;
+- each attempt number is charged once, at its first failure (an
+  ``error`` frame or a death), and the cell is requeued at the next
+  number, so workers see a cell's attempts in the order a serial run
+  would and fault plans keyed on attempt numbers behave as they do
+  serially. A stolen copy still running a charged attempt may finish
+  the cell, but its failure charges nothing;
 - :class:`~repro.errors.FabricError` is raised only when progress is
   impossible: nobody ever joined within ``startup_timeout``, or every
   worker is gone with no respawn budget. Completed cells are already
@@ -52,6 +57,7 @@ breaker again.
 
 from __future__ import annotations
 
+import builtins
 import multiprocessing
 import queue
 import socket
@@ -61,7 +67,8 @@ import time
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import FabricError
+from repro import errors
+from repro.errors import CELL_FAILURES, FabricError
 from repro.fabric.protocol import (
     ProtocolError,
     RpcTimeout,
@@ -80,6 +87,31 @@ from repro.sim.runner import Cell, ProgressCallback, SimulationRunner
 #: Local workers are forked: a child inherits the runner and its traces.
 _FORK = multiprocessing.get_context("fork")
 
+#: The scheduling counters :meth:`FabricCoordinator.stats` reports.
+COUNTERS = (
+    "workers_joined", "dispatched", "completed", "stolen", "errors", "dead",
+    "timeouts", "reclaimed", "respawned", "rpc_timeouts", "reconnects",
+    "breaker_trips", "quarantined_workers",
+)
+
+
+def _cell_error(task: dict, error: str) -> Exception:
+    """A quarantined cell's last reported ``"<type name>: <message>"`` error.
+
+    A type among :data:`~repro.errors.CELL_FAILURES` is rebuilt, so a
+    caller catches what the serial path raises; anything else becomes a
+    :class:`~repro.errors.FabricError`.
+    """
+    name, _, text = error.partition(": ")
+    where = f"cell {task['label']}/{task['bench']} failed {task['attempt']} attempt(s)"
+    kind = getattr(errors, name, None) or getattr(builtins, name, None)
+    try:
+        if isinstance(kind, type) and issubclass(kind, CELL_FAILURES):
+            return kind(f"{where}: {text}")
+    except TypeError:  # it needs more than a message
+        pass
+    return FabricError(f"{where}: {error}")
+
 
 class _WorkerConn:
     """Coordinator-side state for one connected worker."""
@@ -93,8 +125,9 @@ class _WorkerConn:
         self.alive = True
         self.waiting = False  # blocked on recv, owed a lease when work appears
         self.last_seen = time.monotonic()
-        self.busy_since = self.last_seen  # its last lease or result, if busy
-        self.leases: Dict[str, dict] = {}
+        # Its last lease, result or error; None from its next "need" on.
+        self.busy_since: Optional[float] = None
+        self.leases: Dict[str, int] = {}  # task id -> the attempt it runs
 
 
 class FabricCoordinator:
@@ -135,21 +168,7 @@ class FabricCoordinator:
         self.store = SharedStore(runner)
         self.runner = self.store.attach(runner)
         self.address: Optional[Tuple[str, int]] = None
-        self.counters: Dict[str, int] = {
-            "workers_joined": 0,
-            "dispatched": 0,
-            "completed": 0,
-            "stolen": 0,
-            "errors": 0,
-            "dead": 0,
-            "timeouts": 0,
-            "reclaimed": 0,
-            "respawned": 0,
-            "rpc_timeouts": 0,
-            "reconnects": 0,
-            "breaker_trips": 0,
-            "quarantined_workers": 0,
-        }
+        self.counters: Dict[str, int] = dict.fromkeys(COUNTERS, 0)
         self._breaker_threshold = max(1, breaker_threshold)
         self._breaker_cooldown = breaker_cooldown
         settings = Settings.from_env()
@@ -298,10 +317,8 @@ class FabricCoordinator:
         hang up on sees end-of-file, and re-installs the fault plan from
         ``REPRO_FAULTS``, so occurrence counters restart per process.
         """
-        inherited = [*self._pairs, *(c.sock for c in self._conns.values())]
-        if self._server is not None:
-            inherited.append(self._server)
-        for other in inherited:
+        conns = (c.sock for c in self._conns.values())
+        for other in [self._server, *self._pairs, *conns]:
             other.close()
         install_from(Settings.from_env())
         sys.exit(FabricWorker.forked(sock, self.runner).run())
@@ -363,18 +380,15 @@ class FabricCoordinator:
                     "coordinator",
                     timeout=self._rpc.timeout,
                 )
-        except RpcTimeout:
-            self._count("rpc_timeouts")
-            self._events.put(("lost", index, None))
-            return
-        except ProtocolError:
+        except ProtocolError as exc:
+            if isinstance(exc, RpcTimeout):
+                self._count("rpc_timeouts")
             self._events.put(("lost", index, None))
             return
         self._count("workers_joined")
         if session > 1:
             self._count("reconnects")
-        self._last_liveness = time.monotonic()
-        self._events.put(("joined", index, None))
+        self._last_liveness = time.monotonic()  # it announces itself with "need"
         while True:
             try:
                 message = recv_message(sock, "coordinator")
@@ -403,14 +417,11 @@ class FabricCoordinator:
         ``retry``/``failures`` follow :meth:`SimulationRunner.execute`
         semantics: a cell error (or a death-reclaim) charges one attempt;
         a cell that exhausts the budget is quarantined into ``failures``
-        (or, with ``failures=None``, raises). ``progress`` is invoked on
+        (or, with ``failures=None``, raises the error its worker reported,
+        rebuilt by :func:`_cell_error`). ``progress`` is invoked on
         this thread, once per completed cell, in completion order.
         """
-        self._retry = (
-            retry
-            if retry is not None
-            else RetryPolicy.from_settings(Settings.from_env())
-        )
+        self._retry = retry or RetryPolicy.from_settings(Settings.from_env())
         self._failures = failures
         self._progress = progress
         self._open = {}
@@ -440,12 +451,11 @@ class FabricCoordinator:
             return
         if event == "lost":
             self._on_worker_down(conn, "connection lost")
-        elif event == "joined":
-            pass  # the worker announces readiness with its first "need"
         elif not conn.alive:
             return  # late frames from a worker we already declared dead
         elif event == "need":
             conn.waiting = True
+            conn.busy_since = None
             self._dispatch(conn)
         elif event == "result":
             conn.busy_since = time.monotonic()
@@ -463,10 +473,10 @@ class FabricCoordinator:
         elif event == "error":
             conn.busy_since = time.monotonic()
             self._count("errors")
-            conn.leases.pop(message["id"], None)
+            attempt = conn.leases.pop(message["id"], None)
             task = self._open.get(message["id"])
-            if task is not None and not self._leased_elsewhere(message["id"], None):
-                self._charge(task, message["error"])
+            if task is not None and attempt is not None:
+                self._failed(task, attempt, message["error"])
 
     def _dispatch(self, conn: _WorkerConn) -> None:
         """Lease pending work — or steal from a straggler — to an idle worker."""
@@ -476,11 +486,7 @@ class FabricCoordinator:
             live = max(1, sum(1 for c in self._conns.values() if c.alive))
         tasks: List[dict] = []
         if self._pending:
-            chunk = min(
-                len(self._pending),
-                self.lease_cap,
-                max(1, len(self._pending) // (2 * live)),
-            )
+            chunk = min(self.lease_cap, max(1, len(self._pending) // (2 * live)))
             for _ in range(chunk):
                 task_id = self._pending.popleft()
                 task = self._open.get(task_id)
@@ -494,7 +500,7 @@ class FabricCoordinator:
         if not tasks:
             return  # stays waiting; requeues and new work will kick it
         for task in tasks:
-            conn.leases[task["id"]] = task
+            conn.leases[task["id"]] = task["attempt"]
         conn.waiting = False
         conn.busy_since = time.monotonic()
         self._count("dispatched", len(tasks))
@@ -523,17 +529,16 @@ class FabricCoordinator:
                 reverse=True,
             )
         for victim in victims:
-            for task_id, task in victim.leases.items():
+            for task_id in victim.leases:
                 if task_id in self._open and task_id not in thief.leases:
-                    return task
+                    return self._open[task_id]
         return None
 
-    def _leased_elsewhere(
-        self, task_id: str, excluding: Optional[_WorkerConn]
-    ) -> bool:
+    def _running(self, task: dict) -> bool:
+        """Whether a live worker holds a lease on the task's current attempt."""
         with self._lock:
             return any(
-                c.alive and c is not excluding and task_id in c.leases
+                c.alive and c.leases.get(task["id"]) == task["attempt"]
                 for c in self._conns.values()
             )
 
@@ -542,33 +547,30 @@ class FabricCoordinator:
         with self._lock:
             for c in self._conns.values():
                 c.leases.pop(task_id, None)
-        try:
+        if task_id in self._pending:
             self._pending.remove(task_id)
-        except ValueError:
-            pass
 
-    def _charge(self, task: dict, error: str) -> None:
-        """Spend one attempt on a failed/reclaimed task; requeue or quarantine."""
-        attempt = int(task["attempt"])
-        if attempt >= self._retry.attempts:
-            self._open.pop(task["id"], None)
-            self._drop_task(task["id"])
-            entry = {
-                "scheme": task["label"],
-                "benchmark": task["bench"],
-                "attempts": attempt,
-                "error": error,
-            }
-            if self._failures is None:
-                raise FabricError(
-                    f"cell {task['label']}/{task['bench']} failed "
-                    f"{attempt} attempt(s): {error}"
-                )
-            self._failures.append(entry)
-        else:
+    def _failed(self, task: dict, attempt: int, error: str) -> None:
+        """Attempt ``attempt`` of ``task`` failed: charge it, requeue or quarantine.
+
+        Only the first failure of the current attempt is charged; a later
+        one (a stolen copy of an attempt already charged) only makes sure
+        the current attempt is queued or running somewhere.
+        """
+        if attempt == task["attempt"]:
+            if attempt >= self._retry.attempts:
+                self._open.pop(task["id"], None)
+                self._drop_task(task["id"])
+                if self._failures is None:
+                    raise _cell_error(task, error)
+                self._failures.append({
+                    "scheme": task["label"], "benchmark": task["bench"],
+                    "attempts": attempt, "error": error,
+                })
+                return
             task["attempt"] = attempt + 1
-            if task["id"] not in self._pending:
-                self._pending.append(task["id"])
+        if task["id"] not in self._pending and not self._running(task):
+            self._pending.append(task["id"])
             self._kick_waiting()
 
     def _kick_waiting(self) -> None:
@@ -585,7 +587,7 @@ class FabricCoordinator:
             self._dispatch(conn)
 
     def _on_worker_down(self, conn: _WorkerConn, reason: str) -> None:
-        """Mark a worker dead, reclaim its unique leases, maybe respawn."""
+        """Mark a worker dead, fail the attempts it held, maybe respawn."""
         if not conn.alive:
             return
         conn.alive = False
@@ -607,17 +609,14 @@ class FabricCoordinator:
                 self._count("breaker_trips")
         reclaim = list(conn.leases.items())
         conn.leases.clear()
-        for task_id, task in reclaim:
-            if task_id not in self._open or task_id in self._pending:
-                continue  # resolved, or already queued
+        for task_id, attempt in reclaim:
+            task = self._open.get(task_id)
+            if task is None:
+                continue  # resolved
             self._count("reclaimed")
-            if self._leased_elsewhere(task_id, None):
-                # A stolen copy runs this same attempt and may fail the same
-                # way: spend it now (else each respawned worker steals it
-                # back), and leave the task to that copy.
-                task["attempt"] = min(int(task["attempt"]) + 1, self._retry.attempts)
-            else:
-                self._charge(task, f"FabricError: worker {conn.index} {reason}")
+            # Charged even while a stolen copy runs the same attempt: else
+            # each respawned worker steals a stalling attempt back.
+            self._failed(task, attempt, f"FabricError: worker {conn.index} {reason}")
         if self._closing:
             return
         with self._lock:
@@ -637,7 +636,9 @@ class FabricCoordinator:
 
         A worker whose current cell has run longer than the retry
         policy's ``timeout`` (``REPRO_CELL_TIMEOUT``) is handled like a
-        silent one: reclaimed, one attempt charged, respawned.
+        silent one: reclaimed, one attempt charged, respawned. A worker is
+        running a cell from a lease until it asks for work again, so one
+        that has not yet been leased anything is never stuck.
         """
         now = time.monotonic()
         cell_timeout = self._retry.timeout
@@ -645,7 +646,7 @@ class FabricCoordinator:
             conns = list(self._conns.values())
         for conn in conns:
             silent = now - conn.last_seen > self.heartbeat_timeout
-            stuck = cell_timeout is not None and not conn.waiting and (
+            stuck = cell_timeout is not None and conn.busy_since is not None and (
                 now - conn.busy_since > cell_timeout
             )
             if conn.alive and (silent or stuck):
@@ -672,15 +673,28 @@ class FabricCoordinator:
 class FabricExecutor:
     """Adapter giving :func:`~repro.sim.sweep.run_sweep` a fabric backend.
 
-    Mirrors :meth:`SimulationRunner.execute`: cached cells are served
-    (and streamed through ``progress`` with ``cached=True``) without
-    touching the fabric; only cold cells become lease tasks.
-    Content-addressed ids make re-dispatch, stealing, and resume all
-    idempotent.
+    ``FabricExecutor(coordinator)`` runs every call on that started
+    coordinator, attached workers included. It mirrors
+    :meth:`SimulationRunner.execute`: cached cells are served (and
+    streamed through ``progress`` with ``cached=True``) without touching
+    the fabric; only cold cells become lease tasks, baselines included.
+    The traces they need are synthesised here first, once, into the
+    shared trace store, which workers load instead of each synthesising
+    its own. Content-addressed ids make re-dispatch, stealing, and resume
+    all idempotent.
+
+    ``FabricExecutor(workers=N)`` is ``runner.execute(cells, workers=N)``
+    itself, whose calls each fork their own local workers once the
+    traces exist; :meth:`stats` sums those calls' coordinator counters
+    (None while no call has needed a coordinator).
     """
 
-    def __init__(self, coordinator: FabricCoordinator):
+    def __init__(
+        self, coordinator: Optional[FabricCoordinator] = None, *, workers: int = 0
+    ):
         self.coordinator = coordinator
+        self.workers = workers
+        self._summed: Optional[Dict] = None
 
     def execute(
         self,
@@ -691,6 +705,18 @@ class FabricExecutor:
         retry: Optional[RetryPolicy] = None,
         failures: Optional[List[dict]] = None,
     ) -> None:
+        if self.coordinator is None:
+            runner.execute(
+                cells, workers=self.workers, progress=progress, retry=retry,
+                failures=failures,
+            )
+            stats, total = runner.fabric_stats, self._summed
+            if stats is not None:  # counters add up; the rest is the latest
+                self._summed = stats if total is None else {
+                    key: total[key] + value if key in COUNTERS else value
+                    for key, value in stats.items()
+                }
+            return
         tasks: List[dict] = []
         for cell in cells:
             cached = runner._load_cached(cell)
@@ -707,10 +733,17 @@ class FabricExecutor:
                     "misses": runner.misses,
                 }
             )
+        # Workers replay with the coordinator's runner (derived per miss
+        # budget): synthesise with it, into the store they all read.
+        source = self.coordinator.runner
+        if source.misses != runner.misses:
+            source = source.derive(misses_per_benchmark=runner.misses)
+        for name in dict.fromkeys(task["bench"] for task in tasks):
+            source.trace(name)
         if tasks:
             self.coordinator.execute(
                 tasks, retry=retry, failures=failures, progress=progress
             )
 
     def stats(self) -> Optional[Dict[str, object]]:
-        return self.coordinator.stats()
+        return self.coordinator.stats() if self.coordinator else self._summed

@@ -219,6 +219,7 @@ class SimulationRunner:
             ResultCache(result_cache_dir) if result_cache_dir is not None else None
         )
         self._traces: Dict[str, MissTrace] = {}
+        self.fabric_stats: Optional[Dict[str, object]] = None  # see execute()
 
     # -- traces -----------------------------------------------------------------
 
@@ -497,7 +498,9 @@ class SimulationRunner:
         only replay. Every task derives its RNG from the runner seed alone
         (never from scheduling), so parallel results are bitwise identical
         to the serial path. ``progress`` is invoked once per cell, as it
-        completes, with (scheme label, benchmark, result, cached).
+        completes, with (scheme label, benchmark, result, cached). After a
+        call, ``self.fabric_stats`` is its coordinator's ``stats()``, or
+        None when it needed none.
 
         Self-healing: a cell that raises is re-dispatched under ``retry``
         (default :meth:`RetryPolicy.from_settings`) — serially with
@@ -505,7 +508,9 @@ class SimulationRunner:
         one whose cell runs longer than ``retry.timeout`` is reclaimed and
         respawned. A cell that fails every attempt is quarantined into
         ``failures`` (and omitted from the returned mapping) when a list
-        is supplied; with ``failures=None`` the error propagates.
+        is supplied; with ``failures=None`` its last error propagates —
+        on the fabric rebuilt from the worker's report, with the same type
+        whenever that is one of :data:`~repro.errors.CELL_FAILURES`.
         """
         settings = Settings.from_env()
         if workers is None:
@@ -513,6 +518,7 @@ class SimulationRunner:
         if retry is None:
             retry = RetryPolicy.from_settings(settings)
         out: Dict[str, SimResult] = {}
+        self.fabric_stats = None
 
         def done(cell: Cell, result: SimResult, cached: bool) -> None:
             out[cell.key] = result
@@ -552,6 +558,7 @@ class SimulationRunner:
                     retry=retry,
                     failures=failures,
                 )
+                self.fabric_stats = coordinator.stats()
         return out
 
     def _with_retry(

@@ -365,8 +365,8 @@ def run_sweep(
     of that many forked workers per call); a
     :class:`~repro.fabric.coordinator.FabricExecutor` — anything with
     ``execute(runner, cells, *, progress, retry, failures)`` and
-    ``stats()`` — runs every call on its one coordinator instead
-    (``workers`` is then ignored). The report is
+    ``stats()`` — runs every call instead (``workers`` is then ignored)
+    and its ``stats()`` are ``resilience["fabric"]``. The report is
     bit-identical either way — only ``resilience["fabric"]`` (executor
     scheduling counters) distinguishes the runs. Serve-axis sweeps run
     whole scenarios in-process and refuse a custom executor.

@@ -335,7 +335,7 @@ class TestCliSweep:
         assert report["kind"] == "sweep"
         assert len(report["cells"]) == 2  # 2 grid points x 1 benchmark
 
-    def test_workers_sweep_runs_on_forked_fabric_workers(self, tmp_path, capsys):
+    def test_workers_sweep_runs_on_forked_fabric_workers(self, tmp_path):
         import json
 
         args = [
@@ -344,14 +344,13 @@ class TestCliSweep:
         ]
         serial, forked = tmp_path / "serial.json", tmp_path / "forked.json"
         assert main(["--no-result-cache", *args, "--out", str(serial)]) == 0
-        assert "fabric:" not in capsys.readouterr().out
         assert main([
             "--workers", "2", "--no-result-cache", *args, "--out", str(forked),
         ]) == 0
-        assert "2 local worker(s)" in capsys.readouterr().out
         golden, report = (json.loads(p.read_text("utf-8")) for p in (serial, forked))
+        assert "fabric" not in golden["resilience"]
         fabric = report["resilience"].pop("fabric")
-        assert fabric["completed"] == 6  # 4 grid cells + 2 baselines
+        assert fabric["completed"] == 4  # the grid cells; baselines stay here
         assert fabric["workers_joined"] == 2
         assert report == golden
 

@@ -356,27 +356,50 @@ class TestFabricLockstep:
 
 
 class TestReclaim:
-    def test_a_stolen_copy_does_not_save_the_attempt(self, tmp_path):
-        """A worker that dies spends the attempt even while a thief runs a copy.
+    def test_each_attempt_is_charged_once_and_none_is_skipped(self, tmp_path):
+        """A cell's attempts are leased 1, 2, 3 in order, as they run serially.
 
-        Otherwise every respawned worker steals a stalling attempt back
-        from its last holder, and the attempt never advances.
+        A worker that dies spends its attempt even while a thief runs a
+        copy of it (otherwise every respawned worker steals a stalling
+        attempt back from its last holder, and the attempt never
+        advances); the next attempt is queued at once. The thief's copy
+        failing afterwards charges nothing: attempt 2 still runs.
         """
         coordinator = FabricCoordinator(_runner(tmp_path, "r"), spawn=0)
+        coordinator._retry = RetryPolicy(attempts=3)
+        coordinator._failures = failures = []
         task = {"id": "t", "label": "P_X16", "bench": "gob", "attempt": 1}
         coordinator._open = {"t": task}
-        pairs = [socket.socketpair() for _ in range(2)]
-        victim, thief = (_WorkerConn(i, ours) for i, (ours, _) in enumerate(pairs))
-        for conn in (victim, thief):
-            conn.leases["t"] = task
+        pairs = [socket.socketpair() for _ in range(3)]
+        victim, thief, other = (
+            _WorkerConn(i, ours) for i, (ours, _) in enumerate(pairs)
+        )
+        for conn in (victim, thief, other):
             coordinator._conns[conn.index] = conn
+        victim.leases["t"] = thief.leases["t"] = 1
+
+        def error(conn, text):
+            coordinator._handle("error", conn.index, {"id": "t", "error": text})
+
         try:
             coordinator._on_worker_down(victim, "stuck")
-            assert task["attempt"] == 2 and not coordinator._pending
-            coordinator._on_worker_down(thief, "stuck")
+            assert task["attempt"] == 2 and list(coordinator._pending) == ["t"]
+            error(thief, "InjectedFault: attempt 1 again")
+            assert task["attempt"] == 2 and list(coordinator._pending) == ["t"]
+            coordinator._pending.clear()
+            other.leases["t"] = 2
+            error(other, "InjectedFault: attempt 2")
             assert task["attempt"] == 3 and list(coordinator._pending) == ["t"]
+            coordinator._pending.clear()
+            other.leases["t"] = 3
+            error(other, "InjectedFault: attempt 3")
+            assert "t" not in coordinator._open and not coordinator._pending
+            assert [(f["attempts"], f["error"]) for f in failures] == [
+                (3, "InjectedFault: attempt 3")
+            ]
         finally:
-            for _ours, theirs in pairs:
+            for ours, theirs in pairs:
+                ours.close()
                 theirs.close()
             coordinator.store.close()
 
@@ -576,6 +599,24 @@ class TestSpawnedWorkers:
         assert fabric["respawned"] >= 1
         assert _strip(report) == _strip(golden)
         assert sweep_table(report) == sweep_table(golden)
+
+    def test_idle_workers_outlast_the_cell_timeout(self, tmp_path):
+        """Workers that joined and wait for work are not stuck cells.
+
+        They fork and join at ``start()``, long before the first lease
+        when a caller sets up in between; only a leased cell is timed.
+        """
+        golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
+        runner = _runner(tmp_path, "i")
+        with FabricCoordinator(runner, spawn=2) as coordinator:
+            time.sleep(0.5)
+            report = run_sweep(
+                _sweep(), runner, retry=RetryPolicy(timeout=0.3),
+                executor=FabricExecutor(coordinator),
+            )
+        fabric = report["resilience"]["fabric"]
+        assert fabric["dead"] == fabric["timeouts"] == fabric["respawned"] == 0
+        assert _strip(report) == _strip(golden)
 
     def test_duplicate_in_flight_at_close_exits_cleanly(
         self, tmp_path, monkeypatch

@@ -93,6 +93,18 @@ class TestSuiteSelfHealing:
             with pytest.raises(InjectedFault):
                 _suite(runner, retry=RetryPolicy(attempts=2, backoff=0.0))
 
+    def test_exhausted_retries_raise_the_cells_error_on_forked_workers(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker reports the error as text; the parent raises its type."""
+        monkeypatch.setenv("REPRO_FAULTS", "cell.crash@P_X16/gob/*")
+        with pytest.raises(InjectedFault, match="P_X16/gob failed 2 attempt"):
+            _suite(
+                _runner(tmp_path, "r"),
+                workers=2,
+                retry=RetryPolicy(attempts=2, backoff=0.0),
+            )
+
     def test_worker_death_respawns_and_matches_golden(self, tmp_path, monkeypatch):
         golden = _suite(_runner(tmp_path, "g"))
         # Forked workers re-install the plan from the environment; each
