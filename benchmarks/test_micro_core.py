@@ -13,6 +13,7 @@ from repro.config import OramConfig
 from repro.crypto.suite import CryptoSuite
 from repro.presets import build_frontend
 from repro.proc.hierarchy import MissEvent, MissTrace
+from repro.sim.native import load_native_core
 from repro.sim.system import replay_trace
 from repro.sim.timing import OramTimingModel
 from repro.storage.tree import TreeStorage
@@ -47,7 +48,13 @@ def test_replay_hot_path_throughput(benchmark):
 
 
 @pytest.mark.parametrize("scheme", ["P_X16", "PIC_X32"])
-@pytest.mark.parametrize("storage", ["object", "columnar"])
+@pytest.mark.parametrize("storage", [
+    "object",
+    # Its backend is the native access kernel.
+    pytest.param("columnar", marks=pytest.mark.skipif(
+        load_native_core() is None, reason="compiled core not built"
+    )),
+])
 def test_replay_throughput_by_storage(benchmark, scheme, storage):
     """Replay throughput per storage backend (same loop, same trace)."""
     frontend = build_frontend(

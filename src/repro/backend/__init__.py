@@ -14,8 +14,8 @@ proven bit-identical by the differential harness and golden digests:
 - :class:`PathOramBackend` over bucket-object storages (the original
   formulation, also required under the encrypted/Merkle storages);
 - :class:`~repro.backend.columnar.ColumnarPathOramBackend` over the
-  columnar slot-arena storage, whose hot loop moves integers instead of
-  Block objects.
+  columnar slot-arena storage, whose access is the C extension's
+  ``AccessKernel``: integer loops instead of Block objects.
 
 :func:`make_backend` picks the matching implementation for a storage.
 """

@@ -41,8 +41,8 @@ def make_backend(
 
     A storage advertising ``columnar = True``
     (:class:`~repro.storage.columnar.ColumnarTreeStorage`) gets the
-    slot-based :class:`~repro.backend.columnar.ColumnarPathOramBackend`;
-    every bucket-object storage (plain, encrypted,
+    slot-based :class:`~repro.backend.columnar.ColumnarPathOramBackend`
+    (which needs the C extension); every bucket-object storage (plain, encrypted,
     Merkle-wrapped) keeps :class:`PathOramBackend`. Frontends construct
     their backends exclusively through this factory, so ``storage=`` on
     any preset or spec selects the whole matched pair.
@@ -250,7 +250,7 @@ class PathOramBackend:
             # note instead of replacing it; programming errors in the
             # restore path itself still propagate.
             try:
-                self._restore_on_error(
+                self._restore(
                     None if created_fresh else block, saved_fields
                 )
             except RESTORE_FAILURES as restore_exc:
@@ -308,7 +308,7 @@ class PathOramBackend:
         self.stash.check_limit()
         return result
 
-    def _restore_on_error(self, block: Optional[Block], saved_fields) -> None:
+    def _restore(self, block: Optional[Block], saved_fields) -> None:
         """Roll a half-finished access back to the exact pre-access state.
 
         Drained block lists are reattached to their buckets (same list

@@ -18,21 +18,17 @@ from repro.utils.stats import RunningStats
 
 
 class KernelOccupancyStats(RunningStats):
-    """``RunningStats`` as a view of the native access kernel's fold.
+    """``RunningStats`` as a read-only view of the access kernel's fold.
 
-    Once a columnar backend runs on an ``AccessKernel`` the occupancy
-    sample after every eviction is folded in C (same operand order, so
-    the same bits); this class reads that state back under the
-    ``RunningStats`` names, and routes a Python-side :meth:`add` into
-    the same fold so there is one set of numbers either way.
+    A columnar backend's occupancy sample after every eviction is folded
+    in C, with ``RunningStats.add``'s operand order (so the same bits as
+    the object backend's); this class reads that state back under the
+    ``RunningStats`` names.
     """
 
     def __init__(self, kernel):
         # No super().__init__(): the state lives in the kernel.
         self._kernel = kernel
-
-    def add(self, x: int) -> None:
-        self._kernel.fold_occupancy(x)
 
     @property
     def count(self) -> int:
@@ -64,10 +60,11 @@ class ColumnarStash:
     ids in a :class:`~repro.storage.columnar.ColumnarTreeStorage`, kept
     in ``slots``: a length-prefixed int32 column in insertion order
     (``slots[0]`` is the occupancy, ``slots[1..n]`` the resident slot
-    ids). Membership is a scan over the residents' addresses — the stash
-    is a handful of blocks — and blocks are materialised only for
-    introspection (``blocks()``, iteration). The interpreted backend and
-    the native access kernel read and write this one column.
+    ids). The backend's access kernel reads and writes this column —
+    adds, membership scans, the limit check — and blocks are materialised
+    only for introspection (``blocks()``, iteration).
+    ``occupancy_stats`` is set by the backend, to the
+    :class:`KernelOccupancyStats` view of its kernel.
     """
 
     def __init__(self, limit: int, store):
@@ -75,8 +72,6 @@ class ColumnarStash:
         self.store = store
         self.slots = array("i", [0])
         self.reserve(limit + 1)
-        #: Occupancy sampled after each eviction (for the stash experiments).
-        self.occupancy_stats = RunningStats()
 
     def reserve(self, blocks: int) -> None:
         """Room for ``blocks`` residents (the column only ever grows)."""
@@ -88,46 +83,9 @@ class ColumnarStash:
         """The resident slot ids, in insertion order (a copy)."""
         return self.slots[1 : self.slots[0] + 1]
 
-    def slot_of(self, addr: int) -> Optional[int]:
-        """Slot of the resident block with ``addr``, or None."""
-        addr_col = self.store.addr_col
-        for slot in self.resident():
-            if addr_col[slot] == addr:
-                return slot
-        return None
-
-    def add(self, block: Block) -> int:
-        """Insert a block (copied into the arena); returns its slot."""
-        if self.slot_of(block.addr) is not None:
-            raise ValueError(f"duplicate block {block.addr:#x} in stash")
-        slot = self.store.alloc(block.addr, block.leaf, block.data, block.mac)
-        occupancy = self.slots[0] + 1
-        self.reserve(occupancy)
-        self.slots[occupancy] = slot
-        self.slots[0] = occupancy
-        return slot
-
-    def get(self, addr: int) -> Optional[Block]:
-        """Materialised block by address, or None."""
-        slot = self.slot_of(addr)
-        return self.store.block_at_slot(slot) if slot is not None else None
-
-    def contains(self, addr: int) -> bool:
-        """Membership test."""
-        return self.slot_of(addr) is not None
-
     def blocks(self) -> List[Block]:
         """Snapshot list of resident blocks (materialised, in stash order)."""
         return [self.store.block_at_slot(s) for s in self.resident()]
-
-    def check_limit(self) -> None:
-        """Record occupancy and raise if the configured limit is exceeded."""
-        n = self.slots[0]
-        self.occupancy_stats.add(n)
-        if n > self.limit:
-            raise StashOverflowError(
-                f"stash occupancy {n} exceeds limit {self.limit}"
-            )
 
     def __len__(self) -> int:
         return self.slots[0]

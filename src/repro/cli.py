@@ -36,7 +36,7 @@ from repro.faults import install_from
 from repro.serve import ADMISSION_ORDERS, POLICIES
 from repro.settings import Settings
 from repro.sim.native import build_hint
-from repro.sim.replay import REPLAY_MODES, resolve_tier
+from repro.sim.replay import resolve_tier
 
 #: The experiments, one ``repro.eval`` module each, in the order ``all``
 #: runs them: the cheap, purely analytic ones first.
@@ -134,8 +134,6 @@ def _global_options() -> argparse.ArgumentParser:
     setting("--no-result-cache", "result_cache", action="store_const",
             const=None, help="disable the on-disk result cache")
     setting("--force", "force", action="store_const", const=True)
-    setting("--replay", "replay", choices=REPLAY_MODES)
-    setting("--storage", "storage", choices=("object", "columnar"))
     setting("--faults", "faults", type=_text, metavar="PLAN",
             help="deterministic fault-injection plan, testing only, e.g. "
                  "'cell.crash@*/1#1;sweep.interrupt@*#4'")
@@ -285,15 +283,16 @@ def _announce_tier() -> None:
 
     Stderr only: the tier is performance-only, so it never reaches a
     report, a digest or a cache key. Raises what resolving it raises
-    (``REPRO_NATIVE=require`` with the extension unbuilt).
+    (``REPRO_NATIVE=require`` with the extension unbuilt or stale); a
+    reference tier the default fell back to says how to build the fast
+    one.
     """
-    mode, core = resolve_tier()
-    if mode == "scalar":
-        tier = "reference"
-    elif core is not None:
+    if resolve_tier()[0] == "compiled":
         tier = "fast: native kernels"
+    elif Settings.from_env().native == "off":
+        tier = "reference"
     else:
-        tier = f"fast: interpreted — {build_hint()}"
+        tier = f"reference — {build_hint()}"
     print(f"replay tier {tier}", file=sys.stderr)
 
 

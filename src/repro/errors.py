@@ -47,11 +47,13 @@ class SpecError(ReproError, ValueError):
 
 
 class NativeKernelUnavailable(ReproError):
-    """The fast tier's native kernels are required but cannot be loaded.
+    """The fast tier's native kernels are needed but cannot be loaded.
 
-    Raised only under ``REPRO_NATIVE=require`` (the CI compiled lane's
-    setting) when the optional C extension is unbuilt or disabled;
-    without ``require`` the fast tier runs its interpreted loop instead.
+    Raised when the optional C extension is unbuilt, stale or switched
+    off and the fast tier was asked for anyway: under
+    ``REPRO_NATIVE=require`` (the CI ``require`` lane's setting), by an
+    explicit ``mode="compiled"`` replay, or by constructing a columnar
+    backend. Without those the default falls back to the reference tier.
     """
 
 

@@ -23,10 +23,11 @@ bit-identical frontends). New code should prefer specs directly::
     oram = SchemeSpec.from_string("PIC_X32:plb=32KiB,storage=object").build()
     oram = SchemeSpec.from_string("PC_X32:storage=columnar").build()
 
-Every preset accepts ``storage="object" | "columnar"`` (or inherits
-``REPRO_STORAGE``, and with that unset the replay tier's storage); the
-columnar kind swaps in the slot-arena store *and* its matching columnar
-Backend as one proven-equivalent pair.
+Every preset accepts ``storage="object" | "columnar"`` (or inherits the
+replay tier's storage: columnar on the fast tier, object on the
+reference tier); the columnar kind swaps in the slot-arena store *and*
+its matching columnar Backend — the C ``AccessKernel`` — as one
+proven-equivalent pair.
 
 Simulation-scale defaults (N = 2^16 blocks, 8 KB on-chip budget) keep runs
 tractable; every parameter can be overridden for full-scale studies.

@@ -22,12 +22,8 @@ The grammar, for all of them:
   the variable, the value and what the variable accepts — a typo never
   silently selects a default.
 
-``REPRO_REPLAY`` x ``REPRO_STORAGE`` x ``REPRO_NATIVE`` resolve here:
-:attr:`Settings.tier` is ``reference`` (``REPRO_REPLAY=scalar``: the
-per-event loop over object storage) or ``fast`` (unset or ``compiled``:
-the columnar loop, on the native kernels when :attr:`Settings.native`
-allows and the extension is built), and :attr:`Settings.storage_kind` is
-``REPRO_STORAGE`` when set, else the tier's storage.
+``REPRO_NATIVE`` alone picks the replay tier, and the storage follows the
+tier; :func:`repro.sim.replay.resolve_tier` is where that is decided.
 """
 
 from __future__ import annotations
@@ -52,16 +48,6 @@ def _flag(text: str) -> bool:
     if text.lower() not in TRUE_WORDS + FALSE_WORDS:
         raise ValueError(f"one of {'/'.join(TRUE_WORDS)} or {'/'.join(FALSE_WORDS)}")
     return text.lower() in TRUE_WORDS
-
-
-def _one_of(*words: str, **aliases: str) -> Callable[[str], str]:
-    def parse(text: str) -> str:
-        word = aliases.get(text.lower(), text.lower())
-        if word not in words:
-            raise ValueError(" or ".join(repr(w) for w in words))
-        return word
-
-    return parse
 
 
 def _native(text: str) -> str:
@@ -134,17 +120,10 @@ def _cache_var(env: str, subdir: str, meaning: str):
 class Settings:
     """What the ``REPRO_*`` environment says, typed (see the module docs)."""
 
-    replay: Optional[str] = _var(
-        "REPRO_REPLAY", _one_of("scalar", "compiled"), None,
-        "replay tier: scalar (reference) | compiled (fast; the default)",
-    )
-    storage: Optional[str] = _var(
-        "REPRO_STORAGE", _one_of("object", "columnar", tree="object"), None,
-        "storage of preset-built frontends: object | columnar (default: the tier's)",
-    )
     native: str = _var(
         "REPRO_NATIVE", _native, "on",
-        "native kernels: on | off | require (fail when the extension is unbuilt)",
+        "replay tier: on (fast when the extension is built, else reference) "
+        "| off (reference) | require (fast, or fail)",
     )
     workers: int = _var(
         "REPRO_WORKERS", _number(int, "a positive integer", minimum=1), 1,
@@ -230,18 +209,6 @@ class Settings:
         os.environ.update(self.to_env())
 
     # -- what the variables resolve to --------------------------------------------
-
-    @property
-    def tier(self) -> str:
-        """``reference`` or ``fast``."""
-        return "reference" if self.replay == "scalar" else "fast"
-
-    @property
-    def storage_kind(self) -> str:
-        """Storage for a frontend whose spec leaves it at ``default``."""
-        if self.storage is not None:
-            return self.storage
-        return "object" if self.tier == "reference" else "columnar"
 
     @property
     def miss_budget(self) -> int:

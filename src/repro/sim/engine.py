@@ -83,8 +83,7 @@ class ReplayEngine:
         self.payload = payload if payload is not None else bytes(block_bytes)
         self.cycles: float = 0.0
         self.events = 0
-        #: Replay tier this engine was resolved for (see for_mode): the
-        #: fast tier, interpreted until enable_native() is handed a core.
+        #: Replay tier this engine was resolved for (see for_mode).
         self.mode = "compiled"
         # Baselines for delta counters: a caller may hand the engine a
         # frontend (or crypto suite) that has already served traffic.
@@ -107,12 +106,11 @@ class ReplayEngine:
     def for_mode(cls, frontend, timing, mode=None, **kwargs) -> "ReplayEngine":
         """An engine with the replay tier resolved and switched on.
 
-        The one place ``mode`` (or ``REPRO_REPLAY`` when it is ``None``)
+        The one place ``mode`` (or ``REPRO_NATIVE`` when it is ``None``)
         turns into engine state, shared by :func:`replay_trace` and the
         serving layer: ``engine.mode`` is the resolved tier and
-        ``compiled`` has the native core — when it is importable —
-        enabled on the engine, on every columnar backend under the
-        frontend and on the frontend itself.
+        ``compiled`` has the native core enabled on the engine and on the
+        frontend; ``scalar`` enables nothing.
         """
         engine = cls(frontend, timing, **kwargs)
         engine.mode, core = resolve_tier(mode)
@@ -125,28 +123,20 @@ class ReplayEngine:
         """Route the fused inner loop through the compiled core.
 
         The engine's own stages (translate, access driver, accumulate)
-        switch to the C spellings, every columnar backend reachable from
-        the frontend (``backend`` or per-level ``backends``) is handed
-        the core for its ``AccessKernel``, and then the frontend itself
-        for its own kernel (``FrontendKernel``: PLB frontends on such a
-        backend with the fast crypto suite; ``RecursiveKernel``: R_X8
-        with every level on such a backend; anything else declines and
-        keeps its Python ``access``). Passing ``None`` is a no-op so callers can
-        write ``enable_native(load_native_core())`` unconditionally.
+        switch to the C spellings, and the frontend is handed the core
+        for its own kernel (``FrontendKernel``: PLB frontends on a
+        columnar backend — whose ``AccessKernel`` it was built with —
+        and the fast crypto suite; ``RecursiveKernel``: R_X8 with every
+        level columnar; anything else declines and keeps its Python
+        ``access``). Passing ``None`` is a no-op so callers can write
+        ``enable_native(load_native_core())`` unconditionally.
         """
         if core is None:
             return
         self._native = core
-        frontend = self.frontend
-        backends = getattr(frontend, "backends", None)
-        if backends is None:
-            backend = getattr(frontend, "backend", None)
-            backends = [] if backend is None else [backend]
-        # The frontend's own kernel sits on its backend's: backends first.
-        for layer in (*backends, frontend):
-            enable = getattr(layer, "enable_native_kernel", None)
-            if enable is not None:
-                enable(core)
+        enable = getattr(self.frontend, "enable_native_kernel", None)
+        if enable is not None:
+            enable(core)
 
     # -- address translation ---------------------------------------------------
 
@@ -226,7 +216,7 @@ class ReplayEngine:
     # -- the reference tier's loop --------------------------------------------
 
     def run_trace_scalar(self, trace: MissTrace) -> None:
-        """The per-event reference replay loop (``REPRO_REPLAY=scalar``).
+        """The per-event reference replay loop (``mode="scalar"``).
 
         The latency model is a pure function of the per-event tree-access
         count, which takes only a handful of distinct values; memoising it

@@ -1,4 +1,4 @@
-/* _replay_core: the compiled replay inner loop (REPRO_REPLAY=compiled).
+/* _replay_core: the fast tier's kernels and the trace-synthesis kernel.
  *
  * A hand-written CPython extension fusing the hot per-access work of the
  * replay pipeline over the columnar data the Python layers already keep
@@ -57,8 +57,8 @@
  * allocate nothing (only the block of interest's MAC and payload are
  * reached through mac_col and the chunk table, the two arena-sized
  * lists that remain), and the handle keeps no copy of tree state — the
- * interpreted access, the snapshots, the tamper hooks and rollback read
- * and write the same memory.
+ * snapshots, the tamper hooks and the backend's rollback read and write
+ * the same memory.
  *
  * The frontends' state is typed columns too, owned by the Python objects
  * that model the hardware and worked on in place by FrontendKernel and
@@ -132,6 +132,10 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+#ifndef REPRO_SOURCE_DIGEST
+#define REPRO_SOURCE_DIGEST "" /* built without setup.py: never current */
+#endif
 
 /* ------------------------------------------------------------------ */
 /* small helpers                                                       */
@@ -561,8 +565,8 @@ ws_admit(WorkSet *ws, long long slot, Py_ssize_t arena_len, const char *where,
 }
 
 /* The fused drain: group the stash residents (stash order), then every
- * path bucket root->leaf, by legal eviction depth, with the interpreted
- * kernel's duplicate-block and leaf-range validation in its order
+ * path bucket root->leaf, by legal eviction depth, with the object
+ * backend's duplicate-block and leaf-range validation in its order
  * (byte-identical messages).  *found enters -1 and leaves holding the
  * slot of the block of interest, wherever it was located; it is never
  * merged here (the caller groups it last, after the visit).  Nothing is
@@ -632,10 +636,10 @@ ws_reserve_placement(WorkSet *ws, int levels, int cap)
 }
 
 /* Greedy placement, deepest level first; candidates LIFO, then the pool
- * of deeper leftovers LIFO — the interpreted kernel's loop over the
- * merged working set.  Every path bucket is rewritten; on return
+ * of deeper leftovers LIFO — the object backend's loop over the merged
+ * working set.  Every path bucket is rewritten; on return
  * ws->pool[0..n_pool) holds the unplaced entries in exactly the order
- * the interpreted kernel's pool list would.  ws_reserve_placement first. */
+ * the object backend's pool list would.  ws_reserve_placement first. */
 static void
 place_core(WorkSet *ws, Bucket *path, int levels, int cap)
 {
@@ -851,7 +855,7 @@ done:
  * order placement depends on), placed into scratch buckets by the same
  * integer loop the handles run, the bucket lists are rewritten from
  * those, the by_depth scratch lists are left empty and the leftover
- * pool is returned as a list in the interpreted kernel's order.
+ * pool is returned as a list in the object backend's order.
  */
 static PyObject *
 place_greedy(PyObject *self, PyObject *args)
@@ -943,17 +947,17 @@ static PyObject *str_access_count, *str_tree_access_count, *str_append_count,
  * are folded into the Python attributes (the backend's three, the
  * storage's two) when the outermost C entry returns, before any call
  * that can run foreign Python, and on every error exit: whoever can
- * look sees what the interpreted access would have left. */
+ * look sees what the object backend would have left. */
 enum {
     T_ACCESSES, T_TREE_ACCESSES, T_APPENDS, /* the backend's */
     T_PATHS_READ, T_PATHS_WRITTEN,          /* the storage's, in paths */
     N_TREE_COUNTERS
 };
 
-/* The per-backend handle created by ColumnarPathOramBackend
- * .enable_native_kernel.  The tree's state is the storage's own typed
- * columns, which the interpreted access, the snapshots and the tamper
- * hooks read and write too; the handle owns only scratch (the working
+/* The per-backend handle a ColumnarPathOramBackend binds at construction:
+ * its access is the backend's.  The tree's state is the storage's own
+ * typed columns, which the snapshots and the tamper hooks read and write
+ * too; the handle owns only scratch (the working
  * set, the block of interest's snapshot), the pending counter deltas
  * and the stash-occupancy fold.  The backend itself is held weakly — it
  * owns this handle, and a strong reference would park every discarded
@@ -1043,29 +1047,26 @@ kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
 {
     PyObject *backend, *storage, *addr_col, *leaf_col, *mac_col, *chunks,
         *free_col, *bucket_slots, *bucket_fill, *stash_col, *block_type,
-        *op_append, *op_readrmv, *not_found_error, *overflow_error, *occ_max,
-        *occ_min;
+        *op_append, *op_readrmv, *not_found_error, *overflow_error;
     int levels, cap, allow_missing;
     Py_ssize_t block_bytes;
-    long long chunk_slots, stash_limit, occ_count;
-    double occ_mean, occ_m2;
+    long long chunk_slots, stash_limit;
     if (kwargs != NULL && PyDict_GET_SIZE(kwargs) > 0) {
         PyErr_SetString(PyExc_TypeError,
                         "AccessKernel takes no keyword arguments");
         return NULL;
     }
     if (!PyArg_ParseTuple(
-            args, "OOOOO!O!OOOOiinLLp(LddOO)OOOOO:AccessKernel", &backend,
+            args, "OOOOO!O!OOOOiinLLpOOOOO:AccessKernel", &backend,
             &storage, &addr_col, &leaf_col, &PyList_Type, &mac_col,
             &PyList_Type, &chunks, &free_col, &bucket_slots, &bucket_fill,
             &stash_col, &levels, &cap, &block_bytes, &chunk_slots,
-            &stash_limit, &allow_missing, &occ_count, &occ_mean, &occ_m2,
-            &occ_max, &occ_min, &block_type, &op_append, &op_readrmv,
-            &not_found_error, &overflow_error))
+            &stash_limit, &allow_missing, &block_type, &op_append,
+            &op_readrmv, &not_found_error, &overflow_error))
         return NULL;
     if (levels < 0 || levels > 60 || cap < 1 || cap > 255 ||
         block_bytes < 1 || chunk_slots < 1 ||
-        (chunk_slots & (chunk_slots - 1)) != 0 || occ_count < 0) {
+        (chunk_slots & (chunk_slots - 1)) != 0) {
         PyErr_SetString(PyExc_ValueError,
                         "AccessKernel: geometry out of range");
         return NULL;
@@ -1090,15 +1091,6 @@ kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
     self->num_leaves = 1LL << levels;
     self->stash_limit = stash_limit;
     self->allow_missing = allow_missing;
-    self->occ_count = occ_count;
-    self->occ_mean = occ_mean;
-    self->occ_m2 = occ_m2;
-    if (occ_count > 0) {
-        self->occ_max = PyLong_AsLongLong(occ_max);
-        self->occ_min = PyLong_AsLongLong(occ_min);
-        if (PyErr_Occurred())
-            goto fail;
-    }
     /* The tree: one count per bucket, Z slot ids per bucket, both of
      * exactly the geometry's size — what lets every later index into
      * them go unchecked. */
@@ -1474,11 +1466,14 @@ kernel_release_slot(AccessKernel *self, long long slot)
     ((long long *)self->addr.data)[slot] = DUMMY_ADDR;
 }
 
-/* stash.check_limit(): fold the occupancy into the running statistics
+/* Stash.check_limit(): fold the occupancy into the running statistics
  * with RunningStats.add's operand order, then enforce the limit. */
-static void
-occupancy_fold(AccessKernel *self, long long n)
+static int
+kernel_check_limit(AccessKernel *self)
 {
+    if (kernel_columns(self) < 0)
+        return -1;
+    long long n = *(int32_t *)self->stash_slots.data;
     double x = (double)n;
     self->occ_count += 1;
     double delta = x - self->occ_mean;
@@ -1491,15 +1486,6 @@ occupancy_fold(AccessKernel *self, long long n)
         self->occ_max = n;
     if (self->occ_count == 1 || n < self->occ_min)
         self->occ_min = n;
-}
-
-static int
-kernel_check_limit(AccessKernel *self)
-{
-    if (kernel_columns(self) < 0)
-        return -1;
-    long long n = *(int32_t *)self->stash_slots.data;
-    occupancy_fold(self, n);
     if (n > self->stash_limit) {
         PyErr_Format(self->overflow_error,
                      "stash occupancy %lld exceeds limit %lld", n,
@@ -1546,7 +1532,7 @@ handling_end(Handling *h)
         PyErr_Restore(h->type, h->value, h->tb);
 }
 
-/* The except-BaseException arm of the interpreted access: hand the
+/* The except-BaseException arm of the object backend's access: hand the
  * pending exception to backend._abort_access — which releases a fresh
  * slot, restores the block of interest from the column snapshot and
  * chains restore failures as notes — then re-raise it.  `slot` is -1
@@ -1586,9 +1572,9 @@ as_int64(PyObject *obj, long long *out)
 
 /* -- APPEND --------------------------------------------------------- */
 
-/* stash.add + check_limit for a block given by value: `data` is one
+/* Stash.add + check_limit for a block given by value: `data` is one
  * payload of `data_len` bytes (validated here, after the duplicate
- * probe, as the interpreted stash does). */
+ * probe, as the arena's memoryview assignment does). */
 static int
 kernel_append(AccessKernel *self, long long addr, long long leaf,
               PyObject *mac, const char *data, Py_ssize_t data_len)
@@ -1749,9 +1735,9 @@ block_visit(Visit *base, AccessKernel *self, long long slot)
     if (visit->update == Py_None)
         return 0;
     /* The callback is arbitrary frontend code.  Its mutations are
-     * written into the columns even when it raises (the interpreted
-     * kernel's finally), so the rollback always starts from the same
-     * state. */
+     * written into the columns even when it raises (as the object
+     * backend's live Block keeps them), so the rollback always starts
+     * from the same state. */
     Handling handling;
     PyObject *updated = PyObject_CallOneArg(visit->update, visit->block);
     if (updated == NULL)
@@ -1960,10 +1946,10 @@ tree_access(AccessKernel *tree, int readrmv, long long addr, long long leaf,
     return kernel_tree_body(tree, readrmv, addr, leaf, new_leaf, visit);
 }
 
-/* The same from Python operands, which fail where the interpreted
- * access would have them fail: a leaf that is no int, or no leaf of
- * this tree, before the path is read; an address or new leaf the
- * columns cannot hold after it, inside the region that rolls back. */
+/* The same from Python operands: a leaf that is no int, or no leaf of
+ * this tree, fails before the path is read; an address or new leaf the
+ * columns cannot hold fails after it, inside the region that rolls
+ * back. */
 static int
 kernel_access_tree(AccessKernel *self, int readrmv, PyObject *addr_obj,
                    PyObject *leaf_obj, PyObject *new_leaf_obj, Visit *visit)
@@ -1994,7 +1980,7 @@ kernel_access_tree(AccessKernel *self, int readrmv, PyObject *addr_obj,
  *
  * ColumnarPathOramBackend.access, whole: counters, path read, drain,
  * update hand-off, placement, stash reconcile, write-back accounting,
- * occupancy fold — with the interpreted kernel's exact order of side
+ * occupancy fold — with the object backend's exact order of side
  * effects, so a failure at any point leaves what it would have left. */
 static PyObject *
 kernel_access(AccessKernel *self, PyObject *const *args, Py_ssize_t nargs)
@@ -2041,8 +2027,7 @@ kernel_access(AccessKernel *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* occupancy() -> (count, mean, m2, max, min); max/min are None until the
- * first fold (RunningStats' -inf/+inf sentinels are the view's job, and
- * what the constructor is handed, and ignores, for an empty fold). */
+ * first fold (RunningStats' -inf/+inf sentinels are the view's job). */
 static PyObject *
 kernel_occupancy(AccessKernel *self, PyObject *Py_UNUSED(ignored))
 {
@@ -2053,29 +2038,12 @@ kernel_occupancy(AccessKernel *self, PyObject *Py_UNUSED(ignored))
                          self->occ_m2, self->occ_max, self->occ_min);
 }
 
-static PyObject *
-kernel_fold_occupancy(AccessKernel *self, PyObject *arg)
-{
-    if (!PyLong_Check(arg)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "stash occupancy must be an int");
-        return NULL;
-    }
-    long long n;
-    if (as_int64(arg, &n) < 0)
-        return NULL;
-    occupancy_fold(self, n);
-    Py_RETURN_NONE;
-}
-
 static PyMethodDef kernel_methods[] = {
     {"access", (PyCFunction)(void (*)(void))kernel_access, METH_FASTCALL,
      "access(op, addr, leaf, new_leaf, update, append_block) -> Block | "
      "None: one whole Backend operation."},
     {"occupancy", (PyCFunction)kernel_occupancy, METH_NOARGS,
      "(count, mean, m2, max, min) of the post-eviction stash occupancy."},
-    {"fold_occupancy", (PyCFunction)kernel_fold_occupancy, METH_O,
-     "Fold one occupancy sample, as RunningStats.add does."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2085,8 +2053,8 @@ static PyTypeObject AccessKernelType = {
     .tp_basicsize = sizeof(AccessKernel),
     .tp_dealloc = (destructor)kernel_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Native Path ORAM access kernel bound to one "
-              "ColumnarPathOramBackend (see enable_native_kernel).",
+    .tp_doc = "Native Path ORAM access kernel: the access of one "
+              "ColumnarPathOramBackend, bound at its construction.",
     .tp_traverse = (traverseproc)kernel_traverse,
     .tp_clear = (inquiry)kernel_clear,
     .tp_methods = kernel_methods,
@@ -5325,7 +5293,11 @@ PyInit__replay_core(void)
     PyObject *module = PyModule_Create(&replay_core_module);
     if (module == NULL)
         return NULL;
-    if (PyModule_AddObjectRef(module, "AccessKernel",
+    /* What this build was compiled from (setup.py's SHA-256 of the
+     * sources); native_core refuses a module whose sources have moved. */
+    if (PyModule_AddStringConstant(module, "SOURCE_DIGEST",
+                                   REPRO_SOURCE_DIGEST) < 0 ||
+        PyModule_AddObjectRef(module, "AccessKernel",
                               (PyObject *)&AccessKernelType) < 0 ||
         PyModule_AddObjectRef(module, "FrontendKernel",
                               (PyObject *)&FrontendKernelType) < 0 ||

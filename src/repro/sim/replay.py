@@ -4,34 +4,31 @@ A trace is replayed on one of two tiers, bit-identical in every
 simulated outcome (``tests/test_replay_differential.py`` compares them
 after every batch):
 
-- **reference** (``REPRO_REPLAY=scalar``) — the per-event loop of
+- **reference** (``mode="scalar"``) — the per-event loop of
   :meth:`ReplayEngine.run_trace_scalar
   <repro.sim.engine.ReplayEngine.run_trace_scalar>` over object storage
-  and the interpreted ``Frontend.access``; what the lockstep suites
-  compare against.
-- **fast** (``REPRO_REPLAY=compiled``, and what runs when the variable
-  is unset) — :meth:`ReplayEngine.run_batch
+  and the interpreted ``Frontend.access``, with no kernel enabled; what
+  the lockstep suites compare against.
+- **fast** (``mode="compiled"``) — the C extension of
+  :mod:`repro.sim.native`: :meth:`ReplayEngine.run_batch
   <repro.sim.engine.ReplayEngine.run_batch>` over the trace's columns
-  and columnar storage: one vectorised line->block translation, the
-  access loop, a memoised latency per tree-access count, an
-  event-ordered left fold for the cycles. With the C extension of
-  :mod:`repro.sim.native` importable those stages and the whole
-  ``access`` run in C; without it the same loop runs interpreted.
+  and columnar storage, where the translation, the access loop, every
+  tree access (a columnar backend *is* its ``AccessKernel``) and, where
+  they engage, the frontends' accesses run in C.
 
-``resolve_tier`` resolves ``"scalar"`` or ``"compiled"`` and nothing
-else. A missing extension is silent when the fast tier was
-merely the default, a :class:`RuntimeWarning` when ``compiled`` was
-asked for by name, and :class:`~repro.errors.NativeKernelUnavailable`
-under ``REPRO_NATIVE=require``. Any other ``mode`` raises, naming the
-two that exist; the variables' own grammar is :mod:`repro.settings`'s.
+``REPRO_NATIVE`` alone picks the tier (:func:`resolve_tier`): ``on``, the
+default, is fast when the extension is built and current and reference
+otherwise; ``off`` is reference; ``require`` is fast or
+:class:`~repro.errors.NativeKernelUnavailable`. Storage follows the tier:
+a frontend whose spec leaves it at ``default`` gets ``columnar`` on the
+fast tier and ``object`` on the reference tier.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import List
 
-from repro.settings import Settings
+from repro.sim.native import load_native_core, require_core
 
 try:  # pragma: no cover - exercised indirectly on both branches
     import numpy as _np
@@ -43,48 +40,24 @@ REPLAY_MODES = ("scalar", "compiled")
 
 
 def resolve_tier(mode=None):
-    """``(mode, core)``: the tier a replay runs on, from one read of the
-    environment. ``core`` is the extension the fast tier runs on, ``None``
-    on the reference tier or when the fast tier runs interpreted.
+    """``(mode, core)``: the tier a replay runs on. ``core`` is the
+    extension the fast tier runs on, ``None`` on the reference tier.
 
-    An explicit ``mode`` is validated, ``None`` falls back to the
-    environment. The fast tier runs interpreted when the C extension is
-    unbuilt or switched off via ``REPRO_NATIVE``. That is silent when
-    nothing asked for ``compiled`` by name, a :class:`RuntimeWarning`
-    when ``mode`` or ``REPRO_REPLAY`` did, and under
-    ``REPRO_NATIVE=require`` a
-    :class:`~repro.errors.NativeKernelUnavailable` error either way.
+    ``None`` takes the environment's tier: ``compiled`` when
+    ``REPRO_NATIVE`` finds a usable extension, ``scalar`` otherwise (and
+    :class:`~repro.errors.NativeKernelUnavailable` under ``require``).
+    An explicit ``"scalar"`` is the reference tier whatever the
+    environment says; an explicit ``"compiled"`` raises without the core.
+    Any other ``mode`` raises, naming the two that exist.
     """
-    settings = Settings.from_env()
-    named = mode is not None or settings.replay is not None
-    if mode is None:
-        mode = settings.replay or "compiled"
-    elif mode not in REPLAY_MODES:
+    if mode not in (None, *REPLAY_MODES):
         raise ValueError(
             f"unknown replay mode {mode!r}; choose from {REPLAY_MODES}"
         )
-    core = None
-    if mode == "compiled":
-        from repro.sim.native import build_hint, native_core
-
-        core = native_core(settings.native)
-        if core is None:
-            if settings.native == "require":
-                from repro.errors import NativeKernelUnavailable
-
-                raise NativeKernelUnavailable(
-                    "the native extension is required "
-                    f"(REPRO_NATIVE=require is set); {build_hint()}"
-                )
-            if named:
-                warnings.warn(
-                    "REPRO_REPLAY=compiled requested but the native "
-                    "extension is not built; running the fast tier "
-                    f"interpreted ({build_hint()})",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-    return mode, core
+    if mode == "scalar":
+        return mode, None
+    core = require_core() if mode == "compiled" else load_native_core()
+    return ("scalar" if core is None else "compiled"), core
 
 
 def resolve_replay_mode(mode=None) -> str:

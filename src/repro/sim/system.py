@@ -62,12 +62,13 @@ def replay_trace(
     """Feed every LLC miss/eviction through the Frontend and sum latency.
 
     ``mode`` selects the replay tier: ``"scalar"`` (the reference
-    per-event loop) or ``"compiled"`` (the fast tier — the columnar loop
-    of :meth:`ReplayEngine.run_batch`, in C when the extension of
-    :mod:`repro.sim.native` is built and interpreted when it is not).
-    ``None`` defers to ``REPRO_REPLAY`` and, with that unset, runs the
-    fast tier. The tiers are bit-identical in every simulated outcome —
-    SimResult, frontend statistics, and final tree contents — a property
+    per-event loop, no kernel enabled) or ``"compiled"`` (the fast tier —
+    :meth:`ReplayEngine.run_batch` on the C extension of
+    :mod:`repro.sim.native`, which it raises without). ``None`` takes the
+    environment's tier (``REPRO_NATIVE``: fast when the extension is
+    built, else reference). The tiers are bit-identical in every
+    simulated outcome — SimResult, frontend statistics, and final tree
+    contents — a property
     pinned by the lockstep differential suite; the choice is
     performance-only and therefore never part of any result-cache key.
 

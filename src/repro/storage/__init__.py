@@ -11,8 +11,8 @@ Three storage models share one Backend-facing interface:
   ``columnar``) stores the tree as columns over a slot arena (addr/leaf
   columns + contiguous byte arena) and pairs with the columnar Backend
   whose eviction loop moves slot ids instead of Block objects. It is the
-  fast tier's storage, the only one the native kernels run on, and is
-  held bit-identical to ``object`` by
+  fast tier's storage — its backend is the native ``AccessKernel``, so it
+  needs the C extension — and is held bit-identical to ``object`` by
   ``tests/test_columnar_differential.py``.
 - :class:`~repro.storage.encrypted.EncryptedTreeStorage` serialises buckets
   to bytes and encrypts them with real one-time pads (bucket-seed or
@@ -25,12 +25,10 @@ and digests used by the equivalence and integrity test layers.
 
 Preset- and spec-built frontends pick their storage through the registry
 below: an explicit kind (``storage="columnar"``, ``"PC_X32:storage=object"``)
-wins, then :attr:`Settings.storage_kind <repro.settings.Settings.storage_kind>`
-— ``REPRO_STORAGE``, and with that unset the replay tier's storage.
+wins, else the replay tier's storage (:func:`repro.sim.replay.resolve_tier`).
 """
 
 from repro.config import OramConfig
-from repro.settings import Settings
 from repro.storage.block import Block, DUMMY_ADDR
 from repro.storage.bucket import Bucket
 from repro.storage.columnar import ColumnarTreeStorage
@@ -64,10 +62,13 @@ __all__ = [
 def make_storage(kind: str, config: OramConfig, observer=None):
     """Instantiate a storage backend by name: ``object`` or ``columnar``.
 
-    ``default`` is the environment's: ``Settings.from_env().storage_kind``.
+    ``default`` follows the environment's replay tier: ``columnar`` on the
+    fast tier, ``object`` on the reference tier.
     """
     if kind == "default":
-        kind = Settings.from_env().storage_kind
+        from repro.sim.replay import resolve_tier
+
+        kind = "columnar" if resolve_tier()[0] == "compiled" else "object"
     if kind in ("object", "tree"):
         return TreeStorage(config, observer=observer)
     if kind == "columnar":

@@ -25,14 +25,15 @@ Block objects are materialised only at the Backend boundary (the block
 of interest, ``READRMV`` hand-off, stash snapshots); the other ~Z·(L+1)
 blocks touched per access stay integers in columns. Geometry is
 arithmetic — the bucket at depth ``d`` on the path to ``leaf`` is heap
-index ``(1 << d) - 1 + (leaf >> (L - d))`` — on both tiers; nothing is
-cached per leaf. The interpreted backend, the native access kernel, the
-snapshots and the tamper hooks all read and write these same columns:
-there is one representation and no conversion between them.
+index ``(1 << d) - 1 + (leaf >> (L - d))``; nothing is cached per leaf.
+The native access kernel, the snapshots and the tamper hooks all read
+and write these same columns: there is one representation and no
+conversion between them.
 
 The pairing backend is
 :class:`~repro.backend.columnar.ColumnarPathOramBackend` (selected
-automatically by :func:`~repro.backend.path_oram.make_backend`). For
+automatically by :func:`~repro.backend.path_oram.make_backend`), whose
+access is the C extension's ``AccessKernel``. For
 storage adapters that require the classic bucket-object interface — e.g.
 :class:`~repro.integrity.adapter.MerkleVerifiedStorage`, or a plain
 :class:`~repro.backend.path_oram.PathOramBackend` — a compatibility
@@ -41,10 +42,10 @@ storage adapters that require the classic bucket-object interface — e.g.
 their contents into the columns on write-back (correct but slower; one
 outstanding path at a time).
 
-Selection: ``storage="columnar"`` on any preset/spec, or
-``REPRO_STORAGE=columnar``. Bit-identity with the object path is pinned
-by the golden digests and the differential harness in
-``tests/test_columnar_differential.py``.
+Selection: ``storage="columnar"`` on any preset/spec, or the fast tier
+(``REPRO_NATIVE`` with the extension built). Bit-identity with the
+object path is pinned by the golden digests and the differential
+harness in ``tests/test_columnar_differential.py``.
 """
 
 from __future__ import annotations
@@ -215,15 +216,17 @@ class ColumnarTreeStorage:
         base = index * self.config.blocks_per_bucket
         return self.bucket_slots[base : base + self.bucket_fill[index]].tolist()
 
-    # -- native whole-path operations (columnar backend) --------------------
+    # -- whole-path accounting (what the access kernel does in C) -----------
 
     def read_path_slots(self, leaf: int) -> List[int]:
         """Read the path to ``leaf``: its bucket heap indices, root->leaf.
 
         The buckets themselves are the ``bucket_slots`` / ``bucket_fill``
-        columns, which the columnar backend drains and refills in place.
-        Accounting and observer callbacks match
-        ``TreeStorage.read_path_buckets`` exactly.
+        columns, which the access kernel drains and refills in place; it
+        does this method's range check, accounting and observer call
+        itself, and these two methods remain the Python spelling of that
+        path I/O for tracing shims. Accounting and observer callbacks
+        match ``TreeStorage.read_path_buckets`` exactly.
         """
         indices = self.path_indices(leaf)
         self.buckets_read += self._path_len
@@ -257,8 +260,8 @@ class ColumnarTreeStorage:
         un-synced path while the backend's restore moved materialised
         copies into its stash, so continuing to drive that backend raises
         duplicate-block errors. Treat such failures as terminal for the
-        pairing; the native columnar backend (which restores in the
-        arena itself) recovers fully and is the supported path.
+        pairing; the columnar backend (whose kernel restores in the arena
+        itself) recovers fully and is the supported path.
         """
         rows = tuple(self.path_indices(leaf))
         capacity = self.config.blocks_per_bucket

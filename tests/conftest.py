@@ -45,22 +45,17 @@ def _no_leaked_fault_plan():
     clear()
 
 
-@pytest.fixture(params=["native", "interpreted"])
-def fast_tier(request, monkeypatch) -> str:
-    """The fast tier as a user gets it, once per way it can run.
+@pytest.fixture(params=["native"])
+def fast_tier(request) -> str:
+    """The fast tier as a user gets it: the native kernels.
 
-    ``REPRO_REPLAY`` / ``REPRO_STORAGE`` are scrubbed, so a preset-built
-    frontend and a ``mode=None`` replay resolve to the fast tier; the
-    ``native`` case needs the extension built and the ``interpreted``
-    case switches it off (the supported toolchain-less platform path).
+    A preset-built frontend and a ``mode=None`` replay resolve to it
+    when the extension is built and ``REPRO_NATIVE`` allows it; the test
+    skips otherwise (the reference lane, a toolchain-less install).
     """
     from repro.sim.native import load_native_core
 
-    monkeypatch.delenv("REPRO_REPLAY", raising=False)
-    monkeypatch.delenv("REPRO_STORAGE", raising=False)
-    if request.param == "interpreted":
-        monkeypatch.setenv("REPRO_NATIVE", "off")
-    elif load_native_core() is None:
+    if load_native_core() is None:
         pytest.skip("compiled core not built or switched off")
     return request.param
 

@@ -6,14 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.sim import native as native_pkg
 from repro.settings import FALSE_WORDS, TRUE_WORDS, Settings
 
-REPLAY_ENV = "REPRO_REPLAY"
+NATIVE_ENV = "REPRO_NATIVE"
 FORCE_ENV = "REPRO_FORCE"
 WORKERS_ENV = "REPRO_WORKERS"
 CACHE_ENV = "REPRO_TRACE_CACHE"
 RESULT_CACHE_ENV = "REPRO_RESULT_CACHE"
-STORAGE_ENV = "REPRO_STORAGE"
 
 
 class TestCli:
@@ -100,8 +100,6 @@ _paths = (
 _seconds = st.floats(min_value=0, allow_nan=False, allow_infinity=False)
 _settings = st.builds(
     Settings,
-    replay=st.sampled_from([None, "scalar", "compiled"]),
-    storage=st.sampled_from([None, "object", "columnar"]),
     native=st.sampled_from(["on", "off", "require"]),
     workers=st.integers(min_value=1),
     trace_cache=st.none() | _paths,
@@ -144,10 +142,7 @@ class TestCliFlags:
         would otherwise leak into the rest of the session (e.g.
         ``REPRO_WORKERS=4`` flipping later suites into pool mode).
         """
-        keys = (
-            WORKERS_ENV, CACHE_ENV, RESULT_CACHE_ENV, STORAGE_ENV, FORCE_ENV,
-            REPLAY_ENV,
-        )
+        keys = (WORKERS_ENV, CACHE_ENV, RESULT_CACHE_ENV, FORCE_ENV, NATIVE_ENV)
         saved = {key: os.environ.get(key) for key in keys}
         yield
         for key, value in saved.items():
@@ -203,37 +198,10 @@ class TestCliFlags:
         assert main([f"--result-cache={tmp_path}", "table2"]) == 0
         assert os.environ.get(RESULT_CACHE_ENV) == str(tmp_path)
 
-    def test_storage_flag(self, monkeypatch):
-        monkeypatch.delenv(STORAGE_ENV, raising=False)
-        assert main(["--storage", "object", "table2"]) == 0
-        assert os.environ.get(STORAGE_ENV) == "object"
-
-    @pytest.mark.parametrize("value", ("quantum", "array"))
-    def test_storage_flag_rejects_unknown(self, capsys, value):
-        assert main(["--storage", value, "table2"]) == 2
-        err = capsys.readouterr().err
-        assert "--storage" in err and "object" in err and "columnar" in err
-
     def test_force_flag_sets_env(self, monkeypatch):
         monkeypatch.delenv(FORCE_ENV, raising=False)
         assert main(["--force", "table2"]) == 0
         assert os.environ.get(FORCE_ENV) == "1"
-
-    def test_replay_flag_sets_env(self, monkeypatch):
-        monkeypatch.delenv(REPLAY_ENV, raising=False)
-        assert main(["--replay", "scalar", "table2"]) == 0
-        assert os.environ.get(REPLAY_ENV) == "scalar"
-
-    def test_replay_equals_form(self, monkeypatch):
-        monkeypatch.delenv(REPLAY_ENV, raising=False)
-        assert main(["--replay=compiled", "table2"]) == 0
-        assert os.environ.get(REPLAY_ENV) == "compiled"
-
-    @pytest.mark.parametrize("value", ("vectorised", "batched"))
-    def test_replay_flag_rejects_unknown(self, capsys, value):
-        assert main(["--replay", value, "table2"]) == 2
-        err = capsys.readouterr().err
-        assert "--replay" in err and "scalar" in err and "compiled" in err
 
     def test_unknown_option_rejected(self, capsys):
         assert main(["--frobnicate", "table2"]) == 2
@@ -243,39 +211,44 @@ class TestCliFlags:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "--workers" in out and "--no-trace-cache" in out
-        assert "--no-result-cache" in out and "--storage" in out
+        assert "--no-result-cache" in out and "--saved" in out
         assert "--force" in out and "--grid" in out
         assert "sweep" in out and "serve" in out
         for removed in ("  bench ", "array", "batched"):
             assert removed not in out
-        assert "--replay" in out and "--saved" in out
 
 
 class TestTierLine:
     """One stderr line names the resolved replay tier, reports never."""
 
     def test_reference(self, capsys, monkeypatch):
-        monkeypatch.setenv(REPLAY_ENV, "scalar")
+        monkeypatch.setenv(NATIVE_ENV, "off")
         assert main(["table2"]) == 0
         assert capsys.readouterr().err == "replay tier reference\n"
 
     def test_fast_says_how_it_runs(self, capsys, fast_tier):
         assert main(["table2"]) == 0
-        err = capsys.readouterr().err
-        if fast_tier == "native":
-            assert err == "replay tier fast: native kernels\n"
-        else:
-            assert err.startswith("replay tier fast: interpreted")
-            assert err.count("\n") == 1 and "build_ext --inplace" in err
+        assert capsys.readouterr().err == "replay tier fast: native kernels\n"
+
+    def test_a_fallen_back_reference_says_how_to_build(self, capsys, monkeypatch):
+        monkeypatch.delenv(NATIVE_ENV, raising=False)
+        monkeypatch.setattr(
+            native_pkg, "_CORE_CACHE", [(None, "the native extension is not built")]
+        )
+        assert main(["table2"]) == 0
+        assert capsys.readouterr().err == (
+            "replay tier reference — build it with: "
+            "python setup.py build_ext --inplace\n"
+        )
 
     def test_stale_env_value_is_an_error_naming_the_survivors(
         self, capsys, monkeypatch
     ):
-        monkeypatch.setenv(REPLAY_ENV, "batched")
+        monkeypatch.setenv(NATIVE_ENV, "batched")
         assert main(["table2"]) == 2
         captured = capsys.readouterr()
-        assert "REPRO_REPLAY='batched'" in captured.err
-        assert "'scalar' or 'compiled'" in captured.err
+        assert "REPRO_NATIVE='batched'" in captured.err
+        assert "'require'" in captured.err and "off" in captured.err
         assert "Table 2" not in captured.out
 
     def test_list_and_fabric_do_not_replay_and_print_none(self, capsys):
@@ -289,7 +262,7 @@ class TestTierLine:
     ):
         monkeypatch.setenv(CACHE_ENV, str(tmp_path / "traces"))
         monkeypatch.setenv(RESULT_CACHE_ENV, str(tmp_path / "results"))
-        monkeypatch.setenv(REPLAY_ENV, "scalar")
+        monkeypatch.setenv(NATIVE_ENV, "off")
         out = tmp_path / "report.json"
         extra = ["--scheme", "PC_X32"] if command == "sweep" else ["--requests", "20"]
         assert main([
@@ -307,7 +280,7 @@ class TestCliSweep:
         monkeypatch.setenv(RESULT_CACHE_ENV, str(tmp_path / "results"))
         # The CLI exports its settings into os.environ (monkeypatch can't
         # see that); restore them so e.g. --workers can't leak session-wide.
-        keys = (WORKERS_ENV, FORCE_ENV, STORAGE_ENV, REPLAY_ENV)
+        keys = (WORKERS_ENV, FORCE_ENV, NATIVE_ENV)
         saved = {key: os.environ.get(key) for key in keys}
         yield
         for key, value in saved.items():

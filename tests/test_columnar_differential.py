@@ -16,11 +16,12 @@ is pre-materialised into the trace, and a failing trace is **shrunk** —
 greedy chunk removal that preserves the divergence and trace validity —
 so the assertion message carries a minimal deterministic reproducer.
 
-The columnar side runs as the fast tier does — on the native access
-kernel when the extension is built, interpreted otherwise — and the
-acceptance sweep and the scheme-level lockstep run both ways through the
-``fast_tier`` fixture. A Z=1 tree whose stash never empties keeps the
-ordered stash-column rebuild busy for hundreds of consecutive accesses.
+The columnar side is the fast tier's backend, whose access is the
+native ``AccessKernel``: every case here needs the extension built and
+skips without it (the acceptance sweep and the scheme-level lockstep
+through the ``fast_tier`` fixture). A Z=1 tree whose stash never
+empties keeps the ordered stash-column rebuild busy for hundreds of
+consecutive accesses.
 Scheme-level lockstep replays (PLB frontends with compressed and uncompressed PosMaps, PMMAC on and
 off, the recursive baseline, stash-pressure Z=2/Z=3 variants) ride on
 the same comparisons through the public Frontend API.
@@ -40,13 +41,15 @@ from repro.backend.ops import Op
 from repro.backend.path_oram import PathOramBackend
 from repro.config import OramConfig
 from repro.errors import BlockNotFoundError, IntegrityViolationError
-from repro.settings import Settings
-from repro.sim.native import load_native_core
 from repro.storage.block import Block
 from repro.storage.columnar import ColumnarTreeStorage
 from repro.storage.snapshot import path_records, tree_digest, tree_records
 from repro.storage.tree import TreeStorage
 from repro.utils.rng import DeterministicRng
+
+from test_native_replay import needs_core
+
+pytestmark = needs_core
 
 # ---------------------------------------------------------------------------
 # Trace model
@@ -138,10 +141,6 @@ def build_pair(
     col = ColumnarPathOramBackend(
         config, ColumnarTreeStorage(config), DeterministicRng(seed)
     )
-    if Settings.from_env().tier == "fast":
-        # The fast tier's backend: on the native access kernel (a no-op
-        # where the extension is unbuilt or ``REPRO_NATIVE=off``).
-        col.enable_native_kernel(load_native_core())
     return obj, col
 
 
@@ -578,7 +577,7 @@ class TestSchemeLockstep:
         ) or [columnar_frontend.backend]
         for ob, cb in zip(object_backends, columnar_backends):
             assert isinstance(cb, ColumnarPathOramBackend)
-            assert (cb._kernel is not None) == (fast_tier == "native")
+            assert cb._kernel is not None
             assert ob.stash_snapshot() == cb.stash_snapshot()
             assert tree_digest(ob.storage) == tree_digest(cb.storage)
             assert ob.stash.occupancy_stats.max == cb.stash.occupancy_stats.max

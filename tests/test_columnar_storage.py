@@ -4,6 +4,8 @@ The differential harness (``test_columnar_differential.py``) proves
 whole-system bit-identity; these tests pin the columnar layer's own
 contracts — slot arena management, geometry, accounting, observer
 parity, the bucket-object compatibility path, and backend dispatch.
+The storage itself is pure Python; the columnar backend is the native
+``AccessKernel``, so the tests that drive one skip without the extension.
 """
 
 import pytest
@@ -13,14 +15,16 @@ from hypothesis import strategies as st
 from repro.backend.columnar import ColumnarPathOramBackend
 from repro.backend.ops import Op
 from repro.backend.path_oram import PathOramBackend, make_backend
-from repro.backend.stash import ColumnarStash
 from repro.config import OramConfig
-from repro.errors import StashOverflowError
+from repro.errors import NativeKernelUnavailable, StashOverflowError
+from repro.presets import build_frontend
 from repro.storage.block import Block
 from repro.storage.columnar import CHUNK_SLOTS, ColumnarTreeStorage
 from repro.storage.snapshot import tree_digest, tree_records
 from repro.storage.tree import TreeStorage
 from repro.utils.rng import DeterministicRng
+
+from test_native_replay import needs_core
 
 
 class TestSlotArena:
@@ -56,6 +60,7 @@ class TestSlotArena:
         with pytest.raises(ValueError, match="payload must be"):
             store.set_payload(slot, b"short")
 
+    @needs_core
     def test_find_block(self, store):
         backend = ColumnarPathOramBackend(store.config, store, DeterministicRng(1))
         backend.access(Op.WRITE, 5, 0, 3)
@@ -122,6 +127,7 @@ class TestGeometryAndAccounting:
         col.write_path_slots(2)
         assert a.events == b.events
 
+    @needs_core
     def test_occupancy_counts_tree_blocks_only(self, config):
         col = ColumnarTreeStorage(config)
         backend = ColumnarPathOramBackend(config, col, DeterministicRng(1))
@@ -161,6 +167,7 @@ class TestBucketRecords:
         assert store.bucket_records(3) == legal
         assert (tree_digest(store), getattr(store, "_free", [None])[0]) == before
 
+    @needs_core
     def test_tree_records_match_object_after_identical_accesses(self):
         config = OramConfig(num_blocks=64, block_bytes=16)
         obj_backend = PathOramBackend(
@@ -236,35 +243,41 @@ class TestCompatibilityPath:
             col.write_path(0)
 
 
+@needs_core
 class TestColumnarStash:
-    @pytest.fixture
-    def pair(self):
-        config = OramConfig(num_blocks=64, block_bytes=16)
-        store = ColumnarTreeStorage(config)
-        return store, ColumnarStash(limit=4, store=store)
+    """The stash column as the backend's kernel fills it (``APPEND``)."""
 
-    def test_add_and_introspect(self, pair):
-        store, stash = pair
-        stash.add(Block(3, 1, b"a" * 16, None))
-        stash.add(Block(5, 2, b"b" * 16, b"mm"))
+    @pytest.fixture
+    def backend(self):
+        config = OramConfig(num_blocks=64, block_bytes=16, stash_limit=4)
+        return ColumnarPathOramBackend(
+            config, ColumnarTreeStorage(config), DeterministicRng(1)
+        )
+
+    def test_add_and_introspect(self, backend):
+        stash = backend.stash
+        for block in (Block(3, 1, b"a" * 16, None), Block(5, 2, b"b" * 16, b"mm")):
+            backend.access(Op.APPEND, block.addr, append_block=block)
         assert len(stash) == 2
-        assert stash.contains(3) and not stash.contains(4)
-        assert stash.get(5).data == b"b" * 16
+        assert stash.blocks()[1] == Block(5, 2, b"b" * 16, b"mm")
         assert [b.addr for b in stash] == [3, 5]  # insertion order
 
-    def test_duplicate_add_raises(self, pair):
-        _store, stash = pair
-        stash.add(Block(3, 1, b"a" * 16, None))
+    def test_duplicate_add_raises(self, backend):
+        backend.access(Op.APPEND, 3, append_block=Block(3, 1, b"a" * 16, None))
         with pytest.raises(ValueError, match="duplicate block"):
-            stash.add(Block(3, 9, b"c" * 16, None))
+            backend.access(
+                Op.APPEND, 3, append_block=Block(3, 9, b"c" * 16, None)
+            )
+        assert len(backend.stash) == 1
 
-    def test_check_limit_records_and_raises(self, pair):
-        _store, stash = pair
-        for addr in range(5):
-            stash.add(Block(addr, 0, b"z" * 16, None))
+    def test_check_limit_records_and_raises(self, backend):
+        for addr in range(4):
+            backend.access(
+                Op.APPEND, addr, append_block=Block(addr, 0, b"z" * 16, None)
+            )
         with pytest.raises(StashOverflowError):
-            stash.check_limit()
-        assert stash.occupancy_stats.max == 5
+            backend.access(Op.APPEND, 4, append_block=Block(4, 0, b"z" * 16, None))
+        assert backend.stash.occupancy_stats.max == 5
 
     def test_backend_stash_overflow_parity(self):
         """Both backends overflow at the same step with a tiny limit."""
@@ -290,8 +303,9 @@ class TestColumnarStash:
         assert failures[0] == failures[1] == 2
 
 
+@needs_core
 class TestErrorPaths:
-    """The interpreted kernel's guard rails."""
+    """The access kernel's guard rails."""
 
     @pytest.fixture
     def backend(self):
@@ -349,11 +363,13 @@ class TestErrorPaths:
         assert backend.stash_snapshot() == before_stash
         assert tree_digest(store) == before_tree
         # Repair the poison and the backend keeps working.
-        store.leaf_col[backend.stash.slot_of(50)] = 0
+        (slot,) = [s for s in backend.stash.resident() if store.addr_col[s] == 50]
+        store.leaf_col[slot] = 0
         assert backend.access(Op.READ, 3, posmap[3], 2) is not None
 
 
 class TestBackendFactory:
+    @needs_core
     def test_columnar_storage_selects_columnar_backend(self):
         config = OramConfig(num_blocks=64, block_bytes=16)
         backend = make_backend(
@@ -373,12 +389,11 @@ class TestBackendFactory:
             backend = make_backend(config, storage, DeterministicRng(1))
             assert isinstance(backend, PathOramBackend)
 
-    def test_presets_and_env_select_columnar(self, monkeypatch):
-        from repro.presets import build_frontend
-
+    @needs_core
+    def test_presets_and_env_select_columnar(self):
         frontend = build_frontend("PC_X32", num_blocks=2**10, storage="columnar")
         assert isinstance(frontend.backend, ColumnarPathOramBackend)
-        monkeypatch.setenv("REPRO_STORAGE", "columnar")
+        # The fast tier's storage, when the spec leaves it at default.
         frontend = build_frontend("P_X16", num_blocks=2**10)
         assert isinstance(frontend.backend, ColumnarPathOramBackend)
         recursive = build_frontend("R_X8", num_blocks=2**10)
@@ -387,6 +402,28 @@ class TestBackendFactory:
         )
         phantom = build_frontend("phantom_4kb", num_blocks=2**6, block_bytes=256)
         assert isinstance(phantom.backend, ColumnarPathOramBackend)
+
+    def test_the_reference_tier_builds_object_storage(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NATIVE", "off")
+        backend = build_frontend("PC_X32", num_blocks=2**10).backend
+        assert type(backend) is PathOramBackend
+        assert type(backend.storage) is TreeStorage
+        recursive = build_frontend("R_X8", num_blocks=2**10)
+        assert all(type(b) is PathOramBackend for b in recursive.backends)
+
+    def test_a_columnar_backend_without_the_core_names_the_build(
+        self, monkeypatch
+    ):
+        """Its access is the C kernel: there is nothing to fall back to."""
+        monkeypatch.setenv("REPRO_NATIVE", "off")
+        config = OramConfig(num_blocks=64, block_bytes=16)
+        storage = ColumnarTreeStorage(config)
+        with pytest.raises(
+            NativeKernelUnavailable, match="python setup.py build_ext --inplace"
+        ):
+            ColumnarPathOramBackend(config, storage, DeterministicRng(1))
+        with pytest.raises(NativeKernelUnavailable, match="REPRO_NATIVE=off"):
+            build_frontend("PC_X32", num_blocks=2**10, storage="columnar")
 
     def test_spec_rejects_unknown_storage(self):
         from repro.errors import SpecError

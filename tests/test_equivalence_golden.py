@@ -36,6 +36,7 @@ from repro.frontend.formats import CompressedPosMapFormat
 from repro.frontend.plb import Plb, PlbEntry
 from repro.presets import build_frontend
 from repro.proc.hierarchy import MissEvent, MissTrace
+from repro.sim.native import load_native_core
 from repro.sim.runner import SimulationRunner
 from repro.sim.system import replay_trace
 from repro.sim.timing import OramTimingModel
@@ -319,7 +320,7 @@ ALL_SCHEMES = ["R_X8", "P_X16", "PC_X32", "PI_X8", "PIC_X32"]
 class TestReplayEquivalence:
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_fast_tier_bitwise_identical(self, scheme, fast_tier):
-        """Golden digests for the fast tier, kernels on and off: the
+        """Golden digests for the fast tier, on the kernels: the
         SimResult, its digest and the full end-of-replay tree state."""
         from test_replay_differential import frontend_digests, frontend_stashes
 
@@ -330,6 +331,9 @@ class TestReplayEquivalence:
         assert frontend_stashes(reference) == frontend_stashes(fast)
         assert frontend_digests(reference) == frontend_digests(fast)
 
+    @pytest.mark.skipif(
+        load_native_core() is None, reason="compiled core not built"
+    )
     def test_columnar_spec_string_build(self):
         """The spec mini-language selects the columnar pair end to end."""
         from repro.backend.columnar import ColumnarPathOramBackend

@@ -18,6 +18,7 @@ from repro.backend.path_oram import Op, make_backend
 from repro.config import OramConfig
 from repro.errors import InjectedFault
 from repro.faults import fault_hook, injected
+from repro.sim.native import load_native_core
 from repro.storage.columnar import ColumnarTreeStorage
 from repro.storage.snapshot import tree_digest
 from repro.storage.tree import TreeStorage
@@ -25,7 +26,10 @@ from repro.utils.rng import DeterministicRng
 
 STORAGES = [
     pytest.param(TreeStorage, id="object"),
-    pytest.param(ColumnarTreeStorage, id="columnar"),
+    # Its backend is the native access kernel.
+    pytest.param(ColumnarTreeStorage, id="columnar", marks=pytest.mark.skipif(
+        load_native_core() is None, reason="compiled core not built"
+    )),
 ]
 
 #: Warmup writes stay below this; the faulted access may go above it so

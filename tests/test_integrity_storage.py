@@ -13,10 +13,10 @@ no integrity layer, the same tampering silently succeeds everywhere.
 
 The native frontend kernel (PMMAC verify/seal in C, as a hook inside the
 backend kernel's tree access) gets the same attacks, against the
-interpreted columnar frontend: same detection index, same message, and
-the same state afterwards — the data block's access rolled back through
-the backend's one ``_abort_access``, a PosMap block's refill left where
-the interpreted path leaves it.
+frontend's interpreted access over the same columnar backend: same
+detection index, same message, and the same state afterwards — the data
+block's access rolled back through the backend's one ``_abort_access``,
+a PosMap block's refill left where the interpreted path leaves it.
 """
 
 from __future__ import annotations
@@ -39,6 +39,10 @@ from repro.storage.snapshot import tree_digest
 from repro.utils.rng import DeterministicRng
 
 STORAGES = ("object", "columnar")
+
+CORE = load_native_core()
+#: Columnar frontends run on the native access kernel.
+needs_core = pytest.mark.skipif(CORE is None, reason="compiled core not built")
 
 #: Small PMMAC frontends so tampering targets land in the tree quickly.
 PMMAC_KWARGS = dict(
@@ -65,6 +69,7 @@ def detection_step(frontend, addr: int, rounds: int = 80) -> Optional[int]:
     return None
 
 
+@needs_core
 @pytest.mark.parametrize("posmap_format", ["flat", "compressed"])
 class TestPmmacTamperAcrossStorages:
     """Data corruption / MAC corruption / deletion / counter replay."""
@@ -137,6 +142,7 @@ class TestPmmacTamperAcrossStorages:
         assert steps["object"] == steps["columnar"]
 
 
+@needs_core
 class TestNoIntegrityNegativeControl:
     """Without PMMAC the same corruption silently succeeds — everywhere."""
 
@@ -165,9 +171,9 @@ class TestNoIntegrityNegativeControl:
 class TestMerkleAcrossStorages:
     """The [25]-style Merkle baseline detects tampering over any inner store."""
 
-    def _verified_backend(self, storage_kind: str):
+    def _verified_backend(self, kind: str):
         config = OramConfig(num_blocks=2**6, block_bytes=32)
-        inner = make_storage(storage_kind, config)
+        inner = make_storage(kind, config)
         verified = MerkleVerifiedStorage(inner, Mac(b"merkle-key-tests"))
         backend = make_backend(config, verified, DeterministicRng(5))
         # The adapter is a bucket-object storage, so every inner kind —
@@ -176,9 +182,9 @@ class TestMerkleAcrossStorages:
         assert isinstance(backend, PathOramBackend)
         return config, inner, backend
 
-    @pytest.mark.parametrize("storage_kind", STORAGES)
-    def test_honest_operation_verifies(self, storage_kind):
-        config, _inner, backend = self._verified_backend(storage_kind)
+    @pytest.mark.parametrize("kind", STORAGES)
+    def test_honest_operation_verifies(self, kind):
+        config, _inner, backend = self._verified_backend(kind)
         rng = DeterministicRng(11)
         posmap = {}
         for step in range(80):
@@ -192,9 +198,9 @@ class TestMerkleAcrossStorages:
                            update=update)
             posmap[addr] = new_leaf
 
-    @pytest.mark.parametrize("storage_kind", STORAGES)
-    def test_bucket_tamper_detected(self, storage_kind):
-        config, inner, backend = self._verified_backend(storage_kind)
+    @pytest.mark.parametrize("kind", STORAGES)
+    def test_bucket_tamper_detected(self, kind):
+        config, inner, backend = self._verified_backend(kind)
         rng = DeterministicRng(11)
         posmap = {}
         for _ in range(40):
@@ -208,10 +214,10 @@ class TestMerkleAcrossStorages:
         with pytest.raises(IntegrityViolationError, match="Merkle root"):
             backend.access(Op.READ, target, posmap[target], 0)
 
-    @pytest.mark.parametrize("storage_kind", STORAGES)
-    def test_bucket_replay_detected(self, storage_kind):
+    @pytest.mark.parametrize("kind", STORAGES)
+    def test_bucket_replay_detected(self, kind):
         """Restoring a stale bucket image breaks the hash chain."""
-        config, inner, backend = self._verified_backend(storage_kind)
+        config, inner, backend = self._verified_backend(kind)
         rng = DeterministicRng(11)
         posmap = {}
 
@@ -238,8 +244,8 @@ class TestMerkleAcrossStorages:
     def test_merkle_detection_step_identical_across_storages(self):
         """Same seeded attack -> same first-failing access, all stores."""
         steps = {}
-        for storage_kind in STORAGES:
-            config, inner, backend = self._verified_backend(storage_kind)
+        for kind in STORAGES:
+            config, inner, backend = self._verified_backend(kind)
             rng = DeterministicRng(13)
             posmap = {}
             for _ in range(40):
@@ -264,7 +270,7 @@ class TestMerkleAcrossStorages:
                 except IntegrityViolationError:
                     step = attempt
                     break
-            steps[storage_kind] = step
+            steps[kind] = step
         assert steps["object"] is not None
         assert steps["object"] == steps["columnar"]
 
@@ -273,15 +279,13 @@ class TestMerkleAcrossStorages:
 # The same attacks against the native frontend kernel
 # ---------------------------------------------------------------------------
 
-CORE = load_native_core()
-
 
 def kernel_pair(scheme: str, **overrides):
-    """The interpreted columnar frontend and one on both native kernels."""
+    """A columnar frontend on its interpreted access and one whose
+    frontend kernel is engaged too (both backends are the kernel)."""
     fields = dict(PMMAC_KWARGS, storage="columnar", **overrides)
     ref = build_frontend(scheme, rng=DeterministicRng(19), **fields)
     nat = build_frontend(scheme, rng=DeterministicRng(19), **fields)
-    nat.backend.enable_native_kernel(CORE)
     nat.enable_native_kernel(CORE)
     assert isinstance(nat._kernel, CORE.FrontendKernel)
     return ref, nat
@@ -313,7 +317,7 @@ def outcome(frontend, addrs):
     )
 
 
-@pytest.mark.skipif(CORE is None, reason="compiled core not built")
+@needs_core
 @pytest.mark.parametrize("scheme", ["PI_X8", "PIC_X32"])
 class TestPmmacTamperOnTheNativeKernel:
     def prepared(self, scheme, **overrides):
@@ -387,7 +391,7 @@ class TestPmmacTamperOnTheNativeKernel:
         assert outcomes[0] == outcomes[1]
 
 
-@pytest.mark.skipif(CORE is None, reason="compiled core not built")
+@needs_core
 def test_kernel_negative_control_reads_the_corruption_silently():
     ref, nat = kernel_pair("P_X16")
     reads = []

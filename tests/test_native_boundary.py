@@ -721,7 +721,8 @@ not_int32 = st.sampled_from("bBhHIqQfd")
 
 
 def kernel_args(backend):
-    """The positional arguments ``enable_native_kernel`` builds, as a dict."""
+    """The positional arguments ``ColumnarPathOramBackend`` builds its
+    kernel with, as a dict."""
     storage = backend.storage
     return {
         "backend": backend,
@@ -740,7 +741,6 @@ def kernel_args(backend):
         "chunk_slots": CHUNK_SLOTS,
         "stash_limit": backend.stash.limit,
         "allow_missing": True,
-        "occupancy": (0, 0.0, 0.0, float("-inf"), float("inf")),
         "block": Block,
         "append": Op.APPEND,
         "readrmv": Op.READRMV,
@@ -876,7 +876,7 @@ class TestKernelConstruction:
 
     @PROPERTY
     @given(
-        name=st.sampled_from(["block", "not_found", "overflow", "occupancy"]),
+        name=st.sampled_from(["block", "not_found", "overflow"]),
         junk=st.sampled_from([None, 5, "x", (1, 2)]),
     )
     def test_wrong_classes(self, name, junk):
@@ -896,7 +896,6 @@ class TestKernelConstruction:
         """Fixed-size columns stay exported for the life of the handle,
         so CPython itself refuses to shrink them."""
         backend = plain_backend()
-        backend.enable_native_kernel(CORE)
         with pytest.raises(BufferError):
             del backend.storage.bucket_fill[4:]
         backend.access(Op.READ, 1, 0, 1)
@@ -911,7 +910,6 @@ def warmed_backend():
     """A kernel-enabled backend with blocks in the tree and the stash,
     plus the position map that finds them again."""
     backend = plain_backend()
-    backend.enable_native_kernel(CORE)
     rng = DeterministicRng(21)
     posmap = {}
     for _ in range(60):
@@ -1275,9 +1273,6 @@ class TestKernelAccessBoundary:
         for args in ((), (Op.READ, 1, 0, 0), (Op.READ, 1, 0, 0, None, None, None)):
             with pytest.raises(TypeError):
                 kernel.access(*args)
-        for junk in (None, 1.5, "3", 2**70):
-            with pytest.raises((TypeError, OverflowError)):
-                kernel.fold_occupancy(junk)
         assert image(backend) == before
 
     def test_reentrant_access_is_refused(self):
@@ -1316,7 +1311,6 @@ def plain_frontend(scheme="PIC_X32", **fields):
         scheme, rng=DeterministicRng(5), storage="columnar",
         **dict(FRONTEND_FIELDS, **fields),
     )
-    frontend.backend.enable_native_kernel(CORE)
     return frontend
 
 
@@ -1731,7 +1725,6 @@ class TestFrontendKernelAccessBoundary:
             "PIC_X32", rng=DeterministicRng(5), storage="columnar",
             crypto=tiny_lru_suite(entries), **FRONTEND_FIELDS,
         )
-        frontend.backend.enable_native_kernel(CORE)
         frontend.enable_native_kernel(CORE)
         rng = DeterministicRng(33)
         for _ in range(60):
@@ -2182,8 +2175,6 @@ def plain_recursive(**fields):
         "R_X8", rng=DeterministicRng(5), storage="columnar",
         **dict(dict(num_blocks=2**9, onchip_entries=4), **fields),
     )
-    for backend in frontend.backends:
-        backend.enable_native_kernel(CORE)
     return frontend
 
 

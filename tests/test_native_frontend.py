@@ -99,7 +99,6 @@ def build(name, seed=7, leaf_cache_entries=None, **overrides):
 
 def engage(frontend):
     """Both kernels on, as ``ReplayEngine.enable_native`` does it."""
-    frontend.backend.enable_native_kernel(CORE)
     frontend.enable_native_kernel(CORE)
     assert isinstance(frontend._kernel, CORE.FrontendKernel)
     return frontend
@@ -512,7 +511,6 @@ class TestErrorParity:
         from test_native_boundary import frontend_kernel_args
 
         frontend = build("PI_X8", num_blocks=2**12, onchip_entries=8)
-        frontend.backend.enable_native_kernel(CORE)
         args = frontend_kernel_args(frontend)
         top = args["geometry"][3][-1]
         assert top > 1
@@ -595,9 +593,16 @@ class TestEngagement:
         engage(frontend)
 
     def test_needs_the_backend_kernel_first(self):
+        """The tree must be a real ``AccessKernel``: one that is not (here
+        wrapped for counting) keeps the Python path, which reaches the
+        tree through the wrapper."""
         frontend = build("PIC_X32")
+        backend = frontend.backend
+        backend._kernel = CountingKernel(backend._kernel)
         frontend.enable_native_kernel(CORE)
         assert frontend._kernel is None
+        frontend.read(3)
+        assert backend._kernel.entries == backend.access_count > 0
 
     def test_object_storage_keeps_the_python_path(self):
         frontend = build_frontend(
@@ -622,7 +627,6 @@ class TestEngagement:
             "PC_X32", rng=DeterministicRng(7), storage="columnar",
             compressed_beta=40, compressed_fanout=8, **SMALL,
         )
-        frontend.backend.enable_native_kernel(CORE)
         frontend.enable_native_kernel(CORE)
         assert frontend._kernel is None
         frontend.read(3)
@@ -713,7 +717,7 @@ class TestStructure:
             (nat.posmap, ("lookup_and_remap",)),
             (nat.crypto.prf, ("leaf_for", "leaf_for_many", "eval_bytes")),
             (nat.crypto.mac, ("tag", "verify", "block_tag")),
-            (nat.backend, ("access", "_restore_on_error")),
+            (nat.backend, ("access", "_abort_access")),
             (nat.space, ("chain", "tag", "child_slot", "level_blocks")),
         ):
             for name in names:
@@ -894,12 +898,10 @@ class TestServeOnTheFrontendKernel:
         return kernels, report, digests
 
     def test_compiled_serve_equals_the_reference(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NATIVE", raising=False)
-        monkeypatch.delenv("REPRO_STORAGE", raising=False)
-        monkeypatch.setenv("REPRO_REPLAY", "scalar")
+        monkeypatch.setenv("REPRO_NATIVE", "off")
         kernels, reference, reference_digests = self.run_serve()
         assert kernels == [None, None]
-        monkeypatch.delenv("REPRO_REPLAY")
+        monkeypatch.delenv("REPRO_NATIVE")
         kernels, compiled, compiled_digests = self.run_serve()
         assert all(isinstance(k, CORE.FrontendKernel) for k in kernels)
         assert compiled == reference

@@ -23,12 +23,14 @@ the kernel, a replay slice is one C call, a patched ``access`` is called
 per event, and a discarded frontend is freed by refcount.
 """
 
+import dataclasses
 import gc
 import weakref
 
 import pytest
 
 from repro.backend.ops import Op
+from repro.backend.path_oram import make_backend
 from repro.errors import ConfigurationError, StashOverflowError
 from repro.presets import build_frontend
 from repro.sim.engine import ReplayEngine
@@ -70,8 +72,6 @@ def build(name, storage="columnar", seed=7, **overrides):
 
 def engage(frontend):
     """Every kernel on, as ``ReplayEngine.enable_native`` does it."""
-    for backend in frontend.backends:
-        backend.enable_native_kernel(CORE)
     frontend.enable_native_kernel(CORE)
     assert isinstance(frontend._kernel, CORE.RecursiveKernel)
     return frontend
@@ -247,7 +247,12 @@ class TestErrorParity:
         ref = build("H=3", storage="object", blocks_per_bucket=1)
         nat = build("H=3", blocks_per_bucket=1)
         for frontend in (ref, nat):
-            frontend.backends[level].stash.limit = 1
+            # A kernel takes its limit from the config it is built with.
+            tree = frontend.backends[level]
+            frontend.backends[level] = make_backend(
+                dataclasses.replace(tree.config, stash_limit=1),
+                tree.storage, tree.rng,
+            )
         engage(nat)
         block_bytes = ref.configs[0].block_bytes
         failures = []
@@ -288,12 +293,16 @@ class TestEngagement:
         engage(frontend)
 
     def test_needs_every_backend_kernel_first(self):
+        """Every level's tree must be a real ``AccessKernel``: one that is
+        not (here the top level's, wrapped for counting) keeps the Python
+        path, which reaches that tree through the wrapper."""
         frontend = build("H=4")
-        for backend in frontend.backends[:-1]:
-            backend.enable_native_kernel(CORE)
+        top = frontend.backends[-1]
+        top._kernel = CountingKernel(top._kernel)
         frontend.enable_native_kernel(CORE)
         assert frontend._kernel is None
         frontend.read(3)
+        assert top._kernel.entries == top.access_count > 0
 
     def test_engine_engages_backends_then_frontend(self):
         frontend = build("H=4")
@@ -310,8 +319,6 @@ class TestEngagement:
 
     def test_wide_labels_keep_the_python_path(self):
         frontend = build("H=4", leaf_bytes=16)
-        for backend in frontend.backends:
-            backend.enable_native_kernel(CORE)
         frontend.enable_native_kernel(CORE)
         assert frontend.space.fanout == 2 and frontend._kernel is None
         frontend.read(3)

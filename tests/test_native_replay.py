@@ -15,15 +15,15 @@ tier, kernels engaged, against the reference tier per batch):
   messages (duplicate block, out-of-range leaf, absent block) and the
   transactional rollback — a failing or interrupted ``update`` included
   — leaves both backends in equal, usable, pre-access state.
-- **Dispatch policy** — ``REPRO_NATIVE`` off-values, the interpreted
-  fallback (silent as the default, a ``RuntimeWarning`` naming the
-  build command when ``compiled`` was asked for by name), and
-  ``require`` mode escalating to
+- **Dispatch policy** — ``REPRO_NATIVE`` off-values, the silent
+  fallback to the reference tier when the extension is unbuilt or stale,
+  an explicit ``compiled`` and ``require`` mode escalating to
   :class:`~repro.errors.NativeKernelUnavailable`.
 
 Tests that need the built extension skip when it is absent; the CI
-compiled lane builds it and runs this file under ``REPRO_NATIVE=require``
-so a silently-unbuilt extension cannot hide behind the skips there.
+fast lane's ``require`` leg builds it and runs this file under
+``REPRO_NATIVE=require`` so a silently-unbuilt extension cannot hide
+behind the skips there.
 """
 
 import gc
@@ -49,7 +49,9 @@ from repro.presets import build_frontend
 from repro.settings import Settings
 from repro.sim.engine import ReplayEngine
 from repro.sim.native import load_native_core
-from repro.sim.replay import resolve_replay_mode, translate_block_addrs
+from repro.sim.replay import (
+    resolve_replay_mode, resolve_tier, translate_block_addrs,
+)
 from repro.sim.system import replay_trace
 from repro.sim.timing import OramTimingModel
 from repro.storage.block import Block
@@ -67,6 +69,10 @@ needs_core = pytest.mark.skipif(
 )
 
 
+#: What an install without the extension memoises (see ``native_core``).
+UNBUILT = (None, "the native extension is not built")
+
+
 class CountingKernel:
     """Wraps an ``AccessKernel``, counting the calls that enter C."""
 
@@ -80,8 +86,9 @@ class CountingKernel:
 
 
 def native_pair(config: OramConfig, seed: int = 7, allow_missing: bool = True):
-    """The object reference and a kernel-enabled columnar backend, same
-    seeds, each with an observer recording its path reads and writes."""
+    """The object reference and a columnar backend (its access the
+    kernel's), same seeds, each with an observer recording its path reads
+    and writes."""
     ref_events, nat_events = TraceObserver(), TraceObserver()
     ref = PathOramBackend(
         config, TreeStorage(config, observer=ref_events.for_tree(0)),
@@ -91,7 +98,6 @@ def native_pair(config: OramConfig, seed: int = 7, allow_missing: bool = True):
         config, ColumnarTreeStorage(config, observer=nat_events.for_tree(0)),
         DeterministicRng(seed), allow_missing,
     )
-    nat.enable_native_kernel(CORE)
     nat._kernel = CountingKernel(nat._kernel)
     ref.events, nat.events = ref_events.events, nat_events.events
     return ref, nat
@@ -212,40 +218,37 @@ class TestNativeBackendLockstep:
         for name in ("read_path_slots", "write_path_slots", "alloc",
                      "release", "payload", "set_payload"):
             monkeypatch.setattr(nat.storage, name, unreachable)
-        monkeypatch.setattr(nat.stash, "check_limit", unreachable)
         removed = nat.access(Op.READRMV, 7, 0, 3)
         nat.access(Op.APPEND, 7, append_block=removed)
         nat.access(Op.WRITE, 7, 3, 1, update=lambda block: None)
         assert nat.access(Op.READ, 7, 1, 2).addr == 7
         assert nat._kernel.entries == 4
 
-    def test_enable_is_idempotent_and_keeps_earlier_samples(self):
-        """``replay_trace`` enables per slice: the handle is made once,
-        and occupancy sampled before it existed stays in the fold."""
-        config = PRESSURE_Z2
-        ref = PathOramBackend(config, TreeStorage(config), DeterministicRng(4))
-        nat = ColumnarPathOramBackend(
-            config, ColumnarTreeStorage(config), DeterministicRng(4)
+    def test_a_preset_frontend_enters_c_once_per_tree_access(self):
+        """No ``ReplayEngine``, nothing enabled: a PLB frontend driven
+        through its own Python ``access`` still reaches the tree only
+        through the backend's kernel, one C call per tree access."""
+        frontend = build_frontend(
+            "PC_X32", num_blocks=BLOCKS, rng=DeterministicRng(7),
+            storage="columnar", onchip_entries=4, plb_capacity_bytes=512,
         )
-        rng = DeterministicRng(77)
-        posmap = {}
-        for index in range(120):
-            if index == 60:
-                nat.enable_native_kernel(CORE)
-                kernel = nat._kernel
-            if index > 60:
-                nat.enable_native_kernel(CORE)
-                assert nat._kernel is kernel
-            addr = rng.randrange(64)
-            new_leaf = rng.random_leaf(config.levels)
-            for backend in (ref, nat):
-                backend.access(Op.READ, addr, posmap.get(addr, 0), new_leaf)
-            posmap[addr] = new_leaf
-        assert ref.stash.occupancy_stats.as_dict() == (
-            nat.stash.occupancy_stats.as_dict()
+        assert frontend._kernel is None
+        backend = frontend.backend
+        backend._kernel = CountingKernel(backend._kernel)
+        rng = DeterministicRng(3)
+        for _ in range(300):
+            addr = rng.randrange(BLOCKS)
+            if rng.random() < 0.3:
+                frontend.access(addr, Op.WRITE, bytes(64))
+            else:
+                frontend.access(addr, Op.READ)
+        # Every backend call is one C call: the tree accesses and the
+        # PLB victims' APPENDs.
+        assert backend._kernel.entries == backend.access_count == (
+            backend.tree_access_count + backend.append_count
         )
-        assert ref.stash_snapshot() == nat.stash_snapshot()
-        assert tree_digest(ref.storage) == tree_digest(nat.storage)
+        assert backend.tree_access_count == frontend.stats.tree_accesses > 500
+        assert backend.append_count > 0
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +279,6 @@ class TestNoObjectPerTreeAccess:
         backend = ColumnarPathOramBackend(
             config, ColumnarTreeStorage(config), DeterministicRng(2)
         )
-        backend.enable_native_kernel(CORE)
         rng = DeterministicRng(5)
         leaves = [rng.random_leaf(config.levels) for _ in range(2101)]
         for addr in range(100):
@@ -327,7 +329,7 @@ class TestNoObjectPerTreeAccess:
             storage="columnar",
         )
         engine = ReplayEngine.for_mode(frontend, OramTimingModel(1000.0))
-        assert (frontend._kernel is not None) == (fast_tier == "native")
+        assert frontend._kernel is not None
         trace = make_trace(3, events=2000, blocks=2**20)
         gc.collect()
         before = len(gc.get_objects())
@@ -514,25 +516,19 @@ class TestErrorPathIdentity:
     def test_wrong_sized_update_payload_message_and_rollback(self):
         """The write-back of an updated block validates its payload with
         the storage's own message, then rolls back like any failure."""
-        ref, nat = native_pair(SMALL)
-        scalar = ColumnarPathOramBackend(
-            SMALL, ColumnarTreeStorage(SMALL), DeterministicRng(7)
-        )
+        _ref, nat = native_pair(SMALL)
 
         def truncating(block):
             block.data = b"short"
 
-        messages = []
-        for backend in (scalar, nat):
-            backend.access(Op.READ, 5, 0, 2)
-            before = (backend.stash_snapshot(), tree_digest(backend.storage))
-            with pytest.raises(ValueError, match="payload must be") as err:
-                backend.access(Op.WRITE, 5, 2, 3, update=truncating)
-            messages.append(str(err.value))
-            assert (
-                backend.stash_snapshot(), tree_digest(backend.storage)
-            ) == before
-        assert messages[0] == messages[1]
+        nat.access(Op.READ, 5, 0, 2)
+        before = (nat.stash_snapshot(), tree_digest(nat.storage))
+        with pytest.raises(ValueError, match="payload must be") as err:
+            nat.access(Op.WRITE, 5, 2, 3, update=truncating)
+        assert (nat.stash_snapshot(), tree_digest(nat.storage)) == before
+        with pytest.raises(ValueError) as own:
+            nat.storage.set_payload(0, b"short")
+        assert str(err.value) == str(own.value)
 
     def test_absent_block_raises_identically(self):
         ref, nat = native_pair(SMALL, allow_missing=False)
@@ -773,69 +769,84 @@ class TestDispatchPolicy:
         monkeypatch.setenv("REPRO_NATIVE", "require")
         assert Settings.from_env().native == "require"
 
-    def test_unbuilt_default_is_silent_and_named_compiled_warns(
+    def test_unbuilt_default_falls_back_to_the_reference_silently(
         self, monkeypatch
     ):
-        """Without the extension the fast tier runs interpreted: silently
-        when it was merely the default, with one warning naming the build
-        command when ``compiled`` was asked for (argument or environment)
-        — and the resolution is ``compiled`` either way."""
+        """Without the extension the default is the reference tier, with
+        no warning; asking for ``compiled`` by name raises, naming the
+        build command."""
         monkeypatch.delenv("REPRO_NATIVE", raising=False)
-        monkeypatch.delenv("REPRO_REPLAY", raising=False)
-        monkeypatch.setattr(native_pkg, "_CORE_CACHE", [None])
+        monkeypatch.setattr(native_pkg, "_CORE_CACHE", [UNBUILT])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert resolve_replay_mode(None) == "compiled"
-        with pytest.warns(RuntimeWarning, match="build_ext --inplace"):
-            assert resolve_replay_mode("compiled") == "compiled"
-        monkeypatch.setenv("REPRO_REPLAY", "compiled")
-        with pytest.warns(RuntimeWarning, match="build_ext --inplace"):
-            assert resolve_replay_mode(None) == "compiled"
+            assert resolve_replay_mode(None) == "scalar"
+            fe = build_frontend("PI_X8", num_blocks=BLOCKS)
+        assert type(fe.backend) is PathOramBackend
+        with pytest.raises(NativeKernelUnavailable, match="build_ext --inplace"):
+            resolve_replay_mode("compiled")
 
     def test_off_policy_falls_back_even_when_built(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "off")
-        monkeypatch.delenv("REPRO_REPLAY", raising=False)
-        with pytest.warns(RuntimeWarning):
-            assert resolve_replay_mode("compiled") == "compiled"
+        with pytest.raises(NativeKernelUnavailable, match="REPRO_NATIVE=off"):
+            resolve_replay_mode("compiled")
         fe = build_frontend("PI_X8", num_blocks=BLOCKS, rng=DeterministicRng(7))
+        assert type(fe.backend.storage) is TreeStorage
         engine = ReplayEngine.for_mode(
             fe, OramTimingModel(tree_latency_cycles=1000.0)
         )
-        assert engine.mode == "compiled" and engine._native is None
+        assert engine.mode == "scalar" and engine._native is None
 
     @pytest.mark.parametrize("mode", (None, "compiled"))
     def test_require_mode_raises_when_unbuilt(self, monkeypatch, mode):
-        monkeypatch.delenv("REPRO_REPLAY", raising=False)
         monkeypatch.setenv("REPRO_NATIVE", "require")
-        monkeypatch.setattr(native_pkg, "_CORE_CACHE", [None])
+        monkeypatch.setattr(native_pkg, "_CORE_CACHE", [UNBUILT])
         with pytest.raises(NativeKernelUnavailable, match="REPRO_NATIVE"):
             resolve_replay_mode(mode)
         assert resolve_replay_mode("scalar") == "scalar"
 
+    @needs_core
+    def test_a_stale_build_is_not_the_fast_tier(self, monkeypatch):
+        """A ``.so`` compiled from other sources than the ``.c`` beside it
+        fails ``require`` loudly and sends the default to the reference
+        tier, instead of being measured as the fast tier."""
+        assert CORE.SOURCE_DIGEST == native_pkg.source_digest()
+        monkeypatch.setattr(native_pkg, "source_digest", lambda: "0" * 64)
+        monkeypatch.setattr(native_pkg, "_CORE_CACHE", [])
+        monkeypatch.setenv("REPRO_NATIVE", "require")
+        with pytest.raises(NativeKernelUnavailable, match="stale"):
+            load_native_core()
+        monkeypatch.setenv("REPRO_NATIVE", "on")
+        assert resolve_tier() == ("scalar", None)
+        assert type(build_frontend("PC_X32", num_blocks=BLOCKS).backend) is (
+            PathOramBackend
+        )
+
     def test_fallback_replay_matches_the_reference(self, monkeypatch):
-        """End to end: an unbuilt extension replays the same bits."""
+        """End to end: an unbuilt extension replays on the reference tier
+        — object storage, the per-event loop — the same bits as asking
+        for the reference by name."""
         monkeypatch.delenv("REPRO_NATIVE", raising=False)  # pin policy "on"
-        monkeypatch.setattr(native_pkg, "_CORE_CACHE", [None])
+        monkeypatch.setattr(native_pkg, "_CORE_CACHE", [UNBUILT])
         timing = OramTimingModel(tree_latency_cycles=1000.0)
         results = {}
-        for mode in ("scalar", "compiled"):
+        for mode in ("scalar", None):
             fe = build_frontend("PI_X8", num_blocks=BLOCKS, rng=DeterministicRng(7))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                results[mode] = (
-                    replay_trace(
-                        fe, make_trace(2, events=300), timing,
-                        scheme="PI_X8", mode=mode,
-                    ),
-                    frontend_digests(fe),
-                )
-        assert results["compiled"] == results["scalar"]
+            assert type(fe.backend) is PathOramBackend
+            results[mode] = (
+                replay_trace(
+                    fe, make_trace(2, events=300), timing,
+                    scheme="PI_X8", mode=mode,
+                ),
+                frontend_digests(fe),
+            )
+        assert results[None] == results["scalar"]
 
     @needs_core
     def test_env_selects_compiled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NATIVE", raising=False)
-        monkeypatch.setenv("REPRO_REPLAY", "compiled")
-        assert resolve_replay_mode(None) == "compiled"
+        for policy in ("on", "require"):
+            monkeypatch.setenv("REPRO_NATIVE", policy)
+            assert resolve_tier(None) == ("compiled", CORE)
+            assert resolve_replay_mode("scalar") == "scalar"
 
 
 # ---------------------------------------------------------------------------
@@ -852,14 +863,19 @@ class TestEngineHookup:
         assert engine._native is None
 
     def test_enable_native_reaches_columnar_backend(self):
+        """The backend's kernel is bound at construction; enabling the
+        engine builds the frontend's kernel on top of it."""
         fe = build_frontend(
             "PI_X8", num_blocks=BLOCKS, rng=DeterministicRng(7),
             storage="columnar",
         )
+        tree_kernel = fe.backend._kernel
+        assert isinstance(tree_kernel, CORE.AccessKernel)
         engine = ReplayEngine(fe, OramTimingModel(tree_latency_cycles=1000.0))
         engine.enable_native(CORE)
         assert engine._native is CORE
-        assert isinstance(fe.backend._kernel, CORE.AccessKernel)
+        assert fe.backend._kernel is tree_kernel
+        assert isinstance(fe._kernel, CORE.FrontendKernel)
 
     def test_enable_native_tolerates_object_backends(self):
         """Object-storage backends have no native kernel hook, so an
@@ -890,7 +906,7 @@ class TestServeUsesCompiledTier:
         )
         service.preload(0, 1, b"warm")  # re-creates one shard's engine
         kernels = [
-            (shard.engine._native, shard.frontend.backend._kernel)
+            (shard.engine._native, getattr(shard.frontend.backend, "_kernel", None))
             for shard in service.shards
         ]
         report = service.run(mode).report()
@@ -900,12 +916,10 @@ class TestServeUsesCompiledTier:
         return kernels, report
 
     def test_shards_run_on_the_kernel_and_reports_agree(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NATIVE", raising=False)
-        monkeypatch.setenv("REPRO_STORAGE", "columnar")
-        monkeypatch.setenv("REPRO_REPLAY", "scalar")
+        monkeypatch.setenv("REPRO_NATIVE", "off")
         kernels, reference = self.run_serve("serial")
         assert all(k == (None, None) for k in kernels)
-        monkeypatch.delenv("REPRO_REPLAY")
+        monkeypatch.delenv("REPRO_NATIVE")
         kernels, serial = self.run_serve("serial")
         assert all(
             native is CORE and isinstance(kernel, CORE.AccessKernel)
@@ -921,23 +935,32 @@ class TestServeUsesCompiledTier:
 
 
 def hardened_pair():
-    """One backend per implementation of the restore path: object,
-    interpreted columnar and (when built) the native kernel, whose C
-    error path calls the same ``_abort_access``."""
+    """One backend per implementation of the restore path: object and
+    (when built) columnar, whose kernel's error path calls the backend's
+    ``_abort_access``."""
     config = SMALL
     backends = [
         PathOramBackend(config, TreeStorage(config), DeterministicRng(3)),
-        ColumnarPathOramBackend(
-            config, ColumnarTreeStorage(config), DeterministicRng(3)
-        ),
     ]
     if CORE is not None:
-        native = ColumnarPathOramBackend(
+        backends.append(ColumnarPathOramBackend(
             config, ColumnarTreeStorage(config), DeterministicRng(3)
-        )
-        native.enable_native_kernel(CORE)
-        backends.append(native)
+        ))
     return backends
+
+
+def break_restore(monkeypatch, backend, fault: BaseException) -> None:
+    """Make the backend's restore step raise ``fault``: the object
+    backend's ``_restore``, or the storage write the columnar
+    backend's rollback makes to put the block of interest back."""
+
+    def broken(*args, **kwargs):
+        raise fault
+
+    if isinstance(backend, PathOramBackend):
+        monkeypatch.setattr(backend, "_restore", broken)
+    else:
+        monkeypatch.setattr(backend.storage, "set_payload", broken)
 
 
 class TestRestoreHardening:
@@ -982,10 +1005,7 @@ class TestRestoreHardening:
             posmap = self.warm(backend)
             addr = next(iter(posmap))
 
-            def broken_restore(*args, **kwargs):
-                raise ValueError("restore exploded")
-
-            monkeypatch.setattr(backend, "_restore_on_error", broken_restore)
+            break_restore(monkeypatch, backend, ValueError("restore exploded"))
 
             def failing(block):
                 raise IntegrityViolationError("original fault")
@@ -1005,10 +1025,7 @@ class TestRestoreHardening:
             posmap = self.warm(backend)
             addr = next(iter(posmap))
 
-            def buggy_restore(*args, **kwargs):
-                raise ZeroDivisionError("restore bug")
-
-            monkeypatch.setattr(backend, "_restore_on_error", buggy_restore)
+            break_restore(monkeypatch, backend, ZeroDivisionError("restore bug"))
 
             def failing(block):
                 raise IntegrityViolationError("original fault")

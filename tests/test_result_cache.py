@@ -6,6 +6,7 @@ import json
 import pytest
 
 import repro.sim.runner as runner_mod
+from repro.errors import CacheCorruptionWarning
 from repro.sim.metrics import SimResult
 from repro.sim.store import (
     RESULT_SCHEMA_VERSION,
@@ -63,7 +64,8 @@ class TestResultCacheStore:
         cache = ResultCache(tmp_path)
         cache.store("k1", _result())
         cache.path_for("k1").write_text("not json{{{", "utf-8")
-        assert cache.load("k1") is None
+        with pytest.warns(CacheCorruptionWarning, match="evicted corrupt"):
+            assert cache.load("k1") is None
         assert not cache.path_for("k1").exists()
 
     def test_stale_schema_version_evicted(self, tmp_path):
@@ -72,7 +74,8 @@ class TestResultCacheStore:
         payload = json.loads(cache.path_for("k1").read_text("utf-8"))
         payload["schema"] = RESULT_SCHEMA_VERSION - 1
         cache.path_for("k1").write_text(json.dumps(payload), "utf-8")
-        assert cache.load("k1") is None
+        with pytest.warns(CacheCorruptionWarning, match="evicted corrupt"):
+            assert cache.load("k1") is None
         assert not cache.path_for("k1").exists()
 
     def test_unknown_field_evicted(self, tmp_path):
@@ -82,7 +85,8 @@ class TestResultCacheStore:
         payload = json.loads(cache.path_for("k1").read_text("utf-8"))
         payload["result"]["frobnication_index"] = 7
         cache.path_for("k1").write_text(json.dumps(payload), "utf-8")
-        assert cache.load("k1") is None
+        with pytest.warns(CacheCorruptionWarning, match="evicted corrupt"):
+            assert cache.load("k1") is None
 
     def test_unwritable_dir_disables_store(self, tmp_path):
         blocker = tmp_path / "blocked"

@@ -19,6 +19,7 @@ import json
 import pytest
 
 from repro.faults import injected, parse
+from repro.sim import native as native_pkg
 from repro.sim.runner import SimulationRunner
 from repro.sim.system import replay_trace
 from repro.serve import (
@@ -182,7 +183,8 @@ class TestConcurrentDeterminism:
 # passes. These digests were recorded at the commit before the serving
 # loop was rewritten over per-epoch columns (PR 23) and pin the simulated
 # outcome itself: the report minus its host-wall fields, and each
-# shard's access digest, on both run() modes and all three tier settings.
+# shard's access digest, on both run() modes and both tiers, the
+# reference one reached both ways.
 
 
 def _slo_tenants():
@@ -335,12 +337,18 @@ def golden_image(name: str, mode: str):
     )
 
 
-@pytest.fixture(params=["fast", "native_off", "scalar"])
+@pytest.fixture(params=["fast", "native_off", "unbuilt"])
 def tier(request, monkeypatch) -> str:
+    """The environment's tier (fast when the extension is built), the
+    reference tier by ``REPRO_NATIVE=off``, and the reference tier the
+    default falls back to when the extension is missing."""
     if request.param == "native_off":
         monkeypatch.setenv("REPRO_NATIVE", "off")
-    elif request.param == "scalar":
-        monkeypatch.setenv("REPRO_REPLAY", "scalar")
+    elif request.param == "unbuilt":
+        monkeypatch.setenv("REPRO_NATIVE", "on")
+        monkeypatch.setattr(
+            native_pkg, "_CORE_CACHE", [(None, "the native extension is not built")]
+        )
     return request.param
 
 

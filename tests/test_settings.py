@@ -8,6 +8,7 @@ the CLI's parsers declare against the README's CLI section.
 """
 
 import dataclasses
+import importlib.util
 import json
 import os
 import re
@@ -18,6 +19,7 @@ import pytest
 import repro
 from repro import faults
 from repro.cli import build_parser, main
+from repro.config import OramConfig
 from repro.errors import ConfigurationError, NativeKernelUnavailable
 from repro.fabric import FabricCoordinator, FabricWorker
 from repro.resilience import RpcPolicy
@@ -25,6 +27,7 @@ from repro.settings import FALSE_WORDS, TRUE_WORDS, Settings
 from repro.sim import native as native_pkg
 from repro.sim.replay import resolve_replay_mode
 from repro.sim.runner import SimulationRunner
+from repro.storage import make_storage
 
 SRC = Path(repro.__file__).resolve().parent
 ROOT = SRC.parent.parent
@@ -42,8 +45,8 @@ def test_one_reader_of_the_environment():
     assert sites == {"os.environ": {"settings.py"}, "getenv": set()}
 
 
-def test_fifteen_variables_and_no_field_without_one():
-    assert len(VARIABLES) == 15 == len(dataclasses.fields(Settings))
+def test_thirteen_variables_and_no_field_without_one():
+    assert len(VARIABLES) == 13 == len(dataclasses.fields(Settings))
     assert all(name.startswith("REPRO_") for name in VARIABLES)
 
 
@@ -51,7 +54,7 @@ class TestGrammar:
     def test_unset_and_empty_are_the_defaults(self):
         assert Settings.from_env({}) == Settings()
         assert Settings.from_env(dict.fromkeys(VARIABLES, "  ")) == Settings()
-        assert Settings().tier == "fast" and Settings().miss_budget == 6_000
+        assert Settings().native == "on" and Settings().miss_budget == 6_000
 
     @pytest.mark.parametrize("word", FALSE_WORDS + ("OFF", " No "))
     def test_false_words_mean_false_everywhere(self, word):
@@ -82,8 +85,6 @@ class TestGrammar:
         "name, value",
         [
             ("REPRO_NATIVE", "requrie"),
-            ("REPRO_STORAGE", "array"),
-            ("REPRO_REPLAY", "scaler"),
             ("REPRO_FULL", "maybe"),
             ("REPRO_FORCE", "2"),
             ("REPRO_WORKERS", "two"),
@@ -106,32 +107,39 @@ class TestGrammar:
 
     def test_values_valid_before_keep_their_meaning(self):
         settings = Settings.from_env({
-            "REPRO_STORAGE": "columnar", "REPRO_REPLAY": "compiled",
             "REPRO_NATIVE": "require", "REPRO_FULL": "1",
             "REPRO_CONNECT_RETRIES": "3", "REPRO_RPC_TIMEOUT": "30",
             "REPRO_RESULT_CACHE": "/tmp/fabric-smoke/results-golden",
             "REPRO_RETRIES": "0", "REPRO_WORKERS": "4",
         })
-        assert (settings.tier, settings.storage_kind, settings.native) == (
-            "fast", "columnar", "require"
-        )
+        assert settings.native == "require"
         assert settings.miss_budget == 50_000 and settings.workers == 4
         assert settings.retries == 1  # below 1 has always meant 1
         assert RpcPolicy.from_settings(settings, seed=2) == RpcPolicy(
             connect_attempts=3, timeout=30.0, seed=2
         )
         assert settings.result_cache == "/tmp/fabric-smoke/results-golden"
-        assert Settings.from_env({"REPRO_STORAGE": "tree"}).storage == "object"
         assert Settings.from_env({"REPRO_RPC_TIMEOUT": "-5"}).rpc_timeout is None
 
-    def test_the_tier_follows_replay_and_storage_follows_the_tier(self):
-        reference = Settings.from_env({"REPRO_REPLAY": "scalar"})
-        assert (reference.tier, reference.storage_kind) == ("reference", "object")
-        assert Settings().storage_kind == "columnar"
-        pinned = Settings.from_env(
-            {"REPRO_REPLAY": "scalar", "REPRO_STORAGE": "columnar"}
-        )
-        assert (pinned.tier, pinned.storage_kind) == ("reference", "columnar")
+    def test_names_it_does_not_declare_are_ignored(self):
+        """The benchmark harness still pins two tier variables beside
+        ``REPRO_NATIVE=require``; what they say is what the fast tier now
+        is, and an environment that sets them parses as if they were
+        unset, as does any other name ``Settings`` does not declare."""
+        pins = benchmark_pins()
+        assert len(pins) == 3 and pins["REPRO_NATIVE"] == "require"
+        assert Settings.from_env(pins) == Settings(native="require")
+        assert Settings.from_env(
+            {"REPRO_FIGURE_CACHE": "figures", "REPRO_UNKNOWN": "?"}
+        ) == Settings()
+
+
+def benchmark_pins():
+    """The ``REPRO_*`` variables ``perf/run.py`` pins for every workload."""
+    spec = importlib.util.spec_from_file_location("perf_run", ROOT / "perf" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {k: v for k, v in module.pinned_env().items() if k.startswith("REPRO_")}
 
 
 class TestCallersReadTheEnvironmentWhenTheyRun:
@@ -165,24 +173,23 @@ class TestCallersReadTheEnvironmentWhenTheyRun:
             runner.execute(runner.cells(["P_X16"], ["gob"]))
 
     def test_the_pinned_triple_is_the_native_fast_tier(self, monkeypatch):
-        for name, value in (
-            ("REPRO_STORAGE", "columnar"),
-            ("REPRO_REPLAY", "compiled"),
-            ("REPRO_NATIVE", "require"),
-        ):
+        """The environment the benchmark pins is the fast tier with
+        columnar storage, or a hard error."""
+        for name, value in benchmark_pins().items():
             monkeypatch.setenv(name, value)
-        settings = Settings.from_env()
-        assert (settings.tier, settings.storage_kind, settings.native) == (
-            "fast", "columnar", "require"
+        assert Settings.from_env().native == "require"
+        monkeypatch.setattr(
+            native_pkg, "_CORE_CACHE", [(None, "the native extension is not built")]
         )
-        monkeypatch.setattr(native_pkg, "_CORE_CACHE", [None])
-        with pytest.raises(NativeKernelUnavailable, match="REPRO_NATIVE"):
+        with pytest.raises(NativeKernelUnavailable, match="REPRO_NATIVE=require"):
             resolve_replay_mode()
+        with pytest.raises(NativeKernelUnavailable, match="build_ext --inplace"):
+            make_storage("default", OramConfig(num_blocks=64))
 
 
 # -- what a child process inherits -------------------------------------------------
 
-FLAGS = ["--replay", "scalar", "--force", "--faults", "cell.crash@never"]
+FLAGS = ["--force", "--faults", "cell.crash@never"]
 
 
 def _seen():
@@ -190,7 +197,7 @@ def _seen():
     settings = Settings.from_env()
     plan = faults.active()
     return [
-        settings.tier, settings.force, str(settings.trace_cache),
+        settings.force, str(settings.trace_cache),
         [spec.to_entry() for spec in plan.specs] if plan is not None else None,
     ]
 
@@ -203,7 +210,7 @@ def exported_flags(tmp_path):
     # The parent's own install: a child has to get the plan from the
     # exported variable, not from memory it was forked with.
     faults.clear()
-    yield ["reference", True, str(tmp_path / "t"), ["cell.crash@never"]]
+    yield [True, str(tmp_path / "t"), ["cell.crash@never"]]
     for name, value in saved.items():
         if value is None:
             os.environ.pop(name, None)

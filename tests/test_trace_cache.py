@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import ProcessorConfig
+from repro.errors import CacheCorruptionWarning
 from repro.proc.hierarchy import MissEvent, MissTrace
 from repro.sim.runner import SimulationRunner
 from repro.sim.store import TraceCache, trace_key
@@ -97,7 +98,8 @@ class TestTraceCache:
         cache = TraceCache(tmp_path)
         cache.store("k1", sample_trace())
         cache.path_for("k1").write_bytes(b"garbage" * 10)
-        assert cache.load("k1") is None
+        with pytest.warns(CacheCorruptionWarning, match="evicted corrupt"):
+            assert cache.load("k1") is None
         assert not cache.path_for("k1").exists()
 
     def test_truncated_entry_falls_back(self, tmp_path):
@@ -106,7 +108,8 @@ class TestTraceCache:
         cache.store("k1", trace)
         data = cache.path_for("k1").read_bytes()
         cache.path_for("k1").write_bytes(data[: len(data) // 2])
-        assert cache.load("k1") is None
+        with pytest.warns(CacheCorruptionWarning, match="evicted corrupt"):
+            assert cache.load("k1") is None
 
     def test_unwritable_root_reports_failure(self, tmp_path):
         target = tmp_path / "blocked"
@@ -138,7 +141,8 @@ class TestRunnerDiskCache:
         key = first.trace_cache_key("gob")
         first.trace_cache.path_for(key).write_bytes(b"\x00" * 64)
         second = SimulationRunner(misses_per_benchmark=150, cache_dir=tmp_path)
-        assert second.trace("gob") == trace  # recomputed, not crashed
+        with pytest.warns(CacheCorruptionWarning, match="evicted corrupt"):
+            assert second.trace("gob") == trace  # recomputed, not crashed
 
     def test_budget_change_misses_cache(self, tmp_path):
         a = SimulationRunner(misses_per_benchmark=150, cache_dir=tmp_path)
