@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.backend.columnar import ColumnarPathOramBackend
 from repro.backend.ops import Op
+from repro.backend.stash import KernelOccupancyStats
 from repro.backend.path_oram import PathOramBackend, make_backend
 from repro.config import OramConfig
 from repro.errors import NativeKernelUnavailable, StashOverflowError
@@ -24,7 +25,12 @@ from repro.storage.snapshot import tree_digest, tree_records
 from repro.storage.tree import TreeStorage
 from repro.utils.rng import DeterministicRng
 
-from test_native_replay import needs_core
+from test_native_replay import CORE, needs_core
+
+#: Every built-in scheme: the five presets and the two figure points.
+BUILT_IN_SCHEMES = (
+    "R_X8", "P_X16", "PC_X32", "PI_X8", "PIC_X32", "PC_X64", "phantom_4kb",
+)
 
 
 class TestSlotArena:
@@ -424,6 +430,46 @@ class TestBackendFactory:
             ColumnarPathOramBackend(config, storage, DeterministicRng(1))
         with pytest.raises(NativeKernelUnavailable, match="REPRO_NATIVE=off"):
             build_frontend("PC_X32", num_blocks=2**10, storage="columnar")
+
+    @pytest.mark.parametrize("policy, storage, tier", (
+        ("off", "default", "reference"),
+        ("require", "default", "fast"),
+        ("require", "object", "reference"),
+        ("off", "columnar", None),
+    ))
+    @pytest.mark.parametrize("scheme", BUILT_IN_SCHEMES)
+    def test_every_scheme_builds_the_tier_it_resolves(
+        self, monkeypatch, scheme, policy, storage, tier
+    ):
+        """Storage follows the tier where the spec leaves it at
+        ``default`` and an explicit one pins it; every backend of a fast
+        frontend has its kernel and kernel-fed occupancy stats from birth,
+        and columnar storage without the core has nothing to fall back
+        to."""
+        if policy == "require" and CORE is None:
+            pytest.skip("compiled core not built")
+        monkeypatch.setenv("REPRO_NATIVE", policy)
+        geometry = (
+            dict(num_blocks=2**6, block_bytes=256)
+            if scheme == "phantom_4kb" else dict(num_blocks=2**10)
+        )
+        if tier is None:
+            with pytest.raises(NativeKernelUnavailable, match="REPRO_NATIVE=off"):
+                build_frontend(scheme, storage=storage, **geometry)
+            return
+        frontend = build_frontend(scheme, storage=storage, **geometry)
+        assert getattr(frontend, "_kernel", None) is None
+        backends = getattr(frontend, "backends", None) or [frontend.backend]
+        for backend in backends:
+            if tier == "fast":
+                assert type(backend) is ColumnarPathOramBackend
+                assert type(backend.storage) is ColumnarTreeStorage
+                assert isinstance(backend._kernel, CORE.AccessKernel)
+                assert type(backend.stash.occupancy_stats) is KernelOccupancyStats
+            else:
+                assert type(backend) is PathOramBackend
+                assert type(backend.storage) is TreeStorage
+                assert not hasattr(backend, "_kernel")
 
     def test_spec_rejects_unknown_storage(self):
         from repro.errors import SpecError

@@ -56,6 +56,7 @@ from repro.sim.system import replay_trace
 from repro.sim.timing import OramTimingModel
 from repro.storage.block import Block
 from repro.storage.columnar import CHUNK_SLOTS, ColumnarTreeStorage
+from repro.storage import make_storage
 from repro.storage.snapshot import tree_digest, tree_records
 from repro.storage.tree import TreeStorage
 from repro.utils.rng import DeterministicRng
@@ -847,6 +848,47 @@ class TestDispatchPolicy:
             monkeypatch.setenv("REPRO_NATIVE", policy)
             assert resolve_tier(None) == ("compiled", CORE)
             assert resolve_replay_mode("scalar") == "scalar"
+
+    @pytest.mark.parametrize("mode", (None, "scalar", "compiled"))
+    @pytest.mark.parametrize("build", ("built", "unbuilt", "stale"))
+    @pytest.mark.parametrize("policy", ("on", "off", "require"))
+    def test_the_tier_table(self, monkeypatch, policy, build, mode):
+        """Every (``REPRO_NATIVE``, build, ``mode=``) cell: the fast tier
+        only on a current build the switch and the keyword allow, the
+        reference tier where the fast one is not demanded, and
+        ``NativeKernelUnavailable`` saying why (and how to build) where it
+        is. ``make_storage("default")`` follows the environment's tier."""
+        if build != "unbuilt" and CORE is None:
+            pytest.skip("compiled core not built")
+        monkeypatch.setenv("REPRO_NATIVE", policy)
+        if build == "unbuilt":
+            monkeypatch.setattr(native_pkg, "_CORE_CACHE", [UNBUILT])
+        elif build == "stale":
+            monkeypatch.setattr(native_pkg, "source_digest", lambda: "0" * 64)
+            monkeypatch.setattr(native_pkg, "_CORE_CACHE", [])
+        fast = policy != "off" and build == "built"
+        if mode == "scalar":
+            assert resolve_tier(mode) == ("scalar", None)
+        elif fast:
+            assert resolve_tier(mode) == ("compiled", CORE)
+        elif mode == "compiled" or policy == "require":
+            why = "REPRO_NATIVE=off" if policy == "off" else {
+                "unbuilt": "not built", "stale": "stale",
+            }[build]
+            with pytest.raises(NativeKernelUnavailable, match=why) as caught:
+                resolve_tier(mode)
+            assert "build_ext --inplace" in str(caught.value)
+        else:
+            assert resolve_tier(mode) == ("scalar", None)
+        if mode is None:
+            config = OramConfig(num_blocks=64)
+            if not fast and policy == "require":
+                with pytest.raises(NativeKernelUnavailable):
+                    make_storage("default", config)
+            else:
+                assert type(make_storage("default", config)) is (
+                    ColumnarTreeStorage if fast else TreeStorage
+                )
 
 
 # ---------------------------------------------------------------------------

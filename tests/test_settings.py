@@ -186,6 +186,32 @@ class TestCallersReadTheEnvironmentWhenTheyRun:
         with pytest.raises(NativeKernelUnavailable, match="build_ext --inplace"):
             make_storage("default", OramConfig(num_blocks=64))
 
+    @pytest.mark.parametrize("storage", ("object", "columnar", "tree"))
+    @pytest.mark.parametrize("replay", ("scalar", "compiled", "batched"))
+    def test_retired_tier_variables_pick_nothing(
+        self, monkeypatch, replay, storage
+    ):
+        """Whatever the two retired variables say, each ``REPRO_NATIVE``
+        value resolves the tier and the default storage it resolves
+        alone: three environments pick a tier, not twenty-seven."""
+
+        def outcome():
+            try:
+                mode = resolve_replay_mode()
+                kind = type(make_storage("default", OramConfig(num_blocks=64)))
+            except NativeKernelUnavailable as exc:
+                return str(exc)
+            return mode, kind
+
+        for policy in ("on", "off", "require"):
+            monkeypatch.setenv("REPRO_NATIVE", policy)
+            monkeypatch.delenv("REPRO_REPLAY", raising=False)
+            monkeypatch.delenv("REPRO_STORAGE", raising=False)
+            alone = outcome()
+            monkeypatch.setenv("REPRO_REPLAY", replay)
+            monkeypatch.setenv("REPRO_STORAGE", storage)
+            assert outcome() == alone, policy
+
 
 # -- what a child process inherits -------------------------------------------------
 
