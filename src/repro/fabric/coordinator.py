@@ -1,14 +1,15 @@
 """Fabric coordinator: shards sweep cells across workers with work-stealing.
 
 The coordinator owns a listening socket for workers that dial in, the
-processes of the local workers it forks (each over a socketpair), a set
-of worker connections, and a single-threaded dispatch loop.
-Per-connection reader threads do nothing but frame messages, timestamp
-liveness and bump counters under the lock; every *semantic* decision —
-leasing, stealing, retry accounting, quarantine, storing journal entries
-via the sweep's progress callback — happens on the one thread inside
-:meth:`FabricCoordinator.execute`, in a deterministic, auditable order.
-Report *content* order never depends on any of this: the sweep
+processes of the local workers it forks (each over a socketpair), and a
+set of worker connections, all on the caller's thread: while
+:meth:`FabricCoordinator.execute` runs, a ``selectors`` loop cuts the
+bytes its sockets have ready into frames and handles each in arrival
+order. The loop reads the clock once per turn and hands that ``now`` to
+every decision, so a test can drive them through a scripted schedule in
+virtual time. Between two calls nothing is read: a worker that dials
+then is configured at the next poll, and liveness is judged only while
+polling. Report *content* order never depends on any of this: the sweep
 assembles cells in grid order, so scheduling is invisible in the output
 bytes.
 
@@ -19,7 +20,7 @@ Scheduling model:
   same content-address the shared store uses (``spec`` is null for the
   insecure baseline);
 - idle workers pull (``need``) and receive a lease of up to
-  ``lease_cap`` tasks, sized down as the queue drains so the tail
+  :data:`LEASE_CAP` tasks, sized down as the queue drains so the tail
   spreads across workers;
 - a worker that goes idle while the queue is empty *steals* a task
   already leased to the most-loaded peer: duplicate execution is safe
@@ -27,7 +28,7 @@ Scheduling model:
   per id wins, and a cell's journal entry is stored once) and stragglers no
   longer serialize the tail;
 - a worker that dies (connection drop, heartbeat silence beyond
-  ``heartbeat_timeout``, or a leased cell running past the retry
+  :data:`HEARTBEAT_TIMEOUT`, or a leased cell running past the retry
   policy's ``timeout``) fails the attempt of every open cell it held,
   and those cells are re-dispatched to the survivors; local workers are
   stopped and respawned while budget remains;
@@ -38,7 +39,7 @@ Scheduling model:
   serially. A stolen copy still running a charged attempt may finish
   the cell, but its failure charges nothing;
 - :class:`~repro.errors.FabricError` is raised only when progress is
-  impossible: nobody ever joined within ``startup_timeout``, or every
+  impossible: no live worker for :data:`STARTUP_TIMEOUT`, or every
   worker is gone with no respawn budget. Completed cells are already
   journaled at that point, so ``--resume`` continues exactly there.
 
@@ -59,10 +60,9 @@ from __future__ import annotations
 
 import builtins
 import multiprocessing
-import queue
+import selectors
 import socket
 import sys
-import threading
 import time
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -70,9 +70,9 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 from repro import errors
 from repro.errors import CELL_FAILURES, FabricError
 from repro.fabric.protocol import (
+    FrameDecoder,
     ProtocolError,
     RpcTimeout,
-    recv_message,
     send_message,
 )
 from repro.fabric.store import SharedStore
@@ -86,6 +86,25 @@ from repro.sim.runner import Cell, ProgressCallback, SimulationRunner
 
 #: Local workers are forked: a child inherits the runner and its traces.
 _FORK = multiprocessing.get_context("fork")
+
+#: Seconds between a worker's heartbeats (sent in its ``config``); also
+#: the longest the loop waits for a frame before judging liveness.
+HEARTBEAT_INTERVAL = 0.25
+#: Seconds of silence, while polling, after which a worker is dead.
+HEARTBEAT_TIMEOUT = 5.0
+#: Seconds ``execute()`` waits with no live worker before it gives up.
+STARTUP_TIMEOUT = 60.0
+#: Most tasks in one lease.
+LEASE_CAP = 4
+#: Re-forks allowed per local worker over a coordinator's life.
+RESPAWNS_PER_WORKER = 4
+#: Consecutive failures that quarantine a worker identity...
+BREAKER_THRESHOLD = 3
+#: ...for this many seconds.
+BREAKER_COOLDOWN = 60.0
+
+#: Most bytes read from one socket per loop turn.
+_READ_BYTES = 1 << 16
 
 #: The scheduling counters :meth:`FabricCoordinator.stats` reports.
 COUNTERS = (
@@ -114,20 +133,42 @@ def _cell_error(task: dict, error: str) -> Exception:
 
 
 class _WorkerConn:
-    """Coordinator-side state for one connected worker."""
+    """One worker connection: introduced at ``hello``, alive until hung up."""
 
-    def __init__(self, index: int, sock: socket.socket, ident: str = "?", proc=None):
-        self.index = index
+    def __init__(self, sock: socket.socket, timeout: Optional[float], proc=None):
         self.sock = sock
-        self.ident = ident
+        self.timeout = timeout  # the RPC deadline of every send
         self.proc = proc  # the forked process behind a local worker
-        self.send_lock = threading.Lock()
+        self.decoder = FrameDecoder("coordinator")
+        self.index: Optional[int] = None
+        self.ident = "?"
         self.alive = True
         self.waiting = False  # blocked on recv, owed a lease when work appears
-        self.last_seen = time.monotonic()
+        self.last_seen = 0.0
         # Its last lease, result or error; None from its next "need" on.
         self.busy_since: Optional[float] = None
         self.leases: Dict[str, int] = {}  # task id -> the attempt it runs
+
+    def send(self, message: dict) -> None:
+        send_message(self.sock, message, "coordinator", timeout=self.timeout)
+
+    def receive(self) -> List[Optional[dict]]:
+        """The frames its ready bytes complete; a final None: it is gone."""
+        messages: List[Optional[dict]] = []
+        try:
+            data = self.sock.recv(_READ_BYTES)
+            messages.extend(self.decoder.feed(data))
+        except (OSError, ProtocolError):
+            data = b""
+        if not data:
+            messages.append(None)
+        return messages
+
+    def close(self) -> None:
+        try:
+            self.sock.close()
+        except OSError:
+            pass
 
 
 class FabricCoordinator:
@@ -140,55 +181,30 @@ class FabricCoordinator:
         spawn: int = 0,
         host: str = "127.0.0.1",
         port: int = 0,
-        heartbeat_interval: float = 0.25,
-        heartbeat_timeout: Optional[float] = None,
-        startup_timeout: float = 60.0,
-        lease_cap: int = 4,
-        respawn_budget: Optional[int] = None,
-        breaker_threshold: int = 3,
-        breaker_cooldown: float = 60.0,
-        rpc: Optional[RpcPolicy] = None,
     ):
         self.spawn = spawn
         self.host = host
         self.port = port
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = (
-            heartbeat_timeout
-            if heartbeat_timeout is not None
-            else max(5.0, 20 * heartbeat_interval)
-        )
-        self.startup_timeout = startup_timeout
-        self.lease_cap = max(1, lease_cap)
-        self._respawn_budget = (
-            respawn_budget if respawn_budget is not None else spawn * 4
-        )
+        self._respawn_budget = spawn * RESPAWNS_PER_WORKER
         # Attach the runner to the shared store so the wire image ships
         # the store's directories to every worker.
         self.store = SharedStore(runner)
         self.runner = self.store.attach(runner)
         self.address: Optional[Tuple[str, int]] = None
         self.counters: Dict[str, int] = dict.fromkeys(COUNTERS, 0)
-        self._breaker_threshold = max(1, breaker_threshold)
-        self._breaker_cooldown = breaker_cooldown
         settings = Settings.from_env()
-        self._rpc = rpc if rpc is not None else RpcPolicy.from_settings(settings)
+        self._rpc = RpcPolicy.from_settings(settings)
         # Per-worker-identity circuit breakers: a worker that keeps
         # flapping (N consecutive failures) is quarantined — its redials
         # are refused until the cooldown elapses. Keyed by the worker's
         # self-assigned ident, which survives reconnects, not by the
         # per-session connection index.
         self._breakers: Dict[str, CircuitBreaker] = {}
-        self._server: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._conns: Dict[int, _WorkerConn] = {}
+        # The listener (data None) and every open connection, from start().
+        self._selector: Optional[selectors.BaseSelector] = None
+        self._conns: Dict[int, _WorkerConn] = {}  # introduced, by index
         self._procs: List[multiprocessing.process.BaseProcess] = []
-        self._pairs: List[socket.socket] = []  # our ends of local workers' pairs
-        self._events: "queue.Queue[Tuple[str, int, Optional[dict]]]" = queue.Queue()
-        self._lock = threading.Lock()
-        self._next_index = 0
-        self._closing = False
-        self._last_liveness = time.monotonic()
+        self._last_liveness = 0.0
         # execute()-scoped scheduling state.
         self._open: Dict[str, dict] = {}
         self._pending: Deque[str] = deque()
@@ -199,15 +215,11 @@ class FabricCoordinator:
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self) -> Tuple[str, int]:
-        """Bind, accept, and fork local workers; returns (host, port)."""
-        self._server = socket.create_server((self.host, self.port))
-        addr = self._server.getsockname()
-        self.address = (addr[0], addr[1])
-        self._last_liveness = time.monotonic()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, daemon=True, name="fabric-accept"
-        )
-        self._accept_thread.start()
+        """Listen and fork local workers; returns (host, port). Nothing is read yet."""
+        server = socket.create_server((self.host, self.port))
+        self.address = server.getsockname()[:2]
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(server, selectors.EVENT_READ, None)
         for _ in range(self.spawn):
             self._spawn_worker()
         return self.address
@@ -215,29 +227,21 @@ class FabricCoordinator:
     def close(self) -> None:
         """Shut workers down and release sockets, processes, and the store.
 
-        The listener goes first, and a session admitted concurrently is
-        either in the snapshot below or refused by :meth:`_conn_loop`: a
-        worker still running a stolen duplicate finds its late ``result``
-        unsendable or answered by ``shutdown`` and exits 0 — instead of
-        rejoining a coordinator that will never lease to it again and
-        sitting out the ``join`` below until it is terminated.
+        Every open connection, introduced or not, gets a ``shutdown``
+        frame: a worker still running a stolen duplicate finds its late
+        ``result`` unsendable or answered by ``shutdown`` and exits 0,
+        and one whose ``hello`` was never read is turned away instead of
+        configured.
         """
-        with self._lock:
-            self._closing = True
-            conns = list(self._conns.values())
-        if self._server is not None:
-            try:
-                # close() alone does not wake a thread blocked in accept().
-                self._server.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._server.close()
-            except OSError:
-                pass
-        for conn in conns:
-            with conn.send_lock:
-                self._hang_up(conn.sock, shutdown_frame=conn.alive)
+        if self._selector is not None:
+            for key in list(self._selector.get_map().values()):
+                if key.data is None:
+                    self._selector.unregister(key.fileobj)
+                    key.fileobj.close()
+                else:
+                    self._hang_up(key.data, shutdown_frame=True)
+            self._selector.close()
+            self._selector = None
         # A worker still running a cell gets, all told, the time a cell is
         # allowed (5 s without a cell timeout) before it is terminated.
         deadline = time.monotonic() + min(5.0, self._retry.timeout or 5.0)
@@ -251,20 +255,18 @@ class FabricCoordinator:
                 proc.join()
         self.store.close()
 
-    def _hang_up(self, sock: socket.socket, shutdown_frame: bool) -> None:
-        """Close a worker's socket, first telling it to exit if asked."""
+    def _hang_up(self, conn: _WorkerConn, shutdown_frame: bool) -> None:
+        """Close a connection for good, first telling its worker to exit if asked."""
+        conn.alive = False
+        conn.waiting = False
         if shutdown_frame:
             try:
-                send_message(
-                    sock, {"type": "shutdown"}, "coordinator",
-                    timeout=self._rpc.timeout,
-                )
+                conn.send({"type": "shutdown"})
             except ProtocolError:
                 pass
-        try:
-            sock.close()
-        except OSError:
-            pass
+        if self._selector is not None:
+            self._selector.unregister(conn.sock)
+        conn.close()
 
     def __enter__(self) -> "FabricCoordinator":
         self.start()
@@ -275,134 +277,49 @@ class FabricCoordinator:
 
     def stats(self) -> Dict[str, object]:
         """JSON-safe scheduling counters + shared-store inventory."""
-        with self._lock:
-            live = sum(1 for c in self._conns.values() if c.alive)
-            out: Dict[str, object] = dict(self.counters)
-        out["workers_live"] = live
+        out: Dict[str, object] = dict(self.counters)
+        out["workers_live"] = self._live()
         out["store"] = self.store.stats()
         return out
 
-    def _count(self, name: str, n: int = 1) -> None:
-        # Connection threads count too, and ``+=`` on a dict item is not
-        # atomic: every increment takes the lock.
-        with self._lock:
-            self.counters[name] += n
+    def _live(self) -> int:
+        return sum(1 for c in self._conns.values() if c.alive)
+
+    def _watch(self, conn: _WorkerConn) -> None:
+        self._selector.register(conn.sock, selectors.EVENT_READ, conn)
 
     def _spawn_worker(self) -> None:
         """Fork one local worker over a socketpair.
 
         The child inherits this process: its environment, the runner and
-        every trace synthesised so far. Our end of the pair joins through
-        :meth:`_conn_loop` like a dialled-in worker's socket.
+        every trace synthesised so far. Our end of the pair is read like
+        a dialled-in worker's socket.
         """
         ours, theirs = socket.socketpair()
-        self._pairs.append(ours)  # before the fork: the child closes it too
         proc = _FORK.Process(
-            target=self._local_worker, args=(theirs,), daemon=True,
+            target=self._local_worker, args=(ours, theirs), daemon=True,
             name="fabric-worker",
         )
         proc.start()
         theirs.close()
         self._procs.append(proc)
-        self._last_liveness = time.monotonic()
-        threading.Thread(
-            target=self._conn_loop, args=(ours, proc), daemon=True,
-            name="fabric-conn",
-        ).start()
+        self._watch(_WorkerConn(ours, self._rpc.timeout, proc))
 
-    def _local_worker(self, sock: socket.socket) -> None:
-        """A forked local worker's body: serve over ``sock``, then exit.
+    def _local_worker(self, ours: socket.socket, theirs: socket.socket) -> None:
+        """A forked local worker's body: serve over ``theirs``, then exit.
 
         It closes the coordinator's sockets it inherited, so a peer we
         hang up on sees end-of-file, and re-installs the fault plan from
         ``REPRO_FAULTS``, so occurrence counters restart per process.
         """
-        conns = (c.sock for c in self._conns.values())
-        for other in [self._server, *self._pairs, *conns]:
-            other.close()
+        ours.close()
+        for key in self._selector.get_map().values():
+            key.fileobj.close()
+        self._selector.close()
         install_from(Settings.from_env())
-        sys.exit(FabricWorker.forked(sock, self.runner).run())
+        sys.exit(FabricWorker.forked(theirs, self.runner).run())
 
-    # -- connection threads (framing + liveness only; no scheduling) -------------
-
-    def _accept_loop(self) -> None:
-        while not self._closing:
-            try:
-                sock, _addr = self._server.accept()
-            except OSError:
-                return
-            threading.Thread(
-                target=self._conn_loop,
-                args=(sock,),
-                daemon=True,
-                name="fabric-conn",
-            ).start()
-
-    def _conn_loop(self, sock: socket.socket, proc=None) -> None:
-        try:
-            hello = recv_message(sock, "coordinator")
-        except ProtocolError:
-            hello = None
-        if hello is None or hello.get("type") != "hello":
-            self._hang_up(sock, shutdown_frame=False)
-            return
-        ident = str(hello.get("ident") or hello.get("pid") or "?")
-        session = int(hello.get("session", 1) or 1)
-        with self._lock:
-            refused = self._closing
-            if not refused:
-                breaker = self._breakers.get(ident)
-                refused = breaker is not None and not breaker.allow()
-                if refused:
-                    self.counters["quarantined_workers"] += 1
-            if not refused:
-                index = self._next_index
-                self._next_index += 1
-                conn = _WorkerConn(index, sock, ident, proc)
-                self._conns[index] = conn
-        if refused:
-            # A coordinator that is closing, or a flapping identity inside
-            # its cooldown: refuse the session so it stops churning
-            # leases. The worker sees a non-config frame and exits
-            # cleanly; a redial after the cooldown gets a half-open probe.
-            self._hang_up(sock, shutdown_frame=True)
-            return
-        try:
-            with conn.send_lock:
-                send_message(
-                    sock,
-                    {
-                        "type": "config",
-                        "index": index,
-                        "runner": runner_to_wire(self.runner),
-                        "heartbeat": self.heartbeat_interval,
-                    },
-                    "coordinator",
-                    timeout=self._rpc.timeout,
-                )
-        except ProtocolError as exc:
-            if isinstance(exc, RpcTimeout):
-                self._count("rpc_timeouts")
-            self._events.put(("lost", index, None))
-            return
-        self._count("workers_joined")
-        if session > 1:
-            self._count("reconnects")
-        self._last_liveness = time.monotonic()  # it announces itself with "need"
-        while True:
-            try:
-                message = recv_message(sock, "coordinator")
-            except ProtocolError:
-                break
-            if message is None:
-                break
-            conn.last_seen = time.monotonic()
-            if message.get("type") == "heartbeat":
-                continue
-            self._events.put((message["type"], index, message))
-        self._events.put(("lost", index, None))
-
-    # -- the dispatch loop (single-threaded semantics) ---------------------------
+    # -- the loop: one thread, one clock read per turn ---------------------------
 
     def execute(
         self,
@@ -421,6 +338,35 @@ class FabricCoordinator:
         rebuilt by :func:`_cell_error`). ``progress`` is invoked on
         this thread, once per completed cell, in completion order.
         """
+        ready = None  # the first turn reads nothing: it loads the call
+        while True:
+            now = time.monotonic()
+            if ready is None:
+                self._begin(tasks, retry, failures, progress, now)
+            for key, _ in ready or ():
+                if key.data is None:
+                    self._accept(key.fileobj)
+                else:
+                    for message in key.data.receive():
+                        self._handle(key.data, message, now)
+            if not self._open:
+                return
+            self._check_liveness(now)
+            ready = self._selector.select(HEARTBEAT_INTERVAL)
+
+    def _begin(
+        self,
+        tasks: List[dict],
+        retry: Optional[RetryPolicy],
+        failures: Optional[List[dict]],
+        progress: Optional[ProgressCallback],
+        now: float,
+    ) -> None:
+        """Load one call, start its clocks at ``now`` and lease to the idle.
+
+        Frames that queued since the last call were not read, but they
+        were not missing either: no worker is judged on that gap.
+        """
         self._retry = retry or RetryPolicy.from_settings(Settings.from_env())
         self._failures = failures
         self._progress = progress
@@ -432,61 +378,107 @@ class FabricCoordinator:
                 continue
             self._open[task["id"]] = task
             self._pending.append(task["id"])
-        self._last_liveness = time.monotonic()
-        self._kick_waiting()
-        while self._open:
-            try:
-                event, index, message = self._events.get(
-                    timeout=self.heartbeat_interval
-                )
-            except queue.Empty:
-                self._check_liveness()
-                continue
-            self._handle(event, index, message)
-            self._check_liveness()
+        for conn in self._conns.values():
+            if conn.alive:
+                conn.last_seen = now
+                if conn.busy_since is not None:
+                    conn.busy_since = now
+        self._last_liveness = now
+        self._kick_waiting(now)
 
-    def _handle(self, event: str, index: int, message: Optional[dict]) -> None:
-        conn = self._conns.get(index)
-        if conn is None:
+    def _accept(self, server: socket.socket) -> None:
+        try:
+            sock, _addr = server.accept()
+        except OSError:
             return
-        if event == "lost":
-            self._on_worker_down(conn, "connection lost")
-        elif not conn.alive:
-            return  # late frames from a worker we already declared dead
-        elif event == "need":
+        self._watch(_WorkerConn(sock, self._rpc.timeout))
+
+    def _handle(self, conn: _WorkerConn, message: Optional[dict], now: float) -> None:
+        """One frame from ``conn`` (None: it hung up), arriving at ``now``."""
+        if not conn.alive:
+            return  # late frames from a worker we already hung up on
+        if conn.index is None:
+            if message is not None and message.get("type") == "hello":
+                self._hello(conn, message, now)
+            else:
+                self._hang_up(conn, shutdown_frame=False)
+            return
+        if message is None:
+            self._on_worker_down(conn, "connection lost", now)
+            return
+        conn.last_seen = now
+        kind = message.get("type")
+        if kind == "need":
             conn.waiting = True
             conn.busy_since = None
-            self._dispatch(conn)
-        elif event == "result":
-            conn.busy_since = time.monotonic()
-            with self._lock:
-                breaker = self._breakers.get(conn.ident)
+            self._dispatch(conn, now)
+        elif kind == "result":
+            conn.busy_since = now
+            breaker = self._breakers.get(conn.ident)
             if breaker is not None:
                 breaker.record_success()
             task = self._open.pop(message["id"], None)
             self._drop_task(message["id"])
             if task is not None:
-                self._count("completed")
+                self.counters["completed"] += 1
                 if self._progress is not None:
                     result = SimResult(**message["result"])
                     self._progress(task["label"], task["bench"], result, False)
-        elif event == "error":
-            conn.busy_since = time.monotonic()
-            self._count("errors")
+        elif kind == "error":
+            conn.busy_since = now
+            self.counters["errors"] += 1
             attempt = conn.leases.pop(message["id"], None)
             task = self._open.get(message["id"])
             if task is not None and attempt is not None:
-                self._failed(task, attempt, message["error"])
+                self._failed(task, attempt, message["error"], now)
 
-    def _dispatch(self, conn: _WorkerConn) -> None:
+    def _hello(self, conn: _WorkerConn, hello: dict, now: float) -> None:
+        """Configure a new session, or refuse a quarantined identity."""
+        ident = str(hello.get("ident") or hello.get("pid") or "?")
+        breaker = self._breakers.get(ident)
+        if breaker is not None and not breaker.allow(now):
+            # A flapping identity inside its cooldown: refuse the session
+            # so it stops churning leases. The worker sees a non-config
+            # frame and exits cleanly; a redial after the cooldown gets a
+            # half-open probe.
+            self.counters["quarantined_workers"] += 1
+            self._hang_up(conn, shutdown_frame=True)
+            return
+        conn.index = len(self._conns)
+        conn.ident = ident
+        conn.last_seen = now
+        self._conns[conn.index] = conn
+        config = {
+            "type": "config",
+            "index": conn.index,
+            "runner": runner_to_wire(self.runner),
+            "heartbeat": HEARTBEAT_INTERVAL,
+        }
+        if self._send(conn, config, now):
+            self.counters["workers_joined"] += 1
+            if int(hello.get("session", 1) or 1) > 1:
+                self.counters["reconnects"] += 1
+
+    def _send(self, conn: _WorkerConn, message: dict, now: float) -> bool:
+        """Send within the RPC deadline; a failed send is the worker's death."""
+        try:
+            conn.send(message)
+            return True
+        except RpcTimeout:
+            self.counters["rpc_timeouts"] += 1
+            self._on_worker_down(conn, f"{message['type']} send timed out", now)
+        except ProtocolError:
+            self._on_worker_down(conn, f"{message['type']} send failed", now)
+        return False
+
+    def _dispatch(self, conn: _WorkerConn, now: float) -> None:
         """Lease pending work — or steal from a straggler — to an idle worker."""
         if not conn.alive or not conn.waiting:
             return
-        with self._lock:
-            live = max(1, sum(1 for c in self._conns.values() if c.alive))
+        live = max(1, self._live())
         tasks: List[dict] = []
         if self._pending:
-            chunk = min(self.lease_cap, max(1, len(self._pending) // (2 * live)))
+            chunk = min(LEASE_CAP, max(1, len(self._pending) // (2 * live)))
             for _ in range(chunk):
                 task_id = self._pending.popleft()
                 task = self._open.get(task_id)
@@ -496,38 +488,27 @@ class FabricCoordinator:
             stolen = self._steal_for(conn)
             if stolen is not None:
                 tasks.append(stolen)
-                self._count("stolen")
+                self.counters["stolen"] += 1
         if not tasks:
             return  # stays waiting; requeues and new work will kick it
         for task in tasks:
             conn.leases[task["id"]] = task["attempt"]
         conn.waiting = False
-        conn.busy_since = time.monotonic()
-        self._count("dispatched", len(tasks))
-        try:
-            with conn.send_lock:
-                send_message(
-                    conn.sock, {"type": "lease", "tasks": tasks}, "coordinator",
-                    timeout=self._rpc.timeout,
-                )
-        except RpcTimeout:
-            self._count("rpc_timeouts")
-            self._on_worker_down(conn, "lease send timed out")
-        except ProtocolError:
-            self._on_worker_down(conn, "lease send failed")
+        conn.busy_since = now
+        self.counters["dispatched"] += len(tasks)
+        self._send(conn, {"type": "lease", "tasks": tasks}, now)
 
     def _steal_for(self, thief: _WorkerConn) -> Optional[dict]:
         """One stealable task from the most-loaded peer (None if nothing)."""
-        with self._lock:
-            victims = sorted(
-                (
-                    c
-                    for c in self._conns.values()
-                    if c.alive and c is not thief and c.leases
-                ),
-                key=lambda c: len(c.leases),
-                reverse=True,
-            )
+        victims = sorted(
+            (
+                c
+                for c in self._conns.values()
+                if c.alive and c is not thief and c.leases
+            ),
+            key=lambda c: len(c.leases),
+            reverse=True,
+        )
         for victim in victims:
             for task_id in victim.leases:
                 if task_id in self._open and task_id not in thief.leases:
@@ -536,21 +517,19 @@ class FabricCoordinator:
 
     def _running(self, task: dict) -> bool:
         """Whether a live worker holds a lease on the task's current attempt."""
-        with self._lock:
-            return any(
-                c.alive and c.leases.get(task["id"]) == task["attempt"]
-                for c in self._conns.values()
-            )
+        return any(
+            c.alive and c.leases.get(task["id"]) == task["attempt"]
+            for c in self._conns.values()
+        )
 
     def _drop_task(self, task_id: str) -> None:
         """Forget a resolved task everywhere it might still be referenced."""
-        with self._lock:
-            for c in self._conns.values():
-                c.leases.pop(task_id, None)
+        for c in self._conns.values():
+            c.leases.pop(task_id, None)
         if task_id in self._pending:
             self._pending.remove(task_id)
 
-    def _failed(self, task: dict, attempt: int, error: str) -> None:
+    def _failed(self, task: dict, attempt: int, error: str, now: float) -> None:
         """Attempt ``attempt`` of ``task`` failed: charge it, requeue or quarantine.
 
         Only the first failure of the current attempt is charged; a later
@@ -571,67 +550,51 @@ class FabricCoordinator:
             task["attempt"] = attempt + 1
         if task["id"] not in self._pending and not self._running(task):
             self._pending.append(task["id"])
-            self._kick_waiting()
+            self._kick_waiting(now)
 
-    def _kick_waiting(self) -> None:
+    def _kick_waiting(self, now: float) -> None:
         """Offer refilled work to every worker parked in the waiting state."""
-        if not self._pending:
-            return
-        with self._lock:
-            waiting = [
-                c for c in self._conns.values() if c.alive and c.waiting
-            ]
-        for conn in waiting:
+        for conn in [c for c in self._conns.values() if c.alive and c.waiting]:
             if not self._pending:
                 break
-            self._dispatch(conn)
+            self._dispatch(conn, now)
 
-    def _on_worker_down(self, conn: _WorkerConn, reason: str) -> None:
+    def _on_worker_down(self, conn: _WorkerConn, reason: str, now: float) -> None:
         """Mark a worker dead, fail the attempts it held, maybe respawn."""
         if not conn.alive:
             return
-        conn.alive = False
-        conn.waiting = False
-        self._hang_up(conn.sock, shutdown_frame=False)
+        self._hang_up(conn, shutdown_frame=False)
         if conn.proc is not None:
             conn.proc.terminate()  # a forked worker cannot redial: stop it
-        self._count("dead")
-        if not self._closing:
-            with self._lock:
-                breaker = self._breakers.setdefault(
-                    conn.ident,
-                    CircuitBreaker(
-                        threshold=self._breaker_threshold,
-                        cooldown=self._breaker_cooldown,
-                    ),
-                )
-            if breaker.record_failure():
-                self._count("breaker_trips")
+        self.counters["dead"] += 1
+        breaker = self._breakers.setdefault(
+            conn.ident, CircuitBreaker(BREAKER_THRESHOLD, BREAKER_COOLDOWN)
+        )
+        if breaker.record_failure(now):
+            self.counters["breaker_trips"] += 1
         reclaim = list(conn.leases.items())
         conn.leases.clear()
         for task_id, attempt in reclaim:
             task = self._open.get(task_id)
             if task is None:
                 continue  # resolved
-            self._count("reclaimed")
+            self.counters["reclaimed"] += 1
             # Charged even while a stolen copy runs the same attempt: else
             # each respawned worker steals a stalling attempt back.
-            self._failed(task, attempt, f"FabricError: worker {conn.index} {reason}")
-        if self._closing:
-            return
-        with self._lock:
-            live = sum(1 for c in self._conns.values() if c.alive)
+            self._failed(
+                task, attempt, f"FabricError: worker {conn.index} {reason}", now
+            )
         if (
             self.spawn > 0
-            and live < self.spawn
+            and self._live() < self.spawn
             and self._respawn_budget > 0
             and self._open
         ):
             self._respawn_budget -= 1
-            self._count("respawned")
+            self.counters["respawned"] += 1
             self._spawn_worker()
 
-    def _check_liveness(self) -> None:
+    def _check_liveness(self, now: float) -> None:
         """Time out silent or stuck workers; fail fast when the fabric is empty.
 
         A worker whose current cell has run longer than the retry
@@ -640,30 +603,25 @@ class FabricCoordinator:
         running a cell from a lease until it asks for work again, so one
         that has not yet been leased anything is never stuck.
         """
-        now = time.monotonic()
         cell_timeout = self._retry.timeout
-        with self._lock:
-            conns = list(self._conns.values())
-        for conn in conns:
-            silent = now - conn.last_seen > self.heartbeat_timeout
-            stuck = cell_timeout is not None and conn.busy_since is not None and (
+        for conn in list(self._conns.values()):
+            silent = now - conn.last_seen > HEARTBEAT_TIMEOUT
+            stuck = bool(cell_timeout) and conn.busy_since is not None and (
                 now - conn.busy_since > cell_timeout
             )
             if conn.alive and (silent or stuck):
-                self._count("timeouts")
+                self.counters["timeouts"] += 1
                 self._on_worker_down(conn, (
-                    f"heartbeat silent for {self.heartbeat_timeout:.1f}s"
+                    f"heartbeat silent for {HEARTBEAT_TIMEOUT:.1f}s"
                     if silent else f"cell running past {cell_timeout:.1f}s"
-                ))
+                ), now)
         if not self._open:
             return
-        with self._lock:
-            live = sum(1 for c in self._conns.values() if c.alive)
-        if live:
+        if self._live():
             self._last_liveness = now
-        elif now - self._last_liveness > self.startup_timeout:
+        elif now - self._last_liveness > STARTUP_TIMEOUT:
             raise FabricError(
-                f"no live fabric worker for {self.startup_timeout:.1f}s "
+                f"no live fabric worker for {STARTUP_TIMEOUT:.1f}s "
                 f"({self.counters['workers_joined']} ever joined, respawn "
                 f"budget {self._respawn_budget}); completed cells are "
                 f"journaled — fix the workers and --resume"

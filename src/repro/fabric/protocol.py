@@ -33,6 +33,9 @@ asserted under injection.
 
 Frames are bounded by :data:`MAX_MESSAGE_BYTES` so a garbled length
 prefix (or a non-fabric peer) fails fast instead of allocating gigabytes.
+
+A blocking reader takes one frame with :func:`recv_message`; the
+coordinator cuts whatever bytes are ready with a :class:`FrameDecoder`.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.errors import FabricError, InjectedFault, SpecError
 from repro.faults import fault_hook
@@ -142,12 +145,7 @@ def recv_message(
         header = _recv_exact(sock, 4)
         if header is None:
             return None
-        (length,) = struct.unpack(">I", header)
-        if length > MAX_MESSAGE_BYTES:
-            raise ProtocolError(
-                f"frame length {length} exceeds {MAX_MESSAGE_BYTES}"
-            )
-        data = _recv_exact(sock, length)
+        data = _recv_exact(sock, _frame_length(header))
         if data is None:
             raise ProtocolError("connection dropped mid-frame")
     finally:
@@ -156,6 +154,42 @@ def recv_message(
                 sock.settimeout(previous)
             except OSError:
                 pass
+    return _decode(data, role)
+
+
+class FrameDecoder:
+    """Cuts one connection's byte stream into messages, as the bytes arrive."""
+
+    def __init__(self, role: str = "peer"):
+        self.role = role
+        self._buffer = bytearray()
+
+    def feed(self, data: bytes) -> Iterator[Dict]:
+        """Yield every message ``data`` completes; ``b""`` is end-of-file.
+
+        Fails as :func:`recv_message` does, after the frames before the bad one.
+        """
+        if not data and self._buffer:
+            raise ProtocolError("connection dropped mid-frame")
+        self._buffer += data
+        while len(self._buffer) >= 4:
+            end = 4 + _frame_length(self._buffer[:4])
+            if len(self._buffer) < end:
+                return
+            body = bytes(self._buffer[4:end])
+            del self._buffer[:end]
+            yield _decode(body, self.role)
+
+
+def _frame_length(header: bytes) -> int:
+    (length,) = struct.unpack(">I", header)
+    if length > MAX_MESSAGE_BYTES:
+        raise ProtocolError(f"frame length {length} exceeds {MAX_MESSAGE_BYTES}")
+    return length
+
+
+def _decode(data: bytes, role: str) -> Dict:
+    """One frame's body as a typed message, through the receive fault sites."""
     try:
         message = json.loads(data.decode("utf-8"))
     except ValueError as exc:

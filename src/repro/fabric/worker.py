@@ -25,9 +25,13 @@ coordinator counts the reconnect and its per-worker circuit breaker
 quarantines identities that flap repeatedly. A coordinator that is
 gone for good fails the redial loop, which is a clean exit (its leases
 were reclaimed the moment the connection dropped). ``REPRO_CONNECT_RETRIES``
-bounds each dial loop; ``REPRO_RPC_TIMEOUT`` bounds worker sends and the
-config wait (the idle lease recv is deliberately unbounded — waiting for
-work is the normal state, and heartbeats cover liveness).
+bounds each dial loop; ``REPRO_RPC_TIMEOUT`` bounds worker sends other
+than heartbeats. The waits for ``config``, for a lease and for a
+heartbeat's send are deliberately unbounded: the coordinator reads its
+sockets only while it executes cells, so a worker that dials between two
+sweeps waits for the next one, and beats that fill the socket in a long
+gap resume when it reads again; end-of-file and heartbeats cover a dead
+peer.
 
 Determinism: a worker never *decides* anything. Which cell it runs,
 with which sized spec and attempt number, is dictated by the lease; the
@@ -203,7 +207,7 @@ class FabricWorker:
                     "session": session,
                 }
             )
-            config = recv_message(sock, "worker", timeout=self.rpc.timeout)
+            config = recv_message(sock, "worker")
             if config is None or config.get("type") != "config":
                 return 0  # coordinator went away (or quarantined us)
             self.index = config["index"]
@@ -261,11 +265,11 @@ class FabricWorker:
             n += 1
             try:
                 fault_hook("fabric.heartbeat", f"{self.index}/{n}")
+                # No deadline: between two execute() calls nobody reads,
+                # and a beat that fills the socket waits for the next call
+                # instead of ending the beats for the rest of the session.
                 with self._send_lock:
-                    send_message(
-                        sock, {"type": "heartbeat", "n": n}, "worker",
-                        timeout=self.rpc.timeout,
-                    )
+                    send_message(sock, {"type": "heartbeat", "n": n}, "worker")
             except (ProtocolError, InjectedFault, OSError):
                 return  # silenced or severed: the coordinator's timeout handles us
 

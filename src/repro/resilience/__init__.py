@@ -8,7 +8,7 @@ The control plane shared by the serving layer and the sweep fabric:
   seeded, deterministic exponential backoff-with-jitter
   (``REPRO_CONNECT_RETRIES`` / ``REPRO_RPC_TIMEOUT``).
 - :class:`CircuitBreaker` — consecutive-failure breaker with a
-  monotonic-clock cooldown (the coordinator quarantines flapping
+  cooldown, told the time by its caller (the coordinator quarantines flapping
   workers with it; the serve layer's per-shard breaker is the
   epoch-deterministic sibling living on :class:`~repro.serve.server.OramShard`).
 - :class:`TokenBucket` — per-epoch tenant quota for serve admission.

@@ -28,7 +28,7 @@ class RetryPolicy:
     max_backoff: float = 2.0
     #: Seconds a leased cell may run before its fabric worker is reclaimed
     #: and respawned (the serial driver cannot preempt a running cell).
-    #: None = no timeout.
+    #: None (or 0) = no timeout.
     timeout: Optional[float] = None
 
     def delay(self, attempt: int) -> float:
@@ -53,9 +53,9 @@ class RpcPolicy:
 
     ``connect_attempts`` bounds both the dial loop and how often a
     worker re-establishes a dropped session; ``timeout`` is the per-call
-    deadline applied to coordinator sends and worker sends/config waits
-    (a worker idling on its lease recv is *not* timed out — waiting for
-    work is the normal state, and heartbeats cover liveness).
+    deadline applied to coordinator and worker sends (a worker waiting
+    for its config or a lease is *not* timed out — waiting for work is
+    the normal state, and heartbeats cover liveness).
     """
 
     #: Total connect attempts per dial (first try included).

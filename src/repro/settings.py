@@ -16,8 +16,8 @@ The grammar, for all of them:
   false word (no cache), a true word (the per-user default location) or a
   path (``~`` is expanded where the store is opened); ``REPRO_NATIVE``
   takes them beside ``require``;
-  ``REPRO_RPC_TIMEOUT`` takes a false word, or any number that is not
-  positive, for "no deadline";
+  ``REPRO_RPC_TIMEOUT`` and ``REPRO_CELL_TIMEOUT`` take a false word, or
+  any number that is not positive, for "no deadline";
 - anything else raises :class:`~repro.errors.ConfigurationError` naming
   the variable, the value and what the variable accepts — a typo never
   silently selects a default.
@@ -151,8 +151,9 @@ class Settings:
         "backoff before a cell's second attempt, seconds (doubles after)",
     )
     cell_timeout: Optional[float] = _var(
-        "REPRO_CELL_TIMEOUT", _seconds, None,
-        "seconds a leased cell may run before its worker is reclaimed",
+        "REPRO_CELL_TIMEOUT", _deadline, None,
+        "seconds a leased cell may run before its worker is reclaimed "
+        "(0 or off: no limit)",
     )
     rpc_timeout: Optional[float] = _var(
         "REPRO_RPC_TIMEOUT", _deadline, 30.0,

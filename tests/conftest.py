@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import threading
+import time
 
 import pytest
 
@@ -43,6 +45,27 @@ def _no_leaked_fault_plan():
 
     yield
     clear()
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_threads():
+    """Guarantee no test leaves a thread running behind it.
+
+    A leftover (a worker thread still stalled in an injected fault, say)
+    gets 5 s to finish; after that the test fails and names it, instead
+    of running beside — and forking under — the tests that follow.
+    """
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + 5.0
+    while True:
+        leftover = [t for t in threading.enumerate() if t not in before]
+        if not leftover:
+            return
+        if time.monotonic() > deadline:
+            break
+        time.sleep(0.01)
+    pytest.fail(f"test left threads running: {sorted(t.name for t in leftover)}")
 
 
 @pytest.fixture(params=["native"])

@@ -108,7 +108,7 @@ _settings = st.builds(
     full=st.booleans(),
     retries=st.integers(min_value=1),
     retry_base=_seconds,
-    cell_timeout=st.none() | _seconds,
+    cell_timeout=st.none() | _seconds.filter(lambda seconds: seconds > 0),
     rpc_timeout=st.none() | _seconds.filter(lambda seconds: seconds > 0),
     connect_retries=st.integers(min_value=1),
     faults=st.text(st.characters(blacklist_categories=["Cs"])).map(str.strip),

@@ -8,17 +8,30 @@ bit-identical to a fault-free local run at the same seed. Only the
 ``resilience`` accounting block (which carries the fabric counters) may
 differ. Protocol framing and the runner wire format get unit coverage
 here too, since every distributed guarantee rests on them.
+
+Schedules that depend on time — stealing from a straggler, heartbeat
+silence, the cell timeout, an empty fabric, attempt accounting — run in
+virtual time through ``fabric_schedule.Schedule``: scripted frames and
+clock values fed to the coordinator's decision code, with no socket,
+process or sleep. Real sockets, threads and forks stay in a handful of
+smoke tests.
 """
 
+import ast
 import contextlib
+import inspect
 import json
+import re
 import socket
 import struct
-import sys
 import threading
-import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
 
 from repro.errors import (
     ConfigurationError,
@@ -37,14 +50,21 @@ from repro.fabric import (
     runner_to_wire,
     send_message,
 )
-from repro.fabric.coordinator import _WorkerConn
-from repro.fabric.protocol import MAX_MESSAGE_BYTES
+from repro.fabric.coordinator import (
+    HEARTBEAT_INTERVAL,
+    HEARTBEAT_TIMEOUT,
+    STARTUP_TIMEOUT,
+)
+from repro.fabric.protocol import MAX_MESSAGE_BYTES, FrameDecoder, RpcTimeout
 from repro.faults import injected
-from repro.resilience import RetryPolicy
+from repro.resilience import CircuitBreaker, RetryPolicy
 from repro.sim.checkpoint import HEADER, SweepCheckpoint
 from repro.sim.runner import SimulationRunner
 from repro.sim.sweep import SweepSpec, run_sweep, sweep_table
 
+from fabric_schedule import Schedule, task
+
+SRC = Path(repro.__file__).resolve().parent
 BENCHES = ("gob", "hmmer")
 MISSES = 150
 SCHEMES = ["P_X16", "PC_X32"]
@@ -84,16 +104,14 @@ def _start_worker(host, port):
 
 
 @contextlib.contextmanager
-def _fabric(runner, n_workers=2, **coord_kw):
+def _fabric(runner, n_workers=2):
     """A coordinator plus in-process (thread) workers.
 
     Thread workers share the installed fault plan, which is exactly what
     the lockstep tests want — but it also means plans here must never
     use the ``exit`` action (``os._exit`` would take pytest down).
     """
-    coord_kw.setdefault("heartbeat_interval", 0.05)
-    coord_kw.setdefault("startup_timeout", 30.0)
-    coordinator = FabricCoordinator(runner, spawn=0, **coord_kw)
+    coordinator = FabricCoordinator(runner, spawn=0)
     host, port = coordinator.start()
     threads = [_start_worker(host, port) for _ in range(n_workers)]
     try:
@@ -197,6 +215,48 @@ class TestProtocol:
             b.close()
 
 
+class TestFrameDecoder:
+    """The coordinator's incremental framing equals ``recv_message``'s."""
+
+    def test_frames_cut_at_any_byte_boundary(self):
+        messages = [{"type": "need"}, {"type": "result", "id": "k", "n": [1, 2]}]
+        stream = b"".join(
+            _frame(json.dumps(m, sort_keys=True).encode()) for m in messages
+        )
+        for step in (1, 3, 7, len(stream)):
+            decoder = FrameDecoder()
+            got = [
+                message
+                for at in range(0, len(stream), step)
+                for message in decoder.feed(stream[at:at + step])
+            ]
+            assert got == messages
+            assert list(decoder.feed(b"")) == []  # clean end-of-file
+
+    def test_eof_inside_a_frame_is_a_protocol_error(self):
+        decoder = FrameDecoder()
+        assert list(decoder.feed(struct.pack(">I", 100) + b'{"type":')) == []
+        with pytest.raises(ProtocolError, match="mid-frame"):
+            list(decoder.feed(b""))
+
+    def test_frames_before_a_bad_one_are_delivered(self):
+        decoder = FrameDecoder()
+        got = []
+        with pytest.raises(ProtocolError, match="exceeds"):
+            for message in decoder.feed(
+                _frame(b'{"type": "need"}') + struct.pack(">I", MAX_MESSAGE_BYTES + 1)
+            ):
+                got.append(message)
+        assert got == [{"type": "need"}]
+
+    def test_receive_faults_fire_per_frame(self):
+        decoder = FrameDecoder("coordinator")
+        with injected("fabric.rpc.crash@coordinator/recv/result#1") as plan:
+            with pytest.raises(ProtocolError, match="injected"):
+                list(decoder.feed(_frame(b'{"type": "result"}')))
+        assert plan.fired
+
+
 class TestRunnerWire:
     def test_round_trip_preserves_cell_identity(self, tmp_path):
         runner = _runner(tmp_path, "wire", seed=7)
@@ -233,7 +293,8 @@ class TestFabricLockstep:
     def test_warm_cells_served_from_cache_not_fabric(self, tmp_path):
         runner = _runner(tmp_path, "w")
         golden = run_sweep(_sweep(), runner)  # local run warms the caches
-        with _fabric(runner, n_workers=1) as (coordinator, executor):
+        # No worker: a cold cell would find nobody to run it.
+        with _fabric(runner, n_workers=0) as (coordinator, executor):
             report = run_sweep(_sweep(), runner, executor=executor)
         fabric = report["resilience"]["fabric"]
         assert fabric["dispatched"] == 0  # every cell was content-addressed
@@ -254,71 +315,48 @@ class TestFabricLockstep:
         assert _strip(report) == _strip(golden)
         assert sweep_table(report) == sweep_table(golden)
 
-    def test_stalled_worker_cell_is_stolen(self, tmp_path):
-        golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
-        runner = _runner(tmp_path, "s")
-        stall_secs = 60.0
-        start = time.perf_counter()
-        # One cell stalls far past the test budget; heartbeats keep the
-        # stalled worker alive, so only stealing can finish the sweep.
-        with injected(f"fabric.worker.stall@PC_X32*/hmmer/1#1|secs={stall_secs}"):
-            with _fabric(
-                runner, n_workers=2, heartbeat_timeout=stall_secs * 2
-            ) as (coordinator, executor):
-                report = run_sweep(_sweep(), runner, executor=executor)
-        elapsed = time.perf_counter() - start
-        assert elapsed < stall_secs / 2  # nobody waited out the stall
-        fabric = report["resilience"]["fabric"]
-        assert fabric["stolen"] >= 1
-        assert fabric["timeouts"] == 0 and fabric["dead"] == 0
-        assert _strip(report) == _strip(golden)
+    def test_stalled_worker_cell_is_stolen(self):
+        """A cell that stalls while its worker keeps beating is stolen.
 
-    def test_heartbeat_silence_reclaims_and_heals(self, tmp_path):
-        golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
-        runner = _runner(tmp_path, "h")
-        # Worker 0 goes fully dark: its heartbeats stall forever and its
-        # first gob cell hangs. The coordinator must declare it dead on
-        # heartbeat timeout, reclaim the lease, and re-dispatch.
-        plan = (
-            "fabric.heartbeat.stall@0/*|secs=60;"
-            "fabric.worker.stall@*/gob/1#1|secs=60"
-        )
-        with injected(plan):
-            coordinator = FabricCoordinator(
-                runner,
-                spawn=0,
-                heartbeat_interval=0.05,
-                heartbeat_timeout=0.5,
-                startup_timeout=30.0,
-            )
-            host, port = coordinator.start()
-            threads = [_start_worker(host, port)]
-            try:
-                # Let worker 0 join (and claim the first lease) before a
-                # healthy worker 1 shows up to absorb the reclaim.
-                deadline = time.time() + 10
-                while (
-                    coordinator.counters["workers_joined"] < 1
-                    and time.time() < deadline
-                ):
-                    time.sleep(0.01)
-                assert coordinator.counters["workers_joined"] >= 1
-                timer = threading.Timer(
-                    0.4, lambda: threads.append(_start_worker(host, port))
-                )
-                timer.start()
-                report = run_sweep(
-                    _sweep(), runner, executor=FabricExecutor(coordinator)
-                )
-                timer.join(timeout=5)
-            finally:
-                coordinator.close()
-        fabric = report["resilience"]["fabric"]
-        assert fabric["timeouts"] >= 1
-        assert fabric["dead"] >= 1
-        assert fabric["reclaimed"] >= 1
-        assert _strip(report) == _strip(golden)
-        assert sweep_table(report) == sweep_table(golden)
+        Heartbeats keep the stalled worker alive through a minute of
+        virtual time, so only stealing can finish the call; the stalled
+        copy's late result changes nothing.
+        """
+        with Schedule() as s:
+            a, b = s.join("a"), s.join("b")
+            s.begin([task("P_X16"), task("PC_X32")])
+            (stalled,) = a.todo
+            s.finish(b)  # b goes idle with the queue empty: it steals
+            assert b.todo == [stalled]
+            s.tick(60.0, a, b)
+            assert not s.done
+            s.finish(b)
+            assert s.done and s.completed == ["PC_X32/gob", "P_X16/gob"]
+            s.finish(a)
+            assert s.counters["completed"] == 2
+            assert s.counters["stolen"] == 1
+            assert s.counters["timeouts"] == s.counters["dead"] == 0
+
+    def test_heartbeat_silence_reclaims_and_heals(self):
+        """A worker that goes dark is declared dead once, while polling.
+
+        Its lease is reclaimed at the next attempt number and leased to
+        the survivor as soon as that one asks for work.
+        """
+        with Schedule() as s:
+            a, b = s.join("a"), s.join("b")
+            s.begin([task("P_X16"), task("PC_X32")])
+            (lost,) = a.todo
+            s.tick(HEARTBEAT_TIMEOUT, b)  # silent for exactly the limit
+            assert a.alive
+            s.tick(HEARTBEAT_INTERVAL, b)
+            assert not a.alive and a.closed
+            assert s.counters["timeouts"] == s.counters["dead"] == 1
+            assert s.counters["reclaimed"] == 1
+            s.finish(b)
+            assert b.todo == [dict(lost, attempt=2)]
+            s.finish(b)
+            assert s.done and sorted(s.completed) == ["PC_X32/gob", "P_X16/gob"]
 
     def test_exhausted_retries_quarantine_not_abort(self, tmp_path):
         runner = _runner(tmp_path, "q")
@@ -340,23 +378,16 @@ class TestFabricLockstep:
         # The healthy cells all completed despite the quarantine.
         assert report["resilience"]["fabric"]["errors"] >= 2
 
-    def test_no_live_worker_is_a_clear_fabric_error(self, tmp_path):
-        runner = _runner(tmp_path, "n")
-        coordinator = FabricCoordinator(
-            runner, spawn=0, heartbeat_interval=0.05, startup_timeout=0.3
-        )
-        coordinator.start()
-        try:
+    def test_no_live_worker_is_a_clear_fabric_error(self):
+        with Schedule() as s:
+            s.begin([task("P_X16")])
+            s.tick(STARTUP_TIMEOUT)
             with pytest.raises(FabricError, match="no live fabric worker"):
-                run_sweep(
-                    _sweep(), runner, executor=FabricExecutor(coordinator)
-                )
-        finally:
-            coordinator.close()
+                s.tick(HEARTBEAT_INTERVAL)
 
 
 class TestReclaim:
-    def test_each_attempt_is_charged_once_and_none_is_skipped(self, tmp_path):
+    def test_each_attempt_is_charged_once_and_none_is_skipped(self):
         """A cell's attempts are leased 1, 2, 3 in order, as they run serially.
 
         A worker that dies spends its attempt even while a thief runs a
@@ -365,118 +396,127 @@ class TestReclaim:
         advances); the next attempt is queued at once. The thief's copy
         failing afterwards charges nothing: attempt 2 still runs.
         """
-        coordinator = FabricCoordinator(_runner(tmp_path, "r"), spawn=0)
-        coordinator._retry = RetryPolicy(attempts=3)
-        coordinator._failures = failures = []
-        task = {"id": "t", "label": "P_X16", "bench": "gob", "attempt": 1}
-        coordinator._open = {"t": task}
-        pairs = [socket.socketpair() for _ in range(3)]
-        victim, thief, other = (
-            _WorkerConn(i, ours) for i, (ours, _) in enumerate(pairs)
-        )
-        for conn in (victim, thief, other):
-            coordinator._conns[conn.index] = conn
-        victim.leases["t"] = thief.leases["t"] = 1
-
-        def error(conn, text):
-            coordinator._handle("error", conn.index, {"id": "t", "error": text})
-
-        try:
-            coordinator._on_worker_down(victim, "stuck")
-            assert task["attempt"] == 2 and list(coordinator._pending) == ["t"]
-            error(thief, "InjectedFault: attempt 1 again")
-            assert task["attempt"] == 2 and list(coordinator._pending) == ["t"]
-            coordinator._pending.clear()
-            other.leases["t"] = 2
-            error(other, "InjectedFault: attempt 2")
-            assert task["attempt"] == 3 and list(coordinator._pending) == ["t"]
-            coordinator._pending.clear()
-            other.leases["t"] = 3
-            error(other, "InjectedFault: attempt 3")
-            assert "t" not in coordinator._open and not coordinator._pending
-            assert [(f["attempts"], f["error"]) for f in failures] == [
+        with Schedule() as s:
+            victim = s.join("v")
+            s.begin([task("P_X16")], RetryPolicy(attempts=3))
+            thief = s.join("t")  # idle, queue empty: steals attempt 1
+            s.feed(victim, None)
+            job = s.coordinator._open["P_X16/gob"]
+            assert job["attempt"] == 2
+            assert list(s.coordinator._pending) == ["P_X16/gob"]
+            s.finish(thief, "InjectedFault: attempt 1 again")
+            assert job["attempt"] == 2  # ...and the thief now runs it
+            s.finish(thief, "InjectedFault: attempt 2")
+            s.finish(thief, "InjectedFault: attempt 3")
+            assert s.done and not s.coordinator._pending
+            leased = [
+                t["attempt"] for conn in (victim, thief) for frame in conn.sent
+                if frame["type"] == "lease" for t in frame["tasks"]
+            ]
+            assert leased == [1, 1, 2, 3]
+            assert [(f["attempts"], f["error"]) for f in s.failures] == [
                 (3, "InjectedFault: attempt 3")
             ]
-        finally:
-            for ours, theirs in pairs:
-                ours.close()
-                theirs.close()
-            coordinator.store.close()
+
+
+def _run(events, workers, tasks, attempts, timeout):
+    """Drive one scripted schedule, then drain it on a fresh healthy worker."""
+    with Schedule() as s:
+        idents = [f"w{i}" for i in range(workers)]
+        sessions = [1] * workers
+        conns = [s.join(ident) for ident in idents]
+        dark = set()
+        jobs = [task(f"S{i}") for i in range(tasks)]
+        s.begin([dict(job) for job in jobs], RetryPolicy(attempts, timeout=timeout))
+        for kind, who, seconds in events:
+            if s.done:
+                break
+            slot = who % workers
+            conn = conns[slot]
+            awake = conn.alive and conn not in dark
+            if kind in ("result", "error") and awake and conn.todo:
+                s.finish(conn, None if kind == "result" else "InjectedFault: x")
+            elif kind == "eof" and awake:
+                s.feed(conn, None)
+            elif kind == "silence":
+                dark.add(conn)
+            elif kind == "rejoin" and not conn.alive:
+                sessions[slot] += 1
+                conns[slot] = s.join(idents[slot], sessions[slot])
+            elif kind == "tick":
+                if not any(c.alive for c in conns):
+                    conns[slot] = s.join(f"spare{len(s.conns)}")
+                s.tick(seconds, *(c for c in conns if c not in dark))
+        spare = s.join("drain")
+        for _ in range(10_000):
+            if s.done:
+                break
+            while spare.todo:
+                s.finish(spare)
+            s.tick(HEARTBEAT_INTERVAL, spare)
+        return s, jobs
+
+
+_EVENT = st.tuples(
+    st.sampled_from(["result", "error", "eof", "silence", "rejoin", "tick"]),
+    st.integers(0, 3),
+    st.sampled_from([HEARTBEAT_INTERVAL, 1.0, HEARTBEAT_TIMEOUT + 1.0]),
+)
+
+
+class TestScheduleProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        events=st.lists(_EVENT, max_size=60),
+        workers=st.integers(1, 4),
+        tasks=st.integers(1, 12),
+        attempts=st.integers(1, 3),
+        timeout=st.sampled_from([None, 2.0]),
+    )
+    def test_every_interleaving_keeps_the_invariants(
+        self, events, workers, tasks, attempts, timeout
+    ):
+        """Needs, results, errors, hang-ups, silences and clock ticks in
+        any order: every task ends exactly once, its attempts are leased
+        1..k with none skipped, no lease reaches a connection that is
+        down, and ``completed`` counts the progress calls."""
+        s, jobs = _run(events, workers, tasks, attempts, timeout)
+        ended = s.completed + [
+            f"{f['scheme']}/{f['benchmark']}" for f in s.failures
+        ]
+        assert sorted(ended) == sorted(job["id"] for job in jobs)
+        for job in jobs:
+            leased = [
+                t["attempt"] for frame in s.log if frame["type"] == "lease"
+                for t in frame["tasks"] if t["id"] == job["id"]
+            ]
+            assert leased[0] == 1 and leased[-1] <= attempts
+            assert all(b - a in (0, 1) for a, b in zip(leased, leased[1:]))
+        assert not any(conn.leased_while_down for conn in s.conns)
+        assert s.counters["completed"] == len(s.completed)
 
 
 class TestClose:
-    def test_hello_while_closing_is_refused_with_shutdown(self, tmp_path):
-        """A worker dialling a closing coordinator is turned away, not configured.
-
-        ``close()`` wakes the accept thread, but a redial can already be
-        past ``accept`` by then; the refusal is what keeps it from
-        joining a coordinator that will never lease to it.
-        """
-        coordinator = FabricCoordinator(_runner(tmp_path, "c"), spawn=0)
-        host, port = coordinator.start()
-        codes = []
-        try:
-            coordinator._closing = True  # close() has begun; listener still up
-            worker = FabricWorker(host, port)
-            thread = threading.Thread(target=lambda: codes.append(worker.run()))
-            thread.start()
-            thread.join(timeout=10)
-            assert not thread.is_alive()
-        finally:
-            coordinator.close()
-        assert codes == [0]
-        assert worker.index is None  # no config frame ever reached it
-        assert coordinator.counters["workers_joined"] == 0
-        assert coordinator._conns == {}
-
-    def test_concurrent_joins_are_all_counted(self, tmp_path):
-        """More workers than cores join at once; no counter update is lost.
-
-        Every connection thread counts its join: the increments must be
-        serialised, as the copy ``stats()`` takes must be.
-        """
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        coordinator = FabricCoordinator(_runner(tmp_path, "j"), spawn=0)
-        host, port = coordinator.start()
-        threads = [_start_worker(host, port) for _ in range(8)]
-        try:
-            deadline = time.time() + 20
-            while (
-                coordinator.stats()["workers_joined"] < 8
-                and time.time() < deadline
-            ):
-                time.sleep(0.01)
-            assert coordinator.stats()["workers_joined"] == 8
-        finally:
-            sys.setswitchinterval(interval)
-            coordinator.close()
-        for thread in threads:
-            thread.join(timeout=5)
-            assert not thread.is_alive()
-
     def test_close_stops_listening(self, tmp_path):
-        """``close()`` wakes the accept thread instead of leaving it one more accept."""
+        """After ``close()`` a dial fails, and a dial never read is cut off."""
         coordinator = FabricCoordinator(_runner(tmp_path, "l"), spawn=0)
         host, port = coordinator.start()
-        thread = _start_worker(host, port)
+        early = socket.create_connection((host, port), timeout=10)
         try:
-            # A joined worker means the accept thread is back in accept().
-            deadline = time.time() + 10
-            while (
-                coordinator.counters["workers_joined"] < 1
-                and time.time() < deadline
-            ):
-                time.sleep(0.01)
-            assert coordinator.counters["workers_joined"] == 1
-        finally:
+            send_message(early, {"type": "hello", "ident": "early"})
             coordinator.close()
-        coordinator._accept_thread.join(timeout=5)
-        assert not coordinator._accept_thread.is_alive()
+            try:
+                reply = recv_message(early, timeout=10)
+            except RpcTimeout:
+                raise
+            except ProtocolError:  # reset: the same as end-of-file here
+                reply = None
+            assert reply is None  # never a config frame
+        finally:
+            early.close()
         with pytest.raises(OSError):
             socket.create_connection((host, port), timeout=1).close()
-        thread.join(timeout=5)
-        assert not thread.is_alive()
+        assert coordinator.counters["workers_joined"] == 0
 
 
 class TestFabricResume:
@@ -600,55 +640,134 @@ class TestSpawnedWorkers:
         assert _strip(report) == _strip(golden)
         assert sweep_table(report) == sweep_table(golden)
 
-    def test_idle_workers_outlast_the_cell_timeout(self, tmp_path):
+    def test_idle_workers_outlast_the_cell_timeout(self):
         """Workers that joined and wait for work are not stuck cells.
 
-        They fork and join at ``start()``, long before the first lease
-        when a caller sets up in between; only a leased cell is timed.
+        They join at ``start()``, long before the first lease when a
+        caller sets up in between, and nothing is read between two
+        calls: only a leased cell is timed, from the moment a call
+        starts its clocks.
         """
-        golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
-        runner = _runner(tmp_path, "i")
-        with FabricCoordinator(runner, spawn=2) as coordinator:
-            time.sleep(0.5)
-            report = run_sweep(
-                _sweep(), runner, retry=RetryPolicy(timeout=0.3),
-                executor=FabricExecutor(coordinator),
-            )
-        fabric = report["resilience"]["fabric"]
-        assert fabric["dead"] == fabric["timeouts"] == fabric["respawned"] == 0
-        assert _strip(report) == _strip(golden)
+        retry = RetryPolicy(timeout=0.3)
+        with Schedule() as s:
+            a, b = s.join("a"), s.join("b")
+            s.now += 100.0  # setup between start() and execute()
+            s.begin([task("P_X16"), task("PC_X32")], retry)
+            s.tick(0.25, a, b)
+            s.finish(a)
+            s.finish(b, need=False)
+            assert s.done
+            # b's "need" is still queued when the next call starts: its
+            # last result is not a cell running in the gap.
+            s.now += 100.0
+            s.begin([task("P_X16", "hmmer")], retry)
+            s.tick(0.25, a, b)
+            s.feed(b, {"type": "need"})
+            assert s.counters["dead"] == s.counters["timeouts"] == 0
+            s.tick(0.25, a, b)
+            assert s.counters["timeouts"] == 1  # a's lease ran past 0.3 s
 
-    def test_duplicate_in_flight_at_close_exits_cleanly(
+    def test_duplicate_in_flight_at_close_exits_cleanly(self):
+        """A stolen duplicate still running when the call ends costs nothing.
+
+        The two baselines are the last phase, one lease each. ``gob``'s
+        worker finishes first, goes idle and steals ``hmmer``; the
+        owner's result ends the call while the copy still runs. Nobody
+        is declared down (``close()`` then sends both a ``shutdown``),
+        and the copy's late result is ignored.
+        """
+        with Schedule() as s:
+            a, b = s.join("a"), s.join("b")
+            s.begin([task("insecure", "gob"), task("insecure", "hmmer")])
+            s.tick(0.7, a, b)
+            s.finish(a)
+            assert s.counters["stolen"] == 1
+            s.tick(0.8, a, b)
+            s.finish(b)
+            assert s.done
+            s.finish(a)
+            assert s.counters["completed"] == 2
+            assert s.counters["dead"] == s.counters["timeouts"] == 0
+            assert a.alive and b.alive and not a.closed
+
+    def test_forked_duplicate_in_flight_at_close_exits_0(
         self, tmp_path, monkeypatch
     ):
-        """A stolen duplicate still running when the sweep ends exits 0.
+        """The same schedule on two forked workers ends with both exiting 0.
 
-        The two baselines are the last phase, one lease each. The plan
-        (installed per forked process, so each process stalls on its own
-        first attempt) holds ``gob``'s worker for 0.7 s and ``hmmer``'s
-        for 1.5 s: the first goes idle, steals ``hmmer`` and is 0.7 s
-        into its own stall when the owner's result ends the sweep. Its
-        late ``result`` then finds the socket closed (or is answered by
-        the ``shutdown`` already waiting) and its socketpair cannot be
-        redialled, so it exits on its own — ``close()`` neither waits out
-        its 5 s timeout nor terminates it.
+        The plan is installed per forked process, so each stalls on its
+        own first attempt: ``gob``'s worker for 0.2 s, ``hmmer``'s for
+        0.6 s. The first steals ``hmmer`` and is still in its own stall
+        when the owner's result ends the sweep. Its late ``result`` finds
+        the socket closed or a ``shutdown`` waiting, and its socketpair
+        cannot be redialled, so it exits by itself: ``close()`` neither
+        waits out its 5 s nor terminates it.
         """
         golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
         monkeypatch.setenv(
             "REPRO_FAULTS",
-            "fabric.worker.stall@insecure/gob/1#1|secs=0.7;"
-            "fabric.worker.stall@insecure/hmmer/1#1|secs=1.5",
+            "fabric.worker.stall@insecure/gob/1#1|secs=0.2;"
+            "fabric.worker.stall@insecure/hmmer/1#1|secs=0.6",
         )
         runner = _runner(tmp_path, "d")
-        coordinator = FabricCoordinator(runner, spawn=2)
-        coordinator.start()
-        try:
+        with FabricCoordinator(runner, spawn=2) as coordinator:
             report = run_sweep(
                 _sweep(), runner, executor=FabricExecutor(coordinator)
             )
-        finally:
-            coordinator.close()
         assert report["resilience"]["fabric"]["stolen"] >= 1
         assert [proc.exitcode for proc in coordinator._procs] == [0, 0]
         assert _strip(report) == _strip(golden)
 
+    def test_a_zero_cell_timeout_reclaims_nothing(self, tmp_path, monkeypatch):
+        """``REPRO_CELL_TIMEOUT=0`` means no timeout, as ``REPRO_RPC_TIMEOUT=0`` does."""
+        golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
+        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "0")
+        report = run_sweep(
+            _sweep(), _runner(tmp_path, "z"), executor=FabricExecutor(workers=2)
+        )
+        assert report["resilience"]["quarantined"] == []
+        assert report["resilience"]["fabric"]["timeouts"] == 0
+        assert _strip(report) == _strip(golden)
+
+    def test_execute_runs_on_the_callers_thread(self, tmp_path):
+        """Three forked workers, and still no thread beside the caller's."""
+        runner = _runner(tmp_path, "t")
+        before = threading.active_count()
+        seen = []
+        with FabricCoordinator(runner, spawn=3) as coordinator:
+            FabricExecutor(coordinator).execute(
+                runner, runner.cells(SCHEMES, BENCHES),
+                progress=lambda *_: seen.append(threading.active_count()),
+            )
+        assert seen == [before] * len(SCHEMES) * len(BENCHES)
+        assert [proc.exitcode for proc in coordinator._procs] == [0, 0, 0]
+
+
+class TestOneThreadOneClock:
+    def test_only_the_worker_starts_threads(self):
+        threaded = {
+            path.relative_to(SRC).as_posix()
+            for package in ("fabric", "resilience")
+            for path in (SRC / package).rglob("*.py")
+            if re.search(r"^(import|from) (threading|queue)\b",
+                         path.read_text("utf-8"), re.MULTILINE)
+        }
+        assert threaded == {"fabric/worker.py"}
+
+    def test_the_coordinator_reads_the_clock_in_its_loop_and_close(self):
+        tree = ast.parse((SRC / "fabric" / "coordinator.py").read_text("utf-8"))
+        reads = [
+            function.name
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Attribute) and node.attr == "monotonic"
+        ]
+        assert set(reads) == {"execute", "close"}
+        assert reads.count("execute") == 1
+
+    def test_no_timing_option_is_left(self):
+        assert list(inspect.signature(FabricCoordinator).parameters) == [
+            "runner", "spawn", "host", "port"
+        ]
+        assert "clock" not in inspect.signature(CircuitBreaker).parameters

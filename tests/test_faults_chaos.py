@@ -9,7 +9,6 @@ differ.
 """
 
 import json
-import time
 
 import pytest
 
@@ -124,13 +123,13 @@ class TestSuiteSelfHealing:
         # stalled worker is reclaimed and respawned, and attempt 2 sails
         # through.
         monkeypatch.setenv("REPRO_FAULTS", "fabric.worker.stall@*/*/1|secs=30")
-        start = time.perf_counter()
+        runner = _runner(tmp_path, "s")
         healed = _suite(
-            _runner(tmp_path, "s"),
+            runner,
             workers=2,
             retry=RetryPolicy(attempts=3, backoff=0.0, timeout=0.3),
         )
-        assert time.perf_counter() - start < 10  # nobody waited out a stall
+        assert runner.fabric_stats["timeouts"] >= 1  # stalls cut, not waited out
         assert healed == golden
 
 

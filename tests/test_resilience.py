@@ -63,31 +63,27 @@ class TestRpcPolicy:
 class TestCircuitBreaker:
     def test_trips_after_consecutive_failures_only(self):
         breaker = CircuitBreaker(threshold=3, cooldown=60.0)
-        assert not breaker.record_failure()
-        assert not breaker.record_failure()
+        assert not breaker.record_failure(0.0)
+        assert not breaker.record_failure(0.0)
         breaker.record_success()  # resets the consecutive count
-        assert not breaker.record_failure()
-        assert not breaker.record_failure()
-        assert breaker.record_failure()  # third consecutive: trips
+        assert not breaker.record_failure(0.0)
+        assert not breaker.record_failure(0.0)
+        assert breaker.record_failure(0.0)  # third consecutive: trips
         assert breaker.open
-        assert not breaker.allow()
+        assert not breaker.allow(0.0)
         assert breaker.trips == 1
 
     def test_half_open_probe_and_full_close(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(threshold=1, cooldown=10.0, clock=lambda: clock[0])
-        assert breaker.record_failure()
-        assert not breaker.allow()
-        clock[0] = 11.0
-        assert breaker.allow()  # cooldown elapsed: half-open probe
+        breaker = CircuitBreaker(threshold=1, cooldown=10.0)
+        assert breaker.record_failure(0.0)
+        assert not breaker.allow(9.9)
+        assert breaker.allow(11.0)  # cooldown elapsed: half-open probe
         # A probe failure re-opens and restarts the cooldown.
-        breaker.record_failure()
-        assert not breaker.allow()
-        clock[0] = 22.0
-        assert breaker.allow()
+        breaker.record_failure(11.0)
+        assert not breaker.allow(20.0)
+        assert breaker.allow(22.0)
         breaker.record_success()
-        clock[0] = 0.0  # success fully closes, independent of the clock
-        assert breaker.allow()
+        assert breaker.allow(0.0)  # success fully closes, whatever the time
         assert not breaker.open
 
 

@@ -61,10 +61,11 @@ class TestGrammar:
         settings = Settings.from_env({
             "REPRO_FULL": word, "REPRO_FORCE": word, "REPRO_NATIVE": word,
             "REPRO_TRACE_CACHE": word, "REPRO_RESULT_CACHE": word,
-            "REPRO_RPC_TIMEOUT": word,
+            "REPRO_RPC_TIMEOUT": word, "REPRO_CELL_TIMEOUT": word,
         })
         assert settings.miss_budget == 6_000 and not settings.force
         assert settings.native == "off" and settings.rpc_timeout is None
+        assert settings.cell_timeout is None
         assert settings.trace_cache is None and settings.result_cache is None
 
     @pytest.mark.parametrize("word", TRUE_WORDS + ("Yes", " ON "))
@@ -120,6 +121,12 @@ class TestGrammar:
         )
         assert settings.result_cache == "/tmp/fabric-smoke/results-golden"
         assert Settings.from_env({"REPRO_RPC_TIMEOUT": "-5"}).rpc_timeout is None
+
+    def test_a_zero_cell_timeout_is_no_timeout(self):
+        """``0`` used to be a timeout of 0 s, which reclaimed every forked cell."""
+        assert Settings.from_env({"REPRO_CELL_TIMEOUT": "0"}).cell_timeout is None
+        assert Settings.from_env({"REPRO_CELL_TIMEOUT": "off"}).cell_timeout is None
+        assert Settings.from_env({"REPRO_CELL_TIMEOUT": "2.5"}).cell_timeout == 2.5
 
     def test_names_it_does_not_declare_are_ignored(self):
         """The benchmark harness still pins two tier variables beside
