@@ -7,12 +7,12 @@ the ORAM controller did under the hood.
 Run:  python examples/quickstart.py
 """
 
-from repro import DeterministicRng, pic_x32
+from repro import DeterministicRng, build_frontend
 
 
 def main() -> None:
     # A 2^14-block ORAM (1 MiB of 64-byte blocks at simulation scale).
-    oram = pic_x32(num_blocks=2**14, rng=DeterministicRng(2015))
+    oram = build_frontend("PIC_X32", num_blocks=2**14, rng=DeterministicRng(2015))
 
     # The processor-facing interface is an ordinary block RAM.
     oram.write(1000, b"attack at dawn".ljust(64, b"\x00"))

@@ -12,7 +12,7 @@ mounts three attacks from the threat model:
 Run:  python examples/tamper_detection.py
 """
 
-from repro import CryptoSuite, DeterministicRng, IntegrityViolationError
+from repro import CryptoSuite, DeterministicRng, IntegrityViolationError, get_spec
 from repro.adversary.tamper import Tamperer
 from repro.crypto.pad import PadGenerator
 from repro.frontend.unified import PlbFrontend
@@ -26,12 +26,11 @@ def build_verified_oram():
     def storage_factory(config, observer):
         return EncryptedTreeStorage(config, crypto.pad, EncryptionScheme.GLOBAL_SEED)
 
+    spec = get_spec("PIC_X32").with_(
+        num_blocks=2**8, onchip_entries=2**3, plb_capacity_bytes=1024
+    )
     return PlbFrontend(
-        num_blocks=2**8,
-        posmap_format="compressed",
-        pmmac=True,
-        onchip_entries=2**3,
-        plb_capacity_bytes=1024,
+        spec,
         crypto=crypto,
         rng=DeterministicRng(99),
         storage_factory=storage_factory,

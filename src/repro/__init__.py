@@ -9,9 +9,9 @@ timing model, cache hierarchy, SPEC stand-in workloads, ASIC area model).
 
 Quickstart::
 
-    from repro import pic_x32, Op
+    from repro import build_frontend
 
-    oram = pic_x32(num_blocks=2**14)       # PLB + compression + PMMAC
+    oram = build_frontend("PIC_X32", num_blocks=2**14)  # PLB + compression + PMMAC
     oram.write(7, b"secret".ljust(64, b"\\0"))
     assert oram.read(7).startswith(b"secret")
 
@@ -35,17 +35,7 @@ from repro.errors import (
 from repro.frontend.linear import LinearFrontend
 from repro.frontend.recursive import RecursiveFrontend
 from repro.frontend.unified import PlbFrontend
-from repro.presets import (
-    SCHEMES,
-    build_frontend,
-    p_x16,
-    pc_x32,
-    pc_x64,
-    phantom_4kb,
-    pi_x8,
-    pic_x32,
-    r_x8,
-)
+from repro.presets import SCHEMES, build_frontend
 from repro.spec import SchemeSpec, get_spec, register, spec_names
 from repro.utils.rng import DeterministicRng
 
@@ -69,13 +59,6 @@ __all__ = [
     "PlbFrontend",
     "SCHEMES",
     "build_frontend",
-    "r_x8",
-    "p_x16",
-    "pc_x32",
-    "pc_x64",
-    "pi_x8",
-    "pic_x32",
-    "phantom_4kb",
     "SchemeSpec",
     "get_spec",
     "register",

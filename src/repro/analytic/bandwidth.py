@@ -16,10 +16,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.config import OramConfig
-
-
-def _next_pow2(n: int) -> int:
-    return 1 << max(n - 1, 1).bit_length() if n > 1 else 1
+from repro.utils.bitops import next_pow2
 
 
 def recursive_level_sizes(num_blocks: int, fanout: int, onchip_entries: int) -> List[int]:
@@ -80,7 +77,7 @@ def recursion_breakdown(
     for level, blocks in enumerate(sizes):
         if level == 0:
             cfg = OramConfig(
-                num_blocks=_next_pow2(blocks),
+                num_blocks=next_pow2(blocks),
                 block_bytes=data_block_bytes,
                 blocks_per_bucket=blocks_per_bucket,
                 leaf_bytes=leaf_bytes,
@@ -88,7 +85,7 @@ def recursion_breakdown(
             )
         else:
             cfg = OramConfig(
-                num_blocks=_next_pow2(blocks),
+                num_blocks=next_pow2(blocks),
                 block_bytes=posmap_block_bytes,
                 blocks_per_bucket=blocks_per_bucket,
                 addr_bytes=0,
@@ -102,7 +99,7 @@ def recursion_breakdown(
         else:
             posmap_bytes += moved
     top_levels = OramConfig(
-        num_blocks=_next_pow2(sizes[-1]),
+        num_blocks=next_pow2(sizes[-1]),
         block_bytes=posmap_block_bytes,
         blocks_per_bucket=blocks_per_bucket,
     ).levels
@@ -123,7 +120,7 @@ def posmap_fraction(
     blocks_per_bucket: int = 4,
 ) -> float:
     """Fig. 3 data point: PosMap byte share at a given Data ORAM capacity."""
-    num_blocks = _next_pow2(capacity_bytes // block_bytes)
+    num_blocks = next_pow2(capacity_bytes // block_bytes)
     return recursion_breakdown(
         num_blocks,
         data_block_bytes=block_bytes,
@@ -150,7 +147,7 @@ def unified_access_bytes(
     paths of the same Unified tree.
     """
     sizes = recursive_level_sizes(num_blocks, fanout, onchip_entries)
-    total_blocks = _next_pow2(sum(sizes))
+    total_blocks = next_pow2(sum(sizes))
     cfg = OramConfig(
         num_blocks=total_blocks,
         block_bytes=block_bytes,

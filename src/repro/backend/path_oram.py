@@ -45,7 +45,7 @@ def make_backend(
     (which needs the C extension); every bucket-object storage (plain, encrypted,
     Merkle-wrapped) keeps :class:`PathOramBackend`. Frontends construct
     their backends exclusively through this factory, so ``storage=`` on
-    any preset or spec selects the whole matched pair.
+    any spec selects the whole matched pair.
     """
     if getattr(storage, "columnar", False):
         from repro.backend.columnar import ColumnarPathOramBackend

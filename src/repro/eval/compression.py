@@ -15,6 +15,7 @@ from repro.backend.ops import Op
 from repro.crypto.suite import CryptoSuite
 from repro.frontend.formats import CompressedPosMapFormat, UncompressedPosMapFormat
 from repro.frontend.unified import PlbFrontend
+from repro.spec import get_spec
 from repro.utils.rng import DeterministicRng
 
 
@@ -47,14 +48,14 @@ def measured_remap_overhead(beta: int = 4, accesses: int = 2000) -> float:
     Uses a small beta so rollovers happen within the access budget; the
     overhead should track X'/2^beta for the scaled-down geometry too.
     """
-    frontend = PlbFrontend(
+    spec = get_spec("PC_X32").with_(
         num_blocks=2**10,
-        posmap_format="compressed",
         compressed_beta=beta,
         compressed_fanout=32,  # hold X' at the paper's value
         onchip_entries=2**4,
-        rng=DeterministicRng(3),
+        plb_capacity_bytes=8 * 1024,
     )
+    frontend = PlbFrontend(spec, rng=DeterministicRng(3))
     target = 123
     frontend.access(target, Op.READ)  # warm the PLB path
     start_tree = frontend.stats.tree_accesses

@@ -14,12 +14,12 @@ from typing import Dict, Tuple
 
 from repro.analytic.hashbw import hash_reduction_factor
 from repro.backend.ops import Op
-from repro.config import OramConfig
 from repro.crypto.suite import CryptoSuite
 from repro.frontend.linear import LinearFrontend
 from repro.integrity.adapter import MerkleVerifiedStorage
-from repro.presets import pic_x32
-from repro.storage.tree import TreeStorage, path_indices
+from repro.presets import build_frontend
+from repro.spec import SchemeSpec
+from repro.storage.tree import TreeStorage
 from repro.utils.rng import DeterministicRng
 
 
@@ -37,17 +37,20 @@ def measured(num_blocks: int = 2**10, accesses: int = 300) -> Tuple[int, int]:
     """
     # Merkle baseline: verified storage under an unmodified Frontend.
     suite = CryptoSuite.fast(b"merkle-side")
-    cfg = OramConfig(num_blocks=num_blocks, block_bytes=64)
-    rng = DeterministicRng(11)
-    storage = MerkleVerifiedStorage(TreeStorage(cfg), suite.mac)
-    frontend = LinearFrontend(cfg, rng, storage=storage)
+    frontend = LinearFrontend(
+        SchemeSpec(frontend="linear", num_blocks=num_blocks),
+        rng=DeterministicRng(11),
+        storage_factory=lambda config, _observer: MerkleVerifiedStorage(
+            TreeStorage(config), suite.mac
+        ),
+    )
     workload = DeterministicRng(5)
     for _ in range(accesses):
         frontend.access(workload.randrange(num_blocks), Op.READ)
     merkle_bytes = suite.mac.bytes_hashed
 
     # PMMAC side.
-    pic = pic_x32(num_blocks=num_blocks, rng=DeterministicRng(11))
+    pic = build_frontend("PIC_X32", num_blocks=num_blocks, rng=DeterministicRng(11))
     pic.crypto.mac.reset_counters()
     workload = DeterministicRng(5)
     for _ in range(accesses):

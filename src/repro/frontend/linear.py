@@ -8,16 +8,19 @@ makes it unscalable: N * L bits of SRAM (§1.1, §7.2.3).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.backend.ops import Op
-from repro.backend.path_oram import PathOramBackend, make_backend
+from repro.backend.path_oram import make_backend
 from repro.config import OramConfig
 from repro.errors import ConfigurationError
 from repro.frontend.base import AccessResult, Frontend
 from repro.frontend.posmap import OnChipPosMap
-from repro.storage.tree import TreeStorage
+from repro.storage import make_storage
 from repro.utils.rng import DeterministicRng
+
+if TYPE_CHECKING:
+    from repro.spec import SchemeSpec
 
 
 class LinearFrontend(Frontend):
@@ -25,44 +28,37 @@ class LinearFrontend(Frontend):
 
     def __init__(
         self,
-        config: OramConfig,
-        rng: DeterministicRng,
-        storage=None,
-        backend: Optional[PathOramBackend] = None,
+        spec: "SchemeSpec",
+        *,
+        rng: Optional[DeterministicRng] = None,
+        observer=None,
+        storage_factory=None,
     ):
+        """Build the flat-PosMap frontend ``spec`` describes.
+
+        A ``storage_factory(config, observer)`` overrides ``spec.storage``.
+        """
         super().__init__()
-        self.config = config
-        self.rng = rng
-        if backend is None:
-            storage = storage if storage is not None else TreeStorage(config)
-            backend = make_backend(config, storage, rng)
-        self.backend = backend
+        if spec.frontend != "linear":
+            raise ConfigurationError(f"not a linear spec: {spec.frontend!r}")
+        self.config = config = OramConfig(
+            num_blocks=spec.num_blocks,
+            block_bytes=spec.block_bytes,
+            blocks_per_bucket=spec.blocks_per_bucket,
+            leaf_bytes=spec.leaf_bytes,
+        )
+        self.rng = rng = rng if rng is not None else DeterministicRng(0)
+        if storage_factory is not None:
+            storage = storage_factory(config, observer)
+        else:
+            view = observer.for_tree(0) if observer is not None else None
+            storage = make_storage(spec.storage, config, observer=view)
+        self.backend = make_backend(config, storage, rng)
         self.posmap = OnChipPosMap(
             entries=config.num_blocks,
             levels=config.levels,
             mode=OnChipPosMap.MODE_LEAF,
             rng=rng,
-        )
-
-    @classmethod
-    def from_spec(cls, spec, rng=None, observer=None) -> "LinearFrontend":
-        """Build from a declarative :class:`~repro.spec.SchemeSpec`.
-
-        Mirrors the historical ``phantom_4kb`` preset construction:
-        geometry from the spec, storage kind resolved per tree 0, default
-        RNG seed 0 when none is supplied.
-        """
-        from repro.storage import make_storage
-
-        config = OramConfig(
-            num_blocks=spec.num_blocks,
-            block_bytes=spec.block_bytes,
-            blocks_per_bucket=spec.blocks_per_bucket,
-        )
-        rng = rng if rng is not None else DeterministicRng(0)
-        view = observer.for_tree(0) if observer is not None else None
-        return cls(
-            config, rng, storage=make_storage(spec.storage, config, observer=view)
         )
 
     def access(

@@ -15,7 +15,7 @@ bucket size.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.backend.ops import Op
 from repro.backend.path_oram import PathOramBackend, make_backend
@@ -26,11 +26,11 @@ from repro.frontend.base import AccessResult, Frontend
 from repro.frontend.formats import UncompressedPosMapFormat
 from repro.frontend.posmap import OnChipPosMap
 from repro.storage import make_storage
+from repro.utils.bitops import next_pow2
 from repro.utils.rng import DeterministicRng
 
-
-def _next_pow2(n: int) -> int:
-    return 1 << max(n - 1, 1).bit_length() if n > 1 else 1
+if TYPE_CHECKING:
+    from repro.spec import SchemeSpec
 
 
 class RecursiveFrontend(Frontend):
@@ -38,38 +38,39 @@ class RecursiveFrontend(Frontend):
 
     def __init__(
         self,
-        num_blocks: int,
-        data_block_bytes: int = 64,
-        posmap_block_bytes: int = 32,
-        blocks_per_bucket: int = 4,
-        leaf_bytes: int = 4,
-        onchip_entries: int = 2**16,
+        spec: "SchemeSpec",
+        *,
         rng: Optional[DeterministicRng] = None,
         observer=None,
-        storage: str = "object",
     ):
+        """Build the separate-tree Recursive ORAM ``spec`` describes.
+
+        The data tree uses ``spec.block_bytes``, every PosMap tree
+        ``spec.posmap_block_bytes``. A separate-tree Recursive ORAM has no
+        PLB and no PMMAC (§4.1.2), so those fields play no part.
+        """
         super().__init__()
+        if spec.frontend != "recursive":
+            raise ConfigurationError(f"not a recursive spec: {spec.frontend!r}")
         self.rng = rng if rng is not None else DeterministicRng(0)
-        fanout = posmap_block_bytes // leaf_bytes
+        fanout = spec.fanout
         if fanout < 2:
             raise ConfigurationError("PosMap block too small for its entries")
-        self.num_levels = levels_needed(num_blocks, fanout, onchip_entries)
-        self.space = AddressSpace(num_blocks, fanout, self.num_levels)
+        self.num_levels = levels_needed(spec.num_blocks, fanout, spec.onchip_entries)
+        self.space = AddressSpace(spec.num_blocks, fanout, self.num_levels)
 
         self.configs: List[OramConfig] = []
         self.backends: List[PathOramBackend] = []
         self._touched: List[bytearray] = []
         for level in range(self.num_levels):
-            blocks = _next_pow2(self.space.level_blocks(level))
-            block_bytes = data_block_bytes if level == 0 else posmap_block_bytes
             cfg = OramConfig(
-                num_blocks=blocks,
-                block_bytes=block_bytes,
-                blocks_per_bucket=blocks_per_bucket,
-                leaf_bytes=leaf_bytes,
+                num_blocks=next_pow2(self.space.level_blocks(level)),
+                block_bytes=spec.block_bytes if level == 0 else spec.posmap_block_bytes,
+                blocks_per_bucket=spec.blocks_per_bucket,
+                leaf_bytes=spec.leaf_bytes,
             )
             view = observer.for_tree(level) if observer is not None else None
-            tree = make_storage(storage, cfg, observer=view)
+            tree = make_storage(spec.storage, cfg, observer=view)
             self.configs.append(cfg)
             self.backends.append(make_backend(cfg, tree, self.rng.fork(level)))
             self._touched.append(bytearray((self.space.level_blocks(level) + 7) // 8))
@@ -79,7 +80,8 @@ class RecursiveFrontend(Frontend):
         for level in range(1, self.num_levels):
             self.formats.append(
                 UncompressedPosMapFormat(
-                    posmap_block_bytes, self.configs[level - 1].levels, leaf_bytes
+                    spec.posmap_block_bytes, self.configs[level - 1].levels,
+                    spec.leaf_bytes,
                 )
             )
 
@@ -128,27 +130,6 @@ class RecursiveFrontend(Frontend):
                 posmap.entries, leaf_bytes,
             ),
             (AccessResult, Op.READ, Op.WRITE, ConfigurationError),
-        )
-
-    @classmethod
-    def from_spec(cls, spec, rng=None, observer=None) -> "RecursiveFrontend":
-        """Build from a declarative :class:`~repro.spec.SchemeSpec`.
-
-        The spec's uniform ``block_bytes`` maps onto ``data_block_bytes``
-        here; PosMap trees keep their own ``posmap_block_bytes``. PLB and
-        PMMAC fields are ignored — a separate-tree Recursive ORAM supports
-        neither (§4.1.2), which is the paper's motivating observation.
-        """
-        return cls(
-            num_blocks=spec.num_blocks,
-            data_block_bytes=spec.block_bytes,
-            posmap_block_bytes=spec.posmap_block_bytes,
-            blocks_per_bucket=spec.blocks_per_bucket,
-            leaf_bytes=spec.leaf_bytes,
-            onchip_entries=spec.onchip_entries,
-            rng=rng,
-            observer=observer,
-            storage=spec.storage,
         )
 
     # -- first-touch bookkeeping (simulation stand-in for factory init) --------

@@ -29,15 +29,12 @@ from repro.frontend.base import AccessResult, Frontend
 from repro.frontend.formats import CompressedPosMapFormat
 from repro.frontend.posmap import OnChipPosMap
 from repro.storage.tree import TreeStorage
+from repro.utils.bitops import next_pow2
 from repro.utils.rng import DeterministicRng
 
 #: Tag level used for sub-block (data) addresses; PosMap levels are 1..H-1
 #: on their own tags, so level 0 carries logical_index * s + k.
 _DATA_LEVEL = 0
-
-
-def _next_pow2(n: int) -> int:
-    return 1 << max(n - 1, 1).bit_length() if n > 1 else 1
 
 
 class SubBlockFrontend(Frontend):
@@ -76,7 +73,7 @@ class SubBlockFrontend(Frontend):
         total = self.space.total_blocks() - num_blocks  # PosMap blocks
         total += num_blocks * self.sub_blocks  # data sub-blocks
         self.config = OramConfig(
-            num_blocks=_next_pow2(total),
+            num_blocks=next_pow2(total),
             block_bytes=posmap_block_bytes,
             blocks_per_bucket=blocks_per_bucket,
         )

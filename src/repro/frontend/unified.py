@@ -26,7 +26,7 @@ same Backend implementation.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.backend.ops import Op
 from repro.backend.path_oram import make_backend
@@ -44,13 +44,13 @@ from repro.frontend.formats import (
 )
 from repro.frontend.plb import Plb, PlbEntry, PlbWay
 from repro.frontend.posmap import OnChipPosMap
+from repro.storage import make_storage
 from repro.storage.block import Block
-from repro.storage.tree import TreeStorage
+from repro.utils.bitops import next_pow2
 from repro.utils.rng import DeterministicRng
 
-
-def _next_pow2(n: int) -> int:
-    return 1 << max(n - 1, 1).bit_length() if n > 1 else 1
+if TYPE_CHECKING:
+    from repro.spec import SchemeSpec
 
 
 class PlbFrontend(Frontend):
@@ -58,73 +58,64 @@ class PlbFrontend(Frontend):
 
     def __init__(
         self,
-        num_blocks: int,
-        block_bytes: int = 64,
-        blocks_per_bucket: int = 4,
-        plb_capacity_bytes: int = 8 * 1024,
-        plb_ways: int = 1,
-        onchip_entries: int = 1024,
-        posmap_format: str = "uncompressed",
-        pmmac: bool = False,
-        mac_tag_bytes: int = 14,
-        compressed_alpha: int = 64,
-        compressed_beta: int = 14,
-        compressed_fanout: Optional[int] = None,
-        leaf_bytes: int = 4,
-        crypto: Optional[CryptoSuite] = None,
+        spec: "SchemeSpec",
+        *,
         rng: Optional[DeterministicRng] = None,
         observer=None,
+        crypto: Optional[CryptoSuite] = None,
         storage_factory=None,
     ):
+        """Build the PLB + Unified-tree frontend ``spec`` describes.
+
+        ``crypto`` (a suite instance) overrides ``spec.crypto``; a
+        ``storage_factory(config, observer)`` overrides ``spec.storage``.
+        """
         super().__init__()
+        if spec.frontend != "plb":
+            raise ConfigurationError(f"not a plb spec: {spec.frontend!r}")
         self.rng = rng if rng is not None else DeterministicRng(0)
-        self.crypto = crypto if crypto is not None else CryptoSuite.fast()
-        self.pmmac = pmmac
-        self.num_blocks = num_blocks
+        if crypto is None:  # spec.crypto names a CryptoSuite constructor
+            crypto = getattr(CryptoSuite, spec.crypto)()
+        self.crypto = crypto
+        self.pmmac = spec.pmmac
+        self.num_blocks = spec.num_blocks
 
         # The Unified tree must hold data blocks plus every PosMap level;
         # with X >= 2 this at most doubles the block count, i.e. adds at
         # most one tree level (§4.2.1). Geometry is solved iteratively
         # because the format's fan-out is independent of tree depth here
         # (leaf labels are 4 bytes / PRF-derived for any supported depth).
-        self._compressed_fanout = compressed_fanout
-        fanout = self._format_fanout(
-            posmap_format, block_bytes, leaf_bytes, compressed_alpha,
-            compressed_beta, compressed_fanout,
-        )
-        self.space_levels = levels_needed(num_blocks, fanout, onchip_entries)
-        self.space = AddressSpace(num_blocks, fanout, self.space_levels)
-        total_blocks = _next_pow2(self.space.total_blocks())
+        fanout = spec.fanout
+        self.space_levels = levels_needed(spec.num_blocks, fanout, spec.onchip_entries)
+        self.space = AddressSpace(spec.num_blocks, fanout, self.space_levels)
         self.config = OramConfig(
-            num_blocks=total_blocks,
-            block_bytes=block_bytes,
-            blocks_per_bucket=blocks_per_bucket,
-            leaf_bytes=leaf_bytes,
-            mac_bytes=mac_tag_bytes if pmmac else 0,
+            num_blocks=next_pow2(self.space.total_blocks()),
+            block_bytes=spec.block_bytes,
+            blocks_per_bucket=spec.blocks_per_bucket,
+            leaf_bytes=spec.leaf_bytes,
+            mac_bytes=spec.mac_tag_bytes if spec.pmmac else 0,
         )
 
-        self.format = self._build_format(
-            posmap_format, block_bytes, leaf_bytes, compressed_alpha, compressed_beta
-        )
+        self.format = self._build_format(spec)
         if self.format.fanout != fanout:
             raise ConfigurationError("fan-out mismatch between planning and format")
 
-        if storage_factory is None:
-            view = observer.for_tree(0) if observer is not None else None
-            storage = TreeStorage(self.config, observer=view)
-        else:
+        if storage_factory is not None:
             storage = storage_factory(self.config, observer)
+        else:
+            view = observer.for_tree(0) if observer is not None else None
+            storage = make_storage(spec.storage, self.config, observer=view)
         self.backend = make_backend(self.config, storage, self.rng.fork(0xBACC))
 
         top = self.space_levels - 1
         self.posmap = OnChipPosMap(
             entries=self.space.level_blocks(top),
             levels=self.config.levels,
-            mode=OnChipPosMap.MODE_COUNTER if pmmac else OnChipPosMap.MODE_LEAF,
+            mode=OnChipPosMap.MODE_COUNTER if spec.pmmac else OnChipPosMap.MODE_LEAF,
             rng=self.rng,
             prf=self.crypto.prf,
         )
-        self.plb = Plb(plb_capacity_bytes, block_bytes, ways=plb_ways)
+        self.plb = Plb(spec.plb_capacity_bytes, spec.block_bytes, ways=spec.plb_ways)
         # First-touch bitmap per level for leaf-mode entries (see
         # OnChipPosMap docstring); counter formats need none — zero
         # counters reproduce factory state exactly.
@@ -194,72 +185,19 @@ class PlbFrontend(Frontend):
 
     # -- construction helpers -----------------------------------------------------
 
-    @classmethod
-    def from_spec(cls, spec, rng=None, observer=None, crypto=None) -> "PlbFrontend":
-        """Build from a declarative :class:`~repro.spec.SchemeSpec`.
-
-        ``rng``/``observer``/``crypto`` are build-time objects, not part of
-        the serializable spec; ``crypto=None`` keeps the frontend default
-        (the ``fast`` suite). The spec's ``storage`` kind resolves through
-        :func:`~repro.storage.make_storage_factory`.
-        """
-        from repro.storage import make_storage_factory
-
-        return cls(
-            num_blocks=spec.num_blocks,
-            block_bytes=spec.block_bytes,
-            blocks_per_bucket=spec.blocks_per_bucket,
-            plb_capacity_bytes=spec.plb_capacity_bytes,
-            plb_ways=spec.plb_ways,
-            onchip_entries=spec.onchip_entries,
-            posmap_format=spec.posmap_format,
-            pmmac=spec.pmmac,
-            mac_tag_bytes=spec.mac_tag_bytes,
-            compressed_alpha=spec.compressed_alpha,
-            compressed_beta=spec.compressed_beta,
-            compressed_fanout=spec.compressed_fanout,
-            leaf_bytes=spec.leaf_bytes,
-            crypto=crypto,
-            rng=rng,
-            observer=observer,
-            storage_factory=make_storage_factory(spec.storage),
-        )
-
-    @staticmethod
-    def _format_fanout(
-        kind: str,
-        block_bytes: int,
-        leaf_bytes: int,
-        alpha: int,
-        beta: int,
-        compressed_fanout: Optional[int] = None,
-    ) -> int:
-        if kind == "uncompressed":
-            return block_bytes // leaf_bytes
-        if kind == "flat":
-            return block_bytes // 8
-        if kind == "compressed":
-            if compressed_fanout is not None:
-                return compressed_fanout
-            max_fanout = (8 * block_bytes - alpha) // beta
-            return 1 << (max_fanout.bit_length() - 1) if max_fanout >= 1 else 0
-        raise ConfigurationError(f"unknown PosMap format {kind!r}")
-
-    def _build_format(
-        self, kind: str, block_bytes: int, leaf_bytes: int, alpha: int, beta: int
-    ):
+    def _build_format(self, spec):
         levels = self.config.levels
-        if kind == "uncompressed":
-            return UncompressedPosMapFormat(block_bytes, levels, leaf_bytes)
-        if kind == "flat":
-            return FlatCounterPosMapFormat(block_bytes, levels, self.crypto.prf)
+        if spec.posmap_format == "uncompressed":
+            return UncompressedPosMapFormat(spec.block_bytes, levels, spec.leaf_bytes)
+        if spec.posmap_format == "flat":
+            return FlatCounterPosMapFormat(spec.block_bytes, levels, self.crypto.prf)
         return CompressedPosMapFormat(
-            block_bytes,
+            spec.block_bytes,
             levels,
             self.crypto.prf,
-            alpha_bits=alpha,
-            beta_bits=beta,
-            fanout=self._compressed_fanout,
+            alpha_bits=spec.compressed_alpha,
+            beta_bits=spec.compressed_beta,
+            fanout=spec.compressed_fanout,
         )
 
     # -- PMMAC helpers ---------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.crypto.mac import Mac
+from repro.errors import ConfigurationError
 from repro.integrity.merkle import MerklePathVerifier
 from repro.storage.bucket import Bucket
 
@@ -26,6 +27,11 @@ class MerkleVerifiedStorage:
     """Storage proxy enforcing Merkle integrity on every path operation."""
 
     def __init__(self, inner, mac: Mac):
+        if getattr(inner, "columnar", False):
+            raise ConfigurationError(
+                "MerkleVerifiedStorage wraps a bucket-object store (TreeStorage, "
+                "EncryptedTreeStorage); columnar storage has no bucket objects"
+            )
         self.inner = inner
         self.config = inner.config
         self.mac = mac

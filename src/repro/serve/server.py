@@ -90,6 +90,7 @@ from repro.serve.workload import (
     tenant_region_blocks,
     tenant_requests,
 )
+from repro.utils.bitops import next_pow2
 from repro.utils.rng import DeterministicRng
 
 try:
@@ -116,10 +117,6 @@ _SIZING_FALLBACK = "mcf"
 #: Rows the accounting log may hold before it is folded into the
 #: per-tenant histograms (a few epochs' worth at any realistic shape).
 LOG_FOLD_LENGTH = 4096
-
-
-def _next_pow2(n: int) -> int:
-    return 1 << max(n - 1, 1).bit_length() if n > 1 else 1
 
 
 def _shard_index(global_addr: int, shards: int) -> int:
@@ -415,13 +412,13 @@ class OramService:
                 )
             )
             offset += region
-        total_blocks = _next_pow2(max(offset, 2))
+        total_blocks = next_pow2(max(offset, 2))
         if config.shard_blocks is not None:
-            capacity = _next_pow2(config.shard_blocks)
+            capacity = next_pow2(config.shard_blocks)
         elif config.shards == 1:
             capacity = total_blocks
         else:
-            capacity = _next_pow2(max(2 * total_blocks // config.shards, 64))
+            capacity = next_pow2(max(2 * total_blocks // config.shards, 64))
         self.shards: List[OramShard] = []
         for index in range(config.shards):
             spec, _label = self.runner.sized_spec(

@@ -22,11 +22,8 @@ from typing import List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.proc.hierarchy import MissTrace
 from repro.sim.replay import translate_block_addrs
+from repro.utils.bitops import next_pow2
 from repro.workloads.spec import benchmark
-
-
-def _next_pow2(n: int) -> int:
-    return 1 << max(n - 1, 1).bit_length() if n > 1 else 1
 
 
 #: One tenant request: (block address within the tenant's region, is_write).
@@ -160,12 +157,12 @@ def tenant_region_blocks(
     tenant's blocks (or run below address zero), so it is refused here.
     """
     if spec.region_blocks is not None:
-        region = _next_pow2(spec.region_blocks)
+        region = next_pow2(spec.region_blocks)
     elif spec.benchmark is not None:
         wss = benchmark(spec.benchmark).wss_bytes
-        region = _next_pow2(max(wss // block_bytes, 2))
+        region = next_pow2(max(wss // block_bytes, 2))
     else:
-        region = _next_pow2(max(max(addrs, default=1) + 1, 2))
+        region = next_pow2(max(max(addrs, default=1) + 1, 2))
     if addrs:
         low, high = min(addrs), max(addrs)
         if low < 0 or high >= region:

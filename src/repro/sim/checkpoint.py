@@ -13,10 +13,11 @@ round-trips Python floats exactly). An entry that does not decode is the
 store's counted, warned eviction, so its cell is simply recomputed.
 
 One ``header`` entry carries a fingerprint of the sweep + runner
-identity and the cell-order digest. Resuming against a journal written
-by a *different* sweep — or one that would order the report's cells
-differently — is refused with a clear error instead of silently
-recomputing everything (the cell keys would simply never match).
+identity. Resuming against a journal written by a *different* sweep is
+refused with a clear error instead of silently recomputing everything
+(the cell keys would simply never match). The fingerprint covers every
+input of the report's cell order — points, benchmarks and both grids —
+so a journal that passes it orders the report as the original run did.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 from repro.errors import ConfigurationError
 from repro.sim.store import Codec, Store
@@ -90,30 +91,20 @@ class SweepCheckpoint(Store):
     def __init__(self, path: Union[str, Path]):
         super().__init__(path, JOURNAL_CODEC)
 
-    def start(
-        self, fingerprint: str, resume: bool, order: Optional[str] = None
-    ) -> Dict[str, dict]:
+    def start(self, fingerprint: str, resume: bool) -> Dict[str, dict]:
         """Start journaling; returns the completed entries when resuming.
 
         ``resume=False`` deletes the entries of any existing journal (and
         nothing else in the directory) and writes a fresh header.
         ``resume=True`` refuses a fingerprint mismatch and returns
-        ``{key: payload}`` of every entry that loads.
-
-        ``order`` is the grid-derived cell-ordering digest
-        (:func:`~repro.sim.sweep.sweep_order_digest`). It is stamped
-        into the header and, on resume, checked against the journal's
-        recorded value: a mismatch means the resumed report's cell
-        ordering would differ from the original run's, so the resume is
-        refused. Because the digest depends only on the grid — never on
-        worker counts or fabric topology — resuming a local run on a
-        fabric (or vice versa) always passes this check.
+        ``{key: payload}`` of every entry that loads. Header fields
+        beyond the three checked (an older journal's ``order``) are
+        ignored.
         """
         header = {
             "kind": "sweep-checkpoint",
             "version": CHECKPOINT_VERSION,
             "fingerprint": fingerprint,
-            "order": order,
         }
         if resume:
             entries = self._read(header)
@@ -140,13 +131,6 @@ class SweepCheckpoint(Store):
                 f"{self.root} was written by a different sweep/runner "
                 f"configuration; refusing to resume from it (delete the "
                 f"journal or drop --resume to start fresh)"
-            )
-        if found.get("order") != header["order"]:
-            raise ConfigurationError(
-                f"{self.root} matches this sweep's fingerprint but records "
-                f"a different cell ordering; resuming would reorder the "
-                f"report's cells, so it is refused (delete the journal or "
-                f"drop --resume to start fresh)"
             )
         loaded = {key: self.load(key) for key in keys}
         return {key: entry for key, entry in loaded.items() if entry is not None}

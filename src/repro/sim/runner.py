@@ -85,6 +85,7 @@ from repro.spec import (
     render_scheme_string,
     resolve_spec,
 )
+from repro.utils.bitops import next_pow2
 from repro.utils.rng import DeterministicRng
 from repro.workloads.spec import SpecStandIn, benchmark
 
@@ -175,10 +176,6 @@ def synthesize_trace(
         max_llc_misses=max_llc_misses,
         warmup_refs=warmup_refs,
     )
-
-
-def _next_pow2(n: int) -> int:
-    return 1 << max(n - 1, 1).bit_length() if n > 1 else 1
 
 
 class SimulationRunner:
@@ -276,7 +273,7 @@ class SimulationRunner:
 
     def _blocks_needed(self, bench_name: str, block_bytes: int) -> int:
         wss = benchmark(bench_name).wss_bytes
-        return _next_pow2(max(wss // block_bytes, 2))
+        return next_pow2(max(wss // block_bytes, 2))
 
     def sized_spec(
         self, scheme: SchemeLike, bench_name: str, **overrides

@@ -31,7 +31,6 @@ import dataclasses
 import functools
 import hashlib
 import itertools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -300,28 +299,6 @@ class SweepSpec:
         return [scaled_benchmark_name(name, wss) for name in names]
 
 
-def sweep_order_digest(sweep: SweepSpec) -> str:
-    """Digest of the grid-derived cell ordering a sweep's report will use.
-
-    Report ordering is a function of the *grid alone* — bench combos in
-    declaration order, then points, then benchmarks — never of worker
-    topology, scheduling, or completion order. This digest captures
-    exactly that ordering; it is stamped into the checkpoint journal
-    header so ``--resume`` can refuse a journal whose report ordering
-    would differ (and, equally, so resuming a local run on a fabric —
-    or with a different worker count — is provably allowed: the digest
-    is identical by construction).
-    """
-    ident = {
-        "points": [label for label, _spec in sweep.points()],
-        "bench_combos": sweep.bench_points(),
-        "benchmarks": sweep.bench_names(),
-        "serve_combos": sweep.serve_points(),
-    }
-    blob = json.dumps(ident, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:40]
-
-
 def run_sweep(
     sweep: SweepSpec,
     runner: Optional[SimulationRunner] = None,
@@ -389,11 +366,7 @@ def run_sweep(
     points = sweep.points()
     completed: Dict[str, dict] = {}
     if ckpt is not None:
-        completed = ckpt.start(
-            sweep_fingerprint(sweep, runner),
-            resume,
-            order=sweep_order_digest(sweep),
-        )
+        completed = ckpt.start(sweep_fingerprint(sweep, runner), resume)
     if sweep.serve_grid:
         return _run_serve_sweep(
             sweep, runner, points, ckpt=ckpt, completed=completed

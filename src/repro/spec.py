@@ -15,9 +15,12 @@ hand-threaded keyword arguments:
 - ``canonical()`` is a stable, total serialization used by the on-disk
   result store (:func:`~repro.sim.store.result_key`) as its key — every
   knob re-keys automatically, with no hand-maintained argument list;
-- ``build()`` constructs the frontend via each frontend's ``from_spec``,
-  bit-identical to the historical preset factories (pinned by the
-  golden-digest tests in ``tests/test_equivalence_golden.py``).
+- ``build()`` hands the spec to its frontend's constructor
+  (:class:`~repro.frontend.unified.PlbFrontend`,
+  :class:`~repro.frontend.recursive.RecursiveFrontend` or
+  :class:`~repro.frontend.linear.LinearFrontend`), which reads every
+  geometry and format value from it: the field defaults below are the
+  only defaults (digests pinned in ``tests/test_equivalence_golden.py``).
 
 A process-wide registry maps the paper's scheme names to their specs;
 :func:`register` admits new named schemes (e.g. from downstream studies)
@@ -34,7 +37,6 @@ import dataclasses
 from dataclasses import dataclass, fields, replace
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.crypto.suite import CryptoSuite
 from repro.errors import SpecError
 from repro.frontend.linear import LinearFrontend
 from repro.frontend.recursive import RecursiveFrontend
@@ -49,7 +51,7 @@ POSMAP_FORMATS = ("uncompressed", "flat", "compressed")
 #: Tree storage backends (``default`` follows the replay tier:
 #: ``columnar`` on the fast tier, ``object`` on the reference tier;
 #: ``columnar`` needs the C extension).
-STORAGE_KINDS = ("default", "object", "tree", "columnar")
+STORAGE_KINDS = ("default", "object", "columnar")
 
 #: Crypto suites (:class:`~repro.crypto.suite.CryptoSuite` constructors).
 CRYPTO_KINDS = ("fast", "reference")
@@ -59,9 +61,10 @@ CRYPTO_KINDS = ("fast", "reference")
 class SchemeSpec:
     """One fully-specified ORAM scheme configuration (a value object).
 
-    Field defaults reproduce the simulation-scale defaults of the historic
-    preset factories (N = 2^16 blocks, 64-byte blocks, 64 KiB PLB); the
-    bare ``SchemeSpec()`` is exactly the paper's P_X16.
+    Field defaults are the simulation-scale defaults (N = 2^16 blocks,
+    64-byte blocks, 64 KiB PLB) and the only ones: every frontend
+    constructor reads its configuration from a spec. The bare
+    ``SchemeSpec()`` is exactly the paper's P_X16.
     """
 
     frontend: str = "plb"
@@ -137,14 +140,14 @@ class SchemeSpec:
             return self.posmap_block_bytes // self.leaf_bytes
         if self.frontend == "linear":
             return 0
-        return PlbFrontend._format_fanout(
-            self.posmap_format,
-            self.block_bytes,
-            self.leaf_bytes,
-            self.compressed_alpha,
-            self.compressed_beta,
-            self.compressed_fanout,
-        )
+        if self.posmap_format == "uncompressed":
+            return self.block_bytes // self.leaf_bytes
+        if self.posmap_format == "flat":
+            return self.block_bytes // 8
+        if self.compressed_fanout is not None:
+            return self.compressed_fanout
+        most = (8 * self.block_bytes - self.compressed_alpha) // self.compressed_beta
+        return 1 << (most.bit_length() - 1) if most >= 1 else 0
 
     # -- serialization -----------------------------------------------------------
 
@@ -209,19 +212,15 @@ class SchemeSpec:
     def build(self, rng=None, observer=None, crypto=None):
         """Instantiate the frontend this spec describes.
 
-        ``rng``/``observer``/``crypto`` are build-time objects: a concrete
-        ``crypto`` suite overrides the spec's ``crypto`` kind (back-compat
-        with the legacy factories, which accepted suite instances).
+        ``rng``/``observer``/``crypto`` are build-time objects; a concrete
+        ``crypto`` suite overrides the spec's ``crypto`` kind (only the
+        ``plb`` frontend takes one).
         """
-        if crypto is None and self.crypto == "reference":
-            crypto = CryptoSuite.reference()
         if self.frontend == "recursive":
-            return RecursiveFrontend.from_spec(self, rng=rng, observer=observer)
+            return RecursiveFrontend(self, rng=rng, observer=observer)
         if self.frontend == "linear":
-            return LinearFrontend.from_spec(self, rng=rng, observer=observer)
-        return PlbFrontend.from_spec(
-            self, rng=rng, observer=observer, crypto=crypto
-        )
+            return LinearFrontend(self, rng=rng, observer=observer)
+        return PlbFrontend(self, rng=rng, observer=observer, crypto=crypto)
 
 
 #: All SchemeSpec field names, in declaration order.

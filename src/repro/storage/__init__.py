@@ -23,8 +23,8 @@ Three storage models share one Backend-facing interface:
 :mod:`repro.storage.snapshot` provides storage-agnostic content snapshots
 and digests used by the equivalence and integrity test layers.
 
-Preset- and spec-built frontends pick their storage through the registry
-below: an explicit kind (``storage="columnar"``, ``"PC_X32:storage=object"``)
+A frontend picks its storage by its spec's ``storage`` kind through
+:func:`make_storage`: an explicit kind (``"PC_X32:storage=object"``)
 wins, else the replay tier's storage (:func:`repro.sim.replay.resolve_tier`).
 """
 
@@ -50,7 +50,6 @@ __all__ = [
     "EncryptedTreeStorage",
     "EncryptionScheme",
     "make_storage",
-    "make_storage_factory",
     "path_indices",
     "bucket_records",
     "path_records",
@@ -69,7 +68,7 @@ def make_storage(kind: str, config: OramConfig, observer=None):
         from repro.sim.replay import resolve_tier
 
         kind = "columnar" if resolve_tier()[0] == "compiled" else "object"
-    if kind in ("object", "tree"):
+    if kind == "object":
         return TreeStorage(config, observer=observer)
     if kind == "columnar":
         return ColumnarTreeStorage(config, observer=observer)
@@ -77,12 +76,3 @@ def make_storage(kind: str, config: OramConfig, observer=None):
         f"unknown storage backend {kind!r}; choose 'object' or 'columnar'"
     )
 
-
-def make_storage_factory(kind: str):
-    """``storage_factory`` hook (config, observer) -> storage for presets."""
-
-    def factory(config: OramConfig, observer=None):
-        view = observer.for_tree(0) if observer is not None else None
-        return make_storage(kind, config, observer=view)
-
-    return factory

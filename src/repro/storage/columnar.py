@@ -33,16 +33,13 @@ conversion between them.
 The pairing backend is
 :class:`~repro.backend.columnar.ColumnarPathOramBackend` (selected
 automatically by :func:`~repro.backend.path_oram.make_backend`), whose
-access is the C extension's ``AccessKernel``. For
-storage adapters that require the classic bucket-object interface — e.g.
-:class:`~repro.integrity.adapter.MerkleVerifiedStorage`, or a plain
-:class:`~repro.backend.path_oram.PathOramBackend` — a compatibility
-``read_path``/``write_path`` pair materialises the path as
-:class:`~repro.storage.bucket.Bucket` objects on read and re-absorbs
-their contents into the columns on write-back (correct but slower; one
-outstanding path at a time).
+access is the C extension's ``AccessKernel``; it is the only backend
+that drives this store. Bucket-object consumers — a plain
+:class:`~repro.backend.path_oram.PathOramBackend`,
+:class:`~repro.integrity.adapter.MerkleVerifiedStorage` — run over
+:class:`~repro.storage.tree.TreeStorage`.
 
-Selection: ``storage="columnar"`` on any preset/spec, or the fast tier
+Selection: ``storage="columnar"`` on any spec, or the fast tier
 (``REPRO_NATIVE`` with the extension built). Bit-identity with the
 object path is pinned by the golden digests and the differential
 harness in ``tests/test_columnar_differential.py``.
@@ -55,7 +52,6 @@ from typing import List, Optional, Tuple
 
 from repro.config import OramConfig
 from repro.storage.block import DUMMY_ADDR, Block
-from repro.storage.bucket import Bucket
 
 #: Slots per arena chunk (power of two: slot -> chunk is a shift/mask).
 CHUNK_SLOTS = 512
@@ -102,8 +98,6 @@ class ColumnarTreeStorage:
         # -- bandwidth accounting (padded bucket granularity) ------------
         self.buckets_read = 0
         self.buckets_written = 0
-        # -- compatibility path state (bucket-object adapters) -----------
-        self._pending: Optional[Tuple[int, List[Bucket]]] = None
 
     # -- slot arena ---------------------------------------------------------
 
@@ -239,61 +233,6 @@ class ColumnarTreeStorage:
         self.buckets_written += self._path_len
         if self.observer is not None:
             self.observer.on_path_write(leaf, tuple(self.path_indices(leaf)))
-
-    # -- compatibility whole-path operations (bucket-object adapters) -------
-
-    def read_path(self, leaf: int) -> List[Tuple[int, Bucket]]:
-        """Materialise the path as Bucket objects; (level, bucket) pairs.
-
-        Compatibility interface for consumers that require live bucket
-        objects (Merkle adapter, plain ``PathOramBackend``). Mutations to
-        the returned buckets are re-absorbed into the columns by the next
-        ``write_path(leaf)``; only one path may be outstanding at a time
-        (a second ``read_path`` discards unsynced mutations, mirroring
-        the Merkle adapter's single-path contract).
-
-        Error contract — identical to
-        :class:`~repro.storage.encrypted.EncryptedTreeStorage`, the other
-        materialise-on-read storage: if the backend fails *between* a
-        ``read_path`` and its ``write_path`` (e.g. a caught
-        ``IntegrityViolationError``), the store still holds the
-        un-synced path while the backend's restore moved materialised
-        copies into its stash, so continuing to drive that backend raises
-        duplicate-block errors. Treat such failures as terminal for the
-        pairing; the columnar backend (whose kernel restores in the arena
-        itself) recovers fully and is the supported path.
-        """
-        rows = tuple(self.path_indices(leaf))
-        capacity = self.config.blocks_per_bucket
-        out: List[Bucket] = []
-        for idx in rows:
-            bucket = Bucket(capacity)
-            bucket.blocks = [self.block_at_slot(s) for s in self.bucket(idx)]
-            out.append(bucket)
-        self._pending = (leaf, out)
-        self.buckets_read += self._path_len
-        if self.observer is not None:
-            self.observer.on_path_read(leaf, rows)
-        return list(enumerate(out))
-
-    def write_path(self, leaf: int) -> None:
-        """Absorb the pending materialised path back into the columns."""
-        if self._pending is None or self._pending[0] != leaf:
-            raise RuntimeError(
-                "write_path leaf does not match the last read_path "
-                "(columnar compatibility mode keeps one outstanding path)"
-            )
-        rows, pending = tuple(self.path_indices(leaf)), self._pending[1]
-        for idx, bucket in zip(rows, pending):
-            self._check_fits(idx, len(bucket.blocks))
-        self._pending = None
-        for idx, bucket in zip(rows, pending):
-            self.replace_bucket_records(
-                idx, [(b.addr, b.leaf, b.data, b.mac) for b in bucket.blocks]
-            )
-        self.buckets_written += self._path_len
-        if self.observer is not None:
-            self.observer.on_path_write(leaf, rows)
 
     # -- introspection ------------------------------------------------------
 

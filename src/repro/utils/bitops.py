@@ -14,6 +14,11 @@ def is_power_of_two(x: int) -> bool:
     return x > 0 and (x & (x - 1)) == 0
 
 
+def next_pow2(n: int) -> int:
+    """Smallest power of two >= ``n`` (1 for ``n`` <= 1)."""
+    return 1 << (n - 1).bit_length() if n > 1 else 1
+
+
 def log2_exact(x: int) -> int:
     """Return log2(x) for a power of two ``x``; raise ValueError otherwise."""
     if not is_power_of_two(x):

@@ -10,10 +10,24 @@ from repro.utils.bitops import (
     extract_bits,
     is_power_of_two,
     log2_exact,
+    next_pow2,
     reverse_bits,
     set_bit,
     bit_is_set,
 )
+
+
+class TestNextPow2:
+    def test_matches_the_definition(self):
+        """The smallest power of two >= n, and 1 for n <= 1."""
+        for n in range(0, 4097):
+            want = 1
+            while want < n:
+                want *= 2
+            assert next_pow2(n) == want, n
+
+    def test_small_and_negative_inputs(self):
+        assert [next_pow2(n) for n in (-3, 0, 1, 2, 3)] == [1, 1, 1, 2, 4]
 
 
 class TestPowerOfTwo:

@@ -3,7 +3,7 @@
 The differential harness (``test_columnar_differential.py``) proves
 whole-system bit-identity; these tests pin the columnar layer's own
 contracts — slot arena management, geometry, accounting, observer
-parity, the bucket-object compatibility path, and backend dispatch.
+parity, and backend dispatch.
 The storage itself is pure Python; the columnar backend is the native
 ``AccessKernel``, so the tests that drive one skip without the extension.
 """
@@ -192,61 +192,6 @@ class TestBucketRecords:
             posmap[addr] = new_leaf
         assert tree_records(obj_backend.storage) == tree_records(col_backend.storage)
         assert tree_digest(obj_backend.storage) == tree_digest(col_backend.storage)
-
-
-class TestCompatibilityPath:
-    """Bucket-object interface: columnar storage under the object backend."""
-
-    def test_object_backend_over_columnar_storage_matches_object(self):
-        config = OramConfig(num_blocks=64, block_bytes=16)
-        reference = PathOramBackend(config, TreeStorage(config), DeterministicRng(1))
-        compat = PathOramBackend(
-            config, ColumnarTreeStorage(config), DeterministicRng(1)
-        )
-        rng = DeterministicRng(9)
-        posmap = {}
-        for step in range(150):
-            addr = rng.randrange(32)
-            new_leaf = rng.random_leaf(config.levels)
-
-            def update(block, step=step):
-                block.data = bytes([step % 256]) * 16
-
-            for backend in (reference, compat):
-                backend.access(Op.WRITE, addr, posmap.get(addr, 0), new_leaf,
-                               update=update)
-            posmap[addr] = new_leaf
-            assert reference.stash_snapshot() == compat.stash_snapshot()
-        assert tree_records(reference.storage) == tree_records(compat.storage)
-
-    def test_write_path_requires_matching_read(self):
-        config = OramConfig(num_blocks=64, block_bytes=16)
-        col = ColumnarTreeStorage(config)
-        col.read_path(3)
-        with pytest.raises(RuntimeError, match="write_path leaf"):
-            col.write_path(5)
-
-    def test_write_path_refuses_an_overfull_bucket(self):
-        """Absorbing ``bucket.blocks`` is the same door as
-        ``replace_bucket_records``: past ``Bucket.add``'s capacity check,
-        so the storage checks — before any bucket of the path is
-        rewritten."""
-        config = OramConfig(num_blocks=64, block_bytes=16, blocks_per_bucket=2)
-        col = ColumnarTreeStorage(config)
-        col.replace_bucket_records(0, ((1, 3, bytes(16), None),))
-        before = tree_digest(col)
-        path = col.read_path(3)
-        path[0][1].blocks = []
-        path[-1][1].blocks = [Block(a, 3, bytes(16)) for a in (7, 8, 9)]
-        with pytest.raises(ValueError, match=r"cannot hold 3 blocks \(Z = 2\)"):
-            col.write_path(3)
-        assert tree_digest(col) == before
-
-    def test_write_path_without_read_rejected(self):
-        config = OramConfig(num_blocks=64, block_bytes=16)
-        col = ColumnarTreeStorage(config)
-        with pytest.raises(RuntimeError):
-            col.write_path(0)
 
 
 @needs_core

@@ -375,103 +375,78 @@ class TestReplayEquivalence:
 
 # -- 4. declarative specs vs the legacy construction path -------------------------
 #
-# The SchemeSpec layer re-expresses every preset as data; these goldens pin
-# the acceptance criterion that spec-built frontends are *bit-identical* to
-# the historical construction. The references below are transcribed from
-# the seed's presets.py — direct frontend constructor calls with the
-# factories' literal keyword arguments — NOT routed through build_frontend,
-# so the comparison stays meaningful now that the factories themselves are
-# spec-backed wrappers.
+# Every registered scheme replays ``micro_trace()`` at 2^12 blocks with
+# ``DeterministicRng(7)`` to a recorded digest. The values were produced
+# when the constructors still took keyword arguments and the seed's
+# preset construction (direct constructor calls with the factories'
+# literal arguments) could be written without a spec; that construction
+# and ``build_frontend`` agreed on all of them, so both doors — the
+# constructor given a spec, and ``build_frontend`` — must land on them.
+
+SCHEME_DIGESTS = {
+    "R_X8": "310218586b8e0956ec9569bb682c90c234b3a358994ada121cca54d7c9ab9d26",
+    "P_X16": "c20066ec02be27f88838e872fd12387215eef3aebd1de23f0e0b0b21b3f35519",
+    "PC_X32": "eb51d4c9025a6fe306d403c125fc9327e14629704634b0dfdaa5fba94630a801",
+    "PI_X8": "d8b282145909a709c7611483d88343a8e65a627f01eaa0f1873f2e5488a38044",
+    "PIC_X32": "ce7ee2d7efd6f4ea3bd64657e7a523d05dea78684347ba7cb52a3dc48bdc3b28",
+    "PC_X64": "d4248dde21200163b2ef35b5f77e904b5258addf5a2a89875a6d588d9844a5f9",
+    "phantom_4kb": "a4a49665cb9e9331623a77455b8bb135082e7b14d56e92257d3d1ab0eaa7260e",
+}
 
 
-def reference_legacy_build(scheme: str, num_blocks: int, rng):
-    """Seed-preset construction, inlined (no spec layer anywhere)."""
-    from repro.frontend.recursive import RecursiveFrontend
-    from repro.frontend.unified import PlbFrontend
-
-    if scheme == "R_X8":
-        return RecursiveFrontend(
-            num_blocks=num_blocks,
-            data_block_bytes=64,
-            posmap_block_bytes=32,
-            blocks_per_bucket=4,
-            onchip_entries=2**11,
-            rng=rng,
-        )
-    if scheme == "PC_X64":
-        return PlbFrontend(
-            num_blocks=num_blocks,
-            block_bytes=128,
-            blocks_per_bucket=3,
-            plb_capacity_bytes=64 * 1024,
-            onchip_entries=2**11,
-            posmap_format="compressed",
-            pmmac=False,
-            rng=rng,
-        )
-    posmap_format, pmmac = {
-        "P_X16": ("uncompressed", False),
-        "PC_X32": ("compressed", False),
-        "PI_X8": ("flat", True),
-        "PIC_X32": ("compressed", True),
-    }[scheme]
-    return PlbFrontend(
-        num_blocks=num_blocks,
-        block_bytes=64,
-        blocks_per_bucket=4,
-        plb_capacity_bytes=64 * 1024,
-        plb_ways=1,
-        onchip_entries=2**11,
-        posmap_format=posmap_format,
-        pmmac=pmmac,
-        rng=rng,
-    )
-
-
-SIX_PRESETS = ["R_X8", "P_X16", "PC_X32", "PI_X8", "PIC_X32", "PC_X64"]
+def golden_digest(frontend, scheme: str) -> str:
+    return result_digest(replay_trace(frontend, micro_trace(), TIMING, scheme=scheme))
 
 
 class TestSpecVsLegacyGolden:
-    @pytest.mark.parametrize("scheme", SIX_PRESETS)
+    def test_every_paper_scheme_has_a_digest(self):
+        """The paper's names are registered first (tests may add more)."""
+        from repro.spec import spec_names
+
+        assert spec_names()[: len(SCHEME_DIGESTS)] == tuple(SCHEME_DIGESTS)
+
+    @pytest.mark.parametrize("scheme", list(SCHEME_DIGESTS))
     def test_spec_build_bitwise_identical_to_seed_factories(self, scheme):
+        """The constructor given the spec, and ``spec.build()``."""
+        from repro.frontend.linear import LinearFrontend
+        from repro.frontend.recursive import RecursiveFrontend
+        from repro.frontend.unified import PlbFrontend
         from repro.spec import get_spec
 
-        timing = OramTimingModel(tree_latency_cycles=1000.0)
-        legacy = reference_legacy_build(scheme, 2**12, DeterministicRng(7))
-        legacy_result = replay_trace(legacy, micro_trace(), timing, scheme=scheme)
-        spec_built = get_spec(scheme).with_(num_blocks=2**12).build(
-            rng=DeterministicRng(7)
-        )
-        spec_result = replay_trace(spec_built, micro_trace(), timing, scheme=scheme)
-        assert spec_result == legacy_result
-        assert result_digest(spec_result) == result_digest(legacy_result)
+        spec = get_spec(scheme).with_(num_blocks=2**12)
+        constructor = {
+            "plb": PlbFrontend,
+            "recursive": RecursiveFrontend,
+            "linear": LinearFrontend,
+        }[spec.frontend]
+        direct = constructor(spec, rng=DeterministicRng(7))
+        assert golden_digest(direct, scheme) == SCHEME_DIGESTS[scheme]
+        built = spec.build(rng=DeterministicRng(7))
+        assert golden_digest(built, scheme) == SCHEME_DIGESTS[scheme]
 
-    @pytest.mark.parametrize("scheme", SIX_PRESETS)
+    @pytest.mark.parametrize("scheme", list(SCHEME_DIGESTS))
     def test_wrapper_factories_route_through_specs_unchanged(self, scheme):
-        """build_frontend (now spec-backed) still equals the seed path."""
-        timing = OramTimingModel(tree_latency_cycles=1000.0)
-        legacy = reference_legacy_build(scheme, 2**12, DeterministicRng(7))
-        legacy_result = replay_trace(legacy, micro_trace(), timing, scheme=scheme)
+        """``build_frontend`` lands on the same digest."""
         wrapped = build_frontend(scheme, num_blocks=2**12, rng=DeterministicRng(7))
-        wrapped_result = replay_trace(wrapped, micro_trace(), timing, scheme=scheme)
-        assert result_digest(wrapped_result) == result_digest(legacy_result)
+        assert golden_digest(wrapped, scheme) == SCHEME_DIGESTS[scheme]
 
     def test_phantom_spec_matches_direct_construction(self):
-        """The linear (Phantom) spec is functionally the seed preset."""
-        from repro.config import OramConfig
+        """The linear (Phantom) spec, built by hand and by the registry."""
         from repro.frontend.linear import LinearFrontend
-        from repro.spec import get_spec
+        from repro.spec import SchemeSpec, get_spec
 
-        cfg = OramConfig(num_blocks=2**6, block_bytes=4096, blocks_per_bucket=4)
-        legacy = LinearFrontend(cfg, DeterministicRng(2))
+        by_hand = LinearFrontend(
+            SchemeSpec(frontend="linear", num_blocks=2**6, block_bytes=4096),
+            rng=DeterministicRng(2),
+        )
         spec_built = get_spec("phantom_4kb").with_(num_blocks=2**6).build(
             rng=DeterministicRng(2)
         )
         payload = b"\x5a" * 4096
-        for frontend in (legacy, spec_built):
+        for frontend in (by_hand, spec_built):
             frontend.write(5, payload)
-        assert legacy.read(5) == spec_built.read(5) == payload
-        assert legacy.posmap.entries == spec_built.posmap.entries
+        assert by_hand.read(5) == spec_built.read(5) == payload
+        assert by_hand.posmap.entries == spec_built.posmap.entries
 
 
 # -- 5. the trace every replay starts from ----------------------------------------

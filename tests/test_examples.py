@@ -1,6 +1,7 @@
 """The shipped examples must run clean and demonstrate their claims, and
 every document the code cites must exist."""
 
+import os
 import pathlib
 import re
 import subprocess
@@ -27,37 +28,65 @@ def test_every_cited_markdown_file_exists():
     assert missing == []
 
 
-def run_example(name: str, timeout: int = 600) -> str:
-    result = subprocess.run(
-        [sys.executable, str(EXAMPLES / name)],
-        capture_output=True,
-        text=True,
-        timeout=timeout,
+@pytest.fixture
+def run_example(tmp_path):
+    """Run one example as a user would: its own process, a scratch working
+    directory, both on-disk caches off; it must exit 0."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+        ),
+        REPRO_TRACE_CACHE="off",
+        REPRO_RESULT_CACHE="off",
     )
-    assert result.returncode == 0, result.stderr
-    return result.stdout
+
+    def run(name: str, timeout: int = 600) -> str:
+        result = subprocess.run(
+            [sys.executable, str(EXAMPLES / name)],
+            capture_output=True,
+            text=True,
+            timeout=timeout,
+            cwd=tmp_path,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert list(tmp_path.iterdir()) == []  # nothing left behind
+        return result.stdout
+
+    return run
+
+
+def test_every_example_is_tested():
+    tested = {
+        "design_space_exploration.py",
+        "quickstart.py",
+        "secure_cloud_database.py",
+        "tamper_detection.py",
+    }
+    assert {path.name for path in EXAMPLES.glob("*.py")} == tested
 
 
 class TestQuickstart:
-    def test_runs_and_reads_back(self):
+    def test_runs_and_reads_back(self, run_example):
         out = run_example("quickstart.py")
         assert "attack at dawn" in out
         assert "PLB hits" in out
 
 
 class TestSecureCloudDatabase:
-    def test_oblivious_traces_uniform(self):
+    def test_oblivious_traces_uniform(self, run_example):
         out = run_example("secure_cloud_database.py")
         assert "uniform random paths" in out
         assert "identifies the hot record" in out
 
-    def test_plain_store_leaks(self):
+    def test_plain_store_leaks(self, run_example):
         out = run_example("secure_cloud_database.py")
         assert "1 distinct address(es)" in out
 
 
 class TestTamperDetection:
-    def test_all_attacks_resolve_correctly(self):
+    def test_all_attacks_resolve_correctly(self, run_example):
         out = run_example("tamper_detection.py")
         assert out.count("caught:") == 2
         assert "UNDETECTED" not in out
@@ -67,7 +96,7 @@ class TestTamperDetection:
 
 class TestDesignSpaceExploration:
     @pytest.mark.slow
-    def test_tables_render(self):
+    def test_tables_render(self, run_example):
         out = run_example("design_space_exploration.py", timeout=900)
         assert "Scheme comparison" in out
         assert "PLB capacity sweep" in out

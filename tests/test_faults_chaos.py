@@ -196,6 +196,26 @@ class TestSweepChaosLockstep:
                 other, _runner(tmp_path, "a"), checkpoint=ckpt_path, resume=True
             )
 
+    def test_resume_accepts_a_journal_with_the_old_order_field(self, tmp_path):
+        """Journal headers once carried a cell-order digest (``order``);
+        the fingerprint covers every input of the cell order, so such a
+        journal resumes like any other."""
+        ckpt_path = tmp_path / "sweep.ckpt"
+        with injected("sweep.interrupt@*#2"):
+            with pytest.raises(SweepInterrupted):
+                run_sweep(_sweep(), _runner(tmp_path, "a"), checkpoint=ckpt_path)
+        journal = SweepCheckpoint(ckpt_path)
+        header = journal.load(HEADER)
+        assert "order" not in header
+        header["order"] = "0" * 40
+        assert journal.store(HEADER, header)
+        golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
+        resumed = run_sweep(
+            _sweep(), _runner(tmp_path, "a"), checkpoint=ckpt_path, resume=True
+        )
+        assert resumed["resilience"]["resumed"] == 2
+        assert _strip(resumed) == _strip(golden)
+
     def test_resume_recomputes_a_damaged_journal_entry(self, tmp_path):
         journal = SweepCheckpoint(tmp_path / "sweep.ckpt")
         with injected("sweep.interrupt@*#2"):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.frontend.unified import PlbFrontend
+from repro.spec import SchemeSpec
 from repro.utils.rng import DeterministicRng
 
 STEP = st.tuples(
@@ -22,12 +23,15 @@ VARIANTS = [
 
 def build(posmap_format, pmmac, seed, beta=14):
     return PlbFrontend(
-        num_blocks=256,
-        posmap_format=posmap_format,
-        pmmac=pmmac,
-        compressed_beta=beta,
-        onchip_entries=8,
-        plb_capacity_bytes=512,
+        SchemeSpec(
+            num_blocks=256,
+            posmap_format=posmap_format,
+            pmmac=pmmac,
+            compressed_beta=beta,
+            onchip_entries=8,
+            plb_capacity_bytes=512,
+            storage="object",
+        ),
         rng=DeterministicRng(seed),
     )
 

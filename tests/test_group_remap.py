@@ -4,17 +4,21 @@ import pytest
 
 from repro.backend.ops import Op
 from repro.frontend.unified import PlbFrontend
+from repro.spec import SchemeSpec
 from repro.utils.rng import DeterministicRng
 
 
 def make(beta=3, pmmac=False, num_blocks=2**9):
     return PlbFrontend(
-        num_blocks=num_blocks,
-        posmap_format="compressed",
-        compressed_beta=beta,
-        pmmac=pmmac,
-        onchip_entries=2**3,
-        plb_capacity_bytes=2 * 1024,
+        SchemeSpec(
+            num_blocks=num_blocks,
+            posmap_format="compressed",
+            compressed_beta=beta,
+            pmmac=pmmac,
+            onchip_entries=2**3,
+            plb_capacity_bytes=2 * 1024,
+            storage="object",
+        ),
         rng=DeterministicRng(17),
     )
 
@@ -85,9 +89,13 @@ class TestRemapRate:
 
     def test_no_group_remaps_with_flat_counters(self):
         frontend = PlbFrontend(
-            num_blocks=2**9,
-            posmap_format="flat",
-            onchip_entries=2**3,
+            SchemeSpec(
+                num_blocks=2**9,
+                posmap_format="flat",
+                onchip_entries=2**3,
+                plb_capacity_bytes=8 * 1024,
+                storage="object",
+            ),
             rng=DeterministicRng(5),
         )
         for _ in range(200):

@@ -10,6 +10,7 @@ from repro.crypto.suite import CryptoSuite
 from repro.frontend.recursive import RecursiveFrontend
 from repro.frontend.subblock import SubBlockFrontend
 from repro.frontend.unified import PlbFrontend
+from repro.spec import SchemeSpec
 from repro.storage.encrypted import EncryptedTreeStorage, EncryptionScheme
 from repro.utils.rng import DeterministicRng
 
@@ -28,13 +29,15 @@ class TestPlbOverEncryptedStorage:
             )
 
         frontend = PlbFrontend(
-            num_blocks=2**8,
-            posmap_format="compressed",
-            pmmac=pmmac,
-            onchip_entries=2**3,
-            plb_capacity_bytes=1024,
-            crypto=crypto,
+            SchemeSpec(
+                num_blocks=2**8,
+                posmap_format="compressed",
+                pmmac=pmmac,
+                onchip_entries=2**3,
+                plb_capacity_bytes=1024,
+            ),
             rng=DeterministicRng(1),
+            crypto=crypto,
             storage_factory=factory,
         )
         rng = DeterministicRng(2)
@@ -59,11 +62,9 @@ class TestPlbOverEncryptedStorage:
             )
 
         frontend = PlbFrontend(
-            num_blocks=2**7,
-            onchip_entries=2**3,
-            plb_capacity_bytes=1024,
-            crypto=crypto,
+            SchemeSpec(num_blocks=2**7, onchip_entries=2**3, plb_capacity_bytes=1024),
             rng=DeterministicRng(3),
+            crypto=crypto,
             storage_factory=factory,
         )
         frontend.read(0)
@@ -76,9 +77,12 @@ class TestObserverThroughFullStack:
     def test_unified_frontend_emits_paired_events(self):
         observer = TraceObserver()
         frontend = PlbFrontend(
-            num_blocks=2**8,
-            onchip_entries=2**3,
-            plb_capacity_bytes=1024,
+            SchemeSpec(
+                num_blocks=2**8,
+                onchip_entries=2**3,
+                plb_capacity_bytes=1024,
+                storage="object",
+            ),
             rng=DeterministicRng(4),
             observer=observer,
         )
@@ -94,8 +98,12 @@ class TestObserverThroughFullStack:
     def test_recursive_trees_interleave_in_fixed_order(self):
         observer = TraceObserver()
         frontend = RecursiveFrontend(
-            num_blocks=2**9,
-            onchip_entries=2**3,
+            SchemeSpec(
+                frontend="recursive",
+                num_blocks=2**9,
+                onchip_entries=2**3,
+                storage="object",
+            ),
             rng=DeterministicRng(5),
             observer=observer,
         )
@@ -127,10 +135,14 @@ class TestSubBlockVsRecursive:
             rng=DeterministicRng(6),
         )
         rec = RecursiveFrontend(
-            num_blocks=num_blocks,
-            data_block_bytes=512,
-            posmap_block_bytes=32,
-            onchip_entries=2**6,
+            SchemeSpec(
+                frontend="recursive",
+                num_blocks=num_blocks,
+                block_bytes=512,
+                posmap_block_bytes=32,
+                onchip_entries=2**6,
+                storage="object",
+            ),
             rng=DeterministicRng(6),
         )
         assert sub.num_levels < rec.num_levels
@@ -147,10 +159,14 @@ class TestSubBlockVsRecursive:
             rng=DeterministicRng(6),
         )
         rec = RecursiveFrontend(
-            num_blocks=num_blocks,
-            data_block_bytes=big_b,
-            posmap_block_bytes=32,
-            onchip_entries=2**3,
+            SchemeSpec(
+                frontend="recursive",
+                num_blocks=num_blocks,
+                block_bytes=big_b,
+                posmap_block_bytes=32,
+                onchip_entries=2**3,
+                storage="object",
+            ),
             rng=DeterministicRng(6),
         )
         rng = DeterministicRng(7)
@@ -168,14 +184,17 @@ class TestDeterminism:
         def run():
             observer = TraceObserver()
             frontend = PlbFrontend(
-                num_blocks=2**8,
-                posmap_format="compressed",
-                pmmac=True,
-                onchip_entries=2**3,
-                plb_capacity_bytes=1024,
-                crypto=CryptoSuite.fast(b"det"),
+                SchemeSpec(
+                    num_blocks=2**8,
+                    posmap_format="compressed",
+                    pmmac=True,
+                    onchip_entries=2**3,
+                    plb_capacity_bytes=1024,
+                    storage="object",
+                ),
                 rng=DeterministicRng(8),
                 observer=observer,
+                crypto=CryptoSuite.fast(b"det"),
             )
             rng = DeterministicRng(9)
             for step in range(120):

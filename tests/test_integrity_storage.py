@@ -7,9 +7,9 @@ be detected **identically** whether the tree lives as bucket objects or
 columnar slot arenas. Each scenario here runs the same seeded attack
 under ``storage=object/columnar`` and asserts not just "detected" but *detected at the same access index*.
 
-Also covers the Merkle adapter over both storages (via the columnar
-store's bucket-object compatibility path) and the negative control: with
-no integrity layer, the same tampering silently succeeds everywhere.
+Also covers the Merkle adapter over the bucket-object store (it refuses
+a columnar one) and the negative control: with no integrity layer, the
+same tampering silently succeeds everywhere.
 
 The native frontend kernel (PMMAC verify/seal in C, as a hook inside the
 backend kernel's tree access) gets the same attacks, against the
@@ -30,7 +30,7 @@ from repro.backend.ops import Op
 from repro.backend.path_oram import PathOramBackend, make_backend
 from repro.config import OramConfig
 from repro.crypto.mac import Mac
-from repro.errors import IntegrityViolationError
+from repro.errors import ConfigurationError, IntegrityViolationError
 from repro.integrity.adapter import MerkleVerifiedStorage
 from repro.presets import build_frontend
 from repro.sim.native import load_native_core
@@ -169,20 +169,23 @@ class TestNoIntegrityNegativeControl:
 
 
 class TestMerkleAcrossStorages:
-    """The [25]-style Merkle baseline detects tampering over any inner store."""
+    """The [25]-style Merkle baseline detects tampering over a bucket store."""
 
     def _verified_backend(self, kind: str):
         config = OramConfig(num_blocks=2**6, block_bytes=32)
         inner = make_storage(kind, config)
         verified = MerkleVerifiedStorage(inner, Mac(b"merkle-key-tests"))
         backend = make_backend(config, verified, DeterministicRng(5))
-        # The adapter is a bucket-object storage, so every inner kind —
-        # columnar included, via its compatibility path — must drive the
-        # object backend.
         assert isinstance(backend, PathOramBackend)
         return config, inner, backend
 
-    @pytest.mark.parametrize("kind", STORAGES)
+    def test_columnar_inner_store_refused(self):
+        """Columnar storage has no bucket objects for the adapter to hash."""
+        config = OramConfig(num_blocks=2**6, block_bytes=32)
+        with pytest.raises(ConfigurationError, match="columnar storage"):
+            MerkleVerifiedStorage(make_storage("columnar", config), Mac(b"k" * 16))
+
+    @pytest.mark.parametrize("kind", ["object"])
     def test_honest_operation_verifies(self, kind):
         config, _inner, backend = self._verified_backend(kind)
         rng = DeterministicRng(11)
@@ -198,7 +201,7 @@ class TestMerkleAcrossStorages:
                            update=update)
             posmap[addr] = new_leaf
 
-    @pytest.mark.parametrize("kind", STORAGES)
+    @pytest.mark.parametrize("kind", ["object"])
     def test_bucket_tamper_detected(self, kind):
         config, inner, backend = self._verified_backend(kind)
         rng = DeterministicRng(11)
@@ -214,7 +217,7 @@ class TestMerkleAcrossStorages:
         with pytest.raises(IntegrityViolationError, match="Merkle root"):
             backend.access(Op.READ, target, posmap[target], 0)
 
-    @pytest.mark.parametrize("kind", STORAGES)
+    @pytest.mark.parametrize("kind", ["object"])
     def test_bucket_replay_detected(self, kind):
         """Restoring a stale bucket image breaks the hash chain."""
         config, inner, backend = self._verified_backend(kind)
@@ -242,10 +245,12 @@ class TestMerkleAcrossStorages:
             traffic(40)
 
     def test_merkle_detection_step_identical_across_storages(self):
-        """Same seeded attack -> same first-failing access, all stores."""
+        """Same seeded attack -> same first-failing access, run after run
+        (the adapter takes a bucket-object store only, so the columnar
+        leg is gone)."""
         steps = {}
-        for kind in STORAGES:
-            config, inner, backend = self._verified_backend(kind)
+        for run in ("first", "second"):
+            config, inner, backend = self._verified_backend("object")
             rng = DeterministicRng(13)
             posmap = {}
             for _ in range(40):
@@ -270,9 +275,9 @@ class TestMerkleAcrossStorages:
                 except IntegrityViolationError:
                     step = attempt
                     break
-            steps[kind] = step
-        assert steps["object"] is not None
-        assert steps["object"] == steps["columnar"]
+            steps[run] = step
+        assert steps["first"] is not None
+        assert steps["first"] == steps["second"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,20 @@
 import pytest
 
 from repro.backend.ops import Op
-from repro.config import OramConfig
 from repro.errors import ConfigurationError
 from repro.frontend.linear import LinearFrontend
+from repro.spec import SchemeSpec
 from repro.utils.rng import DeterministicRng
+
+
+def make(num_blocks=256, seed=1):
+    spec = SchemeSpec(frontend="linear", num_blocks=num_blocks, storage="object")
+    return LinearFrontend(spec, rng=DeterministicRng(seed))
 
 
 @pytest.fixture
 def frontend(small_config):
-    return LinearFrontend(small_config, DeterministicRng(1))
+    return make(small_config.num_blocks)
 
 
 class TestFunctional:
@@ -32,7 +37,7 @@ class TestFunctional:
         assert frontend.read(2) == b
 
     def test_shadow_consistency(self, small_config):
-        frontend = LinearFrontend(small_config, DeterministicRng(4))
+        frontend = make(small_config.num_blocks, seed=4)
         rng = DeterministicRng(9)
         shadow = {}
         for step in range(400):
@@ -68,6 +73,6 @@ class TestAccounting:
 
     def test_onchip_posmap_size_scales_with_n(self):
         """The Phantom scaling problem: N*L bits on-chip (§1.1)."""
-        small = LinearFrontend(OramConfig(num_blocks=256), DeterministicRng(0))
-        large = LinearFrontend(OramConfig(num_blocks=4096), DeterministicRng(0))
+        small = make(256, seed=0)
+        large = make(4096, seed=0)
         assert large.onchip_posmap_bytes > 8 * small.onchip_posmap_bytes

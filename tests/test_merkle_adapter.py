@@ -3,22 +3,26 @@
 import pytest
 
 from repro.backend.ops import Op
-from repro.config import OramConfig
 from repro.crypto.mac import Mac
 from repro.errors import IntegrityViolationError
 from repro.frontend.linear import LinearFrontend
 from repro.integrity.adapter import MerkleVerifiedStorage
+from repro.spec import SchemeSpec
 from repro.storage.block import Block
 from repro.storage.tree import TreeStorage
 from repro.utils.rng import DeterministicRng
 
 
 def build(num_blocks=2**6):
-    config = OramConfig(num_blocks=num_blocks, block_bytes=32)
     mac = Mac(b"adapter-key", mode=Mac.MODE_FAST)
-    storage = MerkleVerifiedStorage(TreeStorage(config), mac)
-    frontend = LinearFrontend(config, DeterministicRng(3), storage=storage)
-    return config, storage, frontend
+    frontend = LinearFrontend(
+        SchemeSpec(frontend="linear", num_blocks=num_blocks, block_bytes=32),
+        rng=DeterministicRng(3),
+        storage_factory=lambda config, _observer: MerkleVerifiedStorage(
+            TreeStorage(config), mac
+        ),
+    )
+    return frontend.config, frontend.backend.storage, frontend
 
 
 class TestHonest:

@@ -11,6 +11,7 @@ import pytest
 from repro.adversary.observer import TraceObserver, distinguish_by_tree_pattern
 from repro.frontend.recursive import RecursiveFrontend
 from repro.frontend.unified import PlbFrontend
+from repro.spec import SchemeSpec
 from repro.utils.rng import DeterministicRng
 from repro.utils.stats import chi_square_uniform
 
@@ -41,8 +42,12 @@ class TestPlbLeakWithSeparateTrees:
         for program in (program_a(n, length), program_b(n, length, 8)):
             observer = TraceObserver()
             frontend = RecursiveFrontend(
-                num_blocks=n,
-                onchip_entries=2**4,
+                SchemeSpec(
+                    frontend="recursive",
+                    num_blocks=n,
+                    onchip_entries=2**4,
+                    storage="object",
+                ),
                 rng=DeterministicRng(1),
                 observer=observer,
             )
@@ -58,10 +63,13 @@ class TestPlbLeakWithSeparateTrees:
         hit_counts = []
         for program in (program_a(n, length), program_b(n, length, 16)):
             frontend = PlbFrontend(
-                num_blocks=n,
-                posmap_format="uncompressed",
-                onchip_entries=2**4,
-                plb_capacity_bytes=2 * 1024,
+                SchemeSpec(
+                    num_blocks=n,
+                    posmap_format="uncompressed",
+                    onchip_entries=2**4,
+                    plb_capacity_bytes=2 * 1024,
+                    storage="object",
+                ),
                 rng=DeterministicRng(1),
             )
             run_program(frontend, program)
@@ -75,10 +83,13 @@ class TestUnifiedTreeFix:
         n, length = 2**10, 128
         observer = TraceObserver()
         frontend = PlbFrontend(
-            num_blocks=n,
-            posmap_format="uncompressed",
-            onchip_entries=2**4,
-            plb_capacity_bytes=2 * 1024,
+            SchemeSpec(
+                num_blocks=n,
+                posmap_format="uncompressed",
+                onchip_entries=2**4,
+                plb_capacity_bytes=2 * 1024,
+                storage="object",
+            ),
             rng=DeterministicRng(1),
             observer=observer,
         )
@@ -93,10 +104,13 @@ class TestUnifiedTreeFix:
         for program in (program_a(n, length), program_b(n, length, 16)):
             observer = TraceObserver()
             frontend = PlbFrontend(
-                num_blocks=n,
-                posmap_format="uncompressed",
-                onchip_entries=2**4,
-                plb_capacity_bytes=2 * 1024,
+                SchemeSpec(
+                    num_blocks=n,
+                    posmap_format="uncompressed",
+                    onchip_entries=2**4,
+                    plb_capacity_bytes=2 * 1024,
+                    storage="object",
+                ),
                 rng=DeterministicRng(1),
                 observer=observer,
             )
@@ -115,10 +129,13 @@ class TestLeafUniformity:
     def test_leaf_histogram_uniform(self, posmap_format):
         observer = TraceObserver()
         frontend = PlbFrontend(
-            num_blocks=2**8,
-            posmap_format=posmap_format,
-            onchip_entries=2**3,
-            plb_capacity_bytes=1024,
+            SchemeSpec(
+                num_blocks=2**8,
+                posmap_format=posmap_format,
+                onchip_entries=2**3,
+                plb_capacity_bytes=1024,
+                storage="object",
+            ),
             rng=DeterministicRng(5),
             observer=observer,
         )
@@ -140,10 +157,13 @@ class TestLeafUniformity:
         for addresses in (program_a(2**8, 1500), None):
             observer = TraceObserver()
             frontend = PlbFrontend(
-                num_blocks=2**8,
-                posmap_format="uncompressed",
-                onchip_entries=2**3,
-                plb_capacity_bytes=1024,
+                SchemeSpec(
+                    num_blocks=2**8,
+                    posmap_format="uncompressed",
+                    onchip_entries=2**3,
+                    plb_capacity_bytes=1024,
+                    storage="object",
+                ),
                 rng=DeterministicRng(9),
                 observer=observer,
             )

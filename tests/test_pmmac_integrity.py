@@ -13,6 +13,7 @@ from repro.backend.ops import Op
 from repro.crypto.suite import CryptoSuite
 from repro.errors import IntegrityViolationError
 from repro.frontend.unified import PlbFrontend
+from repro.spec import SchemeSpec
 from repro.storage.encrypted import EncryptedTreeStorage, EncryptionScheme
 from repro.utils.rng import DeterministicRng
 
@@ -26,13 +27,15 @@ def make_frontend(posmap_format="flat", seed=19, num_blocks=2**8):
         )
 
     frontend = PlbFrontend(
-        num_blocks=num_blocks,
-        posmap_format=posmap_format,
-        pmmac=True,
-        onchip_entries=2**3,
-        plb_capacity_bytes=1024,
-        crypto=crypto,
+        SchemeSpec(
+            num_blocks=num_blocks,
+            posmap_format=posmap_format,
+            pmmac=True,
+            onchip_entries=2**3,
+            plb_capacity_bytes=1024,
+        ),
         rng=DeterministicRng(seed),
+        crypto=crypto,
         storage_factory=storage_factory,
     )
     return frontend
@@ -167,14 +170,17 @@ class TestCounterProperties:
 
         crypto.mac.block_tag = spy
         frontend = PlbFrontend(
-            num_blocks=2**8,
-            posmap_format="compressed",
-            compressed_beta=3,  # force group remaps into the window
-            pmmac=True,
-            onchip_entries=2**3,
-            plb_capacity_bytes=1024,
-            crypto=crypto,
+            SchemeSpec(
+                num_blocks=2**8,
+                posmap_format="compressed",
+                compressed_beta=3,
+                pmmac=True,
+                onchip_entries=2**3,
+                plb_capacity_bytes=1024,
+                storage="object",
+            ),
             rng=DeterministicRng(6),
+            crypto=crypto,
         )
         rng = DeterministicRng(7)
         for _ in range(150):

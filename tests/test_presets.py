@@ -4,7 +4,7 @@ import pytest
 
 from repro.frontend.recursive import RecursiveFrontend
 from repro.frontend.unified import PlbFrontend
-from repro.presets import SCHEMES, build_frontend, phantom_4kb
+from repro.presets import SCHEMES, build_frontend
 from repro.utils.rng import DeterministicRng
 
 
@@ -54,12 +54,14 @@ class TestFactories:
 
 class TestPhantom:
     def test_no_recursion(self):
-        frontend = phantom_4kb(num_blocks=2**8)
+        frontend = build_frontend("phantom_4kb", num_blocks=2**8)
         assert frontend.posmap.entries == 2**8
         assert frontend.config.block_bytes == 4096
 
     def test_functional(self):
-        frontend = phantom_4kb(num_blocks=2**6, rng=DeterministicRng(2))
+        frontend = build_frontend(
+            "phantom_4kb", num_blocks=2**6, rng=DeterministicRng(2)
+        )
         payload = b"\x55" * 4096
         frontend.write(3, payload)
         assert frontend.read(3) == payload

@@ -6,16 +6,19 @@ from repro.adversary.observer import TraceObserver
 from repro.backend.ops import Op
 from repro.errors import ConfigurationError
 from repro.frontend.recursive import RecursiveFrontend
+from repro.spec import SchemeSpec
 from repro.utils.rng import DeterministicRng
 
 
 def make(num_blocks=2**10, onchip_entries=2**4, **kwargs):
-    return RecursiveFrontend(
+    spec = SchemeSpec(
+        frontend="recursive",
         num_blocks=num_blocks,
         onchip_entries=onchip_entries,
-        rng=DeterministicRng(11),
+        storage="object",
         **kwargs,
     )
+    return RecursiveFrontend(spec, rng=DeterministicRng(11))
 
 
 class TestStructure:
@@ -103,8 +106,12 @@ class TestAccounting:
     def test_observer_sees_each_tree(self):
         observer = TraceObserver()
         frontend = RecursiveFrontend(
-            num_blocks=2**10,
-            onchip_entries=2**4,
+            SchemeSpec(
+                frontend="recursive",
+                num_blocks=2**10,
+                onchip_entries=2**4,
+                storage="object",
+            ),
             rng=DeterministicRng(1),
             observer=observer,
         )

@@ -55,11 +55,13 @@ class TestReplay:
         assert result.scheme == "insecure"
 
     def test_replay_counts_events(self):
-        from repro.presets import pc_x32
+        from repro.presets import build_frontend
         from repro.utils.rng import DeterministicRng
 
         trace = tiny_trace()
-        frontend = pc_x32(num_blocks=2**10, rng=DeterministicRng(1), onchip_entries=16)
+        frontend = build_frontend(
+            "PC_X32", num_blocks=2**10, rng=DeterministicRng(1), onchip_entries=16
+        )
         timing = OramTimingModel(tree_latency_cycles=1000.0)
         result = replay_trace(frontend, trace, timing, scheme="PC_X32")
         assert result.oram_accesses == len(trace.events)
@@ -82,21 +84,23 @@ class TestReplay:
 
     def test_block_size_probe_single_config(self):
         """Frontends exposing `config` are probed without touching `configs`."""
-        from repro.presets import pc_x32
+        from repro.presets import build_frontend
         from repro.utils.rng import DeterministicRng
 
-        frontend = pc_x32(num_blocks=2**10, rng=DeterministicRng(1),
-                          onchip_entries=16)
+        frontend = build_frontend(
+            "PC_X32", num_blocks=2**10, rng=DeterministicRng(1), onchip_entries=16
+        )
         timing = OramTimingModel(tree_latency_cycles=1000.0)
         result = replay_trace(frontend, tiny_trace(), timing)
         assert result.oram_accesses > 0
 
     def test_block_size_probe_recursive_configs(self):
-        from repro.presets import r_x8
+        from repro.presets import build_frontend
         from repro.utils.rng import DeterministicRng
 
-        frontend = r_x8(num_blocks=2**10, rng=DeterministicRng(1),
-                        onchip_entries=16)
+        frontend = build_frontend(
+            "R_X8", num_blocks=2**10, rng=DeterministicRng(1), onchip_entries=16
+        )
         timing = OramTimingModel(tree_latency_cycles=1000.0)
         result = replay_trace(frontend, tiny_trace(), timing)
         assert result.oram_accesses > 0

@@ -1,11 +1,14 @@
 """Declarative SchemeSpec layer: round-trips, registry, validation, runner."""
 
+import inspect
+
 import pytest
 
-from repro.errors import ReproError, SpecError
+from repro.errors import ConfigurationError, ReproError, SpecError
 from repro.frontend.linear import LinearFrontend
 from repro.frontend.recursive import RecursiveFrontend
 from repro.frontend.unified import PlbFrontend
+from repro.presets import build_frontend
 from repro.spec import (
     FIELD_ALIASES,
     SPEC_FIELDS,
@@ -224,6 +227,13 @@ class TestValidation:
         with pytest.raises(SpecError):
             SchemeSpec().with_(**changes)
 
+    def test_tree_storage_alias_is_gone(self):
+        """``object`` is the one name of the bucket-object store."""
+        with pytest.raises(
+            SpecError, match=r"choose from \('default', 'object', 'columnar'\)"
+        ):
+            SchemeSpec.from_string("PC_X32:storage=tree")
+
     def test_resolve_spec_rejects_other_types(self):
         with pytest.raises(SpecError):
             resolve_spec(42)
@@ -251,6 +261,40 @@ class TestBuild:
         spec = get_spec("PIC_X32").with_(num_blocks=2**8, crypto="reference")
         frontend = spec.build()
         assert frontend.crypto.prf.mode == "aes"
+
+
+    def test_constructors_take_a_spec_and_build_time_objects(self):
+        params = {
+            cls.__name__: tuple(inspect.signature(cls).parameters)
+            for cls in (PlbFrontend, RecursiveFrontend, LinearFrontend)
+        }
+        assert params == {
+            "PlbFrontend": ("spec", "rng", "observer", "crypto", "storage_factory"),
+            "RecursiveFrontend": ("spec", "rng", "observer"),
+            "LinearFrontend": ("spec", "rng", "observer", "storage_factory"),
+        }
+
+    def test_every_door_builds_the_same_tree(self):
+        """The spec's defaults are the constructors' defaults: R_X8 at
+        2^12 blocks recurses (two levels), P_X16 gets the 64 KiB PLB."""
+        rec = get_spec("R_X8").with_(num_blocks=2**12)
+        assert RecursiveFrontend(rec).num_levels == rec.build().num_levels == 2
+        plb = get_spec("P_X16").with_(num_blocks=2**12)
+        built = build_frontend("P_X16", num_blocks=2**12)
+        assert PlbFrontend(plb).plb.capacity_bytes == built.plb.capacity_bytes
+        assert built.plb.capacity_bytes == 64 * 1024
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_constructors_refuse_another_frontend_kind(self, name):
+        spec = get_spec(name)
+        for cls, kind in (
+            (PlbFrontend, "plb"),
+            (RecursiveFrontend, "recursive"),
+            (LinearFrontend, "linear"),
+        ):
+            if spec.frontend != kind:
+                with pytest.raises(ConfigurationError, match=f"not a {kind} spec"):
+                    cls(spec)
 
 
 class TestRunnerSpecs:

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.backend.ops import Op
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SpecError
 from repro.frontend.unified import PlbFrontend
+from repro.spec import SchemeSpec
 from repro.utils.rng import DeterministicRng
 
 ALL_VARIANTS = [
@@ -20,13 +21,14 @@ ALL_VARIANTS = [
 def make(posmap_format="uncompressed", pmmac=False, num_blocks=2**10, **kwargs):
     kwargs.setdefault("onchip_entries", 2**4)
     kwargs.setdefault("plb_capacity_bytes", 2 * 1024)
-    return PlbFrontend(
+    spec = SchemeSpec(
         num_blocks=num_blocks,
         posmap_format=posmap_format,
         pmmac=pmmac,
-        rng=DeterministicRng(31),
+        storage="object",
         **kwargs,
     )
+    return PlbFrontend(spec, rng=DeterministicRng(31))
 
 
 class TestStructure:
@@ -54,7 +56,7 @@ class TestStructure:
         assert make("compressed", pmmac=False).posmap.mode == "leaf"
 
     def test_unknown_format_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(SpecError, match="unknown posmap_format"):
             make("zip")
 
 
