@@ -14,10 +14,11 @@ Scheduling is epoch-based, and every simulated outcome is decided by
 three shared, deterministic steps, each one pass over request *columns*
 — no object is built per request. A tenant's stream is three columns
 made once at construction (global block address, write flag, shard
-route); a shard's **epoch queue** (:class:`_EpochQueue`) is four
-parallel lists — ``tenants``, ``addrs`` (shard-local), ``writes``,
-``deadlines`` — in admission order, which is also the shape of a shard's
-parked backlog; execution adds the ``latencies`` and ``walls`` columns.
+route); a shard's **epoch queue** (:class:`_EpochQueue`) is parallel
+lists — ``tenants``, ``addrs`` (shard-local), ``writes``, ``deadlines``
+(with SLOs) — in admission order, the shape of a parked backlog too;
+execution adds ``latencies`` and ``walls``. Epochs are small (~16
+requests), so per-request work that can wait runs in step 3's fold.
 
 1. **Admission** (:meth:`OramService._admit`) — each tenant offers up
    to ``burst`` requests; offers are ordered earliest-deadline-first
@@ -45,12 +46,12 @@ parked backlog; execution adds the ``latencies`` and ``walls`` columns.
    is the prefix sum of service latencies ahead of a request in its
    shard's epoch queue, so the running sum of a queue's latencies *is*
    its ``wait + latency`` column. Deadlines are judged per request; the
-   (tenant, service, total, wall) columns go to a service-level log that
-   is folded into the per-tenant histograms
-   (:meth:`~repro.serve.stats.LatencyHistogram.record_many`) when it
-   passes :data:`LOG_FOLD_LENGTH` rows, at the end of ``run`` and before
-   any read (``report()``, ``tenant_stats``) — memory stays bounded and
-   a reader never sees a stale histogram.
+   executed queues go to a log, folded past :data:`LOG_FOLD_LENGTH` rows,
+   at the end of ``run`` and before any read into each shard's digest
+   and busy cycles and each tenant's histograms
+   (:meth:`~repro.serve.stats.LatencyHistogram.record_many`), over
+   thousands of rows at a time — memory stays bounded and a reader never
+   sees a stale record.
 
 Wall time is observational and stamped twice per batch, not per
 request: once per epoch when admission starts and once per ``run_batch``
@@ -71,9 +72,10 @@ from __future__ import annotations
 import math
 import time
 import zlib
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, groupby
-from operator import itemgetter
+from itertools import accumulate, chain, groupby
+from operator import attrgetter, itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ReproError
@@ -214,7 +216,8 @@ class _EpochQueue:
 
     Row *i* is the *i*-th request admitted: its tenant index, shard-local
     address, write flag and absolute deadline on the service's virtual
-    clock (None when its tenant has no SLO). Execution adds the two
+    clock (None when its tenant has no SLO; no column when no tenant has
+    one). Execution adds the two
     output columns: ``latencies`` (simulated service cycles) and
     ``walls`` (microseconds from the row's admission stamp to the
     completion of its batch).
@@ -281,10 +284,6 @@ class OramShard:
         self.down_epochs = 0
         self.backlog = _EpochQueue()
 
-    @property
-    def available(self) -> bool:
-        return self.down_epochs == 0
-
     def trip(self, epochs: int) -> None:
         """Open the circuit breaker for ``epochs`` epochs (this one included)."""
         self.down_epochs = max(self.down_epochs, max(int(epochs), 1))
@@ -308,22 +307,23 @@ class OramShard:
     def execute(self, queue: _EpochQueue) -> None:
         """Drain one epoch queue in ticket order, one ``run_batch`` per
         ``max_batch`` rows."""
-        for start in range(0, len(queue), self.max_batch):
-            stop = start + self.max_batch
-            addrs = queue.addrs[start:stop]
-            writes = queue.writes[start:stop]
+        stats = self.stats
+        for start in range(0, len(queue.addrs), self.max_batch):
+            rows = slice(start, start + self.max_batch)
+            addrs, writes = queue.addrs[rows], queue.writes[rows]
             # Looked up per call: tracing wraps the engine's attribute.
-            latencies = self.engine.run_batch(addrs, writes)
+            latencies = self.engine.run_batch(addrs, writes, fold=False)
             end = time.perf_counter()
-            self.stats.record_batch(
-                queue.tenants[start:stop], addrs, writes, latencies
-            )
+            stats.batches += 1
             queue.latencies += latencies
-            parked = [(end - stamp) * 1e6 for stamp in queue.stamps[start:stop]]
-            queue.walls += parked
-            queue.walls += [(end - queue.stamp) * 1e6] * (len(addrs) - len(parked))
-        if queue:
-            self.stats.epochs_busy += 1
+            parked = 0
+            if queue.stamps:  # rows parked in a backlog keep their own stamps
+                walls = [(end - stamp) * 1e6 for stamp in queue.stamps[rows]]
+                queue.walls += walls
+                parked = len(walls)
+            queue.walls += [(end - queue.stamp) * 1e6] * (len(addrs) - parked)
+        if queue.addrs:
+            stats.epochs_busy += 1
 
 
 class _TenantState:
@@ -374,7 +374,11 @@ class _TenantState:
 
 
 class OramService:
-    """The multi-tenant serving layer over a pool of ORAM shards."""
+    """The multi-tenant serving layer over a pool of ORAM shards.
+
+    A shard directory too small for the distinct addresses its streams
+    route to it is a ConfigurationError at construction, whatever the
+    load: under ``shed``, a pool that fits only by dropping is refused."""
 
     def __init__(
         self,
@@ -419,6 +423,19 @@ class OramService:
             capacity = total_blocks
         else:
             capacity = next_pow2(max(2 * total_blocks // config.shards, 64))
+        # Requests not yet admitted or shed, and the streams' total.
+        self._unserved = self._requests = sum(len(t.addrs) for t in self._tenants)
+        if config.shards > 1 and self._requests > capacity:
+            routed: Dict[int, int] = {}
+            for state in self._tenants:
+                routed.update(zip(state.addrs, state.routes))
+            for index, count in sorted(Counter(routed.values()).items()):
+                if count > capacity:
+                    raise ConfigurationError(
+                        f"shard {index} directory overflow: {count} distinct "
+                        f"addresses route to it, {capacity} blocks fit; "
+                        f"raise shard_blocks"
+                    )
         self.shards: List[OramShard] = []
         for index in range(config.shards):
             spec, _label = self.runner.sized_spec(
@@ -453,11 +470,12 @@ class OramService:
         self._has_deadlines = any(
             t.spec.deadline_cycles is not None for t in self._tenants
         )
-        # Accounting log: the (tenant, service latency, wait + latency,
-        # wall us) columns of executed requests not yet in a histogram.
-        self._log: Tuple[List[int], List[float], List[float], List[float]] = (
-            [], [], [], []
-        )
+        # Accounting log: executed queues not yet folded, and their rows.
+        self._log: List[_EpochQueue] = []
+        self._logged = 0
+        # What admission refills or cools down each epoch, if anything can be.
+        paced = config.policy == "throttle" or any(t.bucket for t in self._tenants)
+        self._paced = self._tenants if paced else []
         self._min_priority = min(t.spec.priority for t in self._tenants)
         self.degradation = DegradationController(
             config.degrade_after, config.recover_after
@@ -540,6 +558,8 @@ class OramService:
         order (an ORAM client's requests are dependent).
         """
         plan = faults_active()
+        if plan is None and not self._has_deadlines:
+            return
         for tenant_index, offered in enumerate(offers):
             state = self._tenants[tenant_index]
             tighten = 0.0
@@ -621,20 +641,23 @@ class OramService:
         # the target's length is the occupancy capacity is judged on.
         targets: List[_EpochQueue] = []
         for shard in shards:
-            if shard.available and shard.backlog:
+            if not shard.down_epochs and shard.backlog.addrs:
                 queue, shard.backlog = shard.backlog, _EpochQueue()
             else:
                 queue = _EpochQueue()
             queue.stamp = stamp
             queues.append(queue)
-            targets.append(queue if shard.available else shard.backlog)
+            targets.append(shard.backlog if shard.down_epochs else queue)
         capacity = self.config.queue_capacity
+        has_deadlines = self._has_deadlines
+        # Unchecked ``setdefault``: stream addresses were checked to fit.
+        directories = None if shards[0].identity else [s._directory for s in shards]
         self._epoch_starved = False
         overloaded = False
         # Refill quota buckets and run down throttle cooldowns, in
         # tenant order; a cooling-down tenant offers nothing this epoch.
         blocked = [False] * len(self._tenants)
-        for tenant_index, state in enumerate(self._tenants):
+        for tenant_index, state in enumerate(self._paced):
             if state.bucket is not None:
                 state.bucket.refill()
             if state.cooldown > 0:
@@ -648,49 +671,59 @@ class OramService:
             state = self._tenants[tenant_index]
             addrs, writes, routes = state.addrs, state.writes, state.routes
             stats, bucket, deadlines = state.stats, state.bucket, state.deadlines
-            start = cursor = state.cursor
-            stop = cursor + run
-            while cursor < stop:
+            start = state.cursor
+            stop = start + run
+            for cursor in range(start, stop):
                 shard_index = routes[cursor]
-                shard = shards[shard_index]
                 if bucket is not None and not bucket.ready:
                     # Quota exhausted: a deterministic pause, not a drop.
                     stats.throttled += 1
-                    shard.stats.throttled += 1
+                    shards[shard_index].stats.throttled += 1
                     blocked[tenant_index] = True
                     self._epoch_starved = True
                     break
                 target = targets[shard_index]
                 if len(target.addrs) >= capacity:
                     overloaded = True
+                    shard_stats = shards[shard_index].stats
                     policy = self._effective_policy(state)
                     if policy == "shed":
                         deadlines.pop(cursor, None)
-                        cursor += 1
                         stats.shed += 1
-                        shard.stats.shed += 1
+                        shard_stats.shed += 1
                         continue
                     blocked[tenant_index] = True  # retry next epoch
                     if policy == "throttle":
                         stats.throttled += 1
-                        shard.stats.throttled += 1
+                        shard_stats.throttled += 1
                         state.cooldown = self.config.throttle_epochs
                     else:
                         stats.deferred += 1
-                        shard.stats.deferred += 1
+                        shard_stats.deferred += 1
                     break
                 if bucket is not None:
                     bucket.take()
                 target.tenants.append(tenant_index)
-                target.addrs.append(shard.map_addr(addrs[cursor]))
+                address = addrs[cursor]
+                if directories is not None:
+                    directory = directories[shard_index]
+                    address = directory.setdefault(address, len(directory))
+                target.addrs.append(address)
                 target.writes.append(writes[cursor])
-                target.deadlines.append(deadlines.pop(cursor, None))
-                cursor += 1
+                if has_deadlines:
+                    target.deadlines.append(deadlines.pop(cursor, None))
+            else:
+                cursor = stop
             state.cursor = cursor
             stats.issued += cursor - start
+            self._unserved -= cursor - start
         for shard, queue in zip(shards, queues):
-            shard.stats.record_depth(len(queue))
-            if not shard.available:
+            stats, depth = shard.stats, len(queue.addrs)
+            stats.depth_samples += 1
+            stats.depth_total += depth
+            if depth > stats.depth_max:
+                stats.depth_max = depth
+            if shard.down_epochs:
                 backlog = shard.backlog
                 parked = len(backlog) - len(backlog.stamps)
                 backlog.stamps += [stamp] * parked
@@ -714,16 +747,14 @@ class OramService:
         """
         epoch_start = self._vclock
         executed_cycles = 0.0
-        log_tenants, log_service, log_total, log_wall = self._log
         for queue in queues:
             latencies = queue.latencies
-            totals = list(accumulate(latencies))
-            log_tenants += queue.tenants
-            log_service += latencies
-            log_total += totals
-            log_wall += queue.walls
             for latency in latencies:
                 executed_cycles += latency
+            self._logged += len(latencies)
+            if not queue.deadlines:
+                continue
+            totals = list(accumulate(latencies))
             for row, deadline in enumerate(queue.deadlines):
                 if deadline is not None:
                     stats = self._tenants[queue.tenants[row]].stats
@@ -733,17 +764,32 @@ class OramService:
                         stats.missed += 1
                     stats.slack_cycles.record(max(slack, 0.0))
         self._vclock += executed_cycles
-        if len(log_tenants) >= LOG_FOLD_LENGTH:
+        self._log += queues
+        if self._logged >= LOG_FOLD_LENGTH:
             self._fold_log()
 
     def _fold_log(self) -> None:
-        """Fold the accounting log into the per-tenant histograms.
+        """Fold the logged queues into the shard records and the
+        per-tenant histograms.
 
-        Rows are in execution-accounting order, so splitting them by
-        tenant keeps each tenant's own order — every histogram ends up
-        exactly as if each row had been recorded when it was accounted.
+        Queues are in execution-accounting order, so each shard's queues
+        and each tenant's rows keep their order — every record ends up
+        exactly as if each batch had been recorded when it ran.
         """
-        tenants, service, total, wall = self._log
+        queues = self._log
+        count = len(self.shards)
+        for index, shard in enumerate(self.shards):
+            own = queues[index::count]  # an epoch logs one queue per shard
+            columns = ("tenants", "addrs", "writes", "latencies")
+            shard.stats.record_rows(*[
+                list(chain.from_iterable(map(attrgetter(c), own))) for c in columns
+            ])
+        tenants = list(chain.from_iterable(map(attrgetter("tenants"), queues)))
+        latencies = list(map(attrgetter("latencies"), queues))
+        service = list(chain.from_iterable(latencies))
+        # Wait + latency: the running sum of each queue's latencies.
+        total = list(chain.from_iterable(map(accumulate, latencies)))
+        wall = list(chain.from_iterable(map(attrgetter("walls"), queues)))
         rows: List[List[int]] = [[] for _ in self._tenants]
         for row, tenant_index in enumerate(tenants):
             rows[tenant_index].append(row)
@@ -752,13 +798,10 @@ class OramService:
             stats.service_cycles.record_many([service[row] for row in own])
             stats.latency_cycles.record_many([total[row] for row in own])
             stats.wall_us.record_many([wall[row] for row in own])
-        for column in self._log:
-            column.clear()
+        queues.clear()
+        self._logged = 0
 
     # -- the epoch loop --------------------------------------------------------
-
-    def _unfinished(self) -> bool:
-        return any(t.remaining for t in self._tenants)
 
     def _max_epochs(self) -> int:
         # Breaker-open epochs legitimately make no execution progress, so
@@ -767,42 +810,57 @@ class OramService:
         # legitimately paused a tenant that still had work.
         stalls = sum(s.stats.stall_epochs for s in self.shards)
         return (
-            2 * sum(len(t.addrs) for t in self._tenants)
+            2 * self._requests
             + 16
             + 2 * stalls
             + 2 * self._starved_epochs
         )
 
     def _check_progress(self, admitted: int) -> None:
-        failover = any(s.down_epochs or s.backlog for s in self.shards)
         if (
             admitted == 0
-            and self._unfinished()
-            and not failover
+            and self._unserved
             and not self._epoch_starved
+            and not any(s.down_epochs or s.backlog for s in self.shards)
         ):
             raise ReproError(
                 "serve made no progress in an epoch; "
                 "queue_capacity/policy starve every tenant"
             )
-        if self.epochs > self._max_epochs():
+        # The budget only grows past its floor, so the floor is checked first.
+        if self.epochs > 2 * self._requests + 16 and self.epochs > self._max_epochs():
             raise ReproError("serve exceeded its epoch budget without draining")
 
     def _epochs(self) -> Iterator[None]:
         """The epoch loop: admit, execute each shard, account, check
-        progress; yields after every epoch until every stream drains."""
+        progress; yields after every epoch until every stream drains.
+        Batches run with ``fold=False``: the kernels' counters are folded
+        when the loop ends, however it does, and before ``serve`` yields."""
         started = time.perf_counter()
         burst = self.config.burst
-        while self._unfinished():
-            queues = self._admit([min(burst, t.remaining) for t in self._tenants])
-            for shard, queue in zip(self.shards, queues):
-                shard.execute(queue)
-            self._account(queues)
-            self.epochs += 1
-            self._check_progress(sum(len(q) for q in queues))
-            yield
+        try:
+            while self._unserved:
+                # (A conditional, not min(): this runs per tenant per epoch.)
+                queues = self._admit([
+                    left if (left := len(t.addrs) - t.cursor) < burst else burst
+                    for t in self._tenants
+                ])
+                admitted = 0
+                for shard, queue in zip(self.shards, queues):
+                    shard.execute(queue)
+                    admitted += len(queue.addrs)
+                self._account(queues)
+                self.epochs += 1
+                self._check_progress(admitted)
+                yield
+        finally:
+            self._fold_counters()
         self._fold_log()
         self._wall_elapsed += time.perf_counter() - started
+
+    def _fold_counters(self) -> None:
+        for shard in self.shards:
+            shard.engine.run_batch([], [])  # folds what the batches left
 
     async def serve(self) -> "OramService":
         """Drain every tenant stream, yielding to the event loop once per
@@ -810,6 +868,7 @@ class OramService:
         import asyncio
 
         for _ in self._epochs():
+            self._fold_counters()
             await asyncio.sleep(0)
         return self
 
@@ -882,6 +941,7 @@ class OramService:
 
     @property
     def shard_stats(self) -> List[ShardStats]:
+        self._fold_log()
         return [s.stats for s in self.shards]
 
 

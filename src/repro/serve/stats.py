@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from collections import Counter
+from bisect import bisect_left
+from functools import reduce
+from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence
 
 
@@ -42,22 +44,29 @@ class LatencyHistogram:
         self._buckets[bucket] = self._buckets.get(bucket, 0) + 1
 
     def record_many(self, values: Sequence[float]) -> None:
-        """``record`` every value, in order, in one pass per moment."""
+        """``record`` every value, in order: the total is a left fold, as
+        ``+=``; the rest is read off the sorted values, where a bucket is a
+        contiguous run found by bisection."""
         if not values:
             return
         self.count += len(values)
-        total = self.total
-        for value in values:
-            total += value
-        self.total = total
-        low, high = min(values), max(values)
+        self.total = reduce(add, values, self.total)
+        ordered = sorted(values)  # stable: equal values keep their order
+        low = ordered[0]
+        high = ordered[bisect_left(ordered, ordered[-1])]  # the first maximum
         if self.min is None or low < self.min:
             self.min = low
         if self.max is None or high > self.max:
             self.max = high
         buckets = self._buckets
-        for bucket, n in Counter(map(int.bit_length, map(int, values))).items():
-            buckets[bucket] = buckets.get(bucket, 0) + n
+        start = 0
+        while start < len(ordered):
+            value = ordered[start]
+            bucket = int(value).bit_length()
+            # Negative values do not sort by bucket: they go one by one.
+            stop = bisect_left(ordered, 1 << bucket, start) if value >= 0 else start + 1
+            buckets[bucket] = buckets.get(bucket, 0) + stop - start
+            start = stop
 
     @property
     def mean(self) -> float:
@@ -183,30 +192,20 @@ class ShardStats:
         self.accesses: List[tuple] = []
         self.record_accesses = False
 
-    def record_depth(self, depth: int) -> None:
-        self.depth_samples += 1
-        self.depth_total += depth
-        if depth > self.depth_max:
-            self.depth_max = depth
-
-    def record_batch(
+    def record_rows(
         self,
         tenants: Sequence[int],
         local_addrs: Sequence[int],
         writes: Sequence[bool],
         latencies: Sequence[float],
     ) -> None:
-        """One executed ``run_batch``, as the columns it was handed."""
-        self.batches += 1
+        """Executed requests, as columns in execution order."""
         self.requests += len(tenants)
         pack = self._PACK.pack
         self._digest.update(
             b"".join(map(pack, tenants, local_addrs, writes))
         )
-        busy = self.busy_cycles
-        for latency in latencies:
-            busy += latency
-        self.busy_cycles = busy
+        self.busy_cycles = reduce(add, latencies, self.busy_cycles)
         if self.record_accesses:
             self.accesses.extend(zip(tenants, local_addrs, writes))
 

@@ -151,7 +151,7 @@ class ReplayEngine:
     # -- the fast tier's loop -------------------------------------------------
 
     def run_batch(
-        self, addrs: Sequence[int], writes: Sequence[bool]
+        self, addrs: Sequence[int], writes: Sequence[bool], fold: bool = True
     ) -> List[float]:
         """Drive one batch of block-level requests through the frontend.
 
@@ -163,12 +163,11 @@ class ReplayEngine:
         is bit-identical to one whole-trace call.
 
         Returns the per-event latencies (the serving layer's per-request
-        service times).
+        service times). ``fold=False`` leaves the kernel's counters pending
+        until a batch that folds (an empty one will do): nothing may read
+        them in between.
         """
         access = self.frontend.access
-        read_op = Op.READ
-        write_op = Op.WRITE
-        payload = self.payload
         native = self._native
         if native is not None:
             # The C driver performs the identical per-event calls in the
@@ -176,9 +175,10 @@ class ReplayEngine:
             # handed an engaged frontend's own bound ``access``, the
             # Python frame and the AccessResult of every event).
             ns = native.run_access_loop(
-                access, addrs, writes, read_op, write_op, payload
+                access, addrs, writes, Op.READ, Op.WRITE, self.payload, fold
             )
         else:
+            read_op, write_op, payload = Op.READ, Op.WRITE, self.payload
             ns = []
             record = ns.append
             for addr, w in zip(addrs, writes):

@@ -81,7 +81,12 @@
  * Block's construction, the backend's rollback, a payload's buffer or
  * bytes coercion) and on every error exit (kernel_yield, fold_at_exit):
  * anything that can look sees exactly what the interpreted path would
- * have left.  storage.observer is read once per outermost entry.
+ * have left.  storage.observer is read once per outermost entry.  A
+ * slice run by run_access_loop(..., fold=False) leaves its counters
+ * pending in the handle instead — the PLB clock's ticks too, which the
+ * next entry adds to the clock it reads — until an entry that folds (an
+ * empty slice will do): the caller promises that no Python looks in
+ * between, and an error exit folds regardless.
  *
  * Bit-identity contract: every routine is a transcription of the Python
  * spelling it replaces — same traversal order, same side effects in the
@@ -3750,14 +3755,14 @@ fold_pending(long long *pending, PyObject *frontend, PyObject *const *owners)
  * *hit_level_out (and, when asked for, AccessResult.data through
  * *data_out) filled in, or -1 with the interpreted access's exception
  * set and its state left behind; `leave` folds every counter the entry
- * moved (keeping a pending exception when `rc` is negative) and lets
- * everything go. */
+ * moved (keeping a pending exception when `rc` is negative) unless told
+ * not to, and lets everything go. */
 typedef struct {
     int (*enter)(PyObject *handle);
     int (*request)(PyObject *handle, PyObject *addr_obj, PyObject *op,
                    PyObject *data, PyObject **data_out, long *posmap_out,
                    int *hit_level_out);
-    int (*leave)(PyObject *handle, int rc);
+    int (*leave)(PyObject *handle, int rc, int fold);
 } HandleOps;
 
 static void
@@ -3811,6 +3816,7 @@ fk_enter(PyObject *handle)
         return -1;
     int parsed = as_int64(clock_obj, &fk->clock);
     Py_DECREF(clock_obj);
+    fk->clock += fk->pending[C_CLOCK]; /* ticks an unfolded entry left */
     if (parsed < 0 || kernel_hold(tree, backend, fk_fold, fk) < 0)
         return -1;
     fk->frontend = Py_NewRef(frontend);
@@ -3819,12 +3825,15 @@ fk_enter(PyObject *handle)
 }
 
 static int
-fk_leave(PyObject *handle, int rc)
+fk_leave(PyObject *handle, int rc, int fold)
 {
     FrontendKernel *fk = (FrontendKernel *)handle;
     AccessKernel *tree = (AccessKernel *)fk->backend_kernel;
     kernel_release(tree);
-    rc = fold_at_exit(fk_fold, fk, rc);
+    if (fold || rc < 0)
+        rc = fold_at_exit(fk_fold, fk, rc);
+    else
+        fk_lru_release(fk);
     kernel_drop(tree);
     Py_CLEAR(fk->frontend);
     fk->busy = 0;
@@ -3866,7 +3875,7 @@ handle_access(const HandleOps *ops, PyObject *handle, PyObject *result_type,
         return NULL;
     if (ops->leave(handle,
                    ops->request(handle, args[0], args[1], args[2], &data,
-                                &posmap_accesses, &hit_level)) < 0) {
+                                &posmap_accesses, &hit_level), 1) < 0) {
         Py_XDECREF(data);
         return NULL;
     }
@@ -4279,12 +4288,13 @@ rk_enter(PyObject *handle)
 }
 
 static int
-rk_leave(PyObject *handle, int rc)
+rk_leave(PyObject *handle, int rc, int fold)
 {
     RecursiveKernel *rk = (RecursiveKernel *)handle;
     for (int i = 0; i < rk->num_levels; i++)
         kernel_release(RK_TREE(rk, i));
-    rc = fold_at_exit(rk_fold, rk, rc);
+    if (fold || rc < 0)
+        rc = fold_at_exit(rk_fold, rk, rc);
     for (int i = 0; i < rk->num_levels; i++)
         kernel_drop(RK_TREE(rk, i));
     Py_CLEAR(rk->frontend);
@@ -4384,8 +4394,9 @@ static PyObject *
 run_access_loop(PyObject *self, PyObject *args)
 {
     PyObject *access, *addrs, *writes, *read_op, *write_op, *payload;
-    if (!PyArg_ParseTuple(args, "OOOOOO:run_access_loop", &access, &addrs,
-                          &writes, &read_op, &write_op, &payload))
+    int fold = 1;
+    if (!PyArg_ParseTuple(args, "OOOOOO|p:run_access_loop", &access, &addrs,
+                          &writes, &read_op, &write_op, &payload, &fold))
         return NULL;
 
     /* An engaged frontend kernel is driven C to C: no Python frame and
@@ -4453,7 +4464,7 @@ run_access_loop(PyObject *self, PyObject *args)
 
 done:
     if (kernel != NULL)
-        rc = ops->leave(kernel, rc);
+        rc = ops->leave(kernel, rc, fold);
     if (rc < 0 && out != NULL) {
         /* A partially filled PyList_New(n) list holds NULL slots; fill
          * them before the container is released. */

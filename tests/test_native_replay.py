@@ -932,6 +932,61 @@ class TestEngineHookup:
         assert fe._kernel is None
 
 
+def counter_image(frontend):
+    """Every int counter of the frontend and of its trees' owners."""
+    backends = list(getattr(frontend, "backends", None) or [frontend.backend])
+    owners = [frontend.stats, getattr(frontend, "plb", None), *backends]
+    owners += [backend.storage for backend in backends]
+    return [
+        {
+            name: getattr(owner, name) for name in dir(owner)
+            if not name.startswith("_") and type(getattr(owner, name)) is int
+        }
+        for owner in owners if owner is not None
+    ]
+
+
+@needs_core
+class TestDeferredFold:
+    """``run_batch(..., fold=False)`` leaves the kernel's counters pending
+    (the PLB clock's ticks included) until a batch that folds; nothing
+    simulated notices."""
+
+    # A small set-associative PLB evicts by LRU, so its clock has to run
+    # on across the slices.
+    @pytest.mark.parametrize(
+        "scheme", ["PC_X32:plb=2KiB,ways=4", "PIC_X32:plb=2KiB,ways=4", "R_X8"]
+    )
+    def test_a_deferred_fold_changes_no_number(self, scheme):
+        rng = DeterministicRng(3)
+        blocks = 2**14  # too many for the on-chip PosMap: the PLB works
+        batches = [
+            ([rng.randrange(blocks) for _ in range(8)],
+             [rng.randrange(4) == 0 for _ in range(8)])
+            for _ in range(60)
+        ]
+        engines = []
+        for _ in range(2):
+            fe = build_frontend(
+                scheme, num_blocks=blocks, rng=DeterministicRng(7),
+                storage="columnar",
+            )
+            engine = ReplayEngine(fe, OramTimingModel(tree_latency_cycles=1000.0))
+            engine.enable_native(CORE)
+            engines.append(engine)
+        eager, lazy = engines
+        eager_out = [eager.run_batch(a, w) for a, w in batches]
+        lazy_out = [lazy.run_batch(a, w, fold=False) for a, w in batches]
+        assert lazy_out == eager_out
+        assert lazy.frontend.stats.accesses == 0  # all of it still pending
+        if hasattr(eager.frontend, "plb"):
+            assert eager.frontend.stats.plb_evictions > 0
+        lazy.run_batch([], [])
+        assert counter_image(lazy.frontend) == counter_image(eager.frontend)
+        assert lazy.cycles == eager.cycles
+        assert frontend_digests(lazy.frontend) == frontend_digests(eager.frontend)
+
+
 @needs_core
 class TestServeUsesCompiledTier:
     def run_serve(self, mode):

@@ -175,13 +175,12 @@ class TestShardRouting:
         assert all(s.stats.requests > 0 for s in service.shards)
 
     def test_directory_overflow_raises(self):
-        service = OramService(
-            tenants_for(["hmmer"], 2, requests=200),
-            runner=make_runner(),
-            config=ServeConfig(shards=2, shard_blocks=2),
-        )
         with pytest.raises(ReproError, match="directory overflow"):
-            service.run("serial")
+            OramService(
+                tenants_for(["hmmer"], 2, requests=200),
+                runner=make_runner(),
+                config=ServeConfig(shards=2, shard_blocks=2),
+            )
 
 
 class TestBackpressure:

@@ -13,7 +13,14 @@ from hypothesis import given, settings, strategies as st
 
 import repro.serve.server as server
 import repro.sim.replay as replay
-from repro.serve import LatencyHistogram, OramService, ServeConfig, TenantSpec
+from repro.faults import injected, parse
+from repro.serve import (
+    LatencyHistogram,
+    OramService,
+    ServeConfig,
+    TenantSpec,
+    tenants_for,
+)
 from repro.serve.server import _route_column, _shard_index
 from repro.sim.runner import SimulationRunner
 
@@ -51,6 +58,23 @@ class TestRecordMany:
         assert [type(x) for x in image(many)[:4]] == [
             type(x) for x in image(one)[:4]
         ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(
+        st.one_of(
+            st.integers(min_value=-(10**18), max_value=10**18),
+            st.floats(min_value=-1e18, max_value=1e18, allow_nan=False),
+        ),
+        max_size=40,
+    ))
+    def test_negative_values_equal_recording_each_value(self, values):
+        # Negative values do not sort by bucket; record_many takes them
+        # one by one and must still match ``record``.
+        one, many = LatencyHistogram(), LatencyHistogram()
+        for value in values:
+            one.record(value)
+        many.record_many(values)
+        assert image(many) == image(one)
 
     def test_empty_column_is_a_no_op(self):
         hist = LatencyHistogram()
@@ -104,7 +128,7 @@ class TestAccountingLog:
         fold = OramService._fold_log
 
         def counted(self):
-            folds.append(len(self._log[0]))
+            folds.append(self._logged)
             fold(self)
 
         monkeypatch.setattr(OramService, "_fold_log", counted)
@@ -127,7 +151,7 @@ class TestAccountingLog:
             shard.execute(queue)
         service._account(queues)
         admitted = sum(len(q) for q in queues)
-        assert len(service._log[0]) == admitted  # not folded yet
+        assert service._logged == admitted  # not folded yet
         assert sum(t.completed for t in service.tenant_stats) == admitted
         assert service.report()["totals"]["requests"] == admitted
 
@@ -158,3 +182,77 @@ class TestNoObjectPerServedRequest:
         for name in ("_Admitted", "Request"):
             assert not hasattr(server, name)
         assert not hasattr(replay, "_latency_gather")
+
+
+class _ScriptedClock:
+    """``perf_counter`` reading 1, 2, 3, ...: every reading is its own stamp."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        self.now += 1.0
+        return self.now
+
+
+class TestWallClock:
+    """``wall_us`` is "the admitting epoch's stamp -> the batch's completion",
+    rebuilt here from the outside: which epoch admitted each row, which
+    batch ran it, and the clock readings at both."""
+
+    @pytest.mark.parametrize("plan", [None, "serve.shard.stall@1#2|epochs=3"])
+    def test_each_row_spans_its_admission_stamp_to_its_batch(self, plan, monkeypatch):
+        clock = _ScriptedClock()
+        monkeypatch.setattr(server, "time", clock)
+        service = OramService(
+            tenants_for(["hmmer", "gob"], 3, requests=60),
+            SimulationRunner(seed=2015, misses_per_benchmark=60),
+            ServeConfig(shards=2, burst=4, max_batch=3, queue_capacity=6,
+                        record_accesses=True),
+        )
+        stamps = [[] for _ in service.shards]  # per shard, in admission order
+        batches = [[] for _ in service.shards]  # (epoch, rows, end stamp)
+        admit = service._admit
+
+        def admitting(offers):
+            stamp = clock.now + 1  # admission reads the clock first
+            before = [len(s.backlog.addrs) for s in service.shards]
+            queues = admit(offers)
+            for own, shard, queue, held in zip(stamps, service.shards, queues, before):
+                new = len(queue.addrs) + len(shard.backlog.addrs) - held
+                own += [stamp] * new
+            return queues
+
+        monkeypatch.setattr(service, "_admit", admitting)
+        for index, shard in enumerate(service.shards):
+            def batch(addrs, writes, run=shard.engine.run_batch, index=index, **kw):
+                latencies = run(addrs, writes, **kw)
+                # The next reading is the batch's completion.
+                batches[index].append((service.epochs, len(addrs), clock.now + 1))
+                return latencies
+            shard.engine.run_batch = batch
+        if plan is None:
+            service.run("serial")
+        else:
+            with injected(parse(plan)):
+                service.run("serial")
+
+        rows = []  # (epoch executed, shard, tenant, wall us) per row
+        for index, shard in enumerate(service.shards):
+            ends = [
+                (epoch, end) for epoch, size, end in batches[index]
+                for _ in range(size)
+            ]
+            tenants = [tenant for tenant, _addr, _write in shard.stats.accesses]
+            assert len(ends) == len(tenants) == len(stamps[index])
+            for (epoch, end), tenant, stamp in zip(ends, tenants, stamps[index]):
+                rows.append((epoch, index, tenant, (end - stamp) * 1e6))
+        rows.sort(key=lambda row: row[:2])  # accounting order; stable
+        expected = [LatencyHistogram() for _ in service.tenant_stats]
+        for _epoch, _shard, tenant, wall in rows:
+            expected[tenant].record(wall)
+        got = [t.wall_us for t in service.tenant_stats]
+        assert [h.to_dict() for h in got] == [h.to_dict() for h in expected]
+        if plan is not None:  # parked rows waited out the stall
+            assert service.report()["resilience"]["parked"] > 0
+            assert max(h.max for h in got) >= 3 * max(h.min for h in got)
