@@ -122,11 +122,8 @@ class FlatCounterPosMapFormat:
         old_c = int.from_bytes(data[off : off + self.counter_bytes], "little")
         new_c = old_c + 1
         data[off : off + self.counter_bytes] = new_c.to_bytes(self.counter_bytes, "little")
-        # One batched PRF call for the (old, new) pair — same derivation
-        # order as two scalar calls, so leaves and accounting are identical.
-        old_leaf, new_leaf = self.prf.leaf_for_many(
-            (child_addr, child_addr), (old_c, new_c), self.levels
-        )
+        old_leaf = self.prf.leaf_for(child_addr, old_c, self.levels)
+        new_leaf = self.prf.leaf_for(child_addr, new_c, self.levels)
         return RemapResult(
             old_leaf=old_leaf,
             new_leaf=new_leaf,
@@ -251,11 +248,8 @@ class CompressedPosMapFormat:
                 group_slots.append((s, (gc << beta) | ic_s))
             new_counter = new_gc << beta
             data[:] = new_gc.to_bytes(self.block_bytes, "little")  # all ICs zero
-        # One batched PRF call for the (old, new) pair — same derivation
-        # order as two scalar calls, so leaves and accounting are identical.
-        old_leaf, new_leaf = self.prf.leaf_for_many(
-            (child_addr, child_addr), (old_counter, new_counter), self.levels
-        )
+        old_leaf = self.prf.leaf_for(child_addr, old_counter, self.levels)
+        new_leaf = self.prf.leaf_for(child_addr, new_counter, self.levels)
         return RemapResult(
             old_leaf=old_leaf,
             new_leaf=new_leaf,

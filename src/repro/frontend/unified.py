@@ -160,13 +160,12 @@ class PlbFrontend(Frontend):
             or beta > 32
         ):
             return
-        plb, posmap, space, lru = self.plb, self.posmap, self.space, prf._leaf_cache
+        plb, posmap, space = self.plb, self.posmap, self.space
         self._kernel = _replay_core.FrontendKernel(
             self, tree_kernel, PlbFrontend.access,
             plb, (plb.tags, plb.leaves, plb.counters, plb.last_use, plb.payload),
             posmap._table, posmap._touched, self._touched,
-            prf, lru, (lru.nodes, lru.prev, lru.next, lru.chain, lru.heads),
-            mac, self.rng._getrandbits,
+            prf, mac, self.rng._getrandbits,
             (
                 self.space_levels, space.fanout, space.num_blocks,
                 tuple(space.level_blocks(i) for i in range(self.space_levels)),

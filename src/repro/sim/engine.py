@@ -92,7 +92,6 @@ class ReplayEngine:
         crypto = getattr(frontend, "crypto", None)
         self._crypto = crypto
         self._prf_calls0 = crypto.prf.call_count if crypto is not None else 0
-        self._prf_hits0 = crypto.prf.cache_hits if crypto is not None else 0
         # Tree-access count -> latency, filled on a miss: the latency
         # model is a pure function of a count that takes a handful of
         # values. Shared by run_batch and run_trace_scalar.
@@ -270,11 +269,6 @@ class ReplayEngine:
             mpki=trace.mpki,
             prf_calls=(
                 crypto.prf.call_count - self._prf_calls0
-                if crypto is not None
-                else 0
-            ),
-            prf_cache_hits=(
-                crypto.prf.cache_hits - self._prf_hits0
                 if crypto is not None
                 else 0
             ),

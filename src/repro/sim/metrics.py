@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 
@@ -10,11 +10,9 @@ from typing import Dict, List, Sequence
 class SimResult:
     """Outcome of replaying one benchmark against one scheme.
 
-    ``prf_cache_hits`` is a *diagnostic* counter (how often the PRF's
-    leaf-derivation LRU absorbed a logical evaluation). It legitimately
-    varies with the cache toggle while every simulated outcome stays
-    bit-identical, so it is excluded from equality — ``==`` (and the
-    golden digests built on it) compare simulated outcomes only.
+    ``prf_calls`` counts logical PRF evaluations (each one keyed BLAKE2b
+    compression on the fast tier: no leaf is memoised), which is what
+    the hash-bandwidth model charges.
     """
 
     benchmark: str
@@ -29,12 +27,6 @@ class SimResult:
     plb_hit_rate: float = 0.0
     mpki: float = 0.0
     prf_calls: int = 0
-    prf_cache_hits: int = field(default=0, compare=False)
-
-    @property
-    def prf_cache_hit_rate(self) -> float:
-        """Share of logical PRF evaluations served by the leaf LRU."""
-        return self.prf_cache_hits / self.prf_calls if self.prf_calls else 0.0
 
     @property
     def total_bytes(self) -> int:

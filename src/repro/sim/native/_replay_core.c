@@ -63,17 +63,17 @@
  * The frontends' state is typed columns too, owned by the Python objects
  * that model the hardware and worked on in place by FrontendKernel and
  * RecursiveKernel: the PLB's one-item-per-way tags / leaves / counters /
- * last_use and its payload bytes (Plb), the on-chip PosMap's uint64
- * table (OnChipPosMap), and the PRF's leaf LRU — a chained hash with an
- * intrusive recency list over node columns (repro.crypto.prf.LeafLru) —
- * beside the first-touch bitmaps, which always were byte columns.  A
+ * last_use and its payload bytes (Plb) and the on-chip PosMap's uint64
+ * table (OnChipPosMap), beside the first-touch bitmaps, which always
+ * were byte columns.  The PRF keeps no state beyond its key: a leaf is
+ * one BLAKE2b compression from the keyed mid-state, every time.  A
  * request makes no PyLong, tuple or dict and reads no attribute: what is
  * still an object on a request is a MAC (bytes in mac_col), the payload
  * chunk it is copied through, the frontend generator's getrandbits()
  * and a column owner's _grow().
  *
  * Counters.  Every counter a kernel moves (the backend's and storage's
- * five, the 18 of FrontendStats / Plb / Prf / Mac) accumulates in its
+ * five, the 17 of FrontendStats / Plb / Prf / Mac) accumulates in its
  * handle and is folded into the Python attribute, through the attribute
  * protocol, when the *outermost* C entry returns — handle.access() per
  * call, run_access_loop once per slice — and also before every call
@@ -114,20 +114,14 @@
  * them before a growth, before every call that can run foreign Python,
  * and when the entry returns (kernel_release).  Nothing measured before
  * such a call is trusted after it.  The frontends' columns follow the
- * same two rules: the PLB's five and the on-chip table never change size
+ * first rule: the PLB's five and the on-chip table never change size
  * and stay exported for the life of their handle, checked once against
- * the geometry; the leaf LRU's five grow (LeafLru._grow, a chunk of
- * nodes at a time) and are exported per entry (fk_lru_columns, which
- * re-checks equal node counts, a power-of-two bucket table and the
- * entry count inside the columns, and reads prf._leaf_cache_limit) and
- * released by the fold, i.e. before foreign Python and at the return.
- * A first-touch bitmap's bytes are used through a pointer fetched, with
- * its length, after the last call that could have resized it.  Nothing
- * read *out of* a column is trusted either: a link or chain index must
- * name a node in use and every chain walk is bounded by their number (a
- * cycle is a ValueError, never a hang), a PLB set may hold a tag once,
- * a last_use lies at or before the clock, a counter below 2^96
- * (tests/test_native_boundary.py, and the CI sanitizer lane).
+ * the geometry.  A first-touch bitmap's bytes are used through a
+ * pointer fetched, with its length, after the last call that could
+ * have resized it.  Nothing read *out of* a column is trusted either: a
+ * PLB set may hold a tag once, a last_use lies at or before the clock,
+ * a counter below 2^96 (tests/test_native_boundary.py, and the CI
+ * sanitizer lane).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -2303,7 +2297,7 @@ enum {
     /* Plb */
     C_CLOCK, C_LOOKUP_HITS, C_LOOKUP_MISSES,
     /* Prf */
-    C_PRF_CALLS, C_PRF_CACHE_HITS,
+    C_PRF_CALLS,
     /* Mac */
     C_MAC_CALLS, C_MAC_BYTES,
     N_COUNTERS
@@ -2314,27 +2308,13 @@ static const char *const counter_names[N_COUNTERS] = {
     "plb_misses", "plb_refills", "plb_evictions", "group_remaps",
     "group_relocations", "mac_checks", "fresh_blocks",
     "_clock", "hits", "misses",
-    "call_count", "cache_hits",
+    "call_count",
     "call_count", "bytes_hashed",
 };
 static PyObject *counter_attr[N_COUNTERS]; /* the names, interned */
 
-static PyObject *str_stats, *str_kernel, *str_leaf_cache_limit,
-    *str_posmap_tree_accesses, *str_plb_hit_level, *empty_tuple;
-
-/* repro.crypto.prf.LeafLru as one entry sees it: the five columns
- * exported (fk_lru_columns) and the limit read, from first use until the
- * next fold.  `nodes` is NODE_WORDS uint64 per node — four key words,
- * then the leaf — and word 0 of node 0, the recency list's sentinel, is
- * the number of entries held, which are nodes 1..held. */
-#define NODE_WORDS 5 /* repro.crypto.prf.NODE_WORDS */
-
-typedef struct {
-    Col nodes, prev, next, chain, heads;
-    int live;
-    long long limit;     /* prf._leaf_cache_limit */
-    Py_ssize_t capacity; /* nodes the columns have room for, the sentinel too */
-} Lru;
+static PyObject *str_stats, *str_kernel, *str_posmap_tree_accesses,
+    *str_plb_hit_level, *empty_tuple;
 
 typedef struct {
     PyObject_HEAD
@@ -2345,14 +2325,12 @@ typedef struct {
             PyObject *access_func; /* PlbFrontend.access, the plain function */
             PyObject *plb;
             PyObject *onchip_touched, *touched;
-            PyObject *prf, *leaf_cache; /* the LeafLru, for its _grow() */
-            PyObject *lru_columns[5]; /* nodes, prev, next, chain, heads */
-            PyObject *mac;
+            PyObject *prf, *mac;
             PyObject *getrandbits;
             PyObject *result_type, *op_read, *op_write;
             PyObject *config_error, *integrity_error;
         };
-        PyObject *refs[20]; /* the same references, for the collector */
+        PyObject *refs[14]; /* the same references, for the collector */
     };
     int space_levels; /* H: the data level plus the PosMap levels */
     int tree_levels;  /* L of the unified tree */
@@ -2364,7 +2342,6 @@ typedef struct {
      * table: fixed-size, exported for the life of the handle. */
     Col plb_tags, plb_leaves, plb_counters, plb_last_use, plb_payload;
     Col onchip_table;
-    Lru lru;
     Blake2b prf_state, mac_state; /* keyed mid-states */
     uint8_t *work;                /* two block payloads: the block in hand, */
     uint8_t *spare;               /* and a PLB victim on its way out */
@@ -2395,13 +2372,10 @@ frontend_clear(FrontendKernel *self)
     return 0;
 }
 
-static void fk_lru_release(FrontendKernel *fk);
-
 static void
 frontend_dealloc(FrontendKernel *self)
 {
     PyObject_GC_UnTrack(self);
-    fk_lru_release(self);
     col_release(&self->plb_tags);
     col_release(&self->plb_leaves);
     col_release(&self->plb_counters);
@@ -2415,15 +2389,13 @@ frontend_dealloc(FrontendKernel *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
-static int fk_lru_columns(FrontendKernel *fk);
-
 static PyObject *
 frontend_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
 {
     PyObject *frontend, *backend_kernel, *access_func, *plb, *plb_columns[5],
-        *onchip_table, *onchip_touched, *touched, *prf, *leaf_cache,
-        *lru_columns[5], *mac, *getrandbits, *level_blocks, *result_type,
-        *op_read, *op_write, *config_error, *integrity_error;
+        *onchip_table, *onchip_touched, *touched, *prf, *mac, *getrandbits,
+        *level_blocks, *result_type, *op_read, *op_write, *config_error,
+        *integrity_error;
     int space_levels, ways, leaf_bytes, alpha, beta, onchip_counters, pmmac;
     long long fanout, num_blocks, num_sets, onchip_entries;
     const char *kind, *prf_key, *mac_key;
@@ -2435,14 +2407,13 @@ frontend_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
     }
     if (!PyArg_ParseTuple(
             args,
-            "OO!OO(OOOOO)OO!O!OO(OOOOO)OO(iLLO!LiL)(siiipp)(y#y#n)(OOOOO)"
+            "OO!OO(OOOOO)OO!O!OOO(iLLO!LiL)(siiipp)(y#y#n)(OOOOO)"
             ":FrontendKernel",
             &frontend, &AccessKernelType, &backend_kernel, &access_func,
             &plb, &plb_columns[0], &plb_columns[1], &plb_columns[2],
             &plb_columns[3], &plb_columns[4], &onchip_table,
             &PyByteArray_Type, &onchip_touched, &PyList_Type, &touched, &prf,
-            &leaf_cache, &lru_columns[0], &lru_columns[1], &lru_columns[2],
-            &lru_columns[3], &lru_columns[4], &mac, &getrandbits,
+            &mac, &getrandbits,
             &space_levels, &fanout, &num_blocks, &PyTuple_Type,
             &level_blocks, &num_sets, &ways, &onchip_entries, &kind,
             &leaf_bytes, &alpha, &beta, &onchip_counters, &pmmac, &prf_key,
@@ -2452,12 +2423,10 @@ frontend_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
     if (!PyCallable_Check(getrandbits) || !PyCallable_Check(access_func) ||
         !PyType_Check(result_type) ||
         !PyExceptionClass_Check(config_error) ||
-        !PyExceptionClass_Check(integrity_error) ||
-        !PyObject_HasAttr(leaf_cache, str_grow)) {
+        !PyExceptionClass_Check(integrity_error)) {
         PyErr_SetString(PyExc_TypeError,
-                        "FrontendKernel: expected a leaf LRU that can "
-                        "_grow(), two callables, the AccessResult class and "
-                        "two exception classes");
+                        "FrontendKernel: expected two callables, the "
+                        "AccessResult class and two exception classes");
         return NULL;
     }
 
@@ -2567,9 +2536,6 @@ frontend_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
     BIND(onchip_touched);
     BIND(touched);
     BIND(prf);
-    BIND(leaf_cache);
-    for (int i = 0; i < 5; i++)
-        BIND(lru_columns[i]);
     BIND(mac);
     BIND(getrandbits);
     BIND(result_type);
@@ -2578,11 +2544,6 @@ frontend_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
     BIND(config_error);
     BIND(integrity_error);
 #undef BIND
-    /* Fail at set-up, not mid-request, when the PRF cannot hand out its
-     * LRU's columns writable and well-formed. */
-    if (fk_lru_columns(self) < 0)
-        goto fail;
-    fk_lru_release(self);
     return (PyObject *)self;
 
 fail:
@@ -2656,239 +2617,16 @@ random_leaf(PyObject *getrandbits, int levels, long long *out)
     return rc;
 }
 
-/* -- the PRF's leaf LRU ---------------------------------------------------- */
-
-/* repro.crypto.prf.lru_hash, the bucket hash of a key's four words: one
- * 64-bit multiply-xor-shift (a Hypothesis test pins the two spellings). */
-static inline uint64_t
-lru_hash(const uint64_t key[4])
+/* prf.leaf_for(address, count, levels): one BLAKE2b compression from the
+ * keyed mid-state, whose buffer is empty (the key block was absorbed when
+ * the handle was made), over addr (8) || count (12) || subblock (4, zero),
+ * little-endian. */
+static long long
+fk_leaf_for(FrontendKernel *fk, unsigned long long addr, u128 count)
 {
-    uint64_t x = (key[0] ^ (key[1] << 26) ^ (key[2] << 13) ^ (key[3] << 57)) *
-                 0x9E3779B97F4A7C15ULL;
-    return x ^ (x >> 32);
-}
-
-/* Let the LRU's columns go: before they grow (CPython refuses to resize
- * an exported array), before foreign Python, when the entry returns. */
-static void
-fk_lru_release(FrontendKernel *fk)
-{
-    Lru *lru = &fk->lru;
-    col_release(&lru->nodes);
-    col_release(&lru->prev);
-    col_release(&lru->next);
-    col_release(&lru->chain);
-    col_release(&lru->heads);
-    lru->live = 0;
-}
-
-static int
-lru_corrupt(const char *what)
-{
-    PyErr_Format(PyExc_ValueError, "the leaf LRU's columns are corrupt: %s",
-                 what);
-    return -1;
-}
-
-/* Export the LRU's five columns, unless they still are from earlier in
- * this entry, read the limit, and check what every later index relies
- * on: equal node counts, a power-of-two bucket table, the entry count
- * inside the columns. */
-static int
-fk_lru_columns(FrontendKernel *fk)
-{
-    Lru *lru = &fk->lru;
-    if (lru->live)
-        return 0;
-    PyObject *limit = PyObject_GetAttr(fk->prf, str_leaf_cache_limit);
-    if (limit == NULL)
-        return -1;
-    int rc = as_int64(limit, &lru->limit);
-    Py_DECREF(limit);
-    if (rc < 0)
-        return -1;
-    static const char *const names[5] = {
-        "the leaf LRU's nodes", "the leaf LRU's prev links",
-        "the leaf LRU's next links", "the leaf LRU's bucket chains",
-        "the leaf LRU's bucket heads"};
-    Col *const columns[5] = {&lru->nodes, &lru->prev, &lru->next, &lru->chain,
-                             &lru->heads};
-    for (int i = 0; i < 5; i++) {
-        if (col_acquire(fk->lru_columns[i], columns[i], names[i],
-                        i == 0 ? &COL_U64 : &COL_I32, 1) < 0)
-            goto fail;
-    }
-    const Py_ssize_t capacity = lru->prev.len, buckets = lru->heads.len;
-    if (capacity < 1 || capacity > INT32_MAX ||
-        lru->nodes.len != capacity * NODE_WORDS ||
-        lru->next.len != capacity || lru->chain.len != capacity) {
-        lru_corrupt("they disagree on the number of nodes");
-        goto fail;
-    }
-    if (buckets < 1 || (buckets & (buckets - 1)) != 0) {
-        lru_corrupt("the bucket table is no power of two");
-        goto fail;
-    }
-    if (*(uint64_t *)lru->nodes.data >= (uint64_t)capacity) {
-        lru_corrupt("more entries held than there are nodes");
-        goto fail;
-    }
-    lru->capacity = capacity;
-    lru->live = 1;
-    return 0;
-
-fail:
-    fk_lru_release(fk);
-    return -1;
-}
-
-/* A link read out of a column is trusted only as far as this: it names
- * a node in use, or the sentinel / end of chain, 0. */
-#define LRU_LINK_OK(link, held) ((uint64_t)(uint32_t)(link) <= (held))
-
-/* LeafLru._append: `node` in at the young end of the recency list. */
-static int
-lru_append(Lru *lru, int32_t node, uint64_t held)
-{
-    int32_t *prev = lru->prev.data, *next = lru->next.data;
-    const int32_t last = prev[0];
-    if (!LRU_LINK_OK(last, held))
-        return lru_corrupt("a recency link names no node in use");
-    next[last] = node;
-    prev[node] = last;
-    next[node] = 0;
-    prev[0] = node;
-    return 0;
-}
-
-/* LeafLru.get: 1 with the leaf, refreshed to the young end; 0 on a
- * miss.  The walk is bounded by the number of entries, so a chain that
- * loops is an error, not a hang. */
-static int
-lru_get(Lru *lru, const uint64_t key[4], uint64_t hash, long long *leaf)
-{
-    const uint64_t *nodes = lru->nodes.data;
-    const int32_t *chain = lru->chain.data;
-    const uint64_t held = nodes[0];
-    int32_t node = ((int32_t *)lru->heads.data)[hash & (lru->heads.len - 1)];
-    for (uint64_t steps = 0; node != 0; node = chain[node]) {
-        if (!LRU_LINK_OK(node, held) || ++steps > held)
-            return lru_corrupt("a bucket chain leaves the nodes in use");
-        const uint64_t *record = nodes + (size_t)node * NODE_WORDS;
-        if (record[0] != key[0] || record[1] != key[1] ||
-            record[2] != key[2] || record[3] != key[3])
-            continue;
-        int32_t *prev = lru->prev.data, *next = lru->next.data;
-        const int32_t after = next[node];
-        if (after != 0) { /* not the youngest already */
-            const int32_t before = prev[node];
-            if (!LRU_LINK_OK(after, held) || !LRU_LINK_OK(before, held))
-                return lru_corrupt("a recency link names no node in use");
-            next[before] = after;
-            prev[after] = before;
-            if (lru_append(lru, node, held) < 0)
-                return -1;
-        }
-        *leaf = (long long)record[4];
-        return 1;
-    }
-    return 0;
-}
-
-/* LeafLru.put for a key lru_get just missed: the oldest entry's node
- * when the limit is reached — out of its bucket's chain and the recency
- * list, then reused — else the next unused one, growing the columns a
- * chunk first when there is none. */
-static int
-lru_put(FrontendKernel *fk, const uint64_t key[4], uint64_t hash,
-        long long leaf)
-{
-    Lru *lru = &fk->lru;
-    if (lru->limit == 0)
-        return 0;
-    uint64_t held = *(uint64_t *)lru->nodes.data;
-    int32_t node;
-    if (held > 0 && (long long)held >= lru->limit) {
-        uint64_t *nodes = lru->nodes.data;
-        int32_t *prev = lru->prev.data, *next = lru->next.data;
-        int32_t *chain = lru->chain.data;
-        node = next[0];
-        if (node == 0 || !LRU_LINK_OK(node, held))
-            return lru_corrupt("a recency link names no node in use");
-        int32_t *link =
-            (int32_t *)lru->heads.data +
-            (lru_hash(nodes + (size_t)node * NODE_WORDS) &
-             (uint64_t)(lru->heads.len - 1));
-        for (uint64_t steps = 0; *link != node; link = chain + *link) {
-            if (*link == 0 || !LRU_LINK_OK(*link, held) || ++steps > held)
-                return lru_corrupt("the oldest entry is not on its bucket's "
-                                   "chain");
-        }
-        const int32_t before = prev[node], after = next[node];
-        if (!LRU_LINK_OK(after, held) || !LRU_LINK_OK(before, held))
-            return lru_corrupt("a recency link names no node in use");
-        *link = chain[node];
-        next[before] = after;
-        prev[after] = before;
-    }
-    else {
-        if ((Py_ssize_t)held + 1 >= lru->capacity) {
-            fk_lru_release(fk);
-            PyObject *grown = PyObject_CallMethodNoArgs(fk->leaf_cache, str_grow);
-            if (grown == NULL)
-                return -1;
-            Py_DECREF(grown);
-            if (fk_lru_columns(fk) < 0)
-                return -1;
-            held = *(uint64_t *)lru->nodes.data;
-            if ((Py_ssize_t)held + 1 >= lru->capacity) {
-                PyErr_SetString(PyExc_IndexError,
-                                "growth left the leaf LRU without a node");
-                return -1;
-            }
-        }
-        node = (int32_t)++held;
-        *(uint64_t *)lru->nodes.data = held;
-    }
-    uint64_t *record = (uint64_t *)lru->nodes.data + (size_t)node * NODE_WORDS;
-    memcpy(record, key, 4 * sizeof(uint64_t));
-    record[4] = (uint64_t)leaf;
-    int32_t *head =
-        (int32_t *)lru->heads.data + (hash & (uint64_t)(lru->heads.len - 1));
-    ((int32_t *)lru->chain.data)[node] = *head;
-    *head = node;
-    return lru_append(lru, node, held);
-}
-
-/* prf.leaf_for(address, count, levels): the shared LRU first (exact
- * order: refresh on a hit, oldest out on a full miss), else one BLAKE2b
- * compression from the keyed mid-state. */
-static int
-fk_leaf_for(FrontendKernel *fk, unsigned long long addr, u128 count,
-            long long *out)
-{
-    *out = 0;
     if (fk->tree_levels <= 0)
         return 0;
-    if (fk_lru_columns(fk) < 0)
-        return -1;
-    /* addr, count low 64, count high 32 || subblock (zero), levels. */
-    const uint64_t key[4] = {addr, (uint64_t)count,
-                             (uint64_t)(count >> 64) << 32,
-                             (uint64_t)fk->tree_levels};
-    const uint64_t hash = lru_hash(key);
-    const int hit = lru_get(&fk->lru, key, hash, out);
-    if (hit < 0)
-        return -1;
     fk->pending[C_PRF_CALLS]++;
-    if (hit) {
-        fk->pending[C_PRF_CACHE_HITS]++;
-        return 0;
-    }
-
-    /* addr (8) || count (12) || subblock (4, zero), little-endian: one
-     * final block on the keyed mid-state, whose buffer is empty (the key
-     * block was absorbed when the handle was made). */
     uint8_t block[128] = {0};
     store64le(block, addr);
     store64le(block + 8, (uint64_t)count);
@@ -2897,8 +2635,7 @@ fk_leaf_for(FrontendKernel *fk, unsigned long long addr, u128 count,
     memcpy(state.h, fk->prf_state.h, sizeof(state.h));
     state.t = fk->prf_state.t + 24;
     blake2b_compress(&state, block, 1);
-    *out = (long long)(state.h[0] & ((1ULL << fk->tree_levels) - 1));
-    return lru_put(fk, key, hash, *out);
+    return (long long)(state.h[0] & ((1ULL << fk->tree_levels) - 1));
 }
 
 /* mac.tag(c || a || d) into `out` (tag_bytes of it are the tag). */
@@ -3429,10 +3166,8 @@ fk_remap_in_block(Request *rq, long long parent, int level, Mapping *m)
                 rollover = 1;
             }
         }
-        /* The (old, new) pair, in leaf_for_many's order. */
-        if (fk_leaf_for(fk, child, m->old_counter, &m->leaf) < 0 ||
-            fk_leaf_for(fk, child, m->new_counter, &m->new_leaf) < 0)
-            return -1;
+        m->leaf = fk_leaf_for(fk, child, m->old_counter);
+        m->new_leaf = fk_leaf_for(fk, child, m->new_counter);
     }
     if (rollover &&
         fk_group_remap(rq, level, index, slot, m->new_counter) < 0)
@@ -3461,9 +3196,7 @@ fk_relocate(Request *rq, unsigned long long tagged, u128 old_counter,
             u128 new_counter)
 {
     FrontendKernel *fk = rq->fk;
-    long long old_leaf, new_leaf;
-    if (fk_leaf_for(fk, tagged, new_counter, &new_leaf) < 0)
-        return -1;
+    const long long new_leaf = fk_leaf_for(fk, tagged, new_counter);
     const long long resident = plb_find(fk, tagged);
     if (resident >= 0) {
         ((long long *)fk->plb_leaves.data)[resident] = new_leaf;
@@ -3471,8 +3204,8 @@ fk_relocate(Request *rq, unsigned long long tagged, u128 old_counter,
         return 0;
     }
     if (resident < -1 ||
-        fk_leaf_for(fk, tagged, old_counter, &old_leaf) < 0 ||
-        request_fetch(rq, tagged, old_leaf, new_leaf, old_counter,
+        request_fetch(rq, tagged, fk_leaf_for(fk, tagged, old_counter),
+                      new_leaf, old_counter,
                       C_GROUP_RELOCATIONS) < 0)
         return -1;
     PyObject *sealed = fk_seal(fk, tagged, new_counter, fk->work);
@@ -3585,9 +3318,8 @@ fk_remap_onchip(Request *rq, int level, Mapping *m)
     m->new_counter = (u128)count + 1;
     chip.table[index] = count + 1;
     *byte |= (uint8_t)(1u << (index & 7));
-    if (fk_leaf_for(fk, rq->tags[level], m->old_counter, &m->leaf) < 0 ||
-        fk_leaf_for(fk, rq->tags[level], m->new_counter, &m->new_leaf) < 0)
-        return -1;
+    m->leaf = fk_leaf_for(fk, rq->tags[level], m->old_counter);
+    m->new_leaf = fk_leaf_for(fk, rq->tags[level], m->new_counter);
     return 0;
 }
 
@@ -3781,14 +3513,12 @@ raise_reentrant(void)
 }
 
 /* What a tree under this handle calls before foreign Python runs, and
- * what the entry ends with: every counter folded, and the leaf LRU's
- * columns — the frontend's growing ones — let go. */
+ * what the entry ends with: every counter folded. */
 static int
 fk_fold(void *handle)
 {
     FrontendKernel *fk = handle;
     PyObject *const owners[3] = {fk->plb, fk->prf, fk->mac};
-    fk_lru_release(fk);
     if (fold_pending(fk->pending, fk->frontend, owners) < 0)
         return -1;
     return kernel_fold(fk->backend_kernel);
@@ -3832,8 +3562,6 @@ fk_leave(PyObject *handle, int rc, int fold)
     kernel_release(tree);
     if (fold || rc < 0)
         rc = fold_at_exit(fk_fold, fk, rc);
-    else
-        fk_lru_release(fk);
     kernel_drop(tree);
     Py_CLEAR(fk->frontend);
     fk->busy = 0;
@@ -3920,22 +3648,6 @@ static PyTypeObject FrontendKernelType = {
     .tp_methods = frontend_methods,
     .tp_new = frontend_new,
 };
-
-/* lru_hash(address, low, high, levels) -> int
- *
- * The leaf LRU's bucket hash on its own, over a key's four words as
- * repro.crypto.prf.lru_hash takes them (the Hypothesis test that pins
- * the two spellings calls both). */
-static PyObject *
-lru_hash_words(PyObject *self, PyObject *args)
-{
-    unsigned long long words[4];
-    if (!PyArg_ParseTuple(args, "KKKK:lru_hash", &words[0], &words[1],
-                          &words[2], &words[3]))
-        return NULL;
-    const uint64_t key[4] = {words[0], words[1], words[2], words[3]};
-    return PyLong_FromUnsignedLongLong(lru_hash(key));
-}
 
 /* ------------------------------------------------------------------ */
 /* RecursiveKernel: one Recursive ORAM request per call                */
@@ -5234,9 +4946,6 @@ static PyMethodDef replay_core_methods[] = {
     {"blake2b", blake2b_digest, METH_VARARGS,
      "blake2b(key, message, digest_size) -> bytes: the vendored RFC 7693 "
      "hash behind the frontend kernel's PRF and MAC."},
-    {"lru_hash", lru_hash_words, METH_VARARGS,
-     "lru_hash(address, low, high, levels) -> int: the leaf LRU's bucket "
-     "hash, as the frontend kernel computes it."},
     {"synthesize_trace", synthesize_trace, METH_VARARGS,
      "One whole SpecStandIn.refs -> CacheHierarchy.run: pattern mixture, "
      "MT19937 draws and the L1+L2 LRU hierarchy; returns the miss "
@@ -5282,7 +4991,6 @@ PyInit__replay_core(void)
         {&str_mac, "mac"},
         {&str_stats, "stats"},
         {&str_kernel, "_kernel"},
-        {&str_leaf_cache_limit, "_leaf_cache_limit"},
         {&str_posmap_tree_accesses, "posmap_tree_accesses"},
         {&str_plb_hit_level, "plb_hit_level"},
     };

@@ -52,7 +52,8 @@ from repro.sim.metrics import SimResult
 #: Bump when SimResult serialization (or replay semantics the key cannot
 #: see) changes; embedded in every entry and checked on load.
 #: v2: spec-canonical keys + SimResult prf_calls/prf_cache_hits fields.
-RESULT_SCHEMA_VERSION = 2
+#: v3: prf_cache_hits dropped (the PRF memoises no leaf).
+RESULT_SCHEMA_VERSION = 3
 
 #: Per-process sequence for temp-file names: combined with the pid it
 #: makes concurrent writers — threads of one process (fabric coordinator)

@@ -1,6 +1,6 @@
 """Golden-digest equivalence: optimized hot paths vs seed implementations.
 
-The replay-throughput overhaul (indexed PLB, cached/packed PRF leaf
+The replay-throughput overhaul (indexed PLB, packed PRF leaf
 derivation, windowed compressed-counter remap, columnar tree storage,
 fused backend eviction, native kernels) must be *performance-only*:
 every observable result is required to be bitwise identical to the
@@ -9,9 +9,8 @@ original implementations. These tests pin that down three ways:
 1. primitive-level: reference implementations transcribed from the seed
    (linear-scan PLB, three-way-concat PRF message, whole-block compressed
    remap) are driven with identical inputs;
-2. configuration-level: the same replay executed with the optimizations'
-   toggles flipped (PRF cache off, reference tier vs fast tier) must
-   produce dataclass-equal SimResults;
+2. configuration-level: the same replay executed on the reference tier
+   and on the fast tier must produce dataclass-equal SimResults;
 3. digest-level: SimResults are serialised and SHA-256 hashed, so any
    drift in any field — including float bit patterns — fails loudly.
 
@@ -46,21 +45,9 @@ KEY = b"equivalence-key!"
 
 
 def result_digest(result) -> str:
-    """SHA-256 of the canonical JSON image of a SimResult.
-
-    Only comparable fields participate: dataclass fields marked
-    ``compare=False`` (diagnostic counters like ``prf_cache_hits``, which
-    legitimately vary when an optimization toggle flips) are excluded, so
-    the digest — like ``==`` — pins the simulated outcome.
-    """
-    payload = json.dumps(
-        {
-            f.name: getattr(result, f.name)
-            for f in dataclasses.fields(result)
-            if f.compare
-        },
-        sort_keys=True,
-    )
+    """SHA-256 of the canonical JSON image of a SimResult: every field,
+    so the digest — like ``==`` — pins the simulated outcome."""
+    payload = json.dumps(dataclasses.asdict(result), sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -79,11 +66,10 @@ def micro_trace(events: int = 2500, blocks: int = 2**12) -> MissTrace:
 TIMING = OramTimingModel(tree_latency_cycles=1000.0)
 
 
-def replay_reference(scheme: str, crypto=None):
+def replay_reference(scheme: str):
     """(SimResult, frontend) on the reference tier: object + scalar."""
     frontend = build_frontend(
-        scheme, num_blocks=2**12, rng=DeterministicRng(7),
-        storage="object", **({"crypto": crypto} if crypto is not None else {}),
+        scheme, num_blocks=2**12, rng=DeterministicRng(7), storage="object"
     )
     result = replay_trace(
         frontend, micro_trace(), TIMING, scheme=scheme, mode="scalar"
@@ -96,11 +82,6 @@ def replay_fast(scheme: str):
     frontend = build_frontend(scheme, num_blocks=2**12, rng=DeterministicRng(7))
     result = replay_trace(frontend, micro_trace(), TIMING, scheme=scheme)
     return result, frontend
-
-
-def replay(scheme: str, crypto=None) -> tuple:
-    result, _frontend = replay_reference(scheme, crypto)
-    return result, result_digest(result)
 
 
 # -- 1. primitive-level references ------------------------------------------------
@@ -135,42 +116,12 @@ class TestPrfEquivalence:
         assert prf.leaf_for(address, count, num_levels, subblock) == \
             reference_leaf_for(KEY, address, count, num_levels, subblock)
 
-    def test_cache_hit_returns_same_leaf(self):
-        prf = Prf(KEY)
-        cold = [prf.leaf_for(9, c, 20) for c in range(200)]
-        warm = [prf.leaf_for(9, c, 20) for c in range(200)]
-        assert warm == cold
-        assert prf.cache_hits == 200
-
     def test_call_count_counts_logical_evaluations(self):
-        """Cache hits still count as PRF calls (bandwidth accounting)."""
+        """A repeated derivation is a second PRF call (bandwidth accounting)."""
         prf = Prf(KEY)
         prf.leaf_for(1, 1, 16)
-        prf.leaf_for(1, 1, 16)  # served from cache
-        assert prf.call_count == 2
-        assert prf.cache_hits == 1
-
-    def test_cache_disabled_still_correct(self):
-        cached, uncached = Prf(KEY), Prf(KEY, leaf_cache_entries=0)
-        for c in (0, 1, 1, 2, 0):
-            assert cached.leaf_for(5, c, 18) == uncached.leaf_for(5, c, 18)
-        assert uncached.cache_hits == 0
-        assert cached.call_count == uncached.call_count
-
-    def test_cache_bounded(self):
-        prf = Prf(KEY, leaf_cache_entries=16)
-        for c in range(100):
-            prf.leaf_for(1, c, 16)
-        assert len(prf._leaf_cache) <= 16
-
-    def test_lru_evicts_oldest(self):
-        prf = Prf(KEY, leaf_cache_entries=2)
-        prf.leaf_for(1, 0, 16)
         prf.leaf_for(1, 1, 16)
-        prf.leaf_for(1, 0, 16)  # refresh 0: now 1 is the LRU victim
-        prf.leaf_for(1, 2, 16)  # evicts 1
-        assert (1, 0, 16, 0) in prf._leaf_cache
-        assert (1, 1, 16, 0) not in prf._leaf_cache
+        assert prf.call_count == 2
 
 
 class ReferencePlb:
@@ -345,33 +296,6 @@ class TestReplayEquivalence:
         ).with_(num_blocks=2**10).build(rng=DeterministicRng(7))
         assert isinstance(frontend.backend, ColumnarPathOramBackend)
         assert isinstance(frontend.backend.storage, ColumnarTreeStorage)
-
-    @pytest.mark.parametrize("scheme", ["PC_X32", "PI_X8", "PIC_X32"])
-    def test_prf_cache_bitwise_identical(self, scheme):
-        from repro.crypto.suite import CryptoSuite
-
-        cached = CryptoSuite.fast()
-        uncached = CryptoSuite.fast()
-        uncached.prf._leaf_cache_limit = 0
-        with_cache, digest_a = replay(scheme, crypto=cached)
-        without_cache, digest_b = replay(scheme, crypto=uncached)
-        assert uncached.prf.cache_hits == 0
-        assert cached.prf.cache_hits > 0  # the optimization actually engaged
-        assert with_cache == without_cache
-        assert digest_a == digest_b
-
-    def test_prf_call_count_identical_with_and_without_cache(self):
-        """Hash-bandwidth accounting is cache-invariant."""
-        from repro.crypto.suite import CryptoSuite
-
-        counts = []
-        for limit in (1 << 16, 0):
-            crypto = CryptoSuite.fast()
-            crypto.prf._leaf_cache_limit = limit
-            replay("PIC_X32", crypto=crypto)
-            counts.append(crypto.prf.call_count)
-        assert counts[0] == counts[1]
-
 
 # -- 4. declarative specs vs the legacy construction path -------------------------
 #

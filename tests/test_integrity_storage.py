@@ -312,7 +312,7 @@ def outcome(frontend, addrs):
         detected,
         frontend.stats,
         (crypto.mac.call_count, crypto.mac.bytes_hashed,
-         crypto.prf.call_count, crypto.prf.cache_hits),
+         crypto.prf.call_count),
         (sorted(entry.tagged_addr for entry in frontend.plb.entries()),
          frontend.plb._clock),
         tree_digest(backend.storage),

@@ -14,13 +14,8 @@ two buckets or by a bucket and the stash; a stash or free-stack length
 beyond its column; a free-stack entry that still holds a block; a column
 cut short between two calls, or by an update callback inside one.
 
-For the frontends: the PRF's leaf LRU (``repro.crypto.prf.LeafLru``) —
-a link or chain index that is negative or past the nodes in use, a
-bucket chain or the recency list with a cycle (walks are bounded by the
-entry count: ``ValueError``, never a hang), an entry count beyond the
-columns, columns of unequal node counts, of the wrong item size or
-read-only, cut short between calls or by a callback, a growth that adds
-no node; the PLB's five columns — the wrong length or item size, a tag
+For the frontends: the PLB's five columns — the wrong length, item size
+or writability, a tag
 held twice by one set, a negative tag, a counter past 96 bits, a
 ``last_use`` beyond the clock, any of them (the payload included)
 resized under a handle; the on-chip column shorter than ``entries`` or
@@ -57,8 +52,6 @@ from repro.errors import (  # noqa: E402
     IntegrityViolationError,
     StashOverflowError,
 )
-from repro.crypto.prf import NODE_WORDS, Prf, lru_hash  # noqa: E402
-from repro.crypto.suite import CryptoSuite  # noqa: E402
 from repro.frontend.base import AccessResult  # noqa: E402
 from repro.frontend.recursive import RecursiveFrontend  # noqa: E402
 from repro.frontend.unified import PlbFrontend  # noqa: E402
@@ -1302,7 +1295,6 @@ class TestKernelAccessBoundary:
 FRONTEND_FIELDS = dict(num_blocks=2**9, onchip_entries=4, plb_capacity_bytes=512)
 
 PLB_COLUMNS = ("tags", "leaves", "counters", "last_use", "payload")
-LRU_COLUMNS = ("nodes", "prev", "next", "chain", "heads")
 
 
 def plain_frontend(scheme="PIC_X32", **fields):
@@ -1321,7 +1313,6 @@ def frontend_kernel_args(frontend):
         frontend.plb, frontend.posmap, frontend.space, frontend.format
     )
     prf, mac = frontend.crypto.prf, frontend.crypto.mac
-    lru = prf._leaf_cache
     return {
         "frontend": frontend,
         "tree_kernel": frontend.backend._kernel,
@@ -1332,8 +1323,6 @@ def frontend_kernel_args(frontend):
         "onchip_touched": posmap._touched,
         "touched": frontend._touched,
         "prf": prf,
-        "leaf_cache": lru,
-        "lru_columns": tuple(getattr(lru, name) for name in LRU_COLUMNS),
         "mac": mac,
         "getrandbits": frontend.rng._getrandbits,
         "geometry": (
@@ -1375,14 +1364,14 @@ class TestFrontendKernelConstruction:
     @given(
         name=st.sampled_from([
             "tree_kernel", "plb_columns", "onchip_table", "onchip_touched",
-            "touched", "leaf_cache", "lru_columns", "getrandbits",
-            "access", "geometry", "format", "keys", "classes",
+            "touched", "getrandbits", "access", "geometry", "format",
+            "keys", "classes",
         ]),
         junk=st.sampled_from([None, (1,), "ab", 5, {}, [], array("q")]),
     )
     def test_wrong_containers(self, name, junk):
-        """A dict is not the PRF's LRU; a list is neither a bitmap nor a
-        column; a foreign object is not the backend's handle."""
+        """A list is neither a bitmap nor a column; a foreign object is
+        not the backend's handle."""
         args = frontend_kernel_args(plain_frontend())
         assume(not (name == "touched" and junk == []))
         args[name] = junk
@@ -1391,35 +1380,31 @@ class TestFrontendKernelConstruction:
 
     @PROPERTY
     @given(
-        group=st.sampled_from(["plb_columns", "lru_columns"]),
         position=st.integers(0, 4),
         junk=st.sampled_from([None, "ab", 5, [0] * 8, {}, b"\0" * 64]),
     )
-    def test_a_column_that_is_no_writable_buffer(self, group, position, junk):
+    def test_a_column_that_is_no_writable_buffer(self, position, junk):
         args = frontend_kernel_args(plain_frontend())
-        args[group] = replaced(args[group], position, junk)
+        args["plb_columns"] = replaced(args["plb_columns"], position, junk)
         with pytest.raises((TypeError, BufferError)):
             CORE.FrontendKernel(*args.values())
 
     @PROPERTY
-    @given(
-        group=st.sampled_from(["plb_columns", "lru_columns"]),
-        position=st.integers(0, 4),
-        typecode=st.sampled_from("bBhHiIqQfd"),
-    )
-    def test_column_of_the_wrong_item_size(self, group, position, typecode):
+    @given(position=st.integers(0, 4), typecode=st.sampled_from("bBhHiIqQfd"))
+    def test_column_of_the_wrong_item_size(self, position, typecode):
         """Each column has one item type; any other array is refused
         whatever its length in bytes — and so is the right type read-only."""
         args = frontend_kernel_args(plain_frontend())
-        real = args[group][position]
+        columns = args["plb_columns"]
+        real = columns[position]
         expected = "B" if isinstance(real, bytearray) else real.typecode
-        assume(typecode not in {"B": "bB", "q": "q", "Q": "Q", "i": "i"}[expected])
-        args[group] = replaced(
-            args[group], position, array(typecode, [0] * len(real))
+        assume(typecode not in {"B": "bB", "q": "q", "Q": "Q"}[expected])
+        args["plb_columns"] = replaced(
+            columns, position, array(typecode, [0] * len(real))
         )
         with pytest.raises(TypeError):
             CORE.FrontendKernel(*args.values())
-        args[group] = replaced(args[group], position, frozen(real))
+        args["plb_columns"] = replaced(columns, position, frozen(real))
         with pytest.raises((TypeError, BufferError)):
             CORE.FrontendKernel(*args.values())
 
@@ -1440,49 +1425,6 @@ class TestFrontendKernelConstruction:
         args["plb_columns"] = replaced(args["plb_columns"], position, resized)
         with pytest.raises(ValueError):
             CORE.FrontendKernel(*args.values())
-
-    @PROPERTY
-    @given(
-        which=st.sampled_from(["nodes", "prev", "next", "chain"]),
-        delta=st.sampled_from([-1, 1, 5]),
-        warmed=st.booleans(),
-    )
-    def test_lru_columns_of_unequal_node_counts(self, which, delta, warmed):
-        frontend = plain_frontend()
-        lru = frontend.crypto.prf._leaf_cache
-        if warmed:
-            frontend.read(3)
-        column = getattr(lru, which)
-        if delta > 0:
-            column.extend(column[:1] * delta)
-        else:
-            assume(len(column) > 1)
-            column.pop()
-        with pytest.raises(ValueError, match="number of nodes"):
-            CORE.FrontendKernel(*frontend_kernel_args(frontend).values())
-        with pytest.raises(ValueError):
-            frontend.enable_native_kernel(CORE)
-        assert frontend._kernel is None
-
-    @PROPERTY
-    @given(buckets=st.sampled_from([0, 3, 5, 6, 7, 12, 1000]))
-    def test_lru_bucket_table_must_be_a_power_of_two(self, buckets):
-        args = frontend_kernel_args(plain_frontend())
-        args["lru_columns"] = replaced(
-            args["lru_columns"], 4, array("i", [0] * buckets)
-        )
-        with pytest.raises(ValueError, match="power of two"):
-            CORE.FrontendKernel(*args.values())
-
-    @PROPERTY
-    @given(held=st.one_of(st.integers(1, 40), st.just(2**63), st.just(2**64 - 1)))
-    def test_lru_entry_count_beyond_its_columns(self, held):
-        frontend = plain_frontend()
-        lru = frontend.crypto.prf._leaf_cache
-        assume(held >= len(lru.prev))
-        lru.nodes[0] = held
-        with pytest.raises(ValueError, match="more entries held"):
-            CORE.FrontendKernel(*frontend_kernel_args(frontend).values())
 
     @PROPERTY
     @given(
@@ -1585,20 +1527,12 @@ class TestFrontendKernelConstruction:
         with pytest.raises(TypeError):
             CORE.FrontendKernel(*args.values(), extra=1)
 
-    def test_swapped_lru_column_is_refused_at_engagement(self):
-        frontend = plain_frontend()
-        frontend.crypto.prf._leaf_cache.chain = array("q", [0])
-        with pytest.raises(TypeError):
-            frontend.enable_native_kernel(CORE)
-        assert frontend._kernel is None
-
     def test_the_fixed_columns_cannot_be_resized_under_a_handle(self):
         """The PLB's five columns and the on-chip table stay exported for
         the life of the handle, so CPython itself refuses to resize them
-        — the payload included; their items stay writable, and the LRU's
-        growing columns are let go whenever the handle is idle."""
+        — the payload included; their items stay writable."""
         frontend = warmed_frontend(plb_ways=2)
-        plb, lru = frontend.plb, frontend.crypto.prf._leaf_cache
+        plb = frontend.plb
         before = whole_image(frontend)
         for column in [getattr(plb, name) for name in PLB_COLUMNS] + [
             frontend.posmap._table
@@ -1609,10 +1543,6 @@ class TestFrontendKernelConstruction:
                 column.extend(column[:1])
             column[0] = column[0]
         assert whole_image(frontend) == before
-        for name in LRU_COLUMNS:
-            column = getattr(lru, name)
-            column.append(column[-1])
-            column.pop()
         frontend.read(7)
 
 
@@ -1660,12 +1590,6 @@ def resident_parent(frontend):
     return entry, index * frontend.space.fanout
 
 
-def tiny_lru_suite(entries):
-    suite = CryptoSuite.fast()
-    suite.prf = Prf(suite.prf.key, leaf_cache_entries=entries)
-    return suite
-
-
 def still_serves(frontend):
     """The handle was not left busy: a further request is served, or
     refused for what a failed one left half-done (its PosMap entries
@@ -1680,25 +1604,13 @@ def still_serves(frontend):
 
 def cold_address(frontend):
     """A data address whose level-1 PosMap block is not PLB-resident:
-    reading it walks the on-chip PosMap, the PRF's LRU and a refill."""
+    reading it walks the on-chip PosMap, derives leaves and refills."""
     resident = {entry.tagged_addr for entry in frontend.plb.entries()}
     fanout = frontend.space.fanout
     return next(
         addr for addr in range(0, frontend.num_blocks, fanout)
         if (1 << 48) | (addr // fanout) not in resident
     )
-
-
-def lru_chain(lru, node):
-    """The nodes of ``node``'s bucket, in chain order."""
-    mask = len(lru.heads) - 1
-    at = node * NODE_WORDS
-    walk = lru.heads[lru_hash(*lru.nodes[at : at + 4]) & mask]
-    out = []
-    while walk:
-        out.append(walk)
-        walk = lru.chain[walk]
-    return out
 
 
 class TestFrontendKernelAccessBoundary:
@@ -1715,179 +1627,6 @@ class TestFrontendKernelAccessBoundary:
         assert image(frontend) == before
         # The handle is not left busy and the frontend still works.
         frontend.read(1)
-
-    # -- the PRF's leaf LRU ----------------------------------------------------
-
-    def tiny_lru_frontend(self, entries=8):
-        """PIC_X32 on an 8-bucket LRU kept full: every bucket chains
-        several nodes and every miss evicts."""
-        frontend = build_frontend(
-            "PIC_X32", rng=DeterministicRng(5), storage="columnar",
-            crypto=tiny_lru_suite(entries), **FRONTEND_FIELDS,
-        )
-        frontend.enable_native_kernel(CORE)
-        rng = DeterministicRng(33)
-        for _ in range(60):
-            frontend.read(rng.randrange(frontend.num_blocks))
-        lru = frontend.crypto.prf._leaf_cache
-        assert len(lru) == entries and len(lru.heads) == entries
-        return frontend, lru
-
-    def lru_rejected(self, frontend, undo):
-        """A cold read probes, relinks and evicts: the corruption is a
-        ``ValueError`` naming the LRU — with stash, tree and PLB as they
-        were when it is met before any backend operation (a request's
-        first PRF call usually is)."""
-        backend = frontend.backend
-        before, operations = frontend_image(frontend), backend.access_count
-        with pytest.raises(ValueError, match="leaf LRU"):
-            frontend.read(cold_address(frontend))
-        undo()
-        if backend.access_count == operations:
-            assert frontend_image(frontend) == before
-        still_serves(frontend)
-
-    @PROPERTY
-    @given(
-        column=st.sampled_from(["prev", "next", "chain", "heads"]),
-        bad=st.one_of(
-            st.integers(-(2**31), -1), st.integers(9, 2**31 - 1)
-        ),
-    )
-    def test_link_or_chain_index_outside_the_nodes_in_use(self, column, bad):
-        """Negative, or past the entries held (node ids past the columns
-        among them): every item of one link column at once, so whichever
-        the next probe, relink or eviction reads is hostile."""
-        frontend, lru = self.tiny_lru_frontend()
-        target = getattr(lru, column)
-        saved = target[:]
-        target[:] = array("i", [bad] * len(target))
-
-        def undo():
-            target[:] = saved
-
-        self.lru_rejected(frontend, undo)
-
-    @PROPERTY
-    @given(which=st.integers(0, 7), self_loop=st.booleans())
-    def test_a_bucket_chain_with_a_cycle(self, which, self_loop):
-        """Walks are bounded by the number of entries held: a chain that
-        loops back is a ``ValueError``, never a hang."""
-        frontend, lru = self.tiny_lru_frontend()
-        chain = lru.chain
-        saved = chain[:]
-        for head in lru.heads:
-            nodes = lru_chain(lru, head) if head else []
-            if nodes:
-                chain[nodes[-1]] = nodes[-1] if self_loop else nodes[0]
-
-        def undo():
-            chain[:] = saved
-
-        self.lru_rejected(frontend, undo)
-
-    def test_a_recency_list_with_a_cycle(self):
-        """The kernel never walks the recency list — it takes the oldest
-        and appends the youngest — so a loop in it cannot hang a request;
-        the read-outs walk exactly ``len`` links."""
-        frontend, lru = self.tiny_lru_frontend()
-        oldest = lru.next[0]
-        lru.next[oldest] = oldest
-        lru.prev[oldest] = oldest
-        for _ in range(20):
-            try:
-                frontend.read(cold_address(frontend))
-            except ValueError:
-                break
-        assert len(list(lru)) == len(lru) == 8
-
-    @PROPERTY
-    @given(
-        held=st.one_of(
-            st.integers(9, 2**31), st.just(2**63), st.just(2**64 - 1)
-        )
-    )
-    def test_entry_count_beyond_the_columns(self, held):
-        frontend, lru = self.tiny_lru_frontend()
-        assume(held >= len(lru.prev))
-        saved = lru.nodes[0]
-        lru.nodes[0] = held
-
-        def undo():
-            lru.nodes[0] = saved
-
-        self.lru_rejected(frontend, undo)
-
-    @PROPERTY
-    @given(
-        column=st.sampled_from(["nodes", "prev", "next", "chain"]),
-        keep=st.integers(1, 6),
-        grow=st.booleans(),
-    )
-    def test_column_cut_short_or_grown_alone_between_calls(
-        self, column, keep, grow
-    ):
-        """The LRU's columns are bound as objects and exported afresh in
-        every entry: one that changed size since is met by that entry's
-        checks, not by a stale pointer."""
-        frontend, lru = self.tiny_lru_frontend()
-        target = getattr(lru, column)
-        saved = target[:]
-        if grow:
-            target.extend(target[:keep])
-        else:
-            del target[keep:]
-
-        def undo():
-            target[:] = saved
-
-        self.lru_rejected(frontend, undo)
-
-    @PROPERTY
-    @given(
-        column=st.sampled_from(["nodes", "prev", "next", "chain", "heads"]),
-        keep=st.integers(0, 3),
-    )
-    def test_column_cut_short_by_a_callback(self, column, keep):
-        """No LRU export is live while an observer runs (the fold lets
-        them go), so it *can* cut a column; the next PRF call looks again
-        instead of writing through what it measured before."""
-        frontend, lru = self.tiny_lru_frontend()
-        storage = frontend.backend.storage
-        target = getattr(lru, column)
-        saved = target[:]
-
-        class Cutter:
-            def on_path_read(self, leaf, indices):
-                del target[keep:]
-
-            def on_path_write(self, leaf, indices):
-                pass
-
-        storage.observer = Cutter()
-        with pytest.raises(ValueError, match="leaf LRU"):
-            for _ in range(4):  # a read whose first tree access is its last meets nothing
-                frontend.read(cold_address(frontend))
-        storage.observer = None
-        target[:] = saved
-        still_serves(frontend)
-
-    def test_growth_that_adds_no_node(self):
-        frontend = plain_frontend()
-        frontend.enable_native_kernel(CORE)
-        posmap, lru = frontend.posmap, frontend.crypto.prf._leaf_cache
-        onchip = posmap._table[:], posmap._touched[:]
-        lru._grow = lambda: None
-        before = whole_image(frontend)
-        with pytest.raises(IndexError, match="without a node"):
-            frontend.read(3)
-        del lru._grow
-        assert whole_image(frontend) == before
-        # The on-chip counter moved before its leaf was derived, as
-        # interpreted; put back, the request runs as if never tried.
-        posmap._table[:], posmap._touched[:] = onchip
-        frontend.read(3)
-        assert len(lru) > 0
 
     # -- the PLB's columns ------------------------------------------------------
 

@@ -14,16 +14,16 @@ under it) must agree on
   and payload, set by set, way order included — and the same through
   ``entries()``, plus ``_clock``, hits and misses;
 - the on-chip column and both kinds of first-touch bitmap;
-- the PRF's ``call_count``/``cache_hits`` and its LRU in recency order
-  with its leaves, the MAC's ``call_count``/``bytes_hashed``, and the
-  RNG's state;
+- the PRF's ``call_count``, the MAC's ``call_count``/``bytes_hashed``,
+  and the RNG's state;
 - the tree digest, the stash snapshot and the backend's counters.
 
 Further layers: the vendored BLAKE2b against ``hashlib`` (Hypothesis
 keys, messages and digest sizes, the RFC vector, block-boundary
-lengths); the LRU's bucket hash in its two spellings; error parity (bad
-op, wrong-length
-WRITE, out-of-range address: same exception, same counters); the
+lengths); the kernel's PRF as the stateless formula (every resident
+PLB leaf is one keyed BLAKE2b of its tag and counter, and ``call_count``
+moves as the reference's); error parity (bad op, wrong-length WRITE,
+out-of-range address: same exception, same counters); the
 engagement rules; and the structural guards — one kernel entry per
 request, no interpreted frontend step under it, and a replay slice or a
 serve batch driven C to C without a Python frame.
@@ -36,7 +36,6 @@ import pytest
 
 from repro.backend.ops import Op
 from repro.crypto.suite import CryptoSuite
-from repro.crypto.prf import Prf, lru_hash
 from repro.errors import ConfigurationError
 from repro.frontend.unified import PlbFrontend
 from repro.presets import build_frontend
@@ -47,6 +46,7 @@ from repro.sim.timing import OramTimingModel
 from repro.storage.snapshot import tree_digest
 from repro.utils.rng import DeterministicRng
 
+from test_equivalence_golden import reference_leaf_for
 from test_native_replay import CountingKernel
 from test_replay_differential import (
     chunked, frontend_columns, make_trace, stats_image,
@@ -82,18 +82,11 @@ CONFIGS = {
 }
 
 
-def fast_suite(leaf_cache_entries=None):
-    suite = CryptoSuite.fast()
-    if leaf_cache_entries is not None:
-        suite.prf = Prf(suite.prf.key, leaf_cache_entries=leaf_cache_entries)
-    return suite
-
-
-def build(name, seed=7, leaf_cache_entries=None, **overrides):
+def build(name, seed=7, **overrides):
     scheme, fields = CONFIGS[name]
     return build_frontend(
         scheme, rng=DeterministicRng(seed), storage="columnar",
-        crypto=fast_suite(leaf_cache_entries), **dict(fields, **overrides),
+        crypto=CryptoSuite.fast(), **dict(fields, **overrides),
     )
 
 
@@ -138,7 +131,6 @@ class CounterProbe:
 
     def image(self):
         state = full_state(self.frontend)
-        state["prf"] = state["prf"][:2]
         return {key: state[key] for key in self.COUNTERS}
 
     def on_path_read(self, leaf, indices):
@@ -216,39 +208,6 @@ class TestLockstepAfterEveryAccess:
         assert ref.stats.group_relocations > 100
         assert any(resident) and not all(resident)
 
-    @pytest.mark.parametrize("name", ("PI_X8", "PIC_X32/beta=2"))
-    def test_tiny_leaf_cache_keeps_exact_lru_order(self, name):
-        """An 8-entry PRF LRU evicts on nearly every miss: refresh on a
-        hit and oldest-out on a miss, key order compared every access."""
-        ref, nat = pair(name, leaf_cache_entries=8)
-        drive(ref, nat, steps=300, seed=9)
-        assert len(ref.crypto.prf._leaf_cache) == 8
-
-    def test_leaf_cache_switched_off(self):
-        ref, nat = pair("PIC_X32", leaf_cache_entries=0)
-        drive(ref, nat, steps=200, seed=4)
-        assert not nat.crypto.prf._leaf_cache and not ref.crypto.prf.cache_hits
-
-    def test_leaf_cache_limit_changed_mid_run(self):
-        """The limit is read per miss: shrunk below the occupancy (each
-        miss then trades the oldest entry for the new one, the count
-        stays), set to 0 (nothing stored, what is held still hits),
-        raised (the columns grow again) — the LRU compared after every
-        access."""
-        ref, nat = pair("PI_X8", leaf_cache_entries=48)
-        prfs = ref.crypto.prf, nat.crypto.prf
-        drive(ref, nat, steps=120, seed=21)
-        assert len(nat.crypto.prf._leaf_cache) == 48
-        for limit, held in ((16, 48), (0, 48), (2000, None)):
-            for prf in prfs:
-                prf._leaf_cache_limit = limit
-            hits = nat.crypto.prf.cache_hits
-            drive(ref, nat, steps=150, seed=limit)
-            if held is not None:
-                assert len(nat.crypto.prf._leaf_cache) == held
-            assert nat.crypto.prf.cache_hits > hits
-        assert len(nat.crypto.prf._leaf_cache) > 400
-
     def test_full_associativity_scans_one_set(self):
         ref, nat = pair("PIC_X32/full")
         drive(ref, nat, steps=300, seed=13, hot=256)
@@ -273,16 +232,12 @@ class TestLockstepAfterEveryAccess:
         assert nat._kernel is kernel
         drive(ref, nat, steps=150, seed=7)
 
-    @pytest.mark.parametrize(
-        "name, entries",
-        [("PIC_X32/beta=2", None), ("PIC_X32/full", 8), ("P_X16", None)],
-    )
-    def test_python_path_and_kernel_interleave_on_one_state(self, name, entries):
+    @pytest.mark.parametrize("name", ("PIC_X32/beta=2", "PIC_X32/full", "P_X16"))
+    def test_python_path_and_kernel_interleave_on_one_state(self, name):
         """One copy of state: requests may alternate between the handle
         and the interpreted body without either noticing — the columns
-        one leaves are the columns the other finds, an 8-entry LRU
-        evicting on nearly every miss among them."""
-        ref, nat = pair(name, leaf_cache_entries=entries)
+        one leaves are the columns the other finds."""
+        ref, nat = pair(name)
         kernel = nat._kernel
         rng = DeterministicRng(12)
         for index in range(300):
@@ -348,50 +303,48 @@ class TestVendoredBlake2b:
 
 
 # ---------------------------------------------------------------------------
-# The leaf LRU's bucket hash
+# The kernel's PRF holds no state
 # ---------------------------------------------------------------------------
 
 
-class TestLeafLruHash:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
+def assert_plb_leaves_follow_the_formula(frontend):
+    """Every resident PLB entry's leaf is the formula of its tag and
+    counter (PMMAC schemes: no leaf is drawn at random)."""
+    prf, levels = frontend.crypto.prf, frontend.config.levels
+    entries = [way.detach() for way in frontend.plb.entries()]
+    assert entries
+    for entry in entries:
+        assert entry.leaf == reference_leaf_for(
+            prf.key, entry.tagged_addr, entry.counter, levels
+        ), entry
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        address=st.integers(0, 2**64 - 1),
-        count=st.integers(0, 2**96 - 1),
-        levels=st.integers(1, 64),
-        subblock=st.integers(0, 2**32 - 1),
-        buckets=st.integers(0, 20),
-    )
-    def test_python_and_c_place_every_key_in_the_same_bucket(
-        self, address, count, levels, subblock, buckets
-    ):
-        """The multiply-xor-shift is spelled twice; a key hashed by one
-        spelling must be found by the other, whatever the table size."""
-        low, high = count & (2**64 - 1), (count >> 64 << 32) | subblock
-        native = CORE.lru_hash(address, low, high, levels)
-        assert native == lru_hash(address, low, high, levels)
-        assert native & ((1 << buckets) - 1) == (
-            lru_hash(address, low, high, levels) & ((1 << buckets) - 1)
-        )
 
-    def test_a_key_put_by_one_spelling_is_found_by_the_other(self):
-        """End to end: leaves the kernel derived and stored are hits for
-        the interpreted ``leaf_for`` — same node, same leaf — and the
-        other way round."""
-        ref, nat = pair("PIC_X32")
-        drive(ref, nat, steps=40, seed=31)
-        held = list(nat.crypto.prf._leaf_cache.items())
-        assert len(held) > 40
-        for prf in (ref.crypto.prf, nat.crypto.prf):
-            hits = prf.cache_hits
-            for (address, count, levels, subblock), leaf in held:
-                assert prf.leaf_for(address, count, levels, subblock) == leaf
-            assert prf.cache_hits == hits + len(held)
-            for address in range(2**20, 2**20 + 50):
-                prf.leaf_for(address, 2**70 + address, nat.config.levels)
-        drive(ref, nat, steps=40, seed=32)
+class TestKernelPrfIsStateless:
+    @pytest.mark.parametrize("name", ("PIC_X32", "PI_X8"))
+    def test_call_count_moves_as_the_references_after_every_access(self, name):
+        ref, nat = pair(name)
+        rng = DeterministicRng(31)
+        for index in range(300):
+            addr = rng.randrange(64 if rng.random() < 0.4 else ref.num_blocks)
+            assert ref.access(addr) == nat.access(addr), index
+            assert ref.crypto.prf.call_count == nat.crypto.prf.call_count, index
+        assert nat.crypto.prf.call_count > 600
+        assert nat.crypto.prf.cache_hits == 0
+        assert_plb_leaves_follow_the_formula(nat)
+
+    def test_the_same_key_gives_the_same_leaves_in_any_order(self):
+        """Two frontends whose PRFs evaluate different histories of keys
+        — one drives a warm-up the other skips — still agree with the
+        formula on every leaf they hold."""
+        warm, cold = build("PIC_X32/2-way"), build("PIC_X32/2-way")
+        engage(warm), engage(cold)
+        rng = DeterministicRng(5)
+        for _ in range(200):
+            warm.access(rng.randrange(warm.num_blocks))
+        for frontend in (warm, cold):
+            for addr in range(0, frontend.num_blocks, 7):
+                frontend.access(addr)
+            assert_plb_leaves_follow_the_formula(frontend)
 
 
 # ---------------------------------------------------------------------------
@@ -777,18 +730,17 @@ class TestStructure:
         assert occupancy.max >= 4 and occupancy.mean > 0.5
         assert_same_state(ref, nat, "after the slice")
 
-    def test_a_slice_with_an_lru_growth_and_evictions_on_a_two_way_plb(self):
-        """A 1 100-entry LRU outgrows its first chunk of 1 024 nodes and
-        then evicts on every miss, all inside one C call on each side
-        (``_grow()`` is the one Python frame; the PLB is 2-way, so victim
-        choice scans stamps): the sanitizer lane's frontend slice."""
-        ref, nat = pair("PIC_X32/2-way", leaf_cache_entries=1100)
+    def test_a_pmmac_slice_on_a_two_way_plb(self):
+        """900 requests on a PIC_X32 tree, all inside one C call on each
+        side: every remap derives its leaves in ``fk_leaf_for`` and every
+        fetch checks a tag in ``fk_mac``, and the 2-way PLB's victim
+        choice scans stamps — the sanitizer lane's frontend slice."""
+        ref, nat = pair("PIC_X32/2-way")
         rng = DeterministicRng(23)
         addrs = [rng.randrange(ref.num_blocks) for _ in range(900)]
         writes = [index % 4 == 0 for index in range(900)]
         payload = bytes(range(ref.config.block_bytes))
-        lru = nat.crypto.prf._leaf_cache
-        assert len(lru.prev) == 1 and nat.plb.ways == 2
+        assert nat.plb.ways == 2
         (_, entered), (counts, entered_nat) = (
             python_frames_during(
                 lambda: CORE.run_access_loop(
@@ -798,9 +750,10 @@ class TestStructure:
             for frontend in (ref, nat)
         )
         assert len(counts) == 900
-        assert "_grow" in entered_nat and set(entered_nat) <= {"_grow"}
-        assert len(lru) == 1100 and len(lru.prev) == 2049
-        assert nat.crypto.prf.call_count - nat.crypto.prf.cache_hits > 1500
+        assert set(entered_nat) <= {"_grow"}
+        assert nat.crypto.prf.call_count > 1500
+        assert nat.stats.mac_checks > 900
+        assert_plb_leaves_follow_the_formula(nat)
         assert_same_state(ref, nat, "after the slice")
 
     def test_an_observer_mid_slice_reads_the_per_request_counters(self):

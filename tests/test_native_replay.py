@@ -351,10 +351,10 @@ class TestNoObjectPerTreeAccess:
 @needs_core
 class TestNoObjectPerRequest:
     """The frontend sibling: a processor request on the ``FrontendKernel``
-    makes no tracked Python object either — no key tuple or boxed leaf
-    for the PRF's LRU, no ``PlbEntry`` per refill, no boxed tag per PLB
-    probe. Each bound fails at the parent (an ``OrderedDict`` LRU keyed
-    by 4-tuples, a tag ``dict`` over ``PlbEntry`` objects)."""
+    makes no tracked Python object either — no boxed leaf per PRF call,
+    no ``PlbEntry`` per refill, no boxed tag per PLB probe. Each bound
+    failed when the PRF memoised leaves in an ``OrderedDict`` keyed by
+    4-tuples and the PLB was a tag ``dict`` over ``PlbEntry`` objects."""
 
     BLOCKS = 2**18
 
@@ -382,8 +382,8 @@ class TestNoObjectPerRequest:
         return frontend, run
 
     def test_a_slice_leaves_nothing_for_the_collector(self, warmed):
-        """400 uniform events, C to C: the result list and an arena or
-        LRU chunk now and then (parent: 1 589, four a request)."""
+        """400 uniform events, C to C: the result list and an arena chunk
+        now and then (parent: 1 589, four a request)."""
         frontend, run = warmed
         with collector_off():
             before = gc.get_count()[0]
@@ -393,26 +393,22 @@ class TestNoObjectPerRequest:
         assert moved < 100
 
     def test_six_thousand_events_leave_no_objects_behind(self, warmed):
-        """Parent: 21 916 more tracked objects, the LRU's key tuples."""
+        """Parent: 21 916 more tracked objects, a leaf cache's key tuples."""
         frontend, run = warmed
-        prf = frontend.crypto.prf
-        held = len(prf._leaf_cache)
         with collector_off():
             before = len(gc.get_objects())
             run(6000)
             grown = len(gc.get_objects()) - before
-        assert len(prf._leaf_cache) > held + 10_000  # the LRU did fill
         assert grown < 500
 
     def test_no_frontend_container_scales_with_the_run(self, warmed):
-        """Afterwards the PRF, its LRU, the PLB and the on-chip PosMap
-        hold typed columns and scalars: no list, dict, tuple (or
-        ``OrderedDict``, a dict) longer than 64."""
+        """Afterwards the PRF, the PLB and the on-chip PosMap hold typed
+        columns and scalars: no list, dict, tuple (or ``OrderedDict``, a
+        dict) longer than 64."""
         frontend, run = warmed
         run(400)
         prf = frontend.crypto.prf
-        assert len(prf._leaf_cache) > 5000
-        for owner in (prf, prf._leaf_cache, frontend.plb, frontend.posmap):
+        for owner in (prf, frontend.plb, frontend.posmap):
             for name, value in vars(owner).items():
                 if isinstance(value, (list, dict, tuple)):
                     assert len(value) <= 64, (type(owner).__name__, name)

@@ -1,10 +1,13 @@
-"""PRF behaviour: determinism, distribution, domain separation."""
+"""PRF behaviour: determinism, distribution, domain separation, and no
+state beyond the key."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.prf import Prf
+
+from test_equivalence_golden import reference_leaf_for
 
 
 class TestModes:
@@ -104,17 +107,11 @@ class TestDistribution:
 @pytest.mark.parametrize("mode", [Prf.MODE_FAST, Prf.MODE_AES])
 class TestPeeksHaveNoSideEffects:
     """A diagnostic read of a leaf is no PRF call: ``call_count`` is the
-    hash-bandwidth figure behind ``SimResult.prf_calls`` and the LRU's
-    order decides later ``prf_cache_hits``, so ``OnChipPosMap.peek_leaf``
-    and both counter formats' ``leaf_of`` derive through
-    ``Prf.peek_leaf``, which moves neither. At the parent one
-    ``peek_leaf(3, 3)`` took ``call_count`` 4 -> 5 and replaced
-    ``(4, 0, 10, 0)`` in a two-entry cache with ``(3, 1, 10, 0)``."""
+    hash-bandwidth figure behind ``SimResult.prf_calls``, so
+    ``OnChipPosMap.peek_leaf`` and both counter formats' ``leaf_of``
+    derive through ``Prf.peek_leaf``, which does not move it."""
 
     KEY = b"0123456789abcdef"
-
-    def image(self, prf):
-        return prf.call_count, prf.cache_hits, list(prf._leaf_cache.items())
 
     def test_prf_peek_leaf_is_leaf_for_without_the_bookkeeping(self, mode):
         peeked, counted = Prf(self.KEY, mode), Prf(self.KEY, mode)
@@ -124,25 +121,22 @@ class TestPeeksHaveNoSideEffects:
             assert peeked.peek_leaf(address, count, levels, subblock) == (
                 counted.leaf_for(address, count, levels, subblock)
             )
-        assert self.image(peeked) == (0, 0, [])
+        assert peeked.call_count == 0
         assert counted.call_count == 3
 
     def test_onchip_peek_leaf(self, mode):
         from repro.frontend.posmap import OnChipPosMap
 
-        prf = Prf(self.KEY, mode, leaf_cache_entries=2)
+        prf = Prf(self.KEY, mode)
         posmap = OnChipPosMap(
             entries=8, levels=10, mode=OnChipPosMap.MODE_COUNTER, prf=prf
         )
         posmap.lookup_and_remap(3, 3)
         _, newest, _ = posmap.lookup_and_remap(4, 4)
-        before = self.image(prf)
-        assert before[0] == 4 and [key for key, _ in before[2]] == [
-            (4, 0, 10, 0), (4, 1, 10, 0)
-        ]
+        assert prf.call_count == 4
         assert posmap.peek_leaf(3, 3) == Prf(self.KEY, mode).leaf_for(3, 1, 10)
         assert posmap.peek_leaf(4, 4) == newest
-        assert self.image(prf) == before
+        assert prf.call_count == 4
 
     @pytest.mark.parametrize("kind", ["flat", "compressed"])
     def test_format_leaf_of(self, mode, kind):
@@ -150,7 +144,7 @@ class TestPeeksHaveNoSideEffects:
             CompressedPosMapFormat, FlatCounterPosMapFormat,
         )
 
-        prf = Prf(self.KEY, mode, leaf_cache_entries=2)
+        prf = Prf(self.KEY, mode)
         fmt = (
             FlatCounterPosMapFormat(64, 12, prf) if kind == "flat"
             else CompressedPosMapFormat(64, 12, prf)
@@ -158,10 +152,68 @@ class TestPeeksHaveNoSideEffects:
         data = bytearray(fmt.initial_block())
         fmt.remap(data, 1, 101, None)
         remapped = fmt.remap(data, 2, 102, None)
-        before = self.image(prf)
-        assert before[0] == 4
+        assert prf.call_count == 4
         assert fmt.leaf_of(bytes(data), 2, 102) == remapped.new_leaf
         assert fmt.leaf_of(bytes(data), 1, 101) == (
             Prf(self.KEY, mode).leaf_for(101, fmt.counter_of(bytes(data), 1), 12)
         )
-        assert self.image(prf) == before
+        assert prf.call_count == 4
+
+
+LEAF_KEYS = st.tuples(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=0, max_value=2**96 - 1),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=60),
+)
+
+
+class TestNoHiddenState:
+    """A leaf is a function of the key and its arguments alone: no call
+    leaves anything behind that a later one reads, so every call is the
+    formula and every call counts. (The fast tier's kernel is held to the
+    same formula in ``test_native_frontend.py``.)"""
+
+    KEY = b"stateless-prf-key"
+
+    @settings(max_examples=200, deadline=None)
+    @given(leaf_key=LEAF_KEYS)
+    def test_leaf_for_is_one_keyed_blake2b(self, leaf_key):
+        address, count, subblock, levels = leaf_key
+        prf = Prf(self.KEY)
+        expected = reference_leaf_for(self.KEY, address, count, levels, subblock)
+        assert prf.leaf_for(address, count, levels, subblock) == expected
+        assert prf.peek_leaf(address, count, levels, subblock) == expected
+        assert prf.call_count == 1
+        assert prf.cache_hits == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        leaf_keys=st.lists(LEAF_KEYS, min_size=1, max_size=12),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_repeated_reordered_and_interleaved_calls_agree(
+        self, leaf_keys, order
+    ):
+        """The same keys asked for again, in another order, and
+        alternating between two PRFs and with ``eval_bytes``: the same
+        leaves, and ``call_count`` moves by one per call."""
+        first, second = Prf(self.KEY), Prf(self.KEY)
+        expected = {
+            key: reference_leaf_for(self.KEY, key[0], key[1], key[3], key[2])
+            for key in leaf_keys
+        }
+        calls = 0
+        shuffled = list(leaf_keys) * 2
+        order.shuffle(shuffled)
+        for rounds, keys in enumerate((leaf_keys, leaf_keys, shuffled)):
+            for index, (address, count, subblock, levels) in enumerate(keys):
+                prf = second if (rounds + index) % 3 == 2 else first
+                leaf = prf.leaf_for(address, count, levels, subblock)
+                assert leaf == expected[address, count, subblock, levels]
+                calls += 1
+                if index % 4 == 1:
+                    first.eval_bytes(bytes([index]))
+                    calls += 1
+        assert first.call_count + second.call_count == calls
+        assert first.cache_hits == second.cache_hits == 0

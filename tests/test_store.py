@@ -26,8 +26,8 @@ SRC = Path(repro.__file__).resolve().parent
 FIXTURE = Path(__file__).parent / "data" / "store_compat"
 
 TRACE_KEY = "01d8c59d8f55b302137eeacf45dd290a657e78ef"
-CELL_KEY = "452d0559250e67d310c25f4ecb477a950b448c74"
-INSECURE_KEY = "40a568085ecbb9eb6755d5e5a895a3990a6d67c9"
+CELL_KEY = "38186d1aa3d86307150ae8d106473bcff9ac1db9"
+INSECURE_KEY = "781731654bdbc0768d6a57dc264cd672bdc84cea"
 
 
 def test_one_atomic_write_site():
