@@ -134,9 +134,10 @@ class PlbFrontend(Frontend):
         else binds one handle, of the real module's type); idempotent.
         The kernel is the whole of :meth:`access` in C over this
         frontend's own columns — the PLB's, the on-chip table, the
-        first-touch bitmaps, the PRF's leaf LRU — and its counters and
-        RNG, so the Python path below, ``peek``/``entries`` and the
-        lockstep harnesses keep reading one copy of the state. It engages
+        first-touch bitmaps — and its counters and RNG, so the Python
+        path below, ``peek``/``entries`` and the lockstep harnesses keep
+        reading one copy of the state. Of the PRF it keeps only a BLAKE2b
+        mid-state, keyed once. It engages
         only on top of the backend's ``AccessKernel`` (columnar storage)
         and the BLAKE2b ``fast`` suite, with format fields its fixed-width
         arithmetic holds; everything else keeps the Python path.

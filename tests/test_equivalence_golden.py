@@ -123,6 +123,13 @@ class TestPrfEquivalence:
         prf.leaf_for(1, 1, 16)
         assert prf.call_count == 2
 
+    def test_repeated_derivation_returns_the_same_leaf(self):
+        prf = Prf(KEY)
+        cold = [prf.leaf_for(9, c, 20) for c in range(200)]
+        warm = [prf.leaf_for(9, c, 20) for c in range(200)]
+        assert warm == cold == [reference_leaf_for(KEY, 9, c, 20) for c in range(200)]
+        assert prf.call_count == 400
+
 
 class ReferencePlb:
     """The seed's linear-scan PLB (set lists only, no tag index)."""
@@ -296,6 +303,29 @@ class TestReplayEquivalence:
         ).with_(num_blocks=2**10).build(rng=DeterministicRng(7))
         assert isinstance(frontend.backend, ColumnarPathOramBackend)
         assert isinstance(frontend.backend.storage, ColumnarTreeStorage)
+
+    @pytest.mark.parametrize("scheme", ["PI_X8", "PIC_X32"])
+    def test_replayed_leaves_follow_the_seed_formula(self, scheme, fast_tier):
+        """Both tiers end a PMMAC replay holding, in every PLB entry, the
+        seed's leaf of that entry's tag and counter under the suite's key
+        (a PMMAC scheme draws no leaf at random)."""
+        for _result, frontend in (replay_reference(scheme), replay_fast(scheme)):
+            prf, levels = frontend.crypto.prf, frontend.config.levels
+            entries = [way.detach() for way in frontend.plb.entries()]
+            assert entries
+            for entry in entries:
+                assert entry.leaf == reference_leaf_for(
+                    prf.key, entry.tagged_addr, entry.counter, levels
+                ), entry
+
+    def test_prf_call_count_identical_across_tiers(self, fast_tier):
+        """Hash-bandwidth accounting does not depend on the tier: the
+        kernel counts a PRF call wherever the interpreted path makes one."""
+        (expected, reference), (got, fast) = (
+            replay_reference("PIC_X32"), replay_fast("PIC_X32")
+        )
+        assert expected.prf_calls == got.prf_calls > 0
+        assert reference.crypto.prf.call_count == fast.crypto.prf.call_count
 
 # -- 4. declarative specs vs the legacy construction path -------------------------
 #

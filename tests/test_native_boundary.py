@@ -1872,6 +1872,25 @@ class TestFrontendKernelAccessBoundary:
             # tree access failed, as on the interpreted path.
             frontend.read(400)
 
+    @pytest.mark.parametrize("owner", ["prf", "mac"])
+    @pytest.mark.parametrize("junk", [None, "seven"])
+    def test_a_call_count_that_cannot_be_bumped(self, owner, junk):
+        """The kernel's one write to the PRF and the MAC is the fold of
+        their ``call_count`` when an entry ends: a count that takes no
+        integer step fails the request with the ``TypeError`` the
+        interpreted ``+= 1`` raises, and leaves the handle free."""
+        frontend = warmed_frontend()
+        kernel, primitive = frontend._kernel, getattr(frontend.crypto, owner)
+        saved = primitive.call_count
+        primitive.call_count = junk
+        with pytest.raises(TypeError):
+            frontend.read(cold_address(frontend))
+        assert primitive.call_count is junk
+        primitive.call_count = saved
+        assert frontend._kernel is kernel
+        still_serves(frontend)
+        assert primitive.call_count > saved
+
     def test_kernel_outliving_its_frontend(self):
         frontend = warmed_frontend()
         kernel = frontend._kernel

@@ -35,6 +35,8 @@ import sys
 import pytest
 
 from repro.backend.ops import Op
+from repro.crypto.mac import Mac
+from repro.crypto.prf import Prf
 from repro.crypto.suite import CryptoSuite
 from repro.errors import ConfigurationError
 from repro.frontend.unified import PlbFrontend
@@ -320,7 +322,10 @@ def assert_plb_leaves_follow_the_formula(frontend):
 
 
 class TestKernelPrfIsStateless:
-    @pytest.mark.parametrize("name", ("PIC_X32", "PI_X8"))
+    @pytest.mark.parametrize(
+        "name",
+        ("PIC_X32", "PI_X8", "PIC_X32/2-way", "PIC_X32/full", "PIC_X32/beta=2"),
+    )
     def test_call_count_moves_as_the_references_after_every_access(self, name):
         ref, nat = pair(name)
         rng = DeterministicRng(31)
@@ -345,6 +350,30 @@ class TestKernelPrfIsStateless:
             for addr in range(0, frontend.num_blocks, 7):
                 frontend.access(addr)
             assert_plb_leaves_follow_the_formula(frontend)
+
+    @pytest.mark.parametrize("key_length", (0, 1, 16, 33, 64))
+    def test_every_blake2b_key_length_gives_the_formula(self, key_length):
+        """The kernel keys its mid-state once, from ``prf.key``: an empty
+        key (no key block at all), a full 64-byte one and lengths between
+        give the reference's leaves and counts, request by request."""
+        key = bytes(range(7, 7 + key_length))
+
+        def keyed():
+            suite = CryptoSuite.fast()
+            suite.prf = Prf(key)
+            return build_frontend(
+                "PIC_X32", rng=DeterministicRng(7), storage="columnar",
+                crypto=suite, **SMALL,
+            )
+
+        ref, nat = keyed(), engage(keyed())
+        rng = DeterministicRng(17)
+        for index in range(150):
+            addr = rng.randrange(nat.num_blocks)
+            assert ref.access(addr) == nat.access(addr), index
+        assert_same_state(ref, nat, f"key of {key_length} bytes")
+        assert nat.crypto.prf.key == key
+        assert_plb_leaves_follow_the_formula(nat)
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +603,26 @@ class TestEngagement:
         engine.enable_native(CORE)
         assert isinstance(frontend.backend._kernel, CORE.AccessKernel)
         assert frontend._kernel is None
+
+    @pytest.mark.parametrize("primitive", ("prf", "mac"))
+    def test_either_primitive_off_blake2b_keeps_the_python_path(self, primitive):
+        """The kernel keys BLAKE2b mid-states for both the PRF and the MAC:
+        an AES PRF beside a BLAKE2b MAC, or a SHA3 MAC beside a BLAKE2b
+        PRF, is served by the interpreted path."""
+        suite = CryptoSuite.fast()
+        if primitive == "prf":
+            suite.prf = Prf(suite.prf.key, Prf.MODE_AES)
+        else:
+            suite.mac = Mac(suite.mac.key, Mac.MODE_SHA3)
+        frontend = build_frontend(
+            "PIC_X32", rng=DeterministicRng(7), storage="columnar",
+            crypto=suite, **SMALL,
+        )
+        frontend.enable_native_kernel(CORE)
+        assert isinstance(frontend.backend._kernel, CORE.AccessKernel)
+        assert frontend._kernel is None
+        frontend.read(3)
+        assert frontend.crypto.prf.call_count > 0
 
     def test_wide_counter_fields_keep_the_python_path(self):
         frontend = build_frontend(

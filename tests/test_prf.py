@@ -217,3 +217,85 @@ class TestNoHiddenState:
                     calls += 1
         assert first.call_count + second.call_count == calls
         assert first.cache_hits == second.cache_hits == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        leaf_keys=st.lists(LEAF_KEYS, min_size=1, max_size=8),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_aes_mode_keeps_no_state_either(self, leaf_keys, order):
+        """The AES primitive has no BLAKE2b formula to hold it to, so
+        each call is held to a fresh PRF's answer instead: asked again,
+        in another order, on a PRF that has answered others before."""
+        key = b"0123456789abcdef"
+        worn = Prf(key, Prf.MODE_AES)
+        shuffled = list(leaf_keys) * 2
+        order.shuffle(shuffled)
+        for address, count, subblock, levels in list(leaf_keys) + shuffled:
+            fresh = Prf(key, Prf.MODE_AES)
+            assert worn.leaf_for(address, count, levels, subblock) == (
+                fresh.peek_leaf(address, count, levels, subblock)
+            )
+        assert worn.call_count == 3 * len(leaf_keys)
+
+    @pytest.mark.parametrize(
+        "address, count, subblock, levels",
+        [
+            (0, 0, 0, 1),
+            (2**64 - 1, 2**96 - 1, 2**32 - 1, 64),
+            (2**64 - 1, 0, 2**32 - 1, 60),
+            (0, 2**64, 0, 60),
+            (0, 2**64 - 1, 0, 60),
+        ],
+    )
+    def test_the_edges_of_every_field(self, address, count, subblock, levels):
+        """Each field at 0 and at its largest value, and the count either
+        side of the word it is split at: the formula, bit for bit."""
+        prf = Prf(self.KEY)
+        assert prf.leaf_for(address, count, levels, subblock) == (
+            reference_leaf_for(self.KEY, address, count, levels, subblock)
+        )
+
+
+@pytest.mark.parametrize("mode", [Prf.MODE_FAST, Prf.MODE_AES])
+class TestArgumentDomain:
+    """The message is ``address (8) || count (12) || subblock (4)`` bytes:
+    a value that does not fit its field is refused, never wrapped onto a
+    neighbour's leaf, and a tree of one bucket derives nothing."""
+
+    KEY = b"0123456789abcdef"
+
+    @pytest.mark.parametrize("levels", [0, -3])
+    def test_degenerate_levels_are_no_call(self, mode, levels):
+        prf = Prf(self.KEY, mode)
+        assert prf.leaf_for(7, 9, levels) == prf.peek_leaf(7, 9, levels) == 0
+        assert prf.call_count == 0
+
+    @pytest.mark.parametrize(
+        "address, count, subblock",
+        [
+            (-1, 0, 0),
+            (2**64, 0, 0),
+            (0, -1, 0),
+            (0, 2**96, 0),
+            (0, 0, -1),
+            (0, 0, 2**32),
+        ],
+        ids=[
+            "negative-address", "address-past-64-bits", "negative-count",
+            "count-past-96-bits", "negative-subblock", "subblock-past-32-bits",
+        ],
+    )
+    def test_an_out_of_range_field_raises_instead_of_aliasing(
+        self, mode, address, count, subblock
+    ):
+        """A failed derivation leaves nothing behind either: the next
+        in-range call on the same PRF is a fresh PRF's answer."""
+        import struct
+
+        prf = Prf(self.KEY, mode)
+        with pytest.raises(struct.error):
+            prf.peek_leaf(address, count, 20, subblock)
+        with pytest.raises(struct.error):
+            prf.leaf_for(address, count, 20, subblock)
+        assert prf.leaf_for(1, 2, 20, 3) == Prf(self.KEY, mode).peek_leaf(1, 2, 20, 3)

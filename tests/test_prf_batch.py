@@ -73,3 +73,24 @@ class TestLeafForMany:
             scalar_prf, addrs, counts, 12
         )
         assert batched_prf.call_count == scalar_prf.call_count
+
+    def test_repeated_keys_each_count_a_call(self):
+        """A key repeated inside a batch, or asked for again after a
+        scalar call, is derived again: the same leaf, one call each."""
+        prf = Prf(KEY)
+        warm = [prf.leaf_for(1, 0, 16), prf.leaf_for(2, 0, 16)]
+        leaves = prf.leaf_for_many([1, 3, 2, 3, 1], [0, 0, 0, 0, 0], 16)
+        assert prf.call_count == 7
+        assert leaves[0] == leaves[4] == warm[0] and leaves[2] == warm[1]
+        assert leaves[1] == leaves[3] == Prf(KEY).peek_leaf(3, 0, 16)
+
+    def test_a_batch_between_scalar_calls_moves_no_leaf(self):
+        """Scalar calls before and after a long batch with repeats give
+        what they give on a PRF that never saw the batch."""
+        seen, unseen = Prf(KEY), Prf(KEY)
+        addrs = [1, 2, 3, 4, 1, 2, 5, 3, 1] * 3
+        before = seen.leaf_for(4, 0, 16)
+        seen.leaf_for_many(addrs, [0] * len(addrs), 16)
+        after = seen.leaf_for(4, 0, 16)
+        assert before == after == unseen.leaf_for(4, 0, 16)
+        assert seen.call_count == len(addrs) + 2

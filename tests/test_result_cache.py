@@ -88,6 +88,21 @@ class TestResultCacheStore:
         with pytest.warns(CacheCorruptionWarning, match="evicted corrupt"):
             assert cache.load("k1") is None
 
+    @pytest.mark.parametrize("schema", [2, RESULT_SCHEMA_VERSION])
+    def test_a_result_carrying_prf_cache_hits_is_evicted(self, tmp_path, schema):
+        """Schema 2 recorded the PRF leaf cache's hits; the field went with
+        the cache. Such a record is a miss under either schema number,
+        never a result read with a key dropped."""
+        cache = ResultCache(tmp_path)
+        cache.store("k1", _result())
+        payload = json.loads(cache.path_for("k1").read_text("utf-8"))
+        payload["schema"] = schema
+        payload["result"]["prf_cache_hits"] = 12
+        cache.path_for("k1").write_text(json.dumps(payload), "utf-8")
+        with pytest.warns(CacheCorruptionWarning, match="evicted corrupt"):
+            assert cache.load("k1") is None
+        assert not cache.path_for("k1").exists()
+
     def test_unwritable_dir_disables_store(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
