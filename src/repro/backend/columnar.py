@@ -6,7 +6,7 @@
 *is* the ``AccessKernel`` handle of ``repro.sim.native._replay_core``,
 bound at construction: counters, path read, fused drain, update hand-off,
 greedy deepest-first placement with LIFO candidate/pool order, stash
-reconcile, write-back accounting and the occupancy fold, as integer
+reconcile, write-back accounting and the occupancy sample, as integer
 loops over the storage's typed columns (``bucket_slots`` /
 ``bucket_fill`` for the tree, the stash's slot column, ``addr_col`` /
 ``leaf_col`` for what a slot holds) — with the object backend's
@@ -33,10 +33,11 @@ digest, matching ``PathOramBackend``.
 
 from __future__ import annotations
 
+from array import array
 from typing import Optional
 
 from repro.backend.ops import Op
-from repro.backend.stash import ColumnarStash, KernelOccupancyStats
+from repro.backend.stash import ColumnarStash
 from repro.config import OramConfig
 from repro.errors import (
     RESTORE_FAILURES,
@@ -46,10 +47,16 @@ from repro.errors import (
 from repro.storage.block import Block
 from repro.storage.columnar import CHUNK_SLOTS
 from repro.utils.rng import DeterministicRng
+from repro.utils.stats import LedgerSlot
 
 
 class ColumnarPathOramBackend:
     """One Path ORAM Backend bound to a columnar store and a slot stash."""
+
+    #: The three slots of ``ledger``, which the kernel counts in.
+    access_count = LedgerSlot(0)
+    tree_access_count = LedgerSlot(1)
+    append_count = LedgerSlot(2)
 
     def __init__(
         self,
@@ -66,9 +73,8 @@ class ColumnarPathOramBackend:
         self.rng = rng
         self.allow_missing = allow_missing
         self.stash = ColumnarStash(config.stash_limit, storage)
-        self.access_count = 0
-        self.tree_access_count = 0
-        self.append_count = 0
+        self.ledger = array("q", [0, 0, 0])
+        occupancy = self.stash.occupancy_stats
         # Fails fast when the storage cannot hand out buffer-capable
         # columns (the zero-copy contract the kernel relies on).
         addr_col, leaf_col = storage.interchange_columns()
@@ -76,12 +82,12 @@ class ColumnarPathOramBackend:
             self, storage, addr_col, leaf_col, storage.mac_col,
             storage._chunks, storage._free, storage.bucket_slots,
             storage.bucket_fill, self.stash.slots,
+            self.ledger, storage.ledger, occupancy.ledger, occupancy.moments,
             config.levels, config.blocks_per_bucket, config.block_bytes,
             CHUNK_SLOTS, self.stash.limit, allow_missing,
             Block, Op.APPEND, Op.READRMV,
             BlockNotFoundError, StashOverflowError,
         )
-        self.stash.occupancy_stats = KernelOccupancyStats(self._kernel)
 
     # -- public API -----------------------------------------------------------
 

@@ -23,8 +23,3 @@ class Op(enum.Enum):
     WRITE = "write"
     READRMV = "readrmv"
     APPEND = "append"
-
-    @property
-    def touches_tree(self) -> bool:
-        """True for operations that read/write a full tree path."""
-        return self is not Op.APPEND

@@ -14,43 +14,29 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.errors import StashOverflowError
 from repro.storage.block import Block
-from repro.utils.stats import RunningStats
+from repro.utils.stats import LedgerSlot, RunningStats
 
 
-class KernelOccupancyStats(RunningStats):
-    """``RunningStats`` as a read-only view of the access kernel's fold.
+class OccupancyStats(RunningStats):
+    """``RunningStats`` over two columns the access kernel adds to.
 
-    A columnar backend's occupancy sample after every eviction is folded
+    A columnar backend's occupancy sample after every eviction is added
     in C, with ``RunningStats.add``'s operand order (so the same bits as
-    the object backend's); this class reads that state back under the
-    ``RunningStats`` names.
+    the object backend's), in place: ``ledger`` (``array('q')``) holds
+    count / max / min and ``moments`` (``array('d')``) mean / m2, read
+    here under the ``RunningStats`` names.
     """
 
-    def __init__(self, kernel):
-        # No super().__init__(): the state lives in the kernel.
-        self._kernel = kernel
+    def __init__(self) -> None:
+        # No super().__init__(): the state lives in the columns.
+        self.ledger = array("q", [0, 0, 0])
+        self.moments = array("d", [0.0, 0.0])
 
-    @property
-    def count(self) -> int:
-        return self._kernel.occupancy()[0]
-
-    @property
-    def mean(self) -> float:
-        return self._kernel.occupancy()[1]
-
-    @property
-    def _m2(self) -> float:
-        return self._kernel.occupancy()[2]
-
-    @property
-    def max(self):
-        value = self._kernel.occupancy()[3]
-        return float("-inf") if value is None else value
-
-    @property
-    def min(self):
-        value = self._kernel.occupancy()[4]
-        return float("inf") if value is None else value
+    count = LedgerSlot(0)
+    mean = property(lambda self: self.moments[0])
+    _m2 = property(lambda self: self.moments[1])
+    max = property(lambda self: self.ledger[1] if self.count else float("-inf"))
+    min = property(lambda self: self.ledger[2] if self.count else float("inf"))
 
 
 class ColumnarStash:
@@ -62,9 +48,8 @@ class ColumnarStash:
     (``slots[0]`` is the occupancy, ``slots[1..n]`` the resident slot
     ids). The backend's access kernel reads and writes this column —
     adds, membership scans, the limit check — and blocks are materialised
-    only for introspection (``blocks()``, iteration).
-    ``occupancy_stats`` is set by the backend, to the
-    :class:`KernelOccupancyStats` view of its kernel.
+    only for introspection (``blocks()``, iteration), and the kernel
+    samples the occupancy into ``occupancy_stats``.
     """
 
     def __init__(self, limit: int, store):
@@ -72,6 +57,7 @@ class ColumnarStash:
         self.store = store
         self.slots = array("i", [0])
         self.reserve(limit + 1)
+        self.occupancy_stats = OccupancyStats()
 
     def reserve(self, blocks: int) -> None:
         """Room for ``blocks`` residents (the column only ever grows)."""

@@ -8,14 +8,21 @@ bit truncation alongside each block. ``Mac`` mirrors that: keyed SHA3-224
 from __future__ import annotations
 
 import hashlib
+from array import array
+
+from repro.utils.stats import LedgerSlot
 
 
 class Mac:
     """Keyed MAC with truncated tags and an invocation/byte counter.
 
     ``bytes_hashed`` and ``call_count`` feed the §6.3 hash-bandwidth
-    comparison against the Merkle baseline.
+    comparison against the Merkle baseline; they are the two slots of
+    ``ledger``, which the native kernel counts in too.
     """
+
+    call_count = LedgerSlot(0)
+    bytes_hashed = LedgerSlot(1)
 
     MODE_SHA3 = "sha3-224"
     MODE_FAST = "fast"
@@ -28,8 +35,7 @@ class Mac:
         self.mode = mode
         self.key = key
         self.tag_bytes = tag_bytes
-        self.call_count = 0
-        self.bytes_hashed = 0
+        self.ledger = array("q", [0, 0])
         if mode == self.MODE_FAST:
             # Pre-keyed hash state (see Prf): copy() skips the per-call
             # key-block compression; digests are byte-identical.
@@ -37,8 +43,9 @@ class Mac:
 
     def tag(self, message: bytes) -> bytes:
         """Compute the truncated MAC tag of ``message``."""
-        self.call_count += 1
-        self.bytes_hashed += len(message)
+        ledger = self.ledger
+        ledger[0] += 1
+        ledger[1] += len(message)
         if self.mode == self.MODE_FAST:
             state = self._keyed_state.copy()
             state.update(message)

@@ -27,9 +27,11 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from array import array
 from typing import List, Sequence
 
 from repro.crypto.aes import AES128
+from repro.utils.stats import LedgerSlot
 
 #: addr (8) || count (12, split low-8/high-4) || subblock (4), little-endian
 #: — byte-identical to the three-way ``to_bytes`` concatenation.
@@ -45,13 +47,15 @@ class Prf:
 
     #: No leaf is memoised, so none is ever served from a cache.
     cache_hits = 0
+    #: The one slot of ``ledger``, which the native kernel counts in too.
+    call_count = LedgerSlot(0)
 
     def __init__(self, key: bytes, mode: str = MODE_FAST):
         if mode not in (self.MODE_AES, self.MODE_FAST):
             raise ValueError(f"unknown PRF mode {mode!r}")
         self.mode = mode
         self.key = key
-        self.call_count = 0
+        self.ledger = array("q", [0])
         if mode == self.MODE_AES:
             if len(key) != 16:
                 raise ValueError("AES PRF requires a 16-byte key")
@@ -82,7 +86,7 @@ class Prf:
 
     def eval_bytes(self, data: bytes) -> bytes:
         """PRF output (16 bytes) for an arbitrary-length input."""
-        self.call_count += 1
+        self.ledger[0] += 1
         return self._digest(data)
 
     def eval_int(self, data: bytes, modulus_bits: int) -> int:
@@ -117,7 +121,7 @@ class Prf:
             # (mirrors ``eval_int``'s early return, which skips the call
             # counter).
             return 0
-        self.call_count += 1
+        self.ledger[0] += 1
         return self.peek_leaf(address, count, num_levels, subblock)
 
     def leaf_for_many(

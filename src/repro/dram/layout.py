@@ -84,10 +84,6 @@ class SubtreeLayout:
             row_offset_bytes=index * self.bucket_bytes,
         )
 
-    def path_locations(self, leaf: int) -> List[BucketLocation]:
-        """Locations of every bucket on the path to ``leaf``."""
-        return [self.locate(level, leaf) for level in range(self.levels + 1)]
-
     def path_row_groups(self, leaf: int) -> List[Tuple[int, int, int]]:
         """Rows touched by the path, as (bank, row, bucket_count) groups.
 

@@ -9,27 +9,61 @@ traffic (the white/shaded split of Figs. 7 and 8).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.backend.ops import Op
+from repro.utils.stats import LedgerSlot
+
+#: The slot of each :class:`FrontendStats` counter in its ledger, in the
+#: order the native kernels count them.
+(
+    ACCESSES, DATA_TREE_ACCESSES, POSMAP_TREE_ACCESSES, PLB_HITS, PLB_MISSES,
+    PLB_REFILLS, PLB_EVICTIONS, GROUP_REMAPS, GROUP_RELOCATIONS, MAC_CHECKS,
+    FRESH_BLOCKS,
+) = range(11)
 
 
-@dataclass(slots=True)
 class FrontendStats:
-    """Counters accumulated across the life of a Frontend."""
+    """Counters accumulated across the life of a Frontend.
 
-    accesses: int = 0
-    data_tree_accesses: int = 0
-    posmap_tree_accesses: int = 0
-    plb_hits: int = 0
-    plb_misses: int = 0
-    plb_refills: int = 0
-    plb_evictions: int = 0
-    group_remaps: int = 0
-    group_relocations: int = 0
-    mac_checks: int = 0
-    fresh_blocks: int = 0
+    Each one is a slot of ``ledger`` (an ``array('q')``): the interpreted
+    frontends count through the names (or, on hot paths, by slot), the
+    native kernels in place.
+    """
+
+    COUNTERS = (
+        "accesses", "data_tree_accesses", "posmap_tree_accesses", "plb_hits",
+        "plb_misses", "plb_refills", "plb_evictions", "group_remaps",
+        "group_relocations", "mac_checks", "fresh_blocks",
+    )
+
+    accesses = LedgerSlot(ACCESSES)
+    data_tree_accesses = LedgerSlot(DATA_TREE_ACCESSES)
+    posmap_tree_accesses = LedgerSlot(POSMAP_TREE_ACCESSES)
+    plb_hits = LedgerSlot(PLB_HITS)
+    plb_misses = LedgerSlot(PLB_MISSES)
+    plb_refills = LedgerSlot(PLB_REFILLS)
+    plb_evictions = LedgerSlot(PLB_EVICTIONS)
+    group_remaps = LedgerSlot(GROUP_REMAPS)
+    group_relocations = LedgerSlot(GROUP_RELOCATIONS)
+    mac_checks = LedgerSlot(MAC_CHECKS)
+    fresh_blocks = LedgerSlot(FRESH_BLOCKS)
+
+    def __init__(self) -> None:
+        self.ledger = array("q", bytes(8 * len(self.COUNTERS)))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not FrontendStats:
+            return NotImplemented
+        return self.ledger == other.ledger
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value}" for name, value in zip(self.COUNTERS, self.ledger)
+        )
+        return f"FrontendStats({fields})"
 
     @property
     def tree_accesses(self) -> int:

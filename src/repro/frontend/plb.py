@@ -17,8 +17,10 @@ high 32), ``last_use`` and one ``payload`` bytearray of ``block_bytes``
 per way. A lookup is the set arithmetic plus a scan of at most ``ways``
 tags. A set fills from way 0 up, a victim (the first way with the
 smallest ``last_use``) is replaced in place and ``invalidate`` closes the
-gap it leaves, so way order is insertion order. The interpreted frontend
-and the native ``FrontendKernel`` read and write these same columns.
+gap it leaves, so way order is insertion order. The LRU clock and the
+hit / miss counts are the three slots of ``ledger`` (``array('q')``).
+The interpreted frontend and the native ``FrontendKernel`` read and
+write these same columns.
 """
 
 from __future__ import annotations
@@ -28,8 +30,11 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import ConfigurationError
+from repro.utils.stats import LedgerSlot
 
 _U64 = (1 << 64) - 1
+#: Slots of ``Plb.ledger``: the LRU clock, then the lookup statistics.
+_CLOCK, _HITS, _MISSES = range(3)
 
 
 @dataclass(slots=True)
@@ -91,6 +96,10 @@ class PlbWay:
 class Plb:
     """Set-associative (default direct-mapped) cache of PosMap blocks."""
 
+    _clock = LedgerSlot(_CLOCK)
+    hits = LedgerSlot(_HITS)
+    misses = LedgerSlot(_MISSES)
+
     def __init__(self, capacity_bytes: int, block_bytes: int, ways: int = 1):
         if capacity_bytes < block_bytes:
             raise ConfigurationError("PLB smaller than one PosMap block")
@@ -110,9 +119,7 @@ class Plb:
         self.counters = array("Q", bytes(16 * total))
         self.last_use = array("q", bytes(8 * total))
         self.payload = bytearray(total * block_bytes)
-        self._clock = 0
-        self.hits = 0
-        self.misses = 0
+        self.ledger = array("q", bytes(8 * 3))
 
     def _set_index(self, tagged_addr: int) -> int:
         # Direct-mapped index over the block index bits; the recursion level
@@ -133,13 +140,14 @@ class Plb:
 
     def lookup(self, tagged_addr: int) -> Optional[PlbWay]:
         """Return the resident entry for i||a_i, updating LRU state."""
-        self._clock += 1
+        ledger = self.ledger
+        ledger[_CLOCK] = clock = ledger[_CLOCK] + 1
         way = self._find(tagged_addr)
         if way < 0:
-            self.misses += 1
+            ledger[_MISSES] += 1
             return None
-        self.last_use[way] = self._clock
-        self.hits += 1
+        self.last_use[way] = clock
+        ledger[_HITS] += 1
         return PlbWay(self, way)
 
     def contains(self, tagged_addr: int) -> bool:
@@ -153,8 +161,7 @@ class Plb:
 
     def insert(self, entry: PlbEntry) -> Optional[PlbEntry]:
         """Insert a refilled block; returns the evicted victim, if any."""
-        self._clock += 1
-        entry.last_use = self._clock
+        self.ledger[_CLOCK] = entry.last_use = self.ledger[_CLOCK] + 1
         base = self._set_index(entry.tagged_addr) * self.ways
         tags = self.tags[base : base + self.ways]
         if entry.tagged_addr in tags:

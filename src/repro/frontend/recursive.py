@@ -22,7 +22,13 @@ from repro.backend.path_oram import PathOramBackend, make_backend
 from repro.config import OramConfig
 from repro.errors import ConfigurationError
 from repro.frontend.addrgen import AddressSpace, levels_needed
-from repro.frontend.base import AccessResult, Frontend
+from repro.frontend.base import (
+    ACCESSES,
+    DATA_TREE_ACCESSES,
+    POSMAP_TREE_ACCESSES,
+    AccessResult,
+    Frontend,
+)
 from repro.frontend.formats import UncompressedPosMapFormat
 from repro.frontend.posmap import OnChipPosMap
 from repro.storage import make_storage
@@ -102,8 +108,8 @@ class RecursiveFrontend(Frontend):
         else binds one handle, of the real module's type); idempotent.
         The kernel is the whole of :meth:`access` in C over this
         frontend's own containers — the on-chip table and its touched
-        bitmap, the per-level first-touch bitmaps, the statistics, the
-        RNG — driving each level's tree through its backend's own
+        bitmap, the per-level first-touch bitmaps, the statistics' ledger,
+        the RNG — driving each level's tree through its backend's own
         ``AccessKernel``, so the Python path below and the lockstep
         harnesses keep reading one copy of the state. It engages only
         when every level's backend runs on an ``AccessKernel`` (columnar
@@ -122,7 +128,7 @@ class RecursiveFrontend(Frontend):
             return
         posmap, space = self.posmap, self.space
         self._kernel = _replay_core.RecursiveKernel(
-            self, RecursiveFrontend.access, trees,
+            self, RecursiveFrontend.access, self.stats.ledger, trees,
             posmap._table, posmap._touched, self._touched,
             self.rng._getrandbits,
             (
@@ -153,7 +159,8 @@ class RecursiveFrontend(Frontend):
             raise ConfigurationError("processor requests are READ or WRITE")
         if op is Op.WRITE and (data is None or len(data) != self.configs[0].block_bytes):
             raise ValueError("WRITE requires a full block of data")
-        self.stats.accesses += 1
+        ledger = self.stats.ledger
+        ledger[ACCESSES] += 1
         chain = self.space.chain(addr)
         top = self.num_levels - 1
 
@@ -175,7 +182,7 @@ class RecursiveFrontend(Frontend):
                 block.data = bytes(buf)
 
             backend.access(Op.READ, chain[level], leaf, new_leaf, update=update)
-            self.stats.posmap_tree_accesses += 1
+            ledger[POSMAP_TREE_ACCESSES] += 1
             remap = holder["remap"]
             if child_fresh:
                 # Never-written entry: substitute the uniform label factory
@@ -187,7 +194,7 @@ class RecursiveFrontend(Frontend):
             new_leaf = remap.new_leaf
 
         # Data ORAM access.
-        self.stats.data_tree_accesses += 1
+        ledger[DATA_TREE_ACCESSES] += 1
 
         def data_update(block) -> None:
             if op is Op.WRITE:

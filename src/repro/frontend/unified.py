@@ -36,7 +36,19 @@ from repro.crypto.prf import Prf
 from repro.crypto.suite import CryptoSuite
 from repro.errors import ConfigurationError, IntegrityViolationError
 from repro.frontend.addrgen import AddressSpace, levels_needed
-from repro.frontend.base import AccessResult, Frontend
+from repro.frontend.base import (
+    ACCESSES,
+    DATA_TREE_ACCESSES,
+    FRESH_BLOCKS,
+    MAC_CHECKS,
+    PLB_EVICTIONS,
+    PLB_HITS,
+    PLB_MISSES,
+    PLB_REFILLS,
+    POSMAP_TREE_ACCESSES,
+    AccessResult,
+    Frontend,
+)
 from repro.frontend.formats import (
     CompressedPosMapFormat,
     FlatCounterPosMapFormat,
@@ -134,9 +146,10 @@ class PlbFrontend(Frontend):
         else binds one handle, of the real module's type); idempotent.
         The kernel is the whole of :meth:`access` in C over this
         frontend's own columns — the PLB's, the on-chip table, the
-        first-touch bitmaps — and its counters and RNG, so the Python
-        path below, ``peek``/``entries`` and the lockstep harnesses keep
-        reading one copy of the state. Of the PRF it keeps only a BLAKE2b
+        first-touch bitmaps, the ledgers of the statistics, the PLB, the
+        PRF and the MAC — and its RNG, so the Python path below,
+        ``peek``/``entries`` and the lockstep harnesses keep reading one
+        copy of the state. Of the PRF it keeps only a BLAKE2b
         mid-state, keyed once. It engages
         only on top of the backend's ``AccessKernel`` (columnar storage)
         and the BLAKE2b ``fast`` suite, with format fields its fixed-width
@@ -164,9 +177,10 @@ class PlbFrontend(Frontend):
         plb, posmap, space = self.plb, self.posmap, self.space
         self._kernel = _replay_core.FrontendKernel(
             self, tree_kernel, PlbFrontend.access,
-            plb, (plb.tags, plb.leaves, plb.counters, plb.last_use, plb.payload),
+            (self.stats.ledger, plb.ledger, prf.ledger, mac.ledger),
+            (plb.tags, plb.leaves, plb.counters, plb.last_use, plb.payload),
             posmap._table, posmap._touched, self._touched,
-            prf, mac, self.rng._getrandbits,
+            self.rng._getrandbits,
             (
                 self.space_levels, space.fanout, space.num_blocks,
                 tuple(space.level_blocks(i) for i in range(self.space_levels)),
@@ -215,9 +229,9 @@ class PlbFrontend(Frontend):
                 raise IntegrityViolationError(
                     f"block {tagged_addr:#x} lost: counter {counter} but no MAC"
                 )
-            self.stats.fresh_blocks += 1
+            self.stats.ledger[FRESH_BLOCKS] += 1
             return
-        self.stats.mac_checks += 1
+        self.stats.ledger[MAC_CHECKS] += 1
         if not self.crypto.mac.verify(
             counter.to_bytes(12, "little")
             + tagged_addr.to_bytes(8, "little")
@@ -322,8 +336,9 @@ class PlbFrontend(Frontend):
     ) -> PlbWay:
         """readrmv the PosMap block ``tagged`` and install it in the PLB."""
         block = self.backend.access(Op.READRMV, tagged, leaf, new_leaf)
-        self.stats.posmap_tree_accesses += 1
-        self.stats.plb_refills += 1
+        ledger = self.stats.ledger
+        ledger[POSMAP_TREE_ACCESSES] += 1
+        ledger[PLB_REFILLS] += 1
         self._verify(block, tagged, old_counter)
         entry = PlbEntry(
             tagged_addr=tagged,
@@ -338,7 +353,7 @@ class PlbFrontend(Frontend):
 
     def _evict_plb_entry(self, victim: PlbEntry) -> None:
         """Append a PLB victim back into the stash with a fresh MAC."""
-        self.stats.plb_evictions += 1
+        self.stats.ledger[PLB_EVICTIONS] += 1
         data = bytes(victim.data)
         block = Block(
             addr=victim.tagged_addr,
@@ -361,9 +376,9 @@ class PlbFrontend(Frontend):
             raise ConfigurationError("processor requests are READ or WRITE")
         if op is Op.WRITE and (data is None or len(data) != self.config.block_bytes):
             raise ValueError("WRITE requires a full block of data")
-        stats = self.stats
-        stats.accesses += 1
-        start_posmap = stats.posmap_tree_accesses
+        ledger = self.stats.ledger
+        ledger[ACCESSES] += 1
+        start_posmap = ledger[POSMAP_TREE_ACCESSES]
         levels = self.space_levels
         chain = self.space.chain(addr)
         tag = self.space.tag
@@ -383,10 +398,7 @@ class PlbFrontend(Frontend):
             # With a single recursion level no PLB lookup occurs, so the
             # access counts toward neither hits nor misses (the hit rate
             # is a property of actual lookups only).
-            if hit_level == 0:
-                stats.plb_hits += 1
-            else:
-                stats.plb_misses += 1
+            ledger[PLB_HITS if hit_level == 0 else PLB_MISSES] += 1
 
         # Step 2: fetch missing PosMap blocks, deepest level first.
         for level in range(hit_level, 0, -1):
@@ -414,8 +426,8 @@ class PlbFrontend(Frontend):
         else:
             # Non-PMMAC READ: nothing to verify, overwrite or seal.
             result_block = self.backend.access(op, addr, leaf, new_leaf)
-        stats.data_tree_accesses += 1
-        posmap_accesses = stats.posmap_tree_accesses - start_posmap
+        ledger[DATA_TREE_ACCESSES] += 1
+        posmap_accesses = ledger[POSMAP_TREE_ACCESSES] - start_posmap
         return AccessResult(
             data=result_block.data if op is Op.READ else (data or b""),
             tree_accesses=posmap_accesses + 1,

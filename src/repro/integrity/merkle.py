@@ -121,8 +121,3 @@ class MerklePathVerifier:
         for depth, index in enumerate(indices):
             self._hashes[index] = hashes[depth]
         self.root = hashes[0]
-
-    @property
-    def hashes_stored(self) -> int:
-        """Number of explicitly materialised node hashes."""
-        return len(self._hashes)

@@ -312,7 +312,7 @@ class OramShard:
             rows = slice(start, start + self.max_batch)
             addrs, writes = queue.addrs[rows], queue.writes[rows]
             # Looked up per call: tracing wraps the engine's attribute.
-            latencies = self.engine.run_batch(addrs, writes, fold=False)
+            latencies = self.engine.run_batch(addrs, writes)
             end = time.perf_counter()
             stats.batches += 1
             queue.latencies += latencies
@@ -834,41 +834,34 @@ class OramService:
     def _epochs(self) -> Iterator[None]:
         """The epoch loop: admit, execute each shard, account, check
         progress; yields after every epoch until every stream drains.
-        Batches run with ``fold=False``: the kernels' counters are folded
-        when the loop ends, however it does, and before ``serve`` yields."""
+        The kernels count in place, so every shard's counters are current
+        at each yield."""
         started = time.perf_counter()
         burst = self.config.burst
-        try:
-            while self._unserved:
-                # (A conditional, not min(): this runs per tenant per epoch.)
-                queues = self._admit([
-                    left if (left := len(t.addrs) - t.cursor) < burst else burst
-                    for t in self._tenants
-                ])
-                admitted = 0
-                for shard, queue in zip(self.shards, queues):
-                    shard.execute(queue)
-                    admitted += len(queue.addrs)
-                self._account(queues)
-                self.epochs += 1
-                self._check_progress(admitted)
-                yield
-        finally:
-            self._fold_counters()
+        while self._unserved:
+            # (A conditional, not min(): this runs per tenant per epoch.)
+            queues = self._admit([
+                left if (left := len(t.addrs) - t.cursor) < burst else burst
+                for t in self._tenants
+            ])
+            admitted = 0
+            for shard, queue in zip(self.shards, queues):
+                shard.execute(queue)
+                admitted += len(queue.addrs)
+            self._account(queues)
+            self.epochs += 1
+            self._check_progress(admitted)
+            yield
         self._fold_log()
         self._wall_elapsed += time.perf_counter() - started
 
-    def _fold_counters(self) -> None:
-        for shard in self.shards:
-            shard.engine.run_batch([], [])  # folds what the batches left
-
     async def serve(self) -> "OramService":
         """Drain every tenant stream, yielding to the event loop once per
-        epoch: the loop of :meth:`run`, for an application to await."""
+        epoch: the loop of :meth:`run`, for an application to await. A
+        task that reads a shard's counters at a yield sees them current."""
         import asyncio
 
         for _ in self._epochs():
-            self._fold_counters()
             await asyncio.sleep(0)
         return self
 

@@ -149,9 +149,7 @@ class ReplayEngine:
 
     # -- the fast tier's loop -------------------------------------------------
 
-    def run_batch(
-        self, addrs: Sequence[int], writes: Sequence[bool], fold: bool = True
-    ) -> List[float]:
+    def run_batch(self, addrs: Sequence[int], writes: Sequence[bool]) -> List[float]:
         """Drive one batch of block-level requests through the frontend.
 
         The batch is accessed event by event with hoisted constants —
@@ -162,9 +160,9 @@ class ReplayEngine:
         is bit-identical to one whole-trace call.
 
         Returns the per-event latencies (the serving layer's per-request
-        service times). ``fold=False`` leaves the kernel's counters pending
-        until a batch that folds (an empty one will do): nothing may read
-        them in between.
+        service times). The kernels count in the owners' ledger columns in
+        place, so every counter is current whenever Python can look: after
+        the batch, and inside any callback it runs.
         """
         access = self.frontend.access
         native = self._native
@@ -174,7 +172,7 @@ class ReplayEngine:
             # handed an engaged frontend's own bound ``access``, the
             # Python frame and the AccessResult of every event).
             ns = native.run_access_loop(
-                access, addrs, writes, Op.READ, Op.WRITE, self.payload, fold
+                access, addrs, writes, Op.READ, Op.WRITE, self.payload
             )
         else:
             read_op, write_op, payload = Op.READ, Op.WRITE, self.payload

@@ -17,7 +17,7 @@
  * - AccessKernel: a per-backend handle whose access() is one whole
  *   ColumnarPathOramBackend.access — all four ops, counters, path read,
  *   drain, stash merge, update hand-off, greedy eviction, stash
- *   reconcile, write-back accounting, occupancy fold, rollback — as
+ *   reconcile, write-back accounting, occupancy sample, rollback — as
  *   integer loops over the storage's typed columns and byte arena;
  * - FrontendKernel: a per-frontend handle whose access() is one whole
  *   PlbFrontend.access (§4.2.4) — chain and tag arithmetic, PLB lookup
@@ -72,21 +72,18 @@
  * chunk it is copied through, the frontend generator's getrandbits()
  * and a column owner's _grow().
  *
- * Counters.  Every counter a kernel moves (the backend's and storage's
- * five, the 17 of FrontendStats / Plb / Prf / Mac) accumulates in its
- * handle and is folded into the Python attribute, through the attribute
- * protocol, when the *outermost* C entry returns — handle.access() per
- * call, run_access_loop once per slice — and also before every call
- * that can run foreign Python (an observer, an update callback or a
- * Block's construction, the backend's rollback, a payload's buffer or
- * bytes coercion) and on every error exit (kernel_yield, fold_at_exit):
- * anything that can look sees exactly what the interpreted path would
- * have left.  storage.observer is read once per outermost entry.  A
- * slice run by run_access_loop(..., fold=False) leaves its counters
- * pending in the handle instead — the PLB clock's ticks too, which the
- * next entry adds to the clock it reads — until an entry that folds (an
- * empty slice will do): the caller promises that no Python looks in
- * between, and an error exit folds regardless.
+ * Counters are columns too.  Every counter a kernel moves — the
+ * backend's three and the storage's two, the 11 of FrontendStats, the
+ * PLB's clock and hit / miss counts, the PRF's and the MAC's — is a slot
+ * of its Python owner's `ledger`, a fixed-size array('q') the owner
+ * allocates and reads through its old attribute names; the stash's
+ * occupancy summary is two more (count / max / min as int64, mean / m2
+ * as float64).  A handle binds them once, under the fixed-size rule
+ * below, and counts in place, at the point the interpreted path counts:
+ * whatever can look — a callback in the middle of a slice, the caller
+ * after it, a failed request's handler — sees exactly what the
+ * interpreted path would have left.  storage.observer is read once per
+ * outermost entry.
  *
  * Bit-identity contract: every routine is a transcription of the Python
  * spelling it replaces — same traversal order, same side effects in the
@@ -103,7 +100,9 @@
  * item size) and stay exported for the life of the handle — CPython
  * itself then refuses to resize them — so indexing them by heap index
  * needs no further check; what is read *out* of them does (a count past
- * Z, a slot id outside the arena or merged twice by one drain).
+ * Z, a slot id outside the arena or merged twice by one drain).  The
+ * ledgers follow the same rule: exactly their owner's count of slots.
+ * A counter wraps modulo 2^64 rather than overflow.
  *
  * Buffer discipline, growing columns: addr_col, leaf_col, the free stack
  * and the stash column grow in place (array.extend, by their owners'
@@ -182,6 +181,7 @@ static const ColKind COL_I64 = {
 static const ColKind COL_U64 = {8, "QL", "uint64 column (array('Q'))"};
 static const ColKind COL_I32 = {4, "il", "int32 column (array('i'))"};
 static const ColKind COL_U8 = {1, "Bbc", "byte column (a bytearray)"};
+static const ColKind COL_F64 = {8, "d", "float64 column (array('d'))"};
 
 /* Acquire a 1-D contiguous buffer of `kind` items, writable on request.
  * Returns 0 on success, -1 with an exception set otherwise. */
@@ -234,6 +234,14 @@ col_acquire_fixed(PyObject *obj, Col *col, const char *what,
                  what, col->len, or_more ? "at least " : "", items);
     col_release(col);
     return -1;
+}
+
+/* Slot `i` of a ledger += step, modulo 2^64 (no signed overflow). */
+static inline void
+tally(const Col *ledger, int i, long long step)
+{
+    long long *slot = (long long *)ledger->data + i;
+    *slot = (long long)((unsigned long long)*slot + (unsigned long long)step);
 }
 
 /* ------------------------------------------------------------------ */
@@ -936,31 +944,26 @@ done:
 /* AccessKernel: one Path ORAM tree access per call                    */
 /* ------------------------------------------------------------------ */
 
-static PyObject *str_access_count, *str_tree_access_count, *str_append_count,
-    *str_buckets_read, *str_buckets_written, *str_observer,
-    *str_on_path_read, *str_on_path_write, *str_grow, *str_stash,
-    *str_reserve, *str_abort_access, *str_addr, *str_leaf, *str_data,
-    *str_mac;
+static PyObject *str_observer, *str_on_path_read, *str_on_path_write,
+    *str_grow, *str_stash, *str_reserve, *str_abort_access, *str_addr,
+    *str_leaf, *str_data, *str_mac;
 
-/* Every counter a tree access moves.  Deltas gather in the handle and
- * are folded into the Python attributes (the backend's three, the
- * storage's two) when the outermost C entry returns, before any call
- * that can run foreign Python, and on every error exit: whoever can
- * look sees what the object backend would have left. */
-enum {
-    T_ACCESSES, T_TREE_ACCESSES, T_APPENDS, /* the backend's */
-    T_PATHS_READ, T_PATHS_WRITTEN,          /* the storage's, in paths */
-    N_TREE_COUNTERS
-};
+/* Every counter a tree access moves: the slots of the backend's ledger
+ * and of the storage's (which counts buckets, levels + 1 a path), and of
+ * the stash's occupancy summary (RunningStats: the int64 half, then the
+ * float64 one). */
+enum { T_ACCESSES, T_TREE_ACCESSES, T_APPENDS, N_BACKEND_SLOTS };
+enum { T_BUCKETS_READ, T_BUCKETS_WRITTEN, N_STORAGE_SLOTS };
+enum { OCC_COUNT, OCC_MAX, OCC_MIN, N_OCC_SLOTS };
+enum { OCC_MEAN, OCC_M2, N_MOMENT_SLOTS };
 
 /* The per-backend handle a ColumnarPathOramBackend binds at construction:
  * its access is the backend's.  The tree's state is the storage's own
  * typed columns, which the snapshots and the tamper hooks read and write
- * too; the handle owns only scratch (the working
- * set, the block of interest's snapshot), the pending counter deltas
- * and the stash-occupancy fold.  The backend itself is held weakly — it
- * owns this handle, and a strong reference would park every discarded
- * tree on the cyclic collector. */
+ * too, and its counters are the owners' ledgers; the handle owns only
+ * scratch (the working set, the block of interest's snapshot).  The
+ * backend itself is held weakly — it owns this handle, and a strong
+ * reference would park every discarded tree on the cyclic collector. */
 typedef struct AccessKernel AccessKernel;
 struct AccessKernel {
     PyObject_HEAD
@@ -979,13 +982,11 @@ struct AccessKernel {
     PyObject *backend;  /* the owner, strongly */
     PyObject *observer; /* storage.observer as read at entry; NULL for None */
     int busy;
-    /* How whoever entered folds: the tree alone (kernel_fold) through
-     * its own access(), a frontend handle with every tree under it
-     * otherwise — so that a yield shows the frontend's counters too. */
-    int (*fold)(void *entered);
-    void *entered;
-    /* The fixed-size columns, exported for the life of the handle. */
+    /* The fixed-size columns, exported for the life of the handle: the
+     * tree's two and the ledgers of the backend, the storage and the
+     * stash's occupancy. */
     Col bucket_slots, bucket_fill;
+    Col ledger, storage_ledger, occupancy, moments;
     /* The growing ones, exported from first use until the next yield,
      * growth or exit (kernel_columns / kernel_release). */
     Col addr, leaf, free_stack, stash_slots;
@@ -996,10 +997,6 @@ struct AccessKernel {
     int levels, cap, chunk_shift, allow_missing;
     Py_ssize_t block_bytes;
     long long chunk_mask, num_leaves, stash_limit;
-    long long pending[N_TREE_COUNTERS];
-    /* RunningStats over post-eviction stash occupancy (see occupancy()). */
-    long long occ_count, occ_max, occ_min;
-    double occ_mean, occ_m2;
     WorkSet ws;
 };
 
@@ -1031,6 +1028,10 @@ kernel_dealloc(AccessKernel *self)
     kernel_release(self);
     col_release(&self->bucket_slots);
     col_release(&self->bucket_fill);
+    col_release(&self->ledger);
+    col_release(&self->storage_ledger);
+    col_release(&self->occupancy);
+    col_release(&self->moments);
     kernel_clear(self);
     Py_CLEAR(self->backend);
     Py_CLEAR(self->observer);
@@ -1045,8 +1046,9 @@ static PyObject *
 kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
 {
     PyObject *backend, *storage, *addr_col, *leaf_col, *mac_col, *chunks,
-        *free_col, *bucket_slots, *bucket_fill, *stash_col, *block_type,
-        *op_append, *op_readrmv, *not_found_error, *overflow_error;
+        *free_col, *bucket_slots, *bucket_fill, *stash_col, *ledger,
+        *storage_ledger, *occupancy, *moments, *block_type, *op_append,
+        *op_readrmv, *not_found_error, *overflow_error;
     int levels, cap, allow_missing;
     Py_ssize_t block_bytes;
     long long chunk_slots, stash_limit;
@@ -1056,10 +1058,11 @@ kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
         return NULL;
     }
     if (!PyArg_ParseTuple(
-            args, "OOOOO!O!OOOOiinLLpOOOOO:AccessKernel", &backend,
+            args, "OOOOO!O!OOOOOOOOiinLLpOOOOO:AccessKernel", &backend,
             &storage, &addr_col, &leaf_col, &PyList_Type, &mac_col,
             &PyList_Type, &chunks, &free_col, &bucket_slots, &bucket_fill,
-            &stash_col, &levels, &cap, &block_bytes, &chunk_slots,
+            &stash_col, &ledger, &storage_ledger, &occupancy, &moments,
+            &levels, &cap, &block_bytes, &chunk_slots,
             &stash_limit, &allow_missing, &block_type, &op_append,
             &op_readrmv, &not_found_error, &overflow_error))
         return NULL;
@@ -1097,7 +1100,16 @@ kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
     if (col_acquire_fixed(bucket_fill, &self->bucket_fill, "bucket_fill",
                           &COL_U8, num_buckets, 0) < 0 ||
         col_acquire_fixed(bucket_slots, &self->bucket_slots, "bucket_slots",
-                          &COL_I32, num_buckets * cap, 0) < 0)
+                          &COL_I32, num_buckets * cap, 0) < 0 ||
+        col_acquire_fixed(ledger, &self->ledger, "the backend's ledger",
+                          &COL_I64, N_BACKEND_SLOTS, 0) < 0 ||
+        col_acquire_fixed(storage_ledger, &self->storage_ledger,
+                          "the storage's ledger", &COL_I64, N_STORAGE_SLOTS,
+                          0) < 0 ||
+        col_acquire_fixed(occupancy, &self->occupancy, "the occupancy ledger",
+                          &COL_I64, N_OCC_SLOTS, 0) < 0 ||
+        col_acquire_fixed(moments, &self->moments, "the occupancy moments",
+                          &COL_F64, N_MOMENT_SLOTS, 0) < 0)
         goto fail;
     self->backend_ref = PyWeakref_NewRef(backend, NULL);
     self->path = PyMem_Calloc((size_t)levels + 1, sizeof(Bucket));
@@ -1136,7 +1148,7 @@ fail:
     return NULL;
 }
 
-/* -- columns, counters, yielding ------------------------------------- */
+/* -- columns, holding ------------------------------------------------ */
 
 /* Export the growing columns (the arena's two, the free stack, the
  * stash), unless they still are from earlier in this entry, and check
@@ -1180,7 +1192,9 @@ fail:
 
 /* Exports are never held across an arena or stash growth (CPython
  * refuses to resize an exported array), a call that can run foreign
- * Python, or the return to the caller. */
+ * Python — an observer, an update callback, a Block's construction, the
+ * backend's rollback, a payload's buffer or bytes coercion — or the
+ * return to the caller. */
 static void
 kernel_release(AccessKernel *self)
 {
@@ -1191,81 +1205,11 @@ kernel_release(AccessKernel *self)
     self->live = 0;
 }
 
-/* obj.name += step, through the attribute protocol so every other reader
- * and writer of the counter (properties, reset_counters) sees one value. */
-static int
-bump_attr(PyObject *obj, PyObject *name, long long step)
-{
-    PyObject *current = PyObject_GetAttr(obj, name);
-    PyObject *by = PyLong_FromLongLong(step);
-    PyObject *next =
-        current != NULL && by != NULL ? PyNumber_Add(current, by) : NULL;
-    Py_XDECREF(current);
-    Py_XDECREF(by);
-    if (next == NULL)
-        return -1;
-    int rc = PyObject_SetAttr(obj, name, next);
-    Py_DECREF(next);
-    return rc;
-}
-
-/* Fold the tree's pending deltas into its backend and storage. */
-static int
-kernel_fold(void *handle)
-{
-    AccessKernel *self = handle;
-    PyObject *const names[N_TREE_COUNTERS] = {
-        str_access_count, str_tree_access_count, str_append_count,
-        str_buckets_read, str_buckets_written,
-    };
-    for (int i = 0; i < N_TREE_COUNTERS; i++) {
-        long long step = self->pending[i];
-        if (step == 0)
-            continue;
-        self->pending[i] = 0;
-        PyObject *owner = i < T_PATHS_READ ? self->backend : self->storage;
-        if (i >= T_PATHS_READ)
-            step *= (long long)self->levels + 1;
-        if (bump_attr(owner, names[i], step) < 0)
-            return -1;
-    }
-    return 0;
-}
-
-/* Run `fold` with whatever exception is pending set aside: on an error
- * exit the request's own exception is the one that propagates. */
-static int
-fold_at_exit(int (*fold)(void *), void *ctx, int rc)
-{
-    PyObject *type = NULL, *value = NULL, *tb = NULL;
-    if (rc < 0)
-        PyErr_Fetch(&type, &value, &tb);
-    int folded = fold(ctx);
-    if (rc < 0) {
-        if (folded < 0)
-            PyErr_Clear();
-        PyErr_Restore(type, value, tb);
-        return -1;
-    }
-    return folded;
-}
-
-/* Before a call that can run foreign Python — an observer, an update
- * callback, a Block's construction, the backend's rollback, a payload's
- * buffer or bytes coercion: no export live, every counter folded. */
-static int
-kernel_yield(AccessKernel *self)
-{
-    kernel_release(self);
-    return self->fold(self->entered);
-}
-
 /* Take the tree for one outermost entry: its owner held, its observer
  * read once.  The caller has checked the owner alive and the handle not
  * busy (its words for either differ). */
 static int
-kernel_hold(AccessKernel *self, PyObject *backend, int (*fold)(void *),
-            void *entered)
+kernel_hold(AccessKernel *self, PyObject *backend)
 {
     PyObject *observer = PyObject_GetAttr(self->storage, str_observer);
     if (observer == NULL)
@@ -1274,8 +1218,6 @@ kernel_hold(AccessKernel *self, PyObject *backend, int (*fold)(void *),
         Py_CLEAR(observer);
     self->observer = observer;
     self->backend = Py_NewRef(backend);
-    self->fold = fold;
-    self->entered = entered;
     self->busy = 1;
     return 0;
 }
@@ -1297,8 +1239,7 @@ kernel_notify(AccessKernel *self, PyObject *method, long long leaf)
 {
     if (self->observer == NULL)
         return 0;
-    if (kernel_yield(self) < 0)
-        return -1;
+    kernel_release(self);
     const int levels = self->levels;
     PyObject *leaf_obj = PyLong_FromLongLong(leaf);
     PyObject *tuple = PyTuple_New((Py_ssize_t)levels + 1);
@@ -1465,26 +1406,29 @@ kernel_release_slot(AccessKernel *self, long long slot)
     ((long long *)self->addr.data)[slot] = DUMMY_ADDR;
 }
 
-/* Stash.check_limit(): fold the occupancy into the running statistics
- * with RunningStats.add's operand order, then enforce the limit. */
+/* Stash.check_limit(): add the occupancy to the stash's running
+ * statistics with RunningStats.add's operand order, then enforce the
+ * limit. */
 static int
 kernel_check_limit(AccessKernel *self)
 {
     if (kernel_columns(self) < 0)
         return -1;
     long long n = *(int32_t *)self->stash_slots.data;
+    long long *occ = self->occupancy.data;
+    double *moments = self->moments.data;
     double x = (double)n;
-    self->occ_count += 1;
-    double delta = x - self->occ_mean;
-    self->occ_mean += delta / (double)self->occ_count;
+    tally(&self->occupancy, OCC_COUNT, 1);
+    double delta = x - moments[OCC_MEAN];
+    moments[OCC_MEAN] += delta / (double)occ[OCC_COUNT];
     /* volatile: the product must round on its own, as CPython's does —
      * a fused multiply-add here would change the last bit of m2. */
-    volatile double product = delta * (x - self->occ_mean);
-    self->occ_m2 += product;
-    if (self->occ_count == 1 || n > self->occ_max)
-        self->occ_max = n;
-    if (self->occ_count == 1 || n < self->occ_min)
-        self->occ_min = n;
+    volatile double product = delta * (x - moments[OCC_MEAN]);
+    moments[OCC_M2] += product;
+    if (occ[OCC_COUNT] == 1 || n > occ[OCC_MAX])
+        occ[OCC_MAX] = n;
+    if (occ[OCC_COUNT] == 1 || n < occ[OCC_MIN])
+        occ[OCC_MIN] = n;
     if (n > self->stash_limit) {
         PyErr_Format(self->overflow_error,
                      "stash occupancy %lld exceeds limit %lld", n,
@@ -1549,7 +1493,8 @@ kernel_abort(AccessKernel *self, int created_fresh, long long slot,
             ? Py_NewRef(Py_None)
             : Py_BuildValue("(Ly#O)", saved_leaf, self->snap,
                             self->block_bytes, saved_mac);
-    if (slot_obj != NULL && saved != NULL && kernel_yield(self) == 0) {
+    kernel_release(self);
+    if (slot_obj != NULL && saved != NULL) {
         PyObject *done = PyObject_CallMethodObjArgs(
             self->backend, str_abort_access, handling.value,
             created_fresh ? Py_True : Py_False, slot_obj, saved, NULL);
@@ -1635,7 +1580,7 @@ kernel_append_block(AccessKernel *self, PyObject *block)
         PyErr_SetString(PyExc_ValueError, "APPEND requires append_block");
         return NULL;
     }
-    self->pending[T_APPENDS]++;
+    tally(&self->ledger, T_APPENDS, 1);
 
     PyObject *addr_obj = PyObject_GetAttr(block, str_addr);
     PyObject *leaf_obj = PyObject_GetAttr(block, str_leaf);
@@ -1664,10 +1609,11 @@ kernel_append_block(AccessKernel *self, PyObject *block)
  * and the eviction.  `visit` runs with the block in arena slot `slot`,
  * its leaf already remapped; it may rewrite leaf_col[slot], the slot's
  * payload and mac_col[slot], and what it leaves there is what gets
- * evicted.  One that can run foreign Python yields first
- * (kernel_yield); every one reaches the columns through the handle, not
- * through pointers from before a call.  When it fails the access rolls
- * the slot back from its own snapshot, so a visit never undoes anything. */
+ * evicted.  One that can run foreign Python releases the exports first
+ * (kernel_release); every one reaches the columns through the handle,
+ * not through pointers from before a call.  When it fails the access
+ * rolls the slot back from its own snapshot, so a visit never undoes
+ * anything. */
 typedef struct Visit Visit;
 struct Visit {
     int (*visit)(Visit *self, AccessKernel *kernel, long long slot);
@@ -1719,7 +1665,8 @@ block_visit(Visit *base, AccessKernel *self, long long slot)
     BlockVisit *visit = (BlockVisit *)base;
     Py_buffer view;
     char *bytes;
-    if (kernel_yield(self) < 0 || kernel_payload(self, slot, &view, &bytes) < 0)
+    kernel_release(self);
+    if (kernel_payload(self, slot, &view, &bytes) < 0)
         return -1;
     PyObject *payload = PyBytes_FromStringAndSize(bytes, self->block_bytes);
     PyBuffer_Release(&view);
@@ -1762,12 +1709,12 @@ kernel_read_path(AccessKernel *self, long long leaf)
     }
     for (int d = 0; d <= levels; d++)
         self->path_index[d] = ((1LL << d) - 1) + (leaf >> (levels - d));
-    self->pending[T_PATHS_READ]++;
+    tally(&self->storage_ledger, T_BUCKETS_READ, (long long)levels + 1);
     return kernel_notify(self, str_on_path_read, leaf);
 }
 
 /* One tree access after its path read: drain, visit, eviction, stash
- * reconcile, write-back accounting, occupancy fold — integer loops over
+ * reconcile, write-back accounting, occupancy sample — integer loops over
  * the columns.  `visit` may be NULL. */
 static int
 kernel_tree_body(AccessKernel *self, int readrmv, long long addr,
@@ -1915,7 +1862,7 @@ kernel_tree_body(AccessKernel *self, int readrmv, long long addr,
     if (readrmv)
         kernel_release_slot(self, found);
 
-    self->pending[T_PATHS_WRITTEN]++;
+    tally(&self->storage_ledger, T_BUCKETS_WRITTEN, (long long)levels + 1);
     if (kernel_notify(self, str_on_path_write, leaf) < 0 ||
         kernel_check_limit(self) < 0)
         goto done;
@@ -1938,8 +1885,8 @@ static int
 tree_access(AccessKernel *tree, int readrmv, long long addr, long long leaf,
             long long new_leaf, Visit *visit)
 {
-    tree->pending[T_ACCESSES]++;
-    tree->pending[T_TREE_ACCESSES]++;
+    tally(&tree->ledger, T_ACCESSES, 1);
+    tally(&tree->ledger, T_TREE_ACCESSES, 1);
     if (kernel_read_path(tree, leaf) < 0)
         return -1;
     return kernel_tree_body(tree, readrmv, addr, leaf, new_leaf, visit);
@@ -1954,7 +1901,7 @@ kernel_access_tree(AccessKernel *self, int readrmv, PyObject *addr_obj,
                    PyObject *leaf_obj, PyObject *new_leaf_obj, Visit *visit)
 {
     int overflow = 0;
-    self->pending[T_TREE_ACCESSES]++;
+    tally(&self->ledger, T_TREE_ACCESSES, 1);
     if (!PyLong_Check(leaf_obj)) {
         PyErr_Format(PyExc_TypeError, "leaf must be an int, not %.100s",
                      Py_TYPE(leaf_obj)->tp_name);
@@ -1979,7 +1926,7 @@ kernel_access_tree(AccessKernel *self, int readrmv, PyObject *addr_obj,
  *
  * ColumnarPathOramBackend.access, whole: counters, path read, drain,
  * update hand-off, placement, stash reconcile, write-back accounting,
- * occupancy fold — with the object backend's exact order of side
+ * occupancy sample — with the object backend's exact order of side
  * effects, so a failure at any point leaves what it would have left. */
 static PyObject *
 kernel_access(AccessKernel *self, PyObject *const *args, Py_ssize_t nargs)
@@ -2004,10 +1951,10 @@ kernel_access(AccessKernel *self, PyObject *const *args, Py_ssize_t nargs)
                         "or observer callback)");
         return NULL;
     }
-    if (kernel_hold(self, backend, kernel_fold, self) < 0)
+    if (kernel_hold(self, backend) < 0)
         return NULL;
     PyObject *result = NULL;
-    self->pending[T_ACCESSES]++;
+    tally(&self->ledger, T_ACCESSES, 1);
     if (args[0] == self->op_append)
         result = kernel_append_block(self, args[5]);
     else {
@@ -2018,31 +1965,14 @@ kernel_access(AccessKernel *self, PyObject *const *args, Py_ssize_t nargs)
         else
             Py_XDECREF(visit.block);
     }
-    kernel_release(self);
-    if (fold_at_exit(kernel_fold, self, result != NULL ? 0 : -1) < 0)
-        Py_CLEAR(result);
     kernel_drop(self);
     return result;
-}
-
-/* occupancy() -> (count, mean, m2, max, min); max/min are None until the
- * first fold (RunningStats' -inf/+inf sentinels are the view's job). */
-static PyObject *
-kernel_occupancy(AccessKernel *self, PyObject *Py_UNUSED(ignored))
-{
-    if (self->occ_count == 0)
-        return Py_BuildValue("(LddOO)", self->occ_count, self->occ_mean,
-                             self->occ_m2, Py_None, Py_None);
-    return Py_BuildValue("(LddLL)", self->occ_count, self->occ_mean,
-                         self->occ_m2, self->occ_max, self->occ_min);
 }
 
 static PyMethodDef kernel_methods[] = {
     {"access", (PyCFunction)(void (*)(void))kernel_access, METH_FASTCALL,
      "access(op, addr, leaf, new_leaf, update, append_block) -> Block | "
      "None: one whole Backend operation."},
-    {"occupancy", (PyCFunction)kernel_occupancy, METH_NOARGS,
-     "(count, mean, m2, max, min) of the post-eviction stash occupancy."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2282,39 +2212,20 @@ typedef unsigned __int128 u128;
 
 enum { FORMAT_UNCOMPRESSED, FORMAT_FLAT, FORMAT_COMPRESSED };
 
-/* Every counter a request moves, beside the tree's own.  Deltas gather
- * in the handle and are folded into the Python attributes by the tree
- * counters' rule (see N_TREE_COUNTERS): when the outermost C entry
- * returns — a whole slice under run_access_loop — before foreign Python
- * runs, and on an error exit.  The reference path, the lockstep harness
- * and the reports read one copy, in the state the interpreted access
- * would have left. */
+/* Every counter a request moves, beside the tree's own: the slots of
+ * the ledgers of FrontendStats (repro.frontend.base's order), the Plb,
+ * the Prf and the Mac. */
 enum {
-    /* FrontendStats */
     C_ACCESSES, C_DATA_TREE, C_POSMAP_TREE, C_PLB_HITS, C_PLB_MISSES,
     C_PLB_REFILLS, C_PLB_EVICTIONS, C_GROUP_REMAPS, C_GROUP_RELOCATIONS,
-    C_MAC_CHECKS, C_FRESH_BLOCKS,
-    /* Plb */
-    C_CLOCK, C_LOOKUP_HITS, C_LOOKUP_MISSES,
-    /* Prf */
-    C_PRF_CALLS,
-    /* Mac */
-    C_MAC_CALLS, C_MAC_BYTES,
-    N_COUNTERS
+    C_MAC_CHECKS, C_FRESH_BLOCKS, N_STATS_SLOTS
 };
+enum { PLB_CLOCK, PLB_HITS, PLB_MISSES, N_PLB_SLOTS };
+enum { PRF_CALLS, N_PRF_SLOTS };
+enum { MAC_CALLS, MAC_BYTES, N_MAC_SLOTS };
 
-static const char *const counter_names[N_COUNTERS] = {
-    "accesses", "data_tree_accesses", "posmap_tree_accesses", "plb_hits",
-    "plb_misses", "plb_refills", "plb_evictions", "group_remaps",
-    "group_relocations", "mac_checks", "fresh_blocks",
-    "_clock", "hits", "misses",
-    "call_count",
-    "call_count", "bytes_hashed",
-};
-static PyObject *counter_attr[N_COUNTERS]; /* the names, interned */
-
-static PyObject *str_stats, *str_kernel, *str_posmap_tree_accesses,
-    *str_plb_hit_level, *empty_tuple;
+static PyObject *str_kernel, *str_posmap_tree_accesses, *str_plb_hit_level,
+    *empty_tuple;
 
 typedef struct {
     PyObject_HEAD
@@ -2323,14 +2234,12 @@ typedef struct {
             PyObject *frontend_ref; /* weakref to the owning frontend */
             PyObject *backend_kernel;
             PyObject *access_func; /* PlbFrontend.access, the plain function */
-            PyObject *plb;
             PyObject *onchip_touched, *touched;
-            PyObject *prf, *mac;
             PyObject *getrandbits;
             PyObject *result_type, *op_read, *op_write;
             PyObject *config_error, *integrity_error;
         };
-        PyObject *refs[14]; /* the same references, for the collector */
+        PyObject *refs[11]; /* the same references, for the collector */
     };
     int space_levels; /* H: the data level plus the PosMap levels */
     int tree_levels;  /* L of the unified tree */
@@ -2338,17 +2247,16 @@ typedef struct {
     long long fanout, num_blocks, num_sets, onchip_entries;
     long long level_blocks[FK_MAX_LEVELS];
     Py_ssize_t block_bytes, tag_bytes;
-    /* The PLB, one item per way (two counter words), and the on-chip
-     * table: fixed-size, exported for the life of the handle. */
+    /* The PLB, one item per way (two counter words), the on-chip table
+     * and the four ledgers: fixed-size, exported for the life of the
+     * handle. */
     Col plb_tags, plb_leaves, plb_counters, plb_last_use, plb_payload;
     Col onchip_table;
+    Col stats, plb_ledger, prf_ledger, mac_ledger;
     Blake2b prf_state, mac_state; /* keyed mid-states */
     uint8_t *work;                /* two block payloads: the block in hand, */
     uint8_t *spare;               /* and a PLB victim on its way out */
     u128 *group_old;              /* a group remap's old counters, by slot */
-    PyObject *frontend; /* the owner, held for one outermost entry */
-    long long pending[N_COUNTERS];
-    long long clock; /* plb._clock, pending ticks included */
 } FrontendKernel;
 
 #define FRONTEND_REFS \
@@ -2382,8 +2290,11 @@ frontend_dealloc(FrontendKernel *self)
     col_release(&self->plb_last_use);
     col_release(&self->plb_payload);
     col_release(&self->onchip_table);
+    col_release(&self->stats);
+    col_release(&self->plb_ledger);
+    col_release(&self->prf_ledger);
+    col_release(&self->mac_ledger);
     frontend_clear(self);
-    Py_CLEAR(self->frontend);
     PyMem_Free(self->work);
     PyMem_Free(self->group_old);
     Py_TYPE(self)->tp_free((PyObject *)self);
@@ -2392,10 +2303,10 @@ frontend_dealloc(FrontendKernel *self)
 static PyObject *
 frontend_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
 {
-    PyObject *frontend, *backend_kernel, *access_func, *plb, *plb_columns[5],
-        *onchip_table, *onchip_touched, *touched, *prf, *mac, *getrandbits,
-        *level_blocks, *result_type, *op_read, *op_write, *config_error,
-        *integrity_error;
+    PyObject *frontend, *backend_kernel, *access_func, *ledgers[4],
+        *plb_columns[5], *onchip_table, *onchip_touched, *touched,
+        *getrandbits, *level_blocks, *result_type, *op_read, *op_write,
+        *config_error, *integrity_error;
     int space_levels, ways, leaf_bytes, alpha, beta, onchip_counters, pmmac;
     long long fanout, num_blocks, num_sets, onchip_entries;
     const char *kind, *prf_key, *mac_key;
@@ -2407,13 +2318,14 @@ frontend_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
     }
     if (!PyArg_ParseTuple(
             args,
-            "OO!OO(OOOOO)OO!O!OOO(iLLO!LiL)(siiipp)(y#y#n)(OOOOO)"
+            "OO!O(OOOO)(OOOOO)OO!O!O(iLLO!LiL)(siiipp)(y#y#n)(OOOOO)"
             ":FrontendKernel",
             &frontend, &AccessKernelType, &backend_kernel, &access_func,
-            &plb, &plb_columns[0], &plb_columns[1], &plb_columns[2],
+            &ledgers[0], &ledgers[1], &ledgers[2], &ledgers[3],
+            &plb_columns[0], &plb_columns[1], &plb_columns[2],
             &plb_columns[3], &plb_columns[4], &onchip_table,
-            &PyByteArray_Type, &onchip_touched, &PyList_Type, &touched, &prf,
-            &mac, &getrandbits,
+            &PyByteArray_Type, &onchip_touched, &PyList_Type, &touched,
+            &getrandbits,
             &space_levels, &fanout, &num_blocks, &PyTuple_Type,
             &level_blocks, &num_sets, &ways, &onchip_entries, &kind,
             &leaf_bytes, &alpha, &beta, &onchip_counters, &pmmac, &prf_key,
@@ -2516,7 +2428,15 @@ frontend_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
                           &COL_U8, total_ways * tree->block_bytes, 0) < 0 ||
         col_acquire_fixed(onchip_table, &self->onchip_table,
                           "the on-chip PosMap table", &COL_U64,
-                          (Py_ssize_t)onchip_entries, 1) < 0)
+                          (Py_ssize_t)onchip_entries, 1) < 0 ||
+        col_acquire_fixed(ledgers[0], &self->stats, "the statistics' ledger",
+                          &COL_I64, N_STATS_SLOTS, 0) < 0 ||
+        col_acquire_fixed(ledgers[1], &self->plb_ledger, "the PLB's ledger",
+                          &COL_I64, N_PLB_SLOTS, 0) < 0 ||
+        col_acquire_fixed(ledgers[2], &self->prf_ledger, "the PRF's ledger",
+                          &COL_I64, N_PRF_SLOTS, 0) < 0 ||
+        col_acquire_fixed(ledgers[3], &self->mac_ledger, "the MAC's ledger",
+                          &COL_I64, N_MAC_SLOTS, 0) < 0)
         goto fail;
 
     self->frontend_ref = PyWeakref_NewRef(frontend, NULL);
@@ -2532,11 +2452,8 @@ frontend_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
 #define BIND(field) (Py_INCREF(field), self->field = field)
     BIND(backend_kernel);
     BIND(access_func);
-    BIND(plb);
     BIND(onchip_touched);
     BIND(touched);
-    BIND(prf);
-    BIND(mac);
     BIND(getrandbits);
     BIND(result_type);
     BIND(op_read);
@@ -2626,7 +2543,7 @@ fk_leaf_for(FrontendKernel *fk, unsigned long long addr, u128 count)
 {
     if (fk->tree_levels <= 0)
         return 0;
-    fk->pending[C_PRF_CALLS]++;
+    tally(&fk->prf_ledger, PRF_CALLS, 1);
     uint8_t block[128] = {0};
     store64le(block, addr);
     store64le(block + 8, (uint64_t)count);
@@ -2656,8 +2573,9 @@ fk_mac(FrontendKernel *fk, u128 counter, unsigned long long tagged,
     blake2b_update(&state, header, sizeof(header));
     blake2b_update(&state, data, (size_t)fk->block_bytes);
     blake2b_final(&state, out);
-    fk->pending[C_MAC_CALLS]++;
-    fk->pending[C_MAC_BYTES] += (long long)sizeof(header) + fk->block_bytes;
+    tally(&fk->mac_ledger, MAC_CALLS, 1);
+    tally(&fk->mac_ledger, MAC_BYTES,
+          (long long)sizeof(header) + fk->block_bytes);
     return 0;
 }
 
@@ -2685,7 +2603,7 @@ fk_verify(FrontendKernel *fk, PyObject *mac, unsigned long long tagged,
         return 0;
     if (mac == Py_None) {
         if (counter == 0) {
-            fk->pending[C_FRESH_BLOCKS]++;
+            tally(&fk->stats, C_FRESH_BLOCKS, 1);
             return 0;
         }
         PyObject *shown = counter_to_long(counter);
@@ -2696,7 +2614,7 @@ fk_verify(FrontendKernel *fk, PyObject *mac, unsigned long long tagged,
         }
         return -1;
     }
-    fk->pending[C_MAC_CHECKS]++;
+    tally(&fk->stats, C_MAC_CHECKS, 1);
     uint8_t tag[64];
     if (fk_mac(fk, counter, tagged, data, tag) < 0)
         return -1;
@@ -2777,8 +2695,8 @@ request_append(Request *rq, long long addr, long long leaf, PyObject *mac,
                const uint8_t *data)
 {
     AccessKernel *tree = rq->tree;
-    tree->pending[T_ACCESSES]++;
-    tree->pending[T_APPENDS]++;
+    tally(&tree->ledger, T_ACCESSES, 1);
+    tally(&tree->ledger, T_APPENDS, 1);
     return kernel_append(tree, addr, leaf, mac, (const char *)data,
                          tree->block_bytes);
 }
@@ -2820,8 +2738,8 @@ request_fetch(Request *rq, unsigned long long tagged, long long leaf,
         return -1;
     }
     rq->posmap_accesses++;
-    fk->pending[C_POSMAP_TREE]++;
-    fk->pending[also]++;
+    tally(&fk->stats, C_POSMAP_TREE, 1);
+    tally(&fk->stats, also, 1);
     int rc = fk_verify(fk, fetch.mac, tagged, counter, fk->work);
     Py_DECREF(fetch.mac);
     return rc;
@@ -2859,9 +2777,9 @@ data_visit(Visit *base, AccessKernel *tree, long long slot)
     if (visit->write_data != NULL) {
         Py_buffer src;
         /* Anything but bytes may run its own code to export a buffer. */
-        if ((!PyBytes_CheckExact(visit->write_data) &&
-             kernel_yield(tree) < 0) ||
-            PyObject_GetBuffer(visit->write_data, &src, PyBUF_SIMPLE) < 0)
+        if (!PyBytes_CheckExact(visit->write_data))
+            kernel_release(tree);
+        if (PyObject_GetBuffer(visit->write_data, &src, PyBUF_SIMPLE) < 0)
             return -1;
         if (src.len != tree->block_bytes) {
             PyErr_Format(PyExc_ValueError,
@@ -2951,6 +2869,13 @@ typedef struct {
     u128 counter;
 } Victim;
 
+/* Plb._clock. */
+static inline long long
+plb_clock(const FrontendKernel *fk)
+{
+    return ((const long long *)fk->plb_ledger.data)[PLB_CLOCK];
+}
+
 /* plb.insert of the block in fk->work, stamped with the clock: the
  * lowest free way of its set, else — replaced in place — the one way
  * when direct-mapped, the first way with the smallest last_use
@@ -2976,10 +2901,10 @@ fk_plb_insert(FrontendKernel *fk, unsigned long long tagged, long long leaf,
     if (evicting) {
         way = base;
         for (long long w = base; fk->ways > 1 && w < base + fk->ways; w++) {
-            if (last_use[w] < 0 || last_use[w] > fk->clock) {
+            if (last_use[w] < 0 || last_use[w] > plb_clock(fk)) {
                 PyErr_Format(PyExc_ValueError,
                              "PLB way %lld was last used at %lld; the clock "
-                             "reads %lld", w, last_use[w], fk->clock);
+                             "reads %lld", w, last_use[w], plb_clock(fk));
                 return -1;
             }
             if (last_use[w] < last_use[way])
@@ -3002,7 +2927,7 @@ fk_plb_insert(FrontendKernel *fk, unsigned long long tagged, long long leaf,
     tags[way] = (long long)tagged;
     leaves[way] = leaf;
     plb_set_counter(fk, way, counter);
-    last_use[way] = fk->clock;
+    last_use[way] = plb_clock(fk);
     *way_out = way;
     return evicting;
 }
@@ -3013,7 +2938,7 @@ static int
 fk_evict(Request *rq, const Victim *victim)
 {
     FrontendKernel *fk = rq->fk;
-    fk->pending[C_PLB_EVICTIONS]++;
+    tally(&fk->stats, C_PLB_EVICTIONS, 1);
     PyObject *sealed = fk_seal(fk, (unsigned long long)victim->tagged,
                                victim->counter, fk->work);
     if (sealed == NULL)
@@ -3033,8 +2958,7 @@ fk_refill(Request *rq, int level, const Mapping *m, long long *way)
     if (request_fetch(rq, rq->tags[level], m->leaf, m->new_leaf,
                       m->old_counter, C_PLB_REFILLS) < 0)
         return -1;
-    fk->clock++;
-    fk->pending[C_CLOCK]++;
+    tally(&fk->plb_ledger, PLB_CLOCK, 1);
     Victim victim;
     const int evicting = fk_plb_insert(fk, rq->tags[level], m->new_leaf,
                                        m->new_counter, way, &victim);
@@ -3223,7 +3147,7 @@ fk_group_remap(Request *rq, int level, unsigned long long index,
                long long slot, u128 new_counter)
 {
     FrontendKernel *fk = rq->fk;
-    fk->pending[C_GROUP_REMAPS]++;
+    tally(&fk->stats, C_GROUP_REMAPS, 1);
     const unsigned long long base = index - (unsigned long long)slot;
     for (long long s = 0; s < fk->fanout; s++) {
         const unsigned long long sibling = base + (unsigned long long)s;
@@ -3395,7 +3319,7 @@ fk_run(Request *rq, PyObject *addr_obj, PyObject *op, PyObject *data,
                                        fk->config_error, fk->block_bytes);
     if (write < 0)
         return -1;
-    fk->pending[C_ACCESSES]++;
+    tally(&fk->stats, C_ACCESSES, 1);
 
     /* Every level's i || a_i tag. */
     if (request_chain(addr_obj, fk->num_blocks, fk->fanout, levels,
@@ -3409,23 +3333,22 @@ fk_run(Request *rq, PyObject *addr_obj, PyObject *op, PyObject *data,
     long long parent = -1; /* the PLB way of the block in hand */
     int hit_level = levels - 1;
     for (int i = 0; i < levels - 1; i++) {
-        fk->clock++;
-        fk->pending[C_CLOCK]++;
+        tally(&fk->plb_ledger, PLB_CLOCK, 1);
         const long long way = plb_find(fk, rq->tags[i + 1]);
         if (way < -1)
             return -1;
         if (way < 0) {
-            fk->pending[C_LOOKUP_MISSES]++;
+            tally(&fk->plb_ledger, PLB_MISSES, 1);
             continue;
         }
-        ((long long *)fk->plb_last_use.data)[way] = fk->clock;
-        fk->pending[C_LOOKUP_HITS]++;
+        ((long long *)fk->plb_last_use.data)[way] = plb_clock(fk);
+        tally(&fk->plb_ledger, PLB_HITS, 1);
         parent = way;
         hit_level = i;
         break;
     }
     if (levels > 1)
-        fk->pending[hit_level == 0 ? C_PLB_HITS : C_PLB_MISSES]++;
+        tally(&fk->stats, hit_level == 0 ? C_PLB_HITS : C_PLB_MISSES, 1);
 
     /* Step 2: fetch the missing PosMap blocks, deepest level first. */
     Mapping m;
@@ -3453,48 +3376,24 @@ fk_run(Request *rq, PyObject *addr_obj, PyObject *op, PyObject *data,
     else if (tree_access(rq->tree, 0, (long long)rq->tags[0], m.leaf,
                          m.new_leaf, NULL) < 0)
         return -1;
-    fk->pending[C_DATA_TREE]++;
+    tally(&fk->stats, C_DATA_TREE, 1);
     *hit_level_out = hit_level;
     return 0;
 }
 
-/* Fold a frontend handle's counter deltas into the Python objects: the
- * FrontendStats ones into frontend.stats, the rest into `owners` (the
- * Plb, the Prf, the Mac; NULL for a frontend that moves none of them). */
-static int
-fold_pending(long long *pending, PyObject *frontend, PyObject *const *owners)
-{
-    PyObject *stats = PyObject_GetAttr(frontend, str_stats);
-    int folded = stats == NULL ? -1 : 0;
-    for (int i = 0; folded == 0 && i < N_COUNTERS; i++) {
-        if (pending[i] == 0)
-            continue;
-        PyObject *owner = i < C_CLOCK       ? stats
-                          : i < C_PRF_CALLS ? owners[0]
-                          : i < C_MAC_CALLS ? owners[1]
-                                            : owners[2];
-        folded = bump_attr(owner, counter_attr[i], pending[i]);
-        pending[i] = 0;
-    }
-    Py_XDECREF(stats);
-    return folded;
-}
-
 /* What run_access_loop and handle.access() drive a frontend handle of
  * either type through.  `enter` takes the handle and its trees for one
- * outermost entry (owners held, observers and the PLB clock read once);
- * `request` is one processor request, whole — 0 with *posmap_out and
- * *hit_level_out (and, when asked for, AccessResult.data through
- * *data_out) filled in, or -1 with the interpreted access's exception
- * set and its state left behind; `leave` folds every counter the entry
- * moved (keeping a pending exception when `rc` is negative) unless told
- * not to, and lets everything go. */
+ * outermost entry (owners held, observers read once); `request` is one
+ * processor request, whole — 0 with *posmap_out and *hit_level_out (and,
+ * when asked for, AccessResult.data through *data_out) filled in, or -1
+ * with the interpreted access's exception set and its state left
+ * behind; `leave` lets everything go. */
 typedef struct {
     int (*enter)(PyObject *handle);
     int (*request)(PyObject *handle, PyObject *addr_obj, PyObject *op,
                    PyObject *data, PyObject **data_out, long *posmap_out,
                    int *hit_level_out);
-    int (*leave)(PyObject *handle, int rc, int fold);
+    void (*leave)(PyObject *handle);
 } HandleOps;
 
 static void
@@ -3510,18 +3409,6 @@ raise_reentrant(void)
     PyErr_SetString(PyExc_RuntimeError,
                     "re-entrant access on one frontend (from an observer "
                     "callback)");
-}
-
-/* What a tree under this handle calls before foreign Python runs, and
- * what the entry ends with: every counter folded. */
-static int
-fk_fold(void *handle)
-{
-    FrontendKernel *fk = handle;
-    PyObject *const owners[3] = {fk->plb, fk->prf, fk->mac};
-    if (fold_pending(fk->pending, fk->frontend, owners) < 0)
-        return -1;
-    return kernel_fold(fk->backend_kernel);
 }
 
 static int
@@ -3541,31 +3428,18 @@ fk_enter(PyObject *handle)
         raise_reentrant();
         return -1;
     }
-    PyObject *clock_obj = PyObject_GetAttr(fk->plb, counter_attr[C_CLOCK]);
-    if (clock_obj == NULL)
+    if (kernel_hold(tree, backend) < 0)
         return -1;
-    int parsed = as_int64(clock_obj, &fk->clock);
-    Py_DECREF(clock_obj);
-    fk->clock += fk->pending[C_CLOCK]; /* ticks an unfolded entry left */
-    if (parsed < 0 || kernel_hold(tree, backend, fk_fold, fk) < 0)
-        return -1;
-    fk->frontend = Py_NewRef(frontend);
     fk->busy = 1;
     return 0;
 }
 
-static int
-fk_leave(PyObject *handle, int rc, int fold)
+static void
+fk_leave(PyObject *handle)
 {
     FrontendKernel *fk = (FrontendKernel *)handle;
-    AccessKernel *tree = (AccessKernel *)fk->backend_kernel;
-    kernel_release(tree);
-    if (fold || rc < 0)
-        rc = fold_at_exit(fk_fold, fk, rc);
-    kernel_drop(tree);
-    Py_CLEAR(fk->frontend);
+    kernel_drop((AccessKernel *)fk->backend_kernel);
     fk->busy = 0;
-    return rc;
 }
 
 static int
@@ -3601,12 +3475,11 @@ handle_access(const HandleOps *ops, PyObject *handle, PyObject *result_type,
     int hit_level;
     if (ops->enter(handle) < 0)
         return NULL;
-    if (ops->leave(handle,
-                   ops->request(handle, args[0], args[1], args[2], &data,
-                                &posmap_accesses, &hit_level), 1) < 0) {
-        Py_XDECREF(data);
+    int rc = ops->request(handle, args[0], args[1], args[2], &data,
+                          &posmap_accesses, &hit_level);
+    ops->leave(handle);
+    if (rc < 0)
         return NULL;
-    }
     PyObject *const names[4] = {str_data, str_tree_accesses,
                                 str_posmap_tree_accesses, str_plb_hit_level};
     PyObject *const values[4] = {
@@ -3680,9 +3553,9 @@ typedef struct {
     int num_levels; /* H: the data tree plus the PosMap trees */
     int leaf_bytes, busy;
     long long fanout, num_blocks, onchip_entries;
-    Col onchip_table; /* fixed-size: exported for the life of the handle */
-    PyObject *frontend; /* the owner, held for one outermost entry */
-    long long pending[N_COUNTERS];
+    /* Fixed-size, exported for the life of the handle: the on-chip table
+     * and the statistics' ledger. */
+    Col onchip_table, stats;
 } RecursiveKernel;
 
 #define RECURSIVE_REFS \
@@ -3711,17 +3584,17 @@ recursive_dealloc(RecursiveKernel *self)
 {
     PyObject_GC_UnTrack(self);
     col_release(&self->onchip_table);
+    col_release(&self->stats);
     recursive_clear(self);
-    Py_CLEAR(self->frontend);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
 static PyObject *
 recursive_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
 {
-    PyObject *frontend, *access_func, *trees, *onchip_table, *onchip_touched,
-        *touched, *getrandbits, *result_type, *op_read, *op_write,
-        *config_error;
+    PyObject *frontend, *access_func, *stats, *trees, *onchip_table,
+        *onchip_touched, *touched, *getrandbits, *result_type, *op_read,
+        *op_write, *config_error;
     int num_levels, leaf_bytes;
     long long fanout, num_blocks, onchip_entries;
     if (kwargs != NULL && PyDict_GET_SIZE(kwargs) > 0) {
@@ -3730,8 +3603,8 @@ recursive_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
         return NULL;
     }
     if (!PyArg_ParseTuple(
-            args, "OOO!OO!O!O(iLLLi)(OOOO):RecursiveKernel", &frontend,
-            &access_func, &PyTuple_Type, &trees, &onchip_table,
+            args, "OOOO!OO!O!O(iLLLi)(OOOO):RecursiveKernel", &frontend,
+            &access_func, &stats, &PyTuple_Type, &trees, &onchip_table,
             &PyByteArray_Type, &onchip_touched, &PyList_Type, &touched,
             &getrandbits, &num_levels, &fanout, &num_blocks, &onchip_entries,
             &leaf_bytes, &result_type, &op_read, &op_write, &config_error))
@@ -3783,7 +3656,9 @@ recursive_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
     if (self->frontend_ref == NULL ||
         col_acquire_fixed(onchip_table, &self->onchip_table,
                           "the on-chip PosMap table", &COL_U64,
-                          (Py_ssize_t)onchip_entries, 1) < 0) {
+                          (Py_ssize_t)onchip_entries, 1) < 0 ||
+        col_acquire_fixed(stats, &self->stats, "the statistics' ledger",
+                          &COL_I64, N_STATS_SLOTS, 0) < 0) {
         Py_DECREF(self);
         return NULL;
     }
@@ -3849,9 +3724,11 @@ payload_visit(Visit *base, AccessKernel *tree, long long slot)
          * refused in the interpreted access's words. */
         if (PyBytes_CheckExact(visit->write_data))
             visit->data_out = Py_NewRef(visit->write_data);
-        else if (kernel_yield(tree) == 0)
+        else {
+            kernel_release(tree);
             visit->data_out = PyObject_CallOneArg((PyObject *)&PyBytes_Type,
                                                   visit->write_data);
+        }
         return visit->data_out == NULL
                    ? -1
                    : kernel_set_payload(tree, slot, visit->data_out);
@@ -3890,7 +3767,7 @@ rk_run(RecursiveKernel *rk, PyObject *addr_obj, PyObject *op, PyObject *data,
                          rk->config_error, RK_TREE(rk, 0)->block_bytes);
     if (write < 0)
         return -1;
-    rk->pending[C_ACCESSES]++;
+    tally(&rk->stats, C_ACCESSES, 1);
     unsigned long long chain[FK_MAX_LEVELS];
     if (request_chain(addr_obj, rk->num_blocks, rk->fanout, rk->num_levels,
                       chain) < 0)
@@ -3922,7 +3799,7 @@ rk_run(RecursiveKernel *rk, PyObject *addr_obj, PyObject *op, PyObject *data,
         if (tree_access(RK_TREE(rk, level), 0, (long long)chain[level], leaf,
                         new_leaf, &visit.base) < 0)
             return -1;
-        rk->pending[C_POSMAP_TREE]++;
+        tally(&rk->stats, C_POSMAP_TREE, 1);
         leaf = visit.old_leaf;
         new_leaf = visit.new_leaf;
         if (fresh) {
@@ -3936,7 +3813,7 @@ rk_run(RecursiveKernel *rk, PyObject *addr_obj, PyObject *op, PyObject *data,
         }
     }
 
-    rk->pending[C_DATA_TREE]++;
+    tally(&rk->stats, C_DATA_TREE, 1);
     if (!write && data_out == NULL)
         return tree_access(RK_TREE(rk, 0), 0, (long long)chain[0], leaf,
                            new_leaf, NULL);
@@ -3948,19 +3825,6 @@ rk_run(RecursiveKernel *rk, PyObject *addr_obj, PyObject *op, PyObject *data,
     else
         Py_XDECREF(visit.data_out);
     return rc;
-}
-
-static int
-rk_fold(void *handle)
-{
-    RecursiveKernel *rk = handle;
-    if (fold_pending(rk->pending, rk->frontend, NULL) < 0)
-        return -1;
-    for (int i = 0; i < rk->num_levels; i++) {
-        if (kernel_fold(RK_TREE(rk, i)) < 0)
-            return -1;
-    }
-    return 0;
 }
 
 static int
@@ -3988,30 +3852,23 @@ rk_enter(PyObject *handle)
         return -1;
     }
     for (int i = 0; i < levels; i++) {
-        if (kernel_hold(RK_TREE(rk, i), backends[i], rk_fold, rk) < 0) {
+        if (kernel_hold(RK_TREE(rk, i), backends[i]) < 0) {
             while (i-- > 0)
                 kernel_drop(RK_TREE(rk, i));
             return -1;
         }
     }
-    rk->frontend = Py_NewRef(frontend);
     rk->busy = 1;
     return 0;
 }
 
-static int
-rk_leave(PyObject *handle, int rc, int fold)
+static void
+rk_leave(PyObject *handle)
 {
     RecursiveKernel *rk = (RecursiveKernel *)handle;
     for (int i = 0; i < rk->num_levels; i++)
-        kernel_release(RK_TREE(rk, i));
-    if (fold || rc < 0)
-        rc = fold_at_exit(rk_fold, rk, rc);
-    for (int i = 0; i < rk->num_levels; i++)
         kernel_drop(RK_TREE(rk, i));
-    Py_CLEAR(rk->frontend);
     rk->busy = 0;
-    return rc;
 }
 
 static int
@@ -4106,14 +3963,13 @@ static PyObject *
 run_access_loop(PyObject *self, PyObject *args)
 {
     PyObject *access, *addrs, *writes, *read_op, *write_op, *payload;
-    int fold = 1;
-    if (!PyArg_ParseTuple(args, "OOOOOO|p:run_access_loop", &access, &addrs,
-                          &writes, &read_op, &write_op, &payload, &fold))
+    if (!PyArg_ParseTuple(args, "OOOOOO:run_access_loop", &access, &addrs,
+                          &writes, &read_op, &write_op, &payload))
         return NULL;
 
     /* An engaged frontend kernel is driven C to C: no Python frame and
      * no AccessResult per event, one entry — owners held, observers
-     * read, counters folded — for the whole slice.  Anything else —
+     * read — for the whole slice.  Anything else —
      * another frontend, a patched or wrapped access — gets the generic
      * calls. */
     PyObject *kernel, *out = NULL;
@@ -4176,7 +4032,7 @@ run_access_loop(PyObject *self, PyObject *args)
 
 done:
     if (kernel != NULL)
-        rc = ops->leave(kernel, rc, fold);
+        ops->leave(kernel);
     if (rc < 0 && out != NULL) {
         /* A partially filled PyList_New(n) list holds NULL slots; fill
          * them before the container is released. */
@@ -4973,11 +4829,6 @@ PyInit__replay_core(void)
         const char *text;
     } names[] = {
         {&str_tree_accesses, "tree_accesses"},
-        {&str_access_count, "access_count"},
-        {&str_tree_access_count, "tree_access_count"},
-        {&str_append_count, "append_count"},
-        {&str_buckets_read, "buckets_read"},
-        {&str_buckets_written, "buckets_written"},
         {&str_observer, "observer"},
         {&str_on_path_read, "on_path_read"},
         {&str_on_path_write, "on_path_write"},
@@ -4989,7 +4840,6 @@ PyInit__replay_core(void)
         {&str_leaf, "leaf"},
         {&str_data, "data"},
         {&str_mac, "mac"},
-        {&str_stats, "stats"},
         {&str_kernel, "_kernel"},
         {&str_posmap_tree_accesses, "posmap_tree_accesses"},
         {&str_plb_hit_level, "plb_hit_level"},
@@ -4997,11 +4847,6 @@ PyInit__replay_core(void)
     for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
         *names[i].slot = PyUnicode_InternFromString(names[i].text);
         if (*names[i].slot == NULL)
-            return NULL;
-    }
-    for (int i = 0; i < N_COUNTERS; i++) {
-        counter_attr[i] = PyUnicode_InternFromString(counter_names[i]);
-        if (counter_attr[i] == NULL)
             return NULL;
     }
     empty_tuple = PyTuple_New(0);

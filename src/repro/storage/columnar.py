@@ -52,6 +52,7 @@ from typing import List, Optional, Tuple
 
 from repro.config import OramConfig
 from repro.storage.block import DUMMY_ADDR, Block
+from repro.utils.stats import LedgerSlot
 
 #: Slots per arena chunk (power of two: slot -> chunk is a shift/mask).
 CHUNK_SLOTS = 512
@@ -66,6 +67,10 @@ class ColumnarTreeStorage:
 
     #: Marker consumed by :func:`~repro.backend.path_oram.make_backend`.
     columnar = True
+    #: Bandwidth accounting at padded bucket granularity: the two slots
+    #: of ``ledger``, which the access kernel counts in too.
+    buckets_read = LedgerSlot(0)
+    buckets_written = LedgerSlot(1)
 
     def __init__(self, config: OramConfig, observer=None):
         if config.blocks_per_bucket > 255:
@@ -95,9 +100,7 @@ class ColumnarTreeStorage:
         self._depth_terms = tuple(
             ((1 << d) - 1, levels - d) for d in range(levels + 1)
         )
-        # -- bandwidth accounting (padded bucket granularity) ------------
-        self.buckets_read = 0
-        self.buckets_written = 0
+        self.ledger = array("q", [0, 0])
 
     # -- slot arena ---------------------------------------------------------
 

@@ -70,8 +70,3 @@ def _serialise(buckets: Tuple[Tuple[Record, ...], ...]) -> bytes:
 def tree_digest(storage) -> str:
     """SHA-256 hex digest of the whole tree's canonical content."""
     return hashlib.sha256(_serialise(tree_records(storage))).hexdigest()
-
-
-def path_digest(storage, leaf: int) -> str:
-    """SHA-256 hex digest of one path's canonical content."""
-    return hashlib.sha256(_serialise(path_records(storage, leaf))).hexdigest()

@@ -46,6 +46,28 @@ def chi_square_uniform(counts: Sequence[int]) -> Tuple[float, int]:
     return stat, k - 1
 
 
+class LedgerSlot:
+    """A counter stored as slot ``index`` of its owner's ``ledger``.
+
+    Owners whose counters the native kernels move keep them in one
+    fixed-size typed column (``ledger``, an ``array('q')``) that the
+    kernels bind once and count in place; this descriptor reads and
+    writes a slot under the counter's attribute name, so both tiers and
+    every reader share the one copy.
+    """
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def __get__(self, owner, cls=None):
+        return self if owner is None else owner.ledger[self.index]
+
+    def __set__(self, owner, value) -> None:
+        owner.ledger[self.index] = value
+
+
 class RunningStats:
     """Streaming count/mean/max/min tracker (Welford variance)."""
 

@@ -8,7 +8,7 @@ backends in lockstep, and after **every** access the harness compares
 - the stash contents (values *and* insertion order),
 - the just-evicted path's bucket contents (slot order included),
 - the returned block of interest,
-- every counter and the stash-occupancy fold,
+- every counter and the stash-occupancy summary,
 
 plus full-tree content digests at trace end. Traces are generated from a
 seed, every random draw (operation mix, addresses, leaf labels, payloads)
@@ -160,7 +160,7 @@ def _block_image(block: Optional[Block]):
 
 
 def counters(backend):
-    """Every counter an access moves, and the occupancy fold."""
+    """Every counter an access moves, and the occupancy summary."""
     stats = backend.stash.occupancy_stats
     return (
         backend.access_count, backend.tree_access_count, backend.append_count,
@@ -345,7 +345,7 @@ class TestRandomizedDifferential:
         """Z=1 over a quarter-full tree: placement leaves leftovers on
         nearly every access, so for hundreds of accesses in a row the
         stash column is rebuilt, in merge order, from a non-empty stash —
-        compared (contents, order, counters, occupancy fold, the evicted
+        compared (contents, order, counters, occupancy summary, the evicted
         path) after every one, and whole trees at the end."""
         trace = generate_trace(
             seed=11, steps=500, num_addrs=64, levels=CROWDED_Z1.levels,

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.backend.columnar import ColumnarPathOramBackend
 from repro.backend.ops import Op
-from repro.backend.stash import KernelOccupancyStats
+from repro.backend.stash import OccupancyStats
 from repro.backend.path_oram import PathOramBackend, make_backend
 from repro.config import OramConfig
 from repro.errors import NativeKernelUnavailable, StashOverflowError
@@ -410,7 +410,7 @@ class TestBackendFactory:
                 assert type(backend) is ColumnarPathOramBackend
                 assert type(backend.storage) is ColumnarTreeStorage
                 assert isinstance(backend._kernel, CORE.AccessKernel)
-                assert type(backend.stash.occupancy_stats) is KernelOccupancyStats
+                assert type(backend.stash.occupancy_stats) is OccupancyStats
             else:
                 assert type(backend) is PathOramBackend
                 assert type(backend.storage) is TreeStorage

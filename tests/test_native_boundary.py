@@ -728,6 +728,10 @@ def kernel_args(backend):
         "bucket_slots": storage.bucket_slots,
         "bucket_fill": storage.bucket_fill,
         "stash_col": backend.stash.slots,
+        "ledger": backend.ledger,
+        "storage_ledger": storage.ledger,
+        "occupancy": backend.stash.occupancy_stats.ledger,
+        "moments": backend.stash.occupancy_stats.moments,
         "levels": backend.config.levels,
         "cap": backend.config.blocks_per_bucket,
         "block_bytes": backend.config.block_bytes,
@@ -750,14 +754,26 @@ def plain_backend():
 
 class TestKernelConstruction:
     def test_well_formed_baseline(self):
-        kernel = CORE.AccessKernel(*kernel_args(plain_backend()).values())
-        assert kernel.occupancy() == (0, 0.0, 0.0, None, None)
+        backend = plain_backend()
+        kernel = CORE.AccessKernel(*kernel_args(backend).values())
+        kernel.access(Op.READ, 1, 0, 1, None, None)
+        occupancy = backend.stash.occupancy_stats
+        assert (backend.access_count, occupancy.count, occupancy.max) == (1, 1, 0)
 
     @PROPERTY
-    @given(typecode=wrong_typecodes, which=st.sampled_from(["addr_col", "leaf_col"]))
+    @given(
+        typecode=wrong_typecodes,
+        which=st.sampled_from(
+            ["addr_col", "leaf_col", "ledger", "storage_ledger", "occupancy",
+             "moments"]
+        ),
+    )
     def test_wrong_typecode_columns(self, typecode, which):
+        """The arena's columns and the ledgers are int64, the occupancy
+        moments float64: an array of any other item is refused."""
         args = kernel_args(plain_backend())
-        args[which] = array(typecode)
+        assume(not (which == "moments" and typecode == "d"))
+        args[which] = array(typecode, [0] * len(args[which]))
         with pytest.raises(TypeError):
             CORE.AccessKernel(*args.values())
 
@@ -788,30 +804,37 @@ class TestKernelConstruction:
     @given(
         which=st.sampled_from(
             ["addr_col", "leaf_col", "free", "stash_col", "bucket_slots",
-             "bucket_fill"]
+             "bucket_fill", "ledger", "storage_ledger", "occupancy",
+             "moments"]
         )
     )
     def test_read_only_column(self, which):
         args = kernel_args(plain_backend())
         frozen = memoryview(bytes(memoryview(args[which]).nbytes or 8))
-        code = {"addr_col": "q", "leaf_col": "q", "bucket_fill": "B"}
-        args[which] = frozen.cast(code.get(which, "i"))
+        code = {"bucket_fill": "B", "free": "i", "stash_col": "i",
+                "bucket_slots": "i", "moments": "d"}
+        args[which] = frozen.cast(code.get(which, "q"))
         with pytest.raises((TypeError, BufferError)):
             CORE.AccessKernel(*args.values())
 
     @PROPERTY
     @given(
-        which=st.sampled_from(["bucket_slots", "bucket_fill"]),
+        which=st.sampled_from(
+            ["bucket_slots", "bucket_fill", "ledger", "storage_ledger",
+             "occupancy", "moments"]
+        ),
         delta=st.sampled_from([-CONFIG.num_buckets, -5, -1, 1, 4, 64]),
     )
     def test_tree_columns_of_the_wrong_length(self, which, delta):
-        """The bucket columns are indexed unchecked, so they must be
-        exactly the geometry's size — shorter *or* longer is refused."""
+        """The bucket columns and the ledgers are indexed unchecked, so
+        they must be exactly the geometry's (the owner's) size — shorter
+        *or* longer is refused."""
         args = kernel_args(plain_backend())
-        items = max(len(args[which]) + delta, 0)
+        real = args[which]
+        items = max(len(real) + delta, 0)
         args[which] = (
             bytearray(items) if which == "bucket_fill"
-            else array("i", [0] * items)
+            else array(real.typecode, [0] * items)
         )
         with pytest.raises(ValueError):
             CORE.AccessKernel(*args.values())
@@ -886,12 +909,21 @@ class TestKernelConstruction:
             CORE.AccessKernel(*args.values(), extra=1)
 
     def test_the_bucket_columns_cannot_be_resized_under_a_handle(self):
-        """Fixed-size columns stay exported for the life of the handle,
-        so CPython itself refuses to shrink them."""
+        """Fixed-size columns — the tree's and the ledgers — stay exported
+        for the life of the handle, so CPython itself refuses to resize
+        them."""
         backend = plain_backend()
-        with pytest.raises(BufferError):
-            del backend.storage.bucket_fill[4:]
+        occupancy = backend.stash.occupancy_stats
+        for column in (
+            backend.storage.bucket_fill, backend.ledger,
+            backend.storage.ledger, occupancy.ledger, occupancy.moments,
+        ):
+            with pytest.raises(BufferError):
+                del column[1:]
+            with pytest.raises(BufferError):
+                column.extend(column[:1])
         backend.access(Op.READ, 1, 0, 1)
+        assert backend.access_count == occupancy.count == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1295,6 +1327,11 @@ class TestKernelAccessBoundary:
 FRONTEND_FIELDS = dict(num_blocks=2**9, onchip_entries=4, plb_capacity_bytes=512)
 
 PLB_COLUMNS = ("tags", "leaves", "counters", "last_use", "payload")
+#: A fixed-size column of a FrontendKernel: the PLB's five and the four
+#: ledgers, as (argument, position).
+fixed_columns = st.sampled_from(
+    [("plb_columns", i) for i in range(5)] + [("ledgers", i) for i in range(4)]
+)
 
 
 def plain_frontend(scheme="PIC_X32", **fields):
@@ -1317,13 +1354,11 @@ def frontend_kernel_args(frontend):
         "frontend": frontend,
         "tree_kernel": frontend.backend._kernel,
         "access": PlbFrontend.access,
-        "plb": plb,
+        "ledgers": (frontend.stats.ledger, plb.ledger, prf.ledger, mac.ledger),
         "plb_columns": tuple(getattr(plb, name) for name in PLB_COLUMNS),
         "onchip_table": posmap._table,
         "onchip_touched": posmap._touched,
         "touched": frontend._touched,
-        "prf": prf,
-        "mac": mac,
         "getrandbits": frontend.rng._getrandbits,
         "geometry": (
             frontend.space_levels, space.fanout, space.num_blocks,
@@ -1363,9 +1398,9 @@ class TestFrontendKernelConstruction:
     @PROPERTY
     @given(
         name=st.sampled_from([
-            "tree_kernel", "plb_columns", "onchip_table", "onchip_touched",
-            "touched", "getrandbits", "access", "geometry", "format",
-            "keys", "classes",
+            "tree_kernel", "ledgers", "plb_columns", "onchip_table",
+            "onchip_touched", "touched", "getrandbits", "access", "geometry",
+            "format", "keys", "classes",
         ]),
         junk=st.sampled_from([None, (1,), "ab", 5, {}, [], array("q")]),
     )
@@ -1380,49 +1415,54 @@ class TestFrontendKernelConstruction:
 
     @PROPERTY
     @given(
-        position=st.integers(0, 4),
+        column=fixed_columns,
         junk=st.sampled_from([None, "ab", 5, [0] * 8, {}, b"\0" * 64]),
     )
-    def test_a_column_that_is_no_writable_buffer(self, position, junk):
+    def test_a_column_that_is_no_writable_buffer(self, column, junk):
+        group, position = column
         args = frontend_kernel_args(plain_frontend())
-        args["plb_columns"] = replaced(args["plb_columns"], position, junk)
+        args[group] = replaced(args[group], position, junk)
         with pytest.raises((TypeError, BufferError)):
             CORE.FrontendKernel(*args.values())
 
     @PROPERTY
-    @given(position=st.integers(0, 4), typecode=st.sampled_from("bBhHiIqQfd"))
-    def test_column_of_the_wrong_item_size(self, position, typecode):
-        """Each column has one item type; any other array is refused
-        whatever its length in bytes — and so is the right type read-only."""
+    @given(column=fixed_columns, typecode=st.sampled_from("bBhHiIqQfd"))
+    def test_column_of_the_wrong_item_size(self, column, typecode):
+        """Each column has one item type — the ledgers int64 — and any
+        other array is refused whatever its length in bytes, and so is
+        the right type read-only."""
+        group, position = column
         args = frontend_kernel_args(plain_frontend())
-        columns = args["plb_columns"]
+        columns = args[group]
         real = columns[position]
         expected = "B" if isinstance(real, bytearray) else real.typecode
         assume(typecode not in {"B": "bB", "q": "q", "Q": "Q"}[expected])
-        args["plb_columns"] = replaced(
+        args[group] = replaced(
             columns, position, array(typecode, [0] * len(real))
         )
         with pytest.raises(TypeError):
             CORE.FrontendKernel(*args.values())
-        args["plb_columns"] = replaced(columns, position, frozen(real))
+        args[group] = replaced(columns, position, frozen(real))
         with pytest.raises((TypeError, BufferError)):
             CORE.FrontendKernel(*args.values())
 
     @PROPERTY
     @given(
-        position=st.integers(0, 4),
+        column=fixed_columns,
         delta=st.sampled_from([-8, -1, 1, 2, 64]),
         ways=st.sampled_from([1, 2]),
     )
-    def test_plb_column_of_the_wrong_length(self, position, delta, ways):
+    def test_plb_column_of_the_wrong_length(self, column, delta, ways):
         """The PLB's columns are indexed by way unchecked, so each must be
         exactly ``num_sets x ways`` items (two words a counter,
-        ``block_bytes`` a payload) — shorter *or* longer is refused."""
+        ``block_bytes`` a payload), and a ledger exactly its owner's
+        counters — shorter *or* longer is refused."""
+        group, position = column
         args = frontend_kernel_args(plain_frontend(plb_ways=ways))
-        real = args["plb_columns"][position]
+        real = args[group][position]
         resized = real[: max(len(real) + delta, 0)] + real[: max(delta, 0)]
         assert len(resized) != len(real)
-        args["plb_columns"] = replaced(args["plb_columns"], position, resized)
+        args[group] = replaced(args[group], position, resized)
         with pytest.raises(ValueError):
             CORE.FrontendKernel(*args.values())
 
@@ -1528,14 +1568,16 @@ class TestFrontendKernelConstruction:
             CORE.FrontendKernel(*args.values(), extra=1)
 
     def test_the_fixed_columns_cannot_be_resized_under_a_handle(self):
-        """The PLB's five columns and the on-chip table stay exported for
-        the life of the handle, so CPython itself refuses to resize them
-        — the payload included; their items stay writable."""
+        """The PLB's five columns, the on-chip table and the four ledgers
+        stay exported for the life of the handle, so CPython itself
+        refuses to resize them — the payload included; their items stay
+        writable."""
         frontend = warmed_frontend(plb_ways=2)
-        plb = frontend.plb
+        plb, crypto = frontend.plb, frontend.crypto
         before = whole_image(frontend)
         for column in [getattr(plb, name) for name in PLB_COLUMNS] + [
-            frontend.posmap._table
+            frontend.posmap._table, frontend.stats.ledger, plb.ledger,
+            crypto.prf.ledger, crypto.mac.ledger,
         ]:
             with pytest.raises(BufferError):
                 del column[1:]
@@ -1872,25 +1914,6 @@ class TestFrontendKernelAccessBoundary:
             # tree access failed, as on the interpreted path.
             frontend.read(400)
 
-    @pytest.mark.parametrize("owner", ["prf", "mac"])
-    @pytest.mark.parametrize("junk", [None, "seven"])
-    def test_a_call_count_that_cannot_be_bumped(self, owner, junk):
-        """The kernel's one write to the PRF and the MAC is the fold of
-        their ``call_count`` when an entry ends: a count that takes no
-        integer step fails the request with the ``TypeError`` the
-        interpreted ``+= 1`` raises, and leaves the handle free."""
-        frontend = warmed_frontend()
-        kernel, primitive = frontend._kernel, getattr(frontend.crypto, owner)
-        saved = primitive.call_count
-        primitive.call_count = junk
-        with pytest.raises(TypeError):
-            frontend.read(cold_address(frontend))
-        assert primitive.call_count is junk
-        primitive.call_count = saved
-        assert frontend._kernel is kernel
-        still_serves(frontend)
-        assert primitive.call_count > saved
-
     def test_kernel_outliving_its_frontend(self):
         frontend = warmed_frontend()
         kernel = frontend._kernel
@@ -1943,6 +1966,7 @@ def recursive_kernel_args(frontend):
     return {
         "frontend": frontend,
         "access": RecursiveFrontend.access,
+        "ledger": frontend.stats.ledger,
         "trees": tuple(b._kernel for b in frontend.backends),
         "onchip_table": posmap._table,
         "onchip_touched": posmap._touched,
@@ -1967,17 +1991,19 @@ class TestRecursiveKernelConstruction:
     @PROPERTY
     @given(
         name=st.sampled_from([
-            "trees", "onchip_table", "onchip_touched", "touched",
+            "ledger", "trees", "onchip_table", "onchip_touched", "touched",
             "getrandbits", "access", "geometry", "classes",
         ]),
         junk=st.sampled_from(
-            [None, (1,), "ab", 5, {}, [], (), array("q"), b"\0" * 8]
+            [None, (1,), "ab", 5, {}, [], (), array("q"), b"\0" * 8,
+             array("i", [0] * 11)]
         ),
     )
     def test_wrong_containers(self, name, junk):
         """A list, an int64 array or read-only bytes is not the on-chip
-        column, bytes not its bitmap; a tuple of anything else is not
-        the tree handles."""
+        column, bytes not its bitmap, an int32 or short array not the
+        statistics' ledger; a tuple of anything else is not the tree
+        handles."""
         args = recursive_kernel_args(plain_recursive())
         args[name] = junk
         with pytest.raises((TypeError, ValueError, BufferError)):
@@ -2028,7 +2054,7 @@ class TestRecursiveKernelConstruction:
             CORE.RecursiveKernel(*args.values())
 
     def test_short_onchip_table_bitmap_and_bitmap_list(self):
-        for victim in ("onchip_table", "onchip_touched", "touched"):
+        for victim in ("onchip_table", "onchip_touched", "touched", "ledger"):
             args = recursive_kernel_args(plain_recursive(onchip_entries=16))
             del args[victim][1 if victim == "touched" else 0:]
             with pytest.raises(ValueError):
@@ -2094,15 +2120,16 @@ class TestRecursiveKernelAccessBoundary:
         self.rejected(frontend, undo, 9)
 
     def test_short_onchip_bitmap_and_unresizable_table(self):
-        """The bitmap is looked at per request; the table is a fixed-size
-        column exported for the life of the handle, so CPython itself
-        refuses to cut it."""
+        """The bitmap is looked at per request; the table and the
+        statistics' ledger are fixed-size columns exported for the life
+        of the handle, so CPython itself refuses to resize them."""
         frontend = warmed_recursive()
         table, bitmap = frontend.posmap._table, frontend.posmap._touched
-        with pytest.raises(BufferError):
-            del table[0:]
-        with pytest.raises(BufferError):
-            table.append(0)
+        for column in (table, frontend.stats.ledger):
+            with pytest.raises(BufferError):
+                del column[0:]
+            with pytest.raises(BufferError):
+                column.append(0)
         saved = bitmap[:]
         del bitmap[0:]
 

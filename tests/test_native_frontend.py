@@ -473,8 +473,7 @@ class TestErrorParity:
             def hostile(bits, plb=frontend.plb, real=real, armed=armed):
                 if armed:
                     armed.pop()
-                    # Straight into the tag column (``plb._clock`` is
-                    # folded per slice, not per draw): the way of its set.
+                    # Straight into the tag column: the way of its set.
                     tag = (1 << 48) | (addr // fanout)
                     plb.tags[plb._set_index(tag) * plb.ways] = tag
                 return real(bits)
@@ -806,9 +805,9 @@ class TestStructure:
         assert_same_state(ref, nat, "after the slice")
 
     def test_an_observer_mid_slice_reads_the_per_request_counters(self):
-        """Counters are folded once per slice — and before every observer
-        callback, so whatever looks from inside the slice sees the values
-        the interpreted access would have left at that very point."""
+        """Counters are counted in place, so whatever looks from inside
+        the slice — an observer callback — sees the values the
+        interpreted access would have left at that very point."""
         ref, nat = pair("PIC_X32/beta=2")
         drive(ref, nat, steps=60, seed=4)
         probes = [CounterProbe(frontend) for frontend in (ref, nat)]

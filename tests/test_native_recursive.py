@@ -406,10 +406,10 @@ class TestStructure:
         assert_same_state(ref, nat, "after the slice")
 
     def test_an_observer_mid_slice_reads_the_per_request_counters(self):
-        """One fold per slice, and one before every observer callback:
-        an observer on any level's tree, called from inside the slice,
-        reads every tree's and the frontend's counters as the
-        interpreted access would have left them at that point."""
+        """Counters are counted in place: an observer on any level's
+        tree, called from inside the slice, reads every tree's and the
+        frontend's counters as the interpreted access would have left
+        them at that point."""
         ref, nat = pair("H=4")
         drive(ref, nat, steps=40, seed=4)
         seen = {id(ref): [], id(nat): []}

@@ -32,6 +32,8 @@ from array import array
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.sim.native as native_pkg
 from repro.adversary.observer import TraceObserver
@@ -39,12 +41,14 @@ from repro.backend.columnar import ColumnarPathOramBackend
 from repro.backend.ops import Op
 from repro.backend.path_oram import PathOramBackend
 from repro.config import OramConfig
+from repro.crypto.suite import CryptoSuite
 from repro.errors import (
     BlockNotFoundError,
     IntegrityViolationError,
     NativeKernelUnavailable,
     StashOverflowError,
 )
+from repro.frontend import FrontendStats
 from repro.presets import build_frontend
 from repro.settings import Settings
 from repro.sim.engine import ReplayEngine
@@ -928,59 +932,164 @@ class TestEngineHookup:
         assert fe._kernel is None
 
 
-def counter_image(frontend):
-    """Every int counter of the frontend and of its trees' owners."""
-    backends = list(getattr(frontend, "backends", None) or [frontend.backend])
-    owners = [frontend.stats, getattr(frontend, "plb", None), *backends]
-    owners += [backend.storage for backend in backends]
-    return [
-        {
-            name: getattr(owner, name) for name in dir(owner)
-            if not name.startswith("_") and type(getattr(owner, name)) is int
-        }
-        for owner in owners if owner is not None
+def ledger_image(frontend):
+    """Every counter the kernels move, read through the owners' names:
+    the statistics, the PLB's, the PRF's and the MAC's, and per tree the
+    backend's, the storage's and the stash occupancy summary."""
+    image = {"stats": {
+        name: getattr(frontend.stats, name) for name in FrontendStats.COUNTERS
+    }}
+    plb = getattr(frontend, "plb", None)
+    if plb is not None:
+        prf, mac = frontend.crypto.prf, frontend.crypto.mac
+        image["plb"] = (plb._clock, plb.hits, plb.misses)
+        image["crypto"] = (prf.call_count, mac.call_count, mac.bytes_hashed)
+    image["trees"] = [
+        (
+            backend.access_count, backend.tree_access_count,
+            backend.append_count, backend.storage.buckets_read,
+            backend.storage.buckets_written,
+            tuple(
+                getattr(backend.stash.occupancy_stats, name)
+                for name in ("count", "mean", "_m2", "max", "min")
+            ),
+        )
+        for backend in getattr(frontend, "backends", None) or [frontend.backend]
     ]
+    return image
+
+
+#: The schemes whose counters a slice moves: a small set-associative PLB
+#: evicts by LRU, so its clock has to run on across the slices; R_X8
+#: counts on four trees.
+SLICED_SCHEMES = ("PC_X32:plb=2KiB,ways=4", "PIC_X32:plb=2KiB,ways=4", "R_X8")
+SLICED_EVENTS = 96
+SLICED_BLOCKS = 2**14  # too many for the on-chip PosMap: the PLB works
+
+
+def sliced_engine(scheme):
+    frontend = build_frontend(
+        scheme, num_blocks=SLICED_BLOCKS, rng=DeterministicRng(7),
+        storage="columnar",
+    )
+    engine = ReplayEngine(frontend, OramTimingModel(tree_latency_cycles=1000.0))
+    engine.enable_native(CORE)
+    return engine
+
+
+def sliced_trace():
+    rng = DeterministicRng(3)
+    return (
+        [rng.randrange(SLICED_BLOCKS) for _ in range(SLICED_EVENTS)],
+        [rng.randrange(4) == 0 for _ in range(SLICED_EVENTS)],
+    )
+
+
+def engine_image(engine):
+    return (
+        ledger_image(engine.frontend), engine.cycles,
+        frontend_digests(engine.frontend),
+    )
+
+
+#: ``(scheme, events) -> engine_image`` of one run_batch over that prefix.
+_WHOLE_CALLS = {}
+
+
+def whole_call_image(scheme, events):
+    key = (scheme, events)
+    if key not in _WHOLE_CALLS:
+        engine = sliced_engine(scheme)
+        addrs, writes = sliced_trace()
+        engine.run_batch(addrs[:events], writes[:events])
+        _WHOLE_CALLS[key] = engine_image(engine)
+    return _WHOLE_CALLS[key]
 
 
 @needs_core
-class TestDeferredFold:
-    """``run_batch(..., fold=False)`` leaves the kernel's counters pending
-    (the PLB clock's ticks included) until a batch that folds; nothing
-    simulated notices."""
+class TestSlicedReplay:
+    """The kernels count in their owners' ledgers in place: a trace cut
+    into slices anywhere — empty slices included — leaves, after every
+    slice and with no call in between, every counter, the cycles and the
+    tree digests of one ``run_batch`` over the same prefix."""
 
-    # A small set-associative PLB evicts by LRU, so its clock has to run
-    # on across the slices.
-    @pytest.mark.parametrize(
-        "scheme", ["PC_X32:plb=2KiB,ways=4", "PIC_X32:plb=2KiB,ways=4", "R_X8"]
-    )
-    def test_a_deferred_fold_changes_no_number(self, scheme):
-        rng = DeterministicRng(3)
-        blocks = 2**14  # too many for the on-chip PosMap: the PLB works
-        batches = [
-            ([rng.randrange(blocks) for _ in range(8)],
-             [rng.randrange(4) == 0 for _ in range(8)])
-            for _ in range(60)
-        ]
-        engines = []
-        for _ in range(2):
-            fe = build_frontend(
-                scheme, num_blocks=blocks, rng=DeterministicRng(7),
-                storage="columnar",
+    @pytest.mark.parametrize("scheme", SLICED_SCHEMES)
+    @settings(max_examples=12, deadline=None)
+    @given(cuts=st.lists(st.integers(0, SLICED_EVENTS), max_size=6))
+    def test_every_slice_leaves_what_one_call_leaves(self, scheme, cuts):
+        engine = sliced_engine(scheme)
+        addrs, writes = sliced_trace()
+        bounds = [0, *sorted(cuts), SLICED_EVENTS]
+        for start, end in zip(bounds, bounds[1:]):
+            engine.run_batch(addrs[start:end], writes[start:end])
+            assert engine_image(engine) == whole_call_image(scheme, end), end
+        if "plb" in scheme:
+            assert engine.frontend.stats.plb_evictions > 0
+
+    def test_callbacks_mid_slice_read_the_reference_counters(self):
+        """A slice whose requests run interpreted over the tree's kernel
+        (the reference crypto suite declines the frontend kernel): every
+        counter read from an observer callback, and from ``_verify``,
+        which the data block's ``update`` callback calls inside the tree
+        access, equals the reference tier's at the same point."""
+        seen = []
+        for storage in ("object", "columnar"):
+            frontend = build_frontend(
+                "PIC_X32:plb=2KiB,ways=4", num_blocks=2**12,
+                rng=DeterministicRng(7), storage=storage,
+                crypto=CryptoSuite.reference(),
             )
-            engine = ReplayEngine(fe, OramTimingModel(tree_latency_cycles=1000.0))
-            engine.enable_native(CORE)
-            engines.append(engine)
-        eager, lazy = engines
-        eager_out = [eager.run_batch(a, w) for a, w in batches]
-        lazy_out = [lazy.run_batch(a, w, fold=False) for a, w in batches]
-        assert lazy_out == eager_out
-        assert lazy.frontend.stats.accesses == 0  # all of it still pending
-        if hasattr(eager.frontend, "plb"):
-            assert eager.frontend.stats.plb_evictions > 0
-        lazy.run_batch([], [])
-        assert counter_image(lazy.frontend) == counter_image(eager.frontend)
-        assert lazy.cycles == eager.cycles
-        assert frontend_digests(lazy.frontend) == frontend_digests(eager.frontend)
+            frontend.enable_native_kernel(CORE)
+            assert frontend._kernel is None
+            log = []
+            seen.append(log)
+
+            class Probe:
+                def on_path_read(self, leaf, indices, frontend=frontend):
+                    log.append(("read", ledger_image(frontend)))
+
+                def on_path_write(self, leaf, indices, frontend=frontend):
+                    log.append(("write", ledger_image(frontend)))
+
+            def verify(block, tagged, counter, frontend=frontend, log=log,
+                       real=frontend._verify):
+                log.append(("verify", ledger_image(frontend)))
+                real(block, tagged, counter)
+
+            frontend.backend.storage.observer = Probe()
+            frontend._verify = verify
+            rng = DeterministicRng(11)
+            addrs = [rng.randrange(frontend.num_blocks) for _ in range(60)]
+            writes = [rng.random() < 0.3 for _ in range(60)]
+            CORE.run_access_loop(
+                frontend.access, addrs, writes, Op.READ, Op.WRITE,
+                bytes(frontend.config.block_bytes),
+            )
+        reference, columnar = seen
+        assert {kind for kind, _ in columnar} == {"read", "write", "verify"}
+        assert columnar == reference
+
+
+@needs_core
+class TestLedgerBounds:
+    @pytest.mark.parametrize("scheme", SLICED_SCHEMES)
+    def test_a_counter_at_its_limit_wraps(self, scheme):
+        """A kernel counts modulo 2^64, so a counter Python parked at the
+        int64 limit wraps instead of overflowing a signed add (which the
+        sanitizer lane would flag), and the access is served."""
+        engine = sliced_engine(scheme)
+        frontend = engine.frontend
+        trees = getattr(frontend, "backends", None) or [frontend.backend]
+        top = 2**63 - 1
+        frontend.stats.accesses = top
+        for backend in trees:
+            backend.access_count = top
+        engine.run_batch([1, 2], [False, True])
+        assert frontend.stats.accesses == -(2**63) + 1
+        for backend in trees:
+            ops = backend.tree_access_count + backend.append_count
+            assert backend.access_count == -(2**63) - 1 + ops
+        assert frontend.stats.data_tree_accesses == 2
 
 
 @needs_core

@@ -26,6 +26,7 @@ import pytest
 
 from repro.backend.columnar import ColumnarPathOramBackend
 from repro.errors import ConfigurationError
+from repro.frontend import FrontendStats
 from repro.presets import build_frontend
 from repro.proc.hierarchy import MissEvent, MissTrace
 from repro.settings import Settings
@@ -90,8 +91,7 @@ def frontend_stashes(frontend):
 
 def stats_image(frontend):
     return {
-        f.name: getattr(frontend.stats, f.name)
-        for f in dataclasses.fields(frontend.stats)
+        name: getattr(frontend.stats, name) for name in FrontendStats.COUNTERS
     }
 
 

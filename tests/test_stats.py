@@ -1,11 +1,19 @@
 """Unit tests for repro.utils.stats."""
 
 import math
+from array import array
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.backend.stash import OccupancyStats
+from repro.config import OramConfig
+from repro.crypto.mac import Mac
+from repro.crypto.prf import Prf
+from repro.frontend import FrontendStats
+from repro.frontend.plb import Plb
+from repro.storage.columnar import ColumnarTreeStorage
 from repro.utils.stats import (
     RunningStats,
     chi_square_uniform,
@@ -98,6 +106,83 @@ class TestRunningStats:
         assert rs.mean == pytest.approx(sum(values) / len(values), abs=1e-6)
         assert rs.max == max(values)
         assert rs.min == min(values)
+
+
+#: Every owner whose counters the kernels count in place: how to make
+#: one, and its counters in ledger order (the kernels' order).
+LEDGER_OWNERS = {
+    "stats": (FrontendStats, FrontendStats.COUNTERS),
+    "plb": (lambda: Plb(256, 64, ways=2), ("_clock", "hits", "misses")),
+    "prf": (lambda: Prf(b"k" * 16), ("call_count",)),
+    "mac": (lambda: Mac(b"k" * 16), ("call_count", "bytes_hashed")),
+    "storage": (
+        lambda: ColumnarTreeStorage(OramConfig(num_blocks=64, block_bytes=8)),
+        ("buckets_read", "buckets_written"),
+    ),
+}
+
+
+class TestLedgerSlot:
+    """A counter is one slot of its owner's ``ledger``: the name and the
+    slot are the same int64, whichever side writes it."""
+
+    @pytest.mark.parametrize("owner", sorted(LEDGER_OWNERS))
+    def test_each_name_is_its_own_slot(self, owner):
+        make, names = LEDGER_OWNERS[owner]
+        obj = make()
+        ledger = obj.ledger
+        assert ledger.typecode == "q" and list(ledger) == [0] * len(names)
+        for index, name in enumerate(names):
+            setattr(obj, name, 1000 + index)
+            assert ledger[index] == 1000 + index
+            ledger[index] = -index
+            assert getattr(obj, name) == -index
+        with pytest.raises(OverflowError):
+            setattr(obj, names[0], 2**63)
+        with pytest.raises(TypeError):
+            setattr(obj, names[0], "seven")
+
+    @pytest.mark.parametrize("owner", ["plb", "mac", "storage"])
+    def test_reset_counters_zeroes_the_ledger(self, owner):
+        make, names = LEDGER_OWNERS[owner]
+        obj = make()
+        obj.ledger[:] = array("q", range(1, len(names) + 1))
+        obj.reset_counters()
+        if owner == "plb":
+            assert list(obj.ledger) == [1, 0, 0]  # the LRU clock runs on
+        else:
+            assert not any(obj.ledger)
+
+    def test_frontend_stats_compare_by_value(self):
+        a, b = FrontendStats(), FrontendStats()
+        assert a == b
+        b.plb_misses += 1
+        assert a != b and b.tree_accesses == 0
+        b.data_tree_accesses = 3
+        assert (b.tree_accesses, b.posmap_fraction) == (3, 0.0)
+        assert "plb_misses=1" in repr(b)
+
+    @given(st.lists(st.integers(0, 200), max_size=40))
+    def test_occupancy_columns_read_as_running_stats(self, samples):
+        """What the access kernel writes into the two occupancy columns —
+        ``RunningStats.add``'s arithmetic — reads back under the
+        ``RunningStats`` names, sentinels included."""
+        expected, occupancy = RunningStats(), OccupancyStats()
+        for n in samples:
+            expected.add(n)
+            count, _, _ = occupancy.ledger
+            mean, m2 = occupancy.moments
+            delta = n - mean
+            mean += delta / (count + 1)
+            occupancy.moments[:] = array("d", (mean, m2 + delta * (n - mean)))
+            occupancy.ledger[:] = array("q", (
+                count + 1,
+                max(n, occupancy.ledger[1]) if count else n,
+                min(n, occupancy.ledger[2]) if count else n,
+            ))
+        for name in ("count", "mean", "_m2", "max", "min", "variance"):
+            assert getattr(occupancy, name) == getattr(expected, name), name
+        assert occupancy.as_dict() == expected.as_dict()
 
 
 class TestNormalize:
