@@ -1,8 +1,10 @@
 """Every ``REPRO_*`` environment variable, declared once and read here only.
 
 :class:`Settings` is a frozen value with one field per variable;
-:meth:`Settings.from_env` is the only reader of the process environment
-under ``src/`` (``tests/test_settings.py`` keeps it so by text search).
+:meth:`Settings.from_env` (and :meth:`Settings.native_from_env`, its
+one-variable form for the tier) is the only reader of the process
+environment under ``src/`` (``tests/test_settings.py`` keeps it so by
+text search).
 Nothing is cached: whoever needs a setting calls ``from_env()`` at the
 moment it needs it, so a variable changed between two calls — a test's
 ``monkeypatch.setenv``, a CLI flag exported by :meth:`Settings.export` —
@@ -98,6 +100,13 @@ def _deadline(text: str) -> Optional[float]:
     return seconds if seconds > 0 else None
 
 
+def _parse(env: str, parse: Callable[[str], object], text: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigurationError(f"{env}={text!r}: expected {exc}") from None
+
+
 def _render(value: object) -> str:
     if value is None or value is False:
         return "off"
@@ -179,13 +188,18 @@ class Settings:
         values: Dict[str, object] = {}
         for name, env, parse in _VARIABLES:
             text = environ.get(env, "").strip()
-            if not text:
-                continue
-            try:
-                values[name] = parse(text)
-            except ValueError as exc:
-                raise ConfigurationError(f"{env}={text!r}: expected {exc}") from None
+            if text:
+                values[name] = _parse(env, parse, text)
         return cls(**values)
+
+    @staticmethod
+    def native_from_env(environ: Optional[Mapping[str, str]] = None) -> str:
+        """``from_env(environ).native`` without parsing the other variables:
+        the tier is asked for once per replay slice and per tree built."""
+        if environ is None:
+            environ = os.environ
+        text = environ.get("REPRO_NATIVE", "").strip()
+        return _parse("REPRO_NATIVE", _native, text) if text else _DEFAULTS.native
 
     def to_env(self) -> Dict[str, str]:
         """The variables that say this, defaults left unset.

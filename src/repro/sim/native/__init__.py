@@ -99,7 +99,7 @@ def native_core(policy: str) -> Optional[object]:
 def load_native_core() -> Optional[object]:
     """:func:`native_core` under the environment's ``REPRO_NATIVE``, read
     on every call so tests can flip the switch per case."""
-    return native_core(Settings.from_env().native)
+    return native_core(Settings.native_from_env())
 
 
 def native_available() -> bool:
@@ -111,7 +111,7 @@ def require_core() -> object:
     """The core the fast tier runs on, or
     :class:`~repro.errors.NativeKernelUnavailable` naming why there is none
     and the build command."""
-    policy = Settings.from_env().native
+    policy = Settings.native_from_env()
     core = native_core(policy)
     if core is None:
         why = "REPRO_NATIVE=off" if policy == "off" else _CORE_CACHE[0][1]

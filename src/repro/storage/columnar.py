@@ -16,10 +16,15 @@ nothing else:
   ids, top last;
 - ``bucket_slots`` / ``bucket_fill`` — the tree: bucket ``i`` holds the
   ``bucket_fill[i]`` slot ids ``bucket_slots[i*Z : i*Z + fill]`` (int32,
-  what lies beyond the fill is stale). Both are fixed-size and zeroed
-  at construction — 0 is "empty", so an untouched bucket is never
-  written — and construction makes O(1) Python objects whatever the
-  tree's size.
+  what lies beyond the fill is stale). Both are fixed-size typed
+  memoryviews over the compiled core's ``column`` allocator:
+  ``bucket_fill`` is zeroed (0 is "empty", so an untouched bucket is
+  never written) and ``bucket_slots`` is left uninitialised, since
+  nothing reads a slot at or past its bucket's fill. A page of either
+  costs memory only once a block is written to it, so a 2^26-block tree
+  builds in under a megabyte, and construction makes O(1) Python objects
+  whatever the tree's size. Without a usable core they are zeroed
+  ``array`` columns.
 
 Block objects are materialised only at the Backend boundary (the block
 of interest, ``READRMV`` hand-off, stash snapshots); the other ~Z·(L+1)
@@ -62,6 +67,19 @@ _CHUNK_MASK = CHUNK_SLOTS - 1
 _FREE_ADDRS = array("q", [DUMMY_ADDR]) * CHUNK_SLOTS
 
 
+def _column(core, typecode: str, length: int, zeroed: bool) -> memoryview:
+    """A fixed-size typed column of ``length`` items.
+
+    The compiled core's allocator when there is a core: ``zeroed=False``
+    leaves the memory uninitialised, so its pages are backed only once
+    written. Without one (unbuilt, or ``REPRO_NATIVE=off``) it is a
+    zeroed ``array``.
+    """
+    if core is None:
+        return memoryview(array(typecode, [0]) * length)
+    return memoryview(core.column(typecode, length, zeroed))
+
+
 class ColumnarTreeStorage:
     """Untrusted external memory as columns over a block-slot arena."""
 
@@ -90,10 +108,14 @@ class ColumnarTreeStorage:
         self.mac_col: List[Optional[bytes]] = []
         self._chunks: List[memoryview] = []
         self._free = array("i", [0])
-        # -- the tree: two fixed-size zeroed columns, O(1) objects --------
-        self.bucket_fill = bytearray(config.num_buckets)
-        self.bucket_slots = array("i", [0]) * (
-            config.blocks_per_bucket * config.num_buckets
+        # -- the tree: two fixed-size columns, O(1) objects ---------------
+        from repro.sim.native import load_native_core
+
+        core = load_native_core()
+        self.bucket_fill = _column(core, "B", config.num_buckets, zeroed=True)
+        self.bucket_slots = _column(
+            core, "i", config.blocks_per_bucket * config.num_buckets,
+            zeroed=False,
         )
         # Heap index at depth d on the path to a leaf: offset + (leaf >> shift).
         levels = config.levels

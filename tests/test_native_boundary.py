@@ -35,6 +35,8 @@ The CI sanitizer lane runs this file under ASan/UBSan, where an
 out-of-bounds read that happens not to crash here fails loudly.
 """
 
+import gc
+import sys
 from array import array
 
 import pytest
@@ -700,6 +702,75 @@ class TestMtDrawsBoundary:
 
 
 # ---------------------------------------------------------------------------
+# column: the allocator of the tree's fixed-size columns
+# ---------------------------------------------------------------------------
+
+
+class TestColumn:
+    @PROPERTY
+    @given(typecode=st.sampled_from("bBhHiIlLqQfd"), zeroed=st.booleans())
+    def test_length_zero(self, typecode, zeroed):
+        view = memoryview(CORE.column(typecode, 0, zeroed))
+        assert (len(view), view.nbytes, view.format) == (0, 0, typecode)
+        assert view.tolist() == [] and bytes(view) == b""
+
+    @PROPERTY
+    @given(
+        typecode=st.sampled_from("bBhHiIlLqQfd"),
+        length=st.integers(1, 300),
+        zeroed=st.booleans(),
+    )
+    def test_typed_writable_and_fixed(self, typecode, length, zeroed):
+        """Typed like an ``array`` of the same code, writable item by
+        item, zeroed on request, and exported without a resize."""
+        view = memoryview(CORE.column(typecode, length, zeroed))
+        like = memoryview(array(typecode, [0] * length))
+        assert (view.format, view.itemsize, view.shape, view.readonly) == (
+            like.format, like.itemsize, like.shape, False,
+        )
+        if zeroed:
+            assert bytes(view) == bytes(like)
+        one = 1.5 if typecode in "fd" else 1
+        view[length - 1] = one
+        view[0] = one
+        assert view[0] == view[length - 1] == one
+
+    @pytest.mark.parametrize(
+        "typecode, length",
+        [("B", sys.maxsize + 1), ("i", sys.maxsize // 4 + 1),
+         ("q", sys.maxsize // 8 + 1), ("d", 2**200)],
+    )
+    @pytest.mark.parametrize("zeroed", [True, False])
+    def test_byte_size_past_ssize_t_max(self, typecode, length, zeroed):
+        with pytest.raises((MemoryError, OverflowError)):
+            CORE.column(typecode, length, zeroed)
+
+    @pytest.mark.parametrize("typecode", ["u", "w", "x", "", "ii", "B "])
+    def test_unknown_typecode(self, typecode):
+        with pytest.raises(ValueError):
+            CORE.column(typecode, 4, True)
+
+    def test_negative_length(self):
+        with pytest.raises(ValueError):
+            CORE.column("i", -1, True)
+
+    def test_a_view_outlives_its_storage(self):
+        """The storage's columns are memoryviews that keep their buffer:
+        dropping the storage (and collecting) leaves them readable."""
+        storage = ColumnarTreeStorage(CONFIG)
+        storage.replace_bucket_records(3, [(7, 2, bytes(8), None)])
+        slots, fill = storage.bucket_slots, storage.bucket_fill
+        slot = storage.bucket(3)
+        del storage
+        gc.collect()
+        assert fill[3] == 1 and fill.tolist().count(0) == CONFIG.num_buckets - 1
+        assert slots[3 * CONFIG.blocks_per_bucket] == slot[0]
+        orphan = memoryview(CORE.column("q", 5, True))
+        gc.collect()
+        assert orphan.tolist() == [0] * 5
+
+
+# ---------------------------------------------------------------------------
 # AccessKernel: construction
 # ---------------------------------------------------------------------------
 
@@ -711,6 +782,20 @@ hostile_slot_ids = st.one_of(
 )
 #: Array typecodes that are not a signed 32-bit integer.
 not_int32 = st.sampled_from("bBhHIqQfd")
+COLUMN_TYPE = type(CORE.column("B", 0, True)) if CORE is not None else None
+
+
+def array_column(typecode, items):
+    return array(typecode, [0] * items)
+
+
+def core_column(typecode, items):
+    """What the storage holds: a memoryview over the core's allocator."""
+    return memoryview(CORE.column(typecode, items, True))
+
+
+#: The two kinds of typed column a kernel may be handed.
+column_makers = st.sampled_from([array_column, core_column])
 
 
 def kernel_args(backend):
@@ -781,22 +866,23 @@ class TestKernelConstruction:
     @given(
         typecode=not_int32,
         which=st.sampled_from(["free", "stash_col", "bucket_slots"]),
+        make=column_makers,
     )
-    def test_wrong_item_size_slot_columns(self, typecode, which):
+    def test_wrong_item_size_slot_columns(self, typecode, which, make):
         """Slot ids are int32 everywhere: the free stack, the stash and
         the bucket column of any other item are refused, whatever their
         length in bytes."""
         args = kernel_args(plain_backend())
         items = len(args[which])
-        args[which] = array(typecode, [0] * items)
+        args[which] = make(typecode, items)
         with pytest.raises(TypeError):
             CORE.AccessKernel(*args.values())
 
     @PROPERTY
-    @given(typecode=st.sampled_from("hHiIqQfd"))
-    def test_wrong_item_size_fill_column(self, typecode):
+    @given(typecode=st.sampled_from("hHiIqQfd"), make=column_makers)
+    def test_wrong_item_size_fill_column(self, typecode, make):
         args = kernel_args(plain_backend())
-        args["bucket_fill"] = array(typecode, [0] * CONFIG.num_buckets)
+        args["bucket_fill"] = make(typecode, CONFIG.num_buckets)
         with pytest.raises(TypeError):
             CORE.AccessKernel(*args.values())
 
@@ -806,14 +892,13 @@ class TestKernelConstruction:
             ["addr_col", "leaf_col", "free", "stash_col", "bucket_slots",
              "bucket_fill", "ledger", "storage_ledger", "occupancy",
              "moments"]
-        )
+        ),
+        make=column_makers,
     )
-    def test_read_only_column(self, which):
+    def test_read_only_column(self, which, make):
         args = kernel_args(plain_backend())
-        frozen = memoryview(bytes(memoryview(args[which]).nbytes or 8))
-        code = {"bucket_fill": "B", "free": "i", "stash_col": "i",
-                "bucket_slots": "i", "moments": "d"}
-        args[which] = frozen.cast(code.get(which, "q"))
+        real = memoryview(args[which])
+        args[which] = memoryview(make(real.format, len(real))).toreadonly()
         with pytest.raises((TypeError, BufferError)):
             CORE.AccessKernel(*args.values())
 
@@ -824,18 +909,15 @@ class TestKernelConstruction:
              "occupancy", "moments"]
         ),
         delta=st.sampled_from([-CONFIG.num_buckets, -5, -1, 1, 4, 64]),
+        make=column_makers,
     )
-    def test_tree_columns_of_the_wrong_length(self, which, delta):
+    def test_tree_columns_of_the_wrong_length(self, which, delta, make):
         """The bucket columns and the ledgers are indexed unchecked, so
         they must be exactly the geometry's (the owner's) size — shorter
         *or* longer is refused."""
         args = kernel_args(plain_backend())
-        real = args[which]
-        items = max(len(real) + delta, 0)
-        args[which] = (
-            bytearray(items) if which == "bucket_fill"
-            else array(real.typecode, [0] * items)
-        )
+        real = memoryview(args[which])
+        args[which] = make(real.format, max(len(real) + delta, 0))
         with pytest.raises(ValueError):
             CORE.AccessKernel(*args.values())
 
@@ -909,14 +991,17 @@ class TestKernelConstruction:
             CORE.AccessKernel(*args.values(), extra=1)
 
     def test_the_bucket_columns_cannot_be_resized_under_a_handle(self):
-        """Fixed-size columns — the tree's and the ledgers — stay exported
-        for the life of the handle, so CPython itself refuses to resize
-        them."""
+        """Fixed-size columns stay exported for the life of the handle:
+        the tree's are the core's ``column`` buffers, which have no way
+        to change size at all, and CPython itself refuses to resize the
+        ledgers."""
         backend = plain_backend()
+        storage = backend.storage
+        for column in (storage.bucket_slots, storage.bucket_fill):
+            assert type(column.obj) is COLUMN_TYPE
         occupancy = backend.stash.occupancy_stats
         for column in (
-            backend.storage.bucket_fill, backend.ledger,
-            backend.storage.ledger, occupancy.ledger, occupancy.moments,
+            backend.ledger, storage.ledger, occupancy.ledger, occupancy.moments,
         ):
             with pytest.raises(BufferError):
                 del column[1:]
@@ -1024,8 +1109,12 @@ class TestKernelAccessBoundary:
         storage = backend.storage
         index = path_bucket(leaf, depth)
         slots, counts = Scribble(storage.bucket_slots), Scribble(storage.bucket_fill)
-        slots[index * CONFIG.blocks_per_bucket + position] = bad
-        counts[index] = max(storage.bucket_fill[index], position + 1)
+        fill = storage.bucket_fill[index]
+        # Every position a raised fill exposes is written: what a stale
+        # slot holds is no test's input.
+        for exposed in range(min(fill, position), position + 1):
+            slots[index * CONFIG.blocks_per_bucket + exposed] = bad
+        counts[index] = max(fill, position + 1)
 
         def undo():
             slots.undo()

@@ -106,6 +106,26 @@ class TestGrammar:
         message = str(caught.value)
         assert message.startswith(f"{name}={value!r}: expected ")
 
+    @pytest.mark.parametrize(
+        "environ",
+        [{}, {"REPRO_NATIVE": "  "}, {"REPRO_NATIVE": " Require "},
+         {"REPRO_NATIVE": "no"}, {"REPRO_NATIVE": "1"},
+         {"REPRO_NATIVE": "off", "REPRO_WORKERS": "two"}],
+    )
+    def test_the_tier_alone_parses_as_the_whole(self, environ):
+        """``native_from_env`` reads ``REPRO_NATIVE`` and nothing else."""
+        assert Settings.native_from_env(environ) == Settings.from_env(
+            {"REPRO_NATIVE": environ.get("REPRO_NATIVE", "")}
+        ).native
+
+    def test_a_bad_tier_fails_alone_as_in_the_whole(self):
+        environ = {"REPRO_NATIVE": "requrie"}
+        with pytest.raises(ConfigurationError) as whole:
+            Settings.from_env(environ)
+        with pytest.raises(ConfigurationError) as alone:
+            Settings.native_from_env(environ)
+        assert str(alone.value) == str(whole.value)
+
     def test_values_valid_before_keep_their_meaning(self):
         settings = Settings.from_env({
             "REPRO_NATIVE": "require", "REPRO_FULL": "1",
