@@ -53,8 +53,9 @@ def phantom_cycles(
         + trace.mem_refs * proc.l1_latency
         + trace.l2_hits * proc.l2_latency
     )
-    for event in trace.events:
-        block = event.line_addr * proc.line_bytes // block_bytes
+    line_addrs, _ = trace.columns()
+    for line_addr in line_addrs.tolist():
+        block = line_addr * proc.line_bytes // block_bytes
         if block in resident:
             resident.remove(block)
             resident.append(block)

@@ -15,7 +15,7 @@ import struct
 import sys
 import zlib
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from repro.config import ProcessorConfig
@@ -42,60 +42,110 @@ class MissEvent:
     is_write: bool
 
 
-@dataclass
 class MissTrace:
-    """LLC-filtered view of a program's execution."""
+    """LLC-filtered view of a program's execution.
 
-    name: str
-    instructions: int = 0
-    mem_refs: int = 0
-    l1_hits: int = 0
-    l2_hits: int = 0
-    events: List[MissEvent] = field(default_factory=list)
-    #: Lazily-built columnar view: (events list reference, length,
-    #: line_addr column, is_write column). The list *reference* (not its
-    #: id — CPython's free list recycles addresses, so an id could alias
-    #: a new list after a rebind) plus the length key the cache. Cache
-    #: bookkeeping, not data — excluded from equality and repr.
-    _columns: Optional[Tuple[List[MissEvent], int, object, object]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    The event stream has two representations. A trace that arrives as
+    columns (:meth:`from_columns`: a decoded cache image or the native
+    synthesis kernel's output) keeps its ``int64`` address column and
+    ``bool`` write column and builds no :class:`MissEvent`; ``events``
+    builds the list on first read. A trace built from events (``events=``,
+    ``trace.events = [...]``, :meth:`CacheHierarchy.run` appending) keeps
+    the list and derives the columns on demand. Once the list exists it
+    is the source of truth: appending to it or rebinding ``events``
+    invalidates the columns, which are rebuilt from the list when next
+    asked for (in-place same-length element mutation does not — mutate
+    via append/rebind, as every producer in this repo does).
+
+    Equality is the name, the four counters and the event sequence,
+    compared as columns; the repr shows the event count, not the events.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        instructions: int = 0,
+        mem_refs: int = 0,
+        l1_hits: int = 0,
+        l2_hits: int = 0,
+        events: Optional[List[MissEvent]] = None,
+    ):
+        self.name = name
+        self.instructions = instructions
+        self.mem_refs = mem_refs
+        self.l1_hits = l1_hits
+        self.l2_hits = l2_hits
+        self._events: Optional[List[MissEvent]] = [] if events is None else events
+        #: The columns: (events list reference, length, line_addr column,
+        #: is_write column). A column-born trace's reference is None until
+        #: ``events`` is read. The list *reference* (not its id — CPython's
+        #: free list recycles addresses, so an id could alias a new list
+        #: after a rebind) plus the length key the view.
+        self._columns: Optional[
+            Tuple[Optional[List[MissEvent]], int, object, object]
+        ] = None
+
+    @property
+    def events(self) -> List[MissEvent]:
+        """The event list, built from the columns on first read."""
+        events = self._events
+        if events is None:
+            _, n, line_addrs, is_write = self._columns
+            events = self._events = [
+                MissEvent(addr, w)
+                for addr, w in zip(line_addrs.tolist(), map(bool, is_write.tolist()))
+            ]
+            self._columns = (events, n, line_addrs, is_write)
+        return events
+
+    @events.setter
+    def events(self, events: List[MissEvent]) -> None:
+        self._events = events
+
+    def _view(self):
+        """The cached columns if they are current, else None."""
+        cached = self._columns
+        if cached is None or cached[0] is not self._events:
+            return None
+        if cached[0] is not None and cached[1] != len(cached[0]):
+            return None
+        return cached
+
+    @property
+    def num_events(self) -> int:
+        """Events in the trace (misses plus writebacks): the ORAM accesses."""
+        view = self._view()
+        return view[1] if view is not None else len(self._events)
 
     @property
     def llc_misses(self) -> int:
         """Demand misses (excludes eviction writebacks)."""
-        events = self.events
-        cached = self._columns
-        if (
-            _np is not None
-            and cached is not None
-            and cached[0] is events
-            and cached[1] == len(events)
-        ):
-            # The columnar view is current: one vectorised count instead
-            # of a generator step per event.
-            return cached[1] - int(_np.count_nonzero(cached[3]))
-        return sum(1 for e in events if not e.is_write)
+        view = self._view()
+        if view is None:
+            return sum(1 for e in self._events if not e.is_write)
+        # The columns are current: one count over the write column instead
+        # of a generator step per event.
+        is_write = view[3]
+        writes = _np.count_nonzero(is_write) if _np is not None else sum(is_write)
+        return view[1] - int(writes)
 
     # -- columnar view --------------------------------------------------------
 
     def columns(self) -> Tuple[object, object]:
-        """Struct-of-arrays view of the event list: (line_addrs, is_write).
+        """Struct-of-arrays view of the event stream: (line_addrs, is_write).
 
         With numpy available the columns are an ``int64`` array and a bool
-        array (the fast replay loop's native operands); without it
-        they fall back to ``array('q')`` / ``array('b')`` with identical
-        element values. The view is lazily materialised from ``events``
-        and cached; rebinding ``events`` or changing its length
-        invalidates the cache (in-place same-length element mutation does
-        not — mutate via append/rebind, as every producer in this repo
-        does).
+        array (the fast replay loop's native operands); without it they
+        are ``array('q')`` / ``array('b')`` with identical element values.
+        A column-born trace returns the columns it arrived with; an
+        event-built one materialises them from ``events`` and caches them
+        until the list is appended to or rebound.
         """
-        events = self.events
+        view = self._view()
+        if view is not None:
+            return view[2], view[3]
+        events = self._events
         n = len(events)
-        cached = self._columns
-        if cached is not None and cached[0] is events and cached[1] == n:
-            return cached[2], cached[3]
         if _np is not None:
             line_addrs = _np.fromiter(
                 (e.line_addr for e in events), dtype=_np.int64, count=n
@@ -108,6 +158,34 @@ class MissTrace:
             is_write = array("b", (1 if e.is_write else 0 for e in events))
         self._columns = (events, n, line_addrs, is_write)
         return line_addrs, is_write
+
+    def _counters(self) -> Tuple[str, int, int, int, int]:
+        return (
+            self.name, self.instructions, self.mem_refs, self.l1_hits, self.l2_hits
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MissTrace):
+            return NotImplemented
+        if self is other:
+            return True
+        if (
+            self._counters() != other._counters()
+            or self.num_events != other.num_events
+        ):
+            return False
+        return all(
+            _same_column(a, b) for a, b in zip(self.columns(), other.columns())
+        )
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        return (
+            f"MissTrace(name={self.name!r}, instructions={self.instructions}, "
+            f"mem_refs={self.mem_refs}, l1_hits={self.l1_hits}, "
+            f"l2_hits={self.l2_hits}, events=<{self.num_events} events>)"
+        )
 
     @property
     def mpki(self) -> float:
@@ -124,16 +202,15 @@ class MissTrace:
         by default and guarded by a CRC32 so corruption is detected on load.
         """
         name_bytes = self.name.encode("utf-8")
+        line_addrs, is_write = self.columns()
         if _np is not None:
-            # Columnar fast path: pack every event word in one vectorised
-            # sweep (and leave the columns cached for the replay kernel).
-            # Byte-identical to the scalar array('Q') path below.
-            line_addrs, is_write = self.columns()
+            # Pack every event word in one vectorised sweep; byte-identical
+            # to the scalar array('Q') path below.
             words = (line_addrs.astype(_np.uint64) << _np.uint64(1)) | is_write
             payload = words.astype("<u8").tobytes()
         else:
             packed = array(
-                "Q", ((e.line_addr << 1) | e.is_write for e in self.events)
+                "Q", ((addr << 1) | w for addr, w in zip(line_addrs, is_write))
             )
             if sys.byteorder == "big":  # pragma: no cover - LE-canonical format
                 packed.byteswap()
@@ -151,7 +228,7 @@ class MissTrace:
             self.mem_refs,
             self.l1_hits,
             self.l2_hits,
-            len(self.events),
+            len(line_addrs),
             zlib.crc32(payload),
         )
         return header + name_bytes + payload
@@ -212,31 +289,28 @@ class MissTrace:
 
         ``counters`` is (instructions, mem_refs, l1_hits, l2_hits);
         ``line_addrs`` and ``is_write`` are buffers of native int64
-        addresses and 0/1 bytes. They become the columns :meth:`columns`
-        would build and are seeded straight into its cache, so the trace
-        reaches the fast replay loop without a second pass.
+        addresses and 0/1 bytes. They become the trace's columns as they
+        are (numpy views, or ``array('q')`` / ``array('b')`` without
+        numpy): no :class:`MissEvent` is built until ``events`` is read,
+        and the trace reaches the fast replay loop without a second pass.
         """
-        instructions, mem_refs, l1_hits, l2_hits = counters
         if _np is not None:
             line_addrs = _np.frombuffer(line_addrs, dtype=_np.int64)
             is_write = _np.frombuffer(is_write, dtype=_np.bool_)
-            writes = is_write.tolist()
         else:
             line_addrs = array("q", line_addrs)
             is_write = array("b", is_write)
-            writes = [bool(w) for w in is_write]
-        trace = cls(
-            name=name,
-            instructions=instructions,
-            mem_refs=mem_refs,
-            l1_hits=l1_hits,
-            l2_hits=l2_hits,
-            events=[
-                MissEvent(addr, w) for addr, w in zip(line_addrs.tolist(), writes)
-            ],
-        )
-        trace._columns = (trace.events, len(trace.events), line_addrs, is_write)
+        trace = cls(name, *counters)
+        trace._events = None
+        trace._columns = (None, len(line_addrs), line_addrs, is_write)
         return trace
+
+
+def _same_column(a, b) -> bool:
+    """Element-wise equality of two equal-length trace columns."""
+    if _np is not None:
+        return bool(_np.array_equal(a, b))
+    return list(a) == list(b)
 
 
 class CacheHierarchy:

@@ -137,7 +137,9 @@ def tenant_requests(
     deterministic per the runner's seed) translated to block addresses
     with the serving scheme's geometry — the identical translation
     :func:`~repro.sim.system.replay_trace` performs, which is what makes
-    single-tenant serving lockstep-comparable to replay.
+    single-tenant serving lockstep-comparable to replay. Both columns
+    are sliced straight from the trace's own: a trace loaded from the
+    cache builds no :class:`~repro.proc.hierarchy.MissEvent` here.
     """
     if spec.events is not None:
         events = spec.events[: spec.requests]

@@ -259,7 +259,7 @@ class ReplayEngine:
             cycles=self.cycles,
             instructions=trace.instructions,
             llc_misses=trace.llc_misses,
-            oram_accesses=len(trace.events),
+            oram_accesses=trace.num_events,
             tree_accesses=stats.tree_accesses,
             data_bytes=frontend.data_bytes_moved - self._data_bytes0,
             posmap_bytes=frontend.posmap_bytes_moved - self._posmap_bytes0,

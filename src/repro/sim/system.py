@@ -36,16 +36,17 @@ def insecure_cycles(
     trace: MissTrace, proc: ProcessorConfig = ProcessorConfig()
 ) -> SimResult:
     """Baseline: the same trace on a conventional DRAM system."""
-    cycles = base_cycles(trace, proc) + len(trace.events) * proc.insecure_dram_latency
+    events = trace.num_events
+    cycles = base_cycles(trace, proc) + events * proc.insecure_dram_latency
     return SimResult(
         benchmark=trace.name,
         scheme="insecure",
         cycles=cycles,
         instructions=trace.instructions,
         llc_misses=trace.llc_misses,
-        oram_accesses=len(trace.events),
+        oram_accesses=events,
         tree_accesses=0,
-        data_bytes=len(trace.events) * proc.line_bytes,
+        data_bytes=events * proc.line_bytes,
         mpki=trace.mpki,
     )
 

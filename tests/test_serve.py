@@ -7,13 +7,12 @@ and report shapes, the serve branch of the sweep engine, and input
 validation.
 """
 
-import dataclasses
 import json
 
 import pytest
 
 from repro.errors import ConfigurationError, ReproError
-from repro.proc.hierarchy import MissEvent
+from repro.proc.hierarchy import MissEvent, MissTrace
 from repro.serve import (
     LatencyHistogram,
     OramService,
@@ -79,7 +78,10 @@ class _WideTraceRunner(SimulationRunner):
         trace = super().trace(name)
         lines = benchmark(name).wss_bytes // self.proc.line_bytes
         events = trace.events[:10] + [MissEvent(2 * lines, False)]
-        return dataclasses.replace(trace, events=events)
+        return MissTrace(
+            trace.name, trace.instructions, trace.mem_refs, trace.l1_hits,
+            trace.l2_hits, events=events,
+        )
 
 
 class TestPrivateRegions:

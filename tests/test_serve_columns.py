@@ -5,7 +5,8 @@ per-request objects. Each piece that replaced a per-request call is
 pinned here to the call it replaced — ``record_many`` to ``record``, the
 route column to ``_shard_index``, the folded accounting log to folding
 every epoch — and the property itself is pinned as a count: wall-clock
-stamps per epoch and per batch, never per request.
+stamps per epoch and per batch, never per request, and no ``MissEvent``
+between the trace cache and a shard or a sweep cell.
 """
 
 import pytest
@@ -25,6 +26,7 @@ from repro.serve.server import _route_column, _shard_index
 from repro.sim.runner import SimulationRunner
 
 from test_serve_lockstep import strip_wall
+from test_trace_columns import counting_events
 
 EDGES = [0, 0.5, 0.999, 1, 1.0, 2, 3, 4.0, 2**31 - 1, 2**31, 2.0**52, 1e18]
 
@@ -182,6 +184,33 @@ class TestNoObjectPerServedRequest:
         for name in ("_Admitted", "Request"):
             assert not hasattr(server, name)
         assert not hasattr(replay, "_latency_gather")
+
+
+class TestNoEventPerCachedRequest:
+    """A trace loaded from the trace cache stays columns on its way to a
+    shard's request stream or a fast-tier cell: no ``MissEvent`` is built."""
+
+    def test_building_a_service_over_a_warm_trace_cache(self):
+        scenario()  # warms the trace cache
+        with counting_events() as made:
+            service = scenario()
+        assert made == []
+        assert sum(len(t.addrs) for t in service._tenants) == 800
+
+    def test_a_fast_tier_cell_over_a_cached_trace(self, fast_tier, tmp_path):
+        def runner():
+            return SimulationRunner(
+                seed=2015, misses_per_benchmark=400, cache_dir=tmp_path,
+                result_cache_dir=None,
+            )
+
+        runner().trace("gob")  # warms the trace cache
+        cold = runner()
+        cells = cold.cells(["PC_X32"], ["gob"]) + cold.baseline_cells(["gob"])
+        with counting_events() as made:
+            results = [cold.run_cell(cell) for cell in cells]
+        assert made == []
+        assert [r.oram_accesses for r in results] == [cold.trace("gob").num_events] * 2
 
 
 class _ScriptedClock:

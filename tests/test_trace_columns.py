@@ -1,7 +1,18 @@
-"""Columnar MissTrace view: lazy materialisation + binary round-trip."""
+"""Columnar MissTrace view: lazy materialisation + binary round-trip.
+
+A trace has two births. One built from events derives its columns on
+demand; one that arrives as columns (a decoded cache image, the
+synthesis kernel's output) keeps them and builds events only when
+``events`` is read. Both must be the same trace in every observable way.
+"""
+
+import contextlib
+from array import array
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import repro.proc.hierarchy as hierarchy
 from repro.proc.hierarchy import MissEvent, MissTrace
 from repro.sim.native import load_native_core
 from repro.utils.rng import DeterministicRng
@@ -12,16 +23,43 @@ from repro.workloads.spec import SPEC_BENCHMARKS
 from test_trace_synthesis import HEAVY
 
 
-def make_trace(events: int = 500, seed: int = 3) -> MissTrace:
+COUNTERS = (1000, 400, 300, 50)
+
+
+def make_trace(events: int = 500, seed: int = 3, born: str = "events") -> MissTrace:
     rng = DeterministicRng(seed)
-    trace = MissTrace(
-        name="cols", instructions=1000, mem_refs=400, l1_hits=300, l2_hits=50
-    )
-    trace.events = [
-        MissEvent(rng.randrange(1 << 30), rng.random() < 0.4)
-        for _ in range(events)
-    ]
-    return trace
+    pairs = [(rng.randrange(1 << 30), rng.random() < 0.4) for _ in range(events)]
+    return twin(pairs, born, name="cols")
+
+
+def twin(pairs, born: str, name: str = "prop") -> MissTrace:
+    """The trace of ``(line_addr, is_write)`` pairs, built from events or
+    arriving as columns."""
+    if born == "columns":
+        return MissTrace.from_columns(
+            name, COUNTERS,
+            array("q", [addr for addr, _w in pairs]),
+            array("b", [1 if w else 0 for _addr, w in pairs]),
+        )
+    return MissTrace(name, *COUNTERS, events=[MissEvent(a, w) for a, w in pairs])
+
+
+@contextlib.contextmanager
+def counting_events():
+    """Count :class:`MissEvent` constructions inside the block."""
+    built = []
+    init = MissEvent.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MissEvent, "__init__", counted)
+        yield built
+
+
+BORN = pytest.mark.parametrize("born", ["events", "columns"])
 
 
 class TestColumns:
@@ -36,16 +74,18 @@ class TestColumns:
         first = trace.columns()
         assert trace.columns()[0] is first[0]
 
-    def test_append_invalidates_cache(self):
-        trace = make_trace(events=10)
+    @BORN
+    def test_append_invalidates_cache(self, born):
+        trace = make_trace(events=10, born=born)
         trace.columns()
         trace.events.append(MissEvent(7, True))
         line_addrs, is_write = trace.columns()
         assert len(line_addrs) == 11
         assert list(line_addrs)[-1] == 7 and bool(list(is_write)[-1])
 
-    def test_rebinding_events_invalidates_cache(self):
-        trace = make_trace(events=4)
+    @BORN
+    def test_rebinding_events_invalidates_cache(self, born):
+        trace = make_trace(events=4, born=born)
         trace.columns()
         trace.events = [MissEvent(1, False), MissEvent(2, True)]
         line_addrs, _ = trace.columns()
@@ -55,6 +95,17 @@ class TestColumns:
         trace = MissTrace(name="empty")
         line_addrs, is_write = trace.columns()
         assert len(line_addrs) == 0 and len(is_write) == 0
+
+    @BORN
+    def test_repr_shows_the_count_not_the_events(self, born):
+        trace = make_trace(events=2000, born=born)
+        with counting_events() as made:
+            text = repr(trace)
+        assert made == []
+        assert text == (
+            "MissTrace(name='cols', instructions=1000, mem_refs=400, "
+            "l1_hits=300, l2_hits=50, events=<2000 events>)"
+        )
 
     def test_columns_cache_excluded_from_equality(self):
         a, b = make_trace(), make_trace()
@@ -94,8 +145,9 @@ class TestLlcMisses:
         assert trace.llc_misses == expected
         assert trace.mpki == 1000.0 * expected / trace.instructions
 
-    def test_a_stale_view_is_not_consulted(self):
-        trace = make_trace(events=50)
+    @BORN
+    def test_a_stale_view_is_not_consulted(self, born):
+        trace = make_trace(events=50, born=born)
         trace.columns()
         before = trace.llc_misses
         trace.events.append(MissEvent(9, False))
@@ -153,14 +205,126 @@ class TestRoundTrip:
 
 
 class TestCacheAliasing:
-    def test_rebind_to_recycled_list_object_invalidates(self):
+    @BORN
+    def test_rebind_to_recycled_list_object_invalidates(self, born):
         """CPython's list free-list can hand a new list the old list's
         address; the cache must key on the reference, not id()."""
-        trace = MissTrace(name="alias")
-        trace.events = [MissEvent(1, False), MissEvent(2, False)]
+        trace = twin([(1, False), (2, False)], born, name="alias")
         trace.columns()
         trace.events = []  # old list freed -> address reusable
         trace.events = [MissEvent(7, True), MissEvent(8, True)]
         line_addrs, is_write = trace.columns()
         assert list(line_addrs) == [7, 8]
         assert [bool(w) for w in is_write] == [True, True]
+
+
+# (line_addr, is_write) pairs over the whole address range the container
+# carries (one 64-bit word of ``line_addr << 1 | is_write``).
+PAIRS = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=2**63 - 1), st.booleans()),
+    max_size=60,
+)
+EDGE_CASES = [[], [(5, True)] * 9, [(5, False)] * 9, [(2**63 - 1, True), (0, False)]]
+
+WITH_AND_WITHOUT_NUMPY = pytest.mark.parametrize(
+    "numpy", [True, False], ids=["numpy", "no-numpy"]
+)
+
+
+@contextlib.contextmanager
+def numpy_or_not(numpy: bool):
+    with pytest.MonkeyPatch.context() as patch:
+        if not numpy:
+            patch.setattr(hierarchy, "_np", None)
+        yield
+
+
+def with_edge_cases(test):
+    for pairs in EDGE_CASES:
+        test = example(pairs=pairs)(test)
+    return test
+
+
+class TestColumnBornEqualsEventBuilt:
+    """Property: a column-born trace and its event-built twin are the same
+    trace, and comparing or serialising the column-born one builds no
+    :class:`MissEvent`."""
+
+    @WITH_AND_WITHOUT_NUMPY
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=PAIRS)
+    @with_edge_cases
+    def test_same_trace(self, numpy, pairs):
+        with numpy_or_not(numpy):
+            built = twin(pairs, "events")
+            with counting_events() as made:
+                born = twin(pairs, "columns")
+                assert born == built and built == born
+                assert born.to_bytes() == built.to_bytes()
+                assert born.to_bytes(compress=False) == built.to_bytes(compress=False)
+                assert born.num_events == built.num_events == len(pairs)
+                assert born.llc_misses == built.llc_misses
+                assert born.llc_misses == sum(1 for _a, w in pairs if not w)
+                assert born.mpki == built.mpki
+                for trace in (born, built):
+                    assert MissTrace.from_bytes(trace.to_bytes()) == trace
+                assert repr(born) == repr(built)
+            assert made == []
+            assert born.events == built.events
+
+    @WITH_AND_WITHOUT_NUMPY
+    @settings(max_examples=30, deadline=None)
+    @given(pairs=PAIRS, field=st.sampled_from(["name", "l2_hits", "write", "length"]))
+    def test_a_difference_is_seen(self, numpy, pairs, field):
+        with numpy_or_not(numpy):
+            born = twin(pairs, "columns")
+            other = list(pairs)
+            if field == "write" and other:
+                addr, w = other[-1]
+                other[-1] = (addr, not w)
+            elif field in ("write", "length"):
+                other.append((0, False))
+            for changed in (twin(other, "columns"), twin(other, "events")):
+                if field == "name":
+                    changed.name += "x"
+                elif field == "l2_hits":
+                    changed.l2_hits += 1
+                assert born != changed and changed != born
+
+    @pytest.mark.parametrize("mode", [
+        "scalar",
+        pytest.param("compiled", marks=pytest.mark.skipif(
+            load_native_core() is None,
+            reason="compiled core not built or switched off",
+        )),
+    ])
+    @WITH_AND_WITHOUT_NUMPY
+    @settings(max_examples=10, deadline=None)
+    @given(pairs=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=2**10 - 1), st.booleans()),
+        max_size=40,
+    ))
+    @example(pairs=[])
+    @example(pairs=[(5, True)] * 9)
+    @example(pairs=[(5, False)] * 9)
+    def test_same_replay(self, mode, numpy, pairs):
+        from repro.presets import build_frontend
+        from repro.sim.system import replay_trace
+        from repro.sim.timing import OramTimingModel
+        from test_replay_differential import frontend_digests
+
+        timing = OramTimingModel(tree_latency_cycles=1000.0)
+        outcomes = []
+        with numpy_or_not(numpy):
+            for born in ("events", "columns"):
+                trace = twin(pairs, born)
+                frontend = build_frontend(
+                    "PC_X32", num_blocks=2**10, rng=DeterministicRng(7)
+                )
+                with counting_events() as made:
+                    result = replay_trace(frontend, trace, timing, mode=mode)
+                if mode == "compiled":
+                    assert made == []  # the fast tier reads the columns
+                outcomes.append((result, frontend_digests(frontend)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0].oram_accesses == len(pairs)
