@@ -16,7 +16,7 @@ import sys
 import zlib
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro.config import ProcessorConfig
 from repro.proc.cache import Cache
@@ -45,17 +45,14 @@ class MissEvent:
 class MissTrace:
     """LLC-filtered view of a program's execution.
 
-    The event stream has two representations. A trace that arrives as
-    columns (:meth:`from_columns`: a decoded cache image or the native
-    synthesis kernel's output) keeps its ``int64`` address column and
-    ``bool`` write column and builds no :class:`MissEvent`; ``events``
-    builds the list on first read. A trace built from events (``events=``,
-    ``trace.events = [...]``, :meth:`CacheHierarchy.run` appending) keeps
-    the list and derives the columns on demand. Once the list exists it
-    is the source of truth: appending to it or rebinding ``events``
-    invalidates the columns, which are rebuilt from the list when next
-    asked for (in-place same-length element mutation does not — mutate
-    via append/rebind, as every producer in this repo does).
+    The event stream is two columns: an ``int64`` line-address column and
+    a ``bool`` write column (``array('q')`` / ``array('b')`` without
+    numpy), which every producer hands to :meth:`from_columns`. They are
+    the trace's only copy of the stream: ``events`` is a read-only tuple
+    of :class:`MissEvent` built from them on first read and kept until
+    ``events`` is assigned. Assigning ``events`` (or passing ``events=``)
+    copies the events into new columns, so the caller's list is never
+    aliased and later changes to it do not reach the trace.
 
     Equality is the name, the four counters and the event sequence,
     compared as columns; the repr shows the event count, not the events.
@@ -68,96 +65,66 @@ class MissTrace:
         mem_refs: int = 0,
         l1_hits: int = 0,
         l2_hits: int = 0,
-        events: Optional[List[MissEvent]] = None,
+        events: Optional[Iterable[MissEvent]] = None,
     ):
         self.name = name
         self.instructions = instructions
         self.mem_refs = mem_refs
         self.l1_hits = l1_hits
         self.l2_hits = l2_hits
-        self._events: Optional[List[MissEvent]] = [] if events is None else events
-        #: The columns: (events list reference, length, line_addr column,
-        #: is_write column). A column-born trace's reference is None until
-        #: ``events`` is read. The list *reference* (not its id — CPython's
-        #: free list recycles addresses, so an id could alias a new list
-        #: after a rebind) plus the length key the view.
-        self._columns: Optional[
-            Tuple[Optional[List[MissEvent]], int, object, object]
-        ] = None
+        self.events = () if events is None else events
+
+    def _adopt(self, line_addrs, is_write) -> None:
+        """Make two column buffers the trace's columns."""
+        if _np is not None:
+            line_addrs = _np.frombuffer(line_addrs, dtype=_np.int64)
+            is_write = _np.frombuffer(is_write, dtype=_np.bool_)
+        else:
+            line_addrs = array("q", line_addrs)
+            is_write = array("b", is_write)
+        self._columns = (line_addrs, is_write)
+        self._events: Optional[Tuple[MissEvent, ...]] = None
 
     @property
-    def events(self) -> List[MissEvent]:
-        """The event list, built from the columns on first read."""
+    def events(self) -> Tuple[MissEvent, ...]:
+        """The events, built from the columns on first read."""
         events = self._events
         if events is None:
-            _, n, line_addrs, is_write = self._columns
-            events = self._events = [
+            line_addrs, is_write = self._columns
+            events = self._events = tuple(
                 MissEvent(addr, w)
                 for addr, w in zip(line_addrs.tolist(), map(bool, is_write.tolist()))
-            ]
-            self._columns = (events, n, line_addrs, is_write)
+            )
         return events
 
     @events.setter
-    def events(self, events: List[MissEvent]) -> None:
-        self._events = events
-
-    def _view(self):
-        """The cached columns if they are current, else None."""
-        cached = self._columns
-        if cached is None or cached[0] is not self._events:
-            return None
-        if cached[0] is not None and cached[1] != len(cached[0]):
-            return None
-        return cached
+    def events(self, events: Iterable[MissEvent]) -> None:
+        events = list(events)
+        self._adopt(
+            array("q", [e.line_addr for e in events]),
+            array("b", [1 if e.is_write else 0 for e in events]),
+        )
 
     @property
     def num_events(self) -> int:
         """Events in the trace (misses plus writebacks): the ORAM accesses."""
-        view = self._view()
-        return view[1] if view is not None else len(self._events)
+        return len(self._columns[0])
 
     @property
     def llc_misses(self) -> int:
         """Demand misses (excludes eviction writebacks)."""
-        view = self._view()
-        if view is None:
-            return sum(1 for e in self._events if not e.is_write)
-        # The columns are current: one count over the write column instead
-        # of a generator step per event.
-        is_write = view[3]
+        is_write = self._columns[1]
         writes = _np.count_nonzero(is_write) if _np is not None else sum(is_write)
-        return view[1] - int(writes)
-
-    # -- columnar view --------------------------------------------------------
+        return len(is_write) - int(writes)
 
     def columns(self) -> Tuple[object, object]:
         """Struct-of-arrays view of the event stream: (line_addrs, is_write).
 
         With numpy available the columns are an ``int64`` array and a bool
-        array (the fast replay loop's native operands); without it they
-        are ``array('q')`` / ``array('b')`` with identical element values.
-        A column-born trace returns the columns it arrived with; an
-        event-built one materialises them from ``events`` and caches them
-        until the list is appended to or rebound.
+        array (the replay loop's operands); without it they are
+        ``array('q')`` / ``array('b')`` with identical element values.
         """
-        view = self._view()
-        if view is not None:
-            return view[2], view[3]
-        events = self._events
-        n = len(events)
-        if _np is not None:
-            line_addrs = _np.fromiter(
-                (e.line_addr for e in events), dtype=_np.int64, count=n
-            )
-            is_write = _np.fromiter(
-                (e.is_write for e in events), dtype=_np.bool_, count=n
-            )
-        else:
-            line_addrs = array("q", (e.line_addr for e in events))
-            is_write = array("b", (1 if e.is_write else 0 for e in events))
-        self._columns = (events, n, line_addrs, is_write)
-        return line_addrs, is_write
+        return self._columns
 
     def _counters(self) -> Tuple[str, int, int, int, int]:
         return (
@@ -284,25 +251,18 @@ class MissTrace:
 
     @classmethod
     def from_columns(cls, name: str, counters, line_addrs, is_write) -> "MissTrace":
-        """A trace that arrives as columns: a decoded image, or the native
-        synthesis kernel's output.
+        """The trace of two column buffers: how every producer makes one
+        (a decoded cache image, :meth:`CacheHierarchy.run`, the native
+        synthesis kernel).
 
         ``counters`` is (instructions, mem_refs, l1_hits, l2_hits);
         ``line_addrs`` and ``is_write`` are buffers of native int64
         addresses and 0/1 bytes. They become the trace's columns as they
         are (numpy views, or ``array('q')`` / ``array('b')`` without
-        numpy): no :class:`MissEvent` is built until ``events`` is read,
-        and the trace reaches the fast replay loop without a second pass.
+        numpy): no :class:`MissEvent` is built until ``events`` is read.
         """
-        if _np is not None:
-            line_addrs = _np.frombuffer(line_addrs, dtype=_np.int64)
-            is_write = _np.frombuffer(is_write, dtype=_np.bool_)
-        else:
-            line_addrs = array("q", line_addrs)
-            is_write = array("b", is_write)
         trace = cls(name, *counters)
-        trace._events = None
-        trace._columns = (None, len(line_addrs), line_addrs, is_write)
+        trace._adopt(line_addrs, is_write)
         return trace
 
 
@@ -335,38 +295,44 @@ class CacheHierarchy:
         §7.1.1); measurement then stops after ``max_llc_misses`` demand
         misses when positive.
         """
-        trace = MissTrace(name=name)
+        line_addrs, is_write = array("q"), array("b")
+        instructions = mem_refs = l1_hits = l2_hits = 0
         line_shift = self.config.line_bytes.bit_length() - 1
         misses = 0
         warm_remaining = warmup_refs
-        for gap, is_write, byte_addr in refs:
+        for gap, write, byte_addr in refs:
             recording = warm_remaining <= 0
             if not recording:
                 warm_remaining -= 1
             if recording:
-                trace.instructions += gap + 1
-                trace.mem_refs += 1
+                instructions += gap + 1
+                mem_refs += 1
             line = byte_addr >> line_shift
-            hit, wb = self.l1.access(line, is_write)
+            hit, wb = self.l1.access(line, write)
             if hit:
                 if recording:
-                    trace.l1_hits += 1
+                    l1_hits += 1
                 continue
             if wb is not None:
                 l2_wb = self.l2.install(wb, dirty=True)
                 if l2_wb is not None and recording:
-                    trace.events.append(MissEvent(l2_wb, True))
+                    line_addrs.append(l2_wb)
+                    is_write.append(1)
             l2_hit, l2_wb = self.l2.access(line, False)
             if l2_hit:
                 if recording:
-                    trace.l2_hits += 1
+                    l2_hits += 1
                 continue
             if not recording:
                 continue
             if l2_wb is not None:
-                trace.events.append(MissEvent(l2_wb, True))
-            trace.events.append(MissEvent(line, False))
+                line_addrs.append(l2_wb)
+                is_write.append(1)
+            line_addrs.append(line)
+            is_write.append(0)
             misses += 1
             if max_llc_misses and misses >= max_llc_misses:
                 break
-        return trace
+        return MissTrace.from_columns(
+            name, (instructions, mem_refs, l1_hits, l2_hits), line_addrs, is_write
+        )

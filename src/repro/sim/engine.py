@@ -7,14 +7,13 @@ trace, the second with live request batches. :class:`ReplayEngine` is
 that core:
 
 - ``run_batch(addrs, writes)`` executes one run of block-level requests
-  through the frontend (the fast tier's loop: hoisted-constant access
-  loop, memoised latency lookup, event-ordered left-fold accumulation
-  — in C once ``enable_native`` has been handed the extension) and
-  returns the per-event latencies so callers can do per-request
-  accounting;
-- ``run_trace(trace)`` is ``run_batch`` over a whole trace's columns and
-  ``run_trace_scalar(trace)`` the reference tier's per-event loop over
-  the same state;
+  through the frontend (hoisted-constant access loop, memoised latency
+  lookup, event-ordered left-fold accumulation — interpreted on the
+  reference tier, in C once ``enable_native`` has been handed the
+  extension) and returns the per-event latencies so callers can do
+  per-request accounting;
+- ``run_trace(trace)`` is ``translate`` and ``run_batch`` over a whole
+  trace's columns: the one replay loop of both tiers;
 - ``result(trace, scheme)`` assembles the :class:`SimResult` from the
   counters the engine snapshotted at construction.
 
@@ -94,7 +93,7 @@ class ReplayEngine:
         self._prf_calls0 = crypto.prf.call_count if crypto is not None else 0
         # Tree-access count -> latency, filled on a miss: the latency
         # model is a pure function of a count that takes a handful of
-        # values. Shared by run_batch and run_trace_scalar.
+        # values.
         self._latency_memo: dict = {}
         # Compiled core (repro.sim.native._replay_core) — None until
         # enable_native() is handed one; every simulated outcome is
@@ -147,7 +146,7 @@ class ReplayEngine:
             )
         return translate_block_addrs(line_addrs, self.lines_per_block)
 
-    # -- the fast tier's loop -------------------------------------------------
+    # -- the replay loop ------------------------------------------------------
 
     def run_batch(self, addrs: Sequence[int], writes: Sequence[bool]) -> List[float]:
         """Drive one batch of block-level requests through the frontend.
@@ -202,44 +201,9 @@ class ReplayEngine:
         return latencies
 
     def run_trace(self, trace: MissTrace) -> None:
-        """Whole-trace replay on the fast tier: one batch of columns."""
+        """Whole-trace replay, on either tier: one batch of columns."""
         line_addrs, is_write = trace.columns()
-        addrs = self.translate(line_addrs)
-        writes = (
-            is_write.tolist() if hasattr(is_write, "tolist") else list(is_write)
-        )
-        self.run_batch(addrs, writes)
-
-    # -- the reference tier's loop --------------------------------------------
-
-    def run_trace_scalar(self, trace: MissTrace) -> None:
-        """The per-event reference replay loop (``mode="scalar"``).
-
-        The latency model is a pure function of the per-event tree-access
-        count, which takes only a handful of distinct values; memoising it
-        keeps the replay loop free of repeated float composition (the same
-        float is accumulated in the same order, so cycles are
-        bit-identical).
-        """
-        access = self.frontend.access
-        payload = self.payload
-        lines_per_block = self.lines_per_block
-        latency_for = self._latency_memo
-        timing = self.timing
-        cycles = self.cycles
-        for event in trace.events:
-            block_addr = event.line_addr // lines_per_block
-            if event.is_write:
-                result = access(block_addr, Op.WRITE, payload)
-            else:
-                result = access(block_addr, Op.READ)
-            n = result.tree_accesses
-            latency = latency_for.get(n)
-            if latency is None:
-                latency_for[n] = latency = timing.miss_latency(n)
-            cycles += latency
-        self.cycles = cycles
-        self.events += len(trace.events)
+        self.run_batch(self.translate(line_addrs), is_write.tolist())
 
     # -- result assembly -------------------------------------------------------
 

@@ -1,20 +1,22 @@
-"""Replay tier selection and the column helpers of the fast replay loop.
+"""Replay tier selection and the column helpers of the replay loop.
 
 A trace is replayed on one of two tiers, bit-identical in every
 simulated outcome (``tests/test_replay_differential.py`` compares them
-after every batch):
+after every batch). Both run the one loop, :meth:`ReplayEngine.run_trace
+<repro.sim.engine.ReplayEngine.run_trace>` over the trace's columns —
+translate, access each event, look up latencies, fold the cycles — and
+differ in who runs each stage:
 
-- **reference** (``mode="scalar"``) — the per-event loop of
-  :meth:`ReplayEngine.run_trace_scalar
-  <repro.sim.engine.ReplayEngine.run_trace_scalar>` over object storage
-  and the interpreted ``Frontend.access``, with no kernel enabled; what
-  the lockstep suites compare against.
+- **reference** (``mode="scalar"``) — interpreted end to end:
+  :func:`translate_block_addrs`, the Python access loop of
+  :meth:`ReplayEngine.run_batch <repro.sim.engine.ReplayEngine.run_batch>`
+  and its Python fold, over object storage and the interpreted
+  ``Frontend.access``, with no kernel enabled; what the lockstep suites
+  compare against.
 - **fast** (``mode="compiled"``) — the C extension of
-  :mod:`repro.sim.native`: :meth:`ReplayEngine.run_batch
-  <repro.sim.engine.ReplayEngine.run_batch>` over the trace's columns
-  and columnar storage, where the translation, the access loop, every
-  tree access (a columnar backend *is* its ``AccessKernel``) and, where
-  they engage, the frontends' accesses run in C.
+  :mod:`repro.sim.native`: the translation, the access loop, the fold,
+  every tree access (a columnar backend *is* its ``AccessKernel``) and,
+  where they engage, the frontends' accesses run in C.
 
 ``REPRO_NATIVE`` alone picks the tier (:func:`resolve_tier`): ``on``, the
 default, is fast when the extension is built and current and reference

@@ -62,21 +62,21 @@ def replay_trace(
 ) -> SimResult:
     """Feed every LLC miss/eviction through the Frontend and sum latency.
 
-    ``mode`` selects the replay tier: ``"scalar"`` (the reference
-    per-event loop, no kernel enabled) or ``"compiled"`` (the fast tier —
-    :meth:`ReplayEngine.run_batch` on the C extension of
+    ``mode`` selects the replay tier: ``"scalar"`` (the reference tier:
+    no kernel enabled, object storage, interpreted stages) or
+    ``"compiled"`` (the fast tier — the C extension of
     :mod:`repro.sim.native`, which it raises without). ``None`` takes the
     environment's tier (``REPRO_NATIVE``: fast when the extension is
-    built, else reference). The tiers are bit-identical in every
-    simulated outcome — SimResult, frontend statistics, and final tree
-    contents — a property
-    pinned by the lockstep differential suite; the choice is
+    built, else reference). Both tiers run the one loop,
+    :meth:`ReplayEngine.run_trace <repro.sim.engine.ReplayEngine.run_trace>`
+    over the trace's columns, and are bit-identical in every simulated
+    outcome — SimResult, frontend statistics, and final tree contents —
+    a property pinned by the lockstep differential suite; the choice is
     performance-only and therefore never part of any result-cache key.
 
-    Both run on a :class:`~repro.sim.engine.ReplayEngine` — the same
-    access core the :mod:`repro.serve` layer drives with live request
-    batches, so serving inherits every bit-identity guarantee the
-    differential harnesses prove here.
+    The engine is the same access core the :mod:`repro.serve` layer
+    drives with live request batches, so serving inherits every
+    bit-identity guarantee the differential harnesses prove here.
     """
     from repro.sim.engine import ReplayEngine
 
@@ -84,8 +84,5 @@ def replay_trace(
         frontend, timing, mode, proc=proc, block_bytes=block_bytes
     )
     engine.cycles = base_cycles(trace, proc)
-    if engine.mode == "scalar":
-        engine.run_trace_scalar(trace)
-    else:
-        engine.run_trace(trace)
+    engine.run_trace(trace)
     return engine.result(trace, scheme)

@@ -14,8 +14,10 @@ from repro.config import ProcessorConfig
 from repro.presets import build_frontend
 from repro.proc.hierarchy import MissEvent, MissTrace
 from repro.sim.engine import ReplayEngine, frontend_block_bytes
+from repro.sim.native import load_native_core
 from repro.sim.system import base_cycles, replay_trace
 from repro.sim.timing import timing_for_frontend
+from repro.storage.snapshot import tree_digest
 from repro.utils.rng import DeterministicRng
 
 BLOCKS = 2**9
@@ -57,16 +59,32 @@ class TestEngineVsReplayTrace:
         engine.run_trace(trace)
         assert engine.result(trace, scheme="PC_X32") == expected
 
+    @pytest.mark.skipif(
+        load_native_core() is None, reason="compiled core not built"
+    )
     def test_scalar_and_fast_loops_agree(self):
+        """``run_trace`` is one loop on both tiers: the reference engine
+        (interpreted stages, object storage) and the compiled one leave
+        the same cycles, counts, result and tree."""
         trace = make_trace(9, 250)
-        fast, scalar = make_engine(2), make_engine(2)
-        fast.run_trace(trace)
-        scalar.run_trace_scalar(trace)
-        assert fast.cycles == scalar.cycles
+        engines = []
+        for mode, storage in (("scalar", "object"), ("compiled", "default")):
+            frontend = build_frontend(
+                "PC_X32", num_blocks=BLOCKS, rng=DeterministicRng(2),
+                storage=storage,
+            )
+            engine = ReplayEngine.for_mode(
+                frontend, timing_for_frontend(frontend), mode=mode
+            )
+            engine.run_trace(trace)
+            engines.append(engine)
+        scalar, fast = engines
+        assert scalar._native is None and fast._native is not None
+        assert repr(fast.cycles) == repr(scalar.cycles)
         assert fast.events == scalar.events == len(trace.events)
-        assert (
-            fast.result(trace).tree_accesses
-            == scalar.result(trace).tree_accesses
+        assert fast.result(trace) == scalar.result(trace)
+        assert tree_digest(fast.frontend.backend.storage) == tree_digest(
+            scalar.frontend.backend.storage
         )
 
 

@@ -227,11 +227,14 @@ class TestDefaultTier:
 
     def test_native_off_runs_the_reference(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "off")
+        cores = []
+        run_trace = ReplayEngine.run_trace
 
-        def unreachable(*args, **kwargs):
-            raise AssertionError("fast loop under REPRO_NATIVE=off")
+        def recording(engine, trace):
+            cores.append(engine._native)
+            run_trace(engine, trace)
 
-        monkeypatch.setattr(ReplayEngine, "run_batch", unreachable)
+        monkeypatch.setattr(ReplayEngine, "run_trace", recording)
         for scheme in ("PIC_X32", "R_X8"):
             frontend = build_frontend(
                 scheme, num_blocks=BLOCKS, rng=DeterministicRng(7)
@@ -241,6 +244,7 @@ class TestDefaultTier:
                 assert type(backend.storage) is TreeStorage
                 assert not hasattr(backend, "_kernel")
             assert getattr(frontend, "_kernel", None) is None
+        assert cores == [None, None]  # no core enabled on either replay
 
     @pytest.mark.skipif(
         load_native_core() is None, reason="compiled core not built"

@@ -77,7 +77,7 @@ class _WideTraceRunner(SimulationRunner):
     def trace(self, name):
         trace = super().trace(name)
         lines = benchmark(name).wss_bytes // self.proc.line_bytes
-        events = trace.events[:10] + [MissEvent(2 * lines, False)]
+        events = list(trace.events[:10]) + [MissEvent(2 * lines, False)]
         return MissTrace(
             trace.name, trace.instructions, trace.mem_refs, trace.l1_hits,
             trace.l2_hits, events=events,

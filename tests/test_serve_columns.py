@@ -6,7 +6,8 @@ pinned here to the call it replaced — ``record_many`` to ``record``, the
 route column to ``_shard_index``, the folded accounting log to folding
 every epoch — and the property itself is pinned as a count: wall-clock
 stamps per epoch and per batch, never per request, and no ``MissEvent``
-between the trace cache and a shard or a sweep cell.
+between a trace's synthesis or the trace cache and a shard or a sweep
+cell.
 """
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import repro.serve.server as server
 import repro.sim.replay as replay
 from repro.faults import injected, parse
+from repro.proc.hierarchy import CacheHierarchy
 from repro.serve import (
     LatencyHistogram,
     OramService,
@@ -24,6 +26,8 @@ from repro.serve import (
 )
 from repro.serve.server import _route_column, _shard_index
 from repro.sim.runner import SimulationRunner
+from repro.utils.rng import DeterministicRng
+from repro.workloads.spec import benchmark
 
 from test_serve_lockstep import strip_wall
 from test_trace_columns import counting_events
@@ -187,8 +191,9 @@ class TestNoObjectPerServedRequest:
 
 
 class TestNoEventPerCachedRequest:
-    """A trace loaded from the trace cache stays columns on its way to a
-    shard's request stream or a fast-tier cell: no ``MissEvent`` is built."""
+    """A trace stays columns from its synthesis or the trace cache to a
+    shard's request stream or a cell on either tier: no ``MissEvent`` is
+    built."""
 
     def test_building_a_service_over_a_warm_trace_cache(self):
         scenario()  # warms the trace cache
@@ -211,6 +216,26 @@ class TestNoEventPerCachedRequest:
             results = [cold.run_cell(cell) for cell in cells]
         assert made == []
         assert [r.oram_accesses for r in results] == [cold.trace("gob").num_events] * 2
+
+    def test_the_cache_hierarchy_records_columns(self):
+        spec = benchmark("gob")
+        refs = spec.refs(DeterministicRng(2015))
+        with counting_events() as made:
+            trace = CacheHierarchy().run(refs, name="gob", max_llc_misses=300)
+        assert made == []
+        assert trace.llc_misses == 300
+
+    def test_a_reference_tier_cell_over_a_fresh_trace(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NATIVE", "off")
+        runner = SimulationRunner(
+            seed=2015, misses_per_benchmark=200, cache_dir=None,
+            result_cache_dir=None,
+        )
+        cells = runner.cells(["PC_X32"], ["gob"]) + runner.baseline_cells(["gob"])
+        with counting_events() as made:
+            results = [runner.run_cell(cell) for cell in cells]
+        assert made == []
+        assert [r.oram_accesses for r in results] == [runner.trace("gob").num_events] * 2
 
 
 class _ScriptedClock:

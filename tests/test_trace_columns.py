@@ -1,9 +1,11 @@
-"""Columnar MissTrace view: lazy materialisation + binary round-trip.
+"""A MissTrace is its two columns: the events view + binary round-trip.
 
-A trace has two births. One built from events derives its columns on
-demand; one that arrives as columns (a decoded cache image, the
-synthesis kernel's output) keeps them and builds events only when
-``events`` is read. Both must be the same trace in every observable way.
+Every trace holds its stream as an address column and a write column.
+One built from events (``events=``, ``trace.events = [...]``) copies them
+into new columns; one that arrives as columns (a decoded cache image,
+the synthesis kernel's output) keeps them. Either way ``events`` is a
+read-only tuple built from the columns on first read, and the two must
+be the same trace in every observable way.
 """
 
 import contextlib
@@ -75,21 +77,41 @@ class TestColumns:
         assert trace.columns()[0] is first[0]
 
     @BORN
-    def test_append_invalidates_cache(self, born):
+    def test_events_are_read_only(self, born):
         trace = make_trace(events=10, born=born)
-        trace.columns()
-        trace.events.append(MissEvent(7, True))
-        line_addrs, is_write = trace.columns()
-        assert len(line_addrs) == 11
-        assert list(line_addrs)[-1] == 7 and bool(list(is_write)[-1])
+        with pytest.raises(AttributeError):
+            trace.events.append(MissEvent(7, True))
+        assert trace.num_events == len(trace.events) == 10
 
     @BORN
     def test_rebinding_events_invalidates_cache(self, born):
         trace = make_trace(events=4, born=born)
-        trace.columns()
+        old_addrs, old_writes = trace.columns()
         trace.events = [MissEvent(1, False), MissEvent(2, True)]
-        line_addrs, _ = trace.columns()
+        line_addrs, is_write = trace.columns()
+        assert line_addrs is not old_addrs and is_write is not old_writes
         assert list(line_addrs) == [1, 2]
+        assert [bool(w) for w in is_write] == [False, True]
+        assert trace.events == (MissEvent(1, False), MissEvent(2, True))
+        assert trace.num_events == 2 and trace.llc_misses == 1
+
+    def test_the_callers_list_is_copied(self):
+        events = [MissEvent(1, False), MissEvent(2, True), MissEvent(3, False)]
+        trace = MissTrace("x", *COUNTERS, events=events)
+        twin_trace = MissTrace("x", *COUNTERS, events=list(events))
+        columns = [list(column) for column in trace.columns()]
+        before = (trace.events, columns, trace.num_events, trace.llc_misses)
+        events[0] = MissEvent(9, True)
+        events.append(MissEvent(4, True))
+        after = (
+            trace.events,
+            [list(column) for column in trace.columns()],
+            trace.num_events,
+            trace.llc_misses,
+        )
+        assert after == before
+        assert before[0][0] == MissEvent(1, False) and before[2:] == (3, 2)
+        assert trace == twin_trace
 
     def test_empty_trace(self):
         trace = MissTrace(name="empty")
@@ -114,8 +136,8 @@ class TestColumns:
 
 
 class TestLlcMisses:
-    """``llc_misses`` answers from the columnar view when it is current
-    and from the event list otherwise: the same count either way."""
+    """``llc_misses`` counts the write column: the demand misses among
+    the events."""
 
     @staticmethod
     def by_events(trace):
@@ -139,22 +161,7 @@ class TestLlcMisses:
         expected = self.by_events(trace)
         assert expected >= 150
         assert trace.llc_misses == expected
-        trace._columns = None  # no view: the generator path
-        assert trace.llc_misses == expected
-        trace.columns()
-        assert trace.llc_misses == expected
         assert trace.mpki == 1000.0 * expected / trace.instructions
-
-    @BORN
-    def test_a_stale_view_is_not_consulted(self, born):
-        trace = make_trace(events=50, born=born)
-        trace.columns()
-        before = trace.llc_misses
-        trace.events.append(MissEvent(9, False))
-        assert trace.llc_misses == before + 1 == self.by_events(trace)
-        trace.columns()
-        trace.events = [MissEvent(1, True), MissEvent(2, False)]
-        assert trace.llc_misses == 1
 
     def test_empty_trace(self):
         trace = MissTrace(name="empty")
@@ -207,8 +214,8 @@ class TestRoundTrip:
 class TestCacheAliasing:
     @BORN
     def test_rebind_to_recycled_list_object_invalidates(self, born):
-        """CPython's list free-list can hand a new list the old list's
-        address; the cache must key on the reference, not id()."""
+        """Each rebind replaces the columns, even when CPython's list
+        free-list hands the new list the old list's address."""
         trace = twin([(1, False), (2, False)], born, name="alias")
         trace.columns()
         trace.events = []  # old list freed -> address reusable
