@@ -164,10 +164,6 @@ def _add_sweep_parser(commands) -> argparse.ArgumentParser:
         help="per-benchmark LLC miss budget")
     add("--out", type=_text, metavar="FILE",
         help=f"JSON report path (default {DEFAULT_SWEEP_OUT})")
-    add("--checkpoint", type=_text, metavar="DIR",
-        help="cell journal directory (default <out>.ckpt)")
-    add("--resume", action="store_true",
-        help="recompute only cells missing from the journal")
     add("--connect", type=_text, metavar="HOST:PORT",
         help="bind the coordinator there for 'fabric serve-worker's to attach, "
              "beside the local workers of a --workers N above 1")
@@ -313,7 +309,6 @@ def _write_report(report: object, out: str) -> None:
 
 def _sweep_main(args: argparse.Namespace) -> int:
     """The ``sweep`` subcommand: grid x schemes x benchmarks -> table+JSON."""
-    from repro.sim.checkpoint import SweepCheckpoint, default_checkpoint_path
     from repro.sim.runner import SimulationRunner
     from repro.sim.sweep import SweepSpec, run_sweep, sweep_table
 
@@ -321,10 +316,6 @@ def _sweep_main(args: argparse.Namespace) -> int:
     out = args.out or (
         f"SWEEP_{args.saved}.json" if args.saved is not None else DEFAULT_SWEEP_OUT
     )
-    # Every CLI sweep journals completed cells beside the report; a clean
-    # finish with nothing quarantined retires the journal, an interrupt
-    # or crash leaves it for ``--resume``.
-    journal = SweepCheckpoint(args.checkpoint or default_checkpoint_path(out))
     benches = args.bench or None
     coordinator = None
     reports: List[dict] = []
@@ -343,15 +334,9 @@ def _sweep_main(args: argparse.Namespace) -> int:
             sweeps = SweepSpec.from_args(
                 args.scheme or ["PIC_X32"], args.grid, benches
             )
-        # A figure of several sweeps journals each in a directory of its
-        # own and writes the list of their reports.
+        # A figure of several sweeps writes the list of their reports.
         several = isinstance(sweeps, list)
         sweeps = sweeps if several else [sweeps]
-        journals = (
-            [SweepCheckpoint(journal.root / str(i)) for i in range(len(sweeps))]
-            if several
-            else [journal]
-        )
         from repro.fabric import FabricCoordinator, FabricExecutor, parse_address
 
         # --workers N is runner.execute's: each call forks its own N local
@@ -367,27 +352,20 @@ def _sweep_main(args: argparse.Namespace) -> int:
                 f"fabric: coordinator on {bound[0]}:{bound[1]}, "
                 f"{local} local worker(s), accepting attached workers"
             )
-        for sweep, sweep_journal in zip(sweeps, journals):
+        for sweep in sweeps:
             if coordinator is not None:
                 executor = FabricExecutor(coordinator)
             elif local and not sweep.serve_grid:  # a serve sweep runs here
                 executor = FabricExecutor(workers=local)
             else:
                 executor = None
-            reports.append(run_sweep(
-                sweep, runner, checkpoint=sweep_journal, resume=args.resume,
-                executor=executor,
-            ))
+            reports.append(run_sweep(sweep, runner, executor=executor))
     except SweepInterrupted as exc:
         if exc.report is not None:
             reports.append(exc.report)
             _write_report(reports if several else exc.report, out)
             print(f"\nsweep interrupted; wrote partial report to {out}", file=sys.stderr)
-        print(
-            f"completed cells are journaled in {journal.root}; "
-            f"re-run the same sweep with --resume to finish it",
-            file=sys.stderr,
-        )
+        print(_rerun_hint(runner, sweeps), file=sys.stderr)
         return 130
     except ReproError as exc:
         print(f"sweep error: {exc}", file=sys.stderr)
@@ -395,22 +373,34 @@ def _sweep_main(args: argparse.Namespace) -> int:
     finally:
         if coordinator is not None:
             coordinator.close()
+    # The report first: it is the sweep's record, the table only a view.
+    _write_report(reports if several else reports[0], out)
     for report in reports:
         print(sweep_table(report))
-    _write_report(reports if several else reports[0], out)
     print(f"wrote {out}")
     quarantined = sum(len(r["resilience"]["quarantined"]) for r in reports)
     if quarantined:
         print(
-            f"{quarantined} cell(s) quarantined after "
-            f"repeated failures (see report['resilience']); journal kept "
-            f"at {journal.root} for --resume",
+            f"{quarantined} cell(s) quarantined after repeated failures (see "
+            f"report['resilience']); {_rerun_hint(runner, sweeps)}",
             file=sys.stderr,
         )
-    else:
-        for sweep_journal in (*journals, journal):
-            sweep_journal.retire()
     return 0
+
+
+def _rerun_hint(runner, sweeps) -> str:
+    """How to finish a sweep that stopped short: run it again."""
+    store = runner.result_cache
+    if store is None or any(sweep.serve_grid for sweep in sweeps):
+        why = "the result store is off" if store is None else (
+            "serve scenario cells are not stored"
+        )
+        return f"{why}, so re-running the sweep recomputes every cell"
+    again = "the same sweep" + (" without --force" if runner.force else "")
+    return (
+        f"finished cells are in the result store {store.root}; "
+        f"re-run {again} to finish it"
+    )
 
 
 def _serve_main(args: argparse.Namespace) -> int:

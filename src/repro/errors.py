@@ -79,9 +79,9 @@ class FabricError(ReproError):
     """The distributed sweep fabric cannot make progress.
 
     Raised by the coordinator when no worker ever joins, or when every
-    worker has died and no respawn budget remains. The sweep's journal is
-    flushed before this propagates, so ``--resume`` picks up exactly
-    where the fabric stopped.
+    worker has died and no respawn budget remains. Every cell finished
+    before this propagates is in the runner's result store (when it has
+    one), so running the sweep again picks up where the fabric stopped.
     """
 
 
@@ -90,7 +90,8 @@ class SweepInterrupted(ReproError):
 
     Carries the partial ``report`` dict (completed cells only, marked
     ``"interrupted": True``) so the CLI can persist it and print a
-    ``--resume`` hint before exiting with status 130.
+    hint that running the sweep again finishes it, then exit with status
+    130.
     """
 
     def __init__(self, message: str, report: dict | None = None):

@@ -24,8 +24,8 @@ are forked over socketpairs; remote ones dial in. The pieces:
 Determinism contract: a fabric run's report is bit-identical to the
 serial local run — cells are content-addressed, results derive only
 from the runner seed, and the report is assembled in grid order — and
-an interrupted fabric run ``--resume``s from the same
-:class:`~repro.sim.checkpoint.SweepCheckpoint` entries as a local one.
+an interrupted fabric run is finished, like a local one, by running
+it again: the cells its workers stored come back from the result store.
 """
 
 from repro.fabric.coordinator import FabricCoordinator, FabricExecutor

@@ -25,7 +25,7 @@ Scheduling model:
 - a worker that goes idle while the queue is empty *steals* a task
   already leased to the most-loaded peer: duplicate execution is safe
   (results are deterministic and content-addressed; the first ``result``
-  per id wins, and a cell's journal entry is stored once) and stragglers no
+  per id wins, and same-key store writes leave one entry) and stragglers no
   longer serialize the tail;
 - a worker that dies (connection drop, heartbeat silence beyond
   :data:`HEARTBEAT_TIMEOUT`, or a leased cell running past the retry
@@ -41,7 +41,8 @@ Scheduling model:
 - :class:`~repro.errors.FabricError` is raised only when progress is
   impossible: no live worker for :data:`STARTUP_TIMEOUT`, or every
   worker is gone with no respawn budget. Completed cells are already
-  journaled at that point, so ``--resume`` continues exactly there.
+  in the runner's result store (when it has one) at that point, so
+  running the sweep again continues there.
 
 RPC hardening: every coordinator send is bounded by the
 :class:`~repro.resilience.RpcPolicy` timeout (``REPRO_RPC_TIMEOUT``);
@@ -623,8 +624,8 @@ class FabricCoordinator:
             raise FabricError(
                 f"no live fabric worker for {STARTUP_TIMEOUT:.1f}s "
                 f"({self.counters['workers_joined']} ever joined, respawn "
-                f"budget {self._respawn_budget}); completed cells are "
-                f"journaled — fix the workers and --resume"
+                f"budget {self._respawn_budget}) — fix the workers and run "
+                f"the sweep again; the cells already stored are not recomputed"
             )
 
 

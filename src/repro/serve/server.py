@@ -493,7 +493,18 @@ class OramService:
         """
         if self.epochs or any(t.cursor for t in self._tenants):
             raise ReproError("preload must happen before serving starts")
-        global_addr = self._tenants[tenant_index].offset + addr
+        if not 0 <= tenant_index < len(self._tenants):
+            raise ConfigurationError(
+                f"preload: tenant {tenant_index} is outside "
+                f"[0, {len(self._tenants)})"
+            )
+        tenant = self._tenants[tenant_index]
+        if not 0 <= addr < tenant.region_blocks:
+            raise ConfigurationError(
+                f"preload: block {addr} is outside tenant {tenant_index}'s "
+                f"region [0, {tenant.region_blocks})"
+            )
+        global_addr = tenant.offset + addr
         shard = self.shards[_shard_index(global_addr, self.config.shards)]
         from repro.backend.ops import Op
 

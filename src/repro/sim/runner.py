@@ -101,9 +101,9 @@ class Cell:
     """One unit of work: a benchmark replayed against one sized scheme.
 
     ``key`` is the cell's result-store address (see
-    :meth:`SimulationRunner.result_key`) — also its sweep-journal key and
-    its fabric task id. ``spec`` is the scheme sized for the benchmark;
-    ``None`` is the insecure-DRAM baseline (``label == "insecure"``).
+    :meth:`SimulationRunner.result_key`) — also its fabric task id.
+    ``spec`` is the scheme sized for the benchmark; ``None`` is the
+    insecure-DRAM baseline (``label == "insecure"``).
     Picklable and self-contained: a worker needs neither the scheme
     registry nor the sizing rules to run it.
     """
@@ -567,7 +567,7 @@ class SimulationRunner:
         """Run one cell with deterministic backoff; None when quarantined.
 
         ``KeyboardInterrupt`` always propagates (Ctrl-C must reach the
-        sweep's checkpoint handler, never burn retry budget). With
+        sweep's interrupt handler, never burn retry budget). With
         ``failures=None`` the final error re-raises; otherwise the cell is
         quarantined into ``failures`` and the suite continues.
         """

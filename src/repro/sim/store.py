@@ -12,9 +12,10 @@ every call, never stored (:mod:`repro.eval`).
 :class:`Store` is the one implementation of that, and the only place in
 the package that renames a file into position. What differs between the
 kinds of entry is a :class:`Codec` value: file suffix, fault-plan key
-prefix, warning text, and an ``encode``/``decode`` pair. A sweep's
-journal of completed cells (:mod:`repro.sim.checkpoint`) is a third
-codec over the same store. The rules are the same for all of them:
+prefix, warning text, and an ``encode``/``decode`` pair. The result
+store is also what finishes an interrupted sweep: running the sweep
+again loads every cell stored before the interrupt. The rules are the
+same for both kinds:
 
 - entries are written atomically (unique temp file + ``os.replace``), so
   a crashed or concurrent writer — threads of the fabric coordinator,
@@ -95,10 +96,6 @@ class Store:
     def path_for(self, key: str) -> Path:
         """Entry location for a key."""
         return self.root / f"{key}{self.codec.suffix}"
-
-    def __contains__(self, key: str) -> bool:
-        """Whether an entry exists on disk (no validation, no counters)."""
-        return self.path_for(key).exists()
 
     def keys(self) -> List[str]:
         """Sorted keys of every entry currently on disk."""

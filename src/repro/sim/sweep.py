@@ -29,16 +29,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import itertools
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import SpecError, SweepInterrupted
 from repro.faults import fault_hook
 from repro.resilience import RetryPolicy
-from repro.sim.checkpoint import SweepCheckpoint, sweep_fingerprint
 from repro.sim.runner import ProgressCallback, SchemeLike, SimulationRunner
 from repro.spec import (
     SchemeSpec,
@@ -306,8 +303,6 @@ def run_sweep(
     workers: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
     retry: Optional[RetryPolicy] = None,
-    checkpoint: Union[SweepCheckpoint, str, Path, None] = None,
-    resume: bool = False,
     executor: Optional[object] = None,
 ) -> Dict[str, object]:
     """Execute a sweep; returns a deterministic, JSON-safe report.
@@ -327,15 +322,12 @@ def run_sweep(
 
     Resilience: cells that keep failing under ``retry`` are quarantined
     into ``report["resilience"]["quarantined"]`` instead of aborting the
-    sweep. With a ``checkpoint`` directory (or :class:`SweepCheckpoint`),
-    every completed cell is stored as a journal entry the moment it
-    finishes; ``resume=True`` loads those entries and recomputes only the
-    missing cells — bit-identical to an uninterrupted run, because
-    :class:`SimResult` payloads are flat scalars and JSON round-trips
-    them exactly. ``KeyboardInterrupt`` raises
+    sweep. ``KeyboardInterrupt`` raises
     :class:`~repro.errors.SweepInterrupted` carrying the partial report
-    (``resilience.interrupted = True``); every completed cell is already
-    on disk, so Ctrl-C never loses completed work.
+    (``resilience.interrupted = True``). Every replay cell is in the
+    runner's result store the moment it completes, so running the same
+    sweep again finishes it: the stored cells come back as ``from_cache``
+    hits, bit-identical, and only the rest execute.
 
     ``executor`` selects the cell backend: None means
     :meth:`SimulationRunner.execute` with ``workers`` (above 1, a fabric
@@ -350,27 +342,15 @@ def run_sweep(
     """
     if runner is None:
         runner = SimulationRunner()
-    if resume and checkpoint is None:
-        raise SpecError("resume=True needs a checkpoint path")
     if executor is not None and sweep.serve_grid:
         raise SpecError(
             "serve-axis sweeps (tenants/shards) run whole scenarios in one "
             "process and cannot use a fabric/custom executor; drop the "
             "executor or the serve axes"
         )
-    ckpt = (
-        SweepCheckpoint(checkpoint)
-        if isinstance(checkpoint, (str, Path))
-        else checkpoint
-    )
     points = sweep.points()
-    completed: Dict[str, dict] = {}
-    if ckpt is not None:
-        completed = ckpt.start(sweep_fingerprint(sweep, runner), resume)
     if sweep.serve_grid:
-        return _run_serve_sweep(
-            sweep, runner, points, ckpt=ckpt, completed=completed
-        )
+        return _run_serve_sweep(sweep, runner, points)
     return _run_bench_sweep(
         sweep,
         runner,
@@ -379,8 +359,6 @@ def run_sweep(
         executor=executor,
         progress=progress,
         retry=retry,
-        ckpt=ckpt,
-        completed=completed,
     )
 
 
@@ -400,7 +378,6 @@ def _resilience_section(
     section: Dict[str, object] = {
         "executed": counters["executed"],
         "from_cache": counters["from_cache"],
-        "resumed": counters["resumed"],
         "quarantined": list(failures),
     }
     if interrupted:
@@ -419,19 +396,17 @@ def _run_bench_sweep(
     executor: Optional[object],
     progress: Optional[ProgressCallback],
     retry: Optional[RetryPolicy],
-    ckpt: Optional[SweepCheckpoint],
-    completed: Dict[str, dict],
 ) -> Dict[str, object]:
     """The offline-replay branch of :func:`run_sweep` (see its docstring)."""
     labels = [label for label, _spec in points]
     combos = sweep.bench_points()
     multi_miss = any("misses" in combo for combo in combos)
     failures: List[dict] = []
-    counters = {"executed": 0, "from_cache": 0, "resumed": 0}
+    counters = {"executed": 0, "from_cache": 0}
     # One record per bench combo; ``done[(label, benchmark)]`` fills in as
-    # cells finish (from the journal, the result cache, or a fresh
-    # replay; baselines under the label "insecure"), so a partial report
-    # can be assembled at any interruption point.
+    # cells finish (from the result store or a fresh replay; baselines
+    # under the label "insecure"), so a partial report can be assembled
+    # at any interruption point.
     state: List[Dict[str, object]] = []
 
     def assemble(interrupted: bool) -> Dict[str, object]:
@@ -446,8 +421,7 @@ def _run_bench_sweep(
                     key = f"{name}@misses={misses}" if multi_miss else name
                     baseline_rows[key] = payload
             for label, spec in points:
-                # One plain-data image per point, shared by its cells as
-                # their results are shared with the journal.
+                # One plain-data image per point, shared by its cells.
                 spec_dict = spec.to_dict()
                 for name in names:
                     payload = rec["done"].get((label, name))
@@ -493,17 +467,6 @@ def _run_bench_sweep(
                 if "misses" in combo
                 else runner
             )
-            # Feed the runner *labels*, not spec values: the string path
-            # preserves every explicit grid delta (even one equal to a
-            # registry default) against the runner's per-benchmark sizing.
-            phases = [
-                cell_runner.cells(labels, names),
-                cell_runner.baseline_cells(names),
-            ]
-            # Journal keys are the cells' canonical result digests — every
-            # construction knob, seed and miss budget folded in, and
-            # identical across resume boundaries by construction.
-            keys = {(c.label, c.bench): c.key for cells in phases for c in cells}
             rec: Dict[str, object] = {
                 "names": names,
                 "misses": cell_runner.misses,
@@ -511,44 +474,32 @@ def _run_bench_sweep(
             }
             state.append(rec)
 
-            def journal(label, name, result, cached):
-                payload = dataclasses.asdict(result)
-                rec["done"][(label, name)] = payload
-                if ckpt is not None:
-                    ckpt.record(
-                        keys[(label, name)],
-                        {
-                            "scheme": label,
-                            "benchmark": name,
-                            "misses": cell_runner.misses,
-                            "result": payload,
-                        },
-                    )
+            def finished(label, name, result, cached):
+                rec["done"][(label, name)] = dataclasses.asdict(result)
                 counters["from_cache" if cached else "executed"] += 1
-                # Journal first, then inject: a fault fired here never
-                # loses the cell that just completed.
+                # The result store already holds the cell, so a fault
+                # fired here never loses it.
                 fault_hook("sweep", f"{label}/{name}")
                 if progress is not None:
                     progress(label, name, result, cached)
 
-            for cell in (cell for cells in phases for cell in cells):
-                entry = completed.get(cell.key)
-                if entry is not None:
-                    rec["done"][(cell.label, cell.bench)] = entry["result"]
-                    counters["resumed"] += 1
             if executor is None:
                 execute = functools.partial(cell_runner.execute, workers=workers)
             else:
                 execute = functools.partial(executor.execute, cell_runner)
+            # Feed the runner *labels*, not spec values: the string path
+            # preserves every explicit grid delta (even one equal to a
+            # registry default) against the runner's per-benchmark sizing.
             # Scheme cells, then baselines; one call per phase keeps
             # cross-scheme executor parallelism.
-            for cells in phases:
-                owed = [cell for cell in cells if cell.key not in completed]
-                if owed:
-                    execute(owed, progress=journal, retry=retry, failures=failures)
+            for cells in (
+                cell_runner.cells(labels, names),
+                cell_runner.baseline_cells(names),
+            ):
+                execute(cells, progress=finished, retry=retry, failures=failures)
     except KeyboardInterrupt:
         raise SweepInterrupted(
-            "sweep interrupted; completed cells are journaled",
+            "sweep interrupted; running it again finishes it",
             report=assemble(True),
         ) from None
     return assemble(False)
@@ -558,9 +509,6 @@ def _run_serve_sweep(
     sweep: SweepSpec,
     runner: SimulationRunner,
     points: List[Tuple[str, SchemeSpec]],
-    *,
-    ckpt: Optional[SweepCheckpoint] = None,
-    completed: Optional[Dict[str, dict]] = None,
 ) -> Dict[str, object]:
     """The serve branch of :func:`run_sweep`: scenario cells, no baselines.
 
@@ -570,16 +518,16 @@ def _run_serve_sweep(
     carries the pool's total busy cycles (so :func:`sweep_table`'s
     megacycles rendering applies unchanged) next to the full per-tenant
     serve report. Insecure baselines are meaningless for a shared pool,
-    so serve reports never carry them. Checkpointing journals whole
-    scenario cells (a serve cell is one indivisible service run).
+    so serve reports never carry them. A scenario cell has no result
+    store entry: running an interrupted serve sweep again recomputes
+    every cell, bit-identically.
     """
     from repro.serve import OramService, ServeConfig, tenants_for
 
-    completed = completed or {}
     names = sweep.bench_names()
     roster = ",".join(names)
     cells: List[Dict[str, object]] = []
-    counters = {"executed": 0, "from_cache": 0, "resumed": 0}
+    counters = {"executed": 0, "from_cache": 0}
     failures: List[dict] = []
 
     def assemble(interrupted: bool) -> Dict[str, object]:
@@ -604,13 +552,6 @@ def _run_serve_sweep(
             tenants = combo.get("tenants", 2)
             shards = combo.get("shards", 1)
             for label, spec in points:
-                key = hashlib.sha256(
-                    f"serve::{label}::tenants={tenants}::shards={shards}".encode()
-                ).hexdigest()[:40]
-                if key in completed:
-                    cells.append(completed[key]["cell"])
-                    counters["resumed"] += 1
-                    continue
                 service = OramService(
                     tenants_for(names, tenants),
                     runner=runner,
@@ -618,7 +559,7 @@ def _run_serve_sweep(
                 )
                 service.run("serial")
                 serve_report = service.report()
-                cell = {
+                cells.append({
                     "scheme": label,
                     "benchmark": roster,
                     "tenants": tenants,
@@ -627,15 +568,12 @@ def _run_serve_sweep(
                     "spec": spec.to_dict(),
                     "result": {"cycles": serve_report["totals"]["cycles"]},
                     "serve": serve_report,
-                }
-                cells.append(cell)
+                })
                 counters["executed"] += 1
-                if ckpt is not None:
-                    ckpt.record(key, {"cell": cell})
                 fault_hook("sweep", f"{label}/serve/{tenants}x{shards}")
     except KeyboardInterrupt:
         raise SweepInterrupted(
-            "sweep interrupted; completed scenario cells are journaled",
+            "sweep interrupted; running it again finishes it",
             report=assemble(True),
         ) from None
     return assemble(False)
@@ -648,7 +586,9 @@ def sweep_table(report: Mapping[str, object]) -> str:
     insecure when the report carries baselines, raw megacycles
     otherwise. Bench-parameter axes fold into the row label (``wss``
     derivations are stripped back off the benchmark column names), so a
-    combo never collapses into another combo's row.
+    combo never collapses into another combo's row. A cell that was
+    quarantined, or whose own baseline was, renders as ``-`` and stays
+    out of its row's geomean.
     """
     # Columns are base benchmark names (derivations fold into row labels).
     names: List[str] = list(
@@ -672,16 +612,14 @@ def sweep_table(report: Mapping[str, object]) -> str:
         label = cell["scheme"] + (
             f" [{','.join(suffixes)}]" if suffixes else ""
         )
-        value = (
-            cell["slowdown"]
-            if have_baselines
-            else cell["result"]["cycles"] / 1e6
-        )
-        table.setdefault(label, {})[bench] = value
+        row = table.setdefault(label, {})
+        if not have_baselines:
+            row[bench] = cell["result"]["cycles"] / 1e6
+        elif "slowdown" in cell:  # else its own baseline was quarantined
+            row[bench] = cell["slowdown"]
     for row in table.values():
-        row["geomean"] = geometric_mean(
-            [value for key, value in row.items() if key != "geomean"]
-        )
+        if row:
+            row["geomean"] = geometric_mean(list(row.values()))
     title = (
         "sweep: slowdown vs insecure"
         if have_baselines
@@ -694,6 +632,13 @@ def sweep_table(report: Mapping[str, object]) -> str:
     header = f"{'scheme':>{width}} " + " ".join(f"{b:>7}" for b in names)
     lines.append(header + f" {'geomean':>8}")
     for label, row in table.items():
-        cells = " ".join(f"{row.get(b, float('nan')):7.2f}" for b in names)
-        lines.append(f"{label:>{width}} " + cells + f" {row['geomean']:8.2f}")
+        cells = " ".join(_table_value(row.get(b), 7) for b in names)
+        lines.append(
+            f"{label:>{width}} " + cells + " " + _table_value(row.get("geomean"), 8)
+        )
     return "\n".join(lines)
+
+
+def _table_value(value: Optional[float], width: int) -> str:
+    """One table entry; ``-`` where the cell or its baseline is missing."""
+    return "-".rjust(width) if value is None else f"{value:{width}.2f}"

@@ -17,7 +17,6 @@ from repro.errors import CacheCorruptionWarning, FaultKillPoint
 from repro.faults import injected
 from repro.proc.hierarchy import MissEvent, MissTrace
 from repro.sim.metrics import SimResult
-from repro.sim.checkpoint import SweepCheckpoint
 from repro.sim.store import ResultCache, TraceCache
 
 
@@ -41,21 +40,15 @@ def _result(tag: int) -> SimResult:
     )
 
 
-def _entry(tag: int):
-    return {"scheme": "PC_X32", "benchmark": "gob", "result": {"cycles": 1.5 + tag}}
-
-
 #: (cache factory, old/new payload factory, kind prefix, load-equality fn)
 CACHES = [
     pytest.param(TraceCache, _trace, "trace", id="trace"),
     pytest.param(ResultCache, _result, "result", id="result"),
-    pytest.param(SweepCheckpoint, _entry, "journal", id="journal"),
 ]
 
 #: Entry bodies that parse as JSON but are no entry of the kind: damage
 #: the per-exception-type handlers used to let through as AttributeError
-#: (``payload.get`` on a list) or TypeError (an unhashable key). Any JSON
-#: object is a journal entry, so the journal takes only the non-objects.
+#: (``payload.get`` on a list) or TypeError (an unhashable key).
 WRONG_SHAPES = [
     pytest.param(*cache.values, body, id=f"{cache.id}-{body.decode()}")
     for cache in CACHES
@@ -65,7 +58,7 @@ WRONG_SHAPES = [
         b"3",
         b'{"__kv__": 3}',
         b'{"__kv__": [[["a"], 1]]}',
-    )[: 3 if cache.id == "journal" else None]
+    )
 ]
 
 #: Kill-point -> which committed value must survive the crash.

@@ -1,6 +1,8 @@
 """CLI dispatch."""
 
+import json
 import os
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -280,7 +282,7 @@ class TestCliSweep:
         monkeypatch.setenv(RESULT_CACHE_ENV, str(tmp_path / "results"))
         # The CLI exports its settings into os.environ (monkeypatch can't
         # see that); restore them so e.g. --workers can't leak session-wide.
-        keys = (WORKERS_ENV, FORCE_ENV, NATIVE_ENV)
+        keys = (WORKERS_ENV, FORCE_ENV, NATIVE_ENV, "REPRO_FAULTS")
         saved = {key: os.environ.get(key) for key in keys}
         yield
         for key, value in saved.items():
@@ -457,6 +459,92 @@ class TestCliSweep:
         report = json.loads(out.read_text("utf-8"))
         assert [cell["shards"] for cell in report["cells"]] == [1, 2]
         assert all(cell["serve"]["kind"] == "serve" for cell in report["cells"])
+
+    @pytest.mark.parametrize(
+        "flags", [["--resume"], ["--checkpoint", "DIR"]], ids=["resume", "checkpoint"]
+    )
+    def test_journal_flags_are_gone(self, flags, capsys):
+        """A sweep is finished by running it again; there is no journal."""
+        assert main(["sweep", *flags]) == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
+    def test_quarantined_baseline_renders_a_dash_and_keeps_the_report(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "sweep.json"
+        assert main([
+            "--no-result-cache", "--faults", "cell.crash@insecure/gob/*",
+            "sweep", "--scheme", "PC_X32", "--bench", "gob", "--bench", "hmmer",
+            "--misses", "120", "--out", str(out),
+        ]) == 0
+        printed = capsys.readouterr()
+        report = json.loads(out.read_text("utf-8"))
+        (failure,) = report["resilience"]["quarantined"]
+        assert (failure["scheme"], failure["benchmark"]) == ("insecure", "gob")
+        gob, hmmer = report["cells"]
+        assert "slowdown" not in gob and hmmer["slowdown"] > 1
+        (row,) = [line for line in printed.out.splitlines() if "PC_X32" in line]
+        assert row.split() == [
+            "PC_X32", "-", f"{hmmer['slowdown']:.2f}", f"{hmmer['slowdown']:.2f}",
+        ]
+        assert "re-running the sweep recomputes every cell" in printed.err
+
+    def test_interrupted_sweep_finishes_when_run_again(self, tmp_path, capsys):
+        args = [
+            "sweep", "--scheme", "PC_X32", "--bench", "gob", "--bench", "hmmer",
+            "--grid", "plb=4KiB,8KiB", "--misses", "120",
+        ]
+        golden = tmp_path / "golden.json"
+        assert main(["--no-result-cache", *args, "--out", str(golden)]) == 0
+        golden_out = capsys.readouterr().out
+        out, store = tmp_path / "sweep.json", tmp_path / "store"
+        assert main([
+            "--result-cache", str(store), "--faults", "sweep.interrupt@*#2",
+            *args, "--out", str(out),
+        ]) == 130
+        err = capsys.readouterr().err
+        assert f"result store {store}; re-run the same sweep" in err
+        assert json.loads(out.read_text("utf-8"))["resilience"]["interrupted"]
+        os.environ.pop("REPRO_FAULTS")
+        assert main(["--result-cache", str(store), *args, "--out", str(out)]) == 0
+        rerun_out = capsys.readouterr().out
+        report = json.loads(out.read_text("utf-8"))
+        resilience = report.pop("resilience")
+        assert (resilience["from_cache"], resilience["executed"]) == (2, 4)
+        expected = json.loads(golden.read_text("utf-8"))
+        expected.pop("resilience")
+        assert report == expected
+        # The same table, under a different report path.
+        assert rerun_out.replace(str(out), "") == golden_out.replace(str(golden), "")
+        assert not list(tmp_path.rglob("*.ckpt*"))
+
+    def test_an_interrupted_serve_sweep_says_a_rerun_recomputes_it(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "serve_sweep.json"
+        assert main([
+            "--faults", "sweep.interrupt@*#1", "sweep", "--scheme", "PC_X32",
+            "--bench", "gob", "--grid", "shards=1,2", "--misses", "120",
+            "--out", str(out),
+        ]) == 130
+        err = capsys.readouterr().err
+        assert "serve scenario cells are not stored, so re-running" in err
+        assert [c["shards"] for c in json.loads(out.read_text("utf-8"))["cells"]] == [1]
+
+    def test_a_forced_sweep_is_finished_without_force(self, tmp_path, capsys):
+        """``--force`` stores but never loads: the re-run drops it."""
+        store, out = tmp_path / "store", tmp_path / "sweep.json"
+        args = [
+            "--result-cache", str(store), "sweep", "--scheme", "PC_X32",
+            "--bench", "gob", "--misses", "120", "--out", str(out),
+        ]
+        assert main(["--force", "--faults", "sweep.interrupt@*#1", *args]) == 130
+        assert "re-run the same sweep without --force" in capsys.readouterr().err
+        os.environ.pop("REPRO_FAULTS")
+        os.environ.pop(FORCE_ENV)
+        assert main(args) == 0
+        resilience = json.loads(out.read_text("utf-8"))["resilience"]
+        assert (resilience["from_cache"], resilience["executed"]) == (1, 1)
 
 
 class TestCliServe:

@@ -3,7 +3,7 @@
 The acceptance property of the sweep fabric mirrors the fault plane's:
 for every scheduling event the coordinator can produce — work stealing,
 worker connection loss, heartbeat silence, forked-worker death and
-respawn, Ctrl-C + resume across topologies — the completed report is
+respawn, Ctrl-C + re-run across topologies — the completed report is
 bit-identical to a fault-free local run at the same seed. Only the
 ``resilience`` accounting block (which carries the fabric counters) may
 differ. Protocol framing and the runner wire format get unit coverage
@@ -517,55 +517,58 @@ class TestClose:
         assert coordinator.counters["workers_joined"] == 0
 
 
-class TestFabricResume:
-    def test_local_interrupt_resumes_on_the_fabric(self, tmp_path):
-        """A journal written locally finishes on the fabric, bit-identically."""
+class TestFabricRerun:
+    """An interrupted sweep finishes when run again, across topologies."""
+
+    def test_local_interrupt_reruns_on_the_fabric(self, tmp_path):
+        """Cells stored by a serial run are not leased to the fabric."""
         golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
-        ckpt_path = tmp_path / "fabric.ckpt.jsonl"
         with injected("sweep.interrupt@*#3"):
             with pytest.raises(SweepInterrupted):
-                run_sweep(
-                    _sweep(), _runner(tmp_path, "c"), checkpoint=ckpt_path
-                )
-        # Cold caches: the journal, not the result cache, supplies the
-        # finished cells; the fabric replays only the remainder.
-        runner = _runner(tmp_path, "c2")
+                run_sweep(_sweep(), _runner(tmp_path, "c"))
+        runner = _runner(tmp_path, "c")
         with _fabric(runner, n_workers=2) as (coordinator, executor):
-            resumed = run_sweep(
-                _sweep(),
-                runner,
-                checkpoint=ckpt_path,
-                resume=True,
-                executor=executor,
-            )
-        assert resumed["resilience"]["resumed"] == 3
-        fabric = resumed["resilience"]["fabric"]
+            rerun = run_sweep(_sweep(), runner, executor=executor)
+        assert rerun["resilience"]["from_cache"] == 3
+        fabric = rerun["resilience"]["fabric"]
         assert fabric["completed"] == len(golden["cells"]) - 3 + len(BENCHES)
-        assert _strip(resumed) == _strip(golden)
-        assert sweep_table(resumed) == sweep_table(golden)
+        assert _strip(rerun) == _strip(golden)
+        assert sweep_table(rerun) == sweep_table(golden)
 
-    def test_fabric_interrupt_resumes_locally(self, tmp_path):
-        """The reverse topology change: fabric journal, local resume."""
+    def test_fabric_interrupt_reruns_locally(self, tmp_path):
+        """The reverse topology change: fabric interrupt, serial re-run."""
         golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
-        ckpt_path = tmp_path / "fabric.ckpt.jsonl"
         runner = _runner(tmp_path, "c")
         with injected("sweep.interrupt@*#3"):
             with _fabric(runner, n_workers=2) as (coordinator, executor):
                 with pytest.raises(SweepInterrupted):
-                    run_sweep(
-                        _sweep(),
-                        runner,
-                        checkpoint=ckpt_path,
-                        executor=executor,
-                    )
-        resumed = run_sweep(
-            _sweep(),
-            _runner(tmp_path, "c2"),
-            checkpoint=ckpt_path,
-            resume=True,
-        )
-        assert resumed["resilience"]["resumed"] == 3
-        assert _strip(resumed) == _strip(golden)
+                    run_sweep(_sweep(), runner, executor=executor)
+        # Workers store every cell they finish, in flight or not.
+        stored = len(runner.result_cache.keys())
+        assert stored >= 3
+        rerun = run_sweep(_sweep(), _runner(tmp_path, "c"))
+        total_cells = len(golden["cells"]) + len(golden["baselines"])
+        assert rerun["resilience"]["from_cache"] == stored
+        assert rerun["resilience"]["executed"] == total_cells - stored
+        assert _strip(rerun) == _strip(golden)
+        assert sweep_table(rerun) == sweep_table(golden)
+
+    @pytest.mark.parametrize(
+        "first, second", [(1, 2), (2, 1)], ids=["serial-then-2", "2-then-serial"]
+    )
+    def test_forked_workers_rerun_bit_identical(self, tmp_path, first, second):
+        """``workers=`` on either side of the interrupt: same report."""
+        golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
+        with injected("sweep.interrupt@*#3"):
+            with pytest.raises(SweepInterrupted):
+                run_sweep(_sweep(), _runner(tmp_path, "c"), workers=first)
+        stored = len(_runner(tmp_path, "c").result_cache.keys())
+        rerun = run_sweep(_sweep(), _runner(tmp_path, "c"), workers=second)
+        total_cells = len(golden["cells"]) + len(golden["baselines"])
+        assert rerun["resilience"]["from_cache"] == stored >= 3
+        assert rerun["resilience"]["executed"] == total_cells - stored
+        assert _strip(rerun) == _strip(golden)
+        assert sweep_table(rerun) == sweep_table(golden)
 
 
 class TestFabricCli:

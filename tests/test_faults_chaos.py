@@ -1,28 +1,23 @@
 """Chaos lockstep: injected-then-recovered runs equal fault-free goldens.
 
 The acceptance property of the fault plane: for every recoverable fault
-class (cell crash, worker death, worker stall, Ctrl-C + resume, shard
+class (cell crash, worker death, worker stall, Ctrl-C + re-run, shard
 breaker trips), the healed run's *measured* outputs — SimResults, sweep
 tables, per-shard access digests — are bit-identical to a fault-free
 golden run at the same seed. Only the ``resilience`` accounting block may
 differ.
 """
 
+import contextlib
 import json
 
 import pytest
 
 import repro.sim.runner as runner_mod
-from repro.errors import (
-    CacheCorruptionWarning,
-    ConfigurationError,
-    InjectedFault,
-    SweepInterrupted,
-)
+from repro.errors import CacheCorruptionWarning, InjectedFault, SweepInterrupted
 from repro.faults import injected, parse
 from repro.resilience import RetryPolicy
 from repro.serve import OramService, ServeConfig, tenants_for
-from repro.sim.checkpoint import HEADER, SweepCheckpoint
 from repro.sim.runner import SimulationRunner
 from repro.sim.sweep import SweepSpec, run_sweep, sweep_table
 
@@ -59,6 +54,24 @@ def _strip(report):
     assert "resilience" in clone
     clone.pop("resilience")
     return clone
+
+
+@contextlib.contextmanager
+def _counting_replays():
+    """Record the scheme of every ``replay_trace`` call the runner makes."""
+    replays = []
+    real_replay = runner_mod.replay_trace
+
+    def counting_replay(*args, **kwargs):
+        result = real_replay(*args, **kwargs)
+        replays.append(result.scheme)
+        return result
+
+    runner_mod.replay_trace = counting_replay
+    try:
+        yield replays
+    finally:
+        runner_mod.replay_trace = real_replay
 
 
 class TestSuiteSelfHealing:
@@ -142,138 +155,52 @@ class TestSweepChaosLockstep:
         assert sweep_table(healed) == sweep_table(golden)
         assert healed["resilience"]["quarantined"] == []
 
-    def test_interrupt_then_resume_bit_identical_and_minimal(self, tmp_path):
+    def test_interrupt_then_rerun_bit_identical_and_minimal(self, tmp_path):
         golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
-        ckpt_path = tmp_path / "chaos.ckpt.jsonl"
 
-        # Phase 1: die after the third completed cell is journaled.
+        # Phase 1: die after the third completed cell is stored.
         with injected("sweep.interrupt@*#3"):
             with pytest.raises(SweepInterrupted) as exc_info:
-                run_sweep(
-                    _sweep(), _runner(tmp_path, "c"), checkpoint=ckpt_path
-                )
+                run_sweep(_sweep(), _runner(tmp_path, "c"))
         partial = exc_info.value.report
         assert partial["resilience"]["interrupted"] is True
         assert partial["resilience"]["executed"] == 3
+        assert len(_runner(tmp_path, "c").result_cache.keys()) == 3
 
-        # Phase 2: resume with cold caches — only the missing scheme
-        # cells replay (the journal, not the result cache, supplies the
-        # finished ones).
-        replays = []
-        real_replay = runner_mod.replay_trace
+        # Phase 2: the same call again — the stored cells come back from
+        # the result store and only the missing scheme cells replay.
+        with _counting_replays() as replays:
+            rerun = run_sweep(_sweep(), _runner(tmp_path, "c"))
+        total_cells = len(golden["cells"]) + len(golden["baselines"])
+        assert rerun["resilience"]["from_cache"] == 3
+        assert rerun["resilience"]["executed"] == total_cells - 3
+        assert len(replays) == len(golden["cells"]) - 3  # minimal recomputation
+        assert _strip(rerun) == _strip(golden)
+        assert sweep_table(rerun) == sweep_table(golden)
+        assert not list(tmp_path.rglob("*.ckpt*"))
 
-        def counting_replay(*args, **kwargs):
-            result = real_replay(*args, **kwargs)
-            replays.append(result.scheme)
-            return result
-
-        runner_mod.replay_trace = counting_replay
-        try:
-            resumed = run_sweep(
-                _sweep(),
-                _runner(tmp_path, "c2"),
-                checkpoint=ckpt_path,
-                resume=True,
-            )
-        finally:
-            runner_mod.replay_trace = real_replay
-        total_cells = len(golden["cells"])
-        assert resumed["resilience"]["resumed"] == 3
-        assert len(replays) == total_cells - 3  # minimal recomputation
-        assert _strip(resumed) == _strip(golden)
-        assert sweep_table(resumed) == sweep_table(golden)
-
-    def test_resume_refuses_foreign_checkpoint(self, tmp_path):
-        ckpt_path = tmp_path / "sweep.ckpt.jsonl"
-        with injected("sweep.interrupt@*#1"):
-            with pytest.raises(SweepInterrupted):
-                run_sweep(
-                    _sweep(), _runner(tmp_path, "a"), checkpoint=ckpt_path
-                )
-        other = SweepSpec.from_args(schemes=["PC_X32"], benchmarks=["gob"])
-        with pytest.raises(ConfigurationError, match="different sweep"):
-            run_sweep(
-                other, _runner(tmp_path, "a"), checkpoint=ckpt_path, resume=True
-            )
-
-    def test_resume_accepts_a_journal_with_the_old_order_field(self, tmp_path):
-        """Journal headers once carried a cell-order digest (``order``);
-        the fingerprint covers every input of the cell order, so such a
-        journal resumes like any other."""
-        ckpt_path = tmp_path / "sweep.ckpt"
+    def test_rerun_recomputes_a_damaged_result_entry(self, tmp_path):
+        runner = _runner(tmp_path, "a")
         with injected("sweep.interrupt@*#2"):
             with pytest.raises(SweepInterrupted):
-                run_sweep(_sweep(), _runner(tmp_path, "a"), checkpoint=ckpt_path)
-        journal = SweepCheckpoint(ckpt_path)
-        header = journal.load(HEADER)
-        assert "order" not in header
-        header["order"] = "0" * 40
-        assert journal.store(HEADER, header)
-        golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
-        resumed = run_sweep(
-            _sweep(), _runner(tmp_path, "a"), checkpoint=ckpt_path, resume=True
-        )
-        assert resumed["resilience"]["resumed"] == 2
-        assert _strip(resumed) == _strip(golden)
-
-    def test_resume_recomputes_a_damaged_journal_entry(self, tmp_path):
-        journal = SweepCheckpoint(tmp_path / "sweep.ckpt")
-        with injected("sweep.interrupt@*#2"):
-            with pytest.raises(SweepInterrupted):
-                run_sweep(_sweep(), _runner(tmp_path, "a"), checkpoint=journal)
-        entries = [key for key in journal.keys() if key != HEADER]
+                run_sweep(_sweep(), runner)
+        entries = runner.result_cache.keys()
         assert len(entries) == 2
-        damaged = journal.path_for(entries[0])
+        damaged = runner.result_cache.path_for(entries[0])
         damaged.write_bytes(damaged.read_bytes()[:20])  # a torn write
         golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
 
-        replays = []
-        real_replay = runner_mod.replay_trace
-
-        def counting_replay(*args, **kwargs):
-            result = real_replay(*args, **kwargs)
-            replays.append(result.scheme)
-            return result
-
-        resumed_journal = SweepCheckpoint(tmp_path / "sweep.ckpt")
-        runner_mod.replay_trace = counting_replay
-        try:
-            with pytest.warns(CacheCorruptionWarning, match="sweep journal"):
-                resumed = run_sweep(
-                    _sweep(),
-                    _runner(tmp_path, "b"),
-                    checkpoint=resumed_journal,
-                    resume=True,
-                )
-        finally:
-            runner_mod.replay_trace = real_replay
-        assert resumed_journal.corrupt_evictions == 1
-        assert resumed["resilience"]["resumed"] == 1  # the intact entry
-        # Cold caches: exactly the damaged cell is replayed again.
+        rerunner = _runner(tmp_path, "a")
+        with _counting_replays() as replays:
+            with pytest.warns(CacheCorruptionWarning, match="result cache"):
+                rerun = run_sweep(_sweep(), rerunner)
+        assert rerunner.result_cache.corrupt_evictions == 1
+        assert rerun["resilience"]["from_cache"] == 1  # the intact entry
+        # Exactly the damaged cell is replayed again, with the rest.
         assert len(replays) == len(golden["cells"]) - 1
-        assert resumed_journal.load(entries[0]) is not None  # re-journaled
-        assert _strip(resumed) == _strip(golden)
-
-    def test_unwritable_journal_path_fails_at_open(self, tmp_path):
-        blocker = tmp_path / "not-a-directory"
-        blocker.write_text("", "utf-8")
-        with pytest.raises(ConfigurationError, match="cannot write"):
-            run_sweep(_sweep(), _runner(tmp_path, "u"), checkpoint=blocker)
-
-    def test_fresh_run_deletes_only_journal_entries(self, tmp_path):
-        root = tmp_path / "shared"
-        root.mkdir()
-        (root / "notes.txt").write_text("keep me", "utf-8")
-        stale = SweepCheckpoint(root)
-        stale.start("old", resume=False)
-        stale.record("a" * 40, {"v": 1})
-        SweepCheckpoint(root).start("new", resume=False)
-        assert sorted(p.name for p in root.iterdir()) == [
-            "header.ckpt.json", "notes.txt",
-        ]
-        SweepCheckpoint(root).retire()
-        # The directory the user named is not empty, so it stays.
-        assert [p.name for p in root.iterdir()] == ["notes.txt"]
+        assert rerunner.result_cache.load(entries[0]) is not None  # restored
+        assert _strip(rerun) == _strip(golden)
+        assert sweep_table(rerun) == sweep_table(golden)
 
     def test_quarantined_sweep_cell_reported_not_fatal(self, tmp_path):
         with injected("cell.crash@P_X16*/gob/*"):
@@ -291,17 +218,6 @@ class TestSweepChaosLockstep:
         assert len(report["cells"]) == expected
         assert json.dumps(report)  # report stays JSON-safe
 
-    def test_checkpoint_journal_is_idempotent_per_key(self, tmp_path):
-        journal = SweepCheckpoint(tmp_path / "j.ckpt")
-        journal.start("fp", resume=False)
-        journal.record("k", {"v": 1})
-        journal.record("k", {"v": 2})  # ignored: first write wins
-        assert journal.stores == 2  # the header and one entry
-        reopened = SweepCheckpoint(tmp_path / "j.ckpt")
-        assert reopened.start("fp", resume=True) == {"k": {"v": 1}}
-        reopened.retire()
-        assert not (tmp_path / "j.ckpt").exists()
-
 
 def _scrub_wall(value):
     """Recursively drop wall-clock observations (not deterministic by design)."""
@@ -317,27 +233,24 @@ def _scrub_wall(value):
 
 
 class TestServeSweepChaos:
-    def test_serve_sweep_interrupt_resume_bit_identical(self, tmp_path):
+    def test_serve_sweep_interrupt_rerun_bit_identical(self, tmp_path):
         sweep = SweepSpec.from_args(
             schemes=["PC_X32"],
             grid={"tenants": [2, 3]},
             benchmarks=["gob", "hmmer"],
         )
         golden = run_sweep(sweep, _runner(tmp_path, "g"))
-        ckpt_path = tmp_path / "serve.ckpt.jsonl"
         with injected("sweep.interrupt@*#1"):
             with pytest.raises(SweepInterrupted) as exc_info:
-                run_sweep(sweep, _runner(tmp_path, "g"), checkpoint=ckpt_path)
+                run_sweep(sweep, _runner(tmp_path, "c"))
         assert len(exc_info.value.report["cells"]) == 1
-        # Scenario cells are keyed like every other store entry.
-        (key,) = [k for k in SweepCheckpoint(ckpt_path).keys() if k != HEADER]
-        assert len(key) == 40 and int(key, 16) >= 0
-        resumed = run_sweep(
-            sweep, _runner(tmp_path, "g"), checkpoint=ckpt_path, resume=True
-        )
-        assert resumed["resilience"]["resumed"] == 1
-        assert resumed["resilience"]["executed"] == 1
-        assert _scrub_wall(_strip(resumed)) == _scrub_wall(_strip(golden))
+        # A scenario cell has no result store entry: the re-run
+        # recomputes both, bit-identically.
+        rerun = run_sweep(sweep, _runner(tmp_path, "c"))
+        assert rerun["resilience"]["from_cache"] == 0
+        assert rerun["resilience"]["executed"] == 2
+        assert _scrub_wall(_strip(rerun)) == _scrub_wall(_strip(golden))
+        assert sweep_table(rerun) == sweep_table(golden)
 
 
 class TestShardFailover:

@@ -284,6 +284,26 @@ class TestPreload:
         assert service.tenant_stats[0].completed == 4
         assert service.shards[0].stats.requests == 4
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize(
+        "tenant_index, addr",
+        [(-1, 0), (2, 0), (0, -1), (0, 4)],
+        ids=["tenant-below", "tenant-above", "block-below", "block-above"],
+    )
+    def test_preload_stays_inside_the_tenants_region(
+        self, shards, tenant_index, addr
+    ):
+        service = OramService(
+            [
+                TenantSpec(name=name, events=((0, False), (3, True)), region_blocks=4)
+                for name in ("a", "b")
+            ],
+            runner=make_runner(),
+            config=ServeConfig(shards=shards),
+        )
+        with pytest.raises(ConfigurationError, match="preload"):
+            service.preload(tenant_index, addr, b"stray")
+
 
 class TestLatencyHistogram:
     def test_buckets_and_quantiles(self):

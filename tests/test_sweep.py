@@ -187,6 +187,32 @@ class TestRunSweep:
         for label in report["schemes"]:
             assert label in text
 
+    def test_table_marks_a_missing_slowdown_with_a_dash(self):
+        """A cell whose baseline was quarantined has no slowdown to show."""
+        def cell(scheme, bench, cycles, **slowdown):
+            return {
+                "scheme": scheme, "benchmark": bench, "misses": 1,
+                "result": {"cycles": cycles}, **slowdown,
+            }
+
+        report = {
+            "benchmarks": ["gob", "hmmer"],
+            "baselines": {"hmmer": {"cycles": 10.0}},
+            "cells": [
+                cell("PC_X32", "gob", 30.0),
+                cell("PC_X32", "hmmer", 40.0, slowdown=4.0),
+                cell("P_X16", "gob", 50.0),  # and its hmmer cell is absent
+            ],
+        }
+        rows = [line.split() for line in sweep_table(report).splitlines()[2:]]
+        assert rows == [["PC_X32", "-", "4.00", "4.00"], ["P_X16", "-", "-", "-"]]
+
+    @pytest.mark.parametrize("removed", ["checkpoint", "resume"])
+    def test_run_sweep_takes_no_journal(self, tmp_path, removed):
+        """Running a sweep again, not a journal, finishes it."""
+        with pytest.raises(TypeError, match=removed):
+            run_sweep(tiny_sweep(), _runner(tmp_path), **{removed: True})
+
 
 class TestBenchGrid:
     """Grid axes over benchmark parameters (miss budget, WSS)."""
