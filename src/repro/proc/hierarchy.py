@@ -21,17 +21,15 @@ from typing import Iterable, Optional, Tuple
 from repro.config import ProcessorConfig
 from repro.proc.cache import Cache
 
-try:  # pragma: no cover - exercised indirectly on both branches
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 #: On-disk trace container: magic, format version, flags, name length,
 #: four scalar counters, event count, payload CRC32.
 TRACE_MAGIC = b"RTRC"
 TRACE_VERSION = 1
 _TRACE_HEADER = struct.Struct("<4sHHIqqqqqI")
 _FLAG_COMPRESSED = 1
+#: ``bytes.translate`` table keeping the low bit of each byte: a packed
+#: event word's first (little-endian) byte, reduced to its write flag.
+_LOW_BIT = bytes(b & 1 for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -45,14 +43,14 @@ class MissEvent:
 class MissTrace:
     """LLC-filtered view of a program's execution.
 
-    The event stream is two columns: an ``int64`` line-address column and
-    a ``bool`` write column (``array('q')`` / ``array('b')`` without
-    numpy), which every producer hands to :meth:`from_columns`. They are
-    the trace's only copy of the stream: ``events`` is a read-only tuple
-    of :class:`MissEvent` built from them on first read and kept until
-    ``events`` is assigned. Assigning ``events`` (or passing ``events=``)
-    copies the events into new columns, so the caller's list is never
-    aliased and later changes to it do not reach the trace.
+    The event stream is two columns: an ``array('q')`` of line addresses
+    and an ``array('b')`` of 0/1 write flags, which every producer hands
+    to :meth:`from_columns`. They are the trace's only copy of the
+    stream: ``events`` is a read-only tuple of :class:`MissEvent` built
+    from them on first read and kept until ``events`` is assigned.
+    Assigning ``events`` (or passing ``events=``) copies the events into
+    new columns, so the caller's list is never aliased and later changes
+    to it do not reach the trace.
 
     Equality is the name, the four counters and the event sequence,
     compared as columns; the repr shows the event count, not the events.
@@ -75,14 +73,8 @@ class MissTrace:
         self.events = () if events is None else events
 
     def _adopt(self, line_addrs, is_write) -> None:
-        """Make two column buffers the trace's columns."""
-        if _np is not None:
-            line_addrs = _np.frombuffer(line_addrs, dtype=_np.int64)
-            is_write = _np.frombuffer(is_write, dtype=_np.bool_)
-        else:
-            line_addrs = array("q", line_addrs)
-            is_write = array("b", is_write)
-        self._columns = (line_addrs, is_write)
+        """Copy two columns (buffers or int sequences) into the trace's."""
+        self._columns = (array("q", line_addrs), array("b", is_write))
         self._events: Optional[Tuple[MissEvent, ...]] = None
 
     @property
@@ -101,8 +93,7 @@ class MissTrace:
     def events(self, events: Iterable[MissEvent]) -> None:
         events = list(events)
         self._adopt(
-            array("q", [e.line_addr for e in events]),
-            array("b", [1 if e.is_write else 0 for e in events]),
+            [e.line_addr for e in events], [bool(e.is_write) for e in events]
         )
 
     @property
@@ -114,15 +105,11 @@ class MissTrace:
     def llc_misses(self) -> int:
         """Demand misses (excludes eviction writebacks)."""
         is_write = self._columns[1]
-        writes = _np.count_nonzero(is_write) if _np is not None else sum(is_write)
-        return len(is_write) - int(writes)
+        return len(is_write) - is_write.count(1)
 
-    def columns(self) -> Tuple[object, object]:
-        """Struct-of-arrays view of the event stream: (line_addrs, is_write).
-
-        With numpy available the columns are an ``int64`` array and a bool
-        array (the replay loop's operands); without it they are
-        ``array('q')`` / ``array('b')`` with identical element values.
+    def columns(self) -> Tuple[array, array]:
+        """Struct-of-arrays view of the event stream: (line_addrs, is_write),
+        an ``array('q')`` and an ``array('b')`` (the replay loop's operands).
         """
         return self._columns
 
@@ -136,13 +123,9 @@ class MissTrace:
             return NotImplemented
         if self is other:
             return True
-        if (
-            self._counters() != other._counters()
-            or self.num_events != other.num_events
-        ):
-            return False
-        return all(
-            _same_column(a, b) for a, b in zip(self.columns(), other.columns())
+        return (
+            self._counters() == other._counters()
+            and self.columns() == other.columns()
         )
 
     __hash__ = None  # mutable
@@ -170,18 +153,12 @@ class MissTrace:
         """
         name_bytes = self.name.encode("utf-8")
         line_addrs, is_write = self.columns()
-        if _np is not None:
-            # Pack every event word in one vectorised sweep; byte-identical
-            # to the scalar array('Q') path below.
-            words = (line_addrs.astype(_np.uint64) << _np.uint64(1)) | is_write
-            payload = words.astype("<u8").tobytes()
-        else:
-            packed = array(
-                "Q", ((addr << 1) | w for addr, w in zip(line_addrs, is_write))
-            )
-            if sys.byteorder == "big":  # pragma: no cover - LE-canonical format
-                packed.byteswap()
-            payload = packed.tobytes()
+        packed = array(
+            "Q", [(addr << 1) | w for addr, w in zip(line_addrs, is_write)]
+        )
+        if sys.byteorder == "big":  # pragma: no cover - LE-canonical format
+            packed.byteswap()
+        payload = packed.tobytes()
         flags = 0
         if compress:
             payload = zlib.compress(payload, 6)
@@ -236,17 +213,11 @@ class MissTrace:
         if len(payload) != 8 * num_events:
             raise ValueError("trace event section has wrong length")
         counters = (instructions, mem_refs, l1_hits, l2_hits)
-        if _np is not None:
-            words = _np.frombuffer(payload, dtype="<u8")
-            line_col = (words >> _np.uint64(1)).astype(_np.int64)
-            is_write_col = (words & _np.uint64(1)) != 0
-        else:
-            packed = array("Q")
-            packed.frombytes(payload)
-            if sys.byteorder == "big":  # pragma: no cover - LE-canonical format
-                packed.byteswap()
-            line_col = array("q", (word >> 1 for word in packed))
-            is_write_col = array("b", (word & 1 for word in packed))
+        packed = array("Q", payload)
+        if sys.byteorder == "big":  # pragma: no cover - LE-canonical format
+            packed.byteswap()
+        line_col = [word >> 1 for word in packed]
+        is_write_col = payload[0::8].translate(_LOW_BIT)
         return cls.from_columns(name, counters, line_col, is_write_col)
 
     @classmethod
@@ -256,21 +227,14 @@ class MissTrace:
         synthesis kernel).
 
         ``counters`` is (instructions, mem_refs, l1_hits, l2_hits);
-        ``line_addrs`` and ``is_write`` are buffers of native int64
-        addresses and 0/1 bytes. They become the trace's columns as they
-        are (numpy views, or ``array('q')`` / ``array('b')`` without
-        numpy): no :class:`MissEvent` is built until ``events`` is read.
+        ``line_addrs`` and ``is_write`` are native int64 addresses and 0/1
+        bytes, as buffers or sequences. They are copied into the trace's
+        ``array('q')`` / ``array('b')`` columns: no :class:`MissEvent` is
+        built until ``events`` is read.
         """
         trace = cls(name, *counters)
         trace._adopt(line_addrs, is_write)
         return trace
-
-
-def _same_column(a, b) -> bool:
-    """Element-wise equality of two equal-length trace columns."""
-    if _np is not None:
-        return bool(_np.array_equal(a, b))
-    return list(a) == list(b)
 
 
 class CacheHierarchy:

@@ -95,11 +95,6 @@ from repro.serve.workload import (
 from repro.utils.bitops import next_pow2
 from repro.utils.rng import DeterministicRng
 
-try:
-    import numpy as _np
-except ImportError:
-    _np = None
-
 #: Backpressure policies for a full shard queue. ``throttle`` defers
 #: *and* puts the tenant on a ``throttle_epochs`` cooldown, so a tenant
 #: that keeps hitting full queues backs off instead of re-offering every
@@ -121,33 +116,17 @@ _SIZING_FALLBACK = "mcf"
 LOG_FOLD_LENGTH = 4096
 
 
-def _shard_index(global_addr: int, shards: int) -> int:
-    """The shard a global block address lives on: a CRC of its 8 bytes."""
-    if shards == 1:
-        return 0
-    return zlib.crc32(global_addr.to_bytes(8, "little", signed=True)) % shards
-
-
-def _crc32_table():
-    table = _np.arange(256, dtype=_np.uint32)
-    for _ in range(8):
-        table = _np.where(table & 1, (table >> 1) ^ 0xEDB88320, table >> 1)
-    return table.astype(_np.uint32)
-
-
-_CRC32_TABLE = _crc32_table() if _np is not None else None
-
-
 def _route_column(global_addrs: Sequence[int], shards: int) -> List[int]:
-    """``_shard_index`` of every address: table-driven over the whole
-    column with numpy, one scalar call per address without it."""
-    if _np is None:
-        return [_shard_index(addr, shards) for addr in global_addrs]
-    octets = _np.array(global_addrs, dtype="<i8").view(_np.uint8).reshape(-1, 8)
-    crc = _np.full(len(octets), 0xFFFFFFFF, dtype=_np.uint32)
-    for column in range(8):
-        crc = _CRC32_TABLE[(crc ^ octets[:, column]) & 0xFF] ^ (crc >> 8)
-    return ((crc ^ 0xFFFFFFFF) % shards).tolist()
+    """The shard of every global block address, the one definition of a
+    route: the CRC-32 of its 8 little-endian bytes (two's complement),
+    mod ``shards``."""
+    if shards == 1:
+        return [0] * len(global_addrs)
+    crc32 = zlib.crc32
+    return [
+        crc32(addr.to_bytes(8, "little", signed=True)) % shards
+        for addr in global_addrs
+    ]
 
 
 @dataclass(frozen=True)
@@ -488,8 +467,10 @@ class OramService:
     def preload(self, tenant_index: int, addr: int, data: bytes) -> None:
         """Write a block before serving starts, outside all accounting.
 
-        The touched shard's engine is re-created afterwards so its
-        baseline counters (and cycle fold) exclude the preload traffic.
+        ``data`` shorter than a block is zero-padded; longer is a
+        :class:`ConfigurationError`. The touched shard's engine is
+        re-created afterwards so its baseline counters (and cycle fold)
+        exclude the preload traffic.
         """
         if self.epochs or any(t.cursor for t in self._tenants):
             raise ReproError("preload must happen before serving starts")
@@ -504,11 +485,16 @@ class OramService:
                 f"preload: block {addr} is outside tenant {tenant_index}'s "
                 f"region [0, {tenant.region_blocks})"
             )
+        if len(data) > self.block_bytes:
+            raise ConfigurationError(
+                f"preload: {len(data)} bytes do not fit one "
+                f"{self.block_bytes}-byte block"
+            )
         global_addr = tenant.offset + addr
-        shard = self.shards[_shard_index(global_addr, self.config.shards)]
+        shard = self.shards[_route_column((global_addr,), self.config.shards)[0]]
         from repro.backend.ops import Op
 
-        payload = bytes(data).ljust(self.block_bytes, b"\0")[: self.block_bytes]
+        payload = bytes(data).ljust(self.block_bytes, b"\0")
         shard.frontend.access(shard.map_addr(global_addr), Op.WRITE, payload)
         shard.engine = ReplayEngine.for_mode(
             shard.frontend, shard.engine.timing, proc=self.runner.proc

@@ -5,7 +5,7 @@
  * unboxed:
  *
  * - translate_block_addrs: line->block translation straight off the
- *   int64 buffer of a numpy trace column (zero-copy via PEP 3118);
+ *   int64 buffer of a trace's array('q') column (zero-copy via PEP 3118);
  * - run_access_loop: the per-event driver loop (operand selection,
  *   frontend.access call, tree-access-count collection) without
  *   interpreter dispatch between events — and, for a frontend running
@@ -181,8 +181,7 @@ typedef struct {
     const char *codes, *expected;
 } ColKind;
 
-static const ColKind COL_I64 = {
-    8, "qln", "int64 column (array('q') or numpy int64)"};
+static const ColKind COL_I64 = {8, "qln", "int64 column (array('q'))"};
 static const ColKind COL_U64 = {8, "QL", "uint64 column (array('Q'))"};
 static const ColKind COL_I32 = {4, "il", "int32 column (array('i'))"};
 static const ColKind COL_U8 = {1, "Bbc", "byte column (a bytearray)"};
@@ -279,67 +278,31 @@ translate_block_addrs(PyObject *self, PyObject *args)
     }
 
     Col col;
-    if (col_acquire(line_addrs, &col, "line_addrs", &COL_I64, 0) == 0) {
-        const long long *lines = col.data;
-        PyObject *out = PyList_New(col.len);
-        if (out == NULL) {
+    if (col_acquire(line_addrs, &col, "line_addrs", &COL_I64, 0) < 0)
+        return NULL;
+    const long long *lines = col.data;
+    PyObject *out = PyList_New(col.len);
+    if (out == NULL) {
+        col_release(&col);
+        return NULL;
+    }
+    int pow2 = (lpb & (lpb - 1)) == 0;
+    int shift = bit_length64(lpb) - 1;
+    for (Py_ssize_t i = 0; i < col.len; i++) {
+        long long v = lines[i];
+        if (lpb != 1)
+            /* Arithmetic shift == floor division for a power-of-two
+             * divisor; general case uses Python floor semantics. */
+            v = pow2 ? (v >> shift) : floordiv64(v, lpb);
+        PyObject *boxed = PyLong_FromLongLong(v);
+        if (boxed == NULL) {
+            Py_DECREF(out);
             col_release(&col);
             return NULL;
         }
-        int pow2 = (lpb & (lpb - 1)) == 0;
-        int shift = bit_length64(lpb) - 1;
-        for (Py_ssize_t i = 0; i < col.len; i++) {
-            long long v = lines[i];
-            if (lpb != 1)
-                /* Arithmetic shift == floor division for a power-of-two
-                 * divisor; general case uses Python floor semantics. */
-                v = pow2 ? (v >> shift) : floordiv64(v, lpb);
-            PyObject *boxed = PyLong_FromLongLong(v);
-            if (boxed == NULL) {
-                Py_DECREF(out);
-                col_release(&col);
-                return NULL;
-            }
-            PyList_SET_ITEM(out, i, boxed);
-        }
-        col_release(&col);
-        return out;
+        PyList_SET_ITEM(out, i, boxed);
     }
-
-    /* Not a buffer exporter (plain list/tuple fallback): same results as
-     * the pure-Python kernel via the generic protocol. */
-    PyErr_Clear();
-    if (lpb == 1)
-        return PySequence_List(line_addrs);
-    PyObject *seq =
-        PySequence_Fast(line_addrs, "line_addrs must be a sequence");
-    if (seq == NULL)
-        return NULL;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
-    PyObject **items = PySequence_Fast_ITEMS(seq);
-    PyObject *divisor = PyLong_FromLongLong(lpb);
-    if (divisor == NULL) {
-        Py_DECREF(seq);
-        return NULL;
-    }
-    PyObject *out = PyList_New(n);
-    if (out == NULL) {
-        Py_DECREF(divisor);
-        Py_DECREF(seq);
-        return NULL;
-    }
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *q = PyNumber_FloorDivide(items[i], divisor);
-        if (q == NULL) {
-            Py_DECREF(out);
-            Py_DECREF(divisor);
-            Py_DECREF(seq);
-            return NULL;
-        }
-        PyList_SET_ITEM(out, i, q);
-    }
-    Py_DECREF(divisor);
-    Py_DECREF(seq);
+    col_release(&col);
     return out;
 }
 
@@ -4153,8 +4116,8 @@ mt_below(Mt *s, uint32_t n)
     return r;
 }
 
-/* A 1-D contiguous buffer of 32-bit unsigned words (array('I') / numpy
- * uint32), as the MT state blocks arrive. */
+/* A 1-D contiguous buffer of 32-bit unsigned words (array('I')), as the
+ * MT state blocks arrive. */
 static int
 u32_acquire(PyObject *obj, Py_buffer *view, const char *what)
 {
@@ -4165,7 +4128,7 @@ u32_acquire(PyObject *obj, Py_buffer *view, const char *what)
         PyBuffer_Release(view);
         PyErr_Format(PyExc_TypeError,
                      "%s must be a 1-D contiguous uint32 buffer "
-                     "(array('I') or numpy uint32)", what);
+                     "(array('I'))", what);
         return -1;
     }
     return 0;

@@ -32,11 +32,6 @@ from typing import List
 
 from repro.sim.native import load_native_core, require_core
 
-try:  # pragma: no cover - exercised indirectly on both branches
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 #: Replay tiers: ``scalar`` is the reference, ``compiled`` the fast tier.
 REPLAY_MODES = ("scalar", "compiled")
 
@@ -70,23 +65,17 @@ def resolve_replay_mode(mode=None) -> str:
 def translate_block_addrs(
     line_addrs, lines_per_block: int
 ) -> List[int]:
-    """Line-address column -> plain-int block addresses, vectorised.
+    """Line addresses -> plain-int block addresses.
 
-    ``line_addr // lines_per_block`` for every event in one sweep; a
-    power-of-two divisor (the common geometry) becomes a single shift.
-    The result is a plain Python list — the access loop's operand — whose
-    elements are exactly the scalar per-event divisions.
+    ``line_addr // lines_per_block`` for every event of any int sequence
+    (a trace's ``array('q')`` column, a list). The result is a plain
+    Python list — the access loop's operand. The fast tier's C
+    ``translate_block_addrs`` gives the same list for an int64 column.
     """
     if lines_per_block < 1:
         raise ValueError(
             f"lines_per_block must be >= 1, got {lines_per_block}"
         )
-    if _np is not None and isinstance(line_addrs, _np.ndarray):
-        if lines_per_block == 1:
-            return line_addrs.tolist()
-        if lines_per_block & (lines_per_block - 1) == 0:
-            return (line_addrs >> (lines_per_block.bit_length() - 1)).tolist()
-        return (line_addrs // lines_per_block).tolist()
     if lines_per_block == 1:
         return list(line_addrs)
     return [addr // lines_per_block for addr in line_addrs]

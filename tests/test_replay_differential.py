@@ -320,19 +320,15 @@ class TestTranslation:
         assert translate_block_addrs([0, 5, 9, 16], 4) == [0, 1, 2, 4]
         assert translate_block_addrs([7, 8], 1) == [7, 8]
 
-    def test_numpy_absent_path_matches_numpy_path(self, monkeypatch):
-        """The scalar fallback (numpy unavailable) is lockstep with the
-        vectorised shift/divide across pow2, non-pow2 and identity."""
-        import repro.sim.replay as replay_mod
-
+    def test_column_and_plain_list_translate_alike(self):
+        """A trace's ``array('q')`` column and the same addresses as a
+        list give the same blocks across pow2, non-pow2 and identity."""
         trace = make_trace(6, events=128, blocks=2**12)
         line_addrs, _ = trace.columns()
-        vectorised = {
-            lpb: translate_block_addrs(line_addrs, lpb) for lpb in (1, 2, 8, 3, 7)
-        }
-        monkeypatch.setattr(replay_mod, "_np", None)
-        plain = [int(a) for a in line_addrs]
-        for lpb, expect in vectorised.items():
+        plain = list(line_addrs)
+        for lpb in (1, 2, 8, 3, 7):
+            expect = [a // lpb for a in plain]
+            assert translate_block_addrs(line_addrs, lpb) == expect, lpb
             assert translate_block_addrs(plain, lpb) == expect, lpb
 
     @pytest.mark.parametrize("bad", [0, -1, -8])
@@ -343,7 +339,7 @@ class TestTranslation:
             translate_block_addrs([1, 2, 3], bad)
 
     @pytest.mark.parametrize("bad", [0, -1])
-    def test_lines_per_block_guard_covers_numpy_columns(self, bad):
+    def test_lines_per_block_guard_covers_array_columns(self, bad):
         trace = make_trace(9, events=8)
         line_addrs, _ = trace.columns()
         with pytest.raises(ValueError, match="lines_per_block must be >= 1"):

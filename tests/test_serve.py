@@ -304,6 +304,15 @@ class TestPreload:
         with pytest.raises(ConfigurationError, match="preload"):
             service.preload(tenant_index, addr, b"stray")
 
+    def test_preload_longer_than_a_block_is_refused_not_truncated(self):
+        service = OramService(
+            [TenantSpec(name="t", events=((0, False),) * 4, region_blocks=16)],
+            runner=make_runner(),
+        )
+        assert service.block_bytes == 64
+        with pytest.raises(ConfigurationError, match="64-byte block"):
+            service.preload(0, 1, bytes(68))
+
 
 class TestLatencyHistogram:
     def test_buckets_and_quantiles(self):

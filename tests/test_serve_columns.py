@@ -3,12 +3,15 @@
 The serving loop admits, executes and accounts per-epoch columns, not
 per-request objects. Each piece that replaced a per-request call is
 pinned here to the call it replaced — ``record_many`` to ``record``, the
-route column to ``_shard_index``, the folded accounting log to folding
-every epoch — and the property itself is pinned as a count: wall-clock
+route column to the CRC of each address, the folded accounting log to
+folding every epoch — and the property itself is pinned as a count: wall-clock
 stamps per epoch and per batch, never per request, and no ``MissEvent``
 between a trace's synthesis or the trace cache and a shard or a sweep
 cell.
 """
+
+import binascii
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +27,7 @@ from repro.serve import (
     TenantSpec,
     tenants_for,
 )
-from repro.serve.server import _route_column, _shard_index
+from repro.serve.server import _route_column
 from repro.sim.runner import SimulationRunner
 from repro.utils.rng import DeterministicRng
 from repro.workloads.spec import benchmark
@@ -94,22 +97,44 @@ ADDRS = st.lists(
 )
 
 
+def crc_route(addr: int, shards: int) -> int:
+    """The route's definition, spelled independently of the server."""
+    return binascii.crc32(struct.pack("<q", addr)) % shards
+
+
+#: (shards, the routes of KNOWN_ADDRS), recorded when numpy's
+#: table-driven CRC and ``zlib.crc32`` both routed serving and agreed.
+KNOWN_ADDRS = [0, 1, -1, 255, 4096, 12345, 0x123456789, 2**63 - 1, -(2**63)]
+KNOWN_ROUTES = [
+    (2, [1, 1, 0, 1, 1, 1, 1, 0, 1]),
+    (3, [1, 1, 1, 1, 2, 0, 2, 2, 2]),
+    (4, [1, 3, 0, 3, 3, 1, 1, 0, 1]),
+    (7, [4, 5, 4, 0, 3, 2, 4, 2, 3]),
+]
+
+
 class TestRouteColumn:
     @settings(max_examples=100, deadline=None)
     @given(addrs=ADDRS, shards=st.integers(min_value=1, max_value=7))
-    def test_equals_the_scalar_route_with_and_without_numpy(self, addrs, shards):
-        expected = [_shard_index(addr, shards) for addr in addrs]
+    def test_equals_the_crc_of_each_address(self, addrs, shards):
+        expected = [crc_route(addr, shards) for addr in addrs]
         assert _route_column(addrs, shards) == expected
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(server, "_np", None)
-            assert _route_column(addrs, shards) == expected
 
-    def test_serving_without_numpy_routes_the_same(self, monkeypatch):
-        with_numpy = scenario().run("serial")
-        monkeypatch.setattr(server, "_np", None)
-        without = scenario().run("serial")
-        assert [s.access_digest for s in without.shard_stats] == [
-            s.access_digest for s in with_numpy.shard_stats
+    @pytest.mark.parametrize(
+        "shards, routes", KNOWN_ROUTES, ids=[f"shards={n}" for n, _ in KNOWN_ROUTES]
+    )
+    def test_known_answers(self, shards, routes):
+        assert _route_column(KNOWN_ADDRS, shards) == routes
+
+    def test_each_request_is_served_on_its_routed_shard(self):
+        service = scenario()
+        routes = [r for t in service._tenants for r in t.routes]
+        assert routes == [
+            crc_route(addr, 2) for t in service._tenants for addr in t.addrs
+        ]
+        service.run("serial")
+        assert [s.stats.requests for s in service.shards] == [
+            routes.count(0), routes.count(1)
         ]
 
 

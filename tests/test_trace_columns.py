@@ -14,7 +14,6 @@ from array import array
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import repro.proc.hierarchy as hierarchy
 from repro.proc.hierarchy import MissEvent, MissTrace
 from repro.sim.native import load_native_core
 from repro.utils.rng import DeterministicRng
@@ -70,6 +69,27 @@ class TestColumns:
         line_addrs, is_write = trace.columns()
         assert list(line_addrs) == [e.line_addr for e in trace.events]
         assert [bool(w) for w in is_write] == [e.is_write for e in trace.events]
+
+    @pytest.mark.parametrize(
+        "source", ["events", "columns", "decoded", "hierarchy", "synthesised"]
+    )
+    def test_every_producer_gives_stdlib_array_columns(self, source):
+        from repro.proc.hierarchy import CacheHierarchy
+        from repro.sim.runner import SimulationRunner
+
+        if source == "decoded":
+            trace = MissTrace.from_bytes(make_trace(events=50).to_bytes())
+        elif source == "hierarchy":
+            refs = [(0, i % 3 == 0, 64 * 4099 * i) for i in range(4000)]
+            trace = CacheHierarchy().run(refs)
+        elif source == "synthesised":
+            trace = SimulationRunner(misses_per_benchmark=50, seed=1).trace("gob")
+        else:
+            trace = make_trace(events=50, born=source)
+        line_addrs, is_write = trace.columns()
+        assert (type(line_addrs), line_addrs.typecode) == (array, "q")
+        assert (type(is_write), is_write.typecode) == (array, "b")
+        assert trace.num_events > 0 and set(is_write) <= {0, 1}
 
     def test_columns_cached(self):
         trace = make_trace()
@@ -233,18 +253,6 @@ PAIRS = st.lists(
 )
 EDGE_CASES = [[], [(5, True)] * 9, [(5, False)] * 9, [(2**63 - 1, True), (0, False)]]
 
-WITH_AND_WITHOUT_NUMPY = pytest.mark.parametrize(
-    "numpy", [True, False], ids=["numpy", "no-numpy"]
-)
-
-
-@contextlib.contextmanager
-def numpy_or_not(numpy: bool):
-    with pytest.MonkeyPatch.context() as patch:
-        if not numpy:
-            patch.setattr(hierarchy, "_np", None)
-        yield
-
 
 def with_edge_cases(test):
     for pairs in EDGE_CASES:
@@ -257,46 +265,42 @@ class TestColumnBornEqualsEventBuilt:
     trace, and comparing or serialising the column-born one builds no
     :class:`MissEvent`."""
 
-    @WITH_AND_WITHOUT_NUMPY
     @settings(max_examples=60, deadline=None)
     @given(pairs=PAIRS)
     @with_edge_cases
-    def test_same_trace(self, numpy, pairs):
-        with numpy_or_not(numpy):
-            built = twin(pairs, "events")
-            with counting_events() as made:
-                born = twin(pairs, "columns")
-                assert born == built and built == born
-                assert born.to_bytes() == built.to_bytes()
-                assert born.to_bytes(compress=False) == built.to_bytes(compress=False)
-                assert born.num_events == built.num_events == len(pairs)
-                assert born.llc_misses == built.llc_misses
-                assert born.llc_misses == sum(1 for _a, w in pairs if not w)
-                assert born.mpki == built.mpki
-                for trace in (born, built):
-                    assert MissTrace.from_bytes(trace.to_bytes()) == trace
-                assert repr(born) == repr(built)
-            assert made == []
-            assert born.events == built.events
+    def test_same_trace(self, pairs):
+        built = twin(pairs, "events")
+        with counting_events() as made:
+            born = twin(pairs, "columns")
+            assert born == built and built == born
+            assert born.to_bytes() == built.to_bytes()
+            assert born.to_bytes(compress=False) == built.to_bytes(compress=False)
+            assert born.num_events == built.num_events == len(pairs)
+            assert born.llc_misses == built.llc_misses
+            assert born.llc_misses == sum(1 for _a, w in pairs if not w)
+            assert born.mpki == built.mpki
+            for trace in (born, built):
+                assert MissTrace.from_bytes(trace.to_bytes()) == trace
+            assert repr(born) == repr(built)
+        assert made == []
+        assert born.events == built.events
 
-    @WITH_AND_WITHOUT_NUMPY
     @settings(max_examples=30, deadline=None)
     @given(pairs=PAIRS, field=st.sampled_from(["name", "l2_hits", "write", "length"]))
-    def test_a_difference_is_seen(self, numpy, pairs, field):
-        with numpy_or_not(numpy):
-            born = twin(pairs, "columns")
-            other = list(pairs)
-            if field == "write" and other:
-                addr, w = other[-1]
-                other[-1] = (addr, not w)
-            elif field in ("write", "length"):
-                other.append((0, False))
-            for changed in (twin(other, "columns"), twin(other, "events")):
-                if field == "name":
-                    changed.name += "x"
-                elif field == "l2_hits":
-                    changed.l2_hits += 1
-                assert born != changed and changed != born
+    def test_a_difference_is_seen(self, pairs, field):
+        born = twin(pairs, "columns")
+        other = list(pairs)
+        if field == "write" and other:
+            addr, w = other[-1]
+            other[-1] = (addr, not w)
+        elif field in ("write", "length"):
+            other.append((0, False))
+        for changed in (twin(other, "columns"), twin(other, "events")):
+            if field == "name":
+                changed.name += "x"
+            elif field == "l2_hits":
+                changed.l2_hits += 1
+            assert born != changed and changed != born
 
     @pytest.mark.parametrize("mode", [
         "scalar",
@@ -305,7 +309,6 @@ class TestColumnBornEqualsEventBuilt:
             reason="compiled core not built or switched off",
         )),
     ])
-    @WITH_AND_WITHOUT_NUMPY
     @settings(max_examples=10, deadline=None)
     @given(pairs=st.lists(
         st.tuples(st.integers(min_value=0, max_value=2**10 - 1), st.booleans()),
@@ -314,7 +317,7 @@ class TestColumnBornEqualsEventBuilt:
     @example(pairs=[])
     @example(pairs=[(5, True)] * 9)
     @example(pairs=[(5, False)] * 9)
-    def test_same_replay(self, mode, numpy, pairs):
+    def test_same_replay(self, mode, pairs):
         from repro.presets import build_frontend
         from repro.sim.system import replay_trace
         from repro.sim.timing import OramTimingModel
@@ -322,16 +325,15 @@ class TestColumnBornEqualsEventBuilt:
 
         timing = OramTimingModel(tree_latency_cycles=1000.0)
         outcomes = []
-        with numpy_or_not(numpy):
-            for born in ("events", "columns"):
-                trace = twin(pairs, born)
-                frontend = build_frontend(
-                    "PC_X32", num_blocks=2**10, rng=DeterministicRng(7)
-                )
-                with counting_events() as made:
-                    result = replay_trace(frontend, trace, timing, mode=mode)
-                if mode == "compiled":
-                    assert made == []  # the fast tier reads the columns
-                outcomes.append((result, frontend_digests(frontend)))
+        for born in ("events", "columns"):
+            trace = twin(pairs, born)
+            frontend = build_frontend(
+                "PC_X32", num_blocks=2**10, rng=DeterministicRng(7)
+            )
+            with counting_events() as made:
+                result = replay_trace(frontend, trace, timing, mode=mode)
+            if mode == "compiled":
+                assert made == []  # the fast tier reads the columns
+            outcomes.append((result, frontend_digests(frontend)))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0].oram_accesses == len(pairs)
