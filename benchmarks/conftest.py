@@ -1,10 +1,12 @@
 """Shared helpers for the benchmark harness.
 
-Each benchmark regenerates one table or figure of the paper. Default
-parameters are scaled for quick runs; set ``REPRO_FULL=1`` to use the
-full SPEC stand-in suite and larger miss budgets (minutes instead of
-seconds). Every bench prints the rows/series the paper reports beside
-the paper's values, and asserts the headline shape.
+Each benchmark regenerates one table or figure of the paper and hands its
+module's ``headline()`` to ``check``: the rows of
+:mod:`repro.eval.paper_values`, where every paper value is written. A
+closed-form experiment's rows are checked on every run; a simulated
+figure's only under ``REPRO_FULL=1``, where its ``run()`` gets no
+arguments (the rows ``REPRO_FULL=1 python -m repro all`` prints). Without
+it a figure runs 1 500 misses on three locality classes, shapes only.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import os
 
 import pytest
 
+from repro.eval.paper_values import report
 from repro.settings import Settings
 
 CACHE_ENV = "REPRO_TRACE_CACHE"
@@ -41,25 +44,21 @@ def _hermetic_caches(tmp_path_factory):
             os.environ[env] = value
 
 
-def full_run() -> bool:
-    """True when REPRO_FULL=1 requests paper-scale runs."""
-    return Settings.from_env().full
+@pytest.fixture
+def figure_args():
+    """A simulated figure's ``run()`` arguments: none at the paper's budget."""
+    if Settings.from_env().full:
+        return {}
+    return {"benchmarks": ["hmmer", "libq", "mcf"], "misses": 1_500}
 
 
 @pytest.fixture
-def bench_benchmarks():
-    """Benchmark subset: 3 representative locality classes, or all 11."""
-    if full_run():
-        from repro.workloads.spec import benchmark_names
-
-        return benchmark_names()
-    return ["hmmer", "libq", "mcf"]
-
-
-@pytest.fixture
-def bench_misses():
-    """LLC miss budget per benchmark point."""
-    return 20_000 if full_run() else 1_500
+def check(figure_args):
+    """``check(experiment, ours)``: print the rows, fail on a failing one."""
+    def check(experiment, ours):
+        failed = report(experiment, ours, figure_args.get("misses"))
+        assert not failed, f"{experiment} rows off the paper: {failed}"
+    return check
 
 
 def run_once(benchmark, fn, *args, **kwargs):

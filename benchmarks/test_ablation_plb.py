@@ -9,19 +9,16 @@ from repro.eval import ablation_plb
 from repro.eval.saved import complete_report
 
 
-def _own_sweep(index, benchmarks, misses):
+def _own_sweep(index, benchmarks=None, misses=None):
     """The report of sweep ``index`` of :func:`ablation_plb.sweep`."""
     sweep = ablation_plb.sweep(benchmarks)[index]
     return complete_report(sweep, ablation_plb.make_runner(misses))
 
 
-def test_plb_associativity(benchmark, bench_benchmarks, bench_misses):
-    report = run_once(benchmark, _own_sweep, 0, bench_benchmarks, bench_misses)
+def test_plb_associativity(benchmark, figure_args, check):
+    report = run_once(benchmark, _own_sweep, 0, **figure_args)
     ratios = ablation_plb.associativity_from_report(report)
-    print()
-    print("PLB associativity ablation (paper: full-assoc gains <= 10%)")
-    for ways, ratio in ratios.items():
-        print(f"  {ways}-way vs direct-mapped: {ratio:.3f}")
+    check("ablation-plb", ablation_plb.headline((ratios, {})))
     assert ratios[1] == 1.0
     # Higher associativity may help but never by more than ~10%.
     for ways in (2, 4, 8):
@@ -29,13 +26,9 @@ def test_plb_associativity(benchmark, bench_benchmarks, bench_misses):
         assert ratios[ways] < 1.05
 
 
-def test_plb_value(benchmark, bench_benchmarks, bench_misses):
-    report = run_once(benchmark, _own_sweep, 1, bench_benchmarks, bench_misses)
+def test_plb_value(benchmark, figure_args):
+    report = run_once(benchmark, _own_sweep, 1, **figure_args)
     ratios = ablation_plb.value_from_report(report)
-    print()
-    print("Value of the PLB (no-PLB runtime / 64KB-PLB runtime)")
-    for name, ratio in ratios.items():
-        print(f"  {name:>7}: {ratio:.2f}x")
     # High-locality workloads gain the most; even mcf must not lose.
     assert max(ratios.values()) > 1.2
     assert min(ratios.values()) >= 0.95

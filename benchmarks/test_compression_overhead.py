@@ -5,24 +5,12 @@ from conftest import run_once
 from repro.eval import compression
 
 
-def test_compression_geometry(benchmark):
-    facts = run_once(benchmark, compression.run)
-    print()
-    print(
-        f"§5.3 — X={facts.uncompressed_fanout} -> X'={facts.compressed_fanout} "
-        f"(paper: 16 -> 32); worst-case remap "
-        f"{100 * facts.worst_case_remap_overhead:.2f}% (paper 0.2%)"
-    )
-    assert facts.uncompressed_fanout == 16
-    assert facts.compressed_fanout == 32
-    assert abs(facts.worst_case_remap_overhead - 0.002) < 2e-4
+def test_compression_geometry(benchmark, check):
+    check("compression", compression.headline(run_once(benchmark, compression.run)))
 
 
 def test_group_remap_overhead_measured(benchmark):
     beta = 4
     rate = run_once(benchmark, compression.measured_remap_overhead, beta=beta)
     expected = 31 / (1 << beta)
-    print()
-    print(f"§5.2.2 measured relocations/access at beta={beta}: {rate:.3f} "
-          f"(worst-case bound {expected:.3f})")
     assert abs(rate - expected) / expected < 0.25

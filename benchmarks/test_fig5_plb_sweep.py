@@ -5,16 +5,10 @@ from conftest import run_once
 from repro.eval import fig5
 
 
-def test_fig5_plb_sweep(benchmark, bench_benchmarks, bench_misses):
-    table = run_once(
-        benchmark, fig5.run, benchmarks=bench_benchmarks, misses=bench_misses
-    )
-    print()
-    print("Fig 5 — runtime normalised to 8 KB PLB (paper: mcf -49% at 128K)")
+def test_fig5_plb_sweep(benchmark, figure_args, check):
+    table = run_once(benchmark, fig5.run, **figure_args)
+    check("fig5", fig5.headline(table))
     caps = fig5.CAPACITIES
-    print(f"{'bench':>7} " + " ".join(f"{c // 1024:>5}K" for c in caps))
-    for bench, row in table.items():
-        print(f"{bench:>7} " + " ".join(f"{row[c]:6.3f}" for c in caps))
     for bench, row in table.items():
         # Larger PLBs never hurt meaningfully, and the sweep is anchored at 1.
         assert row[caps[0]] == 1.0

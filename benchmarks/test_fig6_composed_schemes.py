@@ -5,18 +5,9 @@ from conftest import run_once
 from repro.eval import fig6
 
 
-def test_fig6_composed_schemes(benchmark, bench_benchmarks, bench_misses):
-    table = run_once(
-        benchmark, fig6.run, benchmarks=bench_benchmarks, misses=bench_misses
-    )
-    print()
-    print("Fig 6 — slowdown vs insecure (paper: PC 1.43x over R; PIC +7%)")
-    for scheme, row in table.items():
-        cells = " ".join(f"{b}={v:.2f}" for b, v in row.items() if b != "geomean")
-        print(f"  {scheme:>8}: {cells}  geomean={row['geomean']:.2f}")
-    pc_speedup = table["R_X8"]["geomean"] / table["PC_X32"]["geomean"]
-    pic_overhead = table["PIC_X32"]["geomean"] / table["PC_X32"]["geomean"]
-    print(f"  PC speedup {pc_speedup:.2f}x; PIC overhead {100 * (pic_overhead - 1):.0f}%")
+def test_fig6_composed_schemes(benchmark, figure_args, check):
+    ours = fig6.headline(run_once(benchmark, fig6.run, **figure_args))
+    check("fig6", ours)
     # Shape: PC strictly beats R; PMMAC costs a modest premium.
-    assert pc_speedup > 1.1
-    assert 1.0 <= pic_overhead < 1.35
+    assert ours["fig6.pc_speedup"] > 1.1
+    assert 0 <= ours["fig6.pic_overhead"] < 35

@@ -5,26 +5,13 @@ from conftest import run_once
 from repro.eval import fig8
 
 
-def test_fig8_isca_params(benchmark, bench_benchmarks, bench_misses):
-    table, traffic = run_once(
-        benchmark, fig8.run, benchmarks=bench_benchmarks, misses=bench_misses
-    )
-    print()
-    print("Fig 8 — [26] params (4ch, 2.6 GHz, 128B, Z=3); paper: ~1.27x, 95% cut")
-    for scheme, row in table.items():
-        print(f"  {scheme:>8}: geomean slowdown {row['geomean']:.2f}")
-    for scheme in ("PC_X64", "PC_X32"):
-        speedup = table["R_X8"]["geomean"] / table[scheme]["geomean"]
-        print(f"  {scheme} speedup over R_X8: {speedup:.2f}x")
-        assert speedup > 1.05
+def test_fig8_isca_params(benchmark, figure_args, check):
+    ours = fig8.headline(run_once(benchmark, fig8.run, **figure_args))
+    check("fig8", ours)
+    assert ours["fig8.speedup.pc_x64"] > 1.05
+    assert ours["fig8.speedup.pc_x32"] > 1.05
     # PosMap *accesses* drop sharply with the PLB; the byte cut depends on
     # the workload's locality because every PLB miss moves a full
-    # Unified-tree path (paper reaches 95% on SPEC's friendlier mix;
-    # mcf-class pointer chasing is the adversarial case).
-    cuts = {
-        bench: 1 - traffic["PC_X64"][bench] / max(traffic["R_X8"][bench], 1)
-        for bench in traffic["R_X8"]
-    }
-    for bench, cut in cuts.items():
-        print(f"  PC_X64 PosMap traffic cut on {bench}: {100 * cut:.0f}%")
-    assert max(cuts.values()) > 0.5  # locality-bearing workloads see deep cuts
+    # Unified-tree path (mcf-class pointer chasing is the adversarial
+    # case). Locality-bearing workloads see deep cuts.
+    assert max(v for k, v in ours.items() if k.startswith("fig8.posmap_cut.")) > 50

@@ -3,19 +3,9 @@
 from conftest import run_once
 
 from repro.eval import fig9
-from repro.utils.stats import geometric_mean
 
 
-def test_fig9_phantom(benchmark, bench_benchmarks, bench_misses):
-    speedups = run_once(
-        benchmark, fig9.run, benchmarks=bench_benchmarks, misses=bench_misses
-    )
-    print()
-    print("Fig 9 — PC_X32 speedup over Phantom 4KB blocks (paper: ~10x avg)")
-    for name, s in speedups.items():
-        print(f"  {name:>7}: {s:6.1f}x")
-    gm = geometric_mean(list(speedups.values()))
-    ratio = fig9.byte_movement_ratio()
-    print(f"  geomean: {gm:.1f}x; byte-movement ratio {100 * ratio:.1f}% (paper 2.1%)")
-    assert gm > 3.0  # order-of-magnitude class win
-    assert abs(ratio - 0.021) < 0.003
+def test_fig9_phantom(benchmark, figure_args, check):
+    ours = fig9.headline(run_once(benchmark, fig9.run, **figure_args))
+    check("fig9", ours)
+    assert ours["fig9.speedup"] > 3.0  # order-of-magnitude class win

@@ -1,28 +1,22 @@
 """§6.3 bench: PMMAC vs Merkle hash bandwidth, analytic and measured."""
 
-from conftest import full_run, run_once
+from conftest import run_once
 
 from repro.eval import hashbw
+from repro.settings import Settings
 
 
-def test_hash_bandwidth_analytic(benchmark):
+def test_hash_bandwidth_analytic(benchmark, check):
     factors = run_once(benchmark, hashbw.analytic, tuple(range(16, 33, 4)))
-    print()
-    print("§6.3 — PMMAC hash reduction (paper: 68x at L=16, 132x at L=32)")
-    for levels, factor in factors.items():
-        print(f"  L={levels}: {factor:.0f}x")
-    assert factors[16] == 68.0
-    assert factors[32] == 132.0
+    check("hashbw", hashbw.headline(factors))
 
 
 def test_hash_bandwidth_measured(benchmark):
-    accesses = 600 if full_run() else 200
+    accesses = 600 if Settings.from_env().full else 200
     merkle, pmmac = run_once(
         benchmark, hashbw.measured, num_blocks=2**10, accesses=accesses
     )
     reduction = merkle / max(pmmac, 1)
-    print()
-    print(f"§6.3 measured — Merkle {merkle} B, PMMAC {pmmac} B: {reduction:.0f}x")
     # The functional measurement includes sibling-tag bytes, so it lands
     # near (but above) the block-count analytic bound for this tree depth.
     assert reduction > 30

@@ -5,15 +5,5 @@ from conftest import run_once
 from repro.eval import table2
 
 
-def test_table2_dram_channels(benchmark):
-    latencies = run_once(benchmark, table2.run)
-    print()
-    print("Tab 2 — ORAM latency (proc cycles), measured | paper")
-    for channels, cycles in latencies.items():
-        print(f"  {channels} ch: {cycles:7.0f} | {table2.PAPER_LATENCY[channels]}")
-    insecure = table2.insecure_latency()
-    print(f"  insecure: {insecure:.0f} | {table2.PAPER_INSECURE}")
-    for channels, cycles in latencies.items():
-        paper = table2.PAPER_LATENCY[channels]
-        assert abs(cycles - paper) / paper < 0.10
-    assert abs(insecure - table2.PAPER_INSECURE) / table2.PAPER_INSECURE < 0.10
+def test_table2_dram_channels(benchmark, check):
+    check("table2", table2.headline(run_once(benchmark, table2.run)))

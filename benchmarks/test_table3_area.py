@@ -5,21 +5,9 @@ from conftest import run_once
 from repro.eval import table3
 
 
-def test_table3_area(benchmark):
-    results = run_once(benchmark, table3.run)
-    print()
-    print("Tab 3 — post-synthesis mm^2, measured | paper total")
-    for ch, breakdown in results.items():
-        paper_total = table3.PAPER_TABLE3[ch][8]
-        pct = breakdown.percentages()
-        print(
-            f"  {ch}ch: total {breakdown.total:.3f}|{paper_total:.3f}  "
-            f"frontend {pct['frontend']:.1f}% pmmac {pct['pmmac']:.1f}% "
-            f"plb {pct['plb']:.1f}% aes {pct['aes']:.1f}%"
-        )
-        assert abs(breakdown.total - paper_total) / paper_total < 0.05
-        assert pct["pmmac"] <= 13.0
-        assert pct["plb"] <= 10.5
-    layout = table3.layout_total()
-    print(f"  post-layout 2ch total: {layout:.2f} mm^2 (paper 0.47)")
-    assert abs(layout - 0.47) < 0.03
+def test_table3_area(benchmark, check):
+    ours = table3.headline(run_once(benchmark, table3.run))
+    check("table3", ours)
+    for ch in (1, 2, 4):
+        assert ours[f"table3.share.pmmac.{ch}ch"] <= 13.0
+        assert ours[f"table3.share.plb.{ch}ch"] <= 10.5

@@ -3,8 +3,8 @@
 A Path ORAM access touches Z*(L+1) blocks. Merkle-style schemes [2, 25]
 must hash every one of them to check and update the root; PMMAC hashes
 exactly one — the block of interest. The paper quotes the resulting
-reduction as 68x at L=16 and 132x at L=32 (Z=4, sibling-hash traffic
-ignored, as in §6.3).
+reduction at L=16 and L=32 (Z=4, sibling-hash traffic ignored, as in
+§6.3): the ``hashbw.reduction`` rows of :mod:`repro.eval.paper_values`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ def pmmac_hash_blocks_per_access() -> int:
 
 
 def hash_reduction_factor(levels: int, blocks_per_bucket: int = 4) -> float:
-    """PMMAC's hash-bandwidth advantage (the paper's >= 68x)."""
+    """PMMAC's hash-bandwidth advantage: Merkle blocks hashed per PMMAC block."""
     return merkle_hash_blocks_per_access(levels, blocks_per_bucket) / float(
         pmmac_hash_blocks_per_access()
     )

@@ -107,8 +107,8 @@ class AreaModel:
             raise ValueError("need at least one DRAM channel")
         # PLB data array plus a ~12% tag/valid overhead. Arrays of 32 KiB
         # and up come out of the memory compiler denser than the small
-        # macros (calibrated to the paper's "+29% for a 64 KB PLB",
-        # §7.2.3).
+        # macros (calibrated to what §7.2.3 says a 64 KB PLB adds: the
+        # table3.plb64_growth row of repro.eval.paper_values).
         density = 0.57 if self.plb_kib >= 32 else 1.0
         plb_sram = self.plb_kib * 1.125 * SRAM_MM2_PER_KIB * density
         aes_units = math.ceil(channels / 2)
@@ -134,11 +134,12 @@ class AreaModel:
         )
 
     def no_recursion_posmap_mm2(self, num_blocks: int, levels: int) -> float:
-        """SRAM area of a flat on-chip PosMap (the §7.2.3 ~5 mm^2 point).
+        """SRAM area of a flat on-chip PosMap (the §7.2.3 point).
 
         MB-scale arrays come out of the memory compiler noticeably denser
         than the KB-scale macros the controller uses; the density factor
-        is calibrated to the paper's ~5 mm^2 for a 2^20-entry PosMap.
+        is calibrated to the paper's area for a 2^20-entry PosMap (the
+        table3.flat_posmap row of repro.eval.paper_values).
         """
         kib = num_blocks * levels / 8.0 / 1024.0
         density = 0.68 if kib > 1024 else 1.0

@@ -121,8 +121,9 @@ class DramModel:
         """Processor cycles for one 64-byte access without ORAM.
 
         A conventional LLC-miss stream has poor row locality; with a 20%
-        row-hit rate the expected latency matches the paper's 58-cycle
-        average insecure DRAM access (§7.1.2).
+        row-hit rate the expected latency matches the paper's average
+        insecure DRAM access (§7.1.2; the table2.insecure row of
+        repro.eval.paper_values).
         """
         cfg = self.config
         hit = cfg.t_cas + cfg.burst_cycles

@@ -1,9 +1,12 @@
 """Experiment harness: one module per table and figure of the paper.
 
-Each module exposes a ``run(...)`` function returning structured rows and
-a ``main()`` that prints the same rows/series the paper reports, with the
-paper's reference values alongside. The benchmarks/ directory wraps each
-module in a pytest-benchmark target that asserts the headline shape.
+Each module exposes a ``run(...)`` returning structured rows, a
+``headline(result)`` deriving the quantities the paper reports, and a
+``main()`` printing the table and then those quantities beside the
+paper's values, which live in :mod:`repro.eval.paper_values` alone. The
+benchmarks/ directory wraps each module in a pytest-benchmark target that
+checks the same rows (a closed-form module's on every run, a simulated
+figure's at ``REPRO_FULL=1``) and asserts the figure's shape.
 
 | Module       | Reproduces |
 |--------------|------------|
@@ -26,11 +29,9 @@ function. Its module exposes ``sweep(benchmarks=None)`` (a
 ``table_from_report(report)`` (the table, from the
 :func:`~repro.sim.sweep.run_sweep` report, or the list of reports); its
 ``run(benchmarks=None, misses=None)`` is exactly that composition
-(:func:`repro.eval.saved.figure_run`), and refuses to build a table when
-any cell of the sweep was quarantined. The result store keeps the cells;
-a table is recomputed from them on every call, never stored. fig9 alone
-takes a second input, ``fig9.phantom_replays(runner, benchmarks)``.
-fig3, table2 and table3 are closed-form and have no cells.
+(:func:`repro.eval.saved.figure_run`). A table is recomputed from the
+result store's cells on every call, never stored. fig9 alone takes a
+second input, ``fig9.phantom_replays(runner, benchmarks)``.
 """
 
 from repro.eval import ablation_plb, fig5, fig6, fig7, fig8, fig9

@@ -1,18 +1,20 @@
 """§5.3: compressed PosMap geometry and the group-remap overhead.
 
-Checks the concrete claims: with 512-bit blocks, alpha=64 and beta=14
-pack X' = 32 counters (vs X = 16 uncompressed leaves), and the
-worst-case block-remap overhead is X'/2^beta = 0.2%. Also measures the
-overhead empirically by hammering a single block until its IC rolls
-over and counting the extra Backend accesses.
+Checks the concrete claims: how many counters 512-bit blocks with
+alpha=64 and beta=14 pack (X', against X uncompressed leaves), and the
+worst-case block-remap overhead X'/2^beta. Also measures the overhead
+empirically by hammering a single block until its IC rolls over and
+counting the extra Backend accesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
 from repro.backend.ops import Op
 from repro.crypto.suite import CryptoSuite
+from repro.eval.paper_values import report
 from repro.frontend.formats import CompressedPosMapFormat, UncompressedPosMapFormat
 from repro.frontend.unified import PlbFrontend
 from repro.spec import get_spec
@@ -66,18 +68,19 @@ def measured_remap_overhead(beta: int = 4, accesses: int = 2000) -> float:
     return relocations / accesses
 
 
+def headline(facts: CompressionFacts) -> Dict[str, float]:
+    """Both fan-outs, and the worst-case remap overhead in %."""
+    return {
+        "compression.fanout": facts.uncompressed_fanout,
+        "compression.fanout_compressed": facts.compressed_fanout,
+        "compression.remap_overhead": 100 * facts.worst_case_remap_overhead,
+    }
+
+
 def main() -> None:
     """Print §5.3 geometry and measured remap overhead."""
-    facts = run()
     print("§5.3 compressed PosMap:")
-    print(
-        f"X uncompressed = {facts.uncompressed_fanout} (paper: 16), "
-        f"X' compressed = {facts.compressed_fanout} (paper: 32)"
-    )
-    print(
-        f"worst-case remap overhead X'/2^beta = "
-        f"{100 * facts.worst_case_remap_overhead:.2f}% (paper: 0.2%)"
-    )
+    report("compression", headline(run()))
     beta = 4
     measured = measured_remap_overhead(beta=beta)
     expected = (32 - 1) / float(1 << beta)  # X' held at 32 in the probe

@@ -2,8 +2,8 @@
 
 Sweeps Data ORAM capacity 2^30..2^40 bytes for X=8 (32-byte PosMap
 blocks), Z=4, block sizes 64/128 B and on-chip PosMaps of 8/256 KB, with
-buckets padded to 512 bits — exactly the Fig. 3 configuration. The paper
-reads 39%-56% at 4 GB and a curve that *grows* with capacity.
+buckets padded to 512 bits — exactly the Fig. 3 configuration: a curve
+that *grows* with capacity.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.analytic.bandwidth import posmap_fraction
+from repro.eval.paper_values import report
 
 #: (block_bytes, onchip_posmap_bytes) series of Fig. 3.
 SERIES: Tuple[Tuple[int, int], ...] = (
@@ -41,19 +42,23 @@ def run(
     return out
 
 
+def headline(data: Dict[str, List[Tuple[int, float]]]) -> Dict[str, float]:
+    """The PosMap byte share at 4 GB with an 8 KB on-chip PosMap, in %."""
+    return {
+        f"fig3.posmap_share.b{block}": 100 * dict(data[series_label(block, 8 * 1024)])[32]
+        for block in (64, 128)
+    }
+
+
 def main() -> None:
-    """Print the Fig. 3 curves as a text table."""
+    """Print the Fig. 3 curves as a text table, then the paper's values."""
     data = run()
     caps = [c for c, _ in next(iter(data.values()))]
     print("Figure 3: % bytes from PosMap ORAMs (X=8, Z=4, 512-bit buckets)")
     print("log2(capacity):", " ".join(f"{c:5d}" for c in caps))
     for label, points in data.items():
         print(f"{label:>12}:", " ".join(f"{100 * f:5.1f}" for _, f in points))
-    at_4gb = {label: dict(points)[32] for label, points in data.items()}
-    print(
-        f"\nAt 4 GB: b64_pm8 {100 * at_4gb['b64_pm8']:.0f}% / "
-        f"b128_pm8 {100 * at_4gb['b128_pm8']:.0f}%  (paper: 56% / 39%)"
-    )
+    report("fig3", headline(data))
 
 
 if __name__ == "__main__":

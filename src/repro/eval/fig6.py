@@ -1,15 +1,15 @@
 """Figure 6: scheme composability — R_X8 vs PC_X32 vs PIC_X32.
 
 Slowdown of each scheme relative to an insecure system without ORAM, per
-SPEC stand-in plus the geometric mean. The paper's headline numbers:
-PC_X32 achieves a 1.43x speedup over R_X8 (geomean), and adding PMMAC
-(PIC_X32) costs only ~7% on top of PC_X32.
+SPEC stand-in plus the geometric mean. The headline numbers are PC_X32's
+geomean speedup over R_X8 and what adding PMMAC (PIC_X32) costs on top.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Optional, Sequence
 
+from repro.eval.paper_values import report
 from repro.eval.saved import default_runner, figure_run
 from repro.sim.metrics import format_table
 from repro.sim.sweep import SweepSpec
@@ -41,14 +41,20 @@ def table_from_report(report: Mapping[str, object]) -> Dict[str, Dict[str, float
 run = figure_run(sweep, table_from_report)
 
 
+def headline(table: Mapping[str, Mapping[str, float]]) -> Dict[str, float]:
+    """PC_X32's geomean speedup over R_X8; PIC_X32's overhead over it (%)."""
+    pc = table["PC_X32"]["geomean"]
+    return {
+        "fig6.pc_speedup": table["R_X8"]["geomean"] / pc,
+        "fig6.pic_overhead": 100 * (table["PIC_X32"]["geomean"] / pc - 1),
+    }
+
+
 def main() -> None:
     """Print the Fig. 6 slowdown table and headline ratios."""
     table = run()
     print(format_table(table, benchmark_names(), "Figure 6: slowdown vs insecure"))
-    pc_speedup = table["R_X8"]["geomean"] / table["PC_X32"]["geomean"]
-    pic_overhead = table["PIC_X32"]["geomean"] / table["PC_X32"]["geomean"] - 1
-    print(f"\nPC_X32 speedup over R_X8 (geomean): {pc_speedup:.2f}x (paper: 1.43x)")
-    print(f"PIC_X32 overhead over PC_X32: {100 * pic_overhead:.1f}% (paper: 7%)")
+    report("fig6", headline(table))
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 
 For each scheme the bar is total KB per access, with the PosMap share
 shaded. R_X8's PosMap share grows quickly with capacity; PLB schemes stay
-nearly flat. Paper headline: at 4 GB, PC_X32 cuts PosMap bandwidth by 82%
-and total by 38% vs R_X8; at 64 GB the cuts reach 90% and 57%.
+nearly flat. The headline is how much PC_X32 cuts PosMap and total bytes
+against R_X8 at 4 and at 64 GB.
 
 PLB hit behaviour cannot be computed in closed form, so the average
 number of PosMap fetches per access is *measured* at simulation scale
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.analytic.bandwidth import recursion_breakdown, unified_access_bytes
+from repro.eval.paper_values import report
 from repro.eval.saved import default_runner, figure_run
 from repro.sim.sweep import SweepSpec
 from repro.utils.units import GiB
@@ -116,6 +117,17 @@ def table_from_report(report: Mapping[str, object]) -> List[Fig7Bar]:
 run = figure_run(sweep, table_from_report)
 
 
+def headline(bars: List[Fig7Bar]) -> Dict[str, float]:
+    """PC_X32's PosMap and total byte cuts against R_X8 at 4 and 64 GB (%)."""
+    lookup = {(b.scheme, b.capacity_bytes): b for b in bars}
+    ours = {}
+    for cap in (4 * GiB, 64 * GiB):
+        r, pc = lookup[("R_X8", cap)], lookup[("PC_X32", cap)]
+        ours[f"fig7.posmap_cut.{cap // GiB}gb"] = 100 * (1 - pc.posmap_kb / r.posmap_kb)
+        ours[f"fig7.total_cut.{cap // GiB}gb"] = 100 * (1 - pc.total_kb / r.total_kb)
+    return ours
+
+
 def main() -> None:
     """Print the Fig. 7 bars and headline reductions."""
     bars = run()
@@ -129,16 +141,7 @@ def main() -> None:
             for b in group
         )
         print(f"{capacity // GiB:>3} GB: {row}")
-    lookup = {(b.scheme, b.capacity_bytes): b for b in bars}
-    for cap, label in ((4 * GiB, "4 GB"), (64 * GiB, "64 GB")):
-        r, pc = lookup[("R_X8", cap)], lookup[("PC_X32", cap)]
-        posmap_cut = 1 - pc.posmap_kb / r.posmap_kb
-        total_cut = 1 - pc.total_kb / r.total_kb
-        print(
-            f"{label}: PC_X32 cuts PosMap bytes {100 * posmap_cut:.0f}%"
-            f", total {100 * total_cut:.0f}%"
-            + ("  (paper: 82%/38%)" if cap == 4 * GiB else "  (paper: 90%/57%)")
-        )
+    report("fig7", headline(bars))
 
 
 if __name__ == "__main__":

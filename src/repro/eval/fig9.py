@@ -2,8 +2,8 @@
 
 Phantom avoids recursion by using 4 KB ORAM blocks so the whole PosMap
 fits on-chip (~2.5 MB for a 4 GB ORAM: N = 2^20, L = 19). The cost is
-byte movement: the paper computes PC_X32's per-access traffic at roughly
-(26 * 64) / (19 * 4096) = 2.1% of Phantom's and measures ~10x average
+byte movement: the paper computes PC_X32's per-access traffic in closed
+form, (26 * 64) / (19 * 4096) of Phantom's, and measures its average
 speedup, Phantom's 32 KB block buffer notwithstanding.
 
 We model the Phantom point with the non-recursive LinearFrontend at 4 KB
@@ -19,6 +19,7 @@ from repro.config import OramConfig, ProcessorConfig
 from repro.dram.config import DramConfig
 from repro.dram.model import DramModel
 from repro.proc.hierarchy import MissTrace
+from repro.eval.paper_values import report
 from repro.eval.saved import complete_report
 from repro.sim.runner import SimulationRunner
 from repro.sim.sweep import SweepSpec
@@ -125,11 +126,14 @@ def run(
     return table_from_report(report, phantom_replays(runner, report["benchmarks"]))
 
 
-def byte_movement_ratio() -> float:
-    """The paper's closed-form estimate: ~2.1% of Phantom's traffic."""
-    pc = OramConfig(num_blocks=2**26, block_bytes=64)
-    phantom = OramConfig(num_blocks=2**20, block_bytes=PHANTOM_BLOCK_BYTES, levels=19)
-    return ((pc.levels + 1) * 64) / ((phantom.levels + 1) * PHANTOM_BLOCK_BYTES)
+def headline(speedups: Mapping[str, float]) -> Dict[str, float]:
+    """Geomean speedup; PC_X32's share of Phantom's bytes, closed form (%)."""
+    pc_path = (OramConfig(num_blocks=2**26, block_bytes=64).levels + 1) * 64
+    phantom_path = (19 + 1) * PHANTOM_BLOCK_BYTES  # L = 19, as in phantom_oram_latency
+    return {
+        "fig9.speedup": geometric_mean(speedups.values()),
+        "fig9.byte_ratio": 100 * pc_path / phantom_path,
+    }
 
 
 def main() -> None:
@@ -138,11 +142,7 @@ def main() -> None:
     print("Figure 9: PC_X32 speedup over Phantom (4 KB blocks, no recursion)")
     for name, s in speedups.items():
         print(f"{name:>7}: {s:6.1f}x")
-    print(f"geomean: {geometric_mean(list(speedups.values())):.1f}x (paper: ~10x)")
-    print(
-        f"closed-form byte-movement ratio: {100 * byte_movement_ratio():.1f}%"
-        " of Phantom (paper: 2.1%)"
-    )
+    report("fig9", headline(speedups))
 
 
 if __name__ == "__main__":

@@ -1,9 +1,8 @@
 """Table 2: ORAM tree latency by DRAM channel count.
 
 Parameters from Table 1: 4 GB Data ORAM (N = 2^26), 64-byte blocks, Z=4,
-1.3 GHz core, DDR3-1333 channels. The paper measures 2147 / 1208 / 697 /
-463 processor cycles at 1 / 2 / 4 / 8 channels, and 58 cycles for an
-insecure DRAM access.
+1.3 GHz core, DDR3-1333 channels; also the latency of an insecure DRAM
+access.
 """
 
 from __future__ import annotations
@@ -13,10 +12,7 @@ from typing import Dict, Tuple
 from repro.config import OramConfig
 from repro.dram.config import DramConfig
 from repro.dram.model import DramModel
-
-#: Paper-reported cycles per channel count.
-PAPER_LATENCY = {1: 2147, 2: 1208, 4: 697, 8: 463}
-PAPER_INSECURE = 58
+from repro.eval.paper_values import report
 
 
 def run(
@@ -39,23 +35,19 @@ def run(
     return out
 
 
-def insecure_latency(proc_ghz: float = 1.3) -> float:
-    """Average insecure DRAM access latency in processor cycles."""
+def headline(latencies: Dict[int, float]) -> Dict[str, float]:
+    """Latency per channel count, and of an insecure access, in cycles."""
+    ours = {f"table2.latency.{ch}ch": cycles for ch, cycles in latencies.items()}
     cfg = OramConfig(num_blocks=2**26)
-    model = DramModel(cfg.levels, cfg.bucket_bytes, DramConfig(channels=2))
-    return model.insecure_access_cycles(proc_ghz)
+    insecure = DramModel(cfg.levels, cfg.bucket_bytes, DramConfig(channels=2))
+    ours["table2.insecure"] = insecure.insecure_access_cycles(1.3)
+    return ours
 
 
 def main() -> None:
-    """Print measured vs paper latencies."""
+    """Print the latencies beside the paper's."""
     print("Table 2: ORAM access latency by DRAM channel count (proc cycles)")
-    print(f"{'channels':>9} {'measured':>9} {'paper':>7}")
-    for channels, cycles in run().items():
-        print(f"{channels:>9} {cycles:>9.0f} {PAPER_LATENCY[channels]:>7}")
-    print(
-        f"insecure DRAM access: {insecure_latency():.0f} cycles "
-        f"(paper: {PAPER_INSECURE})"
-    )
+    report("table2", headline(run()))
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 
 def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean of positive values (paper's cross-benchmark average)."""
+    """Geometric mean of positive values (the paper's cross-benchmark average)."""
     vals = list(values)
     if not vals:
         raise ValueError("geometric_mean of empty sequence")

@@ -17,6 +17,7 @@ from repro.analytic.hashbw import (
     pmmac_bytes_hashed_per_access,
     pmmac_hash_blocks_per_access,
 )
+from repro.eval.paper_values import PAPER
 
 
 class TestRecursionBreakdown:
@@ -98,10 +99,10 @@ class TestAsymptotics:
 
 class TestHashBandwidth:
     def test_paper_68x(self):
-        assert hash_reduction_factor(16) == 68.0
+        assert hash_reduction_factor(16) == PAPER["hashbw.reduction.L16"].paper
 
     def test_paper_132x(self):
-        assert hash_reduction_factor(32) == 132.0
+        assert hash_reduction_factor(32) == PAPER["hashbw.reduction.L32"].paper
 
     def test_blocks_per_access(self):
         assert merkle_hash_blocks_per_access(16) == 68

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.area.model import AreaModel
-from repro.eval.table3 import PAPER_TABLE3, layout_total
+from repro.eval.paper_values import PAPER
+from repro.eval.table3 import layout_total
 
 
 @pytest.fixture
@@ -15,16 +16,14 @@ class TestSynthesisVsPaper:
     @pytest.mark.parametrize("channels", [1, 2, 4])
     def test_total_within_5_percent(self, model, channels):
         total = model.synthesis(channels).total
-        assert total == pytest.approx(PAPER_TABLE3[channels][8], rel=0.05)
+        assert total == pytest.approx(PAPER[f"table3.total.{channels}ch"].paper, rel=0.05)
 
     @pytest.mark.parametrize("channels", [1, 2, 4])
     def test_component_percentages_track_paper(self, model, channels):
         measured = model.synthesis(channels).percentages()
-        names = ("frontend", "posmap", "plb", "pmmac", "misc", "backend", "stash", "aes")
-        for idx, name in enumerate(names):
-            assert measured[name] == pytest.approx(
-                PAPER_TABLE3[channels][idx], abs=1.5
-            ), name
+        for name, share in measured.items():
+            row = PAPER[f"table3.share.{name}.{channels}ch"]
+            assert share == pytest.approx(row.paper, abs=1.5), name
 
     def test_frontend_share_shrinks_with_channels(self, model):
         """The paper's key scaling point: Frontend cost amortises."""
@@ -50,7 +49,7 @@ class TestSynthesisVsPaper:
 
 class TestLayout:
     def test_post_layout_total_near_paper(self):
-        assert layout_total(2) == pytest.approx(0.47, abs=0.03)
+        assert layout_total(2) == pytest.approx(PAPER["table3.layout.2ch"].paper, abs=0.03)
 
     def test_layout_grows_each_component(self, model):
         synth = model.synthesis(2)
@@ -64,7 +63,7 @@ class TestAlternatives:
     def test_no_recursion_posmap_explodes(self, model):
         """§7.2.3: a flat 2^20-entry PosMap costs ~5 mm^2 — >10x total."""
         flat = model.no_recursion_posmap_mm2(2**20, 20)
-        assert flat == pytest.approx(5.0, rel=0.1)
+        assert flat == pytest.approx(PAPER["table3.flat_posmap"].paper, rel=0.1)
         assert flat > 10 * model.synthesis(2).total
 
     def test_doubling_capacity_doubles_flat_posmap(self, model):
@@ -76,4 +75,5 @@ class TestAlternatives:
         """§7.2.3: a 64 KB PLB adds ~29% to the 1-channel design."""
         small = AreaModel(plb_kib=8).synthesis(1).total
         big = AreaModel(plb_kib=64).synthesis(1).total
-        assert (big - small) / small == pytest.approx(0.29, abs=0.1)
+        growth = 100 * (big - small) / small
+        assert growth == pytest.approx(PAPER["table3.plb64_growth"].paper, abs=10)

@@ -6,6 +6,7 @@ from repro.config import OramConfig
 from repro.dram.config import DramConfig
 from repro.dram.layout import SubtreeLayout
 from repro.dram.model import DramModel
+from repro.eval.paper_values import PAPER
 
 
 class TestDramConfig:
@@ -89,13 +90,13 @@ class TestDramModel:
         assert 2.0 < l1 / l8 < 8.0
 
     def test_table2_two_channel_point(self):
-        """Within 10% of the paper's 1208 cycles at 2 channels."""
+        """Within 10% of the paper's latency at 2 channels."""
         latency = self._model(2).average_oram_latency_proc_cycles(1.3)
-        assert latency == pytest.approx(1208, rel=0.10)
+        assert latency == pytest.approx(PAPER["table2.latency.2ch"].paper, rel=0.10)
 
     def test_insecure_near_58_cycles(self):
         latency = self._model(2).insecure_access_cycles(1.3)
-        assert latency == pytest.approx(58, rel=0.10)
+        assert latency == pytest.approx(PAPER["table2.insecure"].paper, rel=0.10)
 
     def test_repeat_path_hits_rows(self):
         model = self._model()
