@@ -7,6 +7,7 @@ own performance are visible in CI.
 
 import pytest
 
+from repro.backend.columnar import ColumnarPathOramBackend
 from repro.backend.ops import Op
 from repro.backend.path_oram import PathOramBackend
 from repro.config import OramConfig
@@ -16,6 +17,7 @@ from repro.proc.hierarchy import MissEvent, MissTrace
 from repro.sim.native import load_native_core
 from repro.sim.system import replay_trace
 from repro.sim.timing import OramTimingModel
+from repro.storage.columnar import ColumnarTreeStorage
 from repro.storage.tree import TreeStorage
 from repro.utils.rng import DeterministicRng
 
@@ -77,6 +79,27 @@ def test_backend_access_throughput(benchmark):
 
     def one_access():
         addr = rng.randrange(2**12)
+        leaf = posmap.get(addr, rng.random_leaf(config.levels))
+        new_leaf = backend.random_leaf()
+        posmap[addr] = new_leaf
+        backend.access(Op.READ, addr, leaf, new_leaf)
+
+    benchmark(one_access)
+
+
+@pytest.mark.skipif(load_native_core() is None, reason="compiled core not built")
+def test_columnar_backend_access_throughput_sparse(benchmark):
+    """The native AccessKernel's tree access alone, on a 2^18-leaf tree
+    holding at most 256 blocks: a 19-bucket path with few occupied."""
+    config = OramConfig(num_blocks=2**19, block_bytes=64)
+    backend = ColumnarPathOramBackend(
+        config, ColumnarTreeStorage(config), DeterministicRng(1)
+    )
+    rng = DeterministicRng(2)
+    posmap = {}
+
+    def one_access():
+        addr = rng.randrange(2**8)
         leaf = posmap.get(addr, rng.random_leaf(config.levels))
         new_leaf = backend.random_leaf()
         posmap[addr] = new_leaf

@@ -410,11 +410,14 @@ raise_leaf_range(long long leaf_label, int levels)
 /* repro.storage.block.DUMMY_ADDR: the address column of a free slot. */
 #define DUMMY_ADDR (-1LL)
 
-/* One block of the merged working set: its arena slot and the deepest
- * level of the accessed path it may legally be evicted to. */
+/* One block of the merged working set: its arena slot, the deepest
+ * level of the accessed path it may legally be evicted to, and the
+ * entry merged before it at that depth (-1: none) — each depth's entries
+ * form a chain placement pops LIFO. */
 typedef struct {
     int32_t slot;
     int32_t depth;
+    int32_t below;
 } Entry;
 
 /* One bucket of the accessed path: where its slot ids live and how many
@@ -427,23 +430,21 @@ typedef struct {
 
 /* The working set of one tree access in merge order — stash residents
  * in stash order, drained blocks root->leaf, the block of interest last —
- * plus the placement scratch.  Python's by_depth lists and merge-order
- * list are views of this one sequence: by_depth[d] is the entries of
- * depth d in merge order, and the leftover stash rebuild walks it front
- * to back.  Integers only; the buffers are kept between accesses, so
- * the steady state allocates nothing. */
+ * threaded into one chain per depth.  Python's by_depth lists and
+ * merge-order list are views of this one sequence: by_depth[d] is the
+ * chain of depth d read backwards, and the leftover stash rebuild walks
+ * the merge order front to back.  Integers only; the buffers are kept
+ * between accesses, so the steady state allocates nothing. */
 typedef struct {
     Entry *merged;
     Py_ssize_t n, cap;
     Py_ssize_t n_resident; /* merged[0..n_resident) came from the stash */
     long long *keys;       /* the residents' addresses, for the duplicate probe */
     Py_ssize_t n_keys, cap_keys;
-    Py_ssize_t *index;     /* placement scratch: order | picks | pool */
-    Py_ssize_t cap_index;
-    Py_ssize_t *bounds;    /* per-depth stack bounds: base | top */
-    Py_ssize_t cap_bounds;
-    Py_ssize_t *pool;      /* into index: the leftovers, a LIFO stack */
-    Py_ssize_t n_pool;
+    uint64_t depths;       /* bit d: depth d's chain is not empty */
+    int32_t head[64];      /* per depth (levels <= 60): last entry merged */
+    int32_t tail[64];      /* and first */
+    int32_t pool;          /* after placement: the leftovers' LIFO top, or -1 */
     uint32_t *mark;        /* per arena slot: the drain that last merged it */
     Py_ssize_t cap_mark;
     uint32_t epoch;        /* this drain's stamp */
@@ -454,8 +455,6 @@ ws_free(WorkSet *ws)
 {
     PyMem_Free(ws->merged);
     PyMem_Free(ws->keys);
-    PyMem_Free(ws->index);
-    PyMem_Free(ws->bounds);
     PyMem_Free(ws->mark);
     memset(ws, 0, sizeof(*ws));
 }
@@ -488,7 +487,8 @@ grow_buffer(void **buf, Py_ssize_t *cap, Py_ssize_t need, size_t size)
 static int
 ws_begin(WorkSet *ws, Py_ssize_t arena_len)
 {
-    ws->n = ws->n_resident = ws->n_keys = ws->n_pool = 0;
+    ws->n = ws->n_resident = ws->n_keys = 0;
+    ws->depths = 0;
     Py_ssize_t had = ws->cap_mark;
     if (grow_buffer((void **)&ws->mark, &ws->cap_mark, arena_len,
                     sizeof(uint32_t)) < 0)
@@ -503,17 +503,20 @@ ws_begin(WorkSet *ws, Py_ssize_t arena_len)
     return 0;
 }
 
-/* Append one block to the merge order. */
-static int
+/* Append one block to the merge order and to its depth's chain, into
+ * room reserved beforehand (0 <= depth <= 60). */
+static inline void
 ws_push(WorkSet *ws, int32_t slot, int depth)
 {
-    if (grow_buffer((void **)&ws->merged, &ws->cap, ws->n + 1,
-                    sizeof(Entry)) < 0)
-        return -1;
-    ws->merged[ws->n].slot = slot;
-    ws->merged[ws->n].depth = depth;
-    ws->n++;
-    return 0;
+    const uint64_t bit = 1ULL << depth;
+    const int32_t i = (int32_t)ws->n++;
+    ws->merged[i].slot = slot;
+    ws->merged[i].depth = depth;
+    ws->merged[i].below = (ws->depths & bit) ? ws->head[depth] : -1;
+    if (!(ws->depths & bit))
+        ws->tail[depth] = i;
+    ws->head[depth] = i;
+    ws->depths |= bit;
 }
 
 /* A slot id read out of a column, about to join the working set: inside
@@ -539,27 +542,31 @@ ws_admit(WorkSet *ws, long long slot, Py_ssize_t arena_len, const char *where,
     return 0;
 }
 
-/* The fused drain: group the stash residents (stash order), then every
- * path bucket root->leaf, by legal eviction depth, with the object
+/* The fused drain: group the stash residents (stash order), then the
+ * path buckets set in `occupied` (bit d: path[d] holds blocks, n_path
+ * of them in all) root->leaf, by legal eviction depth, with the object
  * backend's duplicate-block and leaf-range validation in its order
- * (byte-identical messages).  *found enters -1 and leaves holding the
- * slot of the block of interest, wherever it was located; it is never
- * merged here (the caller groups it last, after the visit).  Nothing is
- * mutated: buckets are only rewritten at placement time. */
+ * (byte-identical messages).  Room is reserved once, for every block
+ * drained plus the block of interest.  *found enters -1 and leaves
+ * holding the slot of the block of interest, wherever it was located;
+ * it is never merged here (the caller groups it last, after the visit).
+ * Nothing is mutated: buckets are only rewritten at placement time. */
 static int
 drain_core(WorkSet *ws, const long long *addr_col, const long long *leaf_col,
            Py_ssize_t arena_len, const int32_t *stash, Py_ssize_t n_stash,
-           const Bucket *path, Py_ssize_t path_len, long long *found,
-           long long addr, long long leaf, int levels)
+           const Bucket *path, uint64_t occupied, Py_ssize_t n_path,
+           long long *found, long long addr, long long leaf, int levels)
 {
     if (grow_buffer((void **)&ws->keys, &ws->cap_keys, n_stash,
-                    sizeof(long long)) < 0)
+                    sizeof(long long)) < 0 ||
+        grow_buffer((void **)&ws->merged, &ws->cap, n_stash + n_path + 1,
+                    sizeof(Entry)) < 0)
         return -1;
-    /* The stash first, drained like one long bucket, then the path's. */
-    for (Py_ssize_t source = 0; source <= path_len; source++) {
-        const int resident = source == 0;
-        const int32_t *slots = resident ? stash : path[source - 1].slots;
-        const Py_ssize_t count = resident ? n_stash : path[source - 1].count;
+    /* The stash first, drained like one long bucket, then the occupied
+     * path buckets, lowest mask bit (the root side) first. */
+    const int32_t *slots = stash;
+    Py_ssize_t count = n_stash;
+    for (int resident = 1;; resident = 0) {
         for (Py_ssize_t k = 0; k < count; k++) {
             const int32_t s = slots[k];
             if (ws_admit(ws, s, arena_len, resident ? "stash" : "bucket",
@@ -588,70 +595,61 @@ drain_core(WorkSet *ws, const long long *addr_col, const long long *leaf_col,
                 raise_leaf_range(leaf_col[s], levels);
                 return -1;
             }
-            if (ws_push(ws, s, depth) < 0)
-                return -1;
+            ws_push(ws, s, depth);
         }
         if (resident)
             ws->n_resident = ws->n;
+        if (occupied == 0)
+            return 0;
+        const int d = bit_length64((long long)(occupied & -occupied)) - 1;
+        occupied &= occupied - 1;
+        slots = path[d].slots;
+        count = path[d].count;
     }
-    return 0;
-}
-
-/* Room for place_core's scratch, taken while the access can still be
- * refused: the placement itself then has nothing left that can fail. */
-static int
-ws_reserve_placement(WorkSet *ws, int levels, int cap)
-{
-    if (grow_buffer((void **)&ws->index, &ws->cap_index, 2 * ws->n + cap,
-                    sizeof(Py_ssize_t)) < 0 ||
-        grow_buffer((void **)&ws->bounds, &ws->cap_bounds,
-                    2 * ((Py_ssize_t)levels + 1), sizeof(Py_ssize_t)) < 0)
-        return -1;
-    return 0;
 }
 
 /* Greedy placement, deepest level first; candidates LIFO, then the pool
  * of deeper leftovers LIFO — the object backend's loop over the merged
- * working set.  Every path bucket is rewritten; on return
- * ws->pool[0..n_pool) holds the unplaced entries in exactly the order
- * the object backend's pool list would.  ws_reserve_placement first. */
-static void
-place_core(WorkSet *ws, Bucket *path, int levels, int cap)
+ * working set, visiting only the depths that have candidates or inherit
+ * a non-empty pool.  Returns the mask of the levels that received
+ * blocks: path[d] is rewritten for exactly those, and every other
+ * bucket is left empty.  ws->pool is then the top of the leftovers'
+ * chain, which read top-down is the object backend's pool list
+ * reversed.  Nothing here can fail. */
+static uint64_t
+place_core(WorkSet *ws, Bucket *path, int cap)
 {
-    /* order: entry indices grouped by depth; picks: one bucket's refill
-     * (at most cap); pool: leftovers of deeper levels, a LIFO stack. */
-    Py_ssize_t *order = ws->index, *picks = order + ws->n;
-    Py_ssize_t *pool = ws->pool = picks + cap;
-    Py_ssize_t *base = ws->bounds, *top = base + levels + 1;
-
-    /* Stable counting sort by depth: order[base[d]..top[d]) is by_depth[d]. */
-    for (int d = 0; d <= levels; d++)
-        top[d] = 0;
-    for (Py_ssize_t i = 0; i < ws->n; i++)
-        top[ws->merged[i].depth]++;
-    Py_ssize_t offset = 0;
-    for (int d = 0; d <= levels; d++) {
-        base[d] = offset;
-        offset += top[d];
-        top[d] = base[d];
-    }
-    for (Py_ssize_t i = 0; i < ws->n; i++)
-        order[top[ws->merged[i].depth]++] = i;
-
-    Py_ssize_t n_pool = 0;
-    for (int level = levels; level >= 0; level--) {
+    Entry *e = ws->merged;
+    uint64_t todo = ws->depths, received = 0;
+    int32_t pool = -1;
+    for (int level = 0; level >= 0 && (todo != 0 || pool >= 0); level--) {
+        if (pool < 0) /* jump to the next depth with candidates */
+            level = bit_length64((long long)todo) - 1;
+        int32_t *slots = path[level].slots;
         int count = 0;
-        while (count < cap && top[level] > base[level])
-            picks[count++] = order[--top[level]];
-        for (Py_ssize_t j = base[level]; j < top[level]; j++)
-            pool[n_pool++] = order[j];
-        while (count < cap && n_pool > 0)
-            picks[count++] = pool[--n_pool];
-        for (int k = 0; k < count; k++)
-            path[level].slots[k] = ws->merged[picks[k]].slot;
-        path[level].count = count;
+        if (todo >> level & 1) {
+            int32_t i = ws->head[level];
+            while (count < cap && i >= 0) {
+                slots[count++] = e[i].slot;
+                i = e[i].below;
+            }
+            if (i >= 0) { /* the rest goes on the pool, merge order up */
+                e[ws->tail[level]].below = pool;
+                pool = i;
+            }
+            todo &= ~(1ULL << level);
+        }
+        while (count < cap && pool >= 0) {
+            slots[count++] = e[pool].slot;
+            pool = e[pool].below;
+        }
+        if (count > 0) {
+            path[level].count = count;
+            received |= 1ULL << level;
+        }
     }
-    ws->n_pool = n_pool;
+    ws->pool = pool;
+    return received;
 }
 
 /* ------------------------------------------------------------------ */
@@ -722,6 +720,11 @@ drain_scalar(PyObject *self, PyObject *args)
                         "drain_scalar expects list/dict containers");
         return NULL;
     }
+    if (levels > 60 || PyList_GET_SIZE(path) > 61) {
+        PyErr_SetString(PyExc_ValueError,
+                        "drain_scalar supports at most 60 levels");
+        return NULL;
+    }
 
     Col addr_col = {0}, leaf_col = {0};
     WorkSet ws = {0};
@@ -729,6 +732,7 @@ drain_scalar(PyObject *self, PyObject *args)
     Bucket *buckets = NULL;
     PyObject *result = NULL;
     long long found = -1;
+    uint64_t occupied = 0;
     if (col_acquire(addr_obj, &addr_col, "addr_col", &COL_I64, 0) < 0)
         return NULL;
     if (col_acquire(leaf_obj, &leaf_col, "leaf_col", &COL_I64, 0) < 0)
@@ -773,6 +777,7 @@ drain_scalar(PyObject *self, PyObject *args)
         PyObject *lst = PyList_GET_ITEM(path, li);
         buckets[li].slots = ids + filled;
         buckets[li].count = (int)PyList_GET_SIZE(lst);
+        occupied |= (uint64_t)(buckets[li].count != 0) << li;
         for (Py_ssize_t bi = 0; bi < PyList_GET_SIZE(lst); bi++) {
             if (as_slot(PyList_GET_ITEM(lst, bi), arena_len, "bucket",
                         &ids[filled++]) < 0)
@@ -782,7 +787,8 @@ drain_scalar(PyObject *self, PyObject *args)
 
     if (ws_begin(&ws, arena_len) < 0 ||
         drain_core(&ws, addr_col.data, leaf_col.data, arena_len, ids, n_stash,
-                   buckets, path_len, &found, addr, leaf, levels) < 0)
+                   buckets, occupied, total - n_stash, &found, addr, leaf,
+                   levels) < 0)
         goto done;
 
     Py_ssize_t nlevels = PyList_GET_SIZE(by_depth);
@@ -848,6 +854,12 @@ place_greedy(PyObject *self, PyObject *args)
                         "levels + 1 buckets");
         return NULL;
     }
+    if (levels > 60) {
+        PyErr_SetString(PyExc_ValueError,
+                        "place_greedy supports at most 60 levels");
+        return NULL;
+    }
+    Py_ssize_t total = 0;
     for (int d = 0; d <= levels; d++) {
         if (!PyList_Check(PyList_GET_ITEM(by_depth, d)) ||
             !PyList_Check(PyList_GET_ITEM(path, d))) {
@@ -855,6 +867,7 @@ place_greedy(PyObject *self, PyObject *args)
                             "path/by_depth entries must be lists");
             return NULL;
         }
+        total += PyList_GET_SIZE(PyList_GET_ITEM(by_depth, d));
     }
     if (cap < 0)
         cap = 0;
@@ -868,6 +881,8 @@ place_greedy(PyObject *self, PyObject *args)
         PyErr_NoMemory();
         goto done;
     }
+    if (grow_buffer((void **)&ws.merged, &ws.cap, total, sizeof(Entry)) < 0)
+        goto done;
     for (int d = 0; d <= levels; d++) {
         PyObject *candidates = PyList_GET_ITEM(by_depth, d);
         buckets[d].slots = ids + (Py_ssize_t)d * cap;
@@ -875,14 +890,12 @@ place_greedy(PyObject *self, PyObject *args)
         for (Py_ssize_t i = 0; i < PyList_GET_SIZE(candidates); i++) {
             int32_t slot;
             if (as_slot(PyList_GET_ITEM(candidates, i), INT32_MAX, "by_depth",
-                        &slot) < 0 ||
-                ws_push(&ws, slot, d) < 0)
+                        &slot) < 0)
                 goto done;
+            ws_push(&ws, slot, d);
         }
     }
-    if (ws_reserve_placement(&ws, levels, cap) < 0)
-        goto done;
-    place_core(&ws, buckets, levels, cap);
+    place_core(&ws, buckets, cap);
     for (int d = 0; d <= levels; d++) {
         PyObject *lst = PyList_GET_ITEM(path, d);
         PyObject *candidates = PyList_GET_ITEM(by_depth, d);
@@ -896,10 +909,12 @@ place_greedy(PyObject *self, PyObject *args)
         }
     }
     pool = PyList_New(0);
-    for (Py_ssize_t k = 0; pool != NULL && k < ws.n_pool; k++) {
-        if (append_slot(pool, ws.merged[ws.pool[k]].slot) < 0)
+    for (int32_t k = ws.pool; pool != NULL && k >= 0; k = ws.merged[k].below) {
+        if (append_slot(pool, ws.merged[k].slot) < 0)
             Py_CLEAR(pool);
     }
+    if (pool != NULL && PyList_Reverse(pool) < 0)
+        Py_CLEAR(pool);
 
 done:
     ws_free(&ws);
@@ -1705,6 +1720,8 @@ kernel_tree_body(AccessKernel *self, int readrmv, long long addr,
             self, occupancy + (long long)cap * (levels + 1) + 1) < 0)
         goto abort;
     uint8_t *fill = self->bucket_fill.data;
+    uint64_t occupied = 0; /* bit d: path bucket d holds blocks */
+    Py_ssize_t n_path = 0;
     for (int d = 0; d <= levels; d++) {
         const long long index = self->path_index[d];
         if (fill[index] > cap) {
@@ -1715,12 +1732,14 @@ kernel_tree_body(AccessKernel *self, int readrmv, long long addr,
         }
         path[d].slots = (int32_t *)self->bucket_slots.data + index * cap;
         path[d].count = fill[index];
+        occupied |= (uint64_t)(fill[index] != 0) << d;
+        n_path += fill[index];
     }
     if (ws_begin(ws, self->addr.len) < 0 ||
         drain_core(ws, self->addr.data, self->leaf.data, self->addr.len,
                    (int32_t *)self->stash_slots.data + 1,
-                   (Py_ssize_t)occupancy, path, (Py_ssize_t)levels + 1,
-                   &found, addr, leaf, levels) < 0)
+                   (Py_ssize_t)occupancy, path, occupied, n_path, &found,
+                   addr, leaf, levels) < 0)
         goto abort;
 
     if (found < 0) {
@@ -1787,8 +1806,7 @@ kernel_tree_body(AccessKernel *self, int readrmv, long long addr,
             raise_leaf_range(block_leaf, levels);
             goto abort;
         }
-        if (ws_push(ws, (int32_t)found, depth) < 0)
-            goto abort;
+        ws_push(ws, (int32_t)found, depth);
     }
     /* READRMV frees the slot once the eviction is done: the stack must
      * have the room now, while the access can still be refused. */
@@ -1797,8 +1815,6 @@ kernel_tree_body(AccessKernel *self, int readrmv, long long addr,
                         "the free stack has no room for another slot");
         goto abort;
     }
-    if (ws_reserve_placement(ws, levels, cap) < 0)
-        goto abort;
     if (ws->n >= self->stash_slots.len) {
         PyErr_SetString(PyExc_IndexError,
                         "the stash column shrank under the access");
@@ -1806,18 +1822,20 @@ kernel_tree_body(AccessKernel *self, int readrmv, long long addr,
     }
 
     /* ---- commit: placement, stash reconcile, write-back ----------- */
-    place_core(ws, path, levels, cap);
-    for (int d = 0; d <= levels; d++) {
-        /* An untouched bucket that stays empty is never written. */
-        if (fill[self->path_index[d]] != path[d].count)
-            fill[self->path_index[d]] = (uint8_t)path[d].count;
+    const uint64_t received = place_core(ws, path, cap);
+    /* Only the buckets drained or refilled are written: an untouched
+     * bucket that stays empty is never written. */
+    for (uint64_t m = occupied | received; m != 0; m &= m - 1) {
+        const int d = bit_length64((long long)(m & -m)) - 1;
+        fill[self->path_index[d]] =
+            (received >> d & 1) ? (uint8_t)path[d].count : 0;
     }
     int32_t *stash = self->stash_slots.data;
-    if (ws->n_pool > 0) {
+    if (ws->pool >= 0) {
         /* Leftovers: rebuild the stash column in merge order — resident
          * survivors, drained survivors, the block of interest last. */
-        for (Py_ssize_t k = 0; k < ws->n_pool; k++)
-            ws->merged[ws->pool[k]].depth = -1;
+        for (int32_t k = ws->pool; k >= 0; k = ws->merged[k].below)
+            ws->merged[k].depth = -1;
         int32_t kept = 0;
         for (Py_ssize_t i = 0; i < ws->n; i++) {
             if (ws->merged[i].depth == -1)

@@ -300,6 +300,7 @@ SMALL = OramConfig(num_blocks=256, block_bytes=32)
 PRESSURE_Z2 = OramConfig(num_blocks=256, block_bytes=16, blocks_per_bucket=2)
 WIDE_Z16 = OramConfig(num_blocks=512, block_bytes=16, blocks_per_bucket=16)
 CROWDED_Z1 = OramConfig(num_blocks=256, block_bytes=16, blocks_per_bucket=1)
+SPARSE = OramConfig(num_blocks=2**19, block_bytes=16)  # L = 18
 
 
 class TestRandomizedDifferential:
@@ -353,6 +354,18 @@ class TestRandomizedDifferential:
         )
         # The run only proves something if the stash really stayed busy.
         assert assert_lockstep(CROWDED_Z1, trace, "Z=1 seed 11") >= 100
+
+    def test_a_sparse_deep_tree(self, fast_tier):
+        """A 2^18-leaf tree holding a few hundred blocks: every path is
+        19 buckets, nearly all of them empty, so the kernel drains and
+        rewrites only the few occupied ones — compared after every
+        access, removals and MACs included, and whole trees at the end."""
+        trace = generate_trace(
+            seed=19, steps=1500, num_addrs=400, levels=SPARSE.levels,
+            with_removal=True, mac_fraction=0.3,
+        )
+        assert 300 <= len({step.addr for step in trace}) <= 400
+        assert_lockstep(SPARSE, trace, "2^18 leaves seed 19")
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

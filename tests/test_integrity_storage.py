@@ -90,8 +90,7 @@ class TestPmmacTamperAcrossStorages:
         steps = {}
         for storage, frontend in frontends.items():
             tamperer = StorageTamperer(frontend.backend.storage)
-            if not attack(tamperer, frontend):
-                pytest.skip("block still in stash after traffic (rare)")
+            assert attack(tamperer, frontend), "block still in stash after traffic"
             steps[storage] = detection_step(frontend, 42)
         assert steps["object"] is not None, "tampering went undetected"
         assert steps["object"] == steps["columnar"]
@@ -160,8 +159,9 @@ class TestNoIntegrityNegativeControl:
             for _ in range(60):
                 frontend.read(rng.randrange(2**8))
             tamperer = StorageTamperer(frontend.backend.storage)
-            if not tamperer.corrupt_data(42, byte_offset=5):
-                pytest.skip("block still in stash after traffic (rare)")
+            assert tamperer.corrupt_data(42, byte_offset=5), (
+                "block still in stash after traffic"
+            )
             outcomes[storage] = frontend.read(42)
         # The flipped bit reads back unnoticed, identically corrupted.
         assert outcomes["object"] == outcomes["columnar"]
@@ -337,8 +337,9 @@ class TestPmmacTamperOnTheNativeKernel:
     def assert_same_detection(self, pair, attack, addrs):
         outcomes = []
         for frontend in pair:
-            if not attack(StorageTamperer(frontend.backend.storage)):
-                pytest.skip("target not in the tree after traffic (rare)")
+            assert attack(StorageTamperer(frontend.backend.storage)), (
+                "target not in the tree after traffic"
+            )
             outcomes.append(outcome(frontend, addrs))
         assert outcomes[0][0] is not None, "tampering went undetected"
         assert outcomes[0] == outcomes[1]
@@ -406,8 +407,9 @@ def test_kernel_negative_control_reads_the_corruption_silently():
         for _ in range(60):
             frontend.read(rng.randrange(2**8))
         tamperer = StorageTamperer(frontend.backend.storage)
-        if not tamperer.corrupt_data(42, byte_offset=5):
-            pytest.skip("block still in stash after traffic (rare)")
+        assert tamperer.corrupt_data(42, byte_offset=5), (
+            "block still in stash after traffic"
+        )
         reads.append(frontend.read(42))
     assert reads[0] == reads[1] != b"\xAA" * 64
     assert outcome(ref, []) == outcome(nat, [])

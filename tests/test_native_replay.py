@@ -592,6 +592,64 @@ class TestErrorPathIdentity:
 # ---------------------------------------------------------------------------
 
 
+@st.composite
+def sparse_drains(draw):
+    """A drain over a path of levels + 1 buckets, at most a dozen blocks
+    in all: each slot's leaf shares a drawn prefix with the path's, so
+    every legal depth occurs.  The block of interest is on the path, in
+    the stash or absent."""
+    levels = draw(st.integers(0, 60))
+    leaf = draw(st.integers(0, (1 << levels) - 1))
+    arena = 32
+    addr_col = array("q", range(1000, 1000 + arena))
+    leaf_col = array("q", [
+        leaf ^ (draw(st.integers(0, (1 << levels) - 1))
+                >> draw(st.integers(0, levels)))
+        for _ in range(arena)
+    ])
+    slots = draw(st.lists(st.integers(0, arena - 1), unique=True, max_size=12))
+    n_stash = draw(st.integers(0, min(4, len(slots))))
+    stash = {addr_col[s]: s for s in slots[:n_stash]}
+    path = [[] for _ in range(levels + 1)]
+    for s in slots[n_stash:]:
+        path[draw(st.integers(0, levels))].append(s)
+    where = draw(st.sampled_from(["path", "stash", "absent"]))
+    candidates = {"path": slots[n_stash:], "stash": slots[:n_stash]}.get(
+        where, []
+    )
+    addr = addr_col[draw(st.sampled_from(candidates))] if candidates else 5
+    return levels, leaf, addr_col, leaf_col, path, stash, addr
+
+
+@st.composite
+def sparse_placements(draw):
+    """place_greedy's operands with candidates at a few depths only —
+    up to three within four levels of each other, only the root, or only
+    the leaf — and stale bucket contents that placement must clear."""
+    levels = draw(st.integers(0, 60))
+    cap = draw(st.integers(1, 8))
+    deepest = draw(st.integers(0, levels))
+    used = draw(st.one_of(
+        st.lists(st.integers(max(deepest - 3, 0), deepest), min_size=1,
+                 max_size=3),
+        st.just([0]),
+        st.just([levels]),
+    ))
+    by_depth = [[] for _ in range(levels + 1)]
+    for depth, slot in draw(st.lists(
+        st.tuples(st.sampled_from(used), st.integers(0, 999)),
+        max_size=3 * cap + 4,
+    )):
+        by_depth[depth].append(slot)
+    path = [[] for _ in range(levels + 1)]
+    for depth, slot in draw(st.lists(
+        st.tuples(st.integers(0, levels), st.integers(0, 999)), max_size=8
+    )):
+        if len(path[depth]) < cap:
+            path[depth].append(slot)
+    return levels, cap, path, by_depth
+
+
 @needs_core
 class TestKernelPrimitives:
     @pytest.mark.parametrize("lpb", (1, 2, 8, 3, 7))
@@ -647,106 +705,82 @@ class TestKernelPrimitives:
                 access, [1], [False], Op.READ, Op.WRITE, b""
             )
 
-    def test_drain_scalar_matches_python_reference(self):
+    @settings(max_examples=200, deadline=None)
+    @given(case=sparse_drains())
+    def test_drain_scalar_matches_python_reference(self, case):
         """The exported drain against the scalar kernel's loop, spelled
-        out: same groups, same snapshot, same block of interest."""
-        rng = DeterministicRng(29)
-        levels = 4
-        for trial in range(40):
-            arena = 64
-            addr_col = array("q", range(1000, 1000 + arena))
-            leaf_col = array(
-                "q", [rng.randrange(1 << levels) for _ in range(arena)]
-            )
-            slots = list(range(arena))
-            rng.shuffle(slots)
-            path = [
-                [slots.pop() for _ in range(rng.randrange(4))]
-                for _ in range(levels + 1)
-            ]
-            stash = {
-                addr_col[s]: s
-                for s in (slots.pop() for _ in range(rng.randrange(5)))
-            }
-            leaf = rng.randrange(1 << levels)
-            # The block of interest: on the path, in the stash, or absent.
-            where = trial % 3
-            candidates = (
-                [s for lst in path for s in lst] if where == 0
-                else list(stash.values()) if where == 1 else []
-            )
-            addr = (
-                addr_col[candidates[rng.randrange(len(candidates))]]
-                if candidates else 5
-            )
-            slot = stash.get(addr)
-
-            ref_depth = [[] for _ in range(levels + 1)]
-            ref_flat, ref_resident, ref_slot = [], [], slot
-            for s in stash.values():
-                if s == slot:
+        out, on paths up to 61 buckets that are mostly empty: same
+        groups, same snapshot, same block of interest."""
+        levels, leaf, addr_col, leaf_col, path, stash, addr = case
+        slot = stash.get(addr)
+        ref_depth = [[] for _ in range(levels + 1)]
+        ref_flat, ref_resident, ref_slot = [], [], slot
+        for s in stash.values():
+            if s == slot:
+                continue
+            depth = levels - (leaf_col[s] ^ leaf).bit_length()
+            ref_depth[depth].append(s)
+            ref_resident.append(s)
+        for lst in path:
+            ref_flat.extend(lst)
+            for s in lst:
+                if addr_col[s] == addr:
+                    ref_slot = s
                     continue
                 depth = levels - (leaf_col[s] ^ leaf).bit_length()
                 ref_depth[depth].append(s)
-                ref_resident.append(s)
-            for lst in path:
-                ref_flat.extend(lst)
-                for s in lst:
-                    if addr_col[s] == addr:
-                        ref_slot = s
-                        continue
-                    depth = levels - (leaf_col[s] ^ leaf).bit_length()
-                    ref_depth[depth].append(s)
 
-            by_depth = [[] for _ in range(levels + 1)]
-            flat, resident = [], []
-            got = CORE.drain_scalar(
-                path, addr_col, leaf_col, stash, slot, addr, leaf, levels,
-                by_depth, flat, resident,
+        by_depth = [[] for _ in range(levels + 1)]
+        flat, resident = [], []
+        got = CORE.drain_scalar(
+            path, addr_col, leaf_col, stash, slot, addr, leaf, levels,
+            by_depth, flat, resident,
+        )
+        assert got == ref_slot
+        assert by_depth == ref_depth
+        assert flat == ref_flat
+        assert resident == ref_resident
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=sparse_placements())
+    def test_place_greedy_matches_python_reference(self, case):
+        """Placement against the scalar loop verbatim — deepest first,
+        candidates LIFO then pool LIFO, scratch lists left empty — over
+        up to 61 levels with candidates at a few depths, so the pool
+        crosses empty levels (or never leaves the root or the leaf)."""
+        levels, cap, path, by_depth = case
+        ref_path = [list(b) for b in path]
+        ref_depth = [list(c) for c in by_depth]
+        ref_pool = []
+        for level in range(levels, -1, -1):
+            candidates = ref_depth[level]
+            slots = ref_path[level]
+            del slots[:]
+            if not (candidates or ref_pool):
+                continue
+            free = cap
+            while free > 0 and candidates:
+                slots.append(candidates.pop())
+                free -= 1
+            if candidates:
+                ref_pool.extend(candidates)
+                candidates.clear()
+            while free > 0 and ref_pool:
+                slots.append(ref_pool.pop())
+                free -= 1
+        pool = CORE.place_greedy(path, by_depth, levels, cap)
+        assert path == ref_path
+        assert pool == ref_pool
+        assert all(not c for c in by_depth)
+
+    def test_the_adapters_refuse_a_path_past_60_levels(self):
+        with pytest.raises(ValueError, match="at most 60 levels"):
+            CORE.place_greedy([[]] * 62, [[]] * 62, 61, 4)
+        with pytest.raises(ValueError, match="at most 60 levels"):
+            CORE.drain_scalar(
+                [[]] * 62, array("q"), array("q"), {}, None, 5, 0, 61,
+                [[]] * 62, [], [],
             )
-            assert got == ref_slot, trial
-            assert by_depth == ref_depth, trial
-            assert flat == ref_flat, trial
-            assert resident == ref_resident, trial
-
-    def test_place_greedy_matches_python_reference(self):
-        rng = DeterministicRng(13)
-        for trial in range(20):
-            levels = rng.randrange(3) + 2
-            cap = rng.randrange(3) + 1
-            path = [
-                [rng.randrange(1000) for _ in range(rng.randrange(cap + 1))]
-                for _ in range(levels + 1)
-            ]
-            by_depth = [
-                [rng.randrange(1000) for _ in range(rng.randrange(4))]
-                for _ in range(levels + 1)
-            ]
-            # Python reference: deepest first, candidates LIFO then pool
-            # LIFO, scratch lists left empty (the scalar loop verbatim).
-            ref_path = [list(b) for b in path]
-            ref_depth = [list(c) for c in by_depth]
-            ref_pool = []
-            for level in range(levels, -1, -1):
-                candidates = ref_depth[level]
-                slots = ref_path[level]
-                del slots[:]
-                if not (candidates or ref_pool):
-                    continue
-                free = cap
-                while free > 0 and candidates:
-                    slots.append(candidates.pop())
-                    free -= 1
-                if candidates:
-                    ref_pool.extend(candidates)
-                    candidates.clear()
-                while free > 0 and ref_pool:
-                    slots.append(ref_pool.pop())
-                    free -= 1
-            pool = CORE.place_greedy(path, by_depth, levels, cap)
-            assert path == ref_path, trial
-            assert pool == ref_pool, trial
-            assert all(not c for c in by_depth), trial
 
 
 # ---------------------------------------------------------------------------
