@@ -129,6 +129,28 @@ def test_prf_fast_throughput(benchmark):
     benchmark(one_call)
 
 
+#: Leaf pairs per ``_prf_pair`` call, so the call's own cost stays out.
+PAIRS_PER_CALL = 1_000
+
+
+@pytest.mark.skipif(load_native_core() is None, reason="compiled core not built")
+@pytest.mark.parametrize("spelling", ["scalar", "avx512vl"])
+def test_native_leaf_pair_throughput(benchmark, spelling):
+    """A remap's two leaves in the C core, per spelling of the pair:
+    ``scalar`` is two single native leaves (two compressions, as
+    ``fk_leaf_for`` derives one), ``avx512vl`` one two-lane compression
+    (skipped on a CPU without AVX-512F+VL)."""
+    core = load_native_core()
+    if spelling != "scalar" and core.PRF_PAIR != spelling:
+        pytest.skip(f"this CPU lacks {spelling} (avx512f + avx512vl)")
+    prf = CryptoSuite.fast().prf
+    benchmark.extra_info["pairs_per_call"] = PAIRS_PER_CALL
+    benchmark(
+        core._prf_pair, spelling, prf.key, prf.ledger, 1234, 2**40,
+        2**40 + 1, 24, PAIRS_PER_CALL,
+    )
+
+
 def test_prf_reference_aes_throughput(benchmark):
     prf = CryptoSuite.reference().prf
     counter = iter(range(10**9))

@@ -8,7 +8,9 @@ just a different primitive).
 
 ``leaf_for`` is the replay engine's hot path: every counter-mode remap
 derives the old and the new leaf, each one evaluation of the primitive —
-in ``fast`` mode one BLAKE2b compression from the pre-keyed mid-state.
+in ``fast`` mode one BLAKE2b compression from the pre-keyed mid-state
+(the native frontend kernel derives the two in one two-lane compression
+on a CPU with AVX-512VL; ``call_count`` still moves by two).
 No leaf is memoised. The paper caches none, a leaf is a function of the
 key and the counter the PosMap already holds, and an exact LRU memo
 (65 536 entries) did not pay for itself: it served 13 % of the calls on

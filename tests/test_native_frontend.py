@@ -20,9 +20,12 @@ under it) must agree on
 
 Further layers: the vendored BLAKE2b against ``hashlib`` (Hypothesis
 keys, messages and digest sizes, the RFC vector, block-boundary
-lengths); the kernel's PRF as the stateless formula (every resident
-PLB leaf is one keyed BLAKE2b of its tag and counter, and ``call_count``
-moves as the reference's); error parity (bad op, wrong-length WRITE,
+lengths); a remap's leaf pair on each spelling the CPU has (scalar
+everywhere, the two-lane AVX-512VL compression where it exists) against
+``hashlib``, two calls on the ledger per pair; the kernel's PRF as the
+stateless formula (every resident PLB leaf is one keyed BLAKE2b of its
+tag and counter, and ``call_count`` moves as the reference's); error
+parity (bad op, wrong-length WRITE,
 out-of-range address: same exception, same counters); the
 engagement rules; and the structural guards — one kernel entry per
 request, no interpreted frontend step under it, and a replay slice or a
@@ -31,6 +34,7 @@ serve batch driven C to C without a Python frame.
 
 import hashlib
 import sys
+from array import array
 
 import pytest
 
@@ -324,7 +328,10 @@ def assert_plb_leaves_follow_the_formula(frontend):
 class TestKernelPrfIsStateless:
     @pytest.mark.parametrize(
         "name",
-        ("PIC_X32", "PI_X8", "PIC_X32/2-way", "PIC_X32/full", "PIC_X32/beta=2"),
+        (
+            "PIC_X32", "PI_X8", "PIC_X32/2-way", "PIC_X32/full",
+            "PIC_X32/beta=2", "PC_X32",
+        ),
     )
     def test_call_count_moves_as_the_references_after_every_access(self, name):
         ref, nat = pair(name)
@@ -374,6 +381,120 @@ class TestKernelPrfIsStateless:
         assert_same_state(ref, nat, f"key of {key_length} bytes")
         assert nat.crypto.prf.key == key
         assert_plb_leaves_follow_the_formula(nat)
+
+
+class TestLeafPairSpellings:
+    """A remap derives its old and new leaf in one pass of the core's
+    leaf pair: a two-lane BLAKE2b compression where the CPU has
+    AVX-512F+VL, two scalar compressions elsewhere (``PRF_PAIR`` names
+    the one this host runs).  ``_prf_pair`` runs a named spelling on its
+    own; each must be the formula, leaf for leaf, and count two calls."""
+
+    hypothesis = pytest.importorskip("hypothesis")
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    SPELLINGS = ("scalar", "avx512vl")
+    COUNT = st.integers(0, 2**96 - 1)
+
+    @staticmethod
+    def spelling_or_skip(spelling):
+        if spelling != "scalar" and CORE.PRF_PAIR != spelling:
+            pytest.skip(f"this CPU lacks {spelling} (avx512f + avx512vl)")
+
+    def check(self, spelling, key, address, count, new_count, levels):
+        prf = Prf(key)
+        got = CORE._prf_pair(
+            spelling, key, prf.ledger, address, count, new_count, levels
+        )
+        assert got == (
+            reference_leaf_for(key, address, count, levels),
+            reference_leaf_for(key, address, new_count, levels),
+        )
+        assert prf.call_count == 2
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        key=st.binary(max_size=64),
+        address=st.integers(0, 2**64 - 1),
+        count=st.integers(0, 2**96 - 2),
+        levels=st.integers(1, 60),
+    )
+    def test_a_remap_pair_is_the_formula(
+        self, spelling, key, address, count, levels
+    ):
+        self.spelling_or_skip(spelling)
+        self.check(spelling, key, address, count, count + 1, levels)
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        key=st.binary(max_size=64),
+        address=st.integers(0, 2**64 - 1),
+        count=COUNT,
+        new_count=COUNT,
+        levels=st.integers(1, 60),
+    )
+    def test_any_pair_of_counts_is_the_formula(
+        self, spelling, key, address, count, new_count, levels
+    ):
+        self.spelling_or_skip(spelling)
+        self.check(spelling, key, address, count, new_count, levels)
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_the_spellings_agree_and_count_every_repeat(self, spelling):
+        self.spelling_or_skip(spelling)
+        prf = Prf(b"k" * 16)
+        args = (b"k" * 16, prf.ledger, 2**64 - 1, 2**96 - 2, 2**96 - 1, 60)
+        assert CORE._prf_pair(spelling, *args, 5) == CORE._prf_pair(
+            "scalar", *args
+        )
+        assert prf.call_count == 12
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_a_tree_of_no_levels_derives_and_counts_nothing(self, spelling):
+        self.spelling_or_skip(spelling)
+        prf = Prf(b"key")
+        assert CORE._prf_pair(spelling, b"key", prf.ledger, 3, 4, 5, 0) == (
+            0, 0
+        )
+        assert prf.call_count == 0
+
+    def test_the_host_runs_a_named_spelling(self):
+        assert CORE.PRF_PAIR in self.SPELLINGS
+
+    def test_a_spelling_the_cpu_lacks_raises(self):
+        prf = Prf(b"key")
+        lacking = {"avx512vl", "sse2", "avx2"} - {CORE.PRF_PAIR}
+        for spelling in sorted(lacking):
+            with pytest.raises(ValueError, match="no PRF pair spelling"):
+                CORE._prf_pair(spelling, b"key", prf.ledger, 3, 4, 5, 20)
+        assert prf.call_count == 0
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (b"k" * 65, 0, 0, 0, 20),
+            (b"k", 0, 0, 0, 61),
+            (b"k", 0, 0, 0, -1),
+            (b"k", 0, 2**96, 0, 20),
+            (b"k", 0, 0, -1, 20),
+            (b"k", 0, 0, 1, 20, 0),
+        ],
+    )
+    def test_rejects_out_of_range_arguments(self, args):
+        prf = Prf(b"k")
+        key, rest = args[0], args[1:]
+        with pytest.raises((ValueError, OverflowError)):
+            CORE._prf_pair("scalar", key, prf.ledger, *rest)
+        assert prf.call_count == 0
+
+    def test_rejects_a_ledger_of_the_wrong_shape(self):
+        for ledger in (array("q", [0, 0]), array("i", [0]), bytes(8)):
+            with pytest.raises((TypeError, ValueError, BufferError)):
+                CORE._prf_pair("scalar", b"k", ledger, 0, 0, 1, 20)
 
 
 # ---------------------------------------------------------------------------
