@@ -33,7 +33,6 @@ digest, matching ``PathOramBackend``.
 
 from __future__ import annotations
 
-from array import array
 from typing import Optional
 
 from repro.backend.ops import Op
@@ -47,16 +46,12 @@ from repro.errors import (
 from repro.storage.block import Block
 from repro.storage.columnar import CHUNK_SLOTS
 from repro.utils.rng import DeterministicRng
-from repro.utils.stats import LedgerSlot
+from repro.utils.stats import LEDGERS
 
 
+@LEDGERS["backend"].bind()
 class ColumnarPathOramBackend:
     """One Path ORAM Backend bound to a columnar store and a slot stash."""
-
-    #: The three slots of ``ledger``, which the kernel counts in.
-    access_count = LedgerSlot(0)
-    tree_access_count = LedgerSlot(1)
-    append_count = LedgerSlot(2)
 
     def __init__(
         self,
@@ -73,7 +68,7 @@ class ColumnarPathOramBackend:
         self.rng = rng
         self.allow_missing = allow_missing
         self.stash = ColumnarStash(config.stash_limit, storage)
-        self.ledger = array("q", [0, 0, 0])
+        self.ledger = LEDGERS["backend"].column()
         occupancy = self.stash.occupancy_stats
         # Fails fast when the storage cannot hand out buffer-capable
         # columns (the zero-copy contract the kernel relies on).

@@ -29,6 +29,7 @@ from repro.config import OramConfig
 from repro.errors import RESTORE_FAILURES, BlockNotFoundError
 from repro.storage.block import Block
 from repro.utils.rng import DeterministicRng
+from repro.utils.stats import LEDGERS
 
 
 def make_backend(
@@ -65,8 +66,10 @@ class AccessReceipt:
     created_fresh: bool = False
 
 
+@LEDGERS["backend"].bind()
 class PathOramBackend:
-    """One Path ORAM Backend bound to a storage tree and a stash."""
+    """One Path ORAM Backend bound to a storage tree and a stash; its
+    counters are the backend ledger's slots, as the columnar one's are."""
 
     def __init__(
         self,
@@ -82,9 +85,7 @@ class PathOramBackend:
         #: (factory-initialised memory); when False it is an error.
         self.allow_missing = allow_missing
         self.stash = Stash(config.stash_limit)
-        self.access_count = 0
-        self.tree_access_count = 0
-        self.append_count = 0
+        self.ledger = LEDGERS["backend"].column()
         self._zero = bytes(config.block_bytes)
         # Storages that expose the tuple-free path read (TreeStorage) get
         # the fast replay path; byte-accurate/verified storages fall back

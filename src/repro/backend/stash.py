@@ -14,9 +14,13 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.errors import StashOverflowError
 from repro.storage.block import Block
-from repro.utils.stats import LedgerSlot, RunningStats
+from repro.utils.stats import LEDGERS, RunningStats
+
+_MAX, _MIN = map(LEDGERS["occupancy"].slots.index, ("max", "min"))
 
 
+@LEDGERS["occupancy"].bind()
+@LEDGERS["moments"].bind("moments")
 class OccupancyStats(RunningStats):
     """``RunningStats`` over two columns the access kernel adds to.
 
@@ -29,14 +33,12 @@ class OccupancyStats(RunningStats):
 
     def __init__(self) -> None:
         # No super().__init__(): the state lives in the columns.
-        self.ledger = array("q", [0, 0, 0])
-        self.moments = array("d", [0.0, 0.0])
+        self.ledger = LEDGERS["occupancy"].column()
+        self.moments = LEDGERS["moments"].column()
 
-    count = LedgerSlot(0)
-    mean = property(lambda self: self.moments[0])
-    _m2 = property(lambda self: self.moments[1])
-    max = property(lambda self: self.ledger[1] if self.count else float("-inf"))
-    min = property(lambda self: self.ledger[2] if self.count else float("inf"))
+    # Before the first sample the extremes read as RunningStats' sentinels.
+    max = property(lambda self: self.ledger[_MAX] if self.count else float("-inf"))
+    min = property(lambda self: self.ledger[_MIN] if self.count else float("inf"))
 
 
 class ColumnarStash:

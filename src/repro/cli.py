@@ -27,6 +27,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import threading
 from importlib import import_module
 from typing import Callable, Dict, List, Tuple
 
@@ -100,8 +101,10 @@ def _positive_int_as_float(value: str) -> float:
 
 def _positive_seconds(value: str) -> float:
     seconds = float(value)  # a ValueError is argparse's "invalid value"
-    if not seconds > 0:
-        raise argparse.ArgumentTypeError("requires a positive number")
+    if not 0 < seconds <= threading.TIMEOUT_MAX:  # settimeout's bound
+        raise argparse.ArgumentTypeError(
+            f"requires a positive number up to {threading.TIMEOUT_MAX:.0f}"
+        )
     return seconds
 
 

@@ -8,11 +8,11 @@ bit truncation alongside each block. ``Mac`` mirrors that: keyed SHA3-224
 from __future__ import annotations
 
 import hashlib
-from array import array
 
-from repro.utils.stats import LedgerSlot
+from repro.utils.stats import LEDGERS
 
 
+@LEDGERS["mac"].bind()
 class Mac:
     """Keyed MAC with truncated tags and an invocation/byte counter.
 
@@ -20,9 +20,6 @@ class Mac:
     comparison against the Merkle baseline; they are the two slots of
     ``ledger``, which the native kernel counts in too.
     """
-
-    call_count = LedgerSlot(0)
-    bytes_hashed = LedgerSlot(1)
 
     MODE_SHA3 = "sha3-224"
     MODE_FAST = "fast"
@@ -35,7 +32,7 @@ class Mac:
         self.mode = mode
         self.key = key
         self.tag_bytes = tag_bytes
-        self.ledger = array("q", [0, 0])
+        self.ledger = LEDGERS["mac"].column()
         if mode == self.MODE_FAST:
             # Pre-keyed hash state (see Prf): copy() skips the per-call
             # key-block compression; digests are byte-identical.
@@ -43,9 +40,8 @@ class Mac:
 
     def tag(self, message: bytes) -> bytes:
         """Compute the truncated MAC tag of ``message``."""
-        ledger = self.ledger
-        ledger[0] += 1
-        ledger[1] += len(message)
+        self.call_count += 1
+        self.bytes_hashed += len(message)
         if self.mode == self.MODE_FAST:
             state = self._keyed_state.copy()
             state.update(message)

@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from array import array
 from typing import List, Sequence
 
 from repro.crypto.aes import AES128
-from repro.utils.stats import LedgerSlot
+from repro.utils.stats import LEDGERS
 
 #: addr (8) || count (12, split low-8/high-4) || subblock (4), little-endian
 #: — byte-identical to the three-way ``to_bytes`` concatenation.
@@ -41,23 +40,23 @@ _pack_leaf_message = struct.Struct("<QQII").pack_into
 _U64 = (1 << 64) - 1
 
 
+@LEDGERS["prf"].bind()
 class Prf:
-    """PRF keyed at construction; maps byte strings / ints to integers."""
+    """PRF keyed at construction; maps byte strings / ints to integers.
+    ``call_count`` is the one slot of ``ledger``, counted in C too."""
 
     MODE_AES = "aes"
     MODE_FAST = "fast"
 
     #: No leaf is memoised, so none is ever served from a cache.
     cache_hits = 0
-    #: The one slot of ``ledger``, which the native kernel counts in too.
-    call_count = LedgerSlot(0)
 
     def __init__(self, key: bytes, mode: str = MODE_FAST):
         if mode not in (self.MODE_AES, self.MODE_FAST):
             raise ValueError(f"unknown PRF mode {mode!r}")
         self.mode = mode
         self.key = key
-        self.ledger = array("q", [0])
+        self.ledger = LEDGERS["prf"].column()
         if mode == self.MODE_AES:
             if len(key) != 16:
                 raise ValueError("AES PRF requires a 16-byte key")
@@ -88,7 +87,7 @@ class Prf:
 
     def eval_bytes(self, data: bytes) -> bytes:
         """PRF output (16 bytes) for an arbitrary-length input."""
-        self.ledger[0] += 1
+        self.call_count += 1
         return self._digest(data)
 
     def eval_int(self, data: bytes, modulus_bits: int) -> int:
@@ -123,7 +122,7 @@ class Prf:
             # (mirrors ``eval_int``'s early return, which skips the call
             # counter).
             return 0
-        self.ledger[0] += 1
+        self.call_count += 1
         return self.peek_leaf(address, count, num_levels, subblock)
 
     def leaf_for_many(

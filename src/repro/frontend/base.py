@@ -9,50 +9,26 @@ traffic (the white/shaded split of Figs. 7 and 8).
 from __future__ import annotations
 
 import abc
-from array import array
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.backend.ops import Op
-from repro.utils.stats import LedgerSlot
-
-#: The slot of each :class:`FrontendStats` counter in its ledger, in the
-#: order the native kernels count them.
-(
-    ACCESSES, DATA_TREE_ACCESSES, POSMAP_TREE_ACCESSES, PLB_HITS, PLB_MISSES,
-    PLB_REFILLS, PLB_EVICTIONS, GROUP_REMAPS, GROUP_RELOCATIONS, MAC_CHECKS,
-    FRESH_BLOCKS,
-) = range(11)
+from repro.utils.stats import LEDGERS
 
 
+@LEDGERS["frontend"].bind()
 class FrontendStats:
     """Counters accumulated across the life of a Frontend.
 
-    Each one is a slot of ``ledger`` (an ``array('q')``): the interpreted
-    frontends count through the names (or, on hot paths, by slot), the
-    native kernels in place.
+    Each one is a slot of ``ledger`` (an ``array('q')``, laid out by
+    :data:`~repro.utils.stats.LEDGERS`): the interpreted frontends count
+    through the names, the native kernels in place.
     """
 
-    COUNTERS = (
-        "accesses", "data_tree_accesses", "posmap_tree_accesses", "plb_hits",
-        "plb_misses", "plb_refills", "plb_evictions", "group_remaps",
-        "group_relocations", "mac_checks", "fresh_blocks",
-    )
-
-    accesses = LedgerSlot(ACCESSES)
-    data_tree_accesses = LedgerSlot(DATA_TREE_ACCESSES)
-    posmap_tree_accesses = LedgerSlot(POSMAP_TREE_ACCESSES)
-    plb_hits = LedgerSlot(PLB_HITS)
-    plb_misses = LedgerSlot(PLB_MISSES)
-    plb_refills = LedgerSlot(PLB_REFILLS)
-    plb_evictions = LedgerSlot(PLB_EVICTIONS)
-    group_remaps = LedgerSlot(GROUP_REMAPS)
-    group_relocations = LedgerSlot(GROUP_RELOCATIONS)
-    mac_checks = LedgerSlot(MAC_CHECKS)
-    fresh_blocks = LedgerSlot(FRESH_BLOCKS)
+    COUNTERS = LEDGERS["frontend"].slots
 
     def __init__(self) -> None:
-        self.ledger = array("q", bytes(8 * len(self.COUNTERS)))
+        self.ledger = LEDGERS["frontend"].column()
 
     def __eq__(self, other) -> bool:
         if type(other) is not FrontendStats:

@@ -14,12 +14,7 @@ from repro.backend.ops import Op
 from repro.backend.path_oram import make_backend
 from repro.config import OramConfig
 from repro.errors import ConfigurationError
-from repro.frontend.base import (
-    ACCESSES,
-    DATA_TREE_ACCESSES,
-    AccessResult,
-    Frontend,
-)
+from repro.frontend.base import AccessResult, Frontend
 from repro.frontend.posmap import OnChipPosMap
 from repro.storage import make_storage
 from repro.utils.rng import DeterministicRng
@@ -74,9 +69,9 @@ class LinearFrontend(Frontend):
             raise ConfigurationError("processor requests are READ or WRITE")
         if op is Op.WRITE and (data is None or len(data) != self.config.block_bytes):
             raise ValueError("WRITE requires a full block of data")
-        ledger = self.stats.ledger
-        ledger[ACCESSES] += 1
-        ledger[DATA_TREE_ACCESSES] += 1
+        stats = self.stats
+        stats.accesses += 1
+        stats.data_tree_accesses += 1
 
         leaf, new_leaf, _ = self.posmap.lookup_and_remap(addr, addr)
 

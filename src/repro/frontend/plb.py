@@ -30,11 +30,9 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import ConfigurationError
-from repro.utils.stats import LedgerSlot
+from repro.utils.stats import LEDGERS
 
 _U64 = (1 << 64) - 1
-#: Slots of ``Plb.ledger``: the LRU clock, then the lookup statistics.
-_CLOCK, _HITS, _MISSES = range(3)
 
 
 @dataclass(slots=True)
@@ -93,12 +91,9 @@ class PlbWay:
         )
 
 
+@LEDGERS["plb"].bind()
 class Plb:
     """Set-associative (default direct-mapped) cache of PosMap blocks."""
-
-    _clock = LedgerSlot(_CLOCK)
-    hits = LedgerSlot(_HITS)
-    misses = LedgerSlot(_MISSES)
 
     def __init__(self, capacity_bytes: int, block_bytes: int, ways: int = 1):
         if capacity_bytes < block_bytes:
@@ -119,7 +114,7 @@ class Plb:
         self.counters = array("Q", bytes(16 * total))
         self.last_use = array("q", bytes(8 * total))
         self.payload = bytearray(total * block_bytes)
-        self.ledger = array("q", bytes(8 * 3))
+        self.ledger = LEDGERS["plb"].column()
 
     def _set_index(self, tagged_addr: int) -> int:
         # Direct-mapped index over the block index bits; the recursion level
@@ -140,14 +135,13 @@ class Plb:
 
     def lookup(self, tagged_addr: int) -> Optional[PlbWay]:
         """Return the resident entry for i||a_i, updating LRU state."""
-        ledger = self.ledger
-        ledger[_CLOCK] = clock = ledger[_CLOCK] + 1
+        self._clock = clock = self._clock + 1
         way = self._find(tagged_addr)
         if way < 0:
-            ledger[_MISSES] += 1
+            self.misses += 1
             return None
         self.last_use[way] = clock
-        ledger[_HITS] += 1
+        self.hits += 1
         return PlbWay(self, way)
 
     def contains(self, tagged_addr: int) -> bool:
@@ -161,7 +155,7 @@ class Plb:
 
     def insert(self, entry: PlbEntry) -> Optional[PlbEntry]:
         """Insert a refilled block; returns the evicted victim, if any."""
-        self.ledger[_CLOCK] = entry.last_use = self.ledger[_CLOCK] + 1
+        self._clock = entry.last_use = self._clock + 1
         base = self._set_index(entry.tagged_addr) * self.ways
         tags = self.tags[base : base + self.ways]
         if entry.tagged_addr in tags:

@@ -22,13 +22,7 @@ from repro.backend.path_oram import PathOramBackend, make_backend
 from repro.config import OramConfig
 from repro.errors import ConfigurationError
 from repro.frontend.addrgen import AddressSpace, levels_needed
-from repro.frontend.base import (
-    ACCESSES,
-    DATA_TREE_ACCESSES,
-    POSMAP_TREE_ACCESSES,
-    AccessResult,
-    Frontend,
-)
+from repro.frontend.base import AccessResult, Frontend
 from repro.frontend.formats import UncompressedPosMapFormat
 from repro.frontend.posmap import OnChipPosMap
 from repro.storage import make_storage
@@ -159,8 +153,8 @@ class RecursiveFrontend(Frontend):
             raise ConfigurationError("processor requests are READ or WRITE")
         if op is Op.WRITE and (data is None or len(data) != self.configs[0].block_bytes):
             raise ValueError("WRITE requires a full block of data")
-        ledger = self.stats.ledger
-        ledger[ACCESSES] += 1
+        stats = self.stats
+        stats.accesses += 1
         chain = self.space.chain(addr)
         top = self.num_levels - 1
 
@@ -182,7 +176,7 @@ class RecursiveFrontend(Frontend):
                 block.data = bytes(buf)
 
             backend.access(Op.READ, chain[level], leaf, new_leaf, update=update)
-            ledger[POSMAP_TREE_ACCESSES] += 1
+            stats.posmap_tree_accesses += 1
             remap = holder["remap"]
             if child_fresh:
                 # Never-written entry: substitute the uniform label factory
@@ -194,7 +188,7 @@ class RecursiveFrontend(Frontend):
             new_leaf = remap.new_leaf
 
         # Data ORAM access.
-        ledger[DATA_TREE_ACCESSES] += 1
+        stats.data_tree_accesses += 1
 
         def data_update(block) -> None:
             if op is Op.WRITE:

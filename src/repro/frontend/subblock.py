@@ -25,13 +25,7 @@ from repro.config import OramConfig
 from repro.crypto.suite import CryptoSuite
 from repro.errors import ConfigurationError
 from repro.frontend.addrgen import AddressSpace, levels_needed
-from repro.frontend.base import (
-    ACCESSES,
-    DATA_TREE_ACCESSES,
-    POSMAP_TREE_ACCESSES,
-    AccessResult,
-    Frontend,
-)
+from repro.frontend.base import AccessResult, Frontend
 from repro.frontend.formats import CompressedPosMapFormat
 from repro.frontend.posmap import OnChipPosMap
 from repro.storage.tree import TreeStorage
@@ -124,8 +118,8 @@ class SubBlockFrontend(Frontend):
             raise ConfigurationError("processor requests are READ or WRITE")
         if op is Op.WRITE and (data is None or len(data) != self.data_block_bytes):
             raise ValueError("WRITE requires a full logical block of data")
-        ledger = self.stats.ledger
-        ledger[ACCESSES] += 1
+        stats = self.stats
+        stats.accesses += 1
         chain = self.space.chain(addr)
         top = self.num_levels - 1
 
@@ -151,7 +145,7 @@ class SubBlockFrontend(Frontend):
                 Op.READ, self.space.tag(level, chain[level]), leaf, new_leaf,
                 update=update,
             )
-            ledger[POSMAP_TREE_ACCESSES] += 1
+            stats.posmap_tree_accesses += 1
             remap = holder["remap"]
             if remap.group_remap_slots:
                 self._group_remap(level - 1, chain[level - 1], remap)
@@ -172,7 +166,7 @@ class SubBlockFrontend(Frontend):
             block = self.backend.access(
                 op, self._sub_tag(addr, k), sub_leaf, sub_new, update=update
             )
-            ledger[DATA_TREE_ACCESSES] += 1
+            stats.data_tree_accesses += 1
             pieces.append(block.data)
 
         return AccessResult(

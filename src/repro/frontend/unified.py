@@ -36,19 +36,7 @@ from repro.crypto.prf import Prf
 from repro.crypto.suite import CryptoSuite
 from repro.errors import ConfigurationError, IntegrityViolationError
 from repro.frontend.addrgen import AddressSpace, levels_needed
-from repro.frontend.base import (
-    ACCESSES,
-    DATA_TREE_ACCESSES,
-    FRESH_BLOCKS,
-    MAC_CHECKS,
-    PLB_EVICTIONS,
-    PLB_HITS,
-    PLB_MISSES,
-    PLB_REFILLS,
-    POSMAP_TREE_ACCESSES,
-    AccessResult,
-    Frontend,
-)
+from repro.frontend.base import AccessResult, Frontend
 from repro.frontend.formats import (
     CompressedPosMapFormat,
     FlatCounterPosMapFormat,
@@ -229,9 +217,9 @@ class PlbFrontend(Frontend):
                 raise IntegrityViolationError(
                     f"block {tagged_addr:#x} lost: counter {counter} but no MAC"
                 )
-            self.stats.ledger[FRESH_BLOCKS] += 1
+            self.stats.fresh_blocks += 1
             return
-        self.stats.ledger[MAC_CHECKS] += 1
+        self.stats.mac_checks += 1
         if not self.crypto.mac.verify(
             counter.to_bytes(12, "little")
             + tagged_addr.to_bytes(8, "little")
@@ -336,9 +324,9 @@ class PlbFrontend(Frontend):
     ) -> PlbWay:
         """readrmv the PosMap block ``tagged`` and install it in the PLB."""
         block = self.backend.access(Op.READRMV, tagged, leaf, new_leaf)
-        ledger = self.stats.ledger
-        ledger[POSMAP_TREE_ACCESSES] += 1
-        ledger[PLB_REFILLS] += 1
+        stats = self.stats
+        stats.posmap_tree_accesses += 1
+        stats.plb_refills += 1
         self._verify(block, tagged, old_counter)
         entry = PlbEntry(
             tagged_addr=tagged,
@@ -353,7 +341,7 @@ class PlbFrontend(Frontend):
 
     def _evict_plb_entry(self, victim: PlbEntry) -> None:
         """Append a PLB victim back into the stash with a fresh MAC."""
-        self.stats.ledger[PLB_EVICTIONS] += 1
+        self.stats.plb_evictions += 1
         data = bytes(victim.data)
         block = Block(
             addr=victim.tagged_addr,
@@ -376,9 +364,9 @@ class PlbFrontend(Frontend):
             raise ConfigurationError("processor requests are READ or WRITE")
         if op is Op.WRITE and (data is None or len(data) != self.config.block_bytes):
             raise ValueError("WRITE requires a full block of data")
-        ledger = self.stats.ledger
-        ledger[ACCESSES] += 1
-        start_posmap = ledger[POSMAP_TREE_ACCESSES]
+        stats = self.stats
+        stats.accesses += 1
+        start_posmap = stats.posmap_tree_accesses
         levels = self.space_levels
         chain = self.space.chain(addr)
         tag = self.space.tag
@@ -398,7 +386,10 @@ class PlbFrontend(Frontend):
             # With a single recursion level no PLB lookup occurs, so the
             # access counts toward neither hits nor misses (the hit rate
             # is a property of actual lookups only).
-            ledger[PLB_HITS if hit_level == 0 else PLB_MISSES] += 1
+            if hit_level == 0:
+                stats.plb_hits += 1
+            else:
+                stats.plb_misses += 1
 
         # Step 2: fetch missing PosMap blocks, deepest level first.
         for level in range(hit_level, 0, -1):
@@ -426,8 +417,8 @@ class PlbFrontend(Frontend):
         else:
             # Non-PMMAC READ: nothing to verify, overwrite or seal.
             result_block = self.backend.access(op, addr, leaf, new_leaf)
-        ledger[DATA_TREE_ACCESSES] += 1
-        posmap_accesses = ledger[POSMAP_TREE_ACCESSES] - start_posmap
+        stats.data_tree_accesses += 1
+        posmap_accesses = stats.posmap_tree_accesses - start_posmap
         return AccessResult(
             data=result_block.data if op is Op.READ else (data or b""),
             tree_accesses=posmap_accesses + 1,

@@ -21,10 +21,12 @@ from repro.crypto.mac import Mac
 from repro.errors import ConfigurationError
 from repro.integrity.merkle import MerklePathVerifier
 from repro.storage.bucket import Bucket
+from repro.storage.tree import BucketLedger
 
 
-class MerkleVerifiedStorage:
-    """Storage proxy enforcing Merkle integrity on every path operation."""
+class MerkleVerifiedStorage(BucketLedger):
+    """Storage proxy enforcing Merkle integrity on every path operation;
+    its accounting is the wrapped store's own ledger."""
 
     def __init__(self, inner, mac: Mac):
         if getattr(inner, "columnar", False):
@@ -34,6 +36,7 @@ class MerkleVerifiedStorage:
             )
         self.inner = inner
         self.config = inner.config
+        self.ledger = inner.ledger
         self.mac = mac
         self.verifier = MerklePathVerifier(
             self.config.levels,
@@ -69,27 +72,6 @@ class MerkleVerifiedStorage:
     def bucket_at(self, index: int) -> Bucket:
         """Direct bucket access (delegated; used by tests only)."""
         return self.inner.bucket_at(index)
-
-    # -- accounting (delegated) ---------------------------------------------------
-
-    @property
-    def bytes_read(self) -> int:
-        """Bytes read on the memory bus."""
-        return self.inner.bytes_read
-
-    @property
-    def bytes_written(self) -> int:
-        """Bytes written on the memory bus."""
-        return self.inner.bytes_written
-
-    @property
-    def bytes_moved(self) -> int:
-        """Read + written bytes."""
-        return self.inner.bytes_moved
-
-    def reset_counters(self) -> None:
-        """Zero bandwidth counters (delegated)."""
-        self.inner.reset_counters()
 
     def occupancy(self) -> int:
         """Real blocks resident in the tree (delegated)."""

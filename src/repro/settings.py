@@ -19,7 +19,8 @@ The grammar, for all of them:
   path (``~`` is expanded where the store is opened); ``REPRO_NATIVE``
   takes them beside ``require``;
   ``REPRO_RPC_TIMEOUT`` and ``REPRO_CELL_TIMEOUT`` take a false word, or
-  any number that is not positive, for "no deadline";
+  any number that is not positive, for "no deadline", and seconds up to
+  ``threading.TIMEOUT_MAX`` (what ``socket.settimeout`` takes) otherwise;
 - anything else raises :class:`~repro.errors.ConfigurationError` naming
   the variable, the value and what the variable accepts — a typo never
   silently selects a default.
@@ -33,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional
 
@@ -96,7 +98,10 @@ def _attempts(text: str) -> int:
 def _deadline(text: str) -> Optional[float]:
     if text.lower() in FALSE_WORDS:
         return None
-    seconds = _number(float, "a number of seconds (0 or off: no deadline)")(text)
+    accepts = f"seconds up to {threading.TIMEOUT_MAX:.0f} (0 or off: no deadline)"
+    seconds = _number(float, accepts)(text)
+    if seconds > threading.TIMEOUT_MAX:  # socket.settimeout's own bound
+        raise ValueError(accepts)
     return seconds if seconds > 0 else None
 
 

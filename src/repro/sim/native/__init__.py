@@ -22,7 +22,10 @@ a pure-Python package and every default CI lane stays green. It also
 stamps the module with a SHA-256 of its sources (``SOURCE_DIGEST``):
 when ``_replay_core.c`` sits beside the package and no longer hashes to
 that, the build is stale and counts as unusable — an old ``.so`` is
-never measured as the fast tier.
+never measured as the fast tier. So is a build whose ``LEDGERS`` — the
+counter layout its kernels count in, one line per ledger from one
+X-macro each — differs from :data:`repro.utils.stats.LEDGERS`, the
+layout the Python owners read: the first ledger that differs is named.
 
 ``REPRO_NATIVE`` (:attr:`repro.settings.Settings.native`) is the one
 switch: ``on`` (the default) uses a usable extension and otherwise runs
@@ -35,11 +38,13 @@ sets it so a missing build cannot masquerade as a fast-tier run.
 from __future__ import annotations
 
 import hashlib
+from itertools import zip_longest
 from pathlib import Path
 from typing import Optional
 
 from repro.errors import NativeKernelUnavailable
 from repro.settings import Settings
+from repro.utils.stats import LEDGERS
 
 #: Memoised import: unset, or one ``(module | None, why it is unusable)``.
 _CORE_CACHE: list = []
@@ -72,6 +77,15 @@ def _import_core():
             "the native extension is stale "
             "(_replay_core.c changed since it was built)"
         )
+    table = [(row.name, row.typecode, *row.slots) for row in LEDGERS.values()]
+    lines = getattr(_replay_core, "LEDGERS", "").splitlines()
+    for ours, built in zip_longest(table, [tuple(line.split()) for line in lines]):
+        if ours != built:
+            return None, (
+                f"the native extension's {(ours or built)[0]!r} ledger differs "
+                "from repro.utils.stats.LEDGERS (its X-macro in "
+                "_replay_core.c must list the same slots)"
+            )
     return _replay_core, ""
 
 

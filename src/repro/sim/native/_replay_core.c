@@ -82,7 +82,11 @@
  * of its Python owner's `ledger`, a fixed-size array('q') the owner
  * allocates and reads through its old attribute names; the stash's
  * occupancy summary is two more (count / max / min as int64, mean / m2
- * as float64).  A handle binds them once, under the fixed-size rule
+ * as float64).  Each layout is declared once here, one X-macro per
+ * ledger (ALL_LEDGERS), and once in repro.utils.stats.LEDGERS; the
+ * module exports its own as LEDGERS, and repro.sim.native refuses a
+ * build whose LEDGERS differ, naming the first ledger that does, as it
+ * refuses a stale SOURCE_DIGEST.  A handle binds them once, under the fixed-size rule
  * below, and counts in place, at the point the interpreted path counts:
  * whatever can look — a callback in the middle of a slice, the caller
  * after it, a failed request's handler — sees exactly what the
@@ -933,14 +937,50 @@ static PyObject *str_observer, *str_on_path_read, *str_on_path_write,
     *str_grow, *str_stash, *str_reserve, *str_abort_access, *str_addr,
     *str_leaf, *str_data, *str_mac;
 
-/* Every counter a tree access moves: the slots of the backend's ledger
- * and of the storage's (which counts buckets, levels + 1 a path), and of
- * the stash's occupancy summary (RunningStats: the int64 half, then the
- * float64 one). */
-enum { T_ACCESSES, T_TREE_ACCESSES, T_APPENDS, N_BACKEND_SLOTS };
-enum { T_BUCKETS_READ, T_BUCKETS_WRITTEN, N_STORAGE_SLOTS };
-enum { OCC_COUNT, OCC_MAX, OCC_MIN, N_OCC_SLOTS };
-enum { OCC_MEAN, OCC_M2, N_MOMENT_SLOTS };
+/* Every counter a kernel moves is a slot of a ledger, each declared here
+ * once: X(enum name, Python attribute name) per slot, in slot order.  A
+ * request moves the frontend's statistics, the Plb's, the Prf's and the
+ * Mac's; a tree access the backend's, the storage's (buckets, levels + 1
+ * a path) and the stash's occupancy summary (RunningStats: the int64
+ * half, then the float64 one). */
+#define FRONTEND_LEDGER(X)                                                   \
+    X(C_ACCESSES, "accesses") X(C_DATA_TREE, "data_tree_accesses")           \
+    X(C_POSMAP_TREE, "posmap_tree_accesses") X(C_PLB_HITS, "plb_hits")       \
+    X(C_PLB_MISSES, "plb_misses") X(C_PLB_REFILLS, "plb_refills")            \
+    X(C_PLB_EVICTIONS, "plb_evictions") X(C_GROUP_REMAPS, "group_remaps")    \
+    X(C_GROUP_RELOCATIONS, "group_relocations")                              \
+    X(C_MAC_CHECKS, "mac_checks") X(C_FRESH_BLOCKS, "fresh_blocks")
+#define PLB_LEDGER(X)                                                        \
+    X(PLB_CLOCK, "_clock") X(PLB_HITS, "hits") X(PLB_MISSES, "misses")
+#define PRF_LEDGER(X) X(PRF_CALLS, "call_count")
+#define MAC_LEDGER(X) X(MAC_CALLS, "call_count") X(MAC_BYTES, "bytes_hashed")
+#define BACKEND_LEDGER(X)                                                    \
+    X(T_ACCESSES, "access_count") X(T_TREE_ACCESSES, "tree_access_count")    \
+    X(T_APPENDS, "append_count")
+#define STORAGE_LEDGER(X)                                                    \
+    X(T_BUCKETS_READ, "buckets_read") X(T_BUCKETS_WRITTEN, "buckets_written")
+#define OCCUPANCY_LEDGER(X)                                                  \
+    X(OCC_COUNT, "count") X(OCC_MAX, "max") X(OCC_MIN, "min")
+#define MOMENTS_LEDGER(X) X(OCC_MEAN, "mean") X(OCC_M2, "_m2")
+/* Every ledger: its name, item type, slots and slot count, expanded to
+ * its enum and to its line of LEDGERS ("name typecode slot ..."), which
+ * repro.sim.native requires to equal repro.utils.stats.LEDGERS. */
+#define ALL_LEDGERS(X)                                                       \
+    X("frontend", "q", FRONTEND_LEDGER, N_STATS_SLOTS)                       \
+    X("plb", "q", PLB_LEDGER, N_PLB_SLOTS)                                   \
+    X("prf", "q", PRF_LEDGER, N_PRF_SLOTS)                                   \
+    X("mac", "q", MAC_LEDGER, N_MAC_SLOTS)                                   \
+    X("backend", "q", BACKEND_LEDGER, N_BACKEND_SLOTS)                       \
+    X("storage", "q", STORAGE_LEDGER, N_STORAGE_SLOTS)                       \
+    X("occupancy", "q", OCCUPANCY_LEDGER, N_OCC_SLOTS)                       \
+    X("moments", "d", MOMENTS_LEDGER, N_MOMENT_SLOTS)
+#define SLOT_ENUM(slot, name) slot,
+#define LEDGER_ENUM(name, typecode, slots, count)                            \
+    enum { slots(SLOT_ENUM) count };
+ALL_LEDGERS(LEDGER_ENUM)
+#define SLOT_NAME(slot, name) " " name
+#define LEDGER_LINE(name, typecode, slots, count)                            \
+    name " " typecode slots(SLOT_NAME) "\n"
 
 /* The per-backend handle a ColumnarPathOramBackend binds at construction:
  * its access is the backend's.  The tree's state is the storage's own
@@ -2188,18 +2228,6 @@ typedef unsigned __int128 u128;
 #define LEVEL_INDEX_MASK ((1ULL << LEVEL_SHIFT) - 1)
 
 enum { FORMAT_UNCOMPRESSED, FORMAT_FLAT, FORMAT_COMPRESSED };
-
-/* Every counter a request moves, beside the tree's own: the slots of
- * the ledgers of FrontendStats (repro.frontend.base's order), the Plb,
- * the Prf and the Mac. */
-enum {
-    C_ACCESSES, C_DATA_TREE, C_POSMAP_TREE, C_PLB_HITS, C_PLB_MISSES,
-    C_PLB_REFILLS, C_PLB_EVICTIONS, C_GROUP_REMAPS, C_GROUP_RELOCATIONS,
-    C_MAC_CHECKS, C_FRESH_BLOCKS, N_STATS_SLOTS
-};
-enum { PLB_CLOCK, PLB_HITS, PLB_MISSES, N_PLB_SLOTS };
-enum { PRF_CALLS, N_PRF_SLOTS };
-enum { MAC_CALLS, MAC_BYTES, N_MAC_SLOTS };
 
 static PyObject *str_kernel, *str_posmap_tree_accesses, *str_plb_hit_level,
     *empty_tuple;
@@ -5105,7 +5133,9 @@ PyInit__replay_core(void)
 #endif
     /* What this build was compiled from (setup.py's SHA-256 of the
      * sources); native_core refuses a module whose sources have moved. */
-    if (PyModule_AddStringConstant(module, "SOURCE_DIGEST",
+    if (PyModule_AddStringConstant(module, "LEDGERS",
+                                   ALL_LEDGERS(LEDGER_LINE)) < 0 ||
+        PyModule_AddStringConstant(module, "SOURCE_DIGEST",
                                    REPRO_SOURCE_DIGEST) < 0 ||
         PyModule_AddStringConstant(module, "PRF_PAIR", prf_pair_name) < 0 ||
         PyModule_AddObjectRef(module, "AccessKernel",

@@ -57,7 +57,7 @@ from typing import List, Optional, Tuple
 
 from repro.config import OramConfig
 from repro.storage.block import DUMMY_ADDR, Block
-from repro.utils.stats import LedgerSlot
+from repro.storage.tree import BucketLedger
 
 #: Slots per arena chunk (power of two: slot -> chunk is a shift/mask).
 CHUNK_SLOTS = 512
@@ -80,20 +80,16 @@ def _column(core, typecode: str, length: int, zeroed: bool) -> memoryview:
     return memoryview(core.column(typecode, length, zeroed))
 
 
-class ColumnarTreeStorage:
+class ColumnarTreeStorage(BucketLedger):
     """Untrusted external memory as columns over a block-slot arena."""
 
     #: Marker consumed by :func:`~repro.backend.path_oram.make_backend`.
     columnar = True
-    #: Bandwidth accounting at padded bucket granularity: the two slots
-    #: of ``ledger``, which the access kernel counts in too.
-    buckets_read = LedgerSlot(0)
-    buckets_written = LedgerSlot(1)
 
     def __init__(self, config: OramConfig, observer=None):
         if config.blocks_per_bucket > 255:
             raise ValueError("bucket_fill counts a bucket's blocks in one byte")
-        self.config = config
+        super().__init__(config)
         self.observer = observer
         self.block_bytes = config.block_bytes
         self._zero = bytes(config.block_bytes)
@@ -122,7 +118,6 @@ class ColumnarTreeStorage:
         self._depth_terms = tuple(
             ((1 << d) - 1, levels - d) for d in range(levels + 1)
         )
-        self.ledger = array("q", [0, 0])
 
     # -- slot arena ---------------------------------------------------------
 
@@ -306,28 +301,6 @@ class ColumnarTreeStorage:
                     if addr_col[slot] == addr:
                         return index, slot
         return None
-
-    # -- accounting ---------------------------------------------------------
-
-    @property
-    def bytes_read(self) -> int:
-        """Total bytes read at the padded bucket granularity."""
-        return self.buckets_read * self.config.bucket_bytes
-
-    @property
-    def bytes_written(self) -> int:
-        """Total bytes written at the padded bucket granularity."""
-        return self.buckets_written * self.config.bucket_bytes
-
-    @property
-    def bytes_moved(self) -> int:
-        """Read + written bytes."""
-        return self.bytes_read + self.bytes_written
-
-    def reset_counters(self) -> None:
-        """Zero the bandwidth counters (used between experiment phases)."""
-        self.buckets_read = 0
-        self.buckets_written = 0
 
     def occupancy(self) -> int:
         """Total real blocks currently stored in the tree."""

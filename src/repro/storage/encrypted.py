@@ -28,7 +28,7 @@ from repro.config import OramConfig
 from repro.crypto.pad import PadGenerator
 from repro.storage.block import Block, DUMMY_ADDR
 from repro.storage.bucket import Bucket
-from repro.storage.tree import path_indices
+from repro.storage.tree import BucketLedger, path_indices
 
 
 class EncryptionScheme(enum.Enum):
@@ -38,7 +38,7 @@ class EncryptionScheme(enum.Enum):
     GLOBAL_SEED = "global-seed"
 
 
-class EncryptedTreeStorage:
+class EncryptedTreeStorage(BucketLedger):
     """ORAM tree held as encrypted byte images in untrusted memory."""
 
     SLOT_HEADER = 1 + 8 + 8  # valid + addr + leaf
@@ -50,7 +50,7 @@ class EncryptedTreeStorage:
         scheme: EncryptionScheme = EncryptionScheme.GLOBAL_SEED,
         observer=None,
     ):
-        self.config = config
+        super().__init__(config)
         self.pad = pad
         self.scheme = scheme
         self.observer = observer
@@ -62,8 +62,6 @@ class EncryptedTreeStorage:
         #: Raw untrusted memory: one byte image per bucket (lazy init copy).
         self._images: List[Optional[bytes]] = [None] * config.num_buckets
         self._empty_image = empty
-        self.buckets_read = 0
-        self.buckets_written = 0
 
     def _slot_bytes(self) -> int:
         return self.SLOT_HEADER + self.config.block_bytes + self.config.mac_bytes
@@ -178,28 +176,6 @@ class EncryptedTreeStorage:
         if len(image) != expected:
             raise ValueError(f"bucket image must be {expected} bytes")
         self._images[index] = image
-
-    # -- accounting ---------------------------------------------------------------
-
-    @property
-    def bytes_read(self) -> int:
-        """Total bytes read at the padded bucket granularity."""
-        return self.buckets_read * self.config.bucket_bytes
-
-    @property
-    def bytes_written(self) -> int:
-        """Total bytes written at the padded bucket granularity."""
-        return self.buckets_written * self.config.bucket_bytes
-
-    @property
-    def bytes_moved(self) -> int:
-        """Read + written bytes."""
-        return self.bytes_read + self.bytes_written
-
-    def reset_counters(self) -> None:
-        """Zero the bandwidth counters."""
-        self.buckets_read = 0
-        self.buckets_written = 0
 
     def occupancy(self) -> int:
         """Total real blocks stored (requires decrypting every bucket)."""

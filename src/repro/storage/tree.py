@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.config import OramConfig
 from repro.storage.bucket import Bucket
+from repro.utils.stats import LEDGERS
 
 
 def path_indices(leaf: int, levels: int) -> List[int]:
@@ -29,11 +30,43 @@ def path_indices(leaf: int, levels: int) -> List[int]:
 PATH_CACHE_LIMIT = 1 << 15
 
 
-class TreeStorage:
+@LEDGERS["storage"].bind()
+class BucketLedger:
+    """Bandwidth accounting at the padded bucket granularity, one
+    implementation for every tree storage: ``buckets_read`` /
+    ``buckets_written`` are the slots of ``ledger``, which the columnar
+    access kernel counts in too."""
+
+    def __init__(self, config: OramConfig):
+        self.config = config
+        self.ledger = LEDGERS["storage"].column()
+
+    @property
+    def bytes_read(self) -> int:
+        """Total bytes read at the padded bucket granularity."""
+        return self.buckets_read * self.config.bucket_bytes
+
+    @property
+    def bytes_written(self) -> int:
+        """Total bytes written at the padded bucket granularity."""
+        return self.buckets_written * self.config.bucket_bytes
+
+    @property
+    def bytes_moved(self) -> int:
+        """Read + written bytes."""
+        return self.bytes_read + self.bytes_written
+
+    def reset_counters(self) -> None:
+        """Zero the bandwidth counters (used between experiment phases)."""
+        self.buckets_read = 0
+        self.buckets_written = 0
+
+
+class TreeStorage(BucketLedger):
     """Untrusted external memory holding the ORAM tree as live objects."""
 
     def __init__(self, config: OramConfig, observer=None):
-        self.config = config
+        super().__init__(config)
         self.observer = observer
         self._buckets: List[Optional[Bucket]] = [None] * config.num_buckets
         # Replay touches the same leaves repeatedly; memoise each path's
@@ -42,9 +75,6 @@ class TreeStorage:
         # bucket lists stay valid because buckets are created exactly once.
         self._path_cache: Dict[int, Tuple[int, ...]] = {}
         self._bucket_path_cache: Dict[int, List[Bucket]] = {}
-        # Bandwidth accounting (logical bytes at the padded bucket size).
-        self.buckets_read = 0
-        self.buckets_written = 0
 
     # -- geometry -----------------------------------------------------------
 
@@ -114,28 +144,6 @@ class TreeStorage:
         self.buckets_written += self.config.levels + 1
         if self.observer is not None:
             self.observer.on_path_write(leaf, self._indices(leaf))
-
-    # -- accounting -----------------------------------------------------------
-
-    @property
-    def bytes_read(self) -> int:
-        """Total bytes read at the padded bucket granularity."""
-        return self.buckets_read * self.config.bucket_bytes
-
-    @property
-    def bytes_written(self) -> int:
-        """Total bytes written at the padded bucket granularity."""
-        return self.buckets_written * self.config.bucket_bytes
-
-    @property
-    def bytes_moved(self) -> int:
-        """Read + written bytes."""
-        return self.bytes_read + self.bytes_written
-
-    def reset_counters(self) -> None:
-        """Zero the bandwidth counters (used between experiment phases)."""
-        self.buckets_read = 0
-        self.buckets_written = 0
 
     def occupancy(self) -> int:
         """Total real blocks currently stored in the tree."""

@@ -8,7 +8,8 @@ aggregations plus a streaming mean/max tracker used by the stash monitor.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence, Tuple
+from array import array
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 
 def geometric_mean(values: Iterable[float]) -> float:
@@ -66,6 +67,63 @@ class LedgerSlot:
 
     def __set__(self, owner, value) -> None:
         owner.ledger[self.index] = value
+
+
+class Ledger(NamedTuple):
+    """One ledger's layout: its slots' names, in the order the native
+    kernels count them, and their ``array`` type code."""
+
+    name: str
+    typecode: str
+    slots: Tuple[str, ...]
+
+    def column(self) -> array:
+        """A zeroed column, one item per slot."""
+        itemsize = array(self.typecode).itemsize
+        return array(self.typecode, bytes(itemsize * len(self.slots)))
+
+    def bind(self, column: str = "ledger"):
+        """Class decorator: each slot becomes an attribute of its name, a
+        :class:`LedgerSlot` of ``ledger`` (a read-only view of another
+        ``column``). A name the class defines itself keeps its own
+        reading (``OccupancyStats.max`` is ``-inf`` while nothing is
+        counted)."""
+
+        def install(cls):
+            for index, name in enumerate(self.slots):
+                if name in vars(cls):
+                    continue
+                if column == "ledger":
+                    setattr(cls, name, LedgerSlot(index))
+                else:
+                    setattr(cls, name, property(
+                        lambda owner, i=index: getattr(owner, column)[i]
+                    ))
+            return cls
+
+        return install
+
+
+#: Every ledger a native kernel counts in, declared once: what each
+#: owner's slots and zeroed column come from, and what the compiled
+#: core's own ``LEDGERS`` (one X-macro per ledger) must equal, in this
+#: order, for :mod:`repro.sim.native` to use it.
+LEDGERS: Dict[str, Ledger] = {ledger.name: ledger for ledger in (
+    Ledger("frontend", "q", (
+        "accesses", "data_tree_accesses", "posmap_tree_accesses", "plb_hits",
+        "plb_misses", "plb_refills", "plb_evictions", "group_remaps",
+        "group_relocations", "mac_checks", "fresh_blocks",
+    )),
+    Ledger("plb", "q", ("_clock", "hits", "misses")),
+    Ledger("prf", "q", ("call_count",)),
+    Ledger("mac", "q", ("call_count", "bytes_hashed")),
+    Ledger("backend", "q", ("access_count", "tree_access_count", "append_count")),
+    Ledger("storage", "q", ("buckets_read", "buckets_written")),
+    # The stash's occupancy summary, RunningStats' state: the int64 half
+    # and the float64 one.
+    Ledger("occupancy", "q", ("count", "max", "min")),
+    Ledger("moments", "d", ("mean", "_m2")),
+)}
 
 
 class RunningStats:

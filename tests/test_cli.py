@@ -2,6 +2,7 @@
 
 import json
 import os
+import threading
 
 import pytest
 from hypothesis import given
@@ -90,6 +91,22 @@ class TestHelp:
         assert captured.err.startswith("REPRO_NATIVE='requrie': expected ")
         assert captured.out == ""
 
+    def test_an_oversized_deadline_exits_2_naming_it(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_RPC_TIMEOUT", "1e300")
+        assert main(["list"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("REPRO_RPC_TIMEOUT='1e300': expected ")
+
+    @pytest.mark.parametrize("timeout", ["inf", "1e300", "0"])
+    def test_a_worker_connect_timeout_settimeout_refuses_is_a_usage_error(
+        self, timeout, capsys
+    ):
+        command = ["fabric", "serve-worker", "--connect", "127.0.0.1:1"]
+        assert main([*command, "--timeout", timeout]) == 2
+        assert "argument --timeout: requires a positive number" in (
+            capsys.readouterr().err
+        )
+
 
 _WORDS = set(TRUE_WORDS + FALSE_WORDS)
 _paths = (
@@ -100,6 +117,10 @@ _paths = (
     .filter(lambda text: text == text.strip() and text.lower() not in _WORDS)
 )
 _seconds = st.floats(min_value=0, allow_nan=False, allow_infinity=False)
+#: A deadline: positive, and no longer than ``socket.settimeout`` takes.
+_deadlines = st.floats(
+    min_value=0, max_value=threading.TIMEOUT_MAX, exclude_min=True
+)
 _settings = st.builds(
     Settings,
     native=st.sampled_from(["on", "off", "require"]),
@@ -110,8 +131,8 @@ _settings = st.builds(
     full=st.booleans(),
     retries=st.integers(min_value=1),
     retry_base=_seconds,
-    cell_timeout=st.none() | _seconds.filter(lambda seconds: seconds > 0),
-    rpc_timeout=st.none() | _seconds.filter(lambda seconds: seconds > 0),
+    cell_timeout=st.none() | _deadlines,
+    rpc_timeout=st.none() | _deadlines,
     connect_retries=st.integers(min_value=1),
     faults=st.text(st.characters(blacklist_categories=["Cs"])).map(str.strip),
     faults_seed=st.integers(),

@@ -229,6 +229,9 @@ def run_lockstep(
             raise Divergence(index, "stash")
         if counters(obj) != counters(col):
             raise Divergence(index, "counters")
+        # Both tiers count in one layout: the columns themselves agree.
+        if (obj.ledger, obj.storage.ledger) != (col.ledger, col.storage.ledger):
+            raise Divergence(index, "ledgers")
         busy = busy + 1 if col.stash_occupancy() else 0
         longest = max(longest, busy)
     if tree_records(obj.storage) != tree_records(col.storage):

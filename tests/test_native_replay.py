@@ -48,7 +48,6 @@ from repro.errors import (
     NativeKernelUnavailable,
     StashOverflowError,
 )
-from repro.frontend import FrontendStats
 from repro.presets import build_frontend
 from repro.settings import Settings
 from repro.sim.engine import ReplayEngine
@@ -64,8 +63,14 @@ from repro.storage import make_storage
 from repro.storage.snapshot import tree_digest, tree_records
 from repro.storage.tree import TreeStorage
 from repro.utils.rng import DeterministicRng
+from repro.utils.stats import LEDGERS
 
-from test_replay_differential import BLOCKS, frontend_digests, make_trace
+from test_replay_differential import (
+    BLOCKS,
+    frontend_digests,
+    ledger_image,
+    make_trace,
+)
 
 CORE = load_native_core()
 needs_core = pytest.mark.skipif(
@@ -855,6 +860,45 @@ class TestDispatchPolicy:
             PathOramBackend
         )
 
+    @needs_core
+    def test_the_core_counts_in_the_tables_ledgers(self):
+        assert CORE.LEDGERS.splitlines() == [
+            " ".join((row.name, row.typecode, *row.slots))
+            for row in LEDGERS.values()
+        ]
+
+    @needs_core
+    @pytest.mark.parametrize(
+        "ledger", [name for name in LEDGERS if len(LEDGERS[name].slots) > 1]
+    )
+    def test_a_core_whose_ledger_differs_is_refused(self, monkeypatch, ledger):
+        """A build whose kernels count one ledger in another layout than
+        the table the Python owners read — two slots swapped — sends the
+        default to the reference tier and fails ``require``, naming the
+        ledger, instead of counting every figure's counters in the wrong
+        slots."""
+        rows = [line.split() for line in CORE.LEDGERS.splitlines()]
+        for row in rows:
+            if row[0] == ledger:
+                row[2:4] = row[3:1:-1]  # its first two slots, swapped
+        monkeypatch.setattr(CORE, "LEDGERS", "\n".join(map(" ".join, rows)))
+        monkeypatch.setattr(native_pkg, "_CORE_CACHE", [])
+        monkeypatch.setenv("REPRO_NATIVE", "on")
+        assert load_native_core() is None
+        assert resolve_tier() == ("scalar", None)
+        monkeypatch.setattr(native_pkg, "_CORE_CACHE", [])
+        monkeypatch.setenv("REPRO_NATIVE", "require")
+        with pytest.raises(NativeKernelUnavailable, match=f"'{ledger}' ledger"):
+            load_native_core()
+
+    @needs_core
+    def test_a_core_without_ledgers_is_refused(self, monkeypatch):
+        monkeypatch.delattr(CORE, "LEDGERS")
+        monkeypatch.setattr(native_pkg, "_CORE_CACHE", [])
+        monkeypatch.setenv("REPRO_NATIVE", "require")
+        with pytest.raises(NativeKernelUnavailable, match="'frontend' ledger"):
+            load_native_core()
+
     def test_fallback_replay_matches_the_reference(self, monkeypatch):
         """End to end: an unbuilt extension replays on the reference tier
         — object storage, the per-event loop — the same bits as asking
@@ -963,33 +1007,6 @@ class TestEngineHookup:
         engine.enable_native(CORE)
         assert engine._native is CORE
         assert fe._kernel is None
-
-
-def ledger_image(frontend):
-    """Every counter the kernels move, read through the owners' names:
-    the statistics, the PLB's, the PRF's and the MAC's, and per tree the
-    backend's, the storage's and the stash occupancy summary."""
-    image = {"stats": {
-        name: getattr(frontend.stats, name) for name in FrontendStats.COUNTERS
-    }}
-    plb = getattr(frontend, "plb", None)
-    if plb is not None:
-        prf, mac = frontend.crypto.prf, frontend.crypto.mac
-        image["plb"] = (plb._clock, plb.hits, plb.misses)
-        image["crypto"] = (prf.call_count, mac.call_count, mac.bytes_hashed)
-    image["trees"] = [
-        (
-            backend.access_count, backend.tree_access_count,
-            backend.append_count, backend.storage.buckets_read,
-            backend.storage.buckets_written,
-            tuple(
-                getattr(backend.stash.occupancy_stats, name)
-                for name in ("count", "mean", "_m2", "max", "min")
-            ),
-        )
-        for backend in getattr(frontend, "backends", None) or [frontend.backend]
-    ]
-    return image
 
 
 #: The schemes whose counters a slice moves: a small set-associative PLB

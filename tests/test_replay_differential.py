@@ -42,6 +42,7 @@ from repro.sim.timing import OramTimingModel
 from repro.storage import ColumnarTreeStorage, TreeStorage
 from repro.storage.snapshot import tree_digest
 from repro.utils.rng import DeterministicRng
+from repro.utils.stats import LEDGERS
 
 BLOCKS = 2**10
 
@@ -92,6 +93,40 @@ def frontend_stashes(frontend):
 def stats_image(frontend):
     return {
         name: getattr(frontend.stats, name) for name in FrontendStats.COUNTERS
+    }
+
+
+def ledger_owners(frontend):
+    """Every owner of a ledger in ``LEDGERS`` a frontend has, by ledger:
+    its statistics, the PLB's, the PRF's and the MAC's, and per tree the
+    backend, the storage and the stash's occupancy summary (on object
+    storage a ``RunningStats``, the reference that ``OccupancyStats``
+    keeps the same names as)."""
+    backends = frontend_backends(frontend)
+    owners = {"frontend": [frontend.stats]}
+    plb = getattr(frontend, "plb", None)
+    if plb is not None:
+        owners["plb"] = [plb]
+    crypto = getattr(frontend, "crypto", None)
+    if crypto is not None:
+        owners.update(prf=[crypto.prf], mac=[crypto.mac])
+    occupancy = [backend.stash.occupancy_stats for backend in backends]
+    owners.update(
+        backend=backends, storage=[backend.storage for backend in backends],
+        occupancy=occupancy, moments=occupancy,
+    )
+    return owners
+
+
+def ledger_image(frontend):
+    """Every counter the kernels move, read through its owner's names in
+    the table's order: what both tiers must leave alike."""
+    return {
+        name: [
+            tuple(getattr(owner, slot) for slot in LEDGERS[name].slots)
+            for owner in owners
+        ]
+        for name, owners in ledger_owners(frontend).items()
     }
 
 

@@ -12,6 +12,8 @@ import importlib.util
 import json
 import os
 import re
+import socket
+import threading
 from pathlib import Path
 
 import pytest
@@ -147,6 +149,20 @@ class TestGrammar:
         assert Settings.from_env({"REPRO_CELL_TIMEOUT": "0"}).cell_timeout is None
         assert Settings.from_env({"REPRO_CELL_TIMEOUT": "off"}).cell_timeout is None
         assert Settings.from_env({"REPRO_CELL_TIMEOUT": "2.5"}).cell_timeout == 2.5
+
+    @pytest.mark.parametrize("name", ["REPRO_RPC_TIMEOUT", "REPRO_CELL_TIMEOUT"])
+    def test_a_deadline_socket_settimeout_refuses_is_refused(self, name):
+        """``1e300`` passed the parser and then raised ``OverflowError``
+        from ``settimeout`` in every fabric worker; the largest deadline
+        accepted is the largest ``settimeout`` takes."""
+        with pytest.raises(ConfigurationError) as caught:
+            Settings.from_env({name: "1e300"})
+        assert str(caught.value).startswith(f"{name}='1e300': expected ")
+        largest = Settings.from_env({name: repr(threading.TIMEOUT_MAX)})
+        seconds = getattr(largest, name[len("REPRO_"):].lower())
+        assert seconds == threading.TIMEOUT_MAX
+        with socket.socket() as sock:
+            sock.settimeout(seconds)
 
     def test_names_it_does_not_declare_are_ignored(self):
         """The benchmark harness still pins two tier variables beside

@@ -39,6 +39,7 @@ from test_replay_differential import (
     frontend_columns,
     frontend_digests,
     frontend_stashes,
+    ledger_image,
     make_trace,
 )
 
@@ -64,25 +65,6 @@ scribbles = st.lists(
     ),
     max_size=12,
 ).map(lambda drawn: [("live", 0), ("free", 0), ("outside", 1), ("any", 0)] + drawn)
-
-
-def ledgers(frontend):
-    """Every counter column a replay moves, by owner."""
-    image = {"stats": frontend.stats.ledger.tolist()}
-    plb = getattr(frontend, "plb", None)
-    if plb is not None:
-        image["plb"] = plb.ledger.tolist()
-    crypto = getattr(frontend, "crypto", None)
-    if crypto is not None:
-        image["prf"] = crypto.prf.ledger.tolist()
-        image["mac"] = crypto.mac.ledger.tolist()
-    for level, backend in enumerate(frontend_backends(frontend)):
-        occupancy = backend.stash.occupancy_stats
-        image[level] = (
-            backend.ledger.tolist(), backend.storage.ledger.tolist(),
-            occupancy.ledger.tolist(), occupancy.moments.tolist(),
-        )
-    return image
 
 
 def scribble(frontend, plan, turn):
@@ -129,7 +111,7 @@ def test_stale_slots_are_never_read(scheme, plan, seed):
         expected = replay_trace(clean, chunk, TIMING, scheme=scheme)
         got = replay_trace(scribbled, chunk, TIMING, scheme=scheme)
         assert expected == got and repr(expected.cycles) == repr(got.cycles)
-        assert ledgers(clean) == ledgers(scribbled)
+        assert ledger_image(clean) == ledger_image(scribbled)
         assert frontend_columns(clean) == frontend_columns(scribbled)
         assert frontend_stashes(clean) == frontend_stashes(scribbled)
         assert frontend_digests(clean) == frontend_digests(scribbled)

@@ -9,18 +9,24 @@ from hypothesis import strategies as st
 
 from repro.backend.stash import OccupancyStats
 from repro.config import OramConfig
-from repro.crypto.mac import Mac
-from repro.crypto.prf import Prf
+from repro.crypto.pad import PadGenerator
 from repro.frontend import FrontendStats
-from repro.frontend.plb import Plb
+from repro.presets import build_frontend
+from repro.sim.native import load_native_core
 from repro.storage.columnar import ColumnarTreeStorage
+from repro.storage.encrypted import EncryptedTreeStorage
+from repro.storage.tree import TreeStorage
+from repro.utils.rng import DeterministicRng
 from repro.utils.stats import (
+    LEDGERS,
+    LedgerSlot,
     RunningStats,
     chi_square_uniform,
     geometric_mean,
     histogram,
     normalize,
 )
+from test_replay_differential import ledger_owners
 
 
 class TestGeometricMean:
@@ -108,50 +114,83 @@ class TestRunningStats:
         assert rs.min == min(values)
 
 
-#: Every owner whose counters the kernels count in place: how to make
-#: one, and its counters in ledger order (the kernels' order).
-LEDGER_OWNERS = {
-    "stats": (FrontendStats, FrontendStats.COUNTERS),
-    "plb": (lambda: Plb(256, 64, ways=2), ("_clock", "hits", "misses")),
-    "prf": (lambda: Prf(b"k" * 16), ("call_count",)),
-    "mac": (lambda: Mac(b"k" * 16), ("call_count", "bytes_hashed")),
-    "storage": (
-        lambda: ColumnarTreeStorage(OramConfig(num_blocks=64, block_bytes=8)),
-        ("buckets_read", "buckets_written"),
-    ),
-}
+def owners_of(ledger, storage):
+    """A PIC_X32 frontend's owners of ``ledger`` on ``storage`` (the helper
+    every ledger test reads through), and the column they count in."""
+    if storage == "columnar" and load_native_core() is None:
+        pytest.skip("compiled core not built or switched off")
+    frontend = build_frontend(
+        "PIC_X32", num_blocks=64, rng=DeterministicRng(1), storage=storage
+    )
+    column = "moments" if ledger == "moments" else "ledger"
+    return ledger_owners(frontend)[ledger], column
+
+
+#: (ledger, storage) for every owner of every ledger on both tiers; the
+#: object stash's occupancy summary is a RunningStats, not a ledger.
+OWNED = [
+    (ledger, storage)
+    for ledger in LEDGERS
+    for storage in ("object", "columnar")
+    if storage == "columnar" or ledger not in ("occupancy", "moments")
+]
 
 
 class TestLedgerSlot:
     """A counter is one slot of its owner's ``ledger``: the name and the
-    slot are the same int64, whichever side writes it."""
+    slot are the same item, whichever side writes it, laid out as the
+    table says on both tiers."""
 
-    @pytest.mark.parametrize("owner", sorted(LEDGER_OWNERS))
-    def test_each_name_is_its_own_slot(self, owner):
-        make, names = LEDGER_OWNERS[owner]
-        obj = make()
-        ledger = obj.ledger
-        assert ledger.typecode == "q" and list(ledger) == [0] * len(names)
-        for index, name in enumerate(names):
-            setattr(obj, name, 1000 + index)
-            assert ledger[index] == 1000 + index
-            ledger[index] = -index
-            assert getattr(obj, name) == -index
-        with pytest.raises(OverflowError):
-            setattr(obj, names[0], 2**63)
-        with pytest.raises(TypeError):
-            setattr(obj, names[0], "seven")
+    @pytest.mark.parametrize("ledger,storage", OWNED)
+    def test_each_name_is_its_own_slot(self, ledger, storage):
+        owners, column = owners_of(ledger, storage)
+        layout = LEDGERS[ledger]
+        for owner in owners:
+            items = getattr(owner, column)
+            assert items.typecode == layout.typecode
+            assert list(items) == [0] * len(layout.slots)
+            for index, name in enumerate(layout.slots):
+                items[index] = 7 + index  # what a kernel writes
+                assert getattr(owner, name) == 7 + index
+                if isinstance(getattr(type(owner), name), LedgerSlot):
+                    setattr(owner, name, 1000 + index)
+                    assert items[index] == 1000 + index
+            if column == "ledger":
+                with pytest.raises(OverflowError):
+                    setattr(owner, layout.slots[0], 2**63)
+                with pytest.raises(TypeError):
+                    setattr(owner, layout.slots[0], "seven")
 
-    @pytest.mark.parametrize("owner", ["plb", "mac", "storage"])
-    def test_reset_counters_zeroes_the_ledger(self, owner):
-        make, names = LEDGER_OWNERS[owner]
-        obj = make()
-        obj.ledger[:] = array("q", range(1, len(names) + 1))
-        obj.reset_counters()
-        if owner == "plb":
-            assert list(obj.ledger) == [1, 0, 0]  # the LRU clock runs on
+    @pytest.mark.parametrize("storage", ["object", "columnar"])
+    @pytest.mark.parametrize("ledger", ["plb", "mac", "storage"])
+    def test_reset_counters_zeroes_the_ledger(self, ledger, storage):
+        owners, _ = owners_of(ledger, storage)
+        for owner in owners:
+            owner.ledger[:] = array("q", range(1, len(owner.ledger) + 1))
+            owner.reset_counters()
+            if ledger == "plb":
+                assert list(owner.ledger) == [1, 0, 0]  # the LRU clock runs on
+            else:
+                assert not any(owner.ledger)
+
+    @pytest.mark.parametrize("kind", ["object", "encrypted", "columnar"])
+    def test_every_storage_accounts_buckets_alike(self, kind):
+        """The three storages share one accounting: a path read and written
+        back is levels + 1 buckets each way, at the padded bucket size."""
+        config = OramConfig(num_blocks=64, block_bytes=8)
+        if kind == "encrypted":
+            storage = EncryptedTreeStorage(config, PadGenerator(b"k" * 16))
         else:
-            assert not any(obj.ledger)
+            storage = (ColumnarTreeStorage if kind == "columnar" else TreeStorage)(config)
+        suffix = "_slots" if kind == "columnar" else ""
+        getattr(storage, "read_path" + suffix)(3)
+        getattr(storage, "write_path" + suffix)(3)
+        path = config.levels + 1
+        assert (storage.buckets_read, storage.buckets_written) == (path, path)
+        assert storage.bytes_read == storage.bytes_written == path * config.bucket_bytes
+        assert storage.bytes_moved == 2 * path * config.bucket_bytes
+        storage.reset_counters()
+        assert list(storage.ledger) == [0, 0] and storage.bytes_moved == 0
 
     def test_frontend_stats_compare_by_value(self):
         a, b = FrontendStats(), FrontendStats()
