@@ -14,7 +14,7 @@ from repro.config import OramConfig
 from repro.crypto.suite import CryptoSuite
 from repro.presets import build_frontend
 from repro.proc.hierarchy import MissEvent, MissTrace
-from repro.sim.native import load_native_core
+from repro.sim.native import load_native_core, unavailable_reason
 from repro.sim.system import replay_trace
 from repro.sim.timing import OramTimingModel
 from repro.storage.columnar import ColumnarTreeStorage
@@ -54,7 +54,7 @@ def test_replay_hot_path_throughput(benchmark):
     "object",
     # Its backend is the native access kernel.
     pytest.param("columnar", marks=pytest.mark.skipif(
-        load_native_core() is None, reason="compiled core not built"
+        load_native_core() is None, reason=unavailable_reason()
     )),
 ])
 def test_replay_throughput_by_storage(benchmark, scheme, storage):
@@ -87,7 +87,7 @@ def test_backend_access_throughput(benchmark):
     benchmark(one_access)
 
 
-@pytest.mark.skipif(load_native_core() is None, reason="compiled core not built")
+@pytest.mark.skipif(load_native_core() is None, reason=unavailable_reason())
 def test_columnar_backend_access_throughput_sparse(benchmark):
     """The native AccessKernel's tree access alone, on a 2^18-leaf tree
     holding at most 256 blocks: a 19-bucket path with few occupied."""
@@ -133,7 +133,7 @@ def test_prf_fast_throughput(benchmark):
 PAIRS_PER_CALL = 1_000
 
 
-@pytest.mark.skipif(load_native_core() is None, reason="compiled core not built")
+@pytest.mark.skipif(load_native_core() is None, reason=unavailable_reason())
 @pytest.mark.parametrize("spelling", ["scalar", "avx512vl"])
 def test_native_leaf_pair_throughput(benchmark, spelling):
     """A remap's two leaves in the C core, per spelling of the pair:

@@ -304,7 +304,7 @@ class FabricWorker:
             reply = {
                 "type": "result",
                 "id": task["id"],
-                "result": dataclasses.asdict(result),
+                "result": result.to_dict(),
             }
         self._send(reply)
 

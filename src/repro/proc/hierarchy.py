@@ -73,9 +73,12 @@ class MissTrace:
         self.events = () if events is None else events
 
     def _adopt(self, line_addrs, is_write) -> None:
-        """Copy two columns (buffers or int sequences) into the trace's."""
-        self._columns = (array("q", line_addrs), array("b", is_write))
+        """Copy two columns (buffers or int sequences) into the trace's,
+        and count the demand misses among them once."""
+        is_write = array("b", is_write)
+        self._columns = (array("q", line_addrs), is_write)
         self._events: Optional[Tuple[MissEvent, ...]] = None
+        self._llc_misses = len(is_write) - is_write.count(1)
 
     @property
     def events(self) -> Tuple[MissEvent, ...]:
@@ -104,8 +107,7 @@ class MissTrace:
     @property
     def llc_misses(self) -> int:
         """Demand misses (excludes eviction writebacks)."""
-        is_write = self._columns[1]
-        return len(is_write) - is_write.count(1)
+        return self._llc_misses
 
     def columns(self) -> Tuple[array, array]:
         """Struct-of-arrays view of the event stream: (line_addrs, is_write),

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Sequence
 
 
@@ -48,6 +48,17 @@ class SimResult:
         if baseline.cycles == 0:
             raise ValueError("baseline has zero cycles")
         return self.cycles / baseline.cycles
+
+    def to_dict(self) -> Dict[str, object]:
+        """The plain dict of the fields, in declaration order: what the
+        result store, the sweep report and the fabric's wire all carry
+        (``SimResult(**d)`` is the inverse). Every field is a scalar, so
+        reading them is the whole copy ``dataclasses.asdict`` would make.
+        """
+        return {name: getattr(self, name) for name in _FIELDS}
+
+
+_FIELDS = tuple(f.name for f in fields(SimResult))
 
 
 def format_table(

@@ -26,6 +26,11 @@ never measured as the fast tier. So is a build whose ``LEDGERS`` — the
 counter layout its kernels count in, one line per ledger from one
 X-macro each — differs from :data:`repro.utils.stats.LEDGERS`, the
 layout the Python owners read: the first ledger that differs is named.
+A build the loader refuses (an undefined symbol, say) is unusable too,
+and the reason carries the loader's own message;
+:func:`unavailable_reason` is that reason, which is also what every
+fast-tier test that skips gives, so a stale build is never mistaken for
+a missing one.
 
 ``REPRO_NATIVE`` (:attr:`repro.settings.Settings.native`) is the one
 switch: ``on`` (the default) uses a usable extension and otherwise runs
@@ -48,6 +53,7 @@ from repro.utils.stats import LEDGERS
 
 #: Memoised import: unset, or one ``(module | None, why it is unusable)``.
 _CORE_CACHE: list = []
+_MODULE = __name__ + "._replay_core"
 
 
 def build_hint() -> str:
@@ -68,8 +74,12 @@ def source_digest() -> Optional[str]:
 def _import_core():
     try:
         from repro.sim.native import _replay_core
-    except ImportError:
-        return None, "the native extension is not built"
+    except ImportError as exc:
+        # Absent, or there and refused by the loader (an undefined symbol,
+        # a build for another interpreter): the loader's words say which.
+        absent = isinstance(exc, ModuleNotFoundError) and exc.name == _MODULE
+        state = "is not built" if absent else "does not load"
+        return None, f"the native extension {state} ({exc})"
     expected = source_digest()
     built = getattr(_replay_core, "SOURCE_DIGEST", None)
     if expected is not None and built != expected:
@@ -121,15 +131,26 @@ def native_available() -> bool:
     return load_native_core() is not None
 
 
+def unavailable_reason() -> str:
+    """Why there is no core under the environment's ``REPRO_NATIVE``, in
+    the loader's words (unbuilt, failing to load, stale, a ledger that
+    differs, or switched off); ``""`` when there is one. What a skipped
+    fast-tier test gives as its reason."""
+    policy = Settings.native_from_env()
+    if policy == "off":
+        return "REPRO_NATIVE=off"
+    native_core("on")
+    return _CORE_CACHE[0][1]
+
+
 def require_core() -> object:
     """The core the fast tier runs on, or
     :class:`~repro.errors.NativeKernelUnavailable` naming why there is none
     and the build command."""
-    policy = Settings.native_from_env()
-    core = native_core(policy)
+    core = load_native_core()
     if core is None:
-        why = "REPRO_NATIVE=off" if policy == "off" else _CORE_CACHE[0][1]
         raise NativeKernelUnavailable(
-            f"the fast tier runs on the native kernels ({why}); {build_hint()}"
+            f"the fast tier runs on the native kernels ({unavailable_reason()});"
+            f" {build_hint()}"
         )
     return core

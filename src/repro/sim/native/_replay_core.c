@@ -52,15 +52,17 @@
  * and the stash own, and nothing else: addr_col / leaf_col (int64 per
  * arena slot), the chunked byte arena and mac_col, the free stack and
  * the stash (length-prefixed int32 columns: item 0 is the depth or the
- * occupancy), bucket_slots (Z int32 slot ids per bucket) and bucket_fill
- * (one uint8 count per bucket).  An AccessKernel reads and writes those
- * columns through the buffer protocol: the drain, the placement, the
- * stash rebuild and the slot claim touch no list, dict or PyLong and
- * allocate nothing (only the block of interest's MAC and payload are
- * reached through mac_col and the chunk table, the two arena-sized
- * lists that remain), and the handle keeps no copy of tree state — the
- * snapshots, the tamper hooks and the backend's rollback read and write
- * the same memory.
+ * occupancy; the free stack's item 1 is the arena's high-water mark,
+ * the first slot never handed out), bucket_slots (Z int32 slot ids per
+ * bucket) and bucket_fill (one uint8 count per bucket).  An
+ * AccessKernel reads and writes those columns through the buffer
+ * protocol: the drain, the placement, the stash rebuild and the slot
+ * claim touch no list, dict or PyLong and allocate nothing (only the
+ * block of interest's MAC and payload are reached through mac_col and
+ * the chunk table, the two arena-sized lists that remain; a payload is
+ * read in place through its chunk's memoryview, exporting nothing), and
+ * the handle keeps no copy of tree state — the snapshots, the tamper
+ * hooks and the backend's rollback read and write the same memory.
  *
  * The frontends' state is typed columns too, owned by the Python objects
  * that model the hardware and worked on in place by FrontendKernel and
@@ -72,9 +74,10 @@
  * BLAKE2b compression where the CPU has AVX-512F+VL and in two scalar
  * ones elsewhere (PRF_PAIR names which; chosen at import).  A
  * request makes no PyLong, tuple or dict and reads no attribute: what is
- * still an object on a request is a MAC (bytes in mac_col), the payload
- * chunk it is copied through, the frontend generator's getrandbits()
- * and a column owner's _grow().
+ * still an object on a request is a MAC (bytes in mac_col), the
+ * frontend generator's getrandbits() and a column owner's _grow(),
+ * which only extends the arena's columns: a fresh slot comes from the
+ * high-water mark, not from a slot id pushed per slot.
  *
  * Counters are columns too.  Every counter a kernel moves — the
  * backend's three and the storage's two, the 11 of FrontendStats, the
@@ -120,7 +123,8 @@
  * _grow / reserve), and CPython refuses to resize an array with exported
  * buffers, so the handle binds the objects, never pointers: it exports
  * them on first use inside an entry (kernel_columns, which re-checks
- * equal arena lengths and both length prefixes every time) and releases
+ * equal arena lengths, both length prefixes and the high-water mark
+ * every time) and releases
  * them before a growth, before every call that can run foreign Python,
  * and when the entry returns (kernel_release).  Nothing measured before
  * such a call is trusted after it.  The frontends' columns follow the
@@ -1016,6 +1020,7 @@ struct AccessKernel {
      * growth or exit (kernel_columns / kernel_release). */
     Col addr, leaf, free_stack, stash_slots;
     int live;
+    int claimed_fresh; /* the last claim came from the high-water mark */
     Bucket *path;          /* levels + 1: the accessed path's buckets */
     long long *path_index; /* their heap indices */
     char *snap; /* the block of interest's payload before its visit */
@@ -1177,8 +1182,11 @@ fail:
 
 /* Export the growing columns (the arena's two, the free stack, the
  * stash), unless they still are from earlier in this entry, and check
- * what every later index relies on: equal arena columns, and each
- * length-prefixed column's prefix inside it. */
+ * what every later index relies on: equal arena columns, each
+ * length-prefixed column's prefix inside it (after its header: two
+ * words for the free stack, one for the stash), and the high-water mark
+ * inside both the arena and the free stack's capacity, so that every
+ * slot handed out could be pushed back. */
 static int
 kernel_columns(AccessKernel *self)
 {
@@ -1199,13 +1207,28 @@ kernel_columns(AccessKernel *self)
     const Col *prefixed[2] = {&self->free_stack, &self->stash_slots};
     for (int i = 0; i < 2; i++) {
         const int32_t *column = prefixed[i]->data;
-        if (prefixed[i]->len < 1 || column[0] < 0 ||
-            column[0] >= prefixed[i]->len) {
+        const Py_ssize_t header = i == 0 ? 2 : 1;
+        if (prefixed[i]->len < header || column[0] < 0 ||
+            column[0] > prefixed[i]->len - header) {
             PyErr_Format(PyExc_ValueError, "%s length %lld beyond its column",
                          i == 0 ? "free stack" : "stash",
-                         prefixed[i]->len < 1 ? -1LL : (long long)column[0]);
+                         prefixed[i]->len < header ? -1LL
+                                                   : (long long)column[0]);
             goto fail;
         }
+    }
+    const long long mark = ((int32_t *)self->free_stack.data)[1];
+    if (mark < 0 || mark > self->addr.len) {
+        PyErr_Format(PyExc_ValueError,
+                     "free stack high-water mark %lld outside the arena of "
+                     "%zd slots", mark, self->addr.len);
+        goto fail;
+    }
+    if (mark > self->free_stack.len - 2) {
+        PyErr_Format(PyExc_ValueError,
+                     "free stack high-water mark %lld beyond its capacity of "
+                     "%zd slots", mark, self->free_stack.len - 2);
+        goto fail;
     }
     self->live = 1;
     return 0;
@@ -1287,10 +1310,15 @@ kernel_notify(AccessKernel *self, PyObject *method, long long leaf)
     return 0;
 }
 
-/* Writable view of one slot's payload bytes inside its arena chunk. */
+/* Where one slot's payload bytes lie inside its arena chunk, read in
+ * place through the chunk's memoryview (storage._chunks holds one per
+ * chunk, and while it lives and is not released its bytearray cannot be
+ * resized): a touch is a pointer computation and exports nothing.  It
+ * checks, every time, what an export used to — a live, writable,
+ * C-contiguous memoryview long enough for the slot — and refuses in the
+ * export's words.  The pointer is good until Python next runs. */
 static int
-kernel_payload(AccessKernel *self, long long slot, Py_buffer *view,
-               char **bytes)
+kernel_payload(AccessKernel *self, long long slot, char **bytes)
 {
     Py_ssize_t chunk = (Py_ssize_t)(slot >> self->chunk_shift);
     if (slot < 0 || chunk >= PyList_GET_SIZE(self->chunks)) {
@@ -1298,13 +1326,32 @@ kernel_payload(AccessKernel *self, long long slot, Py_buffer *view,
                      slot);
         return -1;
     }
-    if (PyObject_GetBuffer(PyList_GET_ITEM(self->chunks, chunk), view,
-                           PyBUF_WRITABLE) < 0)
+    PyObject *owner = PyList_GET_ITEM(self->chunks, chunk);
+    if (!PyMemoryView_Check(owner)) {
+        PyErr_Format(PyExc_TypeError,
+                     "an arena chunk must be a memoryview, not '%.100s'",
+                     Py_TYPE(owner)->tp_name);
         return -1;
+    }
+    if (((PyMemoryViewObject *)owner)->flags & _Py_MEMORYVIEW_RELEASED) {
+        PyErr_SetString(PyExc_ValueError,
+                        "operation forbidden on released memoryview object");
+        return -1;
+    }
+    const Py_buffer *view = PyMemoryView_GET_BUFFER(owner);
+    if (view->readonly) {
+        PyErr_SetString(PyExc_BufferError,
+                        "memoryview: underlying buffer is not writable");
+        return -1;
+    }
+    if (!PyBuffer_IsContiguous(view, 'C')) {
+        PyErr_SetString(PyExc_BufferError,
+                        "memoryview: underlying buffer is not C-contiguous");
+        return -1;
+    }
     Py_ssize_t offset = (Py_ssize_t)(slot & self->chunk_mask) *
                         self->block_bytes;
     if (view->len < offset + self->block_bytes) {
-        PyBuffer_Release(view);
         PyErr_Format(PyExc_IndexError, "slot %lld outside the byte arena",
                      slot);
         return -1;
@@ -1317,7 +1364,7 @@ kernel_payload(AccessKernel *self, long long slot, Py_buffer *view,
 static int
 kernel_set_payload(AccessKernel *self, long long slot, PyObject *data)
 {
-    Py_buffer src, dst;
+    Py_buffer src;
     char *bytes;
     if (PyObject_GetBuffer(data, &src, PyBUF_SIMPLE) < 0)
         return -1;
@@ -1327,12 +1374,11 @@ kernel_set_payload(AccessKernel *self, long long slot, PyObject *data)
         PyBuffer_Release(&src);
         return -1;
     }
-    if (kernel_payload(self, slot, &dst, &bytes) < 0) {
+    if (kernel_payload(self, slot, &bytes) < 0) {
         PyBuffer_Release(&src);
         return -1;
     }
     memcpy(bytes, src.buf, (size_t)self->block_bytes);
-    PyBuffer_Release(&dst);
     PyBuffer_Release(&src);
     return 0;
 }
@@ -1383,15 +1429,18 @@ kernel_reserve_stash(AccessKernel *self, long long blocks)
     return 0;
 }
 
-/* store.alloc's slot claim: pop the free stack, growing the arena first
- * when it is empty, and refuse a slot that is outside the arena or
- * still holds a block.  Returns the slot, or -1 with nothing claimed. */
+/* store.alloc's slot claim: the last released slot (the free stack's
+ * top), else the fresh slot at the high-water mark, growing the arena
+ * first when the mark is at its end; a slot outside the arena or still
+ * holding a block is refused.  Returns the slot, or -1 with nothing
+ * claimed. */
 static long long
 kernel_claim_slot(AccessKernel *self)
 {
     if (kernel_columns(self) < 0)
         return -1;
-    if (*(int32_t *)self->free_stack.data == 0) {
+    int32_t *stack = self->free_stack.data;
+    if (stack[0] == 0 && stack[1] == self->addr.len) {
         kernel_release(self);
         PyObject *grown = PyObject_CallMethodNoArgs(self->storage, str_grow);
         if (grown == NULL)
@@ -1399,14 +1448,15 @@ kernel_claim_slot(AccessKernel *self)
         Py_DECREF(grown);
         if (kernel_columns(self) < 0)
             return -1;
-        if (*(int32_t *)self->free_stack.data == 0) {
+        stack = self->free_stack.data;
+        if (stack[0] == 0 && stack[1] == self->addr.len) {
             PyErr_SetString(PyExc_IndexError,
                             "arena growth left the free stack empty");
             return -1;
         }
     }
-    int32_t *stack = self->free_stack.data;
-    const long long slot = stack[stack[0]];
+    const int fresh = stack[0] == 0;
+    const long long slot = fresh ? stack[1] : stack[stack[0] + 1];
     if (slot < 0 || slot >= self->addr.len) {
         PyErr_Format(PyExc_IndexError, "free slot %lld outside the arena",
                      slot);
@@ -1417,8 +1467,24 @@ kernel_claim_slot(AccessKernel *self)
                      slot);
         return -1;
     }
-    stack[0]--;
+    if (fresh)
+        stack[1]++;
+    else
+        stack[0]--;
+    self->claimed_fresh = fresh;
     return slot;
+}
+
+/* Undo the last claim, the columns still live: the slot goes back where
+ * it came from. */
+static void
+kernel_unclaim_slot(AccessKernel *self)
+{
+    int32_t *stack = self->free_stack.data;
+    if (self->claimed_fresh)
+        stack[1]--;
+    else
+        stack[0]++;
 }
 
 /* store.release(slot).  The columns are live and the stack has room
@@ -1427,7 +1493,7 @@ static void
 kernel_release_slot(AccessKernel *self, long long slot)
 {
     int32_t *stack = self->free_stack.data;
-    stack[++stack[0]] = (int32_t)slot;
+    stack[++stack[0] + 1] = (int32_t)slot;
     ((long long *)self->addr.data)[slot] = DUMMY_ADDR;
 }
 
@@ -1576,7 +1642,6 @@ kernel_append(AccessKernel *self, long long addr, long long leaf,
     const long long slot = kernel_claim_slot(self);
     if (slot < 0)
         return -1;
-    Py_buffer view;
     char *bytes;
     /* The claim may have grown the arena: look at the stash column again. */
     const int room = occupancy + 1 < self->stash_slots.len;
@@ -1584,12 +1649,11 @@ kernel_append(AccessKernel *self, long long addr, long long leaf,
         PyErr_SetString(PyExc_IndexError,
                         "the stash column shrank under the access");
     if (!room || kernel_set_mac(self, slot, mac) < 0 ||
-        kernel_payload(self, slot, &view, &bytes) < 0) {
-        ++*(int32_t *)self->free_stack.data; /* unclaimed: still on top */
+        kernel_payload(self, slot, &bytes) < 0) {
+        kernel_unclaim_slot(self);
         return -1;
     }
     memcpy(bytes, data, (size_t)self->block_bytes);
-    PyBuffer_Release(&view);
     ((long long *)self->leaf.data)[slot] = leaf;
     ((long long *)self->addr.data)[slot] = addr;
     int32_t *stash = self->stash_slots.data;
@@ -1688,13 +1752,11 @@ static int
 block_visit(Visit *base, AccessKernel *self, long long slot)
 {
     BlockVisit *visit = (BlockVisit *)base;
-    Py_buffer view;
     char *bytes;
     kernel_release(self);
-    if (kernel_payload(self, slot, &view, &bytes) < 0)
+    if (kernel_payload(self, slot, &bytes) < 0)
         return -1;
     PyObject *payload = PyBytes_FromStringAndSize(bytes, self->block_bytes);
-    PyBuffer_Release(&view);
     if (payload == NULL)
         return -1;
     visit->block = PyObject_CallFunctionObjArgs(
@@ -1800,28 +1862,24 @@ kernel_tree_body(AccessKernel *self, int readrmv, long long addr,
         created_fresh = 1;
         ((long long *)self->addr.data)[found] = addr;
         ((long long *)self->leaf.data)[found] = new_leaf;
-        Py_buffer view;
         char *bytes;
         if (kernel_set_mac(self, found, Py_None) < 0 ||
-            kernel_payload(self, found, &view, &bytes) < 0)
+            kernel_payload(self, found, &bytes) < 0)
             goto abort;
         memset(bytes, 0, (size_t)self->block_bytes);
-        PyBuffer_Release(&view);
     }
 
     /* Snapshot the block of interest for rollback, then remap it. */
     {
-        Py_buffer view;
         char *bytes;
         if (found >= PyList_GET_SIZE(self->mac_col)) {
             PyErr_Format(PyExc_IndexError, "slot %lld outside mac_col",
                          found);
             goto abort;
         }
-        if (kernel_payload(self, found, &view, &bytes) < 0)
+        if (kernel_payload(self, found, &bytes) < 0)
             goto abort;
         memcpy(self->snap, bytes, (size_t)self->block_bytes);
-        PyBuffer_Release(&view);
         snapshotted = 1;
         saved_mac = PyList_GET_ITEM(self->mac_col, (Py_ssize_t)found);
         Py_INCREF(saved_mac);
@@ -1852,7 +1910,7 @@ kernel_tree_body(AccessKernel *self, int readrmv, long long addr,
     }
     /* READRMV frees the slot once the eviction is done: the stack must
      * have the room now, while the access can still be refused. */
-    else if (*(int32_t *)self->free_stack.data + 1 >= self->free_stack.len) {
+    else if (*(int32_t *)self->free_stack.data + 2 >= self->free_stack.len) {
         PyErr_SetString(PyExc_IndexError,
                         "the free stack has no room for another slot");
         goto abort;
@@ -2863,12 +2921,10 @@ static int
 fetch_visit(Visit *base, AccessKernel *tree, long long slot)
 {
     FetchVisit *visit = (FetchVisit *)base;
-    Py_buffer view;
     char *bytes;
-    if (kernel_payload(tree, slot, &view, &bytes) < 0)
+    if (kernel_payload(tree, slot, &bytes) < 0)
         return -1;
     memcpy(visit->fk->work, bytes, (size_t)tree->block_bytes);
-    PyBuffer_Release(&view);
     visit->mac = Py_NewRef(PyList_GET_ITEM(tree->mac_col, (Py_ssize_t)slot));
     return 0;
 }
@@ -2912,12 +2968,10 @@ data_visit(Visit *base, AccessKernel *tree, long long slot)
     DataVisit *visit = (DataVisit *)base;
     FrontendKernel *fk = visit->fk;
     const size_t block_bytes = (size_t)tree->block_bytes;
-    Py_buffer view;
     char *bytes;
-    if (kernel_payload(tree, slot, &view, &bytes) < 0)
+    if (kernel_payload(tree, slot, &bytes) < 0)
         return -1;
     memcpy(fk->work, bytes, block_bytes);
-    PyBuffer_Release(&view);
 
     PyObject *mac = Py_NewRef(PyList_GET_ITEM(tree->mac_col, (Py_ssize_t)slot));
     int rc = fk_verify(fk, mac, visit->addr, visit->old_counter, fk->work);
@@ -2948,10 +3002,9 @@ data_visit(Visit *base, AccessKernel *tree, long long slot)
             return -1;
         rc = kernel_set_mac(tree, slot, sealed);
         Py_DECREF(sealed);
-        if (rc < 0 || kernel_payload(tree, slot, &view, &bytes) < 0)
+        if (rc < 0 || kernel_payload(tree, slot, &bytes) < 0)
             return -1;
         memcpy(bytes, fk->work, block_bytes);
-        PyBuffer_Release(&view);
     }
     if (visit->want_data) {
         visit->data_out = PyBytes_FromStringAndSize((const char *)fk->work,
@@ -3841,19 +3894,17 @@ static int
 label_visit(Visit *base, AccessKernel *tree, long long slot)
 {
     LabelVisit *visit = (LabelVisit *)base;
-    /* The draw runs Python, so it comes before the payload export; the
+    /* The draw runs Python, so it comes before the payload is found; the
      * generator is all it touches, so the order does not show. */
     if (random_leaf(visit->getrandbits, visit->child_levels,
                     &visit->new_leaf) < 0)
         return -1;
-    Py_buffer view;
     char *bytes;
-    if (kernel_payload(tree, slot, &view, &bytes) < 0)
+    if (kernel_payload(tree, slot, &bytes) < 0)
         return -1;
     uint8_t *entry = (uint8_t *)bytes + visit->offset;
     visit->old_leaf = (long long)get_label(entry, visit->width);
     set_label(entry, visit->width, (uint64_t)visit->new_leaf);
-    PyBuffer_Release(&view);
     return 0;
 }
 
@@ -3883,12 +3934,10 @@ payload_visit(Visit *base, AccessKernel *tree, long long slot)
                    ? -1
                    : kernel_set_payload(tree, slot, visit->data_out);
     }
-    Py_buffer view;
     char *bytes;
-    if (kernel_payload(tree, slot, &view, &bytes) < 0)
+    if (kernel_payload(tree, slot, &bytes) < 0)
         return -1;
     visit->data_out = PyBytes_FromStringAndSize(bytes, tree->block_bytes);
-    PyBuffer_Release(&view);
     return visit->data_out == NULL ? -1 : 0;
 }
 

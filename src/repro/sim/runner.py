@@ -410,12 +410,20 @@ class SimulationRunner:
             return cached
         return None
 
-    def run_cell(self, cell: Cell, attempt: int = 1) -> SimResult:
-        """Compute one cell in this process, through the result store."""
+    def run_cell(
+        self, cell: Cell, attempt: int = 1, *, missed: bool = False
+    ) -> SimResult:
+        """Compute one cell in this process, through the result store.
+
+        ``missed=True`` says the caller has just looked the cell up and
+        found nothing (:meth:`execute`'s serial path), so the store is
+        not asked again; a fabric worker and :meth:`run_one` ask it here.
+        """
         fault_hook("cell", f"{cell.label}/{cell.bench}/{attempt}")
-        cached = self._load_cached(cell)
-        if cached is not None:
-            return cached
+        if not missed:
+            cached = self._load_cached(cell)
+            if cached is not None:
+                return cached
         trace = self.trace(cell.bench)
         if cell.spec is None:
             result = insecure_cycles(trace, self.proc)
@@ -577,7 +585,7 @@ class SimulationRunner:
             if delay:
                 time.sleep(delay)
             try:
-                return self.run_cell(cell, attempt)
+                return self.run_cell(cell, attempt, missed=True)
             except KeyboardInterrupt:
                 raise
             except Exception as exc:

@@ -144,14 +144,15 @@ class Store:
         except TypeError:
             return False
         fault_hook("cache.write", f"{kind}/begin")
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-        except OSError:
-            return False
         path = self.path_for(key)
         tmp = path.with_suffix(f".tmp.{os.getpid()}.{next(_TMP_SEQ)}")
         try:
-            tmp.write_bytes(data)
+            try:
+                tmp.write_bytes(data)
+            except FileNotFoundError:
+                # The directory is made by the first write that needs it.
+                self.root.mkdir(parents=True, exist_ok=True)
+                tmp.write_bytes(data)
             fault_hook("cache.write", f"{kind}/tmp", tmp)
             os.replace(tmp, path)
             fault_hook("cache.write", f"{kind}/replace", path)
@@ -266,7 +267,7 @@ def result_key(
 def _encode_result(result: SimResult) -> bytes:
     payload = {
         "schema": RESULT_SCHEMA_VERSION,
-        "result": dataclasses.asdict(result),
+        "result": result.to_dict(),
     }
     return json.dumps(payload, sort_keys=True).encode("utf-8")
 

@@ -27,7 +27,6 @@ prints the slowdown table and writes the JSON report.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass
@@ -475,7 +474,7 @@ def _run_bench_sweep(
             state.append(rec)
 
             def finished(label, name, result, cached):
-                rec["done"][(label, name)] = dataclasses.asdict(result)
+                rec["done"][(label, name)] = result.to_dict()
                 counters["from_cache" if cached else "executed"] += 1
                 # The result store already holds the cell, so a fault
                 # fired here never loses it.

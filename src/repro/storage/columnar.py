@@ -11,9 +11,16 @@ nothing else:
 - a contiguous, chunked **byte arena** holding every payload at
   ``slot * block_bytes`` (no per-block ``bytes`` objects at rest), and
   ``mac_col``, the optional PMMAC tag per slot;
-- ``_free`` — the free slots, a length-prefixed int32 LIFO beside the
-  arena: ``_free[0]`` is the stack depth, ``_free[1..depth]`` the slot
-  ids, top last;
+- ``_free`` — the free slots, an int32 column beside the arena with a
+  two-word header: ``_free[0]`` is the depth of the stack of *released*
+  slots, ``_free[1]`` the arena's high-water mark (the first slot never
+  handed out: every slot from it to the arena's end is fresh), and
+  ``_free[2 .. depth + 1]`` the released slot ids, top last. A claim
+  takes the top released slot, else the slot at the mark, so slots are
+  claimed in the order a plain stack of every free slot would give —
+  released ones last-in first-out, then fresh ones ascending — and the
+  stack's capacity, ``len(_free) - 2``, is the arena's size. Growing the
+  arena only extends the columns: no slot id is written per slot;
 - ``bucket_slots`` / ``bucket_fill`` — the tree: bucket ``i`` holds the
   ``bucket_fill[i]`` slot ids ``bucket_slots[i*Z : i*Z + fill]`` (int32,
   what lies beyond the fill is stale). Both are fixed-size typed
@@ -63,8 +70,11 @@ from repro.storage.tree import BucketLedger
 CHUNK_SLOTS = 512
 _CHUNK_SHIFT = CHUNK_SLOTS.bit_length() - 1
 _CHUNK_MASK = CHUNK_SLOTS - 1
-#: The address column of one fresh chunk (appended by memcpy).
+#: One fresh chunk's worth of each column, appended in bulk by ``_grow``.
 _FREE_ADDRS = array("q", [DUMMY_ADDR]) * CHUNK_SLOTS
+_ZERO_LEAVES = bytes(8 * CHUNK_SLOTS)
+_NO_MACS = [None] * CHUNK_SLOTS
+_EMPTY_STACK = bytes(4 * CHUNK_SLOTS)
 
 
 def _column(core, typecode: str, length: int, zeroed: bool) -> memoryview:
@@ -94,7 +104,7 @@ class ColumnarTreeStorage(BucketLedger):
         self.block_bytes = config.block_bytes
         self._zero = bytes(config.block_bytes)
         self._path_len = config.levels + 1
-        # -- slot arena (grown in chunks; a freed slot is recycled LIFO) --
+        # -- slot arena (grown in chunks; freed slots are reused first) ----
         # addr/leaf are unboxed int64 columns (``array('q')``): random
         # reads touch contiguous raw memory instead of chasing pointers
         # to heap PyLongs, which is where the columnar layout beats the
@@ -103,7 +113,7 @@ class ColumnarTreeStorage(BucketLedger):
         self.leaf_col = array("q")
         self.mac_col: List[Optional[bytes]] = []
         self._chunks: List[memoryview] = []
-        self._free = array("i", [0])
+        self._free = array("i", [0, 0])
         # -- the tree: two fixed-size columns, O(1) objects ---------------
         from repro.sim.native import load_native_core
 
@@ -122,21 +132,14 @@ class ColumnarTreeStorage(BucketLedger):
     # -- slot arena ---------------------------------------------------------
 
     def _grow(self) -> None:
-        """Add one chunk of zeroed slots to the arena, all of them free."""
-        base = len(self.addr_col)
-        chunk = bytearray(CHUNK_SLOTS * self.block_bytes)
-        self._chunks.append(memoryview(chunk))
+        """Add one chunk of zeroed slots to the arena, past the high-water
+        mark (so all of them fresh)."""
+        self._chunks.append(memoryview(bytearray(CHUNK_SLOTS * self.block_bytes)))
         self.addr_col.extend(_FREE_ADDRS)
-        self.leaf_col.frombytes(bytes(8 * CHUNK_SLOTS))
-        self.mac_col.extend([None] * CHUNK_SLOTS)
+        self.leaf_col.frombytes(_ZERO_LEAVES)
+        self.mac_col.extend(_NO_MACS)
         # The stack's capacity follows the arena: every slot fits on it.
-        free = self._free
-        depth = free[0]
-        free.frombytes(bytes(4 * CHUNK_SLOTS))
-        free[depth + 1 : depth + 1 + CHUNK_SLOTS] = array(
-            "i", range(base + CHUNK_SLOTS - 1, base - 1, -1)
-        )
-        free[0] = depth + CHUNK_SLOTS
+        self._free.frombytes(_EMPTY_STACK)
 
     def alloc(
         self,
@@ -145,12 +148,21 @@ class ColumnarTreeStorage(BucketLedger):
         data: Optional[bytes] = None,
         mac: Optional[bytes] = None,
     ) -> int:
-        """Claim a slot for a block; ``data=None`` means an all-zero payload."""
+        """Claim a slot for a block; ``data=None`` means an all-zero payload.
+
+        The last released slot, else the fresh one at the high-water mark
+        (growing the arena when the mark is at its end).
+        """
         free = self._free
-        if not free[0]:
-            self._grow()
         depth = free[0]
-        slot = free[depth]
+        if depth:
+            slot = free[depth + 1]
+        else:
+            slot = free[1]
+            if slot == len(self.addr_col):
+                self._grow()
+        if not 0 <= slot < len(self.addr_col):
+            raise IndexError(f"free slot {slot} outside the arena")
         if self.addr_col[slot] != DUMMY_ADDR:
             raise ValueError(f"free slot {slot} holds a live block")
         # The slot leaves the stack last: a refused field claims nothing.
@@ -162,16 +174,27 @@ class ColumnarTreeStorage(BucketLedger):
         self.leaf_col[slot] = leaf
         self.mac_col[slot] = mac
         self.addr_col[slot] = addr
-        free[0] = depth - 1
+        if depth:
+            free[0] = depth - 1
+        else:
+            free[1] = slot + 1
         return slot
 
     def release(self, slot: int) -> None:
         """Return a slot to the free stack (its payload stays until reuse)."""
         free = self._free
         depth = free[0] + 1
-        free[depth] = slot
+        free[depth + 1] = slot
         free[0] = depth
         self.addr_col[slot] = DUMMY_ADDR
+
+    def free_slots(self) -> List[int]:
+        """Every free slot of the arena, in the order they will be claimed."""
+        free = self._free
+        depth = free[0]
+        return free[2 : depth + 2].tolist()[::-1] + list(
+            range(free[1], len(self.addr_col))
+        )
 
     def payload(self, slot: int) -> bytes:
         """Independent copy of a slot's payload bytes."""

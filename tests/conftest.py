@@ -76,10 +76,10 @@ def fast_tier(request) -> str:
     when the extension is built and ``REPRO_NATIVE`` allows it; the test
     skips otherwise (the reference lane, a toolchain-less install).
     """
-    from repro.sim.native import load_native_core
+    from repro.sim.native import load_native_core, unavailable_reason
 
     if load_native_core() is None:
-        pytest.skip("compiled core not built or switched off")
+        pytest.skip(unavailable_reason())
     return request.param
 
 

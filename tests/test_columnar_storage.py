@@ -8,8 +8,10 @@ The storage itself is pure Python; the columnar backend is the native
 ``AccessKernel``, so the tests that drive one skip without the extension.
 """
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.backend.columnar import ColumnarPathOramBackend
@@ -19,6 +21,7 @@ from repro.backend.path_oram import PathOramBackend, make_backend
 from repro.config import OramConfig
 from repro.errors import NativeKernelUnavailable, StashOverflowError
 from repro.presets import build_frontend
+from repro.sim.native import unavailable_reason
 from repro.storage.block import Block
 from repro.storage.columnar import CHUNK_SLOTS, ColumnarTreeStorage
 from repro.storage.snapshot import tree_digest, tree_records
@@ -61,6 +64,21 @@ class TestSlotArena:
         assert len(set(slots)) == len(slots)
         assert store.block_at_slot(slots[-1]).addr == CHUNK_SLOTS + 9
 
+    @pytest.mark.parametrize(
+        "header", [(0, -1), (0, CHUNK_SLOTS + 1), (1, 5)], ids=str
+    )
+    def test_a_corrupt_free_column_is_refused(self, store, header):
+        """A high-water mark outside the arena, or a released slot id
+        that is no slot, claims nothing: refused in the kernel's words."""
+        store.alloc(1, 0)
+        free = store._free
+        free[0], free[1] = header
+        free[2] = -3
+        before = free.tolist()
+        with pytest.raises(IndexError, match=r"free slot -?\d+ outside the arena"):
+            store.alloc(2, 0)
+        assert free.tolist() == before
+
     def test_set_payload_validates_length(self, store):
         slot = store.alloc(1, 0)
         with pytest.raises(ValueError, match="payload must be"):
@@ -76,6 +94,103 @@ class TestSlotArena:
         assert store.addr_col[slot] == 5
         assert slot in store.bucket(index)
         assert store.find_block(999) is None
+
+
+class StackModel:
+    """The arena's claim order as one plain LIFO of every free slot: each
+    growth pushes a chunk's slots highest first, a release pushes its
+    slot, a claim pops. The storage keeps no such stack (fresh slots come
+    from a high-water mark); it must claim in exactly this order."""
+
+    def __init__(self):
+        self.stack = []
+        self.arena = 0
+
+    def claim(self) -> int:
+        if not self.stack:
+            self.stack.extend(
+                range(self.arena + CHUNK_SLOTS - 1, self.arena - 1, -1)
+            )
+            self.arena += CHUNK_SLOTS
+        return self.stack.pop()
+
+    def release(self, slot: int) -> None:
+        self.stack.append(slot)
+
+    def check(self, store) -> None:
+        """The storage's free slots are the model's, in claim order."""
+        assert len(store.addr_col) == self.arena
+        assert store.free_slots() == self.stack[::-1]
+
+
+#: A run of claims and releases: a seed for the choices, how many steps,
+#: and how often a step releases a live slot instead of claiming one.
+#: 1 400 steps cross a chunk boundary at every share but the largest,
+#: and every run below includes two that do.
+claim_runs = dict(
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 1400),
+    release_share=st.sampled_from([0.0, 0.05, 0.3, 0.6]),
+)
+
+
+class TestClaimOrder:
+    """Released slots last-in first-out, then fresh slots ascending —
+    through the Python tier's ``alloc`` / ``release`` and through the
+    kernel's first touches, APPENDs and READRMV releases alike."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(**claim_runs)
+    @example(seed=0, steps=1400, release_share=0.0)
+    @example(seed=1, steps=1400, release_share=0.3)
+    def test_python_tier(self, seed, steps, release_share):
+        store = ColumnarTreeStorage(OramConfig(num_blocks=64, block_bytes=16))
+        model = StackModel()
+        choose = random.Random(seed)
+        live = []
+        for step in range(steps):
+            if live and choose.random() < release_share:
+                slot = live.pop(choose.randrange(len(live)))
+                store.release(slot)
+                model.release(slot)
+            else:
+                slot = store.alloc(step, 0)
+                assert slot == model.claim()
+                live.append(slot)
+        model.check(store)
+
+    @needs_core
+    @settings(max_examples=15, deadline=None)
+    @given(**claim_runs)
+    @example(seed=0, steps=1400, release_share=0.0)
+    @example(seed=1, steps=1400, release_share=0.3)
+    def test_kernel(self, seed, steps, release_share):
+        config = OramConfig(num_blocks=2**12, block_bytes=16)
+        backend = ColumnarPathOramBackend(
+            config, ColumnarTreeStorage(config), DeterministicRng(seed)
+        )
+        store = backend.storage
+        model = StackModel()
+        choose = random.Random(seed)
+        leaf_of = {}
+        for addr in range(steps):
+            if leaf_of and choose.random() < release_share:
+                victim = choose.choice(list(leaf_of))
+                slot = store.addr_col.index(victim)
+                backend.access(Op.READRMV, victim, leaf_of.pop(victim), 0)
+                model.release(slot)
+                continue
+            leaf = backend.random_leaf()
+            if choose.random() < 0.1:
+                backend.access(
+                    Op.APPEND, addr, append_block=Block(addr, leaf, bytes(16))
+                )
+            else:  # a first touch
+                path = choose.randrange(config.num_leaves)
+                backend.access(Op.READ, addr, path, leaf)
+            leaf_of[addr] = leaf
+            assert store.addr_col.index(addr) == model.claim()
+        model.check(store)
 
 
 class TestGeometryAndAccounting:
@@ -392,7 +507,7 @@ class TestBackendFactory:
         and columnar storage without the core has nothing to fall back
         to."""
         if policy == "require" and CORE is None:
-            pytest.skip("compiled core not built")
+            pytest.skip(unavailable_reason())
         monkeypatch.setenv("REPRO_NATIVE", policy)
         geometry = (
             dict(num_blocks=2**6, block_bytes=256)

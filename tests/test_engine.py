@@ -14,7 +14,7 @@ from repro.config import ProcessorConfig
 from repro.presets import build_frontend
 from repro.proc.hierarchy import MissEvent, MissTrace
 from repro.sim.engine import ReplayEngine, frontend_block_bytes
-from repro.sim.native import load_native_core
+from repro.sim.native import load_native_core, unavailable_reason
 from repro.sim.system import base_cycles, replay_trace
 from repro.sim.timing import timing_for_frontend
 from repro.storage.snapshot import tree_digest
@@ -60,7 +60,7 @@ class TestEngineVsReplayTrace:
         assert engine.result(trace, scheme="PC_X32") == expected
 
     @pytest.mark.skipif(
-        load_native_core() is None, reason="compiled core not built"
+        load_native_core() is None, reason=unavailable_reason()
     )
     def test_scalar_and_fast_loops_agree(self):
         """``run_trace`` is one loop on both tiers: the reference engine

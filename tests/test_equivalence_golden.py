@@ -35,7 +35,7 @@ from repro.frontend.formats import CompressedPosMapFormat
 from repro.frontend.plb import Plb, PlbEntry
 from repro.presets import build_frontend
 from repro.proc.hierarchy import MissEvent, MissTrace
-from repro.sim.native import load_native_core
+from repro.sim.native import load_native_core, unavailable_reason
 from repro.sim.runner import SimulationRunner
 from repro.sim.system import replay_trace
 from repro.sim.timing import OramTimingModel
@@ -290,7 +290,7 @@ class TestReplayEquivalence:
         assert frontend_digests(reference) == frontend_digests(fast)
 
     @pytest.mark.skipif(
-        load_native_core() is None, reason="compiled core not built"
+        load_native_core() is None, reason=unavailable_reason()
     )
     def test_columnar_spec_string_build(self):
         """The spec mini-language selects the columnar pair end to end."""

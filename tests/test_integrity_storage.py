@@ -33,7 +33,7 @@ from repro.crypto.mac import Mac
 from repro.errors import ConfigurationError, IntegrityViolationError
 from repro.integrity.adapter import MerkleVerifiedStorage
 from repro.presets import build_frontend
-from repro.sim.native import load_native_core
+from repro.sim.native import load_native_core, unavailable_reason
 from repro.storage import make_storage
 from repro.storage.snapshot import tree_digest
 from repro.utils.rng import DeterministicRng
@@ -42,7 +42,7 @@ STORAGES = ("object", "columnar")
 
 CORE = load_native_core()
 #: Columnar frontends run on the native access kernel.
-needs_core = pytest.mark.skipif(CORE is None, reason="compiled core not built")
+needs_core = pytest.mark.skipif(CORE is None, reason=unavailable_reason())
 
 #: Small PMMAC frontends so tampering targets land in the tree quickly.
 PMMAC_KWARGS = dict(

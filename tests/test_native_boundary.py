@@ -58,7 +58,7 @@ from repro.frontend.base import AccessResult  # noqa: E402
 from repro.frontend.recursive import RecursiveFrontend  # noqa: E402
 from repro.frontend.unified import PlbFrontend  # noqa: E402
 from repro.presets import build_frontend  # noqa: E402
-from repro.sim.native import load_native_core  # noqa: E402
+from repro.sim.native import load_native_core, unavailable_reason  # noqa: E402
 from repro.storage.block import Block  # noqa: E402
 from repro.storage.columnar import CHUNK_SLOTS, ColumnarTreeStorage  # noqa: E402
 from repro.storage.snapshot import tree_digest  # noqa: E402
@@ -67,7 +67,7 @@ from repro.utils.rng import DeterministicRng  # noqa: E402
 CORE = load_native_core()
 pytestmark = pytest.mark.skipif(
     CORE is None,
-    reason="compiled core not built (python setup.py build_ext --inplace)",
+    reason=unavailable_reason(),
 )
 
 REJECTED = (TypeError, IndexError, ValueError)
@@ -1181,7 +1181,8 @@ class TestKernelAccessBoundary:
         target = (
             backend.stash.slots if column == "stash" else backend.storage._free
         )
-        assume(not 0 <= length < len(target))
+        header = 2 if column == "free" else 1  # the free stack's mark too
+        assume(not 0 <= length <= len(target) - header)
         before = image(backend)
         prefix = Scribble(target)
         prefix[0] = length
@@ -1237,30 +1238,83 @@ class TestKernelAccessBoundary:
     @PROPERTY
     @given(bad=hostile_slot_ids)
     def test_hostile_free_stack_entry(self, bad):
-        """A first touch meets the corrupt entry; nothing was claimed."""
+        """A first touch meets the corrupt entry on top of the released
+        slots; nothing was claimed."""
         backend, _posmap = warmed_backend()
         before = image(backend)
-        free = backend.storage._free
-        stack = Scribble(free)
-        stack[free[0]] = bad
+        stack = Scribble(backend.storage._free)
+        stack[0] = 1
+        stack[2] = bad
         self.rejected_and_unchanged(
             backend, before, stack.undo, Op.WRITE, 50, 0, 2
         )
 
     @PROPERTY
-    @given(via_stash=st.booleans(), op=st.sampled_from([Op.WRITE, Op.APPEND]))
-    def test_live_slot_on_the_free_stack(self, via_stash, op):
-        """The top of the free stack names a slot that holds a block (in
-        the tree, or in the stash): claiming it would alias two blocks."""
+    @given(
+        mark=st.one_of(
+            st.integers(-(2**31), -1), st.integers(CHUNK_SLOTS + 1, 2**31 - 1)
+        ),
+        op=st.sampled_from([Op.READ, Op.WRITE, Op.READRMV]),
+    )
+    def test_high_water_mark_outside_the_arena(self, mark, op):
+        """The first slot never handed out lies in the one-chunk arena or
+        at its end; any other mark is refused before anything is read."""
+        backend, posmap = warmed_backend()
+        addr, leaf = next(iter(posmap.items()))
+        before = image(backend)
+        header = Scribble(backend.storage._free)
+        header[1] = mark
+        with pytest.raises(ValueError, match="high-water mark .* outside the arena"):
+            backend.access(op, addr, leaf, 2)
+        header.undo()
+        assert image(backend) == before
+        backend.access(Op.READ, 60, 0, 1)
+
+    @PROPERTY
+    @given(short=st.integers(1, 20))
+    def test_high_water_mark_past_the_stacks_capacity(self, short):
+        """A free stack cut too short to take back every slot handed out
+        is refused, though its depth still fits it."""
+        backend, posmap = warmed_backend()
+        addr, leaf = next(iter(posmap.items()))
+        free = backend.storage._free
+        saved = free[:]
+        before = image(backend)
+        del free[2 + free[1] - short :]
+
+        def undo():
+            free[:] = saved
+
+        with pytest.raises(ValueError, match="high-water mark .* capacity"):
+            backend.access(Op.READ, addr, leaf, 2)
+        undo()
+        assert image(backend) == before
+        backend.access(Op.READ, 60, 0, 1)
+
+    @PROPERTY
+    @given(
+        via=st.sampled_from(["stash", "tree"]),
+        where=st.sampled_from(["released", "mark"]),
+        op=st.sampled_from([Op.WRITE, Op.APPEND]),
+    )
+    def test_live_slot_on_the_free_stack(self, via, where, op):
+        """The next slot to claim — the top released slot, or the
+        high-water mark moved back — holds a block (in the tree, or in the
+        stash): claiming it would alias two blocks."""
         backend, posmap = warmed_backend()
         storage = backend.storage
         before = image(backend)
         live = (
-            backend.stash.slots[1] if via_stash
+            backend.stash.slots[1] if via == "stash"
             else storage.bucket(full_path_bucket(storage, posmap[next(iter(posmap))]))[0]
         )
         stack = Scribble(storage._free)
-        stack[storage._free[0]] = live
+        if where == "released":
+            stack[0] = 1
+            stack[2] = live
+        else:
+            stack[0] = 0
+            stack[1] = live
         access = (
             (Op.WRITE, 50, 0, 2) if op is Op.WRITE
             else (Op.APPEND, 55, 0, 0, None, Block(55, 1, bytes(8), None))
@@ -1271,6 +1325,68 @@ class TestKernelAccessBoundary:
         assert image(backend) == before
         backend.access(Op.READ, 60, 0, 1)
 
+    @PROPERTY
+    @given(
+        chunk=st.sampled_from(
+            ["released", "read-only", "short", "strided", "bytearray", "none"]
+        ),
+        op=st.sampled_from([Op.READ, Op.WRITE, Op.READRMV, Op.APPEND]),
+    )
+    def test_a_chunk_that_cannot_be_read_in_place(self, chunk, op):
+        """A payload is read through its chunk's memoryview, exporting
+        nothing, so every touch checks what an export did — a live,
+        writable, C-contiguous memoryview long enough for the slot — and
+        refuses in the export's words. The tree, the stash and the claim
+        order are left as they were; a refused APPEND, which claimed, puts
+        its slot back exactly."""
+        backend, posmap = warmed_backend()
+        storage = backend.storage
+        size = len(storage._chunks[0])
+        released = memoryview(bytearray(size))
+        released.release()
+        bad, error, words = {
+            "released": (
+                released, ValueError, "forbidden on released memoryview",
+            ),
+            "read-only": (
+                memoryview(bytes(size)), BufferError, "buffer is not writable",
+            ),
+            "short": (
+                memoryview(bytearray(4)), IndexError,
+                r"slot \d+ outside the byte arena",
+            ),
+            "strided": (
+                memoryview(bytearray(2 * size))[::2], BufferError,
+                "buffer is not C-contiguous",
+            ),
+            "bytearray": (
+                bytearray(size), TypeError, "must be a memoryview, not 'bytearray'",
+            ),
+            "none": (None, TypeError, "must be a memoryview, not 'NoneType'"),
+        }[chunk]
+        addr, leaf = next(iter(posmap.items()))
+        access = {
+            Op.READ: (Op.READ, addr, leaf, 2),
+            Op.READRMV: (Op.READRMV, addr, leaf, 2),
+            Op.WRITE: (Op.WRITE, 50, 0, 2),  # a first touch: claims, zeroes
+            Op.APPEND: (
+                Op.APPEND, 55, 0, 0, None, Block(55, 1, bytes(8), None)
+            ),
+        }[op]
+        before = image(backend)
+        claims = storage.free_slots()
+        header = storage._free[:2]
+        saved = storage._chunks[0]
+        storage._chunks[0] = bad
+        with pytest.raises(error, match=words):
+            backend.access(*access)
+        storage._chunks[0] = saved
+        assert image(backend) == before
+        assert storage.free_slots() == claims
+        if op is Op.APPEND:
+            assert storage._free[:2] == header
+        backend.access(Op.READ, 60, 0, 1)
+
     def test_free_stack_with_no_room_for_a_readrmv(self):
         """READRMV pushes its slot once the eviction is done, so the room
         is checked while the access can still be refused."""
@@ -1279,7 +1395,7 @@ class TestKernelAccessBoundary:
         before = image(backend)
         free = backend.storage._free
         depth = Scribble(free)
-        depth[0] = len(free) - 1
+        depth[0] = len(free) - 2  # the deepest the header allows
         self.rejected_and_unchanged(
             backend, before, depth.undo, Op.READRMV, addr, leaf, 2
         )
@@ -1323,14 +1439,14 @@ class TestKernelAccessBoundary:
     def test_hostile_append_block(self, field, junk):
         backend, _posmap = warmed_backend()
         before = image(backend)
-        free_before = backend.storage._free[0]
+        free_before = backend.storage._free[:2]
         block = Block(55, 1, bytes(8), None)
         setattr(block, field, junk)
         try:
             backend.access(Op.APPEND, 55, append_block=block)
         except (TypeError, ValueError, OverflowError):
             assert image(backend) == before
-            assert backend.storage._free[0] == free_before
+            assert backend.storage._free[:2] == free_before
         else:
             assert field == "mac"
 

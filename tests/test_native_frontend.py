@@ -46,7 +46,7 @@ from repro.errors import ConfigurationError
 from repro.frontend.unified import PlbFrontend
 from repro.presets import build_frontend
 from repro.sim.engine import ReplayEngine
-from repro.sim.native import load_native_core
+from repro.sim.native import load_native_core, unavailable_reason
 from repro.sim.system import replay_trace
 from repro.sim.timing import OramTimingModel
 from repro.storage.snapshot import tree_digest
@@ -61,7 +61,7 @@ from test_replay_differential import (
 CORE = load_native_core()
 pytestmark = pytest.mark.skipif(
     CORE is None,
-    reason="compiled core not built (python setup.py build_ext --inplace)",
+    reason=unavailable_reason(),
 )
 
 #: Small enough that the PLB evicts, the recursion is three or four deep

@@ -34,7 +34,7 @@ from repro.backend.path_oram import make_backend
 from repro.errors import ConfigurationError, StashOverflowError
 from repro.presets import build_frontend
 from repro.sim.engine import ReplayEngine
-from repro.sim.native import load_native_core
+from repro.sim.native import load_native_core, unavailable_reason
 from repro.sim.system import replay_trace
 from repro.sim.timing import OramTimingModel
 from repro.storage.snapshot import tree_digest
@@ -49,7 +49,7 @@ from test_replay_differential import (
 CORE = load_native_core()
 pytestmark = pytest.mark.skipif(
     CORE is None,
-    reason="compiled core not built (python setup.py build_ext --inplace)",
+    reason=unavailable_reason(),
 )
 
 #: name -> R_X8 overrides (fan-out 8: 32-byte PosMap blocks of 4-byte

@@ -27,6 +27,8 @@ behind the skips there.
 """
 
 import gc
+import sys
+import types
 import warnings
 from array import array
 from contextlib import contextmanager
@@ -51,7 +53,7 @@ from repro.errors import (
 from repro.presets import build_frontend
 from repro.settings import Settings
 from repro.sim.engine import ReplayEngine
-from repro.sim.native import load_native_core
+from repro.sim.native import load_native_core, unavailable_reason
 from repro.sim.replay import (
     resolve_replay_mode, resolve_tier, translate_block_addrs,
 )
@@ -75,7 +77,7 @@ from test_replay_differential import (
 CORE = load_native_core()
 needs_core = pytest.mark.skipif(
     CORE is None,
-    reason="compiled core not built (python setup.py build_ext --inplace)",
+    reason=unavailable_reason(),
 )
 
 
@@ -860,6 +862,51 @@ class TestDispatchPolicy:
             PathOramBackend
         )
 
+    @pytest.mark.parametrize(
+        "state, words",
+        [
+            ("stale", "is stale"),
+            ("refused", "does not load (undefined symbol: fk_leaf_pair)"),
+            ("absent", "is not built (import of repro.sim.native._replay_core"),
+        ],
+    )
+    def test_the_loaders_reason_is_every_skip_and_error(
+        self, monkeypatch, state, words
+    ):
+        """Why there is no core is what every skipped fast-tier test gives
+        (``unavailable_reason``) and what ``require`` raises: a stale build
+        says it is stale, and one the loader refuses carries the loader's
+        message — neither reads as merely unbuilt."""
+        name = "repro.sim.native._replay_core"
+        monkeypatch.delattr(native_pkg, "_replay_core", raising=False)
+        if state == "stale":
+            built = types.ModuleType(name)
+            built.SOURCE_DIGEST = "1" * 64
+            monkeypatch.setitem(sys.modules, name, built)
+            monkeypatch.setattr(native_pkg, "source_digest", lambda: "0" * 64)
+        elif state == "refused":
+
+            class Refusing:
+                def find_spec(self, fullname, path=None, target=None):
+                    if fullname == name:
+                        raise ImportError("undefined symbol: fk_leaf_pair")
+
+            monkeypatch.delitem(sys.modules, name, raising=False)
+            monkeypatch.setattr(sys, "meta_path", [Refusing(), *sys.meta_path])
+        else:
+            monkeypatch.setitem(sys.modules, name, None)
+        monkeypatch.setattr(native_pkg, "_CORE_CACHE", [])
+        monkeypatch.setenv("REPRO_NATIVE", "on")
+        assert load_native_core() is None
+        assert words in unavailable_reason()
+        monkeypatch.setenv("REPRO_NATIVE", "require")
+        with pytest.raises(NativeKernelUnavailable) as refused:
+            native_pkg.require_core()
+        assert words in str(refused.value)
+        assert "build_ext --inplace" in str(refused.value)
+        monkeypatch.setenv("REPRO_NATIVE", "off")
+        assert unavailable_reason() == "REPRO_NATIVE=off"
+
     @needs_core
     def test_the_core_counts_in_the_tables_ledgers(self):
         assert CORE.LEDGERS.splitlines() == [
@@ -936,7 +983,7 @@ class TestDispatchPolicy:
         ``NativeKernelUnavailable`` saying why (and how to build) where it
         is. ``make_storage("default")`` follows the environment's tier."""
         if build != "unbuilt" and CORE is None:
-            pytest.skip("compiled core not built")
+            pytest.skip(unavailable_reason())
         monkeypatch.setenv("REPRO_NATIVE", policy)
         if build == "unbuilt":
             monkeypatch.setattr(native_pkg, "_CORE_CACHE", [UNBUILT])

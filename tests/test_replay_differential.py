@@ -31,7 +31,7 @@ from repro.presets import build_frontend
 from repro.proc.hierarchy import MissEvent, MissTrace
 from repro.settings import Settings
 from repro.sim.engine import ReplayEngine
-from repro.sim.native import load_native_core
+from repro.sim.native import load_native_core, unavailable_reason
 from repro.sim.replay import (
     REPLAY_MODES,
     resolve_replay_mode,
@@ -247,7 +247,7 @@ class TestDefaultTier:
     """What runs with no ``REPRO_*`` set, and what each knob still does."""
 
     @pytest.mark.skipif(
-        load_native_core() is None, reason="compiled core not built"
+        load_native_core() is None, reason=unavailable_reason()
     )
     def test_unset_env_runs_the_kernels_on_columnar_storage(self, monkeypatch):
         monkeypatch.delenv("REPRO_NATIVE", raising=False)
@@ -282,7 +282,7 @@ class TestDefaultTier:
         assert cores == [None, None]  # no core enabled on either replay
 
     @pytest.mark.skipif(
-        load_native_core() is None, reason="compiled core not built"
+        load_native_core() is None, reason=unavailable_reason()
     )
     def test_explicit_storage_overrides_the_tier(self, monkeypatch):
         """The storage follows the tier only where the spec leaves it at

@@ -14,9 +14,31 @@ from repro.sim.store import (
     result_key,
 )
 from repro.sim.runner import SimulationRunner
+from repro.sim.sweep import SweepSpec, run_sweep
 
 BENCHES = ["gob", "hmmer"]
 MISSES = 150
+
+#: The result store's entries for two cells of ``_runner`` (seed 2015,
+#: 150 misses), as ``dataclasses.asdict`` encoded them: the bytes on disk
+#: are the store's format and may not move.
+GOLDEN_ENTRIES = {
+    ("PC_X32", "gob"): (
+        b'{"result": {"benchmark": "gob", "cycles": 283111.2216079455, '
+        b'"data_bytes": 1546240, "instructions": 30944, "llc_misses": 150, '
+        b'"mpki": 4.847466390899689, "oram_accesses": 151, '
+        b'"plb_hit_rate": 0.06622516556291391, "posmap_bytes": 1443840, '
+        b'"prf_calls": 302, "scheme": "PC_X32", "tree_accesses": 292}, '
+        b'"schema": 3}'
+    ),
+    ("insecure", "gob"): (
+        b'{"result": {"benchmark": "gob", "cycles": 57634, "data_bytes": 9664, '
+        b'"instructions": 30944, "llc_misses": 150, '
+        b'"mpki": 4.847466390899689, "oram_accesses": 151, '
+        b'"plb_hit_rate": 0.0, "posmap_bytes": 0, "prf_calls": 0, '
+        b'"scheme": "insecure", "tree_accesses": 0}, "schema": 3}'
+    ),
+}
 
 
 def _result(**kw) -> SimResult:
@@ -108,6 +130,56 @@ class TestResultCacheStore:
         blocker.write_text("a file, not a directory")
         cache = ResultCache(blocker / "sub")
         assert cache.store("k1", _result()) is False
+
+
+class TestOneResultImage:
+    """A finished cell has one plain image, ``SimResult.to_dict``: the
+    result store's entry, the sweep report's ``result`` and the fabric
+    worker's wire payload are all of it."""
+
+    def test_it_is_what_asdict_made(self):
+        result = _result(prf_calls=7)
+        image = result.to_dict()
+        assert image == dataclasses.asdict(result)
+        assert list(image) == [f.name for f in dataclasses.fields(SimResult)]
+        assert SimResult(**image) == result
+        image["cycles"] = 0.0
+        assert result.cycles == 123456.75  # a copy, not a view
+
+    def test_stored_entries_are_the_golden_bytes(self, tmp_path):
+        runner = _runner(tmp_path)
+        cells = runner.cells(["PC_X32"], ["gob"]) + runner.baseline_cells(["gob"])
+        runner.execute(cells, workers=1)
+        for cell in cells:
+            stored = runner.result_cache.path_for(cell.key).read_bytes()
+            assert stored == GOLDEN_ENTRIES[cell.label, cell.bench]
+
+    def test_store_report_and_wire_carry_the_same_image(self, tmp_path):
+        from repro.fabric.worker import FabricWorker
+
+        runner = _runner(tmp_path / "sweep")
+        report = run_sweep(
+            SweepSpec.from_args(["PC_X32"], benchmarks=["gob"]), runner,
+            workers=1,
+        )
+        (cell,) = runner.cells(["PC_X32"], ["gob"])
+        stored = json.loads(runner.result_cache.path_for(cell.key).read_bytes())
+        # A worker with a store of its own, so that it replays the cell.
+        worker = FabricWorker("127.0.0.1", 1)
+        worker._base = _runner(tmp_path / "worker")
+        sent = []
+        worker._send = sent.append
+        worker._execute({
+            "id": cell.key, "label": cell.label, "bench": cell.bench,
+            "spec": cell.spec.to_dict(), "misses": MISSES,
+        })
+        (reply,) = sent
+        wire = json.loads(json.dumps(reply))["result"]
+        (swept,) = report["cells"]
+        assert stored["result"] == swept["result"] == wire
+        assert report["baselines"]["gob"] == json.loads(
+            GOLDEN_ENTRIES["insecure", "gob"]
+        )["result"]
 
 
 class TestResultKey:

@@ -20,10 +20,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim.native import load_native_core
+from repro.sim.native import load_native_core, unavailable_reason
 
 pytestmark = pytest.mark.skipif(
-    load_native_core() is None, reason="compiled core not built or switched off"
+    load_native_core() is None, reason=unavailable_reason()
 )
 
 ROOT = Path(__file__).resolve().parent.parent

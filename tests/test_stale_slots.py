@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.presets import build_frontend
-from repro.sim.native import load_native_core
+from repro.sim.native import load_native_core, unavailable_reason
 from repro.sim.system import replay_trace
 from repro.utils.rng import DeterministicRng
 from test_replay_differential import (
@@ -44,7 +44,7 @@ from test_replay_differential import (
 )
 
 pytestmark = pytest.mark.skipif(
-    load_native_core() is None, reason="compiled core not built or switched off"
+    load_native_core() is None, reason=unavailable_reason()
 )
 
 BLOCKS = 2**8
@@ -76,8 +76,7 @@ def scribble(frontend, plan, turn):
         z = storage.config.blocks_per_bucket
         slots, fill = storage.bucket_slots, storage.bucket_fill
         arena = len(storage.addr_col)
-        free = storage._free
-        free_ids = free[1 : free[0] + 1].tolist()
+        free_ids = storage.free_slots()
         live = [s for i in range(len(fill)) for s in storage.bucket(i)]
         live += backend.stash.resident()
         for index in range(len(fill)):

@@ -12,7 +12,7 @@ from repro.config import OramConfig
 from repro.crypto.pad import PadGenerator
 from repro.frontend import FrontendStats
 from repro.presets import build_frontend
-from repro.sim.native import load_native_core
+from repro.sim.native import load_native_core, unavailable_reason
 from repro.storage.columnar import ColumnarTreeStorage
 from repro.storage.encrypted import EncryptedTreeStorage
 from repro.storage.tree import TreeStorage
@@ -118,7 +118,7 @@ def owners_of(ledger, storage):
     """A PIC_X32 frontend's owners of ``ledger`` on ``storage`` (the helper
     every ledger test reads through), and the column they count in."""
     if storage == "columnar" and load_native_core() is None:
-        pytest.skip("compiled core not built or switched off")
+        pytest.skip(unavailable_reason())
     frontend = build_frontend(
         "PIC_X32", num_blocks=64, rng=DeterministicRng(1), storage=storage
     )

@@ -170,6 +170,29 @@ class TestRunSweep:
         assert cold.pop("resilience")["executed"] > 0
         assert warm == cold
 
+    def test_a_cold_serial_sweep_asks_the_store_once_per_cell(
+        self, tmp_path, monkeypatch
+    ):
+        """``execute`` looks every cell up once and replays the misses
+        without asking again; a warm re-run is one hit per cell and no
+        replay."""
+        cold_runner = _runner(tmp_path)
+        report = run_sweep(tiny_sweep(), cold_runner, workers=1)
+        cells = len(report["cells"]) + len(report["baselines"])
+        assert cells == 4 * len(BENCHES) + len(BENCHES)
+        store = cold_runner.result_cache
+        assert (store.misses, store.hits, store.stores) == (cells, 0, cells)
+
+        def boom(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("a warm sweep computed a cell")
+
+        monkeypatch.setattr(runner_mod, "replay_trace", boom)
+        monkeypatch.setattr(runner_mod, "insecure_cycles", boom)
+        warm_runner = _runner(tmp_path)
+        run_sweep(tiny_sweep(), warm_runner, workers=1)
+        store = warm_runner.result_cache
+        assert (store.misses, store.hits, store.stores) == (0, cells, 0)
+
     def test_progress_streams_every_cell(self, tmp_path):
         seen = []
         run_sweep(

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.proc.hierarchy import MissEvent, MissTrace
-from repro.sim.native import load_native_core
+from repro.sim.native import load_native_core, unavailable_reason
 from repro.utils.rng import DeterministicRng
 from repro.workloads.spec import SPEC_BENCHMARKS
 
@@ -306,7 +306,7 @@ class TestColumnBornEqualsEventBuilt:
         "scalar",
         pytest.param("compiled", marks=pytest.mark.skipif(
             load_native_core() is None,
-            reason="compiled core not built or switched off",
+            reason=unavailable_reason(),
         )),
     ])
     @settings(max_examples=10, deadline=None)

@@ -36,7 +36,7 @@ from repro.config import ProcessorConfig
 from repro.proc.hierarchy import CacheHierarchy
 from repro.sim import runner as runner_module
 from repro.settings import Settings
-from repro.sim.native import build_hint, load_native_core
+from repro.sim.native import build_hint, load_native_core, unavailable_reason
 from repro.sim.runner import SimulationRunner, synthesize_trace
 from repro.utils.rng import DeterministicRng
 from repro.workloads.spec import (
@@ -54,7 +54,7 @@ def require_core():
     ``NativeKernelUnavailable`` that ``load_native_core`` raises."""
     module = load_native_core()
     if module is None:
-        pytest.skip(f"compiled core not built ({build_hint()})")
+        pytest.skip(f"{unavailable_reason()}; {build_hint()}")
     return module
 
 
