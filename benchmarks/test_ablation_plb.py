@@ -6,13 +6,13 @@ Each target times only its own one of the ablation's two saved sweeps.
 from conftest import run_once
 
 from repro.eval import ablation_plb
-from repro.eval.saved import complete_report
+from repro.eval.saved import complete_report, figure_runner
 
 
 def _own_sweep(index, benchmarks=None, misses=None):
     """The report of sweep ``index`` of :func:`ablation_plb.sweep`."""
     sweep = ablation_plb.sweep(benchmarks)[index]
-    return complete_report(sweep, ablation_plb.make_runner(misses))
+    return complete_report(sweep, figure_runner("ablation-plb", misses))
 
 
 def test_plb_associativity(benchmark, figure_args, check):

@@ -33,6 +33,7 @@ from typing import Callable, Dict, List, Tuple
 
 from repro.errors import ConfigurationError, ReproError, SweepInterrupted
 from repro.eval import SAVED_SWEEPS
+from repro.eval.saved import figure_runner
 from repro.faults import install_from
 from repro.serve import ADMISSION_ORDERS, POLICIES
 from repro.settings import Settings
@@ -329,9 +330,8 @@ def _sweep_main(args: argparse.Namespace) -> int:
                 "combined with --scheme or --grid"
             )
         if args.saved is not None:
-            figure = SAVED_SWEEPS[args.saved]
-            runner = figure.make_runner(args.misses)
-            sweeps = figure.sweep(benches)
+            runner = figure_runner(args.saved, args.misses)
+            sweeps = SAVED_SWEEPS[args.saved].sweep(benches)
         else:
             runner = SimulationRunner(misses_per_benchmark=args.misses)
             sweeps = SweepSpec.from_args(

@@ -3,13 +3,16 @@
 :class:`OramConfig` captures the Path ORAM geometry of §3.1 — block count N,
 block size B, bucket arity Z, tree depth L — together with the metadata and
 padding rules the paper uses for bandwidth accounting (buckets padded to
-512-bit multiples for DDR3, Fig. 3 caption).
+512-bit multiples for DDR3, Fig. 3 caption). :class:`Platform` is the
+machine one experiment runs at, and builds the component configs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Dict
 
+from repro.dram.config import DramConfig
 from repro.utils.bitops import is_power_of_two, log2_exact
 
 #: Default stash capacity in blocks, following [26] (§3.1).
@@ -138,3 +141,48 @@ class ProcessorConfig:
     l2_latency: int = 11  # data + tag
     line_bytes: int = 64
     insecure_dram_latency: int = 58  # avg processor cycles without ORAM
+
+
+@dataclass(frozen=True)
+class Platform:
+    """The machine one experiment runs at: a row of
+    :data:`repro.eval.paper_values.PLATFORMS`.
+
+    :attr:`proc` and :attr:`dram` are the component configs it builds;
+    every field they do not name keeps the component's own Table 1
+    default. ``sources`` names the section each value comes from, and
+    ``note`` what the row does not say by its values alone; neither is
+    part of the row's identity.
+    """
+
+    name: str
+    capacity_bytes: int
+    line_bytes: int
+    block_bytes: int
+    blocks_per_bucket: int
+    channels: int
+    core_ghz: float
+    plb_bytes: int
+    onchip_entries: int
+    posmap_block_bytes: int
+    sources: Dict[str, str] = field(default_factory=dict, compare=False)
+    note: str = field(default="", compare=False)
+
+    @property
+    def proc(self) -> ProcessorConfig:
+        """The core and caches: this clock and line, Table 1's caches."""
+        return ProcessorConfig(core_ghz=self.core_ghz, line_bytes=self.line_bytes)
+
+    @property
+    def dram(self) -> DramConfig:
+        """The memory system: this many DDR3-1333 channels."""
+        return DramConfig(channels=self.channels)
+
+    @property
+    def oram(self) -> OramConfig:
+        """The Data ORAM tree at the paper's capacity (for closed forms)."""
+        return OramConfig(
+            num_blocks=self.capacity_bytes // self.block_bytes,
+            block_bytes=self.block_bytes,
+            blocks_per_bucket=self.blocks_per_bucket,
+        )

@@ -24,12 +24,12 @@ figure's at ``REPRO_FULL=1``) and asserts the figure's shape.
 
 A simulated figure (:data:`SAVED_SWEEPS`) is a saved sweep plus a pure
 function. Its module exposes ``sweep(benchmarks=None)`` (a
-:class:`~repro.sim.sweep.SweepSpec`, or a list of them),
-``make_runner(misses=None)`` (the platform it runs on) and
+:class:`~repro.sim.sweep.SweepSpec`, or a list of them) and
 ``table_from_report(report)`` (the table, from the
 :func:`~repro.sim.sweep.run_sweep` report, or the list of reports); its
 ``run(benchmarks=None, misses=None)`` is exactly that composition
-(:func:`repro.eval.saved.figure_run`). A table is recomputed from the
+(:func:`repro.eval.saved.figure_run`) on the runner built from its row
+of :data:`repro.eval.paper_values.PLATFORMS`. A table is recomputed from the
 result store's cells on every call, never stored. fig9 alone takes a
 second input, ``fig9.phantom_replays(runner, benchmarks)``.
 """

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.eval.paper_values import report
-from repro.eval.saved import default_runner, figure_run
+from repro.eval.saved import figure_run
 from repro.sim.sweep import SweepSpec
 from repro.utils.stats import geometric_mean
 
@@ -54,9 +54,6 @@ def sweep(benchmarks: Optional[Iterable[str]] = None) -> List[SweepSpec]:
     ]
 
 
-make_runner = default_runner
-
-
 def _cycles(report: Mapping[str, object], field: str) -> Dict[str, Dict[int, float]]:
     """``cycles[benchmark][spec field value]`` of a one-axis report."""
     cycles: Dict[str, Dict[int, float]] = {}
@@ -90,7 +87,7 @@ def table_from_report(
     return associativity_from_report(reports[0]), value_from_report(reports[1])
 
 
-run = figure_run(sweep, table_from_report)
+run = figure_run("ablation-plb", sweep, table_from_report)
 
 
 def headline(result: Tuple[Dict[int, float], Dict[str, float]]) -> Dict[str, float]:

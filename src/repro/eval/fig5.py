@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.eval.paper_values import report
-from repro.eval.saved import default_runner, figure_run
+from repro.eval.saved import figure_run
 from repro.sim.sweep import SweepSpec
 
 #: Capacities of the Fig. 5 sweep, in bytes.
@@ -26,9 +26,6 @@ def sweep(benchmarks: Optional[Iterable[str]] = None) -> SweepSpec:
     )
 
 
-make_runner = default_runner
-
-
 def table_from_report(report: Mapping[str, object]) -> Dict[str, Dict[int, float]]:
     """``table[benchmark][capacity_bytes] = cycles / cycles_at_8KB``."""
     cycles: Dict[str, Dict[int, float]] = {}
@@ -41,7 +38,7 @@ def table_from_report(report: Mapping[str, object]) -> Dict[str, Dict[int, float
     }
 
 
-run = figure_run(sweep, table_from_report)
+run = figure_run("fig5", sweep, table_from_report)
 
 
 def headline(table: Mapping[str, Mapping[int, float]]) -> Dict[str, float]:

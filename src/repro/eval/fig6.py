@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from repro.eval.paper_values import report
-from repro.eval.saved import default_runner, figure_run
+from repro.eval.saved import figure_run
 from repro.sim.metrics import format_table
 from repro.sim.sweep import SweepSpec
 from repro.utils.stats import geometric_mean
@@ -25,9 +25,6 @@ def sweep(benchmarks: Optional[Iterable[str]] = None) -> SweepSpec:
     return SweepSpec.from_args(schemes=list(SCHEMES), benchmarks=benchmarks)
 
 
-make_runner = default_runner
-
-
 def table_from_report(report: Mapping[str, object]) -> Dict[str, Dict[str, float]]:
     """``table[scheme label][benchmark]`` slowdowns plus a ``geomean`` key."""
     table: Dict[str, Dict[str, float]] = {}
@@ -38,7 +35,7 @@ def table_from_report(report: Mapping[str, object]) -> Dict[str, Dict[str, float
     return table
 
 
-run = figure_run(sweep, table_from_report)
+run = figure_run("fig6", sweep, table_from_report)
 
 
 def headline(table: Mapping[str, Mapping[str, float]]) -> Dict[str, float]:

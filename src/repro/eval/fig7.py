@@ -9,7 +9,8 @@ PLB hit behaviour cannot be computed in closed form, so the average
 number of PosMap fetches per access is *measured* at simulation scale
 (over a benchmark mix spanning the locality spectrum) and then combined
 with the exact per-capacity tree geometry of
-:func:`repro.analytic.bandwidth.unified_access_bytes`.
+:func:`repro.analytic.bandwidth.unified_access_bytes`. Platform rows:
+``fig7`` (rates), ``fig7.bars`` and ``fig7.r_x8`` (see its note).
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.analytic.bandwidth import recursion_breakdown, unified_access_bytes
-from repro.eval.paper_values import report
-from repro.eval.saved import default_runner, figure_run
+from repro.eval.paper_values import PLATFORMS, report
+from repro.eval.saved import figure_run
 from repro.sim.sweep import SweepSpec
+from repro.spec import get_spec
 from repro.utils.units import GiB
 
 #: Schemes of Fig. 7 in plot order, with their Unified-tree parameters
@@ -35,9 +37,8 @@ PLB_SCHEMES: Dict[str, Tuple[int, int]] = {
 #: Capacities of Fig. 7.
 CAPACITIES: Tuple[int, ...] = (4 * GiB, 16 * GiB, 64 * GiB)
 
-#: Block size and on-chip PosMap entries of the analytic bars.
-BLOCK_BYTES = 64
-ONCHIP_ENTRIES = 2**11
+#: The platforms of the closed-form bars: the PLB schemes' and R_X8's.
+BARS, R_X8_BAR = PLATFORMS["fig7.bars"], PLATFORMS["fig7.r_x8"]
 
 #: Default benchmark mix for the measured PosMap rates — spans the
 #: locality spectrum so the average PLB behaviour approximates a suite
@@ -68,9 +69,6 @@ def sweep(benchmarks: Optional[Iterable[str]] = None) -> SweepSpec:
     )
 
 
-make_runner = default_runner
-
-
 def table_from_report(report: Mapping[str, object]) -> List[Fig7Bar]:
     """All Fig. 7 bars (R_X8 analytic; PLB schemes hybrid).
 
@@ -87,22 +85,25 @@ def table_from_report(report: Mapping[str, object]) -> List[Fig7Bar]:
             posmap.get(scheme, 0) + result["tree_accesses"] - result["oram_accesses"]
         )
     bars: List[Fig7Bar] = []
+    onchip_bytes = R_X8_BAR.onchip_entries * get_spec("R_X8").leaf_bytes
     for capacity in CAPACITIES:
-        num_blocks = capacity // BLOCK_BYTES
         r = recursion_breakdown(
-            num_blocks,
-            data_block_bytes=BLOCK_BYTES,
-            onchip_posmap_bytes=256 * 1024,
+            capacity // R_X8_BAR.block_bytes,
+            data_block_bytes=R_X8_BAR.block_bytes,
+            posmap_block_bytes=R_X8_BAR.posmap_block_bytes,
+            blocks_per_bucket=R_X8_BAR.blocks_per_bucket,
+            onchip_posmap_bytes=onchip_bytes,
         )
         bars.append(
             Fig7Bar("R_X8", capacity, r.total_bytes / 1024, r.posmap_bytes / 1024)
         )
         for scheme, (fanout, mac_bytes) in PLB_SCHEMES.items():
             u = unified_access_bytes(
-                num_blocks,
-                block_bytes=BLOCK_BYTES,
+                capacity // BARS.block_bytes,
+                block_bytes=BARS.block_bytes,
                 fanout=fanout,
-                onchip_entries=ONCHIP_ENTRIES,
+                onchip_entries=BARS.onchip_entries,
+                blocks_per_bucket=BARS.blocks_per_bucket,
                 mac_bytes=mac_bytes,
                 posmap_accesses_per_data_access=(
                     posmap[scheme] / data[scheme] if data[scheme] else 0.0
@@ -114,7 +115,7 @@ def table_from_report(report: Mapping[str, object]) -> List[Fig7Bar]:
     return bars
 
 
-run = figure_run(sweep, table_from_report)
+run = figure_run("fig7", sweep, table_from_report)
 
 
 def headline(bars: List[Fig7Bar]) -> Dict[str, float]:

@@ -1,31 +1,36 @@
 """Figure 8: apples-to-apples comparison with Ren et al. [26].
 
-Adopts the parameters of that work: 4 DRAM channels, a 2.6 GHz core,
-128-byte cache lines / ORAM blocks, Z=3. PC_X64 is the PLB scheme at a
-128-byte block (X doubles to 64); PC_X32 keeps 64-byte blocks. The
-headline is each one's geomean speedup over the R_X8 baseline and PC_X64's
-cut in PosMap traffic.
+Adopts the parameters of that work, the ``fig8`` row of
+:data:`~repro.eval.paper_values.PLATFORMS`: more DRAM channels, a faster
+core, 128-byte cache lines / ORAM blocks, Z=3. PC_X64 is the PLB scheme
+at a 128-byte block (X doubles to 64); PC_X32 keeps Table 1's 64-byte
+blocks. The headline is each one's geomean speedup over the R_X8
+baseline and PC_X64's cut in PosMap traffic.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from repro.config import ProcessorConfig
-from repro.dram.config import DramConfig
 from repro.eval import fig6
-from repro.eval.paper_values import report
+from repro.eval.paper_values import PLATFORMS, TABLE1, report
 from repro.eval.saved import figure_run
 from repro.sim.metrics import format_table
-from repro.sim.runner import SimulationRunner
 from repro.sim.sweep import SweepSpec
 from repro.workloads.spec import benchmark_names
 
+#: [26]'s platform.
+PLATFORM = PLATFORMS["fig8"]
+
 #: Fig. 8 scheme rows: (the paper's name, a spec string pinning [26]'s parameters).
-SCHEMES: Tuple[Tuple[str, str], ...] = (
-    ("R_X8", "R_X8:block_bytes=128,blocks_per_bucket=3"),
-    ("PC_X64", "PC_X64:block_bytes=128,blocks_per_bucket=3"),
-    ("PC_X32", "PC_X32:block_bytes=64,blocks_per_bucket=3"),
+SCHEMES: Tuple[Tuple[str, str], ...] = tuple(
+    (name, f"{name}:block_bytes={block},"
+           f"blocks_per_bucket={PLATFORM.blocks_per_bucket}")
+    for name, block in (
+        ("R_X8", PLATFORM.block_bytes),
+        ("PC_X64", PLATFORM.block_bytes),
+        ("PC_X32", TABLE1.block_bytes),
+    )
 )
 
 
@@ -33,17 +38,6 @@ def sweep(benchmarks: Optional[Iterable[str]] = None) -> SweepSpec:
     """The three [26]-parameter schemes over the benchmarks."""
     return SweepSpec.from_args(
         schemes=[spec for _name, spec in SCHEMES], benchmarks=benchmarks
-    )
-
-
-def make_runner(misses: Optional[int] = None) -> SimulationRunner:
-    """Runner matching [26]'s platform (4 channels, 2.6 GHz, 128 B lines)."""
-    proc = ProcessorConfig(core_ghz=2.6, line_bytes=128)
-    return SimulationRunner(
-        proc=proc,
-        dram=DramConfig(channels=4),
-        proc_ghz=2.6,
-        misses_per_benchmark=misses,
     )
 
 
@@ -66,7 +60,7 @@ def table_from_report(
     return table, traffic
 
 
-run = figure_run(sweep, table_from_report, make_runner)
+run = figure_run("fig8", sweep, table_from_report)
 
 
 def headline(result: Tuple[Dict[str, Dict[str, float]], ...]) -> Dict[str, float]:
@@ -86,7 +80,7 @@ def headline(result: Tuple[Dict[str, Dict[str, float]], ...]) -> Dict[str, float
 def main() -> None:
     """Print slowdowns and PosMap traffic with [26]'s parameters."""
     result = run()
-    title = "Figure 8: slowdown vs insecure ([26] parameters: 4ch, 2.6 GHz, Z=3)"
+    title = "Figure 8: slowdown vs insecure ([26] parameters: the fig8 platform)"
     print(format_table(result[0], benchmark_names(), title))
     ours = headline(result)
     cuts = (f"{key.rsplit('.', 1)[1]} {cut:.0f}%" for key, cut in ours.items()

@@ -8,27 +8,27 @@ speedup, Phantom's 32 KB block buffer notwithstanding.
 
 We model the Phantom point with the non-recursive LinearFrontend at 4 KB
 blocks plus a 32 KB CLOCK block buffer in front (Section 5.7 of [21]),
-on 2 DRAM channels, and compare against the PC_X32 simulation.
+on 2 DRAM channels, and compare against the PC_X32 simulation. Both are
+rows of :data:`~repro.eval.paper_values.PLATFORMS`: ``phantom`` and
+``fig9``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.config import OramConfig, ProcessorConfig
-from repro.dram.config import DramConfig
+from repro.config import ProcessorConfig
 from repro.dram.model import DramModel
 from repro.proc.hierarchy import MissTrace
-from repro.eval.paper_values import report
-from repro.eval.saved import complete_report
+from repro.eval.paper_values import PLATFORMS, report
+from repro.eval.saved import complete_report, figure_runner
 from repro.sim.runner import SimulationRunner
 from repro.sim.sweep import SweepSpec
 from repro.utils.stats import geometric_mean
 
-#: Phantom configuration of §7.1.6.
-PHANTOM_BLOCK_BYTES = 4096
-PHANTOM_BUFFER_BYTES = 32 * 1024
-PHANTOM_LINE_BYTES = 128
+#: PC_X32's platform, and Phantom's (§7.1.6): its block buffer is the row's
+#: ``plb_bytes``.
+PLATFORM, PHANTOM = PLATFORMS["fig9"], PLATFORMS["phantom"]
 
 #: Benchmarks of Fig. 9.
 BENCHMARKS: Tuple[str, ...] = ("gcc", "libq", "mcf", "hmmer")
@@ -38,8 +38,6 @@ def phantom_cycles(
     trace: MissTrace,
     proc: ProcessorConfig,
     oram_latency: float,
-    block_bytes: int = PHANTOM_BLOCK_BYTES,
-    buffer_bytes: int = PHANTOM_BUFFER_BYTES,
 ) -> float:
     """Replay a trace against the Phantom model (block buffer + big blocks).
 
@@ -47,7 +45,7 @@ def phantom_cycles(
     CLOCK (approximated as LRU over 8 slots); hits cost an L2-like
     latency, misses cost a full 4 KB-block ORAM access.
     """
-    slots = max(buffer_bytes // block_bytes, 1)
+    slots = max(PHANTOM.plb_bytes // PHANTOM.block_bytes, 1)
     resident: List[int] = []
     cycles = (
         trace.instructions
@@ -56,7 +54,7 @@ def phantom_cycles(
     )
     line_addrs, _ = trace.columns()
     for line_addr in line_addrs.tolist():
-        block = line_addr * proc.line_bytes // block_bytes
+        block = line_addr * proc.line_bytes // PHANTOM.block_bytes
         if block in resident:
             resident.remove(block)
             resident.append(block)
@@ -69,28 +67,18 @@ def phantom_cycles(
     return cycles
 
 
-def phantom_oram_latency(proc_ghz: float = 1.3, channels: int = 2) -> float:
+def phantom_oram_latency() -> float:
     """Per-access latency of the 4 KB-block, L=19 Phantom tree."""
-    cfg = OramConfig(
-        num_blocks=2**20, block_bytes=PHANTOM_BLOCK_BYTES, levels=19
-    )
-    model = DramModel(cfg.levels, cfg.bucket_bytes, DramConfig(channels=channels))
-    return model.average_oram_latency_proc_cycles(proc_ghz)
+    cfg = PHANTOM.oram
+    model = DramModel(cfg.levels, cfg.bucket_bytes, PHANTOM.dram)
+    return model.average_oram_latency_proc_cycles(PHANTOM.core_ghz)
 
 
 def sweep(benchmarks: Optional[Iterable[str]] = None) -> SweepSpec:
     """PC_X32 at 64-byte blocks over the benchmarks."""
     return SweepSpec.from_args(
-        schemes=["PC_X32:block_bytes=64"],
+        schemes=[f"PC_X32:block_bytes={PLATFORM.block_bytes}"],
         benchmarks=BENCHMARKS if benchmarks is None else benchmarks,
-    )
-
-
-def make_runner(misses: Optional[int] = None) -> SimulationRunner:
-    """The default platform with Phantom's 128-byte lines."""
-    return SimulationRunner(
-        proc=ProcessorConfig(line_bytes=PHANTOM_LINE_BYTES),
-        misses_per_benchmark=misses,
     )
 
 
@@ -121,15 +109,17 @@ def run(
     misses: Optional[int] = None,
 ) -> Dict[str, float]:
     """Per-benchmark speedup of PC_X32 over the Phantom configuration."""
-    runner = make_runner(misses)
+    runner = figure_runner("fig9", misses)
     report = complete_report(sweep(benchmarks), runner)
     return table_from_report(report, phantom_replays(runner, report["benchmarks"]))
 
 
 def headline(speedups: Mapping[str, float]) -> Dict[str, float]:
     """Geomean speedup; PC_X32's share of Phantom's bytes, closed form (%)."""
-    pc_path = (OramConfig(num_blocks=2**26, block_bytes=64).levels + 1) * 64
-    phantom_path = (19 + 1) * PHANTOM_BLOCK_BYTES  # L = 19, as in phantom_oram_latency
+    pc_path, phantom_path = (
+        (platform.oram.levels + 1) * platform.block_bytes
+        for platform in (PLATFORM, PHANTOM)
+    )
     return {
         "fig9.speedup": geometric_mean(speedups.values()),
         "fig9.byte_ratio": 100 * pc_path / phantom_path,

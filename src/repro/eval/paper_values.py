@@ -10,14 +10,20 @@ run; a saved sweep's (:data:`repro.eval.SAVED_SWEEPS`) only at the
 paper's budget, ``REPRO_FULL=1``. A checked row outside tolerance must
 list a deviation, and a listed one back inside fails: the list only
 shrinks.
+
+:data:`PLATFORMS` holds the machine each experiment runs at, each value
+with its section: a figure's runner is built from its row
+(``saved.figure_runner``), and a closed form reads its row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, List, Mapping, Optional, Tuple
 
+from repro.config import Platform
 from repro.settings import Settings
+from repro.utils.units import GiB, KiB, format_bytes
 
 
 @dataclass(frozen=True)
@@ -91,6 +97,78 @@ ROWS = (
 #: The rows by key.
 PAPER: Dict[str, Row] = {row.key: row for row in ROWS}
 
+_NOT_STATED = "not stated; PAPER.md holds only the title"
+
+
+def _platform(name: str, base: Optional[Platform] = None, note: str = "",
+              **cited: Tuple[object, str]) -> Platform:
+    """A row: ``base`` with each ``field=(value, section)`` of ``cited``."""
+    values = {field: value for field, (value, _section) in cited.items()}
+    sources = {field: section for field, (_value, section) in cited.items()}
+    if base is None:
+        return Platform(name, **values, sources=sources, note=note)
+    return replace(base, name=name, **values, sources={**base.sources, **sources},
+                   note=note)
+
+
+#: Table 1's machine: every simulated figure's unless its row says
+#: otherwise, and a runner's when none is named.
+TABLE1 = _platform(
+    "table1",
+    capacity_bytes=(4 * GiB, "Table 1: a 4 GB Data ORAM, N = 2^26"),
+    line_bytes=(64, "Table 1"),
+    block_bytes=(64, "Table 1: one block per line"),
+    blocks_per_bucket=(4, "Table 1"),
+    channels=(2, "Table 1: 2 DDR3-1333 channels"),
+    core_ghz=(1.3, "Table 1"),
+    plb_bytes=(64 * KiB, "§7.1.3: the 64 KB direct-mapped PLB"),
+    onchip_entries=(2**10, _NOT_STATED),
+    posmap_block_bytes=(32, "Fig. 3 / §7.1.4: R_X8's X = 8 of 4 B leaves"),
+)
+
+_FIG7_ONCHIP = (
+    "one quantity, three values: the measured rates run at 2^10 on-chip "
+    "entries (fig7), the PLB bars assume 2^11 (fig7.bars), the R_X8 bar "
+    "256 KiB (fig7.r_x8); ROADMAP 10(c) / 1(b) reconcile them"
+)
+_FIG8 = "[26]: the platform Fig. 8 compares at"
+_PHANTOM = "§7.1.6: Phantom's 2^20 x 4 KB tree, L = 19"
+
+#: Each experiment's machine by name (``python -m repro`` names, plus
+#: the points an experiment compares against).
+PLATFORMS: Dict[str, Platform] = {row.name: row for row in (
+    _platform("table2", TABLE1,
+              note="closed form; the channel count is its axis (1, 2, 4, 8)"),
+    _platform("fig5", TABLE1, note="the PLB capacity is its axis (8-128 KB)"),
+    _platform("fig6", TABLE1),
+    _platform("fig7", TABLE1, note="the capacity is its axis (4, 16, 64 GB); "
+              + _FIG7_ONCHIP),
+    _platform("fig7.bars", TABLE1, note="Fig. 7's closed-form PLB bars",
+              onchip_entries=(2**11, _NOT_STATED)),
+    _platform("fig7.r_x8", TABLE1, note="Fig. 7's closed-form R_X8 bar",
+              onchip_entries=(256 * KiB // 4, "Fig. 3's 256 KB on-chip PosMap "
+                              "of 4 B leaves")),
+    _platform("fig8", TABLE1,
+              note="PC_X32 keeps Table 1's 64 B block under the 128 B line",
+              capacity_bytes=(4 * GiB, _NOT_STATED + "; Table 1's 4 GB"),
+              line_bytes=(128, _FIG8), block_bytes=(128, _FIG8),
+              blocks_per_bucket=(3, _FIG8), channels=(4, _FIG8),
+              core_ghz=(2.6, _FIG8)),
+    _platform("fig9", TABLE1,
+              note="PC_X32's 64 B blocks under Phantom's 128 B line",
+              line_bytes=(128, "§7.1.6: Phantom's 128 B line")),
+    _platform("phantom", TABLE1, note="Fig. 9's baseline, in closed form",
+              capacity_bytes=(2**20 * 4 * KiB, _PHANTOM),
+              line_bytes=(128, _PHANTOM), block_bytes=(4 * KiB, _PHANTOM),
+              blocks_per_bucket=(4, _NOT_STATED + "; Table 1's Z"),
+              plb_bytes=(32 * KiB, "[21] §5.7: the 32 KB block buffer, "
+                         "where the PLB would be"),
+              onchip_entries=(2**20, "§7.1.6: the whole PosMap on chip"),
+              posmap_block_bytes=(0, "§7.1.6: no PosMap ORAM")),
+    _platform("ablation-plb", TABLE1,
+              note="the PLB capacity and ways are its axes"),
+)}
+
 
 def _status(row: Row, ours: Optional[float], checked: bool) -> str:
     """in / out when not checked; else ok, deviation, or a failure."""
@@ -104,11 +182,26 @@ def _status(row: Row, ours: Optional[float], checked: bool) -> str:
     return "ok" if inside else "FAIL"
 
 
+def platform_line(row: Platform, simulated: bool) -> str:
+    """Where an experiment ran, and the capacity it simulated beside the paper's."""
+    from repro.sim.runner import blocks_needed
+    from repro.workloads.spec import benchmark_names
+
+    ours = "closed form at the paper's"
+    if simulated:  # a runner sizes each stand-in's ORAM to its working set
+        sizes = sorted(blocks_needed(n, row.block_bytes) for n in benchmark_names())
+        ours = "simulated {}-{} (working sets)".format(
+            *(format_bytes(n * row.block_bytes) for n in (sizes[0], sizes[-1])))
+    return (f"[platform {row.name}: {row.line_bytes} B lines, {row.block_bytes} B blocks, "
+            f"Z={row.blocks_per_bucket}, {row.channels} ch, {row.core_ghz:g} GHz; "
+            f"capacity: paper {format_bytes(row.capacity_bytes)}, {ours}]")
+
+
 def report(
     experiment: str, ours: Mapping[str, float], misses: Optional[int] = None
 ) -> List[str]:
-    """Print the experiment's rows beside ``ours`` (simulated at ``misses``,
-    default the configured budget); return the keys of the failing ones."""
+    """Print the experiment's platform and rows beside ``ours`` (simulated at
+    ``misses``, default the configured budget); return the failing keys."""
     from repro.eval import SAVED_SWEEPS  # the package imports this module
 
     checked, budget = True, "closed form, checked"
@@ -118,7 +211,10 @@ def report(
         budget = f"{misses or settings.miss_budget} misses/benchmark, checked" + (
             "" if checked else f" at {Settings(full=True).miss_budget} (REPRO_FULL=1)"
         )
-    print(f"\n{'paper value':<30}{'paper':>8}{'ours':>10}{'delta':>10}{'tol':>7}"
+    print()
+    if experiment in PLATFORMS:
+        print(platform_line(PLATFORMS[experiment], experiment in SAVED_SWEEPS))
+    print(f"{'paper value':<30}{'paper':>8}{'ours':>10}{'delta':>10}{'tol':>7}"
           f"  {'unit':<7}status  [{budget}]")
     failed = []
     for row in (row for row in ROWS if row.key.startswith(f"{experiment}.")):

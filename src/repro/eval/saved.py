@@ -1,10 +1,10 @@
-"""What every saved-sweep figure shares: the default platform and ``run``.
+"""What every saved-sweep figure shares: its runner and ``run``.
 
 A simulated figure (:data:`repro.eval.SAVED_SWEEPS`) is a saved sweep plus
 a pure ``table_from_report``. :func:`figure_run` composes the two into the
-module's ``run(benchmarks=None, misses=None)``, and :func:`complete_report`
-is the one place a figure's sweep runs: a table is only ever built from
-every cell of its sweep.
+module's ``run(benchmarks=None, misses=None)`` on :func:`figure_runner`,
+and :func:`complete_report` is the one place a figure's sweep runs: a
+table is only ever built from every cell of its sweep.
 """
 
 from __future__ import annotations
@@ -12,15 +12,17 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, Optional, TypeVar
 
 from repro.errors import ReproError
+from repro.eval.paper_values import PLATFORMS
 from repro.sim.runner import SimulationRunner
 from repro.sim.sweep import SweepSpec, run_sweep
 
 T = TypeVar("T")
 
 
-def default_runner(misses: Optional[int] = None) -> SimulationRunner:
-    """The paper's default platform."""
-    return SimulationRunner(misses_per_benchmark=misses)
+def figure_runner(name: str, misses: Optional[int] = None) -> SimulationRunner:
+    """The runner of experiment ``name``: its platform row, ``misses``
+    per benchmark (default: the configured budget)."""
+    return SimulationRunner(PLATFORMS[name], misses_per_benchmark=misses)
 
 
 def complete_report(sweep: SweepSpec, runner: SimulationRunner) -> Dict[str, object]:
@@ -42,22 +44,22 @@ def complete_report(sweep: SweepSpec, runner: SimulationRunner) -> Dict[str, obj
 
 
 def figure_run(
+    name: str,
     sweep: Callable[[Optional[Iterable[str]]], object],
     table_from_report: Callable[..., T],
-    make_runner: Callable[[Optional[int]], SimulationRunner] = default_runner,
 ) -> Callable[..., T]:
-    """A figure's ``run(benchmarks=None, misses=None)``.
+    """Experiment ``name``'s ``run(benchmarks=None, misses=None)``.
 
     ``table_from_report`` of the complete report of ``sweep(benchmarks)``
-    on ``make_runner(misses)``; a figure of several sweeps (a list) gets
-    the list of their reports.
+    on ``figure_runner(name, misses)``; a figure of several sweeps (a
+    list) gets the list of their reports.
     """
 
     def run(
         benchmarks: Optional[Iterable[str]] = None, misses: Optional[int] = None
     ) -> T:
         """The figure's table (``table_from_report`` of its saved sweep)."""
-        runner = make_runner(misses)
+        runner = figure_runner(name, misses)
         sweeps = sweep(benchmarks)
         if isinstance(sweeps, list):
             return table_from_report([complete_report(s, runner) for s in sweeps])

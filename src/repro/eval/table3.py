@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.area.model import AreaBreakdown, AreaModel
-from repro.eval.paper_values import report
+from repro.eval.paper_values import PLATFORMS, report
 
 
 def run(channel_counts: Tuple[int, ...] = (1, 2, 4)) -> Dict[int, AreaBreakdown]:
@@ -34,7 +34,9 @@ def headline(results: Dict[int, AreaBreakdown]) -> Dict[str, float]:
         for part, share in breakdown.percentages().items():
             ours[f"table3.share.{part}.{ch}ch"] = share
     ours["table3.layout.2ch"] = layout_total(2)
-    ours["table3.flat_posmap"] = AreaModel().no_recursion_posmap_mm2(2**20, 20)
+    flat = PLATFORMS["phantom"]  # one (L + 1)-bit entry per block, all on chip
+    ours["table3.flat_posmap"] = AreaModel().no_recursion_posmap_mm2(
+        flat.onchip_entries, flat.oram.levels + 1)
     small, big = (AreaModel(plb_kib=kib).synthesis(1).total for kib in (8, 64))
     ours["table3.plb64_growth"] = 100 * (big / small - 1)
     return ours

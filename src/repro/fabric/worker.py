@@ -66,8 +66,7 @@ import time
 from pathlib import Path
 from typing import Dict, Optional
 
-from repro.config import ProcessorConfig
-from repro.dram.config import DramConfig
+from repro.config import Platform
 from repro.errors import CELL_FAILURES, InjectedFault
 from repro.fabric.protocol import (
     ProtocolError,
@@ -89,8 +88,7 @@ _INSTANCES = itertools.count()
 def runner_to_wire(runner: SimulationRunner) -> Dict[str, object]:
     """JSON-safe image of a runner's spawn payload (inverse: :func:`runner_from_wire`)."""
     wire = dict(runner._spawn_payload())
-    wire["proc"] = dataclasses.asdict(runner.proc)
-    wire["dram"] = dataclasses.asdict(runner.dram)
+    wire["platform"] = dataclasses.asdict(runner.platform)
     for field in ("cache_dir", "result_cache_dir"):
         wire[field] = str(wire[field]) if wire[field] is not None else None
     return wire
@@ -99,8 +97,7 @@ def runner_to_wire(runner: SimulationRunner) -> Dict[str, object]:
 def runner_from_wire(wire: Dict[str, object]) -> SimulationRunner:
     """Rebuild a runner from :func:`runner_to_wire`'s image."""
     payload = dict(wire)
-    payload["proc"] = ProcessorConfig(**payload["proc"])
-    payload["dram"] = DramConfig(**payload["dram"])
+    payload["platform"] = Platform(**payload["platform"])
     for field in ("cache_dir", "result_cache_dir"):
         value = payload[field]
         payload[field] = Path(value) if value is not None else None

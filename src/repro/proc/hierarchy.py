@@ -31,6 +31,12 @@ _FLAG_COMPRESSED = 1
 #: event word's first (little-endian) byte, reduced to its write flag.
 _LOW_BIT = bytes(b & 1 for b in range(256))
 
+#: Measured references a run may take per LLC miss of its budget. A
+#: stream that fits in the L2 stops missing and would never end; every
+#: registered stand-in needs under 33 per miss at 64 B and 128 B lines.
+#: The synthesis kernel's bound is the same (its ``MAX_REFS_PER_MISS``).
+MAX_REFS_PER_MISS = 1000
+
 
 @dataclass(frozen=True)
 class MissEvent:
@@ -259,18 +265,22 @@ class CacheHierarchy:
         The first ``warmup_refs`` references warm the caches without being
         recorded (the paper warms over 1B instructions before measuring,
         §7.1.1); measurement then stops after ``max_llc_misses`` demand
-        misses when positive.
+        misses when positive, or short of them after
+        :data:`MAX_REFS_PER_MISS` measured references per miss.
         """
         line_addrs, is_write = array("q"), array("b")
         instructions = mem_refs = l1_hits = l2_hits = 0
         line_shift = self.config.line_bytes.bit_length() - 1
         misses = 0
+        max_refs = MAX_REFS_PER_MISS * max_llc_misses if max_llc_misses else -1
         warm_remaining = warmup_refs
         for gap, write, byte_addr in refs:
             recording = warm_remaining <= 0
             if not recording:
                 warm_remaining -= 1
             if recording:
+                if mem_refs == max_refs:
+                    break
                 instructions += gap + 1
                 mem_refs += 1
             line = byte_addr >> line_shift

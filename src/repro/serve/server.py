@@ -107,8 +107,8 @@ POLICIES = ("defer", "shed", "throttle")
 ADMISSION_ORDERS = ("edf", "fifo")
 
 #: Fallback sizing benchmark when every tenant uses an explicit event
-#: stream (only ``block_bytes``/``onchip``/``plb`` sizing is taken from
-#: it; ``num_blocks`` is always overridden with the pool capacity).
+#: stream (only the platform's ``block_bytes``/``onchip_entries`` sizing is
+#: taken from it; ``num_blocks`` is always overridden with the pool capacity).
 _SIZING_FALLBACK = "mcf"
 
 #: Rows the accounting log may hold before it is folded into the

@@ -141,6 +141,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
+#include <limits.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -4272,7 +4273,14 @@ done:
  * (unknown kind, zero stride, bad weights, bad geometry, no miss
  * budget); OverflowError for one that is valid but outside what the
  * kernel represents (a modulus over 32 bits, a cache too large to
- * allocate flat) — the caller runs the interpreted reference then. */
+ * allocate flat) — the caller runs the interpreted reference then.
+ *
+ * A stream that fits in the L2 stops missing, so the loop also ends
+ * after MAX_REFS_PER_MISS measured references per miss of the budget,
+ * as CacheHierarchy.run does (repro.proc.hierarchy.MAX_REFS_PER_MISS),
+ * and returns the short trace; the caller names the working set. */
+
+#define MAX_REFS_PER_MISS 1000
 
 #define MT_N 624
 #define MT_M 397
@@ -4722,6 +4730,7 @@ typedef struct {
     LruCache l1, l2;
     int line_shift;
     long long warm_remaining, misses, max_llc_misses;
+    unsigned long long max_refs; /* measured references before giving up */
     unsigned long long instructions, mem_refs, l1_hits, l2_hits;
     /* MissTrace.events as columns; they grow, since one reference can
      * record more than two events */
@@ -4760,6 +4769,8 @@ synth_run(Synth *s, long budget)
 {
     Py_ssize_t last = s->n_patterns - 1;
     while (budget-- > 0) {
+        if (s->warm_remaining <= 0 && s->mem_refs == s->max_refs)
+            return SYNTH_DONE;
         double u = mt_random(&s->pick);
         Py_ssize_t pick = 0;
         /* first i with u <= cum[i]; the last pattern when float
@@ -4938,6 +4949,9 @@ synthesize_trace(PyObject *self, PyObject *args)
     s.line_shift = bit_length64(line_bytes) - 1;
     s.warm_remaining = warmup_refs;
     s.max_llc_misses = max_llc_misses;
+    s.max_refs = (unsigned long long)max_llc_misses > ULLONG_MAX / MAX_REFS_PER_MISS
+                     ? ULLONG_MAX
+                     : (unsigned long long)max_llc_misses * MAX_REFS_PER_MISS;
 
     int state;
     do {
@@ -5187,6 +5201,8 @@ PyInit__replay_core(void)
         PyModule_AddStringConstant(module, "SOURCE_DIGEST",
                                    REPRO_SOURCE_DIGEST) < 0 ||
         PyModule_AddStringConstant(module, "PRF_PAIR", prf_pair_name) < 0 ||
+        PyModule_AddIntConstant(module, "MAX_REFS_PER_MISS",
+                                MAX_REFS_PER_MISS) < 0 ||
         PyModule_AddObjectRef(module, "AccessKernel",
                               (PyObject *)&AccessKernelType) < 0 ||
         PyModule_AddObjectRef(module, "FrontendKernel",

@@ -11,12 +11,13 @@ Schemes are addressed declaratively: every run accepts a registered name
 (``"PIC_X32:plb=32KiB,storage=object"``, ``"P_X16:storage=columnar"``), or
 a :class:`~repro.spec.SchemeSpec` value. Because the result-cache key is
 the sized spec's canonical serialization, every storage backend (object,
-columnar) keys its own cells automatically. The runner sizes the spec for the
-benchmark's working set (``num_blocks``, ``block_bytes``,
-``onchip_entries``, ``plb_capacity_bytes``) *underneath* any explicit
-deltas, builds the frontend via ``spec.build()``, and keys the result
-cache on the sized spec's canonical serialization — there is no
-hand-maintained override list anywhere in the cache-key path.
+columnar) keys its own cells automatically. The runner sizes the spec
+*underneath* any explicit deltas — ``num_blocks`` from the benchmark's
+working set, ``block_bytes`` and ``onchip_entries`` from its
+:class:`~repro.config.Platform` row — builds the frontend via
+``spec.build()``, and keys the result cache on the sized spec's
+canonical serialization — there is no hand-maintained override list
+anywhere in the cache-key path.
 
 Trace seeding is fully deterministic: the per-benchmark RNG fork salt is
 a CRC32 of the benchmark name, never the salted builtin ``hash`` (which
@@ -66,10 +67,10 @@ from typing import (
     Union,
 )
 
-from repro.config import ProcessorConfig
-from repro.dram.config import DramConfig
+from repro.config import Platform, ProcessorConfig
+from repro.errors import ConfigurationError
 from repro.faults import fault_hook
-from repro.proc.hierarchy import CacheHierarchy, MissTrace
+from repro.proc.hierarchy import MAX_REFS_PER_MISS, CacheHierarchy, MissTrace
 from repro.resilience import RetryPolicy
 from repro.settings import Settings
 from repro.sim.metrics import SimResult
@@ -87,6 +88,7 @@ from repro.spec import (
 )
 from repro.utils.bitops import next_pow2
 from repro.utils.rng import DeterministicRng
+from repro.utils.units import format_bytes
 from repro.workloads.spec import SpecStandIn, benchmark
 
 #: A scheme argument: registered name, spec string, or SchemeSpec value.
@@ -124,6 +126,12 @@ def stable_trace_salt(bench_name: str) -> int:
     return zlib.crc32(bench_name.encode("utf-8")) & 0xFFFF
 
 
+def blocks_needed(bench_name: str, block_bytes: int) -> int:
+    """The blocks a benchmark's ORAM is sized to: its working set, rounded
+    up to a power of two (the capacity simulated, not the paper's)."""
+    return next_pow2(max(benchmark(bench_name).wss_bytes // block_bytes, 2))
+
+
 def synthesize_trace(
     spec: SpecStandIn,
     rng: DeterministicRng,
@@ -142,8 +150,12 @@ def synthesize_trace(
     what runs without the extension or for a stand-in outside the
     kernel's 32-bit draw range (it answers ``OverflowError``). The
     kernel refuses ``max_llc_misses <= 0`` with ``ValueError``: the
-    stream is infinite.
+    stream is infinite. A stand-in that stops missing (its working set
+    fits in the L2) ends both tiers short of the budget after
+    :data:`~repro.proc.hierarchy.MAX_REFS_PER_MISS` measured references
+    per miss, and raises :class:`~repro.errors.ConfigurationError`.
     """
+    trace = None
     core = load_native_core()
     if core is not None:
         states = rng.fork(0xF00D).mt_state()
@@ -169,34 +181,45 @@ def synthesize_trace(
         except OverflowError:
             pass
         else:
-            return MissTrace.from_columns(name, counters, line_addrs, is_write)
-    return CacheHierarchy(proc).run(
-        spec.refs(rng),
-        name=name,
-        max_llc_misses=max_llc_misses,
-        warmup_refs=warmup_refs,
-    )
+            trace = MissTrace.from_columns(name, counters, line_addrs, is_write)
+    if trace is None:
+        trace = CacheHierarchy(proc).run(
+            spec.refs(rng),
+            name=name,
+            max_llc_misses=max_llc_misses,
+            warmup_refs=warmup_refs,
+        )
+    if trace.llc_misses < max_llc_misses:
+        raise ConfigurationError(
+            f"trace {name!r} stops missing: {trace.mem_refs} references made "
+            f"{trace.llc_misses} of its {max_llc_misses} LLC misses (at most "
+            f"{MAX_REFS_PER_MISS} per miss): its working set is "
+            f"{format_bytes(spec.wss_bytes)} against a "
+            f"{format_bytes(proc.l2_bytes)} L2"
+        )
+    return trace
 
 
 class SimulationRunner:
-    """Caches miss traces and replay results (in memory and on disk)."""
+    """Caches miss traces and replay results (in memory and on disk), at
+    ``platform`` (default :data:`repro.eval.paper_values.TABLE1`)."""
 
     def __init__(
         self,
-        proc: ProcessorConfig = ProcessorConfig(),
-        dram: Optional[DramConfig] = None,
-        proc_ghz: float = 1.3,
+        platform: Optional[Platform] = None,
         seed: int = 2015,
         misses_per_benchmark: Optional[int] = None,
-        plb_capacity_bytes: int = 64 * 1024,
-        onchip_entries: int = 2**10,
         cache_dir: Union[str, Path, None] = "auto",
         result_cache_dir: Union[str, Path, None] = "auto",
         force: Optional[bool] = None,
     ):
-        self.proc = proc
-        self.dram = dram if dram is not None else DramConfig()
-        self.proc_ghz = proc_ghz
+        if platform is None:
+            from repro.eval.paper_values import TABLE1  # repro.eval imports this module
+
+            platform = TABLE1
+        self.platform = platform
+        self.proc = platform.proc
+        self.dram = platform.dram
         self.seed = seed
         settings = Settings.from_env()
         self.misses = (
@@ -204,8 +227,6 @@ class SimulationRunner:
             if misses_per_benchmark is not None
             else settings.miss_budget
         )
-        self.plb_capacity_bytes = plb_capacity_bytes
-        self.onchip_entries = onchip_entries
         self.force = settings.force if force is None else bool(force)
         if cache_dir == "auto":
             cache_dir = settings.trace_cache
@@ -271,19 +292,15 @@ class SimulationRunner:
 
     # -- scheme specs -----------------------------------------------------------
 
-    def _blocks_needed(self, bench_name: str, block_bytes: int) -> int:
-        wss = benchmark(bench_name).wss_bytes
-        return next_pow2(max(wss // block_bytes, 2))
-
     def sized_spec(
         self, scheme: SchemeLike, bench_name: str, **overrides
     ) -> Tuple[SchemeSpec, str]:
         """(spec sized for the benchmark, display label) for one cell.
 
-        Runner-level sizing — ``block_bytes`` from the processor line,
-        ``num_blocks`` from the benchmark's working set, this runner's
-        ``onchip_entries``/``plb_capacity_bytes`` — is applied to the
-        scheme's registered base, *underneath* the scheme's own explicit
+        Runner-level sizing — ``num_blocks`` from the benchmark's working
+        set, ``block_bytes`` and ``onchip_entries`` from the platform row
+        — is applied to the scheme's registered base (whose own
+        ``plb_capacity_bytes`` stands), *underneath* the scheme's own explicit
         deltas (a spec-string suffix or SchemeSpec field changes) and the
         per-call ``overrides``. Unknown override keys raise
         :class:`~repro.errors.SpecError` naming the valid spec fields.
@@ -303,12 +320,11 @@ class SimulationRunner:
         base_name, deltas, label = self._resolve(scheme)
         merged = dict(deltas)
         merged.update(overrides)
-        block_bytes = merged.get("block_bytes", self.proc.line_bytes)
+        block_bytes = merged.get("block_bytes", self.platform.block_bytes)
         sizing = dict(
             block_bytes=block_bytes,
-            num_blocks=self._blocks_needed(bench_name, block_bytes),
-            onchip_entries=self.onchip_entries,
-            plb_capacity_bytes=self.plb_capacity_bytes,
+            num_blocks=blocks_needed(bench_name, block_bytes),
+            onchip_entries=self.platform.onchip_entries,
         )
         sizing.update(merged)
         return get_spec(base_name).with_(**sizing), label
@@ -337,7 +353,7 @@ class SimulationRunner:
 
     def timing_for(self, frontend) -> OramTimingModel:
         """Timing model matched to a frontend's tree geometry."""
-        return timing_for_frontend(frontend, self.dram, self.proc_ghz)
+        return timing_for_frontend(frontend, self.dram, self.proc.core_ghz)
 
     # -- cells --------------------------------------------------------------------
 
@@ -349,7 +365,6 @@ class SimulationRunner:
             self.seed,
             self.proc,
             self.dram,
-            self.proc_ghz,
             self.misses,
             self._warmup_refs(bench_name),
         )
@@ -446,8 +461,7 @@ class SimulationRunner:
     def derive(self, **changes) -> "SimulationRunner":
         """A runner with constructor fields replaced, caches shared.
 
-        The derived runner keeps this runner's processor/DRAM config,
-        seed and on-disk cache locations (the same payload a worker
+        The derived runner keeps this runner's platform, seed and on-disk cache locations (the same payload a worker
         process is built from) with ``changes`` applied on top — e.g.
         ``runner.derive(misses_per_benchmark=2000)`` for a sweep axis
         over the miss budget. In-memory trace state is *not* shared: a
@@ -466,13 +480,9 @@ class SimulationRunner:
     def _spawn_payload(self) -> Dict[str, object]:
         """Constructor kwargs that recreate this runner in a worker process."""
         return dict(
-            proc=self.proc,
-            dram=self.dram,
-            proc_ghz=self.proc_ghz,
+            platform=self.platform,
             seed=self.seed,
             misses_per_benchmark=self.misses,
-            plb_capacity_bytes=self.plb_capacity_bytes,
-            onchip_entries=self.onchip_entries,
             cache_dir=self.trace_cache.root if self.trace_cache is not None else None,
             result_cache_dir=(
                 self.result_cache.root if self.result_cache is not None else None

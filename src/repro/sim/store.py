@@ -235,7 +235,6 @@ def result_key(
     seed: int,
     proc: ProcessorConfig,
     dram: DramConfig,
-    proc_ghz: float,
     max_llc_misses: int,
     warmup_refs: int,
 ) -> str:
@@ -254,7 +253,7 @@ def result_key(
         f"spec={scheme_canonical}",
         f"bench={bench_name}",
         f"seed={seed}",
-        f"ghz={proc_ghz!r}",
+        f"ghz={proc.core_ghz!r}",
         f"misses={max_llc_misses}",
         f"warmup={warmup_refs}",
     ]

@@ -33,7 +33,6 @@ configuration, not a run.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, fields, replace
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -152,8 +151,9 @@ class SchemeSpec:
     # -- serialization -----------------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
-        """Plain-data image (JSON-safe); inverse of :meth:`from_dict`."""
-        return dataclasses.asdict(self)
+        """Plain-data image (JSON-safe); inverse of :meth:`from_dict`. The
+        fields are scalars, so reading them is ``asdict``'s copy, cheaply."""
+        return {name: getattr(self, name) for name in SPEC_FIELDS}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "SchemeSpec":

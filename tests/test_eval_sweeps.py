@@ -207,7 +207,7 @@ class TestSavedSweeps:
         assert not (tmp_path / "report.ckpt").exists()
         report = json.loads(out.read_text("utf-8"))
         extra = (
-            (fig9.phantom_replays(fig9.make_runner(400), ["gob"]),)
+            (fig9.phantom_replays(saved.figure_runner("fig9", 400), ["gob"]),)
             if figure is fig9
             else ()
         )

@@ -1,5 +1,6 @@
 """Declarative SchemeSpec layer: round-trips, registry, validation, runner."""
 
+import dataclasses
 import inspect
 
 import pytest
@@ -97,6 +98,18 @@ class TestRoundTrips:
     def test_dict_round_trip_exact(self, name):
         spec = get_spec(name)
         assert SchemeSpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize(
+        "spec",
+        [get_spec(name) for name in spec_names()]
+        + [get_spec("PC_X32").with_(compressed_fanout=16)],
+        ids=[*spec_names(), "PC_X32:compressed_fanout=16"],
+    )
+    def test_dict_is_asdict_in_declaration_order(self, spec):
+        """The field-by-field read is the deep copy it replaces, key order too."""
+        image = spec.to_dict()
+        assert image == dataclasses.asdict(spec)
+        assert list(image) == list(dataclasses.asdict(spec))
 
     def test_decompose_prefers_nearest_base(self):
         spec = get_spec("PIC_X32").with_(plb_capacity_bytes=8192)
@@ -336,12 +349,12 @@ class TestRunnerSpecs:
     def test_string_delta_at_registry_default_is_pinned(self, runner):
         """A spec-string delta equal to the base's default is still the
         user's explicit choice — it must survive runner sizing (which
-        would otherwise set onchip_entries to the runner default 1024)."""
+        would otherwise set onchip_entries to the platform's 1024)."""
         spec, label = runner.sized_spec("PC_X32:onchip=2048", "gob")
         assert spec.onchip_entries == 2048
         assert label == "PC_X32:onchip_entries=2048"
         bare_spec, bare_label = runner.sized_spec("PC_X32", "gob")
-        assert bare_spec.onchip_entries == runner.onchip_entries
+        assert bare_spec.onchip_entries == runner.platform.onchip_entries
         assert bare_label == "PC_X32"
 
     def test_run_one_matches_between_spellings(self, runner):

@@ -76,7 +76,7 @@ class TestKeyGoldens:
         proc, dram = ProcessorConfig(), DramConfig()
         assert trace_key("gob", 2015, proc, 40, 81920) == TRACE_KEY
         assert (
-            result_key("insecure", "gob", 2015, proc, dram, 1.3, 40, 81920)
+            result_key("insecure", "gob", 2015, proc, dram, 40, 81920)
             == INSECURE_KEY
         )
 

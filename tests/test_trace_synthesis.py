@@ -33,7 +33,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.config import ProcessorConfig
-from repro.proc.hierarchy import CacheHierarchy
+from repro.errors import ConfigurationError
+from repro.proc.hierarchy import MAX_REFS_PER_MISS, CacheHierarchy
 from repro.sim import runner as runner_module
 from repro.settings import Settings
 from repro.sim.native import build_hint, load_native_core, unavailable_reason
@@ -332,6 +333,32 @@ def test_stand_in_beyond_32_bits_takes_the_interpreted_path(core):
     assert trace.llc_misses == 20
     with interpreted_only():
         assert trace == synthesize_trace(*args)
+
+
+# -- a stream that stops missing ends on both paths -------------------------------
+
+
+def test_stream_inside_the_l2_raises_on_both_paths(core):
+    """A 1 MiB working set under a 1 MiB L2 never makes 40 misses: each
+    path stops after the same 40 000 measured references and says why,
+    instead of drawing references for ever."""
+    assert core.MAX_REFS_PER_MISS == MAX_REFS_PER_MISS
+    errors = []
+    for path in (kernel_only, interpreted_only):
+        with path(), pytest.raises(ConfigurationError) as caught:
+            runner_trace("mcf@wss=1048576", 2015, 40)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+    assert "40000 references made 0 of its 40 LLC misses" in errors[0]
+    assert "working set is 1 MiB against a 1 MiB L2" in errors[0]
+
+
+def test_bounded_hierarchy_returns_what_it_measured():
+    """``CacheHierarchy.run`` itself stops short of the budget, with the
+    references it counted; only the trace's maker calls that an error."""
+    two_lines = [(0, False, 64 * (i % 2)) for i in range(10_000)]
+    trace = CacheHierarchy().run(two_lines, max_llc_misses=3)
+    assert (trace.mem_refs, trace.llc_misses) == (3 * MAX_REFS_PER_MISS, 2)
 
 
 # -- the committed digests ---------------------------------------------------------
