@@ -10,6 +10,7 @@ machine one experiment runs at, and builds the component configs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict
 
 from repro.dram.config import DramConfig
@@ -87,13 +88,15 @@ class OramConfig:
         """Bytes of one bucket before DRAM padding (slots + seed)."""
         return self.blocks_per_bucket * self.slot_bytes + self.seed_bytes
 
-    @property
+    # The two sizes every bytes-moved counter multiplies by: computed once
+    # per (frozen) config.
+    @cached_property
     def bucket_bytes(self) -> int:
         """Bucket size padded to a 512-bit (64 B) multiple, per Fig. 3."""
         beats = -(-self.bucket_payload_bytes // DRAM_BEAT_BYTES)
         return beats * DRAM_BEAT_BYTES
 
-    @property
+    @cached_property
     def path_bytes(self) -> int:
         """Bytes moved to read or write one full path: (L+1) buckets."""
         return (self.levels + 1) * self.bucket_bytes

@@ -6,26 +6,29 @@ latencies, accumulate cycles in event order — the first with one offline
 trace, the second with live request batches. :class:`ReplayEngine` is
 that core:
 
-- ``run_batch(addrs, writes)`` executes one run of block-level requests
-  through the frontend (hoisted-constant access loop, memoised latency
-  lookup, event-ordered left-fold accumulation — interpreted on the
-  reference tier, in C once ``enable_native`` has been handed the
-  extension) and returns the per-event latencies so callers can do
+- ``run_trace(trace)`` replays a whole trace's columns — its
+  ``array('q')`` line addresses and ``array('b')`` write flags — onto
+  ``cycles``;
+- ``run_batch(addrs, writes)`` does the same for one run of block-level
+  requests and also returns the per-event latencies, so callers can do
   per-request accounting;
-- ``run_trace(trace)`` is ``translate`` and ``run_batch`` over a whole
-  trace's columns: the one replay loop of both tiers;
 - ``result(trace, scheme)`` assembles the :class:`SimResult` from the
   counters the engine snapshotted at construction.
 
-Because a sequence of ``run_batch`` calls performs the identical
-per-event operations in the identical order as one whole-trace call
-(float accumulation is a left fold either way), serving a trace in
-admission-queue batches is bit-identical to replaying it offline — the
-property ``tests/test_serve_lockstep.py`` pins against ``replay_trace``.
+On the fast tier either is one call of the C core's ``run_access_loop``
+(translation, the requests, the latency lookup in the timing model's
+``latency_table`` and the event-ordered left fold, all in C); on the
+reference tier it is the interpreted loop over the same table. Because a
+sequence of calls performs the identical per-event operations in the
+identical order as one whole-trace call (float accumulation is a left
+fold either way), serving a trace in admission-queue batches is
+bit-identical to replaying it offline — the property
+``tests/test_serve_lockstep.py`` pins against ``replay_trace``.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Optional, Sequence
 
 from repro.backend.ops import Op
@@ -34,6 +37,18 @@ from repro.proc.hierarchy import MissTrace
 from repro.sim.metrics import SimResult
 from repro.sim.replay import resolve_tier, translate_block_addrs
 from repro.sim.timing import OramTimingModel
+from repro.utils.stats import LEDGERS
+
+#: The two requests a replay makes (an enum member lookup costs as much
+#: as the rest of an empty slice's C call).
+_READ, _WRITE = Op.READ, Op.WRITE
+
+#: The frontend ledger's slots a result reads (straight off the column:
+#: one result per replay slice).
+_PLB_HITS, _PLB_MISSES, _DATA_TREE, _POSMAP_TREE = map(
+    LEDGERS["frontend"].slots.index,
+    ("plb_hits", "plb_misses", "data_tree_accesses", "posmap_tree_accesses"),
+)
 
 
 def frontend_block_bytes(frontend) -> int:
@@ -68,18 +83,17 @@ class ReplayEngine:
         lines_per_block: Optional[int] = None,
         payload: Optional[bytes] = None,
     ):
+        if block_bytes is None:
+            block_bytes = frontend_block_bytes(frontend)
+        if lines_per_block is None:
+            lines_per_block = max(block_bytes // proc.line_bytes, 1)
+        crypto = getattr(frontend, "crypto", None)
         self.frontend = frontend
         self.timing = timing
         self.proc = proc
-        if block_bytes is None:
-            block_bytes = frontend_block_bytes(frontend)
         self.block_bytes = block_bytes
-        self.lines_per_block = (
-            lines_per_block
-            if lines_per_block is not None
-            else max(block_bytes // proc.line_bytes, 1)
-        )
-        self.payload = payload if payload is not None else bytes(block_bytes)
+        self.lines_per_block = lines_per_block
+        self.payload = bytes(block_bytes) if payload is None else payload
         self.cycles: float = 0.0
         self.events = 0
         #: Replay tier this engine was resolved for (see for_mode).
@@ -88,29 +102,33 @@ class ReplayEngine:
         # frontend (or crypto suite) that has already served traffic.
         self._data_bytes0 = frontend.data_bytes_moved
         self._posmap_bytes0 = frontend.posmap_bytes_moved
-        crypto = getattr(frontend, "crypto", None)
         self._crypto = crypto
         self._prf_calls0 = crypto.prf.call_count if crypto is not None else 0
-        # Tree-access count -> latency, filled on a miss: the latency
-        # model is a pure function of a count that takes a handful of
-        # values.
-        self._latency_memo: dict = {}
         # Compiled core (repro.sim.native._replay_core) — None until
         # enable_native() is handed one; every simulated outcome is
         # bit-identical either way.
         self._native = None
 
     @classmethod
-    def for_mode(cls, frontend, timing, mode=None, **kwargs) -> "ReplayEngine":
+    def for_mode(
+        cls,
+        frontend,
+        timing: OramTimingModel,
+        mode: Optional[str] = None,
+        proc: ProcessorConfig = ProcessorConfig(),
+        block_bytes: Optional[int] = None,
+    ) -> "ReplayEngine":
         """An engine with the replay tier resolved and switched on.
 
         The one place ``mode`` (or ``REPRO_NATIVE`` when it is ``None``)
         turns into engine state, shared by :func:`replay_trace` and the
         serving layer: ``engine.mode`` is the resolved tier and
         ``compiled`` has the native core enabled on the engine and on the
-        frontend; ``scalar`` enables nothing.
+        frontend; ``scalar`` enables nothing. The tier is resolved anew on
+        every call, so a change to the environment takes effect at the
+        next engine.
         """
-        engine = cls(frontend, timing, **kwargs)
+        engine = cls(frontend, timing, proc, block_bytes)
         engine.mode, core = resolve_tier(mode)
         engine.enable_native(core)
         return engine
@@ -118,15 +136,15 @@ class ReplayEngine:
     # -- compiled-core opt-in --------------------------------------------------
 
     def enable_native(self, core) -> None:
-        """Route the fused inner loop through the compiled core.
+        """Route every replay slice through the compiled core.
 
-        The engine's own stages (translate, access driver, accumulate)
-        switch to the C spellings, and the frontend is handed the core
-        for its own kernel (``FrontendKernel``: PLB frontends on a
-        columnar backend — whose ``AccessKernel`` it was built with —
-        and the fast crypto suite; ``RecursiveKernel``: R_X8 with every
-        level columnar; anything else declines and keeps its Python
-        ``access``). Passing ``None`` is a no-op so callers can write
+        The engine's loop becomes one ``run_access_loop`` call per slice,
+        and the frontend is handed the core for its own kernel
+        (``FrontendKernel``: PLB frontends on a columnar backend — whose
+        ``AccessKernel`` it was built with — and the fast crypto suite;
+        ``RecursiveKernel``: R_X8 with every level columnar; anything else
+        declines and keeps its Python ``access``, which the C loop then
+        calls per event). Passing ``None`` is a no-op so callers can write
         ``enable_native(load_native_core())`` unconditionally.
         """
         if core is None:
@@ -139,11 +157,8 @@ class ReplayEngine:
     # -- address translation ---------------------------------------------------
 
     def translate(self, line_addrs) -> List[int]:
-        """Line-address column -> block addresses for this geometry."""
-        if self._native is not None:
-            return self._native.translate_block_addrs(
-                line_addrs, self.lines_per_block
-            )
+        """Line-address column -> block addresses for this geometry (the
+        reference tier's; the fast tier translates inside its C loop)."""
         return translate_block_addrs(line_addrs, self.lines_per_block)
 
     # -- the replay loop ------------------------------------------------------
@@ -151,87 +166,90 @@ class ReplayEngine:
     def run_batch(self, addrs: Sequence[int], writes: Sequence[bool]) -> List[float]:
         """Drive one batch of block-level requests through the frontend.
 
-        The batch is accessed event by event with hoisted constants —
-        one C call for the whole batch when the frontend kernel is
-        engaged. Its latencies are read from the per-count memo and
-        then accumulated onto ``self.cycles`` as an event-ordered left
-        fold, so splitting a trace across successive ``run_batch`` calls
-        is bit-identical to one whole-trace call.
+        Each event's latency is read from the timing model's
+        ``latency_table`` and accumulated onto ``self.cycles`` as an
+        event-ordered left fold, so splitting a trace across successive
+        calls is bit-identical to one whole-trace call; requests pair up
+        as ``zip(addrs, writes)`` does, and ``writes`` are bools (or 0 / 1:
+        the fast tier hands both lists to C as ``array('q')`` and
+        ``array('b')``).
 
         Returns the per-event latencies (the serving layer's per-request
         service times). The kernels count in the owners' ledger columns in
         place, so every counter is current whenever Python can look: after
-        the batch, and inside any callback it runs.
+        the batch, and inside any callback it runs. A request that raises
+        leaves ``cycles`` and ``events`` as they were before the batch.
         """
-        access = self.frontend.access
-        native = self._native
-        if native is not None:
-            # The C driver performs the identical per-event calls in the
-            # identical order; only interpreter dispatch is removed (and,
-            # handed an engaged frontend's own bound ``access``, the
-            # Python frame and the AccessResult of every event).
-            ns = native.run_access_loop(
-                access, addrs, writes, Op.READ, Op.WRITE, self.payload
-            )
+        latencies: List[float] = []
+        if self._native is not None:
+            self._run_columns(array("q", addrs), array("b", writes), 1, latencies)
         else:
-            read_op, write_op, payload = Op.READ, Op.WRITE, self.payload
-            ns = []
-            record = ns.append
-            for addr, w in zip(addrs, writes):
-                if w:
-                    result = access(addr, write_op, payload)
-                else:
-                    result = access(addr, read_op)
-                record(result.tree_accesses)
-        memo = self._latency_memo
-        try:
-            latencies = [memo[n] for n in ns]
-        except KeyError:
-            for n in set(ns).difference(memo):
-                memo[n] = self.timing.miss_latency(n)
-            latencies = [memo[n] for n in ns]
-        if native is not None:
-            # Same event-ordered left fold, in C doubles (IEEE-754 adds
-            # identical to CPython float +=).
-            self.cycles = native.accumulate(self.cycles, latencies)
-        else:
-            for latency in latencies:
-                self.cycles += latency
-        self.events += len(ns)
+            self._run_reference(addrs, writes, latencies)
         return latencies
 
     def run_trace(self, trace: MissTrace) -> None:
-        """Whole-trace replay, on either tier: one batch of columns."""
+        """Whole-trace replay, on either tier, straight off its columns."""
         line_addrs, is_write = trace.columns()
-        self.run_batch(self.translate(line_addrs), is_write.tolist())
+        if self._native is not None:
+            self._run_columns(line_addrs, is_write, self.lines_per_block, None)
+        else:
+            self._run_reference(self.translate(line_addrs), is_write, None)
+
+    def _run_columns(self, line_addrs, is_write, lines_per_block, latencies) -> None:
+        """The fast tier: the slice is one C call, which boxes nothing per
+        event when the frontend's own kernel is engaged."""
+        timing = self.timing
+        self.cycles = self._native.run_access_loop(
+            self.frontend.access, line_addrs, is_write, lines_per_block,
+            _READ, _WRITE, self.payload,
+            timing.latency_table, timing.miss_latency, self.cycles, latencies,
+        )
+        self.events += min(len(line_addrs), len(is_write))
+
+    def _run_reference(self, addrs, writes, latencies) -> None:
+        """The reference tier: the same loop, interpreted."""
+        access = self.frontend.access
+        payload = self.payload
+        counts = []
+        record = counts.append
+        for addr, w in zip(addrs, writes):
+            if w:
+                result = access(addr, _WRITE, payload)
+            else:
+                result = access(addr, _READ)
+            record(result.tree_accesses)
+        latency = self.timing.latency
+        cycles = self.cycles
+        for n in counts:
+            value = latency(n)
+            cycles += value
+            if latencies is not None:
+                latencies.append(value)
+        self.cycles = cycles
+        self.events += len(counts)
 
     # -- result assembly -------------------------------------------------------
 
     def result(self, trace: MissTrace, scheme: str = "oram") -> SimResult:
         """Assemble the :class:`SimResult` for a trace this engine served."""
         frontend = self.frontend
-        stats = frontend.stats
-        plb_hit_rate = (
-            stats.plb_hits / (stats.plb_hits + stats.plb_misses)
-            if (stats.plb_hits + stats.plb_misses)
-            else 0.0
-        )
+        ledger = frontend.stats.ledger
+        hits = ledger[_PLB_HITS]
+        lookups = hits + ledger[_PLB_MISSES]
         crypto = self._crypto
+        # Positional, in SimResult's field order: a result per replay
+        # slice, where keywords cost as much as the rest of this method.
         return SimResult(
-            benchmark=trace.name,
-            scheme=scheme,
-            cycles=self.cycles,
-            instructions=trace.instructions,
-            llc_misses=trace.llc_misses,
-            oram_accesses=trace.num_events,
-            tree_accesses=stats.tree_accesses,
-            data_bytes=frontend.data_bytes_moved - self._data_bytes0,
-            posmap_bytes=frontend.posmap_bytes_moved - self._posmap_bytes0,
-            plb_hit_rate=plb_hit_rate,
-            mpki=trace.mpki,
-            prf_calls=(
-                crypto.prf.call_count - self._prf_calls0
-                if crypto is not None
-                else 0
-            ),
+            trace.name,
+            scheme,
+            self.cycles,
+            trace.instructions,
+            trace.llc_misses,
+            trace.num_events,
+            ledger[_DATA_TREE] + ledger[_POSMAP_TREE],
+            frontend.data_bytes_moved - self._data_bytes0,
+            frontend.posmap_bytes_moved - self._posmap_bytes0,
+            hits / lookups if lookups else 0.0,
+            trace.mpki,
+            crypto.prf.call_count - self._prf_calls0 if crypto is not None else 0,
         )

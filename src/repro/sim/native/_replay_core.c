@@ -4,16 +4,18 @@
  * replay pipeline over the columnar data the Python layers already keep
  * unboxed:
  *
- * - translate_block_addrs: line->block translation straight off the
- *   int64 buffer of a trace's array('q') column (zero-copy via PEP 3118);
- * - run_access_loop: the per-event driver loop (operand selection,
- *   frontend.access call, tree-access-count collection) without
- *   interpreter dispatch between events — and, for a frontend running
- *   on its FrontendKernel or RecursiveKernel, without a Python frame or
- *   an AccessResult either: the slice is one C call;
- * - accumulate: the event-ordered left-fold of per-event latencies onto
- *   the running cycle count, in C doubles (bit-identical to CPython
- *   float += which performs the same IEEE-754 additions);
+ * - run_access_loop: one replay slice in one call — straight off the
+ *   int64 and int8 buffers of a trace's array('q') / array('b') columns
+ *   (zero-copy via PEP 3118), each event's line->block translation,
+ *   operand selection, frontend request, latency lookup by tree-access
+ *   count and the event-ordered fold onto the running cycle count in C
+ *   doubles (bit-identical to CPython float +=, which performs the same
+ *   IEEE-754 additions) — and, for a frontend running on its
+ *   FrontendKernel or RecursiveKernel, without a Python frame, an
+ *   AccessResult or a boxed address either;
+ * - translate_block_addrs / accumulate: the translation and the fold on
+ *   their own, list-out and list-in (kept for the perf harness's proxy
+ *   of this module; nothing under src/ calls them);
  * - AccessKernel: a per-backend handle whose access() is one whole
  *   ColumnarPathOramBackend.access — all four ops, counters, path read,
  *   drain, stash merge, update hand-off, greedy eviction, stash
@@ -197,6 +199,7 @@ static const ColKind COL_U64 = {8, "QL", "uint64 column (array('Q'))"};
 static const ColKind COL_I32 = {4, "il", "int32 column (array('i'))"};
 static const ColKind COL_U8 = {1, "Bbc", "byte column (a bytearray)"};
 static const ColKind COL_F64 = {8, "d", "float64 column (array('d'))"};
+static const ColKind COL_FLAG = {1, "bB?", "int8 column (array('b'))"};
 
 /* Acquire a 1-D contiguous buffer of `kind` items, writable on request.
  * Returns 0 on success, -1 with an exception set otherwise. */
@@ -3488,23 +3491,30 @@ request_is_write(PyObject *op, PyObject *data, PyObject *op_read,
     return 1;
 }
 
-/* AddressSpace.chain: a_0 = the address, a_i = a_{i-1} // X. */
+/* AddressSpace.chain: a_0 = the address, a_i = a_{i-1} // X.  The
+ * address is `addr_obj` when one is given (handle.access), else the C
+ * integer `addr` (the access loop, which boxes nothing). */
 static int
-request_chain(PyObject *addr_obj, long long num_blocks, long long fanout,
-              int levels, unsigned long long *chain)
+request_chain(PyObject *addr_obj, long long addr, long long num_blocks,
+              long long fanout, int levels, unsigned long long *chain)
 {
-    if (!PyLong_Check(addr_obj)) {
-        PyErr_Format(PyExc_TypeError, "address must be an int, not %.100s",
-                     Py_TYPE(addr_obj)->tp_name);
+    int overflow = 0;
+    if (addr_obj != NULL) {
+        if (!PyLong_Check(addr_obj)) {
+            PyErr_Format(PyExc_TypeError, "address must be an int, not %.100s",
+                         Py_TYPE(addr_obj)->tp_name);
+            return -1;
+        }
+        addr = PyLong_AsLongLongAndOverflow(addr_obj, &overflow);
+    }
+    if (overflow || addr < 0 || addr >= num_blocks) {
+        if (addr_obj != NULL)
+            PyErr_Format(PyExc_ValueError, "address %S out of range", addr_obj);
+        else
+            PyErr_Format(PyExc_ValueError, "address %lld out of range", addr);
         return -1;
     }
-    int overflow;
-    long long a0 = PyLong_AsLongLongAndOverflow(addr_obj, &overflow);
-    if (overflow || a0 < 0 || a0 >= num_blocks) {
-        PyErr_Format(PyExc_ValueError, "address %S out of range", addr_obj);
-        return -1;
-    }
-    chain[0] = (unsigned long long)a0;
+    chain[0] = (unsigned long long)addr;
     for (int i = 1; i < levels; i++)
         chain[i] = chain[i - 1] / (unsigned long long)fanout;
     return 0;
@@ -3514,8 +3524,8 @@ request_chain(PyObject *addr_obj, long long num_blocks, long long fanout,
  * validation, PLB lookup loop, PosMap refills, data access.  *data_out
  * (when asked for) is AccessResult.data. */
 static int
-fk_run(Request *rq, PyObject *addr_obj, PyObject *op, PyObject *data,
-       PyObject **data_out, int *hit_level_out)
+fk_run(Request *rq, PyObject *addr_obj, long long addr, PyObject *op,
+       PyObject *data, PyObject **data_out, int *hit_level_out)
 {
     FrontendKernel *fk = rq->fk;
     const int levels = fk->space_levels;
@@ -3526,7 +3536,7 @@ fk_run(Request *rq, PyObject *addr_obj, PyObject *op, PyObject *data,
     tally(&fk->stats, C_ACCESSES, 1);
 
     /* Every level's i || a_i tag. */
-    if (request_chain(addr_obj, fk->num_blocks, fk->fanout, levels,
+    if (request_chain(addr_obj, addr, fk->num_blocks, fk->fanout, levels,
                       rq->chain) < 0)
         return -1;
     rq->tags[0] = rq->chain[0];
@@ -3588,15 +3598,16 @@ fk_run(Request *rq, PyObject *addr_obj, PyObject *op, PyObject *data,
 /* What run_access_loop and handle.access() drive a frontend handle of
  * either type through.  `enter` takes the handle and its trees for one
  * outermost entry (owners held, observers read once); `request` is one
- * processor request, whole — 0 with *posmap_out and *hit_level_out (and,
- * when asked for, AccessResult.data through *data_out) filled in, or -1
- * with the interpreted access's exception set and its state left
+ * processor request, whole, for the address `addr_obj` or, when that is
+ * NULL, the C integer `addr` — 0 with *posmap_out and *hit_level_out
+ * (and, when asked for, AccessResult.data through *data_out) filled in,
+ * or -1 with the interpreted access's exception set and its state left
  * behind; `leave` lets everything go. */
 typedef struct {
     int (*enter)(PyObject *handle);
-    int (*request)(PyObject *handle, PyObject *addr_obj, PyObject *op,
-                   PyObject *data, PyObject **data_out, long *posmap_out,
-                   int *hit_level_out);
+    int (*request)(PyObject *handle, PyObject *addr_obj, long long addr,
+                   PyObject *op, PyObject *data, PyObject **data_out,
+                   long *posmap_out, int *hit_level_out);
     void (*leave)(PyObject *handle);
 } HandleOps;
 
@@ -3647,15 +3658,16 @@ fk_leave(PyObject *handle)
 }
 
 static int
-fk_request(PyObject *handle, PyObject *addr_obj, PyObject *op, PyObject *data,
-           PyObject **data_out, long *posmap_out, int *hit_level_out)
+fk_request(PyObject *handle, PyObject *addr_obj, long long addr, PyObject *op,
+           PyObject *data, PyObject **data_out, long *posmap_out,
+           int *hit_level_out)
 {
     FrontendKernel *fk = (FrontendKernel *)handle;
     Request rq;
     rq.fk = fk;
     rq.tree = (AccessKernel *)fk->backend_kernel;
     rq.posmap_accesses = 0;
-    int rc = fk_run(&rq, addr_obj, op, data, data_out, hit_level_out);
+    int rc = fk_run(&rq, addr_obj, addr, op, data, data_out, hit_level_out);
     if (rc < 0 && data_out != NULL)
         Py_CLEAR(*data_out);
     *posmap_out = rq.posmap_accesses;
@@ -3679,7 +3691,7 @@ handle_access(const HandleOps *ops, PyObject *handle, PyObject *result_type,
     int hit_level;
     if (ops->enter(handle) < 0)
         return NULL;
-    int rc = ops->request(handle, args[0], args[1], args[2], &data,
+    int rc = ops->request(handle, args[0], 0, args[1], args[2], &data,
                           &posmap_accesses, &hit_level);
     ops->leave(handle);
     if (rc < 0)
@@ -3958,8 +3970,8 @@ rk_touched_byte(RecursiveKernel *rk, int level, unsigned long long index)
 /* RecursiveFrontend.access between its counters' first and last
  * movement. */
 static int
-rk_run(RecursiveKernel *rk, PyObject *addr_obj, PyObject *op, PyObject *data,
-       PyObject **data_out)
+rk_run(RecursiveKernel *rk, PyObject *addr_obj, long long addr, PyObject *op,
+       PyObject *data, PyObject **data_out)
 {
     const int top = rk->num_levels - 1;
     const int write =
@@ -3969,8 +3981,8 @@ rk_run(RecursiveKernel *rk, PyObject *addr_obj, PyObject *op, PyObject *data,
         return -1;
     tally(&rk->stats, C_ACCESSES, 1);
     unsigned long long chain[FK_MAX_LEVELS];
-    if (request_chain(addr_obj, rk->num_blocks, rk->fanout, rk->num_levels,
-                      chain) < 0)
+    if (request_chain(addr_obj, addr, rk->num_blocks, rk->fanout,
+                      rk->num_levels, chain) < 0)
         return -1;
 
     const OnChip chip = {rk->onchip_table.data, rk->onchip_touched,
@@ -4072,11 +4084,12 @@ rk_leave(PyObject *handle)
 }
 
 static int
-rk_request(PyObject *handle, PyObject *addr_obj, PyObject *op, PyObject *data,
-           PyObject **data_out, long *posmap_out, int *hit_level_out)
+rk_request(PyObject *handle, PyObject *addr_obj, long long addr, PyObject *op,
+           PyObject *data, PyObject **data_out, long *posmap_out,
+           int *hit_level_out)
 {
     RecursiveKernel *rk = (RecursiveKernel *)handle;
-    int rc = rk_run(rk, addr_obj, op, data, data_out);
+    int rc = rk_run(rk, addr_obj, addr, op, data, data_out);
     if (rc < 0 && data_out != NULL)
         Py_CLEAR(*data_out);
     *posmap_out = rk->num_levels - 1;
@@ -4159,95 +4172,221 @@ frontend_kernel_behind(PyObject *access, PyObject **out, const HandleOps **ops)
 /* run_access_loop                                                     */
 /* ------------------------------------------------------------------ */
 
-static PyObject *
-run_access_loop(PyObject *self, PyObject *args)
-{
-    PyObject *access, *addrs, *writes, *read_op, *write_op, *payload;
-    if (!PyArg_ParseTuple(args, "OOOOOO:run_access_loop", &access, &addrs,
-                          &writes, &read_op, &write_op, &payload))
-        return NULL;
+/* The running total of the cycles fold: a C double while it is an exact
+ * float (`obj` NULL), the object otherwise — `cycles += latency` in event
+ * order either way, one IEEE-754 addition per event on the double. */
+typedef struct {
+    PyObject *obj;
+    double value;
+} Fold;
 
-    /* An engaged frontend kernel is driven C to C: no Python frame and
-     * no AccessResult per event, one entry — owners held, observers
-     * read — for the whole slice.  Anything else —
-     * another frontend, a patched or wrapped access — gets the generic
-     * calls. */
-    PyObject *kernel, *out = NULL;
-    const HandleOps *ops = NULL;
-    if (frontend_kernel_behind(access, &kernel, &ops) < 0)
-        return NULL;
-    PyObject *addr_seq = PySequence_Fast(addrs, "addrs must be a sequence");
-    PyObject *write_seq =
-        addr_seq == NULL
-            ? NULL
-            : PySequence_Fast(writes, "writes must be a sequence");
-    if (write_seq == NULL || (kernel != NULL && ops->enter(kernel) < 0)) {
-        Py_XDECREF(addr_seq);
-        Py_XDECREF(write_seq);
-        Py_XDECREF(kernel);
+static int
+fold_add(Fold *fold, PyObject *latency)
+{
+    if (fold->obj == NULL) {
+        if (PyFloat_CheckExact(latency)) {
+            fold->value += PyFloat_AS_DOUBLE(latency);
+            return 0;
+        }
+        if ((fold->obj = PyFloat_FromDouble(fold->value)) == NULL)
+            return -1;
+    }
+    /* The generic add (an int start, a latency of another type), which
+     * may run Python: hold the operand. */
+    Py_INCREF(latency);
+    PyObject *next = PyNumber_InPlaceAdd(fold->obj, latency);
+    Py_DECREF(latency);
+    Py_SETREF(fold->obj, next);
+    if (next == NULL)
+        return -1;
+    if (PyFloat_CheckExact(next)) {
+        fold->value = PyFloat_AS_DOUBLE(next);
+        Py_CLEAR(fold->obj);
+    }
+    return 0;
+}
+
+/* The latency of an event that took `count` tree accesses — a borrowed
+ * reference into `table` (the list indexed by count), where a count not
+ * yet seen (past the end, or None) is miss_latency(count), computed once
+ * and stored. */
+static PyObject *
+latency_of(PyObject *table, PyObject *miss_latency, long count)
+{
+    if (count < 0) {
+        PyErr_Format(PyExc_ValueError,
+                     "tree_accesses must be >= 0, got %ld", count);
         return NULL;
     }
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(addr_seq);
-    Py_ssize_t nw = PySequence_Fast_GET_SIZE(write_seq);
-    if (nw < n)
-        n = nw; /* zip() semantics: stop at the shorter column */
+    if (count < PyList_GET_SIZE(table)) {
+        PyObject *latency = PyList_GET_ITEM(table, count);
+        if (latency != Py_None)
+            return latency;
+    }
+    PyObject *boxed = PyLong_FromLong(count);
+    if (boxed == NULL)
+        return NULL;
+    PyObject *latency = PyObject_CallOneArg(miss_latency, boxed);
+    Py_DECREF(boxed);
+    if (latency == NULL)
+        return NULL;
+    /* miss_latency is Python: the table is re-read after it. */
+    while (PyList_GET_SIZE(table) <= count) {
+        if (PyList_Append(table, Py_None) < 0) {
+            Py_DECREF(latency);
+            return NULL;
+        }
+    }
+    /* The list's reference replaces None (or a value miss_latency put
+     * there itself). */
+    PyObject *old = PyList_GET_ITEM(table, count);
+    PyList_SET_ITEM(table, count, latency);
+    Py_DECREF(old);
+    return latency;
+}
 
+/* run_access_loop(access, line_addrs, is_write, lines_per_block, read_op,
+ *                 write_op, payload, table, miss_latency, cycles,
+ *                 latencies) -> cycles
+ *
+ * One replay slice, whole: for each event of the int64 line column and
+ * the int8 write column (zip: the shorter one ends the slice), the block
+ * address line // lines_per_block, the request access(block, write_op,
+ * payload) or access(block, read_op), its latency looked up by tree-access
+ * count in `table` (see latency_of) and folded onto `cycles`; the latency
+ * is also appended to `latencies` when that is a list (None: not kept).
+ * Returns the new total — `cycles` itself for an empty slice.  On an
+ * error the exception propagates with the frontend's state where the
+ * failing request left it, and the caller's total stays what it was. */
+static PyObject *
+run_access_loop(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 11) {
+        PyErr_Format(PyExc_TypeError,
+                     "run_access_loop expects 11 positional arguments, "
+                     "got %zd", nargs);
+        return NULL;
+    }
+    PyObject *access = args[0], *read_op = args[4], *write_op = args[5],
+             *payload = args[6], *table = args[7], *miss_latency = args[8],
+             *cycles = args[9], *latencies = args[10];
+    const long long lpb = PyLong_AsLongLong(args[3]);
+    if (lpb == -1 && PyErr_Occurred())
+        return NULL;
+    if (lpb < 1) {
+        PyErr_Format(PyExc_ValueError,
+                     "lines_per_block must be >= 1, got %lld", lpb);
+        return NULL;
+    }
+    if (!PyList_CheckExact(table)) {
+        PyErr_SetString(PyExc_TypeError, "table must be a list");
+        return NULL;
+    }
+    if (latencies != Py_None && !PyList_CheckExact(latencies)) {
+        PyErr_SetString(PyExc_TypeError, "latencies must be a list or None");
+        return NULL;
+    }
+    Col lines, writes;
+    if (col_acquire(args[1], &lines, "line_addrs", &COL_I64, 0) < 0)
+        return NULL;
+    if (col_acquire(args[2], &writes, "is_write", &COL_FLAG, 0) < 0) {
+        col_release(&lines);
+        return NULL;
+    }
+    const Py_ssize_t n = Py_MIN(lines.len, writes.len);
+    if (n == 0) {
+        col_release(&lines);
+        col_release(&writes);
+        return Py_NewRef(cycles);
+    }
+
+    /* An engaged frontend kernel is driven C to C: no Python frame, no
+     * AccessResult and no boxed address per event, one entry — owners
+     * held, observers read — for the whole slice.  Anything else —
+     * another frontend, a patched or wrapped access — gets the generic
+     * calls. */
+    PyObject *kernel;
+    const HandleOps *ops = NULL;
+    if (frontend_kernel_behind(access, &kernel, &ops) < 0 ||
+        (kernel != NULL && ops->enter(kernel) < 0)) {
+        Py_XDECREF(kernel);
+        col_release(&lines);
+        col_release(&writes);
+        return NULL;
+    }
+    const long long *line = lines.data;
+    const int8_t *write = writes.data;
+    const int pow2 = (lpb & (lpb - 1)) == 0;
+    const int shift = bit_length64(lpb) - 1;
+    Fold fold = {NULL, 0.0};
+    if (PyFloat_CheckExact(cycles))
+        fold.value = PyFloat_AS_DOUBLE(cycles);
+    else
+        fold.obj = Py_NewRef(cycles);
     int rc = -1;
-    out = PyList_New(n);
-    if (out == NULL)
-        goto done;
     for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *addr = PySequence_Fast_GET_ITEM(addr_seq, i);
-        int w = PyObject_IsTrue(PySequence_Fast_GET_ITEM(write_seq, i));
-        if (w < 0)
-            goto done;
-        PyObject *ta;
+        /* Arithmetic shift == floor division for a power-of-two divisor;
+         * any other uses Python floor semantics. */
+        const long long addr =
+            pow2 ? line[i] >> shift : floordiv64(line[i], lpb);
+        const int w = write[i] != 0;
+        long count;
         if (kernel != NULL) {
-            long posmap_accesses;
             int hit_level;
-            if (ops->request(kernel, addr, w ? write_op : read_op,
-                             w ? payload : Py_None, NULL, &posmap_accesses,
+            if (ops->request(kernel, NULL, addr, w ? write_op : read_op,
+                             w ? payload : Py_None, NULL, &count,
                              &hit_level) < 0)
                 goto done;
-            ta = PyLong_FromLong(posmap_accesses + 1);
+            count += 1;
         }
         else {
-            PyObject *result;
-            if (w)
-                result = PyObject_CallFunctionObjArgs(access, addr, write_op,
-                                                      payload, NULL);
-            else
-                result = PyObject_CallFunctionObjArgs(access, addr, read_op,
-                                                      NULL);
+            PyObject *boxed = PyLong_FromLongLong(addr);
+            if (boxed == NULL)
+                goto done;
+            PyObject *result =
+                w ? PyObject_CallFunctionObjArgs(access, boxed, write_op,
+                                                 payload, NULL)
+                  : PyObject_CallFunctionObjArgs(access, boxed, read_op,
+                                                 NULL);
+            Py_DECREF(boxed);
             if (result == NULL)
                 goto done;
-            ta = PyObject_GetAttr(result, str_tree_accesses);
+            PyObject *ta = PyObject_GetAttr(result, str_tree_accesses);
             Py_DECREF(result);
+            if (ta == NULL)
+                goto done;
+            if (!PyLong_Check(ta)) {
+                PyErr_Format(PyExc_TypeError,
+                             "tree_accesses must be an int, not %.100s",
+                             Py_TYPE(ta)->tp_name);
+                Py_DECREF(ta);
+                goto done;
+            }
+            count = PyLong_AsLong(ta);
+            Py_DECREF(ta);
+            if (count == -1 && PyErr_Occurred())
+                goto done;
         }
-        if (ta == NULL)
+        PyObject *latency = latency_of(table, miss_latency, count);
+        if (latency == NULL ||
+            (latencies != Py_None && PyList_Append(latencies, latency) < 0) ||
+            fold_add(&fold, latency) < 0)
             goto done;
-        PyList_SET_ITEM(out, i, ta);
     }
     rc = 0;
 
 done:
-    if (kernel != NULL)
+    if (kernel != NULL) {
         ops->leave(kernel);
-    if (rc < 0 && out != NULL) {
-        /* A partially filled PyList_New(n) list holds NULL slots; fill
-         * them before the container is released. */
-        for (Py_ssize_t i = 0; i < n; i++) {
-            if (PyList_GET_ITEM(out, i) == NULL) {
-                Py_INCREF(Py_None);
-                PyList_SET_ITEM(out, i, Py_None);
-            }
-        }
-        Py_CLEAR(out);
+        Py_DECREF(kernel);
     }
-    Py_DECREF(addr_seq);
-    Py_DECREF(write_seq);
-    Py_XDECREF(kernel);
-    return out;
+    col_release(&lines);
+    col_release(&writes);
+    if (rc < 0) {
+        Py_XDECREF(fold.obj);
+        return NULL;
+    }
+    return fold.obj != NULL ? fold.obj : PyFloat_FromDouble(fold.value);
 }
 
 /* ------------------------------------------------------------------ */
@@ -5114,9 +5253,11 @@ static PyMethodDef replay_core_methods[] = {
     {"translate_block_addrs", translate_block_addrs, METH_VARARGS,
      "Line-address column -> plain-int block addresses (zero-copy over "
      "an int64 buffer; sequence fallback matches the Python kernel)."},
-    {"run_access_loop", run_access_loop, METH_VARARGS,
-     "Drive every (addr, is_write) event through frontend.access; "
-     "returns the per-event tree-access counts."},
+    {"run_access_loop", (PyCFunction)(void (*)(void))run_access_loop,
+     METH_FASTCALL,
+     "run_access_loop(access, line_addrs, is_write, lines_per_block, "
+     "read_op, write_op, payload, table, miss_latency, cycles, latencies) "
+     "-> cycles: one replay slice, translated, accessed and folded."},
     {"accumulate", accumulate, METH_VARARGS,
      "Event-ordered left-fold of per-event latencies onto a running "
      "cycle count (bit-identical to Python float accumulation)."},

@@ -8,15 +8,15 @@ translate, access each event, look up latencies, fold the cycles — and
 differ in who runs each stage:
 
 - **reference** (``mode="scalar"``) — interpreted end to end:
-  :func:`translate_block_addrs`, the Python access loop of
-  :meth:`ReplayEngine.run_batch <repro.sim.engine.ReplayEngine.run_batch>`
-  and its Python fold, over object storage and the interpreted
-  ``Frontend.access``, with no kernel enabled; what the lockstep suites
-  compare against.
+  :func:`translate_block_addrs`, the engine's Python access loop, its
+  latency-table reads and its fold, over object storage and the
+  interpreted ``Frontend.access``, with no kernel enabled; what the
+  lockstep suites compare against.
 - **fast** (``mode="compiled"``) — the C extension of
-  :mod:`repro.sim.native`: the translation, the access loop, the fold,
-  every tree access (a columnar backend *is* its ``AccessKernel``) and,
-  where they engage, the frontends' accesses run in C.
+  :mod:`repro.sim.native`: a slice is one ``run_access_loop`` call (the
+  translation, the access loop, the latency lookups, the fold), every
+  tree access runs in C (a columnar backend *is* its ``AccessKernel``)
+  and, where they engage, so do the frontends' accesses.
 
 ``REPRO_NATIVE`` alone picks the tier (:func:`resolve_tier`): ``on``, the
 default, is fast when the extension is built and current and reference
@@ -47,13 +47,16 @@ def resolve_tier(mode=None):
     environment says; an explicit ``"compiled"`` raises without the core.
     Any other ``mode`` raises, naming the two that exist.
     """
-    if mode not in (None, *REPLAY_MODES):
+    if mode is None:
+        core = load_native_core()
+    elif mode == "compiled":
+        core = require_core()
+    elif mode == "scalar":
+        return mode, None
+    else:
         raise ValueError(
             f"unknown replay mode {mode!r}; choose from {REPLAY_MODES}"
         )
-    if mode == "scalar":
-        return mode, None
-    core = require_core() if mode == "compiled" else load_native_core()
     return ("scalar" if core is None else "compiled"), core
 
 
@@ -69,8 +72,9 @@ def translate_block_addrs(
 
     ``line_addr // lines_per_block`` for every event of any int sequence
     (a trace's ``array('q')`` column, a list). The result is a plain
-    Python list — the access loop's operand. The fast tier's C
-    ``translate_block_addrs`` gives the same list for an int64 column.
+    Python list — the reference tier's access-loop operand; the fast
+    tier translates inside its one C call per slice, with the same floor
+    semantics.
     """
     if lines_per_block < 1:
         raise ValueError(

@@ -19,6 +19,7 @@ from typing import Optional
 from repro.config import ProcessorConfig
 from repro.frontend.base import Frontend
 from repro.proc.hierarchy import MissTrace
+from repro.sim.engine import ReplayEngine
 from repro.sim.metrics import SimResult
 from repro.sim.timing import OramTimingModel
 
@@ -78,11 +79,7 @@ def replay_trace(
     drives with live request batches, so serving inherits every
     bit-identity guarantee the differential harnesses prove here.
     """
-    from repro.sim.engine import ReplayEngine
-
-    engine = ReplayEngine.for_mode(
-        frontend, timing, mode, proc=proc, block_bytes=block_bytes
-    )
+    engine = ReplayEngine.for_mode(frontend, timing, mode, proc, block_bytes)
     engine.cycles = base_cycles(trace, proc)
     engine.run_trace(trace)
     return engine.result(trace, scheme)

@@ -91,6 +91,15 @@ class OramTimingModel:
             pmmac=False,
         )
 
+    def __setattr__(self, name, value) -> None:
+        # ``latency_table[n]`` is ``miss_latency(n)`` for every count a
+        # replay met (None for one it has not): both tiers' replay loops
+        # look each event up there and fill a count they miss, once. It
+        # is a function of the fields, so binding one starts it afresh.
+        object.__setattr__(self, name, value)
+        if name != "latency_table":
+            object.__setattr__(self, "latency_table", [])
+
     def miss_latency(self, tree_accesses: int) -> float:
         """Processor cycles to service one LLC miss/eviction."""
         t = self.timings
@@ -99,6 +108,22 @@ class OramTimingModel:
         )
         if self.pmmac:
             latency += t.sha3_latency
+        return latency
+
+    def latency(self, tree_accesses: int) -> float:
+        """:meth:`miss_latency` through :attr:`latency_table`: what the
+        reference tier's replay loop reads per event (the fast tier's C
+        loop reads and fills the same list)."""
+        table = self.latency_table
+        if tree_accesses < 0:
+            raise ValueError(f"tree_accesses must be >= 0, got {tree_accesses}")
+        if tree_accesses < len(table):
+            latency = table[tree_accesses]
+            if latency is not None:
+                return latency
+        latency = self.miss_latency(tree_accesses)
+        table.extend([None] * (tree_accesses + 1 - len(table)))
+        table[tree_accesses] = latency
         return latency
 
 

@@ -179,16 +179,38 @@ class TestGoldens:
         }
 
 
+def names_called(module) -> set:
+    """Every global or attribute name the module's own functions load —
+    what their code refers to, whatever their docstrings say."""
+    names: set = set()
+
+    def walk(code):
+        names.update(code.co_names)
+        for const in code.co_consts:
+            if inspect.iscode(const):
+                walk(const)
+
+    for value in vars(module).values():
+        if inspect.isfunction(value) and value.__module__ == module.__name__:
+            walk(value.__code__)
+    return names
+
+
 class TestSavedSweeps:
     def test_registry_is_exactly_the_simulated_figures(self):
-        """A figure module that runs a simulation is a saved sweep."""
+        """A figure module that runs a simulation is a saved sweep: it
+        exposes the protocol's ``sweep`` and ``table_from_report``, or
+        builds its runner through ``saved.figure_runner``."""
         simulated = set()
         for info in pkgutil.iter_modules(repro.eval.__path__):
             module = import_module(f"repro.eval.{info.name}")
             if module is saved:  # the protocol's shared pieces, not a figure
                 continue
-            source = inspect.getsource(module)
-            if "SimulationRunner" in source or "repro.eval.saved" in source:
+            protocol = all(
+                callable(getattr(module, name, None))
+                for name in ("sweep", "table_from_report")
+            )
+            if protocol or "figure_runner" in names_called(module):
                 simulated.add(module)
         assert set(SAVED_SWEEPS.values()) == simulated
         for name, module in SAVED_SWEEPS.items():

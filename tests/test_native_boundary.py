@@ -64,6 +64,8 @@ from repro.storage.columnar import CHUNK_SLOTS, ColumnarTreeStorage  # noqa: E40
 from repro.storage.snapshot import tree_digest  # noqa: E402
 from repro.utils.rng import DeterministicRng  # noqa: E402
 
+from test_native_replay import slice_counts  # noqa: E402
+
 CORE = load_native_core()
 pytestmark = pytest.mark.skipif(
     CORE is None,
@@ -322,10 +324,17 @@ class TestStreamingEntryPoints:
 
     @PROPERTY
     @given(
-        addrs=st.sampled_from([None, 5, [1, 2], (1, 2)]),
-        writes=st.sampled_from([None, 5, [True, False], (0, 1)]),
+        addrs=st.sampled_from(
+            [None, 5, [1, 2], (1, 2), array("i", [1, 2]), array("q", [1, 2])]
+        ),
+        writes=st.sampled_from(
+            [None, 5, [True, False], array("h", [0, 1]), array("b", [0, 1])]
+        ),
     )
     def test_run_access_loop_columns(self, addrs, writes):
+        """The slice is an int64 column and an int8 column, or nothing
+        runs: a list, a tuple or another item width is a TypeError."""
+
         class Result:
             tree_accesses = 2
 
@@ -335,23 +344,23 @@ class TestStreamingEntryPoints:
             calls.append(addr)
             return Result()
 
-        ok = all(isinstance(col, (list, tuple)) for col in (addrs, writes))
+        ok = (
+            isinstance(addrs, array) and addrs.typecode == "q"
+            and isinstance(writes, array) and writes.typecode == "b"
+        )
         if ok:
-            assert CORE.run_access_loop(
-                access, addrs, writes, Op.READ, Op.WRITE, b""
-            ) == [2, 2]
+            assert slice_counts(access, addrs, writes) == [2, 2]
         else:
             with pytest.raises(TypeError):
                 CORE.run_access_loop(
-                    access, addrs, writes, Op.READ, Op.WRITE, b""
+                    access, addrs, writes, 1, Op.READ, Op.WRITE, b"", [],
+                    int, 0, None,
                 )
             assert calls == []
 
     def test_run_access_loop_result_without_the_attribute(self):
         with pytest.raises(AttributeError):
-            CORE.run_access_loop(
-                lambda addr, op: object(), [1], [False], Op.READ, Op.WRITE, b""
-            )
+            slice_counts(lambda addr, op: object(), [1], [False])
 
 
 # ---------------------------------------------------------------------------
@@ -2104,9 +2113,7 @@ class TestFrontendKernelAccessBoundary:
         for call in (
             lambda: frontend.read(2),
             lambda: frontend.backend.access(Op.READ, 2, 0, 1),
-            lambda: CORE.run_access_loop(
-                frontend.access, [2], [False], Op.READ, Op.WRITE, b""
-            ),
+            lambda: slice_counts(frontend.access, [2], [False]),
         ):
             before = frontend_image(frontend)
             storage.observer = Reentrant(call)
@@ -2141,10 +2148,7 @@ class TestFrontendKernelAccessBoundary:
                 return real.access(*args)
 
         frontend._kernel = Wrapper()
-        CORE.run_access_loop(
-            frontend.access, [1, 2], [False, True], Op.READ, Op.WRITE,
-            bytes(64),
-        )
+        slice_counts(frontend.access, [1, 2], [False, True], bytes(64))
         assert Wrapper.entries == 2
 
 
@@ -2438,9 +2442,7 @@ class TestRecursiveKernelAccessBoundary:
         for level, call in (
             (3, lambda: frontend.read(2)),
             (1, lambda: frontend.backends[0].access(Op.READ, 2, 0, 1)),
-            (0, lambda: CORE.run_access_loop(
-                frontend.access, [2], [False], Op.READ, Op.WRITE, b""
-            )),
+            (0, lambda: slice_counts(frontend.access, [2], [False])),
         ):
             storage = frontend.backends[level].storage
             storage.observer = Reentrant(call)
@@ -2479,16 +2481,11 @@ class TestRecursiveKernelAccessBoundary:
                 return real.access(*args)
 
         frontend._kernel = Wrapper()
-        CORE.run_access_loop(
-            frontend.access, [1, 2], [False, True], Op.READ, Op.WRITE,
-            bytes(64),
-        )
+        slice_counts(frontend.access, [1, 2], [False, True], bytes(64))
         assert Wrapper.entries == 2
 
         other = warmed_recursive()
         before = other.stats.accesses
         frontend._kernel = other._kernel
-        CORE.run_access_loop(
-            frontend.access, [1, 2], [False, False], Op.READ, Op.WRITE, b""
-        )
+        slice_counts(frontend.access, [1, 2], [False, False])
         assert other.stats.accesses == before + 2

@@ -53,7 +53,7 @@ from repro.storage.snapshot import tree_digest
 from repro.utils.rng import DeterministicRng
 
 from test_equivalence_golden import reference_leaf_for
-from test_native_replay import CountingKernel
+from test_native_replay import CountingKernel, slice_counts
 from test_replay_differential import (
     chunked, frontend_columns, make_trace, stats_image,
 )
@@ -865,9 +865,7 @@ class TestStructure:
             for a, w in zip(addrs, writes)
         ]
         counts, entered = python_frames_during(
-            lambda: CORE.run_access_loop(
-                nat.access, addrs, writes, Op.READ, Op.WRITE, payload
-            )
+            lambda: slice_counts(nat.access, addrs, writes, payload)
         )
         assert counts == expected
         # The arena growing a chunk is the storage's own method; nothing
@@ -888,9 +886,7 @@ class TestStructure:
         arena = nat.backend.storage.addr_col
         assert len(arena) <= 512
         counts = [
-            CORE.run_access_loop(
-                frontend.access, addrs, writes, Op.READ, Op.WRITE, payload
-            )
+            slice_counts(frontend.access, addrs, writes, payload)
             for frontend in (ref, nat)
         ]
         assert counts[0] == counts[1]
@@ -912,9 +908,7 @@ class TestStructure:
         assert nat.plb.ways == 2
         (_, entered), (counts, entered_nat) = (
             python_frames_during(
-                lambda: CORE.run_access_loop(
-                    frontend.access, addrs, writes, Op.READ, Op.WRITE, payload
-                )
+                lambda: slice_counts(frontend.access, addrs, writes, payload)
             )
             for frontend in (ref, nat)
         )
@@ -937,9 +931,7 @@ class TestStructure:
         writes = [rng.random() < 0.3 for _ in range(120)]
         payload = bytes(ref.config.block_bytes)
         for frontend in (ref, nat):
-            CORE.run_access_loop(
-                frontend.access, addrs, writes, Op.READ, Op.WRITE, payload
-            )
+            slice_counts(frontend.access, addrs, writes, payload)
         assert probes[0].seen == probes[1].seen
         # Two callbacks per tree access, each with its own image.
         seen = probes[1].seen
@@ -962,9 +954,7 @@ class TestStructure:
             return bound(*args)
 
         nat.access = shim
-        CORE.run_access_loop(
-            nat.access, [1, 2, 3], [False] * 3, Op.READ, Op.WRITE, b""
-        )
+        slice_counts(nat.access, [1, 2, 3], [False] * 3)
         assert calls == [1, 2, 3] and nat.stats.accesses == 3
 
     def test_a_failing_event_stops_the_slice_where_python_would(self):
@@ -972,9 +962,7 @@ class TestStructure:
         addrs = [1, 2, ref.num_blocks, 3]
         for frontend in (ref, nat):
             with pytest.raises(ValueError, match="out of range"):
-                CORE.run_access_loop(
-                    frontend.access, addrs, [False] * 4, Op.READ, Op.WRITE, b""
-                )
+                slice_counts(frontend.access, addrs, [False] * 4)
         assert_same_state(ref, nat, "after the failed slice")
         assert nat.stats.accesses == 3
 

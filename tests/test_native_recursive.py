@@ -41,7 +41,7 @@ from repro.storage.snapshot import tree_digest
 from repro.utils.rng import DeterministicRng
 
 from test_native_frontend import python_frames_during
-from test_native_replay import CountingKernel
+from test_native_replay import CountingKernel, slice_counts
 from test_replay_differential import (
     chunked, frontend_columns, make_trace, stats_image,
 )
@@ -395,9 +395,7 @@ class TestStructure:
             for a, w in zip(addrs, writes)
         ]
         counts, entered = python_frames_during(
-            lambda: CORE.run_access_loop(
-                nat.access, addrs, writes, Op.READ, Op.WRITE, payload
-            )
+            lambda: slice_counts(nat.access, addrs, writes, payload)
         )
         assert counts == expected == [4] * 300
         # The arena growing a chunk is the storage's own method; nothing
@@ -439,9 +437,7 @@ class TestStructure:
         writes = [rng.random() < 0.3 for _ in range(80)]
         payload = bytes(ref.configs[0].block_bytes)
         for frontend in (ref, nat):
-            CORE.run_access_loop(
-                frontend.access, addrs, writes, Op.READ, Op.WRITE, payload
-            )
+            slice_counts(frontend.access, addrs, writes, payload)
         assert seen[id(ref)] == seen[id(nat)]
         assert len(seen[id(nat)]) == 2 * 4 * 80
         # Every callback met different numbers: nothing was batched.
@@ -460,9 +456,7 @@ class TestStructure:
             return bound(*args)
 
         nat.access = shim
-        counts = CORE.run_access_loop(
-            nat.access, [1, 2, 3], [False] * 3, Op.READ, Op.WRITE, b""
-        )
+        counts = slice_counts(nat.access, [1, 2, 3], [False] * 3)
         assert calls == [1, 2, 3] and counts == [4, 4, 4]
         assert nat.stats.accesses == 3
 
@@ -471,8 +465,6 @@ class TestStructure:
         addrs = [1, 2, ref.space.num_blocks, 3]
         for frontend in (ref, nat):
             with pytest.raises(ValueError, match="out of range"):
-                CORE.run_access_loop(
-                    frontend.access, addrs, [False] * 4, Op.READ, Op.WRITE, b""
-                )
+                slice_counts(frontend.access, addrs, [False] * 4)
         assert_same_state(ref, nat, "after the failed slice")
         assert nat.stats.accesses == 3

@@ -81,6 +81,19 @@ needs_core = pytest.mark.skipif(
 )
 
 
+def slice_counts(access, addrs, writes, payload=b""):
+    """``run_access_loop`` over plain lists of block addresses and write
+    flags, read back as the per-event tree-access counts: the latency
+    table is the identity (``miss_latency`` is ``int``), so each event's
+    latency is its count."""
+    counts = []
+    CORE.run_access_loop(
+        access, array("q", addrs), array("b", writes), 1, Op.READ, Op.WRITE,
+        payload, [], int, 0, counts,
+    )
+    return counts
+
+
 #: What an install without the extension memoises (see ``native_core``).
 UNBUILT = (None, "the native extension is not built")
 
@@ -318,13 +331,10 @@ class TestNoObjectPerTreeAccess:
         rng = DeterministicRng(9)
         addrs = [rng.randrange(2**14) for _ in range(2400)]
         writes = [False] * 2400
-        loop = CORE.run_access_loop
-        loop(frontend.access, addrs[:2000], writes, Op.READ, Op.WRITE, b"")
+        slice_counts(frontend.access, addrs[:2000], writes)
         with collector_off():
             before = gc.get_count()[0]
-            counts = loop(
-                frontend.access, addrs[2000:], writes, Op.READ, Op.WRITE, b""
-            )
+            counts = slice_counts(frontend.access, addrs[2000:], writes)
             moved = gc.get_count()[0] - before
         assert len(counts) == 400 and frontend.stats.accesses == 2400
         assert moved < 400
@@ -385,9 +395,7 @@ class TestNoObjectPerRequest:
             addrs = [rng.randrange(self.BLOCKS) for _ in range(events)]
             writes = [rng.random() < 0.3 for _ in range(events)]
             payload = bytes(frontend.config.block_bytes)
-            return CORE.run_access_loop(
-                frontend.access, addrs, writes, Op.READ, Op.WRITE, payload
-            )
+            return slice_counts(frontend.access, addrs, writes, payload)
 
         run(2000)
         return frontend, run
@@ -696,9 +704,7 @@ class TestKernelPrimitives:
             calls.append((addr, op, payload))
             return FakeResult(addr * 10)
 
-        ns = CORE.run_access_loop(
-            access, [4, 7, 9], [True, False], Op.READ, Op.WRITE, b"pp"
-        )
+        ns = slice_counts(access, [4, 7, 9], [True, False], b"pp")
         # zip semantics: stops at the shorter column.
         assert ns == [40, 70]
         assert calls == [(4, Op.WRITE, b"pp"), (7, Op.READ, None)]
@@ -708,9 +714,7 @@ class TestKernelPrimitives:
             raise RuntimeError("backend exploded")
 
         with pytest.raises(RuntimeError, match="backend exploded"):
-            CORE.run_access_loop(
-                access, [1], [False], Op.READ, Op.WRITE, b""
-            )
+            slice_counts(access, [1], [False])
 
     @settings(max_examples=200, deadline=None)
     @given(case=sparse_drains())
@@ -1158,8 +1162,8 @@ class TestSlicedReplay:
             rng = DeterministicRng(11)
             addrs = [rng.randrange(frontend.num_blocks) for _ in range(60)]
             writes = [rng.random() < 0.3 for _ in range(60)]
-            CORE.run_access_loop(
-                frontend.access, addrs, writes, Op.READ, Op.WRITE,
+            slice_counts(
+                frontend.access, addrs, writes,
                 bytes(frontend.config.block_bytes),
             )
         reference, columnar = seen

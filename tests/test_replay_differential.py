@@ -170,16 +170,18 @@ SEEDS = (8, 91, 2015)
 TIMING = OramTimingModel(tree_latency_cycles=1000.0)
 
 
-def tier_pair(scheme):
-    """(reference frontend, fast frontend) from one spec and seed.
+def tier_pair(scheme, **fields):
+    """(reference frontend, fast frontend) from one spec (``fields``
+    overriding it) and seed.
 
     The fast one names no storage: under the ``fast_tier`` fixture it is
     whatever a preset build resolves to with no ``REPRO_*`` set.
     """
+    fields.setdefault("num_blocks", BLOCKS)
     reference = build_frontend(
-        scheme, num_blocks=BLOCKS, rng=DeterministicRng(7), storage="object"
+        scheme, rng=DeterministicRng(7), storage="object", **fields
     )
-    fast = build_frontend(scheme, num_blocks=BLOCKS, rng=DeterministicRng(7))
+    fast = build_frontend(scheme, rng=DeterministicRng(7), **fields)
     return reference, fast
 
 
