@@ -35,7 +35,7 @@ from repro.errors import ConfigurationError, ReproError, SweepInterrupted
 from repro.eval import SAVED_SWEEPS
 from repro.eval.saved import figure_runner
 from repro.faults import install_from
-from repro.serve import ADMISSION_ORDERS, POLICIES
+from repro.serve import POLICIES
 from repro.settings import Settings
 from repro.sim.native import build_hint
 from repro.sim.replay import resolve_tier
@@ -94,10 +94,6 @@ def _int_at_least(minimum: int, what: str) -> Callable[[str], int]:
 
 
 _positive_int = _int_at_least(1, "a positive integer")
-
-
-def _positive_int_as_float(value: str) -> float:
-    return float(_positive_int(value))
 
 
 def _positive_seconds(value: str) -> float:
@@ -182,9 +178,6 @@ _SERVE_COUNTS = {
     "--burst": ("burst", "requests a tenant offers per epoch"),
     "--max-batch": ("max_batch", "requests a shard executes per epoch"),
     "--queue-cap": ("queue_capacity", "bound of a shard's admission queue"),
-    "--throttle-epochs": ("throttle_epochs", "cooldown epochs of the throttle policy"),
-    "--degrade-after": ("degrade_after", "overloaded epochs before degrading a level"),
-    "--recover-after": ("recover_after", "clean epochs before recovering a level"),
     "--seed": ("seed", "runner seed"),
     "--misses": ("misses", "trace miss budget per benchmark"),
 }
@@ -206,12 +199,6 @@ def _add_serve_parser(commands) -> argparse.ArgumentParser:
     add("--bench", action="append", type=_text, metavar="NAME",
         help="tenant workload roster entry (repeatable; 'a+b' interleaves two)")
     add("--policy", choices=POLICIES, help="backpressure at a full shard queue")
-    add("--admission", choices=ADMISSION_ORDERS,
-        help="admission order (edf == fifo with no deadlines)")
-    add("--deadline", dest="deadline_cycles", type=_positive_int_as_float,
-        metavar="N", help="per-request SLO deadline in simulated cycles")
-    add("--quota", type=_positive_int_as_float, metavar="N",
-        help="per-tenant token-bucket quota (requests/epoch)")
     add("--demo", action="store_true", default=False,
         help="the CI smoke scenario: 4 tenants, 2 shards, 400 requests each")
     add("--out", type=_text, default=DEFAULT_SERVE_OUT, metavar="FILE",
@@ -429,7 +416,7 @@ def _serve_main(args: argparse.Namespace) -> int:
         service = OramService(
             tenants_for(
                 given["bench"], given["tenants"],
-                **only("requests", "deadline_cycles", "quota"),
+                **only("requests"),
             ),
             runner=runner,
             config=config,

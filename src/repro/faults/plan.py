@@ -25,14 +25,12 @@ Examples::
 
     cell.crash@PC_X32*/gob/1#1          # first attempt of that cell crashes
     fabric.worker.exit@*/*/1#1          # each worker dies on its first attempt-1 cell
-    serve.shard.stall@0#2|epochs=3      # shard 0 stalls 3 epochs at epoch 2
     cache.write.kill@result/replace#1   # die between tmp write and rename
     cache.entry.truncate@trace/*#1      # damage first trace entry read
     fabric.heartbeat.stall@0/*|secs=60  # worker 0's heartbeats go silent
     fabric.rpc.crash@worker/send/result#1  # drop connection on first result
     rpc.timeout.crash@coordinator/send/lease#1  # first lease send times out
     rpc.flap.crash@0/1#1                # worker 0's first session flaps
-    serve.deadline.stall@*#1|cycles=50000  # tighten epoch-1 deadlines
 
 Fabric sites: ``fabric.worker`` fires per executed cell
 (``label/bench/attempt``), ``fabric.heartbeat`` per heartbeat
@@ -49,13 +47,10 @@ after configuration — a ``crash`` there severs the session and drives
 the worker's auto-reconnect (and, repeated, the coordinator's
 per-worker circuit breaker).
 
-Serve sites: ``serve.shard`` fires per shard per epoch (key: shard
-index) and ``serve.deadline`` fires per tenant per admission epoch
-(key: tenant index). A ``stall`` at ``serve.deadline`` with
-``cycles=N`` tightens that epoch's newly assigned deadlines by N
-simulated cycles — pure SLO bookkeeping that provokes deadline misses
-without perturbing the simulated access sequence, which is what keeps
-chaos serve runs bit-identical to their goldens.
+Sweep sites: ``cell`` fires per cell attempt (``label/bench/attempt``)
+and ``sweep`` after each finished cell (``label/bench``); the store's
+``cache.entry`` fires per entry read (``kind/key``) and ``cache.write``
+at each step of a write (``kind/begin|tmp|replace``).
 
 Determinism: occurrence counters are keyed per ``(site, key)`` and file
 damage uses a seed-derived deterministic byte pattern, so the same plan on
@@ -78,9 +73,8 @@ _ACTIONS = ("crash", "exit", "stall", "interrupt", "kill", "corrupt", "truncate"
 
 #: Every site a hook fires at; a plan may name no other.
 SITES = (
-    "cell", "sweep", "cache.entry", "cache.write", "serve.shard",
-    "serve.deadline", "fabric.worker", "fabric.heartbeat", "fabric.rpc",
-    "rpc.timeout", "rpc.flap",
+    "cell", "sweep", "cache.entry", "cache.write", "fabric.worker",
+    "fabric.heartbeat", "fabric.rpc", "rpc.timeout", "rpc.flap",
 )
 
 #: Actions that damage the file passed to the hook rather than raising.
@@ -126,10 +120,9 @@ class FaultPlan:
     def match(self, site: str, key: str = "") -> Optional[FaultSpec]:
         """Count pattern matches and return the spec that fires, if any.
 
-        Does *not* perform the action — used by call sites (the serving
-        layer) that translate a match into domain behaviour themselves.
-        Every injector watching this (site, key) advances its counter;
-        the first one whose ``hits`` select the current count fires.
+        Does *not* perform the action (:meth:`fire` does). Every injector
+        watching this (site, key) advances its counter; the first one
+        whose ``hits`` select the current count fires.
         """
         chosen: Optional[FaultSpec] = None
         chosen_count = 0
@@ -151,17 +144,6 @@ class FaultPlan:
         spec = self.match(site, key)
         if spec is None:
             return
-        self._perform(spec, site, key, path)
-
-    def perform(
-        self, spec: FaultSpec, site: str, key: str = "", path: Optional[Path] = None
-    ) -> None:
-        """Perform ``spec``'s action for a match obtained via :meth:`match`.
-
-        For call sites that interpret *some* actions themselves (the
-        serving layer turns ``stall`` into a circuit-breaker trip) and
-        fall back to the standard behaviour for the rest.
-        """
         self._perform(spec, site, key, path)
 
     def _perform(

@@ -1,6 +1,4 @@
-"""Overload control and RPC resilience policies (`repro.resilience`).
-
-The control plane shared by the serving layer and the sweep fabric:
+"""Retry and RPC resilience policies of the sweep (`repro.resilience`).
 
 - :class:`RetryPolicy` — deterministic exponential backoff for failed
   sweep cells.
@@ -8,31 +6,18 @@ The control plane shared by the serving layer and the sweep fabric:
   seeded, deterministic exponential backoff-with-jitter
   (``REPRO_CONNECT_RETRIES`` / ``REPRO_RPC_TIMEOUT``).
 - :class:`CircuitBreaker` — consecutive-failure breaker with a
-  cooldown, told the time by its caller (the coordinator quarantines flapping
-  workers with it; the serve layer's per-shard breaker is the
-  epoch-deterministic sibling living on :class:`~repro.serve.server.OramShard`).
-- :class:`TokenBucket` — per-epoch tenant quota for serve admission.
-- :class:`DegradationController` — graceful-degradation levels under
-  sustained overload, every transition a counted deterministic event.
+  cooldown, told the time by its caller (the fabric coordinator
+  quarantines flapping workers with it).
 
-Everything here is *scheduling-only* state: none of it feeds back into
-simulated cycles or access sequences, which is what keeps chaos runs
-bit-identical to their fault-free goldens.
+None of it feeds back into simulated cycles or access sequences, which
+is what keeps chaos runs bit-identical to their fault-free goldens.
 """
 
-from repro.resilience.admission import (  # noqa: F401
-    DEGRADATION_LEVELS,
-    DegradationController,
-    TokenBucket,
-)
 from repro.resilience.breaker import CircuitBreaker  # noqa: F401
 from repro.resilience.retry import RetryPolicy, RpcPolicy  # noqa: F401
 
 __all__ = [
-    "DEGRADATION_LEVELS",
     "CircuitBreaker",
-    "DegradationController",
     "RetryPolicy",
     "RpcPolicy",
-    "TokenBucket",
 ]

@@ -1,8 +1,7 @@
 """A generic consecutive-failure circuit breaker.
 
-Generalizes the PR 7 per-shard serve breaker to any identity-keyed
-failure domain — the fabric coordinator keeps one per worker identity so
-a flapping worker is quarantined instead of re-leased forever. The
+Keyed by any failure-domain identity — the fabric coordinator keeps one
+per worker identity so a flapping worker is quarantined instead of re-leased forever. The
 breaker is pure scheduling state: opening or closing one never changes
 report content, only who gets offered work when.
 

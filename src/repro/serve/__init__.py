@@ -7,7 +7,6 @@ traffic (the property ``tests/test_serve_lockstep.py`` pins). See
 """
 
 from repro.serve.server import (
-    ADMISSION_ORDERS,
     POLICIES,
     OramService,
     OramShard,
@@ -28,7 +27,6 @@ from repro.serve.workload import (
 )
 
 __all__ = [
-    "ADMISSION_ORDERS",
     "POLICIES",
     "OramService",
     "OramShard",

@@ -23,7 +23,7 @@ class LatencyHistogram:
     values < 1), which spans simulated-cycle and wall-microsecond scales
     without configuration. ``quantile_bound(q)`` reports the upper edge
     of the bucket containing the q-quantile — a guaranteed upper bound,
-    which is the useful direction for SLO reporting.
+    which is the useful direction for latency reporting.
     """
 
     def __init__(self) -> None:
@@ -113,13 +113,6 @@ class TenantStats:
     request in its shard's epoch queue; ``wall_us`` is the observational
     wall-clock time from the epoch's admission stamp to the completion
     of the request's batch.
-
-    SLO accounting (all in simulated cycles, all deterministic):
-    ``throttled`` counts epochs the tenant was paused by quota or the
-    ``throttle`` policy; ``missed`` counts completed requests that
-    finished past their deadline; ``slack_cycles`` histograms remaining
-    deadline budget at completion, floored at zero (so a miss records a
-    zero-slack sample — the miss *count* carries the violation).
     """
 
     def __init__(self, name: str, benchmark: str) -> None:
@@ -128,11 +121,8 @@ class TenantStats:
         self.issued = 0
         self.shed = 0
         self.deferred = 0
-        self.throttled = 0
-        self.missed = 0
         self.service_cycles = LatencyHistogram()
         self.latency_cycles = LatencyHistogram()
-        self.slack_cycles = LatencyHistogram()
         self.wall_us = LatencyHistogram()
 
     @property
@@ -151,12 +141,9 @@ class TenantStats:
             "completed": self.completed,
             "shed": self.shed,
             "deferred": self.deferred,
-            "throttled": self.throttled,
-            "deadline_missed": self.missed,
             "cycles": self.cycles,
             "service_cycles": self.service_cycles.to_dict(),
             "latency_cycles": self.latency_cycles.to_dict(),
-            "slack_cycles": self.slack_cycles.to_dict(),
             "wall_us": self.wall_us.to_dict(),
         }
 
@@ -180,10 +167,6 @@ class ShardStats:
         self.epochs_busy = 0
         self.shed = 0
         self.deferred = 0
-        self.throttled = 0
-        self.parked = 0
-        self.breaker_trips = 0
-        self.stall_epochs = 0
         self.busy_cycles = 0.0
         self.depth_samples = 0
         self.depth_total = 0
@@ -225,10 +208,6 @@ class ShardStats:
             "epochs_busy": self.epochs_busy,
             "shed": self.shed,
             "deferred": self.deferred,
-            "throttled": self.throttled,
-            "parked": self.parked,
-            "breaker_trips": self.breaker_trips,
-            "stall_epochs": self.stall_epochs,
             "busy_cycles": self.busy_cycles,
             "queue_depth": {
                 "samples": self.depth_samples,
@@ -242,11 +221,10 @@ class ShardStats:
 def serve_table(report: Mapping[str, object]) -> str:
     """Render a serve report (``OramService.report()``) as the text summary.
 
-    One line per tenant and per shard, then the totals and the
-    ``resilience`` block: what ``python -m repro serve`` prints.
+    One line per tenant and per shard, then the totals: what
+    ``python -m repro serve`` prints.
     """
     totals = report["totals"]
-    res = report["resilience"]
     lines = [
         f"serve: scheme {report['scheme']}, "
         f"{len(report['tenants'])} tenant(s) on {len(report['shards'])} "
@@ -270,12 +248,5 @@ def serve_table(report: Mapping[str, object]) -> str:
     lines.append(
         f"  totals: {totals['requests']} requests in {report['epochs']} "
         f"epochs, {totals['cycles'] / 1e6:.2f} Mcycles"
-    )
-    lines.append(
-        f"  resilience: missed {res['deadline_missed']}"
-        f"  throttled {res['throttled']}  shed {res['shed']}"
-        f"  deferred {res['deferred']}"
-        f"  degradation {res['degradation']['level']}"
-        f" ({len(res['degradation']['transitions'])} transition(s))"
     )
     return "\n".join(lines)

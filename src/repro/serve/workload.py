@@ -43,15 +43,6 @@ class TenantSpec:
     (benchmark tenants size it from the working set, event tenants from
     their highest address — too small when blocks are preloaded beyond
     the stream's reach).
-
-    SLO knobs (all optional, all in *simulated* units so they never
-    perturb bit-reproducibility): ``deadline_cycles`` is the per-request
-    SLO — each request's deadline is the service's virtual clock at its
-    first admission offer plus this budget, and earliest-deadline-first
-    admission orders by it; ``quota`` is a token-bucket rate in requests
-    per epoch (an empty bucket pauses the tenant for the epoch);
-    ``priority`` ranks tenants for graceful degradation — under
-    sustained overload the *lowest* priority values shed first.
     """
 
     name: str
@@ -59,9 +50,6 @@ class TenantSpec:
     requests: Optional[int] = None
     events: Optional[Tuple[Request, ...]] = None
     region_blocks: Optional[int] = None
-    deadline_cycles: Optional[float] = None
-    quota: Optional[float] = None
-    priority: int = 0
 
     def __post_init__(self):
         if (self.benchmark is None) == (self.events is None):
@@ -78,14 +66,6 @@ class TenantSpec:
             raise ConfigurationError(
                 f"tenant {self.name!r}: region_blocks must be >= 2"
             )
-        if self.deadline_cycles is not None and self.deadline_cycles <= 0:
-            raise ConfigurationError(
-                f"tenant {self.name!r}: deadline_cycles must be > 0"
-            )
-        if self.quota is not None and self.quota <= 0:
-            raise ConfigurationError(
-                f"tenant {self.name!r}: quota must be > 0 requests/epoch"
-            )
 
     @property
     def workload_label(self) -> str:
@@ -97,18 +77,12 @@ def tenants_for(
     benchmarks: Sequence[str],
     count: int,
     requests: Optional[int] = None,
-    *,
-    deadline_cycles: Optional[float] = None,
-    quota: Optional[float] = None,
-    priorities: Optional[Sequence[int]] = None,
 ) -> List[TenantSpec]:
     """``count`` tenants assigned round-robin over ``benchmarks``.
 
     The canonical "N tenants on M shards" roster builder: tenant *i*
     replays ``benchmarks[i % len(benchmarks)]`` under the name
-    ``"t<i>:<benchmark>"``. ``deadline_cycles``/``quota`` apply the same
-    SLO to every tenant; ``priorities`` is round-robined by index like
-    the benchmark roster.
+    ``"t<i>:<benchmark>"``, capped at ``requests``.
     """
     if count < 1:
         raise ConfigurationError("a serve scenario needs at least one tenant")
@@ -119,9 +93,6 @@ def tenants_for(
             name=f"t{i}:{benchmarks[i % len(benchmarks)]}",
             benchmark=benchmarks[i % len(benchmarks)],
             requests=requests,
-            deadline_cycles=deadline_cycles,
-            quota=quota,
-            priority=priorities[i % len(priorities)] if priorities else 0,
         )
         for i in range(count)
     ]

@@ -618,14 +618,9 @@ class TestCliServe:
     def test_serve_rejects_bad_policy(self, capsys):
         assert main(["serve", "--policy", "panic"]) == 2
         err = capsys.readouterr().err
-        # The parse-time message enumerates every valid policy, throttle
-        # included, so the rejection doubles as discovery.
-        assert "defer" in err and "shed" in err and "throttle" in err
-
-    def test_serve_rejects_bad_admission_order(self, capsys):
-        assert main(["serve", "--admission", "lifo"]) == 2
-        err = capsys.readouterr().err
-        assert "edf" in err and "fifo" in err
+        # The parse-time message enumerates every valid policy, so the
+        # rejection doubles as discovery.
+        assert "choose from 'defer', 'shed'" in err
 
     def test_serve_has_no_mode_flag(self, capsys):
         # One epoch loop: there is no driver to choose.
@@ -635,37 +630,27 @@ class TestCliServe:
         assert "unrecognized arguments: --mode" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["-3", "0", "x"])
-    @pytest.mark.parametrize(
-        "flag",
-        ["--queue-cap", "--deadline", "--quota", "--throttle-epochs",
-         "--degrade-after", "--recover-after"],
-    )
-    def test_serve_rejects_non_positive_slo_knobs(self, capsys, flag, value):
-        assert main(["serve", flag, value]) == 2
+    def test_serve_rejects_a_non_positive_queue_cap(self, capsys, value):
+        assert main(["serve", "--queue-cap", value]) == 2
         assert "positive integer" in capsys.readouterr().err
 
-    def test_serve_slo_flags_reach_the_report(self, tmp_path, capsys):
-        out = tmp_path / "slo.json"
+    def test_serve_flags_reach_the_report(self, tmp_path, capsys):
+        out = tmp_path / "shed.json"
         code = main([
-            "serve", "--tenants", "1", "--bench", "gob",
+            "serve", "--tenants", "2", "--bench", "gob",
             "--requests", "20", "--misses", "150",
-            "--policy", "throttle", "--admission", "edf",
-            "--deadline", "2000", "--quota", "4",
-            "--degrade-after", "3", "--recover-after", "2",
+            "--burst", "8", "--queue-cap", "2", "--policy", "shed",
             "--out", str(out),
         ])
         assert code == 0
-        printed = capsys.readouterr().out
-        assert "resilience:" in printed and "degradation" in printed
+        assert "policy shed" in capsys.readouterr().out
         import json
 
         report = json.loads(out.read_text("utf-8"))
-        assert report["config"]["policy"] == "throttle"
-        assert report["config"]["admission"] == "edf"
-        assert report["config"]["degrade_after"] == 3
-        assert report["config"]["recover_after"] == 2
-        assert "resilience" in report
-        assert report["tenants"][0]["deadline_missed"] >= 0
+        assert report["config"]["policy"] == "shed"
+        assert report["config"]["queue_capacity"] == 2
+        assert report["totals"]["shed"] > 0
+        assert report["totals"]["requests"] + report["totals"]["shed"] == 40
 
     def test_serve_unknown_benchmark_is_serve_error(self, capsys):
         code = main(["serve", "--bench", "nonesuch", "--requests", "5"])

@@ -30,8 +30,8 @@ class TestGrammar:
         assert spec == FaultSpec(site="cell", action="crash", key="PC_X32/gob/1")
 
     def test_dotted_site_splits_on_last_dot(self):
-        (spec,) = parse("serve.shard.stall@0").specs
-        assert (spec.site, spec.action) == ("serve.shard", "stall")
+        (spec,) = parse("fabric.heartbeat.stall@0").specs
+        assert (spec.site, spec.action) == ("fabric.heartbeat", "stall")
 
     def test_key_may_contain_at_signs(self):
         # Derived benchmark names ("mcf@wss=8388608") appear inside keys.
@@ -39,16 +39,16 @@ class TestGrammar:
         assert spec.key == "PC_X32/mcf@wss=8388608/1"
 
     def test_hits_and_params(self):
-        (spec,) = parse("serve.shard.stall@0#2,4|epochs=3,secs=0.5").specs
+        (spec,) = parse("fabric.worker.exit@*/gob/1#2,4|code=3,secs=0.5").specs
         assert spec.hits == (2, 4)
-        assert spec.params == {"epochs": "3", "secs": "0.5"}
+        assert spec.params == {"code": "3", "secs": "0.5"}
 
     def test_multiple_entries_split_on_semicolon(self):
         plan = parse("cell.crash@*/1#1; fabric.worker.exit@*;")
         assert [s.action for s in plan.specs] == ["crash", "exit"]
 
     def test_roundtrip_via_to_entry(self):
-        text = "serve.shard.stall@0#2|epochs=3"
+        text = "fabric.heartbeat.stall@0/*#2|secs=3"
         (spec,) = parse(text).specs
         assert parse(spec.to_entry()).specs[0] == spec
 

@@ -1,11 +1,10 @@
 """Chaos lockstep: injected-then-recovered runs equal fault-free goldens.
 
 The acceptance property of the fault plane: for every recoverable fault
-class (cell crash, worker death, worker stall, Ctrl-C + re-run, shard
-breaker trips), the healed run's *measured* outputs — SimResults, sweep
-tables, per-shard access digests — are bit-identical to a fault-free
-golden run at the same seed. Only the ``resilience`` accounting block may
-differ.
+class (cell crash, worker death, worker stall, Ctrl-C + re-run), the
+healed run's *measured* outputs — SimResults and sweep tables — are
+bit-identical to a fault-free golden run at the same seed. Only the
+``resilience`` accounting block may differ.
 """
 
 import contextlib
@@ -15,9 +14,8 @@ import pytest
 
 import repro.sim.runner as runner_mod
 from repro.errors import CacheCorruptionWarning, InjectedFault, SweepInterrupted
-from repro.faults import injected, parse
+from repro.faults import injected
 from repro.resilience import RetryPolicy
-from repro.serve import OramService, ServeConfig, tenants_for
 from repro.sim.runner import SimulationRunner
 from repro.sim.sweep import SweepSpec, run_sweep, sweep_table
 
@@ -251,62 +249,3 @@ class TestServeSweepChaos:
         assert rerun["resilience"]["executed"] == 2
         assert _scrub_wall(_strip(rerun)) == _scrub_wall(_strip(golden))
         assert sweep_table(rerun) == sweep_table(golden)
-
-
-class TestShardFailover:
-    def _service(self, tmp_path, tag) -> OramService:
-        return OramService(
-            tenants_for(["gob", "hmmer"], 3),
-            runner=_runner(tmp_path, tag),
-            config=ServeConfig(scheme="PC_X32", shards=2),
-        )
-
-    def test_breaker_trip_preserves_digests_and_cycles(self, tmp_path):
-        golden = self._service(tmp_path, "g").run("serial")
-        chaotic = self._service(tmp_path, "g")
-        with injected("serve.shard.stall@0#2|epochs=2"):
-            chaotic.run("serial")
-        assert chaotic.shards[0].stats.breaker_trips == 1
-        assert chaotic.shards[0].stats.stall_epochs == 2
-        assert chaotic.shards[0].stats.parked > 0
-        for healed, clean in zip(chaotic.shards, golden.shards):
-            assert healed.stats.access_digest == clean.stats.access_digest
-            assert healed.stats.busy_cycles == clean.stats.busy_cycles
-            assert healed.stats.requests == clean.stats.requests
-        for ht, ct in zip(chaotic.tenant_stats, golden.tenant_stats):
-            assert ht.cycles == ct.cycles
-            assert ht.completed == ct.completed
-
-    def test_serial_and_async_failover_identical(self, tmp_path):
-        plan_text = "serve.shard.stall@1#3|epochs=2"
-        serial = self._service(tmp_path, "g")
-        with injected(plan_text):
-            serial.run("serial")
-        concurrent = self._service(tmp_path, "g")
-        with injected(parse(plan_text)):
-            concurrent.run("async")
-        assert serial.epochs == concurrent.epochs
-        for a, b in zip(serial.shards, concurrent.shards):
-            assert a.stats.access_digest == b.stats.access_digest
-            assert a.stats.busy_cycles == b.stats.busy_cycles
-            assert a.stats.parked == b.stats.parked
-            assert a.stats.stall_epochs == b.stats.stall_epochs
-
-    def test_every_parked_request_eventually_completes(self, tmp_path):
-        service = self._service(tmp_path, "g")
-        with injected("serve.shard.stall@0#1|epochs=3"):
-            service.run("serial")
-        assert all(not s.backlog for s in service.shards)
-        issued = sum(t.issued for t in service.tenant_stats)
-        completed = sum(t.completed for t in service.tenant_stats)
-        assert issued == completed
-
-    def test_report_carries_failover_counters(self, tmp_path):
-        service = self._service(tmp_path, "g")
-        with injected("serve.shard.stall@0#1|epochs=1"):
-            service.run("serial")
-        shard0 = service.report()["shards"][0]
-        assert shard0["breaker_trips"] == 1
-        assert shard0["stall_epochs"] == 1
-        assert shard0["parked"] >= 0
-        assert json.dumps(service.report())

@@ -1,21 +1,14 @@
-"""Unit coverage for the :mod:`repro.resilience` control-plane primitives.
+"""Unit coverage for the :mod:`repro.resilience` primitives.
 
-The serving and fabric layers exercise these end to end (see
-``test_serve_slo.py`` / ``test_fabric_resilience.py``); this file pins
-the primitives' own contracts — determinism of the jittered backoff,
-breaker lifecycle, bucket arithmetic, and the degradation ladder.
+The sweep and the fabric exercise these end to end (see
+``test_faults_chaos.py`` / ``test_fabric_resilience.py``); this file pins
+the primitives' own contracts — determinism of the jittered backoff and
+the breaker lifecycle.
 """
 
 import pytest
 
-from repro.resilience import (
-    DEGRADATION_LEVELS,
-    CircuitBreaker,
-    DegradationController,
-    RetryPolicy,
-    RpcPolicy,
-    TokenBucket,
-)
+from repro.resilience import CircuitBreaker, RetryPolicy, RpcPolicy
 from repro.settings import Settings
 
 
@@ -85,78 +78,3 @@ class TestCircuitBreaker:
         breaker.record_success()
         assert breaker.allow(0.0)  # success fully closes, whatever the time
         assert not breaker.open
-
-
-class TestTokenBucket:
-    def test_rate_and_capacity(self):
-        bucket = TokenBucket(rate=2.0)
-        assert bucket.ready
-        bucket.take()
-        bucket.take()
-        assert not bucket.ready
-        bucket.refill()
-        assert bucket.ready
-
-    def test_fractional_rate_accumulates(self):
-        bucket = TokenBucket(rate=0.5)
-        bucket.take()
-        assert not bucket.ready
-        bucket.refill()
-        assert not bucket.ready  # 0.5 tokens: not yet a whole request
-        bucket.refill()
-        assert bucket.ready
-
-    def test_burst_caps_accumulation(self):
-        bucket = TokenBucket(rate=4.0, burst=4.0)
-        for _ in range(10):
-            bucket.refill()
-        taken = 0
-        while bucket.ready:
-            bucket.take()
-            taken += 1
-        assert taken == 4
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(Exception):
-            TokenBucket(rate=0.0)
-        with pytest.raises(Exception):
-            TokenBucket(rate=1.0, burst=0.5)
-
-
-class TestDegradationController:
-    def test_disabled_by_default(self):
-        controller = DegradationController()
-        assert not controller.enabled
-        for epoch in range(50):
-            assert controller.observe(epoch, overloaded=True) is None
-        assert controller.level == 0
-        assert controller.transitions == []
-
-    def test_escalates_and_recovers_with_recorded_transitions(self):
-        controller = DegradationController(degrade_after=2, recover_after=3)
-        assert controller.observe(0, True) is None
-        shift = controller.observe(1, True)
-        assert shift == {"epoch": 1, "from": "normal", "to": "shed-low"}
-        assert controller.level_name == DEGRADATION_LEVELS[1]
-        # Two more overloaded epochs: one level further, then saturate.
-        controller.observe(2, True)
-        shift = controller.observe(3, True)
-        assert shift == {"epoch": 3, "from": "shed-low", "to": "best-effort"}
-        assert controller.observe(4, True) is None  # already at the top
-        # Clean epochs walk it back down one level per recover_after.
-        assert controller.observe(5, False) is None
-        assert controller.observe(6, False) is None
-        shift = controller.observe(7, False)
-        assert shift == {"epoch": 7, "from": "best-effort", "to": "shed-low"}
-        assert len(controller.transitions) == 3
-
-    def test_streaks_must_be_consecutive(self):
-        controller = DegradationController(degrade_after=3)
-        controller.observe(0, True)
-        controller.observe(1, True)
-        controller.observe(2, False)  # breaks the overload streak
-        controller.observe(3, True)
-        controller.observe(4, True)
-        assert controller.level == 0
-        assert controller.observe(5, True) is not None
-        assert controller.level == 1

@@ -2,14 +2,15 @@
 
 Lockstep-vs-replay and serial-vs-async determinism live in
 ``test_serve_lockstep.py``; this file covers everything else — tenant
-specs, shard routing and directories, shed/defer policies, histogram
-and report shapes, the serve branch of the sweep engine, and input
-validation.
+specs, shard routing and directories, shed/defer policies and what
+admission promises under either, histogram and report shapes, the serve
+branch of the sweep engine, and input validation.
 """
 
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, ReproError
 from repro.proc.hierarchy import MissEvent, MissTrace
@@ -23,6 +24,8 @@ from repro.serve import (
 from repro.serve.workload import tenant_region_blocks, tenant_requests
 from repro.sim.runner import SimulationRunner
 from repro.workloads.spec import benchmark
+
+from test_serve_lockstep import strip_wall
 
 
 def make_runner(seed: int = 5) -> SimulationRunner:
@@ -233,6 +236,76 @@ class TestBackpressure:
         assert 0 < stats.mean_depth <= stats.depth_max
 
 
+#: Up to four tenants' event streams: short, over a small region each.
+STREAMS = st.lists(
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=31), st.booleans()),
+        max_size=40,
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _is_subsequence(part, whole) -> bool:
+    rest = iter(whole)
+    return all(item in rest for item in part)
+
+
+class TestAdmissionProperties:
+    """What FIFO admission promises, over any shape and either policy."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        streams=STREAMS,
+        shards=st.integers(min_value=1, max_value=3),
+        burst=st.integers(min_value=1, max_value=64),
+        max_batch=st.integers(min_value=1, max_value=64),
+        queue_capacity=st.integers(min_value=1, max_value=64),
+        policy=st.sampled_from(["defer", "shed"]),
+    )
+    def test_every_request_is_accounted_in_stream_order(
+        self, streams, shards, burst, max_batch, queue_capacity, policy
+    ):
+        def service():
+            return OramService(
+                [
+                    TenantSpec(name=f"t{i}", events=tuple(events))
+                    for i, events in enumerate(streams)
+                ],
+                runner=SimulationRunner(misses_per_benchmark=100, seed=23),
+                config=ServeConfig(
+                    scheme="P_X16", shards=shards, burst=burst,
+                    max_batch=max_batch, queue_capacity=queue_capacity,
+                    policy=policy, record_accesses=True,
+                ),
+            )
+
+        serial, concurrent = service().run("serial"), service().run("async")
+        assert strip_wall(serial.report()) == strip_wall(concurrent.report())
+        for events, tenant in zip(streams, serial.tenant_stats):
+            assert tenant.completed + tenant.shed == tenant.issued == len(events)
+            if policy == "defer":
+                assert tenant.shed == 0
+        for shard in serial.shards:
+            to_global = {local: addr for addr, local in shard._directory.items()}
+            for index, state in enumerate(serial._tenants):
+                routed = [
+                    (addr, write)
+                    for addr, write, route in zip(state.addrs, state.writes, state.routes)
+                    if route == shard.index
+                ]
+                served = [
+                    (to_global.get(local, local), write)
+                    for tenant, local, write in shard.stats.accesses
+                    if tenant == index
+                ]
+                if policy == "defer":
+                    assert served == routed
+                else:
+                    assert _is_subsequence(served, routed)
+
+
 class TestReporting:
     def test_report_is_json_safe_and_complete(self):
         service = OramService(
@@ -242,6 +315,35 @@ class TestReporting:
         )
         service.run("async")
         report = json.loads(json.dumps(service.report()))
+        # The exact schema: a key without a producer cannot come back.
+        assert set(report) == {
+            "kind", "scheme", "seed", "config", "epochs", "wall_seconds",
+            "tenants", "shards", "totals",
+        }
+        assert set(report["config"]) == {
+            "scheme", "shards", "burst", "max_batch", "queue_capacity",
+            "policy", "shard_blocks",
+        }
+        assert set(report["totals"]) == {
+            "requests", "issued", "shed", "deferred", "cycles",
+        }
+        histogram = {
+            "count", "mean", "min", "max", "p50_bound", "p95_bound",
+            "p99_bound", "buckets",
+        }
+        for tenant in report["tenants"]:
+            assert set(tenant) == {
+                "name", "benchmark", "issued", "completed", "shed", "deferred",
+                "cycles", "service_cycles", "latency_cycles", "wall_us",
+            }
+            for hist in ("service_cycles", "latency_cycles", "wall_us"):
+                assert set(tenant[hist]) == histogram
+        for shard in report["shards"]:
+            assert set(shard) == {
+                "shard", "requests", "batches", "epochs_busy", "shed",
+                "deferred", "busy_cycles", "queue_depth", "access_digest",
+            }
+            assert set(shard["queue_depth"]) == {"samples", "mean", "max"}
         assert report["kind"] == "serve"
         assert report["scheme"] == "PC_X32"
         assert len(report["tenants"]) == 2

@@ -18,14 +18,12 @@ import json
 
 import pytest
 
-from repro.faults import injected, parse
 from repro.sim import native as native_pkg
 from repro.sim.runner import SimulationRunner
 from repro.sim.system import replay_trace
 from repro.serve import (
     OramService,
     ServeConfig,
-    TenantSpec,
     serve_replay_equivalent,
     tenants_for,
 )
@@ -180,33 +178,12 @@ class TestConcurrentDeterminism:
 #
 # Every test above compares two runs of the same code (one run() mode
 # with the other, serve with replay), so a change that moves both together
-# passes. These digests were recorded at the commit before the serving
-# loop was rewritten over per-epoch columns (PR 23) and pin the simulated
-# outcome itself: the report minus its host-wall fields, and each
-# shard's access digest, on both run() modes and both tiers, the
-# reference one reached both ways.
+# passes. These digests pin the simulated outcome itself: the report minus
+# its host-wall fields, and each shard's access digest, on both run()
+# modes and both tiers, the reference one reached both ways.
 
 
-def _slo_tenants():
-    # Different budgets per tenant make EDF reorder across tenants, the
-    # quotas pause them and the priorities order the degradation ladder.
-    rows = (
-        ("hmmer", 6000.0, 5.0, 0),
-        ("gob", 250000.0, None, 1),
-        ("hmmer+gob", 40000.0, 6.0, 1),
-        ("gob", None, 4.0, 2),
-        ("hmmer", 90000.0, None, 0),
-    )
-    return [
-        TenantSpec(
-            name=f"t{i}:{bench}", benchmark=bench, requests=110,
-            deadline_cycles=deadline, quota=quota, priority=priority,
-        )
-        for i, (bench, deadline, quota, priority) in enumerate(rows)
-    ]
-
-
-#: name -> (tenants, config, fault plan or None)
+#: name -> (tenants, config)
 SCENARIOS = {
     # The benchmark's full shape and runner (perf/workloads.py,
     # serve_mixed_tenants at seed 2015): 8 000 rows, so the accounting
@@ -219,7 +196,6 @@ SCENARIOS = {
             scheme="PC_X32", shards=2, burst=8, max_batch=32,
             queue_capacity=12, policy="defer",
         ),
-        None,
     ),
     # The benchmark's shape (perf/workloads.py, serve_mixed_tenants).
     "defer_mix": (
@@ -228,45 +204,13 @@ SCENARIOS = {
             scheme="PC_X32", shards=2, burst=8, max_batch=32,
             queue_capacity=12, policy="defer",
         ),
-        None,
     ),
-    # Several chunks per epoch, EDF reordering, cooldowns, level changes.
-    "throttle_slo": (
-        _slo_tenants,
-        ServeConfig(
-            scheme="PC_X32", shards=3, burst=8, max_batch=3,
-            queue_capacity=7, policy="throttle", throttle_epochs=2,
-            degrade_after=2, recover_after=3,
-        ),
-        None,
-    ),
-    "shed_deadlines_pic": (
-        lambda: tenants_for(
-            ["hmmer", "gob"], 3, requests=120, deadline_cycles=3000.0
-        ),
+    "shed_pic": (
+        lambda: tenants_for(["hmmer", "gob"], 3, requests=120),
         ServeConfig(
             scheme="PIC_X32", shards=2, burst=6, max_batch=8,
             queue_capacity=4, policy="shed",
         ),
-        None,
-    ),
-    # Two breakers open; the parked backlog fills the queue (capacity 6)
-    # before it drains, so the stall also applies backpressure.
-    "stall_backlog": (
-        lambda: tenants_for(["hmmer", "gob", "hmmer+gob"], 3, requests=100),
-        ServeConfig(
-            scheme="PC_X32", shards=2, burst=4, max_batch=4,
-            queue_capacity=6, policy="defer",
-        ),
-        "serve.shard.stall@1#2|epochs=3;serve.shard.stall@0#7|epochs=2",
-    ),
-    "fifo_deadlines": (
-        _slo_tenants,
-        ServeConfig(
-            scheme="PC_X32", shards=2, burst=5, max_batch=16,
-            queue_capacity=9, policy="defer", admission="fifo",
-        ),
-        None,
     ),
     "one_shard": (
         lambda: tenants_for(["gob", "hmmer"], 3, requests=120),
@@ -274,7 +218,6 @@ SCENARIOS = {
             scheme="PC_X32", shards=1, burst=6, max_batch=5,
             queue_capacity=10, policy="defer",
         ),
-        None,
     ),
 }
 
@@ -285,57 +228,39 @@ RUNNERS = {
     ),
 }
 
-#: name -> (report digest, per-shard access digests), recorded at the parent.
+#: name -> (report digest, per-shard access digests). The access digests
+#: of bench_shape, defer_mix and one_shard were recorded before admission,
+#: execution and accounting were reworked to do per-epoch, not
+#: per-request, interpreter work; the report digests are those reports
+#: with the deleted overload plane's keys (deadlines, throttling,
+#: degradation, the shard breaker) stripped. shed_pic was recorded the
+#: same way, on the code whose EDF admission without deadlines was FIFO.
 GOLDENS = {
-    # Recorded before admission, execution and accounting were reworked
-    # to do per-epoch, not per-request, interpreter work.
     "bench_shape": (
-        "68eeb3299506af8799e8146d0b2286a93e511e8cc4f7817cf5c8e3b2c78bda88",
+        "21002b35a167034eed83f544adf78f6e8cb3a8ca5f88eaca60544d4cfe4f2fb9",
         [
             "7c6422b2a86d9d81ebcc9cef8896dbdd4ad526e01db083329aa8f2f98dcc3e0b",
             "bc1e70ad20552c623374d90a1c44eb1eb49904202fbc693fa621dbaee1204e28",
         ],
     ),
     "defer_mix": (
-        "38311033a19895d00a56a4de1b883681a1c32ae77fe55f28d50cf0423f000e04",
+        "fa5b0364f63dc7304f39eff5b0613cee1353bc96f0f111394d1cd728e9a64018",
         [
             "cbcade82631cbf3bb9e2dfabdddcf361a8f473d371f31a8d84e0561be5c523e4",
             "7890183c5b98540a43723d7187ad9b01a2fe348f95ef29295634887a82803312",
         ],
     ),
-    "fifo_deadlines": (
-        "e45bb857c627eb1fc195eb165a2bfe7b1fb7e410099dba1d31336a07db204904",
-        [
-            "5802a6c8dcbf28313e01a4031b1a9fee99d0c2bc5265e723253484668b90bf98",
-            "6f9fe0f0d3136206d32daee7a4ddb1e05a41f7e5b84a6c9f4c4d9be628a41620",
-        ],
-    ),
     "one_shard": (
-        "0af9ace44b2fd89fa5cd0929834e95b41c605204e6445fb0d1dd4e2dd3e057e3",
+        "5617d6d7b3b93d4f3fb24aa8145c73406e0c1e8b9329f9415c71649677174db1",
         [
             "5104e79c53fbdb5507d73dc5a65b9d2221991d9b9e25cf67d491ed5f5149d10f",
         ],
     ),
-    "shed_deadlines_pic": (
-        "89ab0e94e4c09cdbaadc63dd3093a25524938f97f190162ffe8262b2bba0ef0b",
+    "shed_pic": (
+        "5213295dbc938bd17c89341096d9408738fc174388e3847b9298c511ab90b4ca",
         [
             "5e108e802a7bc72a22f18c5a3ab13875da51bb41b8a545b5697a8e2d1530fe13",
             "6a8e80da789d4441b6bd72a5382e636ab8a54074524976f0646c54f46bbc2419",
-        ],
-    ),
-    "stall_backlog": (
-        "9425a2ac3a189b0f263965f31378653f8e35cfc588c32e6aefba424667e45169",
-        [
-            "af0fa2a6972b7cc06ba33d637b7f01d990cb01b25f03ff89eef163c15065878d",
-            "fee4b89215b33dab6febb2334aa24ffda319561973749b10baf16ce71fd083e6",
-        ],
-    ),
-    "throttle_slo": (
-        "7127d0c1621cc7d3dcdcab6cd4303eb0e69903b56e15f13c29b1a0d22a7d0f68",
-        [
-            "d6cd8fa7e20f1eeed241c1d16eb5a2b1ab9ae167cac0c68246dde6cb2a047ecc",
-            "d7214eec26067f7f71f45cdf3bf0409c38ec8bea01aa5397e55d8dd00c6bef30",
-            "8611920452fc010ef885331ef883302f62fe513c0cfc90f8fcf837be64f5de9f",
         ],
     ),
 }
@@ -352,14 +277,10 @@ def strip_wall(report):
 
 
 def golden_image(name: str, mode: str):
-    tenants, config, plan = SCENARIOS[name]
+    tenants, config = SCENARIOS[name]
     runner = RUNNERS.get(name, make_runner)()
     service = OramService(tenants(), runner=runner, config=config)
-    if plan is None:
-        service.run(mode)
-    else:
-        with injected(parse(plan)):
-            service.run(mode)
+    service.run(mode)
     blob = json.dumps(strip_wall(service.report()), sort_keys=True)
     return (
         hashlib.sha256(blob.encode()).hexdigest(),
