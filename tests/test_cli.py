@@ -615,8 +615,9 @@ class TestCliServe:
         assert main(["serve", "--frobnicate"]) == 2
         assert "unrecognized arguments: --frobnicate" in capsys.readouterr().err
 
-    def test_serve_rejects_bad_policy(self, capsys):
-        assert main(["serve", "--policy", "panic"]) == 2
+    @pytest.mark.parametrize("policy", ["panic", "throttle"])
+    def test_serve_rejects_bad_policy(self, capsys, policy):
+        assert main(["serve", "--policy", policy]) == 2
         err = capsys.readouterr().err
         # The parse-time message enumerates every valid policy, so the
         # rejection doubles as discovery.
@@ -629,10 +630,28 @@ class TestCliServe:
         assert main(["serve", "--mode", "async"]) == 2
         assert "unrecognized arguments: --mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag",
+        ["--admission", "--deadline", "--quota", "--throttle-epochs",
+         "--degrade-after", "--recover-after"],
+    )
+    def test_serve_has_no_overload_flags(self, capsys, flag):
+        # FIFO admission and a defer-or-shed queue are all there is.
+        assert main(["serve", "--help"]) == 0
+        assert flag not in capsys.readouterr().out
+        assert main(["serve", flag, "2"]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["-3", "0", "x"])
-    def test_serve_rejects_a_non_positive_queue_cap(self, capsys, value):
-        assert main(["serve", "--queue-cap", value]) == 2
-        assert "positive integer" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flag",
+        ["--tenants", "--shards", "--requests", "--burst", "--max-batch",
+         "--queue-cap", "--seed", "--misses"],
+    )
+    def test_serve_rejects_non_positive_counts(self, capsys, flag, value):
+        assert main(["serve", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "positive integer" in err
 
     def test_serve_flags_reach_the_report(self, tmp_path, capsys):
         out = tmp_path / "shed.json"
@@ -656,10 +675,6 @@ class TestCliServe:
         code = main(["serve", "--bench", "nonesuch", "--requests", "5"])
         assert code == 2
         assert "serve error" in capsys.readouterr().err
-
-    def test_serve_rejects_non_positive_counts(self, capsys):
-        assert main(["serve", "--tenants", "0"]) == 2
-        assert "positive integer" in capsys.readouterr().err
 
     def test_list_mentions_serve(self, capsys):
         assert main(["list"]) == 0

@@ -78,3 +78,18 @@ class TestCircuitBreaker:
         breaker.record_success()
         assert breaker.allow(0.0)  # success fully closes, whatever the time
         assert not breaker.open
+
+    def test_a_failure_while_open_is_not_a_second_trip(self):
+        breaker = CircuitBreaker(threshold=2, cooldown=5.0)
+        breaker.record_failure(0.0)
+        assert breaker.record_failure(1.0)
+        assert not breaker.record_failure(2.0)  # open: restarts the clock only
+        assert breaker.trips == 1
+        assert not breaker.allow(6.0)
+        assert breaker.allow(7.0)
+
+    @pytest.mark.parametrize("threshold", [0, -4])
+    def test_threshold_is_at_least_one(self, threshold):
+        breaker = CircuitBreaker(threshold=threshold)
+        assert breaker.threshold == 1
+        assert breaker.record_failure(0.0)  # the first failure trips

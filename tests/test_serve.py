@@ -134,16 +134,23 @@ class TestPrivateRegions:
 
 
 class TestServeConfig:
+    @pytest.mark.parametrize("value", [0, -1])
     @pytest.mark.parametrize(
         "field", ["shards", "burst", "max_batch", "queue_capacity"]
     )
-    def test_rejects_non_positive_counts(self, field):
+    def test_rejects_non_positive_counts(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
-            ServeConfig(**{field: 0})
+            ServeConfig(**{field: value})
 
-    def test_rejects_unknown_policy(self):
+    def test_rejects_a_one_block_shard(self):
+        with pytest.raises(ConfigurationError, match="shard_blocks"):
+            ServeConfig(shard_blocks=1)
+        assert ServeConfig(shard_blocks=2).shard_blocks == 2
+
+    @pytest.mark.parametrize("policy", ["panic", "throttle"])
+    def test_rejects_unknown_policy(self, policy):
         with pytest.raises(ConfigurationError, match="policy"):
-            ServeConfig(policy="panic")
+            ServeConfig(policy=policy)
 
     def test_rejects_unknown_mode(self):
         service = OramService(

@@ -278,14 +278,15 @@ class TestWallClock:
     rebuilt here from the outside: which epoch admitted each row, which
     batch ran it, and the clock readings at both."""
 
-    def test_each_row_spans_its_admission_stamp_to_its_batch(self, monkeypatch):
+    @pytest.mark.parametrize("policy", ["defer", "shed"])
+    def test_each_row_spans_its_admission_stamp_to_its_batch(self, policy, monkeypatch):
         clock = _ScriptedClock()
         monkeypatch.setattr(server, "time", clock)
         service = OramService(
             tenants_for(["hmmer", "gob"], 3, requests=60),
             SimulationRunner(seed=2015, misses_per_benchmark=60),
             ServeConfig(shards=2, burst=4, max_batch=3, queue_capacity=6,
-                        record_accesses=True),
+                        policy=policy, record_accesses=True),
         )
         stamps = [[] for _ in service.shards]  # per shard, in admission order
         batches = [[] for _ in service.shards]  # (epoch, rows, end stamp)
@@ -324,3 +325,5 @@ class TestWallClock:
             expected[tenant].record(wall)
         got = [t.wall_us for t in service.tenant_stats]
         assert [h.to_dict() for h in got] == [h.to_dict() for h in expected]
+        if policy == "shed":  # shed rows never ran, so they have no wall time
+            assert sum(t.shed for t in service.tenant_stats) > 0

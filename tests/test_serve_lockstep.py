@@ -18,6 +18,7 @@ import json
 
 import pytest
 
+from repro.presets import SCHEMES
 from repro.sim import native as native_pkg
 from repro.sim.runner import SimulationRunner
 from repro.sim.system import replay_trace
@@ -90,6 +91,51 @@ class TestLockstepWithReplay:
             for burst, max_batch in ((1, 1), (4, 2), (64, 512))
         ]
         assert results[0] == results[1] == results[2]
+
+
+class TestLockstepAcrossSchemes:
+    """The lockstep property for the paper's other schemes: recursion
+    alone (R_X8), the PLB (P_X16), PMMAC without a PLB (PI_X8) and the
+    full design (PIC_X32) serve bit-identically to replay too."""
+
+    @pytest.mark.parametrize("mode", ["serial", "async"])
+    @pytest.mark.parametrize(
+        "scheme", [name for name in SCHEMES if name != "PC_X32"]
+    )
+    def test_single_tenant_single_shard_is_bit_identical(self, scheme, mode):
+        runner = make_runner()
+        trace = runner.trace("gob")
+        frontend = runner.build(scheme, "gob")
+        expected = replay_trace(
+            frontend, trace, runner.timing_for(frontend), proc=runner.proc,
+            scheme=scheme,
+        )
+        service = OramService(
+            tenants_for(["gob"], 1),
+            runner=runner,
+            config=ServeConfig(scheme=scheme, shards=1, burst=4, max_batch=9),
+        )
+        shard = service.shards[0]
+        from repro.sim.system import base_cycles
+
+        shard.engine.cycles = base_cycles(trace, runner.proc)
+        service.run(mode=mode)
+        assert shard.engine.result(trace, scheme=scheme) == expected
+        assert frontend_digests(shard.frontend) == frontend_digests(frontend)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_helper_matches_replay_at_every_admission_shape(self, scheme):
+        runner = make_runner()
+        trace = runner.trace("hmmer")
+        frontend = runner.build(scheme, "hmmer")
+        expected = replay_trace(
+            frontend, trace, runner.timing_for(frontend), proc=runner.proc,
+            scheme=scheme,
+        )
+        for burst, max_batch in ((1, 1), (4, 2), (64, 512)):
+            assert serve_replay_equivalent(
+                trace, scheme, runner, burst=burst, max_batch=max_batch
+            ) == expected
 
 
 def scenario(seed: int = 13) -> OramService:
@@ -183,6 +229,8 @@ class TestConcurrentDeterminism:
 # modes and both tiers, the reference one reached both ways.
 
 
+_FIVE = ["hmmer", "gob", "hmmer+gob", "gob", "hmmer"]
+
 #: name -> (tenants, config)
 SCENARIOS = {
     # The benchmark's full shape and runner (perf/workloads.py,
@@ -219,6 +267,39 @@ SCENARIOS = {
             queue_capacity=10, policy="defer",
         ),
     ),
+    # Five tenants over three workloads, one of them interleaved.
+    "five_tenants": (
+        lambda: tenants_for(_FIVE, 5, requests=110),
+        ServeConfig(
+            scheme="PC_X32", shards=2, burst=5, max_batch=16,
+            queue_capacity=9, policy="defer",
+        ),
+    ),
+    # Three shards draining less than a burst per epoch, on the PMMAC
+    # scheme without a PLB.
+    "three_shards_pi": (
+        lambda: tenants_for(_FIVE, 5, requests=110),
+        ServeConfig(
+            scheme="PI_X8", shards=3, burst=8, max_batch=3,
+            queue_capacity=7, policy="defer",
+        ),
+    ),
+    # The recursive baseline behind small batches and a short queue.
+    "small_batches_recursive": (
+        lambda: tenants_for(["hmmer", "gob", "hmmer+gob"], 3, requests=100),
+        ServeConfig(
+            scheme="R_X8", shards=2, burst=4, max_batch=4,
+            queue_capacity=6, policy="defer",
+        ),
+    ),
+    # Shedding across three shards of the PLB-only scheme.
+    "shed_p16": (
+        lambda: tenants_for(["gob", "hmmer+gob"], 4, requests=90),
+        ServeConfig(
+            scheme="P_X16", shards=3, burst=5, max_batch=4,
+            queue_capacity=5, policy="shed",
+        ),
+    ),
 }
 
 #: Scenarios served by another runner than ``make_runner()``.
@@ -233,7 +314,8 @@ RUNNERS = {
 #: execution and accounting were reworked to do per-epoch, not
 #: per-request, interpreter work; the report digests are those reports
 #: with the deleted overload plane's keys (deadlines, throttling,
-#: degradation, the shard breaker) stripped. shed_pic was recorded the
+#: degradation, the shard breaker) stripped. shed_pic, five_tenants,
+#: three_shards_pi, small_batches_recursive and shed_p16 were recorded the
 #: same way, on the code whose EDF admission without deadlines was FIFO.
 GOLDENS = {
     "bench_shape": (
@@ -250,6 +332,13 @@ GOLDENS = {
             "7890183c5b98540a43723d7187ad9b01a2fe348f95ef29295634887a82803312",
         ],
     ),
+    "five_tenants": (
+        "d47d6cf24ceaebd507366c2d02555feab894e197700fa434d2f4a734fddbed7e",
+        [
+            "181411f490c65e921872e8667defc78e6695a5be50a86a130368e29f811c156d",
+            "64a9b0a33a2ca7e553fed4a0d9a8d962b706106400bdb83f8bfb035686f25243",
+        ],
+    ),
     "one_shard": (
         "5617d6d7b3b93d4f3fb24aa8145c73406e0c1e8b9329f9415c71649677174db1",
         [
@@ -261,6 +350,29 @@ GOLDENS = {
         [
             "5e108e802a7bc72a22f18c5a3ab13875da51bb41b8a545b5697a8e2d1530fe13",
             "6a8e80da789d4441b6bd72a5382e636ab8a54074524976f0646c54f46bbc2419",
+        ],
+    ),
+    "shed_p16": (
+        "fc1c023f1f1ec2aa251d9f8805f5dda7bd52230856c9bc8191e576143f0bdf17",
+        [
+            "c563e11143aa1e07ac2594104e968e15d9b7202d828082aa9ae70cdb9de30ff7",
+            "1c712d0a458e3ef48d5aad7f82d5a1025329db6eca1aee8ecd19f2b32ca09943",
+            "40c5e85d50fa05135764f587fcf7e303257676e3eb2df0b193525fe796ceb3f0",
+        ],
+    ),
+    "small_batches_recursive": (
+        "1fe05a9f092d3f5c3fc89dfc3fcb64690b03ecaceaa491a3cb27ccc53099eab9",
+        [
+            "044d7ce64b9bf0f0170d314e8d382bc7ad20692518060cc574e935270091c726",
+            "80bdec7fb764cb11d3f0418de931c8871dc2e27bb273442e2f43c19497e2b65f",
+        ],
+    ),
+    "three_shards_pi": (
+        "a55e08f781ed5d4a4d66daea8fa43b2ebca38b4b26d612232cc800a33d22af90",
+        [
+            "52754a0826cd32d1bec1001636457977f508597c02e145952d06ab6e54ba9395",
+            "693f963a6eb57ab4a96915ec0e7c39b5c62a26254698d26821e0cd8eecce903a",
+            "ae6c58225149b0b02b683a0bad3c3685360dfe2ee0de8765335fc2ca2868526d",
         ],
     ),
 }
