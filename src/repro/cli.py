@@ -14,8 +14,8 @@ field of :class:`repro.settings.Settings` — the flag and its ``REPRO_*``
 variable mean the same thing, the flag wins — and :func:`main` exports
 the result once (:meth:`Settings.export`), so the library underneath
 and its forked workers all read what was typed. Global
-options go before ``sweep`` / ``serve`` / ``fabric`` (everything after
-one of those belongs to it) and anywhere around experiment names. Every
+options go before ``sweep`` / ``serve`` (everything after one of those
+belongs to it) and anywhere around experiment names. Every
 run that replays names the tier it resolved on one stderr line; the tier
 is performance-only and never reaches a report. What each subcommand
 does is its ``--help``.
@@ -27,7 +27,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import threading
 from importlib import import_module
 from typing import Callable, Dict, List, Tuple
 
@@ -96,15 +95,6 @@ def _int_at_least(minimum: int, what: str) -> Callable[[str], int]:
 _positive_int = _int_at_least(1, "a positive integer")
 
 
-def _positive_seconds(value: str) -> float:
-    seconds = float(value)  # a ValueError is argparse's "invalid value"
-    if not 0 < seconds <= threading.TIMEOUT_MAX:  # settimeout's bound
-        raise argparse.ArgumentTypeError(
-            f"requires a positive number up to {threading.TIMEOUT_MAX:.0f}"
-        )
-    return seconds
-
-
 def _global_options() -> argparse.ArgumentParser:
     """The parent parser: one flag per :class:`Settings` field it can set.
 
@@ -164,9 +154,6 @@ def _add_sweep_parser(commands) -> argparse.ArgumentParser:
         help="per-benchmark LLC miss budget")
     add("--out", type=_text, metavar="FILE",
         help=f"JSON report path (default {DEFAULT_SWEEP_OUT})")
-    add("--connect", type=_text, metavar="HOST:PORT",
-        help="bind the coordinator there for 'fabric serve-worker's to attach, "
-             "beside the local workers of a --workers N above 1")
     return parser
 
 
@@ -176,7 +163,8 @@ _SERVE_COUNTS = {
     "--shards": ("shards", "ORAM instances in the pool"),
     "--requests": ("requests", "per-tenant request cap"),
     "--burst": ("burst", "requests a tenant offers per epoch"),
-    "--max-batch": ("max_batch", "requests a shard executes per epoch"),
+    "--max-batch": ("max_batch", "requests per replay call (a shard runs its "
+                    "whole epoch queue, N at a time)"),
     "--queue-cap": ("queue_capacity", "bound of a shard's admission queue"),
     "--seed": ("seed", "runner seed"),
     "--misses": ("misses", "trace miss budget per benchmark"),
@@ -203,29 +191,6 @@ def _add_serve_parser(commands) -> argparse.ArgumentParser:
         help="the CI smoke scenario: 4 tenants, 2 shards, 400 requests each")
     add("--out", type=_text, default=DEFAULT_SERVE_OUT, metavar="FILE",
         help=f"JSON report path (default {DEFAULT_SERVE_OUT})")
-    return parser
-
-
-def _add_fabric_parser(commands) -> argparse.ArgumentParser:
-    fabric = commands.add_parser(
-        "fabric", allow_abbrev=False, help="distributed-sweep worker endpoints"
-    )
-    endpoints = fabric.add_subparsers(
-        dest="endpoint", metavar="ENDPOINT", required=True
-    )
-    parser = endpoints.add_parser(
-        "serve-worker", allow_abbrev=False,
-        help="run one worker against a sweep coordinator",
-        description="Dial a sweep coordinator ('sweep --connect HOST:PORT' "
-                    "binds one there) and execute leased cells until it hangs "
-                    "up. REPRO_CONNECT_RETRIES bounds each dial loop, "
-                    "REPRO_RPC_TIMEOUT each RPC call.",
-    )
-    parser.set_defaults(run=_fabric_worker_main)
-    parser.add_argument("--connect", required=True, type=_text,
-                        metavar="HOST:PORT", help="the coordinator's address")
-    parser.add_argument("--timeout", type=_positive_seconds, default=10.0,
-                        metavar="SECS", help="connect timeout per dial (default 10)")
     return parser
 
 
@@ -261,7 +226,6 @@ def build_parser() -> Tuple[argparse.ArgumentParser, List[argparse.ArgumentParse
         parser,
         _add_sweep_parser(commands),
         _add_serve_parser(commands),
-        _add_fabric_parser(commands),
     ]
 
 
@@ -308,7 +272,6 @@ def _sweep_main(args: argparse.Namespace) -> int:
         f"SWEEP_{args.saved}.json" if args.saved is not None else DEFAULT_SWEEP_OUT
     )
     benches = args.bench or None
-    coordinator = None
     reports: List[dict] = []
     try:
         if args.saved is not None and (args.scheme or args.grid):
@@ -327,28 +290,14 @@ def _sweep_main(args: argparse.Namespace) -> int:
         # A figure of several sweeps writes the list of their reports.
         several = isinstance(sweeps, list)
         sweeps = sweeps if several else [sweeps]
-        from repro.fabric import FabricCoordinator, FabricExecutor, parse_address
+        from repro.fabric import FabricExecutor
 
-        # --workers N is runner.execute's: each call forks its own N local
-        # workers. Attached workers need one coordinator for the whole
-        # sweep, which forks the local ones beside them.
+        # --workers N is runner.execute's: each call forks its own N
+        # workers (a serve sweep runs here).
         workers = Settings.from_env().workers
-        local = workers if workers > 1 else 0
-        if args.connect is not None:
-            host, port = parse_address(args.connect)
-            coordinator = FabricCoordinator(runner, spawn=local, host=host, port=port)
-            bound = coordinator.start()
-            print(
-                f"fabric: coordinator on {bound[0]}:{bound[1]}, "
-                f"{local} local worker(s), accepting attached workers"
-            )
         for sweep in sweeps:
-            if coordinator is not None:
-                executor = FabricExecutor(coordinator)
-            elif local and not sweep.serve_grid:  # a serve sweep runs here
-                executor = FabricExecutor(workers=local)
-            else:
-                executor = None
+            parallel = workers > 1 and not sweep.serve_grid
+            executor = FabricExecutor(workers=workers) if parallel else None
             reports.append(run_sweep(sweep, runner, executor=executor))
     except SweepInterrupted as exc:
         if exc.report is not None:
@@ -360,9 +309,6 @@ def _sweep_main(args: argparse.Namespace) -> int:
     except ReproError as exc:
         print(f"sweep error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if coordinator is not None:
-            coordinator.close()
     # The report first: it is the sweep's record, the table only a view.
     _write_report(reports if several else reports[0], out)
     for report in reports:
@@ -433,17 +379,6 @@ def _serve_main(args: argparse.Namespace) -> int:
     _write_report(report, args.out)
     print(f"wrote {args.out}")
     return 0
-
-
-def _fabric_worker_main(args: argparse.Namespace) -> int:
-    """``fabric serve-worker``: execute leased cells until shut down."""
-    from repro.fabric import serve_worker
-
-    try:
-        return serve_worker(args.connect, connect_timeout=args.timeout)
-    except ReproError as exc:
-        print(f"fabric error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main(argv=None) -> int:

@@ -76,10 +76,10 @@ class FaultKillPoint(InjectedFault):
 
 
 class FabricError(ReproError):
-    """The distributed sweep fabric cannot make progress.
+    """The sweep fabric cannot make progress.
 
-    Raised by the coordinator when no worker ever joins, or when every
-    worker has died and no respawn budget remains. Every cell finished
+    Raised by the coordinator when it has no live worker: every worker
+    has died and no respawn budget remains (or it forked none). Every cell finished
     before this propagates is in the runner's result store (when it has
     one), so running the sweep again picks up where the fabric stopped.
     """

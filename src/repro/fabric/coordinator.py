@@ -1,17 +1,20 @@
-"""Fabric coordinator: shards sweep cells across workers with work-stealing.
+"""Fabric coordinator: shards sweep cells across forked workers with work-stealing.
 
-The coordinator owns a listening socket for workers that dial in, the
-processes of the local workers it forks (each over a socketpair), and a
-set of worker connections, all on the caller's thread: while
+The coordinator forks its workers, each over a socketpair, and owns
+their processes and connections, all on the caller's thread: while
 :meth:`FabricCoordinator.execute` runs, a ``selectors`` loop cuts the
 bytes its sockets have ready into frames and handles each in arrival
 order. The loop reads the clock once per turn and hands that ``now`` to
 every decision, so a test can drive them through a scripted schedule in
-virtual time. Between two calls nothing is read: a worker that dials
-then is configured at the next poll, and liveness is judged only while
-polling. Report *content* order never depends on any of this: the sweep
-assembles cells in grid order, so scheduling is invisible in the output
-bytes.
+virtual time. Between two calls nothing is read, and liveness is judged
+only while polling. Report *content* order never depends on any of
+this: the sweep assembles cells in grid order, so scheduling is
+invisible in the output bytes.
+
+A worker is introduced when it is forked: :meth:`_spawn_worker` gives it
+the next index, registers its connection and passes the index to the
+child, which inherits the runner (and every trace synthesised so far)
+and asks for work at once. There is no handshake.
 
 Scheduling model:
 
@@ -30,8 +33,9 @@ Scheduling model:
 - a worker that dies (connection drop, heartbeat silence beyond
   :data:`HEARTBEAT_TIMEOUT`, or a leased cell running past the retry
   policy's ``timeout``) fails the attempt of every open cell it held,
-  and those cells are re-dispatched to the survivors; local workers are
-  stopped and respawned while budget remains;
+  and those cells are re-dispatched to the survivors; the worker is
+  terminated and re-forked while budget remains
+  (:data:`RESPAWNS_PER_WORKER`);
 - each attempt number is charged once, at its first failure (an
   ``error`` frame or a death), and the cell is requeued at the next
   number, so workers see a cell's attempts in the order a serial run
@@ -39,22 +43,14 @@ Scheduling model:
   serially. A stolen copy still running a charged attempt may finish
   the cell, but its failure charges nothing;
 - :class:`~repro.errors.FabricError` is raised only when progress is
-  impossible: no live worker for :data:`STARTUP_TIMEOUT`, or every
-  worker is gone with no respawn budget. Completed cells are already
-  in the runner's result store (when it has one) at that point, so
-  running the sweep again continues there.
+  impossible: the first turn that finds no live worker, which means
+  every worker is gone and the respawn budget is spent. Completed cells
+  are already in the runner's result store (when it has one) at that
+  point, so running the sweep again continues there.
 
-RPC hardening: every coordinator send is bounded by the
-:class:`~repro.resilience.RpcPolicy` timeout (``REPRO_RPC_TIMEOUT``);
+RPC deadline: every coordinator send is bounded by ``REPRO_RPC_TIMEOUT``;
 an expiry is counted in ``rpc_timeouts`` and handled exactly like a
-severed connection. Workers that reconnect after a transient failure
-rejoin as fresh sessions under a stable identity (counted in
-``reconnects``), and a per-identity :class:`~repro.resilience.CircuitBreaker`
-quarantines identities that flap repeatedly — their redials are refused
-(``quarantined_workers``) until the breaker cooldown elapses, so one
-pathological host cannot keep churning leases. Every trip is counted
-(``breaker_trips``); a completed cell fully closes the identity's
-breaker again.
+severed connection.
 """
 
 from __future__ import annotations
@@ -66,7 +62,7 @@ import socket
 import sys
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence
 
 from repro import errors
 from repro.errors import CELL_FAILURES, FabricError
@@ -77,32 +73,25 @@ from repro.fabric.protocol import (
     send_message,
 )
 from repro.fabric.store import SharedStore
-from repro.fabric.worker import FabricWorker, runner_to_wire
+from repro.fabric.worker import HEARTBEAT_INTERVAL, FabricWorker
 from repro.faults import install_from
-from repro.resilience import CircuitBreaker, RetryPolicy, RpcPolicy
+from repro.resilience import RetryPolicy
 from repro.settings import Settings
 from repro.sim.metrics import SimResult
 from repro.sim.runner import Cell, ProgressCallback, SimulationRunner
 
 
-#: Local workers are forked: a child inherits the runner and its traces.
+#: Workers are forked: a child inherits the runner and its traces.
 _FORK = multiprocessing.get_context("fork")
 
-#: Seconds between a worker's heartbeats (sent in its ``config``); also
-#: the longest the loop waits for a frame before judging liveness.
-HEARTBEAT_INTERVAL = 0.25
+# HEARTBEAT_INTERVAL (the worker's) is also the longest the loop waits
+# for a frame before judging liveness.
 #: Seconds of silence, while polling, after which a worker is dead.
 HEARTBEAT_TIMEOUT = 5.0
-#: Seconds ``execute()`` waits with no live worker before it gives up.
-STARTUP_TIMEOUT = 60.0
 #: Most tasks in one lease.
 LEASE_CAP = 4
-#: Re-forks allowed per local worker over a coordinator's life.
+#: Re-forks allowed per worker over a coordinator's life.
 RESPAWNS_PER_WORKER = 4
-#: Consecutive failures that quarantine a worker identity...
-BREAKER_THRESHOLD = 3
-#: ...for this many seconds.
-BREAKER_COOLDOWN = 60.0
 
 #: Most bytes read from one socket per loop turn.
 _READ_BYTES = 1 << 16
@@ -110,8 +99,8 @@ _READ_BYTES = 1 << 16
 #: The scheduling counters :meth:`FabricCoordinator.stats` reports.
 COUNTERS = (
     "workers_joined", "dispatched", "completed", "stolen", "errors", "dead",
-    "timeouts", "reclaimed", "respawned", "rpc_timeouts", "reconnects",
-    "breaker_trips", "quarantined_workers",
+    "timeouts", "reclaimed", "respawned", "rpc_timeouts",
+    "reconnects",  # always 0; the frozen perf harness reads it (ROADMAP 3(b) drops it)
 )
 
 
@@ -134,18 +123,20 @@ def _cell_error(task: dict, error: str) -> Exception:
 
 
 class _WorkerConn:
-    """One worker connection: introduced at ``hello``, alive until hung up."""
+    """One forked worker's connection: introduced at fork, alive until hung up."""
 
-    def __init__(self, sock: socket.socket, timeout: Optional[float], proc=None):
+    def __init__(
+        self, sock: socket.socket, timeout: Optional[float], index: int,
+        now: float, proc=None,
+    ):
         self.sock = sock
         self.timeout = timeout  # the RPC deadline of every send
-        self.proc = proc  # the forked process behind a local worker
+        self.index = index
+        self.proc = proc  # the forked process behind it
         self.decoder = FrameDecoder("coordinator")
-        self.index: Optional[int] = None
-        self.ident = "?"
         self.alive = True
         self.waiting = False  # blocked on recv, owed a lease when work appears
-        self.last_seen = 0.0
+        self.last_seen = now
         # Its last lease, result or error; None from its next "need" on.
         self.busy_since: Optional[float] = None
         self.leases: Dict[str, int] = {}  # task id -> the attempt it runs
@@ -173,39 +164,22 @@ class _WorkerConn:
 
 
 class FabricCoordinator:
-    """Accepts workers, leases cells, reclaims the dead, steals from stragglers."""
+    """Forks workers, leases cells, reclaims the dead, steals from stragglers."""
 
-    def __init__(
-        self,
-        runner: SimulationRunner,
-        *,
-        spawn: int = 0,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ):
+    def __init__(self, runner: SimulationRunner, *, spawn: int = 0):
         self.spawn = spawn
-        self.host = host
-        self.port = port
         self._respawn_budget = spawn * RESPAWNS_PER_WORKER
-        # Attach the runner to the shared store so the wire image ships
-        # the store's directories to every worker.
+        # Workers inherit a runner attached to the shared store, so every
+        # one of them reads and writes the same directories.
         self.store = SharedStore(runner)
         self.runner = self.store.attach(runner)
-        self.address: Optional[Tuple[str, int]] = None
         self.counters: Dict[str, int] = dict.fromkeys(COUNTERS, 0)
         settings = Settings.from_env()
-        self._rpc = RpcPolicy.from_settings(settings)
-        # Per-worker-identity circuit breakers: a worker that keeps
-        # flapping (N consecutive failures) is quarantined — its redials
-        # are refused until the cooldown elapses. Keyed by the worker's
-        # self-assigned ident, which survives reconnects, not by the
-        # per-session connection index.
-        self._breakers: Dict[str, CircuitBreaker] = {}
-        # The listener (data None) and every open connection, from start().
+        self._rpc_timeout = settings.rpc_timeout
+        # Every open connection, from start().
         self._selector: Optional[selectors.BaseSelector] = None
-        self._conns: Dict[int, _WorkerConn] = {}  # introduced, by index
+        self._conns: Dict[int, _WorkerConn] = {}  # every worker forked, by index
         self._procs: List[multiprocessing.process.BaseProcess] = []
-        self._last_liveness = 0.0
         # execute()-scoped scheduling state.
         self._open: Dict[str, dict] = {}
         self._pending: Deque[str] = deque()
@@ -215,32 +189,23 @@ class FabricCoordinator:
 
     # -- lifecycle ---------------------------------------------------------------
 
-    def start(self) -> Tuple[str, int]:
-        """Listen and fork local workers; returns (host, port). Nothing is read yet."""
-        server = socket.create_server((self.host, self.port))
-        self.address = server.getsockname()[:2]
+    def start(self) -> None:
+        """Fork the workers. Nothing is read yet."""
         self._selector = selectors.DefaultSelector()
-        self._selector.register(server, selectors.EVENT_READ, None)
         for _ in range(self.spawn):
-            self._spawn_worker()
-        return self.address
+            self._spawn_worker(0.0)  # execute() starts every clock again
 
     def close(self) -> None:
         """Shut workers down and release sockets, processes, and the store.
 
-        Every open connection, introduced or not, gets a ``shutdown``
-        frame: a worker still running a stolen duplicate finds its late
-        ``result`` unsendable or answered by ``shutdown`` and exits 0,
-        and one whose ``hello`` was never read is turned away instead of
-        configured.
+        Every live connection gets a ``shutdown`` frame: a worker still
+        running a stolen duplicate finds its late ``result`` unsendable
+        or answered by ``shutdown`` and exits 0.
         """
         if self._selector is not None:
-            for key in list(self._selector.get_map().values()):
-                if key.data is None:
-                    self._selector.unregister(key.fileobj)
-                    key.fileobj.close()
-                else:
-                    self._hang_up(key.data, shutdown_frame=True)
+            for conn in self._conns.values():
+                if conn.alive:
+                    self._hang_up(conn, shutdown_frame=True)
             self._selector.close()
             self._selector = None
         # A worker still running a cell gets, all told, the time a cell is
@@ -286,28 +251,35 @@ class FabricCoordinator:
     def _live(self) -> int:
         return sum(1 for c in self._conns.values() if c.alive)
 
-    def _watch(self, conn: _WorkerConn) -> None:
-        self._selector.register(conn.sock, selectors.EVENT_READ, conn)
-
-    def _spawn_worker(self) -> None:
-        """Fork one local worker over a socketpair.
+    def _spawn_worker(self, now: float) -> None:
+        """Fork one worker over a socketpair and introduce it at ``now``.
 
         The child inherits this process: its environment, the runner and
-        every trace synthesised so far. Our end of the pair is read like
-        a dialled-in worker's socket.
+        every trace synthesised so far. It gets the next index as an
+        argument; our end of the pair is its connection.
         """
+        index = len(self._conns)
         ours, theirs = socket.socketpair()
         proc = _FORK.Process(
-            target=self._local_worker, args=(ours, theirs), daemon=True,
-            name="fabric-worker",
+            target=self._worker_main, args=(ours, theirs, index), daemon=True,
+            name=f"fabric-worker-{index}",
         )
         proc.start()
         theirs.close()
         self._procs.append(proc)
-        self._watch(_WorkerConn(ours, self._rpc.timeout, proc))
+        self._join(_WorkerConn(ours, self._rpc_timeout, index, now, proc))
 
-    def _local_worker(self, ours: socket.socket, theirs: socket.socket) -> None:
-        """A forked local worker's body: serve over ``theirs``, then exit.
+    def _join(self, conn: _WorkerConn) -> None:
+        """Register a new worker's connection; it is leased to from its ``need``."""
+        self._conns[conn.index] = conn
+        self.counters["workers_joined"] += 1
+        if self._selector is not None:
+            self._selector.register(conn.sock, selectors.EVENT_READ, conn)
+
+    def _worker_main(
+        self, ours: socket.socket, theirs: socket.socket, index: int
+    ) -> None:
+        """A forked worker's body: serve over ``theirs``, then exit.
 
         It closes the coordinator's sockets it inherited, so a peer we
         hang up on sees end-of-file, and re-installs the fault plan from
@@ -318,7 +290,7 @@ class FabricCoordinator:
             key.fileobj.close()
         self._selector.close()
         install_from(Settings.from_env())
-        sys.exit(FabricWorker.forked(theirs, self.runner).run())
+        sys.exit(FabricWorker(theirs, self.runner, index).run())
 
     # -- the loop: one thread, one clock read per turn ---------------------------
 
@@ -345,11 +317,8 @@ class FabricCoordinator:
             if ready is None:
                 self._begin(tasks, retry, failures, progress, now)
             for key, _ in ready or ():
-                if key.data is None:
-                    self._accept(key.fileobj)
-                else:
-                    for message in key.data.receive():
-                        self._handle(key.data, message, now)
+                for message in key.data.receive():
+                    self._handle(key.data, message, now)
             if not self._open:
                 return
             self._check_liveness(now)
@@ -384,26 +353,12 @@ class FabricCoordinator:
                 conn.last_seen = now
                 if conn.busy_since is not None:
                     conn.busy_since = now
-        self._last_liveness = now
         self._kick_waiting(now)
-
-    def _accept(self, server: socket.socket) -> None:
-        try:
-            sock, _addr = server.accept()
-        except OSError:
-            return
-        self._watch(_WorkerConn(sock, self._rpc.timeout))
 
     def _handle(self, conn: _WorkerConn, message: Optional[dict], now: float) -> None:
         """One frame from ``conn`` (None: it hung up), arriving at ``now``."""
         if not conn.alive:
             return  # late frames from a worker we already hung up on
-        if conn.index is None:
-            if message is not None and message.get("type") == "hello":
-                self._hello(conn, message, now)
-            else:
-                self._hang_up(conn, shutdown_frame=False)
-            return
         if message is None:
             self._on_worker_down(conn, "connection lost", now)
             return
@@ -415,9 +370,6 @@ class FabricCoordinator:
             self._dispatch(conn, now)
         elif kind == "result":
             conn.busy_since = now
-            breaker = self._breakers.get(conn.ident)
-            if breaker is not None:
-                breaker.record_success()
             task = self._open.pop(message["id"], None)
             self._drop_task(message["id"])
             if task is not None:
@@ -433,44 +385,15 @@ class FabricCoordinator:
             if task is not None and attempt is not None:
                 self._failed(task, attempt, message["error"], now)
 
-    def _hello(self, conn: _WorkerConn, hello: dict, now: float) -> None:
-        """Configure a new session, or refuse a quarantined identity."""
-        ident = str(hello.get("ident") or hello.get("pid") or "?")
-        breaker = self._breakers.get(ident)
-        if breaker is not None and not breaker.allow(now):
-            # A flapping identity inside its cooldown: refuse the session
-            # so it stops churning leases. The worker sees a non-config
-            # frame and exits cleanly; a redial after the cooldown gets a
-            # half-open probe.
-            self.counters["quarantined_workers"] += 1
-            self._hang_up(conn, shutdown_frame=True)
-            return
-        conn.index = len(self._conns)
-        conn.ident = ident
-        conn.last_seen = now
-        self._conns[conn.index] = conn
-        config = {
-            "type": "config",
-            "index": conn.index,
-            "runner": runner_to_wire(self.runner),
-            "heartbeat": HEARTBEAT_INTERVAL,
-        }
-        if self._send(conn, config, now):
-            self.counters["workers_joined"] += 1
-            if int(hello.get("session", 1) or 1) > 1:
-                self.counters["reconnects"] += 1
-
-    def _send(self, conn: _WorkerConn, message: dict, now: float) -> bool:
+    def _send(self, conn: _WorkerConn, message: dict, now: float) -> None:
         """Send within the RPC deadline; a failed send is the worker's death."""
         try:
             conn.send(message)
-            return True
         except RpcTimeout:
             self.counters["rpc_timeouts"] += 1
             self._on_worker_down(conn, f"{message['type']} send timed out", now)
         except ProtocolError:
             self._on_worker_down(conn, f"{message['type']} send failed", now)
-        return False
 
     def _dispatch(self, conn: _WorkerConn, now: float) -> None:
         """Lease pending work — or steal from a straggler — to an idle worker."""
@@ -566,13 +489,8 @@ class FabricCoordinator:
             return
         self._hang_up(conn, shutdown_frame=False)
         if conn.proc is not None:
-            conn.proc.terminate()  # a forked worker cannot redial: stop it
+            conn.proc.terminate()  # it cannot come back on this pair: stop it
         self.counters["dead"] += 1
-        breaker = self._breakers.setdefault(
-            conn.ident, CircuitBreaker(BREAKER_THRESHOLD, BREAKER_COOLDOWN)
-        )
-        if breaker.record_failure(now):
-            self.counters["breaker_trips"] += 1
         reclaim = list(conn.leases.items())
         conn.leases.clear()
         for task_id, attempt in reclaim:
@@ -585,24 +503,21 @@ class FabricCoordinator:
             self._failed(
                 task, attempt, f"FabricError: worker {conn.index} {reason}", now
             )
-        if (
-            self.spawn > 0
-            and self._live() < self.spawn
-            and self._respawn_budget > 0
-            and self._open
-        ):
+        if self._respawn_budget > 0:
             self._respawn_budget -= 1
             self.counters["respawned"] += 1
-            self._spawn_worker()
+            self._spawn_worker(now)
 
     def _check_liveness(self, now: float) -> None:
-        """Time out silent or stuck workers; fail fast when the fabric is empty.
+        """Time out silent or stuck workers; fail at once when none is left.
 
         A worker whose current cell has run longer than the retry
         policy's ``timeout`` (``REPRO_CELL_TIMEOUT``) is handled like a
         silent one: reclaimed, one attempt charged, respawned. A worker is
         running a cell from a lease until it asks for work again, so one
-        that has not yet been leased anything is never stuck.
+        that has not yet been leased anything is never stuck. A dead
+        worker is re-forked while budget remains, so a turn that finds
+        none alive has nothing to wait for.
         """
         cell_timeout = self._retry.timeout
         for conn in list(self._conns.values()):
@@ -616,15 +531,10 @@ class FabricCoordinator:
                     f"heartbeat silent for {HEARTBEAT_TIMEOUT:.1f}s"
                     if silent else f"cell running past {cell_timeout:.1f}s"
                 ), now)
-        if not self._open:
-            return
-        if self._live():
-            self._last_liveness = now
-        elif now - self._last_liveness > STARTUP_TIMEOUT:
+        if self._open and not self._live():
             raise FabricError(
-                f"no live fabric worker for {STARTUP_TIMEOUT:.1f}s "
-                f"({self.counters['workers_joined']} ever joined, respawn "
-                f"budget {self._respawn_budget}) — fix the workers and run "
+                f"no live fabric worker ({self.counters['workers_joined']} "
+                f"forked, respawn budget spent) — fix the workers and run "
                 f"the sweep again; the cells already stored are not recomputed"
             )
 
@@ -633,7 +543,7 @@ class FabricExecutor:
     """Adapter giving :func:`~repro.sim.sweep.run_sweep` a fabric backend.
 
     ``FabricExecutor(coordinator)`` runs every call on that started
-    coordinator, attached workers included. It mirrors
+    coordinator, whose workers then outlive the calls. It mirrors
     :meth:`SimulationRunner.execute`: cached cells are served (and
     streamed through ``progress`` with ``cached=True``) without touching
     the fabric; only cold cells become lease tasks, baselines included.

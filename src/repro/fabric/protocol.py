@@ -8,8 +8,6 @@ flat scalars, which JSON round-trips exactly).
 
 Message types (coordinator <-> worker)::
 
-    worker -> hello      {pid, ident, session}     first frame after connect
-    coord  -> config     {index, runner, heartbeat} runner spawn payload
     worker -> need       {}                        ask for a lease
     coord  -> lease      {tasks: [{id, label, bench, spec, misses,
                                    attempt}, ...]}
@@ -28,8 +26,8 @@ timeout path. The ``rpc.timeout`` site (same keys) surfaces as
 :class:`RpcTimeout` instead — the injected twin of a real per-call
 deadline expiring, which is also what a ``timeout=`` argument raises
 when the socket blocks past it. Callers treat a timeout like a severed
-connection *plus* count it, so retry/reconnect accounting can be
-asserted under injection.
+connection *plus* count it, so the timeout accounting can be asserted
+under injection.
 
 Frames are bounded by :data:`MAX_MESSAGE_BYTES` so a garbled length
 prefix (or a non-fabric peer) fails fast instead of allocating gigabytes.
@@ -43,13 +41,13 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
-from repro.errors import FabricError, InjectedFault, SpecError
+from repro.errors import FabricError, InjectedFault
 from repro.faults import fault_hook
 
-#: Upper bound on one frame (runner payloads are a few KB; leases of
-#: dozens of spec dicts stay well under 1 MB).
+#: Upper bound on one frame (leases of dozens of spec dicts stay well
+#: under 1 MB).
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 
@@ -57,8 +55,7 @@ class ProtocolError(FabricError):
     """A fabric connection failed or delivered a malformed frame.
 
     Both peers treat this as "the other side is gone": the coordinator
-    reclaims the worker's leases, a worker reconnects (or exits when the
-    coordinator itself is unreachable). An injected ``fabric.rpc.crash``
+    reclaims the worker's leases, and the worker exits. An injected ``fabric.rpc.crash``
     fault is converted into this type so chaos plans sever connections
     through the same path a real network failure would take.
     """
@@ -72,20 +69,6 @@ class RpcTimeout(ProtocolError):
     distinct so the coordinator can count timeouts separately in its
     resilience stats.
     """
-
-
-def parse_address(text: str) -> Tuple[str, int]:
-    """Parse a ``host:port`` string (the port is mandatory)."""
-    host, sep, port_text = text.rpartition(":")
-    if not sep or not host:
-        raise SpecError(f"fabric address must be host:port, got {text!r}")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise SpecError(f"fabric port must be an integer, got {port_text!r}") from None
-    if not 0 <= port <= 65535:
-        raise SpecError(f"fabric port out of range: {port}")
-    return host, port
 
 
 def send_message(

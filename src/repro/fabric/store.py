@@ -49,11 +49,11 @@ class SharedStore:
     def attach(self, runner):
         """A runner whose on-disk stores are this pair.
 
-        This is the runner image the coordinator ships to workers: the
-        derived payload carries the directories, so every worker process
-        reads and writes the same content-addressed entries. Only the
-        directories differ, so it shares ``runner``'s in-memory traces —
-        the ones a forked local worker inherits.
+        This is the runner the coordinator's workers inherit when they
+        are forked, so every worker process reads and writes the same
+        content-addressed entries. Only the directories differ, so it
+        shares ``runner``'s in-memory traces — the ones a forked worker
+        inherits.
         """
         attached = runner.derive(
             cache_dir=self.trace_cache.root,

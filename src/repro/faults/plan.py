@@ -25,27 +25,24 @@ Examples::
 
     cell.crash@PC_X32*/gob/1#1          # first attempt of that cell crashes
     fabric.worker.exit@*/*/1#1          # each worker dies on its first attempt-1 cell
+    fabric.worker.stall@*/*/1|secs=30   # every attempt-1 cell stalls 30 s
     cache.write.kill@result/replace#1   # die between tmp write and rename
     cache.entry.truncate@trace/*#1      # damage first trace entry read
-    fabric.heartbeat.stall@0/*|secs=60  # worker 0's heartbeats go silent
-    fabric.rpc.crash@worker/send/result#1  # drop connection on first result
+    fabric.rpc.crash@coordinator/recv/result#1  # drop connection on first result
     rpc.timeout.crash@coordinator/send/lease#1  # first lease send times out
-    rpc.flap.crash@0/1#1                # worker 0's first session flaps
 
 Fabric sites: ``fabric.worker`` fires per executed cell
-(``label/bench/attempt``), ``fabric.heartbeat`` per heartbeat
-(``index/n``); ``fabric.rpc`` fires per protocol frame
+(``label/bench/attempt``); ``fabric.rpc`` fires per protocol frame
 (``role/send|recv/type``), where a ``crash`` is surfaced as a dropped
 connection. The coordinator's heartbeat-timeout detection, lease
 reclaim and respawn turn all of these into one charged attempt on the
 affected cells — the same retry accounting a serial run uses.
 ``rpc.timeout`` (same keys as ``fabric.rpc``) surfaces as an expired
 per-call deadline instead, so the coordinator's ``rpc_timeouts``
-counter and retry path can be asserted;
-``rpc.flap`` fires once per worker session (``index/session``) right
-after configuration — a ``crash`` there severs the session and drives
-the worker's auto-reconnect (and, repeated, the coordinator's
-per-worker circuit breaker).
+counter and retry path can be asserted. A forked worker installs the
+plan afresh, so its counters restart in every process, respawns
+included: a fault that must fire once keys on the coordinator's side
+or on the attempt number.
 
 Sweep sites: ``cell`` fires per cell attempt (``label/bench/attempt``)
 and ``sweep`` after each finished cell (``label/bench``); the store's
@@ -53,8 +50,9 @@ and ``sweep`` after each finished cell (``label/bench``); the store's
 at each step of a write (``kind/begin|tmp|replace``).
 
 Determinism: occurrence counters are keyed per ``(site, key)`` and file
-damage uses a seed-derived deterministic byte pattern, so the same plan on
-the same run injects byte-identical faults every time.
+damage uses a deterministic byte pattern derived from the plan's seed
+(0 unless :func:`parse` is given another), so the same plan on the same
+run injects byte-identical faults every time.
 """
 
 from __future__ import annotations
@@ -74,7 +72,7 @@ _ACTIONS = ("crash", "exit", "stall", "interrupt", "kill", "corrupt", "truncate"
 #: Every site a hook fires at; a plan may name no other.
 SITES = (
     "cell", "sweep", "cache.entry", "cache.write", "fabric.worker",
-    "fabric.heartbeat", "fabric.rpc", "rpc.timeout", "rpc.flap",
+    "fabric.rpc", "rpc.timeout",
 )
 
 #: Actions that damage the file passed to the hook rather than raising.
@@ -275,7 +273,7 @@ def install_from(settings) -> Optional[FaultPlan]:
     """(Re)install the plan ``settings.faults`` (``REPRO_FAULTS``) describes, if any."""
     if not settings.faults:
         return None
-    plan = parse(settings.faults, seed=settings.faults_seed)
+    plan = parse(settings.faults)
     install(plan)
     return plan
 

@@ -173,16 +173,9 @@ class Settings:
         "REPRO_RPC_TIMEOUT", _deadline, 30.0,
         "fabric per-call deadline, seconds (0 or off: none)",
     )
-    connect_retries: int = _var(
-        "REPRO_CONNECT_RETRIES", _attempts, 3, "fabric dial / reconnect attempts"
-    )
     faults: str = _var(
         "REPRO_FAULTS", str, "",
         "deterministic fault-injection plan (testing; see repro.faults.plan)",
-    )
-    faults_seed: int = _var(
-        "REPRO_FAULTS_SEED", _integer, 0,
-        "seed of the byte pattern a file-damaging fault writes",
     )
 
     @classmethod

@@ -2,9 +2,10 @@
 
 A :class:`Schedule` holds a :class:`~repro.fabric.FabricCoordinator`
 that is never started. Its connections are :class:`FakeConn` objects
-that record the frames the coordinator sends them, and the schedule
-feeds frames and clock readings into the same ``_handle`` /
-``_check_liveness`` code the coordinator's loop calls. No socket, no
+that record the frames the coordinator sends them; a "fork" registers
+one the way ``_spawn_worker`` registers a forked child, respawns
+included. The schedule feeds frames and clock readings into the same
+``_handle`` / ``_check_liveness`` code the coordinator's loop calls. No socket, no
 process, no thread and no sleep: a schedule that spans minutes of
 heartbeats runs in microseconds, and runs the same way every time.
 """
@@ -14,7 +15,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-from repro.fabric.coordinator import HEARTBEAT_INTERVAL, FabricCoordinator, _WorkerConn
+from repro.fabric.coordinator import FabricCoordinator, _WorkerConn
+from repro.fabric.worker import HEARTBEAT_INTERVAL
 from repro.resilience import RetryPolicy
 from repro.sim.runner import SimulationRunner
 
@@ -22,8 +24,8 @@ from repro.sim.runner import SimulationRunner
 class FakeConn(_WorkerConn):
     """A worker connection that records what the coordinator sends it."""
 
-    def __init__(self, log: List[dict]):
-        super().__init__(sock=None, timeout=None)
+    def __init__(self, log: List[dict], index: int, now: float):
+        super().__init__(sock=None, timeout=None, index=index, now=now)
         self.log = log  # every frame sent to any connection, in order
         self.sent: List[dict] = []  # every frame, as the worker would read it
         self.leased_while_down: List[dict] = []
@@ -61,17 +63,26 @@ def result_payload(task: dict) -> dict:
 
 
 class Schedule:
-    """One unstarted coordinator, driven frame by frame at ``self.now``."""
+    """One unstarted coordinator, driven frame by frame at ``self.now``.
 
-    def __init__(self):
+    ``respawns`` is its respawn budget: a worker that dies is replaced by
+    a new :class:`FakeConn` in :attr:`forked`, which asks for work only
+    when the script says so (:meth:`adopt`), as a child would on a later
+    turn.
+    """
+
+    def __init__(self, respawns: int = 0):
         runner = SimulationRunner(
             misses_per_benchmark=40, cache_dir=None, result_cache_dir=None
         )
         self.coordinator = FabricCoordinator(runner)
+        self.coordinator._respawn_budget = respawns
+        self.coordinator._spawn_worker = self._respawn  # no process: a FakeConn
         self.now = 0.0
         self.completed: List[str] = []  # task ids, in progress-callback order
         self.failures: List[dict] = []
         self.conns: List[FakeConn] = []
+        self.forked: List[FakeConn] = []  # respawned, not yet asking for work
         self.log: List[dict] = []
 
     def __enter__(self) -> "Schedule":
@@ -103,14 +114,28 @@ class Schedule:
         """One frame from ``conn`` (None: end-of-file) arriving at ``now``."""
         self.coordinator._handle(conn, message, self.now)
 
-    def join(self, ident: str, session: int = 1, need: bool = True) -> FakeConn:
-        """A worker dials, says hello and (by default) asks for work."""
-        conn = FakeConn(self.log)
+    def _fork(self, now: float) -> FakeConn:
+        conn = FakeConn(self.log, len(self.coordinator._conns), now)
         self.conns.append(conn)
-        self.feed(conn, {"type": "hello", "ident": ident, "session": session})
-        if need and conn.alive:
+        self.coordinator._join(conn)
+        return conn
+
+    def _respawn(self, now: float) -> None:
+        self.forked.append(self._fork(now))
+
+    def join(self, need: bool = True) -> FakeConn:
+        """A worker is forked and (by default) asks for work."""
+        conn = self._fork(self.now)
+        if need:
             self.feed(conn, {"type": "need"})
         return conn
+
+    def adopt(self) -> List[FakeConn]:
+        """Every respawned worker asks for work; returns them."""
+        adopted, self.forked = self.forked, []
+        for conn in adopted:
+            self.feed(conn, {"type": "need"})
+        return adopted
 
     def finish(
         self, conn: FakeConn, error: Optional[str] = None, need: bool = True

@@ -60,9 +60,9 @@ class TestCli:
 class TestHelp:
     """``--help`` everywhere: generated, exit 0, nothing replayed."""
 
-    COMMANDS = ("", "sweep", "serve", "fabric serve-worker")
+    COMMANDS = ("", "sweep", "serve")
 
-    @pytest.mark.parametrize("index", range(4), ids=COMMANDS)
+    @pytest.mark.parametrize("index", range(3), ids=COMMANDS)
     def test_help_lists_every_declared_flag(self, index, capsys):
         command, parser = self.COMMANDS[index].split(), build_parser()[1][index]
         assert main([*command, "--help"]) == 0
@@ -97,15 +97,37 @@ class TestHelp:
         captured = capsys.readouterr()
         assert captured.err.startswith("REPRO_RPC_TIMEOUT='1e300': expected ")
 
-    @pytest.mark.parametrize("timeout", ["inf", "1e300", "0"])
-    def test_a_worker_connect_timeout_settimeout_refuses_is_a_usage_error(
-        self, timeout, capsys
-    ):
-        command = ["fabric", "serve-worker", "--connect", "127.0.0.1:1"]
-        assert main([*command, "--timeout", timeout]) == 2
-        assert "argument --timeout: requires a positive number" in (
-            capsys.readouterr().err
-        )
+
+class TestRemovedFabricFlags:
+    """Every worker is forked: nothing binds a port or dials one."""
+
+    def test_sweep_has_no_connect_flag(self, capsys):
+        assert main(["sweep", "--connect", "127.0.0.1:1"]) == 2
+        assert "unrecognized arguments: --connect" in capsys.readouterr().err
+        assert main(["sweep", "--help"]) == 0
+        assert "--connect" not in capsys.readouterr().out
+
+    def test_there_is_no_fabric_command(self, capsys):
+        assert main(["fabric", "serve-worker", "--connect", "127.0.0.1:1"]) == 2
+        assert "invalid choice: 'fabric'" in capsys.readouterr().err
+        assert main(["list"]) == 0
+        assert "serve-worker" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fabric"], ["fabric", "--help"], ["fabric", "serve-worker", "--help"],
+         ["--workers", "2", "fabric", "serve-worker"]],
+        ids=["bare", "help", "serve-worker-help", "after-global-flags"],
+    )
+    def test_fabric_is_a_usage_error_in_every_form(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "invalid choice: 'fabric'" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("field", ["connect_retries", "faults_seed"])
+    def test_settings_has_no_dial_or_damage_seed_field(self, field):
+        assert not hasattr(Settings(), field)
 
 
 _WORDS = set(TRUE_WORDS + FALSE_WORDS)
@@ -133,9 +155,7 @@ _settings = st.builds(
     retry_base=_seconds,
     cell_timeout=st.none() | _deadlines,
     rpc_timeout=st.none() | _deadlines,
-    connect_retries=st.integers(min_value=1),
     faults=st.text(st.characters(blacklist_categories=["Cs"])).map(str.strip),
-    faults_seed=st.integers(),
 )
 
 
@@ -652,6 +672,16 @@ class TestCliServe:
         assert main(["serve", flag, value]) == 2
         err = capsys.readouterr().err
         assert flag in err and "positive integer" in err
+
+    def test_max_batch_is_the_rows_of_one_replay_call(self):
+        """A shard runs its whole epoch queue every epoch, in ``run_batch``
+        calls of at most ``max_batch`` rows; it is not an epoch's cap."""
+        (serve,) = [p for p in build_parser()[1] if p.prog.endswith(" serve")]
+        (action,) = [a for a in serve._actions if "--max-batch" in a.option_strings]
+        assert action.help == (
+            "requests per replay call (a shard runs its whole epoch queue, "
+            "N at a time)"
+        )
 
     def test_serve_flags_reach_the_report(self, tmp_path, capsys):
         out = tmp_path / "shed.json"

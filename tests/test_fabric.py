@@ -6,15 +6,14 @@ worker connection loss, heartbeat silence, forked-worker death and
 respawn, Ctrl-C + re-run across topologies — the completed report is
 bit-identical to a fault-free local run at the same seed. Only the
 ``resilience`` accounting block (which carries the fabric counters) may
-differ. Protocol framing and the runner wire format get unit coverage
-here too, since every distributed guarantee rests on them.
+differ. Protocol framing gets unit coverage here too, since every
+distributed guarantee rests on it.
 
 Schedules that depend on time — stealing from a straggler, heartbeat
 silence, the cell timeout, an empty fabric, attempt accounting — run in
 virtual time through ``fabric_schedule.Schedule``: scripted frames and
 clock values fed to the coordinator's decision code, with no socket,
-process or sleep. Real sockets, threads and forks stay in a handful of
-smoke tests.
+process or sleep. Real forked workers run the lockstep and smoke tests.
 """
 
 import ast
@@ -33,34 +32,24 @@ from hypothesis import strategies as st
 
 import repro
 
-from repro.errors import (
-    FabricError,
-    SpecError,
-    SweepInterrupted,
-)
+from repro.errors import FabricError, SweepInterrupted
 from repro.fabric import (
     FabricCoordinator,
     FabricExecutor,
     FabricWorker,
     ProtocolError,
-    parse_address,
     recv_message,
-    runner_from_wire,
-    runner_to_wire,
     send_message,
 )
-from repro.fabric.coordinator import (
-    HEARTBEAT_INTERVAL,
-    HEARTBEAT_TIMEOUT,
-    STARTUP_TIMEOUT,
-)
-from repro.fabric.protocol import MAX_MESSAGE_BYTES, FrameDecoder, RpcTimeout
+from repro.fabric.coordinator import HEARTBEAT_TIMEOUT
+from repro.fabric.protocol import MAX_MESSAGE_BYTES, FrameDecoder
+from repro.fabric.worker import HEARTBEAT_INTERVAL
 from repro.faults import injected
-from repro.resilience import CircuitBreaker, RetryPolicy
+from repro.resilience import RetryPolicy
 from repro.sim.runner import SimulationRunner
 from repro.sim.sweep import SweepSpec, run_sweep, sweep_table
 
-from fabric_schedule import Schedule, task
+from fabric_schedule import Schedule, result_payload, task
 
 SRC = Path(repro.__file__).resolve().parent
 BENCHES = ("gob", "hmmer")
@@ -93,31 +82,18 @@ def _strip(report):
     return clone
 
 
-def _start_worker(host, port):
-    thread = threading.Thread(
-        target=FabricWorker(host, port).run, daemon=True
-    )
-    thread.start()
-    return thread
-
-
 @contextlib.contextmanager
 def _fabric(runner, n_workers=2):
-    """A coordinator plus in-process (thread) workers.
+    """A started coordinator with ``n_workers`` forked workers.
 
-    Thread workers share the installed fault plan, which is exactly what
-    the lockstep tests want — but it also means plans here must never
-    use the ``exit`` action (``os._exit`` would take pytest down).
+    A plan for the workers rides ``REPRO_FAULTS`` (``monkeypatch.setenv``):
+    each child installs it afresh, so its counters restart per process,
+    respawns included. A plan installed here with ``injected`` is
+    inherited by the forks too; it is how a fault on the coordinator's
+    side of a frame is planted.
     """
-    coordinator = FabricCoordinator(runner, spawn=0)
-    host, port = coordinator.start()
-    threads = [_start_worker(host, port) for _ in range(n_workers)]
-    try:
+    with FabricCoordinator(runner, spawn=n_workers) as coordinator:
         yield coordinator, FabricExecutor(coordinator)
-    finally:
-        coordinator.close()
-        for thread in threads:
-            thread.join(timeout=5)
 
 
 def _frame(payload: bytes) -> bytes:
@@ -125,17 +101,6 @@ def _frame(payload: bytes) -> bytes:
 
 
 class TestProtocol:
-    def test_parse_address_round_trips(self):
-        assert parse_address("127.0.0.1:7777") == ("127.0.0.1", 7777)
-        assert parse_address("example.org:80") == ("example.org", 80)
-
-    @pytest.mark.parametrize(
-        "bad", ["", "nohost", ":80", "host:", "host:xx", "host:70000"]
-    )
-    def test_parse_address_rejects_malformed(self, bad):
-        with pytest.raises(SpecError):
-            parse_address(bad)
-
     def test_send_recv_round_trip(self):
         a, b = socket.socketpair()
         try:
@@ -193,6 +158,36 @@ class TestProtocol:
             a.sendall(struct.pack(">I", MAX_MESSAGE_BYTES + 1))
             with pytest.raises(ProtocolError, match="exceeds"):
                 recv_message(b)
+        finally:
+            a.close()
+            b.close()
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            {"type": "need"},
+            {"type": "lease", "tasks": [dict(task("P_X16"), attempt=1)]},
+            {"type": "shutdown"},
+            {"type": "result", "id": "P_X16/gob",
+             "result": result_payload(task("P_X16"))},
+            {"type": "error", "id": "P_X16/gob", "error": "InjectedFault: x"},
+            {"type": "heartbeat", "n": 3},
+        ],
+        ids=["need", "lease", "shutdown", "result", "error", "heartbeat"],
+    )
+    def test_every_message_type_reads_back_on_both_readers(self, message):
+        """What a worker's ``recv_message`` and the coordinator's
+        ``FrameDecoder`` read is what was sent, for each message type."""
+        a, b = socket.socketpair()
+        try:
+            send_message(a, message, "worker")
+            send_message(a, message, "coordinator")
+            assert recv_message(b, "worker") == message
+            decoder = FrameDecoder("coordinator")
+            got = []
+            while not got:
+                got.extend(decoder.feed(b.recv(1 << 16)))
+            assert got == [message]
         finally:
             a.close()
             b.close()
@@ -255,24 +250,6 @@ class TestFrameDecoder:
         assert plan.fired
 
 
-class TestRunnerWire:
-    def test_round_trip_preserves_cell_identity(self, tmp_path):
-        runner = _runner(tmp_path, "wire", seed=7)
-        clone = runner_from_wire(runner_to_wire(runner))
-        assert clone.seed == runner.seed
-        assert clone.misses == runner.misses
-        assert clone.result_key("P_X16", "gob") == runner.result_key(
-            "P_X16", "gob"
-        )
-        assert clone.result_key(
-            "PC_X32", "hmmer", plb_capacity_bytes=8192
-        ) == runner.result_key("PC_X32", "hmmer", plb_capacity_bytes=8192)
-
-    def test_wire_format_is_json_safe(self, tmp_path):
-        wire = runner_to_wire(_runner(tmp_path, "wire"))
-        assert json.loads(json.dumps(wire, sort_keys=True)) == wire
-
-
 class TestFabricLockstep:
     def test_fabric_sweep_bit_identical_to_serial(self, tmp_path):
         golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
@@ -282,8 +259,8 @@ class TestFabricLockstep:
         assert _strip(report) == _strip(golden)
         assert sweep_table(report) == sweep_table(golden)
         fabric = report["resilience"]["fabric"]
-        # A worker that reconnects joins again under its old identity.
-        assert fabric["workers_joined"] - fabric["reconnects"] == 2
+        assert fabric["workers_joined"] == 2
+        assert fabric["reconnects"] == 0  # no worker can redial
         # 8 grid cells + 2 insecure baselines, all cold.
         assert fabric["completed"] == 10
         assert fabric["errors"] == 0
@@ -301,14 +278,16 @@ class TestFabricLockstep:
     def test_worker_connection_drop_heals_bit_identical(self, tmp_path):
         golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
         runner = _runner(tmp_path, "d")
-        # The first result frame sent anywhere in the process dies on the
-        # wire; that worker's connection drops and its lease is reclaimed.
-        with injected("fabric.rpc.crash@worker/send/result#1") as plan:
+        # The first result frame the coordinator receives dies on the
+        # wire; that worker's connection drops, its lease is reclaimed and
+        # it is re-forked. The plan counts in this process only: a
+        # worker's counters would restart in every respawn.
+        with injected("fabric.rpc.crash@coordinator/recv/result#1") as plan:
             with _fabric(runner, n_workers=2) as (coordinator, executor):
                 report = run_sweep(_sweep(), runner, executor=executor)
         assert plan.fired
         fabric = report["resilience"]["fabric"]
-        assert fabric["dead"] >= 1
+        assert fabric["dead"] == fabric["respawned"] == 1
         assert fabric["reclaimed"] >= 1
         assert _strip(report) == _strip(golden)
         assert sweep_table(report) == sweep_table(golden)
@@ -321,7 +300,7 @@ class TestFabricLockstep:
         copy's late result changes nothing.
         """
         with Schedule() as s:
-            a, b = s.join("a"), s.join("b")
+            a, b = s.join(), s.join()
             s.begin([task("P_X16"), task("PC_X32")])
             (stalled,) = a.todo
             s.finish(b)  # b goes idle with the queue empty: it steals
@@ -342,7 +321,7 @@ class TestFabricLockstep:
         the survivor as soon as that one asks for work.
         """
         with Schedule() as s:
-            a, b = s.join("a"), s.join("b")
+            a, b = s.join(), s.join()
             s.begin([task("P_X16"), task("PC_X32")])
             (lost,) = a.todo
             s.tick(HEARTBEAT_TIMEOUT, b)  # silent for exactly the limit
@@ -356,17 +335,17 @@ class TestFabricLockstep:
             s.finish(b)
             assert s.done and sorted(s.completed) == ["PC_X32/gob", "P_X16/gob"]
 
-    def test_exhausted_retries_quarantine_not_abort(self, tmp_path):
+    def test_exhausted_retries_quarantine_not_abort(self, tmp_path, monkeypatch):
         runner = _runner(tmp_path, "q")
         # Both P_X16/gob cells crash on every attempt, on every worker.
-        with injected("fabric.worker.crash@P_X16*/gob/*"):
-            with _fabric(runner, n_workers=2) as (coordinator, executor):
-                report = run_sweep(
-                    _sweep(),
-                    runner,
-                    retry=RetryPolicy(attempts=2, backoff=0.0),
-                    executor=executor,
-                )
+        monkeypatch.setenv("REPRO_FAULTS", "fabric.worker.crash@P_X16*/gob/*")
+        with _fabric(runner, n_workers=2) as (coordinator, executor):
+            report = run_sweep(
+                _sweep(),
+                runner,
+                retry=RetryPolicy(attempts=2, backoff=0.0),
+                executor=executor,
+            )
         quarantined = report["resilience"]["quarantined"]
         assert {
             (q["scheme"].split(":")[0], q["benchmark"]) for q in quarantined
@@ -379,9 +358,170 @@ class TestFabricLockstep:
     def test_no_live_worker_is_a_clear_fabric_error(self):
         with Schedule() as s:
             s.begin([task("P_X16")])
-            s.tick(STARTUP_TIMEOUT)
             with pytest.raises(FabricError, match="no live fabric worker"):
-                s.tick(HEARTBEAT_INTERVAL)
+                s.coordinator._check_liveness(s.now)
+
+    def test_the_last_death_without_budget_fails_at_once(self):
+        """Two workers die with no respawn left: the same turn raises.
+
+        Nothing can introduce another worker, so there is nothing to
+        wait for; the clock never moves.
+        """
+        with Schedule() as s:
+            a, b = s.join(), s.join()
+            s.begin([task("P_X16"), task("PC_X32")])
+            s.feed(a, None)
+            s.coordinator._check_liveness(s.now)  # b still runs its lease
+            s.feed(b, None)
+            assert s.counters["dead"] == 2 and s.counters["respawned"] == 0
+            with pytest.raises(FabricError, match="respawn budget spent"):
+                s.coordinator._check_liveness(s.now)
+            assert s.now == 0.0
+
+    def test_a_death_is_respawned_while_budget_remains(self):
+        with Schedule(respawns=1) as s:
+            a = s.join()
+            s.begin([task("P_X16")])
+            s.feed(a, None)
+            (fresh,) = s.adopt()
+            assert fresh.todo == [dict(task("P_X16"), attempt=2)]
+            s.feed(fresh, None)
+            assert not s.forked
+            with pytest.raises(FabricError, match="2 forked"):
+                s.coordinator._check_liveness(s.now)
+
+
+class TestLiveness:
+    """Every worker is forked and introduced at fork: none left is final."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_turn_that_finds_every_worker_dead_raises(self, workers):
+        with Schedule() as s:
+            conns = [s.join() for _ in range(workers)]
+            s.begin([task(f"S{i}") for i in range(workers)])
+            for conn in conns:
+                s.feed(conn, None)
+            assert s.counters["dead"] == workers
+            with pytest.raises(
+                FabricError, match=rf"\({workers} forked, respawn budget spent\)"
+            ):
+                s.coordinator._check_liveness(s.now)
+            assert s.now == 0.0
+
+    def test_an_empty_fabric_fails_only_a_call_with_cells(self):
+        with Schedule() as s:
+            a = s.join()
+            s.feed(a, None)
+            s.coordinator._check_liveness(s.now)  # nothing open: nothing to fail
+            s.begin([task("P_X16")])
+            with pytest.raises(FabricError, match="no live fabric worker"):
+                s.coordinator._check_liveness(s.now)
+
+
+class TestStats:
+    """``stats()`` keys the frozen ``perf/`` harness reads off a fabric sweep."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("dispatched", 3), ("stolen", 1), ("rpc_timeouts", 0), ("reconnects", 0)],
+    )
+    def test_the_keys_the_perf_harness_reads(self, key, value):
+        with Schedule() as s:
+            a, b = s.join(), s.join()
+            s.begin([task("P_X16"), task("PC_X32")])
+            s.finish(b)  # b goes idle with the queue empty: it steals
+            s.finish(b)
+            s.finish(a)
+            assert s.done
+            assert FabricExecutor(s.coordinator).stats()[key] == value
+
+
+class TestClose:
+    def test_close_shuts_every_forked_worker_down(self, tmp_path):
+        """Workers forked at ``start()`` carry their index; ``close()``
+        sends each a ``shutdown`` and every one exits 0."""
+        coordinator = FabricCoordinator(_runner(tmp_path, "c"), spawn=2)
+        assert coordinator.start() is None
+        conns = list(coordinator._conns.values())
+        assert [conn.index for conn in conns] == [0, 1]
+        assert [proc.name for proc in coordinator._procs] == [
+            "fabric-worker-0", "fabric-worker-1"
+        ]
+        assert coordinator.stats()["workers_live"] == 2
+        coordinator.close()
+        assert [proc.exitcode for proc in coordinator._procs] == [0, 0]
+        assert not any(conn.alive for conn in conns)
+        assert all(conn.sock.fileno() == -1 for conn in conns)
+        assert coordinator.stats()["workers_live"] == 0
+
+    def test_an_unstarted_coordinator_forks_nothing(self, tmp_path):
+        coordinator = FabricCoordinator(_runner(tmp_path, "u"), spawn=2)
+        coordinator.close()
+        assert coordinator._procs == [] and coordinator._conns == {}
+        assert coordinator.counters["workers_joined"] == 0
+
+
+class TestWorker:
+    """One worker on its end of a socketpair, on a thread as in a fork."""
+
+    @contextlib.contextmanager
+    def _worker(self, runner):
+        ours, theirs = socket.socketpair()
+        codes = []
+        thread = threading.Thread(
+            target=lambda: codes.append(FabricWorker(theirs, runner, 0).run())
+        )
+        thread.start()
+        try:
+            yield ours, codes
+        finally:
+            ours.close()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+
+    @staticmethod
+    def _reply(sock):
+        while True:
+            message = recv_message(sock, timeout=30)
+            if message["type"] != "heartbeat":
+                return message
+
+    def test_a_leased_cell_is_run_with_the_inherited_runner(self, tmp_path):
+        runner = _runner(tmp_path, "w")
+        (cell,) = runner.cells(["PC_X32"], ["gob"])
+        lease = {"type": "lease", "tasks": [{
+            "id": cell.key, "label": cell.label, "bench": cell.bench,
+            "spec": cell.spec.to_dict(), "misses": MISSES, "attempt": 1,
+        }]}
+        with self._worker(runner) as (sock, codes):
+            assert self._reply(sock) == {"type": "need"}
+            send_message(sock, lease)
+            reply = self._reply(sock)
+            assert self._reply(sock) == {"type": "need"}
+            send_message(sock, {"type": "shutdown"})
+        assert codes == [0]
+        assert reply["type"] == "result" and reply["id"] == cell.key
+        expected = _runner(tmp_path, "serial").run_cell(cell, 1).to_dict()
+        assert reply["result"] == json.loads(json.dumps(expected))
+
+    def test_a_failing_cell_is_an_error_frame_not_a_death(self, tmp_path):
+        runner = _runner(tmp_path, "e")
+        lease = {"type": "lease", "tasks": [dict(task("P_X16"), attempt=2)]}
+        with injected("fabric.worker.crash@P_X16/gob/2#1") as plan:
+            with self._worker(runner) as (sock, codes):
+                self._reply(sock)
+                send_message(sock, lease)
+                reply = self._reply(sock)
+                assert self._reply(sock) == {"type": "need"}  # it serves on
+        assert plan.fired == [("fabric.worker", "P_X16/gob/2", 1, "crash")]
+        assert reply["type"] == "error" and reply["id"] == "P_X16/gob"
+        assert reply["error"].startswith("InjectedFault: ")
+        assert codes == [0]  # end-of-file: it exits cleanly
+
+    def test_end_of_file_before_any_lease_exits_0(self, tmp_path):
+        with self._worker(_runner(tmp_path, "x")) as (sock, codes):
+            assert self._reply(sock) == {"type": "need"}
+        assert codes == [0]
 
 
 class TestReclaim:
@@ -395,9 +535,9 @@ class TestReclaim:
         failing afterwards charges nothing: attempt 2 still runs.
         """
         with Schedule() as s:
-            victim = s.join("v")
+            victim = s.join()
             s.begin([task("P_X16")], RetryPolicy(attempts=3))
-            thief = s.join("t")  # idle, queue empty: steals attempt 1
+            thief = s.join()  # idle, queue empty: steals attempt 1
             s.feed(victim, None)
             job = s.coordinator._open["P_X16/gob"]
             assert job["attempt"] == 2
@@ -418,19 +558,27 @@ class TestReclaim:
 
 
 def _run(events, workers, tasks, attempts, timeout):
-    """Drive one scripted schedule, then drain it on a fresh healthy worker."""
-    with Schedule() as s:
-        idents = [f"w{i}" for i in range(workers)]
-        sessions = [1] * workers
-        conns = [s.join(ident) for ident in idents]
+    """Drive one scripted schedule, then drain it on the healthy workers.
+
+    Every death is respawned, as on a forked fabric with budget to
+    spare; a respawned worker takes the dead one's slot in the script.
+    """
+    with Schedule(respawns=10_000) as s:
+        conns = [s.join() for _ in range(workers)]
         dark = set()
+
+        def tick():
+            s.tick(HEARTBEAT_INTERVAL, *(c for c in s.conns if c not in dark))
+            for fresh in s.adopt():
+                slot = next(i for i, c in enumerate(conns) if not c.alive)
+                conns[slot] = fresh
+
         jobs = [task(f"S{i}") for i in range(tasks)]
         s.begin([dict(job) for job in jobs], RetryPolicy(attempts, timeout=timeout))
         for kind, who, seconds in events:
             if s.done:
                 break
-            slot = who % workers
-            conn = conns[slot]
+            conn = conns[who % workers]
             awake = conn.alive and conn not in dark
             if kind in ("result", "error") and awake and conn.todo:
                 s.finish(conn, None if kind == "result" else "InjectedFault: x")
@@ -438,25 +586,23 @@ def _run(events, workers, tasks, attempts, timeout):
                 s.feed(conn, None)
             elif kind == "silence":
                 dark.add(conn)
-            elif kind == "rejoin" and not conn.alive:
-                sessions[slot] += 1
-                conns[slot] = s.join(idents[slot], sessions[slot])
             elif kind == "tick":
-                if not any(c.alive for c in conns):
-                    conns[slot] = s.join(f"spare{len(s.conns)}")
-                s.tick(seconds, *(c for c in conns if c not in dark))
-        spare = s.join("drain")
+                for _ in range(round(seconds / HEARTBEAT_INTERVAL)):
+                    tick()
+            for fresh in s.adopt():  # an eof's respawn
+                conns[conns.index(conn)] = fresh
         for _ in range(10_000):
             if s.done:
                 break
-            while spare.todo:
-                s.finish(spare)
-            s.tick(HEARTBEAT_INTERVAL, spare)
+            for conn in conns:
+                while conn.alive and conn not in dark and conn.todo:
+                    s.finish(conn)
+            tick()
         return s, jobs
 
 
 _EVENT = st.tuples(
-    st.sampled_from(["result", "error", "eof", "silence", "rejoin", "tick"]),
+    st.sampled_from(["result", "error", "eof", "silence", "tick"]),
     st.integers(0, 3),
     st.sampled_from([HEARTBEAT_INTERVAL, 1.0, HEARTBEAT_TIMEOUT + 1.0]),
 )
@@ -474,10 +620,10 @@ class TestScheduleProperties:
     def test_every_interleaving_keeps_the_invariants(
         self, events, workers, tasks, attempts, timeout
     ):
-        """Needs, results, errors, hang-ups, silences and clock ticks in
-        any order: every task ends exactly once, its attempts are leased
-        1..k with none skipped, no lease reaches a connection that is
-        down, and ``completed`` counts the progress calls."""
+        """Needs, results, errors, hang-ups, silences, respawns and clock
+        ticks in any order: every task ends exactly once, its attempts are
+        leased 1..k with none skipped, no lease reaches a connection that
+        is down, and ``completed`` counts the progress calls."""
         s, jobs = _run(events, workers, tasks, attempts, timeout)
         ended = s.completed + [
             f"{f['scheme']}/{f['benchmark']}" for f in s.failures
@@ -492,29 +638,6 @@ class TestScheduleProperties:
             assert all(b - a in (0, 1) for a, b in zip(leased, leased[1:]))
         assert not any(conn.leased_while_down for conn in s.conns)
         assert s.counters["completed"] == len(s.completed)
-
-
-class TestClose:
-    def test_close_stops_listening(self, tmp_path):
-        """After ``close()`` a dial fails, and a dial never read is cut off."""
-        coordinator = FabricCoordinator(_runner(tmp_path, "l"), spawn=0)
-        host, port = coordinator.start()
-        early = socket.create_connection((host, port), timeout=10)
-        try:
-            send_message(early, {"type": "hello", "ident": "early"})
-            coordinator.close()
-            try:
-                reply = recv_message(early, timeout=10)
-            except RpcTimeout:
-                raise
-            except ProtocolError:  # reset: the same as end-of-file here
-                reply = None
-            assert reply is None  # never a config frame
-        finally:
-            early.close()
-        with pytest.raises(OSError):
-            socket.create_connection((host, port), timeout=1).close()
-        assert coordinator.counters["workers_joined"] == 0
 
 
 class TestFabricRerun:
@@ -571,36 +694,6 @@ class TestFabricRerun:
         assert sweep_table(rerun) == sweep_table(golden)
 
 
-class TestFabricCli:
-    def test_serve_worker_usage_errors(self, capsys):
-        from repro.cli import main
-
-        assert main(["fabric"]) == 2
-        assert main(["fabric", "serve-worker"]) == 2
-        assert main(["fabric", "serve-worker", "--connect", "nohostport"]) == 2
-        assert "fabric" in capsys.readouterr().err
-
-    def test_serve_worker_unreachable_coordinator(self, capsys):
-        from repro.cli import main
-
-        # Grab a port that is certainly closed right now.
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        rc = main(
-            [
-                "fabric",
-                "serve-worker",
-                f"--connect=127.0.0.1:{port}",
-                "--timeout",
-                "0.5",
-            ]
-        )
-        assert rc == 2
-        assert "fabric error" in capsys.readouterr().err
-
-
 class TestSpawnedWorkers:
     def test_worker_process_death_respawns_and_heals(
         self, tmp_path, monkeypatch
@@ -637,7 +730,7 @@ class TestSpawnedWorkers:
         """
         retry = RetryPolicy(timeout=0.3)
         with Schedule() as s:
-            a, b = s.join("a"), s.join("b")
+            a, b = s.join(), s.join()
             s.now += 100.0  # setup between start() and execute()
             s.begin([task("P_X16"), task("PC_X32")], retry)
             s.tick(0.25, a, b)
@@ -664,7 +757,7 @@ class TestSpawnedWorkers:
         and the copy's late result is ignored.
         """
         with Schedule() as s:
-            a, b = s.join("a"), s.join("b")
+            a, b = s.join(), s.join()
             s.begin([task("insecure", "gob"), task("insecure", "hmmer")])
             s.tick(0.7, a, b)
             s.finish(a)
@@ -686,9 +779,8 @@ class TestSpawnedWorkers:
         own first attempt: ``gob``'s worker for 0.2 s, ``hmmer``'s for
         0.6 s. The first steals ``hmmer`` and is still in its own stall
         when the owner's result ends the sweep. Its late ``result`` finds
-        the socket closed or a ``shutdown`` waiting, and its socketpair
-        cannot be redialled, so it exits by itself: ``close()`` neither
-        waits out its 5 s nor terminates it.
+        the socket closed or a ``shutdown`` waiting, so it exits by
+        itself: ``close()`` neither waits out its 5 s nor terminates it.
         """
         golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
         monkeypatch.setenv(
@@ -755,6 +847,8 @@ class TestOneThreadOneClock:
 
     def test_no_timing_option_is_left(self):
         assert list(inspect.signature(FabricCoordinator).parameters) == [
-            "runner", "spawn", "host", "port"
+            "runner", "spawn"
         ]
-        assert "clock" not in inspect.signature(CircuitBreaker).parameters
+        assert list(inspect.signature(FabricWorker).parameters) == [
+            "sock", "runner", "index"
+        ]

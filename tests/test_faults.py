@@ -30,8 +30,8 @@ class TestGrammar:
         assert spec == FaultSpec(site="cell", action="crash", key="PC_X32/gob/1")
 
     def test_dotted_site_splits_on_last_dot(self):
-        (spec,) = parse("fabric.heartbeat.stall@0").specs
-        assert (spec.site, spec.action) == ("fabric.heartbeat", "stall")
+        (spec,) = parse("fabric.worker.stall@0").specs
+        assert (spec.site, spec.action) == ("fabric.worker", "stall")
 
     def test_key_may_contain_at_signs(self):
         # Derived benchmark names ("mcf@wss=8388608") appear inside keys.
@@ -48,7 +48,7 @@ class TestGrammar:
         assert [s.action for s in plan.specs] == ["crash", "exit"]
 
     def test_roundtrip_via_to_entry(self):
-        text = "fabric.heartbeat.stall@0/*#2|secs=3"
+        text = "fabric.worker.stall@0/*#2|secs=3"
         (spec,) = parse(text).specs
         assert parse(spec.to_entry()).specs[0] == spec
 
@@ -76,6 +76,25 @@ class TestGrammar:
             parse(f"{site}.exit@*")
         assert repr(site) in str(caught.value)
         assert all(valid in str(caught.value) for valid in SITES)
+
+    @pytest.mark.parametrize("site", ["rpc.flap", "fabric.heartbeat"])
+    def test_a_removed_site_is_refused_in_a_plan(self, site, monkeypatch):
+        """No worker redials and no test injects heartbeats: a plan that
+        names either site is refused, from a string or from the environment."""
+        assert site not in SITES
+        with pytest.raises(SpecError, match="unknown fault site"):
+            parse(f"{site}.crash@*#1")
+        monkeypatch.setenv("REPRO_FAULTS", f"cell.crash@*#1;{site}.stall@*")
+        with pytest.raises(SpecError, match=repr(site)):
+            install_from(Settings.from_env())
+
+    @pytest.mark.parametrize("site", SITES)
+    def test_each_site_round_trips_through_its_entry(self, site):
+        """Dotted sites split on their last dot, with hits and params kept."""
+        (spec,) = parse(f"{site}.stall@a/*/1#2,3|secs=0").specs
+        assert (spec.site, spec.action, spec.key) == (site, "stall", "a/*/1")
+        assert (spec.hits, spec.params) == ((2, 3), {"secs": "0"})
+        assert parse(spec.to_entry()).specs == [spec]
 
     def test_every_declared_site_parses(self):
         assert [spec.site for spec in parse(
@@ -185,10 +204,9 @@ class TestInstallation:
 
     def test_install_from_parses_and_installs(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "cell.crash@*#1")
-        monkeypatch.setenv("REPRO_FAULTS_SEED", "9")
         plan = install_from(Settings.from_env())
         try:
-            assert plan is active() and plan.seed == 9
+            assert plan is active() and plan.seed == 0
         finally:
             clear()
 

@@ -18,7 +18,7 @@ from repro.config import Platform, ProcessorConfig
 from repro.dram.config import DramConfig
 from repro.eval import SAVED_SWEEPS
 from repro.eval.paper_values import PLATFORMS, TABLE1, report
-from repro.fabric import runner_from_wire, runner_to_wire
+from repro.fabric import FabricCoordinator
 from repro.sim.runner import SimulationRunner
 
 #: The fields a row holds values in (the rest document them).
@@ -127,12 +127,19 @@ def test_runner_takes_one_platform():
         assert gone not in params
 
 
-def test_wire_carries_the_row():
+def test_the_runner_a_forked_worker_inherits_keeps_the_row():
+    """A fork inherits the coordinator's runner, attached to the shared
+    store: it must key traces and cells as the figure's own runner does."""
     runner = saved_mod.figure_runner("fig8", 400)
-    clone = runner_from_wire(runner_to_wire(runner))
-    assert clone.platform == runner.platform
-    assert clone.platform.sources == runner.platform.sources
-    assert clone.result_key("PC_X64", "gob") == runner.result_key("PC_X64", "gob")
+    coordinator = FabricCoordinator(runner)
+    try:
+        inherited = coordinator.runner
+        assert inherited.platform == runner.platform
+        assert inherited.platform.sources == runner.platform.sources
+        assert inherited.result_key("PC_X64", "gob") == runner.result_key("PC_X64", "gob")
+        assert inherited.trace_cache_key("gob") == runner.trace_cache_key("gob")
+    finally:
+        coordinator.close()
 
 
 def test_phantom_depth_is_derived_from_its_row():

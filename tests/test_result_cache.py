@@ -165,8 +165,7 @@ class TestOneResultImage:
         (cell,) = runner.cells(["PC_X32"], ["gob"])
         stored = json.loads(runner.result_cache.path_for(cell.key).read_bytes())
         # A worker with a store of its own, so that it replays the cell.
-        worker = FabricWorker("127.0.0.1", 1)
-        worker._base = _runner(tmp_path / "worker")
+        worker = FabricWorker(None, _runner(tmp_path / "worker"), 0)
         sent = []
         worker._send = sent.append
         worker._execute({

@@ -24,7 +24,6 @@ from repro.cli import build_parser, main
 from repro.config import OramConfig
 from repro.errors import ConfigurationError, NativeKernelUnavailable
 from repro.fabric import FabricCoordinator, FabricWorker
-from repro.resilience import RpcPolicy
 from repro.settings import FALSE_WORDS, TRUE_WORDS, Settings
 from repro.sim import native as native_pkg
 from repro.sim.replay import resolve_replay_mode
@@ -47,9 +46,18 @@ def test_one_reader_of_the_environment():
     assert sites == {"os.environ": {"settings.py"}, "getenv": set()}
 
 
-def test_thirteen_variables_and_no_field_without_one():
-    assert len(VARIABLES) == 13 == len(dataclasses.fields(Settings))
+def test_eleven_variables_and_no_field_without_one():
+    assert len(VARIABLES) == 11 == len(dataclasses.fields(Settings))
     assert all(name.startswith("REPRO_") for name in VARIABLES)
+
+
+@pytest.mark.parametrize("gone", ["connect_retries", "faults_seed"])
+def test_the_removed_variables_are_gone(gone):
+    """No worker dials, and every plan damages files with the seed 0."""
+    assert gone not in {f.name for f in dataclasses.fields(Settings)}
+    env = f"REPRO_{gone.upper()}"
+    assert env not in VARIABLES
+    assert Settings.from_env({env: "not a number"}) == Settings()
 
 
 class TestGrammar:
@@ -98,8 +106,11 @@ class TestGrammar:
             ("REPRO_CELL_TIMEOUT", "soon"),
             ("REPRO_CELL_TIMEOUT", "nan"),
             ("REPRO_RPC_TIMEOUT", "never"),
-            ("REPRO_CONNECT_RETRIES", "3.5"),
-            ("REPRO_FAULTS_SEED", "x"),
+            ("REPRO_RPC_TIMEOUT", "30s"),
+            ("REPRO_RPC_TIMEOUT", "inf"),
+            ("REPRO_RETRIES", "2.5"),
+            ("REPRO_WORKERS", "-3"),
+            ("REPRO_RETRY_BASE", "nan"),
         ],
     )
     def test_a_bad_value_names_the_variable_and_what_it_accepts(self, name, value):
@@ -131,16 +142,14 @@ class TestGrammar:
     def test_values_valid_before_keep_their_meaning(self):
         settings = Settings.from_env({
             "REPRO_NATIVE": "require", "REPRO_FULL": "1",
-            "REPRO_CONNECT_RETRIES": "3", "REPRO_RPC_TIMEOUT": "30",
+            "REPRO_RPC_TIMEOUT": "30",
             "REPRO_RESULT_CACHE": "/tmp/fabric-smoke/results-golden",
             "REPRO_RETRIES": "0", "REPRO_WORKERS": "4",
         })
         assert settings.native == "require"
         assert settings.miss_budget == 50_000 and settings.workers == 4
         assert settings.retries == 1  # below 1 has always meant 1
-        assert RpcPolicy.from_settings(settings, seed=2) == RpcPolicy(
-            connect_attempts=3, timeout=30.0, seed=2
-        )
+        assert settings.rpc_timeout == 30.0
         assert settings.result_cache == "/tmp/fabric-smoke/results-golden"
         assert Settings.from_env({"REPRO_RPC_TIMEOUT": "-5"}).rpc_timeout is None
 
