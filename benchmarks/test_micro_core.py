@@ -129,26 +129,38 @@ def test_prf_fast_throughput(benchmark):
     benchmark(one_call)
 
 
-#: Leaf pairs per ``_prf_pair`` call, so the call's own cost stays out.
-PAIRS_PER_CALL = 1_000
+#: Lane calls per ``_lanes`` call, so the call's own cost stays out.
+CALLS_PER_CALL = 1_000
 
 
 @pytest.mark.skipif(load_native_core() is None, reason=unavailable_reason())
 @pytest.mark.parametrize("spelling", ["scalar", "avx512vl"])
-def test_native_leaf_pair_throughput(benchmark, spelling):
-    """A remap's two leaves in the C core, per spelling of the pair:
-    ``scalar`` is two single native leaves (two compressions, as
-    ``fk_leaf_for`` derives one), ``avx512vl`` one two-lane compression
-    (skipped on a CPU without AVX-512F+VL)."""
+@pytest.mark.parametrize("shape", ["prf-pair", "write", "read", "victim"])
+def test_native_lanes_throughput(benchmark, spelling, shape):
+    """One ``blake2b_lanes`` call of each shape a request makes, per
+    spelling: a remap's leaf pair alone (two PRF lanes), a WRITE's pair
+    with its seal (three), a READ's verify and seal (two MAC lanes) and
+    a PLB victim's seal with the next pair (three).  ``scalar`` is one
+    compression per lane; ``avx512vl`` one four-lane pass (skipped on a
+    CPU without AVX-512F+VL)."""
     core = load_native_core()
-    if spelling != "scalar" and core.PRF_PAIR != spelling:
+    if spelling != "scalar" and core.LANES != spelling:
         pytest.skip(f"this CPU lacks {spelling} (avx512f + avx512vl)")
-    prf = CryptoSuite.fast().prf
-    benchmark.extra_info["pairs_per_call"] = PAIRS_PER_CALL
-    benchmark(
-        core._prf_pair, spelling, prf.key, prf.ledger, 1234, 2**40,
-        2**40 + 1, 24, PAIRS_PER_CALL,
-    )
+    suite = CryptoSuite.fast()
+    prf = [
+        (suite.prf.key, 16, (1234).to_bytes(8, "little")
+         + count.to_bytes(12, "little") + bytes(4))
+        for count in (2**40, 2**40 + 1)
+    ]
+    mac = (suite.mac.key, suite.mac.tag_bytes, bytes(20 + 64))
+    lanes = {
+        "prf-pair": prf,
+        "write": prf + [mac],
+        "read": [mac, mac],
+        "victim": [mac] + prf,
+    }[shape]
+    benchmark.extra_info["calls_per_call"] = CALLS_PER_CALL
+    benchmark(core._lanes, spelling, lanes, CALLS_PER_CALL)
 
 
 def test_prf_reference_aes_throughput(benchmark):

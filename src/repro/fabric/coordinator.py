@@ -593,15 +593,7 @@ class FabricExecutor:
                 if progress is not None:
                     progress(cell.label, cell.bench, cached, True)
                 continue
-            tasks.append(
-                {
-                    "id": cell.key,
-                    "label": cell.label,
-                    "bench": cell.bench,
-                    "spec": cell.spec.to_dict() if cell.spec is not None else None,
-                    "misses": runner.misses,
-                }
-            )
+            tasks.append(cell.task(runner.misses))
         # Workers replay with the coordinator's runner (derived per miss
         # budget): synthesise with it, into the store they all read.
         source = self.coordinator.runner

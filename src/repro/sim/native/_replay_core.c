@@ -72,9 +72,12 @@
  * last_use and its payload bytes (Plb) and the on-chip PosMap's uint64
  * table (OnChipPosMap), beside the first-touch bitmaps, which always
  * were byte columns.  The PRF keeps no state beyond its key: a remap's
- * two leaves come from the keyed mid-state every time, in one two-lane
- * BLAKE2b compression where the CPU has AVX-512F+VL and in two scalar
- * ones elsewhere (PRF_PAIR names which; chosen at import).  A
+ * two leaves come from the keyed mid-state every time.  Every BLAKE2b
+ * compression a request has ready at one moment — a remap's two leaves,
+ * the seal of a WRITE, of a READ or of a PLB victim, a READ's verify —
+ * is one lane of one blake2b_lanes call: four u64 lanes where the CPU
+ * has AVX-512F+VL, one scalar compression per lane elsewhere (LANES
+ * names which; chosen at import).  A
  * request makes no PyLong, tuple or dict and reads no attribute: what is
  * still an object on a request is a MAC (bytes in mac_col), the
  * frontend generator's getrandbits() and a column owner's _grow(),
@@ -1348,7 +1351,9 @@ kernel_payload(AccessKernel *self, long long slot, char **bytes)
                         "memoryview: underlying buffer is not writable");
         return -1;
     }
-    if (!PyBuffer_IsContiguous(view, 'C')) {
+    /* The flag memoryview.c_contiguous reads: PyBuffer_IsContiguous's
+     * test, made once when the view was. */
+    if (!(((PyMemoryViewObject *)owner)->flags & _Py_MEMORYVIEW_C)) {
         PyErr_SetString(PyExc_BufferError,
                         "memoryview: underlying buffer is not C-contiguous");
         return -1;
@@ -2125,8 +2130,9 @@ store64le(uint8_t *p, uint64_t v)
  * the message schedule (RFC 7693's SIGMA, rounds 10 and 11 repeating 0
  * and 1) spelled as compile-time constants: a loop indexing a sigma
  * table keeps v[] in memory and costs ~1.4x as much at -O3.  The table
- * is written once: this scalar spelling and prf_pair_avx512vl's two-lane
- * one expand BLAKE2B_ROUND over it, on v0..v15 and m[] of their type. */
+ * is written once: this scalar spelling and blake2b_lanes_avx512vl's
+ * four-lane one
+ * expand BLAKE2B_ROUND over it, on v0..v15 and m[] of their type. */
 #define BLAKE2B_SIGMA(X)                                                \
     X(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)             \
     X(14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3)             \
@@ -2277,6 +2283,199 @@ blake2b_digest(PyObject *self, PyObject *args)
     return result;
 }
 
+/* One lane of blake2b_lanes: a message of 1..128 bytes hashed from a
+ * keyed mid-state (its key block absorbed, its buffer empty) in one
+ * final compression — a PRF leaf, or a MAC whose message fits a block.
+ * The message is m's little-endian words, zero past `len`.  `h` gets
+ * the digest's words (the first mid->outlen bytes of their image). */
+typedef struct {
+    const Blake2b *mid;
+    size_t len;
+    uint64_t m[16];
+    uint64_t h[8];
+} Lane;
+
+#define MAX_LANES 4
+
+/* A lane's message from its bytes. */
+static void
+lane_message(Lane *lane, const uint8_t *message, size_t len)
+{
+    uint8_t block[128] = {0};
+    memcpy(block, message, len);
+    lane->len = len;
+    for (int w = 0; w < 16; w++)
+        lane->m[w] = load64le(block + 8 * w);
+}
+
+/* The image of a lane's digest words (its digest is a prefix of it). */
+static void
+lane_digest(const Lane *lane, uint8_t out[64])
+{
+    for (size_t i = 0; i < (lane->mid->outlen + 7) / 8; i++)
+        store64le(out + 8 * i, lane->h[i]);
+}
+
+/* blake2b_lanes on every host: one blake2b_compress per lane. */
+static void
+blake2b_lanes_scalar(Lane *lane, int n)
+{
+    for (int i = 0; i < n; i++) {
+        uint8_t block[128];
+        for (int w = 0; w < 16; w++)
+            store64le(block + 8 * w, lane[i].m[w]);
+        Blake2b state;
+        memcpy(state.h, lane[i].mid->h, sizeof(state.h));
+        state.t = lane[i].mid->t + lane[i].len;
+        blake2b_compress(&state, block, 1);
+        memcpy(lane[i].h, state.h, sizeof(state.h));
+    }
+}
+
+#if defined(__GNUC__) && defined(__x86_64__)
+#define LANES_VECTOR 1
+typedef uint64_t u64x4 __attribute__((vector_size(32)));
+
+/* blake2b_lanes where the CPU has AVX-512F+VL: the n lanes side by side,
+ * one per 64-bit element (a lane past n repeats lane 0, and is
+ * dropped), in one pass of the rounds.  Compiled for AVX-512F+VL only:
+ * vprorq makes each rotation one instruction and 32 vector registers
+ * hold the sixteen state words with no spill (SSE2 and AVX2 spellings of
+ * a two-lane pass spilled: 1.00x and 1.04x).  Lanes from one mid-state
+ * (a leaf pair's) read its words broadcast.  When no message runs past
+ * three words (a PRF's), the other thirteen are constant zeros and fold
+ * out of the rounds.  Only the words of each lane's digest are written. */
+__attribute__((target("avx512f,avx512vl"))) static void
+blake2b_lanes_avx512vl(Lane *lane, int n)
+{
+    const Lane *a = &lane[0], *b = &lane[n > 1 ? 1 : 0],
+               *c = &lane[n > 2 ? 2 : 0], *d = &lane[n > 3 ? 3 : 0];
+    const int shared =
+        a->mid == b->mid && a->mid == c->mid && a->mid == d->mid;
+    const u64x4 lanes = {0, 0, 0, 0};
+#define MID_WORD(k)                                                     \
+    (shared ? lanes + a->mid->h[k]                                      \
+            : (u64x4){a->mid->h[k], b->mid->h[k], c->mid->h[k],         \
+                      d->mid->h[k]})
+#define LANE_WORD(w) ((u64x4){a->m[w], b->m[w], c->m[w], d->m[w]})
+    u64x4 v0 = MID_WORD(0), v1 = MID_WORD(1), v2 = MID_WORD(2),
+          v3 = MID_WORD(3), v4 = MID_WORD(4), v5 = MID_WORD(5),
+          v6 = MID_WORD(6), v7 = MID_WORD(7), v8 = lanes + blake2b_iv[0],
+          v9 = lanes + blake2b_iv[1], v10 = lanes + blake2b_iv[2],
+          v11 = lanes + blake2b_iv[3],
+          v12 = (lanes + blake2b_iv[4]) ^
+                (u64x4){a->mid->t + a->len, b->mid->t + b->len,
+                        c->mid->t + c->len, d->mid->t + d->len},
+          v13 = lanes + blake2b_iv[5], v14 = lanes + ~blake2b_iv[6],
+          v15 = lanes + blake2b_iv[7];
+    if (a->len <= 24 && b->len <= 24 && c->len <= 24 && d->len <= 24) {
+        const u64x4 m[16] = {LANE_WORD(0), LANE_WORD(1), LANE_WORD(2)};
+        BLAKE2B_SIGMA(BLAKE2B_ROUND)
+    }
+    else {
+        u64x4 m[16];
+        for (int w = 0; w < 16; w++)
+            m[w] = LANE_WORD(w);
+        BLAKE2B_SIGMA(BLAKE2B_ROUND)
+    }
+    /* The start words are read again, not kept live across the rounds. */
+    const u64x4 h[8] = {
+        MID_WORD(0) ^ v0 ^ v8,  MID_WORD(1) ^ v1 ^ v9,
+        MID_WORD(2) ^ v2 ^ v10, MID_WORD(3) ^ v3 ^ v11,
+        MID_WORD(4) ^ v4 ^ v12, MID_WORD(5) ^ v5 ^ v13,
+        MID_WORD(6) ^ v6 ^ v14, MID_WORD(7) ^ v7 ^ v15,
+    };
+#undef LANE_WORD
+#undef MID_WORD
+    for (int i = 0; i < n; i++)
+        for (size_t k = 0; k < (lane[i].mid->outlen + 7) / 8; k++)
+            lane[i].h[k] = h[k][i];
+}
+#endif
+
+/* The spelling this host runs (LANES), chosen once at module init: the
+ * vector one where the CPU has AVX-512F+VL, else the scalar one, which
+ * makes the compressions one lane at a time, as separate calls did. */
+static void (*blake2b_lanes)(Lane *lane, int n) = blake2b_lanes_scalar;
+static const char *lanes_name = "scalar";
+
+/* _lanes(spelling, lanes, repeat=1) -> [digest, ...]: tests and micro
+ * benchmarks only.  `lanes` is 1..4 (key, digest_size, message) items
+ * (key 0..64 bytes, digest_size 1..64, message 1..128 bytes); each is
+ * hashlib.blake2b(message, key=key, digest_size=digest_size), all of
+ * them in one call of the named spelling ("scalar", or this host's
+ * LANES), made `repeat` times. */
+static PyObject *
+lanes_entry(PyObject *self, PyObject *args)
+{
+    const char *spelling;
+    PyObject *items;
+    Py_ssize_t repeat = 1;
+    if (!PyArg_ParseTuple(args, "sO|n:_lanes", &spelling, &items, &repeat))
+        return NULL;
+    void (*run)(Lane *, int) = !strcmp(spelling, "scalar") ? blake2b_lanes_scalar
+                               : !strcmp(spelling, lanes_name) ? blake2b_lanes
+                                                              : NULL;
+    if (run == NULL) {
+        PyErr_Format(PyExc_ValueError, "no lanes spelling %s here: this "
+                     "CPU runs %s", spelling, lanes_name);
+        return NULL;
+    }
+    PyObject *seq = PySequence_Fast(items, "_lanes: lanes must be a sequence");
+    if (seq == NULL)
+        return NULL;
+    const Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
+    Blake2b mid[MAX_LANES];
+    Lane lane[MAX_LANES];
+    Py_ssize_t digest_size[MAX_LANES];
+    PyObject *result = NULL;
+    if (n < 1 || n > MAX_LANES || repeat < 1) {
+        PyErr_SetString(PyExc_ValueError,
+                        "_lanes: 1 to 4 lanes, repeat 1 or more");
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        Py_buffer key, message;
+        if (!PyArg_ParseTuple(PySequence_Fast_GET_ITEM(seq, i), "y*ny*:_lanes",
+                              &key, &digest_size[i], &message))
+            goto done;
+        const int fits = key.len <= 64 && digest_size[i] >= 1 &&
+                         digest_size[i] <= 64 && message.len >= 1 &&
+                         message.len <= 128;
+        if (fits) {
+            blake2b_init(&mid[i], (size_t)digest_size[i], key.buf,
+                         (size_t)key.len);
+            blake2b_absorb_key(&mid[i]);
+            lane_message(&lane[i], message.buf, (size_t)message.len);
+            lane[i].mid = &mid[i];
+        }
+        PyBuffer_Release(&key);
+        PyBuffer_Release(&message);
+        if (!fits) {
+            PyErr_SetString(PyExc_ValueError,
+                            "_lanes: a key of at most 64 bytes, digest_size "
+                            "1..64 and a message of 1..128 bytes");
+            goto done;
+        }
+    }
+    for (Py_ssize_t r = 0; r < repeat; r++)
+        run(lane, (int)n);
+    result = PyList_New(n);
+    for (Py_ssize_t i = 0; result != NULL && i < n; i++) {
+        uint8_t out[64];
+        lane_digest(&lane[i], out);
+        PyObject *digest =
+            PyBytes_FromStringAndSize((const char *)out, digest_size[i]);
+        if (digest == NULL)
+            Py_CLEAR(result);
+        else
+            PyList_SET_ITEM(result, i, digest);
+    }
+done:
+    Py_DECREF(seq);
+    return result;
+}
+
 /* ------------------------------------------------------------------ */
 /* FrontendKernel: one processor request per call                      */
 /* ------------------------------------------------------------------ */
@@ -2311,6 +2510,7 @@ typedef struct {
     int space_levels; /* H: the data level plus the PosMap levels */
     int tree_levels;  /* L of the unified tree */
     int format, pmmac, onchip_counters, leaf_bytes, alpha, beta, ways, busy;
+    int mac_lane; /* PMMAC on and c || a || d one block: a MAC can be a lane */
     long long fanout, num_blocks, num_sets, onchip_entries;
     long long level_blocks[FK_MAX_LEVELS];
     Py_ssize_t block_bytes, tag_bytes;
@@ -2466,6 +2666,7 @@ frontend_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
     self->num_sets = num_sets;
     self->onchip_entries = onchip_entries;
     self->tag_bytes = tag_bytes;
+    self->mac_lane = pmmac && 20 + tree->block_bytes <= 128;
     for (int i = 0; i < space_levels; i++) {
         self->level_blocks[i] =
             PyLong_AsLongLong(PyTuple_GET_ITEM(level_blocks, i));
@@ -2557,12 +2758,33 @@ counter_to_long(u128 counter)
 
 /* -- the request's working state ---------------------------------------- */
 
+/* Compressions a lane made ahead of the step that counts them: a remap's
+ * leaf pair (its two first digest words) and a WRITE's seal.  The step
+ * takes one only for the inputs its lane was given, else computes its
+ * own; one no step takes is dropped, never counted. */
+typedef struct {
+    int ready;
+    unsigned long long tagged;
+    u128 count, new_count;
+    uint64_t words[2];
+} AheadPair;
+
+typedef struct {
+    int ready;
+    unsigned long long tagged;
+    u128 counter;
+    uint8_t tag[64];
+} AheadSeal;
+
 typedef struct {
     FrontendKernel *fk;
     AccessKernel *tree;
     unsigned long long chain[FK_MAX_LEVELS]; /* a_i */
     unsigned long long tags[FK_MAX_LEVELS];  /* i || a_i */
     long posmap_accesses;
+    const uint8_t *payload; /* a WRITE's bytes when its seal can be a lane */
+    AheadPair pair;
+    AheadSeal seal;
 } Request;
 
 /* What one PosMap entry says about its child, after the remap. */
@@ -2601,91 +2823,50 @@ random_leaf(PyObject *getrandbits, int levels, long long *out)
     return rc;
 }
 
-/* PRF_K(addr || count)'s first digest word: one BLAKE2b compression from
- * the keyed mid-state (its key block absorbed, its buffer empty) over
- * addr (8) || count (12) || subblock (4, zero), little-endian. */
-static uint64_t
-prf_word(const Blake2b *mid, uint64_t addr, u128 count)
-{
-    uint8_t block[128] = {0};
-    store64le(block, addr);
-    store64le(block + 8, (uint64_t)count);
-    store64le(block + 16, (uint64_t)(count >> 64)); /* < 2^32 */
-    Blake2b state;
-    memcpy(state.h, mid->h, sizeof(state.h));
-    state.t = mid->t + 24;
-    blake2b_compress(&state, block, 1);
-    return state.h[0];
-}
+/* -- BLAKE2b lanes: what a request has ready goes in one call ---------------- */
 
-/* A remap's two PRF words, one address and two counts, into out[]. */
-typedef void PrfPair(const Blake2b *mid, uint64_t addr, u128 count,
-                     u128 new_count, uint64_t out[2]);
-
+/* A PRF lane: PRF_K(addr || count) over addr (8) || count (12) ||
+ * subblock (4, zero), little-endian; the leaf is its first digest word. */
 static void
-prf_pair_scalar(const Blake2b *mid, uint64_t addr, u128 count,
-                u128 new_count, uint64_t out[2])
+lane_prf(Lane *lane, const Blake2b *mid, uint64_t addr, u128 count)
 {
-    out[0] = prf_word(mid, addr, count);
-    out[1] = prf_word(mid, addr, new_count);
+    lane->m[0] = addr;
+    lane->m[1] = (uint64_t)count;
+    lane->m[2] = (uint64_t)(count >> 64); /* < 2^32 */
+    memset(lane->m + 3, 0, sizeof(lane->m) - 3 * sizeof(lane->m[0]));
+    lane->mid = mid;
+    lane->len = 24;
 }
 
-#if defined(__GNUC__) && defined(__x86_64__)
-#define PRF_PAIR_VECTOR 1
-typedef uint64_t u64x2 __attribute__((vector_size(16)));
-
-/* Both compressions in one pass, one message per lane.  A message is
- * the PRF's three non-zero words, so the thirteen zero ones fold out of
- * the rounds.  Compiled for AVX-512F+VL only: vprorq makes each rotation
- * one instruction and 32 vector registers hold the sixteen state words
- * with no spill (SSE2 and AVX2 spellings spilled: 1.00x and 1.04x). */
-__attribute__((target("avx512f,avx512vl"))) static void
-prf_pair_avx512vl(const Blake2b *mid, uint64_t addr, u128 count,
-                  u128 new_count, uint64_t out[2])
-{
-    const u64x2 lanes = {0, 0}, m[16] = {
-        {addr, addr},
-        {(uint64_t)count, (uint64_t)new_count},
-        {(uint64_t)(count >> 64), (uint64_t)(new_count >> 64)},
-    };
-    u64x2 v0 = lanes + mid->h[0], v1 = lanes + mid->h[1],
-          v2 = lanes + mid->h[2], v3 = lanes + mid->h[3],
-          v4 = lanes + mid->h[4], v5 = lanes + mid->h[5],
-          v6 = lanes + mid->h[6], v7 = lanes + mid->h[7],
-          v8 = lanes + blake2b_iv[0], v9 = lanes + blake2b_iv[1],
-          v10 = lanes + blake2b_iv[2], v11 = lanes + blake2b_iv[3],
-          v12 = lanes + (blake2b_iv[4] ^ (mid->t + 24)),
-          v13 = lanes + blake2b_iv[5], v14 = lanes + ~blake2b_iv[6],
-          v15 = lanes + blake2b_iv[7];
-    BLAKE2B_SIGMA(BLAKE2B_ROUND)
-    const u64x2 word = (lanes + mid->h[0]) ^ v0 ^ v8;
-    out[0] = word[0];
-    out[1] = word[1];
-}
-#endif
-
-/* The spelling this host runs (PRF_PAIR), chosen once at module init:
- * the vector one where the CPU has AVX-512F+VL, else the scalar one —
- * two calls of blake2b_compress, as two single leaves were. */
-static PrfPair *prf_pair = prf_pair_scalar;
-static const char *prf_pair_name = "scalar";
-
-/* Both leaves of one remap, PRF_K(a || c) and PRF_K(a || c') mod 2^L,
- * through `pair`: two calls on the PRF's ledger (none, leaves 0, when
- * L <= 0). */
+/* The PMMAC message's header: c (12 bytes) || a (8), little-endian. */
 static void
-leaf_pair(PrfPair *pair, const Blake2b *mid, int levels, const Col *ledger,
-          unsigned long long addr, u128 count, u128 new_count,
-          long long *leaf, long long *new_leaf)
+mac_header(uint8_t header[20], u128 counter, unsigned long long tagged)
 {
-    *leaf = *new_leaf = 0;
-    if (levels <= 0)
-        return;
-    tally(ledger, PRF_CALLS, 2);
-    uint64_t words[2];
-    pair(mid, addr, count, new_count, words);
-    *leaf = (long long)(words[0] & ((1ULL << levels) - 1));
-    *new_leaf = (long long)(words[1] & ((1ULL << levels) - 1));
+    store64le(header, (uint64_t)counter);
+    for (int i = 0; i < 4; i++)
+        header[8 + i] = (uint8_t)(counter >> (64 + 8 * i));
+    store64le(header + 12, tagged);
+}
+
+/* Whether mac.tag(c || a || d) can be a lane: PMMAC is on, the message
+ * fits one block (fk->mac_lane) and c is below 2^96 — a wider one is
+ * left to fk_mac, which raises where the reference raises. */
+static inline int
+mac_fits_lane(const FrontendKernel *fk, u128 counter)
+{
+    return fk->mac_lane && (counter >> 96) == 0;
+}
+
+/* A MAC lane: mac.tag(c || a || d), d being one block. */
+static void
+lane_mac(Lane *lane, const FrontendKernel *fk, u128 counter,
+         unsigned long long tagged, const uint8_t *data)
+{
+    uint8_t message[128];
+    mac_header(message, counter, tagged);
+    memcpy(message + 20, data, (size_t)fk->block_bytes);
+    lane_message(lane, message, 20 + (size_t)fk->block_bytes);
+    lane->mid = &fk->mac_state;
 }
 
 /* prf.leaf_for(address, count, levels). */
@@ -2695,99 +2876,96 @@ fk_leaf_for(FrontendKernel *fk, unsigned long long addr, u128 count)
     if (fk->tree_levels <= 0)
         return 0;
     tally(&fk->prf_ledger, PRF_CALLS, 1);
-    return (long long)(prf_word(&fk->prf_state, addr, count) &
-                       ((1ULL << fk->tree_levels) - 1));
+    Lane lane;
+    lane_prf(&lane, &fk->prf_state, addr, count);
+    blake2b_lanes(&lane, 1);
+    return (long long)(lane.h[0] & ((1ULL << fk->tree_levels) - 1));
 }
 
-/* A remap's leaf_for(address, count) and leaf_for(address, new_count). */
-static void
-fk_leaf_pair(FrontendKernel *fk, unsigned long long addr, u128 count,
-             u128 new_count, long long *leaf, long long *new_leaf)
-{
-    leaf_pair(prf_pair, &fk->prf_state, fk->tree_levels, &fk->prf_ledger,
-              addr, count, new_count, leaf, new_leaf);
-}
-
-/* O& converter: an int in 0..2^96-1 (a counter) as a u128. */
+/* The lanes of a remap's leaf pair, PRF_K(a || c) and PRF_K(a || c'),
+ * from lane[0] on — and, on the data level of a WRITE whose payload can
+ * be sealed in a lane, that WRITE's seal MAC(c' || a || d'), which is
+ * ready as soon as c' is.  Returns how many lanes it filled. */
 static int
-as_counter(PyObject *obj, void *out)
+remap_lanes(Request *rq, int level, unsigned long long child, u128 count,
+            u128 new_count, Lane *lane)
 {
-    PyObject *image = PyObject_CallMethod(obj, "to_bytes", "is", 12, "little");
-    if (image == NULL)
-        return 0;
-    const uint8_t *p = (const uint8_t *)PyBytes_AS_STRING(image);
-    *(u128 *)out = (u128)load64le(p) | (u128)(p[8] | p[9] << 8 | p[10] << 16 |
-                                              (uint32_t)p[11] << 24) << 64;
-    Py_DECREF(image);
-    return 1;
+    FrontendKernel *fk = rq->fk;
+    lane_prf(&lane[0], &fk->prf_state, child, count);
+    lane_prf(&lane[1], &fk->prf_state, child, new_count);
+    if (level > 0 || rq->payload == NULL || !mac_fits_lane(fk, new_count))
+        return 2;
+    lane_mac(&lane[2], fk, new_count, child, rq->payload);
+    return 3;
 }
 
-/* _prf_pair(spelling, key, ledger, address, count, new_count, levels,
- * repeat=1) -> (leaf, new_leaf): tests and micro benchmarks only.  A
- * remap's leaf pair as the frontend kernel derives it, `repeat` times,
- * on the named spelling ("scalar", or this host's PRF_PAIR), keyed with
- * `key` and counted in `ledger` (a Prf's). */
-static PyObject *
-prf_pair_entry(PyObject *self, PyObject *args)
+/* Hold what remap_lanes' lanes computed for the steps that count it. */
+static void
+keep_remap_lanes(Request *rq, unsigned long long child, u128 count,
+                 u128 new_count, const Lane *lane, int n)
 {
-    const char *spelling;
-    Py_buffer key;
-    PyObject *ledger, *result = NULL;
-    unsigned long long addr;
-    u128 count, new_count;
-    int levels;
-    Py_ssize_t repeat = 1;
-    if (!PyArg_ParseTuple(args, "sy*OKO&O&i|n:_prf_pair", &spelling, &key,
-                          &ledger, &addr, as_counter, &count, as_counter,
-                          &new_count, &levels, &repeat))
-        return NULL;
-    PrfPair *pair = !strcmp(spelling, "scalar")        ? prf_pair_scalar
-                    : !strcmp(spelling, prf_pair_name) ? prf_pair
-                                                       : NULL;
-    Col col = {.acquired = 0};
-    if (pair == NULL)
-        PyErr_Format(PyExc_ValueError, "no PRF pair spelling %s here: this "
-                     "CPU runs %s", spelling, prf_pair_name);
-    else if (key.len > 64 || levels < 0 || levels > 60 || repeat < 1)
-        PyErr_SetString(PyExc_ValueError, "_prf_pair: a key of at most 64 "
-                        "bytes, levels 0..60, repeat 1 or more");
-    else if (col_acquire_fixed(ledger, &col, "the PRF's ledger", &COL_I64,
-                               N_PRF_SLOTS, 0) == 0) {
-        Blake2b mid;
-        blake2b_init(&mid, 16, key.buf, (size_t)key.len);
-        blake2b_absorb_key(&mid);
-        long long leaf = 0, new_leaf = 0;
-        for (Py_ssize_t i = 0; i < repeat; i++)
-            leaf_pair(pair, &mid, levels, &col, addr, count, new_count, &leaf,
-                      &new_leaf);
-        result = Py_BuildValue("LL", leaf, new_leaf);
+    rq->pair = (AheadPair){1, child, count, new_count,
+                           {lane[0].h[0], lane[1].h[0]}};
+    if (n > 2) {
+        rq->seal.ready = 1;
+        rq->seal.tagged = child;
+        rq->seal.counter = new_count;
+        lane_digest(&lane[2], rq->seal.tag);
     }
-    col_release(&col);
-    PyBuffer_Release(&key);
-    return result;
 }
 
-/* mac.tag(c || a || d) into `out` (tag_bytes of it are the tag). */
+/* A remap's leaf_for(child, c) and leaf_for(child, c') into m: two calls
+ * on the PRF's ledger (none, leaves 0, when L <= 0).  The words come
+ * from lanes run ahead for exactly these counts, else from a call of
+ * their own, which also seals a WRITE's payload when it can. */
+static void
+fk_leaf_pair(Request *rq, int level, unsigned long long child, Mapping *m)
+{
+    FrontendKernel *fk = rq->fk;
+    AheadPair *pair = &rq->pair;
+    m->leaf = m->new_leaf = 0;
+    if (fk->tree_levels <= 0) {
+        pair->ready = 0;
+        return;
+    }
+    tally(&fk->prf_ledger, PRF_CALLS, 2);
+    if (!pair->ready || pair->tagged != child ||
+        pair->count != m->old_counter || pair->new_count != m->new_counter) {
+        Lane lane[3];
+        const int n = remap_lanes(rq, level, child, m->old_counter,
+                                  m->new_counter, lane);
+        blake2b_lanes(lane, n);
+        keep_remap_lanes(rq, child, m->old_counter, m->new_counter, lane, n);
+    }
+    pair->ready = 0;
+    const uint64_t mask = (1ULL << fk->tree_levels) - 1;
+    m->leaf = (long long)(pair->words[0] & mask);
+    m->new_leaf = (long long)(pair->words[1] & mask);
+}
+
+/* mac.tag(c || a || d) into `out` (tag_bytes of it are the tag), counted
+ * on the MAC's ledger: `ahead` when a lane has computed it already, else
+ * a call of its own (one or two compressions). */
 static int
 fk_mac(FrontendKernel *fk, u128 counter, unsigned long long tagged,
-       const uint8_t *data, uint8_t out[64])
+       const uint8_t *data, const uint8_t *ahead, uint8_t out[64])
 {
-    if (counter >> 96) {
-        PyErr_SetString(PyExc_OverflowError, "int too big to convert");
-        return -1;
+    if (ahead != NULL)
+        memcpy(out, ahead, (size_t)fk->tag_bytes);
+    else {
+        if (counter >> 96) {
+            PyErr_SetString(PyExc_OverflowError, "int too big to convert");
+            return -1;
+        }
+        uint8_t header[20];
+        mac_header(header, counter, tagged);
+        Blake2b state = fk->mac_state;
+        blake2b_update(&state, header, sizeof(header));
+        blake2b_update(&state, data, (size_t)fk->block_bytes);
+        blake2b_final(&state, out);
     }
-    uint8_t header[20];
-    store64le(header, (uint64_t)counter);
-    for (int i = 0; i < 4; i++)
-        header[8 + i] = (uint8_t)(counter >> (64 + 8 * i));
-    store64le(header + 12, tagged);
-    Blake2b state = fk->mac_state;
-    blake2b_update(&state, header, sizeof(header));
-    blake2b_update(&state, data, (size_t)fk->block_bytes);
-    blake2b_final(&state, out);
     tally(&fk->mac_ledger, MAC_CALLS, 1);
-    tally(&fk->mac_ledger, MAC_BYTES,
-          (long long)sizeof(header) + fk->block_bytes);
+    tally(&fk->mac_ledger, MAC_BYTES, 20 + (long long)fk->block_bytes);
     return 0;
 }
 
@@ -2795,12 +2973,12 @@ fk_mac(FrontendKernel *fk, u128 counter, unsigned long long tagged,
  * reference; None without PMMAC). */
 static PyObject *
 fk_seal(FrontendKernel *fk, unsigned long long tagged, u128 counter,
-        const uint8_t *data)
+        const uint8_t *data, const uint8_t *ahead)
 {
     if (!fk->pmmac)
         return Py_NewRef(Py_None);
     uint8_t tag[64];
-    if (fk_mac(fk, counter, tagged, data, tag) < 0)
+    if (fk_mac(fk, counter, tagged, data, ahead, tag) < 0)
         return NULL;
     return PyBytes_FromStringAndSize((const char *)tag, fk->tag_bytes);
 }
@@ -2809,7 +2987,7 @@ fk_seal(FrontendKernel *fk, unsigned long long tagged, u128 counter,
  * interest; a block without a MAC is legitimate only at count zero. */
 static int
 fk_verify(FrontendKernel *fk, PyObject *mac, unsigned long long tagged,
-          u128 counter, const uint8_t *data)
+          u128 counter, const uint8_t *data, const uint8_t *ahead)
 {
     if (!fk->pmmac)
         return 0;
@@ -2828,7 +3006,7 @@ fk_verify(FrontendKernel *fk, PyObject *mac, unsigned long long tagged,
     }
     tally(&fk->stats, C_MAC_CHECKS, 1);
     uint8_t tag[64];
-    if (fk_mac(fk, counter, tagged, data, tag) < 0)
+    if (fk_mac(fk, counter, tagged, data, ahead, tag) < 0)
         return -1;
     int equal;
     if (PyBytes_CheckExact(mac))
@@ -2950,7 +3128,7 @@ request_fetch(Request *rq, unsigned long long tagged, long long leaf,
     rq->posmap_accesses++;
     tally(&fk->stats, C_POSMAP_TREE, 1);
     tally(&fk->stats, also, 1);
-    int rc = fk_verify(fk, fetch.mac, tagged, counter, fk->work);
+    int rc = fk_verify(fk, fetch.mac, tagged, counter, fk->work, NULL);
     Py_DECREF(fetch.mac);
     return rc;
 }
@@ -2958,7 +3136,7 @@ request_fetch(Request *rq, unsigned long long tagged, long long leaf,
 /* The data block's update closure: verify, overwrite on a WRITE, seal. */
 typedef struct {
     Visit base;
-    FrontendKernel *fk;
+    Request *rq;
     unsigned long long addr;
     u128 old_counter, new_counter;
     PyObject *write_data; /* borrowed; NULL on a READ */
@@ -2970,7 +3148,8 @@ static int
 data_visit(Visit *base, AccessKernel *tree, long long slot)
 {
     DataVisit *visit = (DataVisit *)base;
-    FrontendKernel *fk = visit->fk;
+    Request *rq = visit->rq;
+    FrontendKernel *fk = rq->fk;
     const size_t block_bytes = (size_t)tree->block_bytes;
     char *bytes;
     if (kernel_payload(tree, slot, &bytes) < 0)
@@ -2978,7 +3157,23 @@ data_visit(Visit *base, AccessKernel *tree, long long slot)
     memcpy(fk->work, bytes, block_bytes);
 
     PyObject *mac = Py_NewRef(PyList_GET_ITEM(tree->mac_col, (Py_ssize_t)slot));
-    int rc = fk_verify(fk, mac, visit->addr, visit->old_counter, fk->work);
+    /* A READ seals the d it verifies: both tags are one call. */
+    uint8_t tags[2][64];
+    const uint8_t *verified = NULL, *sealed_ahead = NULL;
+    if (visit->write_data == NULL && mac != Py_None &&
+        mac_fits_lane(fk, visit->old_counter) &&
+        mac_fits_lane(fk, visit->new_counter)) {
+        Lane lane[2];
+        lane_mac(&lane[0], fk, visit->old_counter, visit->addr, fk->work);
+        lane_mac(&lane[1], fk, visit->new_counter, visit->addr, fk->work);
+        blake2b_lanes(lane, 2);
+        lane_digest(&lane[0], tags[0]);
+        lane_digest(&lane[1], tags[1]);
+        verified = tags[0];
+        sealed_ahead = tags[1];
+    }
+    int rc = fk_verify(fk, mac, visit->addr, visit->old_counter, fk->work,
+                       verified);
     Py_DECREF(mac);
     if (rc < 0)
         return -1;
@@ -2998,10 +3193,14 @@ data_visit(Visit *base, AccessKernel *tree, long long slot)
         }
         memcpy(fk->work, src.buf, block_bytes);
         PyBuffer_Release(&src);
+        /* The remap sealed these bytes already when its lanes could. */
+        if (rq->seal.ready && rq->seal.tagged == visit->addr &&
+            rq->seal.counter == visit->new_counter)
+            sealed_ahead = rq->seal.tag;
     }
     if (fk->pmmac || visit->write_data != NULL) {
-        PyObject *sealed =
-            fk_seal(fk, visit->addr, visit->new_counter, fk->work);
+        PyObject *sealed = fk_seal(fk, visit->addr, visit->new_counter,
+                                   fk->work, sealed_ahead);
         if (sealed == NULL)
             return -1;
         rc = kernel_set_mac(tree, slot, sealed);
@@ -3139,15 +3338,44 @@ fk_plb_insert(FrontendKernel *fk, unsigned long long tagged, long long leaf,
     return evicting;
 }
 
+enum { ENTRY_STEP, ENTRY_ROLLOVER, ENTRY_FULL };
+static int entry_counters(const FrontendKernel *fk, const uint8_t *block,
+                          long long slot, u128 *count, u128 *new_count);
+
 /* PlbFrontend._evict_plb_entry: the victim (its payload in fk->work)
- * re-enters the stash with a fresh MAC over its current counter. */
+ * re-enters the stash with a fresh MAC over its current counter.  The
+ * block just installed in way `parent` holds the counters of the next
+ * level's entry, so that remap's leaf pair (and, on the data level, a
+ * WRITE's seal) rides in the seal's call. */
 static int
-fk_evict(Request *rq, const Victim *victim)
+fk_evict(Request *rq, int level, long long parent, const Victim *victim)
 {
     FrontendKernel *fk = rq->fk;
     tally(&fk->stats, C_PLB_EVICTIONS, 1);
+    uint8_t tag[64];
+    const uint8_t *ahead = NULL;
+    if (mac_fits_lane(fk, victim->counter)) {
+        Lane lane[MAX_LANES];
+        lane_mac(&lane[0], fk, victim->counter, victim->tagged, fk->work);
+        int n = 1;
+        const int child = level - 1;
+        const long long slot =
+            (long long)(rq->chain[child] % (unsigned long long)fk->fanout);
+        u128 count, new_count;
+        if (fk->tree_levels > 0 && fk->format != FORMAT_UNCOMPRESSED &&
+            entry_counters(fk, plb_payload(fk, parent), slot, &count,
+                           &new_count) != ENTRY_FULL)
+            n += remap_lanes(rq, child, rq->tags[child], count, new_count,
+                             &lane[1]);
+        blake2b_lanes(lane, n);
+        if (n > 1)
+            keep_remap_lanes(rq, rq->tags[child], count, new_count, &lane[1],
+                             n - 1);
+        lane_digest(&lane[0], tag);
+        ahead = tag;
+    }
     PyObject *sealed = fk_seal(fk, (unsigned long long)victim->tagged,
-                               victim->counter, fk->work);
+                               victim->counter, fk->work, ahead);
     if (sealed == NULL)
         return -1;
     int rc = request_append(rq, victim->tagged, victim->leaf, sealed, fk->work);
@@ -3171,7 +3399,7 @@ fk_refill(Request *rq, int level, const Mapping *m, long long *way)
                                        m->new_counter, way, &victim);
     if (evicting <= 0)
         return evicting;
-    return fk_evict(rq, &victim);
+    return fk_evict(rq, level, *way, &victim);
 }
 
 /* -- PosMap formats ------------------------------------------------------------ */
@@ -3227,6 +3455,36 @@ set_label(uint8_t *entry, int width, uint64_t label)
         entry[i] = (uint8_t)label;
 }
 
+/* The counters entry `slot` of a PosMap block (flat or compressed)
+ * moves from and to on a remap, read without writing the block:
+ * ENTRY_STEP when the count just steps, ENTRY_ROLLOVER when a
+ * compressed IC rolls its group over, ENTRY_FULL when the entry can move
+ * no further (a flat count at 2^64 - 1, a GC with no room left). */
+static int
+entry_counters(const FrontendKernel *fk, const uint8_t *block, long long slot,
+               u128 *count, u128 *new_count)
+{
+    if (fk->format == FORMAT_FLAT) {
+        const uint64_t flat = load64le(block + 8 * slot);
+        *count = flat;
+        *new_count = (u128)flat + 1;
+        return flat == UINT64_MAX ? ENTRY_FULL : ENTRY_STEP;
+    }
+    const int alpha = fk->alpha, beta = fk->beta;
+    const uint64_t gc = get_bits(block, 0, alpha);
+    const uint64_t ic = get_bits(block, alpha + slot * beta, beta);
+    *count = ((u128)gc << beta) | ic;
+    if (ic < (1ULL << beta) - 1) {
+        /* An IC increment cannot carry out of its field. */
+        *new_count = *count + 1;
+        return ENTRY_STEP;
+    }
+    *new_count = (u128)(gc + 1) << beta;
+    return (alpha == 64 ? gc == UINT64_MAX : gc + 1 >= (1ULL << alpha))
+               ? ENTRY_FULL
+               : ENTRY_ROLLOVER;
+}
+
 static int fk_group_remap(Request *rq, int level, unsigned long long index,
                           long long slot, u128 new_counter);
 
@@ -3253,52 +3511,36 @@ fk_remap_in_block(Request *rq, long long parent, int level, Mapping *m)
         set_label(block + slot * width, width, (uint64_t)m->new_leaf);
     }
     else {
-        if (fk->format == FORMAT_FLAT) {
-            uint64_t count = load64le(block + 8 * slot);
-            if (count == UINT64_MAX) {
+        const int step = entry_counters(fk, block, slot, &m->old_counter,
+                                        &m->new_counter);
+        const int alpha = fk->alpha, beta = fk->beta;
+        if (step == ENTRY_FULL) {
+            if (fk->format == FORMAT_FLAT)
                 PyErr_SetString(PyExc_OverflowError, "int too big to convert");
-                return -1;
-            }
-            store64le(block + 8 * slot, count + 1);
-            m->old_counter = count;
-            m->new_counter = (u128)count + 1;
+            else
+                PyErr_SetString(fk->config_error,
+                                "group counter overflow (alpha too small)");
+            return -1;
         }
+        if (fk->format == FORMAT_FLAT)
+            store64le(block + 8 * slot, (uint64_t)m->new_counter);
+        else if (step == ENTRY_STEP)
+            set_bits(block, alpha + slot * beta, beta,
+                     (uint64_t)m->new_counter & ((1ULL << beta) - 1));
         else {
-            const int alpha = fk->alpha, beta = fk->beta;
-            const uint64_t ic_mask = (1ULL << beta) - 1;
-            const uint64_t gc = get_bits(block, 0, alpha);
-            const long long field = alpha + slot * beta;
-            const uint64_t ic = get_bits(block, field, beta);
-            m->old_counter = ((u128)gc << beta) | ic;
-            if (ic < ic_mask) {
-                /* An IC increment cannot carry out of its field. */
-                set_bits(block, field, beta, ic + 1);
-                m->new_counter = m->old_counter + 1;
-            }
-            else {
-                /* Group remap: GC += 1, every IC (this one too) resets. */
-                if (alpha == 64 ? gc == UINT64_MAX
-                                : gc + 1 >= (1ULL << alpha)) {
-                    PyErr_SetString(fk->config_error,
-                                    "group counter overflow (alpha too "
-                                    "small)");
-                    return -1;
-                }
-                for (long long s = 0; s < fk->fanout; s++)
-                    fk->group_old[s] =
-                        ((u128)gc << beta) |
-                        get_bits(block, alpha + s * beta, beta);
-                memset(block, 0, (size_t)fk->block_bytes);
-                uint64_t image = gc + 1;
-                for (Py_ssize_t i = 0; i < 8 && i < fk->block_bytes;
-                     i++, image >>= 8)
-                    block[i] = (uint8_t)image;
-                m->new_counter = (u128)(gc + 1) << beta;
-                rollover = 1;
-            }
+            /* Group remap: GC += 1, every IC (this one too) resets. */
+            const u128 group = m->old_counter >> beta << beta;
+            for (long long s = 0; s < fk->fanout; s++)
+                fk->group_old[s] =
+                    group | get_bits(block, alpha + s * beta, beta);
+            memset(block, 0, (size_t)fk->block_bytes);
+            uint64_t image = (uint64_t)(m->new_counter >> beta);
+            for (Py_ssize_t i = 0; i < 8 && i < fk->block_bytes;
+                 i++, image >>= 8)
+                block[i] = (uint8_t)image;
+            rollover = 1;
         }
-        fk_leaf_pair(fk, child, m->old_counter, m->new_counter, &m->leaf,
-                     &m->new_leaf);
+        fk_leaf_pair(rq, level, child, m);
     }
     if (rollover &&
         fk_group_remap(rq, level, index, slot, m->new_counter) < 0)
@@ -3339,7 +3581,7 @@ fk_relocate(Request *rq, unsigned long long tagged, u128 old_counter,
                       new_leaf, old_counter,
                       C_GROUP_RELOCATIONS) < 0)
         return -1;
-    PyObject *sealed = fk_seal(fk, tagged, new_counter, fk->work);
+    PyObject *sealed = fk_seal(fk, tagged, new_counter, fk->work, NULL);
     if (sealed == NULL)
         return -1;
     int rc = request_append(rq, (long long)tagged, new_leaf, sealed, fk->work);
@@ -3449,8 +3691,7 @@ fk_remap_onchip(Request *rq, int level, Mapping *m)
     m->new_counter = (u128)count + 1;
     chip.table[index] = count + 1;
     *byte |= (uint8_t)(1u << (index & 7));
-    fk_leaf_pair(fk, rq->tags[level], m->old_counter, m->new_counter,
-                 &m->leaf, &m->new_leaf);
+    fk_leaf_pair(rq, level, rq->tags[level], m);
     return 0;
 }
 
@@ -3534,6 +3775,9 @@ fk_run(Request *rq, PyObject *addr_obj, long long addr, PyObject *op,
     if (write < 0)
         return -1;
     tally(&fk->stats, C_ACCESSES, 1);
+    /* Bytes cannot change under the request: its seal can be a lane. */
+    if (write && fk->mac_lane && PyBytes_CheckExact(data))
+        rq->payload = (const uint8_t *)PyBytes_AS_STRING(data);
 
     /* Every level's i || a_i tag. */
     if (request_chain(addr_obj, addr, fk->num_blocks, fk->fanout, levels,
@@ -3576,7 +3820,7 @@ fk_run(Request *rq, PyObject *addr_obj, long long addr, PyObject *op,
     if (fk_remap_child(rq, parent, 0, &m) < 0)
         return -1;
     if (fk->pmmac || write || data_out != NULL) {
-        DataVisit visit = {{data_visit}, fk, rq->tags[0], m.old_counter,
+        DataVisit visit = {{data_visit}, rq, rq->tags[0], m.old_counter,
                            m.new_counter, write ? data : NULL,
                            data_out != NULL && !write, NULL};
         if (tree_access(rq->tree, 0, (long long)rq->tags[0], m.leaf,
@@ -3667,6 +3911,8 @@ fk_request(PyObject *handle, PyObject *addr_obj, long long addr, PyObject *op,
     rq.fk = fk;
     rq.tree = (AccessKernel *)fk->backend_kernel;
     rq.posmap_accesses = 0;
+    rq.payload = NULL;
+    rq.pair.ready = rq.seal.ready = 0;
     int rc = fk_run(&rq, addr_obj, addr, op, data, data_out, hit_level_out);
     if (rc < 0 && data_out != NULL)
         Py_CLEAR(*data_out);
@@ -5270,10 +5516,10 @@ static PyMethodDef replay_core_methods[] = {
     {"blake2b", blake2b_digest, METH_VARARGS,
      "blake2b(key, message, digest_size) -> bytes: the vendored RFC 7693 "
      "hash behind the frontend kernel's PRF and MAC."},
-    {"_prf_pair", prf_pair_entry, METH_VARARGS,
-     "_prf_pair(spelling, key, ledger, address, count, new_count, levels, "
-     "repeat=1) -> (leaf, new_leaf): a remap's leaf pair on the named "
-     "spelling (tests and micro benchmarks only)."},
+    {"_lanes", lanes_entry, METH_VARARGS,
+     "_lanes(spelling, lanes, repeat=1) -> [digest, ...]: 1..4 "
+     "(key, digest_size, message) lanes in one call of the named "
+     "blake2b_lanes spelling (tests and micro benchmarks only)."},
     {"synthesize_trace", synthesize_trace, METH_VARARGS,
      "One whole SpecStandIn.refs -> CacheHierarchy.run: pattern mixture, "
      "MT19937 draws and the L1+L2 LRU hierarchy; returns the miss "
@@ -5330,10 +5576,10 @@ PyInit__replay_core(void)
     PyObject *module = PyModule_Create(&replay_core_module);
     if (module == NULL)
         return NULL;
-#ifdef PRF_PAIR_VECTOR
+#ifdef LANES_VECTOR
     if (__builtin_cpu_supports("avx512f") &&
         __builtin_cpu_supports("avx512vl"))
-        prf_pair = prf_pair_avx512vl, prf_pair_name = "avx512vl";
+        blake2b_lanes = blake2b_lanes_avx512vl, lanes_name = "avx512vl";
 #endif
     /* What this build was compiled from (setup.py's SHA-256 of the
      * sources); native_core refuses a module whose sources have moved. */
@@ -5341,7 +5587,7 @@ PyInit__replay_core(void)
                                    ALL_LEDGERS(LEDGER_LINE)) < 0 ||
         PyModule_AddStringConstant(module, "SOURCE_DIGEST",
                                    REPRO_SOURCE_DIGEST) < 0 ||
-        PyModule_AddStringConstant(module, "PRF_PAIR", prf_pair_name) < 0 ||
+        PyModule_AddStringConstant(module, "LANES", lanes_name) < 0 ||
         PyModule_AddIntConstant(module, "MAX_REFS_PER_MISS",
                                 MAX_REFS_PER_MISS) < 0 ||
         PyModule_AddObjectRef(module, "AccessKernel",

@@ -115,6 +115,16 @@ class Cell:
     bench: str
     spec: Optional[SchemeSpec]
 
+    def task(self, misses: int) -> Dict[str, object]:
+        """The fabric lease task that computes this cell at ``misses``."""
+        return {
+            "id": self.key,
+            "label": self.label,
+            "bench": self.bench,
+            "spec": self.spec.to_dict() if self.spec is not None else None,
+            "misses": misses,
+        }
+
 
 def stable_trace_salt(bench_name: str) -> int:
     """Process-independent RNG fork salt for a benchmark name.
@@ -558,20 +568,20 @@ class SimulationRunner:
             if result is not None:  # else quarantined
                 done(cell, result, False)
         if forked:
-            from repro.fabric import FabricCoordinator, FabricExecutor
+            from repro.fabric import FabricCoordinator
 
+            # Already looked up and their traces made: the forks only replay.
             cell_of = {(cell.label, cell.bench): cell for cell in forked}
             with FabricCoordinator(
                 self, spawn=min(workers, len(forked))
             ) as coordinator:
-                FabricExecutor(coordinator).execute(
-                    self,
-                    forked,
+                coordinator.execute(
+                    [cell.task(self.misses) for cell in forked],
+                    retry=retry,
+                    failures=failures,
                     progress=lambda label, bench, result, cached: done(
                         cell_of[label, bench], result, cached
                     ),
-                    retry=retry,
-                    failures=failures,
                 )
                 self.fabric_stats = coordinator.stats()
         return out

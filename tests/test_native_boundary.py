@@ -1396,6 +1396,38 @@ class TestKernelAccessBoundary:
             assert storage._free[:2] == header
         backend.access(Op.READ, 60, 0, 1)
 
+    @pytest.mark.parametrize("op", [Op.READ, Op.WRITE, Op.READRMV, Op.APPEND])
+    def test_a_strided_chunk_is_refused_by_its_contiguity_flag(self, op):
+        """The payload touch reads the memoryview's own C-contiguity flag
+        (what ``memoryview.c_contiguous`` reports), so a strided chunk
+        of the right length is refused with the export's BufferError on
+        every operation, and nothing moves."""
+        backend, posmap = warmed_backend()
+        storage = backend.storage
+        strided = memoryview(bytearray(2 * len(storage._chunks[0])))[::2]
+        assert len(strided) == len(storage._chunks[0])
+        assert not strided.c_contiguous and not strided.readonly
+        addr, leaf = next(iter(posmap.items()))
+        access = {
+            Op.READ: (Op.READ, addr, leaf, 2),
+            Op.READRMV: (Op.READRMV, addr, leaf, 2),
+            Op.WRITE: (Op.WRITE, 50, 0, 2),
+            Op.APPEND: (
+                Op.APPEND, 55, 0, 0, None, Block(55, 1, bytes(8), None)
+            ),
+        }[op]
+        before = image(backend)
+        saved = storage._chunks[0]
+        storage._chunks[0] = strided
+        with pytest.raises(
+            BufferError,
+            match="^memoryview: underlying buffer is not C-contiguous$",
+        ):
+            backend.access(*access)
+        storage._chunks[0] = saved
+        assert image(backend) == before
+        backend.access(Op.READ, 60, 0, 1)
+
     def test_free_stack_with_no_room_for_a_readrmv(self):
         """READRMV pushes its slot once the eviction is done, so the room
         is checked while the access can still be refused."""

@@ -20,9 +20,9 @@ under it) must agree on
 
 Further layers: the vendored BLAKE2b against ``hashlib`` (Hypothesis
 keys, messages and digest sizes, the RFC vector, block-boundary
-lengths); a remap's leaf pair on each spelling the CPU has (scalar
-everywhere, the two-lane AVX-512VL compression where it exists) against
-``hashlib``, two calls on the ledger per pair; the kernel's PRF as the
+lengths); 1..4 lanes of ``blake2b_lanes`` on each spelling the CPU has
+(scalar everywhere, the four-lane AVX-512VL compression where it
+exists), PRF and MAC lanes mixed, each against ``hashlib``; the kernel's PRF as the
 stateless formula (every resident PLB leaf is one keyed BLAKE2b of its
 tag and counter, and ``call_count`` moves as the reference's); error
 parity (bad op, wrong-length WRITE,
@@ -383,12 +383,24 @@ class TestKernelPrfIsStateless:
         assert_plb_leaves_follow_the_formula(nat)
 
 
-class TestLeafPairSpellings:
-    """A remap derives its old and new leaf in one pass of the core's
-    leaf pair: a two-lane BLAKE2b compression where the CPU has
-    AVX-512F+VL, two scalar compressions elsewhere (``PRF_PAIR`` names
-    the one this host runs).  ``_prf_pair`` runs a named spelling on its
-    own; each must be the formula, leaf for leaf, and count two calls."""
+def prf_lane(key, address, count):
+    """A PRF leaf's lane: addr (8) || count (12) || subblock (4, zero)."""
+    message = address.to_bytes(8, "little") + count.to_bytes(12, "little")
+    return (key, 16, message + bytes(4))
+
+
+def leaf_of(digest, levels):
+    return int.from_bytes(digest, "little") & ((1 << levels) - 1)
+
+
+class TestLaneSpellings:
+    """Every BLAKE2b compression a request has ready at one moment — a
+    remap's two leaves, a seal, a READ's verify — is one lane of one
+    ``blake2b_lanes`` call: four AVX-512VL lanes where the CPU has
+    AVX-512F+VL, one scalar compression per lane elsewhere (``LANES``
+    names the one this host runs).  ``_lanes`` runs a named spelling on
+    1..4 lanes, each with its own key, digest size and message; every
+    lane must be ``hashlib.blake2b`` of its own inputs."""
 
     hypothesis = pytest.importorskip("hypothesis")
 
@@ -397,22 +409,60 @@ class TestLeafPairSpellings:
 
     SPELLINGS = ("scalar", "avx512vl")
     COUNT = st.integers(0, 2**96 - 1)
+    #: A lane as the kernel makes them: a PRF leaf, or a MAC over one
+    #: block (c || a || d of 20 + block bytes), or anything that fits.
+    LANE = st.one_of(
+        st.builds(
+            prf_lane, st.binary(max_size=64), st.integers(0, 2**64 - 1),
+            COUNT,
+        ),
+        st.tuples(
+            st.binary(max_size=64), st.integers(1, 64),
+            st.binary(min_size=1, max_size=128),
+        ),
+    )
 
     @staticmethod
     def spelling_or_skip(spelling):
-        if spelling != "scalar" and CORE.PRF_PAIR != spelling:
+        if spelling != "scalar" and CORE.LANES != spelling:
             pytest.skip(f"this CPU lacks {spelling} (avx512f + avx512vl)")
 
-    def check(self, spelling, key, address, count, new_count, levels):
-        prf = Prf(key)
-        got = CORE._prf_pair(
-            spelling, key, prf.ledger, address, count, new_count, levels
-        )
-        assert got == (
-            reference_leaf_for(key, address, count, levels),
-            reference_leaf_for(key, address, new_count, levels),
-        )
-        assert prf.call_count == 2
+    @staticmethod
+    def expected(lanes):
+        return [
+            hashlib.blake2b(message, key=key, digest_size=size).digest()
+            for key, size, message in lanes
+        ]
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_lane_is_hashlib(self, spelling, width, data):
+        self.spelling_or_skip(spelling)
+        lanes = data.draw(self.st.lists(self.LANE, min_size=width,
+                                        max_size=width))
+        assert CORE._lanes(spelling, lanes) == self.expected(lanes)
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_prf_and_mac_lanes_mixed(self, spelling, width):
+        """The shapes a request puts side by side: a victim's or a READ's
+        seal (MAC, 14-byte tag over 84 bytes) beside a remap's leaf pair
+        (PRF, 16-byte digest over 24 bytes), under different keys."""
+        self.spelling_or_skip(spelling)
+        block = bytes(range(64))
+        mac = (b"m" * 16, 14, (5).to_bytes(12, "little")
+               + (7).to_bytes(8, "little") + block)
+        shapes = [
+            mac,
+            prf_lane(b"p" * 16, 7, 2**64 - 1),
+            prf_lane(b"p" * 16, 7, 2**64),
+            (b"", 64, b"\xff" * 128),
+        ]
+        for start in range(4):
+            lanes = (shapes[start:] + shapes[:start])[:width]
+            assert CORE._lanes(spelling, lanes) == self.expected(lanes)
 
     @pytest.mark.parametrize("spelling", SPELLINGS)
     @settings(max_examples=150, deadline=None)
@@ -426,75 +476,57 @@ class TestLeafPairSpellings:
         self, spelling, key, address, count, levels
     ):
         self.spelling_or_skip(spelling)
-        self.check(spelling, key, address, count, count + 1, levels)
-
-    @pytest.mark.parametrize("spelling", SPELLINGS)
-    @settings(max_examples=150, deadline=None)
-    @given(
-        key=st.binary(max_size=64),
-        address=st.integers(0, 2**64 - 1),
-        count=COUNT,
-        new_count=COUNT,
-        levels=st.integers(1, 60),
-    )
-    def test_any_pair_of_counts_is_the_formula(
-        self, spelling, key, address, count, new_count, levels
-    ):
-        self.spelling_or_skip(spelling)
-        self.check(spelling, key, address, count, new_count, levels)
-
-    @pytest.mark.parametrize("spelling", SPELLINGS)
-    def test_the_spellings_agree_and_count_every_repeat(self, spelling):
-        self.spelling_or_skip(spelling)
-        prf = Prf(b"k" * 16)
-        args = (b"k" * 16, prf.ledger, 2**64 - 1, 2**96 - 2, 2**96 - 1, 60)
-        assert CORE._prf_pair(spelling, *args, 5) == CORE._prf_pair(
-            "scalar", *args
+        old, new = CORE._lanes(
+            spelling,
+            [prf_lane(key, address, count), prf_lane(key, address, count + 1)],
         )
-        assert prf.call_count == 12
+        assert (leaf_of(old, levels), leaf_of(new, levels)) == (
+            reference_leaf_for(key, address, count, levels),
+            reference_leaf_for(key, address, count + 1, levels),
+        )
 
     @pytest.mark.parametrize("spelling", SPELLINGS)
-    def test_a_tree_of_no_levels_derives_and_counts_nothing(self, spelling):
+    def test_the_spellings_agree_on_every_repeat(self, spelling):
         self.spelling_or_skip(spelling)
-        prf = Prf(b"key")
-        assert CORE._prf_pair(spelling, b"key", prf.ledger, 3, 4, 5, 0) == (
-            0, 0
-        )
-        assert prf.call_count == 0
+        lanes = [
+            prf_lane(b"k" * 16, 2**64 - 1, 2**96 - 2),
+            prf_lane(b"k" * 16, 2**64 - 1, 2**96 - 1),
+            (b"m" * 16, 14, bytes(84)),
+        ]
+        assert CORE._lanes(spelling, lanes, 5) == CORE._lanes("scalar", lanes)
 
     def test_the_host_runs_a_named_spelling(self):
-        assert CORE.PRF_PAIR in self.SPELLINGS
+        assert CORE.LANES in self.SPELLINGS
 
     def test_a_spelling_the_cpu_lacks_raises(self):
-        prf = Prf(b"key")
-        lacking = {"avx512vl", "sse2", "avx2"} - {CORE.PRF_PAIR}
+        lacking = {"avx512vl", "sse2", "avx2"} - {CORE.LANES}
         for spelling in sorted(lacking):
-            with pytest.raises(ValueError, match="no PRF pair spelling"):
-                CORE._prf_pair(spelling, b"key", prf.ledger, 3, 4, 5, 20)
-        assert prf.call_count == 0
+            with pytest.raises(ValueError, match="no lanes spelling"):
+                CORE._lanes(spelling, [prf_lane(b"key", 3, 4)])
 
     @pytest.mark.parametrize(
-        "args",
+        "lanes",
         [
-            (b"k" * 65, 0, 0, 0, 20),
-            (b"k", 0, 0, 0, 61),
-            (b"k", 0, 0, 0, -1),
-            (b"k", 0, 2**96, 0, 20),
-            (b"k", 0, 0, -1, 20),
-            (b"k", 0, 0, 1, 20, 0),
+            [],
+            [(b"k", 16, b"m")] * 5,
+            [(b"k" * 65, 16, b"m")],
+            [(b"k", 0, b"m")],
+            [(b"k", 65, b"m")],
+            [(b"k", 16, b"")],
+            [(b"k", 16, bytes(129))],
+            [(b"k", 16)],
+            [("k", 16, b"m")],
         ],
+        ids=["none", "five", "long-key", "digest-0", "digest-65",
+             "empty-message", "two-blocks", "short-item", "str-key"],
     )
-    def test_rejects_out_of_range_arguments(self, args):
-        prf = Prf(b"k")
-        key, rest = args[0], args[1:]
-        with pytest.raises((ValueError, OverflowError)):
-            CORE._prf_pair("scalar", key, prf.ledger, *rest)
-        assert prf.call_count == 0
+    def test_rejects_lanes_out_of_range(self, lanes):
+        with pytest.raises((ValueError, TypeError)):
+            CORE._lanes("scalar", lanes)
 
-    def test_rejects_a_ledger_of_the_wrong_shape(self):
-        for ledger in (array("q", [0, 0]), array("i", [0]), bytes(8)):
-            with pytest.raises((TypeError, ValueError, BufferError)):
-                CORE._prf_pair("scalar", b"k", ledger, 0, 0, 1, 20)
+    def test_rejects_a_repeat_below_one(self):
+        with pytest.raises(ValueError, match="repeat 1 or more"):
+            CORE._lanes("scalar", [prf_lane(b"k", 0, 0)], 0)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,26 @@ class TestParallelSuite:
         parallel = runner.execute(runner.cells(SCHEMES, BENCHES), workers=2)
         assert parallel == serial
 
+    def test_each_cold_cell_is_looked_up_once(self, serial, monkeypatch, tmp_path):
+        # The fabric gets the cells execute() already looked up as its
+        # tasks: no second store lookup and no second trace request.
+        lookups = []
+        real = SimulationRunner._load_cached
+
+        def counting(runner, cell):
+            lookups.append(cell.key)
+            return real(runner, cell)
+
+        monkeypatch.setattr(SimulationRunner, "_load_cached", counting)
+        runner = SimulationRunner(
+            misses_per_benchmark=MISSES, cache_dir=None,
+            result_cache_dir=tmp_path,
+        )
+        cells = runner.cells(SCHEMES, BENCHES)
+        assert len(cells) == 4
+        assert runner.execute(cells, workers=2) == serial
+        assert sorted(lookups) == sorted(cell.key for cell in cells)
+
     def test_workers_env_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "4")
         assert Settings.from_env().workers == 4
