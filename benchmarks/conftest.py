@@ -7,6 +7,8 @@ closed-form experiment's rows are checked on every run; a simulated
 figure's only under ``REPRO_FULL=1``, where its ``run()`` gets no
 arguments (the rows ``REPRO_FULL=1 python -m repro all`` prints). Without
 it a figure runs 1 500 misses on three locality classes, shapes only.
+At the paper's budget every row must also equal its value in the
+committed ``src/repro/eval/scorecard.json`` to the printed precision.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import os
 
 import pytest
 
+from repro.eval import scorecard
 from repro.eval.paper_values import report
 from repro.settings import Settings
 
@@ -54,10 +57,17 @@ def figure_args():
 
 @pytest.fixture
 def check(figure_args):
-    """``check(experiment, ours)``: print the rows, fail on a failing one."""
+    """``check(experiment, ours)``: print the rows, fail on a failing one
+    and, at the paper's budget, on one that moved off the scorecard."""
     def check(experiment, ours):
         failed = report(experiment, ours, figure_args.get("misses"))
         assert not failed, f"{experiment} rows off the paper: {failed}"
+        if Settings.from_env().full:
+            moved = scorecard.moved(experiment, ours)
+            assert not moved, (
+                f"{experiment} rows differ from scorecard.json: {moved}; "
+                "regenerate it with python -m repro.eval.scorecard"
+            )
     return check
 
 

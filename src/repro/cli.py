@@ -31,7 +31,7 @@ from importlib import import_module
 from typing import Callable, Dict, List, Tuple
 
 from repro.errors import ConfigurationError, ReproError, SweepInterrupted
-from repro.eval import SAVED_SWEEPS
+from repro.eval import ORDER as _ORDER, SAVED_SWEEPS
 from repro.eval.saved import figure_runner
 from repro.faults import install_from
 from repro.serve import POLICIES
@@ -41,10 +41,6 @@ from repro.sim.replay import resolve_tier
 
 #: The experiments, one ``repro.eval`` module each, in the order ``all``
 #: runs them: the cheap, purely analytic ones first.
-_ORDER = (
-    "fig3", "table2", "table3", "compression", "hashbw",
-    "fig6", "fig5", "fig7", "fig8", "fig9", "ablation-plb",
-)
 EXPERIMENTS: Dict[str, Callable[[], None]] = {
     name: import_module(f"repro.eval.{name.replace('-', '_')}").main
     for name in _ORDER

@@ -36,6 +36,12 @@ second input, ``fig9.phantom_replays(runner, benchmarks)``.
 
 from repro.eval import ablation_plb, fig5, fig6, fig7, fig8, fig9
 
+#: Every experiment, in the order ``python -m repro all`` runs them.
+ORDER = (
+    "fig3", "table2", "table3", "compression", "hashbw",
+    "fig6", "fig5", "fig7", "fig8", "fig9", "ablation-plb",
+)
+
 #: The simulated figures by experiment name (``python -m repro sweep
 #: --saved NAME``).
 SAVED_SWEEPS = {

@@ -18,8 +18,9 @@ with its section: a figure's runner is built from its row
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.config import Platform
 from repro.settings import Settings
@@ -40,6 +41,16 @@ class Row:
         """True when ``ours`` is inside the tolerance."""
         return abs(ours - self.paper) <= self.tol
 
+    @property
+    def places(self) -> int:
+        """Decimals a value of this row is printed to: one more than the
+        paper's value has."""
+        return len(f"{self.paper:g}".partition(".")[2]) + 1
+
+    def printed(self, value: float) -> str:
+        """``value`` as the scorecard prints it."""
+        return f"{value:.{self.places}f}"
+
 
 #: Table 3's component shares, % of the post-synthesis total at 1 / 2 / 4 channels.
 _AREA_SHARES = {
@@ -49,8 +60,9 @@ _AREA_SHARES = {
     "aes": (40.5, 41.1, 55.6),
 }
 
-_PLB_HITS = "stand-in PLB hit rates, not yet probed (ROADMAP 1(b))"
-_RATE_TREES = "PosMap rates measured on 2^15-2^19-block trees, not 2^26 (ROADMAP 2(a))"
+_PLB_HITS = "stand-in PLB hit rates (ROADMAP 11 bands them, then 1)"
+_RATE_TREES = "PosMap rates measured on 2^15-2^19-block trees, not 2^26 (ROADMAP 10(c))"
+_HALF_LINES = "64 B blocks move half of each 128 B line"
 
 ROWS = (
     Row("fig3.posmap_share.b64", 56, "%", 3),
@@ -77,7 +89,7 @@ ROWS = (
     Row("hashbw.reduction.L16", 68, "x", 0.5),
     Row("hashbw.reduction.L32", 132, "x", 0.5),
     Row("fig6.pc_speedup", 1.43, "x", 0.14),
-    Row("fig6.pic_overhead", 7, "%", 5, "suspects: MAC bytes, hash latency (ROADMAP 1(b))"),
+    Row("fig6.pic_overhead", 7, "%", 5, "suspects: MAC bytes, hash latency (ROADMAP 1)"),
     Row("fig5.runtime_128k.bzip2", -67, "%", 5, _PLB_HITS),
     Row("fig5.runtime_128k.mcf", -49, "%", 5, _PLB_HITS),
     Row("fig5.gain_64k_128k", 2.7, "%", 5, _PLB_HITS),
@@ -86,9 +98,11 @@ ROWS = (
     Row("fig7.posmap_cut.64gb", 90, "%", 5, _RATE_TREES),
     Row("fig7.total_cut.64gb", 57, "%", 5, _RATE_TREES),
     Row("fig8.speedup.pc_x64", 1.27, "x", 0.12),
-    Row("fig8.speedup.pc_x32", 1.27, "x", 0.12, "not yet probed (ROADMAP 1(b))"),
-    Row("fig8.posmap_cut", 95, "%", 5, "mcf, omnet: 17-23 % PLB hits (ROADMAP 1(b))"),
-    Row("fig9.speedup", 10, "x", 1, "suspect: 4 KB-block timing model (ROADMAP 1(b))"),
+    Row("fig8.speedup.pc_x32", 1.27, "x", 0.12,
+        f"{_HALF_LINES}: whole lines give 0.983, with 4 GB 1.454 (ROADMAP 10)"),
+    Row("fig8.posmap_cut", 95, "%", 5, "mcf, omnet: 17-23 % PLB hits (ROADMAP 11, then 1)"),
+    Row("fig9.speedup", 10, "x", 1,
+        f"{_HALF_LINES}: whole lines give 13.4, with 4 GB 9.61 (ROADMAP 10)"),
     Row("fig9.byte_ratio", 2.1, "%", 0.3),
     # The paper bounds this gain to 0-10 %: written as midpoint +- half-width.
     Row("ablation-plb.assoc_gain", 5, "%", 5),
@@ -129,7 +143,7 @@ TABLE1 = _platform(
 _FIG7_ONCHIP = (
     "one quantity, three values: the measured rates run at 2^10 on-chip "
     "entries (fig7), the PLB bars assume 2^11 (fig7.bars), the R_X8 bar "
-    "256 KiB (fig7.r_x8); ROADMAP 10(c) / 1(b) reconcile them"
+    "256 KiB (fig7.r_x8); ROADMAP 10(c) and 14(a) reconcile them"
 )
 _FIG8 = "[26]: the platform Fig. 8 compares at"
 _PHANTOM = "§7.1.6: Phantom's 2^20 x 4 KB tree, L = 19"
@@ -170,7 +184,33 @@ PLATFORMS: Dict[str, Platform] = {row.name: row for row in (
 )}
 
 
-def _status(row: Row, ours: Optional[float], checked: bool) -> str:
+#: The values :func:`report` prints are also put into each of these
+#: (see :func:`recording`).
+_RECORDERS: List[Dict[str, float]] = []
+
+
+@contextmanager
+def recording() -> Iterator[Dict[str, float]]:
+    """Within: every value :func:`report` prints, by key, also lands in
+    the dict this yields."""
+    values: Dict[str, float] = {}
+    _RECORDERS.append(values)
+    try:
+        yield values
+    finally:
+        _RECORDERS.remove(values)
+
+
+def is_checked(experiment: str, settings: Settings) -> bool:
+    """Whether ``experiment``'s rows are held to the paper's values under
+    ``settings``: a closed form's always, a saved sweep's at the paper's
+    budget only."""
+    from repro.eval import SAVED_SWEEPS  # the package imports this module
+
+    return settings.full or experiment not in SAVED_SWEEPS
+
+
+def status(row: Row, ours: Optional[float], checked: bool) -> str:
     """in / out when not checked; else ok, deviation, or a failure."""
     if ours is None:
         return "missing" if checked else "-"
@@ -204,10 +244,9 @@ def report(
     ``misses``, default the configured budget); return the failing keys."""
     from repro.eval import SAVED_SWEEPS  # the package imports this module
 
-    checked, budget = True, "closed form, checked"
+    settings = Settings.from_env()
+    checked, budget = is_checked(experiment, settings), "closed form, checked"
     if experiment in SAVED_SWEEPS:
-        settings = Settings.from_env()
-        checked = settings.full
         budget = f"{misses or settings.miss_budget} misses/benchmark, checked" + (
             "" if checked else f" at {Settings(full=True).miss_budget} (REPRO_FULL=1)"
         )
@@ -219,13 +258,14 @@ def report(
     failed = []
     for row in (row for row in ROWS if row.key.startswith(f"{experiment}.")):
         value = ours.get(row.key)
-        status = _status(row, value, checked)
-        if status in ("missing", "back inside", "FAIL"):
+        verdict = status(row, value, checked)
+        if verdict in ("missing", "back inside", "FAIL"):
             failed.append(row.key)
-        places = len(f"{row.paper:g}".partition(".")[2]) + 1
         cells = ("-", "-") if value is None else (
-            f"{value:.{places}f}", f"{value - row.paper:+.{places}f}"
+            row.printed(value), f"{value - row.paper:+.{row.places}f}"
         )
         print(f"{row.key:<30}{row.paper:>8g}{cells[0]:>10}{cells[1]:>10}"
-              f"{row.tol:>7g}  {row.unit:<7}{status:<11}{row.deviation}".rstrip())
+              f"{row.tol:>7g}  {row.unit:<7}{verdict:<11}{row.deviation}".rstrip())
+    for values in _RECORDERS:
+        values.update(ours)
     return failed

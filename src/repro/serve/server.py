@@ -11,44 +11,57 @@ trace (see :func:`serve_replay_equivalent` and
 ``tests/test_serve_lockstep.py``).
 
 Scheduling is epoch-based, and every simulated outcome is decided by
-three shared, deterministic steps, each one pass over request *columns*
-— no object is built per request. A tenant's stream is three columns
-made once at construction (global block address, write flag, shard
-route); a shard's **epoch queue** (:class:`_EpochQueue`) is parallel
-lists — ``tenants``, ``addrs`` (shard-local) and ``writes`` — in
-admission order; execution adds ``latencies`` and ``walls``. Epochs are
-small (~16 requests), so per-request work that can wait runs in step
-3's fold.
+three shared, deterministic steps over request *columns* — no object is
+built per request. A tenant's stream is three typed columns made once
+at construction (global block address and shard route, ``array('q')``;
+write flag, ``array('b')``). A shard's accounting log
+(:class:`_ShardLog`) is three fixed-size typed columns — tenant,
+shard-local address, write flag — that admission fills from row 0 after
+each fold, one **epoch queue** (a run of rows) after another, plus the
+``latencies`` and ``walls`` execution appends. Each step has two tiers,
+chosen once per service by the same switch as the engines
+(:func:`~repro.sim.replay.resolve_tier`): on the fast tier an epoch costs
+Python work in proportion to tenants + shards + batches, not requests.
 
 1. **Admission** (:meth:`OramService._admit`) — FIFO in tenant order:
    each tenant offers up to ``burst`` requests from its cursor, routed
    to shards by an address hash and appended to the routed shard's
-   epoch queue. Per-shard epoch queues are bounded by
-   ``queue_capacity``; an arrival at a full queue is either **shed**
-   (dropped permanently, counted, cursor advances) or **deferred** (the
-   tenant stops issuing for this epoch and retries the same request
-   next epoch) per the configured backpressure policy.
+   log. Per-shard epoch queues are bounded by ``queue_capacity``; an
+   arrival at a full queue is either **shed** (dropped permanently,
+   counted, cursor advances) or **deferred** (the tenant stops issuing
+   for this epoch and retries the same request next epoch) per the
+   configured backpressure policy. Fast tier: one ``serve_admit`` call
+   of the compiled core per epoch, counting in the tenants' and shards'
+   ledgers in place; reference tier: :meth:`OramService._admit_rows`.
 2. **Execution** (:meth:`OramShard.execute`) — each shard drains its
    epoch queue in admission (ticket) order, handing ``max_batch``-sized
-   slices of the queue's own columns to ``ReplayEngine.run_batch`` and
-   appending what comes back to the queue's output columns.
-   Shards are mutually independent, so they may run in any interleaving.
+   memoryview slices of its log's own columns to
+   ``ReplayEngine.run_batch`` (no copy on the fast tier) and appending
+   the latencies that come back and one wall reading per batch. Shards
+   are mutually independent, so they may run in any interleaving. Both
+   tiers run this step alike.
 3. **Accounting** (:meth:`OramService._account`) — after the epoch
-   barrier, the executed queues are appended to a log in (shard index)
-   order. Simulated queue wait is the prefix sum of service latencies
-   ahead of a request in its shard's epoch queue, so the running sum of
-   a queue's latencies *is* its ``wait + latency`` column. The log is
-   folded past :data:`LOG_FOLD_LENGTH` rows, at the end of ``run`` and
-   before any read into each shard's digest and busy cycles and each
-   tenant's histograms
-   (:meth:`~repro.serve.stats.LatencyHistogram.record_many`), over
-   thousands of rows at a time — memory stays bounded and a reader never
-   sees a stale record.
+   barrier the epoch's rows count into the log. Simulated queue wait is
+   the prefix sum of service latencies ahead of a request in its
+   shard's epoch queue, so the running sum of a queue's latencies *is*
+   its ``wait + latency`` column. The log is folded past
+   :data:`LOG_FOLD_LENGTH` rows, at the end of ``run`` and before any
+   read, into each shard's digest and busy cycles and each tenant's
+   histograms, epoch by epoch and shard by shard — memory stays bounded
+   and a reader never sees a stale record. Fast tier: one ``serve_fold``
+   call per fold (its packed digest rows go into each shard's hash in
+   one ``update``, its per-histogram summaries into
+   :meth:`~repro.serve.stats.LatencyHistogram.merge`); it sums exact
+   floats only and hands anything else back to the reference tier's
+   :meth:`OramService._fold_rows`
+   (:meth:`~repro.serve.stats.LatencyHistogram.record_many`). The two
+   tiers agree row for row (``tests/test_serve_columns.py``).
 
-Wall time is observational and stamped twice per batch, not per
+Wall time is observational and read per epoch and per batch, not per
 request: once per epoch when admission starts and once per ``run_batch``
-when it returns, so a request's ``wall_us`` runs from the admission
-stamp of the epoch that admitted it to the completion of its batch.
+when it returns, and the log keeps one wall value per batch, so a
+request's ``wall_us`` runs from the admission stamp of the epoch that
+admitted it to the completion of its batch.
 
 There is one epoch loop: admit, execute each shard, account, check
 progress. :meth:`OramService.run` drives it to completion;
@@ -63,16 +76,17 @@ from __future__ import annotations
 
 import time
 import zlib
+from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from operator import attrgetter
+from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import ConfigurationError, ReproError
 from repro.proc.hierarchy import MissTrace
 from repro.sim.engine import ReplayEngine
 from repro.sim.metrics import SimResult
+from repro.sim.replay import resolve_tier
 from repro.sim.runner import SimulationRunner
 from repro.sim.system import base_cycles
 from repro.serve.stats import ShardStats, TenantStats
@@ -83,6 +97,7 @@ from repro.serve.workload import (
 )
 from repro.utils.bitops import next_pow2
 from repro.utils.rng import DeterministicRng
+from repro.utils.stats import LEDGERS
 
 #: Backpressure policies for a full shard queue: ``defer`` retries the
 #: arrival next epoch, ``shed`` drops it.
@@ -96,6 +111,9 @@ _SIZING_FALLBACK = "mcf"
 #: Rows the accounting log may hold before it is folded into the
 #: per-tenant histograms (a few epochs' worth at any realistic shape).
 LOG_FOLD_LENGTH = 4096
+
+#: The tenant ledger's slot that is the stream cursor.
+_ISSUED = LEDGERS["tenant"].slots.index("issued")
 
 
 def _route_column(global_addrs: Sequence[int], shards: int) -> List[int]:
@@ -148,28 +166,32 @@ class ServeConfig:
         }
 
 
-class _EpochQueue:
-    """One shard's admitted requests of an epoch, as parallel columns.
+class _ShardLog:
+    """One shard's rows since the last fold, as typed columns.
 
-    Row *i* is the *i*-th request admitted: its tenant index, shard-local
-    address and write flag. Execution adds the two output columns:
-    ``latencies`` (simulated service cycles) and ``walls``
-    (microseconds from ``stamp``, the wall clock when the epoch began
-    admitting, to the completion of the row's batch).
+    Admission fills ``tenants`` (tenant index), ``addrs`` (shard-local
+    address) and ``writes`` (write flag) from row 0 after each fold, one
+    epoch queue after another; they are allocated once with ``room``
+    rows, the most a shard can log between folds, and never resized, so
+    ``addr_view`` / ``write_view`` slice them without copying. Execution
+    appends ``latencies`` (one simulated service time per row) and
+    ``walls`` (one per ``run_batch``: microseconds from the epoch's
+    admission stamp to the batch's completion).
     """
 
-    __slots__ = ("tenants", "addrs", "writes", "latencies", "walls", "stamp")
+    __slots__ = (
+        "tenants", "addrs", "writes", "latencies", "walls",
+        "addr_view", "write_view",
+    )
 
-    def __init__(self, stamp: float) -> None:
-        self.tenants: List[int] = []
-        self.addrs: List[int] = []
-        self.writes: List[bool] = []
+    def __init__(self, room: int) -> None:
+        self.tenants = array("q", bytes(8 * room))
+        self.addrs = array("q", bytes(8 * room))
+        self.writes = array("b", bytes(room))
         self.latencies: List[float] = []
         self.walls: List[float] = []
-        self.stamp = stamp
-
-    def __len__(self) -> int:
-        return len(self.addrs)
+        self.addr_view = memoryview(self.addrs)
+        self.write_view = memoryview(self.writes)
 
 
 class OramShard:
@@ -190,6 +212,7 @@ class OramShard:
         capacity: int,
         identity: bool,
         max_batch: int,
+        log_rows: int,
         record_accesses: bool = False,
     ):
         self.index = index
@@ -201,6 +224,7 @@ class OramShard:
         self.stats = ShardStats(index)
         self.stats.record_accesses = record_accesses
         self._directory: Dict[int, int] = {}
+        self.log = _ShardLog(log_rows)
 
     def map_addr(self, global_addr: int) -> int:
         """Global service address -> this shard's local block address."""
@@ -217,53 +241,58 @@ class OramShard:
             self._directory[global_addr] = local
         return local
 
-    def execute(self, queue: _EpochQueue) -> None:
-        """Drain one epoch queue in ticket order, one ``run_batch`` per
-        ``max_batch`` rows."""
-        stats = self.stats
-        for start in range(0, len(queue.addrs), self.max_batch):
-            rows = slice(start, start + self.max_batch)
-            addrs, writes = queue.addrs[rows], queue.writes[rows]
+    def execute(self, rows: range, stamp: float) -> None:
+        """Drain one epoch queue — ``rows`` of this shard's log — in ticket
+        order, one ``run_batch`` per ``max_batch`` rows, each handed the
+        log's own columns; ``stamp`` is the epoch's admission stamp."""
+        if not rows:
+            return
+        log, stop, step = self.log, rows.stop, self.max_batch
+        addrs, writes = log.addr_view, log.write_view
+        latencies, walls = log.latencies, log.walls
+        for first in range(rows.start, stop, step):
+            last = first + step if first + step < stop else stop
             # Looked up per call: tracing wraps the engine's attribute.
-            latencies = self.engine.run_batch(addrs, writes)
-            end = time.perf_counter()
-            stats.batches += 1
-            queue.latencies += latencies
-            queue.walls += [(end - queue.stamp) * 1e6] * len(addrs)
-        if queue.addrs:
-            stats.epochs_busy += 1
+            latencies += self.engine.run_batch(addrs[first:last], writes[first:last])
+            walls.append((time.perf_counter() - stamp) * 1e6)
+        stats = self.stats
+        stats.batches += -(-len(rows) // step)
+        stats.epochs_busy += 1
 
 
 class _TenantState:
-    """Mutable serving state of one tenant: stream, cursor, stats, region.
+    """Mutable serving state of one tenant: stream, stats, region.
 
-    The stream is three columns indexed by stream position: ``addrs``
-    (global block addresses — the region ``offset`` already added),
-    ``writes`` and ``routes`` (the shard index each address hashes to).
+    The stream is three typed columns indexed by stream position:
+    ``addrs`` (global block addresses, ``array('q')`` — the region
+    ``offset`` already added), ``writes`` (``array('b')``) and ``routes``
+    (the shard index each address hashes to, ``array('q')``). The cursor
+    is the tenant's ``issued`` count: every request before it was
+    admitted or shed.
     """
 
-    __slots__ = (
-        "spec", "addrs", "writes", "routes", "cursor", "offset",
-        "region_blocks", "stats",
-    )
+    __slots__ = ("spec", "addrs", "writes", "routes", "offset", "region_blocks", "stats")
 
     def __init__(
         self,
         spec: TenantSpec,
-        addrs: List[int],
-        writes: List[bool],
-        routes: List[int],
+        addrs: Sequence[int],
+        writes: Sequence[bool],
+        routes: Sequence[int],
         offset: int,
         region_blocks: int,
     ):
         self.spec = spec
-        self.addrs = addrs
-        self.writes = writes
-        self.routes = routes
-        self.cursor = 0
+        self.addrs = array("q", addrs)
+        self.writes = array("b", writes)
+        self.routes = array("q", routes)
         self.offset = offset
         self.region_blocks = region_blocks
         self.stats = TenantStats(spec.name, spec.workload_label)
+
+    @property
+    def cursor(self) -> int:
+        return self.stats.issued
 
 
 class OramService:
@@ -329,6 +358,22 @@ class OramService:
                         f"addresses route to it, {capacity} blocks fit; "
                         f"raise shard_blocks"
                     )
+        # The accounting log: each shard's log columns hold the most rows
+        # it can log between folds (the fold runs once the log holds
+        # _fold_length rows, and an epoch adds at most queue_capacity rows
+        # to a shard); ``_ends`` is each logged epoch's fill of each shard's
+        # log, epoch-major; ``_logged`` is the rows logged; ``_in_flight``
+        # is set from an epoch's admission to its account, while its rows
+        # have no latencies yet and the log cannot be folded.
+        self._fold_length = LOG_FOLD_LENGTH
+        log_rows = min(self._fold_length + config.queue_capacity, self._requests)
+        self._ends: List[int] = []
+        self._logged = 0
+        self._in_flight = False
+        # One tier for the whole service: the engines' kernels and the
+        # control plane's (serve_admit / serve_fold on the fast tier, the
+        # interpreted _admit_rows / _fold_rows on the reference one).
+        mode, self._core = resolve_tier()
         self.shards: List[OramShard] = []
         for index in range(config.shards):
             spec, _label = self.runner.sized_spec(
@@ -339,7 +384,8 @@ class OramService:
                 observer=observer,
             )
             engine = ReplayEngine.for_mode(
-                frontend, self.runner.timing_for(frontend), proc=self.runner.proc
+                frontend, self.runner.timing_for(frontend), mode,
+                proc=self.runner.proc,
             )
             self.shards.append(
                 OramShard(
@@ -349,14 +395,26 @@ class OramService:
                     capacity=capacity,
                     identity=(config.shards == 1),
                     max_batch=config.max_batch,
+                    log_rows=log_rows,
                     record_accesses=config.record_accesses,
                 )
             )
         self.epochs = 0
         self._wall_elapsed = 0.0
-        # Accounting log: executed queues not yet folded, and their rows.
-        self._log: List[_EpochQueue] = []
-        self._logged = 0
+        # What the control plane's kernels read, bound once.
+        self._streams = [
+            (t.addrs, t.writes, t.routes, t.stats.ledger) for t in self._tenants
+        ]
+        self._queues = [
+            (s.log.tenants, s.log.addrs, s.log.writes, s.stats.ledger,
+             None if s.identity else s._directory)
+            for s in self.shards
+        ]
+        self._logs = [
+            (s.log.tenants, s.log.addrs, s.log.writes, s.log.latencies, s.log.walls)
+            for s in self.shards
+        ]
+        self._histograms = [h for t in self._tenants for h in t.stats.histograms]
 
     # -- setup helpers ---------------------------------------------------------
 
@@ -393,35 +451,58 @@ class OramService:
         payload = bytes(data).ljust(self.block_bytes, b"\0")
         shard.frontend.access(shard.map_addr(global_addr), Op.WRITE, payload)
         shard.engine = ReplayEngine.for_mode(
-            shard.frontend, shard.engine.timing, proc=self.runner.proc
+            shard.frontend, shard.engine.timing, shard.engine.mode,
+            proc=self.runner.proc,
         )
 
     # -- the three deterministic steps -----------------------------------------
 
-    def _admit(self, offers: Sequence[int]) -> List[_EpochQueue]:
+    def _admit(self, offers: Sequence[int]) -> List[range]:
         """Bounded FIFO admission — the single mutation site for cursors
-        and the shed/defer counters.
+        and the shed/defer counters: one ``serve_admit`` call on the fast
+        tier, :meth:`_admit_rows` on the reference one.
 
         ``offers[i]`` is how many requests tenant *i* offers, from its
         cursor on; tenants are taken in index order, each one's offers in
-        stream order.
+        stream order. Returns each shard's epoch queue: the rows of its
+        log that admission filled.
         """
+        ends, count = self._ends, len(self.shards)
+        starts = ends[-count:] or [0] * count
+        if self._core is not None:
+            consumed = self._core.serve_admit(
+                self._streams, self._queues, ends, list(offers),
+                self.config.queue_capacity, self.config.policy == "shed",
+            )
+        else:
+            consumed = self._admit_rows(offers)
+        self._unserved -= consumed
+        self._in_flight = True
+        return list(map(range, starts, ends[-count:]))
+
+    def _admit_rows(self, offers: Sequence[int]) -> int:
+        """The reference tier's admission, row by row, into the same log
+        columns and counters ``serve_admit`` fills; returns how far the
+        cursors moved."""
         shards = self.shards
-        stamp = time.perf_counter()
-        queues = [_EpochQueue(stamp) for _ in shards]
+        ends = self._ends
+        fills = ends[-len(shards):] or [0] * len(shards)
+        starts = list(fills)
         capacity = self.config.queue_capacity
         shed = self.config.policy == "shed"
+        logs = [shard.log for shard in shards]
         # Unchecked ``setdefault``: stream addresses were checked to fit.
         directories = None if shards[0].identity else [s._directory for s in shards]
+        consumed = 0
         for tenant_index, (state, offered) in enumerate(zip(self._tenants, offers)):
             addrs, writes, routes = state.addrs, state.writes, state.routes
             stats = state.stats
-            start = state.cursor
+            start = stats.issued
             stop = start + offered
             for cursor in range(start, stop):
                 shard_index = routes[cursor]
-                queue = queues[shard_index]
-                if len(queue.addrs) >= capacity:
+                fill = fills[shard_index]
+                if fill - starts[shard_index] >= capacity:
                     shard_stats = shards[shard_index].stats
                     if shed:
                         stats.shed += 1
@@ -430,56 +511,101 @@ class OramService:
                     stats.deferred += 1  # retry next epoch
                     shard_stats.deferred += 1
                     break
-                queue.tenants.append(tenant_index)
+                log = logs[shard_index]
+                log.tenants[fill] = tenant_index
                 address = addrs[cursor]
                 if directories is not None:
                     directory = directories[shard_index]
                     address = directory.setdefault(address, len(directory))
-                queue.addrs.append(address)
-                queue.writes.append(writes[cursor])
+                log.addrs[fill] = address
+                log.writes[fill] = writes[cursor]
+                fills[shard_index] = fill + 1
             else:
                 cursor = stop
-            state.cursor = cursor
             stats.issued += cursor - start
-            self._unserved -= cursor - start
-        for shard, queue in zip(shards, queues):
-            stats, depth = shard.stats, len(queue.addrs)
+            consumed += cursor - start
+        for shard, start, fill in zip(shards, starts, fills):
+            stats, depth = shard.stats, fill - start
             stats.depth_samples += 1
             stats.depth_total += depth
             if depth > stats.depth_max:
                 stats.depth_max = depth
-        return queues
+        ends += fills
+        return consumed
 
-    def _account(self, queues: Sequence[_EpochQueue]) -> None:
-        """Log the executed queues in shard order; fold past
+    def _account(self, admitted: int) -> None:
+        """Count the epoch's executed rows into the log; fold past
         :data:`LOG_FOLD_LENGTH` rows."""
-        self._log += queues
-        self._logged += sum(map(len, queues))
-        if self._logged >= LOG_FOLD_LENGTH:
+        self._in_flight = False
+        self._logged += admitted
+        if self._logged >= self._fold_length:
             self._fold_log()
 
     def _fold_log(self) -> None:
-        """Fold the logged queues into the shard records and the
-        per-tenant histograms.
+        """Fold the log into the shard records and the per-tenant
+        histograms, then empty it: one ``serve_fold`` call on the fast
+        tier, whose results each record takes in with one call;
+        :meth:`_fold_rows` on the reference tier, and for rows the kernel
+        hands back (a latency that is not an exact float). A read from
+        inside an epoch (a callback of a shard's batch) folds nothing and
+        sees the records as of the last fold."""
+        if self._in_flight or not self._ends:
+            return
+        folded = None
+        if self._core is not None:
+            folded = self._core.serve_fold(
+                self._logs, self._ends, self.config.max_batch,
+                [shard.stats.busy_cycles for shard in self.shards],
+                [hist.total for hist in self._histograms],
+            )
+        if folded is None:
+            self._fold_rows()
+        else:
+            packed, busy, summaries = folded
+            for shard, rows, cycles in zip(self.shards, packed, busy):
+                shard.stats.record_packed(rows, cycles)
+            for hist, summary in zip(self._histograms, summaries):
+                hist.merge(*summary)
+        self._ends.clear()
+        for shard in self.shards:
+            shard.log.latencies.clear()
+            shard.log.walls.clear()
+        self._logged = 0
 
-        Queues are in execution-accounting order, so each shard's queues
-        and each tenant's rows keep their order — every record ends up
-        exactly as if each batch had been recorded when it ran.
+    def _fold_rows(self) -> None:
+        """The reference tier's fold, from the log's columns.
+
+        Epoch queues are taken in accounting order — epoch by epoch,
+        shard by shard — so each shard's rows and each tenant's rows keep
+        their order: every record ends up exactly as if each batch had
+        been recorded when it ran.
         """
-        queues = self._log
-        count = len(self.shards)
-        for index, shard in enumerate(self.shards):
-            own = queues[index::count]  # an epoch logs one queue per shard
-            columns = ("tenants", "addrs", "writes", "latencies")
-            shard.stats.record_rows(*[
-                list(chain.from_iterable(map(attrgetter(c), own))) for c in columns
-            ])
-        tenants = list(chain.from_iterable(map(attrgetter("tenants"), queues)))
-        latencies = list(map(attrgetter("latencies"), queues))
-        service = list(chain.from_iterable(latencies))
-        # Wait + latency: the running sum of each queue's latencies.
-        total = list(chain.from_iterable(map(accumulate, latencies)))
-        wall = list(chain.from_iterable(map(attrgetter("walls"), queues)))
+        count, step = len(self.shards), self.config.max_batch
+        logs = [shard.log for shard in self.shards]
+        for shard, log, fill in zip(self.shards, logs, self._ends[-count:]):
+            shard.stats.record_rows(
+                log.tenants[:fill], log.addrs[:fill], log.writes[:fill],
+                log.latencies,
+            )
+        tenants: List[int] = []
+        service: List[float] = []
+        total: List[float] = []  # wait + latency: a queue's running sum
+        wall: List[float] = []
+        prev = [0] * count
+        batch = [0] * count  # each log's first wall not yet read
+        for epoch in range(0, len(self._ends), count):
+            for index, log in enumerate(logs):
+                start, stop = prev[index], self._ends[epoch + index]
+                latencies = log.latencies[start:stop]
+                tenants += log.tenants[start:stop]
+                service += latencies
+                total += accumulate(latencies)
+                wall += [
+                    log.walls[batch[index] + row // step]
+                    for row in range(stop - start)
+                ]
+                batch[index] += -(-(stop - start) // step)
+                prev[index] = stop
         rows: List[List[int]] = [[] for _ in self._tenants]
         for row, tenant_index in enumerate(tenants):
             rows[tenant_index].append(row)
@@ -488,8 +614,6 @@ class OramService:
             stats.service_cycles.record_many([service[row] for row in own])
             stats.latency_cycles.record_many([total[row] for row in own])
             stats.wall_us.record_many([wall[row] for row in own])
-        queues.clear()
-        self._logged = 0
 
     # -- the epoch loop --------------------------------------------------------
 
@@ -509,17 +633,18 @@ class OramService:
         at each yield."""
         started = time.perf_counter()
         burst = self.config.burst
+        cursors = [(len(t.addrs), t.stats.ledger) for t in self._tenants]
         while self._unserved:
+            stamp = time.perf_counter()  # the epoch's admission stamp
             # (A conditional, not min(): this runs per tenant per epoch.)
             queues = self._admit([
-                left if (left := len(t.addrs) - t.cursor) < burst else burst
-                for t in self._tenants
+                left if (left := length - ledger[_ISSUED]) < burst else burst
+                for length, ledger in cursors
             ])
-            admitted = 0
-            for shard, queue in zip(self.shards, queues):
-                shard.execute(queue)
-                admitted += len(queue.addrs)
-            self._account(queues)
+            for shard, rows in zip(self.shards, queues):
+                shard.execute(rows, stamp)
+            admitted = sum(map(len, queues))
+            self._account(admitted)
             self.epochs += 1
             self._check_progress(admitted)
             yield

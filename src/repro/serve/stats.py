@@ -15,6 +15,8 @@ from functools import reduce
 from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from repro.utils.stats import LEDGERS
+
 
 class LatencyHistogram:
     """Power-of-two-bucketed latency histogram with exact moments.
@@ -68,6 +70,31 @@ class LatencyHistogram:
             buckets[bucket] = buckets.get(bucket, 0) + stop - start
             start = stop
 
+    def merge(
+        self,
+        count: int,
+        total: float,
+        low: Optional[float],
+        high: Optional[float],
+        buckets: Mapping[int, int],
+    ) -> None:
+        """Take in ``count`` values recorded after this histogram's own, as
+        a summary: ``total`` continues this histogram's left fold, ``low``
+        and ``high`` are the values' first minimum and first maximum and
+        ``buckets`` their count per bucket — what ``record_many`` of the
+        values themselves would leave."""
+        if not count:
+            return
+        self.count += count
+        self.total = total
+        if self.min is None or low < self.min:
+            self.min = low
+        if self.max is None or high > self.max:
+            self.max = high
+        own = self._buckets
+        for bucket, seen in buckets.items():
+            own[bucket] = own.get(bucket, 0) + seen
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -102,14 +129,17 @@ class LatencyHistogram:
         }
 
 
+@LEDGERS["tenant"].bind()
 class TenantStats:
     """One tenant's serving record.
 
-    ``service_cycles`` histograms the pure engine service time — its
-    count is ``completed`` and its total ``cycles``, the left-fold sum
-    of the tenant's own service latencies in execution order, the
-    quantity the determinism tests pin serial-vs-concurrent;
-    ``latency_cycles`` adds the simulated queue wait ahead of the
+    ``issued`` (the tenant's stream cursor: every request admitted or
+    shed), ``shed`` and ``deferred`` are slots of ``ledger``, the column
+    admission counts in on either tier. ``service_cycles`` histograms
+    the pure engine service time — its count is ``completed`` and its
+    total ``cycles``, the left-fold sum of the tenant's own service
+    latencies in execution order, the quantity the determinism tests pin
+    serial-vs-concurrent; ``latency_cycles`` adds the simulated queue wait ahead of the
     request in its shard's epoch queue; ``wall_us`` is the observational
     wall-clock time from the epoch's admission stamp to the completion
     of the request's batch.
@@ -118,12 +148,15 @@ class TenantStats:
     def __init__(self, name: str, benchmark: str) -> None:
         self.name = name
         self.benchmark = benchmark
-        self.issued = 0
-        self.shed = 0
-        self.deferred = 0
+        self.ledger = LEDGERS["tenant"].column()
         self.service_cycles = LatencyHistogram()
         self.latency_cycles = LatencyHistogram()
         self.wall_us = LatencyHistogram()
+
+    @property
+    def histograms(self) -> tuple:
+        """The three histograms, in the order the fold reads them."""
+        return self.service_cycles, self.latency_cycles, self.wall_us
 
     @property
     def completed(self) -> int:
@@ -148,6 +181,7 @@ class TenantStats:
         }
 
 
+@LEDGERS["shard"].bind()
 class ShardStats:
     """One shard's serving record, including the access-sequence digest.
 
@@ -155,7 +189,8 @@ class ShardStats:
     is_write)`` triples in execution order — a compact witness of the
     shard's exact access sequence, which the determinism suite compares
     across serial and concurrent runs (and which a full recorded
-    sequence would reproduce).
+    sequence would reproduce). The admission counters (``shed``,
+    ``deferred`` and the queue-depth samples) are slots of ``ledger``.
     """
 
     _PACK = struct.Struct("<qqB")
@@ -165,12 +200,8 @@ class ShardStats:
         self.requests = 0
         self.batches = 0
         self.epochs_busy = 0
-        self.shed = 0
-        self.deferred = 0
         self.busy_cycles = 0.0
-        self.depth_samples = 0
-        self.depth_total = 0
-        self.depth_max = 0
+        self.ledger = LEDGERS["shard"].column()
         self._digest = hashlib.sha256()
         self.accesses: List[tuple] = []
         self.record_accesses = False
@@ -191,6 +222,15 @@ class ShardStats:
         self.busy_cycles = reduce(add, latencies, self.busy_cycles)
         if self.record_accesses:
             self.accesses.extend(zip(tenants, local_addrs, writes))
+
+    def record_packed(self, packed: bytes, busy_cycles: float) -> None:
+        """Executed requests, already packed as the digest reads them,
+        and the busy cycles folded on over their latencies."""
+        self.requests += len(packed) // self._PACK.size
+        self._digest.update(packed)
+        self.busy_cycles = busy_cycles
+        if self.record_accesses:
+            self.accesses.extend(self._PACK.iter_unpack(packed))
 
     @property
     def access_digest(self) -> str:

@@ -100,7 +100,7 @@ def tenants_for(
 
 def tenant_requests(
     spec: TenantSpec, runner, lines_per_block: int
-) -> Tuple[List[int], List[bool]]:
+) -> Tuple[List[int], Sequence[bool]]:
     """A tenant's request stream as two columns: addresses and write flags.
 
     Addresses are region-relative block addresses. Benchmark tenants
@@ -109,8 +109,9 @@ def tenant_requests(
     with the serving scheme's geometry — the identical translation
     :func:`~repro.sim.system.replay_trace` performs, which is what makes
     single-tenant serving lockstep-comparable to replay. Both columns
-    are sliced straight from the trace's own: a trace loaded from the
-    cache builds no :class:`~repro.proc.hierarchy.MissEvent` here.
+    are sliced straight from the trace's own — the write flags stay its
+    0 / 1 ``array('b')`` — so a trace loaded from the cache builds no
+    :class:`~repro.proc.hierarchy.MissEvent` here.
     """
     if spec.events is not None:
         events = spec.events[: spec.requests]
@@ -118,7 +119,7 @@ def tenant_requests(
     trace: MissTrace = runner.trace(spec.benchmark)
     line_addrs, is_write = trace.columns()
     addrs = translate_block_addrs(line_addrs[: spec.requests], lines_per_block)
-    return addrs, list(map(bool, is_write[: spec.requests].tolist()))
+    return addrs, is_write[: spec.requests]
 
 
 def tenant_region_blocks(

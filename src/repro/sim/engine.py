@@ -51,6 +51,17 @@ _PLB_HITS, _PLB_MISSES, _DATA_TREE, _POSMAP_TREE = map(
 )
 
 
+def _typed(column, typecode: str):
+    """``column`` itself when it is a buffer of ``typecode`` items — an
+    ``array`` of it or a memoryview over one — else a copy as one."""
+    if type(column) is memoryview:
+        if column.format == typecode:
+            return column
+    elif getattr(column, "typecode", None) == typecode:
+        return column
+    return array(typecode, column)
+
+
 def frontend_block_bytes(frontend) -> int:
     """Block size of a frontend's (first) ORAM configuration."""
     config = getattr(frontend, "config", None)
@@ -171,8 +182,9 @@ class ReplayEngine:
         event-ordered left fold, so splitting a trace across successive
         calls is bit-identical to one whole-trace call; requests pair up
         as ``zip(addrs, writes)`` does, and ``writes`` are bools (or 0 / 1:
-        the fast tier hands both lists to C as ``array('q')`` and
-        ``array('b')``).
+        the fast tier hands both to C as ``array('q')`` and ``array('b')``
+        — as they are when they already are such columns, or memoryviews
+        over them, and copied otherwise).
 
         Returns the per-event latencies (the serving layer's per-request
         service times). The kernels count in the owners' ledger columns in
@@ -182,7 +194,9 @@ class ReplayEngine:
         """
         latencies: List[float] = []
         if self._native is not None:
-            self._run_columns(array("q", addrs), array("b", writes), 1, latencies)
+            self._run_columns(
+                _typed(addrs, "q"), _typed(writes, "b"), 1, latencies
+            )
         else:
             self._run_reference(addrs, writes, latencies)
         return latencies

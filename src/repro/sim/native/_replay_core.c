@@ -13,6 +13,10 @@
  *   IEEE-754 additions) — and, for a frontend running on its
  *   FrontendKernel or RecursiveKernel, without a Python frame, an
  *   AccessResult or a boxed address either;
+ * - serve_admit / serve_fold: the serving layer's control plane, one
+ *   call each — an epoch's FIFO admission into the shards' typed log
+ *   columns, and the log's fold into the shards' digest rows and busy
+ *   cycles and the tenants' histogram summaries;
  * - translate_block_addrs / accumulate: the translation and the fold on
  *   their own, list-out and list-in (kept for the perf harness's proxy
  *   of this module; nothing under src/ calls them);
@@ -973,6 +977,14 @@ static PyObject *str_observer, *str_on_path_read, *str_on_path_write,
 #define OCCUPANCY_LEDGER(X)                                                  \
     X(OCC_COUNT, "count") X(OCC_MAX, "max") X(OCC_MIN, "min")
 #define MOMENTS_LEDGER(X) X(OCC_MEAN, "mean") X(OCC_M2, "_m2")
+/* Serve's admission counters (serve_admit): a tenant's, whose `issued` is
+ * also its stream cursor, and a shard's. */
+#define TENANT_LEDGER(X)                                                     \
+    X(TEN_ISSUED, "issued") X(TEN_SHED, "shed") X(TEN_DEFERRED, "deferred")
+#define SHARD_LEDGER(X)                                                      \
+    X(SHD_SHED, "shed") X(SHD_DEFERRED, "deferred")                          \
+    X(SHD_DEPTH_SAMPLES, "depth_samples") X(SHD_DEPTH_TOTAL, "depth_total")  \
+    X(SHD_DEPTH_MAX, "depth_max")
 /* Every ledger: its name, item type, slots and slot count, expanded to
  * its enum and to its line of LEDGERS ("name typecode slot ..."), which
  * repro.sim.native requires to equal repro.utils.stats.LEDGERS. */
@@ -984,7 +996,9 @@ static PyObject *str_observer, *str_on_path_read, *str_on_path_write,
     X("backend", "q", BACKEND_LEDGER, N_BACKEND_SLOTS)                       \
     X("storage", "q", STORAGE_LEDGER, N_STORAGE_SLOTS)                       \
     X("occupancy", "q", OCCUPANCY_LEDGER, N_OCC_SLOTS)                       \
-    X("moments", "d", MOMENTS_LEDGER, N_MOMENT_SLOTS)
+    X("moments", "d", MOMENTS_LEDGER, N_MOMENT_SLOTS)                        \
+    X("tenant", "q", TENANT_LEDGER, N_TENANT_SLOTS)                          \
+    X("shard", "q", SHARD_LEDGER, N_SHARD_SLOTS)
 #define SLOT_ENUM(slot, name) slot,
 #define LEDGER_ENUM(name, typecode, slots, count)                            \
     enum { slots(SLOT_ENUM) count };
@@ -4636,6 +4650,725 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
+/* serve_admit / serve_fold: serve's control plane on columns          */
+/* ------------------------------------------------------------------ */
+
+/* An epoch of repro.serve.server.OramService is three steps, and on the
+ * fast tier two of them are one call each here: serve_admit runs the
+ * epoch's FIFO admission, serve_fold folds the accounting log.  Both are
+ * transcriptions of the interpreted OramService._admit_rows and
+ * _fold_rows (the reference tier), checked row for row by
+ * tests/test_serve_columns.py::TestColumnsInLockstep.
+ *
+ * A shard's log is three fixed-size columns — tenant index (int64),
+ * shard-local address (int64), write flag (int8) — that admission fills
+ * from row 0 after each fold, plus what execution appends: the latency
+ * list (one float per row) and the wall list (one float per run_batch).
+ * `ends` is epoch-major: one entry per shard per logged epoch, that
+ * shard's fill after the epoch's admission, so the epoch's queue on
+ * shard s is the rows between its previous end and this one. */
+
+/* One tenant's stream as serve_admit reads it: global addresses, write
+ * flags and shard routes, and the tenant's ledger, whose `issued` is the
+ * stream cursor; the epoch offers rows [cursor, stop). */
+typedef struct {
+    Col addrs, writes, routes, ledger;
+    Py_ssize_t cursor, stop;
+} ServeStream;
+
+/* One shard's log as serve_admit fills it, its ledger and its directory
+ * (NULL: the identity map of a one-shard pool); the epoch's queue is
+ * rows [start, fill), and `routed` counts the offered rows routed here.
+ * Every row re-checks its route and its shard's room: a column can
+ * alias another, so one written here can be one read here. */
+typedef struct {
+    Col tenants, addrs, writes, ledger;
+    PyObject *directory;
+    Py_ssize_t start, fill, routed;
+} ServeQueue;
+
+/* Item `i` of a list as a Py_ssize_t in [low, high], or -1 with an
+ * exception set (`what` and `index` name it). */
+static Py_ssize_t
+list_index(PyObject *list, Py_ssize_t i, Py_ssize_t low, Py_ssize_t high,
+           const char *what, Py_ssize_t index)
+{
+    Py_ssize_t value = PyLong_AsSsize_t(PyList_GET_ITEM(list, i));
+    if (value == -1 && PyErr_Occurred())
+        return -1;
+    if (value < low || value > high) {
+        PyErr_Format(PyExc_ValueError, "%s %zd is %zd, outside [%zd, %zd]",
+                     what, index, value, low, high);
+        return -1;
+    }
+    return value;
+}
+
+/* The last `count` entries of `ends` (the shards' fills), or zeros when
+ * it is empty; each at most the shard's room. */
+static int
+last_ends(PyObject *ends, Py_ssize_t count, const Py_ssize_t *room,
+          Py_ssize_t *out)
+{
+    const Py_ssize_t n = PyList_GET_SIZE(ends);
+    if (n % count != 0) {
+        PyErr_Format(PyExc_ValueError,
+                     "ends holds %zd entries, not a multiple of %zd shards",
+                     n, count);
+        return -1;
+    }
+    for (Py_ssize_t s = 0; s < count; s++) {
+        out[s] = n == 0 ? 0
+                        : list_index(ends, n - count + s, 0, room[s],
+                                     "the end of shard", s);
+        if (out[s] < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* dict.setdefault(*addr, len(dict)): a global address's shard-local one,
+ * the next dense one at its first touch. */
+static int
+directory_map(PyObject *directory, long long *addr)
+{
+    PyObject *key = PyLong_FromLongLong(*addr);
+    if (key == NULL)
+        return -1;
+    PyObject *local = PyDict_GetItemWithError(directory, key);
+    if (local == NULL) {
+        if (PyErr_Occurred()) {
+            Py_DECREF(key);
+            return -1;
+        }
+        const Py_ssize_t next = PyDict_GET_SIZE(directory);
+        local = PyLong_FromSsize_t(next);
+        int rc = local == NULL ? -1 : PyDict_SetItem(directory, key, local);
+        Py_XDECREF(local);
+        Py_DECREF(key);
+        *addr = next;
+        return rc;
+    }
+    Py_INCREF(local);
+    Py_DECREF(key);
+    const long long value = PyLong_AsLongLong(local);
+    Py_DECREF(local);
+    if (value == -1 && PyErr_Occurred())
+        return -1;
+    *addr = value;
+    return 0;
+}
+
+static void
+serve_release(ServeStream *streams, Py_ssize_t tenants, ServeQueue *queues,
+              Py_ssize_t shards)
+{
+    for (Py_ssize_t t = 0; streams != NULL && t < tenants; t++) {
+        col_release(&streams[t].addrs);
+        col_release(&streams[t].writes);
+        col_release(&streams[t].routes);
+        col_release(&streams[t].ledger);
+    }
+    for (Py_ssize_t s = 0; queues != NULL && s < shards; s++) {
+        col_release(&queues[s].tenants);
+        col_release(&queues[s].addrs);
+        col_release(&queues[s].writes);
+        col_release(&queues[s].ledger);
+        Py_XDECREF(queues[s].directory);
+    }
+    PyMem_Free(streams);
+    PyMem_Free(queues);
+}
+
+/* A shard's three log columns, acquired writable: equally long, and
+ * that length (its room) stored in `room`. */
+static int
+log_acquire(PyObject *row, Col *tenants, Col *addrs, Col *writes,
+            int writable, Py_ssize_t s, Py_ssize_t *room)
+{
+    if (col_acquire(PyTuple_GET_ITEM(row, 0), tenants, "a log's tenants",
+                    &COL_I64, writable) < 0 ||
+        col_acquire(PyTuple_GET_ITEM(row, 1), addrs, "a log's addrs",
+                    &COL_I64, writable) < 0 ||
+        col_acquire(PyTuple_GET_ITEM(row, 2), writes, "a log's writes",
+                    &COL_FLAG, writable) < 0)
+        return -1;
+    if (tenants->len != addrs->len || tenants->len != writes->len) {
+        PyErr_Format(PyExc_ValueError,
+                     "shard %zd's log columns differ in length "
+                     "(%zd tenants, %zd addrs, %zd writes)",
+                     s, tenants->len, addrs->len, writes->len);
+        return -1;
+    }
+    *room = tenants->len;
+    return 0;
+}
+
+/* serve_admit(streams, queues, ends, offers, capacity, shed) -> consumed
+ *
+ * One epoch's admission (OramService._admit_rows): tenants in index
+ * order, tenant t's offers[t] rows from its cursor in stream order, each
+ * appended to its routed shard's log (the tenant, the address — through
+ * the shard's directory when it has one — and the write flag).  A row
+ * whose shard already admitted `capacity` rows this epoch is shed
+ * (counted, the cursor moves on) or deferred (counted, the tenant stops
+ * until the next epoch).  Moves each tenant's ledger (issued, the
+ * cursor; shed; deferred) and each shard's (shed; deferred; the depth
+ * sample, total and max), appends the shards' new fills to `ends` and
+ * returns how far the cursors moved.
+ *
+ * streams: [(addrs int64, writes int8, routes int64, ledger int64), ...]
+ * queues:  [(tenants int64, addrs int64, writes int8, ledger int64,
+ *            directory dict | None), ...], log columns writable.
+ *
+ * Everything is checked before any row moves: an offered window inside
+ * its stream, its routes in [0, shards), its addresses >= 0, and room in
+ * each log for the most the epoch can admit there. */
+static PyObject *
+serve_admit(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 6) {
+        PyErr_Format(PyExc_TypeError,
+                     "serve_admit expects 6 positional arguments, got %zd",
+                     nargs);
+        return NULL;
+    }
+    PyObject *streams_obj = args[0], *queues_obj = args[1], *ends = args[2],
+             *offers = args[3];
+    if (!PyList_Check(streams_obj) || !PyList_Check(queues_obj) ||
+        !PyList_Check(ends) || !PyList_Check(offers)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "serve_admit: streams, queues, ends and offers "
+                        "must be lists");
+        return NULL;
+    }
+    const Py_ssize_t capacity = PyLong_AsSsize_t(args[4]);
+    if (capacity == -1 && PyErr_Occurred())
+        return NULL;
+    if (capacity < 1) {
+        PyErr_Format(PyExc_ValueError,
+                     "queue capacity must be >= 1, got %zd", capacity);
+        return NULL;
+    }
+    const int shed = PyObject_IsTrue(args[5]);
+    if (shed < 0)
+        return NULL;
+    const Py_ssize_t tenants = PyList_GET_SIZE(streams_obj),
+                     shards = PyList_GET_SIZE(queues_obj);
+    if (shards == 0 || PyList_GET_SIZE(offers) != tenants) {
+        PyErr_Format(PyExc_ValueError,
+                     "serve_admit needs at least one shard and one offer "
+                     "per tenant (%zd shards, %zd offers for %zd tenants)",
+                     shards, PyList_GET_SIZE(offers), tenants);
+        return NULL;
+    }
+    ServeStream *streams = PyMem_Calloc(tenants ? tenants : 1,
+                                        sizeof(ServeStream));
+    ServeQueue *queues = PyMem_Calloc(shards, sizeof(ServeQueue));
+    Py_ssize_t *room = PyMem_Calloc(shards, sizeof(Py_ssize_t));
+    Py_ssize_t *fills = PyMem_Calloc(shards, sizeof(Py_ssize_t));
+    PyObject *result = NULL;
+    Py_ssize_t consumed = 0;
+    if (streams == NULL || queues == NULL || room == NULL || fills == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t s = 0; s < shards; s++) {
+        PyObject *row = PyList_GET_ITEM(queues_obj, s);
+        ServeQueue *q = &queues[s];
+        if (!PyTuple_Check(row) || PyTuple_GET_SIZE(row) != 5) {
+            PyErr_Format(PyExc_TypeError,
+                         "serve_admit: queue %zd must be a tuple (tenants, "
+                         "addrs, writes, ledger, directory)", s);
+            goto done;
+        }
+        PyObject *directory = PyTuple_GET_ITEM(row, 4);
+        if (directory != Py_None && !PyDict_Check(directory)) {
+            PyErr_Format(PyExc_TypeError,
+                         "serve_admit: queue %zd's directory must be a dict "
+                         "or None", s);
+            goto done;
+        }
+        /* Held: a directory key's __eq__ is Python, which could drop
+         * the tuple that holds it. */
+        q->directory = directory == Py_None ? NULL : Py_NewRef(directory);
+        if (log_acquire(row, &q->tenants, &q->addrs, &q->writes, 1, s,
+                        &room[s]) < 0 ||
+            col_acquire_fixed(PyTuple_GET_ITEM(row, 3), &q->ledger,
+                              "a shard's ledger", &COL_I64, N_SHARD_SLOTS,
+                              0) < 0)
+            goto done;
+    }
+    if (last_ends(ends, shards, room, fills) < 0)
+        goto done;
+    for (Py_ssize_t s = 0; s < shards; s++)
+        queues[s].start = queues[s].fill = fills[s];
+    for (Py_ssize_t t = 0; t < tenants; t++) {
+        PyObject *row = PyList_GET_ITEM(streams_obj, t);
+        ServeStream *st = &streams[t];
+        if (!PyTuple_Check(row) || PyTuple_GET_SIZE(row) != 4) {
+            PyErr_Format(PyExc_TypeError,
+                         "serve_admit: stream %zd must be a tuple (addrs, "
+                         "writes, routes, ledger)", t);
+            goto done;
+        }
+        if (col_acquire(PyTuple_GET_ITEM(row, 0), &st->addrs,
+                        "a stream's addrs", &COL_I64, 0) < 0 ||
+            col_acquire(PyTuple_GET_ITEM(row, 1), &st->writes,
+                        "a stream's writes", &COL_FLAG, 0) < 0 ||
+            col_acquire(PyTuple_GET_ITEM(row, 2), &st->routes,
+                        "a stream's routes", &COL_I64, 0) < 0 ||
+            col_acquire_fixed(PyTuple_GET_ITEM(row, 3), &st->ledger,
+                              "a tenant's ledger", &COL_I64, N_TENANT_SLOTS,
+                              0) < 0)
+            goto done;
+        const Py_ssize_t length = st->addrs.len;
+        if (st->writes.len != length || st->routes.len != length) {
+            PyErr_Format(PyExc_ValueError,
+                         "stream %zd's columns differ in length (%zd addrs, "
+                         "%zd writes, %zd routes)",
+                         t, length, st->writes.len, st->routes.len);
+            goto done;
+        }
+        const long long cursor = ((long long *)st->ledger.data)[TEN_ISSUED];
+        if (cursor < 0 || cursor > length) {
+            PyErr_Format(PyExc_ValueError,
+                         "stream %zd's cursor %lld is outside its %zd rows",
+                         t, cursor, length);
+            goto done;
+        }
+        const Py_ssize_t offer =
+            list_index(offers, t, 0, length - (Py_ssize_t)cursor,
+                       "the offer of stream", t);
+        if (offer < 0)
+            goto done;
+        st->cursor = (Py_ssize_t)cursor;
+        st->stop = st->cursor + offer;
+        const long long *addr = st->addrs.data, *route = st->routes.data;
+        for (Py_ssize_t c = st->cursor; c < st->stop; c++) {
+            if (route[c] < 0 || route[c] >= shards) {
+                PyErr_Format(PyExc_ValueError,
+                             "stream %zd row %zd routes to shard %lld of %zd",
+                             t, c, route[c], shards);
+                goto done;
+            }
+            if (addr[c] < 0) {
+                PyErr_Format(PyExc_ValueError,
+                             "stream %zd row %zd has address %lld < 0",
+                             t, c, addr[c]);
+                goto done;
+            }
+            queues[route[c]].routed++;
+        }
+    }
+    for (Py_ssize_t s = 0; s < shards; s++) {
+        const Py_ssize_t most = Py_MIN(capacity, queues[s].routed);
+        if (most > room[s] - fills[s]) {
+            PyErr_Format(PyExc_ValueError,
+                         "shard %zd's log has room for %zd more rows and "
+                         "the epoch may admit %zd there",
+                         s, room[s] - fills[s], most);
+            goto done;
+        }
+    }
+
+    for (Py_ssize_t t = 0; t < tenants; t++) {
+        ServeStream *st = &streams[t];
+        const long long *addr = st->addrs.data, *route = st->routes.data;
+        const int8_t *write = st->writes.data;
+        Py_ssize_t c = st->cursor;
+        for (; c < st->stop; c++) {
+            if (route[c] < 0 || route[c] >= shards) {
+                PyErr_Format(PyExc_ValueError,
+                             "stream %zd row %zd's route changed during "
+                             "admission", t, c);
+                goto done;
+            }
+            ServeQueue *q = &queues[route[c]];
+            if (q->fill - q->start >= capacity) {
+                tally(&st->ledger, shed ? TEN_SHED : TEN_DEFERRED, 1);
+                tally(&q->ledger, shed ? SHD_SHED : SHD_DEFERRED, 1);
+                if (shed)
+                    continue;
+                break; /* retried next epoch */
+            }
+            if (q->fill >= room[route[c]]) {
+                PyErr_Format(PyExc_ValueError,
+                             "shard %lld's log filled up during admission",
+                             route[c]);
+                goto done;
+            }
+            long long local = addr[c];
+            if (q->directory != NULL && directory_map(q->directory, &local) < 0)
+                goto done;
+            ((long long *)q->tenants.data)[q->fill] = t;
+            ((long long *)q->addrs.data)[q->fill] = local;
+            ((int8_t *)q->writes.data)[q->fill] = write[c];
+            q->fill++;
+        }
+        tally(&st->ledger, TEN_ISSUED, c - st->cursor);
+        consumed += c - st->cursor;
+    }
+    for (Py_ssize_t s = 0; s < shards; s++) {
+        ServeQueue *q = &queues[s];
+        const long long depth = q->fill - q->start;
+        long long *ledger = q->ledger.data;
+        tally(&q->ledger, SHD_DEPTH_SAMPLES, 1);
+        tally(&q->ledger, SHD_DEPTH_TOTAL, depth);
+        if (depth > ledger[SHD_DEPTH_MAX])
+            ledger[SHD_DEPTH_MAX] = depth;
+        PyObject *end = PyLong_FromSsize_t(q->fill);
+        if (end == NULL || PyList_Append(ends, end) < 0) {
+            Py_XDECREF(end);
+            goto done;
+        }
+        Py_DECREF(end);
+    }
+    result = PyLong_FromSsize_t(consumed);
+
+done:
+    serve_release(streams, tenants, queues, shards);
+    PyMem_Free(room);
+    PyMem_Free(fills);
+    return result;
+}
+
+/* What LatencyHistogram.record_many of one fold's values adds to one
+ * histogram: the count, the left-fold total from the histogram's own,
+ * the first minimum and the first maximum, and the bucket counts —
+ * int(v).bit_length() — dense below FOLD_DENSE and in a dict above. */
+#define FOLD_DENSE 64
+
+typedef struct {
+    Py_ssize_t count;
+    double total, low, high;
+    Py_ssize_t dense[FOLD_DENSE];
+    PyObject *sparse;
+} FoldHist;
+
+/* Record `value`: 0, or 1 for a value the reference must see (not
+ * finite: int() of it raises there), or -1 with an exception set. */
+static int
+hist_feed(FoldHist *h, double value)
+{
+    if (!isfinite(value))
+        return 1;
+    if (h->count++ == 0)
+        h->low = h->high = value;
+    else {
+        /* Strict: the first of equal values stays (0.0 / -0.0). */
+        if (value < h->low)
+            h->low = value;
+        if (value > h->high)
+            h->high = value;
+    }
+    h->total += value;
+    int bucket = 0;
+    const double magnitude = fabs(value);
+    /* trunc(m) for m in [2^(e-1), 2^e) has e bits. */
+    if (magnitude >= 1.0)
+        (void)frexp(magnitude, &bucket);
+    if (bucket < FOLD_DENSE) {
+        h->dense[bucket]++;
+        return 0;
+    }
+    if (h->sparse == NULL && (h->sparse = PyDict_New()) == NULL)
+        return -1;
+    PyObject *key = PyLong_FromLong(bucket);
+    if (key == NULL)
+        return -1;
+    PyObject *seen = PyDict_GetItemWithError(h->sparse, key);
+    Py_ssize_t n = seen == NULL ? 0 : PyLong_AsSsize_t(seen);
+    PyObject *next = PyErr_Occurred() ? NULL : PyLong_FromSsize_t(n + 1);
+    int rc = next == NULL ? -1 : PyDict_SetItem(h->sparse, key, next);
+    Py_XDECREF(next);
+    Py_DECREF(key);
+    return rc;
+}
+
+/* (count, total, low | None, high | None, {bucket: count}) */
+static PyObject *
+hist_summary(FoldHist *h)
+{
+    PyObject *buckets = h->sparse != NULL ? Py_NewRef(h->sparse) : PyDict_New();
+    if (buckets == NULL)
+        return NULL;
+    for (int b = 0; b < FOLD_DENSE; b++) {
+        if (h->dense[b] == 0)
+            continue;
+        PyObject *key = PyLong_FromLong(b), *n = PyLong_FromSsize_t(h->dense[b]);
+        int rc = key == NULL || n == NULL ? -1 : PyDict_SetItem(buckets, key, n);
+        Py_XDECREF(key);
+        Py_XDECREF(n);
+        if (rc < 0) {
+            Py_DECREF(buckets);
+            return NULL;
+        }
+    }
+    if (h->count == 0)
+        return Py_BuildValue("(ndOON)", h->count, h->total, Py_None, Py_None,
+                             buckets);
+    return Py_BuildValue("(ndddN)", h->count, h->total, h->low, h->high,
+                         buckets);
+}
+
+/* One shard's log as serve_fold reads it (its lists held). */
+typedef struct {
+    Col tenants, addrs, writes;
+    PyObject *latencies, *walls;
+    Py_ssize_t rows, prev, walls_at;
+} FoldLog;
+
+/* An exact, finite float's value, or 1 when the row is the reference's
+ * (another type, or not finite). */
+static inline int
+exact_float(PyObject *item, double *out)
+{
+    if (!PyFloat_CheckExact(item))
+        return 1;
+    *out = PyFloat_AS_DOUBLE(item);
+    return 0;
+}
+
+/* Item `i` of a list as exact_float reads it; -1 with an exception set
+ * when the list no longer reaches it (a finaliser run by an allocation
+ * here can have cut it short). */
+static inline int
+list_float(PyObject *list, Py_ssize_t i, double *out)
+{
+    if (i >= PyList_GET_SIZE(list)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "a log's latencies or walls changed during the fold");
+        return -1;
+    }
+    return exact_float(PyList_GET_ITEM(list, i), out);
+}
+
+static inline void
+put_le64(unsigned char *p, long long value)
+{
+    unsigned long long u = (unsigned long long)value;
+    for (int k = 0; k < 8; k++)
+        p[k] = (unsigned char)(u >> (8 * k));
+}
+
+/* serve_fold(logs, ends, max_batch, busy, totals)
+ *     -> (packed, busy, summaries) | None
+ *
+ * The accounting log's fold (OramService._fold_rows), pure: nothing the
+ * arguments hold is changed.  logs: [(tenants int64, addrs int64,
+ * writes int8, latencies list, walls list), ...], one per shard; ends:
+ * as serve_admit leaves it; busy: each shard's busy cycles so far;
+ * totals: each tenant's service, latency and wall histogram totals so
+ * far, tenant-major.  Returns, per shard, its rows packed `<qqB` (the
+ * access digest's input) and its busy cycles folded on, and per
+ * histogram (the order of `totals`) what record_many of its rows adds —
+ * see FoldHist.  A tenant's rows are its service latencies, their
+ * running sum within each epoch queue (its wait + latency) and the wall
+ * of the row's run_batch (one per max_batch rows of a queue), in
+ * accounting order: epoch by epoch, shard by shard.
+ *
+ * Like run_access_loop's fold, only exact floats are summed here: a
+ * latency, wall or starting total of any other type, or a value int()
+ * refuses, returns None, and the caller folds the rows the reference
+ * way. */
+static PyObject *
+serve_fold(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 5) {
+        PyErr_Format(PyExc_TypeError,
+                     "serve_fold expects 5 positional arguments, got %zd",
+                     nargs);
+        return NULL;
+    }
+    PyObject *logs_obj = args[0], *ends = args[1], *busy = args[3],
+             *totals = args[4];
+    if (!PyList_Check(logs_obj) || !PyList_Check(ends) ||
+        !PyList_Check(busy) || !PyList_Check(totals)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "serve_fold: logs, ends, busy and totals must be "
+                        "lists");
+        return NULL;
+    }
+    const Py_ssize_t max_batch = PyLong_AsSsize_t(args[2]);
+    if (max_batch == -1 && PyErr_Occurred())
+        return NULL;
+    const Py_ssize_t shards = PyList_GET_SIZE(logs_obj),
+                     hists = PyList_GET_SIZE(totals);
+    if (max_batch < 1 || shards == 0 || PyList_GET_SIZE(busy) != shards ||
+        hists % 3 != 0) {
+        PyErr_Format(PyExc_ValueError,
+                     "serve_fold needs max_batch >= 1 (got %zd), at least "
+                     "one log, one busy total per log (%zd for %zd) and "
+                     "three totals per tenant (%zd)",
+                     max_batch, PyList_GET_SIZE(busy), shards, hists);
+        return NULL;
+    }
+    if (PyList_GET_SIZE(ends) % shards != 0) {
+        PyErr_Format(PyExc_ValueError,
+                     "ends holds %zd entries, not a multiple of %zd shards",
+                     PyList_GET_SIZE(ends), shards);
+        return NULL;
+    }
+    const Py_ssize_t tenants = hists / 3,
+                     epochs = PyList_GET_SIZE(ends) / shards;
+    FoldLog *logs = PyMem_Calloc(shards, sizeof(FoldLog));
+    FoldHist *hist = PyMem_Calloc(hists ? hists : 1, sizeof(FoldHist));
+    Py_ssize_t *bounds = PyMem_Calloc(epochs * shards + 1, sizeof(Py_ssize_t));
+    double *cycles = PyMem_Calloc(shards, sizeof(double));
+    /* The outputs come first: a finaliser an allocation runs can change
+     * the argument lists, so everything read from them is read after. */
+    PyObject *packed = PyList_New(shards), *busy_out = PyList_New(shards),
+             *summaries = PyList_New(hists), *result = NULL;
+    int declined = 0;
+    if (logs == NULL || hist == NULL || bounds == NULL || cycles == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (packed == NULL || busy_out == NULL || summaries == NULL)
+        goto done;
+    for (Py_ssize_t s = 0; s < shards; s++) {
+        PyObject *row = PyList_GET_ITEM(logs_obj, s);
+        FoldLog *log = &logs[s];
+        if (!PyTuple_Check(row) || PyTuple_GET_SIZE(row) != 5 ||
+            !PyList_Check(PyTuple_GET_ITEM(row, 3)) ||
+            !PyList_Check(PyTuple_GET_ITEM(row, 4))) {
+            PyErr_Format(PyExc_TypeError,
+                         "serve_fold: log %zd must be a tuple (tenants, "
+                         "addrs, writes, latencies list, walls list)", s);
+            goto done;
+        }
+        Py_ssize_t room;
+        log->latencies = Py_NewRef(PyTuple_GET_ITEM(row, 3));
+        log->walls = Py_NewRef(PyTuple_GET_ITEM(row, 4));
+        if (log_acquire(row, &log->tenants, &log->addrs, &log->writes, 0, s,
+                        &room) < 0)
+            goto done;
+        /* Every queue's bounds, and the rows and walls execution left. */
+        Py_ssize_t prev = 0, batches = 0;
+        for (Py_ssize_t e = 0; e < epochs; e++) {
+            const Py_ssize_t end = list_index(ends, e * shards + s, prev,
+                                              room, "the end of shard", s);
+            if (end < 0)
+                goto done;
+            bounds[e * shards + s] = end;
+            batches += (end - prev + max_batch - 1) / max_batch;
+            prev = end;
+        }
+        log->rows = prev;
+        if (PyList_GET_SIZE(log->latencies) != prev ||
+            PyList_GET_SIZE(log->walls) != batches) {
+            PyErr_Format(PyExc_ValueError,
+                         "shard %zd logged %zd rows in %zd batches, and its "
+                         "log holds %zd latencies and %zd walls",
+                         s, prev, batches, PyList_GET_SIZE(log->latencies),
+                         PyList_GET_SIZE(log->walls));
+            goto done;
+        }
+    }
+    for (Py_ssize_t s = 0; s < shards && !declined; s++)
+        declined = exact_float(PyList_GET_ITEM(busy, s), &cycles[s]);
+    for (Py_ssize_t h = 0; h < hists && !declined; h++)
+        declined = exact_float(PyList_GET_ITEM(totals, h), &hist[h].total);
+    /* Per shard: its rows packed in log order, its busy cycles folded. */
+    for (Py_ssize_t s = 0; s < shards && !declined; s++) {
+        FoldLog *log = &logs[s];
+        const long long *tenant = log->tenants.data, *addr = log->addrs.data;
+        const int8_t *write = log->writes.data;
+        PyObject *bytes = PyBytes_FromStringAndSize(NULL, 17 * log->rows);
+        if (bytes == NULL)
+            goto done;
+        PyList_SET_ITEM(packed, s, bytes);
+        unsigned char *out = (unsigned char *)PyBytes_AS_STRING(bytes);
+        double latency;
+        for (Py_ssize_t i = 0; i < log->rows; i++, out += 17) {
+            if (write[i] < 0) {
+                PyErr_Format(PyExc_ValueError,
+                             "shard %zd row %zd holds write flag %d",
+                             s, i, (int)write[i]);
+                goto done;
+            }
+            if ((declined = list_float(log->latencies, i, &latency)) != 0)
+                break;
+            cycles[s] += latency;
+            put_le64(out, tenant[i]);
+            put_le64(out + 8, addr[i]);
+            out[16] = (unsigned char)write[i];
+        }
+    }
+    /* Per tenant, in accounting order: epoch by epoch, shard by shard. */
+    for (Py_ssize_t e = 0; e < epochs && !declined; e++) {
+        for (Py_ssize_t s = 0; s < shards && !declined; s++) {
+            FoldLog *log = &logs[s];
+            const Py_ssize_t start = log->prev, end = bounds[e * shards + s];
+            const long long *tenant = log->tenants.data;
+            double running = 0.0, latency, wall;
+            for (Py_ssize_t i = start; i < end; i++) {
+                if (tenant[i] < 0 || tenant[i] >= tenants) {
+                    PyErr_Format(PyExc_ValueError,
+                                 "shard %zd row %zd holds tenant %lld of %zd",
+                                 s, i, tenant[i], tenants);
+                    goto done;
+                }
+                FoldHist *own = &hist[3 * tenant[i]];
+                if ((declined = list_float(log->latencies, i, &latency)) ||
+                    (declined = list_float(log->walls,
+                                           log->walls_at +
+                                               (i - start) / max_batch,
+                                           &wall)))
+                    break;
+                /* accumulate(): the first row's latency as it is. */
+                running = i == start ? latency : running + latency;
+                if ((declined = hist_feed(&own[0], latency)) ||
+                    (declined = hist_feed(&own[1], running)) ||
+                    (declined = hist_feed(&own[2], wall)))
+                    break;
+            }
+            log->walls_at += (end - start + max_batch - 1) / max_batch;
+            log->prev = end;
+        }
+    }
+    if (declined < 0)
+        goto done;
+    if (declined) {
+        result = Py_NewRef(Py_None);
+        goto done;
+    }
+    for (Py_ssize_t s = 0; s < shards; s++) {
+        PyObject *boxed = PyFloat_FromDouble(cycles[s]);
+        if (boxed == NULL)
+            goto done;
+        PyList_SET_ITEM(busy_out, s, boxed);
+    }
+    for (Py_ssize_t h = 0; h < hists; h++) {
+        PyObject *summary = hist_summary(&hist[h]);
+        if (summary == NULL)
+            goto done;
+        PyList_SET_ITEM(summaries, h, summary);
+    }
+    result = PyTuple_Pack(3, packed, busy_out, summaries);
+
+done:
+    for (Py_ssize_t s = 0; logs != NULL && s < shards; s++) {
+        col_release(&logs[s].tenants);
+        col_release(&logs[s].addrs);
+        col_release(&logs[s].writes);
+        Py_XDECREF(logs[s].latencies);
+        Py_XDECREF(logs[s].walls);
+    }
+    for (Py_ssize_t h = 0; hist != NULL && h < hists; h++)
+        Py_XDECREF(hist[h].sparse);
+    PyMem_Free(logs);
+    PyMem_Free(hist);
+    PyMem_Free(bounds);
+    PyMem_Free(cycles);
+    Py_XDECREF(packed);
+    Py_XDECREF(busy_out);
+    Py_XDECREF(summaries);
+    return result;
+}
+
+/* ------------------------------------------------------------------ */
 /* trace synthesis: reference stream + L1/L2 hierarchy in one call     */
 /* ------------------------------------------------------------------ */
 
@@ -5504,6 +6237,13 @@ static PyMethodDef replay_core_methods[] = {
      "run_access_loop(access, line_addrs, is_write, lines_per_block, "
      "read_op, write_op, payload, table, miss_latency, cycles, latencies) "
      "-> cycles: one replay slice, translated, accessed and folded."},
+    {"serve_admit", (PyCFunction)(void (*)(void))serve_admit, METH_FASTCALL,
+     "serve_admit(streams, queues, ends, offers, capacity, shed) -> "
+     "consumed: one serve epoch's FIFO admission into the shards' logs."},
+    {"serve_fold", (PyCFunction)(void (*)(void))serve_fold, METH_FASTCALL,
+     "serve_fold(logs, ends, max_batch, busy, totals) -> (packed, busy, "
+     "summaries) | None: the serve accounting log's fold, or None for "
+     "the reference fold."},
     {"accumulate", accumulate, METH_VARARGS,
      "Event-ordered left-fold of per-event latencies onto a running "
      "cycle count (bit-identical to Python float accumulation)."},

@@ -23,6 +23,12 @@ holding a label no tree has or a counter about to wrap; first-touch
 bitmaps of the wrong kind or length; and the per-level tuple of tree
 handles.
 
+For serve's control plane (``serve_admit`` / ``serve_fold``): stream,
+log and ledger columns of the wrong item type, length or writability,
+a route outside the pool, a negative address, an offer past the end of
+its stream, a cursor outside it, a log without room for the epoch, and
+ends, latencies and walls that disagree with the log they describe.
+
 For the list adapters (``drain_scalar`` / ``place_greedy``) it is still
 slot ids that are not ints at all, buckets that are not lists and stash
 dicts with non-int keys. The contract is the same everywhere: raise
@@ -2521,3 +2527,416 @@ class TestRecursiveKernelAccessBoundary:
         frontend._kernel = other._kernel
         slice_counts(frontend.access, [1, 2], [False, False])
         assert other.stats.accesses == before + 2
+
+
+# -- serve's control plane ----------------------------------------------------
+
+
+def admit_args(shards=2, tenants=2, rows=8, room=32):
+    """Valid ``serve_admit`` arguments: ``tenants`` streams of ``rows``
+    requests routed round-robin over ``shards`` empty logs of ``room``
+    rows, each tenant offering 4."""
+    streams = [
+        (
+            array("q", range(100 * t, 100 * t + rows)),
+            array("b", [row % 2 for row in range(rows)]),
+            array("q", [row % shards for row in range(rows)]),
+            array("q", [0, 0, 0]),
+        )
+        for t in range(tenants)
+    ]
+    queues = [
+        (
+            array("q", bytes(8 * room)),
+            array("q", bytes(8 * room)),
+            array("b", bytes(room)),
+            array("q", [0] * 5),
+            {} if shards > 1 else None,
+        )
+        for _ in range(shards)
+    ]
+    return [streams, queues, [], [4] * tenants, 8, False]
+
+
+def admit_image(args):
+    """Every value ``serve_admit`` may move."""
+    streams, queues, ends = args[0], args[1], args[2]
+    return (
+        [tuple(column.tolist() for column in stream) for stream in streams],
+        [
+            tuple(column.tolist() for column in queue[:4])
+            + (None if queue[4] is None else list(queue[4].items()),)
+            for queue in queues
+        ],
+        list(ends),
+    )
+
+
+def assert_admit_rejects(args, errors=REJECTED, match=None):
+    """Raises, and nothing moved: every check precedes the first row."""
+    before = admit_image(args)
+    with pytest.raises(errors, match=match):
+        CORE.serve_admit(*args)
+    assert admit_image(args) == before
+
+
+def with_stream(args, tenant, position, column):
+    stream = list(args[0][tenant])
+    stream[position] = column
+    args[0][tenant] = tuple(stream)
+    return args
+
+
+def with_queue(args, shard, position, column):
+    queue = list(args[1][shard])
+    queue[position] = column
+    args[1][shard] = tuple(queue)
+    return args
+
+
+class TestServeAdmitBoundary:
+    def test_a_valid_epoch(self):
+        args = admit_args()
+        assert CORE.serve_admit(*args) == 8
+        streams, queues, ends = args[0], args[1], args[2]
+        assert ends == [4, 4]
+        assert [tuple(s[3]) for s in streams] == [(4, 0, 0)] * 2
+        assert queues[0][0][:4].tolist() == [0, 0, 1, 1]
+        assert list(queues[0][4].items()) == [(0, 0), (2, 1), (100, 2), (102, 3)]
+
+    @pytest.mark.parametrize("position, typecode", [
+        (0, "i"), (1, "q"), (2, "i"), (3, "i"), (3, "d"),
+    ])
+    def test_wrong_stream_typecodes(self, position, typecode):
+        args = admit_args()
+        column = array(typecode, [0] * len(args[0][0][position]))
+        assert_admit_rejects(with_stream(args, 0, position, column), TypeError)
+
+    @pytest.mark.parametrize("position, typecode", [
+        (0, "i"), (1, "d"), (2, "q"), (3, "i"),
+    ])
+    def test_wrong_queue_typecodes(self, position, typecode):
+        args = admit_args()
+        column = array(typecode, [0] * len(args[1][0][position]))
+        assert_admit_rejects(with_queue(args, 1, position, column), TypeError)
+
+    def test_read_only_log_and_ledgers(self):
+        for position in range(4):
+            args = admit_args()
+            frozen_column = bytes(args[1][0][position])
+            if position == 2:
+                frozen_column = memoryview(frozen_column)
+            else:
+                frozen_column = memoryview(frozen_column).cast("q")
+            assert_admit_rejects(
+                with_queue(args, 0, position, frozen_column),
+                (BufferError,) + REJECTED,
+            )
+        args = admit_args()
+        ledger = memoryview(bytes(args[0][1][3])).cast("q")
+        assert_admit_rejects(with_stream(args, 1, 3, ledger), (BufferError,) + REJECTED)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_stream_columns_of_unequal_length(self, position):
+        args = admit_args()
+        column = args[0][1][position]
+        cut = array(column.typecode, column[:-1])
+        assert_admit_rejects(
+            with_stream(args, 1, position, cut), ValueError, "differ in length"
+        )
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_log_columns_of_unequal_length(self, position):
+        args = admit_args()
+        column = args[1][0][position]
+        cut = array(column.typecode, column[:-1])
+        assert_admit_rejects(
+            with_queue(args, 0, position, cut), ValueError, "differ in length"
+        )
+
+    def test_ledgers_of_the_wrong_length(self):
+        args = admit_args()
+        assert_admit_rejects(with_stream(args, 0, 3, array("q", [0, 0])), ValueError)
+        args = admit_args()
+        assert_admit_rejects(with_queue(args, 0, 3, array("q", [0] * 6)), ValueError)
+
+    @pytest.mark.parametrize("route", [2, 3, -1, 2**62])
+    def test_a_route_outside_the_pool(self, route):
+        args = admit_args()
+        args[0][1][2][1] = route
+        assert_admit_rejects(args, ValueError, "routes to shard")
+
+    def test_a_route_outside_the_pool_beyond_the_offer_is_not_read(self):
+        args = admit_args()
+        args[0][1][2][7] = 9  # past this epoch's window
+        assert CORE.serve_admit(*args) == 8
+
+    def test_a_log_column_that_is_also_the_routes(self):
+        """Rows written by admission can be rows it reads: a route the
+        epoch itself overwrote is checked again where it is used."""
+        args = admit_args(tenants=1, rows=8, room=8)
+        routes = array("q", [0] * 8)
+        with_stream(args, 0, 2, routes)
+        with_queue(args, 0, 1, routes)  # shard 0's addresses are the routes
+        with_queue(args, 0, 4, {0: 99})  # address 0 is shard 0's block 99
+        args[2] = [1, 0]
+        with pytest.raises(ValueError, match="route changed"):
+            CORE.serve_admit(*args)
+
+    def test_a_negative_address(self):
+        args = admit_args()
+        args[0][0][0][3] = -1
+        assert_admit_rejects(args, ValueError, "address -1")
+
+    @pytest.mark.parametrize("offer", [9, -1, 2**40])
+    def test_an_offer_past_the_end_of_the_stream(self, offer):
+        args = admit_args()
+        args[3][1] = offer
+        assert_admit_rejects(args, ValueError, "offer")
+
+    def test_an_offer_past_the_end_from_a_moved_cursor(self):
+        args = admit_args()
+        args[0][0][3][0] = 6  # two rows left
+        args[3][0] = 3
+        assert_admit_rejects(args, ValueError, "offer")
+
+    @pytest.mark.parametrize("cursor", [9, -1])
+    def test_a_cursor_outside_the_stream(self, cursor):
+        args = admit_args()
+        args[0][0][3][0] = cursor
+        assert_admit_rejects(args, ValueError, "cursor")
+
+    def test_offers_are_ints(self):
+        args = admit_args()
+        args[3][0] = 2.5
+        assert_admit_rejects(args, TypeError)
+
+    def test_one_offer_per_tenant(self):
+        args = admit_args()
+        args[3] = [4]
+        assert_admit_rejects(args, ValueError, "one offer per tenant")
+
+    @pytest.mark.parametrize("ends", [[3], [40, 0], [-1, 0], [0, "x"]])
+    def test_ends_that_do_not_fit_the_logs(self, ends):
+        args = admit_args()
+        args[2] = ends
+        assert_admit_rejects(args)
+
+    def test_a_log_without_room_for_the_epoch(self):
+        args = admit_args(room=32)
+        args[2] = [0, 30]  # shard 1 may take 4 more rows, and has room for 2
+        assert_admit_rejects(args, ValueError, "room")
+
+    def test_room_for_exactly_the_epoch(self):
+        args = admit_args(room=32)
+        args[2] = [0, 28]  # shard 1 takes 4 rows: exactly its room
+        assert CORE.serve_admit(*args) == 8
+        assert args[2][-2:] == [4, 32]
+        args = admit_args(room=32)
+        args[2] = [0, 29]
+        assert_admit_rejects(args, ValueError, "room for 3 more rows")
+
+    def test_room_is_for_what_the_queue_can_take(self):
+        args = admit_args(room=32)
+        args[2] = [0, 30]
+        args[4] = 2  # a queue of 2 fits
+        assert CORE.serve_admit(*args) == 4  # tenant 1 defers its first
+        assert args[2][-2:] == [2, 32]
+
+    def test_malformed_containers(self):
+        for index, junk in [(0, (1,)), (1, "x"), (2, ()), (3, None)]:
+            args = admit_args()
+            args[index] = junk
+            with pytest.raises(TypeError, match="must be lists"):
+                CORE.serve_admit(*args)
+        for index in (0, 1):
+            args = admit_args()
+            args[index][0] = args[index][0][:-1]
+            with pytest.raises(TypeError, match="must be a tuple"):
+                CORE.serve_admit(*args)
+        with pytest.raises(TypeError, match="directory"):
+            CORE.serve_admit(*with_queue(admit_args(), 0, 4, [1]))
+
+    def test_no_shards_and_no_capacity(self):
+        args = admit_args()
+        args[1] = []
+        assert_admit_rejects(args, ValueError)
+        args = admit_args()
+        args[4] = 0
+        assert_admit_rejects(args, ValueError, "capacity")
+
+    def test_argument_count(self):
+        with pytest.raises(TypeError, match="6 positional"):
+            CORE.serve_admit(*admit_args()[:5])
+
+    @PROPERTY
+    @given(
+        cursor=st.integers(-2, 10),
+        offer=st.integers(-2, 10),
+        route=st.integers(-2, 3),
+        address=st.integers(-2, 2),
+        fill=st.integers(-2, 34),
+    )
+    def test_any_window_is_admitted_or_refused_whole(
+        self, cursor, offer, route, address, fill
+    ):
+        """Whatever tenant 0's cursor and offer, the route and address of
+        its first offered row and shard 0's fill, a call either admits or
+        raises having moved nothing, and it admits exactly when all of
+        them are valid."""
+        args = admit_args(room=32)
+        stream = args[0][0]
+        stream[3][0] = cursor
+        stream[2][min(max(cursor, 0), 7)] = route
+        stream[0][min(max(cursor, 0), 7)] = address
+        args[3] = [offer, 0]
+        args[2] = [fill, 0]
+        window = stream[2][cursor:cursor + offer] if 0 <= cursor <= 8 else []
+        valid = (
+            0 <= cursor <= 8 and 0 <= offer <= 8 - cursor and 0 <= fill <= 32
+            and (offer == 0 or (0 <= route < 2 and address >= 0))
+            and fill + min(8, list(window).count(0)) <= 32
+        )
+        before = admit_image(args)
+        try:
+            CORE.serve_admit(*args)
+        except REJECTED:
+            assert admit_image(args) == before
+            assert not valid
+        else:
+            assert valid
+            assert stream[3][0] == cursor + offer
+
+
+def fold_args(shards=2, tenants=2, rows=6, room=16, max_batch=4):
+    """Valid ``serve_fold`` arguments: one logged epoch of ``rows`` rows
+    per shard, tenants round-robin, float latencies and walls."""
+    logs = [
+        (
+            array("q", [row % tenants for row in range(rows)] + [0] * (room - rows)),
+            array("q", range(room)),
+            array("b", [row % 2 for row in range(room)]),
+            [float(row + 1) for row in range(rows)],
+            [10.0] * -(-rows // max_batch),
+        )
+        for _ in range(shards)
+    ]
+    return [logs, [rows] * shards, max_batch, [0.0] * shards, [0.0] * 3 * tenants]
+
+
+def fold_image(args):
+    logs = args[0]
+    return (
+        [
+            tuple(column.tolist() for column in log[:3]) + (list(log[3]), list(log[4]))
+            for log in logs
+        ],
+        list(args[1]), list(args[3]), list(args[4]),
+    )
+
+
+def assert_fold_rejects(args, errors=REJECTED, match=None):
+    before = fold_image(args)
+    with pytest.raises(errors, match=match):
+        CORE.serve_fold(*args)
+    assert fold_image(args) == before
+
+
+def with_log(args, shard, position, column):
+    log = list(args[0][shard])
+    log[position] = column
+    args[0][shard] = tuple(log)
+    return args
+
+
+class TestServeFoldBoundary:
+    def test_a_valid_fold_changes_nothing_it_reads(self):
+        args = fold_args()
+        before = fold_image(args)
+        packed, busy, summaries = CORE.serve_fold(*args)
+        assert fold_image(args) == before
+        assert [len(rows) for rows in packed] == [17 * 6] * 2
+        assert busy == [21.0, 21.0]
+        assert len(summaries) == 6
+        count, total, low, high, buckets = summaries[0]  # tenant 0's service
+        assert (count, total, low, high) == (6, 18.0, 1.0, 5.0)
+        assert buckets == {1: 2, 2: 2, 3: 2}
+
+    @pytest.mark.parametrize("position, typecode", [(0, "i"), (1, "d"), (2, "q")])
+    def test_wrong_typecodes(self, position, typecode):
+        args = fold_args()
+        column = array(typecode, [0] * 16)
+        assert_fold_rejects(with_log(args, 0, position, column), TypeError)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_columns_of_unequal_length(self, position):
+        args = fold_args()
+        column = args[0][1][position]
+        cut = array(column.typecode, column[:-1])
+        assert_fold_rejects(with_log(args, 1, position, cut), ValueError, "differ")
+
+    @pytest.mark.parametrize("tenant", [2, -1, 2**40])
+    def test_a_tenant_outside_the_roster(self, tenant):
+        args = fold_args()
+        args[0][1][0][3] = tenant
+        assert_fold_rejects(args, ValueError, "tenant")
+
+    def test_a_negative_write_flag(self):
+        args = fold_args()
+        args[0][0][2][2] = -1
+        assert_fold_rejects(args, ValueError, "write flag")
+
+    @pytest.mark.parametrize("ends", [[6], [6, 17], [-1, 6], [6, 6, 4, 6], [6, None]])
+    def test_ends_that_do_not_fit_the_logs(self, ends):
+        args = fold_args()
+        args[1] = ends
+        assert_fold_rejects(args)
+
+    def test_latencies_and_walls_that_disagree_with_the_log(self):
+        args = fold_args()
+        args[0][0][3].pop()
+        assert_fold_rejects(args, ValueError, "latencies")
+        args = fold_args()
+        args[0][1][4].append(1.0)
+        assert_fold_rejects(args, ValueError, "walls")
+        args = fold_args()
+        assert_fold_rejects(with_log(args, 0, 3, tuple(args[0][0][3])), TypeError)
+
+    def test_malformed_scalars_and_containers(self):
+        for index, junk in [(0, ()), (1, (6, 6)), (3, [0.0]), (4, [0.0] * 5)]:
+            args = fold_args()
+            args[index] = junk
+            assert_fold_rejects(args)
+        args = fold_args()
+        args[2] = 0
+        assert_fold_rejects(args, ValueError, "max_batch")
+        with pytest.raises(TypeError, match="5 positional"):
+            CORE.serve_fold(*fold_args()[:4])
+
+    @pytest.mark.parametrize("where", ["latency", "wall", "busy", "total"])
+    @pytest.mark.parametrize("value", [7, float("nan"), float("inf"), True])
+    def test_what_is_not_an_exact_finite_float_goes_to_the_reference(
+        self, where, value
+    ):
+        args = fold_args()
+        if where == "latency":
+            args[0][1][3][2] = value
+        elif where == "wall":
+            args[0][0][4][1] = value
+        elif where == "busy":
+            args[3][1] = value
+        else:
+            args[4][4] = value
+        before = fold_image(args)
+        folded = CORE.serve_fold(*args)
+        assert fold_image(args) == before
+        if where in ("busy", "total") and isinstance(value, float):
+            assert folded is not None  # a non-finite start sums like any float
+        else:
+            assert folded is None
+
+    def test_an_empty_log(self):
+        args = fold_args(rows=0)
+        packed, busy, summaries = CORE.serve_fold(*args)
+        assert packed == [b"", b""] and busy == [0.0, 0.0]
+        assert summaries == [(0, 0.0, None, None, {})] * 6

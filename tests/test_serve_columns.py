@@ -14,7 +14,7 @@ import binascii
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro.serve.server as server
 import repro.sim.replay as replay
@@ -177,13 +177,30 @@ class TestAccountingLog:
     def test_a_reader_never_sees_a_stale_histogram(self):
         service = scenario(requests=20)
         queues = service._admit([8, 8, 8, 8])
-        for shard, queue in zip(service.shards, queues):
-            shard.execute(queue)
-        service._account(queues)
-        admitted = sum(len(q) for q in queues)
+        for shard, rows in zip(service.shards, queues):
+            shard.execute(rows, 0.0)
+        admitted = sum(map(len, queues))
+        service._account(admitted)
         assert service._logged == admitted  # not folded yet
         assert sum(t.completed for t in service.tenant_stats) == admitted
         assert service.report()["totals"]["requests"] == admitted
+
+    def test_a_read_from_inside_an_epoch_folds_nothing(self, monkeypatch):
+        """A read of the records from inside an epoch — here a wrapped
+        ``run_batch`` — finds rows admitted but not yet executed; it sees
+        the records as of the last fold, and the run ends as a plain one."""
+        monkeypatch.setattr(server, "LOG_FOLD_LENGTH", 100)
+        plain = scenario(requests=100).run()
+        service = scenario(requests=100)
+        seen = []
+        for shard in service.shards:
+            def batch(addrs, writes, run=shard.engine.run_batch):
+                seen.append(sum(t.completed for t in service.tenant_stats))
+                return run(addrs, writes)
+            shard.engine.run_batch = batch
+        service.run()
+        assert seen == sorted(seen) and 0 < max(seen) < 400
+        assert strip_wall(service.report()) == strip_wall(plain.report())
 
 
 class TestNoObjectPerServedRequest:
@@ -293,10 +310,10 @@ class TestWallClock:
         admit = service._admit
 
         def admitting(offers):
-            stamp = clock.now + 1  # admission reads the clock first
+            stamp = clock.now  # the epoch's stamp is read just before admission
             queues = admit(offers)
-            for own, queue in zip(stamps, queues):
-                own += [stamp] * len(queue.addrs)
+            for own, rows in zip(stamps, queues):
+                own += [stamp] * len(rows)
             return queues
 
         monkeypatch.setattr(service, "_admit", admitting)
@@ -327,3 +344,273 @@ class TestWallClock:
         assert [h.to_dict() for h in got] == [h.to_dict() for h in expected]
         if policy == "shed":  # shed rows never ran, so they have no wall time
             assert sum(t.shed for t in service.tenant_stats) > 0
+
+
+# -- the control plane's two tiers ------------------------------------------
+
+
+#: Exact floats the fold must bucket and sum as ``record`` does: the
+#: edges above as floats, a negative zero, a negative value and one past
+#: the kernel's dense buckets.
+FOLD_VALUES = st.one_of(
+    st.sampled_from([float(value) for value in EDGES] + [-0.0, -3.5, 1e300]),
+    st.floats(min_value=0.0, max_value=1e18, allow_nan=False),
+)
+
+STREAMS = st.lists(
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=63), st.booleans()),
+        max_size=40,
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def twins(events, **config):
+    """Two services over the same streams: the first runs the control
+    plane's kernels, the second its interpreted reference (the engines
+    run the fast tier in both). Neither folds on its own: the test says
+    when."""
+
+    def build():
+        tenants = [
+            TenantSpec(name=f"t{i}", events=tuple(stream), region_blocks=64)
+            for i, stream in enumerate(events)
+        ]
+        service = OramService(
+            tenants, SimulationRunner(seed=2015, misses_per_benchmark=50),
+            ServeConfig(scheme="PC_X32", record_accesses=True, **config),
+        )
+        service._fold_length = 1 << 60
+        return service
+
+    fast, reference = build(), build()
+    reference._core = None
+    return fast, reference
+
+
+def admission_image(service):
+    """Everything admission moves: the log's ends and filled rows, the
+    cursors, both ledgers and the shard directories in insertion order."""
+    count = len(service.shards)
+    fills = service._ends[-count:] or [0] * count
+    return (
+        list(service._ends),
+        service._unserved,
+        [tuple(t.stats.ledger) for t in service._tenants],
+        [
+            (
+                tuple(shard.stats.ledger),
+                shard.log.tenants[:fill].tolist(),
+                shard.log.addrs[:fill].tolist(),
+                shard.log.writes[:fill].tolist(),
+                list(shard._directory.items()),
+            )
+            for shard, fill in zip(service.shards, fills)
+        ],
+    )
+
+
+def records(service):
+    """Everything the fold moves, as ``repr`` shows it: types and the
+    sign of zero included (1 and 1.0 differ, and so do 0.0 and -0.0)."""
+    histograms = [
+        repr((h.count, h.total, h.min, h.max, sorted(h._buckets.items())))
+        for h in service._histograms
+    ]
+    shards = [
+        (s.stats.access_digest, s.stats.requests, s.stats.busy_cycles,
+         s.stats.accesses)
+        for s in service.shards
+    ]
+    return histograms, shards
+
+
+def step(service, offers):
+    """One epoch's admission and execution; returns its queues."""
+    queues = service._admit(offers)
+    for shard, rows in zip(service.shards, queues):
+        shard.execute(rows, 0.0)
+    service._account(sum(map(len, queues)))
+    return queues
+
+
+def fold_both(fast, reference):
+    """Fold both logs over the same inputs: the wall readings, the one
+    thing two runs do not share, are copied from the first."""
+    for mine, theirs in zip(fast.shards, reference.shards):
+        theirs.log.walls[:] = mine.log.walls
+    fast._fold_log()
+    reference._fold_log()
+    assert records(fast) == records(reference)
+
+
+class _SpyCore:
+    """The core, recording what ``serve_fold`` returned."""
+
+    def __init__(self, core):
+        self.core, self.folds = core, []
+
+    def serve_admit(self, *args):
+        return self.core.serve_admit(*args)
+
+    def serve_fold(self, *args):
+        self.folds.append(self.core.serve_fold(*args))
+        return self.folds[-1]
+
+
+@pytest.mark.usefixtures("fast_tier")
+class TestColumnsInLockstep:
+    """``serve_admit`` / ``serve_fold`` against ``_admit_rows`` /
+    ``_fold_rows``, the interpreted reference, epoch by epoch."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        events=STREAMS,
+        shards=st.integers(min_value=1, max_value=3),
+        policy=st.sampled_from(server.POLICIES),
+        burst=st.integers(min_value=1, max_value=64),
+        queue_capacity=st.integers(min_value=1, max_value=64),
+        max_batch=st.integers(min_value=1, max_value=64),
+        preload=st.booleans(),
+        fold_every=st.integers(min_value=1, max_value=5),
+    )
+    # Full queues every epoch, under either policy, on a directory.
+    @example(
+        events=[[(addr % 64, addr % 3 == 0) for addr in range(40)]] * 3,
+        shards=2, policy="shed", burst=9, queue_capacity=4, max_batch=3,
+        preload=True, fold_every=2,
+    )
+    @example(
+        events=[[(addr % 64, addr % 3 == 0) for addr in range(40)]] * 3,
+        shards=3, policy="defer", burst=9, queue_capacity=4, max_batch=3,
+        preload=False, fold_every=3,
+    )
+    def test_every_epoch_and_every_fold_agree(
+        self, events, shards, policy, burst, queue_capacity, max_batch,
+        preload, fold_every,
+    ):
+        fast, reference = twins(
+            events, shards=shards, policy=policy, burst=burst,
+            queue_capacity=queue_capacity, max_batch=max_batch,
+        )
+        spy = fast._core = _SpyCore(fast._core)
+        if preload:  # a first touch in the directory before any epoch
+            for service in (fast, reference):
+                service.preload(0, 5, b"preloaded")
+        epochs = 0
+        while fast._unserved:
+            offers = [
+                min(burst, len(t.addrs) - t.cursor) for t in fast._tenants
+            ]
+            queues = step(fast, offers)
+            assert step(reference, offers) == queues
+            assert admission_image(fast) == admission_image(reference)
+            epochs += 1
+            if epochs % fold_every == 0:
+                fold_both(fast, reference)
+        fold_both(fast, reference)
+        assert None not in spy.folds
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), shards=st.integers(min_value=1, max_value=3))
+    def test_folds_agree_on_edge_values(self, data, shards):
+        events = [[(addr % 64, addr % 3 == 0) for addr in range(30)]] * 2
+        fast, reference = twins(
+            events, shards=shards, burst=4, queue_capacity=5, max_batch=3,
+        )
+        spy = fast._core = _SpyCore(fast._core)
+        for _ in range(6):
+            offers = [min(4, len(t.addrs) - t.cursor) for t in fast._tenants]
+            step(fast, offers)
+            step(reference, offers)
+        for mine, theirs in zip(fast.shards, reference.shards):
+            for column in ("latencies", "walls"):
+                values = data.draw(st.lists(
+                    FOLD_VALUES, min_size=len(getattr(mine.log, column)),
+                    max_size=len(getattr(mine.log, column)),
+                ))
+                getattr(mine.log, column)[:] = values
+                getattr(theirs.log, column)[:] = values
+        fold_both(fast, reference)
+        assert spy.folds and None not in spy.folds
+
+    def test_an_int_latency_takes_the_reference_fold(self):
+        events = [[(addr, False) for addr in range(20)]]
+        fast, reference = twins(events, shards=2, burst=8, queue_capacity=8)
+        spy = fast._core = _SpyCore(fast._core)
+        for service in (fast, reference):
+            step(service, [8])
+            log = next(s.log for s in service.shards if s.log.latencies)
+            log.latencies[0] = 7  # an int: the kernel sums exact floats only
+        fold_both(fast, reference)
+        assert spy.folds == [None]
+        assert any(
+            type(hist.total) is float and hist.count for hist in fast._histograms
+        )
+
+
+#: Each routed stream's region: tenant *i*'s addresses are offset by
+#: ``i * REGION`` in the service's address space.
+REGION = 2048
+
+
+def routed_streams(requests: int, shards: int = 2):
+    """One event stream per shard — tenant *i*'s global addresses all
+    route to shard *i* — so every shard runs a batch every epoch."""
+    streams = []
+    for index in range(shards):
+        offset = index * REGION
+        addrs = [
+            addr for addr in range(REGION)
+            if _route_column([offset + addr], shards)[0] == index
+        ][:requests]
+        assert len(addrs) == requests
+        streams.append([(addr, addr % 2 == 1) for addr in addrs])
+    return streams
+
+
+def python_calls(burst: int, epochs: int) -> tuple:
+    """Python-level calls (and builtin calls made from Python) while a
+    fast-tier service of two shards runs ``epochs`` epochs of ``burst``
+    requests per tenant; and the rows it served."""
+    import sys
+
+    streams = routed_streams(burst * epochs)
+    service = OramService(
+        [
+            TenantSpec(name=f"t{i}", events=tuple(s), region_blocks=REGION)
+            for i, s in enumerate(streams)
+        ],
+        SimulationRunner(seed=2015, misses_per_benchmark=50),
+        ServeConfig(shards=2, burst=burst, queue_capacity=64, max_batch=64),
+    )
+    calls = [0]
+
+    def count(frame, event, arg):
+        if event in ("call", "c_call"):
+            calls[0] += 1
+
+    sys.setprofile(count)
+    try:
+        service.run("serial")
+    finally:
+        sys.setprofile(None)
+    assert service.epochs == epochs
+    return calls[0], service.report()["totals"]["requests"]
+
+
+class TestPythonWorkPerEpoch:
+    def test_eight_times_the_rows_costs_no_more_python_calls(
+        self, fast_tier, monkeypatch
+    ):
+        # A scripted clock: both runs read the same wall times, so the
+        # histograms they fold have the same wall buckets.
+        monkeypatch.setattr(server, "time", _ScriptedClock())
+        small, small_rows = python_calls(burst=2, epochs=30)
+        big, big_rows = python_calls(burst=16, epochs=30)
+        assert big_rows == 8 * small_rows == 8 * 120
+        # A call per row would add 840; what differs is a few more
+        # latency buckets to merge at the fold.
+        assert abs(big - small) <= 16, (small, big)

@@ -12,6 +12,7 @@ from repro.config import OramConfig
 from repro.crypto.pad import PadGenerator
 from repro.frontend import FrontendStats
 from repro.presets import build_frontend
+from repro.serve.stats import ShardStats, TenantStats
 from repro.sim.native import load_native_core, unavailable_reason
 from repro.storage.columnar import ColumnarTreeStorage
 from repro.storage.encrypted import EncryptedTreeStorage
@@ -114,9 +115,17 @@ class TestRunningStats:
         assert rs.min == min(values)
 
 
+#: The serving layer's ledgers, whose owners are the same objects on
+#: either tier.
+SERVE_OWNERS = {"tenant": lambda: TenantStats("t0", "gob"), "shard": lambda: ShardStats(0)}
+
+
 def owners_of(ledger, storage):
     """A PIC_X32 frontend's owners of ``ledger`` on ``storage`` (the helper
-    every ledger test reads through), and the column they count in."""
+    every ledger test reads through), and the column they count in; a
+    serving record for the serving layer's ledgers."""
+    if ledger in SERVE_OWNERS:
+        return [SERVE_OWNERS[ledger]()], "ledger"
     if storage == "columnar" and load_native_core() is None:
         pytest.skip(unavailable_reason())
     frontend = build_frontend(
@@ -127,12 +136,14 @@ def owners_of(ledger, storage):
 
 
 #: (ledger, storage) for every owner of every ledger on both tiers; the
-#: object stash's occupancy summary is a RunningStats, not a ledger.
+#: object stash's occupancy summary is a RunningStats, not a ledger, and
+#: a serving record does not depend on the storage.
 OWNED = [
     (ledger, storage)
     for ledger in LEDGERS
     for storage in ("object", "columnar")
-    if storage == "columnar" or ledger not in ("occupancy", "moments")
+    if storage == "columnar" and ledger not in SERVE_OWNERS
+    or storage == "object" and ledger not in ("occupancy", "moments")
 ]
 
 

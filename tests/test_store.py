@@ -47,14 +47,15 @@ _WRITES = re.compile(r"""write_bytes\(|write_text\(|\bopen\([^)]*["'][wa][bt+]*[
 
 
 def test_only_the_store_writes_files():
-    """Whatever persists goes through the store; the ``--out`` report and
-    the file-damaging fault are the only other writers."""
+    """Whatever persists goes through the store; the ``--out`` report,
+    the file-damaging fault and the generator of the committed scorecard
+    files are the only other writers."""
     writers = {
         path.relative_to(SRC).as_posix()
         for path in SRC.rglob("*.py")
         if _WRITES.search(path.read_text("utf-8"))
     }
-    assert writers == {"sim/store.py", "cli.py", "faults/plan.py"}
+    assert writers == {"sim/store.py", "cli.py", "faults/plan.py", "eval/scorecard.py"}
 
 
 @pytest.fixture
