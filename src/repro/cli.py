@@ -138,8 +138,8 @@ def _add_sweep_parser(commands) -> argparse.ArgumentParser:
     add("--scheme", action="append", default=[], type=_text, metavar="NAME|SPEC",
         help="base scheme (repeatable; spec strings ok; default PIC_X32)")
     add("--grid", action="append", default=[], type=_text, metavar="F=V1,V2",
-        help="grid axis (repeatable): a spec field, the benchmark parameters "
-             "'misses' / 'wss', or the serving scenario 'tenants' / 'shards'")
+        help="grid axis (repeatable): a spec field or the benchmark "
+             "parameters 'misses' / 'wss'")
     add("--saved", choices=SAVED_SWEEPS, metavar="FIGURE",
         help="a simulated figure's saved sweep, on its platform: "
              f"{' | '.join(SAVED_SWEEPS)} (to SWEEP_<figure>.json; a figure "
@@ -286,21 +286,16 @@ def _sweep_main(args: argparse.Namespace) -> int:
         # A figure of several sweeps writes the list of their reports.
         several = isinstance(sweeps, list)
         sweeps = sweeps if several else [sweeps]
-        from repro.fabric import FabricExecutor
-
-        # --workers N is runner.execute's: each call forks its own N
-        # workers (a serve sweep runs here).
-        workers = Settings.from_env().workers
+        # --workers N reaches runner.execute through the environment:
+        # each call forks its own N workers.
         for sweep in sweeps:
-            parallel = workers > 1 and not sweep.serve_grid
-            executor = FabricExecutor(workers=workers) if parallel else None
-            reports.append(run_sweep(sweep, runner, executor=executor))
+            reports.append(run_sweep(sweep, runner))
     except SweepInterrupted as exc:
         if exc.report is not None:
             reports.append(exc.report)
             _write_report(reports if several else exc.report, out)
             print(f"\nsweep interrupted; wrote partial report to {out}", file=sys.stderr)
-        print(_rerun_hint(runner, sweeps), file=sys.stderr)
+        print(_rerun_hint(runner), file=sys.stderr)
         return 130
     except ReproError as exc:
         print(f"sweep error: {exc}", file=sys.stderr)
@@ -314,20 +309,17 @@ def _sweep_main(args: argparse.Namespace) -> int:
     if quarantined:
         print(
             f"{quarantined} cell(s) quarantined after repeated failures (see "
-            f"report['resilience']); {_rerun_hint(runner, sweeps)}",
+            f"report['resilience']); {_rerun_hint(runner)}",
             file=sys.stderr,
         )
     return 0
 
 
-def _rerun_hint(runner, sweeps) -> str:
+def _rerun_hint(runner) -> str:
     """How to finish a sweep that stopped short: run it again."""
     store = runner.result_cache
-    if store is None or any(sweep.serve_grid for sweep in sweeps):
-        why = "the result store is off" if store is None else (
-            "serve scenario cells are not stored"
-        )
-        return f"{why}, so re-running the sweep recomputes every cell"
+    if store is None:
+        return "the result store is off, so re-running the sweep recomputes every cell"
     again = "the same sweep" + (" without --force" if runner.force else "")
     return (
         f"finished cells are in the result store {store.root}; "

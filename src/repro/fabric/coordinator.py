@@ -19,8 +19,8 @@ and asks for work at once. There is no handshake.
 Scheduling model:
 
 - every cold cell becomes a task ``{id, label, bench, spec, misses,
-  attempt}`` whose ``id`` is the cell's canonical result digest — the
-  same content-address the shared store uses (``spec`` is null for the
+  attempt}`` whose ``id`` is the cell's canonical result digest — its
+  address in the runner's result store (``spec`` is null for the
   insecure baseline);
 - idle workers pull (``need``) and receive a lease of up to
   :data:`LEASE_CAP` tasks, sized down as the queue drains so the tail
@@ -72,7 +72,6 @@ from repro.fabric.protocol import (
     RpcTimeout,
     send_message,
 )
-from repro.fabric.store import SharedStore
 from repro.fabric.worker import HEARTBEAT_INTERVAL, FabricWorker
 from repro.faults import install_from
 from repro.resilience import RetryPolicy
@@ -81,7 +80,7 @@ from repro.sim.metrics import SimResult
 from repro.sim.runner import Cell, ProgressCallback, SimulationRunner
 
 
-#: Workers are forked: a child inherits the runner and its traces.
+#: Workers are forked: a child inherits the runner, its stores and its traces.
 _FORK = multiprocessing.get_context("fork")
 
 # HEARTBEAT_INTERVAL (the worker's) is also the longest the loop waits
@@ -164,15 +163,18 @@ class _WorkerConn:
 
 
 class FabricCoordinator:
-    """Forks workers, leases cells, reclaims the dead, steals from stragglers."""
+    """Forks workers, leases cells, reclaims the dead, steals from stragglers.
+
+    Its workers replay with ``runner`` itself, inherited at fork with its
+    own trace and result stores (none when it has none): a cell a worker
+    finishes is in the caller's result store, if there is one, and its
+    result always travels back in a ``result`` frame.
+    """
 
     def __init__(self, runner: SimulationRunner, *, spawn: int = 0):
         self.spawn = spawn
         self._respawn_budget = spawn * RESPAWNS_PER_WORKER
-        # Workers inherit a runner attached to the shared store, so every
-        # one of them reads and writes the same directories.
-        self.store = SharedStore(runner)
-        self.runner = self.store.attach(runner)
+        self.runner = runner
         self.counters: Dict[str, int] = dict.fromkeys(COUNTERS, 0)
         settings = Settings.from_env()
         self._rpc_timeout = settings.rpc_timeout
@@ -196,7 +198,7 @@ class FabricCoordinator:
             self._spawn_worker(0.0)  # execute() starts every clock again
 
     def close(self) -> None:
-        """Shut workers down and release sockets, processes, and the store.
+        """Shut workers down and release their sockets and processes.
 
         Every live connection gets a ``shutdown`` frame: a worker still
         running a stolen duplicate finds its late ``result`` unsendable
@@ -219,7 +221,6 @@ class FabricCoordinator:
             if proc.exitcode is None:
                 proc.kill()
                 proc.join()
-        self.store.close()
 
     def _hang_up(self, conn: _WorkerConn, shutdown_frame: bool) -> None:
         """Close a connection for good, first telling its worker to exit if asked."""
@@ -242,10 +243,9 @@ class FabricCoordinator:
         self.close()
 
     def stats(self) -> Dict[str, object]:
-        """JSON-safe scheduling counters + shared-store inventory."""
+        """JSON-safe scheduling counters and the live worker count."""
         out: Dict[str, object] = dict(self.counters)
         out["workers_live"] = self._live()
-        out["store"] = self.store.stats()
         return out
 
     def _live(self) -> int:
@@ -540,30 +540,24 @@ class FabricCoordinator:
 
 
 class FabricExecutor:
-    """Adapter giving :func:`~repro.sim.sweep.run_sweep` a fabric backend.
+    """Runs :func:`~repro.sim.sweep.run_sweep`'s cells on a started coordinator.
 
-    ``FabricExecutor(coordinator)`` runs every call on that started
-    coordinator, whose workers then outlive the calls. It mirrors
-    :meth:`SimulationRunner.execute`: cached cells are served (and
+    ``run_sweep(..., executor=FabricExecutor(coordinator))`` runs every
+    call on that coordinator, whose workers then outlive the calls. It
+    mirrors :meth:`SimulationRunner.execute`: cached cells are served (and
     streamed through ``progress`` with ``cached=True``) without touching
     the fabric; only cold cells become lease tasks, baselines included.
-    The traces they need are synthesised here first, once, into the
-    shared trace store, which workers load instead of each synthesising
-    its own. Content-addressed ids make re-dispatch, stealing, and resume
-    all idempotent.
-
-    ``FabricExecutor(workers=N)`` is ``runner.execute(cells, workers=N)``
-    itself, whose calls each fork their own local workers once the
-    traces exist; :meth:`stats` sums those calls' coordinator counters
-    (None while no call has needed a coordinator).
+    The workers were forked before these calls, so the traces they need
+    are synthesised here first, once, into the runner's trace store,
+    which they load instead of each synthesising its own (a runner
+    without one leaves each worker to synthesise the trace it needs, to
+    the same bytes). Content-addressed ids make re-dispatch, stealing,
+    and resume all idempotent. ``runner.execute(cells, workers=N)`` is
+    the other way to use the fabric: one coordinator per call.
     """
 
-    def __init__(
-        self, coordinator: Optional[FabricCoordinator] = None, *, workers: int = 0
-    ):
+    def __init__(self, coordinator: FabricCoordinator):
         self.coordinator = coordinator
-        self.workers = workers
-        self._summed: Optional[Dict] = None
 
     def execute(
         self,
@@ -574,18 +568,6 @@ class FabricExecutor:
         retry: Optional[RetryPolicy] = None,
         failures: Optional[List[dict]] = None,
     ) -> None:
-        if self.coordinator is None:
-            runner.execute(
-                cells, workers=self.workers, progress=progress, retry=retry,
-                failures=failures,
-            )
-            stats, total = runner.fabric_stats, self._summed
-            if stats is not None:  # counters add up; the rest is the latest
-                self._summed = stats if total is None else {
-                    key: total[key] + value if key in COUNTERS else value
-                    for key, value in stats.items()
-                }
-            return
         tasks: List[dict] = []
         for cell in cells:
             cached = runner._load_cached(cell)
@@ -606,5 +588,5 @@ class FabricExecutor:
                 tasks, retry=retry, failures=failures, progress=progress
             )
 
-    def stats(self) -> Optional[Dict[str, object]]:
-        return self.coordinator.stats() if self.coordinator else self._summed
+    def stats(self) -> Dict[str, object]:
+        return self.coordinator.stats()

@@ -22,9 +22,10 @@ peer.
 
 Determinism: a worker never *decides* anything. Which cell it runs,
 with which sized spec and attempt number, is dictated by the lease; the
-cell itself derives all randomness from the runner seed. Results land
-in the shared content-addressed store via the runner's own caches, so
-the coordinator (and any other worker) can reuse them byte-identically.
+cell itself derives all randomness from the runner seed. A result
+travels back in its ``result`` frame and, when the inherited runner has
+a result store, lands there too, content-addressed, so a re-run (or a
+re-dispatched attempt on another worker) reuses it byte-identically.
 
 Fault plane: every executed cell passes ``fault_hook("fabric.worker",
 "<label>/<bench>/<attempt>")``, so chaos plans can kill a worker on a

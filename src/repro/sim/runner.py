@@ -518,14 +518,19 @@ class SimulationRunner:
         ``workers > 1`` and two or more of them, scheme cells run on a
         :class:`~repro.fabric.FabricCoordinator` with ``workers`` forked
         local workers for the duration of the call (baselines are
-        arithmetic on the trace and stay in this process). Missing traces
-        are synthesised here first and the forks inherit them, so workers
-        only replay. Every task derives its RNG from the runner seed alone
-        (never from scheduling), so parallel results are bitwise identical
-        to the serial path. ``progress`` is invoked once per cell, as it
-        completes, with (scheme label, benchmark, result, cached). After a
-        call, ``self.fabric_stats`` is its coordinator's ``stats()``, or
-        None when it needed none.
+        arithmetic on the trace and stay in this process). This is the
+        one parallel path: :func:`~repro.sim.sweep.run_sweep` and the
+        CLI's ``--workers`` come here. Each cell is looked up once, here,
+        and the coordinator gets the cold ones as its tasks. Missing
+        traces are synthesised here first; the forks inherit them with
+        this runner and its own stores (none when it has none), so
+        workers only replay and send each result back in a frame. Every
+        task derives its RNG from the runner seed alone (never from
+        scheduling), so parallel results are bitwise identical to the
+        serial path. ``progress`` is invoked once per cell, as it
+        completes, with (scheme label, benchmark, result, cached). After
+        a call, ``self.fabric_stats`` is its coordinator's ``stats()``,
+        or None when it needed none.
 
         Self-healing: a cell that raises is re-dispatched under ``retry``
         (default :meth:`RetryPolicy.from_settings`) — serially with

@@ -1,13 +1,16 @@
 """Parameter-grid sweeps over declarative scheme specs.
 
 A :class:`SweepSpec` names base schemes (registry names, spec strings, or
-:class:`~repro.spec.SchemeSpec` values), a grid of spec-field axes, and a
-benchmark list; :func:`run_sweep` expands the cartesian product into
-sized ``SchemeSpec`` points and drives them through
-:meth:`~repro.sim.runner.SimulationRunner.execute` — so sweeps inherit
-the whole experiment engine for free: on-disk trace/result caching
-(warm-cache sweeps replay nothing), fan-out over forked fabric workers
-bitwise identical to serial, and per-cell progress streaming.
+:class:`~repro.spec.SchemeSpec` values), a grid of spec-field axes, the
+benchmark-parameter axes ``misses`` / ``wss``, and a benchmark list.
+Every point of it is a replay cell: :func:`run_sweep` expands the
+cartesian product into sized ``SchemeSpec`` points and drives them, one
+way, through :meth:`~repro.sim.runner.SimulationRunner.execute` — so
+sweeps inherit the whole experiment engine for free: on-disk trace/result
+caching (warm-cache sweeps replay nothing, an interrupted sweep is
+finished by running it again), fan-out over forked fabric workers bitwise
+identical to serial, and per-cell progress streaming. A serving scenario
+is not a sweep point; it is one ``python -m repro serve`` run.
 
 The report is plain data (JSON-safe), deterministic in content *and*
 order regardless of worker count or cache temperature::
@@ -21,13 +24,13 @@ order regardless of worker count or cache temperature::
     )
     report = run_sweep(sweep, workers=8)
 
-CLI: ``python -m repro sweep --scheme PC_X32 --grid plb=4KiB,8KiB ...``
-prints the slowdown table and writes the JSON report.
+CLI: ``python -m repro [--workers N] sweep --scheme PC_X32 --grid
+plb=4KiB,8KiB ...`` is ``run_sweep(sweep, runner)``; it prints the
+slowdown table and writes the JSON report.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -55,23 +58,15 @@ from repro.workloads.spec import benchmark, benchmark_names, scaled_benchmark_na
 #: ``wss`` sweeps the working-set size (a derived-benchmark override).
 BENCH_AXES = ("misses", "wss")
 
-#: Grid axes over *serving-scenario parameters*: ``tenants`` sweeps the
-#: simulated client count, ``shards`` the ORAM pool size. Any serve axis
-#: turns the sweep into an "N tenants on M shards" scenario sweep run
-#: through :mod:`repro.serve` (one cell per combo, the benchmark list
-#: becoming the round-robin tenant roster) instead of offline replay.
-SERVE_AXES = ("tenants", "shards")
-
 
 def parse_grid_axis(text: str) -> Tuple[str, Tuple[object, ...]]:
     """Parse one ``--grid`` argument: ``"plb=4KiB,8KiB"`` -> axis tuple.
 
     The key accepts full spec field names, the mini-language aliases,
-    one of the benchmark-parameter axes in :data:`BENCH_AXES`
-    (``"misses=2000,8000"``, ``"wss=4MiB,16MiB"``), or one of the
-    serving-scenario axes in :data:`SERVE_AXES` (``"tenants=2,4"``,
-    ``"shards=1,2"``); values parse by the field's type (sizes, bools,
-    ``none`` — bench and serve axes are positive sizes/integers).
+    or one of the benchmark-parameter axes in :data:`BENCH_AXES`
+    (``"misses=2000,8000"``, ``"wss=4MiB,16MiB"``); values parse by the
+    field's type (sizes, bools, ``none`` — bench axes are positive
+    sizes/integers).
     """
     if "=" not in text:
         raise SpecError(
@@ -80,7 +75,7 @@ def parse_grid_axis(text: str) -> Tuple[str, Tuple[object, ...]]:
     key, _, rest = text.partition("=")
     items = [item for item in rest.split(",") if item.strip()]
     axis = key.strip().lower()
-    if axis in BENCH_AXES or axis in SERVE_AXES:
+    if axis in BENCH_AXES:
         values = tuple(_parse_bench_value(axis, item) for item in items)
     else:
         axis = resolve_field(key)
@@ -93,20 +88,13 @@ def parse_grid_axis(text: str) -> Tuple[str, Tuple[object, ...]]:
 
 
 def _parse_bench_value(axis: str, value: object) -> int:
-    """Parse one benchmark- or serve-parameter axis value (positive int)."""
+    """Parse one benchmark-parameter axis value (positive int)."""
     parsed = parse_size(value) if isinstance(value, str) else value
     if not isinstance(parsed, int) or isinstance(parsed, bool) or parsed < 1:
         raise SpecError(
             f"axis {axis!r} expects positive integers, got {value!r}"
         )
     return parsed
-
-
-def _expand(grid) -> List[Dict[str, int]]:
-    """Cartesian product of ``(axis, values)`` pairs, last axis fastest."""
-    axes = [axis for axis, _values in grid]
-    value_axes = [values for _axis, values in grid]
-    return [dict(zip(axes, combo)) for combo in itertools.product(*value_axes)]
 
 
 @dataclass(frozen=True)
@@ -117,17 +105,12 @@ class SweepSpec:
     ``bench_grid`` axes vary benchmark parameters (:data:`BENCH_AXES`:
     the per-benchmark miss budget and the working-set size), expanding
     the benchmark/runner side of the matrix instead of the scheme side.
-    ``serve_grid`` axes (:data:`SERVE_AXES`) vary the multi-tenant
-    serving scenario — any serve axis switches :func:`run_sweep` from
-    offline replay to :mod:`repro.serve` scenario cells, with the
-    benchmark list as the round-robin tenant roster.
     """
 
     schemes: Tuple[SchemeLike, ...]
     grid: Tuple[Tuple[str, Tuple[object, ...]], ...] = ()
     benchmarks: Tuple[str, ...] = ()
     bench_grid: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
-    serve_grid: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
 
     def __post_init__(self):
         if not self.schemes:
@@ -145,31 +128,25 @@ class SweepSpec:
             seen.add(field_name)
             if not values:
                 raise SpecError(f"grid axis {field_name!r} lists no values")
-        for kind, allowed in (("bench", BENCH_AXES), ("serve", SERVE_AXES)):
-            axes_seen = set()
-            normalised: List[Tuple[str, Tuple[int, ...]]] = []
-            for axis, values in getattr(self, f"{kind}_grid"):
-                if axis not in allowed:
-                    raise SpecError(
-                        f"unknown {kind} axis {axis!r}; choose from {allowed}"
-                    )
-                if axis in axes_seen:
-                    raise SpecError(f"{kind} axis {axis!r} appears twice")
-                axes_seen.add(axis)
-                if not values:
-                    raise SpecError(f"{kind} axis {axis!r} lists no values")
-                # Normalise, don't just validate: direct construction may
-                # spell values as size strings ("4MiB"); downstream consumers
-                # (names_for, runner.derive) get the parsed integers.
-                normalised.append(
-                    (axis, tuple(_parse_bench_value(axis, v) for v in values))
+        axes_seen = set()
+        normalised: List[Tuple[str, Tuple[int, ...]]] = []
+        for axis, values in self.bench_grid:
+            if axis not in BENCH_AXES:
+                raise SpecError(
+                    f"unknown bench axis {axis!r}; choose from {BENCH_AXES}"
                 )
-            object.__setattr__(self, f"{kind}_grid", tuple(normalised))
-        if self.serve_grid and self.bench_grid:
-            raise SpecError(
-                "serve axes (tenants/shards) cannot be combined with "
-                "bench axes (misses/wss) in one sweep"
+            if axis in axes_seen:
+                raise SpecError(f"bench axis {axis!r} appears twice")
+            axes_seen.add(axis)
+            if not values:
+                raise SpecError(f"bench axis {axis!r} lists no values")
+            # Normalise, don't just validate: direct construction may
+            # spell values as size strings ("4MiB"); downstream consumers
+            # (names_for, runner.derive) get the parsed integers.
+            normalised.append(
+                (axis, tuple(_parse_bench_value(axis, v) for v in values))
             )
+        object.__setattr__(self, "bench_grid", tuple(normalised))
         # Fail fast on unknown schemes/benchmarks at construction time.
         for scheme in self.schemes:
             resolve_spec(scheme)
@@ -191,21 +168,18 @@ class SweepSpec:
         ``grid`` is either a mapping ``{field: values}`` (field names or
         aliases; values raw or mini-language strings) or an iterable of
         ``"field=v1,v2"`` axis strings. Axes named after a benchmark
-        parameter (:data:`BENCH_AXES`) are routed to ``bench_grid``,
-        serving-scenario axes (:data:`SERVE_AXES`) to ``serve_grid``;
+        parameter (:data:`BENCH_AXES`) are routed to ``bench_grid``;
         everything else resolves as a spec field.
         """
         axes: List[Tuple[str, Tuple[object, ...]]] = []
         bench_axes: List[Tuple[str, Tuple[int, ...]]] = []
-        serve_axes: List[Tuple[str, Tuple[int, ...]]] = []
         if grid is None:
             pass
         elif isinstance(grid, Mapping):
             for key, values in grid.items():
                 axis = str(key).strip().lower()
-                if axis in BENCH_AXES or axis in SERVE_AXES:
-                    target = bench_axes if axis in BENCH_AXES else serve_axes
-                    target.append(
+                if axis in BENCH_AXES:
+                    bench_axes.append(
                         (axis, tuple(_parse_bench_value(axis, v) for v in values))
                     )
                     continue
@@ -222,8 +196,6 @@ class SweepSpec:
                 axis, values = parse_grid_axis(item)
                 if axis in BENCH_AXES:
                     bench_axes.append((axis, values))  # type: ignore[arg-type]
-                elif axis in SERVE_AXES:
-                    serve_axes.append((axis, values))  # type: ignore[arg-type]
                 else:
                     axes.append((axis, values))
         return cls(
@@ -231,7 +203,6 @@ class SweepSpec:
             grid=tuple(axes),
             benchmarks=tuple(benchmarks) if benchmarks is not None else (),
             bench_grid=tuple(bench_axes),
-            serve_grid=tuple(serve_axes),
         )
 
     def points(self) -> List[Tuple[str, SchemeSpec]]:
@@ -275,11 +246,9 @@ class SweepSpec:
         Same ordering convention as :meth:`points`: declaration order,
         last axis varying fastest, so reports are deterministic.
         """
-        return _expand(self.bench_grid)
-
-    def serve_points(self) -> List[Dict[str, int]]:
-        """Expanded serving-scenario combos (``[]`` when no serve axes)."""
-        return _expand(self.serve_grid) if self.serve_grid else []
+        axes = [axis for axis, _values in self.bench_grid]
+        value_axes = [values for _axis, values in self.bench_grid]
+        return [dict(zip(axes, combo)) for combo in itertools.product(*value_axes)]
 
     def names_for(self, combo: Mapping[str, int]) -> List[str]:
         """Benchmark names for one bench-grid combo (``wss`` applied).
@@ -316,92 +285,36 @@ def run_sweep(
     are ordered (bench combos, then points, then benchmarks) regardless
     of worker scheduling, and results are bitwise identical serial vs
     parallel and warm-cache vs cold — the experiment engine's core
-    guarantee. A sweep with serve axes (:data:`SERVE_AXES`) runs
-    multi-tenant serving scenarios instead — see :func:`_run_serve_sweep`.
+    guarantee.
+
+    Every combo is two :meth:`SimulationRunner.execute` calls, scheme
+    cells then baselines, with ``workers`` (above 1, a fabric of that
+    many forked workers per call that has two or more cold scheme
+    cells); ``report["resilience"]["fabric"]`` sums the calls'
+    coordinator counters (absent when no call needed a coordinator).
+    ``executor=FabricExecutor(coordinator)`` runs every call on that
+    started coordinator instead (``workers`` is then ignored), and its
+    ``stats()`` are ``resilience["fabric"]``. The report is bit-identical
+    either way — only ``resilience`` distinguishes the runs.
 
     Resilience: cells that keep failing under ``retry`` are quarantined
     into ``report["resilience"]["quarantined"]`` instead of aborting the
     sweep. ``KeyboardInterrupt`` raises
     :class:`~repro.errors.SweepInterrupted` carrying the partial report
-    (``resilience.interrupted = True``). Every replay cell is in the
-    runner's result store the moment it completes, so running the same
-    sweep again finishes it: the stored cells come back as ``from_cache``
+    (``resilience.interrupted = True``). Every cell is in the runner's
+    result store the moment it completes, so running the same sweep
+    again finishes it: the stored cells come back as ``from_cache``
     hits, bit-identical, and only the rest execute.
-
-    ``executor`` selects the cell backend: None means
-    :meth:`SimulationRunner.execute` with ``workers`` (above 1, a fabric
-    of that many forked workers per call); a
-    :class:`~repro.fabric.coordinator.FabricExecutor` — anything with
-    ``execute(runner, cells, *, progress, retry, failures)`` and
-    ``stats()`` — runs every call instead (``workers`` is then ignored)
-    and its ``stats()`` are ``resilience["fabric"]``. The report is
-    bit-identical either way — only ``resilience["fabric"]`` (executor
-    scheduling counters) distinguishes the runs. Serve-axis sweeps run
-    whole scenarios in-process and refuse a custom executor.
     """
     if runner is None:
         runner = SimulationRunner()
-    if executor is not None and sweep.serve_grid:
-        raise SpecError(
-            "serve-axis sweeps (tenants/shards) run whole scenarios in one "
-            "process and cannot use a fabric/custom executor; drop the "
-            "executor or the serve axes"
-        )
     points = sweep.points()
-    if sweep.serve_grid:
-        return _run_serve_sweep(sweep, runner, points)
-    return _run_bench_sweep(
-        sweep,
-        runner,
-        points,
-        workers=workers,
-        executor=executor,
-        progress=progress,
-        retry=retry,
-    )
-
-
-def _resilience_section(
-    counters: Mapping[str, int],
-    failures: List[dict],
-    interrupted: bool,
-    fabric: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """The ``report["resilience"]`` block (always present, JSON-safe).
-
-    ``fabric`` carries the distributed executor's scheduling counters
-    when one ran the sweep. Resilience is observability, not results —
-    bit-identity comparisons between local and fabric runs strip this
-    section, and everything outside it is topology-independent.
-    """
-    section: Dict[str, object] = {
-        "executed": counters["executed"],
-        "from_cache": counters["from_cache"],
-        "quarantined": list(failures),
-    }
-    if interrupted:
-        section["interrupted"] = True
-    if fabric is not None:
-        section["fabric"] = fabric
-    return section
-
-
-def _run_bench_sweep(
-    sweep: SweepSpec,
-    runner: SimulationRunner,
-    points: List[Tuple[str, SchemeSpec]],
-    *,
-    workers: Optional[int],
-    executor: Optional[object],
-    progress: Optional[ProgressCallback],
-    retry: Optional[RetryPolicy],
-) -> Dict[str, object]:
-    """The offline-replay branch of :func:`run_sweep` (see its docstring)."""
     labels = [label for label, _spec in points]
     combos = sweep.bench_points()
     multi_miss = any("misses" in combo for combo in combos)
     failures: List[dict] = []
     counters = {"executed": 0, "from_cache": 0}
+    fabric: Optional[Dict[str, object]] = None  # the calls' summed counters
     # One record per bench combo; ``done[(label, benchmark)]`` fills in as
     # cells finish (from the result store or a fresh replay; baselines
     # under the label "insecure"), so a partial report can be assembled
@@ -437,6 +350,18 @@ def _run_bench_sweep(
                     if base is not None:
                         cell["slowdown"] = payload["cycles"] / base["cycles"]
                     cells.append(cell)
+        # Observability, not results: comparisons across topologies strip
+        # this block, and everything outside it is topology-independent.
+        resilience: Dict[str, object] = {
+            "executed": counters["executed"],
+            "from_cache": counters["from_cache"],
+            "quarantined": list(failures),
+        }
+        if interrupted:
+            resilience["interrupted"] = True
+        stats = executor.stats() if executor is not None else fabric
+        if stats is not None:
+            resilience["fabric"] = stats
         import repro
 
         return {
@@ -450,12 +375,7 @@ def _run_bench_sweep(
             "benchmarks": sweep.bench_names(),
             "baselines": baseline_rows,
             "cells": cells,
-            "resilience": _resilience_section(
-                counters,
-                failures,
-                interrupted,
-                fabric=executor.stats() if executor is not None else None,
-            ),
+            "resilience": resilience,
         }
 
     try:
@@ -482,94 +402,33 @@ def _run_bench_sweep(
                 if progress is not None:
                     progress(label, name, result, cached)
 
-            if executor is None:
-                execute = functools.partial(cell_runner.execute, workers=workers)
-            else:
-                execute = functools.partial(executor.execute, cell_runner)
             # Feed the runner *labels*, not spec values: the string path
             # preserves every explicit grid delta (even one equal to a
             # registry default) against the runner's per-benchmark sizing.
             # Scheme cells, then baselines; one call per phase keeps
-            # cross-scheme executor parallelism.
+            # cross-scheme parallelism.
             for cells in (
                 cell_runner.cells(labels, names),
                 cell_runner.baseline_cells(names),
             ):
-                execute(cells, progress=finished, retry=retry, failures=failures)
-    except KeyboardInterrupt:
-        raise SweepInterrupted(
-            "sweep interrupted; running it again finishes it",
-            report=assemble(True),
-        ) from None
-    return assemble(False)
-
-
-def _run_serve_sweep(
-    sweep: SweepSpec,
-    runner: SimulationRunner,
-    points: List[Tuple[str, SchemeSpec]],
-) -> Dict[str, object]:
-    """The serve branch of :func:`run_sweep`: scenario cells, no baselines.
-
-    One cell per (grid point, tenants x shards combo): the benchmark
-    list becomes the round-robin tenant roster of an
-    :class:`~repro.serve.OramService` run, and the cell's ``result``
-    carries the pool's total busy cycles (so :func:`sweep_table`'s
-    megacycles rendering applies unchanged) next to the full per-tenant
-    serve report. Insecure baselines are meaningless for a shared pool,
-    so serve reports never carry them. A scenario cell has no result
-    store entry: running an interrupted serve sweep again recomputes
-    every cell, bit-identically.
-    """
-    from repro.serve import OramService, ServeConfig, tenants_for
-
-    names = sweep.bench_names()
-    roster = ",".join(names)
-    cells: List[Dict[str, object]] = []
-    counters = {"executed": 0, "from_cache": 0}
-    failures: List[dict] = []
-
-    def assemble(interrupted: bool) -> Dict[str, object]:
-        import repro
-
-        return {
-            "kind": "sweep",
-            "version": getattr(repro, "__version__", "0"),
-            "schemes": [label for label, _spec in points],
-            "grid": {
-                **{field_name: list(values) for field_name, values in sweep.grid},
-                **{axis: list(values) for axis, values in sweep.serve_grid},
-            },
-            "benchmarks": [roster],
-            "baselines": {},
-            "cells": cells,
-            "resilience": _resilience_section(counters, failures, interrupted),
-        }
-
-    try:
-        for combo in sweep.serve_points():
-            tenants = combo.get("tenants", 2)
-            shards = combo.get("shards", 1)
-            for label, spec in points:
-                service = OramService(
-                    tenants_for(names, tenants),
-                    runner=runner,
-                    config=ServeConfig(scheme=label, shards=shards),
+                if executor is not None:
+                    executor.execute(
+                        cell_runner, cells,
+                        progress=finished, retry=retry, failures=failures,
+                    )
+                    continue
+                cell_runner.execute(
+                    cells, workers=workers,
+                    progress=finished, retry=retry, failures=failures,
                 )
-                service.run("serial")
-                serve_report = service.report()
-                cells.append({
-                    "scheme": label,
-                    "benchmark": roster,
-                    "tenants": tenants,
-                    "shards": shards,
-                    "misses": runner.misses,
-                    "spec": spec.to_dict(),
-                    "result": {"cycles": serve_report["totals"]["cycles"]},
-                    "serve": serve_report,
-                })
-                counters["executed"] += 1
-                fault_hook("sweep", f"{label}/serve/{tenants}x{shards}")
+                stats = cell_runner.fabric_stats
+                if stats is not None:  # counters add up; the rest is the latest
+                    from repro.fabric.coordinator import COUNTERS
+
+                    fabric = stats if fabric is None else {
+                        key: fabric[key] + value if key in COUNTERS else value
+                        for key, value in stats.items()
+                    }
     except KeyboardInterrupt:
         raise SweepInterrupted(
             "sweep interrupted; running it again finishes it",
@@ -605,9 +464,6 @@ def sweep_table(report: Mapping[str, object]) -> str:
         suffixes = [bench_suffix] if bench_suffix else []
         if show_misses:
             suffixes.append(f"misses={cell['misses']}")
-        for serve_axis in SERVE_AXES:
-            if serve_axis in cell:
-                suffixes.append(f"{serve_axis}={cell[serve_axis]}")
         label = cell["scheme"] + (
             f" [{','.join(suffixes)}]" if suffixes else ""
         )

@@ -89,7 +89,7 @@ class Schedule:
         return self
 
     def __exit__(self, *exc) -> None:
-        self.coordinator.store.close()
+        """An unstarted coordinator holds no socket or process to release."""
 
     @property
     def counters(self) -> Dict[str, int]:

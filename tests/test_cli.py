@@ -1,5 +1,6 @@
 """CLI dispatch."""
 
+import hashlib
 import json
 import os
 import threading
@@ -8,9 +9,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import fabric
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.errors import SpecError
+from repro.fabric import FabricExecutor
 from repro.sim import native as native_pkg
 from repro.settings import FALSE_WORDS, TRUE_WORDS, Settings
+from repro.sim.sweep import SweepSpec
+
+from test_serve_lockstep import strip_wall
 
 NATIVE_ENV = "REPRO_NATIVE"
 FORCE_ENV = "REPRO_FORCE"
@@ -128,6 +135,30 @@ class TestRemovedFabricFlags:
     @pytest.mark.parametrize("field", ["connect_retries", "faults_seed"])
     def test_settings_has_no_dial_or_damage_seed_field(self, field):
         assert not hasattr(Settings(), field)
+
+
+class TestRemovedServeSweep:
+    """A sweep is replay cells: a serving scenario is one ``serve`` run,
+    and the fabric runs through ``runner.execute`` or a coordinator."""
+
+    @pytest.mark.parametrize("axis", ["tenants=2", "shards=1,2"])
+    def test_serve_words_are_no_grid_axis(self, axis):
+        with pytest.raises(SpecError, match="unknown spec field"):
+            SweepSpec.from_args(["PC_X32"], grid=[axis])
+
+    def test_sweep_refuses_a_shards_axis(self, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--grid", "shards=1,2", "--out", str(out)]) == 2
+        assert "shards" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fabric_executor_takes_only_a_coordinator(self):
+        with pytest.raises(TypeError):
+            FabricExecutor(workers=2)
+
+    def test_the_fabric_has_no_store_of_its_own(self):
+        assert not hasattr(fabric, "SharedStore")
+        assert "SharedStore" not in fabric.__all__
 
 
 _WORDS = set(TRUE_WORDS + FALSE_WORDS)
@@ -483,24 +514,6 @@ class TestCliSweep:
         assert code == 2
         assert "cannot be combined" in capsys.readouterr().err
 
-    def test_serve_grid_axes_run_scenarios(self, tmp_path, capsys):
-        out = tmp_path / "serve_sweep.json"
-        code = main([
-            "sweep",
-            "--scheme", "PC_X32",
-            "--bench", "gob",
-            "--grid", "shards=1,2",
-            "--misses", "120",
-            "--out", str(out),
-        ])
-        assert code == 0
-        assert "shards=2" in capsys.readouterr().out
-        import json
-
-        report = json.loads(out.read_text("utf-8"))
-        assert [cell["shards"] for cell in report["cells"]] == [1, 2]
-        assert all(cell["serve"]["kind"] == "serve" for cell in report["cells"])
-
     @pytest.mark.parametrize(
         "flags", [["--resume"], ["--checkpoint", "DIR"]], ids=["resume", "checkpoint"]
     )
@@ -559,19 +572,6 @@ class TestCliSweep:
         assert rerun_out.replace(str(out), "") == golden_out.replace(str(golden), "")
         assert not list(tmp_path.rglob("*.ckpt*"))
 
-    def test_an_interrupted_serve_sweep_says_a_rerun_recomputes_it(
-        self, tmp_path, capsys
-    ):
-        out = tmp_path / "serve_sweep.json"
-        assert main([
-            "--faults", "sweep.interrupt@*#1", "sweep", "--scheme", "PC_X32",
-            "--bench", "gob", "--grid", "shards=1,2", "--misses", "120",
-            "--out", str(out),
-        ]) == 130
-        err = capsys.readouterr().err
-        assert "serve scenario cells are not stored, so re-running" in err
-        assert [c["shards"] for c in json.loads(out.read_text("utf-8"))["cells"]] == [1]
-
     def test_a_forced_sweep_is_finished_without_force(self, tmp_path, capsys):
         """``--force`` stores but never loads: the re-run drops it."""
         store, out = tmp_path / "store", tmp_path / "sweep.json"
@@ -593,6 +593,29 @@ class TestCliServe:
     def _isolated_caches(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV, str(tmp_path / "traces"))
         monkeypatch.setenv(RESULT_CACHE_ENV, str(tmp_path / "results"))
+
+    @pytest.mark.parametrize("tenants, shards, digest", [
+        (1, 1, "d491befa715d0906c0e959a675ce736676f107a1135823c3cbf3dcf663c8d4f1"),
+        (1, 2, "c8b25f955c272c1d83854667aab2c283b58152275975daa0f1e4944511ecd617"),
+        (2, 1, "a02d1b0c38603863080a1ea84dae567159355bdb6dc467ba19822488503242ae"),
+        (2, 2, "a4257018346e4ec1a45cd6c9ccf8d8d9a3fc6ba61885eed843f99874c88d0a72"),
+    ])
+    def test_a_serve_run_is_a_deleted_serve_sweep_cell(
+        self, tenants, shards, digest, tmp_path, capsys
+    ):
+        """Each cell of the deleted ``--grid tenants=1,2 --grid shards=1,2``
+        sweep (PC_X32 over hmmer, seed 5, 400 misses) is one ``serve`` run:
+        the digests are of those cells' ``serve`` blocks, recorded before
+        the serve axes were deleted, with host wall time stripped."""
+        out = tmp_path / "serve.json"
+        assert main([
+            "serve", "--scheme", "PC_X32", "--bench", "hmmer",
+            "--tenants", str(tenants), "--shards", str(shards),
+            "--seed", "5", "--misses", "400", "--out", str(out),
+        ]) == 0
+        report = json.loads(out.read_text("utf-8"))
+        blob = json.dumps(strip_wall(report), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
 
     def test_serve_smoke_writes_report(self, tmp_path, capsys):
         out = tmp_path / "serve.json"

@@ -41,7 +41,7 @@ from repro.fabric import (
     recv_message,
     send_message,
 )
-from repro.fabric.coordinator import HEARTBEAT_TIMEOUT
+from repro.fabric.coordinator import COUNTERS, HEARTBEAT_TIMEOUT
 from repro.fabric.protocol import MAX_MESSAGE_BYTES, FrameDecoder
 from repro.fabric.worker import HEARTBEAT_INTERVAL
 from repro.faults import injected
@@ -801,11 +801,37 @@ class TestSpawnedWorkers:
         """``REPRO_CELL_TIMEOUT=0`` means no timeout, as ``REPRO_RPC_TIMEOUT=0`` does."""
         golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
         monkeypatch.setenv("REPRO_CELL_TIMEOUT", "0")
-        report = run_sweep(
-            _sweep(), _runner(tmp_path, "z"), executor=FabricExecutor(workers=2)
-        )
+        report = run_sweep(_sweep(), _runner(tmp_path, "z"), workers=2)
         assert report["resilience"]["quarantined"] == []
         assert report["resilience"]["fabric"]["timeouts"] == 0
+        assert _strip(report) == _strip(golden)
+
+    def test_a_sweep_sums_every_calls_coordinator(self, tmp_path, monkeypatch):
+        """``run_sweep(workers=2)`` is one fabric per ``execute`` call, and
+        ``resilience.fabric`` adds their counters up."""
+        sweep = SweepSpec.from_args(
+            SCHEMES, grid=["misses=120,150"], benchmarks=BENCHES
+        )
+        golden = run_sweep(sweep, _runner(tmp_path, "g"))
+        assert "fabric" not in golden["resilience"]
+        calls = []
+        real = FabricCoordinator.stats
+
+        def recording(coordinator):
+            calls.append(real(coordinator))
+            return calls[-1]
+
+        monkeypatch.setattr(FabricCoordinator, "stats", recording)
+        report = run_sweep(sweep, _runner(tmp_path, "w"), workers=2)
+        # One coordinator per misses combo; baselines stay in the parent.
+        assert len(calls) == 2
+        fabric = report["resilience"]["fabric"]
+        for key in COUNTERS:
+            assert fabric[key] == sum(call[key] for call in calls), key
+        assert fabric["workers_live"] == calls[-1]["workers_live"]
+        scheme_cells = 2 * len(SCHEMES) * len(BENCHES)
+        assert fabric["completed"] == scheme_cells
+        assert fabric["dispatched"] >= scheme_cells
         assert _strip(report) == _strip(golden)
 
     def test_execute_runs_on_the_callers_thread(self, tmp_path):

@@ -161,4 +161,3 @@ class TestRpcDeadline:
         finally:
             ours.close()
             theirs.close()
-            coordinator.store.close()

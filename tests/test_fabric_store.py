@@ -1,10 +1,10 @@
-"""SharedStore + content-addressed key properties backing the fabric.
+"""Content-addressed key properties backing the fabric.
 
 The fabric's correctness leans on two storage facts: canonical cell keys
 are injective over distinct cell identities (so content-addressing never
 aliases two different cells), and concurrent same-key writers — two
 workers racing one stolen cell — leave exactly one valid, readable entry
-behind. Both are proven here, plus the SharedStore adapter surface.
+behind. Both are proven here.
 """
 
 import threading
@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fabric.store import SharedStore
 from repro.proc.hierarchy import MissEvent, MissTrace
 from repro.sim.metrics import SimResult
 from repro.sim.runner import SimulationRunner
@@ -139,62 +138,3 @@ class TestConcurrentWriters:
         ]
         assert leftovers == []
 
-
-class TestSharedStore:
-    def test_ephemeral_when_runner_caches_disabled(self):
-        runner = _runner()
-        store = SharedStore(runner)
-        try:
-            stats = store.stats()
-            assert stats["ephemeral"]
-            assert stats["traces"] == 0 and stats["results"] == 0
-            attached = store.attach(runner)
-            assert attached.trace_cache.root == store.trace_cache.root
-            assert attached.result_cache.root == store.result_cache.root
-        finally:
-            store.close()
-        # close() releases the temp directories.
-        assert not store.trace_cache.root.exists()
-
-    def test_colocates_with_runner_caches(self, tmp_path):
-        runner = _runner(
-            cache_dir=tmp_path / "traces", result_cache_dir=tmp_path / "results"
-        )
-        store = SharedStore(runner)
-        try:
-            assert not store.stats()["ephemeral"]
-            assert store.trace_cache.root == runner.trace_cache.root
-            assert store.result_cache.root == runner.result_cache.root
-        finally:
-            store.close()
-        # A store over caller-owned directories must not delete them.
-        runner.trace(  # populate something to prove the dirs still work
-            "gob"
-        )
-        assert store.trace_cache.keys()
-
-    def test_results_visible_through_store_inventory(self, tmp_path):
-        runner = _runner(
-            cache_dir=tmp_path / "traces", result_cache_dir=tmp_path / "results"
-        )
-        store = SharedStore(runner)
-        key = runner.result_key("P_X16", "gob")
-        assert store.result_cache.keys() == []
-        result = runner.run_one("P_X16", "gob")
-        assert store.result_cache.keys() == [key]
-        assert store.result_cache.load(key) == result
-        assert store.stats()["results"] == 1
-
-    def test_attach_preserves_runner_identity(self, tmp_path):
-        """Attaching only moves the caches; cell keys are unchanged."""
-        runner = _runner()
-        store = SharedStore(runner)
-        try:
-            attached = store.attach(runner)
-            assert attached.result_key("P_X16", "gob") == runner.result_key(
-                "P_X16", "gob"
-            )
-            assert attached.seed == runner.seed
-            assert attached.misses == runner.misses
-        finally:
-            store.close()

@@ -216,36 +216,3 @@ class TestSweepChaosLockstep:
         assert len(report["cells"]) == expected
         assert json.dumps(report)  # report stays JSON-safe
 
-
-def _scrub_wall(value):
-    """Recursively drop wall-clock observations (not deterministic by design)."""
-    if isinstance(value, dict):
-        return {
-            k: _scrub_wall(v)
-            for k, v in value.items()
-            if k not in ("wall_seconds", "wall_us")
-        }
-    if isinstance(value, list):
-        return [_scrub_wall(v) for v in value]
-    return value
-
-
-class TestServeSweepChaos:
-    def test_serve_sweep_interrupt_rerun_bit_identical(self, tmp_path):
-        sweep = SweepSpec.from_args(
-            schemes=["PC_X32"],
-            grid={"tenants": [2, 3]},
-            benchmarks=["gob", "hmmer"],
-        )
-        golden = run_sweep(sweep, _runner(tmp_path, "g"))
-        with injected("sweep.interrupt@*#1"):
-            with pytest.raises(SweepInterrupted) as exc_info:
-                run_sweep(sweep, _runner(tmp_path, "c"))
-        assert len(exc_info.value.report["cells"]) == 1
-        # A scenario cell has no result store entry: the re-run
-        # recomputes both, bit-identically.
-        rerun = run_sweep(sweep, _runner(tmp_path, "c"))
-        assert rerun["resilience"]["from_cache"] == 0
-        assert rerun["resilience"]["executed"] == 2
-        assert _scrub_wall(_strip(rerun)) == _scrub_wall(_strip(golden))
-        assert sweep_table(rerun) == sweep_table(golden)

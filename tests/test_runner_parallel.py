@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import zlib
 from pathlib import Path
 
@@ -125,6 +126,24 @@ class TestParallelSuite:
         )
         parallel = runner.execute(runner.cells(SCHEMES, BENCHES), workers=2)
         assert parallel == serial
+
+    def test_a_cache_less_fabric_makes_no_directory(self, serial, monkeypatch):
+        # The forks replay with this runner and no store at all: their
+        # results come back in frames, not through a temporary store.
+        made = []
+        real = tempfile.TemporaryDirectory
+
+        def recording(*args, **kwargs):
+            made.append(args or kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "TemporaryDirectory", recording)
+        runner = SimulationRunner(
+            misses_per_benchmark=MISSES, cache_dir=None, result_cache_dir=None
+        )
+        assert runner.execute(runner.cells(SCHEMES, BENCHES), workers=2) == serial
+        assert runner.fabric_stats["completed"] == len(serial)
+        assert made == []
 
     def test_forked_workers_synthesise_no_trace(self, serial, monkeypatch):
         # The fork inherits the patch: a child that synthesises kills

@@ -3,8 +3,8 @@
 Lockstep-vs-replay and serial-vs-async determinism live in
 ``test_serve_lockstep.py``; this file covers everything else — tenant
 specs, shard routing and directories, shed/defer policies and what
-admission promises under either, histogram and report shapes, the serve
-branch of the sweep engine, and input validation.
+admission promises under either, histogram and report shapes, and
+input validation.
 """
 
 import json
@@ -442,31 +442,3 @@ class TestLatencyHistogram:
         assert hist.quantile_bound(0.95) == 0.0
         assert hist.to_dict()["count"] == 0
 
-
-class TestServeSweepAxes:
-    def test_tenants_shards_grid_runs_serve_cells(self):
-        from repro.sim.sweep import SweepSpec, run_sweep, sweep_table
-
-        sweep = SweepSpec.from_args(
-            schemes=["PC_X32"],
-            grid=["tenants=1,2", "shards=1,2"],
-            benchmarks=["hmmer"],
-        )
-        report = run_sweep(sweep, make_runner())
-        assert len(report["cells"]) == 4
-        assert report["baselines"] == {}
-        for cell in report["cells"]:
-            assert cell["serve"]["kind"] == "serve"
-            assert cell["result"]["cycles"] > 0
-        table = sweep_table(report)
-        assert "tenants=2" in table and "shards=2" in table
-        json.dumps(report)  # the report artifact stays JSON-safe
-
-    def test_serve_axes_reject_bench_axis_mix(self):
-        from repro.errors import SpecError
-        from repro.sim.sweep import SweepSpec
-
-        with pytest.raises(SpecError, match="cannot be combined"):
-            SweepSpec.from_args(
-                schemes=["PC_X32"], grid=["tenants=2", "misses=500"]
-            )

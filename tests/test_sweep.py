@@ -152,6 +152,9 @@ class TestRunSweep:
         # Distinct result caches so the parallel run really recomputes.
         serial = run_sweep(tiny_sweep(), _runner(tmp_path / "a"))
         parallel = run_sweep(tiny_sweep(), _runner(tmp_path / "b"), workers=3)
+        # The fabric's scheduling counters are the one difference.
+        assert "fabric" not in serial["resilience"]
+        assert parallel["resilience"].pop("fabric")["completed"] == 8
         assert serial == parallel
 
     def test_warm_cache_report_identical_and_replay_free(
@@ -369,6 +372,8 @@ class TestBenchGrid:
         )
         serial = run_sweep(sweep, _runner(tmp_path / "a"))
         parallel = run_sweep(sweep, _runner(tmp_path / "b"), workers=3)
+        # One coordinator per misses combo, counters summed.
+        assert parallel["resilience"].pop("fabric")["completed"] == 4
         assert serial == parallel
 
 
