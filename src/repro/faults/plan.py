@@ -41,8 +41,12 @@ affected cells — the same retry accounting a serial run uses.
 per-call deadline instead, so the coordinator's ``rpc_timeouts``
 counter and retry path can be asserted. A forked worker installs the
 plan afresh, so its counters restart in every process, respawns
-included: a fault that must fire once keys on the coordinator's side
-or on the attempt number.
+included: a ``#hits`` selector on a ``fabric.rpc`` / ``rpc.timeout``
+key that matches a worker's frame (:data:`WORKER_FRAMES`) would fire
+once in every fork, and is refused when the plan is parsed. A fault
+that must fire once keys on the coordinator's side
+(``coordinator/recv/result#1``) or, for ``fabric.worker``, on the
+attempt number; a worker-side key without ``#`` fires on every match.
 
 Sweep sites: ``cell`` fires per cell attempt (``label/bench/attempt``)
 and ``sweep`` after each finished cell (``label/bench``); the store's
@@ -74,6 +78,11 @@ SITES = (
     "cell", "sweep", "cache.entry", "cache.write", "fabric.worker",
     "fabric.rpc", "rpc.timeout",
 )
+
+#: The protocol frames a forked worker sends and receives (``role/send|recv/type``).
+WORKER_FRAMES = tuple(
+    f"worker/send/{kind}" for kind in ("need", "result", "error", "heartbeat")
+) + tuple(f"worker/recv/{kind}" for kind in ("lease", "shutdown"))
 
 #: Actions that damage the file passed to the hook rather than raising.
 _FILE_ACTIONS = ("corrupt", "truncate")
@@ -243,6 +252,18 @@ def _parse_entry(entry: str) -> FaultSpec:
             raise SpecError(f"fault hits must be integers: {hits_text!r}") from None
         if any(h < 1 for h in hits):
             raise SpecError(f"fault hits are 1-based: {hits_text!r}")
+        frame = site in ("fabric.rpc", "rpc.timeout") and next(
+            (f for f in WORKER_FRAMES if fnmatch.fnmatchcase(f, keypat or "*")),
+            None,
+        )
+        if frame:
+            raise SpecError(
+                f"fault entry {entry!r}: its key matches the worker frame "
+                f"{frame!r}, and every forked worker (respawns included) "
+                f"counts '#' hits afresh, so it would fire once per fork; "
+                f"key it on the coordinator side (coordinator/send|recv/...) "
+                f"or drop the '#'"
+            )
     return FaultSpec(site=site, action=action, key=keypat or "*", hits=hits, params=params)
 
 

@@ -58,6 +58,9 @@ from repro.workloads.spec import benchmark, benchmark_names, scaled_benchmark_na
 #: ``wss`` sweeps the working-set size (a derived-benchmark override).
 BENCH_AXES = ("misses", "wss")
 
+#: Serving parameters, which ``--grid`` refuses with a pointer to ``repro serve``.
+SERVE_AXES = ("tenants", "shards")
+
 
 def parse_grid_axis(text: str) -> Tuple[str, Tuple[object, ...]]:
     """Parse one ``--grid`` argument: ``"plb=4KiB,8KiB"`` -> axis tuple.
@@ -66,7 +69,9 @@ def parse_grid_axis(text: str) -> Tuple[str, Tuple[object, ...]]:
     or one of the benchmark-parameter axes in :data:`BENCH_AXES`
     (``"misses=2000,8000"``, ``"wss=4MiB,16MiB"``); values parse by the
     field's type (sizes, bools, ``none`` — bench axes are positive
-    sizes/integers).
+    sizes/integers). An unknown key is a :class:`SpecError` naming the
+    fields, their aliases and the benchmark axes, and for
+    :data:`SERVE_AXES` the ``repro serve`` command.
     """
     if "=" not in text:
         raise SpecError(
@@ -78,7 +83,17 @@ def parse_grid_axis(text: str) -> Tuple[str, Tuple[object, ...]]:
     if axis in BENCH_AXES:
         values = tuple(_parse_bench_value(axis, item) for item in items)
     else:
-        axis = resolve_field(key)
+        try:
+            axis = resolve_field(key)
+        except SpecError as exc:
+            serve = (
+                f"; {axis!r} is no grid axis: a serving scenario is one "
+                f"`python -m repro serve` run"
+                if axis in SERVE_AXES else ""
+            )
+            raise SpecError(
+                f"{exc}; benchmark axes: {', '.join(BENCH_AXES)}{serve}"
+            ) from None
         values = tuple(parse_field_value(axis, item) for item in items)
     if not values:
         raise SpecError(f"grid axis {text!r} lists no values")

@@ -17,7 +17,7 @@ from repro.sim import native as native_pkg
 from repro.settings import FALSE_WORDS, TRUE_WORDS, Settings
 from repro.sim.sweep import SweepSpec
 
-from test_serve_lockstep import strip_wall
+from helpers import strip_wall
 
 NATIVE_ENV = "REPRO_NATIVE"
 FORCE_ENV = "REPRO_FORCE"
@@ -149,7 +149,9 @@ class TestRemovedServeSweep:
     def test_sweep_refuses_a_shards_axis(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
         assert main(["sweep", "--grid", "shards=1,2", "--out", str(out)]) == 2
-        assert "shards" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "shards" in err and "python -m repro serve" in err
+        assert "benchmark axes: misses, wss" in err
         assert not out.exists()
 
     def test_fabric_executor_takes_only_a_coordinator(self):

@@ -28,7 +28,7 @@ from repro.storage.snapshot import tree_digest, tree_records
 from repro.storage.tree import TreeStorage
 from repro.utils.rng import DeterministicRng
 
-from test_native_replay import CORE, needs_core
+from lockstep import CORE, needs_core
 
 #: Every built-in scheme: the five presets and the two figure points.
 BUILT_IN_SCHEMES = (

@@ -96,6 +96,38 @@ class TestGrammar:
         assert (spec.hits, spec.params) == ((2, 3), {"secs": "0"})
         assert parse(spec.to_entry()).specs == [spec]
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "rpc.timeout.crash@worker/send/need#1",
+            "fabric.rpc.crash@*/send/need#2",
+            "fabric.rpc.stall@worker/recv/*#1,3|secs=1",
+            "rpc.timeout.crash@*#1",
+        ],
+    )
+    def test_hits_on_a_worker_frame_are_refused(self, bad):
+        """Every forked worker installs the plan afresh, so a ``#`` count on
+        a frame a worker sends or receives would fire once per fork and
+        respawn; ``*`` matches ``worker`` too."""
+        with pytest.raises(SpecError, match="worker frame") as caught:
+            parse(bad)
+        assert "coordinator side" in str(caught.value)
+        assert "drop the '#'" in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "good",
+        [
+            "rpc.timeout.crash@coordinator/send/lease#1",
+            "fabric.rpc.crash@coordinator/recv/result#1",
+            "fabric.rpc.crash@peer/send/need#1",
+            "rpc.timeout.crash@worker/send/need",
+            "fabric.worker.exit@*/*/1#1",
+        ],
+    )
+    def test_coordinator_peer_and_uncounted_keys_still_parse(self, good):
+        (spec,) = parse(good).specs
+        assert parse(spec.to_entry()).specs == [spec]
+
     def test_every_declared_site_parses(self):
         assert [spec.site for spec in parse(
             ";".join(f"{site}.crash@*" for site in SITES)

@@ -70,7 +70,7 @@ from repro.storage.columnar import CHUNK_SLOTS, ColumnarTreeStorage  # noqa: E40
 from repro.storage.snapshot import tree_digest  # noqa: E402
 from repro.utils.rng import DeterministicRng  # noqa: E402
 
-from test_native_replay import slice_counts  # noqa: E402
+from lockstep import slice_counts  # noqa: E402
 
 CORE = load_native_core()
 pytestmark = pytest.mark.skipif(
@@ -1646,6 +1646,34 @@ class TestFrontendKernelConstruction:
         result = kernel.access(3, Op.READ, None)
         assert result.tree_accesses == frontend.stats.tree_accesses == 3
 
+    def test_onchip_index_out_of_range(self):
+        """A handle told of fewer on-chip entries than the chain reaches
+        refuses in ``OnChipPosMap.lookup_and_remap``'s words."""
+        from repro.frontend.posmap import OnChipPosMap
+
+        frontend = build_frontend(
+            "PI_X8", num_blocks=2**12, onchip_entries=8, plb_capacity_bytes=512,
+            rng=DeterministicRng(7), storage="columnar",
+        )
+        args = frontend_kernel_args(frontend)
+        top = args["geometry"][3][-1]
+        assert top > 1
+        args["geometry"] = args["geometry"][:6] + (1,)
+        kernel = CORE.FrontendKernel(*args.values())
+        messages = []
+        for call in (
+            lambda: kernel.access(frontend.num_blocks - 1, Op.READ, None),
+            lambda: OnChipPosMap(
+                entries=1, levels=4, mode="counter", prf=frontend.crypto.prf
+            ).lookup_and_remap(top - 1, 0),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == (
+            f"on-chip PosMap index {top - 1} out of range"
+        )
+
     @PROPERTY
     @given(
         name=st.sampled_from([
@@ -1893,17 +1921,6 @@ def still_serves(frontend):
         frontend.read(frontend.num_blocks - 1)
     except FRONTEND_REJECTED:
         pass
-
-
-def cold_address(frontend):
-    """A data address whose level-1 PosMap block is not PLB-resident:
-    reading it walks the on-chip PosMap, derives leaves and refills."""
-    resident = {entry.tagged_addr for entry in frontend.plb.entries()}
-    fanout = frontend.space.fanout
-    return next(
-        addr for addr in range(0, frontend.num_blocks, fanout)
-        if (1 << 48) | (addr // fanout) not in resident
-    )
 
 
 class TestFrontendKernelAccessBoundary:

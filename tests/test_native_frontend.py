@@ -1,40 +1,24 @@
-"""The native PLB frontend kernel: lockstep with ``PlbFrontend.access``.
+"""The native PLB frontend kernel: what lockstep alone does not show.
 
 ``PlbFrontend.enable_native_kernel`` hands every processor request to a
 ``FrontendKernel`` in ``repro.sim.native._replay_core`` — PLB lookup
 loop, PosMap remap (all three formats, both on-chip modes, group remaps
 included), PRF, PMMAC and the tree accesses, one C call per request.
-The state is the frontend's own typed columns, which both spellings
-work on in place, so the bar is the reference's: after **every** access
-a kernel-driven frontend and an interpreted one (no native code anywhere
-under it) must agree on
-
-- the ``AccessResult`` and the full ``FrontendStats``;
-- the PLB: its five columns whole — tags, leaves, counters, ``last_use``
-  and payload, set by set, way order included — and the same through
-  ``entries()``, plus ``_clock``, hits and misses;
-- the on-chip column and both kinds of first-touch bitmap;
-- the PRF's ``call_count``, the MAC's ``call_count``/``bytes_hashed``,
-  and the RNG's state;
-- the tree digest, the stash snapshot and the backend's counters.
-
-Further layers: the vendored BLAKE2b against ``hashlib`` (Hypothesis
-keys, messages and digest sizes, the RFC vector, block-boundary
-lengths); 1..4 lanes of ``blake2b_lanes`` on each spelling the CPU has
-(scalar everywhere, the four-lane AVX-512VL compression where it
-exists), PRF and MAC lanes mixed, each against ``hashlib``; the kernel's PRF as the
-stateless formula (every resident PLB leaf is one keyed BLAKE2b of its
-tag and counter, and ``call_count`` moves as the reference's); error
-parity (bad op, wrong-length WRITE,
-out-of-range address: same exception, same counters); the
+That the kernel leaves the reference's state after every access, under
+every scheme, variant and request pattern, is ``tests/test_lockstep.py``
+(the harness in ``tests/lockstep.py``).  Here: the vendored BLAKE2b
+against ``hashlib`` (Hypothesis keys, messages and digest sizes, the RFC
+vector, block-boundary lengths); 1..4 lanes of ``blake2b_lanes`` on each
+spelling the CPU has (scalar everywhere, the four-lane AVX-512VL
+compression where it exists), PRF and MAC lanes mixed, each against
+``hashlib``; the kernel's PRF as the stateless formula under any key
+length; WRITE payloads the caller scribbles on afterwards; the
 engagement rules; and the structural guards — one kernel entry per
 request, no interpreted frontend step under it, and a replay slice or a
 serve batch driven C to C without a Python frame.
 """
 
 import hashlib
-import sys
-from array import array
 
 import pytest
 
@@ -42,215 +26,26 @@ from repro.backend.ops import Op
 from repro.crypto.mac import Mac
 from repro.crypto.prf import Prf
 from repro.crypto.suite import CryptoSuite
-from repro.errors import ConfigurationError
-from repro.frontend.unified import PlbFrontend
 from repro.presets import build_frontend
 from repro.sim.engine import ReplayEngine
-from repro.sim.native import load_native_core, unavailable_reason
-from repro.sim.system import replay_trace
 from repro.sim.timing import OramTimingModel
 from repro.storage.snapshot import tree_digest
 from repro.utils.rng import DeterministicRng
 
-from test_equivalence_golden import reference_leaf_for
-from test_native_replay import CountingKernel, slice_counts
-from test_replay_differential import (
-    chunked, frontend_columns, make_trace, stats_image,
+from helpers import reference_leaf_for
+from lockstep import (
+    CORE, SMALL, VARIANTS, CountingKernel, assert_same_state, build, engage,
+    lockstep, mixed, needs_core, pair, python_frames_during, slice_counts,
+    state, stats_image,
 )
 
-CORE = load_native_core()
-pytestmark = pytest.mark.skipif(
-    CORE is None,
-    reason=unavailable_reason(),
-)
-
-#: Small enough that the PLB evicts, the recursion is three or four deep
-#: and a full state image after every access stays cheap.
-SMALL = dict(num_blocks=2**9, onchip_entries=4, plb_capacity_bytes=512)
-
-#: 2-bit individual counters roll over on every fourth touch; fan-out 8
-#: keeps the recursion four deep, so rolled-over groups have siblings in
-#: the PLB, in the tree and (at level 0) among the data blocks.
-ROLLOVER = dict(SMALL, compressed_beta=2, compressed_fanout=8)
-
-#: name -> (scheme, spec overrides): the four paper schemes, a 2-way and
-#: a fully associative PLB (all eight entries one set), and the
-#: small-beta variants that force group remaps.
-CONFIGS = {
-    "P_X16": ("P_X16", SMALL),
-    "PC_X32": ("PC_X32", SMALL),
-    "PI_X8": ("PI_X8", SMALL),
-    "PIC_X32": ("PIC_X32", SMALL),
-    "PIC_X32/2-way": ("PIC_X32", dict(SMALL, plb_ways=2)),
-    "PIC_X32/full": ("PIC_X32", dict(SMALL, plb_ways=8)),
-    "PIC_X32/beta=2": ("PIC_X32", ROLLOVER),
-    "PC_X32/beta=2": ("PC_X32", ROLLOVER),
-}
+pytestmark = needs_core
 
 
-def build(name, seed=7, **overrides):
-    scheme, fields = CONFIGS[name]
-    return build_frontend(
-        scheme, rng=DeterministicRng(seed), storage="columnar",
-        crypto=CryptoSuite.fast(), **dict(fields, **overrides),
-    )
-
-
-def engage(frontend):
-    """Both kernels on, as ``ReplayEngine.enable_native`` does it."""
-    frontend.enable_native_kernel(CORE)
-    assert isinstance(frontend._kernel, CORE.FrontendKernel)
-    return frontend
-
-
-def pair(name, **kwargs):
-    """The interpreted reference and a kernel-driven twin."""
-    return build(name, **kwargs), engage(build(name, **kwargs))
-
-
-def full_state(frontend):
-    """Everything the bit-identity contract names, for one frontend."""
-    backend = frontend.backend
-    return {
-        "stats": stats_image(frontend),
-        **frontend_columns(frontend),
-        "rng": frontend.rng._rng.getstate(),
-        "tree": tree_digest(backend.storage),
-        "stash": backend.stash_snapshot(),
-        "backend": (
-            backend.access_count, backend.tree_access_count,
-            backend.append_count, backend.storage.buckets_read,
-            backend.storage.buckets_written,
-        ),
-    }
-
-
-class CounterProbe:
-    """A storage observer that images every counter at each path event."""
-
-    COUNTERS = ("stats", "plb_counters", "prf", "mac", "backend")
-
-    def __init__(self, frontend):
-        self.frontend = frontend
-        self.seen = []
-        frontend.backend.storage.observer = self
-
-    def image(self):
-        state = full_state(self.frontend)
-        return {key: state[key] for key in self.COUNTERS}
-
-    def on_path_read(self, leaf, indices):
-        self.seen.append(("read", leaf, self.image()))
-
-    def on_path_write(self, leaf, indices):
-        self.seen.append(("write", leaf, self.image()))
-
-
-def assert_same_state(ref, nat, context):
-    ref_state, nat_state = full_state(ref), full_state(nat)
-    for key in ref_state:
-        assert ref_state[key] == nat_state[key], (context, key)
-
-
-def drive(ref, nat, steps, seed, hot=64, write_share=0.3):
-    """Seeded requests against both; compare after every one."""
-    rng = DeterministicRng(seed)
-    blocks, block_bytes = ref.num_blocks, ref.config.block_bytes
-    for index in range(steps):
-        addr = rng.randrange(hot if rng.random() < 0.4 else blocks)
-        if rng.random() < write_share:
-            args = (addr, Op.WRITE, bytes([rng.randrange(256)]) * block_bytes)
-        else:
-            args = (addr, Op.READ)
-        assert ref.access(*args) == nat.access(*args), index
-        assert_same_state(ref, nat, index)
-
-
-# ---------------------------------------------------------------------------
-# Lockstep
-# ---------------------------------------------------------------------------
-
-
-class TestLockstepAfterEveryAccess:
-    @pytest.mark.parametrize("name", sorted(CONFIGS))
-    @pytest.mark.parametrize("seed", (3, 2015))
-    def test_randomized_requests(self, name, seed):
-        ref, nat = pair(name)
-        drive(ref, nat, steps=400, seed=seed)
-        assert ref.stats.plb_evictions > 0
-        assert ref.stats.accesses == 400
-
-    def test_two_way_plb_picks_the_lru_way(self):
-        ref, nat = pair("PIC_X32/2-way")
-        drive(ref, nat, steps=500, seed=11, hot=256)
-        assert ref.plb.ways == 2 and ref.stats.plb_evictions > 50
-
-    @pytest.mark.parametrize("name", ("PIC_X32/beta=2", "PC_X32/beta=2"))
-    def test_group_remaps_with_resident_and_relocated_siblings(self, name):
-        """2-bit ICs roll over on every fourth touch of an entry: PosMap
-        levels remap groups whose siblings sit in the PLB (bookkeeping
-        only) or in the tree (readrmv + re-seal + append), and the data
-        level relocates whole sibling groups of data blocks."""
-        ref, nat = pair(name)
-        resident, remapping = [], []
-        original, group_remap = ref.plb.peek, ref._group_remap
-
-        def peek(tag):
-            entry = original(tag)
-            if remapping:  # a refill peeks too, at the block it installed
-                resident.append(entry is not None)
-            return entry
-
-        def remap(*args):
-            remapping.append(True)
-            try:
-                return group_remap(*args)
-            finally:
-                remapping.pop()
-
-        ref.plb.peek, ref._group_remap = peek, remap
-        drive(ref, nat, steps=400, seed=5, hot=16, write_share=0.5)
-        assert ref.stats.group_remaps > 5
-        assert ref.stats.group_relocations > 100
-        assert any(resident) and not all(resident)
-
-    def test_full_associativity_scans_one_set(self):
-        ref, nat = pair("PIC_X32/full")
-        drive(ref, nat, steps=300, seed=13, hot=256)
-        assert nat.plb.num_sets == 1 and nat.plb.ways == 8
-        assert len(nat.plb) == 8 and ref.stats.plb_evictions > 50
-
-    def test_single_level_recursion_has_no_plb_traffic(self):
-        """Everything resolves on-chip: no lookup, no hit, no miss."""
-        ref, nat = pair("PI_X8", num_blocks=64, onchip_entries=64)
-        assert ref.space_levels == 1
-        drive(ref, nat, steps=150, seed=2)
-        assert ref.stats.plb_hits == ref.stats.plb_misses == 0
-
-    def test_engaging_mid_run_continues_the_same_state(self):
-        """``replay_trace`` enables per slice: whatever ran interpreted
-        before the handle existed is the state it continues from."""
-        ref, nat = build("PIC_X32"), build("PIC_X32")
-        drive(ref, nat, steps=150, seed=6)
-        engage(nat)
-        kernel = nat._kernel
-        nat.enable_native_kernel(CORE)
-        assert nat._kernel is kernel
-        drive(ref, nat, steps=150, seed=7)
-
-    @pytest.mark.parametrize("name", ("PIC_X32/beta=2", "PIC_X32/full", "P_X16"))
-    def test_python_path_and_kernel_interleave_on_one_state(self, name):
-        """One copy of state: requests may alternate between the handle
-        and the interpreted body without either noticing — the columns
-        one leaves are the columns the other finds."""
-        ref, nat = pair(name)
-        kernel = nat._kernel
-        rng = DeterministicRng(12)
-        for index in range(300):
-            nat._kernel = kernel if rng.random() < 0.5 else None
-            addr = rng.randrange(256)
-            assert ref.access(addr) == nat.access(addr), index
-            assert_same_state(ref, nat, index)
+def variant(name, storage="columnar", **fields):
+    """One frontend of a named variant, nothing engaged."""
+    scheme, base = VARIANTS[name]
+    return build(scheme, storage, **dict(base, **fields))
 
 
 # ---------------------------------------------------------------------------
@@ -326,30 +121,11 @@ def assert_plb_leaves_follow_the_formula(frontend):
 
 
 class TestKernelPrfIsStateless:
-    @pytest.mark.parametrize(
-        "name",
-        (
-            "PIC_X32", "PI_X8", "PIC_X32/2-way", "PIC_X32/full",
-            "PIC_X32/beta=2", "PC_X32",
-        ),
-    )
-    def test_call_count_moves_as_the_references_after_every_access(self, name):
-        ref, nat = pair(name)
-        rng = DeterministicRng(31)
-        for index in range(300):
-            addr = rng.randrange(64 if rng.random() < 0.4 else ref.num_blocks)
-            assert ref.access(addr) == nat.access(addr), index
-            assert ref.crypto.prf.call_count == nat.crypto.prf.call_count, index
-        assert nat.crypto.prf.call_count > 600
-        assert nat.crypto.prf.cache_hits == 0
-        assert_plb_leaves_follow_the_formula(nat)
-
     def test_the_same_key_gives_the_same_leaves_in_any_order(self):
         """Two frontends whose PRFs evaluate different histories of keys
         — one drives a warm-up the other skips — still agree with the
         formula on every leaf they hold."""
-        warm, cold = build("PIC_X32/2-way"), build("PIC_X32/2-way")
-        engage(warm), engage(cold)
+        warm, cold = (engage(variant("PIC_X32/2-way")) for _ in range(2))
         rng = DeterministicRng(5)
         for _ in range(200):
             warm.access(rng.randrange(warm.num_blocks))
@@ -365,20 +141,14 @@ class TestKernelPrfIsStateless:
         give the reference's leaves and counts, request by request."""
         key = bytes(range(7, 7 + key_length))
 
-        def keyed():
+        def keyed(storage):
             suite = CryptoSuite.fast()
             suite.prf = Prf(key)
-            return build_frontend(
-                "PIC_X32", rng=DeterministicRng(7), storage="columnar",
-                crypto=suite, **SMALL,
-            )
+            return variant("PIC_X32", storage, crypto=suite)
 
-        ref, nat = keyed(), engage(keyed())
-        rng = DeterministicRng(17)
-        for index in range(150):
-            addr = rng.randrange(nat.num_blocks)
-            assert ref.access(addr) == nat.access(addr), index
-        assert_same_state(ref, nat, f"key of {key_length} bytes")
+        ref, nat = keyed("object"), engage(keyed("columnar"))
+        requests = [(addr, Op.READ) for addr, *_ in mixed(ref, 17, 150)]
+        assert lockstep(ref, nat, requests, f"key of {key_length} bytes") is None
         assert nat.crypto.prf.key == key
         assert_plb_leaves_follow_the_formula(nat)
 
@@ -530,188 +300,42 @@ class TestLaneSpellings:
 
 
 # ---------------------------------------------------------------------------
-# Error parity
+# WRITE payloads the caller keeps
 # ---------------------------------------------------------------------------
 
 
-class TestErrorParity:
-    def both_raise(self, ref, nat, *args):
-        errors = []
-        for frontend in (ref, nat):
-            with pytest.raises(Exception) as err:
-                frontend.access(*args)
-            errors.append((type(err.value), str(err.value)))
-        assert errors[0] == errors[1]
-        assert_same_state(ref, nat, args)
-        return errors[0]
+def written_then_mutated(tiers, size):
+    """WRITE a bytearray and a memoryview of one, scribble on the caller's
+    buffer afterwards, READ back: every tier must hold the bytes it was
+    handed — the ORAM's contents never change without an access."""
+    for index, wrap in enumerate((lambda buf: buf, memoryview)):
+        original = bytes([0x11 + index]) * size
+        for frontend in tiers:
+            buf = bytearray(original)
+            frontend.access(index, Op.WRITE, wrap(buf))
+            buf[0] ^= 0xFF
+            read = frontend.read(index)
+            assert type(read) is bytes and read == original
 
-    @pytest.mark.parametrize("name", ("P_X16", "PIC_X32"))
-    def test_rejected_requests_leave_the_reference_state(self, name):
-        ref, nat = pair(name)
-        drive(ref, nat, steps=50, seed=1)
-        block = bytes(ref.config.block_bytes)
-        assert self.both_raise(ref, nat, 5, Op.READRMV) == (
-            ConfigurationError, "processor requests are READ or WRITE"
-        )
-        assert self.both_raise(ref, nat, 5, Op.APPEND, block)[0] is (
-            ConfigurationError
-        )
-        for data in (None, block[:-1], block + b"x", b""):
-            assert self.both_raise(ref, nat, 5, Op.WRITE, data) == (
-                ValueError, "WRITE requires a full block of data"
-            )
-        # An unsized payload fails in len(), before anything is counted.
-        assert self.both_raise(ref, nat, 5, Op.WRITE, 7)[0] is TypeError
-        # The address is looked at after the request has been counted.
-        before = ref.stats.accesses
-        for addr in (-1, ref.num_blocks, 2**70):
-            assert self.both_raise(ref, nat, addr) == (
-                ValueError, f"address {addr} out of range"
-            )
-        assert ref.stats.accesses == before + 3
-        drive(ref, nat, steps=50, seed=2)
 
-    def first_failure(self, ref, nat, steps, seed, hot):
-        """Drive both in lockstep until a request fails; it must fail on
-        both, with one exception and one state left behind."""
-        rng = DeterministicRng(seed)
-        for index in range(steps):
-            addr = rng.randrange(hot)
-            errors = []
-            for frontend in (ref, nat):
-                try:
-                    frontend.access(addr)
-                except Exception as exc:  # noqa: BLE001 - compared below
-                    errors.append((type(exc), str(exc)))
-            assert len(errors) in (0, 2), (index, errors)
-            assert_same_state(ref, nat, index)
-            if errors:
-                assert errors[0] == errors[1]
-                return errors[0]
-        raise AssertionError("no request failed")
-
-    def test_onchip_counter_overflow(self):
-        ref, nat = pair("PIC_X32")
-        drive(ref, nat, steps=30, seed=1)
-        for frontend in (ref, nat):
-            table = frontend.posmap._table
-            table[0] = 2**64 - 1
-        for frontend in (ref, nat):
-            frontend.plb.tags[:] = type(frontend.plb.tags)("q", [-1] * 8)
-        assert self.both_raise(ref, nat, 0) == (
-            ConfigurationError, "on-chip counter overflow"
-        )
-
-    def test_group_counter_overflow(self):
-        """alpha = 2: the fourth rollover of one group has no GC left."""
-        ref, nat = pair("PC_X32/beta=2", compressed_alpha=2)
-        assert self.first_failure(ref, nat, steps=400, seed=5, hot=8) == (
-            ConfigurationError, "group counter overflow (alpha too small)"
-        )
-        assert ref.stats.group_remaps >= 3
-
-    def test_duplicate_plb_insert(self):
-        """Only a draw that installs the block behind the request's back
-        gets there (P_X16 draws between the lookup loop and the refill):
-        the clock has ticked, the refill's tree access has committed."""
-        from test_native_boundary import cold_address
-
-        ref, nat = pair("P_X16")
-        drive(ref, nat, steps=60, seed=3)
-        addr, fanout = cold_address(ref), ref.space.fanout
-        for frontend in (ref, nat):
-            real = frontend.rng._getrandbits
-            armed = [True]
-
-            def hostile(bits, plb=frontend.plb, real=real, armed=armed):
-                if armed:
-                    armed.pop()
-                    # Straight into the tag column: the way of its set.
-                    tag = (1 << 48) | (addr // fanout)
-                    plb.tags[plb._set_index(tag) * plb.ways] = tag
-                return real(bits)
-
-            frontend.rng._getrandbits = hostile
-        nat._kernel = None
-        engage(nat)  # bind the hostile draw
-        assert self.both_raise(ref, nat, addr) == (
-            ValueError, "block already resident in PLB"
-        )
-
-    def test_onchip_index_out_of_range(self):
-        """A handle told of fewer on-chip entries than the chain reaches
-        refuses in ``OnChipPosMap.lookup_and_remap``'s words."""
-        from repro.frontend.posmap import OnChipPosMap
-        from test_native_boundary import frontend_kernel_args
-
-        frontend = build("PI_X8", num_blocks=2**12, onchip_entries=8)
-        args = frontend_kernel_args(frontend)
-        top = args["geometry"][3][-1]
-        assert top > 1
-        args["geometry"] = args["geometry"][:6] + (1,)
-        kernel = CORE.FrontendKernel(*args.values())
-        messages = []
-        for call in (
-            lambda: kernel.access(frontend.num_blocks - 1, Op.READ, None),
-            lambda: OnChipPosMap(
-                entries=1, levels=4, mode="counter", prf=frontend.crypto.prf
-            ).lookup_and_remap(top - 1, 0),
-        ):
-            with pytest.raises(ValueError) as err:
-                call()
-            messages.append(str(err.value))
-        assert messages[0] == messages[1] == (
-            f"on-chip PosMap index {top - 1} out of range"
-        )
-
-    def written_then_mutated(self, tiers, size):
-        """WRITE a bytearray and a memoryview of one, scribble on the
-        caller's buffer afterwards, READ back: every tier must hold the
-        bytes it was handed — the ORAM's contents never change without
-        an access."""
-        for index, wrap in enumerate((lambda buf: buf, memoryview)):
-            original = bytes([0x11 + index]) * size
-            for frontend in tiers:
-                buf = bytearray(original)
-                frontend.access(index, Op.WRITE, wrap(buf))
-                buf[0] ^= 0xFF
-                read = frontend.read(index)
-                assert type(read) is bytes and read == original
-
+class TestBytesLikePayloads:
     @pytest.mark.parametrize("name", ("P_X16", "PIC_X32"))
     def test_bytes_like_write_payloads(self, name):
-        scheme, fields = CONFIGS[name]
-        reference = build_frontend(
-            scheme, rng=DeterministicRng(7), storage="object", **fields
-        )
+        """The reference, the fast tier interpreted and the kernel."""
         ref, nat = pair(name)
-        self.written_then_mutated((reference, ref, nat), ref.config.block_bytes)
+        plain = variant(name)
+        written_then_mutated((ref, plain, nat), ref.config.block_bytes)
         assert_same_state(ref, nat, name)
-        assert stats_image(reference) == stats_image(nat)
-        assert tree_digest(reference.backend.storage) == tree_digest(
-            nat.backend.storage
-        )
+        assert state(plain) == state(nat)
 
     def test_bytes_like_write_payloads_recursive(self):
         """The ``R_X8`` twin: reference tier, fast tier interpreted, and
         the ``RecursiveKernel``."""
-        tiers = [
-            build_frontend(
-                "R_X8", num_blocks=2**9, onchip_entries=4,
-                rng=DeterministicRng(7), storage=storage,
-            )
-            for storage in ("object", "columnar", "columnar")
-        ]
-        size = tiers[0].configs[0].block_bytes
-        self.written_then_mutated(tiers[:2], size)
-        ReplayEngine(tiers[2], OramTimingModel(1000.0)).enable_native(CORE)
-        assert isinstance(tiers[2]._kernel, CORE.RecursiveKernel)
-        self.written_then_mutated(tiers[2:], size)
-        digests = [
-            [tree_digest(b.storage) for b in frontend.backends]
-            for frontend in tiers
-        ]
-        assert digests[0] == digests[1] == digests[2]
+        ref, nat = pair("R_X8")
+        plain = variant("R_X8")
+        written_then_mutated((ref, plain, nat), ref.configs[0].block_bytes)
+        assert_same_state(ref, nat, "R_X8")
+        assert state(plain) == state(nat)
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +345,7 @@ class TestErrorParity:
 
 class TestEngagement:
     def test_none_is_a_no_op_and_the_handle_is_made_once(self):
-        frontend = build("PIC_X32")
+        frontend = variant("PIC_X32")
         frontend.enable_native_kernel(None)
         assert frontend._kernel is None
         engage(frontend)
@@ -730,7 +354,7 @@ class TestEngagement:
         """The tree must be a real ``AccessKernel``: one that is not (here
         wrapped for counting) keeps the Python path, which reaches the
         tree through the wrapper."""
-        frontend = build("PIC_X32")
+        frontend = variant("PIC_X32")
         backend = frontend.backend
         backend._kernel = CountingKernel(backend._kernel)
         frontend.enable_native_kernel(CORE)
@@ -786,7 +410,7 @@ class TestEngagement:
         frontend.read(3)
 
     def test_engine_engages_backend_then_frontend(self):
-        frontend = build("PIC_X32")
+        frontend = variant("PIC_X32")
         engine = ReplayEngine(frontend, OramTimingModel(1000.0))
         engine.enable_native(CORE)
         assert isinstance(frontend._kernel, CORE.FrontendKernel)
@@ -811,7 +435,7 @@ class TestEngagement:
         import gc
         import weakref
 
-        frontend = engage(build("PIC_X32"))
+        frontend = engage(variant("PIC_X32"))
         frontend.read(1)
         probes = [weakref.ref(frontend), weakref.ref(frontend.backend.storage)]
         gc.disable()
@@ -827,38 +451,20 @@ class TestEngagement:
 # ---------------------------------------------------------------------------
 
 
-def python_frames_during(call):
-    """Names of the library's Python functions entered while ``call``
-    runs (frames from outside ``repro``, like a gc callback, ignored)."""
-    entered = []
-
-    def profiler(frame, event, _arg):
-        if event == "call" and "repro" in frame.f_code.co_filename:
-            entered.append(frame.f_code.co_name)
-
-    sys.setprofile(profiler)
-    try:
-        result = call()
-    finally:
-        sys.setprofile(None)
-    return result, entered
-
-
 class TestStructure:
     def test_one_kernel_entry_per_request(self):
         ref, nat = pair("PIC_X32/beta=2")
         nat._kernel = CountingKernel(nat._kernel)
-        rng = DeterministicRng(3)
-        for index in range(200):
-            addr = rng.randrange(64)
-            assert ref.access(addr) == nat.access(addr)
+        requests = [(addr, Op.READ) for addr, *_ in mixed(ref, 3, 200, hot=64)]
+        for index, args in enumerate(requests):
+            assert lockstep(ref, nat, [args], index) is None
             assert nat._kernel.entries == index + 1
         assert ref.stats.group_relocations > 0
 
     def test_no_interpreted_frontend_step_runs_under_the_kernel(
         self, monkeypatch
     ):
-        nat = engage(build("PIC_X32/beta=2"))
+        nat = engage(variant("PIC_X32/beta=2"))
 
         def unreachable(*args, **kwargs):
             raise AssertionError("interpreted frontend step under the kernel")
@@ -956,28 +562,48 @@ class TestStructure:
         the slice — an observer callback — sees the values the
         interpreted access would have left at that very point."""
         ref, nat = pair("PIC_X32/beta=2")
-        drive(ref, nat, steps=60, seed=4)
-        probes = [CounterProbe(frontend) for frontend in (ref, nat)]
+        assert lockstep(ref, nat, mixed(ref, 4, 60), "warm") is None
+        seen = {id(ref): [], id(nat): []}
+
+        class Probe:
+            def __init__(self, frontend):
+                self.frontend = frontend
+                frontend.backend.storage.observer = self
+
+            def image(self, kind, leaf):
+                image = state(self.frontend)
+                seen[id(self.frontend)].append((kind, leaf, {
+                    key: image[key] for key in ("stats", "plb_counters", "prf", "mac")
+                }, image["trees"][0]["counters"]))
+
+            def on_path_read(self, leaf, indices):
+                self.image("read", leaf)
+
+            def on_path_write(self, leaf, indices):
+                self.image("write", leaf)
+
+        for frontend in (ref, nat):
+            Probe(frontend)
         rng = DeterministicRng(17)
         addrs = [rng.randrange(64) for _ in range(120)]
         writes = [rng.random() < 0.3 for _ in range(120)]
-        payload = bytes(ref.config.block_bytes)
+        payload = bytes(nat.config.block_bytes)
         for frontend in (ref, nat):
             slice_counts(frontend.access, addrs, writes, payload)
-        assert probes[0].seen == probes[1].seen
+        assert seen[id(ref)] == seen[id(nat)]
         # Two callbacks per tree access, each with its own image.
-        seen = probes[1].seen
-        assert len(seen) == 2 * (
-            nat.backend.tree_access_count - seen[0][2]["backend"][1] + 1
+        rows = seen[id(nat)]
+        assert len(rows) == 2 * (
+            nat.backend.tree_access_count - rows[0][3][1] + 1
         )
-        assert len({repr(image) for _kind, _leaf, image in seen}) > len(seen) // 2
-        assert ref.stats.group_relocations > 0
+        assert len({repr(row[2:]) for row in rows}) > len(rows) // 2
+        assert nat.stats.group_relocations > 0
         assert_same_state(ref, nat, "after the slice")
 
     def test_a_patched_access_is_called_per_event(self):
         """A shim on the instance (the perf tracer's) is not the bound
         method: the loop calls it, and it reaches the kernel."""
-        nat = engage(build("PIC_X32"))
+        nat = engage(variant("PIC_X32"))
         calls = []
         bound = nat.access
 
@@ -997,21 +623,6 @@ class TestStructure:
                 slice_counts(frontend.access, addrs, [False] * 4)
         assert_same_state(ref, nat, "after the failed slice")
         assert nat.stats.accesses == 3
-
-    def test_replay_engages_the_kernel_on_the_same_state(self):
-        """``replay_trace`` is what switches the kernels on: slice by
-        slice it leaves the full state the interpreted loop leaves."""
-        timing = OramTimingModel(tree_latency_cycles=1000.0)
-        ref, nat = build("PIC_X32"), build("PIC_X32")
-        trace = make_trace(5, events=400, blocks=ref.num_blocks)
-        for chunk in chunked(trace, batch=100):
-            interpreted = replay_trace(ref, chunk, timing, mode="scalar")
-            compiled = replay_trace(nat, chunk, timing, mode="compiled")
-            assert interpreted == compiled
-            assert repr(interpreted.cycles) == repr(compiled.cycles)
-            assert_same_state(ref, nat, chunk.name)
-        assert ref._kernel is None
-        assert isinstance(nat._kernel, CORE.FrontendKernel)
 
 
 class TestServeOnTheFrontendKernel:

@@ -1,16 +1,18 @@
 """The compiled replay core: bit-identity, dispatch policy, hardening.
 
 Coverage for ``repro.sim.native._replay_core`` below the replay
-pipeline (``tests/test_replay_differential.py`` locks the whole fast
-tier, kernels engaged, against the reference tier per batch):
+pipeline (``tests/test_lockstep.py`` locks the whole fast tier, kernels
+engaged, against the reference tier per access and per slice):
 
 - **Backend lockstep** — a columnar backend on its native
-  ``AccessKernel`` against the object ``PathOramBackend`` reference:
-  stash snapshot (order included), tree digest, every counter,
-  ``occupancy_stats`` and the observer's event log after every access,
-  over READ/WRITE/READRMV/APPEND, Z in {2, 4}, stash pressure that
-  takes the leftover-rebuild path and allocations that cross an arena
-  growth — each access entering the C module exactly once.
+  ``AccessKernel`` against the object ``PathOramBackend`` reference,
+  through ``tests/lockstep.py``'s ``BackendDriver``: the returned block
+  and the whole state image (stash snapshot in order, tree, every
+  counter, ``occupancy_stats``, the ledgers and the observer's event
+  log) after every access, over READ/WRITE/READRMV/APPEND, Z in {2, 4},
+  stash pressure that takes the leftover-rebuild path and allocations
+  that cross an arena growth — each access entering the C module
+  exactly once.
 - **Error-path identity** — the C kernel raises the byte-identical
   messages (duplicate block, out-of-range leaf, absent block) and the
   transactional rollback — a failing or interrupted ``update`` included
@@ -38,7 +40,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.sim.native as native_pkg
-from repro.adversary.observer import TraceObserver
 from repro.backend.columnar import ColumnarPathOramBackend
 from repro.backend.ops import Op
 from repro.backend.path_oram import PathOramBackend
@@ -67,81 +68,16 @@ from repro.storage.tree import TreeStorage
 from repro.utils.rng import DeterministicRng
 from repro.utils.stats import LEDGERS
 
-from test_replay_differential import (
-    BLOCKS,
-    frontend_digests,
-    ledger_image,
-    make_trace,
+from lockstep import (
+    CORE, BackendDriver, CountingKernel, backend_twin, frontend_digests,
+    generate_steps, ledger_image, make_trace, needs_core, slice_counts,
+    state,
 )
 
-CORE = load_native_core()
-needs_core = pytest.mark.skipif(
-    CORE is None,
-    reason=unavailable_reason(),
-)
-
-
-def slice_counts(access, addrs, writes, payload=b""):
-    """``run_access_loop`` over plain lists of block addresses and write
-    flags, read back as the per-event tree-access counts: the latency
-    table is the identity (``miss_latency`` is ``int``), so each event's
-    latency is its count."""
-    counts = []
-    CORE.run_access_loop(
-        access, array("q", addrs), array("b", writes), 1, Op.READ, Op.WRITE,
-        payload, [], int, 0, counts,
-    )
-    return counts
-
+BLOCKS = 2**10
 
 #: What an install without the extension memoises (see ``native_core``).
 UNBUILT = (None, "the native extension is not built")
-
-
-class CountingKernel:
-    """Wraps an ``AccessKernel``, counting the calls that enter C."""
-
-    def __init__(self, kernel):
-        self.kernel = kernel
-        self.entries = 0
-
-    def access(self, *args):
-        self.entries += 1
-        return self.kernel.access(*args)
-
-
-def native_pair(config: OramConfig, seed: int = 7, allow_missing: bool = True):
-    """The object reference and a columnar backend (its access the
-    kernel's), same seeds, each with an observer recording its path reads
-    and writes."""
-    ref_events, nat_events = TraceObserver(), TraceObserver()
-    ref = PathOramBackend(
-        config, TreeStorage(config, observer=ref_events.for_tree(0)),
-        DeterministicRng(seed), allow_missing,
-    )
-    nat = ColumnarPathOramBackend(
-        config, ColumnarTreeStorage(config, observer=nat_events.for_tree(0)),
-        DeterministicRng(seed), allow_missing,
-    )
-    nat._kernel = CountingKernel(nat._kernel)
-    ref.events, nat.events = ref_events.events, nat_events.events
-    return ref, nat
-
-
-def full_state(backend):
-    """Everything the bit-identity contract names, for one backend."""
-    stats = backend.stash.occupancy_stats
-    storage = backend.storage
-    return (
-        backend.stash_snapshot(),
-        tree_digest(storage),
-        (backend.access_count, backend.tree_access_count,
-         backend.append_count, storage.buckets_read,
-         storage.buckets_written),
-        (stats.count, repr(stats.mean), repr(stats.variance), stats.max,
-         stats.min),
-        list(backend.events),
-    )
 
 
 SMALL = OramConfig(num_blocks=256, block_bytes=32)
@@ -158,55 +94,13 @@ GROWTH = OramConfig(num_blocks=2048, block_bytes=8)
 @needs_core
 class TestNativeBackendLockstep:
     def drive(self, config, steps, seed, with_removal=False, num_addrs=None):
-        """Random ops against both backends; compare after every access."""
-        ref, nat = native_pair(config, seed=seed)
-        rng = DeterministicRng(seed * 31 + 5)
-        posmap = {}
-        removed_ref, removed_nat = {}, {}
-        if num_addrs is None:
-            num_addrs = config.num_blocks // 4
-        for index in range(steps):
-            roll = rng.random()
-            if with_removal and removed_ref and roll < 0.2:
-                addr = sorted(removed_ref)[rng.randrange(len(removed_ref))]
-                block = removed_ref.pop(addr)
-                ref.access(Op.APPEND, addr, append_block=block)
-                nat.access(Op.APPEND, addr, append_block=removed_nat.pop(addr))
-                # The PosMap still maps the address to the leaf assigned
-                # at removal time (the PLB's bookkeeping).
-                posmap[addr] = block.leaf
-            else:
-                addr = rng.randrange(num_addrs)
-                while addr in removed_ref:
-                    addr = rng.randrange(num_addrs)
-                leaf = posmap.get(addr, 0)
-                new_leaf = rng.random_leaf(config.levels)
-                if with_removal and roll > 0.85:
-                    a = ref.access(Op.READRMV, addr, leaf, new_leaf)
-                    b = nat.access(Op.READRMV, addr, leaf, new_leaf)
-                    assert (a.addr, a.leaf, a.data, a.mac) == (
-                        b.addr, b.leaf, b.data, b.mac
-                    ), index
-                    removed_ref[addr], removed_nat[addr] = a, b
-                    posmap.pop(addr, None)
-                elif roll < 0.5:
-                    payload = bytes([rng.randrange(256)]) * config.block_bytes
-
-                    def update(block, payload=payload):
-                        block.data = payload
-                        block.mac = payload[:4]
-
-                    ref.access(Op.WRITE, addr, leaf, new_leaf, update=update)
-                    nat.access(Op.WRITE, addr, leaf, new_leaf, update=update)
-                    posmap[addr] = new_leaf
-                else:
-                    a = ref.access(Op.READ, addr, leaf, new_leaf)
-                    b = nat.access(Op.READ, addr, leaf, new_leaf)
-                    assert a == b, index
-                    posmap[addr] = new_leaf
-            assert full_state(ref) == full_state(nat), index
-            # One C call per access, APPENDs included.
-            assert nat._kernel.entries == index + 1
+        """Random ops against both backends; compared after every access."""
+        ref, nat = backend_twin(config, seed=seed)
+        trace = generate_steps(
+            seed * 31 + 5, steps, num_addrs or config.num_blocks // 4,
+            config.levels, with_removal=with_removal, mac_fraction=0.5,
+        )
+        assert BackendDriver(ref, nat).run(trace, seed) is None
         return ref, nat
 
     @pytest.mark.parametrize("seed", (1, 9, 40))
@@ -235,7 +129,7 @@ class TestNativeBackendLockstep:
     def test_no_interpreted_step_runs_under_the_kernel(self, monkeypatch):
         """Path read, slot alloc, payload I/O and write-back all happen
         inside the one C call: the storage's Python methods never run."""
-        _ref, nat = native_pair(SMALL)
+        _ref, nat = backend_twin(SMALL)
 
         def unreachable(*args, **kwargs):
             raise AssertionError("interpreted storage step under the kernel")
@@ -446,7 +340,7 @@ class TestNoObjectPerRequest:
 @needs_core
 class TestErrorPathIdentity:
     def test_out_of_range_leaf_message_and_rollback_identical(self):
-        ref, nat = native_pair(SMALL)
+        ref, nat = backend_twin(SMALL)
         messages = []
         for backend in (ref, nat):
             backend.access(
@@ -464,7 +358,7 @@ class TestErrorPathIdentity:
     def test_duplicate_block_in_drained_bucket_identical(self):
         """A stash/tree duplicate detected *inside the C drain* raises the
         byte-identical message the scalar loop raises."""
-        ref, nat = native_pair(SMALL)
+        ref, nat = backend_twin(SMALL)
         messages = []
         for backend in (ref, nat):
             backend.access(
@@ -492,7 +386,7 @@ class TestErrorPathIdentity:
     )
     @pytest.mark.parametrize("op", (Op.WRITE, Op.READRMV))
     def test_failing_update_restores_identically(self, raised, op):
-        ref, nat = native_pair(SMALL)
+        ref, nat = backend_twin(SMALL)
         posmap = {}
         rng = DeterministicRng(6)
         for _ in range(40):
@@ -522,17 +416,17 @@ class TestErrorPathIdentity:
                 assert (
                     backend.stash_snapshot(), tree_digest(backend.storage)
                 ) == before
-            assert full_state(ref) == full_state(nat)
+            assert state(ref) == state(nat)
         # Both stay usable after the rollback.
         addr = next(iter(posmap))
         for backend in (ref, nat):
             backend.access(Op.READ, addr, posmap[addr], 5)
-        assert full_state(ref) == full_state(nat)
+        assert state(ref) == state(nat)
 
     def test_wrong_sized_update_payload_message_and_rollback(self):
         """The write-back of an updated block validates its payload with
         the storage's own message, then rolls back like any failure."""
-        _ref, nat = native_pair(SMALL)
+        _ref, nat = backend_twin(SMALL)
 
         def truncating(block):
             block.data = b"short"
@@ -547,7 +441,7 @@ class TestErrorPathIdentity:
         assert str(err.value) == str(own.value)
 
     def test_absent_block_raises_identically(self):
-        ref, nat = native_pair(SMALL, allow_missing=False)
+        ref, nat = backend_twin(SMALL, allow_missing=False)
         messages = []
         for backend in (ref, nat):
             backend.access(
@@ -559,10 +453,10 @@ class TestErrorPathIdentity:
         assert messages[0] == messages[1] == (
             "block 0x2a absent from path 5 and stash"
         )
-        assert full_state(ref) == full_state(nat)
+        assert state(ref) == state(nat)
 
     def test_append_errors_identical(self):
-        ref, nat = native_pair(SMALL)
+        ref, nat = backend_twin(SMALL)
         messages = []
         for backend in (ref, nat):
             local = []
@@ -582,13 +476,13 @@ class TestErrorPathIdentity:
             local.append(str(err.value))
             messages.append(local)
         assert messages[0] == messages[1]
-        assert full_state(ref) == full_state(nat)
+        assert state(ref) == state(nat)
 
     def test_stash_overflow_message_identical(self):
         config = OramConfig(
             num_blocks=256, block_bytes=16, blocks_per_bucket=1, stash_limit=3
         )
-        ref, nat = native_pair(config)
+        ref, nat = backend_twin(config)
         messages = []
         for backend in (ref, nat):
             rng = DeterministicRng(12)
@@ -599,7 +493,7 @@ class TestErrorPathIdentity:
                     )
             messages.append(str(err.value))
         assert messages[0] == messages[1]
-        assert full_state(ref) == full_state(nat)
+        assert state(ref) == state(nat)
 
 
 # ---------------------------------------------------------------------------

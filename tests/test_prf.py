@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.prf import Prf
 
-from test_equivalence_golden import reference_leaf_for
+from helpers import reference_leaf_for
 
 
 class TestModes:

@@ -1,34 +1,22 @@
-"""Lockstep differential: the fast replay tier vs the reference tier.
+"""Lockstep differential per replay slice: the fast tier vs the reference.
 
 The fast tier (columnar storage, the ``run_batch`` loop, the native
-kernels when built) must be *performance-only*. Two frontends built from
-the same spec and seed replay the same trace — the reference through
-``mode="scalar"`` over ``storage="object"``, the fast one exactly as a
-user with no ``REPRO_*`` set gets it — and after every batch the harness
-compares:
-
-- the per-batch ``SimResult`` (every field, diagnostic counters
-  included);
-- the full ``FrontendStats`` block;
-- the stash snapshot(s), order included;
-- the SHA-256 tree digest(s) of the backend storage — the complete
-  external memory state.
-
-Every scheme in ``ALL_SCHEMES`` x every seed runs through the
-``fast_tier`` fixture, on the native kernels, so a divergence anywhere
-in the fast tier fails at the first batch that exposes it (without the
-extension there is no fast tier to compare, and the fixture skips).
+kernels) must be *performance-only*.  Every registered scheme replays
+one trace on the reference tier (``mode="scalar"`` over
+``storage="object"``) and on the fast tier exactly as a user with no
+``REPRO_*`` set gets it, and ``tests/lockstep.py``'s ``replay_lockstep``
+compares the ``SimResult`` (every field), its cycles' bits and the whole
+state image after every slice, then in one slice; the per-access form is
+``tests/test_lockstep.py``.  Also here: what runs with no ``REPRO_*``
+set and what each knob still does, the replay-mode table, and the
+line-to-block translation.
 """
-
-import dataclasses
 
 import pytest
 
 from repro.backend.columnar import ColumnarPathOramBackend
 from repro.errors import ConfigurationError
-from repro.frontend import FrontendStats
 from repro.presets import build_frontend
-from repro.proc.hierarchy import MissEvent, MissTrace
 from repro.settings import Settings
 from repro.sim.engine import ReplayEngine
 from repro.sim.native import load_native_core, unavailable_reason
@@ -38,211 +26,47 @@ from repro.sim.replay import (
     translate_block_addrs,
 )
 from repro.sim.system import replay_trace
-from repro.sim.timing import OramTimingModel
 from repro.storage import ColumnarTreeStorage, TreeStorage
-from repro.storage.snapshot import tree_digest
 from repro.utils.rng import DeterministicRng
-from repro.utils.stats import LEDGERS
+
+from lockstep import (
+    TIMING, VARIANTS, build, frontend_backends, make_trace, replay_lockstep,
+)
 
 BLOCKS = 2**10
 
 
-def make_trace(seed: int, events: int, blocks: int = BLOCKS) -> MissTrace:
-    rng = DeterministicRng(seed)
-    trace = MissTrace(
-        name=f"diff-{seed}", instructions=50_000, mem_refs=20_000,
-        l1_hits=15_000, l2_hits=3_000,
-    )
-    trace.events = [
-        MissEvent(rng.randrange(blocks), rng.random() < 0.3)
-        for _ in range(events)
-    ]
-    return trace
-
-
-def chunked(trace: MissTrace, batch: int):
-    """Sub-traces of ``batch`` events each (scalar counters repeated)."""
-    for start in range(0, len(trace.events), batch):
-        chunk = MissTrace(
-            name=trace.name,
-            instructions=trace.instructions,
-            mem_refs=trace.mem_refs,
-            l1_hits=trace.l1_hits,
-            l2_hits=trace.l2_hits,
-        )
-        chunk.events = trace.events[start : start + batch]
-        yield chunk
-
-
-def frontend_backends(frontend):
-    """A frontend's backend(s): one per level for the recursive scheme."""
-    backends = getattr(frontend, "backends", None)
-    return backends if backends is not None else [frontend.backend]
-
-
-def frontend_digests(frontend):
-    """Tree digest(s) of a frontend's backend storage (all trees)."""
-    return [tree_digest(b.storage) for b in frontend_backends(frontend)]
-
-
-def frontend_stashes(frontend):
-    """Stash snapshot(s) of a frontend's backend(s), order included."""
-    return [b.stash_snapshot() for b in frontend_backends(frontend)]
-
-
-def stats_image(frontend):
-    return {
-        name: getattr(frontend.stats, name) for name in FrontendStats.COUNTERS
-    }
-
-
-def ledger_owners(frontend):
-    """Every owner of a ledger in ``LEDGERS`` a frontend has, by ledger:
-    its statistics, the PLB's, the PRF's and the MAC's, and per tree the
-    backend, the storage and the stash's occupancy summary (on object
-    storage a ``RunningStats``, the reference that ``OccupancyStats``
-    keeps the same names as)."""
-    backends = frontend_backends(frontend)
-    owners = {"frontend": [frontend.stats]}
-    plb = getattr(frontend, "plb", None)
-    if plb is not None:
-        owners["plb"] = [plb]
-    crypto = getattr(frontend, "crypto", None)
-    if crypto is not None:
-        owners.update(prf=[crypto.prf], mac=[crypto.mac])
-    occupancy = [backend.stash.occupancy_stats for backend in backends]
-    owners.update(
-        backend=backends, storage=[backend.storage for backend in backends],
-        occupancy=occupancy, moments=occupancy,
-    )
-    return owners
-
-
-def ledger_image(frontend):
-    """Every counter the kernels move, read through its owner's names in
-    the table's order: what both tiers must leave alike."""
-    return {
-        name: [
-            tuple(getattr(owner, slot) for slot in LEDGERS[name].slots)
-            for owner in owners
-        ]
-        for name, owners in ledger_owners(frontend).items()
-    }
-
-
-def frontend_columns(frontend):
-    """The frontend state that lives in typed columns, as both tiers and
-    both fast-tier spellings must leave it: the on-chip column and the
-    first-touch bitmaps, and for a PLB frontend the PLB's five columns
-    whole (set by set, way order and what an empty way was left holding
-    included) plus the same through ``entries()``, and every counter
-    beside them."""
-    posmap = frontend.posmap
-    image = {
-        "onchip": (posmap._table.tolist(), bytes(posmap._touched)),
-        "touched": [
-            None if bitmap is None else bytes(bitmap)
-            for bitmap in frontend._touched
-        ],
-    }
-    plb = getattr(frontend, "plb", None)
-    if plb is not None:
-        prf, mac = frontend.crypto.prf, frontend.crypto.mac
-        image.update(
-            plb=(
-                plb.tags.tolist(), plb.leaves.tolist(), plb.counters.tolist(),
-                plb.last_use.tolist(), bytes(plb.payload),
-            ),
-            plb_entries=[
-                dataclasses.astuple(entry.detach()) for entry in plb.entries()
-            ],
-            plb_counters=(plb._clock, plb.hits, plb.misses),
-            prf=prf.call_count,
-            mac=(mac.call_count, mac.bytes_hashed),
-        )
-    return image
-
-
-ALL_SCHEMES = ("R_X8", "P_X16", "PC_X32", "PI_X8", "PIC_X32")
-
-SEEDS = (8, 91, 2015)
-
-TIMING = OramTimingModel(tree_latency_cycles=1000.0)
-
-
-def tier_pair(scheme, **fields):
-    """(reference frontend, fast frontend) from one spec (``fields``
-    overriding it) and seed.
-
-    The fast one names no storage: under the ``fast_tier`` fixture it is
-    whatever a preset build resolves to with no ``REPRO_*`` set.
-    """
-    fields.setdefault("num_blocks", BLOCKS)
-    reference = build_frontend(
-        scheme, rng=DeterministicRng(7), storage="object", **fields
-    )
-    fast = build_frontend(scheme, rng=DeterministicRng(7), **fields)
-    return reference, fast
-
-
 class TestLockstep:
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_fast_is_bit_identical_per_batch(self, scheme, seed, fast_tier):
-        reference, fast = tier_pair(scheme)
-        trace = make_trace(seed, events=600)
-        for index, chunk in enumerate(chunked(trace, batch=150)):
-            expected = replay_trace(
-                reference, chunk, TIMING, scheme=scheme, mode="scalar"
-            )
-            got = replay_trace(fast, chunk, TIMING, scheme=scheme)
-            context = f"{scheme}/{fast_tier} seed={seed} batch={index}"
-            assert expected == got, context
-            assert repr(expected.cycles) == repr(got.cycles), context
-            assert stats_image(reference) == stats_image(fast), context
-            assert frontend_columns(reference) == frontend_columns(fast), context
-            assert frontend_stashes(reference) == frontend_stashes(fast), context
-            assert frontend_digests(reference) == frontend_digests(fast), context
+    @pytest.mark.parametrize("scheme", sorted(
+        name for name in VARIANTS if "/" not in name
+    ))
+    def test_fast_is_bit_identical_per_batch(self, scheme, fast_tier):
+        """Slice by slice, then in one slice, the fast tier leaves the
+        state the reference loop leaves."""
+        _, fields = VARIANTS[scheme]
+        ref = build(scheme, "object", **fields)
+        fast = build_frontend(scheme, rng=DeterministicRng(7), **fields)
+        blocks = fields["num_blocks"]
+        replay_lockstep(ref, fast, make_trace(5, 400, blocks), 100, scheme)
+        replay_lockstep(ref, fast, make_trace(44, 300, blocks), None, scheme)
         # The comparison only means something if the tiers really differ.
         for backend in frontend_backends(fast):
             assert isinstance(backend, ColumnarPathOramBackend)
-        assert fast._kernel is not None
-        for backend in frontend_backends(reference):
+        for backend in frontend_backends(ref):
             assert type(backend.storage) is TreeStorage
-
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-    def test_whole_trace_single_shot(self, scheme, fast_tier):
-        """Longer single-shot replays: one ``run_batch`` of 900 events."""
-        for seed in (3, 44):
-            reference, fast = tier_pair(scheme)
-            trace = make_trace(seed, events=900)
-            expected = replay_trace(
-                reference, trace, TIMING, scheme=scheme, mode="scalar"
-            )
-            got = replay_trace(fast, trace, TIMING, scheme=scheme)
-            assert expected == got, (scheme, seed)
-            assert frontend_digests(reference) == frontend_digests(fast)
+        assert getattr(ref, "_kernel", None) is None
+        if hasattr(fast, "enable_native_kernel"):
+            assert fast._kernel is not None
 
     @pytest.mark.parametrize("scheme", ("P_X16", "R_X8"))
     def test_fast_loop_over_object_storage(self, scheme, fast_tier):
         """A frontend pinned to object storage still replays on the fast
-        loop (C driver and accumulate only, ``access`` interpreted)."""
-        reference, pinned = (
-            build_frontend(
-                scheme, num_blocks=BLOCKS, rng=DeterministicRng(7),
-                storage="object",
-            )
-            for _ in range(2)
-        )
-        for chunk in chunked(make_trace(11, events=450), batch=150):
-            expected = replay_trace(
-                reference, chunk, TIMING, scheme=scheme, mode="scalar"
-            )
-            got = replay_trace(pinned, chunk, TIMING, scheme=scheme)
-            assert expected == got
-            assert repr(expected.cycles) == repr(got.cycles)
-            assert stats_image(reference) == stats_image(pinned)
-            assert frontend_digests(reference) == frontend_digests(pinned)
+        loop: the C slice calls its interpreted ``access`` per event."""
+        _, fields = VARIANTS[scheme]
+        ref, pinned = (build(scheme, "object", **fields) for _ in range(2))
+        trace = make_trace(11, 450, fields["num_blocks"])
+        replay_lockstep(ref, pinned, trace, 150, scheme)
+        assert getattr(pinned, "_kernel", None) is None
 
 
 class TestDefaultTier:

@@ -43,14 +43,11 @@ from repro.sim.system import replay_trace
 from repro.sim.timing import OramTimingModel
 from repro.utils.rng import DeterministicRng
 
-from test_replay_differential import (
-    BLOCKS,
-    frontend_digests,
-    frontend_stashes,
-    ledger_image,
-    make_trace,
-    tier_pair,
+from lockstep import (
+    frontend_digests, frontend_stashes, ledger_image, make_trace, twin,
 )
+
+BLOCKS = 2**10
 
 CORE = load_native_core()
 pytestmark = pytest.mark.skipif(CORE is None, reason=unavailable_reason())
@@ -186,7 +183,7 @@ class TestSemantics:
         timing = OramTimingModel(1000.0)
         engines = [
             ReplayEngine.for_mode(frontend, timing, mode)
-            for frontend, mode in zip(tier_pair("PIC_X32"), ("scalar", None))
+            for frontend, mode in zip(twin("PIC_X32", num_blocks=BLOCKS), ("scalar", None))
         ]
         for engine in engines:
             engine.run_batch([1, 2, 3, 4], [True, False])
@@ -230,7 +227,7 @@ class TestSemantics:
         """2-bit counters roll over every fourth touch, so a group remap
         relocates siblings: counts past what a plain access takes, each
         computed once per tier, the tables equal and the replays too."""
-        ref, fast = tier_pair(
+        ref, fast = twin(
             "PIC_X32", num_blocks=2**9, onchip_entries=4,
             plb_capacity_bytes=512, compressed_beta=2, compressed_fanout=8,
         )
@@ -297,7 +294,7 @@ class TestSemantics:
         empty = MissTrace(name="empty", instructions=12_345)
         trace = make_trace(3, events=40)
         seen = []
-        for frontend, mode in zip(tier_pair("P_X16"), ("scalar", None)):
+        for frontend, mode in zip(twin("P_X16", num_blocks=BLOCKS), ("scalar", None)):
             engine = ReplayEngine.for_mode(frontend, OramTimingModel(1000.0), mode)
             start = engine.cycles = 10**19 + 1
             engine.run_trace(empty)
@@ -320,7 +317,7 @@ class TestFailureMidSlice:
         every ledger reads as the reference tier left it."""
         engines = [
             ReplayEngine.for_mode(frontend, OramTimingModel(1000.0), mode)
-            for frontend, mode in zip(tier_pair(scheme), ("scalar", None))
+            for frontend, mode in zip(twin(scheme, num_blocks=BLOCKS), ("scalar", None))
         ]
         first = make_trace(9, events=30)
         bad = make_trace(10, events=9)
@@ -346,7 +343,7 @@ class TestFailureMidSlice:
     def test_a_wrapped_access_that_raises(self):
         """The generic path: a wrapper raising on its third call."""
         engines = []
-        for frontend, mode in zip(tier_pair("PC_X32"), ("scalar", None)):
+        for frontend, mode in zip(twin("PC_X32", num_blocks=BLOCKS), ("scalar", None)):
             engine = ReplayEngine.for_mode(frontend, OramTimingModel(1000.0), mode)
             frontend.access = raising_after(frontend.access, 2)
             engines.append(engine)
@@ -475,7 +472,7 @@ def split_engine(scheme, tier):
     """A fresh engine of ``tier``: the reference, the fast tier, or the
     fast tier with its frontend's ``access`` wrapped (the C loop's
     generic calls, as under the perf harness's tracer)."""
-    reference, fast = tier_pair(scheme)
+    reference, fast = twin(scheme, num_blocks=BLOCKS)
     if tier == "reference":
         return ReplayEngine.for_mode(reference, OramTimingModel(1000.0), "scalar")
     engine = ReplayEngine.for_mode(fast, OramTimingModel(1000.0))

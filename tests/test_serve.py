@@ -25,7 +25,7 @@ from repro.serve.workload import tenant_region_blocks, tenant_requests
 from repro.sim.runner import SimulationRunner
 from repro.workloads.spec import benchmark
 
-from test_serve_lockstep import strip_wall
+from helpers import strip_wall
 
 
 def make_runner(seed: int = 5) -> SimulationRunner:

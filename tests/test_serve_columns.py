@@ -31,8 +31,7 @@ from repro.sim.runner import SimulationRunner
 from repro.utils.rng import DeterministicRng
 from repro.workloads.spec import benchmark
 
-from test_serve_lockstep import strip_wall
-from test_trace_columns import counting_events
+from helpers import counting_events, strip_wall
 
 EDGES = [0, 0.5, 0.999, 1, 1.0, 2, 3, 4.0, 2**31 - 1, 2**31, 2.0**52, 1e18]
 

@@ -30,6 +30,8 @@ from repro.serve import (
 )
 from repro.storage.snapshot import tree_digest
 
+from helpers import strip_wall
+
 
 def make_runner(seed: int = 11) -> SimulationRunner:
     return SimulationRunner(misses_per_benchmark=500, seed=seed)
@@ -376,16 +378,6 @@ GOLDENS = {
         ],
     ),
 }
-
-
-def strip_wall(report):
-    """A serve report without the fields that hold host wall time."""
-    out = {k: v for k, v in report.items() if k != "wall_seconds"}
-    out["tenants"] = [
-        {k: v for k, v in tenant.items() if k != "wall_us"}
-        for tenant in report["tenants"]
-    ]
-    return out
 
 
 def golden_image(name: str, mode: str):

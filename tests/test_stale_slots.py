@@ -32,7 +32,7 @@ from repro.presets import build_frontend
 from repro.sim.native import load_native_core, unavailable_reason
 from repro.sim.system import replay_trace
 from repro.utils.rng import DeterministicRng
-from test_replay_differential import (
+from lockstep import (
     TIMING,
     chunked,
     frontend_backends,
@@ -122,7 +122,7 @@ TESTS = Path(__file__).resolve().parent
 GOLDEN = """
 from repro.presets import build_frontend
 from repro.utils.rng import DeterministicRng
-from test_equivalence_golden import SCHEME_DIGESTS, golden_digest
+from helpers import SCHEME_DIGESTS, golden_digest
 
 for scheme in ("PC_X32", "R_X8"):
     frontend = build_frontend(scheme, num_blocks=2**12, rng=DeterministicRng(7))

@@ -27,7 +27,7 @@ from repro.utils.stats import (
     histogram,
     normalize,
 )
-from test_replay_differential import ledger_owners
+from lockstep import ledger_owners
 
 
 class TestGeometricMean:

@@ -50,6 +50,20 @@ class TestGridParsing:
         with pytest.raises(SpecError, match="valid fields"):
             parse_grid_axis("frobnication=1,2")
 
+    def test_an_unknown_axis_names_every_axis_grid_takes(self):
+        with pytest.raises(SpecError) as caught:
+            parse_grid_axis("frobnication=1,2")
+        message = str(caught.value)
+        assert "plb_capacity_bytes" in message and "aliases: " in message
+        assert "benchmark axes: misses, wss" in message
+        assert "repro serve" not in message
+
+    @pytest.mark.parametrize("axis", ["tenants", "shards", "Shards"])
+    def test_a_serving_axis_points_at_repro_serve(self, axis):
+        with pytest.raises(SpecError, match="benchmark axes: misses, wss") as caught:
+            parse_grid_axis(f"{axis}=1,2")
+        assert "`python -m repro serve` run" in str(caught.value)
+
     def test_axis_rejects_missing_equals(self):
         with pytest.raises(SpecError, match="field=value"):
             parse_grid_axis("plb")

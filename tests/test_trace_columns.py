@@ -8,7 +8,6 @@ read-only tuple built from the columns on first read, and the two must
 be the same trace in every observable way.
 """
 
-import contextlib
 from array import array
 
 import pytest
@@ -21,7 +20,7 @@ from repro.workloads.spec import SPEC_BENCHMARKS
 
 # Stand-ins whose interpreted synthesis is seconds of warm-up (one C
 # call each with the extension).
-from test_trace_synthesis import HEAVY
+from helpers import HEAVY, counting_events
 
 
 COUNTERS = (1000, 400, 300, 50)
@@ -43,21 +42,6 @@ def twin(pairs, born: str, name: str = "prop") -> MissTrace:
             array("b", [1 if w else 0 for _addr, w in pairs]),
         )
     return MissTrace(name, *COUNTERS, events=[MissEvent(a, w) for a, w in pairs])
-
-
-@contextlib.contextmanager
-def counting_events():
-    """Count :class:`MissEvent` constructions inside the block."""
-    built = []
-    init = MissEvent.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(MissEvent, "__init__", counted)
-        yield built
 
 
 BORN = pytest.mark.parametrize("born", ["events", "columns"])
@@ -321,7 +305,7 @@ class TestColumnBornEqualsEventBuilt:
         from repro.presets import build_frontend
         from repro.sim.system import replay_trace
         from repro.sim.timing import OramTimingModel
-        from test_replay_differential import frontend_digests
+        from lockstep import frontend_digests
 
         timing = OramTimingModel(tree_latency_cycles=1000.0)
         outcomes = []

@@ -48,6 +48,8 @@ from repro.workloads.spec import (
 )
 from repro.workloads.synthetic import Pattern
 
+from helpers import HEAVY
+
 
 def require_core():
     """The built extension; its absence is a skip, or under
@@ -100,9 +102,6 @@ NAMES = (
 )
 SEEDS = (2015, 7919, 1)
 BUDGETS = (150, 2000)
-#: Stand-ins whose interpreted warm-up alone is seconds (working sets of
-#: 6 MiB and up).
-HEAVY = {"astar", "bzip2", "libq", "mcf", "omnet", "sjeng", "mcf+libq", "mcf@wss=8388608"}
 FULL = Settings.from_env().full
 
 
