@@ -10,7 +10,11 @@ swallows compiler/toolchain failures instead of aborting the install.
 
 The module is stamped with a SHA-256 of the sources it was compiled
 from (``SOURCE_DIGEST``); ``repro.sim.native`` refuses a build whose
-sources have changed since, so a stale ``.so`` is never measured.
+sources have changed since, so a stale ``.so`` is never measured. For
+the same reason ``build_ext`` compiles whenever the existing ``.so``
+does not embed the current digest, whatever the files' mtimes say, and a
+failed compile that leaves such a stale ``.so`` in place names it on
+stderr.
 
 Build the extension in place for a source checkout::
 
@@ -20,6 +24,7 @@ which places ``_replay_core.*.so`` under ``src/repro/sim/native/``.
 """
 
 import hashlib
+import sys
 from pathlib import Path
 
 from setuptools import Extension, find_packages, setup
@@ -36,20 +41,38 @@ def source_digest(paths) -> str:
     return digest.hexdigest()
 
 
+def embeds_digest(path: Path, digest: str) -> bool:
+    """Whether the build at ``path`` was compiled from sources hashing to
+    ``digest`` (its ``SOURCE_DIGEST`` string is in the binary)."""
+    return digest.encode() in path.read_bytes()
+
+
 class optional_build_ext(build_ext):
     """Best-effort extension build: failure means 'no compiled core'."""
 
     def run(self):
+        inplace = self.inplace  # setuptools clears it while it builds
         try:
             super().run()
         except Exception as exc:  # toolchain missing entirely
             self._skip(exc)
+        finally:
+            self.inplace = inplace
+        self._warn_stale()
 
     def build_extension(self, ext):
+        # An mtime is no evidence: a build that does not embed the
+        # sources' digest is stale, and is rebuilt.
+        if self._stale(ext):
+            self.force = True
         try:
             super().build_extension(ext)
         except Exception as exc:  # compiler present but the build failed
             self._skip(exc)
+
+    def _stale(self, ext) -> bool:
+        target = Path(self.get_ext_fullpath(ext.name))
+        return target.exists() and not embeds_digest(target, source_digest(SOURCES))
 
     def _skip(self, exc):
         print(
@@ -59,25 +82,38 @@ class optional_build_ext(build_ext):
             "results)."
         )
 
+    def _warn_stale(self):
+        """Name, on stderr, every build a failure left stale in place."""
+        for ext in self.extensions:
+            if self._stale(ext):
+                print(
+                    f"WARNING: {self.get_ext_fullpath(ext.name)} is stale: it "
+                    "was built from other sources and stays in place, and "
+                    "repro.sim.native refuses it (fix the build and run it "
+                    "again)",
+                    file=sys.stderr,
+                )
 
-setup(
-    name="repro",
-    version="0.9.0",
-    description=(
-        "Freecursive ORAM reproduction: Path ORAM simulator with "
-        "columnar storage and an optional compiled replay core"
-    ),
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    ext_modules=[
-        Extension(
-            "repro.sim.native._replay_core",
-            sources=SOURCES,
-            define_macros=[
-                ("REPRO_SOURCE_DIGEST", f'"{source_digest(SOURCES)}"')
-            ],
-            optional=True,
-        )
-    ],
-    cmdclass={"build_ext": optional_build_ext},
-)
+
+if __name__ == "__main__":  # how setuptools and pip run this file
+    setup(
+        name="repro",
+        version="0.9.0",
+        description=(
+            "Freecursive ORAM reproduction: Path ORAM simulator with "
+            "columnar storage and an optional compiled replay core"
+        ),
+        package_dir={"": "src"},
+        packages=find_packages(where="src"),
+        ext_modules=[
+            Extension(
+                "repro.sim.native._replay_core",
+                sources=SOURCES,
+                define_macros=[
+                    ("REPRO_SOURCE_DIGEST", f'"{source_digest(SOURCES)}"')
+                ],
+                optional=True,
+            )
+        ],
+        cmdclass={"build_ext": optional_build_ext},
+    )

@@ -20,26 +20,33 @@ shard-local address, write flag — that admission fills from row 0 after
 each fold, one **epoch queue** (a run of rows) after another, plus the
 ``latencies`` and ``walls`` execution appends. Each step has two tiers,
 chosen once per service by the same switch as the engines
-(:func:`~repro.sim.replay.resolve_tier`): on the fast tier an epoch costs
-Python work in proportion to tenants + shards + batches, not requests.
+(:func:`~repro.sim.replay.resolve_tier`). On the fast tier *admit +
+execute* is one call of the compiled core per epoch,
+``ServeKernel.epoch``, over a kernel :meth:`OramService._epochs` builds
+when a run starts, holding every stream, log, ledger and engine; an
+epoch then costs a constant few Python calls, whatever its requests and
+shards.
 
-1. **Admission** (:meth:`OramService._admit`) — FIFO in tenant order:
-   each tenant offers up to ``burst`` requests from its cursor, routed
-   to shards by an address hash and appended to the routed shard's
-   log. Per-shard epoch queues are bounded by ``queue_capacity``; an
-   arrival at a full queue is either **shed** (dropped permanently,
+1. **Admission** — FIFO in tenant order: each tenant offers up to
+   ``burst`` requests from its cursor, routed to shards by an address
+   hash and appended to the routed shard's log, its address mapped
+   through the pool's shard directory (one dense ``array('i')`` over the
+   service address space; a first touch takes the shard's next local
+   address). Per-shard epoch queues are bounded by ``queue_capacity``;
+   an arrival at a full queue is either **shed** (dropped permanently,
    counted, cursor advances) or **deferred** (the tenant stops issuing
    for this epoch and retries the same request next epoch) per the
-   configured backpressure policy. Fast tier: one ``serve_admit`` call
-   of the compiled core per epoch, counting in the tenants' and shards'
-   ledgers in place; reference tier: :meth:`OramService._admit_rows`.
-2. **Execution** (:meth:`OramShard.execute`) — each shard drains its
-   epoch queue in admission (ticket) order, handing ``max_batch``-sized
-   memoryview slices of its log's own columns to
-   ``ReplayEngine.run_batch`` (no copy on the fast tier) and appending
-   the latencies that come back and one wall reading per batch. Shards
-   are mutually independent, so they may run in any interleaving. Both
-   tiers run this step alike.
+   configured backpressure policy. Reference tier:
+   :meth:`OramService._admit_rows`.
+2. **Execution** — each shard drains its epoch queue in admission
+   (ticket) order, ``max_batch`` rows at a time through the replay loop
+   ``run_access_loop`` runs, appending the latencies that come back and
+   one wall reading per batch. Shards are mutually independent, so they
+   may run in any interleaving. Reference tier:
+   :meth:`OramShard.execute`, one ``ReplayEngine.run_batch`` per batch
+   on memoryview slices of the log's columns — which the fast tier runs
+   too (with the kernel's ``admit`` for step 1) while an engine's
+   ``run_batch`` is wrapped on the instance, as a tracer does.
 3. **Accounting** (:meth:`OramService._account`) — after the epoch
    barrier the epoch's rows count into the log. Simulated queue wait is
    the prefix sum of service latencies ahead of a request in its
@@ -58,8 +65,8 @@ Python work in proportion to tenants + shards + batches, not requests.
    tiers agree row for row (``tests/test_serve_columns.py``).
 
 Wall time is observational and read per epoch and per batch, not per
-request: once per epoch when admission starts and once per ``run_batch``
-when it returns, and the log keeps one wall value per batch, so a
+request: once per epoch when admission starts and once per batch when
+it completes, and the log keeps one wall value per batch, so a
 request's ``wall_us`` runs from the admission stamp of the epoch that
 admitted it to the completion of its batch.
 
@@ -82,6 +89,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Sequence
 
+from repro.backend.ops import Op
 from repro.errors import ConfigurationError, ReproError
 from repro.proc.hierarchy import MissTrace
 from repro.sim.engine import ReplayEngine
@@ -119,7 +127,8 @@ _ISSUED = LEDGERS["tenant"].slots.index("issued")
 def _route_column(global_addrs: Sequence[int], shards: int) -> List[int]:
     """The shard of every global block address, the one definition of a
     route: the CRC-32 of its 8 little-endian bytes (two's complement),
-    mod ``shards``."""
+    mod ``shards`` (the reference tier's; the fast tier's is one
+    ``route_column`` call of the compiled core)."""
     if shards == 1:
         return [0] * len(global_addrs)
     crc32 = zlib.crc32
@@ -127,6 +136,15 @@ def _route_column(global_addrs: Sequence[int], shards: int) -> List[int]:
         crc32(addr.to_bytes(8, "little", signed=True)) % shards
         for addr in global_addrs
     ]
+
+
+def _routes(addrs: array, shards: int, core) -> array:
+    """A stream's route column on the service's tier."""
+    if core is None or shards == 1:
+        return array("q", _route_column(addrs, shards))
+    routes = array("q", bytes(8 * len(addrs)))
+    core.route_column(addrs, routes, shards)
+    return routes
 
 
 @dataclass(frozen=True)
@@ -198,10 +216,14 @@ class OramShard:
     """One ORAM instance in the pool: frontend + engine + address directory.
 
     With a single shard the service address space maps onto the ORAM
-    identically (no renumbering — the lockstep guarantee depends on it).
-    With multiple shards, each shard assigns dense local addresses to
-    the global addresses hashed onto it in first-touch order, which is
-    deterministic because admission is.
+    identically (no renumbering — the lockstep guarantee depends on it),
+    and ``directory`` is ``None``. With multiple shards, each shard
+    assigns dense local addresses to the global addresses hashed onto it
+    in first-touch order, which is deterministic because admission is:
+    ``directory`` is the pool's one ``array('i')`` over the service
+    address space (an address routes to one shard), each entry the
+    address's local one or -1 before its first touch, and the shard
+    ledger's ``mapped`` is the next local address to hand out.
     """
 
     def __init__(
@@ -210,7 +232,7 @@ class OramShard:
         frontend,
         engine: ReplayEngine,
         capacity: int,
-        identity: bool,
+        directory: Optional[array],
         max_batch: int,
         log_rows: int,
         record_accesses: bool = False,
@@ -219,32 +241,35 @@ class OramShard:
         self.frontend = frontend
         self.engine = engine
         self.capacity = capacity
-        self.identity = identity
+        self.directory = directory
         self.max_batch = max_batch
         self.stats = ShardStats(index)
         self.stats.record_accesses = record_accesses
-        self._directory: Dict[int, int] = {}
         self.log = _ShardLog(log_rows)
 
     def map_addr(self, global_addr: int) -> int:
         """Global service address -> this shard's local block address."""
-        if self.identity:
+        if self.directory is None:
             return global_addr
-        local = self._directory.get(global_addr)
-        if local is None:
-            local = len(self._directory)
+        local = self.directory[global_addr]
+        if local < 0:
+            local = self.stats.mapped
             if local >= self.capacity:
                 raise ReproError(
                     f"shard {self.index} directory overflow: "
                     f"{self.capacity} blocks mapped; raise shard_blocks"
                 )
-            self._directory[global_addr] = local
+            self.directory[global_addr] = local
+            self.stats.mapped = local + 1
         return local
 
     def execute(self, rows: range, stamp: float) -> None:
         """Drain one epoch queue — ``rows`` of this shard's log — in ticket
         order, one ``run_batch`` per ``max_batch`` rows, each handed the
-        log's own columns; ``stamp`` is the epoch's admission stamp."""
+        log's own columns; ``stamp`` is the epoch's admission stamp. (The
+        reference tier's, and the fast tier's while an engine's
+        ``run_batch`` is wrapped; ``ServeKernel.epoch`` runs it
+        otherwise.)"""
         if not rows:
             return
         log, stop, step = self.log, rows.stop, self.max_batch
@@ -276,16 +301,16 @@ class _TenantState:
     def __init__(
         self,
         spec: TenantSpec,
-        addrs: Sequence[int],
+        addrs: array,
         writes: Sequence[bool],
-        routes: Sequence[int],
+        routes: array,
         offset: int,
         region_blocks: int,
     ):
         self.spec = spec
-        self.addrs = array("q", addrs)
+        self.addrs = addrs
         self.writes = array("b", writes)
-        self.routes = array("q", routes)
+        self.routes = routes
         self.offset = offset
         self.region_blocks = region_blocks
         self.stats = TenantStats(spec.name, spec.workload_label)
@@ -322,6 +347,11 @@ class OramService:
         )
         self.block_bytes = probe_spec.block_bytes
         lines_per_block = max(self.block_bytes // self.runner.proc.line_bytes, 1)
+        # One tier for the whole service: the engines' kernels and the
+        # control plane's (ServeKernel / serve_fold / route_column on the
+        # fast tier, the interpreted _route_column / _admit_rows /
+        # OramShard.execute / _fold_rows on the reference one).
+        mode, self._core = resolve_tier()
         # Materialise every tenant stream up front (trace-cache backed),
         # laying tenant regions back to back in the service address space.
         self._tenants: List[_TenantState] = []
@@ -329,12 +359,11 @@ class OramService:
         for spec in tenants:
             addrs, writes = tenant_requests(spec, self.runner, lines_per_block)
             region = tenant_region_blocks(spec, self.block_bytes, addrs)
-            if offset:
-                addrs = [offset + addr for addr in addrs]
+            column = array("q", [offset + addr for addr in addrs] if offset else addrs)
             self._tenants.append(
                 _TenantState(
-                    spec, addrs, writes, _route_column(addrs, config.shards),
-                    offset, region,
+                    spec, column, writes,
+                    _routes(column, config.shards, self._core), offset, region,
                 )
             )
             offset += region
@@ -370,10 +399,15 @@ class OramService:
         self._ends: List[int] = []
         self._logged = 0
         self._in_flight = False
-        # One tier for the whole service: the engines' kernels and the
-        # control plane's (serve_admit / serve_fold on the fast tier, the
-        # interpreted _admit_rows / _fold_rows on the reference one).
-        mode, self._core = resolve_tier()
+        # The shard directory, one column for the pool (None: one shard,
+        # the identity map).
+        self._directory = (
+            None if config.shards == 1 else array("i", [-1]) * offset
+        )
+        # The fast tier's kernel over the streams, logs and engines: built
+        # when a run starts (or at a first _admit), so it holds the engines
+        # and the clock of that moment.
+        self._kernel = None
         self.shards: List[OramShard] = []
         for index in range(config.shards):
             spec, _label = self.runner.sized_spec(
@@ -393,7 +427,7 @@ class OramService:
                     frontend,
                     engine,
                     capacity=capacity,
-                    identity=(config.shards == 1),
+                    directory=self._directory,
                     max_batch=config.max_batch,
                     log_rows=log_rows,
                     record_accesses=config.record_accesses,
@@ -402,14 +436,6 @@ class OramService:
         self.epochs = 0
         self._wall_elapsed = 0.0
         # What the control plane's kernels read, bound once.
-        self._streams = [
-            (t.addrs, t.writes, t.routes, t.stats.ledger) for t in self._tenants
-        ]
-        self._queues = [
-            (s.log.tenants, s.log.addrs, s.log.writes, s.stats.ledger,
-             None if s.identity else s._directory)
-            for s in self.shards
-        ]
         self._logs = [
             (s.log.tenants, s.log.addrs, s.log.writes, s.log.latencies, s.log.walls)
             for s in self.shards
@@ -446,8 +472,6 @@ class OramService:
             )
         global_addr = tenant.offset + addr
         shard = self.shards[_route_column((global_addr,), self.config.shards)[0]]
-        from repro.backend.ops import Op
-
         payload = bytes(data).ljust(self.block_bytes, b"\0")
         shard.frontend.access(shard.map_addr(global_addr), Op.WRITE, payload)
         shard.engine = ReplayEngine.for_mode(
@@ -457,10 +481,27 @@ class OramService:
 
     # -- the three deterministic steps -----------------------------------------
 
+    def _serve_kernel(self):
+        """A ``ServeKernel`` of the compiled core over the streams, the
+        logs, the shard directory and the engines as they are now, with
+        ``time.perf_counter`` as its clock."""
+        return self._core.ServeKernel(
+            [(t.addrs, t.writes, t.routes, t.stats.ledger) for t in self._tenants],
+            [log + (s.stats.ledger,) for log, s in zip(self._logs, self.shards)],
+            [
+                (engine, engine.frontend.access, engine.timing.latency_table,
+                 engine.timing.miss_latency, engine.payload)
+                for engine in (s.engine for s in self.shards)
+            ],
+            self._ends, self._directory, self.config.queue_capacity,
+            self.config.policy == "shed", self.config.max_batch,
+            time.perf_counter, Op.READ, Op.WRITE,
+        )
+
     def _admit(self, offers: Sequence[int]) -> List[range]:
         """Bounded FIFO admission — the single mutation site for cursors
-        and the shed/defer counters: one ``serve_admit`` call on the fast
-        tier, :meth:`_admit_rows` on the reference one.
+        and the shed/defer counters: the ``ServeKernel``'s ``admit`` on
+        the fast tier, :meth:`_admit_rows` on the reference one.
 
         ``offers[i]`` is how many requests tenant *i* offers, from its
         cursor on; tenants are taken in index order, each one's offers in
@@ -470,10 +511,9 @@ class OramService:
         ends, count = self._ends, len(self.shards)
         starts = ends[-count:] or [0] * count
         if self._core is not None:
-            consumed = self._core.serve_admit(
-                self._streams, self._queues, ends, list(offers),
-                self.config.queue_capacity, self.config.policy == "shed",
-            )
+            if self._kernel is None:
+                self._kernel = self._serve_kernel()
+            consumed = self._kernel.admit(list(offers))
         else:
             consumed = self._admit_rows(offers)
         self._unserved -= consumed
@@ -482,8 +522,8 @@ class OramService:
 
     def _admit_rows(self, offers: Sequence[int]) -> int:
         """The reference tier's admission, row by row, into the same log
-        columns and counters ``serve_admit`` fills; returns how far the
-        cursors moved."""
+        columns, directory and counters the kernel's ``admit`` fills;
+        returns how far the cursors moved."""
         shards = self.shards
         ends = self._ends
         fills = ends[-len(shards):] or [0] * len(shards)
@@ -491,8 +531,8 @@ class OramService:
         capacity = self.config.queue_capacity
         shed = self.config.policy == "shed"
         logs = [shard.log for shard in shards]
-        # Unchecked ``setdefault``: stream addresses were checked to fit.
-        directories = None if shards[0].identity else [s._directory for s in shards]
+        # Unchecked first touches: stream addresses were checked to fit.
+        directory = self._directory
         consumed = 0
         for tenant_index, (state, offered) in enumerate(zip(self._tenants, offers)):
             addrs, writes, routes = state.addrs, state.writes, state.routes
@@ -514,9 +554,13 @@ class OramService:
                 log = logs[shard_index]
                 log.tenants[fill] = tenant_index
                 address = addrs[cursor]
-                if directories is not None:
-                    directory = directories[shard_index]
-                    address = directory.setdefault(address, len(directory))
+                if directory is not None:
+                    local = directory[address]
+                    if local < 0:
+                        shard_stats = shards[shard_index].stats
+                        local = directory[address] = shard_stats.mapped
+                        shard_stats.mapped = local + 1
+                    address = local
                 log.addrs[fill] = address
                 log.writes[fill] = writes[cursor]
                 fills[shard_index] = fill + 1
@@ -626,24 +670,53 @@ class OramService:
         if self.epochs > 2 * self._requests + 16:
             raise ReproError("serve exceeded its epoch budget without draining")
 
+    def _run_epoch(self, burst: int) -> int:
+        """One epoch's admission and execution as separate steps: stamp,
+        :meth:`_admit`, :meth:`OramShard.execute` per shard. Returns the
+        rows admitted."""
+        stamp = time.perf_counter()  # the epoch's admission stamp
+        # (A conditional, not min(): this runs per tenant per epoch.)
+        queues = self._admit([
+            left if (left := len(t.addrs) - t.stats.ledger[_ISSUED]) < burst
+            else burst
+            for t in self._tenants
+        ])
+        for shard, rows in zip(self.shards, queues):
+            shard.execute(rows, stamp)
+        return sum(map(len, queues))
+
+    def _kernel_epoch(self, burst: int) -> int:
+        """One epoch's admission and execution as one ``ServeKernel.epoch``
+        call; returns the rows admitted. An exception leaves the service
+        where :meth:`_run_epoch` leaves it: in flight once the epoch's
+        admission is done, with every cursor where admission left it."""
+        kernel, logged = self._kernel, len(self._ends)
+        self._in_flight = True
+        try:
+            return kernel.epoch(burst)
+        except BaseException:
+            self._in_flight = len(self._ends) > logged
+            raise
+        finally:
+            self._unserved = kernel.unserved
+
     def _epochs(self) -> Iterator[None]:
         """The epoch loop: admit, execute each shard, account, check
         progress; yields after every epoch until every stream drains.
         The kernels count in place, so every shard's counters are current
-        at each yield."""
+        at each yield. On the fast tier the first two steps are one
+        ``ServeKernel.epoch`` call, over a kernel built here — unless an
+        engine's ``run_batch`` is wrapped on the instance (a tracer, a
+        spy), which then runs per batch as the reference tier runs it."""
         started = time.perf_counter()
         burst = self.config.burst
-        cursors = [(len(t.addrs), t.stats.ledger) for t in self._tenants]
+        run = self._run_epoch
+        if self._core is not None:
+            self._kernel = self._serve_kernel()
+            if not any("run_batch" in vars(s.engine) for s in self.shards):
+                run = self._kernel_epoch
         while self._unserved:
-            stamp = time.perf_counter()  # the epoch's admission stamp
-            # (A conditional, not min(): this runs per tenant per epoch.)
-            queues = self._admit([
-                left if (left := length - ledger[_ISSUED]) < burst else burst
-                for length, ledger in cursors
-            ])
-            for shard, rows in zip(self.shards, queues):
-                shard.execute(rows, stamp)
-            admitted = sum(map(len, queues))
+            admitted = run(burst)
             self._account(admitted)
             self.epochs += 1
             self._check_progress(admitted)

@@ -189,8 +189,10 @@ class ShardStats:
     is_write)`` triples in execution order — a compact witness of the
     shard's exact access sequence, which the determinism suite compares
     across serial and concurrent runs (and which a full recorded
-    sequence would reproduce). The admission counters (``shed``,
-    ``deferred`` and the queue-depth samples) are slots of ``ledger``.
+    sequence would reproduce). The counters admission and execution
+    move (``shed``, ``deferred``, the queue-depth samples, ``batches``,
+    ``epochs_busy`` and ``mapped``, the addresses the shard directory has
+    given this shard) are slots of ``ledger``.
     """
 
     _PACK = struct.Struct("<qqB")
@@ -198,8 +200,6 @@ class ShardStats:
     def __init__(self, index: int) -> None:
         self.index = index
         self.requests = 0
-        self.batches = 0
-        self.epochs_busy = 0
         self.busy_cycles = 0.0
         self.ledger = LEDGERS["shard"].column()
         self._digest = hashlib.sha256()

@@ -13,10 +13,12 @@
  *   IEEE-754 additions) — and, for a frontend running on its
  *   FrontendKernel or RecursiveKernel, without a Python frame, an
  *   AccessResult or a boxed address either;
- * - serve_admit / serve_fold: the serving layer's control plane, one
- *   call each — an epoch's FIFO admission into the shards' typed log
- *   columns, and the log's fold into the shards' digest rows and busy
- *   cycles and the tenants' histogram summaries;
+ * - ServeKernel / serve_fold / route_column: the serving layer, one call
+ *   each — a whole epoch (its FIFO admission into the shards' typed log
+ *   columns through the dense shard directory, then every shard's queue
+ *   through the replay loop run_access_loop runs), the log's fold into
+ *   the shards' digest rows and busy cycles and the tenants' histogram
+ *   summaries, and the streams' CRC-32 shard routes;
  * - translate_block_addrs / accumulate: the translation and the fold on
  *   their own, list-out and list-in (kept for the perf harness's proxy
  *   of this module; nothing under src/ calls them);
@@ -977,14 +979,16 @@ static PyObject *str_observer, *str_on_path_read, *str_on_path_write,
 #define OCCUPANCY_LEDGER(X)                                                  \
     X(OCC_COUNT, "count") X(OCC_MAX, "max") X(OCC_MIN, "min")
 #define MOMENTS_LEDGER(X) X(OCC_MEAN, "mean") X(OCC_M2, "_m2")
-/* Serve's admission counters (serve_admit): a tenant's, whose `issued` is
- * also its stream cursor, and a shard's. */
+/* Serve's counters (ServeKernel): a tenant's, whose `issued` is also its
+ * stream cursor, and a shard's, whose `mapped` is the next dense local
+ * address its directory hands out. */
 #define TENANT_LEDGER(X)                                                     \
     X(TEN_ISSUED, "issued") X(TEN_SHED, "shed") X(TEN_DEFERRED, "deferred")
 #define SHARD_LEDGER(X)                                                      \
     X(SHD_SHED, "shed") X(SHD_DEFERRED, "deferred")                          \
     X(SHD_DEPTH_SAMPLES, "depth_samples") X(SHD_DEPTH_TOTAL, "depth_total")  \
-    X(SHD_DEPTH_MAX, "depth_max")
+    X(SHD_DEPTH_MAX, "depth_max") X(SHD_BATCHES, "batches")                  \
+    X(SHD_EPOCHS_BUSY, "epochs_busy") X(SHD_MAPPED, "mapped")
 /* Every ledger: its name, item type, slots and slot count, expanded to
  * its enum and to its line of LEDGERS ("name typecode slot ..."), which
  * repro.sim.native requires to equal repro.utils.stats.LEDGERS. */
@@ -3192,21 +3196,25 @@ data_visit(Visit *base, AccessKernel *tree, long long slot)
     if (rc < 0)
         return -1;
     if (visit->write_data != NULL) {
-        Py_buffer src;
-        /* Anything but bytes may run its own code to export a buffer. */
-        if (!PyBytes_CheckExact(visit->write_data))
+        /* bytes(data), spelled as the call for anything but bytes (which
+         * may run its own code), so that what it refuses is refused in
+         * the interpreted access's words. */
+        PyObject *data = Py_NewRef(visit->write_data);
+        if (!PyBytes_CheckExact(data)) {
             kernel_release(tree);
-        if (PyObject_GetBuffer(visit->write_data, &src, PyBUF_SIMPLE) < 0)
-            return -1;
-        if (src.len != tree->block_bytes) {
+            Py_SETREF(data, PyObject_CallOneArg((PyObject *)&PyBytes_Type, data));
+            if (data == NULL)
+                return -1;
+        }
+        if (PyBytes_GET_SIZE(data) != tree->block_bytes) {
             PyErr_Format(PyExc_ValueError,
                          "payload must be %zd bytes, got %zd",
-                         tree->block_bytes, src.len);
-            PyBuffer_Release(&src);
+                         tree->block_bytes, PyBytes_GET_SIZE(data));
+            Py_DECREF(data);
             return -1;
         }
-        memcpy(fk->work, src.buf, block_bytes);
-        PyBuffer_Release(&src);
+        memcpy(fk->work, PyBytes_AS_STRING(data), block_bytes);
+        Py_DECREF(data);
         /* The remap sealed these bytes already when its lanes could. */
         if (rq->seal.ready && rq->seal.tagged == visit->addr &&
             rq->seal.counter == visit->new_counter)
@@ -4505,84 +4513,30 @@ latency_of(PyObject *table, PyObject *miss_latency, long count)
     return latency;
 }
 
-/* run_access_loop(access, line_addrs, is_write, lines_per_block, read_op,
- *                 write_op, payload, table, miss_latency, cycles,
- *                 latencies) -> cycles
- *
- * One replay slice, whole: for each event of the int64 line column and
- * the int8 write column (zip: the shorter one ends the slice), the block
- * address line // lines_per_block, the request access(block, write_op,
- * payload) or access(block, read_op), its latency looked up by tree-access
- * count in `table` (see latency_of) and folded onto `cycles`; the latency
- * is also appended to `latencies` when that is a list (None: not kept).
- * Returns the new total — `cycles` itself for an empty slice.  On an
- * error the exception propagates with the frontend's state where the
- * failing request left it, and the caller's total stays what it was. */
-static PyObject *
-run_access_loop(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* The replay loop, one slice of it: for each of the `n` events of the
+ * int64 line column `line` and the int8 write column `write`, the block
+ * address line // lpb, the request access(block, write_op, payload) or
+ * access(block, read_op), its latency looked up by tree-access count in
+ * `table` (see latency_of), appended to `latencies` when that is a list
+ * (None: not kept) and folded onto `fold`.  `kernel` (NULL: none) is the
+ * frontend kernel behind `access`, driven C to C through `ops` — no
+ * Python frame, no AccessResult and no boxed address per event, one
+ * entry (owners held, observers read) for the whole slice; anything
+ * else — another frontend, a patched or wrapped access — gets the
+ * generic calls.  The one loop run_access_loop and ServeKernel.epoch
+ * both run.  0, or -1 with the exception set and the frontend's state
+ * where the failing request left it. */
+static int
+replay_events(PyObject *access, PyObject *kernel, const HandleOps *ops,
+              const long long *line, const int8_t *write, Py_ssize_t n,
+              long long lpb, PyObject *read_op, PyObject *write_op,
+              PyObject *payload, PyObject *table, PyObject *miss_latency,
+              Fold *fold, PyObject *latencies)
 {
-    if (nargs != 11) {
-        PyErr_Format(PyExc_TypeError,
-                     "run_access_loop expects 11 positional arguments, "
-                     "got %zd", nargs);
-        return NULL;
-    }
-    PyObject *access = args[0], *read_op = args[4], *write_op = args[5],
-             *payload = args[6], *table = args[7], *miss_latency = args[8],
-             *cycles = args[9], *latencies = args[10];
-    const long long lpb = PyLong_AsLongLong(args[3]);
-    if (lpb == -1 && PyErr_Occurred())
-        return NULL;
-    if (lpb < 1) {
-        PyErr_Format(PyExc_ValueError,
-                     "lines_per_block must be >= 1, got %lld", lpb);
-        return NULL;
-    }
-    if (!PyList_CheckExact(table)) {
-        PyErr_SetString(PyExc_TypeError, "table must be a list");
-        return NULL;
-    }
-    if (latencies != Py_None && !PyList_CheckExact(latencies)) {
-        PyErr_SetString(PyExc_TypeError, "latencies must be a list or None");
-        return NULL;
-    }
-    Col lines, writes;
-    if (col_acquire(args[1], &lines, "line_addrs", &COL_I64, 0) < 0)
-        return NULL;
-    if (col_acquire(args[2], &writes, "is_write", &COL_FLAG, 0) < 0) {
-        col_release(&lines);
-        return NULL;
-    }
-    const Py_ssize_t n = Py_MIN(lines.len, writes.len);
-    if (n == 0) {
-        col_release(&lines);
-        col_release(&writes);
-        return Py_NewRef(cycles);
-    }
-
-    /* An engaged frontend kernel is driven C to C: no Python frame, no
-     * AccessResult and no boxed address per event, one entry — owners
-     * held, observers read — for the whole slice.  Anything else —
-     * another frontend, a patched or wrapped access — gets the generic
-     * calls. */
-    PyObject *kernel;
-    const HandleOps *ops = NULL;
-    if (frontend_kernel_behind(access, &kernel, &ops) < 0 ||
-        (kernel != NULL && ops->enter(kernel) < 0)) {
-        Py_XDECREF(kernel);
-        col_release(&lines);
-        col_release(&writes);
-        return NULL;
-    }
-    const long long *line = lines.data;
-    const int8_t *write = writes.data;
+    if (kernel != NULL && ops->enter(kernel) < 0)
+        return -1;
     const int pow2 = (lpb & (lpb - 1)) == 0;
     const int shift = bit_length64(lpb) - 1;
-    Fold fold = {NULL, 0.0};
-    if (PyFloat_CheckExact(cycles))
-        fold.value = PyFloat_AS_DOUBLE(cycles);
-    else
-        fold.obj = Py_NewRef(cycles);
     int rc = -1;
     for (Py_ssize_t i = 0; i < n; i++) {
         /* Arithmetic shift == floor division for a power-of-two divisor;
@@ -4630,62 +4584,164 @@ run_access_loop(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         PyObject *latency = latency_of(table, miss_latency, count);
         if (latency == NULL ||
             (latencies != Py_None && PyList_Append(latencies, latency) < 0) ||
-            fold_add(&fold, latency) < 0)
+            fold_add(fold, latency) < 0)
             goto done;
     }
     rc = 0;
 
 done:
-    if (kernel != NULL) {
+    if (kernel != NULL)
         ops->leave(kernel);
-        Py_DECREF(kernel);
+    return rc;
+}
+
+/* The fold's start: `cycles` as a C double when it is an exact float. */
+static void
+fold_start(Fold *fold, PyObject *cycles)
+{
+    fold->obj = NULL;
+    fold->value = 0.0;
+    if (PyFloat_CheckExact(cycles))
+        fold->value = PyFloat_AS_DOUBLE(cycles);
+    else
+        fold->obj = Py_NewRef(cycles);
+}
+
+/* The fold's total as a new reference (consumes the fold). */
+static PyObject *
+fold_result(Fold *fold)
+{
+    return fold->obj != NULL ? fold->obj : PyFloat_FromDouble(fold->value);
+}
+
+/* run_access_loop(access, line_addrs, is_write, lines_per_block, read_op,
+ *                 write_op, payload, table, miss_latency, cycles,
+ *                 latencies) -> cycles
+ *
+ * One replay slice, whole: replay_events over the line and write
+ * columns (zip: the shorter one ends the slice), with the frontend
+ * kernel behind `access` when there is one, from `cycles`.  Returns the
+ * new total — `cycles` itself for an empty slice.  On an error the
+ * exception propagates and the caller's total stays what it was. */
+static PyObject *
+run_access_loop(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 11) {
+        PyErr_Format(PyExc_TypeError,
+                     "run_access_loop expects 11 positional arguments, "
+                     "got %zd", nargs);
+        return NULL;
+    }
+    PyObject *access = args[0], *cycles = args[9], *latencies = args[10];
+    const long long lpb = PyLong_AsLongLong(args[3]);
+    if (lpb == -1 && PyErr_Occurred())
+        return NULL;
+    if (lpb < 1) {
+        PyErr_Format(PyExc_ValueError,
+                     "lines_per_block must be >= 1, got %lld", lpb);
+        return NULL;
+    }
+    if (!PyList_CheckExact(args[7])) {
+        PyErr_SetString(PyExc_TypeError, "table must be a list");
+        return NULL;
+    }
+    if (latencies != Py_None && !PyList_CheckExact(latencies)) {
+        PyErr_SetString(PyExc_TypeError, "latencies must be a list or None");
+        return NULL;
+    }
+    Col lines, writes;
+    if (col_acquire(args[1], &lines, "line_addrs", &COL_I64, 0) < 0)
+        return NULL;
+    if (col_acquire(args[2], &writes, "is_write", &COL_FLAG, 0) < 0) {
+        col_release(&lines);
+        return NULL;
+    }
+    const Py_ssize_t n = Py_MIN(lines.len, writes.len);
+    PyObject *kernel = NULL, *result = NULL;
+    const HandleOps *ops = NULL;
+    Fold fold;
+    if (n == 0)
+        result = Py_NewRef(cycles);
+    else if (frontend_kernel_behind(access, &kernel, &ops) == 0) {
+        fold_start(&fold, cycles);
+        if (replay_events(access, kernel, ops, lines.data, writes.data, n,
+                          lpb, args[4], args[5], args[6], args[7], args[8],
+                          &fold, latencies) == 0)
+            result = fold_result(&fold);
+        else
+            Py_XDECREF(fold.obj);
+        Py_XDECREF(kernel);
     }
     col_release(&lines);
     col_release(&writes);
-    if (rc < 0) {
-        Py_XDECREF(fold.obj);
-        return NULL;
-    }
-    return fold.obj != NULL ? fold.obj : PyFloat_FromDouble(fold.value);
+    return result;
 }
 
 /* ------------------------------------------------------------------ */
-/* serve_admit / serve_fold: serve's control plane on columns          */
+/* ServeKernel / serve_fold / route_column: serve on columns           */
 /* ------------------------------------------------------------------ */
 
-/* An epoch of repro.serve.server.OramService is three steps, and on the
- * fast tier two of them are one call each here: serve_admit runs the
- * epoch's FIFO admission, serve_fold folds the accounting log.  Both are
- * transcriptions of the interpreted OramService._admit_rows and
- * _fold_rows (the reference tier), checked row for row by
+/* An epoch of repro.serve.server.OramService is three steps — admit,
+ * execute every shard, account — and on the fast tier the first two are
+ * one ServeKernel.epoch call and the log's fold is one serve_fold call.
+ * Both transcribe the interpreted reference (OramService._admit_rows,
+ * OramShard.execute, OramService._fold_rows), checked epoch by epoch by
  * tests/test_serve_columns.py::TestColumnsInLockstep.
  *
  * A shard's log is three fixed-size columns — tenant index (int64),
  * shard-local address (int64), write flag (int8) — that admission fills
  * from row 0 after each fold, plus what execution appends: the latency
- * list (one float per row) and the wall list (one float per run_batch).
- * `ends` is epoch-major: one entry per shard per logged epoch, that
- * shard's fill after the epoch's admission, so the epoch's queue on
- * shard s is the rows between its previous end and this one. */
+ * list (one float per row) and the wall list (one float per batch of
+ * max_batch rows).  `ends` is epoch-major: one entry per shard per
+ * logged epoch, that shard's fill after the epoch's admission, so the
+ * epoch's queue on shard s is the rows between its previous end and this
+ * one.  The shard directory is one int32 column over the service's
+ * address space, shared by every shard (an address routes to one shard):
+ * an address's local one, or a negative value before its first touch,
+ * which takes the next dense one, its shard ledger's `mapped`. */
 
-/* One tenant's stream as serve_admit reads it: global addresses, write
- * flags and shard routes, and the tenant's ledger, whose `issued` is the
- * stream cursor; the epoch offers rows [cursor, stop). */
+/* One tenant's stream: global addresses, write flags and shard routes,
+ * and the tenant's ledger, whose `issued` is the stream cursor; an epoch
+ * offers rows [cursor, stop). */
 typedef struct {
     Col addrs, writes, routes, ledger;
     Py_ssize_t cursor, stop;
 } ServeStream;
 
-/* One shard's log as serve_admit fills it, its ledger and its directory
- * (NULL: the identity map of a one-shard pool); the epoch's queue is
- * rows [start, fill), and `routed` counts the offered rows routed here.
- * Every row re-checks its route and its shard's room: a column can
- * alias another, so one written here can be one read here. */
+/* One shard: its log and ledger, and what its batches run on — the
+ * engine (whose cycles and events they move), the frontend's access and
+ * the kernel behind it (NULL: none, `access` is called), the timing
+ * model's latency table and miss_latency, and the WRITE payload.  The
+ * epoch's queue is rows [start, fill) of the log; `routed` counts the
+ * offered rows routed here. */
 typedef struct {
     Col tenants, addrs, writes, ledger;
-    PyObject *directory;
+    union {
+        struct {
+            PyObject *latencies, *walls;
+            /* The engine row, in its tuple's order. */
+            PyObject *engine, *access, *table, *miss_latency, *payload;
+            PyObject *kernel;
+        };
+        PyObject *refs[8]; /* the same references, for the collector */
+    };
+    const HandleOps *ops;
     Py_ssize_t start, fill, routed;
-} ServeQueue;
+} ServeShard;
+
+#define SHARD_REFS (sizeof(((ServeShard *)0)->refs) / sizeof(PyObject *))
+
+typedef struct {
+    PyObject_HEAD
+    ServeStream *stream;
+    ServeShard *shard;
+    Py_ssize_t tenants, shards, capacity, max_batch;
+    int shed, busy;
+    Col directory; /* not acquired: a one-shard pool's identity map */
+    PyObject *ends, *clock, *read_op, *write_op;
+} ServeKernel;
+
+static PyObject *str_cycles, *str_events;
 
 /* Item `i` of a list as a Py_ssize_t in [low, high], or -1 with an
  * exception set (`what` and `index` name it). */
@@ -4704,84 +4760,8 @@ list_index(PyObject *list, Py_ssize_t i, Py_ssize_t low, Py_ssize_t high,
     return value;
 }
 
-/* The last `count` entries of `ends` (the shards' fills), or zeros when
- * it is empty; each at most the shard's room. */
-static int
-last_ends(PyObject *ends, Py_ssize_t count, const Py_ssize_t *room,
-          Py_ssize_t *out)
-{
-    const Py_ssize_t n = PyList_GET_SIZE(ends);
-    if (n % count != 0) {
-        PyErr_Format(PyExc_ValueError,
-                     "ends holds %zd entries, not a multiple of %zd shards",
-                     n, count);
-        return -1;
-    }
-    for (Py_ssize_t s = 0; s < count; s++) {
-        out[s] = n == 0 ? 0
-                        : list_index(ends, n - count + s, 0, room[s],
-                                     "the end of shard", s);
-        if (out[s] < 0)
-            return -1;
-    }
-    return 0;
-}
-
-/* dict.setdefault(*addr, len(dict)): a global address's shard-local one,
- * the next dense one at its first touch. */
-static int
-directory_map(PyObject *directory, long long *addr)
-{
-    PyObject *key = PyLong_FromLongLong(*addr);
-    if (key == NULL)
-        return -1;
-    PyObject *local = PyDict_GetItemWithError(directory, key);
-    if (local == NULL) {
-        if (PyErr_Occurred()) {
-            Py_DECREF(key);
-            return -1;
-        }
-        const Py_ssize_t next = PyDict_GET_SIZE(directory);
-        local = PyLong_FromSsize_t(next);
-        int rc = local == NULL ? -1 : PyDict_SetItem(directory, key, local);
-        Py_XDECREF(local);
-        Py_DECREF(key);
-        *addr = next;
-        return rc;
-    }
-    Py_INCREF(local);
-    Py_DECREF(key);
-    const long long value = PyLong_AsLongLong(local);
-    Py_DECREF(local);
-    if (value == -1 && PyErr_Occurred())
-        return -1;
-    *addr = value;
-    return 0;
-}
-
-static void
-serve_release(ServeStream *streams, Py_ssize_t tenants, ServeQueue *queues,
-              Py_ssize_t shards)
-{
-    for (Py_ssize_t t = 0; streams != NULL && t < tenants; t++) {
-        col_release(&streams[t].addrs);
-        col_release(&streams[t].writes);
-        col_release(&streams[t].routes);
-        col_release(&streams[t].ledger);
-    }
-    for (Py_ssize_t s = 0; queues != NULL && s < shards; s++) {
-        col_release(&queues[s].tenants);
-        col_release(&queues[s].addrs);
-        col_release(&queues[s].writes);
-        col_release(&queues[s].ledger);
-        Py_XDECREF(queues[s].directory);
-    }
-    PyMem_Free(streams);
-    PyMem_Free(queues);
-}
-
-/* A shard's three log columns, acquired writable: equally long, and
- * that length (its room) stored in `room`. */
+/* A shard's three log columns, acquired: equally long, and that length
+ * (its room) stored in `room`. */
 static int
 log_acquire(PyObject *row, Col *tenants, Col *addrs, Col *writes,
             int writable, Py_ssize_t s, Py_ssize_t *room)
@@ -4804,145 +4784,282 @@ log_acquire(PyObject *row, Col *tenants, Col *addrs, Col *writes,
     return 0;
 }
 
-/* serve_admit(streams, queues, ends, offers, capacity, shed) -> consumed
- *
- * One epoch's admission (OramService._admit_rows): tenants in index
- * order, tenant t's offers[t] rows from its cursor in stream order, each
- * appended to its routed shard's log (the tenant, the address — through
- * the shard's directory when it has one — and the write flag).  A row
- * whose shard already admitted `capacity` rows this epoch is shed
- * (counted, the cursor moves on) or deferred (counted, the tenant stops
- * until the next epoch).  Moves each tenant's ledger (issued, the
- * cursor; shed; deferred) and each shard's (shed; deferred; the depth
- * sample, total and max), appends the shards' new fills to `ends` and
- * returns how far the cursors moved.
- *
- * streams: [(addrs int64, writes int8, routes int64, ledger int64), ...]
- * queues:  [(tenants int64, addrs int64, writes int8, ledger int64,
- *            directory dict | None), ...], log columns writable.
- *
- * Everything is checked before any row moves: an offered window inside
- * its stream, its routes in [0, shards), its addresses >= 0, and room in
- * each log for the most the epoch can admit there. */
+/* Item `i` of `list` as a new reference to a tuple of `size` items, or
+ * NULL with a TypeError naming `shape`. */
 static PyObject *
-serve_admit(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+list_row(PyObject *list, Py_ssize_t i, Py_ssize_t size, const char *what,
+         const char *shape)
 {
-    if (nargs != 6) {
-        PyErr_Format(PyExc_TypeError,
-                     "serve_admit expects 6 positional arguments, got %zd",
-                     nargs);
+    PyObject *row = i < PyList_GET_SIZE(list) ? PyList_GET_ITEM(list, i) : NULL;
+    if (row == NULL || !PyTuple_Check(row) || PyTuple_GET_SIZE(row) != size) {
+        PyErr_Format(PyExc_TypeError, "ServeKernel: %s %zd must be a tuple %s",
+                     what, i, shape);
         return NULL;
     }
-    PyObject *streams_obj = args[0], *queues_obj = args[1], *ends = args[2],
-             *offers = args[3];
-    if (!PyList_Check(streams_obj) || !PyList_Check(queues_obj) ||
-        !PyList_Check(ends) || !PyList_Check(offers)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "serve_admit: streams, queues, ends and offers "
-                        "must be lists");
+    return Py_NewRef(row);
+}
+
+static int
+serve_kernel_clear(ServeKernel *self)
+{
+    for (Py_ssize_t t = 0; self->stream != NULL && t < self->tenants; t++) {
+        ServeStream *st = &self->stream[t];
+        col_release(&st->addrs);
+        col_release(&st->writes);
+        col_release(&st->routes);
+        col_release(&st->ledger);
+    }
+    for (Py_ssize_t s = 0; self->shard != NULL && s < self->shards; s++) {
+        ServeShard *sh = &self->shard[s];
+        col_release(&sh->tenants);
+        col_release(&sh->addrs);
+        col_release(&sh->writes);
+        col_release(&sh->ledger);
+        for (size_t k = 0; k < SHARD_REFS; k++)
+            Py_CLEAR(sh->refs[k]);
+    }
+    PyMem_Free(self->stream);
+    PyMem_Free(self->shard);
+    self->stream = NULL;
+    self->shard = NULL;
+    self->tenants = self->shards = 0;
+    col_release(&self->directory);
+    Py_CLEAR(self->ends);
+    Py_CLEAR(self->clock);
+    Py_CLEAR(self->read_op);
+    Py_CLEAR(self->write_op);
+    return 0;
+}
+
+static int
+serve_kernel_traverse(ServeKernel *self, visitproc visit, void *arg)
+{
+    for (Py_ssize_t s = 0; self->shard != NULL && s < self->shards; s++)
+        for (size_t k = 0; k < SHARD_REFS; k++)
+            Py_VISIT(self->shard[s].refs[k]);
+    Py_VISIT(self->ends);
+    Py_VISIT(self->clock);
+    Py_VISIT(self->read_op);
+    Py_VISIT(self->write_op);
+    return 0;
+}
+
+static void
+serve_kernel_dealloc(ServeKernel *self)
+{
+    PyObject_GC_UnTrack(self);
+    serve_kernel_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* ServeKernel(streams, logs, engines, ends, directory, capacity, shed,
+ *             max_batch, clock, read_op, write_op)
+ *
+ * streams: [(addrs int64, writes int8, routes int64, ledger int64), ...],
+ * one per tenant; logs: [(tenants int64, addrs int64, writes int8,
+ * latencies list, walls list, ledger int64), ...], one per shard, the
+ * columns writable; engines: [(engine, access, table list, miss_latency,
+ * payload), ...], one per shard; ends: the list of the shards' fills;
+ * directory: a writable int32 column, or None (a one-shard pool's
+ * identity map); clock: the wall clock, called with no arguments.  Every
+ * column is acquired and checked here, once, and held for the kernel's
+ * life: exported, so CPython refuses to resize it, and read through the
+ * pointer taken here (the ledgers hold exactly their slots).  The
+ * frontend kernel behind each `access` is looked up here too. */
+static PyObject *
+serve_kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
+{
+    PyObject *streams, *logs, *engines, *ends, *directory, *clock, *read_op,
+        *write_op;
+    Py_ssize_t capacity, max_batch;
+    int shed;
+    if ((kwargs != NULL && PyDict_GET_SIZE(kwargs) != 0) ||
+        !PyArg_ParseTuple(args, "O!O!O!O!OnpnOOO:ServeKernel", &PyList_Type,
+                          &streams, &PyList_Type, &logs, &PyList_Type,
+                          &engines, &PyList_Type, &ends, &directory,
+                          &capacity, &shed, &max_batch, &clock, &read_op,
+                          &write_op)) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError,
+                            "ServeKernel takes positional arguments only");
         return NULL;
     }
-    const Py_ssize_t capacity = PyLong_AsSsize_t(args[4]);
-    if (capacity == -1 && PyErr_Occurred())
-        return NULL;
-    if (capacity < 1) {
+    const Py_ssize_t tenants = PyList_GET_SIZE(streams),
+                     shards = PyList_GET_SIZE(logs);
+    if (shards == 0 || PyList_GET_SIZE(engines) != shards) {
         PyErr_Format(PyExc_ValueError,
-                     "queue capacity must be >= 1, got %zd", capacity);
+                     "ServeKernel needs at least one shard and one engine "
+                     "per shard (%zd engines for %zd shards)",
+                     PyList_GET_SIZE(engines), shards);
         return NULL;
     }
-    const int shed = PyObject_IsTrue(args[5]);
-    if (shed < 0)
-        return NULL;
-    const Py_ssize_t tenants = PyList_GET_SIZE(streams_obj),
-                     shards = PyList_GET_SIZE(queues_obj);
-    if (shards == 0 || PyList_GET_SIZE(offers) != tenants) {
+    if (capacity < 1 || max_batch < 1) {
         PyErr_Format(PyExc_ValueError,
-                     "serve_admit needs at least one shard and one offer "
-                     "per tenant (%zd shards, %zd offers for %zd tenants)",
-                     shards, PyList_GET_SIZE(offers), tenants);
+                     "queue capacity and max_batch must be >= 1, got %zd "
+                     "and %zd", capacity, max_batch);
         return NULL;
     }
-    ServeStream *streams = PyMem_Calloc(tenants ? tenants : 1,
-                                        sizeof(ServeStream));
-    ServeQueue *queues = PyMem_Calloc(shards, sizeof(ServeQueue));
-    Py_ssize_t *room = PyMem_Calloc(shards, sizeof(Py_ssize_t));
-    Py_ssize_t *fills = PyMem_Calloc(shards, sizeof(Py_ssize_t));
-    PyObject *result = NULL;
-    Py_ssize_t consumed = 0;
-    if (streams == NULL || queues == NULL || room == NULL || fills == NULL) {
+    if (!PyCallable_Check(clock)) {
+        PyErr_SetString(PyExc_TypeError, "ServeKernel: clock must be callable");
+        return NULL;
+    }
+    ServeKernel *self = (ServeKernel *)type->tp_alloc(type, 0);
+    if (self == NULL)
+        return NULL;
+    self->stream = PyMem_Calloc(tenants ? tenants : 1, sizeof(ServeStream));
+    self->shard = PyMem_Calloc(shards, sizeof(ServeShard));
+    if (self->stream == NULL || self->shard == NULL) {
         PyErr_NoMemory();
-        goto done;
+        goto fail;
     }
-    for (Py_ssize_t s = 0; s < shards; s++) {
-        PyObject *row = PyList_GET_ITEM(queues_obj, s);
-        ServeQueue *q = &queues[s];
-        if (!PyTuple_Check(row) || PyTuple_GET_SIZE(row) != 5) {
-            PyErr_Format(PyExc_TypeError,
-                         "serve_admit: queue %zd must be a tuple (tenants, "
-                         "addrs, writes, ledger, directory)", s);
-            goto done;
-        }
-        PyObject *directory = PyTuple_GET_ITEM(row, 4);
-        if (directory != Py_None && !PyDict_Check(directory)) {
-            PyErr_Format(PyExc_TypeError,
-                         "serve_admit: queue %zd's directory must be a dict "
-                         "or None", s);
-            goto done;
-        }
-        /* Held: a directory key's __eq__ is Python, which could drop
-         * the tuple that holds it. */
-        q->directory = directory == Py_None ? NULL : Py_NewRef(directory);
-        if (log_acquire(row, &q->tenants, &q->addrs, &q->writes, 1, s,
-                        &room[s]) < 0 ||
-            col_acquire_fixed(PyTuple_GET_ITEM(row, 3), &q->ledger,
-                              "a shard's ledger", &COL_I64, N_SHARD_SLOTS,
-                              0) < 0)
-            goto done;
-    }
-    if (last_ends(ends, shards, room, fills) < 0)
-        goto done;
-    for (Py_ssize_t s = 0; s < shards; s++)
-        queues[s].start = queues[s].fill = fills[s];
+    self->tenants = tenants;
+    self->shards = shards;
+    self->capacity = capacity;
+    self->shed = shed;
+    self->max_batch = max_batch;
+    self->ends = Py_NewRef(ends);
+    self->clock = Py_NewRef(clock);
+    self->read_op = Py_NewRef(read_op);
+    self->write_op = Py_NewRef(write_op);
+    if (directory != Py_None &&
+        col_acquire(directory, &self->directory, "the directory", &COL_I32,
+                    1) < 0)
+        goto fail;
     for (Py_ssize_t t = 0; t < tenants; t++) {
-        PyObject *row = PyList_GET_ITEM(streams_obj, t);
-        ServeStream *st = &streams[t];
-        if (!PyTuple_Check(row) || PyTuple_GET_SIZE(row) != 4) {
-            PyErr_Format(PyExc_TypeError,
-                         "serve_admit: stream %zd must be a tuple (addrs, "
-                         "writes, routes, ledger)", t);
-            goto done;
-        }
-        if (col_acquire(PyTuple_GET_ITEM(row, 0), &st->addrs,
-                        "a stream's addrs", &COL_I64, 0) < 0 ||
-            col_acquire(PyTuple_GET_ITEM(row, 1), &st->writes,
-                        "a stream's writes", &COL_FLAG, 0) < 0 ||
-            col_acquire(PyTuple_GET_ITEM(row, 2), &st->routes,
-                        "a stream's routes", &COL_I64, 0) < 0 ||
-            col_acquire_fixed(PyTuple_GET_ITEM(row, 3), &st->ledger,
-                              "a tenant's ledger", &COL_I64, N_TENANT_SLOTS,
-                              0) < 0)
-            goto done;
-        const Py_ssize_t length = st->addrs.len;
-        if (st->writes.len != length || st->routes.len != length) {
+        ServeStream *st = &self->stream[t];
+        PyObject *row = list_row(streams, t, 4, "stream",
+                                 "(addrs, writes, routes, ledger)");
+        if (row == NULL)
+            goto fail;
+        int rc = col_acquire(PyTuple_GET_ITEM(row, 0), &st->addrs,
+                             "a stream's addrs", &COL_I64, 0) < 0 ||
+                 col_acquire(PyTuple_GET_ITEM(row, 1), &st->writes,
+                             "a stream's writes", &COL_FLAG, 0) < 0 ||
+                 col_acquire(PyTuple_GET_ITEM(row, 2), &st->routes,
+                             "a stream's routes", &COL_I64, 0) < 0 ||
+                 col_acquire_fixed(PyTuple_GET_ITEM(row, 3), &st->ledger,
+                                   "a tenant's ledger", &COL_I64,
+                                   N_TENANT_SLOTS, 0) < 0;
+        Py_DECREF(row);
+        if (rc)
+            goto fail;
+        if (st->writes.len != st->addrs.len || st->routes.len != st->addrs.len) {
             PyErr_Format(PyExc_ValueError,
                          "stream %zd's columns differ in length (%zd addrs, "
                          "%zd writes, %zd routes)",
-                         t, length, st->writes.len, st->routes.len);
-            goto done;
+                         t, st->addrs.len, st->writes.len, st->routes.len);
+            goto fail;
         }
+    }
+    for (Py_ssize_t s = 0; s < shards; s++) {
+        ServeShard *sh = &self->shard[s];
+        Py_ssize_t room;
+        PyObject *row = list_row(logs, s, 6, "log",
+                                 "(tenants, addrs, writes, latencies list, "
+                                 "walls list, ledger)");
+        if (row == NULL)
+            goto fail;
+        sh->latencies = Py_NewRef(PyTuple_GET_ITEM(row, 3));
+        sh->walls = Py_NewRef(PyTuple_GET_ITEM(row, 4));
+        int rc = log_acquire(row, &sh->tenants, &sh->addrs, &sh->writes, 1, s,
+                             &room) < 0 ||
+                 col_acquire_fixed(PyTuple_GET_ITEM(row, 5), &sh->ledger,
+                                   "a shard's ledger", &COL_I64,
+                                   N_SHARD_SLOTS, 0) < 0;
+        Py_DECREF(row);
+        if (rc)
+            goto fail;
+        if (!PyList_CheckExact(sh->latencies) || !PyList_CheckExact(sh->walls)) {
+            PyErr_Format(PyExc_TypeError,
+                         "ServeKernel: log %zd's latencies and walls must be "
+                         "lists", s);
+            goto fail;
+        }
+        if ((row = list_row(engines, s, 5, "engine",
+                            "(engine, access, table, miss_latency, "
+                            "payload)")) == NULL)
+            goto fail;
+        for (int k = 0; k < 5; k++) /* refs[2..6]: engine .. payload */
+            sh->refs[2 + k] = Py_NewRef(PyTuple_GET_ITEM(row, k));
+        Py_DECREF(row);
+        if (!PyList_CheckExact(sh->table)) {
+            PyErr_SetString(PyExc_TypeError, "table must be a list");
+            goto fail;
+        }
+        if (frontend_kernel_behind(sh->access, &sh->kernel, &sh->ops) < 0)
+            goto fail;
+    }
+    return (PyObject *)self;
+
+fail:
+    Py_DECREF(self);
+    return NULL;
+}
+
+/* One epoch's admission (OramService._admit_rows): tenants in index
+ * order, tenant t's offer — offers[t], or min(burst, rows left) when
+ * `offers` is NULL — from its cursor in stream order, each row appended
+ * to its routed shard's log: the tenant, the address (through the
+ * directory when there is one) and the write flag.  A row whose shard
+ * already admitted `capacity` rows this epoch is shed (counted, the
+ * cursor moves on) or deferred (counted, the tenant stops until the next
+ * epoch).  Moves each tenant's ledger (issued, the cursor; shed;
+ * deferred) and each shard's (shed; deferred; the depth sample, total
+ * and max; mapped), leaves each shard's queue in [start, fill), appends
+ * the fills to `ends` and returns how far the cursors moved.
+ *
+ * Everything is checked before any row moves: the ends, each offered
+ * window inside its stream, its routes in [0, shards), its addresses
+ * inside the directory (>= 0 without one), and room in each log for the
+ * most the epoch can admit there.  Each row re-checks what it indexes
+ * with: a column can alias another, so one written here can be one
+ * read here.  Runs no Python. */
+static Py_ssize_t
+serve_admit(ServeKernel *self, PyObject *offers, Py_ssize_t burst)
+{
+    const Py_ssize_t tenants = self->tenants, shards = self->shards,
+                     capacity = self->capacity, n = PyList_GET_SIZE(self->ends);
+    const long long bound =
+        self->directory.acquired ? self->directory.len : LLONG_MAX;
+    if (offers != NULL && PyList_GET_SIZE(offers) != tenants) {
+        PyErr_Format(PyExc_ValueError,
+                     "admission needs one offer per tenant (%zd offers for "
+                     "%zd tenants)", PyList_GET_SIZE(offers), tenants);
+        return -1;
+    }
+    if (n % shards != 0) {
+        PyErr_Format(PyExc_ValueError,
+                     "ends holds %zd entries, not a multiple of %zd shards",
+                     n, shards);
+        return -1;
+    }
+    for (Py_ssize_t s = 0; s < shards; s++) {
+        ServeShard *sh = &self->shard[s];
+        const Py_ssize_t fill =
+            n == 0 ? 0 : list_index(self->ends, n - shards + s, 0,
+                                    sh->tenants.len, "the end of shard", s);
+        if (fill < 0)
+            return -1;
+        sh->start = sh->fill = fill;
+        sh->routed = 0;
+    }
+    for (Py_ssize_t t = 0; t < tenants; t++) {
+        ServeStream *st = &self->stream[t];
+        const Py_ssize_t length = st->addrs.len;
         const long long cursor = ((long long *)st->ledger.data)[TEN_ISSUED];
         if (cursor < 0 || cursor > length) {
             PyErr_Format(PyExc_ValueError,
                          "stream %zd's cursor %lld is outside its %zd rows",
                          t, cursor, length);
-            goto done;
+            return -1;
         }
-        const Py_ssize_t offer =
-            list_index(offers, t, 0, length - (Py_ssize_t)cursor,
-                       "the offer of stream", t);
-        if (offer < 0)
-            goto done;
         st->cursor = (Py_ssize_t)cursor;
+        const Py_ssize_t offer =
+            offers != NULL ? list_index(offers, t, 0, length - st->cursor,
+                                        "the offer of stream", t)
+                           : Py_MIN(burst, length - st->cursor);
+        if (offer < 0)
+            return -1;
         st->stop = st->cursor + offer;
         const long long *addr = st->addrs.data, *route = st->routes.data;
         for (Py_ssize_t c = st->cursor; c < st->stop; c++) {
@@ -4950,30 +5067,34 @@ serve_admit(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                 PyErr_Format(PyExc_ValueError,
                              "stream %zd row %zd routes to shard %lld of %zd",
                              t, c, route[c], shards);
-                goto done;
+                return -1;
             }
-            if (addr[c] < 0) {
+            if (addr[c] < 0 || addr[c] >= bound) {
                 PyErr_Format(PyExc_ValueError,
-                             "stream %zd row %zd has address %lld < 0",
-                             t, c, addr[c]);
-                goto done;
+                             "stream %zd row %zd has address %lld outside "
+                             "the directory's [0, %lld)",
+                             t, c, addr[c], bound);
+                return -1;
             }
-            queues[route[c]].routed++;
+            self->shard[route[c]].routed++;
         }
     }
     for (Py_ssize_t s = 0; s < shards; s++) {
-        const Py_ssize_t most = Py_MIN(capacity, queues[s].routed);
-        if (most > room[s] - fills[s]) {
+        ServeShard *sh = &self->shard[s];
+        const Py_ssize_t most = Py_MIN(capacity, sh->routed);
+        if (most > sh->tenants.len - sh->fill) {
             PyErr_Format(PyExc_ValueError,
                          "shard %zd's log has room for %zd more rows and "
                          "the epoch may admit %zd there",
-                         s, room[s] - fills[s], most);
-            goto done;
+                         s, sh->tenants.len - sh->fill, most);
+            return -1;
         }
     }
 
+    Py_ssize_t consumed = 0;
+    int32_t *directory = self->directory.acquired ? self->directory.data : NULL;
     for (Py_ssize_t t = 0; t < tenants; t++) {
-        ServeStream *st = &streams[t];
+        ServeStream *st = &self->stream[t];
         const long long *addr = st->addrs.data, *route = st->routes.data;
         const int8_t *write = st->writes.data;
         Py_ssize_t c = st->cursor;
@@ -4982,54 +5103,314 @@ serve_admit(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                 PyErr_Format(PyExc_ValueError,
                              "stream %zd row %zd's route changed during "
                              "admission", t, c);
-                goto done;
+                return -1;
             }
-            ServeQueue *q = &queues[route[c]];
-            if (q->fill - q->start >= capacity) {
-                tally(&st->ledger, shed ? TEN_SHED : TEN_DEFERRED, 1);
-                tally(&q->ledger, shed ? SHD_SHED : SHD_DEFERRED, 1);
-                if (shed)
+            ServeShard *sh = &self->shard[route[c]];
+            if (sh->fill - sh->start >= capacity) {
+                tally(&st->ledger, self->shed ? TEN_SHED : TEN_DEFERRED, 1);
+                tally(&sh->ledger, self->shed ? SHD_SHED : SHD_DEFERRED, 1);
+                if (self->shed)
                     continue;
                 break; /* retried next epoch */
             }
-            if (q->fill >= room[route[c]]) {
+            if (sh->fill >= sh->tenants.len) {
                 PyErr_Format(PyExc_ValueError,
                              "shard %lld's log filled up during admission",
                              route[c]);
-                goto done;
+                return -1;
             }
             long long local = addr[c];
-            if (q->directory != NULL && directory_map(q->directory, &local) < 0)
-                goto done;
-            ((long long *)q->tenants.data)[q->fill] = t;
-            ((long long *)q->addrs.data)[q->fill] = local;
-            ((int8_t *)q->writes.data)[q->fill] = write[c];
-            q->fill++;
+            if (local < 0 || local >= bound) {
+                PyErr_Format(PyExc_ValueError,
+                             "stream %zd row %zd's address changed during "
+                             "admission", t, c);
+                return -1;
+            }
+            if (directory != NULL) {
+                if (directory[local] < 0) {
+                    long long *mapped = (long long *)sh->ledger.data + SHD_MAPPED;
+                    if (*mapped < 0 || *mapped > INT32_MAX) {
+                        PyErr_Format(PyExc_ValueError,
+                                     "shard %lld's directory has mapped %lld "
+                                     "addresses", route[c], *mapped);
+                        return -1;
+                    }
+                    directory[local] = (int32_t)(*mapped)++;
+                }
+                local = directory[local];
+            }
+            ((long long *)sh->tenants.data)[sh->fill] = t;
+            ((long long *)sh->addrs.data)[sh->fill] = local;
+            ((int8_t *)sh->writes.data)[sh->fill] = write[c];
+            sh->fill++;
         }
         tally(&st->ledger, TEN_ISSUED, c - st->cursor);
         consumed += c - st->cursor;
     }
     for (Py_ssize_t s = 0; s < shards; s++) {
-        ServeQueue *q = &queues[s];
-        const long long depth = q->fill - q->start;
-        long long *ledger = q->ledger.data;
-        tally(&q->ledger, SHD_DEPTH_SAMPLES, 1);
-        tally(&q->ledger, SHD_DEPTH_TOTAL, depth);
+        ServeShard *sh = &self->shard[s];
+        const long long depth = sh->fill - sh->start;
+        long long *ledger = sh->ledger.data;
+        tally(&sh->ledger, SHD_DEPTH_SAMPLES, 1);
+        tally(&sh->ledger, SHD_DEPTH_TOTAL, depth);
         if (depth > ledger[SHD_DEPTH_MAX])
             ledger[SHD_DEPTH_MAX] = depth;
-        PyObject *end = PyLong_FromSsize_t(q->fill);
-        if (end == NULL || PyList_Append(ends, end) < 0) {
-            Py_XDECREF(end);
-            goto done;
-        }
-        Py_DECREF(end);
+        PyObject *end = PyLong_FromSsize_t(sh->fill);
+        int rc = end == NULL ? -1 : PyList_Append(self->ends, end);
+        Py_XDECREF(end);
+        if (rc < 0)
+            return -1;
     }
-    result = PyLong_FromSsize_t(consumed);
+    return consumed;
+}
 
-done:
-    serve_release(streams, tenants, queues, shards);
-    PyMem_Free(room);
-    PyMem_Free(fills);
+/* (now - stamp) * 1e6 as the interpreted expression computes it: in C
+ * doubles for two exact floats, by the generic operators otherwise. */
+static PyObject *
+wall_us(PyObject *now, PyObject *stamp)
+{
+    if (PyFloat_CheckExact(now) && PyFloat_CheckExact(stamp))
+        return PyFloat_FromDouble(
+            (PyFloat_AS_DOUBLE(now) - PyFloat_AS_DOUBLE(stamp)) * 1e6);
+    PyObject *span = PyNumber_Subtract(now, stamp);
+    PyObject *scale = span == NULL ? NULL : PyFloat_FromDouble(1e6);
+    PyObject *wall = scale == NULL ? NULL : PyNumber_Multiply(span, scale);
+    Py_XDECREF(span);
+    Py_XDECREF(scale);
+    return wall;
+}
+
+/* engine.events += n */
+static int
+add_events(PyObject *engine, Py_ssize_t n)
+{
+    PyObject *events = PyObject_GetAttr(engine, str_events);
+    PyObject *step = events == NULL ? NULL : PyLong_FromSsize_t(n);
+    PyObject *sum = step == NULL ? NULL : PyNumber_InPlaceAdd(events, step);
+    Py_XDECREF(events);
+    Py_XDECREF(step);
+    int rc = sum == NULL ? -1 : PyObject_SetAttr(engine, str_events, sum);
+    Py_XDECREF(sum);
+    return rc;
+}
+
+/* One shard's epoch queue drained (OramShard.execute): max_batch rows at
+ * a time in ticket order, each batch one replay_events slice of the
+ * log's own columns from the engine's cycles, its latencies appended to
+ * the log, the engine's cycles and events set, then one clock reading —
+ * microseconds since `stamp` — appended to the walls.  The batches and
+ * the busy epoch count once the queue is drained.  A batch that raises
+ * leaves the engine's totals and the log's latencies as they were before
+ * it, as run_batch does. */
+static int
+serve_execute(ServeKernel *self, ServeShard *sh, PyObject *stamp)
+{
+    const Py_ssize_t stop = sh->fill;
+    if (sh->start == stop)
+        return 0;
+    const long long *addrs = sh->addrs.data;
+    const int8_t *writes = sh->writes.data;
+    Py_ssize_t batches = 0, n;
+    for (Py_ssize_t first = sh->start; first < stop; first += n, batches++) {
+        n = Py_MIN(self->max_batch, stop - first);
+        const Py_ssize_t kept = PyList_GET_SIZE(sh->latencies);
+        PyObject *cycles = PyObject_GetAttr(sh->engine, str_cycles);
+        if (cycles == NULL)
+            return -1;
+        Fold fold;
+        fold_start(&fold, cycles);
+        Py_DECREF(cycles);
+        if (replay_events(sh->access, sh->kernel, sh->ops, addrs + first,
+                          writes + first, n, 1, self->read_op,
+                          self->write_op, sh->payload, sh->table,
+                          sh->miss_latency, &fold, sh->latencies) < 0) {
+            Py_XDECREF(fold.obj);
+            PyObject *type, *value, *tb;
+            PyErr_Fetch(&type, &value, &tb);
+            if (PyList_GET_SIZE(sh->latencies) > kept &&
+                PyList_SetSlice(sh->latencies, kept, PY_SSIZE_T_MAX, NULL) < 0)
+                PyErr_Clear();
+            PyErr_Restore(type, value, tb);
+            return -1;
+        }
+        cycles = fold_result(&fold);
+        int rc = cycles == NULL ? -1
+                                : PyObject_SetAttr(sh->engine, str_cycles, cycles);
+        Py_XDECREF(cycles);
+        if (rc < 0 || add_events(sh->engine, n) < 0)
+            return -1;
+        PyObject *now = PyObject_CallNoArgs(self->clock);
+        PyObject *wall = now == NULL ? NULL : wall_us(now, stamp);
+        Py_XDECREF(now);
+        rc = wall == NULL ? -1 : PyList_Append(sh->walls, wall);
+        Py_XDECREF(wall);
+        if (rc < 0)
+            return -1;
+    }
+    tally(&sh->ledger, SHD_BATCHES, batches);
+    tally(&sh->ledger, SHD_EPOCHS_BUSY, 1);
+    return 0;
+}
+
+/* A kernel runs one call at a time: a callback of its own epoch (an
+ * observer, the clock) cannot admit or run another. */
+static int
+serve_enter(ServeKernel *self)
+{
+    if (self->shards == 0) {
+        PyErr_SetString(PyExc_ValueError, "this ServeKernel was cleared");
+        return -1;
+    }
+    if (self->busy) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "re-entrant ServeKernel call (from a callback of "
+                        "its own epoch)");
+        return -1;
+    }
+    self->busy = 1;
+    return 0;
+}
+
+/* admit(offers) -> rows consumed: one epoch's admission alone. */
+static PyObject *
+serve_kernel_admit(ServeKernel *self, PyObject *offers)
+{
+    if (!PyList_Check(offers)) {
+        PyErr_SetString(PyExc_TypeError, "admit: offers must be a list");
+        return NULL;
+    }
+    if (serve_enter(self) < 0)
+        return NULL;
+    const Py_ssize_t consumed = serve_admit(self, offers, 0);
+    self->busy = 0;
+    return consumed < 0 ? NULL : PyLong_FromSsize_t(consumed);
+}
+
+/* epoch(burst) -> rows admitted: one whole epoch but its accounting — the
+ * admission stamp (one clock reading), the admission of up to `burst`
+ * rows per tenant, and every shard's queue drained in shard order.  An
+ * exception leaves everything where the interpreted steps leave it. */
+static PyObject *
+serve_kernel_epoch(ServeKernel *self, PyObject *arg)
+{
+    const Py_ssize_t burst = PyLong_AsSsize_t(arg);
+    if (burst == -1 && PyErr_Occurred())
+        return NULL;
+    if (burst < 1) {
+        PyErr_Format(PyExc_ValueError, "burst must be >= 1, got %zd", burst);
+        return NULL;
+    }
+    if (serve_enter(self) < 0)
+        return NULL;
+    PyObject *result = NULL, *stamp = PyObject_CallNoArgs(self->clock);
+    if (stamp != NULL && serve_admit(self, NULL, burst) >= 0) {
+        Py_ssize_t admitted = 0, s = 0;
+        for (; s < self->shards; s++)
+            admitted += self->shard[s].fill - self->shard[s].start;
+        for (s = 0; s < self->shards; s++)
+            if (serve_execute(self, &self->shard[s], stamp) < 0)
+                break;
+        if (s == self->shards)
+            result = PyLong_FromSsize_t(admitted);
+    }
+    Py_XDECREF(stamp);
+    self->busy = 0;
+    return result;
+}
+
+/* Requests not yet admitted or shed: each stream's rows past its cursor
+ * (clamped to the stream). */
+static PyObject *
+serve_kernel_unserved(ServeKernel *self, void *closure)
+{
+    Py_ssize_t left = 0;
+    for (Py_ssize_t t = 0; t < self->tenants; t++) {
+        const ServeStream *st = &self->stream[t];
+        const long long cursor = ((long long *)st->ledger.data)[TEN_ISSUED];
+        if (cursor >= 0 && cursor < st->addrs.len)
+            left += st->addrs.len - (Py_ssize_t)cursor;
+        else if (cursor < 0)
+            left += st->addrs.len;
+    }
+    return PyLong_FromSsize_t(left);
+}
+
+static PyMethodDef serve_kernel_methods[] = {
+    {"admit", (PyCFunction)serve_kernel_admit, METH_O,
+     "admit(offers) -> rows consumed: one epoch's FIFO admission, tenant t "
+     "offering offers[t] rows from its cursor."},
+    {"epoch", (PyCFunction)serve_kernel_epoch, METH_O,
+     "epoch(burst) -> rows admitted: the admission stamp, the admission of "
+     "up to burst rows per tenant and every shard's queue executed."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyGetSetDef serve_kernel_getset[] = {
+    {"unserved", (getter)serve_kernel_unserved, NULL,
+     "Requests not yet admitted or shed, over every stream.", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyTypeObject ServeKernelType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim.native._replay_core.ServeKernel",
+    .tp_basicsize = sizeof(ServeKernel),
+    .tp_dealloc = (destructor)serve_kernel_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "One serve run's admission and execution over held columns "
+              "(see OramService._epochs).",
+    .tp_traverse = (traverseproc)serve_kernel_traverse,
+    .tp_clear = (inquiry)serve_kernel_clear,
+    .tp_methods = serve_kernel_methods,
+    .tp_getset = serve_kernel_getset,
+    .tp_new = serve_kernel_new,
+};
+
+/* route_column(addrs, routes, shards): routes[i] = the CRC-32 of
+ * addrs[i]'s eight little-endian (two's complement) bytes, mod shards —
+ * zlib.crc32(addr.to_bytes(8, "little", signed=True)) % shards, one
+ * table-driven CRC per address (crc_table: the reflected polynomial
+ * 0xEDB88320, zlib's). */
+static uint32_t crc_table[256];
+
+static PyObject *
+route_column(PyObject *self, PyObject *args)
+{
+    PyObject *addrs_obj, *routes_obj;
+    Py_ssize_t shards;
+    if (!PyArg_ParseTuple(args, "OOn:route_column", &addrs_obj, &routes_obj,
+                          &shards))
+        return NULL;
+    if (shards < 1) {
+        PyErr_Format(PyExc_ValueError, "shards must be >= 1, got %zd", shards);
+        return NULL;
+    }
+    Col addrs, routes;
+    if (col_acquire(addrs_obj, &addrs, "addrs", &COL_I64, 0) < 0)
+        return NULL;
+    if (col_acquire(routes_obj, &routes, "routes", &COL_I64, 1) < 0) {
+        col_release(&addrs);
+        return NULL;
+    }
+    PyObject *result = NULL;
+    if (addrs.len != routes.len)
+        PyErr_Format(PyExc_ValueError,
+                     "%zd routes for %zd addresses", routes.len, addrs.len);
+    else {
+        const long long *addr = addrs.data;
+        long long *route = routes.data;
+        for (Py_ssize_t i = 0; i < addrs.len; i++) {
+            const uint64_t word = (uint64_t)addr[i];
+            uint32_t crc = 0xFFFFFFFFu;
+            for (int k = 0; k < 8; k++)
+                crc = crc_table[(crc ^ (uint32_t)(word >> (8 * k))) & 0xFF] ^
+                      (crc >> 8);
+            route[i] = (long long)((~crc) % (uint64_t)shards);
+        }
+        result = Py_NewRef(Py_None);
+    }
+    col_release(&addrs);
+    col_release(&routes);
     return result;
 }
 
@@ -5158,7 +5539,7 @@ put_le64(unsigned char *p, long long value)
  * The accounting log's fold (OramService._fold_rows), pure: nothing the
  * arguments hold is changed.  logs: [(tenants int64, addrs int64,
  * writes int8, latencies list, walls list), ...], one per shard; ends:
- * as serve_admit leaves it; busy: each shard's busy cycles so far;
+ * as admission leaves it; busy: each shard's busy cycles so far;
  * totals: each tenant's service, latency and wall histogram totals so
  * far, tenant-major.  Returns, per shard, its rows packed `<qqB` (the
  * access digest's input) and its busy cycles folded on, and per
@@ -6237,9 +6618,9 @@ static PyMethodDef replay_core_methods[] = {
      "run_access_loop(access, line_addrs, is_write, lines_per_block, "
      "read_op, write_op, payload, table, miss_latency, cycles, latencies) "
      "-> cycles: one replay slice, translated, accessed and folded."},
-    {"serve_admit", (PyCFunction)(void (*)(void))serve_admit, METH_FASTCALL,
-     "serve_admit(streams, queues, ends, offers, capacity, shed) -> "
-     "consumed: one serve epoch's FIFO admission into the shards' logs."},
+    {"route_column", route_column, METH_VARARGS,
+     "route_column(addrs, routes, shards): each address's shard, the CRC-32 "
+     "of its 8 little-endian bytes mod shards, into routes."},
     {"serve_fold", (PyCFunction)(void (*)(void))serve_fold, METH_FASTCALL,
      "serve_fold(logs, ends, max_batch, busy, totals) -> (packed, busy, "
      "summaries) | None: the serve accounting log's fold, or None for "
@@ -6301,16 +6682,25 @@ PyInit__replay_core(void)
         {&str_kernel, "_kernel"},
         {&str_posmap_tree_accesses, "posmap_tree_accesses"},
         {&str_plb_hit_level, "plb_hit_level"},
+        {&str_cycles, "cycles"},
+        {&str_events, "events"},
     };
     for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
         *names[i].slot = PyUnicode_InternFromString(names[i].text);
         if (*names[i].slot == NULL)
             return NULL;
     }
+    for (uint32_t n = 0; n < 256; n++) {
+        uint32_t crc = n;
+        for (int k = 0; k < 8; k++)
+            crc = crc & 1 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+        crc_table[n] = crc;
+    }
     empty_tuple = PyTuple_New(0);
     if (empty_tuple == NULL || PyType_Ready(&AccessKernelType) < 0 ||
         PyType_Ready(&FrontendKernelType) < 0 ||
         PyType_Ready(&RecursiveKernelType) < 0 ||
+        PyType_Ready(&ServeKernelType) < 0 ||
         PyType_Ready(&ColumnType) < 0)
         return NULL;
     PyObject *module = PyModule_Create(&replay_core_module);
@@ -6335,7 +6725,9 @@ PyInit__replay_core(void)
         PyModule_AddObjectRef(module, "FrontendKernel",
                               (PyObject *)&FrontendKernelType) < 0 ||
         PyModule_AddObjectRef(module, "RecursiveKernel",
-                              (PyObject *)&RecursiveKernelType) < 0) {
+                              (PyObject *)&RecursiveKernelType) < 0 ||
+        PyModule_AddObjectRef(module, "ServeKernel",
+                              (PyObject *)&ServeKernelType) < 0) {
         Py_DECREF(module);
         return NULL;
     }

@@ -123,11 +123,12 @@ LEDGERS: Dict[str, Ledger] = {ledger.name: ledger for ledger in (
     # and the float64 one.
     Ledger("occupancy", "q", ("count", "max", "min")),
     Ledger("moments", "d", ("mean", "_m2")),
-    # Serve's admission counters: a tenant's (``issued`` is its stream
-    # cursor) and a shard's.
+    # Serve's counters: a tenant's (``issued`` is its stream cursor) and a
+    # shard's (``mapped`` is the next local address its directory hands out).
     Ledger("tenant", "q", ("issued", "shed", "deferred")),
     Ledger("shard", "q", (
         "shed", "deferred", "depth_samples", "depth_total", "depth_max",
+        "batches", "epochs_busy", "mapped",
     )),
 )}
 

@@ -23,11 +23,14 @@ holding a label no tree has or a counter about to wrap; first-touch
 bitmaps of the wrong kind or length; and the per-level tuple of tree
 handles.
 
-For serve's control plane (``serve_admit`` / ``serve_fold``): stream,
-log and ledger columns of the wrong item type, length or writability,
-a route outside the pool, a negative address, an offer past the end of
-its stream, a cursor outside it, a log without room for the epoch, and
-ends, latencies and walls that disagree with the log they describe.
+For serve's control plane (``ServeKernel`` / ``serve_fold``): stream,
+log, ledger and directory columns of the wrong item type, length or
+writability, a route outside the pool, an address outside the
+directory, an offer past the end of its stream, a cursor outside it, a
+log without room for the epoch, a column resized or a ledger replaced
+between two epochs, a clock or an access that raises or calls back into
+the kernel, and ends, latencies and walls that disagree with the log
+they describe.
 
 For the list adapters (``drain_scalar`` / ``place_greedy``) it is still
 slot ids that are not ints at all, buckets that are not lists and stash
@@ -2130,14 +2133,15 @@ class TestFrontendKernelAccessBoundary:
 
     @PROPERTY
     @given(
-        data=st.sampled_from([None, 5, "x" * 64, [0] * 64, bytes(63), 1.5]),
+        data=st.sampled_from([None, 5, "x" * 64, [300] * 64, bytes(63), 1.5]),
         op=st.sampled_from([Op.WRITE, Op.READRMV, Op.APPEND, None, "READ"]),
     )
     def test_hostile_ops_and_payloads(self, data, op):
-        """A 64-item list passes the length check and is refused inside
-        the data access, which the backend then rolls back."""
+        """A 64-item list or string passes the length check and is refused
+        by ``bytes()`` inside the data access, which the backend then rolls
+        back."""
         frontend = warmed_frontend()
-        walked = op is Op.WRITE and data in ("x" * 64, [0] * 64)
+        walked = op is Op.WRITE and data in ("x" * 64, [300] * 64)
         # A payload of the right length is refused inside the data
         # access: the PLB lookups before it stand, tree and stash are
         # rolled back.
@@ -2549,10 +2553,37 @@ class TestRecursiveKernelAccessBoundary:
 # -- serve's control plane ----------------------------------------------------
 
 
-def admit_args(shards=2, tenants=2, rows=8, room=32):
-    """Valid ``serve_admit`` arguments: ``tenants`` streams of ``rows``
+class _Engine:
+    """What a ``ServeKernel`` moves of an engine: its two totals."""
+
+    def __init__(self):
+        self.cycles = 0.0
+        self.events = 0
+
+
+class _Result:
+    tree_accesses = 1
+
+
+def _access(addr, op, data=None):
+    """A frontend whose every request takes one tree access."""
+    return _Result
+
+
+def _clock():
+    return 1.0
+
+
+#: The directory's addresses: the streams' are 100 * t + row.
+DIRECTORY = 1024
+
+
+def serve_args(shards=2, tenants=2, rows=8, room=32):
+    """Valid ``ServeKernel`` arguments: ``tenants`` streams of ``rows``
     requests routed round-robin over ``shards`` empty logs of ``room``
-    rows, each tenant offering 4."""
+    rows, a queue capacity of 8, batches of 4, engines whose requests each
+    take one tree access of 10 cycles, and a directory (None for one
+    shard). Offers are separate: :func:`offers`."""
     streams = [
         (
             array("q", range(100 * t, 100 * t + rows)),
@@ -2562,39 +2593,63 @@ def admit_args(shards=2, tenants=2, rows=8, room=32):
         )
         for t in range(tenants)
     ]
-    queues = [
+    logs = [
         (
             array("q", bytes(8 * room)),
             array("q", bytes(8 * room)),
             array("b", bytes(room)),
-            array("q", [0] * 5),
-            {} if shards > 1 else None,
+            [],
+            [],
+            array("q", [0] * 8),
         )
         for _ in range(shards)
     ]
-    return [streams, queues, [], [4] * tenants, 8, False]
+    engines = [
+        (_Engine(), _access, [0.0, 10.0], float, bytes(8)) for _ in range(shards)
+    ]
+    directory = array("i", [-1] * DIRECTORY) if shards > 1 else None
+    return [
+        streams, logs, engines, [], directory, 8, False, 4, _clock, Op.READ,
+        Op.WRITE,
+    ]
 
 
-def admit_image(args):
-    """Every value ``serve_admit`` may move."""
-    streams, queues, ends = args[0], args[1], args[2]
+def offers(tenants=2):
+    return [4] * tenants
+
+
+def kernel_image(args):
+    """Every value a ``ServeKernel`` may move."""
+    streams, logs, engines, ends, directory = args[:5]
     return (
         [tuple(column.tolist() for column in stream) for stream in streams],
         [
-            tuple(column.tolist() for column in queue[:4])
-            + (None if queue[4] is None else list(queue[4].items()),)
-            for queue in queues
+            tuple(column.tolist() for column in log[:3])
+            + (list(log[3]), list(log[4]), log[5].tolist())
+            for log in logs
         ],
+        [(engine[0].cycles, engine[0].events) for engine in engines],
         list(ends),
+        None if directory is None else directory.tolist(),
     )
 
 
-def assert_admit_rejects(args, errors=REJECTED, match=None):
-    """Raises, and nothing moved: every check precedes the first row."""
-    before = admit_image(args)
+def assert_build_rejects(args, errors=REJECTED, match=None):
+    """The constructor refuses, and nothing moved."""
+    before = kernel_image(args)
     with pytest.raises(errors, match=match):
-        CORE.serve_admit(*args)
-    assert admit_image(args) == before
+        CORE.ServeKernel(*args)
+    assert kernel_image(args) == before
+
+
+def assert_admit_rejects(args, offered, errors=REJECTED, match=None):
+    """Admission raises, and nothing moved: every check precedes the
+    first row."""
+    kernel = CORE.ServeKernel(*args)
+    before = kernel_image(args)
+    with pytest.raises(errors, match=match):
+        kernel.admit(offered)
+    assert kernel_image(args) == before
 
 
 def with_stream(args, tenant, position, column):
@@ -2604,194 +2659,257 @@ def with_stream(args, tenant, position, column):
     return args
 
 
-def with_queue(args, shard, position, column):
-    queue = list(args[1][shard])
-    queue[position] = column
-    args[1][shard] = tuple(queue)
+def with_kernel_log(args, shard, position, column):
+    log = list(args[1][shard])
+    log[position] = column
+    args[1][shard] = tuple(log)
     return args
 
 
-class TestServeAdmitBoundary:
-    def test_a_valid_epoch(self):
-        args = admit_args()
-        assert CORE.serve_admit(*args) == 8
-        streams, queues, ends = args[0], args[1], args[2]
-        assert ends == [4, 4]
-        assert [tuple(s[3]) for s in streams] == [(4, 0, 0)] * 2
-        assert queues[0][0][:4].tolist() == [0, 0, 1, 1]
-        assert list(queues[0][4].items()) == [(0, 0), (2, 1), (100, 2), (102, 3)]
+def with_engine(args, shard, position, value):
+    engine = list(args[2][shard])
+    engine[position] = value
+    args[2][shard] = tuple(engine)
+    return args
 
+
+class TestServeKernelConstruction:
     @pytest.mark.parametrize("position, typecode", [
         (0, "i"), (1, "q"), (2, "i"), (3, "i"), (3, "d"),
     ])
     def test_wrong_stream_typecodes(self, position, typecode):
-        args = admit_args()
+        args = serve_args()
         column = array(typecode, [0] * len(args[0][0][position]))
-        assert_admit_rejects(with_stream(args, 0, position, column), TypeError)
+        assert_build_rejects(with_stream(args, 0, position, column), TypeError)
 
     @pytest.mark.parametrize("position, typecode", [
-        (0, "i"), (1, "d"), (2, "q"), (3, "i"),
+        (0, "i"), (1, "d"), (2, "q"), (5, "i"),
     ])
-    def test_wrong_queue_typecodes(self, position, typecode):
-        args = admit_args()
+    def test_wrong_log_typecodes(self, position, typecode):
+        args = serve_args()
         column = array(typecode, [0] * len(args[1][0][position]))
-        assert_admit_rejects(with_queue(args, 1, position, column), TypeError)
+        assert_build_rejects(with_kernel_log(args, 1, position, column), TypeError)
 
-    def test_read_only_log_and_ledgers(self):
-        for position in range(4):
-            args = admit_args()
+    @pytest.mark.parametrize("typecode", ["q", "h", "I"])
+    def test_a_directory_of_the_wrong_typecode(self, typecode):
+        args = serve_args()
+        args[4] = array(typecode, [-1] * DIRECTORY if typecode != "I" else [0] * DIRECTORY)
+        assert_build_rejects(args, TypeError, "directory")
+
+    def test_read_only_log_ledgers_and_directory(self):
+        for position in (0, 1, 2, 5):
+            args = serve_args()
             frozen_column = bytes(args[1][0][position])
             if position == 2:
                 frozen_column = memoryview(frozen_column)
             else:
                 frozen_column = memoryview(frozen_column).cast("q")
-            assert_admit_rejects(
-                with_queue(args, 0, position, frozen_column),
+            assert_build_rejects(
+                with_kernel_log(args, 0, position, frozen_column),
                 (BufferError,) + REJECTED,
             )
-        args = admit_args()
+        args = serve_args()
         ledger = memoryview(bytes(args[0][1][3])).cast("q")
-        assert_admit_rejects(with_stream(args, 1, 3, ledger), (BufferError,) + REJECTED)
+        assert_build_rejects(with_stream(args, 1, 3, ledger), (BufferError,) + REJECTED)
+        args = serve_args()
+        args[4] = memoryview(bytes(args[4])).cast("i")
+        assert_build_rejects(args, (BufferError,) + REJECTED)
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_stream_columns_of_unequal_length(self, position):
-        args = admit_args()
+        args = serve_args()
         column = args[0][1][position]
         cut = array(column.typecode, column[:-1])
-        assert_admit_rejects(
+        assert_build_rejects(
             with_stream(args, 1, position, cut), ValueError, "differ in length"
         )
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_log_columns_of_unequal_length(self, position):
-        args = admit_args()
+        args = serve_args()
         column = args[1][0][position]
         cut = array(column.typecode, column[:-1])
-        assert_admit_rejects(
-            with_queue(args, 0, position, cut), ValueError, "differ in length"
+        assert_build_rejects(
+            with_kernel_log(args, 0, position, cut), ValueError, "differ in length"
         )
 
     def test_ledgers_of_the_wrong_length(self):
-        args = admit_args()
-        assert_admit_rejects(with_stream(args, 0, 3, array("q", [0, 0])), ValueError)
-        args = admit_args()
-        assert_admit_rejects(with_queue(args, 0, 3, array("q", [0] * 6)), ValueError)
+        args = serve_args()
+        assert_build_rejects(with_stream(args, 0, 3, array("q", [0, 0])), ValueError)
+        args = serve_args()
+        assert_build_rejects(with_kernel_log(args, 0, 5, array("q", [0] * 9)), ValueError)
+
+    def test_malformed_containers(self):
+        for index, junk in [(0, (1,)), (1, "x"), (2, ()), (3, None)]:
+            args = serve_args()
+            args[index] = junk
+            with pytest.raises(TypeError):
+                CORE.ServeKernel(*args)
+        for index in (0, 1, 2):
+            args = serve_args()
+            args[index][0] = args[index][0][:-1]
+            with pytest.raises(TypeError, match="must be a tuple"):
+                CORE.ServeKernel(*args)
+        for position in (3, 4):  # latencies and walls are lists
+            args = serve_args()
+            assert_build_rejects(with_kernel_log(args, 0, position, ()), TypeError, "lists")
+        args = serve_args()
+        assert_build_rejects(with_engine(args, 1, 2, (0.0, 10.0)), TypeError, "table")
+        args = serve_args()
+        args[8] = 7
+        assert_build_rejects(args, TypeError, "clock")
+
+    def test_no_shards_and_no_capacity(self):
+        args = serve_args()
+        args[1] = []
+        assert_build_rejects(args, ValueError)
+        args = serve_args()
+        args[2] = args[2][:1]
+        assert_build_rejects(args, ValueError, "one engine per shard")
+        for index in (5, 7):  # the queue capacity, max_batch
+            args = serve_args()
+            args[index] = 0
+            assert_build_rejects(args, ValueError, ">= 1")
+
+    def test_argument_count(self):
+        with pytest.raises(TypeError):
+            CORE.ServeKernel(*serve_args()[:10])
+        with pytest.raises(TypeError, match="positional"):
+            CORE.ServeKernel(*serve_args()[:10], write_op=Op.WRITE)
+
+
+class TestServeKernelAdmit:
+    def test_a_valid_admission(self):
+        args = serve_args()
+        assert CORE.ServeKernel(*args).admit(offers()) == 8
+        streams, logs, ends, directory = args[0], args[1], args[3], args[4]
+        assert ends == [4, 4]
+        assert [tuple(s[3]) for s in streams] == [(4, 0, 0)] * 2
+        assert logs[0][0][:4].tolist() == [0, 0, 1, 1]
+        assert logs[0][1][:4].tolist() == [0, 1, 2, 3]
+        assert [directory[a] for a in (0, 2, 100, 102)] == [0, 1, 2, 3]
+        assert logs[0][5].tolist() == [0, 0, 1, 4, 4, 0, 0, 4]  # mapped 4
 
     @pytest.mark.parametrize("route", [2, 3, -1, 2**62])
     def test_a_route_outside_the_pool(self, route):
-        args = admit_args()
+        args = serve_args()
         args[0][1][2][1] = route
-        assert_admit_rejects(args, ValueError, "routes to shard")
+        assert_admit_rejects(args, offers(), ValueError, "routes to shard")
 
     def test_a_route_outside_the_pool_beyond_the_offer_is_not_read(self):
-        args = admit_args()
+        args = serve_args()
         args[0][1][2][7] = 9  # past this epoch's window
-        assert CORE.serve_admit(*args) == 8
+        assert CORE.ServeKernel(*args).admit(offers()) == 8
 
     def test_a_log_column_that_is_also_the_routes(self):
         """Rows written by admission can be rows it reads: a route the
         epoch itself overwrote is checked again where it is used."""
-        args = admit_args(tenants=1, rows=8, room=8)
+        args = serve_args(tenants=1, rows=8, room=8)
         routes = array("q", [0] * 8)
         with_stream(args, 0, 2, routes)
-        with_queue(args, 0, 1, routes)  # shard 0's addresses are the routes
-        with_queue(args, 0, 4, {0: 99})  # address 0 is shard 0's block 99
-        args[2] = [1, 0]
+        with_kernel_log(args, 0, 1, routes)  # shard 0's addresses are the routes
+        args[4][0] = 99  # address 0 is shard 0's block 99
+        args[3] = [1, 0]
+        kernel = CORE.ServeKernel(*args)
         with pytest.raises(ValueError, match="route changed"):
-            CORE.serve_admit(*args)
+            kernel.admit([4])
+
+    def test_a_log_column_that_is_also_the_addresses(self):
+        """An address the epoch itself overwrote is checked against the
+        directory again where it is used."""
+        args = serve_args(tenants=1, rows=8, room=8)
+        addrs = array("q", [0] * 8)
+        with_stream(args, 0, 0, addrs)
+        with_kernel_log(args, 0, 1, addrs)  # shard 0's local addresses are the stream's
+        args[4][0] = 5000  # outside the directory once written back
+        args[3] = [1, 0]
+        kernel = CORE.ServeKernel(*args)
+        with pytest.raises(ValueError, match="address changed"):
+            kernel.admit([4])
 
     def test_a_negative_address(self):
-        args = admit_args()
+        args = serve_args()
         args[0][0][0][3] = -1
-        assert_admit_rejects(args, ValueError, "address -1")
+        assert_admit_rejects(args, offers(), ValueError, "address -1")
+
+    def test_an_address_outside_the_directory(self):
+        args = serve_args()
+        args[0][0][0][2] = DIRECTORY
+        assert_admit_rejects(args, offers(), ValueError, f"address {DIRECTORY} outside")
+        # Without a directory (the identity map) only negatives are refused.
+        args = serve_args(shards=1)
+        args[0][0][0][2] = 2**40
+        assert CORE.ServeKernel(*args).admit(offers()) == 8
+        assert args[1][0][1][2] == 2**40
+
+    @pytest.mark.parametrize("mapped", [-1, 2**31])
+    def test_a_mapped_count_outside_int32(self, mapped):
+        args = serve_args()
+        args[1][0][5][7] = mapped
+        kernel = CORE.ServeKernel(*args)
+        with pytest.raises(ValueError, match="mapped"):
+            kernel.admit(offers())
 
     @pytest.mark.parametrize("offer", [9, -1, 2**40])
     def test_an_offer_past_the_end_of_the_stream(self, offer):
-        args = admit_args()
-        args[3][1] = offer
-        assert_admit_rejects(args, ValueError, "offer")
+        args = serve_args()
+        offered = offers()
+        offered[1] = offer
+        assert_admit_rejects(args, offered, ValueError, "offer")
 
     def test_an_offer_past_the_end_from_a_moved_cursor(self):
-        args = admit_args()
+        args = serve_args()
         args[0][0][3][0] = 6  # two rows left
-        args[3][0] = 3
-        assert_admit_rejects(args, ValueError, "offer")
+        assert_admit_rejects(args, [3, 4], ValueError, "offer")
 
     @pytest.mark.parametrize("cursor", [9, -1])
     def test_a_cursor_outside_the_stream(self, cursor):
-        args = admit_args()
+        args = serve_args()
         args[0][0][3][0] = cursor
-        assert_admit_rejects(args, ValueError, "cursor")
+        assert_admit_rejects(args, offers(), ValueError, "cursor")
 
     def test_offers_are_ints(self):
-        args = admit_args()
-        args[3][0] = 2.5
-        assert_admit_rejects(args, TypeError)
+        assert_admit_rejects(serve_args(), [2.5, 4], TypeError)
+        kernel = CORE.ServeKernel(*serve_args())
+        with pytest.raises(TypeError, match="list"):
+            kernel.admit((4, 4))
 
     def test_one_offer_per_tenant(self):
-        args = admit_args()
-        args[3] = [4]
-        assert_admit_rejects(args, ValueError, "one offer per tenant")
+        assert_admit_rejects(serve_args(), [4], ValueError, "one offer per tenant")
 
     @pytest.mark.parametrize("ends", [[3], [40, 0], [-1, 0], [0, "x"]])
     def test_ends_that_do_not_fit_the_logs(self, ends):
-        args = admit_args()
-        args[2] = ends
-        assert_admit_rejects(args)
+        args = serve_args()
+        args[3] = ends
+        assert_admit_rejects(args, offers())
 
     def test_a_log_without_room_for_the_epoch(self):
-        args = admit_args(room=32)
-        args[2] = [0, 30]  # shard 1 may take 4 more rows, and has room for 2
-        assert_admit_rejects(args, ValueError, "room")
+        args = serve_args(room=32)
+        args[3] = [0, 30]  # shard 1 may take 4 more rows, and has room for 2
+        assert_admit_rejects(args, offers(), ValueError, "room")
 
     def test_room_for_exactly_the_epoch(self):
-        args = admit_args(room=32)
-        args[2] = [0, 28]  # shard 1 takes 4 rows: exactly its room
-        assert CORE.serve_admit(*args) == 8
-        assert args[2][-2:] == [4, 32]
-        args = admit_args(room=32)
-        args[2] = [0, 29]
-        assert_admit_rejects(args, ValueError, "room for 3 more rows")
+        args = serve_args(room=32)
+        args[3] = [0, 28]  # shard 1 takes 4 rows: exactly its room
+        assert CORE.ServeKernel(*args).admit(offers()) == 8
+        assert args[3][-2:] == [4, 32]
+        args = serve_args(room=32)
+        args[3] = [0, 29]
+        assert_admit_rejects(args, offers(), ValueError, "room for 3 more rows")
 
     def test_room_is_for_what_the_queue_can_take(self):
-        args = admit_args(room=32)
-        args[2] = [0, 30]
-        args[4] = 2  # a queue of 2 fits
-        assert CORE.serve_admit(*args) == 4  # tenant 1 defers its first
-        assert args[2][-2:] == [2, 32]
-
-    def test_malformed_containers(self):
-        for index, junk in [(0, (1,)), (1, "x"), (2, ()), (3, None)]:
-            args = admit_args()
-            args[index] = junk
-            with pytest.raises(TypeError, match="must be lists"):
-                CORE.serve_admit(*args)
-        for index in (0, 1):
-            args = admit_args()
-            args[index][0] = args[index][0][:-1]
-            with pytest.raises(TypeError, match="must be a tuple"):
-                CORE.serve_admit(*args)
-        with pytest.raises(TypeError, match="directory"):
-            CORE.serve_admit(*with_queue(admit_args(), 0, 4, [1]))
-
-    def test_no_shards_and_no_capacity(self):
-        args = admit_args()
-        args[1] = []
-        assert_admit_rejects(args, ValueError)
-        args = admit_args()
-        args[4] = 0
-        assert_admit_rejects(args, ValueError, "capacity")
-
-    def test_argument_count(self):
-        with pytest.raises(TypeError, match="6 positional"):
-            CORE.serve_admit(*admit_args()[:5])
+        args = serve_args(room=32)
+        args[3] = [0, 30]
+        args[5] = 2  # a queue of 2 fits
+        assert CORE.ServeKernel(*args).admit(offers()) == 4  # tenant 1 defers its first
+        assert args[3][-2:] == [2, 32]
 
     @PROPERTY
     @given(
         cursor=st.integers(-2, 10),
         offer=st.integers(-2, 10),
         route=st.integers(-2, 3),
-        address=st.integers(-2, 2),
+        address=st.integers(-2, 2) | st.sampled_from([DIRECTORY - 1, DIRECTORY]),
         fill=st.integers(-2, 34),
     )
     def test_any_window_is_admitted_or_refused_whole(
@@ -2801,28 +2919,172 @@ class TestServeAdmitBoundary:
         its first offered row and shard 0's fill, a call either admits or
         raises having moved nothing, and it admits exactly when all of
         them are valid."""
-        args = admit_args(room=32)
+        args = serve_args(room=32)
         stream = args[0][0]
         stream[3][0] = cursor
         stream[2][min(max(cursor, 0), 7)] = route
         stream[0][min(max(cursor, 0), 7)] = address
-        args[3] = [offer, 0]
-        args[2] = [fill, 0]
+        args[3] = [fill, 0]
         window = stream[2][cursor:cursor + offer] if 0 <= cursor <= 8 else []
         valid = (
             0 <= cursor <= 8 and 0 <= offer <= 8 - cursor and 0 <= fill <= 32
-            and (offer == 0 or (0 <= route < 2 and address >= 0))
+            and (offer == 0 or (0 <= route < 2 and 0 <= address < DIRECTORY))
             and fill + min(8, list(window).count(0)) <= 32
         )
-        before = admit_image(args)
+        kernel = CORE.ServeKernel(*args)
+        before = kernel_image(args)
         try:
-            CORE.serve_admit(*args)
+            kernel.admit([offer, 0])
         except REJECTED:
-            assert admit_image(args) == before
+            assert kernel_image(args) == before
             assert not valid
         else:
             assert valid
             assert stream[3][0] == cursor + offer
+
+
+class TestServeKernelEpoch:
+    def test_a_valid_epoch(self):
+        args = serve_args()
+        kernel = CORE.ServeKernel(*args)
+        assert kernel.unserved == 16
+        assert kernel.epoch(4) == 8
+        assert kernel.unserved == 8
+        logs, engines = args[1], args[2]
+        for log, engine in zip(logs, engines):
+            assert log[3] == [10.0] * 4  # latencies
+            assert log[4] == [0.0]  # one batch of 4 rows, one wall
+            assert log[5].tolist()[5:7] == [1, 1]  # batches, epochs_busy
+            assert (engine[0].cycles, engine[0].events) == (40.0, 4)
+
+    @pytest.mark.parametrize("burst", [0, -1, 2.5, None])
+    def test_a_burst_that_is_not_a_positive_int(self, burst):
+        args = serve_args()
+        kernel = CORE.ServeKernel(*args)
+        before = kernel_image(args)
+        with pytest.raises(REJECTED):
+            kernel.epoch(burst)
+        assert kernel_image(args) == before
+
+    def test_a_column_resized_between_two_epochs(self):
+        """Every column stays exported while the kernel lives: CPython
+        refuses to resize it, and the next epoch runs on what it held."""
+        args = serve_args()
+        kernel = CORE.ServeKernel(*args)
+        assert kernel.epoch(2) == 4
+        for column in (args[0][0][0], args[1][1][1], args[1][0][5], args[4]):
+            with pytest.raises(BufferError):
+                column.append(0)
+            with pytest.raises(BufferError):
+                del column[-1]
+        assert kernel.epoch(2) == 4
+        assert args[3] == [2, 2, 4, 4]
+
+    def test_a_ledger_replaced_between_two_epochs(self):
+        """The kernel counts in the ledgers it was built over: a ledger
+        replaced in its tuple is not seen, and the held one moves on."""
+        args = serve_args()
+        kernel = CORE.ServeKernel(*args)
+        assert kernel.epoch(2) == 4
+        held = args[0][0][3]
+        with_stream(args, 0, 3, array("q", [8, 0, 0]))  # "stream drained"
+        with_kernel_log(args, 0, 5, array("q", [0] * 8))
+        gc.collect()
+        assert kernel.epoch(2) == 4
+        assert held.tolist() == [4, 0, 0]
+        assert args[0][0][3].tolist() == [8, 0, 0]
+        assert kernel.unserved == 8
+
+    def test_a_clock_that_raises_or_calls_back(self):
+        args = serve_args()
+        calls = []
+
+        def clock():
+            calls.append(1)
+            if len(calls) == 1:
+                raise ZeroDivisionError("clock")
+            with pytest.raises(RuntimeError, match="re-entrant"):
+                kernel.epoch(1)
+            with pytest.raises(RuntimeError, match="re-entrant"):
+                kernel.admit(offers())
+            return 2.0
+
+        args[8] = clock
+        kernel = CORE.ServeKernel(*args)
+        before = kernel_image(args)
+        with pytest.raises(ZeroDivisionError):
+            kernel.epoch(4)  # the stamp: nothing moves
+        assert kernel_image(args) == before
+        assert kernel.epoch(4) == 8
+        assert [log[4] for log in args[1]] == [[0.0], [0.0]]
+
+    def test_an_access_that_raises_mid_batch(self):
+        """The batch's latencies go and the engine's totals stay; the
+        shards before it keep what they ran."""
+        args = serve_args()
+        seen = []
+
+        def access(addr, op, data=None):
+            seen.append(addr)
+            if len(seen) == 3:  # shard 1's first batch
+                raise KeyError("boom")
+            return _Result
+
+        with_engine(args, 1, 1, access)
+        kernel = CORE.ServeKernel(*args)
+        with pytest.raises(KeyError):
+            kernel.epoch(4)
+        logs, engines = args[1], args[2]
+        assert logs[0][3] == [10.0] * 4 and logs[0][4] == [0.0]
+        assert logs[0][5].tolist()[5:7] == [1, 1]
+        assert logs[1][3] == [] and logs[1][4] == []
+        assert logs[1][5].tolist()[5:7] == [0, 0]
+        assert (engines[1][0].cycles, engines[1][0].events) == (0.0, 0)
+        assert args[3] == [4, 4]  # admission is done
+
+    def test_latencies_of_other_types_fold_generically(self):
+        args = serve_args()
+        with_engine(args, 0, 2, [0, 10])  # int latencies
+        args[2][0][0].cycles = 5  # an int start
+        kernel = CORE.ServeKernel(*args)
+        assert kernel.epoch(4) == 8
+        assert args[2][0][0].cycles == 45 and type(args[2][0][0].cycles) is int
+        assert args[1][0][3] == [10] * 4
+
+    def test_an_engine_without_totals(self):
+        args = serve_args()
+        with_engine(args, 1, 0, object())
+        kernel = CORE.ServeKernel(*args)
+        with pytest.raises(AttributeError):
+            kernel.epoch(4)
+        assert args[1][1][3] == []
+
+
+class TestRouteColumnBoundary:
+    def test_routes_are_written_in_place(self):
+        addrs = array("q", [0, 1, -1, 2**63 - 1])
+        routes = array("q", [7] * 4)
+        assert CORE.route_column(addrs, routes, 3) is None
+        assert routes.tolist() == [1, 1, 1, 2]
+        CORE.route_column(addrs, addrs, 4)  # aliased: each read before written
+        assert addrs.tolist() == [1, 3, 0, 0]
+
+    @pytest.mark.parametrize("shards", [0, -1])
+    def test_no_shards(self, shards):
+        routes = array("q", [7])
+        with pytest.raises(ValueError, match="shards"):
+            CORE.route_column(array("q", [1]), routes, shards)
+        assert routes.tolist() == [7]
+
+    def test_columns_of_the_wrong_kind(self):
+        addrs, routes = array("q", [1, 2]), array("q", [7, 7])
+        for args in (
+            (array("i", [1, 2]), routes), (addrs, array("i", [7, 7])),
+            (addrs, bytes(16)), (addrs, array("q", [7])), ([1, 2], routes),
+        ):
+            with pytest.raises((BufferError,) + REJECTED):
+                CORE.route_column(*args, 2)
+        assert routes.tolist() == [7, 7]
 
 
 def fold_args(shards=2, tenants=2, rows=6, room=16, max_batch=4):

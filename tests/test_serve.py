@@ -21,6 +21,7 @@ from repro.serve import (
     TenantSpec,
     tenants_for,
 )
+from repro.serve.server import _route_column
 from repro.serve.workload import tenant_region_blocks, tenant_requests
 from repro.sim.runner import SimulationRunner
 from repro.workloads.spec import benchmark
@@ -30,6 +31,18 @@ from helpers import strip_wall
 
 def make_runner(seed: int = 5) -> SimulationRunner:
     return SimulationRunner(misses_per_benchmark=400, seed=seed)
+
+
+def shard_directory(service, shard):
+    """Global -> local address of every address ``shard`` has mapped: the
+    entries of the pool's directory column that route to it (none for a
+    one-shard pool, whose map is the identity)."""
+    shards = len(service.shards)
+    return {
+        addr: local
+        for addr, local in enumerate(service._directory or ())
+        if local >= 0 and _route_column([addr], shards)[0] == shard.index
+    }
 
 
 class TestTenantSpec:
@@ -179,11 +192,14 @@ class TestShardRouting:
         )
         service.run("serial")
         for shard in service.shards:
-            locals_ = sorted(shard._directory.values())
+            locals_ = sorted(shard_directory(service, shard).values())
             assert locals_ == list(range(len(locals_)))  # dense, first-touch
-        globals_a = set(service.shards[0]._directory)
-        globals_b = set(service.shards[1]._directory)
+            assert shard.stats.mapped == len(locals_)
+        globals_a = set(shard_directory(service, service.shards[0]))
+        globals_b = set(shard_directory(service, service.shards[1]))
         assert not (globals_a & globals_b)  # hash-partitioned
+        mapped = [addr for addr, local in enumerate(service._directory) if local >= 0]
+        assert sorted(globals_a | globals_b) == mapped
         assert all(s.stats.requests > 0 for s in service.shards)
 
     def test_directory_overflow_raises(self):
@@ -295,7 +311,9 @@ class TestAdmissionProperties:
             if policy == "defer":
                 assert tenant.shed == 0
         for shard in serial.shards:
-            to_global = {local: addr for addr, local in shard._directory.items()}
+            to_global = {
+                local: addr for addr, local in shard_directory(serial, shard).items()
+            }
             for index, state in enumerate(serial._tenants):
                 routed = [
                     (addr, write)

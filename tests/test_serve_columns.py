@@ -12,6 +12,9 @@ cell.
 
 import binascii
 import struct
+from array import array
+from itertools import repeat
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,7 +29,11 @@ from repro.serve import (
     TenantSpec,
     tenants_for,
 )
+from repro.adversary.tamper import StorageTamperer
+from repro.errors import IntegrityViolationError
 from repro.serve.server import _route_column
+from repro.sim.engine import ReplayEngine
+from repro.sim.native import load_native_core, unavailable_reason
 from repro.sim.runner import SimulationRunner
 from repro.utils.rng import DeterministicRng
 from repro.workloads.spec import benchmark
@@ -111,18 +118,36 @@ KNOWN_ROUTES = [
 ]
 
 
+def _native_routes(addrs, shards):
+    """The fast tier's route column: one ``route_column`` call."""
+    column = array("q", addrs)
+    routes = array("q", bytes(8 * len(column)))
+    load_native_core().route_column(column, routes, shards)
+    return routes.tolist()
+
+
+@pytest.fixture(scope="module", params=["reference", "native"])
+def route_column(request):
+    """Each tier's route column: ``_route_column`` and the core's."""
+    if request.param == "reference":
+        return _route_column
+    if load_native_core() is None:
+        pytest.skip(unavailable_reason())
+    return _native_routes
+
+
 class TestRouteColumn:
     @settings(max_examples=100, deadline=None)
     @given(addrs=ADDRS, shards=st.integers(min_value=1, max_value=7))
-    def test_equals_the_crc_of_each_address(self, addrs, shards):
+    def test_equals_the_crc_of_each_address(self, route_column, addrs, shards):
         expected = [crc_route(addr, shards) for addr in addrs]
-        assert _route_column(addrs, shards) == expected
+        assert route_column(addrs, shards) == expected
 
     @pytest.mark.parametrize(
         "shards, routes", KNOWN_ROUTES, ids=[f"shards={n}" for n, _ in KNOWN_ROUTES]
     )
-    def test_known_answers(self, shards, routes):
-        assert _route_column(KNOWN_ADDRS, shards) == routes
+    def test_known_answers(self, route_column, shards, routes):
+        assert route_column(KNOWN_ADDRS, shards) == routes
 
     def test_each_request_is_served_on_its_routed_shard(self):
         service = scenario()
@@ -366,7 +391,7 @@ STREAMS = st.lists(
 )
 
 
-def twins(events, **config):
+def twins(events, scheme="PC_X32", region=64, **config):
     """Two services over the same streams: the first runs the control
     plane's kernels, the second its interpreted reference (the engines
     run the fast tier in both). Neither folds on its own: the test says
@@ -374,12 +399,12 @@ def twins(events, **config):
 
     def build():
         tenants = [
-            TenantSpec(name=f"t{i}", events=tuple(stream), region_blocks=64)
+            TenantSpec(name=f"t{i}", events=tuple(stream), region_blocks=region)
             for i, stream in enumerate(events)
         ]
         service = OramService(
             tenants, SimulationRunner(seed=2015, misses_per_benchmark=50),
-            ServeConfig(scheme="PC_X32", record_accesses=True, **config),
+            ServeConfig(scheme=scheme, record_accesses=True, **config),
         )
         service._fold_length = 1 << 60
         return service
@@ -390,13 +415,17 @@ def twins(events, **config):
 
 
 def admission_image(service):
-    """Everything admission moves: the log's ends and filled rows, the
-    cursors, both ledgers and the shard directories in insertion order."""
+    """Everything an epoch's admission and execution move: the log's ends,
+    filled rows, latencies and wall count, the cursors, both ledgers (the
+    batches, busy epochs and mapped counts among the shard's), the shard
+    directory and every engine's totals."""
     count = len(service.shards)
     fills = service._ends[-count:] or [0] * count
     return (
         list(service._ends),
         service._unserved,
+        service._in_flight,
+        None if service._directory is None else service._directory.tolist(),
         [tuple(t.stats.ledger) for t in service._tenants],
         [
             (
@@ -404,7 +433,10 @@ def admission_image(service):
                 shard.log.tenants[:fill].tolist(),
                 shard.log.addrs[:fill].tolist(),
                 shard.log.writes[:fill].tolist(),
-                list(shard._directory.items()),
+                repr(shard.log.latencies),
+                len(shard.log.walls),
+                repr(shard.engine.cycles),
+                shard.engine.events,
             )
             for shard, fill in zip(service.shards, fills)
         ],
@@ -427,12 +459,29 @@ def records(service):
 
 
 def step(service, offers):
-    """One epoch's admission and execution; returns its queues."""
+    """One epoch's admission and execution as separate steps; returns its
+    queues."""
     queues = service._admit(offers)
     for shard, rows in zip(service.shards, queues):
         shard.execute(rows, 0.0)
     service._account(sum(map(len, queues)))
     return queues
+
+
+def epoch(service, burst):
+    """One epoch as ``_epochs`` runs it: one ``ServeKernel.epoch`` call on
+    the fast tier (over a kernel built at the first, as a run builds one
+    when it starts), ``_admit_rows`` and ``execute`` per shard on the
+    reference; then the account. Returns the rows admitted."""
+    if service._core is None:
+        admitted = service._run_epoch(burst)
+    else:
+        if service._kernel is None:
+            service._kernel = service._serve_kernel()
+        admitted = service._kernel_epoch(burst)
+    service._account(admitted)
+    service.epochs += 1
+    return admitted
 
 
 def fold_both(fast, reference):
@@ -451,8 +500,8 @@ class _SpyCore:
     def __init__(self, core):
         self.core, self.folds = core, []
 
-    def serve_admit(self, *args):
-        return self.core.serve_admit(*args)
+    def __getattr__(self, name):
+        return getattr(self.core, name)
 
     def serve_fold(self, *args):
         self.folds.append(self.core.serve_fold(*args))
@@ -461,8 +510,9 @@ class _SpyCore:
 
 @pytest.mark.usefixtures("fast_tier")
 class TestColumnsInLockstep:
-    """``serve_admit`` / ``serve_fold`` against ``_admit_rows`` /
-    ``_fold_rows``, the interpreted reference, epoch by epoch."""
+    """``ServeKernel.epoch`` / ``serve_fold`` against ``_admit_rows`` +
+    ``OramShard.execute`` / ``_fold_rows``, the interpreted reference,
+    epoch by epoch."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -500,17 +550,60 @@ class TestColumnsInLockstep:
                 service.preload(0, 5, b"preloaded")
         epochs = 0
         while fast._unserved:
-            offers = [
-                min(burst, len(t.addrs) - t.cursor) for t in fast._tenants
-            ]
-            queues = step(fast, offers)
-            assert step(reference, offers) == queues
+            assert epoch(fast, burst) == epoch(reference, burst)
             assert admission_image(fast) == admission_image(reference)
             epochs += 1
             if epochs % fold_every == 0:
                 fold_both(fast, reference)
+        assert not reference._unserved
         fold_both(fast, reference)
         assert None not in spy.folds
+
+    def test_admit_alone_agrees(self):
+        """The kernel's ``admit`` (the fast tier's admission while a
+        ``run_batch`` is wrapped) against ``_admit_rows``."""
+        events = [[(addr % 64, addr % 3 == 0) for addr in range(40)]] * 3
+        fast, reference = twins(
+            events, shards=2, policy="shed", queue_capacity=4, max_batch=3,
+        )
+        while fast._unserved:
+            offers = [min(9, len(t.addrs) - t.cursor) for t in fast._tenants]
+            assert step(fast, offers) == step(reference, offers)
+            assert admission_image(fast) == admission_image(reference)
+        fold_both(fast, reference)
+
+    def test_an_error_mid_epoch_leaves_both_tiers_alike(self):
+        """PIC_X32 with every block of shard 1's tree tampered: an epoch
+        raises in shard 1's queue after shard 0 ran its own, and each log,
+        ledger, cursor, directory entry and engine total is where the
+        reference leaves it."""
+        streams = routed_streams(12, region=64)
+        fast, reference = twins(
+            [stream * 2 for stream in streams], scheme="PIC_X32", shards=2,
+            burst=4, queue_capacity=8, max_batch=3,
+        )
+        for _ in range(3):  # the first pass over every address
+            assert epoch(fast, 4) == epoch(reference, 4) == 8
+        for service in (fast, reference):
+            storage = service.shards[1].frontend.backend.storage
+            tampered = 0
+            for index in range(storage.config.num_buckets):
+                records = [
+                    (addr, leaf, bytes([data[0] ^ 1]) + data[1:], mac)
+                    for addr, leaf, data, mac in storage.bucket_records(index)
+                ]
+                storage.replace_bucket_records(index, tuple(records))
+                tampered += len(records)
+            assert tampered
+        for service in (fast, reference):
+            with pytest.raises(IntegrityViolationError):
+                while True:
+                    epoch(service, 4)
+        assert admission_image(fast) == admission_image(reference)
+        zero, one = fast.shards
+        assert fast._in_flight  # admitted, not accounted
+        assert len(zero.log.latencies) == fast._ends[-2]
+        assert len(one.log.latencies) < fast._ends[-1]
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), shards=st.integers(min_value=1, max_value=3))
@@ -521,9 +614,8 @@ class TestColumnsInLockstep:
         )
         spy = fast._core = _SpyCore(fast._core)
         for _ in range(6):
-            offers = [min(4, len(t.addrs) - t.cursor) for t in fast._tenants]
-            step(fast, offers)
-            step(reference, offers)
+            epoch(fast, 4)
+            epoch(reference, 4)
         for mine, theirs in zip(fast.shards, reference.shards):
             for column in ("latencies", "walls"):
                 values = data.draw(st.lists(
@@ -540,7 +632,7 @@ class TestColumnsInLockstep:
         fast, reference = twins(events, shards=2, burst=8, queue_capacity=8)
         spy = fast._core = _SpyCore(fast._core)
         for service in (fast, reference):
-            step(service, [8])
+            epoch(service, 8)
             log = next(s.log for s in service.shards if s.log.latencies)
             log.latencies[0] = 7  # an int: the kernel sums exact floats only
         fold_both(fast, reference)
@@ -549,20 +641,55 @@ class TestColumnsInLockstep:
             type(hist.total) is float and hist.count for hist in fast._histograms
         )
 
+    @pytest.mark.parametrize("mode", ["serial", "async"])
+    def test_the_kernels_wall_stamps_fold_as_the_references(self, mode, monkeypatch):
+        """A scripted clock and no wrapped ``run_batch``: the kernel reads
+        the clock itself, once per epoch and once per batch, and both tiers
+        fold the same ``wall_us``."""
+        batches = []
+        run_batch = ReplayEngine.run_batch
+
+        def counted(engine, addrs, writes):
+            batches.append(len(addrs))
+            return run_batch(engine, addrs, writes)
+
+        monkeypatch.setattr(ReplayEngine, "run_batch", counted)
+
+        def run(fast):
+            clock = _ScriptedClock()
+            monkeypatch.setattr(server, "time", clock)
+            service = scenario(requests=60)
+            if not fast:
+                service._core = None
+            return service.run(mode), clock.now
+
+        fast, fast_reads = run(True)
+        assert batches == []  # the kernel ran every batch
+        reference, reference_reads = run(False)
+        assert batches
+        assert [t.wall_us.to_dict() for t in fast.tenant_stats] == [
+            t.wall_us.to_dict() for t in reference.tenant_stats
+        ]
+        assert strip_wall(fast.report()) == strip_wall(reference.report())
+        report = fast.report()
+        total = sum(s["batches"] for s in report["shards"])
+        assert total == len(batches)
+        assert fast_reads == reference_reads <= report["epochs"] + total + 2
+
 
 #: Each routed stream's region: tenant *i*'s addresses are offset by
 #: ``i * REGION`` in the service's address space.
 REGION = 2048
 
 
-def routed_streams(requests: int, shards: int = 2):
+def routed_streams(requests: int, shards: int = 2, region: int = REGION):
     """One event stream per shard — tenant *i*'s global addresses all
     route to shard *i* — so every shard runs a batch every epoch."""
     streams = []
     for index in range(shards):
-        offset = index * REGION
+        offset = index * region
         addrs = [
-            addr for addr in range(REGION)
+            addr for addr in range(region)
             if _route_column([offset + addr], shards)[0] == index
         ][:requests]
         assert len(addrs) == requests
@@ -570,20 +697,22 @@ def routed_streams(requests: int, shards: int = 2):
     return streams
 
 
-def python_calls(burst: int, epochs: int) -> tuple:
+def python_calls(epochs: int, shards: int, burst: int = 2) -> tuple:
     """Python-level calls (and builtin calls made from Python) while a
-    fast-tier service of two shards runs ``epochs`` epochs of ``burst``
-    requests per tenant; and the rows it served."""
+    fast-tier service of ``shards`` shards, one tenant each, runs
+    ``epochs`` epochs of ``burst`` requests per tenant; and the rows it
+    served."""
+    import gc
     import sys
 
-    streams = routed_streams(burst * epochs)
+    streams = routed_streams(burst * epochs, shards)
     service = OramService(
         [
             TenantSpec(name=f"t{i}", events=tuple(s), region_blocks=REGION)
             for i, s in enumerate(streams)
         ],
         SimulationRunner(seed=2015, misses_per_benchmark=50),
-        ServeConfig(shards=2, burst=burst, queue_capacity=64, max_batch=64),
+        ServeConfig(shards=shards, burst=burst, queue_capacity=64, max_batch=64),
     )
     calls = [0]
 
@@ -591,11 +720,15 @@ def python_calls(burst: int, epochs: int) -> tuple:
         if event in ("call", "c_call"):
             calls[0] += 1
 
+    # Collection off: a collector callback some other test left behind
+    # is not the service's Python.
+    gc.disable()
     sys.setprofile(count)
     try:
         service.run("serial")
     finally:
         sys.setprofile(None)
+        gc.enable()
     assert service.epochs == epochs
     return calls[0], service.report()["totals"]["requests"]
 
@@ -607,9 +740,29 @@ class TestPythonWorkPerEpoch:
         # A scripted clock: both runs read the same wall times, so the
         # histograms they fold have the same wall buckets.
         monkeypatch.setattr(server, "time", _ScriptedClock())
-        small, small_rows = python_calls(burst=2, epochs=30)
-        big, big_rows = python_calls(burst=16, epochs=30)
+        small, small_rows = python_calls(epochs=30, shards=2, burst=2)
+        big, big_rows = python_calls(epochs=30, shards=2, burst=16)
         assert big_rows == 8 * small_rows == 8 * 120
         # A call per row would add 840; what differs is a few more
         # latency buckets to merge at the fold.
         assert abs(big - small) <= 16, (small, big)
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_an_epoch_is_a_few_python_calls_whatever_the_shards(
+        self, shards, fast_tier, monkeypatch
+    ):
+        """An epoch's Python is the loop's own few calls: the kernel runs
+        every shard's batches, so twice the shards add none per epoch.
+        (A clock that is a C callable, as ``time.perf_counter`` is: a
+        Python one would be a call per batch. Standing still, it gives
+        every run the same wall buckets.)"""
+        monkeypatch.setattr(
+            server, "time", SimpleNamespace(perf_counter=repeat(1.0).__next__)
+        )
+        short, _rows = python_calls(epochs=20, shards=shards)
+        long, rows = python_calls(epochs=40, shards=shards)
+        assert rows == 40 * 2 * shards
+        per_epoch = (long - short) / 20
+        # The generator's resume, _kernel_epoch, its len() and
+        # kernel.epoch, _account, _check_progress.
+        assert per_epoch == 6, (short, long)
