@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.storage.encrypted import EncryptedTreeStorage
+from repro.storage.snapshot import tree_records
 
 
 class StorageTamperer:
@@ -35,13 +36,13 @@ class StorageTamperer:
 
     def __init__(self, storage):
         self.storage = storage
-        self._snapshots: Dict[int, List[tuple]] = {}
+        self._snapshots: Dict[int, Dict[int, tuple]] = {}
 
     # -- location -------------------------------------------------------------
 
     def find(self, addr: int) -> Optional[Tuple[int, int]]:
         """(bucket index, slot position) of a block in the tree, or None."""
-        for index in range(self.storage.config.num_buckets):
+        for index in self.storage.occupied_buckets():
             for position, record in enumerate(self.storage.bucket_records(index)):
                 if record[0] == addr:
                     return index, position
@@ -97,20 +98,22 @@ class StorageTamperer:
     # -- snapshots (replay / freshness attacks) -------------------------------
 
     def snapshot(self, tag: int = 0) -> None:
-        """Record the content of every bucket under ``tag``."""
-        self._snapshots[tag] = [
-            self.storage.bucket_records(index)
-            for index in range(self.storage.config.num_buckets)
-        ]
+        """Record the content of every bucket under ``tag`` (the buckets
+        holding a block; every other one was empty)."""
+        self._snapshots[tag] = dict(tree_records(self.storage))
 
     def replay_bucket(self, index: int, tag: int = 0) -> None:
         """Restore one bucket to its snapshotted content."""
-        self.storage.replace_bucket_records(index, self._snapshots[tag][index])
+        self.storage.replace_bucket_records(
+            index, self._snapshots[tag].get(index, ())
+        )
 
     def replay_all(self, tag: int = 0) -> None:
-        """Roll the whole tree back to a snapshot (freshness attack)."""
-        for index, records in enumerate(self._snapshots[tag]):
-            self.storage.replace_bucket_records(index, records)
+        """Roll the whole tree back to a snapshot (freshness attack): the
+        snapshotted buckets, and every bucket filled since, emptied."""
+        buckets = self._snapshots[tag]
+        for index in sorted(buckets.keys() | set(self.storage.occupied_buckets())):
+            self.storage.replace_bucket_records(index, buckets.get(index, ()))
 
 
 class Tamperer:

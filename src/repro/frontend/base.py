@@ -13,7 +13,23 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.backend.ops import Op
+from repro.errors import ConfigurationError
 from repro.utils.stats import LEDGERS
+
+
+def check_request(op: Op, data, block_bytes: int) -> None:
+    """Refuse a request before any state moves, on either tier: an
+    operation other than READ / WRITE, a WRITE of anything but one block,
+    or one whose payload ``bytes()`` refuses (a ``str``), which the data
+    access would otherwise meet only when it copies the payload in, after
+    the PosMap walk."""
+    if op not in (Op.READ, Op.WRITE):
+        raise ConfigurationError("processor requests are READ or WRITE")
+    if op is Op.WRITE:
+        if data is None or len(data) != block_bytes:
+            raise ValueError("WRITE requires a full block of data")
+        if type(data) is not bytes:
+            bytes(data)
 
 
 @LEDGERS["frontend"].bind()

@@ -14,7 +14,7 @@ from repro.backend.ops import Op
 from repro.backend.path_oram import make_backend
 from repro.config import OramConfig
 from repro.errors import ConfigurationError
-from repro.frontend.base import AccessResult, Frontend
+from repro.frontend.base import AccessResult, Frontend, check_request
 from repro.frontend.posmap import OnChipPosMap
 from repro.storage import make_storage
 from repro.utils.rng import DeterministicRng
@@ -65,12 +65,11 @@ class LinearFrontend(Frontend):
         self, addr: int, op: Op = Op.READ, data: Optional[bytes] = None
     ) -> AccessResult:
         """Steps 1-5 of §3.1: PosMap lookup/remap, then one Backend access."""
-        if op not in (Op.READ, Op.WRITE):
-            raise ConfigurationError("processor requests are READ or WRITE")
-        if op is Op.WRITE and (data is None or len(data) != self.config.block_bytes):
-            raise ValueError("WRITE requires a full block of data")
+        check_request(op, data, self.config.block_bytes)
         stats = self.stats
         stats.accesses += 1
+        if not 0 <= addr < self.config.num_blocks:
+            raise ValueError(f"address {addr} out of range")
         stats.data_tree_accesses += 1
 
         leaf, new_leaf, _ = self.posmap.lookup_and_remap(addr, addr)

@@ -22,7 +22,7 @@ from repro.backend.path_oram import PathOramBackend, make_backend
 from repro.config import OramConfig
 from repro.errors import ConfigurationError
 from repro.frontend.addrgen import AddressSpace, levels_needed
-from repro.frontend.base import AccessResult, Frontend
+from repro.frontend.base import AccessResult, Frontend, check_request
 from repro.frontend.formats import UncompressedPosMapFormat
 from repro.frontend.posmap import OnChipPosMap
 from repro.storage import make_storage
@@ -146,13 +146,10 @@ class RecursiveFrontend(Frontend):
         self, addr: int, op: Op = Op.READ, data: Optional[bytes] = None
     ) -> AccessResult:
         """Full Recursive ORAM access: on-chip, ORam_{H-1}..ORam_1, Data."""
+        check_request(op, data, self.configs[0].block_bytes)
         kernel = self._kernel
         if kernel is not None:
             return kernel.access(addr, op, data)
-        if op not in (Op.READ, Op.WRITE):
-            raise ConfigurationError("processor requests are READ or WRITE")
-        if op is Op.WRITE and (data is None or len(data) != self.configs[0].block_bytes):
-            raise ValueError("WRITE requires a full block of data")
         stats = self.stats
         stats.accesses += 1
         chain = self.space.chain(addr)

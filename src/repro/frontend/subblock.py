@@ -25,7 +25,7 @@ from repro.config import OramConfig
 from repro.crypto.suite import CryptoSuite
 from repro.errors import ConfigurationError
 from repro.frontend.addrgen import AddressSpace, levels_needed
-from repro.frontend.base import AccessResult, Frontend
+from repro.frontend.base import AccessResult, Frontend, check_request
 from repro.frontend.formats import CompressedPosMapFormat
 from repro.frontend.posmap import OnChipPosMap
 from repro.storage.tree import TreeStorage
@@ -114,10 +114,7 @@ class SubBlockFrontend(Frontend):
         self, addr: int, op: Op = Op.READ, data: Optional[bytes] = None
     ) -> AccessResult:
         """H PosMap Backend accesses, then ceil(B/Bp) sub-block accesses."""
-        if op not in (Op.READ, Op.WRITE):
-            raise ConfigurationError("processor requests are READ or WRITE")
-        if op is Op.WRITE and (data is None or len(data) != self.data_block_bytes):
-            raise ValueError("WRITE requires a full logical block of data")
+        check_request(op, data, self.data_block_bytes)
         stats = self.stats
         stats.accesses += 1
         chain = self.space.chain(addr)

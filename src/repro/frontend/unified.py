@@ -36,7 +36,7 @@ from repro.crypto.prf import Prf
 from repro.crypto.suite import CryptoSuite
 from repro.errors import ConfigurationError, IntegrityViolationError
 from repro.frontend.addrgen import AddressSpace, levels_needed
-from repro.frontend.base import AccessResult, Frontend
+from repro.frontend.base import AccessResult, Frontend, check_request
 from repro.frontend.formats import (
     CompressedPosMapFormat,
     FlatCounterPosMapFormat,
@@ -357,13 +357,10 @@ class PlbFrontend(Frontend):
         self, addr: int, op: Op = Op.READ, data: Optional[bytes] = None
     ) -> AccessResult:
         """One processor request: PLB loop, PosMap refills, data access."""
+        check_request(op, data, self.config.block_bytes)
         kernel = self._kernel
         if kernel is not None:
             return kernel.access(addr, op, data)
-        if op not in (Op.READ, Op.WRITE):
-            raise ConfigurationError("processor requests are READ or WRITE")
-        if op is Op.WRITE and (data is None or len(data) != self.config.block_bytes):
-            raise ValueError("WRITE requires a full block of data")
         stats = self.stats
         stats.accesses += 1
         start_posmap = stats.posmap_tree_accesses

@@ -60,7 +60,8 @@ harness in ``tests/test_columnar_differential.py``.
 from __future__ import annotations
 
 from array import array
-from typing import List, Optional, Tuple
+from itertools import compress
+from typing import Iterator, List, Optional, Tuple
 
 from repro.config import OramConfig
 from repro.storage.block import DUMMY_ADDR, Block
@@ -75,6 +76,10 @@ _FREE_ADDRS = array("q", [DUMMY_ADDR]) * CHUNK_SLOTS
 _ZERO_LEAVES = bytes(8 * CHUNK_SLOTS)
 _NO_MACS = [None] * CHUNK_SLOTS
 _EMPTY_STACK = bytes(4 * CHUNK_SLOTS)
+#: Buckets :meth:`~ColumnarTreeStorage.occupied_buckets` copies the
+#: fills of at a time (a run), and counts before walking (a piece).
+_SCAN_RUN = 1 << 16
+_SCAN_PIECE = 1 << 9
 
 
 def _column(core, typecode: str, length: int, zeroed: bool) -> memoryview:
@@ -315,14 +320,32 @@ class ColumnarTreeStorage(BucketLedger):
         if len(records) != self.bucket_fill[index]:  # untouched stays untouched
             self.bucket_fill[index] = len(records)
 
+    def occupied_buckets(self) -> Iterator[int]:
+        """Heap indices of the buckets holding a block, ascending.
+
+        ``bucket_fill`` is copied a run at a time; a run or piece of
+        empty buckets is skipped with one ``count``, and only a piece
+        holding a fill is walked bucket by bucket. Change no bucket
+        while iterating: a run already copied is not read again.
+        """
+        fill = self.bucket_fill
+        for base in range(0, len(fill), _SCAN_RUN):
+            run = fill[base : base + _SCAN_RUN].tobytes()
+            if run.count(0) == len(run):
+                continue
+            for start in range(0, len(run), _SCAN_PIECE):
+                piece = run[start : start + _SCAN_PIECE]
+                if piece.count(0) != len(piece):
+                    first = base + start
+                    yield from compress(range(first, first + len(piece)), piece)
+
     def find_block(self, addr: int) -> Optional[Tuple[int, int]]:
         """(bucket index, slot) of a live tree block by address, or None."""
         addr_col = self.addr_col
-        for index, fill in enumerate(self.bucket_fill):
-            if fill:
-                for slot in self.bucket(index):
-                    if addr_col[slot] == addr:
-                        return index, slot
+        for index in self.occupied_buckets():
+            for slot in self.bucket(index):
+                if addr_col[slot] == addr:
+                    return index, slot
         return None
 
     def occupancy(self) -> int:

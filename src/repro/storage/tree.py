@@ -11,7 +11,8 @@ encrypted in the real system).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from itertools import compress, count
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.config import OramConfig
 from repro.storage.bucket import Bucket
@@ -148,6 +149,12 @@ class TreeStorage(BucketLedger):
     def occupancy(self) -> int:
         """Total real blocks currently stored in the tree."""
         return sum(len(b) for b in self._buckets if b is not None)
+
+    def occupied_buckets(self) -> Iterator[int]:
+        """Heap indices of the buckets holding a block, ascending (a
+        bucket is truthy when it holds one, an unmaterialised one is
+        None)."""
+        return compress(count(), self._buckets)
 
     # -- content introspection ----------------------------------------------
 

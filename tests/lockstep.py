@@ -240,18 +240,19 @@ def frontend_columns(frontend):
     return image
 
 
-#: Past this many buckets a whole-tree digest per access costs more than
-#: the access: the image holds the path the access read and wrote back,
-#: and the whole tree is compared where a run ends.
+#: Past this many buckets a whole-tree image per access costs more than
+#: the access (its blocks, not its buckets: the image walks the occupied
+#: buckets only): the image holds the path the access read and wrote
+#: back, and the whole tree is compared where a run ends.
 WHOLE_TREE_BUCKETS = 1 << 12
 
 
 def tree_image(backend, leaf=None):
-    """One tree: its contents (every bucket's records, which its digest
-    hashes, or only the path to ``leaf`` on a tree too big to image per
-    access), the stash, every counter and the occupancy summary, the
-    ledgers as columns, and the observer's event log where the pair
-    records one."""
+    """One tree: its contents (every occupied bucket's index and records,
+    which its digest hashes, or only the path to ``leaf`` on a tree too
+    big to image per access), the stash, every counter and the occupancy
+    summary, the ledgers as columns, and the observer's event log where
+    the pair records one."""
     storage, occupancy = backend.storage, backend.stash.occupancy_stats
     whole = leaf is None or storage.config.num_buckets <= WHOLE_TREE_BUCKETS
     return {

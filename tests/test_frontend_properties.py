@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.frontend.unified import PlbFrontend
-from repro.spec import SchemeSpec
+from repro.spec import SchemeSpec, spec_names
 from repro.utils.rng import DeterministicRng
+
+import lockstep
 
 STEP = st.tuples(
     st.integers(min_value=0, max_value=255),
@@ -122,3 +124,20 @@ def test_deterministic_replay(addrs, seed):
             )
         )
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("name", sorted(spec_names()))
+def test_a_payload_bytes_refuses_moves_nothing(name):
+    """On the reference tier too (it needs no compiled core): a
+    block-length ``str`` WRITE raises before any counter, PosMap entry,
+    PLB way, tree or RNG draw moves, and the block keeps its data."""
+    scheme, fields = lockstep.VARIANTS[name]
+    frontend = lockstep.build(scheme, "object", **fields)
+    _, block_bytes = lockstep.geometry(frontend)
+    block = bytes(range(256)) * (block_bytes // 256) + bytes(block_bytes % 256)
+    frontend.write(5, block)
+    before = lockstep.state(frontend)
+    with pytest.raises(TypeError, match="string argument without an encoding"):
+        frontend.write(5, "x" * block_bytes)
+    assert lockstep.state(frontend) == before
+    assert frontend.read(5) == block

@@ -35,7 +35,7 @@ from repro.integrity.adapter import MerkleVerifiedStorage
 from repro.presets import build_frontend
 from repro.sim.native import load_native_core, unavailable_reason
 from repro.storage import make_storage
-from repro.storage.snapshot import tree_digest
+from repro.storage.snapshot import tree_digest, tree_records
 from repro.utils.rng import DeterministicRng
 
 STORAGES = ("object", "columnar")
@@ -166,6 +166,36 @@ class TestNoIntegrityNegativeControl:
         # The flipped bit reads back unnoticed, identically corrupted.
         assert outcomes["object"] == outcomes["columnar"]
         assert outcomes["object"] != b"\xAA" * 64
+
+
+@pytest.mark.parametrize("storage", STORAGES)
+def test_replay_all_empties_the_buckets_filled_since(storage):
+    """A freshness attack rolls the tree back as it was, on either
+    storage: buckets empty at the snapshot and filled since are emptied
+    again, one by one or all at once."""
+    if storage == "columnar" and CORE is None:
+        pytest.skip(unavailable_reason())
+    frontend = build_frontend(
+        "P_X16", rng=DeterministicRng(19), storage=storage, **PMMAC_KWARGS
+    )
+    rng = DeterministicRng(3)
+    for _ in range(20):
+        frontend.read(rng.randrange(2**8))
+    tree = frontend.backend.storage
+    tamperer = StorageTamperer(tree)
+    tamperer.snapshot()
+    before = tree_records(tree)
+    for _ in range(100):
+        frontend.write(rng.randrange(2**8), bytes(64))
+    filled = sorted(
+        {index for index, _ in tree_records(tree)}
+        - {index for index, _ in before}
+    )
+    assert len(filled) > 10
+    tamperer.replay_bucket(filled[0])
+    assert tree.bucket_records(filled[0]) == ()
+    tamperer.replay_all()
+    assert tree_records(tree) == before
 
 
 class TestMerkleAcrossStorages:

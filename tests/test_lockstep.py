@@ -31,7 +31,7 @@ from repro.utils.rng import DeterministicRng
 from helpers import cold_address, reference_leaf_for
 from lockstep import (
     CORE, PATTERNS, VARIANTS, build, engage, geometry, lockstep, mixed,
-    needs_core, pair,
+    needs_core, pair, state,
 )
 
 pytestmark = needs_core
@@ -181,7 +181,7 @@ def raised(ref, fast, *args):
     return failure[1][1:]
 
 
-@pytest.mark.parametrize("name", ("P_X16", "PIC_X32", "R_X8/H=1", "R_X8"))
+@pytest.mark.parametrize("name", sorted(spec_names()) + ["R_X8/H=1"])
 def test_rejected_requests_leave_the_reference_state(name):
     ref, fast = pair(name)
     assert lockstep(ref, fast, mixed(ref, 1, 50), name) is None
@@ -205,15 +205,17 @@ def test_rejected_requests_leave_the_reference_state(name):
         )
     assert ref.stats.accesses == before + 3
     assert lockstep(ref, fast, mixed(ref, 2, 50), name) is None
-    # A payload bytes() refuses fails inside the data access, after the
-    # whole PosMap walk, in bytes()'s words; the data tree rolls back on
-    # both, and what follows runs alike (on a PMMAC tree the block's
-    # counter has moved and its data has not, so a later read of it is
-    # an integrity failure on both tiers).
+    # A block-length payload bytes() refuses is refused in bytes()'s
+    # words before anything moves: no counter, no PosMap walk, no remap.
+    old = b"\x07" * len(block)
+    assert lockstep(ref, fast, [(5, Op.WRITE, old)], name) is None
+    images = state(ref), state(fast)
     assert raised(ref, fast, 5, Op.WRITE, "x" * len(block)) == (
         TypeError, "string argument without an encoding"
     )
-    lockstep(ref, fast, mixed(ref, 3, 50), name)
+    assert (state(ref), state(fast)) == images
+    assert ref.read(5) == fast.read(5) == old
+    assert lockstep(ref, fast, mixed(ref, 3, 50), name) is None
 
 
 def test_onchip_counter_overflow():

@@ -7,6 +7,8 @@ from repro.errors import ConfigurationError
 from repro.frontend.subblock import SubBlockFrontend
 from repro.utils.rng import DeterministicRng
 
+import lockstep
+
 
 def make(num_blocks=2**8, data_block_bytes=256, posmap_block_bytes=64,
          beta_bits=14, onchip_entries=2**3):
@@ -72,6 +74,18 @@ class TestFunctional:
     def test_partial_write_rejected(self):
         with pytest.raises(ValueError):
             make().write(0, b"short")
+
+    def test_a_payload_bytes_refuses_moves_nothing(self):
+        """A full-length ``str`` WRITE raises before the PosMap walk or
+        any sub-block access: no counter, tree or RNG draw moves."""
+        frontend = make()
+        payload = bytes(range(256))
+        frontend.write(5, payload)
+        before = lockstep.state(frontend)
+        with pytest.raises(TypeError, match="string argument without an encoding"):
+            frontend.write(5, "x" * 256)
+        assert lockstep.state(frontend) == before
+        assert frontend.read(5) == payload
 
     def test_stash_bounded(self):
         frontend = make()
