@@ -9,8 +9,11 @@ interpreted generators, bit for bit the same. ``build_ext`` therefore
 swallows compiler/toolchain failures instead of aborting the install.
 
 The module is stamped with a SHA-256 of the sources it was compiled
-from (``SOURCE_DIGEST``); ``repro.sim.native`` refuses a build whose
-sources have changed since, so a stale ``.so`` is never measured. For
+from (``SOURCE_DIGEST``: every ``.c`` unit and ``.h`` header of
+``src/repro/sim/native/``, sorted by name, hashed as
+``repro.sim.native.source_digest`` hashes them); ``repro.sim.native``
+refuses a build whose sources have changed since, so a stale ``.so`` is
+never measured. For
 the same reason ``build_ext`` compiles whenever the existing ``.so``
 does not embed the current digest, whatever the files' mtimes say, and a
 failed compile that leaves such a stale ``.so`` in place names it on
@@ -30,14 +33,18 @@ from pathlib import Path
 from setuptools import Extension, find_packages, setup
 from setuptools.command.build_ext import build_ext
 
-SOURCES = ["src/repro/sim/native/_replay_core.c"]
+#: Every unit and header of the core, sorted by name; the units are
+#: compiled into the one extension, and all of them are hashed.
+SOURCES = sorted(str(p) for p in Path("src/repro/sim/native").glob("*.[ch]"))
 
 
 def source_digest(paths) -> str:
-    """SHA-256 over the bytes of every source, in order."""
+    """SHA-256 over the name, length and bytes of every source, in order."""
     digest = hashlib.sha256()
-    for path in paths:
-        digest.update(Path(path).read_bytes())
+    for path in map(Path, paths):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode())
+        digest.update(data)
     return digest.hexdigest()
 
 
@@ -108,7 +115,7 @@ if __name__ == "__main__":  # how setuptools and pip run this file
         ext_modules=[
             Extension(
                 "repro.sim.native._replay_core",
-                sources=SOURCES,
+                sources=[path for path in SOURCES if path.endswith(".c")],
                 define_macros=[
                     ("REPRO_SOURCE_DIGEST", f'"{source_digest(SOURCES)}"')
                 ],

@@ -3,12 +3,13 @@
 This package wraps the hand-written C extension ``_replay_core`` — the
 fast tier's kernels over the columnar arenas (a columnar backend's
 access *is* its ``AccessKernel``), and the trace synthesis kernel that
-produces a replay's input (see ``_replay_core.c`` for the kernel
-inventory and the bit-identity contract). The extension is *optional*:
-nothing in the library imports it unconditionally, and every consumer
-goes through :func:`native_core`. Without it replays run on the
-reference tier (object storage, interpreted frontends) and traces come
-from the interpreted generators and ``CacheHierarchy.run``; trace
+produces a replay's input, one ``.so`` built from the C units beside
+this file (``_replay_core.c`` lists them; ``docs/native.md`` is the
+kernel inventory and the bit-identity contract). The extension is
+*optional*: nothing in the library imports it unconditionally, and every
+consumer goes through :func:`native_core`. Without it replays run on
+the reference tier (object storage, interpreted frontends) and traces
+come from the interpreted generators and ``CacheHierarchy.run``; trace
 synthesis is shared by both tiers, because a trace is an input and is
 the same bytes whichever tier replays it.
 
@@ -19,13 +20,14 @@ Build it in place with the baked-in toolchain (no new dependencies)::
 which drops ``_replay_core.*.so`` next to this file. ``setup.py``
 swallows compiler failures, so environments without a C toolchain build
 a pure-Python package and every default CI lane stays green. It also
-stamps the module with a SHA-256 of its sources (``SOURCE_DIGEST``):
-when ``_replay_core.c`` sits beside the package and no longer hashes to
-that, the build is stale and counts as unusable — an old ``.so`` is
-never measured as the fast tier. So is a build whose ``LEDGERS`` — the
-counter layout its kernels count in, one line per ledger from one
-X-macro each — differs from :data:`repro.utils.stats.LEDGERS`, the
-layout the Python owners read: the first ledger that differs is named.
+stamps the module with a SHA-256 of its sources (``SOURCE_DIGEST``,
+over :func:`source_files`): when the sources sit beside the package and
+no longer hash to that, the build is stale and counts as unusable — an
+old ``.so`` is never measured as the fast tier. So is a build whose
+``LEDGERS`` — the counter layout its kernels count in, one line per
+ledger from one X-macro each — differs from
+:data:`repro.utils.stats.LEDGERS`, the layout the Python owners read:
+the first ledger that differs is named.
 A build the loader refuses (an undefined symbol, say) is unusable too,
 and the reason carries the loader's own message;
 :func:`unavailable_reason` is that reason, which is also what every
@@ -45,7 +47,7 @@ from __future__ import annotations
 import hashlib
 from itertools import zip_longest
 from pathlib import Path
-from typing import Optional
+from typing import List, Optional
 
 from repro.errors import NativeKernelUnavailable
 from repro.settings import Settings
@@ -61,14 +63,26 @@ def build_hint() -> str:
     return "build it with: python setup.py build_ext --inplace"
 
 
-def source_digest() -> Optional[str]:
-    """SHA-256 of the ``_replay_core.c`` beside this package, as
-    ``setup.py`` stamps it into a build; ``None`` when it is not shipped."""
-    try:
-        source = Path(__file__).with_name("_replay_core.c").read_bytes()
-    except FileNotFoundError:
+def source_files(directory: Path = Path(__file__).parent) -> List[Path]:
+    """The core's sources: every ``.c`` unit and ``.h`` header in
+    ``directory``, sorted by name — what ``setup.py`` compiles and what
+    the digest covers."""
+    return sorted(directory.glob("*.[ch]"))
+
+
+def source_digest(directory: Path = Path(__file__).parent) -> Optional[str]:
+    """SHA-256 over the name, length and bytes of every source in
+    ``directory`` (this package's), in order, as ``setup.py`` stamps it
+    into a build; ``None`` when no source is shipped."""
+    paths = source_files(directory)
+    if not paths:
         return None
-    return hashlib.sha256(source).hexdigest()
+    digest = hashlib.sha256()
+    for path in paths:
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def _import_core():
@@ -85,7 +99,7 @@ def _import_core():
     if expected is not None and built != expected:
         return None, (
             "the native extension is stale "
-            "(_replay_core.c changed since it was built)"
+            "(its sources changed since it was built)"
         )
     table = [(row.name, row.typecode, *row.slots) for row in LEDGERS.values()]
     lines = getattr(_replay_core, "LEDGERS", "").splitlines()
@@ -94,7 +108,7 @@ def _import_core():
             return None, (
                 f"the native extension's {(ours or built)[0]!r} ledger differs "
                 "from repro.utils.stats.LEDGERS (its X-macro in "
-                "_replay_core.c must list the same slots)"
+                "_replay_core.h must list the same slots)"
             )
     return _replay_core, ""
 

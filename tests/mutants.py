@@ -12,11 +12,12 @@ Every mutant is made in a temporary copy of the tree (``src/``,
   one integer constant moved by one — on a line the reference tier runs
   per access and the fast tier does not (``access_lines``);
 - a **C** mutant swaps one operator or moves one integer constant inside
-  the ``AccessKernel``, ``FrontendKernel``, ``RecursiveKernel`` or
-  ``run_access_loop`` section of ``_replay_core.c`` (found by their
-  section markers) and is rebuilt with ``python setup.py build_ext
-  --inplace --force``; one that does not build a loadable, current core
-  is recorded as stillborn and the next candidate is drawn in its place.
+  one of the core's kernel units under ``src/repro/sim/native/``
+  (``tree.c``: the working set and ``AccessKernel``; ``frontend.c``;
+  ``recursive.c``; ``access_loop.c``) and is rebuilt with ``python
+  setup.py build_ext --inplace --force``; one that does not build a
+  loadable, current core is recorded as stillborn and the next candidate
+  is drawn in its place.
 
 The candidates are shuffled with ``--seed`` and the first ``--py`` /
 ``--c`` live ones are run, so one seed names one sample.  Each target
@@ -51,13 +52,13 @@ from typing import Dict, List
 
 ROOT = Path(__file__).resolve().parent.parent
 PY_PACKAGES = ("frontend", "backend", "storage", "integrity", "crypto")
-C_SOURCE = Path("src/repro/sim/native/_replay_core.c")
-#: Section marker title -> the name the matrix shows.
-C_SECTIONS = {
-    "AccessKernel: one Path ORAM tree access per call": "AccessKernel",
-    "FrontendKernel: one processor request per call": "FrontendKernel",
-    "RecursiveKernel: one Recursive ORAM request per call": "RecursiveKernel",
-    "run_access_loop": "run_access_loop",
+NATIVE = Path("src/repro/sim/native")
+#: The kernel units C mutants are drawn from -> the kernel the matrix shows.
+C_UNITS = {
+    "tree.c": "AccessKernel",
+    "frontend.c": "FrontendKernel",
+    "recursive.c": "RecursiveKernel",
+    "access_loop.c": "run_access_loop",
 }
 #: A child may not map more than this: a mutated size must not take the
 #: host's memory with it.
@@ -219,29 +220,14 @@ C_TOKEN = re.compile(
 )
 
 
-def c_sections(text: str) -> Dict[str, range]:
-    """Byte ranges of the four kernel sections, marker to next marker."""
-    markers = [
-        (m.start(), m.group(1).strip())
-        for m in re.finditer(r"^/\* (.+?)\s*\*/\n/\* -{10,} \*/$", text, re.M)
-    ]
-    out = {}
-    for (start, title), nxt in zip(markers, markers[1:] + [(len(text), "")]):
-        if title in C_SECTIONS:
-            out[C_SECTIONS[title]] = range(start, nxt[0])
-    missing = set(C_SECTIONS.values()) - set(out)
-    if missing:
-        raise SystemExit(f"mutants: section markers not found: {sorted(missing)}")
-    return out
-
-
 def c_candidates() -> List[Mutant]:
-    text = (ROOT / C_SOURCE).read_text()
-    masked = C_MASK.sub(lambda m: " " * len(m.group()), text)
-    lines = text.splitlines()
     out = []
-    for section, span in c_sections(text).items():
-        for m in C_TOKEN.finditer(masked, span.start, span.stop):
+    for unit, kernel in C_UNITS.items():
+        path = NATIVE / unit
+        text = (ROOT / path).read_text()
+        masked = C_MASK.sub(lambda m: " " * len(m.group()), text)
+        lines = text.splitlines()
+        for m in C_TOKEN.finditer(masked):
             line = text.count("\n", 0, m.start()) + 1
             if m.group(1):
                 swaps = [C_OPS[m.group(1)]]
@@ -250,8 +236,8 @@ def c_candidates() -> List[Mutant]:
                 swaps = [str(value + 1)] + ([str(value - 1)] if value else [])
             for after in swaps:
                 out.append(Mutant(
-                    id="", lang="c", path=str(C_SOURCE), line=line,
-                    where=f"_replay_core.c:{line} ({section})",
+                    id="", lang="c", path=str(path), line=line,
+                    where=f"{unit}:{line} ({kernel})",
                     before=m.group(), after=after,
                     text=lines[line - 1].strip(), at=m.start(),
                 ))

@@ -29,11 +29,15 @@ behind the skips there.
 """
 
 import gc
+import hashlib
+import importlib.util
+import shutil
 import sys
 import types
 import warnings
 from array import array
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +78,7 @@ from lockstep import (
     state,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 BLOCKS = 2**10
 
 #: What an install without the extension memoises (see ``native_core``).
@@ -759,6 +764,45 @@ class TestDispatchPolicy:
         assert type(build_frontend("PC_X32", num_blocks=BLOCKS).backend) is (
             PathOramBackend
         )
+
+    def test_the_digest_covers_every_unit(self, tmp_path, monkeypatch):
+        """``SOURCE_DIGEST`` is over every ``.c`` unit and ``.h`` header
+        of the core, sorted by name, as ``setup.py`` stamps it: editing
+        any one of them makes a build stale, so a ``.so`` built before a
+        unit changed is never measured as current."""
+        native = Path(native_pkg.__file__).parent
+        units = sorted(p for p in native.iterdir() if p.suffix in (".c", ".h"))
+        assert native_pkg.source_files() == units
+        assert {"_replay_core.c", "_replay_core.h", "tree.c"} <= {
+            p.name for p in units
+        }
+        spelled = hashlib.sha256()
+        for path in units:
+            data = path.read_bytes()
+            spelled.update(f"{path.name}\0{len(data)}\0".encode())
+            spelled.update(data)
+        assert native_pkg.source_digest() == spelled.hexdigest()
+
+        copy = tmp_path / "native"
+        copy.mkdir()
+        for path in units:
+            shutil.copy2(path, copy / path.name)
+        pristine = native_pkg.source_digest(copy)
+        assert pristine == native_pkg.source_digest()
+        for path in units:
+            target = copy / path.name
+            data = target.read_bytes()
+            target.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
+            assert native_pkg.source_digest(copy) != pristine, path.name
+            target.write_bytes(data)
+        assert native_pkg.source_digest(copy) == pristine
+
+        monkeypatch.chdir(ROOT)  # setup.py's SOURCES are relative to it
+        spec = importlib.util.spec_from_file_location("repro_setup", ROOT / "setup.py")
+        setup_module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(setup_module)  # defines, does not run setup()
+        assert [ROOT / p for p in setup_module.SOURCES] == units
+        assert setup_module.source_digest(setup_module.SOURCES) == pristine
 
     @pytest.mark.parametrize(
         "state, words",
