@@ -107,7 +107,7 @@ class SweepInterrupted(ReproError):
 RESTORE_FAILURES = (ReproError, ValueError, KeyError, IndexError, BufferError)
 
 #: Exception types a fabric worker reports as an *ordinary* failed cell
-#: (one ``error`` frame, one charged attempt, retried/quarantined by the
+#: (one error reply, one charged attempt, retried/quarantined by the
 #: coordinator): the library's own errors, the data faults a corrupted
 #: spec/trace/cache can produce, and environmental failures (I/O,
 #: memory, arithmetic). Programming errors — TypeError, AttributeError,

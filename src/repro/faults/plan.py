@@ -28,25 +28,15 @@ Examples::
     fabric.worker.stall@*/*/1|secs=30   # every attempt-1 cell stalls 30 s
     cache.write.kill@result/replace#1   # die between tmp write and rename
     cache.entry.truncate@trace/*#1      # damage first trace entry read
-    fabric.rpc.crash@coordinator/recv/result#1  # drop connection on first result
-    rpc.timeout.crash@coordinator/send/lease#1  # first lease send times out
 
-Fabric sites: ``fabric.worker`` fires per executed cell
-(``label/bench/attempt``); ``fabric.rpc`` fires per protocol frame
-(``role/send|recv/type``), where a ``crash`` is surfaced as a dropped
-connection. The coordinator's heartbeat-timeout detection, lease
-reclaim and respawn turn all of these into one charged attempt on the
-affected cells — the same retry accounting a serial run uses.
-``rpc.timeout`` (same keys as ``fabric.rpc``) surfaces as an expired
-per-call deadline instead, so the coordinator's ``rpc_timeouts``
-counter and retry path can be asserted. A forked worker installs the
-plan afresh, so its counters restart in every process, respawns
-included: a ``#hits`` selector on a ``fabric.rpc`` / ``rpc.timeout``
-key that matches a worker's frame (:data:`WORKER_FRAMES`) would fire
-once in every fork, and is refused when the plan is parsed. A fault
-that must fire once keys on the coordinator's side
-(``coordinator/recv/result#1``) or, for ``fabric.worker``, on the
-attempt number; a worker-side key without ``#`` fires on every match.
+Fabric site: ``fabric.worker`` fires in a forked worker, and only there,
+before each cell it runs (``label/bench/attempt``). A ``crash`` there
+is a cell error, an ``exit`` the worker's death and a ``stall`` past the
+cell timeout a killed worker; each is one charged attempt on that cell
+alone — the same retry accounting a serial run uses. A forked worker
+installs the plan afresh, so its counters restart in every process,
+respawns included: a fault that must fire once keys on the attempt
+number.
 
 Sweep sites: ``cell`` fires per cell attempt (``label/bench/attempt``)
 and ``sweep`` after each finished cell (``label/bench``); the store's
@@ -74,15 +64,7 @@ from repro.errors import FaultKillPoint, InjectedFault, SpecError
 _ACTIONS = ("crash", "exit", "stall", "interrupt", "kill", "corrupt", "truncate")
 
 #: Every site a hook fires at; a plan may name no other.
-SITES = (
-    "cell", "sweep", "cache.entry", "cache.write", "fabric.worker",
-    "fabric.rpc", "rpc.timeout",
-)
-
-#: The protocol frames a forked worker sends and receives (``role/send|recv/type``).
-WORKER_FRAMES = tuple(
-    f"worker/send/{kind}" for kind in ("need", "result", "error", "heartbeat")
-) + tuple(f"worker/recv/{kind}" for kind in ("lease", "shutdown"))
+SITES = ("cell", "sweep", "cache.entry", "cache.write", "fabric.worker")
 
 #: Actions that damage the file passed to the hook rather than raising.
 _FILE_ACTIONS = ("corrupt", "truncate")
@@ -252,18 +234,6 @@ def _parse_entry(entry: str) -> FaultSpec:
             raise SpecError(f"fault hits must be integers: {hits_text!r}") from None
         if any(h < 1 for h in hits):
             raise SpecError(f"fault hits are 1-based: {hits_text!r}")
-        frame = site in ("fabric.rpc", "rpc.timeout") and next(
-            (f for f in WORKER_FRAMES if fnmatch.fnmatchcase(f, keypat or "*")),
-            None,
-        )
-        if frame:
-            raise SpecError(
-                f"fault entry {entry!r}: its key matches the worker frame "
-                f"{frame!r}, and every forked worker (respawns included) "
-                f"counts '#' hits afresh, so it would fire once per fork; "
-                f"key it on the coordinator side (coordinator/send|recv/...) "
-                f"or drop the '#'"
-            )
     return FaultSpec(site=site, action=action, key=keypat or "*", hits=hits, params=params)
 
 

@@ -22,7 +22,7 @@ class RetryPolicy:
     factor: float = 2.0
     #: Ceiling on any single delay.
     max_backoff: float = 2.0
-    #: Seconds a leased cell may run before its fabric worker is reclaimed
+    #: Seconds a forked cell may run before its fabric worker is killed
     #: and respawned (the serial driver cannot preempt a running cell).
     #: None (or 0) = no timeout.
     timeout: Optional[float] = None

@@ -18,9 +18,9 @@ The grammar, for all of them:
   false word (no cache), a true word (the per-user default location) or a
   path (``~`` is expanded where the store is opened); ``REPRO_NATIVE``
   takes them beside ``require``;
-  ``REPRO_RPC_TIMEOUT`` and ``REPRO_CELL_TIMEOUT`` take a false word, or
-  any number that is not positive, for "no deadline", and seconds up to
-  ``threading.TIMEOUT_MAX`` (what ``socket.settimeout`` takes) otherwise;
+  ``REPRO_CELL_TIMEOUT`` takes a false word, or any number that is not
+  positive, for "no deadline", and seconds up to ``threading.TIMEOUT_MAX``
+  (the longest timeout Python's waits take) otherwise;
 - anything else raises :class:`~repro.errors.ConfigurationError` naming
   the variable, the value and what the variable accepts — a typo never
   silently selects a default.
@@ -100,7 +100,7 @@ def _deadline(text: str) -> Optional[float]:
         return None
     accepts = f"seconds up to {threading.TIMEOUT_MAX:.0f} (0 or off: no deadline)"
     seconds = _number(float, accepts)(text)
-    if seconds > threading.TIMEOUT_MAX:  # socket.settimeout's own bound
+    if seconds > threading.TIMEOUT_MAX:  # the longest a lock or thread waits
         raise ValueError(accepts)
     return seconds if seconds > 0 else None
 
@@ -166,12 +166,8 @@ class Settings:
     )
     cell_timeout: Optional[float] = _var(
         "REPRO_CELL_TIMEOUT", _deadline, None,
-        "seconds a leased cell may run before its worker is reclaimed "
+        "seconds a forked cell may run before its worker is killed "
         "(0 or off: no limit)",
-    )
-    rpc_timeout: Optional[float] = _var(
-        "REPRO_RPC_TIMEOUT", _deadline, 30.0,
-        "fabric per-call deadline, seconds (0 or off: none)",
     )
     faults: str = _var(
         "REPRO_FAULTS", str, "",

@@ -51,7 +51,7 @@ class SimResult:
 
     def to_dict(self) -> Dict[str, object]:
         """The plain dict of the fields, in declaration order: what the
-        result store, the sweep report and the fabric's wire all carry
+        result store and the sweep report carry
         (``SimResult(**d)`` is the inverse). Every field is a scalar, so
         reading them is the whole copy ``dataclasses.asdict`` would make.
         """

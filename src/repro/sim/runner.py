@@ -103,7 +103,7 @@ class Cell:
     """One unit of work: a benchmark replayed against one sized scheme.
 
     ``key`` is the cell's result-store address (see
-    :meth:`SimulationRunner.result_key`) — also its fabric task id.
+    :meth:`SimulationRunner.result_key`).
     ``spec`` is the scheme sized for the benchmark; ``None`` is the
     insecure-DRAM baseline (``label == "insecure"``).
     Picklable and self-contained: a worker needs neither the scheme
@@ -116,7 +116,7 @@ class Cell:
     spec: Optional[SchemeSpec]
 
     def task(self, misses: int) -> Dict[str, object]:
-        """The fabric lease task that computes this cell at ``misses``."""
+        """The fabric task that computes this cell at ``misses``."""
         return {
             "id": self.key,
             "label": self.label,
@@ -524,10 +524,10 @@ class SimulationRunner:
         and the coordinator gets the cold ones as its tasks. Missing
         traces are synthesised here first; the forks inherit them with
         this runner and its own stores (none when it has none), so
-        workers only replay and send each result back in a frame. Every
-        task derives its RNG from the runner seed alone (never from
-        scheduling), so parallel results are bitwise identical to the
-        serial path. ``progress`` is invoked once per cell, as it
+        workers only replay, one cell at a time, and send each result
+        back over their pipe. Every task derives its RNG from the
+        runner seed alone (never from scheduling), so parallel results
+        are bitwise identical to the serial path. ``progress`` is invoked once per cell, as it
         completes, with (scheme label, benchmark, result, cached). After
         a call, ``self.fabric_stats`` is its coordinator's ``stats()``,
         or None when it needed none.
@@ -535,10 +535,10 @@ class SimulationRunner:
         Self-healing: a cell that raises is re-dispatched under ``retry``
         (default :meth:`RetryPolicy.from_settings`) — serially with
         exponential backoff; on the fabric a dead worker is respawned, and
-        one whose cell runs longer than ``retry.timeout`` is reclaimed and
-        respawned. A cell that fails every attempt is quarantined into
-        ``failures`` (and omitted from the returned mapping) when a list
-        is supplied; with ``failures=None`` its last error propagates —
+        one whose cell runs longer than ``retry.timeout`` is killed and
+        respawned, either charging the one cell it held. A cell that
+        fails every attempt is quarantined into ``failures`` (and
+        omitted from the returned mapping) when a list is supplied; with ``failures=None`` its last error propagates —
         on the fabric rebuilt from the worker's report, with the same type
         whenever that is one of :data:`~repro.errors.CELL_FAILURES`.
         """

@@ -18,8 +18,8 @@ again loads every cell stored before the interrupt. The rules are the
 same for both kinds:
 
 - entries are written atomically (unique temp file + ``os.replace``), so
-  a crashed or concurrent writer — threads of the fabric coordinator,
-  separate worker processes racing one stolen cell — never leaves a
+  a crashed or concurrent writer — a fabric worker killed mid-write,
+  the re-forked worker that runs its cell again — never leaves a
   half-written entry visible, and same-key racers leave one valid image
   (content-addressing makes all of them identical);
 - an entry that was read but does not decode — corrupt, truncated,
@@ -57,8 +57,8 @@ from repro.sim.metrics import SimResult
 RESULT_SCHEMA_VERSION = 3
 
 #: Per-process sequence for temp-file names: combined with the pid it
-#: makes concurrent writers — threads of one process (fabric coordinator)
-#: and separate worker processes alike — never collide on a temp path,
+#: makes concurrent writers — threads of one process and separate
+#: forked worker processes alike — never collide on a temp path,
 #: so the atomic-rename discipline holds under any write race.
 _TMP_SEQ = itertools.count()
 

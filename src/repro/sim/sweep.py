@@ -8,9 +8,10 @@ cartesian product into sized ``SchemeSpec`` points and drives them, one
 way, through :meth:`~repro.sim.runner.SimulationRunner.execute` — so
 sweeps inherit the whole experiment engine for free: on-disk trace/result
 caching (warm-cache sweeps replay nothing, an interrupted sweep is
-finished by running it again), fan-out over forked fabric workers bitwise
-identical to serial, and per-cell progress streaming. A serving scenario
-is not a sweep point; it is one ``python -m repro serve`` run.
+finished by running it again), fan-out over a pool of forked workers,
+one cell each at a time, bitwise identical to serial, and per-cell
+progress streaming. A serving scenario is not a sweep point; it is one
+``python -m repro serve`` run.
 
 The report is plain data (JSON-safe), deterministic in content *and*
 order regardless of worker count or cache temperature::
@@ -303,10 +304,11 @@ def run_sweep(
     guarantee.
 
     Every combo is two :meth:`SimulationRunner.execute` calls, scheme
-    cells then baselines, with ``workers`` (above 1, a fabric of that
-    many forked workers per call that has two or more cold scheme
-    cells); ``report["resilience"]["fabric"]`` sums the calls'
-    coordinator counters (absent when no call needed a coordinator).
+    cells then baselines, with ``workers`` (above 1, a pool of that
+    many forked workers, each running one cell at a time, per call that
+    has two or more cold scheme cells); ``report["resilience"]["fabric"]``
+    sums the calls' coordinator counters (absent when no call needed
+    a coordinator).
     ``executor=FabricExecutor(coordinator)`` runs every call on that
     started coordinator instead (``workers`` is then ignored), and its
     ``stats()`` are ``resilience["fabric"]``. The report is bit-identical

@@ -99,10 +99,10 @@ class TestHelp:
         assert captured.out == ""
 
     def test_an_oversized_deadline_exits_2_naming_it(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_RPC_TIMEOUT", "1e300")
+        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "1e300")
         assert main(["list"]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("REPRO_RPC_TIMEOUT='1e300': expected ")
+        assert captured.err.startswith("REPRO_CELL_TIMEOUT='1e300': expected ")
 
 
 class TestRemovedFabricFlags:
@@ -172,7 +172,7 @@ _paths = (
     .filter(lambda text: text == text.strip() and text.lower() not in _WORDS)
 )
 _seconds = st.floats(min_value=0, allow_nan=False, allow_infinity=False)
-#: A deadline: positive, and no longer than ``socket.settimeout`` takes.
+#: A deadline: positive, and no longer than a Python wait takes.
 _deadlines = st.floats(
     min_value=0, max_value=threading.TIMEOUT_MAX, exclude_min=True
 )
@@ -187,7 +187,6 @@ _settings = st.builds(
     retries=st.integers(min_value=1),
     retry_base=_seconds,
     cell_timeout=st.none() | _deadlines,
-    rpc_timeout=st.none() | _deadlines,
     faults=st.text(st.characters(blacklist_categories=["Cs"])).map(str.strip),
 )
 

@@ -1,55 +1,39 @@
-"""Fabric lockstep: distributed sweeps equal the local golden, byte for byte.
+"""Fabric lockstep: sweeps on forked workers equal the local golden, byte for byte.
 
 The acceptance property of the sweep fabric mirrors the fault plane's:
-for every scheduling event the coordinator can produce — work stealing,
-worker connection loss, heartbeat silence, forked-worker death and
-respawn, Ctrl-C + re-run across topologies — the completed report is
-bit-identical to a fault-free local run at the same seed. Only the
-``resilience`` accounting block (which carries the fabric counters) may
-differ. Protocol framing gets unit coverage here too, since every
-distributed guarantee rests on it.
-
-Schedules that depend on time — stealing from a straggler, heartbeat
-silence, the cell timeout, an empty fabric, attempt accounting — run in
-virtual time through ``fabric_schedule.Schedule``: scripted frames and
-clock values fed to the coordinator's decision code, with no socket,
-process or sleep. Real forked workers run the lockstep and smoke tests.
+for every event the pool can meet — a cell error, a worker's death and
+respawn, a cell past the cell timeout, Ctrl-C + re-run across
+topologies — the completed report is bit-identical to a fault-free
+local run at the same seed. Only the ``resilience`` accounting block
+(which carries the fabric counters) may differ. Every pool test here
+runs real forked workers: a fork costs ~2 ms, so no schedule needs
+faking; a worker's loop and its error rebuilding are also driven
+in-process, over a pipe.
 """
 
-import ast
 import contextlib
 import inspect
-import json
+import multiprocessing
 import re
-import socket
-import struct
 import threading
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import repro
 
-from repro.errors import FabricError, SweepInterrupted
-from repro.fabric import (
-    FabricCoordinator,
-    FabricExecutor,
-    FabricWorker,
-    ProtocolError,
-    recv_message,
-    send_message,
+from repro import errors
+from repro.errors import CELL_FAILURES, FabricError, SweepInterrupted
+from repro.fabric import FabricCoordinator, FabricExecutor
+from repro.fabric import coordinator as coordinator_module
+from repro.fabric.coordinator import (
+    COUNTERS, RESPAWNS_PER_WORKER, _cell_error, _serve,
 )
-from repro.fabric.coordinator import COUNTERS, HEARTBEAT_TIMEOUT
-from repro.fabric.protocol import MAX_MESSAGE_BYTES, FrameDecoder
-from repro.fabric.worker import HEARTBEAT_INTERVAL
 from repro.faults import injected
 from repro.resilience import RetryPolicy
 from repro.sim.runner import SimulationRunner
 from repro.sim.sweep import SweepSpec, run_sweep, sweep_table
-
-from fabric_schedule import Schedule, result_payload, task
 
 SRC = Path(repro.__file__).resolve().parent
 BENCHES = ("gob", "hmmer")
@@ -88,166 +72,14 @@ def _fabric(runner, n_workers=2):
 
     A plan for the workers rides ``REPRO_FAULTS`` (``monkeypatch.setenv``):
     each child installs it afresh, so its counters restart per process,
-    respawns included. A plan installed here with ``injected`` is
-    inherited by the forks too; it is how a fault on the coordinator's
-    side of a frame is planted.
+    respawns included.
     """
     with FabricCoordinator(runner, spawn=n_workers) as coordinator:
         yield coordinator, FabricExecutor(coordinator)
 
 
-def _frame(payload: bytes) -> bytes:
-    return struct.pack(">I", len(payload)) + payload
-
-
-class TestProtocol:
-    def test_send_recv_round_trip(self):
-        a, b = socket.socketpair()
-        try:
-            send_message(a, {"type": "lease", "tasks": [{"id": "k"}], "n": 1})
-            assert recv_message(b) == {
-                "type": "lease",
-                "tasks": [{"id": "k"}],
-                "n": 1,
-            }
-        finally:
-            a.close()
-            b.close()
-
-    def test_clean_eof_at_frame_boundary_is_none(self):
-        a, b = socket.socketpair()
-        try:
-            send_message(a, {"type": "need"})
-            a.close()
-            assert recv_message(b) == {"type": "need"}
-            assert recv_message(b) is None  # orderly shutdown, not an error
-        finally:
-            b.close()
-
-    def test_midframe_eof_is_a_protocol_error(self):
-        a, b = socket.socketpair()
-        try:
-            a.sendall(struct.pack(">I", 100) + b'{"type":')  # truncated body
-            a.close()
-            with pytest.raises(ProtocolError):
-                recv_message(b)
-        finally:
-            b.close()
-
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            b"{not json",  # malformed
-            b"[1, 2]",  # not an object
-            b'{"n": 1}',  # object without a type
-        ],
-    )
-    def test_bad_frames_are_protocol_errors(self, payload):
-        a, b = socket.socketpair()
-        try:
-            a.sendall(_frame(payload))
-            with pytest.raises(ProtocolError):
-                recv_message(b)
-        finally:
-            a.close()
-            b.close()
-
-    def test_oversize_frame_refused_before_allocation(self):
-        a, b = socket.socketpair()
-        try:
-            a.sendall(struct.pack(">I", MAX_MESSAGE_BYTES + 1))
-            with pytest.raises(ProtocolError, match="exceeds"):
-                recv_message(b)
-        finally:
-            a.close()
-            b.close()
-
-    @pytest.mark.parametrize(
-        "message",
-        [
-            {"type": "need"},
-            {"type": "lease", "tasks": [dict(task("P_X16"), attempt=1)]},
-            {"type": "shutdown"},
-            {"type": "result", "id": "P_X16/gob",
-             "result": result_payload(task("P_X16"))},
-            {"type": "error", "id": "P_X16/gob", "error": "InjectedFault: x"},
-            {"type": "heartbeat", "n": 3},
-        ],
-        ids=["need", "lease", "shutdown", "result", "error", "heartbeat"],
-    )
-    def test_every_message_type_reads_back_on_both_readers(self, message):
-        """What a worker's ``recv_message`` and the coordinator's
-        ``FrameDecoder`` read is what was sent, for each message type."""
-        a, b = socket.socketpair()
-        try:
-            send_message(a, message, "worker")
-            send_message(a, message, "coordinator")
-            assert recv_message(b, "worker") == message
-            decoder = FrameDecoder("coordinator")
-            got = []
-            while not got:
-                got.extend(decoder.feed(b.recv(1 << 16)))
-            assert got == [message]
-        finally:
-            a.close()
-            b.close()
-
-    def test_injected_rpc_faults_surface_as_protocol_errors(self):
-        a, b = socket.socketpair()
-        try:
-            with injected("fabric.rpc.crash@peer/send/need#1") as plan:
-                with pytest.raises(ProtocolError):
-                    send_message(a, {"type": "need"})
-            assert plan.fired
-            send_message(a, {"type": "need"})  # plan cleared: flows again
-            with injected("fabric.rpc.crash@peer/recv/need#1"):
-                with pytest.raises(ProtocolError):
-                    recv_message(b)
-        finally:
-            a.close()
-            b.close()
-
-
-class TestFrameDecoder:
-    """The coordinator's incremental framing equals ``recv_message``'s."""
-
-    def test_frames_cut_at_any_byte_boundary(self):
-        messages = [{"type": "need"}, {"type": "result", "id": "k", "n": [1, 2]}]
-        stream = b"".join(
-            _frame(json.dumps(m, sort_keys=True).encode()) for m in messages
-        )
-        for step in (1, 3, 7, len(stream)):
-            decoder = FrameDecoder()
-            got = [
-                message
-                for at in range(0, len(stream), step)
-                for message in decoder.feed(stream[at:at + step])
-            ]
-            assert got == messages
-            assert list(decoder.feed(b"")) == []  # clean end-of-file
-
-    def test_eof_inside_a_frame_is_a_protocol_error(self):
-        decoder = FrameDecoder()
-        assert list(decoder.feed(struct.pack(">I", 100) + b'{"type":')) == []
-        with pytest.raises(ProtocolError, match="mid-frame"):
-            list(decoder.feed(b""))
-
-    def test_frames_before_a_bad_one_are_delivered(self):
-        decoder = FrameDecoder()
-        got = []
-        with pytest.raises(ProtocolError, match="exceeds"):
-            for message in decoder.feed(
-                _frame(b'{"type": "need"}') + struct.pack(">I", MAX_MESSAGE_BYTES + 1)
-            ):
-                got.append(message)
-        assert got == [{"type": "need"}]
-
-    def test_receive_faults_fire_per_frame(self):
-        decoder = FrameDecoder("coordinator")
-        with injected("fabric.rpc.crash@coordinator/recv/result#1") as plan:
-            with pytest.raises(ProtocolError, match="injected"):
-                list(decoder.feed(_frame(b'{"type": "result"}')))
-        assert plan.fired
+def _exitcodes(coordinator):
+    return [worker.proc.exitcode for worker in coordinator._workers]
 
 
 class TestFabricLockstep:
@@ -260,10 +92,9 @@ class TestFabricLockstep:
         assert sweep_table(report) == sweep_table(golden)
         fabric = report["resilience"]["fabric"]
         assert fabric["workers_joined"] == 2
-        assert fabric["reconnects"] == 0  # no worker can redial
-        # 8 grid cells + 2 insecure baselines, all cold.
-        assert fabric["completed"] == 10
-        assert fabric["errors"] == 0
+        # 8 grid cells + 2 insecure baselines, all cold, one task each.
+        assert fabric["completed"] == fabric["dispatched"] == 10
+        assert fabric["errors"] == fabric["dead"] == 0
 
     def test_warm_cells_served_from_cache_not_fabric(self, tmp_path):
         runner = _runner(tmp_path, "w")
@@ -275,65 +106,17 @@ class TestFabricLockstep:
         assert fabric["dispatched"] == 0  # every cell was content-addressed
         assert _strip(report) == _strip(golden)
 
-    def test_worker_connection_drop_heals_bit_identical(self, tmp_path):
+    def test_a_cell_error_is_charged_not_a_death(self, tmp_path, monkeypatch):
         golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
-        runner = _runner(tmp_path, "d")
-        # The first result frame the coordinator receives dies on the
-        # wire; that worker's connection drops, its lease is reclaimed and
-        # it is re-forked. The plan counts in this process only: a
-        # worker's counters would restart in every respawn.
-        with injected("fabric.rpc.crash@coordinator/recv/result#1") as plan:
-            with _fabric(runner, n_workers=2) as (coordinator, executor):
-                report = run_sweep(_sweep(), runner, executor=executor)
-        assert plan.fired
+        monkeypatch.setenv("REPRO_FAULTS", "fabric.worker.crash@P_X16*/gob/1")
+        runner = _runner(tmp_path, "e")
+        with _fabric(runner, n_workers=2) as (coordinator, executor):
+            report = run_sweep(_sweep(), runner, executor=executor)
         fabric = report["resilience"]["fabric"]
-        assert fabric["dead"] == fabric["respawned"] == 1
-        assert fabric["reclaimed"] >= 1
+        assert fabric["errors"] == 2  # both P_X16/gob cells, attempt 1
+        assert fabric["dead"] == fabric["respawned"] == 0
+        assert _exitcodes(coordinator) == [0, 0]
         assert _strip(report) == _strip(golden)
-        assert sweep_table(report) == sweep_table(golden)
-
-    def test_stalled_worker_cell_is_stolen(self):
-        """A cell that stalls while its worker keeps beating is stolen.
-
-        Heartbeats keep the stalled worker alive through a minute of
-        virtual time, so only stealing can finish the call; the stalled
-        copy's late result changes nothing.
-        """
-        with Schedule() as s:
-            a, b = s.join(), s.join()
-            s.begin([task("P_X16"), task("PC_X32")])
-            (stalled,) = a.todo
-            s.finish(b)  # b goes idle with the queue empty: it steals
-            assert b.todo == [stalled]
-            s.tick(60.0, a, b)
-            assert not s.done
-            s.finish(b)
-            assert s.done and s.completed == ["PC_X32/gob", "P_X16/gob"]
-            s.finish(a)
-            assert s.counters["completed"] == 2
-            assert s.counters["stolen"] == 1
-            assert s.counters["timeouts"] == s.counters["dead"] == 0
-
-    def test_heartbeat_silence_reclaims_and_heals(self):
-        """A worker that goes dark is declared dead once, while polling.
-
-        Its lease is reclaimed at the next attempt number and leased to
-        the survivor as soon as that one asks for work.
-        """
-        with Schedule() as s:
-            a, b = s.join(), s.join()
-            s.begin([task("P_X16"), task("PC_X32")])
-            (lost,) = a.todo
-            s.tick(HEARTBEAT_TIMEOUT, b)  # silent for exactly the limit
-            assert a.alive
-            s.tick(HEARTBEAT_INTERVAL, b)
-            assert not a.alive and a.closed
-            assert s.counters["timeouts"] == s.counters["dead"] == 1
-            assert s.counters["reclaimed"] == 1
-            s.finish(b)
-            assert b.todo == [dict(lost, attempt=2)]
-            s.finish(b)
-            assert s.done and sorted(s.completed) == ["PC_X32/gob", "P_X16/gob"]
 
     def test_exhausted_retries_quarantine_not_abort(self, tmp_path, monkeypatch):
         runner = _runner(tmp_path, "q")
@@ -353,298 +136,507 @@ class TestFabricLockstep:
         assert all(q["attempts"] == 2 for q in quarantined)
         assert all("InjectedFault" in q["error"] for q in quarantined)
         # The healthy cells all completed despite the quarantine.
-        assert report["resilience"]["fabric"]["errors"] >= 2
+        assert report["resilience"]["fabric"]["errors"] == 4
 
-    def test_no_live_worker_is_a_clear_fabric_error(self):
-        with Schedule() as s:
-            s.begin([task("P_X16")])
-            with pytest.raises(FabricError, match="no live fabric worker"):
-                s.coordinator._check_liveness(s.now)
 
-    def test_the_last_death_without_budget_fails_at_once(self):
-        """Two workers die with no respawn left: the same turn raises.
+class TestDeaths:
+    SCHEMES = ["P_X16", "PC_X32", "PI_X8", "PIC_X32"]
 
-        Nothing can introduce another worker, so there is nothing to
-        wait for; the clock never moves.
+    def test_a_death_is_charged_to_its_own_cell_only(self, tmp_path, monkeypatch):
+        """Every attempt of one cell kills its worker; nothing else is charged.
+
+        Eight cells on two workers: the killing cell is quarantined after
+        its last attempt, each death reclaims that cell alone, and every
+        other cell equals its serial result.
         """
-        with Schedule() as s:
-            a, b = s.join(), s.join()
-            s.begin([task("P_X16"), task("PC_X32")])
-            s.feed(a, None)
-            s.coordinator._check_liveness(s.now)  # b still runs its lease
-            s.feed(b, None)
-            assert s.counters["dead"] == 2 and s.counters["respawned"] == 0
-            with pytest.raises(FabricError, match="respawn budget spent"):
-                s.coordinator._check_liveness(s.now)
-            assert s.now == 0.0
+        serial_runner = _runner(tmp_path, "g")
+        cells = serial_runner.cells(self.SCHEMES, BENCHES)
+        assert len(cells) >= 8
+        serial = serial_runner.execute(cells)
+        monkeypatch.setenv("REPRO_FAULTS", "fabric.worker.exit@P_X16/gob/*")
+        runner = _runner(tmp_path, "k")
+        retry = RetryPolicy(attempts=3, backoff=0.0)
+        failures = []
+        out = runner.execute(
+            runner.cells(self.SCHEMES, BENCHES), workers=2, retry=retry,
+            failures=failures,
+        )
+        assert [(f["scheme"], f["benchmark"], f["attempts"]) for f in failures] == [
+            ("P_X16", "gob", retry.attempts)
+        ]
+        assert "exited with code 17" in failures[0]["error"]
+        stats = runner.fabric_stats
+        assert stats["reclaimed"] == stats["dead"] == retry.attempts
+        killed = next(c.key for c in cells if (c.label, c.bench) == ("P_X16", "gob"))
+        assert out == {key: r for key, r in serial.items() if key != killed}
 
-    def test_a_death_is_respawned_while_budget_remains(self):
-        with Schedule(respawns=1) as s:
-            a = s.join()
-            s.begin([task("P_X16")])
-            s.feed(a, None)
-            (fresh,) = s.adopt()
-            assert fresh.todo == [dict(task("P_X16"), attempt=2)]
-            s.feed(fresh, None)
-            assert not s.forked
-            with pytest.raises(FabricError, match="2 forked"):
-                s.coordinator._check_liveness(s.now)
+    def test_worker_process_death_respawns_and_heals(self, tmp_path, monkeypatch):
+        """One worker hard-exits mid-cell; its cell reruns, the report heals."""
+        golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
+        monkeypatch.setenv("REPRO_FAULTS", "fabric.worker.exit@*/gob/1#1")
+        runner = _runner(tmp_path, "k")
+        with _fabric(runner, n_workers=2) as (coordinator, executor):
+            report = run_sweep(_sweep(), runner, executor=executor)
+        fabric = report["resilience"]["fabric"]
+        assert fabric["dead"] == fabric["respawned"] == fabric["reclaimed"] >= 1
+        assert _strip(report) == _strip(golden)
+        assert sweep_table(report) == sweep_table(golden)
 
+    def test_a_programming_error_kills_the_worker(self, tmp_path, monkeypatch):
+        """Only CELL_FAILURES come back as errors; a bug is a death."""
 
-class TestLiveness:
-    """Every worker is forked and introduced at fork: none left is final."""
+        def broken(self, cell, attempt=1, **kw):
+            raise TypeError("a bug in the cell path")
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_the_turn_that_finds_every_worker_dead_raises(self, workers):
-        with Schedule() as s:
-            conns = [s.join() for _ in range(workers)]
-            s.begin([task(f"S{i}") for i in range(workers)])
-            for conn in conns:
-                s.feed(conn, None)
-            assert s.counters["dead"] == workers
+        runner = _runner(tmp_path, "b")
+        cells = runner.cells(SCHEMES, ["gob"])
+        monkeypatch.setattr(SimulationRunner, "run_cell", broken)  # forks inherit it
+        failures = []
+        with FabricCoordinator(runner, spawn=1) as coordinator:
+            coordinator.execute(
+                [cell.task(MISSES) for cell in cells],
+                retry=RetryPolicy(attempts=1), failures=failures,
+            )
+        assert [f["scheme"] for f in failures] == SCHEMES
+        assert all("exited with code 1" in f["error"] for f in failures)
+        assert coordinator.counters["errors"] == 0
+        assert coordinator.counters["dead"] == 2
+
+    @pytest.mark.parametrize("spawn", [1, 2, 3])
+    def test_the_last_death_without_budget_raises(self, tmp_path, monkeypatch, spawn):
+        """Every fork dies: once the shared respawn budget is spent and the
+        last worker is gone, a FabricError, however many were forked."""
+        monkeypatch.setenv("REPRO_FAULTS", "fabric.worker.exit@*")
+        runner = _runner(tmp_path, "x")
+        (cell,) = runner.cells(["P_X16"], ["gob"])
+        forks = spawn * (1 + RESPAWNS_PER_WORKER)
+        with FabricCoordinator(runner, spawn=spawn) as coordinator:
             with pytest.raises(
-                FabricError, match=rf"\({workers} forked, respawn budget spent\)"
+                FabricError, match=rf"\({forks} forked, respawn budget spent\)"
             ):
-                s.coordinator._check_liveness(s.now)
-            assert s.now == 0.0
+                coordinator.execute(
+                    [cell.task(MISSES)], retry=RetryPolicy(attempts=forks + 1),
+                )
+        assert coordinator.counters["dead"] == forks
+        assert coordinator.stats()["workers_live"] == 0
 
-    def test_an_empty_fabric_fails_only_a_call_with_cells(self):
-        with Schedule() as s:
-            a = s.join()
-            s.feed(a, None)
-            s.coordinator._check_liveness(s.now)  # nothing open: nothing to fail
-            s.begin([task("P_X16")])
+    def test_an_empty_fabric_fails_only_a_call_with_cells(self, tmp_path):
+        runner = _runner(tmp_path, "n")
+        (cell,) = runner.cells(["P_X16"], ["gob"])
+        with FabricCoordinator(runner, spawn=0) as coordinator:
+            coordinator.execute([])  # nothing open: nothing to fail
             with pytest.raises(FabricError, match="no live fabric worker"):
-                s.coordinator._check_liveness(s.now)
+                coordinator.execute([cell.task(MISSES)])
+
+    def test_a_worker_dead_while_idle_is_replaced_uncharged(self, tmp_path):
+        runner = _runner(tmp_path, "i")
+        cells = runner.cells(SCHEMES, ["gob"])
+        serial = _runner(tmp_path, "s").execute(cells)
+        with FabricCoordinator(runner, spawn=1) as coordinator:
+            (worker,) = coordinator._workers
+            worker.proc.kill()
+            worker.proc.join(timeout=10)
+            assert worker.proc.exitcode is not None
+            seen = {}
+            coordinator.execute(
+                [cell.task(MISSES) for cell in cells],
+                progress=lambda label, bench, result, cached: seen.update(
+                    {(label, bench): result}
+                ),
+            )
+        assert coordinator.counters["dead"] == coordinator.counters["respawned"] == 1
+        assert coordinator.counters["reclaimed"] == 0
+        assert seen == {(c.label, c.bench): serial[c.key] for c in cells}
+
+
+class TestReclaim:
+    """A charged cell runs next at the following attempt, in serial order."""
+
+    @pytest.mark.parametrize("failing", [1, 2, 3])
+    @pytest.mark.parametrize("action", ["crash", "exit"])
+    def test_each_attempt_is_charged_once_and_none_is_skipped(
+        self, tmp_path, monkeypatch, action, failing
+    ):
+        """P_X16/gob fails its first ``failing`` attempts, as an error
+        (``crash``) or a death (``exit``). Every worker logs each key it
+        passes the ``fabric.worker`` site with: the cell's attempts come
+        once each, in order, and stop at its success or at the last one.
+        """
+        retry = RetryPolicy(attempts=3, backoff=0.0)
+        serial_runner = _runner(tmp_path, "g")
+        serial = serial_runner.execute(serial_runner.cells(SCHEMES, BENCHES))
+        log = tmp_path / "attempts.log"
+        real_hook = coordinator_module.fault_hook
+
+        def logging_hook(site, key="", path=None):
+            with log.open("a", encoding="utf-8") as out:
+                out.write(key + "\n")
+            real_hook(site, key, path)
+
+        monkeypatch.setattr(coordinator_module, "fault_hook", logging_hook)
+        attempts = "".join(str(n) for n in range(1, failing + 1))
+        monkeypatch.setenv("REPRO_FAULTS", f"fabric.worker.{action}@P_X16/gob/[{attempts}]")
+        runner = _runner(tmp_path, "r")
+        cells = runner.cells(SCHEMES, BENCHES)
+        failures = []
+        out = runner.execute(cells, workers=2, retry=retry, failures=failures)
+
+        seen = [key for key in log.read_text("utf-8").split() if key.startswith("P_X16/gob/")]
+        last = min(failing + 1, retry.attempts)
+        assert seen == [f"P_X16/gob/{n}" for n in range(1, last + 1)]
+        stats = runner.fabric_stats
+        charged = stats["errors"] if action == "crash" else stats["reclaimed"]
+        assert charged == failing
+        assert stats["dead"] == (failing if action == "exit" else 0)
+        killed = next(c.key for c in cells if (c.label, c.bench) == ("P_X16", "gob"))
+        if failing < retry.attempts:
+            assert failures == [] and out == serial
+        else:
+            assert [(f["scheme"], f["attempts"]) for f in failures] == [("P_X16", 3)]
+            assert out == {key: r for key, r in serial.items() if key != killed}
+
+
+class TestServe:
+    """A worker's loop, driven in this process over a pipe of its own."""
+
+    def _replies(self, runner, *tasks):
+        """Send ``tasks`` (at attempt 1 unless they say) then ``None``;
+        serve them; read every reply."""
+        ours, theirs = multiprocessing.Pipe()
+        for task in tasks:
+            ours.send({"attempt": 1, **task})
+        ours.send(None)
+        _serve(theirs, runner)
+        return [ours.recv() for _ in tasks]
+
+    def test_a_task_is_run_with_the_inherited_runner(self, tmp_path):
+        runner = _runner(tmp_path, "w")
+        (cell,) = runner.cells(["P_X16"], ["gob"])
+        expected = _runner(tmp_path, "s").run_cell(cell)
+        assert self._replies(runner, cell.task(MISSES)) == [(expected, None)]
+        assert runner.result_cache.load(cell.key) == expected  # stored before sent
+
+    def test_each_task_gets_one_reply_in_order_until_none(self, tmp_path):
+        runner = _runner(tmp_path, "o")
+        cells = runner.cells(SCHEMES, BENCHES)
+        serial = _runner(tmp_path, "s").execute(cells)
+        replies = self._replies(runner, *(cell.task(MISSES) for cell in cells))
+        assert replies == [(serial[cell.key], None) for cell in cells]
+
+    def test_end_of_file_before_any_task_returns(self, tmp_path):
+        ours, theirs = multiprocessing.Pipe()
+        ours.close()
+        assert _serve(theirs, _runner(tmp_path, "e")) is None
+
+    def test_a_closed_coordinator_end_after_the_task_returns_quietly(self, tmp_path):
+        """The coordinator closed while the cell ran: the reply cannot be
+        sent, and the result is in the store all the same."""
+        runner = _runner(tmp_path, "c")
+        (cell,) = runner.cells(["P_X16"], ["gob"])
+        ours, theirs = multiprocessing.Pipe()
+        ours.send(dict(cell.task(MISSES), attempt=1))
+        ours.close()
+        assert _serve(theirs, runner) is None
+        assert runner.result_cache.load(cell.key) is not None
+
+    @pytest.mark.parametrize("kind", CELL_FAILURES, ids=lambda kind: kind.__name__)
+    def test_a_cell_failure_is_an_error_reply_not_a_death(
+        self, tmp_path, monkeypatch, kind
+    ):
+        """Each of CELL_FAILURES is one ``"Type: message"`` reply, and the
+        loop goes on to serve the next task."""
+        runner = _runner(tmp_path, "f")
+        cells = runner.cells(SCHEMES, ["gob"])
+        real = SimulationRunner.run_cell
+
+        def failing_first(self, cell, attempt=1, **kw):
+            if cell.label == SCHEMES[0]:
+                raise kind("boom")
+            return real(self, cell, attempt, **kw)
+
+        monkeypatch.setattr(SimulationRunner, "run_cell", failing_first)
+        first, second = self._replies(runner, *(cell.task(MISSES) for cell in cells))
+        assert first == (None, f"{kind.__name__}: {kind('boom')}")
+        assert second[1] is None and second[0].scheme == SCHEMES[1]
+
+    def test_a_programming_error_leaves_the_loop(self, tmp_path, monkeypatch):
+        """Anything outside CELL_FAILURES escapes: in a fork, a death."""
+
+        def broken(self, cell, attempt=1, **kw):
+            raise TypeError("a bug in the cell path")
+
+        runner = _runner(tmp_path, "b")
+        (cell,) = runner.cells(["P_X16"], ["gob"])
+        monkeypatch.setattr(SimulationRunner, "run_cell", broken)
+        ours, theirs = multiprocessing.Pipe()
+        ours.send(dict(cell.task(MISSES), attempt=1))
+        with pytest.raises(TypeError, match="a bug in the cell path"):
+            _serve(theirs, runner)
+        assert not ours.poll()
+
+    def test_the_fault_site_keys_on_label_bench_and_attempt(self, tmp_path):
+        runner = _runner(tmp_path, "k")
+        (cell,) = runner.cells(["P_X16"], ["gob"])
+        task = cell.task(MISSES)
+        with injected("fabric.worker.crash@P_X16/gob/2"):
+            first, second = self._replies(runner, dict(task, attempt=1), dict(task, attempt=2))
+        assert first[1] is None
+        assert second[0] is None and second[1].startswith("InjectedFault: ")
+
+    def test_another_miss_budget_is_derived_once(self, tmp_path, monkeypatch):
+        """A bench-grid sweep's tasks carry their miss budget; a worker
+        derives one runner per budget and keeps it."""
+        runner = _runner(tmp_path, "m")
+        cells = runner.derive(misses_per_benchmark=120).cells(SCHEMES, ["gob"])
+        serial = _runner(tmp_path, "s").derive(misses_per_benchmark=120).execute(cells)
+        derived = []
+        real = SimulationRunner.derive
+
+        def counting(self, **changes):
+            derived.append(changes)
+            return real(self, **changes)
+
+        monkeypatch.setattr(SimulationRunner, "derive", counting)
+        replies = self._replies(runner, *(cell.task(120) for cell in cells))
+        assert derived == [{"misses_per_benchmark": 120}]
+        assert replies == [(serial[cell.key], None) for cell in cells]
+
+
+class TestCellError:
+    """A quarantined cell's error string becomes what the serial path raises."""
+
+    TASK = {"label": "P_X16", "bench": "gob", "attempt": 3}
+
+    @pytest.mark.parametrize("kind", CELL_FAILURES, ids=lambda kind: kind.__name__)
+    def test_a_cell_failure_is_rebuilt_as_its_own_type(self, kind):
+        error = _cell_error(self.TASK, f"{kind.__name__}: boom")
+        assert type(error) is kind
+        assert "cell P_X16/gob failed 3 attempt(s): boom" in str(error)
+
+    @pytest.mark.parametrize(
+        "reported",
+        [
+            "TypeError: not a cell failure",
+            "NoSuchError: an unknown type",
+            "UnicodeDecodeError: needs five arguments",
+            "no type at all",
+        ],
+    )
+    def test_anything_else_is_a_fabric_error_carrying_the_report(self, reported):
+        error = _cell_error(self.TASK, reported)
+        assert type(error) is FabricError
+        assert str(error) == f"cell P_X16/gob failed 3 attempt(s): {reported}"
+
+    def test_a_library_error_is_found_in_the_errors_module(self):
+        error = _cell_error(self.TASK, "SpecError: bad spec")
+        assert type(error) is errors.SpecError
+
+
+class TestCellTimeout:
+    def test_a_stuck_worker_is_killed_and_re_forked_inside_the_stall(
+        self, tmp_path, monkeypatch
+    ):
+        golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
+        monkeypatch.setenv("REPRO_FAULTS", "fabric.worker.stall@*/gob/1|secs=30")
+        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "0.3")
+        start = time.monotonic()
+        report = run_sweep(_sweep(), _runner(tmp_path, "t"), workers=2)
+        assert time.monotonic() - start < 20
+        fabric = report["resilience"]["fabric"]
+        assert fabric["timeouts"] == fabric["dead"] == fabric["reclaimed"] == 4
+        assert fabric["respawned"] == 4
+        assert _strip(report) == _strip(golden)
+
+    def test_a_zero_cell_timeout_reclaims_nothing(self, tmp_path, monkeypatch):
+        """``REPRO_CELL_TIMEOUT=0`` means no timeout."""
+        golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
+        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "0")
+        report = run_sweep(_sweep(), _runner(tmp_path, "z"), workers=2)
+        assert report["resilience"]["quarantined"] == []
+        assert report["resilience"]["fabric"]["timeouts"] == 0
+        assert _strip(report) == _strip(golden)
+
+    def test_the_longest_cell_timeout_is_waited_in_slices(self, tmp_path):
+        """``poll()`` refuses a wait past 2**31 - 1 ms; the largest
+        ``REPRO_CELL_TIMEOUT`` is still a working timeout."""
+        runner = _runner(tmp_path, "l")
+        with _fabric(runner, n_workers=2) as (coordinator, executor):
+            executor.execute(
+                runner, runner.cells(SCHEMES, ["gob"]),
+                retry=RetryPolicy(timeout=threading.TIMEOUT_MAX),
+            )
+        assert coordinator.counters["completed"] == len(SCHEMES)
+
+    def test_idle_workers_outlast_the_cell_timeout(self, tmp_path):
+        """Only a cell is timed: workers idle between calls are not stuck."""
+        runner = _runner(tmp_path, "o")
+        with _fabric(runner, n_workers=2) as (coordinator, executor):
+            time.sleep(0.5)
+            executor.execute(
+                runner, runner.cells(SCHEMES, ["gob"]),
+                retry=RetryPolicy(timeout=0.3),
+            )
+        assert coordinator.counters["timeouts"] == coordinator.counters["dead"] == 0
 
 
 class TestStats:
     """``stats()`` keys the frozen ``perf/`` harness reads off a fabric sweep."""
 
+    def _stats(self, tmp_path):
+        runner = _runner(tmp_path, "p")
+        with _fabric(runner, n_workers=2) as (coordinator, executor):
+            executor.execute(runner, runner.cells(SCHEMES, BENCHES))
+            return executor.stats()
+
     @pytest.mark.parametrize(
         "key, value",
-        [("dispatched", 3), ("stolen", 1), ("rpc_timeouts", 0), ("reconnects", 0)],
+        [("dispatched", 4), ("stolen", 0), ("rpc_timeouts", 0), ("reconnects", 0)],
     )
-    def test_the_keys_the_perf_harness_reads(self, key, value):
-        with Schedule() as s:
-            a, b = s.join(), s.join()
-            s.begin([task("P_X16"), task("PC_X32")])
-            s.finish(b)  # b goes idle with the queue empty: it steals
-            s.finish(b)
-            s.finish(a)
-            assert s.done
-            assert FabricExecutor(s.coordinator).stats()[key] == value
+    def test_the_keys_the_perf_harness_reads(self, tmp_path, key, value):
+        """Four cells, one dispatch each; nothing is stolen, no RPC times
+        out and nobody reconnects on a pipe."""
+        assert self._stats(tmp_path)[key] == value
+
+    def test_every_counter_then_the_live_workers(self, tmp_path):
+        stats = self._stats(tmp_path)
+        assert list(stats) == list(COUNTERS) + ["workers_live"]
+        assert stats["workers_live"] == 2
+
+    def test_a_sweep_sums_every_calls_coordinator(self, tmp_path, monkeypatch):
+        """``run_sweep(workers=2)`` is one fabric per ``execute`` call, and
+        ``resilience.fabric`` adds their counters up."""
+        sweep = SweepSpec.from_args(
+            SCHEMES, grid=["misses=120,150"], benchmarks=BENCHES
+        )
+        golden = run_sweep(sweep, _runner(tmp_path, "g"))
+        assert "fabric" not in golden["resilience"]
+        calls = []
+        real = FabricCoordinator.stats
+
+        def recording(coordinator):
+            calls.append(real(coordinator))
+            return calls[-1]
+
+        monkeypatch.setattr(FabricCoordinator, "stats", recording)
+        report = run_sweep(sweep, _runner(tmp_path, "w"), workers=2)
+        # One coordinator per misses combo; baselines stay in the parent.
+        assert len(calls) == 2
+        fabric = report["resilience"]["fabric"]
+        for key in COUNTERS:
+            assert fabric[key] == sum(call[key] for call in calls), key
+        assert fabric["workers_live"] == calls[-1]["workers_live"]
+        scheme_cells = 2 * len(SCHEMES) * len(BENCHES)
+        assert fabric["completed"] == fabric["dispatched"] == scheme_cells
+        assert _strip(report) == _strip(golden)
 
 
 class TestClose:
     def test_close_shuts_every_forked_worker_down(self, tmp_path):
         """Workers forked at ``start()`` carry their index; ``close()``
-        sends each a ``shutdown`` and every one exits 0."""
+        tells each to exit and every one exits 0, at once."""
         coordinator = FabricCoordinator(_runner(tmp_path, "c"), spawn=2)
         assert coordinator.start() is None
-        conns = list(coordinator._conns.values())
-        assert [conn.index for conn in conns] == [0, 1]
-        assert [proc.name for proc in coordinator._procs] == [
+        workers = list(coordinator._workers)
+        assert [worker.index for worker in workers] == [0, 1]
+        assert [worker.proc.name for worker in workers] == [
             "fabric-worker-0", "fabric-worker-1"
         ]
         assert coordinator.stats()["workers_live"] == 2
+        start = time.monotonic()
         coordinator.close()
-        assert [proc.exitcode for proc in coordinator._procs] == [0, 0]
-        assert not any(conn.alive for conn in conns)
-        assert all(conn.sock.fileno() == -1 for conn in conns)
+        assert time.monotonic() - start < 2.0
+        assert _exitcodes(coordinator) == [0, 0]
+        assert all(worker.conn.closed for worker in workers)
         assert coordinator.stats()["workers_live"] == 0
 
     def test_an_unstarted_coordinator_forks_nothing(self, tmp_path):
         coordinator = FabricCoordinator(_runner(tmp_path, "u"), spawn=2)
         coordinator.close()
-        assert coordinator._procs == [] and coordinator._conns == {}
+        assert coordinator._workers == []
         assert coordinator.counters["workers_joined"] == 0
 
-
-class TestWorker:
-    """One worker on its end of a socketpair, on a thread as in a fork."""
-
-    @contextlib.contextmanager
-    def _worker(self, runner):
-        ours, theirs = socket.socketpair()
-        codes = []
-        thread = threading.Thread(
-            target=lambda: codes.append(FabricWorker(theirs, runner, 0).run())
-        )
-        thread.start()
+    def test_a_worker_whose_pipe_closes_exits_0(self, tmp_path):
+        coordinator = FabricCoordinator(_runner(tmp_path, "p"), spawn=2)
+        coordinator.start()
         try:
-            yield ours, codes
+            first = coordinator._workers[0]
+            first.conn.close()  # the second worker's copy was closed at its fork
+            first.proc.join(timeout=10)
+            assert first.proc.exitcode == 0
         finally:
-            ours.close()
-            thread.join(timeout=30)
-            assert not thread.is_alive()
+            first.alive = False
+            coordinator.close()
+        assert _exitcodes(coordinator) == [0, 0]
 
-    @staticmethod
-    def _reply(sock):
-        while True:
-            message = recv_message(sock, timeout=30)
-            if message["type"] != "heartbeat":
-                return message
+    def test_execute_runs_on_the_callers_thread(self, tmp_path):
+        """Three forked workers, and still no thread beside the caller's."""
+        runner = _runner(tmp_path, "t")
+        before = threading.active_count()
+        seen = []
+        with FabricCoordinator(runner, spawn=3) as coordinator:
+            FabricExecutor(coordinator).execute(
+                runner, runner.cells(SCHEMES, BENCHES),
+                progress=lambda *_: seen.append(threading.active_count()),
+            )
+        assert seen == [before] * len(SCHEMES) * len(BENCHES)
+        assert _exitcodes(coordinator) == [0, 0, 0]
 
-    def test_a_leased_cell_is_run_with_the_inherited_runner(self, tmp_path):
-        runner = _runner(tmp_path, "w")
-        (cell,) = runner.cells(["PC_X32"], ["gob"])
-        lease = {"type": "lease", "tasks": [{
-            "id": cell.key, "label": cell.label, "bench": cell.bench,
-            "spec": cell.spec.to_dict(), "misses": MISSES, "attempt": 1,
-        }]}
-        with self._worker(runner) as (sock, codes):
-            assert self._reply(sock) == {"type": "need"}
-            send_message(sock, lease)
-            reply = self._reply(sock)
-            assert self._reply(sock) == {"type": "need"}
-            send_message(sock, {"type": "shutdown"})
-        assert codes == [0]
-        assert reply["type"] == "result" and reply["id"] == cell.key
-        expected = _runner(tmp_path, "serial").run_cell(cell, 1).to_dict()
-        assert reply["result"] == json.loads(json.dumps(expected))
-
-    def test_a_failing_cell_is_an_error_frame_not_a_death(self, tmp_path):
-        runner = _runner(tmp_path, "e")
-        lease = {"type": "lease", "tasks": [dict(task("P_X16"), attempt=2)]}
-        with injected("fabric.worker.crash@P_X16/gob/2#1") as plan:
-            with self._worker(runner) as (sock, codes):
-                self._reply(sock)
-                send_message(sock, lease)
-                reply = self._reply(sock)
-                assert self._reply(sock) == {"type": "need"}  # it serves on
-        assert plan.fired == [("fabric.worker", "P_X16/gob/2", 1, "crash")]
-        assert reply["type"] == "error" and reply["id"] == "P_X16/gob"
-        assert reply["error"].startswith("InjectedFault: ")
-        assert codes == [0]  # end-of-file: it exits cleanly
-
-    def test_end_of_file_before_any_lease_exits_0(self, tmp_path):
-        with self._worker(_runner(tmp_path, "x")) as (sock, codes):
-            assert self._reply(sock) == {"type": "need"}
-        assert codes == [0]
-
-
-class TestReclaim:
-    def test_each_attempt_is_charged_once_and_none_is_skipped(self):
-        """A cell's attempts are leased 1, 2, 3 in order, as they run serially.
-
-        A worker that dies spends its attempt even while a thief runs a
-        copy of it (otherwise every respawned worker steals a stalling
-        attempt back from its last holder, and the attempt never
-        advances); the next attempt is queued at once. The thief's copy
-        failing afterwards charges nothing: attempt 2 still runs.
-        """
-        with Schedule() as s:
-            victim = s.join()
-            s.begin([task("P_X16")], RetryPolicy(attempts=3))
-            thief = s.join()  # idle, queue empty: steals attempt 1
-            s.feed(victim, None)
-            job = s.coordinator._open["P_X16/gob"]
-            assert job["attempt"] == 2
-            assert list(s.coordinator._pending) == ["P_X16/gob"]
-            s.finish(thief, "InjectedFault: attempt 1 again")
-            assert job["attempt"] == 2  # ...and the thief now runs it
-            s.finish(thief, "InjectedFault: attempt 2")
-            s.finish(thief, "InjectedFault: attempt 3")
-            assert s.done and not s.coordinator._pending
-            leased = [
-                t["attempt"] for conn in (victim, thief) for frame in conn.sent
-                if frame["type"] == "lease" for t in frame["tasks"]
-            ]
-            assert leased == [1, 1, 2, 3]
-            assert [(f["attempts"], f["error"]) for f in s.failures] == [
-                (3, "InjectedFault: attempt 3")
-            ]
-
-
-def _run(events, workers, tasks, attempts, timeout):
-    """Drive one scripted schedule, then drain it on the healthy workers.
-
-    Every death is respawned, as on a forked fabric with budget to
-    spare; a respawned worker takes the dead one's slot in the script.
-    """
-    with Schedule(respawns=10_000) as s:
-        conns = [s.join() for _ in range(workers)]
-        dark = set()
-
-        def tick():
-            s.tick(HEARTBEAT_INTERVAL, *(c for c in s.conns if c not in dark))
-            for fresh in s.adopt():
-                slot = next(i for i, c in enumerate(conns) if not c.alive)
-                conns[slot] = fresh
-
-        jobs = [task(f"S{i}") for i in range(tasks)]
-        s.begin([dict(job) for job in jobs], RetryPolicy(attempts, timeout=timeout))
-        for kind, who, seconds in events:
-            if s.done:
-                break
-            conn = conns[who % workers]
-            awake = conn.alive and conn not in dark
-            if kind in ("result", "error") and awake and conn.todo:
-                s.finish(conn, None if kind == "result" else "InjectedFault: x")
-            elif kind == "eof" and awake:
-                s.feed(conn, None)
-            elif kind == "silence":
-                dark.add(conn)
-            elif kind == "tick":
-                for _ in range(round(seconds / HEARTBEAT_INTERVAL)):
-                    tick()
-            for fresh in s.adopt():  # an eof's respawn
-                conns[conns.index(conn)] = fresh
-        for _ in range(10_000):
-            if s.done:
-                break
-            for conn in conns:
-                while conn.alive and conn not in dark and conn.todo:
-                    s.finish(conn)
-            tick()
-        return s, jobs
-
-
-_EVENT = st.tuples(
-    st.sampled_from(["result", "error", "eof", "silence", "tick"]),
-    st.integers(0, 3),
-    st.sampled_from([HEARTBEAT_INTERVAL, 1.0, HEARTBEAT_TIMEOUT + 1.0]),
-)
-
-
-class TestScheduleProperties:
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(
-        events=st.lists(_EVENT, max_size=60),
-        workers=st.integers(1, 4),
-        tasks=st.integers(1, 12),
-        attempts=st.integers(1, 3),
-        timeout=st.sampled_from([None, 2.0]),
-    )
-    def test_every_interleaving_keeps_the_invariants(
-        self, events, workers, tasks, attempts, timeout
+    def test_a_cell_in_flight_at_close_is_stored_and_its_worker_exits_0(
+        self, tmp_path
     ):
-        """Needs, results, errors, hang-ups, silences, respawns and clock
-        ticks in any order: every task ends exactly once, its attempts are
-        leased 1..k with none skipped, no lease reaches a connection that
-        is down, and ``completed`` counts the progress calls."""
-        s, jobs = _run(events, workers, tasks, attempts, timeout)
-        ended = s.completed + [
-            f"{f['scheme']}/{f['benchmark']}" for f in s.failures
-        ]
-        assert sorted(ended) == sorted(job["id"] for job in jobs)
-        for job in jobs:
-            leased = [
-                t["attempt"] for frame in s.log if frame["type"] == "lease"
-                for t in frame["tasks"] if t["id"] == job["id"]
-            ]
-            assert leased[0] == 1 and leased[-1] <= attempts
-            assert all(b - a in (0, 1) for a, b in zip(leased, leased[1:]))
-        assert not any(conn.leased_while_down for conn in s.conns)
-        assert s.counters["completed"] == len(s.completed)
+        """A call ended by an exception leaves the other worker's cell
+        running: ``close()`` lets it finish into the store."""
+        runner = _runner(tmp_path, "i")
+
+        def stop(*_):
+            raise SweepInterrupted("stop after the first cell")
+
+        with pytest.raises(SweepInterrupted):
+            with FabricCoordinator(runner, spawn=2) as coordinator:
+                coordinator.execute(
+                    [cell.task(MISSES) for cell in runner.cells(SCHEMES, BENCHES)],
+                    progress=stop,
+                )
+        assert coordinator.counters["completed"] == 1
+        assert coordinator.counters["dispatched"] == 2
+        assert len(runner.result_cache.keys()) == 2
+        assert _exitcodes(coordinator) == [0, 0]
+
+    def test_a_stuck_cell_at_close_is_killed_after_the_cell_timeout(
+        self, tmp_path, monkeypatch
+    ):
+        """``close()`` waits for an in-flight cell no longer than a cell is
+        allowed, then kills its worker; that cell is not stored."""
+        monkeypatch.setenv("REPRO_FAULTS", "fabric.worker.stall@PC_X32/gob/1|secs=30")
+        runner = _runner(tmp_path, "s")
+
+        def stop(*_):
+            raise SweepInterrupted("stop after the first cell")
+
+        with pytest.raises(SweepInterrupted):
+            with FabricCoordinator(runner, spawn=2) as coordinator:
+                try:
+                    coordinator.execute(
+                        [cell.task(MISSES) for cell in runner.cells(SCHEMES, ["gob"])],
+                        retry=RetryPolicy(timeout=2.0), progress=stop,
+                    )
+                finally:
+                    start = time.monotonic()
+        assert time.monotonic() - start < 4.5
+        assert sorted(_exitcodes(coordinator)) == [-9, 0]
+        assert len(runner.result_cache.keys()) == 1
+
+    def test_workers_are_fork_context_processes(self, tmp_path):
+        with FabricCoordinator(_runner(tmp_path, "f"), spawn=1) as coordinator:
+            (worker,) = coordinator._workers
+            assert isinstance(worker.proc, multiprocessing.get_context("fork").Process)
 
 
 class TestFabricRerun:
     """An interrupted sweep finishes when run again, across topologies."""
 
     def test_local_interrupt_reruns_on_the_fabric(self, tmp_path):
-        """Cells stored by a serial run are not leased to the fabric."""
+        """Cells stored by a serial run are not sent to the fabric."""
         golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
         with injected("sweep.interrupt@*#3"):
             with pytest.raises(SweepInterrupted):
@@ -694,187 +686,24 @@ class TestFabricRerun:
         assert sweep_table(rerun) == sweep_table(golden)
 
 
-class TestSpawnedWorkers:
-    def test_worker_process_death_respawns_and_heals(
-        self, tmp_path, monkeypatch
-    ):
-        """Real worker processes: one hard-exits mid-cell, fabric heals.
-
-        The plan rides the environment so only the forked processes
-        install it (``exit`` in a thread worker would kill pytest).
-        """
-        golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
-        monkeypatch.setenv("REPRO_FAULTS", "fabric.worker.exit@*/gob/1#1")
-        runner = _runner(tmp_path, "k")
-        coordinator = FabricCoordinator(runner, spawn=2)
-        coordinator.start()
-        try:
-            report = run_sweep(
-                _sweep(), runner, executor=FabricExecutor(coordinator)
-            )
-        finally:
-            coordinator.close()
-        fabric = report["resilience"]["fabric"]
-        assert fabric["dead"] >= 1
-        assert fabric["respawned"] >= 1
-        assert _strip(report) == _strip(golden)
-        assert sweep_table(report) == sweep_table(golden)
-
-    def test_idle_workers_outlast_the_cell_timeout(self):
-        """Workers that joined and wait for work are not stuck cells.
-
-        They join at ``start()``, long before the first lease when a
-        caller sets up in between, and nothing is read between two
-        calls: only a leased cell is timed, from the moment a call
-        starts its clocks.
-        """
-        retry = RetryPolicy(timeout=0.3)
-        with Schedule() as s:
-            a, b = s.join(), s.join()
-            s.now += 100.0  # setup between start() and execute()
-            s.begin([task("P_X16"), task("PC_X32")], retry)
-            s.tick(0.25, a, b)
-            s.finish(a)
-            s.finish(b, need=False)
-            assert s.done
-            # b's "need" is still queued when the next call starts: its
-            # last result is not a cell running in the gap.
-            s.now += 100.0
-            s.begin([task("P_X16", "hmmer")], retry)
-            s.tick(0.25, a, b)
-            s.feed(b, {"type": "need"})
-            assert s.counters["dead"] == s.counters["timeouts"] == 0
-            s.tick(0.25, a, b)
-            assert s.counters["timeouts"] == 1  # a's lease ran past 0.3 s
-
-    def test_duplicate_in_flight_at_close_exits_cleanly(self):
-        """A stolen duplicate still running when the call ends costs nothing.
-
-        The two baselines are the last phase, one lease each. ``gob``'s
-        worker finishes first, goes idle and steals ``hmmer``; the
-        owner's result ends the call while the copy still runs. Nobody
-        is declared down (``close()`` then sends both a ``shutdown``),
-        and the copy's late result is ignored.
-        """
-        with Schedule() as s:
-            a, b = s.join(), s.join()
-            s.begin([task("insecure", "gob"), task("insecure", "hmmer")])
-            s.tick(0.7, a, b)
-            s.finish(a)
-            assert s.counters["stolen"] == 1
-            s.tick(0.8, a, b)
-            s.finish(b)
-            assert s.done
-            s.finish(a)
-            assert s.counters["completed"] == 2
-            assert s.counters["dead"] == s.counters["timeouts"] == 0
-            assert a.alive and b.alive and not a.closed
-
-    def test_forked_duplicate_in_flight_at_close_exits_0(
-        self, tmp_path, monkeypatch
-    ):
-        """The same schedule on two forked workers ends with both exiting 0.
-
-        The plan is installed per forked process, so each stalls on its
-        own first attempt: ``gob``'s worker for 0.2 s, ``hmmer``'s for
-        0.6 s. The first steals ``hmmer`` and is still in its own stall
-        when the owner's result ends the sweep. Its late ``result`` finds
-        the socket closed or a ``shutdown`` waiting, so it exits by
-        itself: ``close()`` neither waits out its 5 s nor terminates it.
-        """
-        golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
-        monkeypatch.setenv(
-            "REPRO_FAULTS",
-            "fabric.worker.stall@insecure/gob/1#1|secs=0.2;"
-            "fabric.worker.stall@insecure/hmmer/1#1|secs=0.6",
-        )
-        runner = _runner(tmp_path, "d")
-        with FabricCoordinator(runner, spawn=2) as coordinator:
-            report = run_sweep(
-                _sweep(), runner, executor=FabricExecutor(coordinator)
-            )
-        assert report["resilience"]["fabric"]["stolen"] >= 1
-        assert [proc.exitcode for proc in coordinator._procs] == [0, 0]
-        assert _strip(report) == _strip(golden)
-
-    def test_a_zero_cell_timeout_reclaims_nothing(self, tmp_path, monkeypatch):
-        """``REPRO_CELL_TIMEOUT=0`` means no timeout, as ``REPRO_RPC_TIMEOUT=0`` does."""
-        golden = run_sweep(_sweep(), _runner(tmp_path, "g"))
-        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "0")
-        report = run_sweep(_sweep(), _runner(tmp_path, "z"), workers=2)
-        assert report["resilience"]["quarantined"] == []
-        assert report["resilience"]["fabric"]["timeouts"] == 0
-        assert _strip(report) == _strip(golden)
-
-    def test_a_sweep_sums_every_calls_coordinator(self, tmp_path, monkeypatch):
-        """``run_sweep(workers=2)`` is one fabric per ``execute`` call, and
-        ``resilience.fabric`` adds their counters up."""
-        sweep = SweepSpec.from_args(
-            SCHEMES, grid=["misses=120,150"], benchmarks=BENCHES
-        )
-        golden = run_sweep(sweep, _runner(tmp_path, "g"))
-        assert "fabric" not in golden["resilience"]
-        calls = []
-        real = FabricCoordinator.stats
-
-        def recording(coordinator):
-            calls.append(real(coordinator))
-            return calls[-1]
-
-        monkeypatch.setattr(FabricCoordinator, "stats", recording)
-        report = run_sweep(sweep, _runner(tmp_path, "w"), workers=2)
-        # One coordinator per misses combo; baselines stay in the parent.
-        assert len(calls) == 2
-        fabric = report["resilience"]["fabric"]
-        for key in COUNTERS:
-            assert fabric[key] == sum(call[key] for call in calls), key
-        assert fabric["workers_live"] == calls[-1]["workers_live"]
-        scheme_cells = 2 * len(SCHEMES) * len(BENCHES)
-        assert fabric["completed"] == scheme_cells
-        assert fabric["dispatched"] >= scheme_cells
-        assert _strip(report) == _strip(golden)
-
-    def test_execute_runs_on_the_callers_thread(self, tmp_path):
-        """Three forked workers, and still no thread beside the caller's."""
-        runner = _runner(tmp_path, "t")
-        before = threading.active_count()
-        seen = []
-        with FabricCoordinator(runner, spawn=3) as coordinator:
-            FabricExecutor(coordinator).execute(
-                runner, runner.cells(SCHEMES, BENCHES),
-                progress=lambda *_: seen.append(threading.active_count()),
-            )
-        assert seen == [before] * len(SCHEMES) * len(BENCHES)
-        assert [proc.exitcode for proc in coordinator._procs] == [0, 0, 0]
-
-
-class TestOneThreadOneClock:
-    def test_only_the_worker_starts_threads(self):
+class TestSize:
+    def test_no_module_under_src_starts_a_thread(self):
         threaded = {
             path.relative_to(SRC).as_posix()
-            for package in ("fabric", "resilience")
-            for path in (SRC / package).rglob("*.py")
-            if re.search(r"^(import|from) (threading|queue)\b",
+            for path in SRC.rglob("*.py")
+            if re.search(r"\bThread\(|^(import|from) (queue|concurrent)\b",
                          path.read_text("utf-8"), re.MULTILINE)
         }
-        assert threaded == {"fabric/worker.py"}
+        assert threaded == set()
 
-    def test_the_coordinator_reads_the_clock_in_its_loop_and_close(self):
-        tree = ast.parse((SRC / "fabric" / "coordinator.py").read_text("utf-8"))
-        reads = [
-            function.name
-            for function in ast.walk(tree)
-            if isinstance(function, ast.FunctionDef)
-            for node in ast.walk(function)
-            if isinstance(node, ast.Attribute) and node.attr == "monotonic"
+    def test_the_fabric_is_one_module(self):
+        assert sorted(p.name for p in (SRC / "fabric").glob("*.py")) == [
+            "__init__.py", "coordinator.py"
         ]
-        assert set(reads) == {"execute", "close"}
-        assert reads.count("execute") == 1
 
     def test_no_timing_option_is_left(self):
         assert list(inspect.signature(FabricCoordinator).parameters) == [
             "runner", "spawn"
         ]
-        assert list(inspect.signature(FabricWorker).parameters) == [
-            "sock", "runner", "index"
-        ]
+        assert not hasattr(coordinator_module, "HEARTBEAT_TIMEOUT")
+        assert not hasattr(coordinator_module, "LEASE_CAP")

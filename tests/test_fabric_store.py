@@ -2,9 +2,10 @@
 
 The fabric's correctness leans on two storage facts: canonical cell keys
 are injective over distinct cell identities (so content-addressing never
-aliases two different cells), and concurrent same-key writers — two
-workers racing one stolen cell — leave exactly one valid, readable entry
-behind. Both are proven here.
+aliases two different cells), and concurrent same-key writers — a
+worker killed past the cell timeout while it stores a cell, and the
+re-forked one that runs it again — leave exactly one valid, readable
+entry behind. Both are proven here.
 """
 
 import threading

@@ -96,36 +96,47 @@ class TestGrammar:
         assert (spec.hits, spec.params) == ((2, 3), {"secs": "0"})
         assert parse(spec.to_entry()).specs == [spec]
 
+    @pytest.mark.parametrize("site", ["fabric.rpc", "rpc.timeout"])
+    def test_the_socket_protocol_sites_are_gone(self, site):
+        """Workers talk over pipes with no frames and no RPC deadline: a
+        plan naming either old site is refused, naming the five left."""
+        assert len(SITES) == 5 and site not in SITES
+        with pytest.raises(SpecError, match="unknown fault site") as caught:
+            parse(f"{site}.crash@*")
+        assert str(SITES) in str(caught.value)
+
     @pytest.mark.parametrize(
-        "bad",
+        "entry",
         [
+            "rpc.timeout.crash@coordinator/send/lease#1",
+            "fabric.rpc.crash@coordinator/recv/result#1",
+            "fabric.rpc.crash@peer/send/need#1",
+            "rpc.timeout.crash@worker/send/need",
             "rpc.timeout.crash@worker/send/need#1",
             "fabric.rpc.crash@*/send/need#2",
             "fabric.rpc.stall@worker/recv/*#1,3|secs=1",
             "rpc.timeout.crash@*#1",
         ],
     )
-    def test_hits_on_a_worker_frame_are_refused(self, bad):
-        """Every forked worker installs the plan afresh, so a ``#`` count on
-        a frame a worker sends or receives would fire once per fork and
-        respawn; ``*`` matches ``worker`` too."""
-        with pytest.raises(SpecError, match="worker frame") as caught:
-            parse(bad)
-        assert "coordinator side" in str(caught.value)
-        assert "drop the '#'" in str(caught.value)
+    def test_a_plan_written_for_the_socket_protocol_is_refused(self, entry):
+        """Entries the frame-level sites once took, counted or not, on
+        either end, now name an unknown site instead of never firing."""
+        site = entry.split("@")[0].rsplit(".", 1)[0]
+        with pytest.raises(SpecError, match=f"unknown fault site '{site}'"):
+            parse(f"cell.crash@*/gob/1;{entry}")
 
     @pytest.mark.parametrize(
-        "good",
+        "entry",
         [
-            "rpc.timeout.crash@coordinator/send/lease#1",
-            "fabric.rpc.crash@coordinator/recv/result#1",
-            "fabric.rpc.crash@peer/send/need#1",
-            "rpc.timeout.crash@worker/send/need",
             "fabric.worker.exit@*/*/1#1",
+            "fabric.worker.exit@P_X16/gob/*",
+            "fabric.worker.crash@P_X16*/gob/1",
+            "fabric.worker.stall@*/gob/1|secs=30",
         ],
     )
-    def test_coordinator_peer_and_uncounted_keys_still_parse(self, good):
-        (spec,) = parse(good).specs
+    def test_hits_on_the_worker_site_still_parse(self, entry):
+        (spec,) = parse(entry).specs
+        assert spec.site == "fabric.worker"
         assert parse(spec.to_entry()).specs == [spec]
 
     def test_every_declared_site_parses(self):

@@ -154,8 +154,10 @@ class TestOneResultImage:
             stored = runner.result_cache.path_for(cell.key).read_bytes()
             assert stored == GOLDEN_ENTRIES[cell.label, cell.bench]
 
-    def test_store_report_and_wire_carry_the_same_image(self, tmp_path):
-        from repro.fabric.worker import FabricWorker
+    def test_store_report_and_pipe_carry_the_same_image(self, tmp_path):
+        import multiprocessing
+
+        from repro.fabric.coordinator import _serve
 
         runner = _runner(tmp_path / "sweep")
         report = run_sweep(
@@ -164,18 +166,16 @@ class TestOneResultImage:
         )
         (cell,) = runner.cells(["PC_X32"], ["gob"])
         stored = json.loads(runner.result_cache.path_for(cell.key).read_bytes())
-        # A worker with a store of its own, so that it replays the cell.
-        worker = FabricWorker(None, _runner(tmp_path / "worker"), 0)
-        sent = []
-        worker._send = sent.append
-        worker._execute({
-            "id": cell.key, "label": cell.label, "bench": cell.bench,
-            "spec": cell.spec.to_dict(), "misses": MISSES,
-        })
-        (reply,) = sent
-        wire = json.loads(json.dumps(reply))["result"]
+        # A worker's loop, in this process, with a store of its own so
+        # that it replays the cell: one task, then the end.
+        ours, theirs = multiprocessing.Pipe()
+        ours.send(dict(cell.task(MISSES), attempt=1))
+        ours.send(None)
+        _serve(theirs, _runner(tmp_path / "worker"))
+        result, error = ours.recv()
         (swept,) = report["cells"]
-        assert stored["result"] == swept["result"] == wire
+        assert error is None
+        assert stored["result"] == swept["result"] == result.to_dict()
         assert report["baselines"]["gob"] == json.loads(
             GOLDEN_ENTRIES["insecure", "gob"]
         )["result"]

@@ -12,7 +12,6 @@ import importlib.util
 import json
 import os
 import re
-import socket
 import threading
 from pathlib import Path
 
@@ -23,7 +22,8 @@ from repro import faults
 from repro.cli import build_parser, main
 from repro.config import OramConfig
 from repro.errors import ConfigurationError, NativeKernelUnavailable
-from repro.fabric import FabricCoordinator, FabricWorker
+from repro.fabric import FabricCoordinator
+from repro.fabric import coordinator as coordinator_module
 from repro.settings import FALSE_WORDS, TRUE_WORDS, Settings
 from repro.sim import native as native_pkg
 from repro.sim.replay import resolve_replay_mode
@@ -46,14 +46,15 @@ def test_one_reader_of_the_environment():
     assert sites == {"os.environ": {"settings.py"}, "getenv": set()}
 
 
-def test_eleven_variables_and_no_field_without_one():
-    assert len(VARIABLES) == 11 == len(dataclasses.fields(Settings))
+def test_ten_variables_and_no_field_without_one():
+    assert len(VARIABLES) == 10 == len(dataclasses.fields(Settings))
     assert all(name.startswith("REPRO_") for name in VARIABLES)
 
 
-@pytest.mark.parametrize("gone", ["connect_retries", "faults_seed"])
+@pytest.mark.parametrize("gone", ["connect_retries", "faults_seed", "rpc_timeout"])
 def test_the_removed_variables_are_gone(gone):
-    """No worker dials, and every plan damages files with the seed 0."""
+    """No worker dials, every plan damages files with the seed 0, and a
+    worker's pipe has no per-call deadline."""
     assert gone not in {f.name for f in dataclasses.fields(Settings)}
     env = f"REPRO_{gone.upper()}"
     assert env not in VARIABLES
@@ -71,10 +72,10 @@ class TestGrammar:
         settings = Settings.from_env({
             "REPRO_FULL": word, "REPRO_FORCE": word, "REPRO_NATIVE": word,
             "REPRO_TRACE_CACHE": word, "REPRO_RESULT_CACHE": word,
-            "REPRO_RPC_TIMEOUT": word, "REPRO_CELL_TIMEOUT": word,
+            "REPRO_CELL_TIMEOUT": word,
         })
         assert settings.miss_budget == 6_000 and not settings.force
-        assert settings.native == "off" and settings.rpc_timeout is None
+        assert settings.native == "off"
         assert settings.cell_timeout is None
         assert settings.trace_cache is None and settings.result_cache is None
 
@@ -105,9 +106,9 @@ class TestGrammar:
             ("REPRO_RETRY_BASE", "-1"),
             ("REPRO_CELL_TIMEOUT", "soon"),
             ("REPRO_CELL_TIMEOUT", "nan"),
-            ("REPRO_RPC_TIMEOUT", "never"),
-            ("REPRO_RPC_TIMEOUT", "30s"),
-            ("REPRO_RPC_TIMEOUT", "inf"),
+            ("REPRO_CELL_TIMEOUT", "never"),
+            ("REPRO_CELL_TIMEOUT", "30s"),
+            ("REPRO_CELL_TIMEOUT", "inf"),
             ("REPRO_RETRIES", "2.5"),
             ("REPRO_WORKERS", "-3"),
             ("REPRO_RETRY_BASE", "nan"),
@@ -142,16 +143,16 @@ class TestGrammar:
     def test_values_valid_before_keep_their_meaning(self):
         settings = Settings.from_env({
             "REPRO_NATIVE": "require", "REPRO_FULL": "1",
-            "REPRO_RPC_TIMEOUT": "30",
+            "REPRO_CELL_TIMEOUT": "30",
             "REPRO_RESULT_CACHE": "/tmp/fabric-smoke/results-golden",
             "REPRO_RETRIES": "0", "REPRO_WORKERS": "4",
         })
         assert settings.native == "require"
         assert settings.miss_budget == 50_000 and settings.workers == 4
         assert settings.retries == 1  # below 1 has always meant 1
-        assert settings.rpc_timeout == 30.0
+        assert settings.cell_timeout == 30.0
         assert settings.result_cache == "/tmp/fabric-smoke/results-golden"
-        assert Settings.from_env({"REPRO_RPC_TIMEOUT": "-5"}).rpc_timeout is None
+        assert Settings.from_env({"REPRO_CELL_TIMEOUT": "-5"}).cell_timeout is None
 
     def test_a_zero_cell_timeout_is_no_timeout(self):
         """``0`` used to be a timeout of 0 s, which reclaimed every forked cell."""
@@ -159,19 +160,19 @@ class TestGrammar:
         assert Settings.from_env({"REPRO_CELL_TIMEOUT": "off"}).cell_timeout is None
         assert Settings.from_env({"REPRO_CELL_TIMEOUT": "2.5"}).cell_timeout == 2.5
 
-    @pytest.mark.parametrize("name", ["REPRO_RPC_TIMEOUT", "REPRO_CELL_TIMEOUT"])
-    def test_a_deadline_socket_settimeout_refuses_is_refused(self, name):
-        """``1e300`` passed the parser and then raised ``OverflowError``
-        from ``settimeout`` in every fabric worker; the largest deadline
-        accepted is the largest ``settimeout`` takes."""
+    @pytest.mark.parametrize("text", ["1e300", "1e10", "9223372037"])
+    def test_a_deadline_python_cannot_wait_is_refused(self, text):
+        """``1e300`` once passed the parser and then raised ``OverflowError``
+        where it was waited on; the largest deadline accepted is the
+        largest a Python wait takes."""
+        name = "REPRO_CELL_TIMEOUT"
+        assert float(text) > threading.TIMEOUT_MAX
         with pytest.raises(ConfigurationError) as caught:
-            Settings.from_env({name: "1e300"})
-        assert str(caught.value).startswith(f"{name}='1e300': expected ")
+            Settings.from_env({name: text})
+        assert str(caught.value).startswith(f"{name}={text!r}: expected ")
         largest = Settings.from_env({name: repr(threading.TIMEOUT_MAX)})
-        seconds = getattr(largest, name[len("REPRO_"):].lower())
-        assert seconds == threading.TIMEOUT_MAX
-        with socket.socket() as sock:
-            sock.settimeout(seconds)
+        assert largest.cell_timeout == threading.TIMEOUT_MAX
+        assert threading.Lock().acquire(timeout=largest.cell_timeout)
 
     def test_names_it_does_not_declare_are_ignored(self):
         """The benchmark harness still pins two tier variables beside
@@ -184,6 +185,12 @@ class TestGrammar:
         assert Settings.from_env(
             {"REPRO_FIGURE_CACHE": "figures", "REPRO_UNKNOWN": "?"}
         ) == Settings()
+
+    @pytest.mark.parametrize("text", ["30", "never", "1e300"])
+    def test_a_leftover_rpc_timeout_is_ignored_whatever_it_says(self, text):
+        """Workers on pipes have no per-call deadline: a script that still
+        sets ``REPRO_RPC_TIMEOUT``, even to what it once refused, runs."""
+        assert Settings.from_env({"REPRO_RPC_TIMEOUT": text}) == Settings()
 
 
 def benchmark_pins():
@@ -302,14 +309,14 @@ def test_a_forked_worker_sees_the_flags_its_parent_was_started_with(
     """``_spawn_worker``'s own child reports what it read, then exits."""
     seen = tmp_path / "seen.json"
 
-    def run(worker):
+    def serve(conn, runner):
         seen.write_text(json.dumps(_seen()), "utf-8")
-        return 0
 
-    monkeypatch.setattr(FabricWorker, "run", run)
+    monkeypatch.setattr(coordinator_module, "_serve", serve)
     runner = SimulationRunner(misses_per_benchmark=40, result_cache_dir=None)
     with FabricCoordinator(runner, spawn=1) as coordinator:
-        (child,) = coordinator._procs
+        (worker,) = coordinator._workers
+        child = worker.proc
         child.join(timeout=60)
     assert child.exitcode == 0
     assert json.loads(seen.read_text("utf-8")) == exported_flags
