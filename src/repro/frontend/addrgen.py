@@ -73,6 +73,8 @@ def levels_needed(num_blocks: int, fanout: int, onchip_entries: int) -> int:
     """
     if onchip_entries < 1:
         raise ValueError("on-chip PosMap needs at least one entry")
+    if fanout < 2 and num_blocks > onchip_entries:
+        raise ValueError(f"fan-out {fanout} never shrinks the PosMap to fit on chip")
     h = 1
     n = num_blocks
     while n > onchip_entries:

@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.backend.ops import Op
 from repro.backend.path_oram import make_backend
-from repro.config import OramConfig
 from repro.errors import ConfigurationError
 from repro.frontend.base import AccessResult, Frontend, check_request
 from repro.frontend.posmap import OnChipPosMap
@@ -41,12 +40,8 @@ class LinearFrontend(Frontend):
         super().__init__()
         if spec.frontend != "linear":
             raise ConfigurationError(f"not a linear spec: {spec.frontend!r}")
-        self.config = config = OramConfig(
-            num_blocks=spec.num_blocks,
-            block_bytes=spec.block_bytes,
-            blocks_per_bucket=spec.blocks_per_bucket,
-            leaf_bytes=spec.leaf_bytes,
-        )
+        (config,) = spec.tree_configs()
+        self.config = config
         self.rng = rng = rng if rng is not None else DeterministicRng(0)
         if storage_factory is not None:
             storage = storage_factory(config, observer)

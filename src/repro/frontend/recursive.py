@@ -21,12 +21,11 @@ from repro.backend.ops import Op
 from repro.backend.path_oram import PathOramBackend, make_backend
 from repro.config import OramConfig
 from repro.errors import ConfigurationError
-from repro.frontend.addrgen import AddressSpace, levels_needed
+from repro.frontend.addrgen import AddressSpace
 from repro.frontend.base import AccessResult, Frontend, check_request
 from repro.frontend.formats import UncompressedPosMapFormat
 from repro.frontend.posmap import OnChipPosMap
 from repro.storage import make_storage
-from repro.utils.bitops import next_pow2
 from repro.utils.rng import DeterministicRng
 
 if TYPE_CHECKING:
@@ -53,25 +52,17 @@ class RecursiveFrontend(Frontend):
         if spec.frontend != "recursive":
             raise ConfigurationError(f"not a recursive spec: {spec.frontend!r}")
         self.rng = rng if rng is not None else DeterministicRng(0)
-        fanout = spec.fanout
-        if fanout < 2:
-            raise ConfigurationError("PosMap block too small for its entries")
-        self.num_levels = levels_needed(spec.num_blocks, fanout, spec.onchip_entries)
-        self.space = AddressSpace(spec.num_blocks, fanout, self.num_levels)
+        # One tree per level, data tree first (``SchemeSpec.tree_configs``
+        # raises for a PosMap block too small for its entries).
+        self.configs: List[OramConfig] = list(spec.tree_configs())
+        self.num_levels = len(self.configs)
+        self.space = AddressSpace(spec.num_blocks, spec.fanout, self.num_levels)
 
-        self.configs: List[OramConfig] = []
         self.backends: List[PathOramBackend] = []
         self._touched: List[bytearray] = []
-        for level in range(self.num_levels):
-            cfg = OramConfig(
-                num_blocks=next_pow2(self.space.level_blocks(level)),
-                block_bytes=spec.block_bytes if level == 0 else spec.posmap_block_bytes,
-                blocks_per_bucket=spec.blocks_per_bucket,
-                leaf_bytes=spec.leaf_bytes,
-            )
+        for level, cfg in enumerate(self.configs):
             view = observer.for_tree(level) if observer is not None else None
             tree = make_storage(spec.storage, cfg, observer=view)
-            self.configs.append(cfg)
             self.backends.append(make_backend(cfg, tree, self.rng.fork(level)))
             self._touched.append(bytearray((self.space.level_blocks(level) + 7) // 8))
         # A PosMap block at level i stores leaves of tree i-1, so each

@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.backend.ops import Op
 from repro.backend.path_oram import make_backend
-from repro.config import OramConfig
 from repro.crypto.mac import Mac
 from repro.crypto.prf import Prf
 from repro.crypto.suite import CryptoSuite
@@ -46,7 +45,6 @@ from repro.frontend.plb import Plb, PlbEntry, PlbWay
 from repro.frontend.posmap import OnChipPosMap
 from repro.storage import make_storage
 from repro.storage.block import Block
-from repro.utils.bitops import next_pow2
 from repro.utils.rng import DeterministicRng
 
 if TYPE_CHECKING:
@@ -80,21 +78,14 @@ class PlbFrontend(Frontend):
         self.pmmac = spec.pmmac
         self.num_blocks = spec.num_blocks
 
-        # The Unified tree must hold data blocks plus every PosMap level;
-        # with X >= 2 this at most doubles the block count, i.e. adds at
-        # most one tree level (§4.2.1). Geometry is solved iteratively
+        # One tree holds the data blocks and every PosMap level
+        # (``SchemeSpec.tree_configs``). Geometry is solved iteratively
         # because the format's fan-out is independent of tree depth here
         # (leaf labels are 4 bytes / PRF-derived for any supported depth).
         fanout = spec.fanout
         self.space_levels = levels_needed(spec.num_blocks, fanout, spec.onchip_entries)
         self.space = AddressSpace(spec.num_blocks, fanout, self.space_levels)
-        self.config = OramConfig(
-            num_blocks=next_pow2(self.space.total_blocks()),
-            block_bytes=spec.block_bytes,
-            blocks_per_bucket=spec.blocks_per_bucket,
-            leaf_bytes=spec.leaf_bytes,
-            mac_bytes=spec.mac_tag_bytes if spec.pmmac else 0,
-        )
+        (self.config,) = spec.tree_configs()
 
         self.format = self._build_format(spec)
         if self.format.fanout != fanout:

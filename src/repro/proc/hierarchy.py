@@ -153,11 +153,14 @@ class MissTrace:
     # -- serialisation --------------------------------------------------------
 
     def to_bytes(self, compress: bool = True) -> bytes:
-        """Compact binary image for the on-disk trace cache.
+        """Compact binary image of the trace.
 
         Each event packs into one little-endian 64-bit word as
         ``line_addr << 1 | is_write``; the event section is zlib-compressed
         by default and guarded by a CRC32 so corruption is detected on load.
+        The on-disk trace cache writes the uncompressed image
+        (``compress=False``) and still reads compressed ones: the header's
+        flag says which, and :meth:`from_bytes` accepts both.
         """
         name_bytes = self.name.encode("utf-8")
         line_addrs, is_write = self.columns()

@@ -8,8 +8,14 @@
  *
  * Identity contract: draw for draw the same words as CPython's random
  * (random(), _randbelow_with_getrandbits for moduli of at most 32
- * bits), the generators of repro.workloads.synthetic transcribed
- * operation for operation (zipf through libm pow with every product
+ * bits).  The generator works a state block at a time: mt_twist
+ * regenerates the 624 words (its twist term -(y & 1) & 0x9908b0df is
+ * branch-free and the same word as CPython's mag01[y & 1]) and tempers
+ * all 624 into a block of outputs, so a draw is one load; mt_load
+ * tempers a restored block, so a stream resumed at any index 0..624, as
+ * getstate() hands it over, draws CPython's words.  Then the
+ * generators of repro.workloads.synthetic transcribed operation for
+ * operation (zipf through libm pow with every product
  * rounded on its own), and Cache.access / Cache.install's LRU victim
  * and write-back rules.  Each generator draws only from its own stream,
  * so initialising all of them up front, where Python initialises at the
@@ -34,12 +40,58 @@
 #define MT_M 397
 #define MT_STATE_WORDS (MT_N + 1) /* getstate()[1]: the words, then the index */
 
+/* out[i] is always the tempered mt[i] of the current block. */
 typedef struct {
     uint32_t mt[MT_N];
+    uint32_t out[MT_N];
     uint32_t index;
 } Mt;
 
-/* random.Random.setstate's checks: the index is 0..624. */
+/* genrand_uint32's tempering. */
+static inline uint32_t
+mt_temper(uint32_t y)
+{
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+static void
+mt_temper_block(Mt *s)
+{
+    for (int kk = 0; kk < MT_N; kk++)
+        s->out[kk] = mt_temper(s->mt[kk]);
+}
+
+/* _randommodule.c genrand_uint32's regeneration of the 624 words, with
+ * mag01[y & 1] spelt as the branch-free -(y & 1) & 0x9908b0df (the same
+ * word), then the temper of the whole block. */
+static void
+mt_twist(Mt *s)
+{
+    uint32_t *mt = s->mt;
+    uint32_t y;
+    int kk;
+    for (kk = 0; kk < MT_N - MT_M; kk++) {
+        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+        mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ (-(y & 0x1U) & 0x9908b0dfU);
+    }
+    for (; kk < MT_N - 1; kk++) {
+        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+        mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^
+                 (-(y & 0x1U) & 0x9908b0dfU);
+    }
+    y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+    mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ (-(y & 0x1U) & 0x9908b0dfU);
+    mt_temper_block(s);
+    s->index = 0;
+}
+
+/* random.Random.setstate's checks: the index is 0..624.  The restored
+ * block is tempered as it stands, so a stream resumed at any index draws
+ * the words CPython would; at 624 the first draw twists. */
 static int
 mt_load(Mt *s, const uint32_t *words)
 {
@@ -49,37 +101,18 @@ mt_load(Mt *s, const uint32_t *words)
         return -1;
     }
     memcpy(s->mt, words, sizeof(s->mt));
+    mt_temper_block(s);
     s->index = words[MT_N];
     return 0;
 }
 
 /* _randommodule.c genrand_uint32. */
-static uint32_t
+static inline uint32_t
 mt_u32(Mt *s)
 {
-    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
-    uint32_t *mt = s->mt;
-    uint32_t y;
-    if (s->index >= MT_N) {
-        int kk;
-        for (kk = 0; kk < MT_N - MT_M; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        for (; kk < MT_N - 1; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
-        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
-        s->index = 0;
-    }
-    y = mt[s->index++];
-    y ^= (y >> 11);
-    y ^= (y << 7) & 0x9d2c5680U;
-    y ^= (y << 15) & 0xefc60000U;
-    y ^= (y >> 18);
-    return y;
+    if (s->index >= MT_N)
+        mt_twist(s);
+    return s->out[s->index++];
 }
 
 /* random.random(): genrand_res53. */

@@ -77,7 +77,7 @@ from repro.sim.metrics import SimResult
 from repro.sim.native import load_native_core
 from repro.sim.store import ResultCache, TraceCache, result_key, trace_key
 from repro.sim.system import insecure_cycles, replay_trace
-from repro.sim.timing import OramTimingModel, timing_for_frontend
+from repro.sim.timing import OramTimingModel, timing_for_frontend, tree_latency_cycles
 from repro.spec import (
     SchemeSpec,
     decompose_spec,
@@ -576,6 +576,7 @@ class SimulationRunner:
             from repro.fabric import FabricCoordinator
 
             # Already looked up and their traces made: the forks only replay.
+            self._price_trees(forked)
             cell_of = {(cell.label, cell.bench): cell for cell in forked}
             with FabricCoordinator(
                 self, spawn=min(workers, len(forked))
@@ -590,6 +591,22 @@ class SimulationRunner:
                 )
                 self.fabric_stats = coordinator.stats()
         return out
+
+    def _price_trees(self, cells: Sequence[Cell]) -> None:
+        """Fill the per-process DRAM timing memo (:func:`tree_latency_cycles`)
+        for every tree these cells replay on, from their specs alone, so
+        the forks inherit it instead of each pricing the trees again. A
+        spec whose geometry does not resolve is skipped: its cell fails in
+        the worker, where the failure is charged to it."""
+        for cell in cells:
+            try:
+                configs = cell.spec.tree_configs()
+            except (ConfigurationError, ValueError):
+                continue
+            for config in configs:
+                tree_latency_cycles(
+                    config.levels, config.bucket_bytes, self.dram, self.proc.core_ghz
+                )
 
     def _with_retry(
         self,

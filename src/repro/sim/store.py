@@ -213,11 +213,18 @@ def trace_key(
     return _digest(f"format={TRACE_VERSION}", parts + _fields("proc", proc))
 
 
+def _encode_trace(trace: MissTrace) -> bytes:
+    """The uncompressed image: zlib cost a cold trace more time than the
+    cache's few megabytes on disk are worth. ``from_bytes`` reads either
+    kind, so entries written compressed still load."""
+    return trace.to_bytes(compress=False)
+
+
 TRACE_CODEC = Codec(
     kind="trace",
     suffix=".trace",
     evicted="trace cache: evicted corrupt/stale entry {name}; recomputing",
-    encode=MissTrace.to_bytes,
+    encode=_encode_trace,
     decode=MissTrace.from_bytes,
 )
 

@@ -36,10 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.errors import SpecError
+from repro.config import OramConfig
+from repro.errors import ConfigurationError, SpecError
+from repro.frontend.addrgen import AddressSpace, levels_needed
 from repro.frontend.linear import LinearFrontend
 from repro.frontend.recursive import RecursiveFrontend
 from repro.frontend.unified import PlbFrontend
+from repro.utils.bitops import next_pow2
 
 #: Frontend organisations a spec can name.
 FRONTEND_KINDS = ("recursive", "plb", "linear")
@@ -147,6 +150,49 @@ class SchemeSpec:
             return self.compressed_fanout
         most = (8 * self.block_bytes - self.compressed_alpha) // self.compressed_beta
         return 1 << (most.bit_length() - 1) if most >= 1 else 0
+
+    def tree_configs(self) -> Tuple[OramConfig, ...]:
+        """The geometry of every ORAM tree this spec's frontend builds.
+
+        One config for the unified and linear organisations; one per
+        recursion level, data tree first, for ``recursive``. The
+        frontends take their trees from here, and so can anything that
+        needs only the geometry (the timing model) without building one.
+        """
+        if self.frontend == "linear":
+            return (OramConfig(
+                num_blocks=self.num_blocks,
+                block_bytes=self.block_bytes,
+                blocks_per_bucket=self.blocks_per_bucket,
+                leaf_bytes=self.leaf_bytes,
+            ),)
+        fanout = self.fanout
+        if self.frontend == "recursive" and fanout < 2:
+            raise ConfigurationError("PosMap block too small for its entries")
+        levels = levels_needed(self.num_blocks, fanout, self.onchip_entries)
+        space = AddressSpace(self.num_blocks, fanout, levels)
+        if self.frontend == "recursive":
+            return tuple(
+                OramConfig(
+                    num_blocks=next_pow2(space.level_blocks(level)),
+                    block_bytes=(
+                        self.block_bytes if level == 0 else self.posmap_block_bytes
+                    ),
+                    blocks_per_bucket=self.blocks_per_bucket,
+                    leaf_bytes=self.leaf_bytes,
+                )
+                for level in range(levels)
+            )
+        # The Unified tree must hold data blocks plus every PosMap level;
+        # with X >= 2 this at most doubles the block count, i.e. adds at
+        # most one tree level (§4.2.1).
+        return (OramConfig(
+            num_blocks=next_pow2(space.total_blocks()),
+            block_bytes=self.block_bytes,
+            blocks_per_bucket=self.blocks_per_bucket,
+            leaf_bytes=self.leaf_bytes,
+            mac_bytes=self.mac_tag_bytes if self.pmmac else 0,
+        ),)
 
     # -- serialization -----------------------------------------------------------
 

@@ -97,6 +97,12 @@ class TestLevelsNeeded:
         with pytest.raises(ValueError):
             levels_needed(16, 4, 0)
 
+    def test_fanout_below_two_rejected_when_recursion_is_needed(self):
+        """X = 1 never shrinks a level: an error, not an endless loop."""
+        with pytest.raises(ValueError, match="never shrinks"):
+            levels_needed(2**16, 1, 2**11)
+        assert levels_needed(2**11, 1, 2**11) == 1
+
     @given(
         st.integers(min_value=1, max_value=2**24),
         st.integers(min_value=2, max_value=64),

@@ -21,6 +21,7 @@ import repro
 from repro.errors import ConfigurationError
 from repro.settings import Settings
 from repro.sim import runner as runner_module
+from repro.sim import timing as timing_module
 from repro.sim.runner import SimulationRunner, stable_trace_salt
 
 SCHEMES = ["R_X8", "PC_X32"]
@@ -156,6 +157,24 @@ class TestParallelSuite:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(runner_module, "synthesize_trace", parent_only)
+        runner = SimulationRunner(
+            misses_per_benchmark=MISSES, cache_dir=None, result_cache_dir=None
+        )
+        parallel = runner.execute(runner.cells(SCHEMES, BENCHES), workers=2)
+        assert parallel == serial
+
+    def test_forked_workers_price_no_tree(self, serial, monkeypatch):
+        # The parent fills the DRAM timing memo for every forked cell's
+        # trees before it forks: a child that prices one kills itself.
+        parent = os.getpid()
+        real = timing_module.DramModel
+
+        def parent_only(*args, **kwargs):
+            assert os.getpid() == parent, "a forked worker priced a tree"
+            return real(*args, **kwargs)
+
+        timing_module.tree_latency_cycles.cache_clear()
+        monkeypatch.setattr(timing_module, "DramModel", parent_only)
         runner = SimulationRunner(
             misses_per_benchmark=MISSES, cache_dir=None, result_cache_dir=None
         )

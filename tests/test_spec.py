@@ -297,6 +297,28 @@ class TestBuild:
         assert PlbFrontend(plb).plb.capacity_bytes == built.plb.capacity_bytes
         assert built.plb.capacity_bytes == 64 * 1024
 
+    def test_tree_configs_are_the_geometry_without_a_build(self):
+        """R_X8 at 2^16 blocks and 2^11 on-chip entries recurses twice
+        (2^16 -> 2^13 -> 2^10 blocks), its PosMap trees on 32-byte blocks;
+        PIC_X32's one tree carries the MAC; a linear tree is the data."""
+        rec = get_spec("R_X8").with_(num_blocks=2**16)
+        assert [(c.num_blocks, c.block_bytes) for c in rec.tree_configs()] == [
+            (2**16, 64), (2**13, 32), (2**10, 32),
+        ]
+        (pic,) = get_spec("PIC_X32").with_(num_blocks=2**10).tree_configs()
+        assert (pic.num_blocks, pic.mac_bytes) == (2**10, 14)
+        (flat,) = get_spec("phantom_4kb").with_(num_blocks=2**6).tree_configs()
+        assert flat.num_blocks == 2**6
+        assert rec.build().configs == list(rec.tree_configs())
+
+    def test_tree_configs_refuse_a_fanout_that_cannot_recurse(self):
+        spec = get_spec("R_X8").with_(posmap_block_bytes=4, num_blocks=2**16)
+        with pytest.raises(ConfigurationError, match="too small"):
+            spec.tree_configs()
+        plb = SchemeSpec(block_bytes=4, leaf_bytes=4)  # X = 1, 2^16 blocks
+        with pytest.raises(ValueError, match="never shrinks"):
+            plb.build()
+
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_constructors_refuse_another_frontend_kind(self, name):
         spec = get_spec(name)

@@ -2,7 +2,9 @@
 
 Three things a store refactor must not do silently: grow a second
 atomic-write site (or a second parallel executor), re-key entries, or
-re-encode them. The golden digests and the fixture directory under
+re-encode them. The one deliberate re-encoding is the trace store's:
+it writes uncompressed images, while the fixture's compressed trace
+still loads and is still ``to_bytes()``'s default image. The golden digests and the fixture directory under
 ``tests/data/store_compat`` were produced by the per-kind cache
 classes this store replaced, with ``repro.__version__`` pinned to
 ``"store-compat"`` so a release bump does not move them; a bump of
@@ -108,12 +110,17 @@ def test_entries_written_before_the_store_still_load(pinned_version, tmp_path):
     assert (trace.name, len(trace.events)) == ("gob", 41)
     assert (result.scheme, result.cycles) == ("PC_X32", 79842.30195839587)
     # ... and are what the runner would have computed: a runner over the
-    # fixture serves the cell from it, and re-encoding changes no byte.
+    # fixture serves the cell from it. Re-encoding changes no byte of the
+    # result; the compressed trace is ``to_bytes()``'s image byte for
+    # byte, and storing it again writes the uncompressed one.
     runner = _runner(root)
     assert runner.run_one("PC_X32", "gob") == result
     assert runner.trace("gob") == trace
     assert runner.result_cache.hits == 1 and runner.result_cache.stores == 0
-    for (store, key), value in zip(stores, (trace, result)):
-        before = store.path_for(key).read_bytes()
-        assert store.store(key, value)
-        assert store.path_for(key).read_bytes() == before
+    (traces, _), (results, _) = stores
+    assert traces.path_for(TRACE_KEY).read_bytes() == trace.to_bytes()
+    assert traces.store(TRACE_KEY, trace)
+    assert traces.path_for(TRACE_KEY).read_bytes() == trace.to_bytes(compress=False)
+    before = results.path_for(CELL_KEY).read_bytes()
+    assert results.store(CELL_KEY, result)
+    assert results.path_for(CELL_KEY).read_bytes() == before

@@ -111,6 +111,35 @@ class TestTraceCache:
         with pytest.warns(CacheCorruptionWarning, match="evicted corrupt"):
             assert cache.load("k1") is None
 
+    def test_entry_is_the_uncompressed_image(self, tmp_path):
+        cache = TraceCache(tmp_path)
+        trace = sample_trace()
+        cache.store("k1", trace)
+        assert cache.path_for("k1").read_bytes() == trace.to_bytes(compress=False)
+
+    def test_compressed_entry_of_older_builds_loads(self, tmp_path):
+        cache = TraceCache(tmp_path)
+        trace = sample_trace()
+        old = trace.to_bytes()  # zlib level 6, as older builds stored it
+        assert len(old) < len(trace.to_bytes(compress=False))
+        cache.root.mkdir(exist_ok=True)
+        cache.path_for("k1").write_bytes(old)
+        assert cache.load("k1") == trace
+        assert cache.hits == 1 and cache.corrupt_evictions == 0
+
+    def test_flipped_payload_byte_is_a_counted_eviction(self, tmp_path):
+        cache = TraceCache(tmp_path)
+        cache.store("k1", sample_trace())
+        data = bytearray(cache.path_for("k1").read_bytes())
+        data[-3] ^= 0x10  # inside the last event word
+        with pytest.raises(ValueError, match="CRC"):
+            MissTrace.from_bytes(bytes(data))
+        cache.path_for("k1").write_bytes(bytes(data))
+        with pytest.warns(CacheCorruptionWarning, match="evicted corrupt"):
+            assert cache.load("k1") is None
+        assert cache.corrupt_evictions == 1 and cache.misses == 1
+        assert not cache.path_for("k1").exists()
+
     def test_unwritable_root_reports_failure(self, tmp_path):
         target = tmp_path / "blocked"
         target.write_text("a file where the cache dir should go")

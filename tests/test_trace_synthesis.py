@@ -224,6 +224,7 @@ def test_random_mixture_on_tiny_hierarchy(spec, seed, l1, l2, line_bytes, warmup
 # -- (c) MT19937 known answers ----------------------------------------------------
 
 MODULI = [1, 2, 3, 2**7, 2**7 + 1, 2**16, 2**16 + 1, 2**31, 2**31 + 1, 2**32 - 1]
+DRAWS = 1300
 
 
 def burned(seed: int, burn: int):
@@ -235,19 +236,29 @@ def burned(seed: int, burn: int):
 
 
 @pytest.mark.parametrize("seed", [0, 2015, 2**40 + 7])
-@pytest.mark.parametrize("burn", [0, 5, 623])
+@pytest.mark.parametrize("burn", [0, 5, 623, 624])
 class TestMersenneTwister:
-    """More than 624 draws each, so every stream crosses a state
-    regeneration; ``burn`` starts it at a different index."""
+    """1 300 draws each, so every stream crosses at least two state
+    regenerations; ``burn`` starts it at a different index of its block
+    (0 and 624: a regeneration pending at load, on a seeded and on a
+    drawn-through block)."""
 
     def test_random_stream(self, core, seed, burn):
         reference, state = burned(seed, burn)
-        assert core.mt_draws(state, 0, 700) == [reference.random() for _ in range(700)]
+        assert core.mt_draws(state, 0, DRAWS) == [
+            reference.random() for _ in range(DRAWS)
+        ]
 
     @pytest.mark.parametrize("n", MODULI)
     def test_randbelow_stream(self, core, seed, burn, n):
         reference, state = burned(seed, burn)
-        assert core.mt_draws(state, n, 700) == [reference.randrange(n) for _ in range(700)]
+        assert core.mt_draws(state, n, DRAWS) == [
+            reference.randrange(n) for _ in range(DRAWS)
+        ]
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_no_draws(self, core, seed, burn, n):
+        assert core.mt_draws(burned(seed, burn)[1], n, 0) == []
 
 
 def test_mt_state_is_the_streams_state():
