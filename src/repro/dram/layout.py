@@ -41,6 +41,17 @@ class SubtreeLayout:
         while (1 << (k + 1)) - 1 <= buckets_per_row:
             k += 1
         self.subtree_levels = k
+        # A path a k-level layer at a time: per layer, the shift that
+        # takes a leaf to its subtree root's position and the layer's
+        # first subtree id; and how many of the path's buckets it holds.
+        self._layers: List[Tuple[int, int]] = []
+        self._layer_buckets: List[int] = []
+        base = 0
+        for first in range(0, levels + 1, k):
+            self._layers.append((levels - first, base))
+            self._layer_buckets.append(min(k, levels + 1 - first))
+            base += 1 << first
+        self._row_ids = dram.banks_per_channel * dram.rows_per_bank
 
     def subtree_of(self, level: int, leaf: int) -> Tuple[int, int]:
         """(subtree_id, index_within_subtree) for the bucket at
@@ -84,6 +95,17 @@ class SubtreeLayout:
             row_offset_bytes=index * self.bucket_bytes,
         )
 
+    def path_rows(self, leaf: int) -> List[int]:
+        """The row each k-level layer of the path to ``leaf`` lands in, in
+        path order, as its id among every bank's rows:
+        ``row * banks_per_channel + bank``, so that ``id %
+        banks_per_channel`` is its bank. The k levels of one layer share
+        the subtree rooted at the layer's first level; subtrees
+        interleave over banks, then rows. Layers that alias onto one row
+        repeat its id."""
+        row_ids = self._row_ids
+        return [(base + (leaf >> shift)) % row_ids for shift, base in self._layers]
+
     def path_row_groups(self, leaf: int) -> List[Tuple[int, int, int]]:
         """Rows touched by the path, as (bank, row, bucket_count) groups.
 
@@ -93,20 +115,10 @@ class SubtreeLayout:
         evenly over them. Grouping is by subtree, the unit the layout
         packs per row.
         """
-        dram = self.dram
-        k = self.subtree_levels
-        # The k levels of one layer share the subtree rooted at the
-        # layer's first level, so the path is walked a layer at a time;
-        # the dict keeps (bank, row) keys in first-appearance order and
-        # merges layers that alias onto one row.
-        counts: Dict[Tuple[int, int], int] = {}
-        layer_base = 0
-        for first in range(0, self.levels + 1, k):
-            subtree_id = layer_base + (leaf >> (self.levels - first))
-            layer_base += 1 << first
-            key = (
-                subtree_id % dram.banks_per_channel,
-                (subtree_id // dram.banks_per_channel) % dram.rows_per_bank,
-            )
-            counts[key] = counts.get(key, 0) + min(k, self.levels + 1 - first)
-        return [(bank, row, count) for (bank, row), count in counts.items()]
+        banks = self.dram.banks_per_channel
+        # The dict keeps rows in first-appearance order and merges layers
+        # that alias onto one row.
+        counts: Dict[int, int] = {}
+        for row_id, count in zip(self.path_rows(leaf), self._layer_buckets):
+            counts[row_id] = counts.get(row_id, 0) + count
+        return [(row_id % banks, row_id // banks, count) for row_id, count in counts.items()]

@@ -43,13 +43,51 @@ class DramModel:
         self.layout = SubtreeLayout(levels, bucket_bytes, self.config)
         self.levels = levels
         self.bucket_bytes = bucket_bytes
-        # Open row per bank (mirrored across channels by interleaving).
+        # Open row per bank (mirrored across channels by interleaving), as
+        # the row id SubtreeLayout.path_rows gives.
         self._open_rows: Dict[int, int] = {}
         self.total_cycles = 0.0
         self.total_accesses = 0
+        # Every path moves (L+1) buckets: its transfer time is a constant.
+        cfg = self.config
+        per_channel_bursts = -(-(levels + 1) * self._bursts_per_bucket() // cfg.channels)
+        self._transfer_cycles = per_channel_bursts * cfg.burst_cycles
+        # A row group's first miss is exposed whole; a later one overlaps
+        # the transfers on other banks and exposes a quarter of tRP.
+        self._miss_stalls = (float(cfg.t_rp + cfg.t_rcd + cfg.t_cas), cfg.t_rp * 0.25)
 
     def _bursts_per_bucket(self) -> int:
         return -(-self.bucket_bytes // self.config.burst_bytes)
+
+    def _read_rows(self, leaf: int) -> Tuple[float, int, int]:
+        """(cycles, row hits, row misses) of one path access to ``leaf``,
+        the open rows moved: the row groups of
+        :meth:`SubtreeLayout.path_row_groups`, in its order, with no
+        object built per group (a layer aliasing an earlier one's row
+        joins that group, and only the bursts count it)."""
+        banks = self.config.banks_per_channel
+        exposed, overlapped = self._miss_stalls
+        open_rows = self._open_rows
+        open_row = open_rows.get
+        seen = []
+        row_hits = 0
+        row_misses = 0
+        stall = 0.0
+        for row in self.layout.path_rows(leaf):
+            if row in seen:
+                continue
+            seen.append(row)
+            bank = row % banks
+            if open_row(bank) == row:
+                row_hits += 1
+            else:
+                row_misses += 1
+                if stall == 0.0:
+                    stall = exposed
+                else:
+                    stall += overlapped
+            open_rows[bank] = row
+        return stall + self._transfer_cycles, row_hits, row_misses
 
     def path_access_cycles(self, leaf: int) -> PathAccessStats:
         """DRAM cycles for one path read (or write) to ``leaf``.
@@ -60,36 +98,15 @@ class DramModel:
         (subtree): the first miss is fully exposed, later misses overlap
         with transfers on other banks and expose only a fraction of tRP.
         """
-        cfg = self.config
-        bursts_per_bucket = self._bursts_per_bucket()
-        row_hits = 0
-        row_misses = 0
-        stall = 0.0
-        total_bursts = 0
-
-        for bank, row, bucket_count in self.layout.path_row_groups(leaf):
-            total_bursts += bucket_count * bursts_per_bucket
-            if self._open_rows.get(bank) == row:
-                row_hits += 1
-            else:
-                row_misses += 1
-                if stall == 0.0:
-                    stall = float(cfg.t_rp + cfg.t_rcd + cfg.t_cas)
-                else:
-                    stall += cfg.t_rp * 0.25
-            self._open_rows[bank] = row
-
-        per_channel_bursts = -(-total_bursts // cfg.channels)
-        cycles = stall + per_channel_bursts * cfg.burst_cycles
-        stats = PathAccessStats(
+        cycles, row_hits, row_misses = self._read_rows(leaf)
+        self.total_cycles += cycles
+        self.total_accesses += 1
+        return PathAccessStats(
             dram_cycles=cycles,
-            bursts=total_bursts,
+            bursts=(self.levels + 1) * self._bursts_per_bucket(),
             row_hits=row_hits,
             row_misses=row_misses,
         )
-        self.total_cycles += cycles
-        self.total_accesses += 1
-        return stats
 
     def oram_access_cycles(self, leaf: int) -> float:
         """DRAM cycles for a full ORAM tree access (path read + write)."""
@@ -104,10 +121,16 @@ class DramModel:
         single expected path latency (the paper reports averages over
         multiple accesses the same way, Table 2).
         """
-        rng = DeterministicRng(seed)
+        random_leaf = DeterministicRng(seed).random_leaf
+        read_rows = self._read_rows
         total = 0.0
+        spent = self.total_cycles
         for _ in range(samples):
-            total += self.path_access_cycles(rng.random_leaf(self.levels)).dram_cycles
+            cycles = read_rows(random_leaf(self.levels))[0]
+            spent += cycles
+            total += cycles
+        self.total_cycles = spent
+        self.total_accesses += samples
         return total / samples
 
     def average_oram_latency_proc_cycles(

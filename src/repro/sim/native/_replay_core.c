@@ -57,6 +57,9 @@ static PyMethodDef replay_core_methods[] = {
      "_lanes(spelling, lanes, repeat=1) -> [digest, ...]: 1..4 "
      "(key, digest_size, message) lanes in one call of the named "
      "blake2b_lanes spelling (tests and micro benchmarks only)."},
+    {"_passes", passes_entry, METH_NOARGS,
+     "_passes() -> (lanes, scalar): the frontend kernels' blake2b_lanes "
+     "calls and fk_mac's own compressions since import (tests only)."},
     {"synthesize_trace", synthesize_trace, METH_VARARGS,
      "One whole SpecStandIn.refs -> CacheHierarchy.run: pattern mixture, "
      "MT19937 draws and the L1+L2 LRU hierarchy; returns the miss "

@@ -439,6 +439,7 @@ typedef struct {
 } HandleOps;
 
 HIDDEN extern PyTypeObject FrontendKernelType;
+HIDDEN PyObject *passes_entry(PyObject *self, PyObject *unused);
 HIDDEN extern const HandleOps frontend_ops;
 HIDDEN int random_leaf(PyObject *getrandbits, int levels, long long *out);
 HIDDEN uint8_t *bitmap_byte(PyObject *bitmap, unsigned long long index);

@@ -250,9 +250,10 @@ counter_to_long(u128 counter)
 /* -- the request's working state ---------------------------------------- */
 
 /* Compressions a lane made ahead of the step that counts them: a remap's
- * leaf pair (its two first digest words) and a WRITE's seal.  The step
- * takes one only for the inputs its lane was given, else computes its
- * own; one no step takes is dropped, never counted. */
+ * leaf pair (its two first digest words), the data block's seal (a
+ * WRITE's payload, or a first READ's zeros) and a PLB victim's seal.  The
+ * step takes one only for the inputs its lane was given, else computes
+ * its own; one no step takes is dropped, never counted. */
 typedef struct {
     int ready;
     unsigned long long tagged;
@@ -273,9 +274,10 @@ typedef struct {
     unsigned long long chain[FK_MAX_LEVELS]; /* a_i */
     unsigned long long tags[FK_MAX_LEVELS];  /* i || a_i */
     long posmap_accesses;
+    int write;
     const uint8_t *payload; /* a WRITE's bytes when its seal can be a lane */
     AheadPair pair;
-    AheadSeal seal;
+    AheadSeal seal, evicted;
 } Request;
 
 /* What one PosMap entry says about its child, after the remap. */
@@ -315,6 +317,24 @@ random_leaf(PyObject *getrandbits, int levels, long long *out)
 }
 
 /* -- BLAKE2b lanes: what a request has ready goes in one call ---------------- */
+
+/* blake2b_lanes calls and fk_mac's own compressions since import, for
+ * _passes(). */
+static unsigned long long lanes_calls, scalar_compressions;
+
+static inline void
+run_lanes(Lane *lane, int n)
+{
+    lanes_calls++;
+    blake2b_lanes(lane, n);
+}
+
+/* _passes() -> (lanes calls, scalar compressions): tests only. */
+PyObject *
+passes_entry(PyObject *self, PyObject *unused)
+{
+    return Py_BuildValue("(KK)", lanes_calls, scalar_compressions);
+}
 
 /* A PRF lane: PRF_K(addr || count) over addr (8) || count (12) ||
  * subblock (4, zero), little-endian; the leaf is its first digest word. */
@@ -360,33 +380,31 @@ lane_mac(Lane *lane, const FrontendKernel *fk, u128 counter,
     lane->mid = &fk->mac_state;
 }
 
-/* prf.leaf_for(address, count, levels). */
-static long long
-fk_leaf_for(FrontendKernel *fk, unsigned long long addr, u128 count)
-{
-    if (fk->tree_levels <= 0)
-        return 0;
-    tally(&fk->prf_ledger, PRF_CALLS, 1);
-    Lane lane;
-    lane_prf(&lane, &fk->prf_state, addr, count);
-    blake2b_lanes(&lane, 1);
-    return (long long)(lane.h[0] & ((1ULL << fk->tree_levels) - 1));
-}
+/* What a block never written holds: a first READ seals these bytes. */
+static const uint8_t zero_block[128];
 
 /* The lanes of a remap's leaf pair, PRF_K(a || c) and PRF_K(a || c'),
- * from lane[0] on — and, on the data level of a WRITE whose payload can
- * be sealed in a lane, that WRITE's seal MAC(c' || a || d'), which is
- * ready as soon as c' is.  Returns how many lanes it filled. */
+ * from lane[0] on — and, on the data level with a third of `room` free,
+ * the data block's seal MAC(c' || a || d), which is ready as soon as c'
+ * is: d is a WRITE's payload when it can be a lane, and the zeros of a
+ * never-written block on a READ at count 0 (data_visit takes that one
+ * only for a block that has no MAC and holds zeros).  Returns how many
+ * lanes it filled. */
 static int
 remap_lanes(Request *rq, int level, unsigned long long child, u128 count,
-            u128 new_count, Lane *lane)
+            u128 new_count, Lane *lane, int room)
 {
     FrontendKernel *fk = rq->fk;
     lane_prf(&lane[0], &fk->prf_state, child, count);
     lane_prf(&lane[1], &fk->prf_state, child, new_count);
-    if (level > 0 || rq->payload == NULL || !mac_fits_lane(fk, new_count))
+    if (level > 0 || room < 3 || !mac_fits_lane(fk, new_count))
         return 2;
-    lane_mac(&lane[2], fk, new_count, child, rq->payload);
+    if (rq->payload != NULL)
+        lane_mac(&lane[2], fk, new_count, child, rq->payload);
+    else if (!rq->write && count == 0)
+        lane_mac(&lane[2], fk, new_count, child, zero_block);
+    else
+        return 2;
     return 3;
 }
 
@@ -424,8 +442,8 @@ fk_leaf_pair(Request *rq, int level, unsigned long long child, Mapping *m)
         pair->count != m->old_counter || pair->new_count != m->new_counter) {
         Lane lane[3];
         const int n = remap_lanes(rq, level, child, m->old_counter,
-                                  m->new_counter, lane);
-        blake2b_lanes(lane, n);
+                                  m->new_counter, lane, 3);
+        run_lanes(lane, n);
         keep_remap_lanes(rq, child, m->old_counter, m->new_counter, lane, n);
     }
     pair->ready = 0;
@@ -450,6 +468,7 @@ fk_mac(FrontendKernel *fk, u128 counter, unsigned long long tagged,
         }
         uint8_t header[20];
         mac_header(header, counter, tagged);
+        scalar_compressions += (20 + (size_t)fk->block_bytes + 127) / 128;
         Blake2b state = fk->mac_state;
         blake2b_update(&state, header, sizeof(header));
         blake2b_update(&state, data, (size_t)fk->block_bytes);
@@ -602,26 +621,34 @@ fetch_visit(Visit *base, AccessKernel *tree, long long slot)
     return 0;
 }
 
-/* readrmv a PosMap-managed block into the handle's work buffer and
- * verify it against `counter`; `also` is the second statistic the
- * fetch moves (refills or relocations) once the tree access succeeded. */
-static int
+/* readrmv a PosMap-managed block into the handle's work buffer; `also`
+ * is the second statistic the fetch moves (refills or relocations) once
+ * the tree access succeeded.  Returns the block's MAC (a new reference),
+ * for the caller to verify, or NULL. */
+static PyObject *
 request_fetch(Request *rq, unsigned long long tagged, long long leaf,
-              long long new_leaf, u128 counter, int also)
+              long long new_leaf, int also)
 {
     FrontendKernel *fk = rq->fk;
     FetchVisit fetch = {{fetch_visit}, fk, NULL};
     if (tree_access(rq->tree, 1, (long long)tagged, leaf, new_leaf,
                     &fetch.base) < 0) {
         Py_XDECREF(fetch.mac);
-        return -1;
+        return NULL;
     }
     rq->posmap_accesses++;
     tally(&fk->stats, C_POSMAP_TREE, 1);
     tally(&fk->stats, also, 1);
-    int rc = fk_verify(fk, fetch.mac, tagged, counter, fk->work, NULL);
-    Py_DECREF(fetch.mac);
-    return rc;
+    return fetch.mac;
+}
+
+/* A seal made ahead for exactly this block and counter, or NULL. */
+static inline const uint8_t *
+ahead_seal(const AheadSeal *seal, unsigned long long tagged, u128 counter)
+{
+    return seal->ready && seal->tagged == tagged && seal->counter == counter
+               ? seal->tag
+               : NULL;
 }
 
 /* The data block's update closure: verify, overwrite on a WRITE, seal. */
@@ -648,7 +675,9 @@ data_visit(Visit *base, AccessKernel *tree, long long slot)
     memcpy(fk->work, bytes, block_bytes);
 
     PyObject *mac = Py_NewRef(PyList_GET_ITEM(tree->mac_col, (Py_ssize_t)slot));
-    /* A READ seals the d it verifies: both tags are one call. */
+    /* A READ seals the d it verifies: both tags are one call.  A READ of
+     * a block never written (no MAC, zeros) takes the seal its remap's
+     * lanes made of the zeros. */
     uint8_t tags[2][64];
     const uint8_t *verified = NULL, *sealed_ahead = NULL;
     if (visit->write_data == NULL && mac != Py_None &&
@@ -657,12 +686,19 @@ data_visit(Visit *base, AccessKernel *tree, long long slot)
         Lane lane[2];
         lane_mac(&lane[0], fk, visit->old_counter, visit->addr, fk->work);
         lane_mac(&lane[1], fk, visit->new_counter, visit->addr, fk->work);
-        blake2b_lanes(lane, 2);
+        run_lanes(lane, 2);
         lane_digest(&lane[0], tags[0]);
         lane_digest(&lane[1], tags[1]);
         verified = tags[0];
         sealed_ahead = tags[1];
     }
+    /* A seal is only ahead with MAC lanes on, so block_bytes fits
+     * zero_block by then. */
+    else if (visit->write_data == NULL && mac == Py_None &&
+             (sealed_ahead = ahead_seal(&rq->seal, visit->addr,
+                                        visit->new_counter)) != NULL &&
+             memcmp(fk->work, zero_block, block_bytes) != 0)
+        sealed_ahead = NULL;
     int rc = fk_verify(fk, mac, visit->addr, visit->old_counter, fk->work,
                        verified);
     Py_DECREF(mac);
@@ -689,9 +725,7 @@ data_visit(Visit *base, AccessKernel *tree, long long slot)
         memcpy(fk->work, PyBytes_AS_STRING(data), block_bytes);
         Py_DECREF(data);
         /* The remap sealed these bytes already when its lanes could. */
-        if (rq->seal.ready && rq->seal.tagged == visit->addr &&
-            rq->seal.counter == visit->new_counter)
-            sealed_ahead = rq->seal.tag;
+        sealed_ahead = ahead_seal(&rq->seal, visit->addr, visit->new_counter);
     }
     if (fk->pmmac || visit->write_data != NULL) {
         PyObject *sealed = fk_seal(fk, visit->addr, visit->new_counter,
@@ -777,40 +811,54 @@ plb_clock(const FrontendKernel *fk)
     return ((const long long *)fk->plb_ledger.data)[PLB_CLOCK];
 }
 
-/* plb.insert of the block in fk->work, stamped with the clock: the
- * lowest free way of its set, else — replaced in place — the one way
- * when direct-mapped, the first way with the smallest last_use
- * otherwise.  Returns the way through *way_out and 1 when a victim went:
- * its fields through *victim, its payload in fk->work. */
+/* The way plb.insert of `tagged` takes, found without moving anything:
+ * the lowest free way of its set (*evicting = 0), else the one way when
+ * direct-mapped, the first way with the smallest last_use otherwise
+ * (*evicting = 1).  -1 when the set already holds the tag. */
+static long long
+plb_way(const FrontendKernel *fk, unsigned long long tagged, int *evicting)
+{
+    const long long *tags = fk->plb_tags.data;
+    const long long *last_use = fk->plb_last_use.data;
+    const long long base = plb_set_base(fk, tagged);
+    long long free_way = -1, lru = base;
+    for (long long w = base; w < base + fk->ways; w++) {
+        if (tags[w] == (long long)tagged)
+            return -1;
+        if (free_way < 0 && tags[w] == -1)
+            free_way = w;
+        if (last_use[w] < last_use[lru])
+            lru = w;
+    }
+    *evicting = free_way < 0;
+    return *evicting ? lru : free_way;
+}
+
+/* plb.insert of the block in fk->work, stamped with the clock, into the
+ * way plb_way picks — replaced in place when evicting.  Returns the way
+ * through *way_out and 1 when a victim went: its fields through *victim,
+ * its payload in fk->work. */
 static int
 fk_plb_insert(FrontendKernel *fk, unsigned long long tagged, long long leaf,
               u128 counter, long long *way_out, Victim *victim)
 {
     long long *tags = fk->plb_tags.data, *leaves = fk->plb_leaves.data;
     long long *last_use = fk->plb_last_use.data;
-    const long long base = plb_set_base(fk, tagged);
-    long long way = -1;
-    for (long long w = base; w < base + fk->ways; w++) {
-        if (tags[w] == (long long)tagged) {
-            PyErr_SetString(PyExc_ValueError, "block already resident in PLB");
-            return -1;
-        }
-        if (way < 0 && tags[w] == -1)
-            way = w;
+    int evicting;
+    const long long way = plb_way(fk, tagged, &evicting);
+    if (way < 0) {
+        PyErr_SetString(PyExc_ValueError, "block already resident in PLB");
+        return -1;
     }
-    const int evicting = way < 0;
     if (evicting) {
-        way = base;
-        for (long long w = base; fk->ways > 1 && w < base + fk->ways; w++) {
+        const long long base = plb_set_base(fk, tagged);
+        for (long long w = base; fk->ways > 1 && w < base + fk->ways; w++)
             if (last_use[w] < 0 || last_use[w] > plb_clock(fk)) {
                 PyErr_Format(PyExc_ValueError,
                              "PLB way %lld was last used at %lld; the clock "
                              "reads %lld", w, last_use[w], plb_clock(fk));
                 return -1;
             }
-            if (last_use[w] < last_use[way])
-                way = w;
-        }
         if (tags[way] < 0) {
             PyErr_Format(PyExc_ValueError, "PLB way %lld holds tag %lld", way,
                          tags[way]);
@@ -837,40 +885,76 @@ enum { ENTRY_STEP, ENTRY_ROLLOVER, ENTRY_FULL };
 static int entry_counters(const FrontendKernel *fk, const uint8_t *block,
                           long long slot, u128 *count, u128 *new_count);
 
-/* PlbFrontend._evict_plb_entry: the victim (its payload in fk->work)
- * re-enters the stash with a fresh MAC over its current counter.  The
- * block just installed in way `parent` holds the counters of the next
- * level's entry, so that remap's leaf pair (and, on the data level, a
- * WRITE's seal) rides in the seal's call. */
+/* Every compression a refill has ready once its PosMap block is in
+ * fk->work, in one call: the block's verify MAC(c || a || d) into
+ * `verified`, the seal of the victim fk_plb_insert is about to evict,
+ * and the leaf pair of the next level's entry (whose counters are in the
+ * block) — with the data block's seal when a lane is left.  Only with
+ * MAC lanes on and `mac` a bytes object or None, so that nothing between
+ * this call and the insert runs Python code.  Returns whether it made
+ * the verify. */
 static int
-fk_evict(Request *rq, int level, long long parent, const Victim *victim)
+refill_lanes(Request *rq, int level, const Mapping *m, PyObject *mac,
+             uint8_t verified[64])
+{
+    FrontendKernel *fk = rq->fk;
+    rq->evicted.ready = 0;
+    if (!fk->mac_lane || (mac != Py_None && !PyBytes_CheckExact(mac)))
+        return 0;
+    Lane lane[MAX_LANES];
+    int n = 0;
+    const unsigned long long tagged = rq->tags[level];
+    const int verify = mac != Py_None && mac_fits_lane(fk, m->old_counter);
+    if (verify)
+        lane_mac(&lane[n++], fk, m->old_counter, tagged, fk->work);
+    /* A way the insert then refuses is only a lane it drops. */
+    int evicting;
+    const long long way = plb_way(fk, tagged, &evicting);
+    const long long *tags = fk->plb_tags.data;
+    AheadSeal *evicted = &rq->evicted;
+    if (way >= 0 && evicting && tags[way] >= 0) {
+        const uint64_t *words = (uint64_t *)fk->plb_counters.data + 2 * way;
+        evicted->tagged = (unsigned long long)tags[way];
+        evicted->counter = ((u128)words[1] << 64) | words[0];
+        evicted->ready = mac_fits_lane(fk, evicted->counter);
+        if (evicted->ready)
+            lane_mac(&lane[n++], fk, evicted->counter, evicted->tagged,
+                     plb_payload(fk, way));
+    }
+    const int pair = n, child = level - 1;
+    const long long slot =
+        (long long)(rq->chain[child] % (unsigned long long)fk->fanout);
+    u128 count, new_count;
+    if (fk->tree_levels > 0 && fk->format != FORMAT_UNCOMPRESSED &&
+        entry_counters(fk, fk->work, slot, &count, &new_count) != ENTRY_FULL)
+        n += remap_lanes(rq, child, rq->tags[child], count, new_count,
+                         &lane[n], MAX_LANES - n);
+    if (n == 0)
+        return 0;
+    run_lanes(lane, n);
+    if (verify)
+        lane_digest(&lane[0], verified);
+    if (evicted->ready)
+        lane_digest(&lane[verify], evicted->tag);
+    if (n > pair)
+        keep_remap_lanes(rq, rq->tags[child], count, new_count, &lane[pair],
+                         n - pair);
+    return verify;
+}
+
+/* PlbFrontend._evict_plb_entry: the victim (its payload in fk->work)
+ * re-enters the stash with a fresh MAC over its current counter — the
+ * one the refill's lanes made, when they made it for this victim. */
+static int
+fk_evict(Request *rq, const Victim *victim)
 {
     FrontendKernel *fk = rq->fk;
     tally(&fk->stats, C_PLB_EVICTIONS, 1);
-    uint8_t tag[64];
-    const uint8_t *ahead = NULL;
-    if (mac_fits_lane(fk, victim->counter)) {
-        Lane lane[MAX_LANES];
-        lane_mac(&lane[0], fk, victim->counter, victim->tagged, fk->work);
-        int n = 1;
-        const int child = level - 1;
-        const long long slot =
-            (long long)(rq->chain[child] % (unsigned long long)fk->fanout);
-        u128 count, new_count;
-        if (fk->tree_levels > 0 && fk->format != FORMAT_UNCOMPRESSED &&
-            entry_counters(fk, plb_payload(fk, parent), slot, &count,
-                           &new_count) != ENTRY_FULL)
-            n += remap_lanes(rq, child, rq->tags[child], count, new_count,
-                             &lane[1]);
-        blake2b_lanes(lane, n);
-        if (n > 1)
-            keep_remap_lanes(rq, rq->tags[child], count, new_count, &lane[1],
-                             n - 1);
-        lane_digest(&lane[0], tag);
-        ahead = tag;
-    }
-    PyObject *sealed = fk_seal(fk, (unsigned long long)victim->tagged,
-                               victim->counter, fk->work, ahead);
+    PyObject *sealed =
+        fk_seal(fk, (unsigned long long)victim->tagged, victim->counter,
+                fk->work,
+                ahead_seal(&rq->evicted, (unsigned long long)victim->tagged,
+                           victim->counter));
     if (sealed == NULL)
         return -1;
     int rc = request_append(rq, victim->tagged, victim->leaf, sealed, fk->work);
@@ -880,13 +964,22 @@ fk_evict(Request *rq, int level, long long parent, const Victim *victim)
 
 /* PlbFrontend._refill_plb: readrmv the PosMap block of `level`, verify
  * it, install it in the PLB, append the victim.  *way is where the
- * block now lives. */
+ * block now lives.  The verify is compared before the insert, so a
+ * mismatch leaves the PLB as it was. */
 static int
 fk_refill(Request *rq, int level, const Mapping *m, long long *way)
 {
     FrontendKernel *fk = rq->fk;
-    if (request_fetch(rq, rq->tags[level], m->leaf, m->new_leaf,
-                      m->old_counter, C_PLB_REFILLS) < 0)
+    PyObject *mac = request_fetch(rq, rq->tags[level], m->leaf, m->new_leaf,
+                                  C_PLB_REFILLS);
+    if (mac == NULL)
+        return -1;
+    uint8_t verified[64];
+    const int ahead = refill_lanes(rq, level, m, mac, verified);
+    const int rc = fk_verify(fk, mac, rq->tags[level], m->old_counter,
+                             fk->work, ahead ? verified : NULL);
+    Py_DECREF(mac);
+    if (rc < 0)
         return -1;
     tally(&fk->plb_ledger, PLB_CLOCK, 1);
     Victim victim;
@@ -894,7 +987,7 @@ fk_refill(Request *rq, int level, const Mapping *m, long long *way)
                                        m->new_counter, way, &victim);
     if (evicting <= 0)
         return evicting;
-    return fk_evict(rq, level, *way, &victim);
+    return fk_evict(rq, &victim);
 }
 
 /* -- PosMap formats ------------------------------------------------------------ */
@@ -1040,28 +1133,68 @@ fk_remap_in_block(Request *rq, long long parent, int level, Mapping *m)
 }
 
 /* One sibling of a group remap: bookkeeping only when it is
- * PLB-resident, else readrmv + re-seal + append (§5.2.2). */
+ * PLB-resident, else readrmv + re-seal + append (§5.2.2).  Its leaves
+ * are one call before the fetch (one lane when it is resident: only the
+ * new leaf is taken), its verify and seal one call after it — each
+ * counted where the reference derives it. */
 static int
 fk_relocate(Request *rq, unsigned long long tagged, u128 old_counter,
             u128 new_counter)
 {
     FrontendKernel *fk = rq->fk;
-    const long long new_leaf = fk_leaf_for(fk, tagged, new_counter);
+    const int prf = fk->tree_levels > 0; /* L <= 0: every leaf is 0 */
     const long long resident = plb_find(fk, tagged);
+    tally(&fk->prf_ledger, PRF_CALLS, prf); /* the new leaf, before the peek */
+    if (resident < -1)
+        return -1;
+    long long new_leaf = 0, old_leaf = 0;
+    if (prf) {
+        Lane lane[2];
+        lane_prf(&lane[0], &fk->prf_state, tagged, new_counter);
+        lane_prf(&lane[1], &fk->prf_state, tagged, old_counter);
+        const int n = resident < 0 ? 2 : 1;
+        run_lanes(lane, n);
+        const uint64_t mask = (1ULL << fk->tree_levels) - 1;
+        new_leaf = (long long)(lane[0].h[0] & mask);
+        if (n > 1)
+            old_leaf = (long long)(lane[1].h[0] & mask);
+    }
     if (resident >= 0) {
         ((long long *)fk->plb_leaves.data)[resident] = new_leaf;
         plb_set_counter(fk, resident, new_counter);
         return 0;
     }
-    if (resident < -1 ||
-        request_fetch(rq, tagged, fk_leaf_for(fk, tagged, old_counter),
-                      new_leaf, old_counter,
-                      C_GROUP_RELOCATIONS) < 0)
+    tally(&fk->prf_ledger, PRF_CALLS, prf); /* the old leaf */
+    PyObject *mac =
+        request_fetch(rq, tagged, old_leaf, new_leaf, C_GROUP_RELOCATIONS);
+    if (mac == NULL)
         return -1;
-    PyObject *sealed = fk_seal(fk, tagged, new_counter, fk->work, NULL);
+    uint8_t tags[2][64];
+    const uint8_t *verified = NULL, *sealed_ahead = NULL;
+    if (mac_fits_lane(fk, new_counter) &&
+        (mac == Py_None || mac_fits_lane(fk, old_counter))) {
+        Lane lane[2];
+        int n = 0;
+        if (mac != Py_None)
+            lane_mac(&lane[n++], fk, old_counter, tagged, fk->work);
+        lane_mac(&lane[n++], fk, new_counter, tagged, fk->work);
+        run_lanes(lane, n);
+        if (n > 1) {
+            lane_digest(&lane[0], tags[0]);
+            verified = tags[0];
+        }
+        lane_digest(&lane[n - 1], tags[1]);
+        sealed_ahead = tags[1];
+    }
+    int rc = fk_verify(fk, mac, tagged, old_counter, fk->work, verified);
+    Py_DECREF(mac);
+    if (rc < 0)
+        return -1;
+    PyObject *sealed =
+        fk_seal(fk, tagged, new_counter, fk->work, sealed_ahead);
     if (sealed == NULL)
         return -1;
-    int rc = request_append(rq, (long long)tagged, new_leaf, sealed, fk->work);
+    rc = request_append(rq, (long long)tagged, new_leaf, sealed, fk->work);
     Py_DECREF(sealed);
     return rc;
 }
@@ -1241,6 +1374,7 @@ fk_run(Request *rq, PyObject *addr_obj, long long addr, PyObject *op,
     if (write < 0)
         return -1;
     tally(&fk->stats, C_ACCESSES, 1);
+    rq->write = write;
     /* Bytes cannot change under the request: its seal can be a lane. */
     if (write && fk->mac_lane && PyBytes_CheckExact(data))
         rq->payload = (const uint8_t *)PyBytes_AS_STRING(data);
@@ -1362,7 +1496,7 @@ fk_request(PyObject *handle, PyObject *addr_obj, long long addr, PyObject *op,
     rq.tree = (AccessKernel *)fk->backend_kernel;
     rq.posmap_accesses = 0;
     rq.payload = NULL;
-    rq.pair.ready = rq.seal.ready = 0;
+    rq.pair.ready = rq.seal.ready = rq.evicted.ready = 0;
     int rc = fk_run(&rq, addr_obj, addr, op, data, data_out, hit_level_out);
     if (rc < 0 && data_out != NULL)
         Py_CLEAR(*data_out);

@@ -7,6 +7,7 @@ from repro.dram.config import DramConfig
 from repro.dram.layout import SubtreeLayout
 from repro.dram.model import DramModel
 from repro.eval.paper_values import PAPER
+from repro.utils.rng import DeterministicRng
 
 
 class TestDramConfig:
@@ -172,6 +173,82 @@ class TestRowGroupsWalkTheLayers:
         assert sum(count for _, _, count in groups) == levels + 1
 
 
+def path_by_row_groups(model, open_rows, leaf):
+    """``DramModel.path_access_cycles`` as it was first written: one
+    fold over ``path_row_groups``, moving ``open_rows``."""
+    cfg = model.config
+    bursts_per_bucket = -(-model.bucket_bytes // cfg.burst_bytes)
+    row_hits = row_misses = total_bursts = 0
+    stall = 0.0
+    for bank, row, bucket_count in model.layout.path_row_groups(leaf):
+        total_bursts += bucket_count * bursts_per_bucket
+        if open_rows.get(bank) == row:
+            row_hits += 1
+        else:
+            row_misses += 1
+            if stall == 0.0:
+                stall = float(cfg.t_rp + cfg.t_rcd + cfg.t_cas)
+            else:
+                stall += cfg.t_rp * 0.25
+        open_rows[bank] = row
+    cycles = stall + -(-total_bursts // cfg.channels) * cfg.burst_cycles
+    return repr(cycles), total_bursts, row_hits, row_misses
+
+
+class TestThePathWalkIsTheRowGroupFold:
+    hypothesis = pytest.importorskip("hypothesis")
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        levels=st.integers(0, 25),
+        bucket_bytes=st.sampled_from([64, 320, 1024, 9000]),
+        channels=st.sampled_from([1, 2, 8]),
+        banks=st.sampled_from([1, 2, 8]),
+        rows=st.sampled_from([1, 4, 16384]),
+        data=st.data(),
+    )
+    def test_a_run_of_paths(self, levels, bucket_bytes, channels, banks, rows, data):
+        """Path after path (the open rows carried), with layers aliasing
+        onto one row: every cycle count's bits, the bursts and the row
+        hits and misses, and the running totals."""
+        dram = DramConfig(
+            channels=channels, banks_per_channel=banks, rows_per_bank=rows
+        )
+        model = DramModel(levels, bucket_bytes, dram)
+        leaves = data.draw(
+            self.st.lists(self.st.integers(0, (1 << levels) - 1), max_size=8)
+        )
+        open_rows, total = {}, 0.0
+        for leaf in leaves:
+            expected = path_by_row_groups(model, open_rows, leaf)
+            stats = model.path_access_cycles(leaf)
+            got = (repr(stats.dram_cycles), stats.bursts, stats.row_hits,
+                   stats.row_misses)
+            assert got == expected
+            total += stats.dram_cycles
+        assert model._open_rows == {
+            bank: row * banks + bank for bank, row in open_rows.items()
+        }
+        assert (model.total_accesses, repr(model.total_cycles)) == (
+            len(leaves), repr(total)
+        )
+
+    def test_the_average_samples_the_same_walk(self):
+        model, walked = DramModel(20, 320), DramModel(20, 320)
+        rng = DeterministicRng(12345)
+        total = sum(
+            walked.path_access_cycles(rng.random_leaf(20)).dram_cycles
+            for _ in range(64)
+        )
+        assert repr(model.average_path_cycles(64)) == repr(total / 64)
+        assert model._open_rows == walked._open_rows
+        assert model.total_accesses == walked.total_accesses == 64
+        assert repr(model.total_cycles) == repr(walked.total_cycles)
+
+
 class TestTimingModelValues:
     """The chunk-wise walk and the memo are performance only: the tree
     latencies are the floats the per-level, per-cell model produced
@@ -231,14 +308,16 @@ class TestTimingModelValues:
 class TestTimingModelMemo:
     @pytest.fixture
     def path_calls(self, monkeypatch):
+        """Every path the model walks (``average_path_cycles`` samples
+        through ``_read_rows``, as ``path_access_cycles`` does)."""
         calls = []
-        original = DramModel.path_access_cycles
+        original = DramModel._read_rows
 
         def counted(model, leaf):
             calls.append(model.config)
             return original(model, leaf)
 
-        monkeypatch.setattr(DramModel, "path_access_cycles", counted)
+        monkeypatch.setattr(DramModel, "_read_rows", counted)
         return calls
 
     @pytest.mark.parametrize("scheme", ("R_X8", "PIC_X32"))

@@ -12,9 +12,11 @@ patterns: mixed hot/cold traffic, one address repeated, a stride that
 aliases PLB sets and a sequential write scan.  The special cases
 follow: WRITE payloads as ``bytes`` / ``bytearray`` / ``memoryview``,
 engaging mid-run, the interpreted path and the kernel interleaved on
-one state, error parity, PMMAC tamper and PLB counters at 2^96.  The
-slice-level form (``replay_trace`` on both tiers, slice by slice) runs
-in ``tests/test_replay_differential.py``.
+one state, error parity, PMMAC tamper (of a data block and of a PosMap
+block a refill fetches), a first READ's seal, the refill's victim seal
+and PLB counters at 2^96.  The slice-level form (``replay_trace`` on
+both tiers, slice by slice) runs in
+``tests/test_replay_differential.py``.
 """
 
 import dataclasses
@@ -24,13 +26,15 @@ import pytest
 from repro.adversary.tamper import StorageTamperer
 from repro.backend.ops import Op
 from repro.backend.path_oram import make_backend
-from repro.errors import ConfigurationError, StashOverflowError
+from repro.errors import (
+    ConfigurationError, IntegrityViolationError, StashOverflowError,
+)
 from repro.spec import spec_names
 from repro.utils.rng import DeterministicRng
 
 from helpers import cold_address, reference_leaf_for
 from lockstep import (
-    CORE, PATTERNS, VARIANTS, build, engage, geometry, lockstep, mixed,
+    CORE, PATTERNS, VARIANTS, WRAPS, build, engage, geometry, lockstep, mixed,
     needs_core, pair, state,
 )
 
@@ -415,3 +419,221 @@ def test_plb_counters_at_the_top_of_96_bits(name, high):
     assert failure is not None
     if high == 2**32:
         assert failure[1][1:] == (OverflowError, "int too big to convert")
+
+
+# ---------------------------------------------------------------------------
+# The refill's lanes and a first READ's seal
+# ---------------------------------------------------------------------------
+
+
+def passes_since(before):
+    """(blake2b_lanes calls, fk_mac's own compressions) since ``before``."""
+    return tuple(now - then for now, then in zip(CORE._passes(), before))
+
+
+def plb_image(frontend):
+    """Which block each PLB way holds, at which leaf and counter."""
+    plb = frontend.plb
+    return plb.tags.tolist(), plb.leaves.tolist(), plb.counters.tolist()
+
+
+def refill_target(ref, fast, candidates=None):
+    """A level-1 PosMap block in both trees, not PLB-resident, whose own
+    parent is (or is the on-chip PosMap, with no level 2), and the first
+    data address it maps: reading that address refills this block and
+    no other.  A parent not resident is brought in first, in lockstep,
+    by a read through a sibling that maps to another PLB set.
+    ``candidates`` narrows the level-1 indices."""
+    fanout, plb = ref.space.fanout, fast.plb
+    tamperers = [StorageTamperer(f.backend.storage) for f in (ref, fast)]
+    level_one = ref.space.level_blocks(1)
+
+    def refillable(index):
+        tag = (1 << 48) | index
+        return not plb.contains(tag) and all(
+            t.find(tag) is not None for t in tamperers
+        )
+
+    for index in range(level_one) if candidates is None else candidates:
+        if not refillable(index):
+            continue
+        parent = (2 << 48) | (index // fanout)
+        if ref.space_levels > 2 and not plb.contains(parent):
+            base = index - index % fanout
+            sibling = next(
+                (
+                    s for s in range(base, min(base + fanout, level_one))
+                    if s != index and not plb.contains((1 << 48) | s)
+                    and plb._set_index((1 << 48) | s) != plb._set_index(parent)
+                ),
+                None,
+            )
+            if sibling is None:
+                continue
+            assert lockstep(ref, fast, [(sibling * fanout, Op.READ)]) is None
+            if not (plb.contains(parent) and refillable(index)):
+                continue
+        return (1 << 48) | index, index * fanout
+    pytest.fail("no PosMap block to refill")
+
+
+@pytest.mark.parametrize("name", PMMAC)
+def test_a_first_read_of_a_never_written_block(name):
+    """A READ at count 0 finds no MAC and zeros: its seal is the one its
+    remap's lanes made of the zeros, counted once, where the reference
+    counts its seal."""
+    ref, fast = pair(name)
+    requests = [(addr, Op.READ) for addr in range(0, ref.num_blocks, 3)]
+    before = CORE._passes()
+    assert lockstep(ref, fast, requests, name) is None
+    _, scalar = passes_since(before)
+    assert ref.stats.fresh_blocks >= len(requests)
+    assert fast.crypto.mac.call_count == ref.crypto.mac.call_count
+    # A first READ's seal takes a compression of its own only where a
+    # refill's call had no lane left for it.
+    assert scalar < len(requests) // 2
+
+
+@pytest.mark.parametrize("wrap", ("bytearray", "memoryview"))
+@pytest.mark.parametrize("name", PMMAC)
+def test_a_non_bytes_write_at_count_zero_is_no_zero_seal(name, wrap):
+    """A WRITE at count 0 never takes a first READ's seal of the zeros: a
+    ``bytearray`` or ``memoryview`` payload, which cannot be a lane, is
+    sealed over its own bytes, and a READ then verifies them."""
+    ref, fast = pair(name)
+    _, block_bytes = geometry(ref)
+    addrs = range(1, ref.num_blocks, 5)
+    requests = [
+        (addr, Op.WRITE, WRAPS[wrap](bytes([addr % 255 + 1]) * block_bytes))
+        for addr in addrs
+    ] + [(addr, Op.READ) for addr in addrs]
+    assert lockstep(ref, fast, requests, name) is None
+    assert fast.read(addrs[0]) == bytes([addrs[0] % 255 + 1]) * block_bytes
+
+
+@pytest.mark.parametrize("name", PMMAC)
+def test_a_macless_block_made_non_zero(name):
+    """A block planted on the path with no MAC and non-zero bytes at count
+    0 passes PMMAC as a never-written block would, but is not the zeros
+    the first READ's lane sealed: both tiers seal its bytes, alike."""
+    ref, fast = pair(name)
+    requests = warm(ref, fast, 12, 60)
+    touched = {args[0] for args in requests}
+    target = next(a for a in range(ref.num_blocks) if a not in touched)
+    _, block_bytes = geometry(ref)
+    planted = bytes([0xA5]) * block_bytes
+    levels = ref.config.levels
+    leaf = reference_leaf_for(ref.crypto.prf.key, target, 0, levels)
+    path = [
+        (1 << depth) - 1 + (leaf >> (levels - depth))
+        for depth in range(levels, -1, -1)
+    ]
+    for frontend in (ref, fast):
+        storage = frontend.backend.storage
+        assert StorageTamperer(storage).find(target) is None
+        # The first bucket up the target's path with a free slot.
+        index = next(
+            i for i in path
+            if len(storage.bucket_records(i)) < storage.config.blocks_per_bucket
+        )
+        records = storage.bucket_records(index) + ((target, leaf, planted, None),)
+        storage.replace_bucket_records(index, records)
+    assert lockstep(ref, fast, [(target, Op.READ)] * 3, name) is None
+    assert ref.read(target) == fast.read(target) == planted
+
+
+@pytest.mark.parametrize("name", PMMAC)
+def test_a_flipped_mac_bit_on_a_refilled_posmap_block(name):
+    """The refill's verify is one lane of its call, compared before the
+    insert: the mismatch raises as the reference raises it, and no way
+    of the PLB takes the block or loses a victim."""
+    ref, fast = pair(name)
+    warm(ref, fast, 5)
+    tag, addr = refill_target(ref, fast)
+    for frontend in (ref, fast):
+        assert StorageTamperer(frontend.backend.storage).corrupt_mac(tag)
+    before = plb_image(fast)
+    failure = lockstep(ref, fast, [(addr, Op.READ)], name)
+    assert failure is not None and failure[0] == 0
+    assert failure[1][1] is IntegrityViolationError
+    assert failure[1][2].startswith(f"MAC mismatch for block {tag:#x}")
+    assert plb_image(fast) == before == plb_image(ref)
+
+
+@pytest.mark.parametrize("name", PMMAC)
+def test_a_stale_posmap_block_replayed_into_a_refill(name):
+    """A PosMap block resealed since a snapshot, rolled back with the
+    whole tree: the refill that fetches it fails on both tiers alike,
+    naming it, and leaves the PLB as it was."""
+    ref, fast = pair(name)
+    warm(ref, fast, 7, 100)
+    tamperers = [StorageTamperer(f.backend.storage) for f in (ref, fast)]
+
+    def level_one_macs():
+        storage = ref.backend.storage
+        return {
+            record[0]: record[3]
+            for index in storage.occupied_buckets()
+            for record in storage.bucket_records(index)
+            if record[0] >> 48 == 1
+        }
+
+    then = level_one_macs()
+    for tamperer in tamperers:
+        tamperer.snapshot()
+    warm(ref, fast, 8, 100)
+    now = level_one_macs()
+    resealed = [
+        tag & ((1 << 48) - 1) for tag in sorted(then)
+        if tag in now and now[tag] != then[tag]
+    ]
+    tag, addr = refill_target(ref, fast, resealed)
+    for tamperer in tamperers:
+        tamperer.replay_all()
+    before = plb_image(fast)
+    failure = lockstep(ref, fast, [(addr, Op.READ)], name)
+    assert failure is not None and failure[0] == 0
+    assert failure[1][1] is IntegrityViolationError
+    assert f"block {tag:#x}" in failure[1][2]
+    assert plb_image(fast) == before == plb_image(ref)
+
+
+@pytest.mark.parametrize("ways", (1, 4))
+@pytest.mark.parametrize("name", PMMAC)
+def test_a_refill_verifies_and_seals_its_victim_in_its_lanes(name, ways):
+    """Direct-mapped, or four ways to a set (each set first fills its free
+    ways, where no victim is planned): once every block read has been
+    written, every MAC of a READ — a refill's verify, its victim's seal,
+    the data block's verify and seal — rides a lanes call."""
+    ref, fast = pair(name, plb_ways=ways)
+    _, block_bytes = geometry(ref)
+    addrs = range(0, ref.num_blocks, 4)
+    assert lockstep(ref, fast, [(addrs[0], Op.READ)], name) is None
+    assert fast.stats.plb_refills > 0 and fast.stats.plb_evictions == 0
+    writes = [(addr, Op.WRITE, bytes([addr % 256]) * block_bytes) for addr in addrs]
+    assert lockstep(ref, fast, writes, name) is None
+    before, evictions = CORE._passes(), fast.stats.plb_evictions
+    order = DeterministicRng(3)
+    reads = [(addrs[order.randrange(len(addrs))], Op.READ) for _ in addrs]
+    assert lockstep(ref, fast, reads, name) is None
+    lanes, scalar = passes_since(before)
+    assert fast.stats.plb_evictions - evictions > 20
+    assert scalar == 0 and lanes > 0
+
+
+@pytest.mark.parametrize("name", ("PC_X32", "PIC_X32", "PI_X8"))
+def test_plb_blocks_wider_than_a_lane(name):
+    """256-byte blocks: a MAC over one is no lane, so no seal is made
+    ahead and a first READ of a never-written block compares no bytes
+    against the 128 a lane holds; with PMMAC every MAC is a compression
+    of its own, without it there is none."""
+    ref, fast = pair(name, block_bytes=256)
+    requests = [(addr, Op.READ) for addr in range(0, ref.num_blocks, 7)]
+    requests += mixed(ref, 5, 150, hot=32, write_share=0.3)
+    before = CORE._passes()
+    assert lockstep(ref, fast, requests, name) is None
+    _, scalar = passes_since(before)
+    if name in PMMAC:
+        assert ref.stats.fresh_blocks > 0 and scalar > 0
+    else:
+        assert scalar == 0

@@ -299,6 +299,43 @@ class TestLaneSpellings:
             CORE._lanes("scalar", [prf_lane(b"k", 0, 0)], 0)
 
 
+class TestCompressionsPerReplay:
+    """``_passes()`` counts the frontend kernels' ``blake2b_lanes`` calls
+    and ``fk_mac``'s own compressions, whichever spelling runs them.  On
+    one seeded PIC_X32 replay both are pinned: a change that drops a
+    fusion — a refill's verify and victim seal beside the next level's
+    leaf pair, a first READ's seal of the zeros — moves the second (the
+    fusion took it from 2 792 to 254), and one that splits a call moves
+    the first."""
+
+    def replay(self, scheme, events):
+        from repro.proc.hierarchy import MissEvent, MissTrace
+        from repro.sim.system import replay_trace
+
+        blocks = 2**18
+        rng = DeterministicRng(2015)
+        trace = MissTrace(name="uniform", instructions=events * 100,
+                          mem_refs=events * 30)
+        trace.events = [
+            MissEvent(rng.randrange(blocks), rng.random() < 0.3)
+            for _ in range(events)
+        ]
+        frontend = build_frontend(scheme, num_blocks=blocks,
+                                  rng=DeterministicRng(7))
+        before = CORE._passes()
+        replay_trace(frontend, trace, OramTimingModel(tree_latency_cycles=1000.0),
+                     scheme=scheme)
+        assert frontend._kernel is not None
+        return tuple(now - then for now, then in zip(CORE._passes(), before))
+
+    def test_a_pic_x32_replay_is_pinned(self):
+        assert self.replay("PIC_X32", 3000) == (6552, 254)
+
+    def test_a_scheme_without_pmmac_makes_no_mac(self):
+        lanes, scalar = self.replay("PC_X32", 3000)
+        assert lanes > 3000 and scalar == 0
+
+
 # ---------------------------------------------------------------------------
 # WRITE payloads the caller keeps
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ under a megabyte, where zero-filling both columns cost 2.2 GB and 2-4 s.
 
 Each case runs in a subprocess of its own, so ``ru_maxrss`` measures that
 tree alone: the build (above the baseline after every import), a replay
-of uniform misses, and 64 probe writes read back. The ``slow`` case
+of uniform misses (its rate and ``_passes()`` per miss are printed: the
+paper-scale number a kernel change reports), and 64 probe writes read
+back. The ``slow`` case
 replays 50 000 misses, then digests the tree (``tree_digest`` walks the
 occupied buckets and hashes the empty runs in bounded pieces: it must
 take under 3 s and add under 8 MB, both to ``ru_maxrss`` and at its
@@ -38,6 +40,7 @@ import json, resource, sys, time, tracemalloc
 
 from repro.proc.hierarchy import MissEvent, MissTrace
 from repro.presets import build_frontend
+from repro.sim.native import _replay_core
 from repro.sim.system import replay_trace
 from repro.sim.timing import OramTimingModel
 from repro.storage.snapshot import tree_digest
@@ -60,7 +63,11 @@ start = time.perf_counter()
 frontend = build_frontend(scheme, num_blocks=blocks, rng=DeterministicRng(7))
 build_s = time.perf_counter() - start
 build_mb = rss_mb() - baseline
+passes = _replay_core._passes()
+start = time.perf_counter()
 replay_trace(frontend, trace, OramTimingModel(tree_latency_cycles=1000.0), scheme=scheme)
+replay_s = time.perf_counter() - start
+lanes, scalar = (now - then for now, then in zip(_replay_core._passes(), passes))
 probes = {rng.randrange(blocks): bytes([n]) * 64 for n in range(1, 65)}
 for addr, data in probes.items():
     frontend.write(addr, data)
@@ -68,6 +75,8 @@ assert all(frontend.read(addr) == data for addr, data in probes.items())
 assert frontend._kernel is not None
 measured = {
     "build_mb": build_mb, "build_s": build_s, "replay_mb": rss_mb() - baseline,
+    "misses_per_s": events / replay_s, "lanes_per_miss": lanes / events,
+    "scalar_per_miss": scalar / events,
 }
 if digest:
     storage = frontend.backend.storage
@@ -112,6 +121,11 @@ def run_case(scheme: str, events: int, digest: bool = False) -> dict:
         f"{scheme} at 2^26 blocks, {events} misses: build "
         f"{measured['build_mb']:.1f} MB in {measured['build_s'] * 1e3:.1f} ms, "
         f"ru_maxrss +{measured['replay_mb']:.1f} MB after the replay"
+    )
+    print(
+        f"{scheme} at 2^26 blocks: {measured['misses_per_s'] / 1e3:.1f} k "
+        f"misses/s, {measured['lanes_per_miss']:.3f} blake2b_lanes calls and "
+        f"{measured['scalar_per_miss']:.3f} scalar MAC compressions per miss"
     )
     if digest:
         print(
