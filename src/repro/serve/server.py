@@ -44,9 +44,11 @@ shards.
    one wall reading per batch. Shards are mutually independent, so they
    may run in any interleaving. Reference tier:
    :meth:`OramShard.execute`, one ``ReplayEngine.run_batch`` per batch
-   on memoryview slices of the log's columns — which the fast tier runs
-   too (with the kernel's ``admit`` for step 1) while an engine's
-   ``run_batch`` is wrapped on the instance, as a tracer does.
+   on memoryview slices of the log's columns. While an engine's
+   ``run_batch`` is wrapped on the instance, as a tracer does, the fast
+   tier runs steps 1 and 2 as the reference tier does
+   (:meth:`OramService._admit_rows`, then :meth:`OramShard.execute`),
+   with the engines still on their kernels.
 3. **Accounting** (:meth:`OramService._account`) — after the epoch
    barrier the epoch's rows count into the log. Simulated queue wait is
    the prefix sum of service latencies ahead of a request in its
@@ -405,8 +407,8 @@ class OramService:
             None if config.shards == 1 else array("i", [-1]) * offset
         )
         # The fast tier's kernel over the streams, logs and engines: built
-        # when a run starts (or at a first _admit), so it holds the engines
-        # and the clock of that moment.
+        # when a run starts, so it holds the engines and the clock of that
+        # moment.
         self._kernel = None
         self.shards: List[OramShard] = []
         for index in range(config.shards):
@@ -499,9 +501,9 @@ class OramService:
         )
 
     def _admit(self, offers: Sequence[int]) -> List[range]:
-        """Bounded FIFO admission — the single mutation site for cursors
-        and the shed/defer counters: the ``ServeKernel``'s ``admit`` on
-        the fast tier, :meth:`_admit_rows` on the reference one.
+        """Bounded FIFO admission on its own, on either tier:
+        :meth:`_admit_rows`, which moves the cursors and the shed/defer
+        counters as ``ServeKernel.epoch`` does.
 
         ``offers[i]`` is how many requests tenant *i* offers, from its
         cursor on; tenants are taken in index order, each one's offers in
@@ -510,20 +512,14 @@ class OramService:
         """
         ends, count = self._ends, len(self.shards)
         starts = ends[-count:] or [0] * count
-        if self._core is not None:
-            if self._kernel is None:
-                self._kernel = self._serve_kernel()
-            consumed = self._kernel.admit(list(offers))
-        else:
-            consumed = self._admit_rows(offers)
-        self._unserved -= consumed
+        self._unserved -= self._admit_rows(offers)
         self._in_flight = True
         return list(map(range, starts, ends[-count:]))
 
     def _admit_rows(self, offers: Sequence[int]) -> int:
-        """The reference tier's admission, row by row, into the same log
-        columns, directory and counters the kernel's ``admit`` fills;
-        returns how far the cursors moved."""
+        """Admission row by row, into the same log columns, directory and
+        counters ``ServeKernel.epoch`` fills; returns how far the cursors
+        moved."""
         shards = self.shards
         ends = self._ends
         fills = ends[-len(shards):] or [0] * len(shards)
@@ -707,14 +703,16 @@ class OramService:
         at each yield. On the fast tier the first two steps are one
         ``ServeKernel.epoch`` call, over a kernel built here — unless an
         engine's ``run_batch`` is wrapped on the instance (a tracer, a
-        spy), which then runs per batch as the reference tier runs it."""
+        spy): then the epoch is :meth:`_run_epoch`, as on the reference
+        tier."""
         started = time.perf_counter()
         burst = self.config.burst
         run = self._run_epoch
-        if self._core is not None:
+        if self._core is not None and not any(
+            "run_batch" in vars(s.engine) for s in self.shards
+        ):
             self._kernel = self._serve_kernel()
-            if not any("run_batch" in vars(s.engine) for s in self.shards):
-                run = self._kernel_epoch
+            run = self._kernel_epoch
         while self._unserved:
             admitted = run(burst)
             self._account(admitted)

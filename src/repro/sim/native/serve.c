@@ -316,36 +316,29 @@ fail:
 }
 
 /* One epoch's admission (OramService._admit_rows): tenants in index
- * order, tenant t's offer — offers[t], or min(burst, rows left) when
- * `offers` is NULL — from its cursor in stream order, each row appended
- * to its routed shard's log: the tenant, the address (through the
- * directory when there is one) and the write flag.  A row whose shard
- * already admitted `capacity` rows this epoch is shed (counted, the
- * cursor moves on) or deferred (counted, the tenant stops until the next
- * epoch).  Moves each tenant's ledger (issued, the cursor; shed;
+ * order, tenant t's offer — min(burst, rows left) — from its cursor in
+ * stream order, each row appended to its routed shard's log: the tenant,
+ * the address (through the directory when there is one) and the write
+ * flag.  A row whose shard already admitted `capacity` rows this epoch
+ * is shed (counted, the cursor moves on) or deferred (counted, the
+ * tenant stops until the next epoch).  Moves each tenant's ledger (issued, the cursor; shed;
  * deferred) and each shard's (shed; deferred; the depth sample, total
  * and max; mapped), leaves each shard's queue in [start, fill), appends
- * the fills to `ends` and returns how far the cursors moved.
+ * the fills to `ends`.  0 on success, -1 with an exception set.
  *
- * Everything is checked before any row moves: the ends, each offered
- * window inside its stream, its routes in [0, shards), its addresses
- * inside the directory (>= 0 without one), and room in each log for the
- * most the epoch can admit there.  Each row re-checks what it indexes
- * with: a column can alias another, so one written here can be one
- * read here.  Runs no Python. */
-static Py_ssize_t
-serve_admit(ServeKernel *self, PyObject *offers, Py_ssize_t burst)
+ * Everything is checked before any row moves: the ends, each cursor
+ * inside its stream, each offered window's routes in [0, shards), its
+ * addresses inside the directory (>= 0 without one), and room in each
+ * log for the most the epoch can admit there.  Each row re-checks what
+ * it indexes with: a column can alias another, so one written here can
+ * be one read here.  Runs no Python. */
+static int
+serve_admit(ServeKernel *self, Py_ssize_t burst)
 {
     const Py_ssize_t tenants = self->tenants, shards = self->shards,
                      capacity = self->capacity, n = PyList_GET_SIZE(self->ends);
     const long long bound =
         self->directory.acquired ? self->directory.len : LLONG_MAX;
-    if (offers != NULL && PyList_GET_SIZE(offers) != tenants) {
-        PyErr_Format(PyExc_ValueError,
-                     "admission needs one offer per tenant (%zd offers for "
-                     "%zd tenants)", PyList_GET_SIZE(offers), tenants);
-        return -1;
-    }
     if (n % shards != 0) {
         PyErr_Format(PyExc_ValueError,
                      "ends holds %zd entries, not a multiple of %zd shards",
@@ -373,13 +366,7 @@ serve_admit(ServeKernel *self, PyObject *offers, Py_ssize_t burst)
             return -1;
         }
         st->cursor = (Py_ssize_t)cursor;
-        const Py_ssize_t offer =
-            offers != NULL ? list_index(offers, t, 0, length - st->cursor,
-                                        "the offer of stream", t)
-                           : Py_MIN(burst, length - st->cursor);
-        if (offer < 0)
-            return -1;
-        st->stop = st->cursor + offer;
+        st->stop = st->cursor + Py_MIN(burst, length - st->cursor);
         const long long *addr = st->addrs.data, *route = st->routes.data;
         for (Py_ssize_t c = st->cursor; c < st->stop; c++) {
             if (route[c] < 0 || route[c] >= shards) {
@@ -410,7 +397,6 @@ serve_admit(ServeKernel *self, PyObject *offers, Py_ssize_t burst)
         }
     }
 
-    Py_ssize_t consumed = 0;
     int32_t *directory = self->directory.acquired ? self->directory.data : NULL;
     for (Py_ssize_t t = 0; t < tenants; t++) {
         ServeStream *st = &self->stream[t];
@@ -464,7 +450,6 @@ serve_admit(ServeKernel *self, PyObject *offers, Py_ssize_t burst)
             sh->fill++;
         }
         tally(&st->ledger, TEN_ISSUED, c - st->cursor);
-        consumed += c - st->cursor;
     }
     for (Py_ssize_t s = 0; s < shards; s++) {
         ServeShard *sh = &self->shard[s];
@@ -480,7 +465,7 @@ serve_admit(ServeKernel *self, PyObject *offers, Py_ssize_t burst)
         if (rc < 0)
             return -1;
     }
-    return consumed;
+    return 0;
 }
 
 /* (now - stamp) * 1e6 as the interpreted expression computes it: in C
@@ -572,7 +557,7 @@ serve_execute(ServeKernel *self, ServeShard *sh, PyObject *stamp)
 }
 
 /* A kernel runs one call at a time: a callback of its own epoch (an
- * observer, the clock) cannot admit or run another. */
+ * observer, the clock) cannot run another. */
 static int
 serve_enter(ServeKernel *self)
 {
@@ -588,21 +573,6 @@ serve_enter(ServeKernel *self)
     }
     self->busy = 1;
     return 0;
-}
-
-/* admit(offers) -> rows consumed: one epoch's admission alone. */
-static PyObject *
-serve_kernel_admit(ServeKernel *self, PyObject *offers)
-{
-    if (!PyList_Check(offers)) {
-        PyErr_SetString(PyExc_TypeError, "admit: offers must be a list");
-        return NULL;
-    }
-    if (serve_enter(self) < 0)
-        return NULL;
-    const Py_ssize_t consumed = serve_admit(self, offers, 0);
-    self->busy = 0;
-    return consumed < 0 ? NULL : PyLong_FromSsize_t(consumed);
 }
 
 /* epoch(burst) -> rows admitted: one whole epoch but its accounting — the
@@ -622,7 +592,7 @@ serve_kernel_epoch(ServeKernel *self, PyObject *arg)
     if (serve_enter(self) < 0)
         return NULL;
     PyObject *result = NULL, *stamp = PyObject_CallNoArgs(self->clock);
-    if (stamp != NULL && serve_admit(self, NULL, burst) >= 0) {
+    if (stamp != NULL && serve_admit(self, burst) >= 0) {
         Py_ssize_t admitted = 0, s = 0;
         for (; s < self->shards; s++)
             admitted += self->shard[s].fill - self->shard[s].start;
@@ -655,9 +625,6 @@ serve_kernel_unserved(ServeKernel *self, void *closure)
 }
 
 static PyMethodDef serve_kernel_methods[] = {
-    {"admit", (PyCFunction)serve_kernel_admit, METH_O,
-     "admit(offers) -> rows consumed: one epoch's FIFO admission, tenant t "
-     "offering offers[t] rows from its cursor."},
     {"epoch", (PyCFunction)serve_kernel_epoch, METH_O,
      "epoch(burst) -> rows admitted: the admission stamp, the admission of "
      "up to burst rows per tenant and every shard's queue executed."},

@@ -31,14 +31,17 @@ def test_every_cited_markdown_file_exists():
 @pytest.fixture
 def run_example(tmp_path):
     """Run one example as a user would: its own process, a scratch working
-    directory, both on-disk caches off; it must exit 0."""
+    directory, both on-disk caches in scratch directories of their own (a
+    user's default is under ``~/.cache``); it must exit 0."""
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
     env = dict(
         os.environ,
         PYTHONPATH=os.pathsep.join(
             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
         ),
-        REPRO_TRACE_CACHE="off",
-        REPRO_RESULT_CACHE="off",
+        REPRO_TRACE_CACHE=str(tmp_path / "traces"),
+        REPRO_RESULT_CACHE=str(tmp_path / "results"),
     )
 
     def run(name: str, timeout: int = 600) -> str:
@@ -47,11 +50,11 @@ def run_example(tmp_path):
             capture_output=True,
             text=True,
             timeout=timeout,
-            cwd=tmp_path,
+            cwd=cwd,
             env=env,
         )
         assert result.returncode == 0, result.stderr
-        assert list(tmp_path.iterdir()) == []  # nothing left behind
+        assert list(cwd.iterdir()) == []  # nothing left behind
         return result.stdout
 
     return run
@@ -95,7 +98,6 @@ class TestTamperDetection:
 
 
 class TestDesignSpaceExploration:
-    @pytest.mark.slow
     def test_tables_render(self, run_example):
         out = run_example("design_space_exploration.py", timeout=900)
         assert "Scheme comparison" in out

@@ -2583,7 +2583,7 @@ def serve_args(shards=2, tenants=2, rows=8, room=32):
     requests routed round-robin over ``shards`` empty logs of ``room``
     rows, a queue capacity of 8, batches of 4, engines whose requests each
     take one tree access of 10 cycles, and a directory (None for one
-    shard). Offers are separate: :func:`offers`."""
+    shard)."""
     streams = [
         (
             array("q", range(100 * t, 100 * t + rows)),
@@ -2614,10 +2614,6 @@ def serve_args(shards=2, tenants=2, rows=8, room=32):
     ]
 
 
-def offers(tenants=2):
-    return [4] * tenants
-
-
 def kernel_image(args):
     """Every value a ``ServeKernel`` may move."""
     streams, logs, engines, ends, directory = args[:5]
@@ -2642,13 +2638,13 @@ def assert_build_rejects(args, errors=REJECTED, match=None):
     assert kernel_image(args) == before
 
 
-def assert_admit_rejects(args, offered, errors=REJECTED, match=None):
-    """Admission raises, and nothing moved: every check precedes the
-    first row."""
+def assert_admit_rejects(args, burst, errors=REJECTED, match=None):
+    """An epoch's admission raises, and nothing moved: every check
+    precedes the first row."""
     kernel = CORE.ServeKernel(*args)
     before = kernel_image(args)
     with pytest.raises(errors, match=match):
-        kernel.admit(offered)
+        kernel.epoch(burst)
     assert kernel_image(args) == before
 
 
@@ -2779,27 +2775,30 @@ class TestServeKernelConstruction:
 
 
 class TestServeKernelAdmit:
+    """Admission, as ``epoch(burst)`` runs it before any batch: each tenant
+    offers up to ``burst`` rows from its cursor."""
+
     def test_a_valid_admission(self):
         args = serve_args()
-        assert CORE.ServeKernel(*args).admit(offers()) == 8
+        assert CORE.ServeKernel(*args).epoch(4) == 8
         streams, logs, ends, directory = args[0], args[1], args[3], args[4]
         assert ends == [4, 4]
         assert [tuple(s[3]) for s in streams] == [(4, 0, 0)] * 2
         assert logs[0][0][:4].tolist() == [0, 0, 1, 1]
         assert logs[0][1][:4].tolist() == [0, 1, 2, 3]
         assert [directory[a] for a in (0, 2, 100, 102)] == [0, 1, 2, 3]
-        assert logs[0][5].tolist() == [0, 0, 1, 4, 4, 0, 0, 4]  # mapped 4
+        assert logs[0][5].tolist() == [0, 0, 1, 4, 4, 1, 1, 4]  # mapped 4
 
     @pytest.mark.parametrize("route", [2, 3, -1, 2**62])
     def test_a_route_outside_the_pool(self, route):
         args = serve_args()
         args[0][1][2][1] = route
-        assert_admit_rejects(args, offers(), ValueError, "routes to shard")
+        assert_admit_rejects(args, 4, ValueError, "routes to shard")
 
-    def test_a_route_outside_the_pool_beyond_the_offer_is_not_read(self):
+    def test_a_route_outside_the_pool_beyond_the_burst_is_not_read(self):
         args = serve_args()
         args[0][1][2][7] = 9  # past this epoch's window
-        assert CORE.ServeKernel(*args).admit(offers()) == 8
+        assert CORE.ServeKernel(*args).epoch(4) == 8
 
     def test_a_log_column_that_is_also_the_routes(self):
         """Rows written by admission can be rows it reads: a route the
@@ -2812,7 +2811,7 @@ class TestServeKernelAdmit:
         args[3] = [1, 0]
         kernel = CORE.ServeKernel(*args)
         with pytest.raises(ValueError, match="route changed"):
-            kernel.admit([4])
+            kernel.epoch(4)
 
     def test_a_log_column_that_is_also_the_addresses(self):
         """An address the epoch itself overwrote is checked against the
@@ -2825,21 +2824,21 @@ class TestServeKernelAdmit:
         args[3] = [1, 0]
         kernel = CORE.ServeKernel(*args)
         with pytest.raises(ValueError, match="address changed"):
-            kernel.admit([4])
+            kernel.epoch(4)
 
     def test_a_negative_address(self):
         args = serve_args()
         args[0][0][0][3] = -1
-        assert_admit_rejects(args, offers(), ValueError, "address -1")
+        assert_admit_rejects(args, 4, ValueError, "address -1")
 
     def test_an_address_outside_the_directory(self):
         args = serve_args()
         args[0][0][0][2] = DIRECTORY
-        assert_admit_rejects(args, offers(), ValueError, f"address {DIRECTORY} outside")
+        assert_admit_rejects(args, 4, ValueError, f"address {DIRECTORY} outside")
         # Without a directory (the identity map) only negatives are refused.
         args = serve_args(shards=1)
         args[0][0][0][2] = 2**40
-        assert CORE.ServeKernel(*args).admit(offers()) == 8
+        assert CORE.ServeKernel(*args).epoch(4) == 8
         assert args[1][0][1][2] == 2**40
 
     @pytest.mark.parametrize("mapped", [-1, 2**31])
@@ -2848,93 +2847,81 @@ class TestServeKernelAdmit:
         args[1][0][5][7] = mapped
         kernel = CORE.ServeKernel(*args)
         with pytest.raises(ValueError, match="mapped"):
-            kernel.admit(offers())
+            kernel.epoch(4)
 
-    @pytest.mark.parametrize("offer", [9, -1, 2**40])
-    def test_an_offer_past_the_end_of_the_stream(self, offer):
-        args = serve_args()
-        offered = offers()
-        offered[1] = offer
-        assert_admit_rejects(args, offered, ValueError, "offer")
-
-    def test_an_offer_past_the_end_from_a_moved_cursor(self):
+    def test_a_burst_past_the_end_of_a_moved_cursor_takes_what_is_left(self):
         args = serve_args()
         args[0][0][3][0] = 6  # two rows left
-        assert_admit_rejects(args, [3, 4], ValueError, "offer")
+        assert CORE.ServeKernel(*args).epoch(4) == 6
+        assert [s[3][0] for s in args[0]] == [8, 4]
 
     @pytest.mark.parametrize("cursor", [9, -1])
     def test_a_cursor_outside_the_stream(self, cursor):
         args = serve_args()
         args[0][0][3][0] = cursor
-        assert_admit_rejects(args, offers(), ValueError, "cursor")
-
-    def test_offers_are_ints(self):
-        assert_admit_rejects(serve_args(), [2.5, 4], TypeError)
-        kernel = CORE.ServeKernel(*serve_args())
-        with pytest.raises(TypeError, match="list"):
-            kernel.admit((4, 4))
-
-    def test_one_offer_per_tenant(self):
-        assert_admit_rejects(serve_args(), [4], ValueError, "one offer per tenant")
+        assert_admit_rejects(args, 4, ValueError, "cursor")
 
     @pytest.mark.parametrize("ends", [[3], [40, 0], [-1, 0], [0, "x"]])
     def test_ends_that_do_not_fit_the_logs(self, ends):
         args = serve_args()
         args[3] = ends
-        assert_admit_rejects(args, offers())
+        assert_admit_rejects(args, 4)
 
     def test_a_log_without_room_for_the_epoch(self):
         args = serve_args(room=32)
         args[3] = [0, 30]  # shard 1 may take 4 more rows, and has room for 2
-        assert_admit_rejects(args, offers(), ValueError, "room")
+        assert_admit_rejects(args, 4, ValueError, "room")
 
     def test_room_for_exactly_the_epoch(self):
         args = serve_args(room=32)
         args[3] = [0, 28]  # shard 1 takes 4 rows: exactly its room
-        assert CORE.ServeKernel(*args).admit(offers()) == 8
+        assert CORE.ServeKernel(*args).epoch(4) == 8
         assert args[3][-2:] == [4, 32]
         args = serve_args(room=32)
         args[3] = [0, 29]
-        assert_admit_rejects(args, offers(), ValueError, "room for 3 more rows")
+        assert_admit_rejects(args, 4, ValueError, "room for 3 more rows")
 
     def test_room_is_for_what_the_queue_can_take(self):
         args = serve_args(room=32)
         args[3] = [0, 30]
         args[5] = 2  # a queue of 2 fits
-        assert CORE.ServeKernel(*args).admit(offers()) == 4  # tenant 1 defers its first
+        assert CORE.ServeKernel(*args).epoch(4) == 4  # tenant 1 defers its first
         assert args[3][-2:] == [2, 32]
 
     @PROPERTY
     @given(
         cursor=st.integers(-2, 10),
-        offer=st.integers(-2, 10),
+        burst=st.integers(1, 10),
         route=st.integers(-2, 3),
         address=st.integers(-2, 2) | st.sampled_from([DIRECTORY - 1, DIRECTORY]),
         fill=st.integers(-2, 34),
     )
     def test_any_window_is_admitted_or_refused_whole(
-        self, cursor, offer, route, address, fill
+        self, cursor, burst, route, address, fill
     ):
-        """Whatever tenant 0's cursor and offer, the route and address of
-        its first offered row and shard 0's fill, a call either admits or
-        raises having moved nothing, and it admits exactly when all of
-        them are valid."""
+        """Whatever tenant 0's cursor, the burst, the route and address of
+        its first offered row and shard 0's fill, an epoch either admits or
+        raises having moved nothing, and it admits exactly when all of them
+        are valid. Tenant 1 offers its first ``burst`` rows, every other
+        one routed to shard 0."""
         args = serve_args(room=32)
         stream = args[0][0]
         stream[3][0] = cursor
         stream[2][min(max(cursor, 0), 7)] = route
         stream[0][min(max(cursor, 0), 7)] = address
         args[3] = [fill, 0]
-        window = stream[2][cursor:cursor + offer] if 0 <= cursor <= 8 else []
+        offer = min(burst, 8 - cursor)
+        window = list(stream[2][cursor:cursor + offer]) if 0 <= cursor <= 8 else []
+        theirs = -(-min(burst, 8) // 2)
         valid = (
-            0 <= cursor <= 8 and 0 <= offer <= 8 - cursor and 0 <= fill <= 32
+            0 <= cursor <= 8 and 0 <= fill <= 32
             and (offer == 0 or (0 <= route < 2 and 0 <= address < DIRECTORY))
-            and fill + min(8, list(window).count(0)) <= 32
+            and fill + min(8, window.count(0) + theirs) <= 32
         )
         kernel = CORE.ServeKernel(*args)
         before = kernel_image(args)
         try:
-            kernel.admit([offer, 0])
+            kernel.epoch(burst)
         except REJECTED:
             assert kernel_image(args) == before
             assert not valid
@@ -3005,8 +2992,6 @@ class TestServeKernelEpoch:
                 raise ZeroDivisionError("clock")
             with pytest.raises(RuntimeError, match="re-entrant"):
                 kernel.epoch(1)
-            with pytest.raises(RuntimeError, match="re-entrant"):
-                kernel.admit(offers())
             return 2.0
 
         args[8] = clock

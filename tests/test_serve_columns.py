@@ -458,16 +458,6 @@ def records(service):
     return histograms, shards
 
 
-def step(service, offers):
-    """One epoch's admission and execution as separate steps; returns its
-    queues."""
-    queues = service._admit(offers)
-    for shard, rows in zip(service.shards, queues):
-        shard.execute(rows, 0.0)
-    service._account(sum(map(len, queues)))
-    return queues
-
-
 def epoch(service, burst):
     """One epoch as ``_epochs`` runs it: one ``ServeKernel.epoch`` call on
     the fast tier (over a kernel built at the first, as a run builds one
@@ -558,19 +548,6 @@ class TestColumnsInLockstep:
         assert not reference._unserved
         fold_both(fast, reference)
         assert None not in spy.folds
-
-    def test_admit_alone_agrees(self):
-        """The kernel's ``admit`` (the fast tier's admission while a
-        ``run_batch`` is wrapped) against ``_admit_rows``."""
-        events = [[(addr % 64, addr % 3 == 0) for addr in range(40)]] * 3
-        fast, reference = twins(
-            events, shards=2, policy="shed", queue_capacity=4, max_batch=3,
-        )
-        while fast._unserved:
-            offers = [min(9, len(t.addrs) - t.cursor) for t in fast._tenants]
-            assert step(fast, offers) == step(reference, offers)
-            assert admission_image(fast) == admission_image(reference)
-        fold_both(fast, reference)
 
     def test_an_error_mid_epoch_leaves_both_tiers_alike(self):
         """PIC_X32 with every block of shard 1's tree tampered: an epoch
