@@ -22,6 +22,7 @@ from repro.dram.model import DramModel
 from repro.proc.hierarchy import MissTrace
 from repro.eval.paper_values import PLATFORMS, report
 from repro.eval.saved import complete_report, figure_runner
+from repro.sim.replay import line_block_ratio, translate_block_addrs
 from repro.sim.runner import SimulationRunner
 from repro.sim.sweep import SweepSpec
 from repro.utils.stats import geometric_mean
@@ -52,9 +53,8 @@ def phantom_cycles(
         + trace.mem_refs * proc.l1_latency
         + trace.l2_hits * proc.l2_latency
     )
-    line_addrs, _ = trace.columns()
-    for line_addr in line_addrs.tolist():
-        block = line_addr * proc.line_bytes // PHANTOM.block_bytes
+    ratio = line_block_ratio(proc.line_bytes, PHANTOM.block_bytes)
+    for block in translate_block_addrs(trace.columns()[0], ratio):
         if block in resident:
             resident.remove(block)
             resident.append(block)

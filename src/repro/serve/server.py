@@ -96,7 +96,7 @@ from repro.errors import ConfigurationError, ReproError
 from repro.proc.hierarchy import MissTrace
 from repro.sim.engine import ReplayEngine
 from repro.sim.metrics import SimResult
-from repro.sim.replay import resolve_tier
+from repro.sim.replay import line_block_ratio, resolve_tier
 from repro.sim.runner import SimulationRunner
 from repro.sim.system import base_cycles
 from repro.serve.stats import ShardStats, TenantStats
@@ -348,7 +348,7 @@ class OramService:
             config.scheme, sizing_bench
         )
         self.block_bytes = probe_spec.block_bytes
-        lines_per_block = max(self.block_bytes // self.runner.proc.line_bytes, 1)
+        lines_per_block = line_block_ratio(self.runner.proc.line_bytes, self.block_bytes)
         # One tier for the whole service: the engines' kernels and the
         # control plane's (ServeKernel / serve_fold / route_column on the
         # fast tier, the interpreted _route_column / _admit_rows /

@@ -105,10 +105,10 @@ def tenant_requests(
 
     Addresses are region-relative block addresses. Benchmark tenants
     replay the runner's miss trace for their benchmark (disk-cached,
-    deterministic per the runner's seed) translated to block addresses
-    with the serving scheme's geometry — the identical translation
-    :func:`~repro.sim.system.replay_trace` performs, which is what makes
-    single-tenant serving lockstep-comparable to replay. Both columns
+    deterministic per the runner's seed) translated to block addresses by
+    ``lines_per_block``, :func:`~repro.sim.replay.line_block_ratio` as the
+    replay engine takes it, which makes single-tenant serving
+    lockstep-comparable to replay. Both columns
     are sliced straight from the trace's own — the write flags stay its
     0 / 1 ``array('b')`` — so a trace loaded from the cache builds no
     :class:`~repro.proc.hierarchy.MissEvent` here.

@@ -35,7 +35,7 @@ from repro.backend.ops import Op
 from repro.config import ProcessorConfig
 from repro.proc.hierarchy import MissTrace
 from repro.sim.metrics import SimResult
-from repro.sim.replay import resolve_tier, translate_block_addrs
+from repro.sim.replay import line_block_ratio, resolve_tier, translate_block_addrs
 from repro.sim.timing import OramTimingModel
 from repro.utils.stats import LEDGERS
 
@@ -71,7 +71,7 @@ def frontend_block_bytes(frontend) -> int:
     if not configs:
         raise TypeError(
             f"{type(frontend).__name__} exposes neither 'config' nor "
-            "'configs'; pass block_bytes explicitly"
+            "'configs' to read block_bytes from"
         )
     return configs[0].block_bytes
 
@@ -90,21 +90,14 @@ class ReplayEngine:
         frontend,
         timing: OramTimingModel,
         proc: ProcessorConfig = ProcessorConfig(),
-        block_bytes: Optional[int] = None,
-        lines_per_block: Optional[int] = None,
-        payload: Optional[bytes] = None,
     ):
-        if block_bytes is None:
-            block_bytes = frontend_block_bytes(frontend)
-        if lines_per_block is None:
-            lines_per_block = max(block_bytes // proc.line_bytes, 1)
+        block_bytes = frontend_block_bytes(frontend)
         crypto = getattr(frontend, "crypto", None)
         self.frontend = frontend
         self.timing = timing
         self.proc = proc
-        self.block_bytes = block_bytes
-        self.lines_per_block = lines_per_block
-        self.payload = bytes(block_bytes) if payload is None else payload
+        self.lines_per_block = line_block_ratio(proc.line_bytes, block_bytes)
+        self.payload = bytes(block_bytes)
         self.cycles: float = 0.0
         self.events = 0
         #: Replay tier this engine was resolved for (see for_mode).
@@ -127,7 +120,6 @@ class ReplayEngine:
         timing: OramTimingModel,
         mode: Optional[str] = None,
         proc: ProcessorConfig = ProcessorConfig(),
-        block_bytes: Optional[int] = None,
     ) -> "ReplayEngine":
         """An engine with the replay tier resolved and switched on.
 
@@ -139,7 +131,7 @@ class ReplayEngine:
         every call, so a change to the environment takes effect at the
         next engine.
         """
-        engine = cls(frontend, timing, proc, block_bytes)
+        engine = cls(frontend, timing, proc)
         engine.mode, core = resolve_tier(mode)
         engine.enable_native(core)
         return engine
@@ -168,7 +160,7 @@ class ReplayEngine:
     # -- address translation ---------------------------------------------------
 
     def translate(self, line_addrs) -> List[int]:
-        """Line-address column -> block addresses for this geometry (the
+        """Line-address column -> block addresses by ``lines_per_block`` (the
         reference tier's; the fast tier translates inside its C loop)."""
         return translate_block_addrs(line_addrs, self.lines_per_block)
 

@@ -65,6 +65,13 @@ def resolve_replay_mode(mode=None) -> str:
     return resolve_tier(mode)[0]
 
 
+def line_block_ratio(line_bytes: int, block_bytes: int) -> int:
+    """Cache lines per ORAM block, ``block_bytes // line_bytes``: the one
+    line ↔ block map. Its clamp to 1 is today's model, a block smaller than
+    the line serving a miss in one access; ROADMAP 10(b) removes it."""
+    return max(block_bytes // line_bytes, 1)
+
+
 def translate_block_addrs(
     line_addrs, lines_per_block: int
 ) -> List[int]:

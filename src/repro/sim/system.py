@@ -58,7 +58,6 @@ def replay_trace(
     timing: OramTimingModel,
     proc: ProcessorConfig = ProcessorConfig(),
     scheme: str = "oram",
-    block_bytes: Optional[int] = None,
     mode: Optional[str] = None,
 ) -> SimResult:
     """Feed every LLC miss/eviction through the Frontend and sum latency.
@@ -79,7 +78,7 @@ def replay_trace(
     drives with live request batches, so serving inherits every
     bit-identity guarantee the differential harnesses prove here.
     """
-    engine = ReplayEngine.for_mode(frontend, timing, mode, proc, block_bytes)
+    engine = ReplayEngine.for_mode(frontend, timing, mode, proc)
     engine.cycles = base_cycles(trace, proc)
     engine.run_trace(trace)
     return engine.result(trace, scheme)

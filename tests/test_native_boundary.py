@@ -54,6 +54,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from repro.adversary.tamper import StorageTamperer  # noqa: E402
 from repro.backend.columnar import ColumnarPathOramBackend  # noqa: E402
 from repro.backend.ops import Op  # noqa: E402
 from repro.config import OramConfig  # noqa: E402
@@ -67,13 +68,16 @@ from repro.frontend.base import AccessResult  # noqa: E402
 from repro.frontend.recursive import RecursiveFrontend  # noqa: E402
 from repro.frontend.unified import PlbFrontend  # noqa: E402
 from repro.presets import build_frontend  # noqa: E402
+from repro.serve import OramService, ServeConfig, TenantSpec  # noqa: E402
+from repro.serve import server  # noqa: E402
 from repro.sim.native import load_native_core, unavailable_reason  # noqa: E402
+from repro.sim.runner import SimulationRunner  # noqa: E402
 from repro.storage.block import Block  # noqa: E402
 from repro.storage.columnar import CHUNK_SLOTS, ColumnarTreeStorage  # noqa: E402
 from repro.storage.snapshot import tree_digest  # noqa: E402
 from repro.utils.rng import DeterministicRng  # noqa: E402
 
-from lockstep import slice_counts  # noqa: E402
+from lockstep import geometry, lockstep, pair, slice_counts  # noqa: E402
 
 CORE = load_native_core()
 pytestmark = pytest.mark.skipif(
@@ -2211,6 +2215,41 @@ class TestFrontendKernelAccessBoundary:
         assert Wrapper.entries == 2
 
 
+class TestMacOfAnotherType:
+    """A ``mac_col`` entry that is not exact ``bytes`` is compared the
+    generic way, as the interpreted ``Mac.verify``'s ``==`` compares it."""
+
+    @pytest.mark.parametrize("flip", [False, True], ids=["equal", "flipped"])
+    def test_a_bytearray_tag_verifies_as_the_reference_does(self, flip):
+        ref, fast = pair("PIC_X32")
+        _blocks, block_bytes = geometry(fast)
+        writes = [
+            (addr, Op.WRITE, bytes([addr]) * block_bytes) for addr in range(32)
+        ]
+        assert lockstep(ref, fast, writes) is None
+        tamperers = [StorageTamperer(f.backend.storage) for f in (ref, fast)]
+        addr = next(
+            a for a in range(32) if all(t.find(a) is not None for t in tamperers)
+        )
+
+        def as_bytearray(record):
+            tag = bytearray(record[3])
+            tag[0] ^= flip
+            return record[:3] + (tag,)
+
+        for tamperer in tamperers:
+            assert tamperer._edit(addr, as_bytearray)
+        index, position = tamperers[1].find(addr)
+        storage = fast.backend.storage
+        assert type(storage.mac_col[storage.bucket(index)[position]]) is bytearray
+        outcome = lockstep(ref, fast, [(addr, Op.READ)])
+        if flip:
+            assert outcome[1][:2] == ("raised", IntegrityViolationError)
+        else:
+            assert outcome is None
+            assert fast.stats.mac_checks == ref.stats.mac_checks > 0
+
+
 # ---------------------------------------------------------------------------
 # RecursiveKernel: construction
 # ---------------------------------------------------------------------------
@@ -2572,6 +2611,17 @@ def _access(addr, op, data=None):
 
 def _clock():
     return 1.0
+
+
+class _TickingClock:
+    """A ``time`` module whose ``perf_counter`` counts ints, 3 a reading."""
+
+    def __init__(self):
+        self.now = 0
+
+    def perf_counter(self):
+        self.now += 3
+        return self.now
 
 
 #: The directory's addresses: the streams' are 100 * t + row.
@@ -3043,6 +3093,30 @@ class TestServeKernelEpoch:
         with pytest.raises(AttributeError):
             kernel.epoch(4)
         assert args[1][1][3] == []
+
+    def test_a_clock_of_ints_walls_as_the_reference_does(self, monkeypatch):
+        """Any callable is the clock: one that counts in ints takes the
+        generic ``(now - stamp) * 1e6``, and a service's every wall and
+        report equals the one its interpreted epochs give."""
+        tenants = [
+            TenantSpec(
+                name=f"t{t}", region_blocks=64,
+                events=tuple(((7 * t + 3 * i) % 64, i % 3 == 0) for i in range(20)),
+            )
+            for t in range(2)
+        ]
+        images = []
+        for core in (CORE, None):
+            monkeypatch.setattr(server, "time", _TickingClock())
+            service = OramService(
+                tenants, SimulationRunner(seed=2015, misses_per_benchmark=50),
+                ServeConfig(scheme="PC_X32", shards=2, burst=3, max_batch=2),
+            )
+            service._core = core
+            service.run()
+            assert (service._kernel is None) == (core is None)
+            images.append(service.report())
+        assert images[0] == images[1]
 
 
 class TestRouteColumnBoundary:

@@ -22,6 +22,7 @@ from repro.sim.engine import ReplayEngine
 from repro.sim.native import load_native_core, unavailable_reason
 from repro.sim.replay import (
     REPLAY_MODES,
+    line_block_ratio,
     resolve_replay_mode,
     translate_block_addrs,
 )
@@ -169,6 +170,19 @@ class TestKernelSelection:
 
 
 class TestTranslation:
+    @pytest.mark.parametrize("block_bytes, line_bytes, ratio", [
+        (64, 64, 1),
+        (128, 64, 2),
+        (256, 64, 4),
+        (4096, 128, 32),  # Phantom's 4 KB blocks under its 128 B lines
+        # The clamp: a block smaller than the line is served by one
+        # access. Today's model; ROADMAP 10(b) turns this case into
+        # line_bytes // block_bytes accesses per miss.
+        (64, 128, 1),
+    ])
+    def test_line_block_ratio(self, block_bytes, line_bytes, ratio):
+        assert line_block_ratio(line_bytes, block_bytes) == ratio
+
     def test_identity_and_shift_and_divide(self):
         trace = make_trace(5, events=64, blocks=2**12)
         line_addrs, _ = trace.columns()

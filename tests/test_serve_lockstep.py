@@ -18,6 +18,7 @@ import json
 
 import pytest
 
+from repro.eval.paper_values import PLATFORMS
 from repro.presets import SCHEMES
 from repro.sim import native as native_pkg
 from repro.sim.runner import SimulationRunner
@@ -33,8 +34,8 @@ from repro.storage.snapshot import tree_digest
 from helpers import strip_wall
 
 
-def make_runner(seed: int = 11) -> SimulationRunner:
-    return SimulationRunner(misses_per_benchmark=500, seed=seed)
+def make_runner(seed: int = 11, platform=None) -> SimulationRunner:
+    return SimulationRunner(platform, misses_per_benchmark=500, seed=seed)
 
 
 def frontend_digests(frontend):
@@ -46,24 +47,34 @@ def frontend_digests(frontend):
 
 class TestLockstepWithReplay:
     @pytest.mark.parametrize("mode", ["serial", "async"])
-    def test_single_tenant_single_shard_is_bit_identical(self, mode):
-        runner = make_runner()
+    @pytest.mark.parametrize("platform, scheme, lines_per_block", [
+        ("table2", "PC_X32", 1),
+        ("table2", "PC_X32:block_bytes=128", 2),  # two 64 B lines a block
+        ("fig9", "PC_X32", 1),  # 64 B blocks under 128 B lines: the clamp
+    ])
+    def test_single_tenant_single_shard_is_bit_identical(
+        self, platform, scheme, lines_per_block, mode
+    ):
+        """Serve and replay take the line -> block ratio from one place,
+        at every ratio a platform row gives, the clamped one included."""
+        runner = make_runner(platform=PLATFORMS[platform])
         trace = runner.trace("hmmer")
-        frontend = runner.build("PC_X32", "hmmer")
+        frontend = runner.build(scheme, "hmmer")
         expected = replay_trace(
             frontend, trace, runner.timing_for(frontend), proc=runner.proc,
-            scheme="PC_X32",
+            scheme=scheme,
         )
-        config = ServeConfig(scheme="PC_X32", shards=1, burst=5, max_batch=13)
+        config = ServeConfig(scheme=scheme, shards=1, burst=5, max_batch=13)
         service = OramService(
             tenants_for(["hmmer"], 1), runner=runner, config=config
         )
         shard = service.shards[0]
+        assert shard.engine.lines_per_block == lines_per_block
         from repro.sim.system import base_cycles
 
         shard.engine.cycles = base_cycles(trace, runner.proc)
         service.run(mode=mode)
-        result = shard.engine.result(trace, scheme="PC_X32")
+        result = shard.engine.result(trace, scheme=scheme)
         assert result == expected  # every SimResult field, cycles included
         # The complete external memory state matches too.
         assert frontend_digests(shard.frontend) == frontend_digests(frontend)
