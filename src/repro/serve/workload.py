@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.proc.hierarchy import MissTrace
 from repro.sim.replay import translate_block_addrs
+from repro.sim.runner import blocks_needed
 from repro.utils.bitops import next_pow2
 from repro.workloads.spec import benchmark
 
@@ -133,8 +134,7 @@ def tenant_region_blocks(
     if spec.region_blocks is not None:
         region = next_pow2(spec.region_blocks)
     elif spec.benchmark is not None:
-        wss = benchmark(spec.benchmark).wss_bytes
-        region = next_pow2(max(wss // block_bytes, 2))
+        region = blocks_needed(spec.benchmark, block_bytes)
     else:
         region = next_pow2(max(max(addrs, default=1) + 1, 2))
     if addrs:

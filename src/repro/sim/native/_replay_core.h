@@ -152,71 +152,76 @@ ALL_LEDGERS(LEDGER_ENUM)
 
 /* -- tree.c: the working set and AccessKernel ------------------------- */
 
-/* One block of the merged working set: its arena slot, the deepest
- * level of the accessed path it may legally be evicted to, and the
- * entry merged before it at that depth (-1: none) — each depth's entries
- * form a chain placement pops LIFO. */
+/* One block of the merged working set: its arena slot and the deepest
+ * level of the accessed path it may legally be evicted to. */
 typedef struct {
     int32_t slot;
     int32_t depth;
-    int32_t below;
 } Entry;
 
-/* One bucket of the accessed path: where its slot ids live and how many
- * of them are blocks.  Under a handle `slots` points into the storage's
- * bucket_slots column; under the list adapters, into scratch. */
-typedef struct {
-    int32_t *slots;
-    int count;
-} Bucket;
+/* Below the placement stack's bottom: merge index 0, what a pop of all
+ * Z ids from a stack holding fewer reads past the real ones (Z <= 255,
+ * so up to 254).  After the order and the stack: room a four-wide copy
+ * may read or write past the entries it means. */
+#define WS_PAD 256
+#define WS_SLACK 4
 
 /* The working set of one tree access in merge order — stash residents
- * in stash order, drained blocks root->leaf, the block of interest last —
- * threaded into one chain per depth.  Python's by_depth lists and
- * merge-order list are views of this one sequence: by_depth[d] is the
- * chain of depth d read backwards, and the leftover stash rebuild walks
- * the merge order front to back.  Integers only; the buffers are kept
- * between accesses, so the steady state allocates nothing. */
+ * in stash order, drained blocks root->leaf, the block of interest last
+ * — with a count of its entries per depth.  Python's by_depth lists are
+ * views of this one sequence: by_depth[d] is its depth-d entries in
+ * merge order.  Placement counting-sorts the merge indices by depth
+ * (deepest first, merge order within a depth) into `order` and places
+ * from one stack; the leftovers are what the stack holds at the end.
+ * Integers only; the buffers are kept between accesses, so the steady
+ * state allocates nothing. */
 typedef struct {
     Entry *merged;
     Py_ssize_t n, cap;
     Py_ssize_t n_resident; /* merged[0..n_resident) came from the stash */
+    int32_t *order;        /* merge indices by depth, + WS_SLACK */
+    int32_t *stack;        /* WS_PAD zeroes, then the placement stack */
+    Py_ssize_t cap_order, cap_stack;
     long long *keys;       /* the residents' addresses, for the duplicate probe */
     Py_ssize_t n_keys, cap_keys;
-    uint64_t depths;       /* bit d: depth d's chain is not empty */
-    int32_t head[64];      /* per depth (levels <= 60): last entry merged */
-    int32_t tail[64];      /* and first */
-    int32_t pool;          /* after placement: the leftovers' LIFO top, or -1 */
+    uint64_t depths;       /* bit d: some entry has depth d */
+    int32_t count[64];     /* per depth (levels <= 60): entries merged */
+    Py_ssize_t n_left;     /* after placement: the stack's height */
     uint32_t *mark;        /* per arena slot: the drain that last merged it */
     Py_ssize_t cap_mark;
     uint32_t epoch;        /* this drain's stamp */
 } WorkSet;
 
-/* Append one block to the merge order and to its depth's chain, into
- * room reserved beforehand (0 <= depth <= 60). */
+/* Append one block to the merge order, into room reserved beforehand
+ * (0 <= depth <= 60). */
 static inline void
 ws_push(WorkSet *ws, int32_t slot, int depth)
 {
-    const uint64_t bit = 1ULL << depth;
-    const int32_t i = (int32_t)ws->n++;
-    ws->merged[i].slot = slot;
-    ws->merged[i].depth = depth;
-    ws->merged[i].below = (ws->depths & bit) ? ws->head[depth] : -1;
-    if (!(ws->depths & bit))
-        ws->tail[depth] = i;
-    ws->head[depth] = i;
-    ws->depths |= bit;
+    Entry *e = &ws->merged[ws->n++];
+    e->slot = slot;
+    e->depth = depth;
+    ws->count[depth]++;
+    ws->depths |= 1ULL << depth;
+}
+
+/* The blocks placement left behind, bottom to top: merge indices. */
+static inline const int32_t *
+ws_leftovers(const WorkSet *ws)
+{
+    return ws->stack + WS_PAD;
 }
 
 HIDDEN void ws_free(WorkSet *ws);
 HIDDEN int ws_begin(WorkSet *ws, Py_ssize_t arena_len);
+HIDDEN int ws_reserve(WorkSet *ws, Py_ssize_t entries);
 HIDDEN int drain_core(WorkSet *ws, const long long *addr_col,
                       const long long *leaf_col, Py_ssize_t arena_len,
                       const int32_t *stash, Py_ssize_t n_stash,
-                      const Bucket *path, uint64_t occupied,
-                      Py_ssize_t n_path, long long *found, long long addr,
-                      long long leaf, int levels);
-HIDDEN uint64_t place_core(WorkSet *ws, Bucket *path, int cap);
+                      const int32_t *drained, Py_ssize_t n_drained,
+                      long long *found, long long addr, long long leaf,
+                      int levels);
+HIDDEN void place_core(WorkSet *ws, int32_t *bucket_slots,
+                       uint8_t *bucket_fill, const long long *index, int cap);
 
 /* The per-backend handle a ColumnarPathOramBackend binds at construction:
  * its access is the backend's.  The tree's state is the storage's own
@@ -253,8 +258,8 @@ struct AccessKernel {
     Col addr, leaf, free_stack, stash_slots;
     int live;
     int claimed_fresh; /* the last claim came from the high-water mark */
-    Bucket *path;          /* levels + 1: the accessed path's buckets */
-    long long *path_index; /* their heap indices */
+    long long *path_index; /* levels + 1: the accessed path's heap indices */
+    int32_t *drained;      /* (levels + 1) * Z: its blocks' slot ids */
     char *snap; /* the block of interest's payload before its visit */
     int levels, cap, chunk_shift, allow_missing;
     Py_ssize_t block_bytes;

@@ -159,7 +159,8 @@ append_slot(PyObject *list, long slot)
  *              levels, by_depth, drained_flat, resident) -> slot | None
  *
  * A list-in/list-out adapter over drain_core: the stash dict's slots
- * and the path's bucket lists are unboxed into scratch columns, drained
+ * and the path's bucket lists are unboxed into one scratch column (the
+ * stash, then the path's flat run root->leaf), drained
  * by the same integer loop the handles run, and the result is unpacked
  * into Python scratch lists — residents and drained slots appended to
  * by_depth[depth] in merge order, residents also to `resident`, every
@@ -195,10 +196,8 @@ drain_scalar(PyObject *self, PyObject *args)
     Col addr_col = {0}, leaf_col = {0};
     WorkSet ws = {0};
     int32_t *ids = NULL;
-    Bucket *buckets = NULL;
     PyObject *result = NULL;
     long long found = -1;
-    uint64_t occupied = 0;
     if (col_acquire(addr_obj, &addr_col, "addr_col", &COL_I64, 0) < 0)
         return NULL;
     if (col_acquire(leaf_obj, &leaf_col, "leaf_col", &COL_I64, 0) < 0)
@@ -219,8 +218,7 @@ drain_scalar(PyObject *self, PyObject *args)
         total += PyList_GET_SIZE(PyList_GET_ITEM(path, li));
     }
     ids = PyMem_Malloc((size_t)(total ? total : 1) * sizeof(int32_t));
-    buckets = PyMem_Malloc((size_t)(path_len ? path_len : 1) * sizeof(Bucket));
-    if (ids == NULL || buckets == NULL) {
+    if (ids == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -241,9 +239,6 @@ drain_scalar(PyObject *self, PyObject *args)
     }
     for (Py_ssize_t li = 0; li < path_len; li++) {
         PyObject *lst = PyList_GET_ITEM(path, li);
-        buckets[li].slots = ids + filled;
-        buckets[li].count = (int)PyList_GET_SIZE(lst);
-        occupied |= (uint64_t)(buckets[li].count != 0) << li;
         for (Py_ssize_t bi = 0; bi < PyList_GET_SIZE(lst); bi++) {
             if (as_slot(PyList_GET_ITEM(lst, bi), arena_len, "bucket",
                         &ids[filled++]) < 0)
@@ -253,7 +248,7 @@ drain_scalar(PyObject *self, PyObject *args)
 
     if (ws_begin(&ws, arena_len) < 0 ||
         drain_core(&ws, addr_col.data, leaf_col.data, arena_len, ids, n_stash,
-                   buckets, occupied, total - n_stash, &found, addr, leaf,
+                   ids + n_stash, total - n_stash, &found, addr, leaf,
                    levels) < 0)
         goto done;
 
@@ -289,7 +284,6 @@ drain_scalar(PyObject *self, PyObject *args)
 done:
     ws_free(&ws);
     PyMem_Free(ids);
-    PyMem_Free(buckets);
     col_release(&addr_col);
     col_release(&leaf_col);
     return result;
@@ -325,6 +319,11 @@ place_greedy(PyObject *self, PyObject *args)
                         "place_greedy supports at most 60 levels");
         return NULL;
     }
+    if (cap > 255) {
+        PyErr_SetString(PyExc_ValueError,
+                        "place_greedy supports at most 255 blocks a bucket");
+        return NULL;
+    }
     Py_ssize_t total = 0;
     for (int d = 0; d <= levels; d++) {
         if (!PyList_Check(PyList_GET_ITEM(by_depth, d)) ||
@@ -342,17 +341,17 @@ place_greedy(PyObject *self, PyObject *args)
     PyObject *pool = NULL;
     int32_t *ids = PyMem_Malloc(((size_t)levels + 1) * (size_t)(cap ? cap : 1) *
                                 sizeof(int32_t));
-    Bucket *buckets = PyMem_Malloc(((size_t)levels + 1) * sizeof(Bucket));
-    if (ids == NULL || buckets == NULL) {
+    uint8_t fill[61] = {0};
+    long long index[61];
+    if (ids == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    if (grow_buffer((void **)&ws.merged, &ws.cap, total, sizeof(Entry)) < 0)
+    if (ws_reserve(&ws, total) < 0)
         goto done;
     for (int d = 0; d <= levels; d++) {
         PyObject *candidates = PyList_GET_ITEM(by_depth, d);
-        buckets[d].slots = ids + (Py_ssize_t)d * cap;
-        buckets[d].count = 0;
+        index[d] = d;
         for (Py_ssize_t i = 0; i < PyList_GET_SIZE(candidates); i++) {
             int32_t slot;
             if (as_slot(PyList_GET_ITEM(candidates, i), INT32_MAX, "by_depth",
@@ -361,7 +360,7 @@ place_greedy(PyObject *self, PyObject *args)
             ws_push(&ws, slot, d);
         }
     }
-    place_core(&ws, buckets, cap);
+    place_core(&ws, ids, fill, index, cap);
     for (int d = 0; d <= levels; d++) {
         PyObject *lst = PyList_GET_ITEM(path, d);
         PyObject *candidates = PyList_GET_ITEM(by_depth, d);
@@ -369,23 +368,20 @@ place_greedy(PyObject *self, PyObject *args)
             PyList_SetSlice(candidates, 0, PyList_GET_SIZE(candidates),
                             NULL) < 0)
             goto done;
-        for (int k = 0; k < buckets[d].count; k++) {
-            if (append_slot(lst, buckets[d].slots[k]) < 0)
+        for (int k = 0; k < fill[d]; k++) {
+            if (append_slot(lst, ids[(Py_ssize_t)d * cap + k]) < 0)
                 goto done;
         }
     }
     pool = PyList_New(0);
-    for (int32_t k = ws.pool; pool != NULL && k >= 0; k = ws.merged[k].below) {
-        if (append_slot(pool, ws.merged[k].slot) < 0)
+    for (Py_ssize_t k = 0; pool != NULL && k < ws.n_left; k++) {
+        if (append_slot(pool, ws.merged[ws_leftovers(&ws)[k]].slot) < 0)
             Py_CLEAR(pool);
     }
-    if (pool != NULL && PyList_Reverse(pool) < 0)
-        Py_CLEAR(pool);
 
 done:
     ws_free(&ws);
     PyMem_Free(ids);
-    PyMem_Free(buckets);
     return pool;
 }
 

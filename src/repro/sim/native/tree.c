@@ -39,6 +39,8 @@ void
 ws_free(WorkSet *ws)
 {
     PyMem_Free(ws->merged);
+    PyMem_Free(ws->order);
+    PyMem_Free(ws->stack);
     PyMem_Free(ws->keys);
     PyMem_Free(ws->mark);
     memset(ws, 0, sizeof(*ws));
@@ -49,7 +51,9 @@ ws_free(WorkSet *ws)
 int
 ws_begin(WorkSet *ws, Py_ssize_t arena_len)
 {
-    ws->n = ws->n_resident = ws->n_keys = 0;
+    for (uint64_t m = ws->depths; m != 0; m &= m - 1)
+        ws->count[bit_length64((long long)(m & -m)) - 1] = 0;
+    ws->n = ws->n_resident = ws->n_keys = ws->n_left = 0;
     ws->depths = 0;
     Py_ssize_t had = ws->cap_mark;
     if (grow_buffer((void **)&ws->mark, &ws->cap_mark, arena_len,
@@ -65,11 +69,30 @@ ws_begin(WorkSet *ws, Py_ssize_t arena_len)
     return 0;
 }
 
+/* Room for `entries` blocks in the merge order, the depth order and the
+ * placement stack, with the order's slack and the stack's padding on
+ * either side. */
+int
+ws_reserve(WorkSet *ws, Py_ssize_t entries)
+{
+    const Py_ssize_t had = ws->cap_stack;
+    if (grow_buffer((void **)&ws->merged, &ws->cap, entries,
+                    sizeof(Entry)) < 0 ||
+        grow_buffer((void **)&ws->order, &ws->cap_order, entries + WS_SLACK,
+                    sizeof(int32_t)) < 0 ||
+        grow_buffer((void **)&ws->stack, &ws->cap_stack,
+                    WS_PAD + entries + WS_SLACK, sizeof(int32_t)) < 0)
+        return -1;
+    if (had == 0) /* a reallocation keeps the padding */
+        memset(ws->stack, 0, WS_PAD * sizeof(int32_t));
+    return 0;
+}
+
 /* A slot id read out of a column, about to join the working set: inside
  * the arena (both columns: `arena_len` is the shorter one) and not
  * already merged by this drain — a slot two buckets, or a bucket and
  * the stash, both claim is one block about to be evicted twice. */
-static int
+static inline int
 ws_admit(WorkSet *ws, long long slot, Py_ssize_t arena_len, const char *where,
          long long leaf)
 {
@@ -88,114 +111,127 @@ ws_admit(WorkSet *ws, long long slot, Py_ssize_t arena_len, const char *where,
     return 0;
 }
 
-/* The fused drain: group the stash residents (stash order), then the
- * path buckets set in `occupied` (bit d: path[d] holds blocks, n_path
- * of them in all) root->leaf, by legal eviction depth, with the object
- * backend's duplicate-block and leaf-range validation in its order
- * (byte-identical messages).  Room is reserved once, for every block
- * drained plus the block of interest.  *found enters -1 and leaves
- * holding the slot of the block of interest, wherever it was located;
- * it is never merged here (the caller groups it last, after the visit).
- * Nothing is mutated: buckets are only rewritten at placement time. */
+/* Merge one run of slot ids at their legal eviction depths: the stash's
+ * residents (`resident`, a constant once inlined), or the path's blocks
+ * after them, which the residents' addresses are probed against. */
+static inline int
+drain_run(WorkSet *ws, const int32_t *slots, Py_ssize_t count, int resident,
+          const long long *addr_col, const long long *leaf_col,
+          Py_ssize_t arena_len, long long *found, long long addr,
+          long long leaf, int levels)
+{
+    for (Py_ssize_t k = 0; k < count; k++) {
+        const int32_t s = slots[k];
+        if (ws_admit(ws, s, arena_len, resident ? "stash" : "bucket",
+                     leaf) < 0)
+            return -1;
+        const long long a = addr_col[s];
+        if (resident)
+            ws->keys[ws->n_keys++] = a;
+        if (a == addr) {
+            if (*found >= 0) {
+                raise_duplicate(a);
+                return -1;
+            }
+            *found = s;
+            continue; /* the block of interest is merged last */
+        }
+        /* Stash-vs-path duplicate guard: `a in resident_addrs`. */
+        for (Py_ssize_t j = 0; !resident && j < ws->n_keys; j++) {
+            if (ws->keys[j] == a) {
+                raise_duplicate(a);
+                return -1;
+            }
+        }
+        const int depth = levels - bit_length64(leaf_col[s] ^ leaf);
+        if (depth < 0) {
+            raise_leaf_range(leaf_col[s], levels);
+            return -1;
+        }
+        ws_push(ws, s, depth);
+    }
+    return 0;
+}
+
+/* The drain: merge the stash residents (stash order), then the path's
+ * blocks — `drained`, the occupied buckets' slot ids root->leaf in one
+ * flat run of n_drained — with the object backend's duplicate-block and
+ * leaf-range validation in its order (byte-identical messages).  Room
+ * is reserved once, for every block drained plus the block of interest.
+ * *found enters -1 and leaves holding the slot of the block of
+ * interest, wherever it was located; it is never merged here (the
+ * caller merges it last, after the visit).  Nothing is mutated: buckets
+ * are only rewritten at placement time. */
 int
 drain_core(WorkSet *ws, const long long *addr_col, const long long *leaf_col,
            Py_ssize_t arena_len, const int32_t *stash, Py_ssize_t n_stash,
-           const Bucket *path, uint64_t occupied, Py_ssize_t n_path,
-           long long *found, long long addr, long long leaf, int levels)
+           const int32_t *drained, Py_ssize_t n_drained, long long *found,
+           long long addr, long long leaf, int levels)
 {
     if (grow_buffer((void **)&ws->keys, &ws->cap_keys, n_stash,
                     sizeof(long long)) < 0 ||
-        grow_buffer((void **)&ws->merged, &ws->cap, n_stash + n_path + 1,
-                    sizeof(Entry)) < 0)
+        ws_reserve(ws, n_stash + n_drained + 1) < 0 ||
+        drain_run(ws, stash, n_stash, 1, addr_col, leaf_col, arena_len,
+                  found, addr, leaf, levels) < 0)
         return -1;
-    /* The stash first, drained like one long bucket, then the occupied
-     * path buckets, lowest mask bit (the root side) first. */
-    const int32_t *slots = stash;
-    Py_ssize_t count = n_stash;
-    for (int resident = 1;; resident = 0) {
-        for (Py_ssize_t k = 0; k < count; k++) {
-            const int32_t s = slots[k];
-            if (ws_admit(ws, s, arena_len, resident ? "stash" : "bucket",
-                         leaf) < 0)
-                return -1;
-            const long long a = addr_col[s];
-            if (resident)
-                ws->keys[ws->n_keys++] = a;
-            if (a == addr) {
-                if (*found >= 0) {
-                    raise_duplicate(a);
-                    return -1;
-                }
-                *found = s;
-                continue; /* the block of interest is grouped last */
-            }
-            /* Stash-vs-path duplicate guard: `a in resident_addrs`. */
-            for (Py_ssize_t j = 0; !resident && j < ws->n_keys; j++) {
-                if (ws->keys[j] == a) {
-                    raise_duplicate(a);
-                    return -1;
-                }
-            }
-            const int depth = levels - bit_length64(leaf_col[s] ^ leaf);
-            if (depth < 0) {
-                raise_leaf_range(leaf_col[s], levels);
-                return -1;
-            }
-            ws_push(ws, s, depth);
-        }
-        if (resident)
-            ws->n_resident = ws->n;
-        if (occupied == 0)
-            return 0;
-        const int d = bit_length64((long long)(occupied & -occupied)) - 1;
-        occupied &= occupied - 1;
-        slots = path[d].slots;
-        count = path[d].count;
-    }
+    ws->n_resident = ws->n;
+    return drain_run(ws, drained, n_drained, 0, addr_col, leaf_col,
+                     arena_len, found, addr, leaf, levels);
 }
 
-/* Greedy placement, deepest level first; candidates LIFO, then the pool
- * of deeper leftovers LIFO — the object backend's loop over the merged
- * working set, visiting only the depths that have candidates or inherit
- * a non-empty pool.  Returns the mask of the levels that received
- * blocks: path[d] is rewritten for exactly those, and every other
- * bucket is left empty.  ws->pool is then the top of the leftovers'
- * chain, which read top-down is the object backend's pool list
- * reversed.  Nothing here can fail. */
-uint64_t
-place_core(WorkSet *ws, Bucket *path, int cap)
+/* Greedy placement, deepest level first: the object backend's loop —
+ * a level's candidates LIFO, then the pool of deeper leftovers LIFO —
+ * as one stack.  The merge indices are counting-sorted by depth
+ * (deepest first, merge order within a depth); each level pushes its
+ * run and pops min(Z, height) entries into its bucket, newest first.
+ * Pushing a level's candidates onto the pool and popping from the top
+ * takes the candidates newest first and then the pool's top, which is
+ * the object backend's order; what the stack holds at the end is its
+ * pool list, bottom to top (ws_leftovers, ws->n_left).  The bucket at
+ * depth d is bucket_slots[index[d] * Z ...] with its fill at
+ * bucket_fill[index[d]]; only levels that receive blocks are written,
+ * and every level a stack entry passes does.  The copies are fixed-
+ * width, not one step per block: a push copies four merge indices at a
+ * time (reading into the order's slack) and a pop writes all Z of a
+ * bucket's ids (reading into the stack's padding), the ones past its
+ * new fill stale, which nothing reads.  Nothing here can fail. */
+void
+place_core(WorkSet *ws, int32_t *bucket_slots, uint8_t *bucket_fill,
+           const long long *index, int cap)
 {
-    Entry *e = ws->merged;
-    uint64_t todo = ws->depths, received = 0;
-    int32_t pool = -1;
-    for (int level = 0; level >= 0 && (todo != 0 || pool >= 0); level--) {
-        if (pool < 0) /* jump to the next depth with candidates */
-            level = bit_length64((long long)todo) - 1;
-        int32_t *slots = path[level].slots;
-        int count = 0;
-        if (todo >> level & 1) {
-            int32_t i = ws->head[level];
-            while (count < cap && i >= 0) {
-                slots[count++] = e[i].slot;
-                i = e[i].below;
-            }
-            if (i >= 0) { /* the rest goes on the pool, merge order up */
-                e[ws->tail[level]].below = pool;
-                pool = i;
+    const Entry *e = ws->merged;
+    int32_t *order = ws->order, *stack = ws->stack + WS_PAD;
+    uint64_t todo = ws->depths;
+    Py_ssize_t height = 0;
+    if (todo != 0) {
+        int32_t end[64], at = 0;
+        const int deepest = bit_length64((long long)todo) - 1;
+        for (int d = deepest; d >= 0; d--)
+            end[d] = at += ws->count[d];
+        for (Py_ssize_t i = ws->n - 1; i >= 0; i--)
+            order[--end[e[i].depth]] = (int32_t)i;
+        /* end[d] is now where depth d's run starts. */
+        for (int level = deepest; level >= 0; level--) {
+            if (height == 0) { /* jump to the next depth with candidates */
+                if (todo == 0)
+                    break;
+                level = bit_length64((long long)todo) - 1;
             }
             todo &= ~(1ULL << level);
-        }
-        while (count < cap && pool >= 0) {
-            slots[count++] = e[pool].slot;
-            pool = e[pool].below;
-        }
-        if (count > 0) {
-            path[level].count = count;
-            received |= 1ULL << level;
+            const int32_t *run = order + end[level];
+            const int32_t r = ws->count[level];
+            int32_t *slots = bucket_slots + index[level] * cap;
+            for (int32_t j = 0; j < r; j += 4)
+                memcpy(stack + height + j, run + j, 4 * sizeof(int32_t));
+            height += r;
+            for (int k = 0; k < cap; k++)
+                slots[k] = e[stack[height - 1 - k]].slot;
+            const int take = height < cap ? (int)height : cap;
+            height -= take;
+            bucket_fill[index[level]] = (uint8_t)take;
         }
     }
-    ws->pool = pool;
-    return received;
+    ws->n_left = height;
 }
 
 #define KERNEL_REFS (sizeof(((AccessKernel *)0)->refs) / sizeof(PyObject *))
@@ -233,8 +269,8 @@ kernel_dealloc(AccessKernel *self)
     Py_CLEAR(self->backend);
     Py_CLEAR(self->observer);
     ws_free(&self->ws);
-    PyMem_Free(self->path);
     PyMem_Free(self->path_index);
+    PyMem_Free(self->drained);
     PyMem_Free(self->snap);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
@@ -309,11 +345,12 @@ kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
                           &COL_F64, N_MOMENT_SLOTS, 0) < 0)
         goto fail;
     self->backend_ref = PyWeakref_NewRef(backend, NULL);
-    self->path = PyMem_Calloc((size_t)levels + 1, sizeof(Bucket));
     self->path_index = PyMem_Calloc((size_t)levels + 1, sizeof(long long));
+    self->drained =
+        PyMem_Malloc(((size_t)levels + 1) * (size_t)cap * sizeof(int32_t));
     self->snap = PyMem_Malloc((size_t)block_bytes);
-    if (self->backend_ref == NULL || self->path == NULL ||
-        self->path_index == NULL || self->snap == NULL) {
+    if (self->backend_ref == NULL || self->path_index == NULL ||
+        self->drained == NULL || self->snap == NULL) {
         if (!PyErr_Occurred())
             PyErr_NoMemory();
         goto fail;
@@ -955,7 +992,6 @@ kernel_tree_body(AccessKernel *self, int readrmv, long long addr,
 {
     const int levels = self->levels, cap = self->cap;
     WorkSet *ws = &self->ws;
-    Bucket *path = self->path;
     PyObject *saved_mac = NULL;
     long long found = -1, saved_leaf = 0;
     int created_fresh = 0, snapshotted = 0, rc = -1;
@@ -969,26 +1005,33 @@ kernel_tree_body(AccessKernel *self, int readrmv, long long addr,
     if (kernel_reserve_stash(
             self, occupancy + (long long)cap * (levels + 1) + 1) < 0)
         goto abort;
+    const long long *index = self->path_index;
     uint8_t *fill = self->bucket_fill.data;
+    int32_t *tree = self->bucket_slots.data;
     uint64_t occupied = 0; /* bit d: path bucket d holds blocks */
-    Py_ssize_t n_path = 0;
     for (int d = 0; d <= levels; d++) {
-        const long long index = self->path_index[d];
-        if (fill[index] > cap) {
+        if (fill[index[d]] > cap) {
             PyErr_Format(PyExc_ValueError,
-                         "bucket %lld holds %d blocks (Z = %d)", index,
-                         (int)fill[index], cap);
+                         "bucket %lld holds %d blocks (Z = %d)", index[d],
+                         (int)fill[index[d]], cap);
             goto abort;
         }
-        path[d].slots = (int32_t *)self->bucket_slots.data + index * cap;
-        path[d].count = fill[index];
-        occupied |= (uint64_t)(fill[index] != 0) << d;
-        n_path += fill[index];
+        occupied |= (uint64_t)(fill[index[d]] != 0) << d;
+    }
+    /* The occupied buckets' slot ids, root->leaf, in one flat run: all
+     * Z of a bucket's ids, the cursor advancing by its fill (what a copy
+     * takes past the fill is overwritten or never read). */
+    Py_ssize_t n_path = 0;
+    for (uint64_t m = occupied; m != 0; m &= m - 1) {
+        const long long i = index[bit_length64((long long)(m & -m)) - 1];
+        for (int k = 0; k < cap; k++)
+            self->drained[n_path + k] = tree[i * cap + k];
+        n_path += fill[i];
     }
     if (ws_begin(ws, self->addr.len) < 0 ||
         drain_core(ws, self->addr.data, self->leaf.data, self->addr.len,
                    (int32_t *)self->stash_slots.data + 1,
-                   (Py_ssize_t)occupancy, path, occupied, n_path, &found,
+                   (Py_ssize_t)occupancy, self->drained, n_path, &found,
                    addr, leaf, levels) < 0)
         goto abort;
 
@@ -1068,20 +1111,19 @@ kernel_tree_body(AccessKernel *self, int readrmv, long long addr,
     }
 
     /* ---- commit: placement, stash reconcile, write-back ----------- */
-    const uint64_t received = place_core(ws, path, cap);
-    /* Only the buckets drained or refilled are written: an untouched
-     * bucket that stays empty is never written. */
-    for (uint64_t m = occupied | received; m != 0; m &= m - 1) {
-        const int d = bit_length64((long long)(m & -m)) - 1;
-        fill[self->path_index[d]] =
-            (received >> d & 1) ? (uint8_t)path[d].count : 0;
-    }
+    /* Every drained bucket empties and placement refills the levels that
+     * receive blocks: an untouched bucket that stays empty is never
+     * written. */
+    for (uint64_t m = occupied; m != 0; m &= m - 1)
+        fill[index[bit_length64((long long)(m & -m)) - 1]] = 0;
+    place_core(ws, tree, fill, index, cap);
     int32_t *stash = self->stash_slots.data;
-    if (ws->pool >= 0) {
+    if (ws->n_left > 0) {
         /* Leftovers: rebuild the stash column in merge order — resident
          * survivors, drained survivors, the block of interest last. */
-        for (int32_t k = ws->pool; k >= 0; k = ws->merged[k].below)
-            ws->merged[k].depth = -1;
+        const int32_t *left = ws_leftovers(ws);
+        for (Py_ssize_t k = 0; k < ws->n_left; k++)
+            ws->merged[left[k]].depth = -1;
         int32_t kept = 0;
         for (Py_ssize_t i = 0; i < ws->n; i++) {
             if (ws->merged[i].depth == -1)

@@ -131,6 +131,7 @@ VARIANTS = {
     "PIC_X32/beta=2": ("PIC_X32", ROLLOVER),
     "PC_X32/beta=2": ("PC_X32", ROLLOVER),
     "PC_X32/Z=3": ("PC_X32", dict(SMALL, blocks_per_bucket=3)),
+    "PC_X32/Z=6": ("PC_X32", dict(SMALL, blocks_per_bucket=6)),
     "PI_X8/H=1": ("PI_X8", dict(SMALL, num_blocks=64, onchip_entries=64)),
     "R_X8/H=1": ("R_X8", dict(num_blocks=64, onchip_entries=64)),
     "R_X8/H=2": ("R_X8", dict(num_blocks=2**9, onchip_entries=64)),

@@ -51,13 +51,13 @@ from array import array
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.adversary.tamper import StorageTamperer  # noqa: E402
 from repro.backend.columnar import ColumnarPathOramBackend  # noqa: E402
 from repro.backend.ops import Op  # noqa: E402
-from repro.config import OramConfig  # noqa: E402
+from repro.config import OramConfig, ProcessorConfig  # noqa: E402
 from repro.errors import (  # noqa: E402
     BlockNotFoundError,
     ConfigurationError,
@@ -68,6 +68,7 @@ from repro.frontend.base import AccessResult  # noqa: E402
 from repro.frontend.recursive import RecursiveFrontend  # noqa: E402
 from repro.frontend.unified import PlbFrontend  # noqa: E402
 from repro.presets import build_frontend  # noqa: E402
+from repro.proc.hierarchy import CacheHierarchy  # noqa: E402
 from repro.serve import OramService, ServeConfig, TenantSpec  # noqa: E402
 from repro.serve import server  # noqa: E402
 from repro.sim.native import load_native_core, unavailable_reason  # noqa: E402
@@ -76,6 +77,8 @@ from repro.storage.block import Block  # noqa: E402
 from repro.storage.columnar import CHUNK_SLOTS, ColumnarTreeStorage  # noqa: E402
 from repro.storage.snapshot import tree_digest  # noqa: E402
 from repro.utils.rng import DeterministicRng  # noqa: E402
+from repro.workloads.spec import SpecStandIn  # noqa: E402
+from repro.workloads.synthetic import Pattern  # noqa: E402
 
 from lockstep import geometry, lockstep, pair, slice_counts  # noqa: E402
 
@@ -271,6 +274,16 @@ class TestPlaceGreedyBoundary:
         else:
             untouched[level] = junk
         assert by_depth == untouched and path == untouched_path
+
+    def test_bucket_sizes_outside_a_byte(self):
+        """Z < 0 places nothing (every candidate is left over, in the
+        object backend's pool order); Z > 255 is refused, as a tree's
+        one-byte fill count cannot hold it."""
+        path, by_depth = [[5], []], [[1, 2], [3]]
+        assert CORE.place_greedy(path, by_depth, 1, -1) == [3, 1, 2]
+        assert path == [[], []] and by_depth == [[], []]
+        with pytest.raises(ValueError, match="at most 255"):
+            CORE.place_greedy([[]], [[1]], 0, 256)
 
     @PROPERTY
     @given(junk=st.sampled_from([None, 3, "x", (1, 2)]))
@@ -625,6 +638,24 @@ class TestSynthesizeTraceBoundary:
         with pytest.raises((ValueError, OverflowError)):
             call_synth(synth_args(geometry=tuple(geometry)))
 
+    @pytest.mark.parametrize(
+        "args, refusal",
+        [
+            (lambda: synth_args(geometry=(64, 64 << 25, 2, 1024, 2)), "too large"),
+            (lambda: synth_args(geometry=(64, 512, 2, 64 << 25, 2)), "too large"),
+            (lambda: with_pattern(hot_fraction=1e12), "hot region"),
+            (lambda: with_pattern(hot_fraction=-1e300), "hot region"),
+        ],
+        ids=["l1-lines", "l2-lines", "hot-region-high", "hot-region-low"],
+    )
+    def test_fixed_inputs_past_the_draw_range(self, args, refusal):
+        """Refusals the properties reach on some draws only, each from a
+        fixed input so that every run reaches it: a level of 2^25 lines
+        (the kernel's flat arrays hold 2^24) and a hot region outside 32
+        bits."""
+        with pytest.raises(OverflowError, match=refusal):
+            call_synth(args())
+
     @PROPERTY
     @given(warmup=st.integers(-(2**63), -1))
     def test_negative_warmup(self, warmup):
@@ -686,6 +717,33 @@ class TestSynthesizeTraceBoundary:
         except OverflowError:
             return
         assert_well_formed(result, misses)
+
+    @pytest.mark.parametrize("alpha", [-1000.0, -1e308])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["alone", "mixed"])
+    def test_a_zipf_power_out_of_range(self, alpha, mixed):
+        """Fixed inputs, not drawn ones, so every run reaches the kernel's
+        zipf overflow return and its OverflowError: for these exponents
+        ``lines ** (1 - alpha)`` is no float. The interpreted reference,
+        the same mixture through ``CacheHierarchy.run``, raises
+        OverflowError too."""
+        zipf = Pattern("zipf", alpha=alpha)
+        patterns = ((0.5, Pattern("uniform")), (0.5, zipf)) if mixed else ((1.0, zipf),)
+        spec = SpecStandIn("zipf-overflow", 1 << 16, patterns)
+        rows = [
+            (p.kind, p.wss(spec.wss_bytes), p.step, p.alpha, p.hot_fraction,
+             p.hot_probability, p.offset)
+            for _, p in patterns
+        ]
+        args = synth_args(
+            patterns=rows, cum_weights=spec.cumulative_weights(),
+            states=mt_states(len(rows) + 1),
+        )
+        with pytest.raises(OverflowError, match="zipf draw"):
+            call_synth(args)
+        with pytest.raises(OverflowError):
+            CacheHierarchy(ProcessorConfig()).run(
+                spec.refs(DeterministicRng(0)), max_llc_misses=20, warmup_refs=10
+            )
 
 
 class TestMtDrawsBoundary:
@@ -1463,6 +1521,9 @@ class TestKernelAccessBoundary:
         ),
         op=st.sampled_from([Op.READ, Op.WRITE, Op.READRMV]),
     )
+    # Past int64 on every run, not only on the draws that go there.
+    @example(leaf=2**64, op=Op.READ)
+    @example(leaf=-(2**70), op=Op.WRITE)
     def test_leaf_outside_the_tree(self, leaf, op):
         backend, posmap = warmed_backend()
         addr = next(iter(posmap))
