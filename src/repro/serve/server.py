@@ -60,11 +60,13 @@ shards.
    and a reader never sees a stale record. Fast tier: one ``serve_fold``
    call per fold (its packed digest rows go into each shard's hash in
    one ``update``, its per-histogram summaries into
-   :meth:`~repro.serve.stats.LatencyHistogram.merge`); it sums exact
-   floats only and hands anything else back to the reference tier's
+   :meth:`~repro.serve.stats.LatencyHistogram.merge`); reference tier:
    :meth:`OramService._fold_rows`
    (:meth:`~repro.serve.stats.LatencyHistogram.record_many`). The two
-   tiers agree row for row (``tests/test_serve_columns.py``).
+   tiers agree row for row (``tests/test_serve_columns.py``). Time is
+   floats on the fast tier: a latency, wall or total of another type is
+   a ``TypeError`` there, and a row that is not finite raises what
+   ``int()`` of it raises in ``record_many``.
 
 Wall time is observational and read per epoch and per batch, not per
 request: once per epoch when admission starts and once per batch when
@@ -585,23 +587,21 @@ class OramService:
         """Fold the log into the shard records and the per-tenant
         histograms, then empty it: one ``serve_fold`` call on the fast
         tier, whose results each record takes in with one call;
-        :meth:`_fold_rows` on the reference tier, and for rows the kernel
-        hands back (a latency that is not an exact float). A read from
+        :meth:`_fold_rows` on the reference tier. On the fast tier a fold
+        that raises (a value that is not a float, a row that is not
+        finite) changes no record and keeps the log. A read from
         inside an epoch (a callback of a shard's batch) folds nothing and
         sees the records as of the last fold."""
         if self._in_flight or not self._ends:
             return
-        folded = None
-        if self._core is not None:
-            folded = self._core.serve_fold(
+        if self._core is None:
+            self._fold_rows()
+        else:
+            packed, busy, summaries = self._core.serve_fold(
                 self._logs, self._ends, self.config.max_batch,
                 [shard.stats.busy_cycles for shard in self.shards],
                 [hist.total for hist in self._histograms],
             )
-        if folded is None:
-            self._fold_rows()
-        else:
-            packed, busy, summaries = folded
             for shard, rows, cycles in zip(self.shards, packed, busy):
                 shard.stats.record_packed(rows, cycles)
             for hist, summary in zip(self._histograms, summaries):

@@ -470,23 +470,13 @@ HIDDEN int frontend_kernel_behind(PyObject *access, PyObject **out,
 
 /* -- access_loop.c: run_access_loop ----------------------------------- */
 
-/* The running total of the cycles fold: a C double while it is an exact
- * float (`obj` NULL), the object otherwise — `cycles += latency` in event
- * order either way, one IEEE-754 addition per event on the double. */
-typedef struct {
-    PyObject *obj;
-    double value;
-} Fold;
-
 HIDDEN int replay_events(PyObject *access, PyObject *kernel,
                          const HandleOps *ops, const long long *line,
                          const int8_t *write, Py_ssize_t n, long long lpb,
                          PyObject *read_op, PyObject *write_op,
                          PyObject *payload, PyObject *table,
-                         PyObject *miss_latency, Fold *fold,
+                         PyObject *miss_latency, double *cycles,
                          PyObject *latencies);
-HIDDEN void fold_start(Fold *fold, PyObject *cycles);
-HIDDEN PyObject *fold_result(Fold *fold);
 HIDDEN PyObject *run_access_loop(PyObject *self, PyObject *const *args,
                                  Py_ssize_t nargs);
 

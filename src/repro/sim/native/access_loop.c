@@ -3,45 +3,31 @@
  * Straight off a trace's array('q') / array('b') columns (zero-copy via
  * PEP 3118): each event's line->block translation, its frontend
  * request, its latency looked up by tree-access count and the
- * event-ordered fold onto the running cycle count in C doubles
+ * event-ordered fold onto the running cycle count in one C double
  * (bit-identical to CPython float +=) — for a frontend on its
  * FrontendKernel or RecursiveKernel without a Python frame, an
- * AccessResult or a boxed address.  replay_events is the loop;
+ * AccessResult or a boxed address.  Simulated time is floats: a latency
+ * of any other type is a TypeError.  replay_events is the loop;
  * ServeKernel runs it too.
  */
 
 #include "_replay_core.h"
 
-static int
-fold_add(Fold *fold, PyObject *latency)
+/* NULL, with the TypeError for a latency that is not a float. */
+static PyObject *
+refuse_latency(PyObject *latency, long count)
 {
-    if (fold->obj == NULL) {
-        if (PyFloat_CheckExact(latency)) {
-            fold->value += PyFloat_AS_DOUBLE(latency);
-            return 0;
-        }
-        if ((fold->obj = PyFloat_FromDouble(fold->value)) == NULL)
-            return -1;
-    }
-    /* The generic add (an int start, a latency of another type), which
-     * may run Python: hold the operand. */
-    Py_INCREF(latency);
-    PyObject *next = PyNumber_InPlaceAdd(fold->obj, latency);
-    Py_DECREF(latency);
-    Py_SETREF(fold->obj, next);
-    if (next == NULL)
-        return -1;
-    if (PyFloat_CheckExact(next)) {
-        fold->value = PyFloat_AS_DOUBLE(next);
-        Py_CLEAR(fold->obj);
-    }
-    return 0;
+    PyErr_Format(PyExc_TypeError,
+                 "the latency of %ld tree accesses must be a float, not "
+                 "%.100s", count, Py_TYPE(latency)->tp_name);
+    return NULL;
 }
 
 /* The latency of an event that took `count` tree accesses — a borrowed
- * reference into `table` (the list indexed by count), where a count not
- * yet seen (past the end, or None) is miss_latency(count), computed once
- * and stored. */
+ * reference to a float in `table` (the list indexed by count), where a
+ * count not yet seen (past the end, or None) is miss_latency(count),
+ * computed once and stored.  An entry or a result that is not a float
+ * is refused, and such a result is not stored. */
 static PyObject *
 latency_of(PyObject *table, PyObject *miss_latency, long count)
 {
@@ -52,8 +38,10 @@ latency_of(PyObject *table, PyObject *miss_latency, long count)
     }
     if (count < PyList_GET_SIZE(table)) {
         PyObject *latency = PyList_GET_ITEM(table, count);
-        if (latency != Py_None)
+        if (PyFloat_CheckExact(latency))
             return latency;
+        if (latency != Py_None)
+            return refuse_latency(latency, count);
     }
     PyObject *boxed = PyLong_FromLong(count);
     if (boxed == NULL)
@@ -62,6 +50,11 @@ latency_of(PyObject *table, PyObject *miss_latency, long count)
     Py_DECREF(boxed);
     if (latency == NULL)
         return NULL;
+    if (!PyFloat_CheckExact(latency)) {
+        refuse_latency(latency, count);
+        Py_DECREF(latency);
+        return NULL;
+    }
     /* miss_latency is Python: the table is re-read after it. */
     while (PyList_GET_SIZE(table) <= count) {
         if (PyList_Append(table, Py_None) < 0) {
@@ -82,23 +75,26 @@ latency_of(PyObject *table, PyObject *miss_latency, long count)
  * address line // lpb, the request access(block, write_op, payload) or
  * access(block, read_op), its latency looked up by tree-access count in
  * `table` (see latency_of), appended to `latencies` when that is a list
- * (None: not kept) and folded onto `fold`.  `kernel` (NULL: none) is the
+ * (None: not kept) and added onto `*cycles`.  `kernel` (NULL: none) is the
  * frontend kernel behind `access`, driven C to C through `ops` — no
  * Python frame, no AccessResult and no boxed address per event, one
  * entry (owners held, observers read) for the whole slice; anything
  * else — another frontend, a patched or wrapped access — gets the
  * generic calls.  The one loop run_access_loop and ServeKernel.epoch
- * both run.  0, or -1 with the exception set and the frontend's state
- * where the failing request left it. */
+ * both run.  0, or -1 with the exception set, the frontend's state
+ * where the failing request left it and `latencies` cut back to what it
+ * held. */
 int
 replay_events(PyObject *access, PyObject *kernel, const HandleOps *ops,
               const long long *line, const int8_t *write, Py_ssize_t n,
               long long lpb, PyObject *read_op, PyObject *write_op,
               PyObject *payload, PyObject *table, PyObject *miss_latency,
-              Fold *fold, PyObject *latencies)
+              double *cycles, PyObject *latencies)
 {
     if (kernel != NULL && ops->enter(kernel) < 0)
         return -1;
+    const Py_ssize_t kept =
+        latencies != Py_None ? PyList_GET_SIZE(latencies) : 0;
     const int pow2 = (lpb & (lpb - 1)) == 0;
     const int shift = bit_length64(lpb) - 1;
     int rc = -1;
@@ -146,9 +142,10 @@ replay_events(PyObject *access, PyObject *kernel, const HandleOps *ops,
                 goto done;
         }
         PyObject *latency = latency_of(table, miss_latency, count);
-        if (latency == NULL ||
-            (latencies != Py_None && PyList_Append(latencies, latency) < 0) ||
-            fold_add(fold, latency) < 0)
+        if (latency == NULL)
+            goto done;
+        *cycles += PyFloat_AS_DOUBLE(latency);
+        if (latencies != Py_None && PyList_Append(latencies, latency) < 0)
             goto done;
     }
     rc = 0;
@@ -156,26 +153,14 @@ replay_events(PyObject *access, PyObject *kernel, const HandleOps *ops,
 done:
     if (kernel != NULL)
         ops->leave(kernel);
+    if (rc < 0 && latencies != Py_None && PyList_GET_SIZE(latencies) > kept) {
+        PyObject *type, *value, *tb;
+        PyErr_Fetch(&type, &value, &tb);
+        if (PyList_SetSlice(latencies, kept, PY_SSIZE_T_MAX, NULL) < 0)
+            PyErr_Clear();
+        PyErr_Restore(type, value, tb);
+    }
     return rc;
-}
-
-/* The fold's start: `cycles` as a C double when it is an exact float. */
-void
-fold_start(Fold *fold, PyObject *cycles)
-{
-    fold->obj = NULL;
-    fold->value = 0.0;
-    if (PyFloat_CheckExact(cycles))
-        fold->value = PyFloat_AS_DOUBLE(cycles);
-    else
-        fold->obj = Py_NewRef(cycles);
-}
-
-/* The fold's total as a new reference (consumes the fold). */
-PyObject *
-fold_result(Fold *fold)
-{
-    return fold->obj != NULL ? fold->obj : PyFloat_FromDouble(fold->value);
 }
 
 /* run_access_loop(access, line_addrs, is_write, lines_per_block, read_op,
@@ -184,9 +169,11 @@ fold_result(Fold *fold)
  *
  * One replay slice, whole: replay_events over the line and write
  * columns (zip: the shorter one ends the slice), with the frontend
- * kernel behind `access` when there is one, from `cycles`.  Returns the
- * new total — `cycles` itself for an empty slice.  On an error the
- * exception propagates and the caller's total stays what it was. */
+ * kernel behind `access` when there is one, from `cycles` read once as
+ * a C double (PyFloat_AsDouble rounds an int as int + float does).
+ * Returns the new total, a float — `cycles` itself for an empty slice.
+ * On an error the exception propagates, the caller's total stays what it
+ * was and `latencies` holds what it held. */
 PyObject *
 run_access_loop(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -223,17 +210,15 @@ run_access_loop(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     const Py_ssize_t n = Py_MIN(lines.len, writes.len);
     PyObject *kernel = NULL, *result = NULL;
     const HandleOps *ops = NULL;
-    Fold fold;
+    double total = 0.0;
     if (n == 0)
         result = Py_NewRef(cycles);
-    else if (frontend_kernel_behind(access, &kernel, &ops) == 0) {
-        fold_start(&fold, cycles);
+    else if (((total = PyFloat_AsDouble(cycles)) != -1.0 || !PyErr_Occurred())
+             && frontend_kernel_behind(access, &kernel, &ops) == 0) {
         if (replay_events(access, kernel, ops, lines.data, writes.data, n,
                           lpb, args[4], args[5], args[6], args[7], args[8],
-                          &fold, latencies) == 0)
-            result = fold_result(&fold);
-        else
-            Py_XDECREF(fold.obj);
+                          &total, latencies) == 0)
+            result = PyFloat_FromDouble(total);
         Py_XDECREF(kernel);
     }
     col_release(&lines);

@@ -5,7 +5,9 @@
  * one ServeKernel.epoch call and the log's fold is one serve_fold call.
  * Both transcribe the interpreted reference (OramService._admit_rows,
  * OramShard.execute, OramService._fold_rows), checked epoch by epoch by
- * tests/test_serve_columns.py::TestColumnsInLockstep.
+ * tests/test_serve_columns.py::TestColumnsInLockstep.  Time is C doubles
+ * throughout: a latency, clock reading, wall or starting total that is
+ * not a float is a TypeError, never a fold of another kind.
  *
  * A shard's log is three fixed-size columns — tenant index (int64),
  * shard-local address (int64), write flag (int8) — that admission fills
@@ -468,20 +470,25 @@ serve_admit(ServeKernel *self, Py_ssize_t burst)
     return 0;
 }
 
-/* (now - stamp) * 1e6 as the interpreted expression computes it: in C
- * doubles for two exact floats, by the generic operators otherwise. */
-static PyObject *
-wall_us(PyObject *now, PyObject *stamp)
+/* One reading of the clock, in seconds: 0, or -1 with an exception set
+ * (a reading that is not a float is a TypeError). */
+static int
+read_clock(ServeKernel *self, double *out)
 {
-    if (PyFloat_CheckExact(now) && PyFloat_CheckExact(stamp))
-        return PyFloat_FromDouble(
-            (PyFloat_AS_DOUBLE(now) - PyFloat_AS_DOUBLE(stamp)) * 1e6);
-    PyObject *span = PyNumber_Subtract(now, stamp);
-    PyObject *scale = span == NULL ? NULL : PyFloat_FromDouble(1e6);
-    PyObject *wall = scale == NULL ? NULL : PyNumber_Multiply(span, scale);
-    Py_XDECREF(span);
-    Py_XDECREF(scale);
-    return wall;
+    PyObject *now = PyObject_CallNoArgs(self->clock);
+    if (now == NULL)
+        return -1;
+    int rc = 0;
+    if (PyFloat_CheckExact(now))
+        *out = PyFloat_AS_DOUBLE(now);
+    else {
+        PyErr_Format(PyExc_TypeError,
+                     "the serve clock must return a float, not %.100s",
+                     Py_TYPE(now)->tp_name);
+        rc = -1;
+    }
+    Py_DECREF(now);
+    return rc;
 }
 
 /* engine.events += n */
@@ -507,7 +514,7 @@ add_events(PyObject *engine, Py_ssize_t n)
  * leaves the engine's totals and the log's latencies as they were before
  * it, as run_batch does. */
 static int
-serve_execute(ServeKernel *self, ServeShard *sh, PyObject *stamp)
+serve_execute(ServeKernel *self, ServeShard *sh, double stamp)
 {
     const Py_ssize_t stop = sh->fill;
     if (sh->start == stop)
@@ -517,35 +524,26 @@ serve_execute(ServeKernel *self, ServeShard *sh, PyObject *stamp)
     Py_ssize_t batches = 0, n;
     for (Py_ssize_t first = sh->start; first < stop; first += n, batches++) {
         n = Py_MIN(self->max_batch, stop - first);
-        const Py_ssize_t kept = PyList_GET_SIZE(sh->latencies);
         PyObject *cycles = PyObject_GetAttr(sh->engine, str_cycles);
         if (cycles == NULL)
             return -1;
-        Fold fold;
-        fold_start(&fold, cycles);
+        double total = PyFloat_AsDouble(cycles), now;
         Py_DECREF(cycles);
-        if (replay_events(sh->access, sh->kernel, sh->ops, addrs + first,
+        if ((total == -1.0 && PyErr_Occurred()) ||
+            replay_events(sh->access, sh->kernel, sh->ops, addrs + first,
                           writes + first, n, 1, self->read_op,
                           self->write_op, sh->payload, sh->table,
-                          sh->miss_latency, &fold, sh->latencies) < 0) {
-            Py_XDECREF(fold.obj);
-            PyObject *type, *value, *tb;
-            PyErr_Fetch(&type, &value, &tb);
-            if (PyList_GET_SIZE(sh->latencies) > kept &&
-                PyList_SetSlice(sh->latencies, kept, PY_SSIZE_T_MAX, NULL) < 0)
-                PyErr_Clear();
-            PyErr_Restore(type, value, tb);
+                          sh->miss_latency, &total, sh->latencies) < 0)
             return -1;
-        }
-        cycles = fold_result(&fold);
+        cycles = PyFloat_FromDouble(total);
         int rc = cycles == NULL ? -1
                                 : PyObject_SetAttr(sh->engine, str_cycles, cycles);
         Py_XDECREF(cycles);
-        if (rc < 0 || add_events(sh->engine, n) < 0)
+        if (rc < 0 || add_events(sh->engine, n) < 0 ||
+            read_clock(self, &now) < 0)
             return -1;
-        PyObject *now = PyObject_CallNoArgs(self->clock);
-        PyObject *wall = now == NULL ? NULL : wall_us(now, stamp);
-        Py_XDECREF(now);
+        /* wall_us: (now - stamp) * 1e6, as OramShard.execute computes it. */
+        PyObject *wall = PyFloat_FromDouble((now - stamp) * 1e6);
         rc = wall == NULL ? -1 : PyList_Append(sh->walls, wall);
         Py_XDECREF(wall);
         if (rc < 0)
@@ -591,8 +589,9 @@ serve_kernel_epoch(ServeKernel *self, PyObject *arg)
     }
     if (serve_enter(self) < 0)
         return NULL;
-    PyObject *result = NULL, *stamp = PyObject_CallNoArgs(self->clock);
-    if (stamp != NULL && serve_admit(self, burst) >= 0) {
+    PyObject *result = NULL;
+    double stamp;
+    if (read_clock(self, &stamp) == 0 && serve_admit(self, burst) >= 0) {
         Py_ssize_t admitted = 0, s = 0;
         for (; s < self->shards; s++)
             admitted += self->shard[s].fill - self->shard[s].start;
@@ -602,7 +601,6 @@ serve_kernel_epoch(ServeKernel *self, PyObject *arg)
         if (s == self->shards)
             result = PyLong_FromSsize_t(admitted);
     }
-    Py_XDECREF(stamp);
     self->busy = 0;
     return result;
 }
@@ -713,13 +711,16 @@ typedef struct {
     PyObject *sparse;
 } FoldHist;
 
-/* Record `value`: 0, or 1 for a value the reference must see (not
- * finite: int() of it raises there), or -1 with an exception set. */
+/* Record `value`: 0, or -1 with an exception set — for a value that is
+ * not finite, what int() of it raises in record_many (OverflowError for
+ * an infinity, ValueError for a NaN). */
 static int
 hist_feed(FoldHist *h, double value)
 {
-    if (!isfinite(value))
-        return 1;
+    if (!isfinite(value)) {
+        Py_XDECREF(PyLong_FromDouble(value)); /* sets int()'s error */
+        return -1;
+    }
     if (h->count++ == 0)
         h->low = h->high = value;
     else {
@@ -786,29 +787,27 @@ typedef struct {
     Py_ssize_t rows, prev, walls_at;
 } FoldLog;
 
-/* An exact, finite float's value, or 1 when the row is the reference's
- * (another type, or not finite). */
+/* Item `i` of `list` as a C double: 0, or -1 with a TypeError when it is
+ * not a float (`what` names the list), or with a ValueError when the list
+ * no longer reaches it (a finaliser run by an allocation here can have
+ * cut it short). */
 static inline int
-exact_float(PyObject *item, double *out)
-{
-    if (!PyFloat_CheckExact(item))
-        return 1;
-    *out = PyFloat_AS_DOUBLE(item);
-    return 0;
-}
-
-/* Item `i` of a list as exact_float reads it; -1 with an exception set
- * when the list no longer reaches it (a finaliser run by an allocation
- * here can have cut it short). */
-static inline int
-list_float(PyObject *list, Py_ssize_t i, double *out)
+list_float(PyObject *list, Py_ssize_t i, double *out, const char *what)
 {
     if (i >= PyList_GET_SIZE(list)) {
         PyErr_SetString(PyExc_ValueError,
                         "a log's latencies or walls changed during the fold");
         return -1;
     }
-    return exact_float(PyList_GET_ITEM(list, i), out);
+    PyObject *item = PyList_GET_ITEM(list, i);
+    if (!PyFloat_CheckExact(item)) {
+        PyErr_Format(PyExc_TypeError,
+                     "serve_fold: %s %zd must be a float, not %.100s",
+                     what, i, Py_TYPE(item)->tp_name);
+        return -1;
+    }
+    *out = PyFloat_AS_DOUBLE(item);
+    return 0;
 }
 
 static inline void
@@ -820,7 +819,7 @@ put_le64(unsigned char *p, long long value)
 }
 
 /* serve_fold(logs, ends, max_batch, busy, totals)
- *     -> (packed, busy, summaries) | None
+ *     -> (packed, busy, summaries)
  *
  * The accounting log's fold (OramService._fold_rows), pure: nothing the
  * arguments hold is changed.  logs: [(tenants int64, addrs int64,
@@ -835,10 +834,9 @@ put_le64(unsigned char *p, long long value)
  * of the row's run_batch (one per max_batch rows of a queue), in
  * accounting order: epoch by epoch, shard by shard.
  *
- * Like run_access_loop's fold, only exact floats are summed here: a
- * latency, wall or starting total of any other type, or a value int()
- * refuses, returns None, and the caller folds the rows the reference
- * way. */
+ * Simulated and wall time are floats: a latency, wall or starting total
+ * of any other type is a TypeError, and a row that is not finite raises
+ * what int() of it raises in the reference (see hist_feed). */
 PyObject *
 serve_fold(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -887,7 +885,6 @@ serve_fold(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
      * the argument lists, so everything read from them is read after. */
     PyObject *packed = PyList_New(shards), *busy_out = PyList_New(shards),
              *summaries = PyList_New(hists), *result = NULL;
-    int declined = 0;
     if (logs == NULL || hist == NULL || bounds == NULL || cycles == NULL) {
         PyErr_NoMemory();
         goto done;
@@ -933,12 +930,14 @@ serve_fold(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             goto done;
         }
     }
-    for (Py_ssize_t s = 0; s < shards && !declined; s++)
-        declined = exact_float(PyList_GET_ITEM(busy, s), &cycles[s]);
-    for (Py_ssize_t h = 0; h < hists && !declined; h++)
-        declined = exact_float(PyList_GET_ITEM(totals, h), &hist[h].total);
+    for (Py_ssize_t s = 0; s < shards; s++)
+        if (list_float(busy, s, &cycles[s], "busy total") < 0)
+            goto done;
+    for (Py_ssize_t h = 0; h < hists; h++)
+        if (list_float(totals, h, &hist[h].total, "histogram total") < 0)
+            goto done;
     /* Per shard: its rows packed in log order, its busy cycles folded. */
-    for (Py_ssize_t s = 0; s < shards && !declined; s++) {
+    for (Py_ssize_t s = 0; s < shards; s++) {
         FoldLog *log = &logs[s];
         const long long *tenant = log->tenants.data, *addr = log->addrs.data;
         const int8_t *write = log->writes.data;
@@ -955,8 +954,8 @@ serve_fold(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                              s, i, (int)write[i]);
                 goto done;
             }
-            if ((declined = list_float(log->latencies, i, &latency)) != 0)
-                break;
+            if (list_float(log->latencies, i, &latency, "latency") < 0)
+                goto done;
             cycles[s] += latency;
             put_le64(out, tenant[i]);
             put_le64(out + 8, addr[i]);
@@ -964,8 +963,8 @@ serve_fold(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         }
     }
     /* Per tenant, in accounting order: epoch by epoch, shard by shard. */
-    for (Py_ssize_t e = 0; e < epochs && !declined; e++) {
-        for (Py_ssize_t s = 0; s < shards && !declined; s++) {
+    for (Py_ssize_t e = 0; e < epochs; e++) {
+        for (Py_ssize_t s = 0; s < shards; s++) {
             FoldLog *log = &logs[s];
             const Py_ssize_t start = log->prev, end = bounds[e * shards + s];
             const long long *tenant = log->tenants.data;
@@ -978,28 +977,21 @@ serve_fold(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
                     goto done;
                 }
                 FoldHist *own = &hist[3 * tenant[i]];
-                if ((declined = list_float(log->latencies, i, &latency)) ||
-                    (declined = list_float(log->walls,
-                                           log->walls_at +
-                                               (i - start) / max_batch,
-                                           &wall)))
-                    break;
+                if (list_float(log->latencies, i, &latency, "latency") < 0 ||
+                    list_float(log->walls,
+                               log->walls_at + (i - start) / max_batch, &wall,
+                               "wall") < 0)
+                    goto done;
                 /* accumulate(): the first row's latency as it is. */
                 running = i == start ? latency : running + latency;
-                if ((declined = hist_feed(&own[0], latency)) ||
-                    (declined = hist_feed(&own[1], running)) ||
-                    (declined = hist_feed(&own[2], wall)))
-                    break;
+                if (hist_feed(&own[0], latency) < 0 ||
+                    hist_feed(&own[1], running) < 0 ||
+                    hist_feed(&own[2], wall) < 0)
+                    goto done;
             }
             log->walls_at += (end - start + max_batch - 1) / max_batch;
             log->prev = end;
         }
-    }
-    if (declined < 0)
-        goto done;
-    if (declined) {
-        result = Py_NewRef(Py_None);
-        goto done;
     }
     for (Py_ssize_t s = 0; s < shards; s++) {
         PyObject *boxed = PyFloat_FromDouble(cycles[s]);

@@ -24,8 +24,10 @@ from repro.sim.metrics import SimResult
 from repro.sim.timing import OramTimingModel
 
 
-def base_cycles(trace: MissTrace, proc: ProcessorConfig) -> float:
-    """Cycles spent outside the LLC-miss path."""
+def base_cycles(trace: MissTrace, proc: ProcessorConfig) -> int:
+    """Cycles spent outside the LLC-miss path: an exact ``int``, which
+    an ORAM replay's first latency makes a float and the insecure
+    baseline keeps."""
     return (
         trace.instructions
         + trace.mem_refs * proc.l1_latency

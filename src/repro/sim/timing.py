@@ -101,30 +101,46 @@ class OramTimingModel:
             object.__setattr__(self, "latency_table", [])
 
     def miss_latency(self, tree_accesses: int) -> float:
-        """Processor cycles to service one LLC miss/eviction."""
+        """Processor cycles to service one LLC miss/eviction, a float
+        whatever the fields' types: simulated time is floats (both tiers'
+        replay loops refuse any other latency), and ``cycles + float(x)``
+        is ``cycles + x`` for an int ``x``."""
         t = self.timings
         latency = t.frontend_latency + tree_accesses * (
             self.tree_latency_cycles + t.backend_latency
         )
         if self.pmmac:
             latency += t.sha3_latency
-        return latency
+        return float(latency)
 
     def latency(self, tree_accesses: int) -> float:
         """:meth:`miss_latency` through :attr:`latency_table`: what the
         reference tier's replay loop reads per event (the fast tier's C
-        loop reads and fills the same list)."""
+        loop reads and fills the same list, and refuses the same
+        latencies: an entry or a result that is not a float is a
+        ``TypeError``, and such a result is not stored)."""
         table = self.latency_table
         if tree_accesses < 0:
             raise ValueError(f"tree_accesses must be >= 0, got {tree_accesses}")
         if tree_accesses < len(table):
             latency = table[tree_accesses]
-            if latency is not None:
+            if type(latency) is float:
                 return latency
+            if latency is not None:
+                raise _not_a_float(latency, tree_accesses)
         latency = self.miss_latency(tree_accesses)
+        if type(latency) is not float:
+            raise _not_a_float(latency, tree_accesses)
         table.extend([None] * (tree_accesses + 1 - len(table)))
         table[tree_accesses] = latency
         return latency
+
+
+def _not_a_float(latency, tree_accesses: int) -> TypeError:
+    return TypeError(
+        f"the latency of {tree_accesses} tree accesses must be a float, "
+        f"not {type(latency).__name__}"
+    )
 
 
 def timing_for_frontend(

@@ -610,14 +610,14 @@ class BackendDriver:
 def slice_counts(access, addrs, writes, payload=b""):
     """``run_access_loop`` over plain lists of block addresses and write
     flags, read back as the per-event tree-access counts: the latency
-    table is the identity (``miss_latency`` is ``int``), so each event's
+    table is the identity (``miss_latency`` is ``float``), so each event's
     latency is its count."""
-    counts = []
+    latencies = []
     CORE.run_access_loop(
         access, array("q", addrs), array("b", writes), 1, Op.READ, Op.WRITE,
-        payload, [], int, 0, counts,
+        payload, [], float, 0.0, latencies,
     )
-    return counts
+    return [int(latency) for latency in latencies]
 
 
 def python_frames_during(call):

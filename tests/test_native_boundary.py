@@ -29,8 +29,9 @@ writability, a route outside the pool, an address outside the
 directory, an offer past the end of its stream, a cursor outside it, a
 log without room for the epoch, a column resized or a ledger replaced
 between two epochs, a clock or an access that raises or calls back into
-the kernel, and ends, latencies and walls that disagree with the log
-they describe.
+the kernel, latencies, clock readings, walls and totals that are not
+floats, rows that are not finite, and ends, latencies and walls that
+disagree with the log they describe.
 
 For the list adapters (``drain_scalar`` / ``place_greedy``) it is still
 slot ids that are not ints at all, buckets that are not lists and stash
@@ -45,6 +46,7 @@ out-of-bounds read that happens not to crash here fails loudly.
 """
 
 import gc
+import re
 import sys
 from array import array
 
@@ -69,10 +71,7 @@ from repro.frontend.recursive import RecursiveFrontend  # noqa: E402
 from repro.frontend.unified import PlbFrontend  # noqa: E402
 from repro.presets import build_frontend  # noqa: E402
 from repro.proc.hierarchy import CacheHierarchy  # noqa: E402
-from repro.serve import OramService, ServeConfig, TenantSpec  # noqa: E402
-from repro.serve import server  # noqa: E402
 from repro.sim.native import load_native_core, unavailable_reason  # noqa: E402
-from repro.sim.runner import SimulationRunner  # noqa: E402
 from repro.storage.block import Block  # noqa: E402
 from repro.storage.columnar import CHUNK_SLOTS, ColumnarTreeStorage  # noqa: E402
 from repro.storage.snapshot import tree_digest  # noqa: E402
@@ -380,7 +379,7 @@ class TestStreamingEntryPoints:
             with pytest.raises(TypeError):
                 CORE.run_access_loop(
                     access, addrs, writes, 1, Op.READ, Op.WRITE, b"", [],
-                    int, 0, None,
+                    float, 0.0, None,
                 )
             assert calls == []
 
@@ -1864,6 +1863,8 @@ class TestFrontendKernelConstruction:
         alpha=st.sampled_from([-1, 0, 64, 65, 500]),
         beta=st.sampled_from([-1, 0, 14, 33, 500]),
     )
+    # A zero-width group counter: get_bits at width 0 on every run.
+    @example(kind="compressed", leaf_bytes=4, alpha=0, beta=14)
     def test_format_fields_never_index_past_a_block(
         self, kind, leaf_bytes, alpha, beta
     ):
@@ -2674,17 +2675,6 @@ def _clock():
     return 1.0
 
 
-class _TickingClock:
-    """A ``time`` module whose ``perf_counter`` counts ints, 3 a reading."""
-
-    def __init__(self):
-        self.now = 0
-
-    def perf_counter(self):
-        self.now += 3
-        return self.now
-
-
 #: The directory's addresses: the streams' are 100 * t + row.
 DIRECTORY = 1024
 
@@ -3138,14 +3128,54 @@ class TestServeKernelEpoch:
         assert (engines[1][0].cycles, engines[1][0].events) == (0.0, 0)
         assert args[3] == [4, 4]  # admission is done
 
-    def test_latencies_of_other_types_fold_generically(self):
+    @pytest.mark.parametrize(
+        "table, miss_latency", [([0, 10], float), ([], int)],
+        ids=["table", "miss_latency"],
+    )
+    def test_latencies_that_are_not_floats_are_refused(self, table, miss_latency):
+        """A table entry or a ``miss_latency`` result that is an ``int``:
+        shard 0's first batch raises, its engine's totals, log and table
+        stay as they were, and admission is done."""
         args = serve_args()
-        with_engine(args, 0, 2, [0, 10])  # int latencies
-        args[2][0][0].cycles = 5  # an int start
+        with_engine(args, 0, 2, table)
+        with_engine(args, 0, 3, miss_latency)
+        kernel = CORE.ServeKernel(*args)
+        with pytest.raises(TypeError, match="must be a float, not int"):
+            kernel.epoch(4)
+        logs, engines = args[1], args[2]
+        assert logs[0][3] == [] and logs[0][4] == [] and logs[1][3] == []
+        assert (engines[0][0].cycles, engines[0][0].events) == (0.0, 0)
+        assert engines[0][2] == table
+        assert args[3] == [4, 4]
+
+    def test_an_int_start_folds_as_int_plus_float(self):
+        args = serve_args()
+        args[2][0][0].cycles = 5
         kernel = CORE.ServeKernel(*args)
         assert kernel.epoch(4) == 8
-        assert args[2][0][0].cycles == 45 and type(args[2][0][0].cycles) is int
-        assert args[1][0][3] == [10] * 4
+        assert type(args[2][0][0].cycles) is float
+        assert args[2][0][0].cycles == 5 + 10.0 + 10.0 + 10.0 + 10.0
+
+    def test_a_clock_that_does_not_return_floats_is_refused(self):
+        """An ``int`` stamp moves nothing; an ``int`` reading at a batch's
+        end leaves the batch run and its wall unwritten, where a clock
+        that raises there leaves it."""
+        args = serve_args()
+        args[8] = lambda: 3
+        kernel = CORE.ServeKernel(*args)
+        before = kernel_image(args)
+        with pytest.raises(TypeError, match="clock must return a float, not int"):
+            kernel.epoch(4)
+        assert kernel_image(args) == before
+        readings = iter([1.0, 2])
+        args = serve_args()
+        args[8] = lambda: next(readings)
+        kernel = CORE.ServeKernel(*args)
+        with pytest.raises(TypeError, match="clock must return a float, not int"):
+            kernel.epoch(4)
+        logs, engines = args[1], args[2]
+        assert logs[0][3] == [10.0] * 4 and logs[0][4] == []
+        assert (engines[0][0].cycles, engines[0][0].events) == (40.0, 4)
 
     def test_an_engine_without_totals(self):
         args = serve_args()
@@ -3154,30 +3184,6 @@ class TestServeKernelEpoch:
         with pytest.raises(AttributeError):
             kernel.epoch(4)
         assert args[1][1][3] == []
-
-    def test_a_clock_of_ints_walls_as_the_reference_does(self, monkeypatch):
-        """Any callable is the clock: one that counts in ints takes the
-        generic ``(now - stamp) * 1e6``, and a service's every wall and
-        report equals the one its interpreted epochs give."""
-        tenants = [
-            TenantSpec(
-                name=f"t{t}", region_blocks=64,
-                events=tuple(((7 * t + 3 * i) % 64, i % 3 == 0) for i in range(20)),
-            )
-            for t in range(2)
-        ]
-        images = []
-        for core in (CORE, None):
-            monkeypatch.setattr(server, "time", _TickingClock())
-            service = OramService(
-                tenants, SimulationRunner(seed=2015, misses_per_benchmark=50),
-                ServeConfig(scheme="PC_X32", shards=2, burst=3, max_batch=2),
-            )
-            service._core = core
-            service.run()
-            assert (service._kernel is None) == (core is None)
-            images.append(service.report())
-        assert images[0] == images[1]
 
 
 class TestRouteColumnBoundary:
@@ -3239,6 +3245,27 @@ def assert_fold_rejects(args, errors=REJECTED, match=None):
     with pytest.raises(errors, match=match):
         CORE.serve_fold(*args)
     assert fold_image(args) == before
+
+
+def with_fold_value(args, where, value):
+    """``args`` with one latency, wall, busy total or histogram total
+    replaced by ``value``."""
+    if where == "latency":
+        args[0][1][3][2] = value
+    elif where == "wall":
+        args[0][0][4][1] = value
+    elif where == "busy":
+        args[3][1] = value
+    else:
+        args[4][4] = value
+    return args
+
+
+class FloatSub(float):
+    """A float subclass: not a float as the kernels read one."""
+
+
+INF, NAN = float("inf"), float("nan")
 
 
 def with_log(args, shard, position, column):
@@ -3313,26 +3340,35 @@ class TestServeFoldBoundary:
             CORE.serve_fold(*fold_args()[:4])
 
     @pytest.mark.parametrize("where", ["latency", "wall", "busy", "total"])
-    @pytest.mark.parametrize("value", [7, float("nan"), float("inf"), True])
-    def test_what_is_not_an_exact_finite_float_goes_to_the_reference(
-        self, where, value
-    ):
+    @pytest.mark.parametrize("value", [7, True, None, FloatSub(1.0)], ids=repr)
+    def test_a_value_that_is_not_a_float_is_refused(self, where, value):
+        args = with_fold_value(fold_args(), where, value)
+        assert_fold_rejects(args, TypeError, "must be a float, not")
+
+    @pytest.mark.parametrize("where", ["latency", "wall"])
+    @pytest.mark.parametrize("value", [INF, -INF, NAN])
+    def test_a_row_that_is_not_finite_raises_what_int_raises(self, where, value):
+        with pytest.raises((OverflowError, ValueError)) as py_err:
+            int(value)
+        args = with_fold_value(fold_args(), where, value)
+        assert_fold_rejects(args, py_err.type, re.escape(str(py_err.value)))
+
+    def test_a_running_sum_that_overflows(self):
+        """Two finite latencies whose running sum in one queue is inf."""
         args = fold_args()
-        if where == "latency":
-            args[0][1][3][2] = value
-        elif where == "wall":
-            args[0][0][4][1] = value
-        elif where == "busy":
-            args[3][1] = value
-        else:
-            args[4][4] = value
+        args[0][0][3][:2] = [1.5e308, 1.5e308]
+        assert_fold_rejects(args, OverflowError, "infinity")
+
+    @pytest.mark.parametrize("where", ["busy", "total"])
+    @pytest.mark.parametrize("value", [INF, NAN])
+    def test_a_total_that_is_not_finite_folds_on(self, where, value):
+        """``int()`` reads rows, not totals: a start of any float sums."""
+        args = with_fold_value(fold_args(), where, value)
         before = fold_image(args)
-        folded = CORE.serve_fold(*args)
+        _packed, busy, summaries = CORE.serve_fold(*args)
         assert fold_image(args) == before
-        if where in ("busy", "total") and isinstance(value, float):
-            assert folded is not None  # a non-finite start sums like any float
-        else:
-            assert folded is None
+        total = busy[1] if where == "busy" else summaries[4][1]
+        assert repr(total) == repr(value)
 
     def test_an_empty_log(self):
         args = fold_args(rows=0)

@@ -12,8 +12,9 @@ reference tier's interpreted loop:
   output list and ``lines_per_block``;
 - its semantics: ``zip`` over the two columns, floor translation as
   ``translate_block_addrs`` does it, a tree-access count past the table
-  (computed once), the fold's operand types (an ``int`` start, an empty
-  slice);
+  (computed once), the fold's operands (a float or ``int`` start, float
+  latencies, an empty slice) and its refusals (a latency that is not a
+  float);
 - an access that raises mid-slice leaves ``cycles``, ``events`` and
   every ledger as the reference tier leaves them;
 - any split of a trace into slices is one call (a Hypothesis property),
@@ -33,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend.ops import Op
+from repro.config import FrontendTimings
 from repro.frontend.base import AccessResult
 from repro.presets import build_frontend
 from repro.proc.hierarchy import MissEvent, MissTrace
@@ -255,30 +257,42 @@ class TestSemantics:
 
     @PROPERTY
     @given(
-        start=st.one_of(st.floats(allow_nan=False), st.integers(-10, 10)),
-        values=st.lists(
-            st.one_of(st.floats(allow_nan=False), st.integers(-10, 10)),
-            min_size=1, max_size=6,
+        start=st.one_of(
+            st.floats(allow_nan=False), st.integers(-(2**80), 2**80)
         ),
+        values=st.lists(st.floats(allow_nan=False), min_size=1, max_size=6),
         counts=st.lists(st.integers(0, 5), min_size=1, max_size=30),
     )
     def test_the_fold_is_cycles_plus_equals_in_event_order(
         self, start, values, counts
     ):
-        """Float and int latencies and starts in any mix: the value *and*
-        type ``cycles += latency`` gives, event by event."""
+        """Float latencies from a float or an int start: the float
+        ``cycles += latency`` gives, event by event, bit for bit."""
         table = [values[count % len(values)] for count in range(6)]
         got = run(
             Recorder(counts), array("q", range(len(counts))),
             array("b", [0] * len(counts)), table=table, cycles=start,
         )
         expected = python_fold(start, [table[count] for count in counts])
-        assert type(got) is type(expected) and repr(got) == repr(expected)
+        assert type(got) is float and repr(got) == repr(expected)
 
-    def test_an_int_start_takes_the_generic_first_add(self):
+    def test_an_int_start_is_rounded_as_int_plus_float(self):
         got = run(Recorder([2]), array("q", [1, 2]), array("b", [0, 0]),
-                  table=[0.0, 0.0, 0.25], cycles=10**20)
-        assert type(got) is float and got == python_fold(10**20, [0.25, 0.25])
+                  table=[0.0, 0.0, 0.25], cycles=10**20 + 1)
+        assert type(got) is float
+        assert got == python_fold(10**20 + 1, [0.25, 0.25])
+
+    @pytest.mark.parametrize("start", [10**400, None, "0"])
+    def test_a_start_python_cannot_add_a_float_to_runs_nothing(self, start):
+        """The start is read before the first request, and refused as
+        ``start + 0.5`` refuses it."""
+        with pytest.raises((OverflowError, TypeError)) as py_err:
+            start + 0.5
+        access = Recorder()
+        with pytest.raises(py_err.type):
+            run(access, array("q", [1]), array("b", [0]), table=[0.5, 0.5],
+                cycles=start)
+        assert access.calls == []
 
     @pytest.mark.parametrize("cycles", [10**30, 2.5e300, 7])
     def test_an_empty_slice_returns_cycles_itself(self, cycles):
@@ -302,6 +316,103 @@ class TestSemantics:
             engine.run_trace(trace)
             seen.append(engine.cycles)
         assert type(seen[1]) is float and repr(seen[0]) == repr(seen[1])
+
+
+# ---------------------------------------------------------------------------
+# simulated time is floats
+# ---------------------------------------------------------------------------
+
+
+class Cycles(float):
+    """A float subclass: not a float as the fold reads one."""
+
+
+class IntTiming(OramTimingModel):
+    """A timing model that prices every count as an ``int``."""
+
+    def miss_latency(self, tree_accesses):
+        return int(super().miss_latency(tree_accesses))
+
+
+class TestTimeIsFloats:
+    """A latency that is not a float is a ``TypeError`` on the fast tier,
+    which leaves ``cycles``, ``events``, the latencies kept and the table
+    as they were; ``OramTimingModel`` prices every count as a float."""
+
+    @pytest.mark.parametrize("latency", [7, True, Cycles(2.0)], ids=repr)
+    def test_a_table_entry_that_is_not_a_float(self, latency):
+        table = [0.5, 1.5, latency]
+        latencies = [9.0]
+        access = Recorder([1, 1, 2, 1])
+        with pytest.raises(
+            TypeError, match="latency of 2 tree accesses must be a float"
+        ):
+            run(access, array("q", range(4)), array("b", [0] * 4),
+                table=table, latencies=latencies, cycles=3.0)
+        assert len(access.calls) == 3  # the refused event's request ran
+        assert latencies == [9.0]
+        assert table == [0.5, 1.5, latency]
+
+    @pytest.mark.parametrize("miss_latency", [int, Cycles, lambda n: None])
+    def test_a_miss_latency_result_that_is_not_a_float(self, miss_latency):
+        table = [None, 0.5]
+        latencies = []
+        with pytest.raises(TypeError, match="must be a float, not"):
+            run(Recorder([1, 3]), array("q", range(2)), array("b", [0, 0]),
+                table=table, miss_latency=miss_latency, latencies=latencies)
+        assert latencies == [] and table == [None, 0.5]
+
+    def test_an_engine_pricing_in_ints_keeps_its_totals_on_both_tiers(self):
+        """``run_trace`` and ``run_batch``: the refusal, with one message
+        on both tiers, leaves ``cycles``, ``events`` and the table as they
+        were."""
+        messages = []
+        for frontend, mode in zip(twin("PIC_X32", num_blocks=BLOCKS), ("scalar", "compiled")):
+            engine = ReplayEngine.for_mode(frontend, IntTiming(1000.0), mode)
+            engine.cycles = 5
+            with pytest.raises(TypeError, match="must be a float, not int") as err:
+                engine.run_trace(make_trace(2, events=10))
+            messages.append(str(err.value))
+            engine.timing.latency_table[:] = [None, 7]  # an int entry
+            with pytest.raises(TypeError, match="must be a float, not int") as err:
+                engine.run_batch([1, 2], [False, True])
+            messages.append(str(err.value))
+            assert (engine.cycles, engine.events) == (5, 0)
+            assert engine.timing.latency_table == [None, 7]
+        assert messages[:2] == messages[2:]
+
+    def test_a_timing_model_of_ints_prices_in_floats_on_both_tiers(self):
+        """Int fields, with and without PMMAC: every latency is the float
+        of the int expression, and a replay's cycles are bit for bit those
+        of the same model in floats, on either tier."""
+        trace = make_trace(6, events=200)
+        for pmmac in (False, True):
+            ints = OramTimingModel(
+                1000, FrontendTimings(aes_latency=21, sha3_latency=18,
+                                      frontend_latency=20, backend_latency=30),
+                pmmac=pmmac,
+            )
+            floats = OramTimingModel(
+                1000.0, FrontendTimings(aes_latency=21.0, sha3_latency=18.0,
+                                        frontend_latency=20.0,
+                                        backend_latency=30.0),
+                pmmac=pmmac,
+            )
+            for count in range(8):
+                latency = ints.miss_latency(count)
+                assert type(latency) is float
+                assert repr(latency) == repr(floats.miss_latency(count))
+            results = []
+            for timing in (ints, floats):
+                ref, fast = twin("PIC_X32", num_blocks=BLOCKS)
+                results += [
+                    replay_trace(ref, trace, timing, mode="scalar"),
+                    replay_trace(fast, trace, timing, mode="compiled"),
+                ]
+            assert all(type(result.cycles) is float for result in results)
+            assert len({repr(result.cycles) for result in results}) == 1
+            assert all(result == results[0] for result in results)
+            assert all(type(n) is float for n in ints.latency_table if n is not None)
 
 
 # ---------------------------------------------------------------------------

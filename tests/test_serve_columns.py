@@ -484,20 +484,6 @@ def fold_both(fast, reference):
     assert records(fast) == records(reference)
 
 
-class _SpyCore:
-    """The core, recording what ``serve_fold`` returned."""
-
-    def __init__(self, core):
-        self.core, self.folds = core, []
-
-    def __getattr__(self, name):
-        return getattr(self.core, name)
-
-    def serve_fold(self, *args):
-        self.folds.append(self.core.serve_fold(*args))
-        return self.folds[-1]
-
-
 @pytest.mark.usefixtures("fast_tier")
 class TestColumnsInLockstep:
     """``ServeKernel.epoch`` / ``serve_fold`` against ``_admit_rows`` +
@@ -534,7 +520,6 @@ class TestColumnsInLockstep:
             events, shards=shards, policy=policy, burst=burst,
             queue_capacity=queue_capacity, max_batch=max_batch,
         )
-        spy = fast._core = _SpyCore(fast._core)
         if preload:  # a first touch in the directory before any epoch
             for service in (fast, reference):
                 service.preload(0, 5, b"preloaded")
@@ -547,7 +532,6 @@ class TestColumnsInLockstep:
                 fold_both(fast, reference)
         assert not reference._unserved
         fold_both(fast, reference)
-        assert None not in spy.folds
 
     def test_an_error_mid_epoch_leaves_both_tiers_alike(self):
         """PIC_X32 with every block of shard 1's tree tampered: an epoch
@@ -589,7 +573,6 @@ class TestColumnsInLockstep:
         fast, reference = twins(
             events, shards=shards, burst=4, queue_capacity=5, max_batch=3,
         )
-        spy = fast._core = _SpyCore(fast._core)
         for _ in range(6):
             epoch(fast, 4)
             epoch(reference, 4)
@@ -602,21 +585,35 @@ class TestColumnsInLockstep:
                 getattr(mine.log, column)[:] = values
                 getattr(theirs.log, column)[:] = values
         fold_both(fast, reference)
-        assert spy.folds and None not in spy.folds
 
-    def test_an_int_latency_takes_the_reference_fold(self):
+    def test_an_int_latency_is_refused_and_folds_nothing(self):
+        """Time is floats on the fast tier: the fold raises, and every
+        record and the log stay as they were, to fold again once the
+        row is a float."""
         events = [[(addr, False) for addr in range(20)]]
         fast, reference = twins(events, shards=2, burst=8, queue_capacity=8)
-        spy = fast._core = _SpyCore(fast._core)
         for service in (fast, reference):
             epoch(service, 8)
-            log = next(s.log for s in service.shards if s.log.latencies)
-            log.latencies[0] = 7  # an int: the kernel sums exact floats only
+        log = next(s.log for s in fast.shards if s.log.latencies)
+        latency, log.latencies[0] = log.latencies[0], 7
+        before = records(fast), admission_image(fast)
+        with pytest.raises(TypeError, match="latency 0 must be a float, not int"):
+            fast._fold_log()
+        assert (records(fast), admission_image(fast)) == before
+        log.latencies[0] = latency
         fold_both(fast, reference)
-        assert spy.folds == [None]
-        assert any(
-            type(hist.total) is float and hist.count for hist in fast._histograms
-        )
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_an_infinite_latency_raises_on_both_tiers(self, value):
+        """What ``int()`` of it raises in ``record_many``."""
+        events = [[(addr, False) for addr in range(20)]]
+        fast, reference = twins(events, shards=2, burst=8, queue_capacity=8)
+        for service in (fast, reference):
+            epoch(service, 8)
+            next(s.log for s in service.shards if s.log.latencies).latencies[1] = value
+        for service in (fast, reference):
+            with pytest.raises(OverflowError, match="infinity"):
+                service._fold_log()
 
     @pytest.mark.parametrize("mode", ["serial", "async"])
     def test_the_kernels_wall_stamps_fold_as_the_references(self, mode, monkeypatch):
